@@ -42,6 +42,7 @@ __all__ = [
     "IndexSet",
     "InsertionBlocks",
     "SphereSet",
+    "trace_out",
     "partial_trace",
     "delete",
     "deletion_sphere",
@@ -94,30 +95,38 @@ def _as_index_set(positions, ambient: int) -> IndexSet:
     return IndexSet.of(positions, ambient)
 
 
+def trace_out(mat: np.ndarray, pset: IndexSet, level: int) -> np.ndarray:
+    """Partial trace over the qudits at ``pset`` of a raw ``(..., d, d)`` array.
+
+    ``d`` must be ``level ** pset.ambient``; leading axes are a batch and are
+    kept.  Positions are traced from the largest down so the remaining 1-based
+    positions stay valid.  The matrices themselves are not validated.
+    """
+    mat = np.asarray(mat)
+    n = pset.ambient
+    if mat.shape[-2:] != (level**n, level**n):
+        raise ShapeMismatch(f"shape {mat.shape} does not end in two axes of {level}**{n}")
+    batch = mat.shape[:-2]
+    k = len(batch)
+    for p in reversed(pset.positions):
+        lead, tail = level ** (p - 1), level ** (n - p)
+        tensor = mat.reshape(*batch, lead, level, tail, lead, level, tail)
+        n -= 1
+        mat = np.trace(tensor, axis1=k + 1, axis2=k + 4).reshape(*batch, level**n, level**n)
+    return mat
+
+
 def partial_trace(rho: DensityMatrix, p: int) -> DensityMatrix:
     """Trace out qudit p (the system loses that qudit)."""
-    l, n = rho.level, rho.length
-    if n < 1:
-        raise PositionOutOfRange("cannot trace out a qudit of a zero-length state")
-    if not 1 <= p <= n:
-        raise PositionOutOfRange(f"position {p} not in [1, {n}]")
-    tensor = rho.mat.reshape([l] * (2 * n))
-    reduced = np.trace(tensor, axis1=p - 1, axis2=n + p - 1)
-    dim = l ** (n - 1)
-    return DensityMatrix(QuditShape(l, n - 1), reduced.reshape(dim, dim))
+    reduced = trace_out(rho.mat, IndexSet((p,), rho.length), rho.level)
+    return DensityMatrix(QuditShape(rho.level, rho.length - 1), reduced)
 
 
 def delete(rho: DensityMatrix, positions) -> DensityMatrix:
-    """Deletion error D_P: compose partial traces over the positions in P.
-
-    Traces are applied from the largest position downward so the stored
-    1-based positions stay valid throughout the composition.
-    """
+    """Deletion error D_P: the partial trace over the positions in P."""
     pset = _as_index_set(positions, rho.length)
-    out = rho
-    for p in sorted(pset.positions, reverse=True):
-        out = partial_trace(out, p)
-    return out
+    reduced = trace_out(rho.mat, pset, rho.level)
+    return DensityMatrix(QuditShape(rho.level, rho.length - pset.size), reduced)
 
 
 class SphereSet:

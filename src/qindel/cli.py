@@ -54,7 +54,7 @@ def _tolerance(args) -> Tolerance | None:
         return None
     eq = args.eq_tol if args.eq_tol is not None else 1e-9
     psd = args.psd_tol if args.psd_tol is not None else 1e-9
-    return Tolerance(eq_tol=eq, psd_tol=psd, eig_tol=min(eq, psd))
+    return Tolerance(eq_tol=eq, psd_tol=psd)
 
 
 def _feas_options(args) -> FeasibilityOptions:

@@ -4,9 +4,11 @@ Insertions-after-deletions membership reduces to a finite intersection of
 deletion spheres and is decided exactly.  Deletions-after-insertions
 membership is a PSD feasibility problem (does the affine slice of states with
 prescribed partial traces meet the PSD cone?) and is decided by Dykstra's
-alternating projections, with an honest tri-state verdict: the infeasible
-verdict is heuristic (a plateaued gap, no dual certificate) and borderline
-runs surface as inconclusive instead of being coerced.
+alternating projections on d x d Hermitian matrices (an exact least-squares
+projector for the stacked partial traces, eigenvalue clipping for the cone),
+with an honest tri-state verdict: the infeasible verdict is heuristic (a
+plateaued gap, no dual certificate) and borderline runs surface as
+inconclusive instead of being coerced.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import IndexSet, deletion_sphere, partial_trace, sample_insertions
+from .channels import IndexSet, deletion_sphere, partial_trace, sample_insertions, trace_out
 from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
-from .linalg import Tolerance, hermitian_eigensystem
+from .linalg import Tolerance, hermitian_eigensystem, hermitian_part
 from .states import DensityMatrix, QuditShape, state_to_json_obj
 
 __all__ = [
@@ -28,8 +30,6 @@ __all__ = [
     "FeasibilityOptions",
     "FeasibilityReport",
     "AffineConstraint",
-    "hermitian_to_vec",
-    "vec_to_hermitian",
     "member_ins_del",
     "feasibility_del_ins",
     "member_del_ins",
@@ -75,59 +75,28 @@ class FeasibilityReport:
         return obj
 
 
-# --- real vectorization of the Hermitian space --------------------------------
-
-def _offdiag_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    iu = np.triu_indices(d, k=1)
-    return iu
-
-
-def hermitian_to_vec(h: np.ndarray) -> np.ndarray:
-    """Isometry Herm(d) -> R^(d^2): diagonal, then sqrt(2)*(Re, Im) above it."""
-    d = h.shape[0]
-    rows, cols = _offdiag_indices(d)
-    upper = h[rows, cols]
-    return np.concatenate(
-        [h.diagonal().real, math.sqrt(2) * upper.real, math.sqrt(2) * upper.imag]
-    )
-
-
-def vec_to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    rows, cols = _offdiag_indices(d)
-    m = len(rows)
-    h = np.zeros((d, d), dtype=complex)
-    h[np.arange(d), np.arange(d)] = x[:d]
-    upper = (x[d : d + m] + 1j * x[d + m :]) / math.sqrt(2)
-    h[rows, cols] = upper
-    h[cols, rows] = upper.conj()
-    return h
-
-
 class AffineConstraint:
-    """Stacked partial-trace conditions D_P(tau) = target, as a real-linear
-    system on the vectorized Hermitian space, with a precomputed least-squares
-    projector."""
+    """Stacked partial-trace conditions D_P(tau) = target on d x d matrices,
+    with a precomputed least-squares projector.
+
+    A partial trace is a real 0/1 matrix on vec(tau), so the stacked map and
+    its pseudo-inverse stay real and act on the (Re, Im) columns of vec(tau).
+    The projection of a Hermitian matrix is Hermitian.
+    """
 
     def __init__(self, big_shape: QuditShape, conditions: list[tuple[IndexSet, DensityMatrix]]):
         self.big_shape = big_shape
-        d = big_shape.dim
-        self.dim_vec = d * d
-        rows: list[np.ndarray] = []
-        rhs: list[np.ndarray] = []
-        blocks = []
-        for pset, target in conditions:
-            out_dim = target.dim
-            block = np.zeros((out_dim * out_dim, self.dim_vec))
-            for k in range(self.dim_vec):
-                e = np.zeros(self.dim_vec)
-                e[k] = 1.0
-                basis_mat = vec_to_hermitian(e, d)
-                block[:, k] = hermitian_to_vec(_delete_mat(basis_mat, pset, big_shape.level))
-            blocks.append(block)
-            rhs.append(hermitian_to_vec(np.asarray(target.mat)))
-        self.matrix = np.vstack(blocks)
-        self.rhs = np.concatenate(rhs)
-        self.pinv = np.linalg.pinv(self.matrix)
+        d, l = big_shape.dim, big_shape.level
+        # entry k of the stack is the basis matrix E_k, so trace_out returns
+        # column k of each map
+        basis = np.eye(d * d).reshape(d * d, d, d)
+        self.matrix = np.vstack(
+            [trace_out(basis, pset, l).reshape(d * d, -1).T for pset, _ in conditions]
+        )
+        self.rhs = np.vstack([_columns(target.mat) for _, target in conditions])
+        # the stacked map is rank deficient; numpy's default cutoff keeps
+        # rounding-level singular values and wrecks the projector
+        self.pinv = np.linalg.pinv(self.matrix, rcond=1e-10)
         # distance from rhs to the range of the constraint map; > 0 means the
         # affine set is empty and no PSD search is needed
         self.rhs_residual = float(
@@ -135,26 +104,22 @@ class AffineConstraint:
         )
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return x - self.pinv @ (self.matrix @ x - self.rhs)
+        return x - self._matrix(self.pinv @ (self.matrix @ _columns(x) - self.rhs))
 
     def least_squares_point(self) -> np.ndarray:
-        return self.pinv @ self.rhs
+        return self._matrix(self.pinv @ self.rhs)
 
     def residual(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.matrix @ x - self.rhs))
+        return float(np.linalg.norm(self.matrix @ _columns(x) - self.rhs))
+
+    def _matrix(self, columns: np.ndarray) -> np.ndarray:
+        d = self.big_shape.dim
+        return np.ascontiguousarray(columns).view(complex).reshape(d, d)
 
 
-def _delete_mat(mat: np.ndarray, pset: IndexSet, level: int) -> np.ndarray:
-    """Partial traces on a raw matrix (no density validation)."""
-    n = pset.ambient
-    out = mat
-    for p in sorted(pset.positions, reverse=True):
-        tensor = out.reshape([level] * (2 * n))
-        out = np.trace(tensor, axis1=p - 1, axis2=n + p - 1)
-        n -= 1
-        dim = level ** n
-        out = out.reshape(dim, dim)
-    return out
+def _columns(x: np.ndarray) -> np.ndarray:
+    """vec(x) as a (size, 2) real array of (Re, Im) columns."""
+    return np.ascontiguousarray(x, dtype=complex).reshape(-1).view(float).reshape(-1, 2)
 
 
 def member_ins_del(
@@ -224,18 +189,16 @@ def feasibility_del_ins(
             {"reason": "affine constraints inconsistent"},
         )
 
-    d = big_shape.dim
     big_tol = big_shape.tol()
 
-    def psd_project_vec(x: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(vec_to_hermitian(x, d))
-        w = np.maximum(w, 0.0)
-        return hermitian_to_vec((v * w) @ v.conj().T)
+    def psd_project(x: np.ndarray) -> np.ndarray:
+        w, v = np.linalg.eigh(x)
+        return (v * np.maximum(w, 0.0)) @ v.conj().T
 
-    def feasible_report(witness_vec: np.ndarray, gap: float, k: int) -> FeasibilityReport | None:
-        mat = vec_to_hermitian(psd_project_vec(witness_vec), d)
+    def feasible_report(witness_mat: np.ndarray, gap: float, k: int) -> FeasibilityReport | None:
+        mat = hermitian_part(psd_project(witness_mat))
         residuals = [
-            float(np.linalg.norm(_delete_mat(mat, cond_set, l) - target.mat))
+            float(np.linalg.norm(trace_out(mat, cond_set, l) - target.mat))
             for cond_set, target in ((qset, rho), (pset, sigma))
         ]
         if max(residuals) > opts.feas_tol:
@@ -250,7 +213,7 @@ def feasibility_del_ins(
         )
 
     x = affine.least_squares_point()
-    w, _ = hermitian_eigensystem(vec_to_hermitian(x, d), big_tol)
+    w, _ = hermitian_eigensystem(x, big_tol)
     if w[0] >= -big_tol.psd_tol:
         report = feasible_report(x, max(0.0, -float(w[0])), 0)
         if report is not None:
@@ -261,7 +224,7 @@ def feasibility_del_ins(
     for k in range(1, opts.max_iterations + 1):
         y = affine.project(x)
         z = y + correction
-        x_new = psd_project_vec(z)
+        x_new = psd_project(z)
         correction = z - x_new
         gap = float(np.linalg.norm(y - x_new))
         gaps.append(gap)

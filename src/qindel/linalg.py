@@ -32,19 +32,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric slack for equality, PSD and eigensolver decisions.
+    """Numeric slack for equality and PSD decisions.
 
     eq_tol   Frobenius-distance threshold below which two matrices count as equal.
     psd_tol  eigenvalue floor: min eigenvalue >= -psd_tol still counts as PSD.
-    eig_tol  residual threshold for the eigensolver backend.
     """
 
     eq_tol: float
     psd_tol: float
-    eig_tol: float
 
     def __post_init__(self) -> None:
-        if min(self.eq_tol, self.psd_tol, self.eig_tol) < 0:
+        if min(self.eq_tol, self.psd_tol) < 0:
             raise ValueError("tolerances must be nonnegative")
 
     @classmethod
@@ -54,7 +52,7 @@ class Tolerance:
         Constructed states carry only rounding error; comparisons get slack
         proportional to the dimension.
         """
-        return cls(eq_tol=1e-9 * math.sqrt(dim), psd_tol=1e-9 * dim, eig_tol=1e-12 * dim)
+        return cls(eq_tol=1e-9 * math.sqrt(dim), psd_tol=1e-9 * dim)
 
 
 def _as_complex(a) -> np.ndarray:

@@ -286,15 +286,6 @@ def state_to_json_obj(rho: DensityMatrix) -> dict:
     }
 
 
-def ket_to_json_obj(ket: PureKet) -> dict:
-    return {
-        "level": ket.shape.level,
-        "length": ket.shape.length,
-        "kind": "pure",
-        "ket": _complex_pairs(ket.amplitudes),
-    }
-
-
 def state_from_json_obj(obj: dict, tol: Tolerance | None = None) -> DensityMatrix:
     """Parse a state object, validating every invariant; reports the first
     violation with its numeric residual."""

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from qindel.channels import (
     partial_trace,
     sample_insertions,
     tau_Q,
+    trace_out,
 )
 from qindel.codes import example_rho, x1_codeword
 from qindel.errors import (
@@ -52,12 +55,30 @@ def partial_trace_oracle(mat, p, level, n):
     return out
 
 
+def delete_oracle(mat, positions, level, n):
+    for p in sorted(positions, reverse=True):
+        mat = partial_trace_oracle(mat, p, level, n)
+        n -= 1
+    return mat
+
+
 def test_partial_trace_matches_oracle(rng):
-    for level, n in ((2, 3), (3, 2)):
+    for level, n in ((2, 3), (3, 2), (2, 4)):
         rho = random_density(rng, QuditShape(level, n))
         for p in range(1, n + 1):
             expected = partial_trace_oracle(rho.mat, p, level, n)
             np.testing.assert_allclose(partial_trace(rho, p).mat, expected, atol=1e-13)
+        for s in range(2, n):
+            for combo in combinations(range(1, n + 1), s):
+                expected = delete_oracle(rho.mat, combo, level, n)
+                np.testing.assert_allclose(delete(rho, combo).mat, expected, atol=1e-13)
+
+    # a (k, d, d) batch is traced matrix by matrix, on non-Hermitian input too
+    batch = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
+    traced = trace_out(batch, IndexSet((1, 3), 4), 2)
+    assert traced.shape == (3, 4, 4)
+    for mat, got in zip(batch, traced):
+        np.testing.assert_allclose(got, delete_oracle(mat, (1, 3), 2, 4), atol=1e-12)
 
 
 def test_partial_trace_examples():

@@ -10,42 +10,37 @@ from qindel.feasibility import (
     FeasibilityStatus,
     check_containment_trial,
     feasibility_del_ins,
-    hermitian_to_vec,
     member_del_ins,
     member_ins_del,
-    vec_to_hermitian,
 )
 from qindel.rand import random_density, random_hermitian
 from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, pure_ket
 from conftest import make_states
 
 
-def test_hermitian_vectorization_is_an_isometry(rng):
-    for dim in (2, 4, 8):
-        h = random_hermitian(rng, dim)
-        x = hermitian_to_vec(h)
-        assert x.shape == (dim * dim,)
-        np.testing.assert_allclose(vec_to_hermitian(x, dim), h, atol=1e-13)
-        assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(h))
-
-
 def test_affine_projection_properties(rng):
     rho = example_rho(0.5, 0.5)
-    sigma = delete(rho, {1})
-    big = QuditShape(2, 3)
-    affine = AffineConstraint(
-        big, [(IndexSet((2,), 3), rho), (IndexSet((1, 2), 3), sigma)]
-    )
-    assert affine.rhs_residual <= 1e-12
-    for _ in range(5):
-        x = hermitian_to_vec(random_hermitian(rng, 8))
-        y = affine.project(x)
-        assert affine.residual(y) <= 1e-10
-        np.testing.assert_allclose(affine.project(y), y, atol=1e-10)
-        # projected iterates stay Hermitian with unit trace
-        h = vec_to_hermitian(y, 8)
-        assert np.linalg.norm(h - h.conj().T) <= 1e-12
-        assert abs(np.trace(h) - 1.0) <= 1e-10
+    # marginals of a random 4-qubit state at P={1}, Q={4}: the stacked map is
+    # rank deficient, and a loose pseudo-inverse cutoff made it look inconsistent
+    tau = random_density(rng, QuditShape(2, 4))
+    p1, q4 = IndexSet((1,), 4), IndexSet((4,), 4)
+    cases = [
+        (QuditShape(2, 3), [(IndexSet((2,), 3), rho), (IndexSet((1, 2), 3), delete(rho, {1}))]),
+        (QuditShape(2, 4), [(q4, delete(tau, q4)), (p1, delete(tau, p1))]),
+    ]
+    for big, conditions in cases:
+        affine = AffineConstraint(big, conditions)
+        assert affine.rhs_residual <= 1e-12
+        for _ in range(5):
+            x = random_hermitian(rng, big.dim)
+            y = affine.project(x)
+            assert affine.residual(y) <= 1e-10
+            np.testing.assert_allclose(affine.project(y), y, atol=1e-10)
+            # projected iterates stay Hermitian with unit trace
+            assert np.linalg.norm(y - y.conj().T) <= 1e-12
+            assert abs(np.trace(y) - 1.0) <= 1e-10
+    report = feasibility_del_ins(delete(tau, p1), delete(tau, q4), p1, q4)
+    assert report.status is not FeasibilityStatus.INFEASIBLE
 
 
 def test_member_ins_del():

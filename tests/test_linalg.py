@@ -148,7 +148,7 @@ def test_project_psd_is_nearest_among_samples(rng):
 
 def test_tolerance_validation():
     with pytest.raises(ValueError):
-        Tolerance(eq_tol=-1.0, psd_tol=0.0, eig_tol=0.0)
+        Tolerance(eq_tol=-1.0, psd_tol=0.0)
     t = Tolerance.for_dim(16)
     assert t.eq_tol == pytest.approx(4e-9)
     assert t.psd_tol == pytest.approx(16e-9)
