@@ -42,6 +42,7 @@ __all__ = [
     "IndexSet",
     "InsertionBlocks",
     "SphereSet",
+    "cross_distances",
     "trace_out",
     "partial_trace",
     "delete",
@@ -129,38 +130,94 @@ def delete(rho: DensityMatrix, positions) -> DensityMatrix:
     return DensityMatrix(QuditShape(rho.level, rho.length - pset.size), reduced)
 
 
+# Largest temporary, in complex entries, that ``cross_distances`` allocates.
+_CHUNK = 1 << 16
+
+
+def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius distances between two ``(k, d, d)`` stacks, as a ``(ka, kb)`` array.
+
+    Entry ``[i, j]`` is ``||a[i] - b[j]||``, computed from the difference
+    itself (not from Gram products, whose cancellation would swamp eq_tol).
+    The pairs are taken in blocks, so no temporary holds more than ``_CHUNK``
+    complex entries whatever the stack sizes (one pair always fits: the
+    dimension cap is 256, and 256**2 = _CHUNK).
+    """
+    ka, kb = len(a), len(b)
+    size = a.shape[-1] * a.shape[-2]
+    a = a.reshape(ka, 1, size)
+    b = b.reshape(1, kb, size)
+    out = np.empty((ka, kb))
+    cols = max(1, min(kb, _CHUNK // size))
+    rows = max(1, min(ka, _CHUNK // (cols * size)))
+    diff = np.empty((rows, cols, size), dtype=complex)
+    for i in range(0, ka, rows):
+        for j in range(0, kb, cols):
+            block = diff[: min(rows, ka - i), : min(cols, kb - j)]
+            np.subtract(a[i : i + rows], b[:, j : j + cols], out=block)
+            flat = block.view(float)
+            out[i : i + rows, j : j + cols] = np.einsum("...k,...k->...", flat, flat)
+    return np.sqrt(out, out=out)
+
+
 class SphereSet:
     """Finite set of same-shape states with tolerance-based membership.
 
-    Deduplication is greedy: a candidate joins only if its Frobenius distance
-    to every current member exceeds eq_tol.  Each member remembers the first
-    index set that produced it.
+    The members live in one read-only ``(k, d, d)`` array, ``stack``, their
+    only copy; ``states`` wraps read-only views of its rows.  Deduplication is
+    greedy: candidates are taken in order, and one joins only if its
+    Frobenius distance to every current member exceeds eq_tol, with all those
+    distances computed in one batched call.  Each member remembers in
+    ``reps`` the tag of the first candidate that produced it (the index set,
+    for a deletion sphere); ``raw_count`` counts every candidate offered.
     """
 
     def __init__(self, shape: QuditShape, eq_tol: float | None = None):
         self.shape = shape
         self.eq_tol = eq_tol if eq_tol is not None else shape.tol().eq_tol
-        self.states: list[DensityMatrix] = []
-        self.reps: list[IndexSet | None] = []
+        self.reps: list = []
         self.raw_count = 0
+        self._set_stack(np.empty((0, shape.dim, shape.dim), dtype=complex))
+
+    def _set_stack(self, stack: np.ndarray) -> None:
+        stack.setflags(write=False)
+        self.stack = stack
+        self.states = [DensityMatrix(self.shape, mat) for mat in stack]
+
+    def _first_within(self, dist: np.ndarray) -> int | None:
+        hits = np.flatnonzero(dist <= self.eq_tol)
+        return int(hits[0]) if hits.size else None
 
     def find(self, rho: DensityMatrix) -> int | None:
-        for k, member in enumerate(self.states):
-            if member.distance(rho) <= self.eq_tol:
-                return k
-        return None
+        return self._first_within(cross_distances(self.stack, rho.mat[None])[:, 0])
 
-    def add(self, rho: DensityMatrix, rep: IndexSet | None = None) -> int:
-        self.raw_count += 1
-        k = self.find(rho)
-        if k is None:
-            self.states.append(rho)
-            self.reps.append(rep)
-            return len(self.states) - 1
-        return k
+    def extend(self, mats: np.ndarray, reps: Sequence | None = None) -> list[int]:
+        """Offer a ``(k, d, d)`` stack of candidates in order; return the
+        index of the member each one joined or became."""
+        return self._absorb(np.concatenate([self.stack, np.asarray(mats, dtype=complex)]), reps)
+
+    def _absorb(self, buf: np.ndarray, reps: Sequence | None) -> list[int]:
+        """``extend`` on a buffer owned here: the current members followed by
+        the candidates.  Members are compacted in place at its front."""
+        reps = list(reps) if reps is not None else [None] * (len(buf) - len(self.stack))
+        k = len(self.stack)
+        joined = []
+        for c, rep in zip(range(len(self.stack), len(buf)), reps):
+            hit = self._first_within(cross_distances(buf[:k], buf[c : c + 1])[:, 0])
+            if hit is None:
+                buf[k] = buf[c]
+                self.reps.append(rep)
+                hit, k = k, k + 1
+            joined.append(hit)
+        self.raw_count += len(buf) - len(self.stack)
+        self._set_stack(buf if k == len(buf) else buf[:k].copy())
+        return joined
+
+    def add(self, rho: DensityMatrix, rep=None) -> int:
+        return self.extend(rho.mat[None], [rep])[0]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.stack)
 
     def __iter__(self) -> Iterator[DensityMatrix]:
         return iter(self.states)
@@ -169,20 +226,19 @@ class SphereSet:
         return self.find(rho) is not None
 
     def min_cross_distance(self, other: "SphereSet") -> float:
-        return min(a.distance(b) for a in self.states for b in other.states)
+        return float(cross_distances(self.stack, other.stack).min())
 
     def intersection_witness(
         self, other: "SphereSet"
     ) -> tuple[int, int, float] | None:
-        """Indices of the closest cross pair if within eq_tol, else None."""
-        best = None
-        for i, a in enumerate(self.states):
-            for j, b in enumerate(other.states):
-                d = a.distance(b)
-                if best is None or d < best[2]:
-                    best = (i, j, d)
-        if best is not None and best[2] <= max(self.eq_tol, other.eq_tol):
-            return best
+        """Indices of the closest cross pair (first in row-major order among
+        equals) if within eq_tol, else None."""
+        dist = cross_distances(self.stack, other.stack)
+        if dist.size == 0:
+            return None
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        if dist[i, j] <= max(self.eq_tol, other.eq_tol):
+            return int(i), int(j), float(dist[i, j])
         return None
 
     def to_json_obj(self) -> list[dict]:
@@ -190,16 +246,18 @@ class SphereSet:
 
 
 def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance | None = None) -> SphereSet:
-    """D^s(rho): all C(n, s) deletions, deduplicated within eq_tol."""
+    """D^s(rho): all C(n, s) deletions, traced into one buffer and
+    deduplicated greedily within eq_tol."""
     n = rho.length
     if not 0 <= s <= n:
         raise CountOutOfRange(f"deletion count {s} not in [0, {n}]")
     out_shape = QuditShape(rho.level, n - s)
-    eq_tol = (tol.eq_tol if tol is not None else None)
-    sphere = SphereSet(out_shape, eq_tol)
-    for combo in combinations(range(1, n + 1), s):
-        pset = IndexSet(combo, n)
-        sphere.add(delete(rho, pset), pset)
+    psets = [IndexSet(combo, n) for combo in combinations(range(1, n + 1), s)]
+    buf = np.empty((len(psets), out_shape.dim, out_shape.dim), dtype=complex)
+    for k, pset in enumerate(psets):
+        buf[k] = trace_out(rho.mat, pset, rho.level)
+    sphere = SphereSet(out_shape, tol.eq_tol if tol is not None else None)
+    sphere._absorb(buf, psets)
     return sphere
 
 

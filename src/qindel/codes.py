@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .channels import delete
+from .channels import SphereSet, delete
 from .distance import CodeSample
 from .errors import DegenerateParam, NotNormalized, ParseError, WeightOutOfRange
 from .linalg import Tolerance, frobenius_distance, kron
@@ -269,13 +269,12 @@ def x2_collision_params() -> tuple[complex, complex]:
 
 
 def _dedup_sample(entries: list[tuple[str, DensityMatrix]]) -> CodeSample:
-    states: list[DensityMatrix] = []
-    labels: list[str] = []
-    for label, state in entries:
-        if not any(state.close_to(existing) for existing in states):
-            states.append(state)
-            labels.append(label)
-    return CodeSample(tuple(states), tuple(labels))
+    """Greedy dedup within eq_tol: the first entry of each coinciding group stays."""
+    if not entries:
+        return CodeSample((), ())
+    distinct = SphereSet(entries[0][1].shape)
+    distinct.extend(np.stack([state.mat for _, state in entries]), [label for label, _ in entries])
+    return CodeSample(tuple(distinct.states), tuple(distinct.reps))
 
 
 def _grid_entries(codeword, params) -> list[tuple[str, DensityMatrix]]:

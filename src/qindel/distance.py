@@ -6,6 +6,12 @@ some s-deletion of the first equals some t-deletion of the second.  A code of
 equal-length states corrects t deletions iff its minimum distance is at least
 2t + 1, and that capability transfers to any mixed batch of t deletions and
 insertions.
+
+``indel_distance`` searches one pair breadth-first.  ``min_distance`` walks the
+levels instead of the pairs: code states share one length, so the code's
+minimum distance is 2s for the least s at which two of its s-deletion spheres
+meet.  Each level builds every state's sphere once and compares the stacked
+members of all spheres in batched norms.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .channels import IndexSet, SphereSet, deletion_sphere
+import numpy as np
+
+from .channels import IndexSet, SphereSet, cross_distances, deletion_sphere
 from .errors import CountOutOfRange, LevelMismatch, TooFewStates
 from .feasibility import FeasibilityOptions, FeasibilityStatus, member_del_ins
 from .linalg import Tolerance
@@ -66,8 +74,13 @@ class CodeSample:
         shapes = {s.shape for s in self.states}
         if len(shapes) > 1:
             raise LevelMismatch(f"states span several shapes: {shapes}")
-        for (i, a), (j, b) in combinations(enumerate(self.states), 2):
-            if a.close_to(b):
+        if not self.states:
+            return
+        distinct = SphereSet(self.states[0].shape)
+        joined = distinct.extend(np.stack([s.mat for s in self.states]), range(len(self.states)))
+        for j, k in enumerate(joined):
+            i = distinct.reps[k]
+            if i != j:
                 raise ValueError(
                     f"states {self.labels[i]!r} and {self.labels[j]!r} coincide within eq_tol"
                 )
@@ -100,30 +113,27 @@ def indel_distance(
     """Breadth-first search over increasing s + t with n - s = m - t >= 0.
 
     Deletion spheres are finite, so each candidate total is decided exactly;
-    full deletion of both states guarantees a hit by s + t = n + m.
+    full deletion of both states guarantees a hit by s + t = n + m.  Both s
+    and t grow by one per step, so each sphere is built once and dropped.
     """
     if rho1.level != rho2.level:
         raise LevelMismatch(f"levels differ: {rho1.level} vs {rho2.level}")
     n, m = rho1.length, rho2.length
-    spheres1: dict[int, SphereSet] = {}
-    spheres2: dict[int, SphereSet] = {}
     for total in range(abs(n - m), n + m + 1, 2):
         s = (total + n - m) // 2
         t = total - s
-        if s not in spheres1:
-            spheres1[s] = deletion_sphere(rho1, s, tol)
-        if t not in spheres2:
-            spheres2[t] = deletion_sphere(rho2, t, tol)
-        hit = spheres1[s].intersection_witness(spheres2[t])
+        sphere1 = deletion_sphere(rho1, s, tol)
+        sphere2 = deletion_sphere(rho2, t, tol)
+        hit = sphere1.intersection_witness(sphere2)
         if hit is not None:
             i, j, _ = hit
             result = DistanceResult(
                 value=total,
                 s=s,
                 t=t,
-                P=spheres1[s].reps[i] or IndexSet((), n),
-                Q=spheres2[t].reps[j] or IndexSet((), m),
-                common=spheres1[s].states[i],
+                P=sphere1.reps[i],
+                Q=sphere2.reps[j],
+                common=sphere1.states[i],
             )
             # equal-length states are always an even distance apart
             assert n != m or result.value % 2 == 0
@@ -134,16 +144,48 @@ def indel_distance(
 def min_distance(
     code: CodeSample, tol: Tolerance | None = None
 ) -> tuple[int, tuple[str, str], DistanceResult]:
-    """Minimum pairwise distance with the achieving pair."""
+    """Minimum pairwise distance with the achieving pair, level by level.
+
+    Code states share one length, so a pair's distance is 2s for the least s
+    at which their s-deletion spheres meet.  For s = 0, 1, ... each state's
+    sphere is built once, the members of all spheres are stacked, and the
+    members of each state are compared with those of every later state in
+    one batched call.  The first level with a hit gives the value; the pair
+    reported is the first, in ``combinations`` order, that meets there, and
+    its witness is its closest cross pair, as ``intersection_witness`` picks
+    it.  A level's spheres are dropped before the next is built.
+    """
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
-    best: tuple[int, tuple[str, str], DistanceResult] | None = None
-    for (i, a), (j, b) in combinations(enumerate(code.states), 2):
-        result = indel_distance(a, b, tol)
-        if best is None or result.value < best[0]:
-            best = (result.value, (code.labels[i], code.labels[j]), result)
-    assert best is not None
-    return best
+    n = code.states[0].length
+    for s in range(n + 1):
+        spheres = [deletion_sphere(rho, s, tol) for rho in code.states]
+        shape, eq_tol = spheres[0].shape, spheres[0].eq_tol
+        reps = [sphere.reps for sphere in spheres]
+        level = np.concatenate([sphere.stack for sphere in spheres])
+        del spheres  # the level stack is now the only copy of its members
+        sizes = [len(r) for r in reps]
+        bounds = np.cumsum([0] + sizes)
+        owners = np.repeat(np.arange(len(reps)), sizes)
+        for i in range(len(reps) - 1):
+            rest = bounds[i + 1]
+            dist = cross_distances(level[bounds[i] : rest], level[rest:])
+            hits = np.flatnonzero((dist <= eq_tol).any(axis=0))
+            if hits.size == 0:
+                continue
+            j = int(owners[rest + hits[0]])
+            cross = dist[:, bounds[j] - rest : bounds[j + 1] - rest]
+            a, b = np.unravel_index(np.argmin(cross), cross.shape)
+            result = DistanceResult(
+                value=2 * s,
+                s=s,
+                t=s,
+                P=reps[i][a],
+                Q=reps[j][b],
+                common=DensityMatrix(shape, level[bounds[i] + a]),
+            )
+            return 2 * s, (code.labels[i], code.labels[j]), result
+    raise AssertionError("unreachable: full deletion always intersects")
 
 
 def corrects(

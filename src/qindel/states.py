@@ -59,6 +59,10 @@ SIZE_CAP = 256  # largest allowed l^n
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:
+    """A read-only array of ``values``; one that is already read-only and of
+    ``dtype`` (such as a row of a sphere's stack) is kept, not copied."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -239,17 +243,21 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def spectral_decompose(rho: DensityMatrix, tol: Tolerance | None = None) -> SpectralForm:
-    """Eigen-pairs with weights clipped at psd_tol, dropped if ~0, renormalized.
+    """Eigen-pairs with negligible weights dropped, renormalized.
 
-    Ordered by descending weight.  For degenerate spectra the eigenbasis is
-    whatever the solver returns; downstream constructions only depend on the
-    reconstructed matrix.
+    Weights are clipped at zero, and the smallest are dropped only while their
+    running sum stays at most 1e-3 * eq_tol, so the reconstruction moves far
+    less than the eq_tol that round trips are held to (dropping every weight
+    up to psd_tol could move it by more).  Ordered by descending weight.  For
+    degenerate spectra the eigenbasis is whatever the solver returns;
+    downstream constructions only depend on the reconstructed matrix.
     """
     tol = tol if tol is not None else rho.shape.tol()
     w, v = hermitian_eigensystem(rho.mat, tol)
     if w[0] < -tol.psd_tol:
         raise NotPSD(f"negative eigenvalue {w[0]:.3e}", -float(w[0]))
-    keep = [(float(w[k]), v[:, k].copy()) for k in range(len(w)) if w[k] > tol.psd_tol]
+    dropped = np.searchsorted(np.cumsum(np.clip(w, 0.0, None)), 1e-3 * tol.eq_tol, side="right")
+    keep = [(float(w[k]), v[:, k].copy()) for k in range(dropped, len(w))]
     total = sum(p for p, _ in keep)
     pairs = tuple((p / total, ket) for p, ket in sorted(keep, key=lambda t: -t[0]))
     return SpectralForm(rho.shape, pairs)

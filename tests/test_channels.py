@@ -6,6 +6,8 @@ import pytest
 from qindel.channels import (
     IndexSet,
     InsertionBlocks,
+    SphereSet,
+    cross_distances,
     delete,
     deletion_sphere,
     index_permutation,
@@ -25,8 +27,8 @@ from qindel.errors import (
     NotPSD,
     PositionOutOfRange,
 )
-from qindel.linalg import kron
-from qindel.rand import random_density
+from qindel.linalg import frobenius_distance, kron
+from qindel.rand import random_density, random_orthonormal
 from qindel.states import (
     DensityMatrix,
     QuditShape,
@@ -154,6 +156,91 @@ def test_sphere_size_bounded_by_binomial(rng):
         assert len(deletion_sphere(rho, s)) <= comb(4, s)
 
 
+def greedy_oracle(candidates, eq_tol):
+    """Greedy dedup by a loop over frobenius_distance: (members, reps)."""
+    members, reps = [], []
+    for tag, mat in candidates:
+        if all(frobenius_distance(mat, m) > eq_tol for m in members):
+            members.append(mat)
+            reps.append(tag)
+    return members, reps
+
+
+def assert_matches_oracle(sphere, candidates):
+    members, reps = greedy_oracle(candidates, sphere.eq_tol)
+    assert sphere.raw_count == len(candidates)
+    assert sphere.reps == reps
+    assert len(sphere) == len(members)
+    for got, want in zip(sphere.states, members):
+        np.testing.assert_array_equal(got.mat, want)
+
+
+def test_sphere_set_matches_greedy_oracle(rng):
+    # deletion spheres of random states, including the coinciding deletions
+    # of a state that is a product with a repeated factor
+    one = random_density(rng, QuditShape(2, 1)).mat
+    product = DensityMatrix(QuditShape(2, 3), kron(kron(one, one), one))
+    rhos = make_states(rng, 2, 4, 3) + make_states(rng, 3, 2, 2) + [product]
+    for rho in rhos:
+        for s in range(rho.length + 1):
+            candidates = [
+                (IndexSet(combo, rho.length), delete(rho, combo).mat)
+                for combo in combinations(range(1, rho.length + 1), s)
+            ]
+            assert_matches_oracle(deletion_sphere(rho, s), candidates)
+    assert len(deletion_sphere(product, 1)) == 1
+
+    # candidates at 0.5x and 2x eq_tol from a base state, offered one by one
+    # and as one batch
+    shape = QuditShape(2, 3)
+    sphere = SphereSet(shape)
+    base = random_density(rng, shape).mat
+    candidates = [("base", base)]
+    for k in range(6):
+        step = rng.normal(size=base.shape) + 1j * rng.normal(size=base.shape)
+        step = step + step.conj().T
+        step -= np.trace(step) / shape.dim * np.eye(shape.dim)
+        scale = (0.5, 2.0)[k % 2] * sphere.eq_tol / np.linalg.norm(step)
+        candidates.append((f"near{k}", base + scale * step))
+    for tag, mat in candidates:
+        sphere.add(DensityMatrix(shape, mat), tag)
+    assert_matches_oracle(sphere, candidates)
+    assert 1 < len(sphere) < len(candidates)
+    batch = SphereSet(shape)
+    joined = batch.extend(np.stack([mat for _, mat in candidates]), [tag for tag, _ in candidates])
+    assert_matches_oracle(batch, candidates)
+    assert [batch.find(DensityMatrix(shape, mat)) for _, mat in candidates] == joined
+
+
+def test_sphere_members_are_read_only_views(rng):
+    sphere = deletion_sphere(random_density(rng, QuditShape(2, 4)), 2)
+    assert not sphere.stack.flags.writeable
+    for k, member in enumerate(sphere.states):
+        assert not member.mat.flags.writeable
+        assert np.shares_memory(member.mat, sphere.stack)
+        np.testing.assert_array_equal(member.mat, sphere.stack[k])
+    with pytest.raises(ValueError):
+        sphere.stack[0, 0, 0] = 0
+    with pytest.raises(ValueError):
+        sphere.states[0].mat[0, 0] = 0
+
+
+def test_cross_distances_chunked_matches_pairwise(rng):
+    # d=128 members: no more than four pairs fit in one chunk
+    a = deletion_sphere(random_density(rng, QuditShape(2, 8), 3), 1)
+    b = deletion_sphere(random_density(rng, QuditShape(2, 8), 5), 1)
+    assert a.shape.dim == 128 and len(a) == len(b) == 8
+    for left, right in ((a, b), (a, a)):
+        dist = cross_distances(left.stack, right.stack)
+        for i, x in enumerate(left):
+            for j, y in enumerate(right):
+                assert abs(dist[i, j] - x.distance(y)) <= 1e-12
+    i, j, gap = a.intersection_witness(a)
+    assert i == j == 0 and gap == 0.0
+    assert a.intersection_witness(b) is None
+    assert a.min_cross_distance(b) == pytest.approx(cross_distances(a.stack, b.stack).min())
+
+
 def test_index_permutation_basics(rng):
     shape2 = QuditShape(2, 2)
     k01 = basis_ket("01", shape2)
@@ -219,6 +306,21 @@ def test_insert_construct_separable(rng):
     sigma = insert_construct(rho, IndexSet((2,), 3), InsertionBlocks(1, diag))
     validate(sigma.mat, sigma.shape)
     assert delete(sigma, {2}).distance(rho) <= 1e-12
+
+
+def test_insert_construct_keeps_small_eigenvalues(rng):
+    # an eigenvalue of 2e-9 is below psd_tol (8e-9 at d=8) but not negligible
+    # against eq_tol (2.8e-9): dropping it would fail the round trip
+    shape = QuditShape(2, 3)
+    psi, phi = random_orthonormal(rng, shape.dim, 2)
+    small = 2e-9
+    rho = DensityMatrix(
+        shape, (1 - small) * np.outer(psi, psi.conj()) + small * np.outer(phi, phi.conj())
+    )
+    assert spectral_decompose(rho).rank == 2
+    pis = [random_density(rng, QuditShape(2, 1)).mat for _ in range(2)]
+    sigma = insert_construct(rho, IndexSet((2,), 4), InsertionBlocks.separable(1, pis))
+    assert delete(sigma, {2}).distance(rho) <= shape.tol().eq_tol / 100
 
 
 def test_insert_construct_pure_state_form(rng):

@@ -1,8 +1,13 @@
+import cmath
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from qindel.channels import delete
 from qindel.codes import (
+    builtin_code,
     collision_pair_x2,
     example_psi,
     example_rho,
@@ -69,6 +74,50 @@ def test_min_distance_x1_grid():
     value, pair, result = min_distance(x1_code_sample())
     assert value == 2
     assert result.value == 2
+
+
+def _grid(n_theta, n_phi):
+    """The (alpha, beta) parameters of ``--grid N_THETA,N_PHI``."""
+    thetas = [k * (math.pi / 2) / (n_theta - 1) for k in range(n_theta)]
+    phis = [k * 2 * math.pi / n_phi for k in range(n_phi)]
+    return [(complex(math.cos(th)), cmath.exp(1j * ph) * math.sin(th)) for th in thetas for ph in phis]
+
+
+def _assert_matches_pairwise_oracle(code):
+    value, pair, result = min_distance(code)
+    oracle = [(indel_distance(a, b), i, j) for (i, a), (j, b) in combinations(enumerate(code.states), 2)]
+    want = min(r.value for r, _, _ in oracle)
+    first, i, j = next((r, i, j) for r, i, j in oracle if r.value == want)
+    assert value == result.value == want
+    assert pair == (code.labels[i], code.labels[j])
+    assert (result.s, result.t) == (first.s, first.t) == (want // 2, want // 2)
+    assert (result.P, result.Q) == (first.P, first.Q)
+    np.testing.assert_array_equal(result.common.mat, first.common.mat)
+    eq_tol = result.common.shape.tol().eq_tol
+    assert delete(code.states[i], result.P).distance(result.common) <= eq_tol
+    assert delete(code.states[j], result.Q).distance(result.common) <= eq_tol
+    return value
+
+
+def test_min_distance_matches_pairwise_oracle(rng):
+    for name, want in (("x1", 2), ("hagiwara4", 4)):
+        for grid in ((2, 1), (3, 2), (4, 5), (6, 3)):
+            assert _assert_matches_pairwise_oracle(builtin_code(name, _grid(*grid))) == want
+    for _ in range(8):
+        n = int(rng.integers(1, 4))
+        code = CodeSample.from_states(make_states(rng, 2, n, int(rng.integers(2, 6))))
+        _assert_matches_pairwise_oracle(code)
+    # the single-qubit deletions of one state: every pair shares a marginal,
+    # so many pairs and cross pairs meet at the same level
+    for n in (3, 4):
+        tau = random_density(rng, QuditShape(2, n))
+        code = CodeSample.from_states([delete(tau, {p}) for p in range(1, n + 1)])
+        assert _assert_matches_pairwise_oracle(code) == 2
+    # generic states first, so the closest pair is the last one
+    tau = random_density(rng, QuditShape(2, 3))
+    code = CodeSample.from_states(make_states(rng, 2, 2, 3) + [delete(tau, {1}), delete(tau, {3})])
+    assert _assert_matches_pairwise_oracle(code) == 2
+    assert min_distance(code)[1] == ("state3", "state4")
 
 
 def test_min_distance_orthogonal_product_states():
