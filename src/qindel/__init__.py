@@ -37,6 +37,7 @@ from .linalg import (
     adjoint,
     frobenius_distance,
     hermitian_eigensystem,
+    hermitian_eigenvalues,
     is_psd,
     kron,
     project_psd,
@@ -55,6 +56,7 @@ from .states import (
     pure_ket,
     purity,
     save_state,
+    save_states,
     scalar_state,
     spectral_decompose,
     validate,

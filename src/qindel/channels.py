@@ -26,7 +26,7 @@ from .errors import (
     RoundTripFailed,
     ShapeMismatch,
 )
-from .linalg import Tolerance, frobenius_distance, hermitian_eigensystem, hermitian_part
+from .linalg import Tolerance, frobenius_distance, hermitian_eigenvalues, hermitian_part
 from .errors import ValidationError
 from .rand import random_density, random_orthonormal
 from .states import (
@@ -34,7 +34,6 @@ from .states import (
     QuditShape,
     SpectralForm,
     spectral_decompose,
-    state_to_json_obj,
     validate,
 )
 
@@ -241,9 +240,6 @@ class SphereSet:
             return int(i), int(j), float(dist[i, j])
         return None
 
-    def to_json_obj(self) -> list[dict]:
-        return [state_to_json_obj(s) for s in self.states]
-
 
 def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance | None = None) -> SphereSet:
     """D^s(rho): all C(n, s) deletions, traced into one buffer and
@@ -422,7 +418,7 @@ def insert_construct(
     sigma_mat = _permute_axes(mat, perm, l)
     big_tol = tol if tol is not None else big_shape.tol()
 
-    w, _ = hermitian_eigensystem(hermitian_part(sigma_mat), big_tol)
+    w = hermitian_eigenvalues(hermitian_part(sigma_mat), big_tol)
     if w[0] < -big_tol.psd_tol:
         raise NotPSD(
             f"assembled insertion is not PSD (min eigenvalue {w[0]:.3e})", -float(w[0])

@@ -26,7 +26,7 @@ from .channels import deletion_sphere
 from .errors import ParseError, QindelError
 from .feasibility import FeasibilityOptions
 from .linalg import Tolerance
-from .states import DensityMatrix, load_state
+from .states import DensityMatrix, load_state, save_states
 
 __all__ = ["main"]
 
@@ -137,7 +137,7 @@ def _cmd_sphere(args) -> int:
     tol = _tolerance(args)
     state, digest = _load_state_spec(args.state, tol)
     sphere = deletion_sphere(state, args.s, tol)
-    Path(args.out).write_text(json.dumps(sphere.to_json_obj()), encoding="utf-8")
+    save_states(sphere.states, args.out)
     results = {
         "cardinality": len(sphere),
         "pre_dedup": sphere.raw_count,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import IndexSet, deletion_sphere, partial_trace, sample_insertions, trace_out
 from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
-from .linalg import Tolerance, hermitian_eigensystem, hermitian_part
+from .linalg import Tolerance, hermitian_eigenvalues, hermitian_part
 from .states import DensityMatrix, QuditShape, state_to_json_obj
 
 __all__ = [
@@ -213,7 +213,7 @@ def feasibility_del_ins(
         )
 
     x = affine.least_squares_point()
-    w, _ = hermitian_eigensystem(x, big_tol)
+    w = hermitian_eigenvalues(x, big_tol)
     if w[0] >= -big_tol.psd_tol:
         report = feasible_report(x, max(0.0, -float(w[0])), 0)
         if report is not None:

@@ -24,6 +24,7 @@ __all__ = [
     "hermitian_part",
     "hermitian_residual",
     "hermitian_eigensystem",
+    "hermitian_eigenvalues",
     "is_psd",
     "project_psd",
     "psd_principal_minors",
@@ -106,6 +107,17 @@ def _require_hermitian(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     return hermitian_part(a)
 
 
+def _hermitian_solve(solver, a, tol: Tolerance | None):
+    a = _as_complex(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSquare(f"eigensystem needs a square matrix, got shape {a.shape}")
+    h = _require_hermitian(a, _tol_for(a, tol))
+    try:
+        return solver(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(str(exc)) from exc
+
+
 def hermitian_eigensystem(a, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and eigenvector matrix of a Hermitian matrix.
 
@@ -113,24 +125,21 @@ def hermitian_eigensystem(a, tol: Tolerance | None = None) -> tuple[np.ndarray, 
     solve, so only rounding drift is ever discarded.  Column ``k`` of the
     returned unitary is the eigenvector for eigenvalue ``k``.
     """
-    a = _as_complex(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquare(f"eigensystem needs a square matrix, got shape {a.shape}")
-    tol = _tol_for(a, tol)
-    h = _require_hermitian(a, tol)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
-    return w, v
+    return _hermitian_solve(np.linalg.eigh, a, tol)
+
+
+def hermitian_eigenvalues(a, tol: Tolerance | None = None) -> np.ndarray:
+    """Eigenvalues (ascending, real) of a Hermitian matrix, with the checks of
+    ``hermitian_eigensystem`` but no eigenvectors, for callers that only need
+    the spectrum (PSD tests): the solve skips the vector work."""
+    return _hermitian_solve(np.linalg.eigvalsh, a, tol)
 
 
 def is_psd(a, tol: Tolerance | None = None) -> bool:
     """True iff the Hermitian matrix has min eigenvalue >= -psd_tol."""
     a = _as_complex(a)
     tol = _tol_for(a, tol)
-    w, _ = hermitian_eigensystem(a, tol)
-    return bool(w[0] >= -tol.psd_tol)
+    return bool(hermitian_eigenvalues(a, tol)[0] >= -tol.psd_tol)
 
 
 def project_psd(a, tol: Tolerance | None = None) -> np.ndarray:

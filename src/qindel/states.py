@@ -5,16 +5,22 @@ Conventions (fixed once, used everywhere):
     has flat index sum_i x_i * l^(n-i);
   * all qudit positions are 1-based;
   * the n = 0 system has the single state (1), a 1x1 matrix.
+
+State files are UTF-8 JSON, read and written here only, through orjson:
+floats are written compactly in shortest round-trip form (so every file reads
+back bit-identically, also with the stdlib ``json``), and matrices and kets
+are parsed as whole arrays of ``[re, im]`` pairs.  ``NaN`` and ``Infinity``
+tokens are not JSON and are rejected.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import (
     DigitOutOfRange,
@@ -31,6 +37,7 @@ from .linalg import (
     Tolerance,
     frobenius_distance,
     hermitian_eigensystem,
+    hermitian_eigenvalues,
     hermitian_residual,
 )
 
@@ -52,6 +59,7 @@ __all__ = [
     "state_to_json_obj",
     "state_from_json_obj",
     "save_state",
+    "save_states",
     "load_state",
 ]
 
@@ -226,7 +234,7 @@ def validate(mat, shape: QuditShape, tol: Tolerance | None = None) -> DensityMat
     tr_res = abs(np.trace(m) - 1.0)
     if tr_res > tol.eq_tol:
         raise TraceNotOne(f"trace differs from 1 by {tr_res:.3e}", tr_res)
-    w, _ = hermitian_eigensystem(m, tol)
+    w = hermitian_eigenvalues(m, tol)
     if w[0] < -tol.psd_tol:
         raise NotPSD(f"negative eigenvalue {w[0]:.3e}", -float(w[0]))
     return DensityMatrix(shape, m)
@@ -274,15 +282,24 @@ def reconstruct(form: SpectralForm) -> DensityMatrix:
 # --- state-file format (JSON, UTF-8) ------------------------------------------
 
 
-def _complex_pairs(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in vec]
+def _complex_array(value, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex array of ``shape`` encoded by nested ``[re, im]`` pairs.
 
-
-def _vec_from_pairs(pairs, what: str) -> np.ndarray:
+    One ``np.asarray`` parses the whole nest.  A ragged nest, one that numpy
+    does not read as numbers (string, null or object entries, or booleans
+    only) and any shape other than ``(*shape, 2)`` raise ``ParseError``.
+    """
     try:
-        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        arr = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed {what}: expected [re, im] pairs") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ParseError(f"malformed {what}: expected numeric [re, im] pairs")
+    if arr.shape != (*shape, 2):
+        raise ParseError(
+            f"malformed {what}: expected shape {(*shape, 2)} of [re, im] pairs, got {arr.shape}"
+        )
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
 def state_to_json_obj(rho: DensityMatrix) -> dict:
@@ -290,7 +307,7 @@ def state_to_json_obj(rho: DensityMatrix) -> dict:
         "level": rho.level,
         "length": rho.length,
         "kind": "mixed",
-        "matrix": [_complex_pairs(row) for row in rho.mat],
+        "matrix": np.stack([rho.mat.real, rho.mat.imag], -1).tolist(),
     }
 
 
@@ -304,23 +321,23 @@ def state_from_json_obj(obj: dict, tol: Tolerance | None = None) -> DensityMatri
         kind = obj["kind"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed level/length/kind: {exc}") from exc
+    dim = shape.dim
     try:
         if kind == "pure":
-            vec = _vec_from_pairs(obj["ket"], "ket")
-            if vec.shape != (shape.dim,):
-                raise ParseError(f"ket length {vec.shape[0]} != dim {shape.dim}")
+            vec = _complex_array(obj["ket"], "ket", (dim,))
             return density_from_ket(pure_ket(vec, shape, tol), tol)
         if kind == "mixed":
-            rows = obj["matrix"]
-            mat = np.array([_vec_from_pairs(row, "matrix row") for row in rows])
-            return validate(mat, shape, tol)
+            return validate(_complex_array(obj["matrix"], "matrix", (dim, dim)), shape, tol)
         if kind == "spectral":
-            mat = np.zeros((shape.dim, shape.dim), dtype=complex)
-            for pair in obj["pairs"]:
-                weight = float(pair["p"])
-                ket = _vec_from_pairs(pair["ket"], "spectral ket")
-                if ket.shape != (shape.dim,):
-                    raise ParseError(f"spectral ket length {ket.shape[0]} != dim {shape.dim}")
+            pairs = obj["pairs"]
+            if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
+                raise ParseError("malformed pairs: expected a list of {p, ket} objects")
+            mat = np.zeros((dim, dim), dtype=complex)
+            for pair in pairs:
+                weight = pair["p"]
+                if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                    raise ParseError(f"malformed spectral weight {weight!r}: expected a number")
+                ket = _complex_array(pair["ket"], "spectral ket", (dim,))
                 mat += weight * np.outer(ket, ket.conj())
             return validate(mat, shape, tol)
     except KeyError as exc:
@@ -331,12 +348,17 @@ def state_from_json_obj(obj: dict, tol: Tolerance | None = None) -> DensityMatri
 
 
 def save_state(rho: DensityMatrix, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(state_to_json_obj(rho)), encoding="utf-8")
+    Path(path).write_bytes(orjson.dumps(state_to_json_obj(rho)))
+
+
+def save_states(states: Iterable[DensityMatrix], path: str | Path) -> None:
+    """Write ``states`` as one JSON list of state objects (a sphere file)."""
+    Path(path).write_bytes(orjson.dumps([state_to_json_obj(rho) for rho in states]))
 
 
 def load_state(path: str | Path, tol: Tolerance | None = None) -> DensityMatrix:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = orjson.loads(Path(path).read_bytes())
+    except (OSError, orjson.JSONDecodeError) as exc:
         raise ParseError(f"cannot read state file {path}: {exc}") from exc
     return state_from_json_obj(obj, tol)

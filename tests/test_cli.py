@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qindel.channels import deletion_sphere
 from qindel.cli import main
 from qindel.codes import example_rho
 from qindel.states import (
@@ -12,6 +13,7 @@ from qindel.states import (
     pure_ket,
     save_state,
     state_from_json_obj,
+    state_to_json_obj,
 )
 
 
@@ -58,6 +60,33 @@ def test_sphere_from_file(tmp_path, capsys):
     code, report, _ = run_cli(capsys, "sphere", str(path), "--s", "1", "--out", str(out))
     assert code == 0
     assert report["results"]["cardinality"] == 2
+
+
+def test_sphere_file_holds_the_state_objects(tmp_path, capsys):
+    rho = example_rho(0.5, 0.5)
+    path = tmp_path / "rho.json"
+    save_state(rho, path)
+    out = tmp_path / "sphere.json"
+    code, _, _ = run_cli(capsys, "sphere", str(path), "--s", "1", "--out", str(out))
+    assert code == 0
+    expected = [state_to_json_obj(s) for s in deletion_sphere(rho, 1).states]
+    assert json.loads(out.read_text(encoding="utf-8")) == expected
+
+
+def test_distance_rejects_malformed_files(tmp_path, capsys):
+    good = _write_pure(tmp_path, "01", "good.json")
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(
+        '{"level": 2, "length": 1, "kind": "mixed", '
+        '"matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]]}'
+    )
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(good.read_bytes()[:-1] + b', "note": "\xe9"}')
+    for bad in (ragged, not_utf8):
+        code, report, err = run_cli(capsys, "distance", str(bad), str(good))
+        assert code == 3
+        assert report is None
+        assert "Traceback" not in err
 
 
 def test_distance_command(tmp_path, capsys):

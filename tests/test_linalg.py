@@ -7,6 +7,7 @@ from qindel.linalg import (
     adjoint,
     frobenius_distance,
     hermitian_eigensystem,
+    hermitian_eigenvalues,
     is_psd,
     kron,
     project_psd,
@@ -93,6 +94,23 @@ def test_eigenvalue_sum_matches_trace(rng):
         h = random_hermitian(rng, dim)
         w, _ = hermitian_eigensystem(h)
         assert abs(np.sum(w) - np.trace(h).real) <= 1e-10 * dim
+
+
+def test_eigenvalues_match_eigensystem(rng):
+    for k in range(60):
+        dim = int(rng.integers(1, 33)) if k < 50 else 256
+        h = random_hermitian(rng, dim) * 10.0 ** int(rng.integers(-3, 4))
+        w = hermitian_eigenvalues(h)
+        assert w.dtype == float and w.shape == (dim,)
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - hermitian_eigensystem(h)[0])) <= 1e-12 * np.linalg.norm(h)
+    for bad in ([[0, 1], [0, 0]], [[1, 1j], [1j, 1]], random_psd(rng, 4) + 1e-6j * np.eye(4)):
+        with pytest.raises(NotHermitian):
+            hermitian_eigensystem(bad)
+        with pytest.raises(NotHermitian):
+            hermitian_eigenvalues(bad)
+    with pytest.raises(NonSquare):
+        hermitian_eigenvalues(np.zeros((2, 3)))
 
 
 def test_is_psd():

@@ -1,0 +1,32 @@
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _third_party_imports() -> set[str]:
+    names = set()
+    for path in (ROOT / "src" / "qindel").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"qindel"}
+
+
+def test_third_party_imports_are_declared():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower().replace("-", "_")
+        for dep in project["dependencies"]
+    }
+    imported = _third_party_imports()
+    assert {"numpy", "orjson"} <= imported
+    assert imported <= declared, f"imported but not declared: {sorted(imported - declared)}"

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import orjson
 import pytest
 
 from qindel.errors import (
@@ -206,3 +207,114 @@ def test_state_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         load_state(bad)
+
+
+def _head_encoder(rho: DensityMatrix) -> str:
+    """The per-entry encoder state files were written with before the orjson
+    codec: kept as the reference that old files must still load from."""
+    return json.dumps(
+        {
+            "level": rho.level,
+            "length": rho.length,
+            "kind": "mixed",
+            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho.mat],
+        }
+    )
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_state_file_roundtrip_is_exact(tmp_path, rng, length):
+    shape = QuditShape(2, length)
+    rho = random_density(rng, shape, int(rng.integers(1, shape.dim + 1)))
+    path = tmp_path / "state.json"
+    save_state(rho, path)
+    assert np.array_equal(_bits(load_state(path).mat), _bits(rho.mat))
+    assert json.loads(path.read_text(encoding="utf-8")) == state_to_json_obj(rho)
+
+    old = tmp_path / "old.json"
+    old.write_text(_head_encoder(rho), encoding="utf-8")
+    assert np.array_equal(_bits(load_state(old).mat), _bits(rho.mat))
+
+
+def test_state_file_special_floats_are_exact(tmp_path):
+    third = 1 / 3
+    # a valid state whose entries include -0.0, the least subnormal and 1/3
+    mat = np.array([[third, complex(-0.0, 5e-324)], [complex(-0.0, -5e-324), 1 - third]])
+    path = tmp_path / "state.json"
+    save_state(DensityMatrix(QuditShape(2, 1), mat), path)
+    assert np.array_equal(_bits(load_state(path).mat), _bits(mat))
+
+    # no valid state holds 1e300, so that value is checked at the file level
+    raw = np.array([[1e300, complex(third, 5e-324)], [complex(-0.0, -third), 5e-324]])
+    save_state(DensityMatrix(QuditShape(2, 1), raw), path)
+    for parsed in (json.loads(path.read_text(encoding="utf-8")), orjson.loads(path.read_bytes())):
+        back = np.array(parsed["matrix"], dtype=float).view(complex)[..., 0]
+        assert np.array_equal(_bits(back), _bits(raw))
+    assert b" " not in path.read_bytes()  # compact separators
+
+
+def _bits(mat: np.ndarray) -> np.ndarray:
+    """The IEEE bit patterns of a complex array, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(mat, dtype=complex).view(np.int64)
+
+
+def _mixed(matrix) -> dict:
+    return {"level": 2, "length": 1, "kind": "mixed", "matrix": matrix}
+
+
+def _spectral(pairs) -> dict:
+    return {"level": 2, "length": 1, "kind": "spectral", "pairs": pairs}
+
+
+_E0 = [[1.0, 0.0], [0.0, 0.0]]
+_TWO_ROWS = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        pytest.param(_mixed([_TWO_ROWS[0], [[0.0, 0.0]]]), id="ragged-rows"),
+        pytest.param(_mixed(5), id="matrix-number"),
+        pytest.param(_mixed({"re": 0.5}), id="matrix-object"),
+        pytest.param(_mixed(_TWO_ROWS[:1]), id="too-few-rows"),
+        pytest.param(_mixed(_TWO_ROWS + [[[0.0, 0.0], [0.0, 0.0]]]), id="too-many-rows"),
+        pytest.param(_mixed([[["0.5", 0.0], [0.0, 0.0]], _TWO_ROWS[1]]), id="string-entry"),
+        pytest.param(_mixed([[[0.5, None], [0.0, 0.0]], _TWO_ROWS[1]]), id="null-entry"),
+        pytest.param(_mixed([[[0.5], [0.0]], [[0.0], [0.5]]]), id="short-pairs"),
+        pytest.param(_mixed([[p + [0.0] for p in row] for row in _TWO_ROWS]), id="long-pairs"),
+        pytest.param({"level": 2, "length": 1, "kind": "pure", "ket": [[1.0, 0.0]]}, id="short-ket"),
+        pytest.param(
+            {"level": 2, "length": 1, "kind": "pure", "ket": [["1", "0"], ["0", "0"]]},
+            id="string-ket",
+        ),
+        pytest.param(_spectral(5), id="pairs-number"),
+        pytest.param(_spectral([5]), id="pair-number"),
+        pytest.param(_spectral([{"p": "x", "ket": _E0}]), id="weight-word"),
+        pytest.param(_spectral([{"p": "1.0", "ket": _E0}]), id="weight-string"),
+        pytest.param(_spectral([{"p": True, "ket": _E0}]), id="weight-bool"),
+        pytest.param(_spectral([{"p": 1.0, "ket": [[1.0, 0.0]]}]), id="short-spectral-ket"),
+        pytest.param(_spectral([{"p": 1.0}]), id="missing-ket"),
+    ],
+)
+def test_malformed_state_objects_raise_parse_error(obj):
+    with pytest.raises(ParseError):
+        state_from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"level": 2, "length": 1, "kind": "mixed", "matrix": '
+        b"[[[NaN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}",
+        b'{"level": 2, "length": 1, "kind": "mixed", "matrix": '
+        b"[[[Infinity, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}",
+        b'{"level": 2, "length": 1, "kind": "pure", "ket": [[1.0, 0.0], [0.0, 0.0]], "x": "\xff"}',
+        b"",
+    ],
+    ids=["nan-token", "infinity-token", "non-utf8-byte", "empty"],
+)
+def test_malformed_state_files_raise_parse_error(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError):
+        load_state(path)
