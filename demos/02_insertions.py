@@ -1,11 +1,12 @@
 """Insertion states: index permutations, explicit block construction, sampling.
 
 A state sigma is an insertion of rho at positions Q exactly when deleting Q
-from sigma returns rho.  Members are built from rho's spectral form: attach a
-t-qudit block to each eigenvector pair (densities on the diagonal, traceless
-adjoint-paired blocks off it), then permute the inserted qudits into place.
-The block formula alone does not guarantee positivity, so assemblies are
-PSD-checked and rejected when they fail.
+from sigma returns rho.  Members are built from rho's spectral form and one
+block array: blocks[x, y] is the t-qudit block of eigenvector pair (x, y)
+(densities on the diagonal, traceless adjoint pairs off it).  One contraction
+attaches the blocks to the eigenvectors, and a permutation moves the inserted
+qudits into place.  The block formula alone does not guarantee positivity, so
+assemblies are PSD-checked and rejected when they fail.
 """
 
 import numpy as np
@@ -37,12 +38,14 @@ print("\ninserted at position 2; deleting it returns rho:",
       delete(sigma, {2}).distance(rho) < 1e-12)
 print("membership test:", insertion_member(sigma, rho, IndexSet((2,), 3)))
 
-# a coherent block that breaks positivity is rejected
+# a coherent block that breaks positivity is rejected: blocks[1, 0] couples
+# the two eigenvectors, and blocks[0, 1] must be its adjoint
 singular = np.diag([1.0, 0.0]).astype(complex)
 coupling = 0.3 * np.array([[0, 1], [0, 0]], dtype=complex)  # traceless
+coherent = np.array([[singular, coupling.conj().T], [coupling, singular]])
+print("\nblock array shape (rank, rank, l^t, l^t):", coherent.shape)
 try:
-    insert_construct(rho, IndexSet((3,), 3),
-                     InsertionBlocks(1, {0: singular, 1: singular}, {(1, 0): coupling}))
+    insert_construct(rho, IndexSet((3,), 3), InsertionBlocks(1, coherent))
 except NotPSD as exc:
     print("\nnon-PSD assembly rejected:", exc)
 

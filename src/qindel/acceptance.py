@@ -246,11 +246,7 @@ def check_metric_axioms(seed: int) -> dict:
         for _ in range(50)
     ]
     report = metric_check(triples)
-    odd = 0
-    for a, b, c in triples:
-        for x, y in ((a, b), (b, c), (a, c)):
-            if indel_distance(x, y).value % 2 != 0:
-                odd += 1
+    odd = report["odd_equal_length"]
     ok = report["ok"] and odd == 0
     return _item(
         "metric-axioms",

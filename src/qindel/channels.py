@@ -2,17 +2,19 @@
 
 Deletion at position p is the partial trace over qudit p.  Insertion at a set
 of positions Q is the *set* of larger states whose deletion at Q returns the
-original; members are constructed from a spectral form plus one block matrix
-per eigenvector pair (diagonal blocks are t-qudit densities, off-diagonal
-blocks are traceless and adjoint-paired), tensor-attached at the end and then
-moved into place by an index permutation.
+original; members are constructed from rho's spectral form and one
+``(rank, rank, l**t, l**t)`` array of blocks A_{x,y}, one per eigenvector pair
+(t-qudit densities on the diagonal, traceless adjoint pairs off it).  The
+blocks are checked as one array and attached to the eigenvectors by a single
+contraction, with the inserted qudits last; an index permutation then moves
+them into place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,16 +28,9 @@ from .errors import (
     RoundTripFailed,
     ShapeMismatch,
 )
-from .linalg import Tolerance, frobenius_distance, hermitian_eigenvalues, hermitian_part
-from .errors import ValidationError
+from .linalg import Tolerance, hermitian_eigenvalues, hermitian_part
 from .rand import random_density, random_orthonormal
-from .states import (
-    DensityMatrix,
-    QuditShape,
-    SpectralForm,
-    spectral_decompose,
-    validate,
-)
+from .states import DensityMatrix, QuditShape, spectral_decompose
 
 __all__ = [
     "IndexSet",
@@ -221,9 +216,6 @@ class SphereSet:
     def __iter__(self) -> Iterator[DensityMatrix]:
         return iter(self.states)
 
-    def contains(self, rho: DensityMatrix) -> bool:
-        return self.find(rho) is not None
-
     def min_cross_distance(self, other: "SphereSet") -> float:
         return float(cross_distances(self.stack, other.stack).min())
 
@@ -305,90 +297,79 @@ def tau_Q(Q, n: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InsertionBlocks:
-    """Per-eigenvector-pair blocks defining an inserted t-qudit subsystem.
+    """The blocks A_{x,y} of an inserted t-qudit subsystem, as one array.
 
-    Keys index the pairs of a ``SpectralForm`` (zero-weight eigenvectors are
-    already dropped there, which realizes their forced-zero blocks).  Missing
-    off-diagonal entries default to zero; a present (x, y) supplies (y, x) by
-    adjoint unless that key is also given, in which case both must agree.
+    ``blocks[x, y]`` is the l^t x l^t block of the eigenvector pair (x, y),
+    indexed in the order of the ``SpectralForm`` (zero-weight eigenvectors
+    are already dropped there, which realizes their forced-zero blocks).  A
+    valid array has shape ``(rank, rank, l**t, l**t)``, t-qudit densities on
+    the diagonal, traceless blocks off it, and A_{y,x} = A_{x,y}^dagger;
+    ``insert_construct`` checks all of it.
     """
 
     t: int
-    diag: Mapping[int, np.ndarray]
-    offdiag: Mapping[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    blocks: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", np.asarray(self.blocks, dtype=complex))
 
     @classmethod
     def separable(cls, t: int, pis: Sequence[np.ndarray]) -> "InsertionBlocks":
         """No coherence between system and inserted qudits: A_{x,y} = 0 for x != y."""
-        return cls(t, {x: np.asarray(p, dtype=complex) for x, p in enumerate(pis)})
-
-    def resolved_offdiag(self, rank: int, eq_tol: float) -> dict[tuple[int, int], np.ndarray]:
-        out: dict[tuple[int, int], np.ndarray] = {}
-        for (x, y), a in self.offdiag.items():
-            if x == y or not (0 <= x < rank and 0 <= y < rank):
-                raise BlockConstraintViolated(
-                    f"off-diagonal key ({x}, {y}) is not a pair of distinct eigenvector "
-                    f"indices in [0, {rank})"
-                )
-            a = np.asarray(a, dtype=complex)
-            if (x, y) in out and frobenius_distance(out[(x, y)], a) > eq_tol:
-                raise BlockConstraintViolated(f"blocks ({x}, {y}) and ({y}, {x}) are not adjoints")
-            out[(x, y)] = a
-            mirror = a.conj().T
-            if (y, x) in self.offdiag:
-                given = np.asarray(self.offdiag[(y, x)], dtype=complex)
-                if frobenius_distance(given, mirror) > eq_tol:
-                    raise BlockConstraintViolated(
-                        f"blocks ({x}, {y}) and ({y}, {x}) are not adjoints"
-                    )
-            out[(y, x)] = mirror
-        return out
+        pis = np.asarray(pis, dtype=complex)
+        return cls(t, np.einsum("xy,xab->xyab", np.eye(len(pis)), pis))
 
 
-def _assemble_insertion(
-    form: SpectralForm, blocks: InsertionBlocks, tol: Tolerance
-) -> np.ndarray:
-    """sum_{x,y} sqrt(p_x p_y) |x_L><y_L| (x) A_{x,y}, inserted block last."""
-    l, n = form.shape.level, form.shape.length
-    t = blocks.t
-    block_shape = QuditShape(l, t)
-    block_tol = block_shape.tol()
-    rank = form.rank
+def _worst_pair(residuals: np.ndarray) -> tuple[int, int]:
+    x, y = np.unravel_index(np.argmax(residuals), residuals.shape)
+    return int(x), int(y)
 
-    diag: dict[int, np.ndarray] = {}
-    for x in range(rank):
-        if x not in blocks.diag:
-            raise BlockConstraintViolated(f"missing diagonal block for eigenvector {x}")
-        a = np.asarray(blocks.diag[x], dtype=complex)
-        try:
-            validate(a, block_shape, block_tol)
-        except (ValidationError, ShapeMismatch) as exc:
-            raise BlockConstraintViolated(f"diagonal block {x} is not a valid state: {exc}") from exc
-        diag[x] = a
 
-    offdiag = blocks.resolved_offdiag(rank, block_tol.eq_tol)
-    for (x, y), a in offdiag.items():
-        if a.shape != (block_shape.dim, block_shape.dim):
+def _check_blocks(blocks: np.ndarray, rank: int, block_shape: QuditShape) -> None:
+    """Raise ``BlockConstraintViolated`` unless ``blocks`` is a valid block
+    array for ``rank`` eigenvectors, within the t-qudit tolerances: its shape,
+    finite entries, adjoint pairs (the array is Hermitian as one matrix), unit
+    trace on the diagonal and zero trace off it, and PSD diagonal blocks."""
+    tol = block_shape.tol()
+    expected = (rank, rank, block_shape.dim, block_shape.dim)
+    if blocks.shape != expected:
+        raise BlockConstraintViolated(f"blocks have shape {blocks.shape}, expected {expected}")
+    if not np.isfinite(blocks).all():
+        raise BlockConstraintViolated("blocks have non-finite entries")
+
+    adjoint_res = np.linalg.norm(blocks - blocks.transpose(1, 0, 3, 2).conj(), axis=(2, 3))
+    x, y = _worst_pair(adjoint_res)
+    if adjoint_res[x, y] > tol.eq_tol:
+        raise BlockConstraintViolated(
+            f"blocks ({x}, {y}) and ({y}, {x}) are not adjoints "
+            f"(residual {adjoint_res[x, y]:.3e})"
+        )
+
+    trace_res = np.abs(np.trace(blocks, axis1=2, axis2=3) - np.eye(rank))
+    x, y = _worst_pair(trace_res)
+    if trace_res[x, y] > tol.eq_tol:
+        if x == y:
             raise BlockConstraintViolated(
-                f"block ({x}, {y}) has shape {a.shape}, expected {block_shape.dim}"
+                f"diagonal block {x} is not a valid state: trace differs from 1 by "
+                f"{trace_res[x, x]:.3e}"
             )
-        tr = abs(np.trace(a))
-        if tr > block_tol.eq_tol:
-            raise BlockConstraintViolated(f"block ({x}, {y}) has nonzero trace {tr:.3e}")
+        raise BlockConstraintViolated(f"block ({x}, {y}) has nonzero trace {trace_res[x, y]:.3e}")
 
-    big = QuditShape(l, n + t)
-    mat = np.zeros((big.dim, big.dim), dtype=complex)
-    for x in range(rank):
-        p_x, ket_x = form.pairs[x]
-        for y in range(rank):
-            p_y, ket_y = form.pairs[y]
-            a = diag[x] if x == y else offdiag.get((x, y))
-            if a is None:
-                continue
-            mat += np.sqrt(p_x * p_y) * np.kron(np.outer(ket_x, ket_y.conj()), a)
-    return mat
+    diag = blocks[np.arange(rank), np.arange(rank)]
+    lowest = np.linalg.eigvalsh((diag + diag.conj().swapaxes(1, 2)) / 2)[:, 0]
+    x = int(np.argmin(lowest))
+    if lowest[x] < -tol.psd_tol:
+        raise BlockConstraintViolated(
+            f"diagonal block {x} is not a valid state: negative eigenvalue {lowest[x]:.3e}"
+        )
+
+
+# Contract V with the blocks first, then with V^dagger: O(d r^2 D^2 + d^2 r D^2)
+# work for d = l^n, D = l^t and rank r, where the naive one-step einsum
+# loops over all d^2 r^2 D^2 index combinations.
+_INSERTION_PATH = ["einsum_path", (0, 1), (0, 1)]
 
 
 def insert_construct(
@@ -412,10 +393,12 @@ def insert_construct(
         raise InvalidIndexSet(f"Q ambient {qset.ambient} != n + t = {n + t}")
 
     form = spectral_decompose(rho, tol)
-    mat = _assemble_insertion(form, blocks, tol if tol is not None else rho.shape.tol())
-    perm = tau_Q(qset, n)
+    _check_blocks(blocks.blocks, form.rank, QuditShape(l, t))
+    # columns sqrt(p_x) |x_L>, so the state is sum_{x,y} V_x V_y^dagger (x) A_{x,y}
+    v = np.stack([ket for _, ket in form.pairs], axis=1) * np.sqrt(form.weights)
     big_shape = QuditShape(l, n + t)
-    sigma_mat = _permute_axes(mat, perm, l)
+    mat = np.einsum("ix,xyab,jy->iajb", v, blocks.blocks, v.conj(), optimize=_INSERTION_PATH)
+    sigma_mat = _permute_axes(mat.reshape(big_shape.dim, big_shape.dim), tau_Q(qset, n), l)
     big_tol = tol if tol is not None else big_shape.tol()
 
     w = hermitian_eigenvalues(hermitian_part(sigma_mat), big_tol)
@@ -477,17 +460,8 @@ def sample_insertions(
     samples: list[DensityMatrix] = []
     for k in range(count):
         if k % 2 == 1 and entangled_ok:
-            kets = random_orthonormal(rng, block_shape.dim, form.rank)
-            blocks = InsertionBlocks(
-                t,
-                diag={x: np.outer(kets[x], kets[x].conj()) for x in range(form.rank)},
-                offdiag={
-                    (x, y): np.outer(kets[x], kets[y].conj())
-                    for x in range(form.rank)
-                    for y in range(form.rank)
-                    if x != y
-                },
-            )
+            kets = np.array(random_orthonormal(rng, block_shape.dim, form.rank))
+            blocks = InsertionBlocks(t, np.einsum("xa,yb->xyab", kets, kets.conj()))
         else:
             pis = [random_density(rng, block_shape).mat for _ in range(form.rank)]
             blocks = InsertionBlocks.separable(t, pis)

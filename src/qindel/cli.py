@@ -41,12 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_state_tolerances(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eq-tol", type=float, default=None, help="equality threshold override")
     parser.add_argument("--psd-tol", type=float, default=None, help="PSD eigenvalue floor override")
-    parser.add_argument("--feas-tol", type=float, default=None, help="feasibility residual threshold")
-    parser.add_argument("--gap-tol", type=float, default=None, help="infeasibility gap threshold")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled witnesses")
 
 
 def _tolerance(args) -> Tolerance | None:
@@ -112,20 +109,23 @@ def _load_code_spec(spec: str, grid: str | None, tol: Tolerance | None) -> tuple
     return CodeSample.from_states(states, [f.name for f in files]), ",".join(_digest(f) for f in files)
 
 
+_TOLERANCES = ("eq_tol", "psd_tol", "feas_tol", "gap_tol")
+
+
 def _report(args, inputs: dict, results: dict, started: float) -> dict:
-    return {
+    """``seed`` and ``tolerances`` echo only the options the command accepts."""
+    report = {
         "command": args.command,
         "inputs": inputs,
         "results": results,
-        "seed": args.seed,
-        "tolerances": {
-            "eq_tol": args.eq_tol,
-            "psd_tol": args.psd_tol,
-            "feas_tol": args.feas_tol,
-            "gap_tol": args.gap_tol,
-        },
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
+    tolerances = {name: getattr(args, name) for name in _TOLERANCES if hasattr(args, name)}
+    if tolerances:
+        report["tolerances"] = tolerances
+    if hasattr(args, "seed"):
+        report["seed"] = args.seed
+    return report
 
 
 def _emit(report: dict) -> None:
@@ -200,13 +200,13 @@ def _build_parser() -> _Parser:
     p_sphere.add_argument("state", help="state file or builtin:NAME[:theta,phi]")
     p_sphere.add_argument("--s", type=int, required=True, help="number of deletions")
     p_sphere.add_argument("--out", required=True, help="output JSON path for the sphere")
-    _add_common(p_sphere)
+    _add_state_tolerances(p_sphere)
     p_sphere.set_defaults(func=_cmd_sphere)
 
     p_dist = sub.add_parser("distance", help="quantum indel distance between two states")
     p_dist.add_argument("state_a")
     p_dist.add_argument("state_b")
-    _add_common(p_dist)
+    _add_state_tolerances(p_dist)
     p_dist.set_defaults(func=_cmd_distance)
 
     p_verify = sub.add_parser("verify", help="decide code-correcting capability")
@@ -216,12 +216,14 @@ def _build_parser() -> _Parser:
         "--errors", choices=("deletions", "indel", "insertions"), default="deletions"
     )
     p_verify.add_argument("--grid", default=None, help="N_THETA,N_PHI grid override for builtin codes")
-    _add_common(p_verify)
+    _add_state_tolerances(p_verify)
+    p_verify.add_argument("--feas-tol", type=float, default=None, help="feasibility residual threshold")
+    p_verify.add_argument("--gap-tol", type=float, default=None, help="infeasibility gap threshold")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_suite = sub.add_parser("paper-examples", help="run the full reproduction suite")
     p_suite.add_argument("--report", default=None, help="also write the report JSON here")
-    _add_common(p_suite)
+    p_suite.add_argument("--seed", type=int, default=0, help="seed of the suite's random draws")
     p_suite.set_defaults(func=_cmd_paper_examples)
 
     return parser

@@ -263,9 +263,13 @@ def metric_check(
 
     Identity of indiscernibles, symmetry, and the triangle inequality are
     tested per triple; any violation is reported with the offending values.
+    ``odd_equal_length`` counts the distances d_ab, d_bc and d_ac between
+    states of equal length that are odd (such distances are always even);
+    it does not enter ``ok``.
     """
     violations = []
     checked = 0
+    odd = 0
     for idx, (a, b, c) in enumerate(triples):
         checked += 1
         d_ab = indel_distance(a, b, tol).value
@@ -280,4 +284,6 @@ def metric_check(
             violations.append(
                 {"triple": idx, "axiom": "triangle", "d_ac": d_ac, "d_ab": d_ab, "d_bc": d_bc}
             )
-    return {"checked": checked, "violations": violations, "ok": not violations}
+        pairs = ((a, b, d_ab), (b, c, d_bc), (a, c, d_ac))
+        odd += sum(1 for x, y, d in pairs if x.length == y.length and d % 2)
+    return {"checked": checked, "violations": violations, "odd_equal_length": odd, "ok": not violations}

@@ -43,16 +43,20 @@ class FeasibilityStatus(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+# Dykstra's iteration cap; the gap counts as plateaued when it moved by at most
+# PLATEAU_REL_CHANGE (relative) over the last PLATEAU_WINDOW iterations.
+MAX_ITERATIONS = 5000
+PLATEAU_WINDOW = 100
+PLATEAU_REL_CHANGE = 1e-8
+MAX_DIM = 16  # cap on l^(n+t) for the lifted state
+
+
 @dataclass(frozen=True)
 class FeasibilityOptions:
-    """Solver knobs; the defaults classify the shipped fixture instances cleanly."""
+    """Solver thresholds; the defaults classify the shipped fixture instances cleanly."""
 
     feas_tol: float = 1e-6
     gap_tol: float = 1e-3
-    max_iterations: int = 5000
-    plateau_window: int = 100
-    plateau_rel_change: float = 1e-8
-    max_dim: int = 16  # cap on l^(n+t) for the lifted state
 
 
 @dataclass
@@ -173,8 +177,8 @@ def feasibility_del_ins(
         raise ShapeMismatch(f"P and Q must index the lifted length {big}")
     if sigma.length != big - s:
         raise ShapeMismatch(f"len(sigma)={sigma.length} != n+t-s={big - s}")
-    if l ** big > opts.max_dim:
-        raise SizeCapExceeded(f"lifted dimension {l ** big} exceeds cap {opts.max_dim}")
+    if l ** big > MAX_DIM:
+        raise SizeCapExceeded(f"lifted dimension {l ** big} exceeds cap {MAX_DIM}")
 
     big_shape = QuditShape(l, big)
     affine = AffineConstraint(big_shape, [(qset, rho), (pset, sigma)])
@@ -221,7 +225,7 @@ def feasibility_del_ins(
 
     correction = np.zeros_like(x)
     gaps: list[float] = []
-    for k in range(1, opts.max_iterations + 1):
+    for k in range(1, MAX_ITERATIONS + 1):
         y = affine.project(x)
         z = y + correction
         x_new = psd_project(z)
@@ -234,9 +238,9 @@ def feasibility_del_ins(
             report = feasible_report(x, gap, k)
             if report is not None:
                 return report
-        if k >= opts.plateau_window and gap > opts.gap_tol:
-            prev = gaps[k - opts.plateau_window]
-            if abs(prev - gap) <= opts.plateau_rel_change * max(gap, 1e-30):
+        if k >= PLATEAU_WINDOW and gap > opts.gap_tol:
+            prev = gaps[k - PLATEAU_WINDOW]
+            if abs(prev - gap) <= PLATEAU_REL_CHANGE * max(gap, 1e-30):
                 return FeasibilityReport(
                     FeasibilityStatus.INFEASIBLE,
                     None,
@@ -249,7 +253,7 @@ def feasibility_del_ins(
         FeasibilityStatus.INCONCLUSIVE,
         None,
         gaps[-1] if gaps else float("nan"),
-        opts.max_iterations,
+        MAX_ITERATIONS,
         {"reason": "iteration cap reached"},
     )
 

@@ -24,7 +24,6 @@ import orjson
 
 from .errors import (
     DigitOutOfRange,
-    NotHermitian,
     NotNormalized,
     NotPSD,
     ParseError,
@@ -33,13 +32,7 @@ from .errors import (
     TraceNotOne,
     ValidationError,
 )
-from .linalg import (
-    Tolerance,
-    frobenius_distance,
-    hermitian_eigensystem,
-    hermitian_eigenvalues,
-    hermitian_residual,
-)
+from .linalg import Tolerance, frobenius_distance, hermitian_eigensystem, hermitian_eigenvalues
 
 __all__ = [
     "SIZE_CAP",
@@ -220,21 +213,22 @@ def density_from_ket(ket: PureKet, tol: Tolerance | None = None) -> DensityMatri
     return DensityMatrix(ket.shape, np.outer(vec, vec.conj()))
 
 
+def _require_finite(mat: np.ndarray) -> None:
+    if not np.isfinite(mat).all():
+        raise ValidationError("matrix has non-finite entries")
+
+
 def validate(mat, shape: QuditShape, tol: Tolerance | None = None) -> DensityMatrix:
     """Check all density-matrix invariants; raise naming the first violation."""
     m = np.asarray(mat, dtype=complex)
     tol = tol if tol is not None else shape.tol()
     if m.shape != (shape.dim, shape.dim):
         raise ShapeMismatch(f"expected a {shape.dim}x{shape.dim} matrix, got {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValidationError("matrix has non-finite entries")
-    herm_res = hermitian_residual(m)
-    if herm_res > tol.eq_tol:
-        raise NotHermitian(f"not Hermitian (residual {herm_res:.3e})", herm_res)
+    _require_finite(m)
+    w = hermitian_eigenvalues(m, tol)  # its Hermitian check (NotHermitian) comes first
     tr_res = abs(np.trace(m) - 1.0)
     if tr_res > tol.eq_tol:
         raise TraceNotOne(f"trace differs from 1 by {tr_res:.3e}", tr_res)
-    w = hermitian_eigenvalues(m, tol)
     if w[0] < -tol.psd_tol:
         raise NotPSD(f"negative eigenvalue {w[0]:.3e}", -float(w[0]))
     return DensityMatrix(shape, m)
@@ -347,13 +341,20 @@ def state_from_json_obj(obj: dict, tol: Tolerance | None = None) -> DensityMatri
     raise ParseError(f"unknown state kind {kind!r}")
 
 
+def _finite_json_obj(rho: DensityMatrix) -> dict:
+    # orjson would write NaN and infinities as null, which no reader accepts:
+    # the writers refuse such a state before any file is opened
+    _require_finite(rho.mat)
+    return state_to_json_obj(rho)
+
+
 def save_state(rho: DensityMatrix, path: str | Path) -> None:
-    Path(path).write_bytes(orjson.dumps(state_to_json_obj(rho)))
+    Path(path).write_bytes(orjson.dumps(_finite_json_obj(rho)))
 
 
 def save_states(states: Iterable[DensityMatrix], path: str | Path) -> None:
     """Write ``states`` as one JSON list of state objects (a sphere file)."""
-    Path(path).write_bytes(orjson.dumps([state_to_json_obj(rho) for rho in states]))
+    Path(path).write_bytes(orjson.dumps([_finite_json_obj(rho) for rho in states]))
 
 
 def load_state(path: str | Path, tol: Tolerance | None = None) -> DensityMatrix:

@@ -283,29 +283,63 @@ def test_tau_Q_roundtrip(rng):
         assert delete(sigma, {q}).distance(rho) <= 1e-12
 
 
-def _matched_blocks(rho, pis, a=None):
-    """Blocks keyed to spectral_decompose order, matching |00>, |11| kets."""
+def _matched_blocks(rho, pis):
+    """Separable blocks in spectral_decompose order: pis[0] on the eigenvector
+    matching |00>, pis[1] on the other."""
     form = spectral_decompose(rho)
-    shape = rho.shape
-    k00, k11 = basis_ket("00", shape), basis_ket("11", shape)
+    k00 = basis_ket("00", rho.shape)
     idx00 = max(range(form.rank), key=lambda k: abs(form.pairs[k][1] @ k00.conj()))
-    idx11 = [k for k in range(form.rank) if k != idx00][0] if form.rank > 1 else None
-    diag = {idx00: pis[0]}
-    off = {}
-    if idx11 is not None:
-        diag[idx11] = pis[1]
-        if a is not None:
-            off[(idx11, idx00)] = a
-    return diag, off
+    order = [idx00] + [k for k in range(form.rank) if k != idx00]
+    return InsertionBlocks.separable(1, [pis[order.index(x)] for x in range(form.rank)])
 
 
 def test_insert_construct_separable(rng):
     rho = example_rho(0.3, 0.7)
     pis = [random_density(rng, QuditShape(2, 1)).mat for _ in range(2)]
-    diag, _ = _matched_blocks(rho, pis)
-    sigma = insert_construct(rho, IndexSet((2,), 3), InsertionBlocks(1, diag))
+    sigma = insert_construct(rho, IndexSet((2,), 3), _matched_blocks(rho, pis))
     validate(sigma.mat, sigma.shape)
     assert delete(sigma, {2}).distance(rho) <= 1e-12
+
+
+def random_blocks(rng, rank, block_dim):
+    """A valid block array whose assembly is PSD: a random PSD matrix on
+    C^rank (x) C^block_dim, congruence-normalized so that its partial trace
+    over the block factor is the identity."""
+    g = rng.normal(size=(rank * block_dim,) * 2) + 1j * rng.normal(size=(rank * block_dim,) * 2)
+    big = (g @ g.conj().T).reshape(rank, block_dim, rank, block_dim)
+    w, v = np.linalg.eigh(np.einsum("xaya->xy", big))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return np.einsum("xu,uavb,vy->xyab", inv_sqrt, big, inv_sqrt)
+
+
+def kron_sum_reference(rho, qset, blocks):
+    """sum_{x,y} sqrt(p_x p_y) |x_L><y_L| (x) A_{x,y}, one kron per pair, with
+    the inserted qudits then moved to Q."""
+    form = spectral_decompose(rho)
+    dim = rho.dim * blocks.shape[-1]
+    mat = np.zeros((dim, dim), dtype=complex)
+    for x, (p_x, ket_x) in enumerate(form.pairs):
+        for y, (p_y, ket_y) in enumerate(form.pairs):
+            mat += np.sqrt(p_x * p_y) * np.kron(np.outer(ket_x, ket_y.conj()), blocks[x, y])
+    big = DensityMatrix(QuditShape(rho.level, qset.ambient), mat)
+    return index_permutation(big, tau_Q(qset, rho.length)).mat
+
+
+def test_insert_construct_matches_kron_sum(rng):
+    cases = 0
+    for n in (1, 2, 3):
+        for t in (1, 2):
+            for rank in range(1, min(4, 2**n) + 1):
+                rho = random_density(rng, QuditShape(2, n), rank)
+                assert spectral_decompose(rho).rank == rank
+                q = sorted(rng.choice(range(1, n + t + 1), size=t, replace=False))
+                qset = IndexSet(tuple(q), n + t)
+                blocks = random_blocks(rng, rank, 2**t)
+                sigma = insert_construct(rho, qset, InsertionBlocks(t, blocks))
+                want = kron_sum_reference(rho, qset, blocks)
+                assert frobenius_distance(sigma.mat, want) <= 1e-12
+                cases += 1
+    assert cases == 2 * (2 + 4 + 4)
 
 
 def test_insert_construct_keeps_small_eigenvalues(rng):
@@ -338,26 +372,38 @@ def test_insert_construct_pure_state_form(rng):
 
 def test_insert_construct_block_validation(rng):
     rho = example_rho(0.5, 0.5)
+    qset = IndexSet((3,), 3)
     good_pi = np.eye(2, dtype=complex) / 2
-    with pytest.raises(BlockConstraintViolated, match="missing"):
-        insert_construct(rho, IndexSet((3,), 3), InsertionBlocks(1, {0: good_pi}))
+
+    def blocks(pairs):
+        """A rank-2 block array: good_pi on the diagonal, then ``pairs``."""
+        arr = np.zeros((2, 2, 2, 2), dtype=complex)
+        arr[0, 0] = arr[1, 1] = good_pi
+        for (x, y), a in pairs.items():
+            arr[x, y] = a
+        return InsertionBlocks(1, arr)
+
+    # one diagonal block for two eigenvectors
+    with pytest.raises(BlockConstraintViolated, match="shape"):
+        insert_construct(rho, qset, InsertionBlocks.separable(1, [good_pi]))
+    with pytest.raises(BlockConstraintViolated, match="shape"):
+        insert_construct(rho, qset, InsertionBlocks(1, np.zeros((2, 2, 4, 4))))
     with pytest.raises(BlockConstraintViolated, match="not a valid state"):
-        insert_construct(
-            rho, IndexSet((3,), 3), InsertionBlocks(1, {0: good_pi, 1: np.eye(2, dtype=complex)})
-        )
+        insert_construct(rho, qset, blocks({(1, 1): np.eye(2, dtype=complex)}))
+    with pytest.raises(BlockConstraintViolated, match="not a valid state"):
+        insert_construct(rho, qset, blocks({(1, 1): np.diag([1.5, -0.5]).astype(complex)}))
+    eye = np.eye(2, dtype=complex)
     with pytest.raises(BlockConstraintViolated, match="trace"):
-        insert_construct(
-            rho,
-            IndexSet((3,), 3),
-            InsertionBlocks(1, {0: good_pi, 1: good_pi}, {(0, 1): np.eye(2, dtype=complex)}),
-        )
+        insert_construct(rho, qset, blocks({(0, 1): eye, (1, 0): eye}))
+    a = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(BlockConstraintViolated, match="adjoint"):
-        a = np.array([[0, 1], [0, 0]], dtype=complex)
-        insert_construct(
-            rho,
-            IndexSet((3,), 3),
-            InsertionBlocks(1, {0: good_pi, 1: good_pi}, {(0, 1): a, (1, 0): a}),
-        )
+        insert_construct(rho, qset, blocks({(0, 1): a, (1, 0): a}))
+    with pytest.raises(BlockConstraintViolated, match="adjoint"):
+        insert_construct(rho, qset, blocks({(0, 1): a}))  # (1, 0) left zero
+    with pytest.raises(BlockConstraintViolated, match="adjoint"):
+        insert_construct(rho, qset, blocks({(1, 1): good_pi + 0.1 * a}))
+    with pytest.raises(BlockConstraintViolated, match="non-finite"):
+        insert_construct(rho, qset, blocks({(0, 1): np.full((2, 2), np.nan)}))
 
 
 def test_insert_construct_rejects_non_psd():
@@ -365,9 +411,9 @@ def test_insert_construct_rejects_non_psd():
     rho = example_rho(0.5, 0.5)
     pi = np.diag([1.0, 0.0]).astype(complex)
     a = 0.3 * np.array([[0, 1], [0, 0]], dtype=complex)
-    blocks = InsertionBlocks(1, {0: pi, 1: pi}, {(1, 0): a})
+    arr = np.array([[pi, a.conj().T], [a, pi]])
     with pytest.raises(NotPSD):
-        insert_construct(rho, IndexSet((3,), 3), blocks)
+        insert_construct(rho, IndexSet((3,), 3), InsertionBlocks(1, arr))
 
 
 def test_insertion_member():

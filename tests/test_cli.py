@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -200,6 +202,44 @@ def test_usage_errors(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paper-examples", "--eq-tol", "1e-9"],
+        ["paper-examples", "--psd-tol", "1e-9"],
+        ["paper-examples", "--feas-tol", "1e-6"],
+        ["paper-examples", "--gap-tol", "1e-3"],
+        ["sphere", "builtin:rho", "--s", "1", "--out", "unused.json", "--feas-tol", "1e-6"],
+        ["sphere", "builtin:rho", "--s", "1", "--out", "unused.json", "--gap-tol", "1e-3"],
+        ["sphere", "builtin:rho", "--s", "1", "--out", "unused.json", "--seed", "1"],
+        ["distance", "builtin:rho", "builtin:psi", "--feas-tol", "1e-6"],
+        ["distance", "builtin:rho", "builtin:psi", "--gap-tol", "1e-3"],
+        ["distance", "builtin:rho", "builtin:psi", "--seed", "1"],
+        ["verify", "builtin:x1", "--seed", "1"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_options_a_command_ignores_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 3 and report is None
+    assert "unrecognized arguments" in err
+    assert not (tmp_path / "unused.json").exists()
+
+
+def test_reports_echo_only_the_options_a_command_reads(tmp_path, capsys):
+    out = tmp_path / "sphere.json"
+    _, report, _ = run_cli(capsys, "sphere", "builtin:rho", "--s", "1", "--out", str(out), "--eq-tol", "1e-8")
+    assert report["tolerances"] == {"eq_tol": 1e-8, "psd_tol": None}
+    assert "seed" not in report
+    _, report, _ = run_cli(capsys, "distance", "builtin:rho", "builtin:psi")
+    assert report["tolerances"] == {"eq_tol": None, "psd_tol": None}
+    assert "seed" not in report
+    _, report, _ = run_cli(capsys, "verify", "builtin:{rho,psi}", "--gap-tol", "0.5")
+    assert report["tolerances"] == {"eq_tol": None, "psd_tol": None, "feas_tol": None, "gap_tol": 0.5}
+    assert "seed" not in report
+
+
 @pytest.fixture(scope="module")
 def suite_runs(tmp_path_factory):
     """One CLI suite run per seed; shared across the assertions below."""
@@ -207,18 +247,27 @@ def suite_runs(tmp_path_factory):
     for seed in (0, 1):
         tmp = tmp_path_factory.mktemp(f"suite{seed}")
         report_path = tmp / "report.json"
-        code = main(["paper-examples", "--seed", str(seed), "--report", str(report_path)])
-        runs[seed] = (code, json.loads(report_path.read_text()))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["paper-examples", "--seed", str(seed), "--report", str(report_path)])
+        runs[seed] = (code, json.loads(report_path.read_text()), json.loads(out.getvalue()))
     return runs
 
 
 def test_paper_examples_all_pass(suite_runs, capsys):
-    code, report = suite_runs[0]
+    code, report, _ = suite_runs[0]
     assert code == 0
     assert len(report["items"]) == 9
     assert all(item["status"] == "pass" for item in report["items"])
     for item in report["items"]:
         assert isinstance(item["residual"], float)
+
+
+def test_paper_examples_report_keys(suite_runs):
+    for seed, (_, suite, report) in suite_runs.items():
+        assert report["seed"] == seed
+        assert "tolerances" not in report  # the suite pins its own, in results
+        assert report["results"]["tolerances"] == suite["tolerances"]
 
 
 def test_paper_examples_seed_changes_only_witnesses(suite_runs):

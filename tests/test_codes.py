@@ -131,7 +131,10 @@ def test_insert_construct_matches_explicit_fixtures(rng):
     idx11 = 1 - idx00
     # the diagonal source pins the eigenbasis to exact computational kets
     assert abs(form.pairs[idx00][1] @ k00.conj() - 1.0) < 1e-12
-    blocks = InsertionBlocks(1, {idx00: pi00, idx11: pi11}, {(idx11, idx00): a})
+    arr = np.zeros((2, 2, 2, 2), dtype=complex)
+    arr[idx00, idx00], arr[idx11, idx11] = pi00, pi11
+    arr[idx11, idx00], arr[idx00, idx11] = a, a.conj().T
+    blocks = InsertionBlocks(1, arr)
 
     for q, fixture in ((1, sigma_1), (2, sigma_2), (3, sigma_3)):
         built = insert_construct(rho, IndexSet((q,), 3), blocks)

@@ -215,6 +215,24 @@ def test_metric_check(rng):
     report = metric_check(triples)
     assert report["checked"] == 10
     assert report["violations"] == []
+    assert report["odd_equal_length"] == 0
+
+    # d(|00>, |0>) = 1 is odd, but between states of different lengths
+    one = density_from_ket(pure_ket(basis_ket("0", QuditShape(2, 1)), QuditShape(2, 1)))
+    report = metric_check([(_pure("00"), one, _pure("01"))])
+    assert report["ok"] and report["odd_equal_length"] == 0
+
+
+def test_metric_check_counts_odd_equal_length_distances(monkeypatch):
+    import qindel.distance
+
+    class Odd:
+        value = 1
+
+    monkeypatch.setattr(qindel.distance, "indel_distance", lambda a, b, tol=None: Odd)
+    one = density_from_ket(pure_ket(basis_ket("0", QuditShape(2, 1)), QuditShape(2, 1)))
+    assert metric_check([(_pure("00"), _pure("01"), _pure("10"))])["odd_equal_length"] == 3
+    assert metric_check([(_pure("00"), one, _pure("10"))])["odd_equal_length"] == 1
 
 
 def test_code_sample_rejects_duplicates():

@@ -124,7 +124,7 @@ def test_del_ins_membership_implies_ins_del(rng):
     hits = 0
     for sigma in make_states(rng, 2, 1, 6):
         for rho in make_states(rng, 2, 1, 2):
-            report = member_del_ins(sigma, rho, 1, 1, FeasibilityOptions(max_dim=4))
+            report = member_del_ins(sigma, rho, 1, 1)
             if report.status is FeasibilityStatus.FEASIBLE:
                 hits += 1
                 assert member_ins_del(sigma, rho, 1, 1)

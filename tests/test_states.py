@@ -13,6 +13,7 @@ from qindel.errors import (
     ShapeMismatch,
     SizeCapExceeded,
     TraceNotOne,
+    ValidationError,
 )
 from qindel.rand import random_density
 from qindel.states import (
@@ -26,6 +27,7 @@ from qindel.states import (
     purity,
     reconstruct,
     save_state,
+    save_states,
     scalar_state,
     spectral_decompose,
     state_from_json_obj,
@@ -220,6 +222,23 @@ def _head_encoder(rho: DensityMatrix) -> str:
             "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho.mat],
         }
     )
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.1, -np.inf)])
+def test_writers_refuse_non_finite_states(tmp_path, entry):
+    good = DensityMatrix(QuditShape(2, 1), np.eye(2) / 2)
+    mat = np.eye(2, dtype=complex) / 2
+    mat[0, 1] = entry
+    bad = DensityMatrix(QuditShape(2, 1), mat)  # the unchecked constructor
+    path = tmp_path / "state.json"
+    with pytest.raises(ValidationError, match="non-finite"):
+        save_state(bad, path)
+    assert not path.exists()
+    with pytest.raises(ValidationError, match="non-finite"):
+        save_states([good, bad], path)
+    assert not path.exists()
+    save_states([good], path)
+    assert len(json.loads(path.read_text(encoding="utf-8"))) == 1
 
 
 @pytest.mark.parametrize("length", range(1, 9))
