@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .channels import IndexSet, delete, deletion_sphere, sample_insertions
+from .channels import IndexSet, cross_distances, delete, deletion_sphere, sample_insertions
 from .codes import (
     collision_pair_x2,
     default_code_params,
@@ -102,15 +102,15 @@ def check_x2_min_distance(seed: int) -> dict:
         return _item("hagiwara4-code-min-distance", False, float(len(params)), "grid too small")
     sample = x2_code_sample()
 
-    spheres = [deletion_sphere(s, 1) for s in sample.states]
+    spheres = [deletion_sphere(s, 1).stack for s in sample.states]
     min_cross = min(
-        spheres[i].min_cross_distance(spheres[j])
+        float(cross_distances(spheres[i], spheres[j]).min())
         for i in range(len(sample))
         for j in range(i + 1, len(sample))
     )
 
-    psi1, psi2 = collision_pair_x2(*x2_collision_params())
-    collision_gap = deletion_sphere(psi1, 2).min_cross_distance(deletion_sphere(psi2, 2))
+    doubles = [deletion_sphere(psi, 2).stack for psi in collision_pair_x2(*x2_collision_params())]
+    collision_gap = float(cross_distances(*doubles).min())
 
     alpha_c, beta_c = x2_collision_params()
     partner = (alpha_c, beta_c * np.exp(2j * (np.angle(alpha_c) - np.angle(beta_c))))

@@ -1,18 +1,20 @@
 """Deletion channels, qudit index permutations, and insertion-state construction.
 
-Deletion at position p is the partial trace over qudit p.  Insertion at a set
-of positions Q is the *set* of larger states whose deletion at Q returns the
-original; members are constructed from rho's spectral form and one
-``(rank, rank, l**t, l**t)`` array of blocks A_{x,y}, one per eigenvector pair
-(t-qudit densities on the diagonal, traceless adjoint pairs off it).  The
-blocks are checked as one array and attached to the eigenvectors by a single
-contraction, with the inserted qudits last; an index permutation then moves
-them into place.
+Deletion at position p is the partial trace over qudit p; a deletion sphere is
+the read-only result of one greedy dedup, ``distinct_rows``, of the traced
+candidates.  Insertion at a set of positions Q is the *set* of larger states
+whose deletion at Q returns the original; members are constructed from rho's
+spectral form and one ``(rank, rank, l**t, l**t)`` array of blocks A_{x,y},
+one per eigenvector pair (t-qudit densities on the diagonal, traceless adjoint
+pairs off it).  The blocks are checked as one array and attached to the
+eigenvectors by a single contraction, with the inserted qudits last; an index
+permutation then moves them into place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -30,13 +32,14 @@ from .errors import (
 )
 from .linalg import Tolerance, hermitian_eigenvalues, hermitian_part
 from .rand import random_density, random_orthonormal
-from .states import DensityMatrix, QuditShape, spectral_decompose
+from .states import DensityMatrix, QuditShape, SpectralForm, spectral_decompose
 
 __all__ = [
     "IndexSet",
     "InsertionBlocks",
     "SphereSet",
     "cross_distances",
+    "distinct_rows",
     "trace_out",
     "partial_trace",
     "delete",
@@ -88,6 +91,13 @@ def _as_index_set(positions, ambient: int) -> IndexSet:
             )
         return positions
     return IndexSet.of(positions, ambient)
+
+
+def _insertion_set(Q, n: int) -> IndexSet:
+    """Q as the positions of qudits inserted into an n-qudit state: an index
+    set over the lifted range [1, n + |Q|]."""
+    Q = Q if isinstance(Q, IndexSet) else tuple(Q)
+    return _as_index_set(Q, n + len(tuple(Q)))
 
 
 def trace_out(mat: np.ndarray, pset: IndexSet, level: int) -> np.ndarray:
@@ -154,70 +164,58 @@ def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def distinct_rows(buf: np.ndarray, eq_tol: float) -> tuple[list[int], list[int]]:
+    """Greedy dedup of a ``(k, d, d)`` buffer, compacted in place.
+
+    Candidates are taken in order; one becomes a member only if its
+    Frobenius distance to every member kept so far exceeds eq_tol, with those
+    distances computed in one batched call.  Returns ``(kept, joined)``:
+    ``kept`` lists the candidates that became members, whose rows now fill
+    ``buf[:len(kept)]`` in that order, and ``joined[c]`` is the index of the
+    member candidate c became or joined.
+    """
+    kept: list[int] = []
+    joined: list[int] = []
+    for c in range(len(buf)):
+        hits = np.flatnonzero(cross_distances(buf[: len(kept)], buf[c : c + 1]) <= eq_tol)
+        if hits.size:
+            joined.append(int(hits[0]))
+        else:
+            buf[len(kept)] = buf[c]
+            joined.append(len(kept))
+            kept.append(c)
+    return kept, joined
+
+
+@dataclass(frozen=True, eq=False)
 class SphereSet:
-    """Finite set of same-shape states with tolerance-based membership.
+    """The distinct members of a deduplicated stack of same-shape states.
 
     The members live in one read-only ``(k, d, d)`` array, ``stack``, their
-    only copy; ``states`` wraps read-only views of its rows.  Deduplication is
-    greedy: candidates are taken in order, and one joins only if its
-    Frobenius distance to every current member exceeds eq_tol, with all those
-    distances computed in one batched call.  Each member remembers in
-    ``reps`` the tag of the first candidate that produced it (the index set,
-    for a deletion sphere); ``raw_count`` counts every candidate offered.
+    only copy; ``states`` wraps views of its rows on first access.  ``reps``
+    holds, per member, the tag of the first candidate that produced it (the
+    index set, for a deletion sphere); ``raw_count`` counts every candidate
+    offered to ``distinct_rows``.
     """
 
-    def __init__(self, shape: QuditShape, eq_tol: float | None = None):
-        self.shape = shape
-        self.eq_tol = eq_tol if eq_tol is not None else shape.tol().eq_tol
-        self.reps: list = []
-        self.raw_count = 0
-        self._set_stack(np.empty((0, shape.dim, shape.dim), dtype=complex))
+    shape: QuditShape
+    eq_tol: float
+    stack: np.ndarray
+    reps: list
+    raw_count: int
 
-    def _set_stack(self, stack: np.ndarray) -> None:
-        stack.setflags(write=False)
-        self.stack = stack
-        self.states = [DensityMatrix(self.shape, mat) for mat in stack]
+    def __post_init__(self) -> None:
+        self.stack.setflags(write=False)
 
-    def _first_within(self, dist: np.ndarray) -> int | None:
-        hits = np.flatnonzero(dist <= self.eq_tol)
-        return int(hits[0]) if hits.size else None
-
-    def find(self, rho: DensityMatrix) -> int | None:
-        return self._first_within(cross_distances(self.stack, rho.mat[None])[:, 0])
-
-    def extend(self, mats: np.ndarray, reps: Sequence | None = None) -> list[int]:
-        """Offer a ``(k, d, d)`` stack of candidates in order; return the
-        index of the member each one joined or became."""
-        return self._absorb(np.concatenate([self.stack, np.asarray(mats, dtype=complex)]), reps)
-
-    def _absorb(self, buf: np.ndarray, reps: Sequence | None) -> list[int]:
-        """``extend`` on a buffer owned here: the current members followed by
-        the candidates.  Members are compacted in place at its front."""
-        reps = list(reps) if reps is not None else [None] * (len(buf) - len(self.stack))
-        k = len(self.stack)
-        joined = []
-        for c, rep in zip(range(len(self.stack), len(buf)), reps):
-            hit = self._first_within(cross_distances(buf[:k], buf[c : c + 1])[:, 0])
-            if hit is None:
-                buf[k] = buf[c]
-                self.reps.append(rep)
-                hit, k = k, k + 1
-            joined.append(hit)
-        self.raw_count += len(buf) - len(self.stack)
-        self._set_stack(buf if k == len(buf) else buf[:k].copy())
-        return joined
-
-    def add(self, rho: DensityMatrix, rep=None) -> int:
-        return self.extend(rho.mat[None], [rep])[0]
+    @cached_property
+    def states(self) -> list[DensityMatrix]:
+        return [DensityMatrix(self.shape, mat) for mat in self.stack]
 
     def __len__(self) -> int:
         return len(self.stack)
 
     def __iter__(self) -> Iterator[DensityMatrix]:
         return iter(self.states)
-
-    def min_cross_distance(self, other: "SphereSet") -> float:
-        return float(cross_distances(self.stack, other.stack).min())
 
     def intersection_witness(
         self, other: "SphereSet"
@@ -244,9 +242,10 @@ def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance | None = None) ->
     buf = np.empty((len(psets), out_shape.dim, out_shape.dim), dtype=complex)
     for k, pset in enumerate(psets):
         buf[k] = trace_out(rho.mat, pset, rho.level)
-    sphere = SphereSet(out_shape, tol.eq_tol if tol is not None else None)
-    sphere._absorb(buf, psets)
-    return sphere
+    eq_tol = (tol if tol is not None else out_shape.tol()).eq_tol
+    kept, _ = distinct_rows(buf, eq_tol)
+    stack = buf if len(kept) == len(buf) else buf[: len(kept)].copy()
+    return SphereSet(out_shape, eq_tol, stack, [psets[c] for c in kept], len(psets))
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
@@ -285,11 +284,8 @@ def tau_Q(Q, n: int) -> tuple[int, ...]:
     Feeding the result to ``index_permutation`` turns ``rho (x) pi`` (inserted
     block last) into a state whose inserted qudits sit at Q.
     """
-    qset = Q if isinstance(Q, IndexSet) else IndexSet.of(Q, n + len(tuple(Q)))
-    t = qset.size
-    if qset.ambient != n + t:
-        raise InvalidIndexSet(f"Q must live in [1, {n + t}], got ambient {qset.ambient}")
-    perm = [0] * (n + t)
+    qset = _insertion_set(Q, n)
+    perm = [0] * qset.ambient
     for i, q in enumerate(qset.positions):
         perm[n + i] = q
     for j, slot in enumerate(qset.complement()):
@@ -366,12 +362,6 @@ def _check_blocks(blocks: np.ndarray, rank: int, block_shape: QuditShape) -> Non
         )
 
 
-# Contract V with the blocks first, then with V^dagger: O(d r^2 D^2 + d^2 r D^2)
-# work for d = l^n, D = l^t and rank r, where the naive one-step einsum
-# loops over all d^2 r^2 D^2 index combinations.
-_INSERTION_PATH = ["einsum_path", (0, 1), (0, 1)]
-
-
 def insert_construct(
     rho: DensityMatrix,
     Q,
@@ -384,20 +374,29 @@ def insert_construct(
     state is PSD-checked and rejected rather than repaired; the deletion
     round trip D_Q(sigma) = rho is verified before returning.
     """
-    n, l = rho.length, rho.level
-    qset = Q if isinstance(Q, IndexSet) else IndexSet.of(Q, n + len(tuple(Q)))
-    t = qset.size
-    if blocks.t != t:
-        raise ShapeMismatch(f"blocks are for t={blocks.t} but Q inserts {t} qudits")
-    if qset.ambient != n + t:
-        raise InvalidIndexSet(f"Q ambient {qset.ambient} != n + t = {n + t}")
+    qset = _insertion_set(Q, rho.length)
+    if blocks.t != qset.size:
+        raise ShapeMismatch(f"blocks are for t={blocks.t} but Q inserts {qset.size} qudits")
+    return _insert(rho, qset, spectral_decompose(rho, tol), blocks, tol)
 
-    form = spectral_decompose(rho, tol)
-    _check_blocks(blocks.blocks, form.rank, QuditShape(l, t))
-    # columns sqrt(p_x) |x_L>, so the state is sum_{x,y} V_x V_y^dagger (x) A_{x,y}
+
+def _insert(
+    rho: DensityMatrix,
+    qset: IndexSet,
+    form: SpectralForm,
+    blocks: InsertionBlocks,
+    tol: Tolerance | None,
+) -> DensityMatrix:
+    """``insert_construct`` once rho's spectral form is known."""
+    n, l = rho.length, rho.level
+    _check_blocks(blocks.blocks, form.rank, QuditShape(l, qset.size))
+    # columns sqrt(p_x) |x_L>, so the state is sum_{x,y} V_x V_y^dagger (x) A_{x,y};
+    # contracting V with the blocks first, then with V^dagger, never forms a
+    # per-pair Kronecker product
     v = np.stack([ket for _, ket in form.pairs], axis=1) * np.sqrt(form.weights)
-    big_shape = QuditShape(l, n + t)
-    mat = np.einsum("ix,xyab,jy->iajb", v, blocks.blocks, v.conj(), optimize=_INSERTION_PATH)
+    big_shape = QuditShape(l, qset.ambient)
+    vb = np.tensordot(v, blocks.blocks, (1, 0))  # axes (i, y, a, b)
+    mat = np.tensordot(vb, v.conj(), (1, 1)).transpose(0, 1, 3, 2)  # axes (i, a, j, b)
     sigma_mat = _permute_axes(mat.reshape(big_shape.dim, big_shape.dim), tau_Q(qset, n), l)
     big_tol = tol if tol is not None else big_shape.tol()
 
@@ -422,13 +421,11 @@ def insertion_member(
     """sigma is in I_Q(rho) iff D_Q(sigma) = rho."""
     if sigma.level != rho.level:
         raise ShapeMismatch(f"levels differ: {sigma.level} vs {rho.level}")
-    qset = Q if isinstance(Q, IndexSet) else IndexSet.of(Q, sigma.length)
+    qset = _as_index_set(Q, sigma.length)
     if sigma.length != rho.length + qset.size:
         raise ShapeMismatch(
             f"len(sigma)={sigma.length} != len(rho)+|Q|={rho.length + qset.size}"
         )
-    if qset.ambient != sigma.length:
-        raise InvalidIndexSet(f"Q ambient {qset.ambient} != len(sigma) = {sigma.length}")
     tol = tol if tol is not None else rho.shape.tol()
     return delete(sigma, qset).distance(rho) <= tol.eq_tol
 
@@ -449,12 +446,11 @@ def sample_insertions(
     """
     if count < 1:
         raise CountOutOfRange(f"need count >= 1, got {count}")
-    n, l = rho.length, rho.level
-    qset = Q if isinstance(Q, IndexSet) else IndexSet.of(Q, n + len(tuple(Q)))
+    qset = _insertion_set(Q, rho.length)
     t = qset.size
     rng = np.random.default_rng(seed)
     form = spectral_decompose(rho, tol)
-    block_shape = QuditShape(l, t)
+    block_shape = QuditShape(rho.level, t)
     entangled_ok = block_shape.dim >= form.rank
 
     samples: list[DensityMatrix] = []
@@ -465,5 +461,5 @@ def sample_insertions(
         else:
             pis = [random_density(rng, block_shape).mat for _ in range(form.rank)]
             blocks = InsertionBlocks.separable(t, pis)
-        samples.append(insert_construct(rho, qset, blocks, tol))
+        samples.append(_insert(rho, qset, form, blocks, tol))
     return samples

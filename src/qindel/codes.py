@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .channels import SphereSet, delete
+from .channels import delete, distinct_rows
 from .distance import CodeSample
 from .errors import DegenerateParam, NotNormalized, ParseError, WeightOutOfRange
 from .linalg import Tolerance, frobenius_distance, kron
@@ -272,9 +272,9 @@ def _dedup_sample(entries: list[tuple[str, DensityMatrix]]) -> CodeSample:
     """Greedy dedup within eq_tol: the first entry of each coinciding group stays."""
     if not entries:
         return CodeSample((), ())
-    distinct = SphereSet(entries[0][1].shape)
-    distinct.extend(np.stack([state.mat for _, state in entries]), [label for label, _ in entries])
-    return CodeSample(tuple(distinct.states), tuple(distinct.reps))
+    eq_tol = entries[0][1].shape.tol().eq_tol
+    kept, _ = distinct_rows(np.stack([state.mat for _, state in entries]), eq_tol)
+    return CodeSample(tuple(entries[c][1] for c in kept), tuple(entries[c][0] for c in kept))
 
 
 def _grid_entries(codeword, params) -> list[tuple[str, DensityMatrix]]:
@@ -284,24 +284,22 @@ def _grid_entries(codeword, params) -> list[tuple[str, DensityMatrix]]:
     ]
 
 
-def x1_code_sample(params=None, include_phase_pair: bool = True) -> CodeSample:
+def x1_code_sample(params=None) -> CodeSample:
     """Grid sample of the two-qubit code, engineered phase pair appended."""
     entries = _grid_entries(x1_codeword, params if params is not None else default_code_params())
-    if include_phase_pair:
-        for k, (a, b) in enumerate(x1_phase_pair_params()):
-            entries.append((f"phase-{k + 1}", x1_codeword(a, b)))
+    for k, (a, b) in enumerate(x1_phase_pair_params()):
+        entries.append((f"phase-{k + 1}", x1_codeword(a, b)))
     return _dedup_sample(entries)
 
 
-def x2_code_sample(params=None, include_collision_pair: bool = True) -> CodeSample:
+def x2_code_sample(params=None) -> CodeSample:
     """Grid sample of the four-qubit single-deletion code, collision pair appended."""
     entries = _grid_entries(
         hagiwara_codeword, params if params is not None else default_code_params()
     )
-    if include_collision_pair:
-        psi1, psi2 = collision_pair_x2(*x2_collision_params())
-        entries.append(("collision-1", psi1))
-        entries.append(("collision-2", psi2))
+    psi1, psi2 = collision_pair_x2(*x2_collision_params())
+    entries.append(("collision-1", psi1))
+    entries.append(("collision-2", psi2))
     return _dedup_sample(entries)
 
 

@@ -11,7 +11,8 @@ insertions.
 levels instead of the pairs: code states share one length, so the code's
 minimum distance is 2s for the least s at which two of its s-deletion spheres
 meet.  Each level builds every state's sphere once and compares the stacked
-members of all spheres in batched norms.
+members of all spheres in batched norms; only a witness row is wrapped as a
+state.  ``CodeSample`` checks distinctness with the spheres' greedy dedup.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import IndexSet, SphereSet, cross_distances, deletion_sphere
+from .channels import IndexSet, cross_distances, deletion_sphere, distinct_rows
 from .errors import CountOutOfRange, LevelMismatch, TooFewStates
 from .feasibility import FeasibilityOptions, FeasibilityStatus, member_del_ins
 from .linalg import Tolerance
@@ -76,10 +77,10 @@ class CodeSample:
             raise LevelMismatch(f"states span several shapes: {shapes}")
         if not self.states:
             return
-        distinct = SphereSet(self.states[0].shape)
-        joined = distinct.extend(np.stack([s.mat for s in self.states]), range(len(self.states)))
+        eq_tol = self.states[0].shape.tol().eq_tol
+        kept, joined = distinct_rows(np.stack([s.mat for s in self.states]), eq_tol)
         for j, k in enumerate(joined):
-            i = distinct.reps[k]
+            i = kept[k]
             if i != j:
                 raise ValueError(
                     f"states {self.labels[i]!r} and {self.labels[j]!r} coincide within eq_tol"
@@ -133,7 +134,7 @@ def indel_distance(
                 t=t,
                 P=sphere1.reps[i],
                 Q=sphere2.reps[j],
-                common=sphere1.states[i],
+                common=DensityMatrix(sphere1.shape, sphere1.stack[i]),
             )
             # equal-length states are always an even distance apart
             assert n != m or result.value % 2 == 0

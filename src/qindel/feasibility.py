@@ -20,7 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import IndexSet, deletion_sphere, partial_trace, sample_insertions, trace_out
+from .channels import IndexSet, _as_index_set, _insertion_set, deletion_sphere, partial_trace
+from .channels import sample_insertions, trace_out
 from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, hermitian_eigenvalues, hermitian_part
 from .states import DensityMatrix, QuditShape, state_to_json_obj
@@ -168,13 +169,10 @@ def feasibility_del_ins(
     if sigma.level != rho.level:
         raise ShapeMismatch(f"levels differ: {sigma.level} vs {rho.level}")
     n, l = rho.length, rho.level
-    qset = Q if isinstance(Q, IndexSet) else IndexSet.of(Q, n + len(tuple(Q)))
-    t = qset.size
-    big = n + t
-    pset = P if isinstance(P, IndexSet) else IndexSet.of(P, big)
+    qset = _insertion_set(Q, n)
+    big = qset.ambient
+    pset = _as_index_set(P, big)
     s = pset.size
-    if pset.ambient != big or qset.ambient != big:
-        raise ShapeMismatch(f"P and Q must index the lifted length {big}")
     if sigma.length != big - s:
         raise ShapeMismatch(f"len(sigma)={sigma.length} != n+t-s={big - s}")
     if l ** big > MAX_DIM:

@@ -154,17 +154,20 @@ def project_psd(a, tol: Tolerance | None = None) -> np.ndarray:
     return hermitian_part((v * w) @ v.conj().T)
 
 
-def psd_principal_minors(a, tol: Tolerance | None = None, max_dim: int = 4) -> bool:
+MINORS_MAX_DIM = 4
+
+
+def psd_principal_minors(a, tol: Tolerance | None = None) -> bool:
     """Exhaustive principal-minor PSD test, usable only for small matrices.
 
     A Hermitian matrix is PSD iff every principal minor is nonnegative.  The
     subset enumeration is exponential, so this is a cross-check oracle for
-    ``is_psd`` at dim <= ``max_dim``, not a production path.
+    ``is_psd`` at dim <= ``MINORS_MAX_DIM``, not a production path.
     """
     a = _as_complex(a)
     n = a.shape[0]
-    if n > max_dim:
-        raise ShapeMismatch(f"principal-minor test capped at dim {max_dim}, got {n}")
+    if n > MINORS_MAX_DIM:
+        raise ShapeMismatch(f"principal-minor test capped at dim {MINORS_MAX_DIM}, got {n}")
     tol = _tol_for(a, tol)
     _require_hermitian(a, tol)
     for k in range(1, n + 1):

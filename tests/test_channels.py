@@ -6,10 +6,10 @@ import pytest
 from qindel.channels import (
     IndexSet,
     InsertionBlocks,
-    SphereSet,
     cross_distances,
     delete,
     deletion_sphere,
+    distinct_rows,
     index_permutation,
     insert_construct,
     insertion_member,
@@ -27,6 +27,7 @@ from qindel.errors import (
     NotPSD,
     PositionOutOfRange,
 )
+from qindel.feasibility import feasibility_del_ins
 from qindel.linalg import frobenius_distance, kron
 from qindel.rand import random_density, random_orthonormal
 from qindel.states import (
@@ -166,13 +167,23 @@ def greedy_oracle(candidates, eq_tol):
     return members, reps
 
 
-def assert_matches_oracle(sphere, candidates):
-    members, reps = greedy_oracle(candidates, sphere.eq_tol)
-    assert sphere.raw_count == len(candidates)
-    assert sphere.reps == reps
-    assert len(sphere) == len(members)
-    for got, want in zip(sphere.states, members):
-        np.testing.assert_array_equal(got.mat, want)
+def assert_matches_oracle(candidates, eq_tol):
+    """``distinct_rows`` on the stacked candidates against the greedy oracle:
+    members, kept tags, the member each candidate joined, and the raw count.
+    Returns the oracle's (members, reps)."""
+    members, reps = greedy_oracle(candidates, eq_tol)
+    buf = np.stack([mat for _, mat in candidates])
+    kept, joined = distinct_rows(buf, eq_tol)
+    assert [candidates[c][0] for c in kept] == reps
+    assert len(kept) == len(members)
+    for got, want in zip(buf, members):
+        np.testing.assert_array_equal(got, want)
+    assert len(joined) == len(candidates)
+    assert joined == [
+        next(k for k, m in enumerate(members) if frobenius_distance(mat, m) <= eq_tol)
+        for _, mat in candidates
+    ]
+    return members, reps
 
 
 def test_sphere_set_matches_greedy_oracle(rng):
@@ -187,29 +198,28 @@ def test_sphere_set_matches_greedy_oracle(rng):
                 (IndexSet(combo, rho.length), delete(rho, combo).mat)
                 for combo in combinations(range(1, rho.length + 1), s)
             ]
-            assert_matches_oracle(deletion_sphere(rho, s), candidates)
+            sphere = deletion_sphere(rho, s)
+            members, reps = assert_matches_oracle(candidates, sphere.eq_tol)
+            assert sphere.raw_count == len(candidates)
+            assert sphere.reps == reps
+            assert len(sphere) == len(members)
+            for got, want in zip(sphere.stack, members):
+                np.testing.assert_array_equal(got, want)
     assert len(deletion_sphere(product, 1)) == 1
 
-    # candidates at 0.5x and 2x eq_tol from a base state, offered one by one
-    # and as one batch
+    # candidates at 0.5x and 2x eq_tol from a base state
     shape = QuditShape(2, 3)
-    sphere = SphereSet(shape)
+    eq_tol = shape.tol().eq_tol
     base = random_density(rng, shape).mat
     candidates = [("base", base)]
     for k in range(6):
         step = rng.normal(size=base.shape) + 1j * rng.normal(size=base.shape)
         step = step + step.conj().T
         step -= np.trace(step) / shape.dim * np.eye(shape.dim)
-        scale = (0.5, 2.0)[k % 2] * sphere.eq_tol / np.linalg.norm(step)
+        scale = (0.5, 2.0)[k % 2] * eq_tol / np.linalg.norm(step)
         candidates.append((f"near{k}", base + scale * step))
-    for tag, mat in candidates:
-        sphere.add(DensityMatrix(shape, mat), tag)
-    assert_matches_oracle(sphere, candidates)
-    assert 1 < len(sphere) < len(candidates)
-    batch = SphereSet(shape)
-    joined = batch.extend(np.stack([mat for _, mat in candidates]), [tag for tag, _ in candidates])
-    assert_matches_oracle(batch, candidates)
-    assert [batch.find(DensityMatrix(shape, mat)) for _, mat in candidates] == joined
+    members, _ = assert_matches_oracle(candidates, eq_tol)
+    assert 1 < len(members) < len(candidates)
 
 
 def test_sphere_members_are_read_only_views(rng):
@@ -238,7 +248,6 @@ def test_cross_distances_chunked_matches_pairwise(rng):
     i, j, gap = a.intersection_witness(a)
     assert i == j == 0 and gap == 0.0
     assert a.intersection_witness(b) is None
-    assert a.min_cross_distance(b) == pytest.approx(cross_distances(a.stack, b.stack).min())
 
 
 def test_index_permutation_basics(rng):
@@ -461,6 +470,64 @@ def test_sample_insertions_contract(rng):
     full = random_density(rng, QuditShape(2, 2), 4)
     for sigma in sample_insertions(full, IndexSet((1,), 3), 4, seed=7):
         assert insertion_member(sigma, full, IndexSet((1,), 3))
+
+
+def test_sample_insertions_decomposes_once(monkeypatch):
+    import qindel.channels as channels
+
+    calls = []
+
+    def counting(rho, tol=None):
+        calls.append(rho)
+        return spectral_decompose(rho, tol)
+
+    monkeypatch.setattr(channels, "spectral_decompose", counting)
+    rho = example_rho(0.5, 0.5)
+    for count in (1, 2, 5):
+        calls.clear()
+        sample_insertions(rho, IndexSet((2,), 3), count, seed=3)
+        assert calls == [rho]
+
+
+def _coercion_case(name):
+    """(call, Q or P as an IndexSet) for an entry point taking index sets."""
+    rho = example_rho(0.5, 0.5)
+    q2 = IndexSet((2,), 3)
+    sigma = sample_insertions(rho, q2, 1, seed=0)[0]
+    blocks = InsertionBlocks.separable(1, [np.eye(2) / 2] * spectral_decompose(rho).rank)
+
+    def feasibility(P, Q):
+        report = feasibility_del_ins(rho, rho, P, Q)
+        return report.status.value, report.gap
+
+    return {
+        "tau_Q": (lambda q: tau_Q(q, 2), q2),
+        "insert_construct": (lambda q: insert_construct(rho, q, blocks).mat, q2),
+        "insertion_member": (lambda q: insertion_member(sigma, rho, q), q2),
+        "sample_insertions": (lambda q: sample_insertions(rho, q, 2, seed=0)[1].mat, q2),
+        "feasibility_del_ins-P": (lambda p: feasibility(p, q2), q2),
+        "feasibility_del_ins-Q": (lambda q: feasibility(q2, q), q2),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "tau_Q",
+        "insert_construct",
+        "insertion_member",
+        "sample_insertions",
+        "feasibility_del_ins-P",
+        "feasibility_del_ins-Q",
+    ],
+)
+def test_index_set_coercion(name):
+    # an index set over the wrong range is refused by name, and a one-shot
+    # iterable of positions is read once and means the same as the index set
+    call, positions = _coercion_case(name)
+    with pytest.raises(InvalidIndexSet):
+        call(IndexSet(positions.positions, positions.ambient + 1))
+    np.testing.assert_array_equal(call(iter(positions.positions)), call(positions))
 
 
 def test_inserted_blocks_trace_contract(rng):
