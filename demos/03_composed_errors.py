@@ -2,9 +2,11 @@
 
 Whether a state is reachable by insertions-after-deletions is a finite
 question (compare two deletion spheres).  Reachability by
-deletions-after-insertions is a PSD feasibility problem, solved here by
-Dykstra's alternating projections between the PSD cone and the affine set of
-lifted states with the prescribed partial traces.
+deletions-after-insertions is a PSD feasibility problem over lifted states
+with the prescribed partial traces.  It is decided by a consistency check,
+facial reduction and a dual least-squares solver, and each verdict comes
+with evidence that is checked: a witness state, or a Farkas certificate
+whose certified gap bounds how far every PSD state misses the constraints.
 
 The two orders differ: with rho = (|00><00| + |11><11|)/2, the coherent state
 (|01> + |10>)/sqrt(2) is reachable by insert-after-delete but provably not by
@@ -23,9 +25,10 @@ print("psi reachable by insert-after-delete:", member_ins_del(psi, rho, 1, 1))
 
 report = member_del_ins(psi, rho, 1, 1)
 print(f"psi reachable by delete-after-insert: {report.status.value} "
-      f"(smallest gap over all position pairs: {report.gap:.3f})")
+      f"(smallest certified gap over all position pairs: {report.gap:.3f})")
 for pair in report.details["pairs"][:3]:
-    print("   P =", pair["P"], "Q =", pair["Q"], "->", pair["status"], f"gap={pair['gap']:.3f}")
+    print("   P =", pair["P"], "Q =", pair["Q"], "->", pair["status"],
+          f"({pair['reason']}), gap={pair['gap']:.3f}")
 print("   ...")
 
 print("closed-form check agrees:", not in_del_after_ins_sphere(psi))

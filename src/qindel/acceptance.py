@@ -335,7 +335,6 @@ def run_all(seed: int = 0) -> dict:
             "eq_tol": "1e-9*sqrt(dim)",
             "psd_tol": "1e-9*dim",
             "feas_tol": FeasibilityOptions().feas_tol,
-            "gap_tol": FeasibilityOptions().gap_tol,
         },
         "elapsed_ms": int((time.monotonic() - start) * 1000),
     }

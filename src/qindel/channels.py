@@ -41,6 +41,7 @@ __all__ = [
     "cross_distances",
     "distinct_rows",
     "trace_out",
+    "trace_out_adjoint",
     "partial_trace",
     "delete",
     "deletion_sphere",
@@ -118,6 +119,29 @@ def trace_out(mat: np.ndarray, pset: IndexSet, level: int) -> np.ndarray:
         tensor = mat.reshape(*batch, lead, level, tail, lead, level, tail)
         n -= 1
         mat = np.trace(tensor, axis1=k + 1, axis2=k + 4).reshape(*batch, level**n, level**n)
+    return mat
+
+
+def trace_out_adjoint(mat: np.ndarray, pset: IndexSet, level: int) -> np.ndarray:
+    """The adjoint of ``trace_out``: an identity inserted at the qudits of ``pset``.
+
+    ``mat`` is a raw ``(d, d)`` array on the qudits ``pset`` leaves; the result
+    is ``level ** pset.ambient`` square, and <trace_out(x), mat> = <x, result>.
+    Positions are inserted from the smallest up so each lands where ``pset``
+    puts it.
+    """
+    mat = np.asarray(mat)
+    n = pset.ambient - pset.size
+    if mat.shape != (level**n, level**n):
+        raise ShapeMismatch(f"shape {mat.shape} is not two axes of {level}**{n}")
+    for p in pset.positions:
+        lead, tail = level ** (p - 1), level ** (n - p + 1)
+        block = mat.reshape(lead, tail, lead, tail)
+        out = np.zeros((lead, level, tail, lead, level, tail), dtype=mat.dtype)
+        for k in range(level):
+            out[:, k, :, :, k, :] = block
+        n += 1
+        mat = out.reshape(level**n, level**n)
     return mat
 
 

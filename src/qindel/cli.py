@@ -55,11 +55,9 @@ def _tolerance(args) -> Tolerance | None:
 
 
 def _feas_options(args) -> FeasibilityOptions:
-    base = FeasibilityOptions()
-    return FeasibilityOptions(
-        feas_tol=args.feas_tol if args.feas_tol is not None else base.feas_tol,
-        gap_tol=args.gap_tol if args.gap_tol is not None else base.gap_tol,
-    )
+    if args.feas_tol is None:
+        return FeasibilityOptions()
+    return FeasibilityOptions(feas_tol=args.feas_tol)
 
 
 def _digest(path: Path) -> str:
@@ -109,7 +107,7 @@ def _load_code_spec(spec: str, grid: str | None, tol: Tolerance | None) -> tuple
     return CodeSample.from_states(states, [f.name for f in files]), ",".join(_digest(f) for f in files)
 
 
-_TOLERANCES = ("eq_tol", "psd_tol", "feas_tol", "gap_tol")
+_TOLERANCES = ("eq_tol", "psd_tol", "feas_tol")
 
 
 def _report(args, inputs: dict, results: dict, started: float) -> dict:
@@ -218,7 +216,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--grid", default=None, help="N_THETA,N_PHI grid override for builtin codes")
     _add_state_tolerances(p_verify)
     p_verify.add_argument("--feas-tol", type=float, default=None, help="feasibility residual threshold")
-    p_verify.add_argument("--gap-tol", type=float, default=None, help="infeasibility gap threshold")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_suite = sub.add_parser("paper-examples", help="run the full reproduction suite")

@@ -225,8 +225,9 @@ def corrects_insertions(
 
     Two insertion spheres meet iff one state lies in the
     deletions-after-insertions sphere of the other, so each pair is decided by
-    the PSD feasibility solver.  Its heuristic infeasible verdict is inherited:
-    any inconclusive pair makes the overall verdict unknown rather than true.
+    the PSD feasibility solver.  True rests on infeasible verdicts, each with
+    a re-checked Farkas certificate; False on a re-checked witness.  Any
+    inconclusive pair makes the overall verdict unknown rather than true.
     """
     if t < 1:
         raise CountOutOfRange(f"need t >= 1, got {t}")

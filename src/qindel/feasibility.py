@@ -2,13 +2,14 @@
 
 Insertions-after-deletions membership reduces to a finite intersection of
 deletion spheres and is decided exactly.  Deletions-after-insertions
-membership is a PSD feasibility problem (does the affine slice of states with
-prescribed partial traces meet the PSD cone?) and is decided by Dykstra's
-alternating projections on d x d Hermitian matrices (an exact least-squares
-projector for the stacked partial traces, eigenvalue clipping for the cone),
-with an honest tri-state verdict: the infeasible verdict is heuristic (a
-plateaued gap, no dual certificate) and borderline runs surface as
-inconclusive instead of being coerced.
+membership is a PSD feasibility problem (is there a PSD tau with
+D_Q(tau) = rho and D_P(tau) = sigma?), decided in up to three steps: both
+conditions must fix the same common marginal; facial reduction (Drusvyatskiy
+& Wolkowicz, 2017) confines tau to the lifted ranges of rho and sigma; and
+L-BFGS on the dual semidefinite least-squares problem on that face (Malick,
+SIMAX 2004) converges to a witness or diverges along a Farkas certificate.
+A feasible verdict carries a re-checked witness, an infeasible one a
+re-checked certificate; with neither, the verdict is inconclusive.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from itertools import combinations
 import numpy as np
 
 from .channels import IndexSet, _as_index_set, _insertion_set, deletion_sphere, partial_trace
-from .channels import sample_insertions, trace_out
+from .channels import sample_insertions, trace_out, trace_out_adjoint
 from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
-from .linalg import Tolerance, hermitian_eigenvalues, hermitian_part
-from .states import DensityMatrix, QuditShape, state_to_json_obj
+from .linalg import Tolerance, hermitian_part
+from .states import DensityMatrix, QuditShape, spectral_decompose, state_to_json_obj
 
 __all__ = [
     "FeasibilityStatus",
@@ -44,29 +45,33 @@ class FeasibilityStatus(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-# Dykstra's iteration cap; the gap counts as plateaued when it moved by at most
-# PLATEAU_REL_CHANGE (relative) over the last PLATEAU_WINDOW iterations.
-MAX_ITERATIONS = 5000
-PLATEAU_WINDOW = 100
-PLATEAU_REL_CHANGE = 1e-8
+MAX_ITERATIONS = 5000  # cap on dual gradient evaluations per (P, Q) pair
+MEMORY = 30  # L-BFGS correction pairs kept
+CANDIDATE_EVERY = 10  # gradient evaluations between Farkas-candidate tests
 MAX_DIM = 16  # cap on l^(n+t) for the lifted state
 
 
 @dataclass(frozen=True)
 class FeasibilityOptions:
-    """Solver thresholds; the defaults classify the shipped fixture instances cleanly."""
+    """A witness may miss each condition by at most feas_tol (Frobenius); a
+    certificate must show that every PSD matrix misses them by more."""
 
     feas_tol: float = 1e-6
-    gap_tol: float = 1e-3
 
 
 @dataclass
 class FeasibilityReport:
+    """A verdict with its evidence: a witness, or a Farkas certificate
+    (lam_Q, lam_P).  ``gap`` is, for infeasible, the certified lower bound of
+    ``AffineConstraint.certify``, otherwise the residual of the witness or of
+    the last primal point.  ``iterations`` counts dual gradient evaluations."""
+
     status: FeasibilityStatus
     witness: DensityMatrix | None
     gap: float
     iterations: int
     details: dict = field(default_factory=dict)
+    certificate: tuple[np.ndarray, np.ndarray] | None = None
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -80,51 +85,83 @@ class FeasibilityReport:
         return obj
 
 
-class AffineConstraint:
-    """Stacked partial-trace conditions D_P(tau) = target on d x d matrices,
-    with a precomputed least-squares projector.
+def _renumbered(positions: IndexSet, removed: IndexSet) -> IndexSet:
+    """The positions outside ``removed``, numbered among the qudits it leaves."""
+    rest = removed.complement()
+    return IndexSet(tuple(rest.index(p) + 1 for p in positions if p in rest), len(rest))
 
-    A partial trace is a real 0/1 matrix on vec(tau), so the stacked map and
-    its pseudo-inverse stay real and act on the (Re, Im) columns of vec(tau).
-    The projection of a Hermitian matrix is Hermitian.
+
+class AffineConstraint:
+    """The conditions D_Q(tau) = rho and D_P(tau) = sigma, applied matrix-free.
+
+    A sends a lifted tau to (D_Q tau, D_P tau), and its adjoint inserts an
+    identity at Q and at P and adds.  Dual points and certificates are pairs
+    (lam_Q, lam_P) shaped like b = (rho, sigma), under Re tr(x^dagger y).
     """
 
-    def __init__(self, big_shape: QuditShape, conditions: list[tuple[IndexSet, DensityMatrix]]):
-        self.big_shape = big_shape
-        d, l = big_shape.dim, big_shape.level
-        # entry k of the stack is the basis matrix E_k, so trace_out returns
-        # column k of each map
-        basis = np.eye(d * d).reshape(d * d, d, d)
-        self.matrix = np.vstack(
-            [trace_out(basis, pset, l).reshape(d * d, -1).T for pset, _ in conditions]
-        )
-        self.rhs = np.vstack([_columns(target.mat) for _, target in conditions])
-        # the stacked map is rank deficient; numpy's default cutoff keeps
-        # rounding-level singular values and wrecks the projector
-        self.pinv = np.linalg.pinv(self.matrix, rcond=1e-10)
-        # distance from rhs to the range of the constraint map; > 0 means the
-        # affine set is empty and no PSD search is needed
-        self.rhs_residual = float(
-            np.linalg.norm(self.matrix @ (self.pinv @ self.rhs) - self.rhs)
+    def __init__(self, rho: DensityMatrix, qset: IndexSet, sigma: DensityMatrix, pset: IndexSet):
+        self.level = rho.level
+        self.big_shape = QuditShape(rho.level, qset.ambient)
+        self.qset, self.pset = qset, pset
+        self.rhs = (rho.mat, sigma.mat)
+        # tracing P \ Q from rho and Q \ P from sigma leaves the common
+        # marginal D_{P u Q} that both conditions fix
+        self._rest = (_renumbered(pset, qset), _renumbered(qset, pset))
+        self.mismatch = trace_out(rho.mat, self._rest[0], self.level) - trace_out(
+            sigma.mat, self._rest[1], self.level
         )
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return x - self._matrix(self.pinv @ (self.matrix @ _columns(x) - self.rhs))
+    def apply(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return trace_out(x, self.qset, self.level), trace_out(x, self.pset, self.level)
 
-    def least_squares_point(self) -> np.ndarray:
-        return self._matrix(self.pinv @ self.rhs)
+    def adjoint(self, lam) -> np.ndarray:
+        l = self.level
+        return trace_out_adjoint(lam[0], self.qset, l) + trace_out_adjoint(lam[1], self.pset, l)
 
-    def residual(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.matrix @ _columns(x) - self.rhs))
+    def least_squares_dual(self) -> tuple[np.ndarray, np.ndarray]:
+        """y0 with A*(y0) = r_Q + r_P - Pi_P r_Q, where r_S = A_S*(target) / l^|S|
+        solves condition S alone with least norm and Pi_S = A_S* A_S / l^|S|.
+        The Pi_S commute, so for consistent conditions this is the least-norm
+        matrix meeting both."""
+        rho, sigma = self.rhs
+        l, t, s = self.level, self.qset.size, self.pset.size
+        overlap = trace_out(trace_out_adjoint(rho, self.qset, l), self.pset, l)
+        return rho / l**t, sigma / l**s - overlap / l ** (s + t)
 
-    def _matrix(self, columns: np.ndarray) -> np.ndarray:
-        d = self.big_shape.dim
-        return np.ascontiguousarray(columns).view(complex).reshape(d, d)
+    def consistency_residual(self) -> float:
+        """Distance from b to the range of A: zero iff some matrix meets both conditions."""
+        scale = math.sqrt(sum(self.level**rest.size for rest in self._rest))
+        return float(np.linalg.norm(self.mismatch)) / scale
+
+    def inconsistency_certificate(self) -> tuple[np.ndarray, np.ndarray]:
+        """lam with A*(lam) = 0 and <b, lam> = -||mismatch||^2."""
+        l = self.level
+        return (
+            -trace_out_adjoint(self.mismatch, self._rest[0], l),
+            trace_out_adjoint(self.mismatch, self._rest[1], l),
+        )
+
+    def certify(self, lam) -> tuple[float, float]:
+        """(margin, bound) of a Farkas candidate lam.
+
+        lam' = lam + c (I, 0), c = max(0, -lambda_min(A* lam)), has A*(lam')
+        PSD, so every PSD X has <A(X) - b, lam'> >= margin := -<b, lam'> and
+        ||A(X) - b|| >= bound := margin / ||lam'||.  ``feasibility_del_ins``
+        accepts lam only when the bound exceeds feas_tol, which no feasible
+        instance and no rounding error can give.
+        """
+        rho, sigma = self.rhs
+        shift = max(0.0, -float(np.linalg.eigvalsh(self.adjoint(lam))[0]))
+        lam_q = lam[0] + shift * np.eye(len(rho))
+        margin = -float(np.vdot(rho, lam_q).real + np.vdot(sigma, lam[1]).real)
+        norm = math.hypot(float(np.linalg.norm(lam_q)), float(np.linalg.norm(lam[1])))
+        return margin, (margin / norm if norm else 0.0)
 
 
-def _columns(x: np.ndarray) -> np.ndarray:
-    """vec(x) as a (size, 2) real array of (Re, Im) columns."""
-    return np.ascontiguousarray(x, dtype=complex).reshape(-1).view(float).reshape(-1, 2)
+def _range_projector(state: DensityMatrix) -> np.ndarray:
+    """Projector onto the eigenvectors ``spectral_decompose`` keeps."""
+    kets = np.stack([ket for _, ket in spectral_decompose(state).pairs], axis=1)
+    return kets @ kets.conj().T
 
 
 def member_ins_del(
@@ -156,14 +193,17 @@ def feasibility_del_ins(
     P,
     Q,
     opts: FeasibilityOptions | None = None,
+    *,
+    ranges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FeasibilityReport:
     """Decide sigma in D_P(I_Q(rho)): is there a PSD tau with D_Q(tau) = rho
     and D_P(tau) = sigma?
 
-    Dykstra's method alternates between the affine set (exact least-squares
-    projector) and the PSD cone (eigenvalue clipping).  Feasible comes with a
-    witness re-checked against both constraints; Infeasible is declared when
-    the estimated set gap plateaus above gap_tol.
+    Consistency, then the face, then the dual on it (module docstring).
+    ``details`` gives ``face_dim`` once the face is built, the ``margin`` of
+    a certificate and the ``reason`` for any verdict but feasible.
+    ``ranges`` are the range projectors of (sigma, rho), for callers that
+    decide many (P, Q) pairs of one state pair.
     """
     opts = opts or FeasibilityOptions()
     if sigma.level != rho.level:
@@ -172,88 +212,147 @@ def feasibility_del_ins(
     qset = _insertion_set(Q, n)
     big = qset.ambient
     pset = _as_index_set(P, big)
-    s = pset.size
-    if sigma.length != big - s:
-        raise ShapeMismatch(f"len(sigma)={sigma.length} != n+t-s={big - s}")
-    if l ** big > MAX_DIM:
+    if sigma.length != big - pset.size:
+        raise ShapeMismatch(f"len(sigma)={sigma.length} != n+t-s={big - pset.size}")
+    if l**big > MAX_DIM:
         raise SizeCapExceeded(f"lifted dimension {l ** big} exceeds cap {MAX_DIM}")
 
-    big_shape = QuditShape(l, big)
-    affine = AffineConstraint(big_shape, [(qset, rho), (pset, sigma)])
+    affine = AffineConstraint(rho, qset, sigma, pset)
+    details: dict = {}
 
-    if affine.rhs_residual > opts.feas_tol:
-        # inconsistent linear system: the affine set itself is empty
-        return FeasibilityReport(
-            FeasibilityStatus.INFEASIBLE,
-            None,
-            affine.rhs_residual,
-            0,
-            {"reason": "affine constraints inconsistent"},
-        )
+    def verdict(status, gap, evaluations=0, reason=None, witness=None, lam=None):
+        if reason is not None:
+            details["reason"] = reason
+        return FeasibilityReport(status, witness, gap, evaluations, details, lam)
 
-    big_tol = big_shape.tol()
-
-    def psd_project(x: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(x)
-        return (v * np.maximum(w, 0.0)) @ v.conj().T
-
-    def feasible_report(witness_mat: np.ndarray, gap: float, k: int) -> FeasibilityReport | None:
-        mat = hermitian_part(psd_project(witness_mat))
-        residuals = [
-            float(np.linalg.norm(trace_out(mat, cond_set, l) - target.mat))
-            for cond_set, target in ((qset, rho), (pset, sigma))
-        ]
-        if max(residuals) > opts.feas_tol:
+    def certified(lam, reason: str, evaluations: int = 0):
+        margin, bound = affine.certify(lam)
+        if bound <= opts.feas_tol:
             return None
-        witness = DensityMatrix(big_shape, mat)
-        return FeasibilityReport(
-            FeasibilityStatus.FEASIBLE,
-            witness,
-            gap,
-            k,
-            {"constraint_residuals": residuals},
-        )
+        details["margin"] = margin
+        return verdict(FeasibilityStatus.INFEASIBLE, bound, evaluations, reason, lam=lam)
 
-    x = affine.least_squares_point()
-    w = hermitian_eigenvalues(x, big_tol)
-    if w[0] >= -big_tol.psd_tol:
-        report = feasible_report(x, max(0.0, -float(w[0])), 0)
+    if affine.consistency_residual() > opts.feas_tol:
+        report = certified(affine.inconsistency_certificate(), "affine constraints inconsistent")
         if report is not None:
             return report
 
-    correction = np.zeros_like(x)
-    gaps: list[float] = []
-    for k in range(1, MAX_ITERATIONS + 1):
-        y = affine.project(x)
-        z = y + correction
-        x_new = psd_project(z)
-        correction = z - x_new
-        gap = float(np.linalg.norm(y - x_new))
-        gaps.append(gap)
-        x = x_new
+    # a feasible tau is orthogonal to the lifted kernels of rho and sigma, so
+    # it lives on the null space of their sum M
+    proj_sigma, proj_rho = ranges if ranges is not None else map(_range_projector, (sigma, rho))
+    kernels = (np.eye(len(proj_rho)) - proj_rho, np.eye(len(proj_sigma)) - proj_sigma)
+    w, v = np.linalg.eigh(affine.adjoint(kernels))
+    # if no eigenvalue is at most face_tol, the certificate below has margin
+    # above face_tol and norm at most sqrt(m_rho + m_sigma): its bound clears feas_tol
+    face_tol = 2 * opts.feas_tol * math.sqrt(len(proj_rho) + len(proj_sigma))
+    face_dim = details["face_dim"] = int(np.searchsorted(w, face_tol, side="right"))
+    if face_dim == 0:
+        lam = (kernels[0] - w[0] * np.eye(len(proj_rho)), kernels[1])
+        report = certified(lam, "empty face")
+        return report or verdict(FeasibilityStatus.INCONCLUSIVE, 0.0, 0, "certificate failed its re-check")
 
-        if gap <= opts.feas_tol:
-            report = feasible_report(x, gap, k)
-            if report is not None:
-                return report
-        if k >= PLATEAU_WINDOW and gap > opts.gap_tol:
-            prev = gaps[k - PLATEAU_WINDOW]
-            if abs(prev - gap) <= PLATEAU_REL_CHANGE * max(gap, 1e-30):
-                return FeasibilityReport(
-                    FeasibilityStatus.INFEASIBLE,
-                    None,
-                    gap,
-                    k,
-                    {"reason": "gap plateaued above gap_tol"},
-                )
+    face = v[:, :face_dim] if face_dim < len(w) else None
+    outcome, payload, evaluations, residual = _dual_solve(affine, face, opts.feas_tol)
+    if outcome == "witness":
+        mat = hermitian_part(payload)
+        residuals = [float(np.linalg.norm(r - b)) for r, b in zip(affine.apply(mat), affine.rhs)]
+        if max(residuals) <= opts.feas_tol:
+            details["constraint_residuals"] = residuals
+            witness = DensityMatrix(affine.big_shape, mat)
+            return verdict(FeasibilityStatus.FEASIBLE, math.hypot(*residuals), evaluations, witness=witness)
+        payload = "witness failed its re-check"
+    elif outcome == "certificate":
+        report = certified(payload, "dual certificate", evaluations)
+        if report is not None:
+            return report
+        payload = "certificate failed its re-check"
+    return verdict(FeasibilityStatus.INCONCLUSIVE, residual, evaluations, payload)
 
-    return FeasibilityReport(
-        FeasibilityStatus.INCONCLUSIVE,
-        None,
-        gaps[-1] if gaps else float("nan"),
-        MAX_ITERATIONS,
-        {"reason": "iteration cap reached"},
-    )
+
+def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: float):
+    """L-BFGS with Armijo backtracking on theta(y) = 1/2 ||Pi_+(U^dagger A*(y) U)||^2
+    - <b, y>, U the face basis (None: the whole space), from the least-squares dual.
+
+    The gradient is A(tau) - b with tau = U Pi_+(...) U^dagger, so a small one
+    makes tau a witness; if theta is unbounded below, -y / ||y|| tends to a
+    Farkas certificate.  Dual points are real vectors, the (Re, Im) parts of
+    (y_Q, y_P).  Returns (outcome, payload, evaluations, residual), outcome
+    "witness" (tau), "certificate" (lam) or "stopped" (why).
+    """
+    rho, sigma = affine.rhs
+    b = np.concatenate([rho.ravel(), sigma.ravel()]).view(float)
+
+    def unpack(y):
+        y = y.view(complex)
+        return y[: rho.size].reshape(rho.shape), y[rho.size :].reshape(sigma.shape)
+
+    def evaluate(y):
+        x = affine.adjoint(unpack(y))
+        if face is not None:
+            x = face.conj().T @ x @ face
+        w, v = np.linalg.eigh(x)
+        root = v[:, w > 0] * np.sqrt(w[w > 0])
+        if face is not None:
+            root = face @ root
+        tau = root @ root.conj().T
+        grad = np.concatenate([part.ravel() for part in affine.apply(tau)]).view(float) - b
+        return 0.5 * float(np.sum(w[w > 0] ** 2)) - float(b @ y), grad, tau
+
+    def certificate(y):
+        lam = unpack(-y / (float(np.linalg.norm(y)) or 1.0))
+        return lam if affine.certify(lam)[1] > feas_tol else None
+
+    y = np.concatenate([part.ravel() for part in affine.least_squares_dual()]).view(float)
+    f, g, tau = evaluate(y)
+    # 1 / ||A||^2: a safe gradient step before any curvature is known
+    step0 = 1.0 / (affine.level**affine.qset.size + affine.level**affine.pset.size)
+    S = Y = np.empty((0, len(y)))
+    evaluations, failures, next_test = 0, 0, CANDIDATE_EVERY
+    while True:
+        residual = float(np.linalg.norm(g))
+        if residual <= feas_tol / 2:
+            return "witness", tau, evaluations, residual
+        stop = "line search failed" if failures == 2 else None
+        stop = "iteration cap reached" if evaluations >= MAX_ITERATIONS else stop
+        if stop or evaluations >= next_test:
+            next_test += CANDIDATE_EVERY
+            lam = certificate(y)
+            if lam is not None:
+                return "certificate", lam, evaluations, residual
+            if stop:
+                return "stopped", stop, evaluations, residual
+        direction = _lbfgs_direction(g, S, Y, step0)
+        if g @ direction >= 0:
+            S = Y = S[:0]
+            direction = -step0 * g
+        slope, alpha = 1e-4 * float(g @ direction), 1.0
+        while True:
+            f_new, g_new, tau_new = evaluate(y + alpha * direction)
+            evaluations += 1
+            if f_new <= f + alpha * slope or alpha < 1e-10 or evaluations >= MAX_ITERATIONS:
+                break
+            alpha /= 2
+        if f_new > f + alpha * slope:
+            failures += 1
+            S = Y = S[:0]
+            continue
+        s_vec, g_vec = alpha * direction, g_new - g
+        if s_vec @ g_vec > 1e-12 * (g_vec @ g_vec):
+            S, Y = np.vstack([S[1 - MEMORY :], s_vec]), np.vstack([Y[1 - MEMORY :], g_vec])
+        y, f, g, tau = y + s_vec, f_new, g_new, tau_new
+
+
+def _lbfgs_direction(g: np.ndarray, S: np.ndarray, Y: np.ndarray, step0: float) -> np.ndarray:
+    """-H g for the L-BFGS pairs, the rows of S and Y (oldest first), in the
+    compact form of Byrd, Nocedal and Schnabel (1994): a few small products,
+    which numpy runs faster than the two-loop recursion's Python loops."""
+    if not len(S):
+        return -step0 * g
+    sy = S @ Y.T
+    upper, gamma = np.triu(sy), sy[-1, -1] / float(Y[-1] @ Y[-1])
+    u = np.linalg.solve(upper, S @ g)
+    p = np.linalg.solve(upper.T, np.diag(sy) * u + gamma * (Y @ (Y.T @ u) - Y @ g))
+    return -(gamma * g + p @ S - gamma * (u @ Y))
 
 
 def member_del_ins(
@@ -266,7 +365,8 @@ def member_del_ins(
     """Decide sigma in D^s(I^t(rho)) as a disjunction of per-(P, Q) feasibility.
 
     Feasible if any pair is Feasible, Infeasible if all pairs are Infeasible,
-    Inconclusive otherwise.
+    Inconclusive otherwise.  The range projectors of sigma and rho are built
+    once for all pairs.
     """
     opts = opts or FeasibilityOptions()
     if sigma.level != rho.level:
@@ -277,6 +377,7 @@ def member_del_ins(
         )
     n = rho.length
     big = n + t
+    ranges = (_range_projector(sigma), _range_projector(rho))
     pair_reports: list[dict] = []
     total_iterations = 0
     worst = FeasibilityStatus.INFEASIBLE
@@ -284,7 +385,7 @@ def member_del_ins(
     for p_combo in combinations(range(1, big + 1), s):
         for q_combo in combinations(range(1, big + 1), t):
             report = feasibility_del_ins(
-                sigma, rho, IndexSet(p_combo, big), IndexSet(q_combo, big), opts
+                sigma, rho, IndexSet(p_combo, big), IndexSet(q_combo, big), opts, ranges=ranges
             )
             total_iterations += report.iterations
             pair_reports.append(
@@ -293,6 +394,7 @@ def member_del_ins(
                     "Q": list(q_combo),
                     "status": report.status.value,
                     "gap": report.gap,
+                    **report.details,
                 }
             )
             if report.status is FeasibilityStatus.FEASIBLE:

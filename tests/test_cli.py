@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from qindel.channels import deletion_sphere
+import qindel.feasibility as feasibility
+from qindel.channels import delete, deletion_sphere
 from qindel.cli import main
 from qindel.codes import example_rho
+from qindel.rand import random_density
 from qindel.states import (
     QuditShape,
     basis_ket,
@@ -154,13 +156,17 @@ def test_verify_insertions(capsys):
     assert "SizeCapExceeded" in err
 
 
-def test_verify_inconclusive_exit(capsys):
-    # an unreachable gap threshold forces the tri-state verdict to unknown
-    code, report, _ = run_cli(
-        capsys,
-        "verify", "builtin:{rho,psi}", "--t", "1", "--errors", "insertions",
-        "--gap-tol", "1e9", "--feas-tol", "1e-13",
-    )
+def test_verify_inconclusive_exit(tmp_path, monkeypatch, capsys):
+    # two marginals of a rank-2 3-qubit state: the pair that meets needs dual
+    # iterations, so a cap of 3 leaves the tri-state verdict unknown
+    tau = random_density(np.random.default_rng(0), QuditShape(2, 3), 2)
+    save_state(delete(tau, {1}), tmp_path / "a.json")
+    save_state(delete(tau, {2}), tmp_path / "b.json")
+    argv = ("verify", str(tmp_path), "--t", "1", "--errors", "insertions")
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 1 and report["results"]["verdict"]["ok"] is False
+    monkeypatch.setattr(feasibility, "MAX_ITERATIONS", 3)
+    code, report, _ = run_cli(capsys, *argv)
     assert code == 2
     assert report["results"]["verdict"]["ok"] is None
 
@@ -235,8 +241,8 @@ def test_reports_echo_only_the_options_a_command_reads(tmp_path, capsys):
     _, report, _ = run_cli(capsys, "distance", "builtin:rho", "builtin:psi")
     assert report["tolerances"] == {"eq_tol": None, "psd_tol": None}
     assert "seed" not in report
-    _, report, _ = run_cli(capsys, "verify", "builtin:{rho,psi}", "--gap-tol", "0.5")
-    assert report["tolerances"] == {"eq_tol": None, "psd_tol": None, "feas_tol": None, "gap_tol": 0.5}
+    _, report, _ = run_cli(capsys, "verify", "builtin:{rho,psi}", "--feas-tol", "1e-7")
+    assert report["tolerances"] == {"eq_tol": None, "psd_tol": None, "feas_tol": 1e-7}
     assert "seed" not in report
 
 
