@@ -24,7 +24,6 @@ from .distance import (
     min_distance,
 )
 from .feasibility import (
-    FeasibilityOptions,
     FeasibilityReport,
     FeasibilityStatus,
     check_containment_trial,

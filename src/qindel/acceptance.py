@@ -29,13 +29,12 @@ from .codes import (
 )
 from .distance import CodeSample, corrects, corrects_insertions, indel_distance, metric_check, min_distance
 from .feasibility import (
-    FeasibilityOptions,
     FeasibilityStatus,
     check_containment_trial,
     member_del_ins,
     member_ins_del,
 )
-from .linalg import hermitian_eigensystem, is_psd, project_psd, psd_principal_minors
+from .linalg import Tolerance, hermitian_eigensystem, is_psd, project_psd, psd_principal_minors
 from .rand import random_density, random_hermitian, random_psd
 from .states import DensityMatrix, QuditShape, basis_ket, validate
 
@@ -331,10 +330,6 @@ def run_all(seed: int = 0) -> dict:
     return {
         "items": items,
         "seed": seed,
-        "tolerances": {
-            "eq_tol": "1e-9*sqrt(dim)",
-            "psd_tol": "1e-9*dim",
-            "feas_tol": FeasibilityOptions().feas_tol,
-        },
+        "tolerances": Tolerance().to_json_obj(),
         "elapsed_ms": int((time.monotonic() - start) * 1000),
     }

@@ -255,7 +255,7 @@ class SphereSet:
         return None
 
 
-def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance | None = None) -> SphereSet:
+def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance = Tolerance()) -> SphereSet:
     """D^s(rho): all C(n, s) deletions, traced into one buffer and
     deduplicated greedily within eq_tol."""
     n = rho.length
@@ -266,7 +266,7 @@ def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance | None = None) ->
     buf = np.empty((len(psets), out_shape.dim, out_shape.dim), dtype=complex)
     for k, pset in enumerate(psets):
         buf[k] = trace_out(rho.mat, pset, rho.level)
-    eq_tol = (tol if tol is not None else out_shape.tol()).eq_tol
+    eq_tol = tol.at(out_shape.dim).eq_tol
     kept, _ = distinct_rows(buf, eq_tol)
     stack = buf if len(kept) == len(buf) else buf[: len(kept)].copy()
     return SphereSet(out_shape, eq_tol, stack, [psets[c] for c in kept], len(psets))
@@ -347,12 +347,13 @@ def _worst_pair(residuals: np.ndarray) -> tuple[int, int]:
     return int(x), int(y)
 
 
-def _check_blocks(blocks: np.ndarray, rank: int, block_shape: QuditShape) -> None:
+def _check_blocks(blocks: np.ndarray, rank: int, block_shape: QuditShape, tol: Tolerance) -> None:
     """Raise ``BlockConstraintViolated`` unless ``blocks`` is a valid block
-    array for ``rank`` eigenvectors, within the t-qudit tolerances: its shape,
-    finite entries, adjoint pairs (the array is Hermitian as one matrix), unit
-    trace on the diagonal and zero trace off it, and PSD diagonal blocks."""
-    tol = block_shape.tol()
+    array for ``rank`` eigenvectors, within ``tol`` at the t-qudit dimension:
+    its shape, finite entries, adjoint pairs (the array is Hermitian as one
+    matrix), unit trace on the diagonal and zero trace off it, and PSD
+    diagonal blocks."""
+    tol = tol.at(block_shape.dim)
     expected = (rank, rank, block_shape.dim, block_shape.dim)
     if blocks.shape != expected:
         raise BlockConstraintViolated(f"blocks have shape {blocks.shape}, expected {expected}")
@@ -390,7 +391,7 @@ def insert_construct(
     rho: DensityMatrix,
     Q,
     blocks: InsertionBlocks,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> DensityMatrix:
     """Build a member of I_Q(rho) from explicit blocks.
 
@@ -409,11 +410,11 @@ def _insert(
     qset: IndexSet,
     form: SpectralForm,
     blocks: InsertionBlocks,
-    tol: Tolerance | None,
+    tol: Tolerance,
 ) -> DensityMatrix:
     """``insert_construct`` once rho's spectral form is known."""
     n, l = rho.length, rho.level
-    _check_blocks(blocks.blocks, form.rank, QuditShape(l, qset.size))
+    _check_blocks(blocks.blocks, form.rank, QuditShape(l, qset.size), tol)
     # columns sqrt(p_x) |x_L>, so the state is sum_{x,y} V_x V_y^dagger (x) A_{x,y};
     # contracting V with the blocks first, then with V^dagger, never forms a
     # per-pair Kronecker product
@@ -422,7 +423,7 @@ def _insert(
     vb = np.tensordot(v, blocks.blocks, (1, 0))  # axes (i, y, a, b)
     mat = np.tensordot(vb, v.conj(), (1, 1)).transpose(0, 1, 3, 2)  # axes (i, a, j, b)
     sigma_mat = _permute_axes(mat.reshape(big_shape.dim, big_shape.dim), tau_Q(qset, n), l)
-    big_tol = tol if tol is not None else big_shape.tol()
+    big_tol = tol.at(big_shape.dim)
 
     w = hermitian_eigenvalues(hermitian_part(sigma_mat), big_tol)
     if w[0] < -big_tol.psd_tol:
@@ -433,14 +434,13 @@ def _insert(
 
     back = delete(sigma, qset)
     residual = back.distance(rho)
-    roundtrip_tol = (tol if tol is not None else rho.shape.tol()).eq_tol
-    if residual > roundtrip_tol:
+    if residual > tol.at(rho.dim).eq_tol:
         raise RoundTripFailed(f"D_Q(sigma) differs from rho by {residual:.3e}")
     return sigma
 
 
 def insertion_member(
-    sigma: DensityMatrix, rho: DensityMatrix, Q, tol: Tolerance | None = None
+    sigma: DensityMatrix, rho: DensityMatrix, Q, tol: Tolerance = Tolerance()
 ) -> bool:
     """sigma is in I_Q(rho) iff D_Q(sigma) = rho."""
     if sigma.level != rho.level:
@@ -450,8 +450,7 @@ def insertion_member(
         raise ShapeMismatch(
             f"len(sigma)={sigma.length} != len(rho)+|Q|={rho.length + qset.size}"
         )
-    tol = tol if tol is not None else rho.shape.tol()
-    return delete(sigma, qset).distance(rho) <= tol.eq_tol
+    return delete(sigma, qset).distance(rho) <= tol.at(rho.dim).eq_tol
 
 
 def sample_insertions(
@@ -459,7 +458,7 @@ def sample_insertions(
     Q,
     count: int,
     seed: int,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> list[DensityMatrix]:
     """Draw ``count`` members of I_Q(rho), deterministically from ``seed``.
 

@@ -24,7 +24,6 @@ from .codes import builtin_code, builtin_state
 from .distance import CodeSample, Verdict, corrects, corrects_insertions, indel_distance
 from .channels import deletion_sphere
 from .errors import ParseError, QindelError
-from .feasibility import FeasibilityOptions
 from .linalg import Tolerance
 from .states import DensityMatrix, load_state, save_states
 
@@ -46,25 +45,21 @@ def _add_state_tolerances(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--psd-tol", type=float, default=None, help="PSD eigenvalue floor override")
 
 
-def _tolerance(args) -> Tolerance | None:
-    if args.eq_tol is None and args.psd_tol is None:
-        return None
-    eq = args.eq_tol if args.eq_tol is not None else 1e-9
-    psd = args.psd_tol if args.psd_tol is not None else 1e-9
-    return Tolerance(eq_tol=eq, psd_tol=psd)
+_TOLERANCES = ("eq_tol", "psd_tol", "feas_tol")
 
 
-def _feas_options(args) -> FeasibilityOptions:
-    if args.feas_tol is None:
-        return FeasibilityOptions()
-    return FeasibilityOptions(feas_tol=args.feas_tol)
+def _tolerance(args) -> Tolerance:
+    """The tolerance the command's flags set; the rest keep their defaults."""
+    return Tolerance(
+        **{name: getattr(args, name) for name in _TOLERANCES if getattr(args, name, None) is not None}
+    )
 
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def _load_state_spec(spec: str, tol: Tolerance | None) -> tuple[DensityMatrix, str]:
+def _load_state_spec(spec: str, tol: Tolerance) -> tuple[DensityMatrix, str]:
     if spec.startswith("builtin:"):
         rest = spec[len("builtin:"):]
         name, _, params = rest.partition(":")
@@ -89,7 +84,7 @@ def _grid_params(grid: str | None):
     ]
 
 
-def _load_code_spec(spec: str, grid: str | None, tol: Tolerance | None) -> tuple[CodeSample, str]:
+def _load_code_spec(spec: str, grid: str | None, tol: Tolerance) -> tuple[CodeSample, str]:
     if spec.startswith("builtin:"):
         rest = spec[len("builtin:"):].strip("{}")
         names = [n.strip() for n in rest.split(",")]
@@ -107,18 +102,18 @@ def _load_code_spec(spec: str, grid: str | None, tol: Tolerance | None) -> tuple
     return CodeSample.from_states(states, [f.name for f in files]), ",".join(_digest(f) for f in files)
 
 
-_TOLERANCES = ("eq_tol", "psd_tol", "feas_tol")
-
-
 def _report(args, inputs: dict, results: dict, started: float) -> dict:
-    """``seed`` and ``tolerances`` echo only the options the command accepts."""
+    """``seed`` and ``tolerances`` echo only the options the command accepts;
+    a tolerance is echoed with its value, or with its rule if left unset."""
     report = {
         "command": args.command,
         "inputs": inputs,
         "results": results,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
-    tolerances = {name: getattr(args, name) for name in _TOLERANCES if hasattr(args, name)}
+    tolerances = {
+        name: value for name, value in _tolerance(args).to_json_obj().items() if hasattr(args, name)
+    }
     if tolerances:
         report["tolerances"] = tolerances
     if hasattr(args, "seed"):
@@ -173,7 +168,7 @@ def _cmd_verify(args) -> int:
     elif args.errors == "indel":
         verdict = corrects(code, args.t, "total", tol)
     else:
-        verdict = corrects_insertions(code, args.t, _feas_options(args))
+        verdict = corrects_insertions(code, args.t, tol)
     results = {"errors": args.errors, "t": args.t, "verdict": verdict.to_json_obj()}
     _emit(_report(args, {"code": digest, "size": len(code)}, results, started))
     return _verdict_exit(verdict)

@@ -158,7 +158,7 @@ def _sector_blocks(sigma: DensityMatrix, classical_qubit: int) -> np.ndarray:
 
 
 def in_del_after_ins_sphere(
-    sigma: DensityMatrix, p0: float = 0.5, p1: float = 0.5, tol: Tolerance | None = None
+    sigma: DensityMatrix, p0: float = 0.5, p1: float = 0.5, tol: Tolerance = Tolerance()
 ) -> bool:
     """Closed-form membership in the delete-after-insert sphere of example_rho.
 
@@ -167,7 +167,7 @@ def in_del_after_ins_sphere(
     single-qubit densities pi00, pi11 and no cross-sector coherence.
     """
     rho = example_rho(p0, p1)
-    tol = tol if tol is not None else sigma.shape.tol()
+    tol = tol.at(sigma.dim)
     if sigma.close_to(rho, tol):
         return True
     for classical_qubit in (1, 2):
@@ -185,7 +185,7 @@ def in_del_after_ins_sphere(
 
 
 def in_ins_after_del_sphere(
-    sigma: DensityMatrix, p0: float = 0.5, p1: float = 0.5, tol: Tolerance | None = None
+    sigma: DensityMatrix, p0: float = 0.5, p1: float = 0.5, tol: Tolerance = Tolerance()
 ) -> bool:
     """Membership in the insert-after-delete sphere of example_rho.
 
@@ -194,7 +194,7 @@ def in_ins_after_del_sphere(
     deletions to equal it.
     """
     target = p0 * np.outer(_KET0, _KET0.conj()) + p1 * np.outer(_KET1, _KET1.conj())
-    tol = tol if tol is not None else sigma.shape.tol()
+    tol = tol.at(sigma.dim)
     for q in (1, 2):
         reduced = delete(sigma, {q})
         if frobenius_distance(reduced.mat, target) <= tol.eq_tol:
@@ -272,7 +272,7 @@ def _dedup_sample(entries: list[tuple[str, DensityMatrix]]) -> CodeSample:
     """Greedy dedup within eq_tol: the first entry of each coinciding group stays."""
     if not entries:
         return CodeSample((), ())
-    eq_tol = entries[0][1].shape.tol().eq_tol
+    eq_tol = Tolerance().at(entries[0][1].dim).eq_tol
     kept, _ = distinct_rows(np.stack([state.mat for _, state in entries]), eq_tol)
     return CodeSample(tuple(entries[c][1] for c in kept), tuple(entries[c][0] for c in kept))
 

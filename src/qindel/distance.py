@@ -24,7 +24,7 @@ import numpy as np
 
 from .channels import IndexSet, cross_distances, deletion_sphere, distinct_rows
 from .errors import CountOutOfRange, LevelMismatch, TooFewStates
-from .feasibility import FeasibilityOptions, FeasibilityStatus, member_del_ins
+from .feasibility import FeasibilityStatus, member_del_ins
 from .linalg import Tolerance
 from .states import DensityMatrix, state_to_json_obj
 
@@ -77,7 +77,7 @@ class CodeSample:
             raise LevelMismatch(f"states span several shapes: {shapes}")
         if not self.states:
             return
-        eq_tol = self.states[0].shape.tol().eq_tol
+        eq_tol = Tolerance().at(self.states[0].dim).eq_tol
         kept, joined = distinct_rows(np.stack([s.mat for s in self.states]), eq_tol)
         for j, k in enumerate(joined):
             i = kept[k]
@@ -109,7 +109,7 @@ class Verdict:
 
 
 def indel_distance(
-    rho1: DensityMatrix, rho2: DensityMatrix, tol: Tolerance | None = None
+    rho1: DensityMatrix, rho2: DensityMatrix, tol: Tolerance = Tolerance()
 ) -> DistanceResult:
     """Breadth-first search over increasing s + t with n - s = m - t >= 0.
 
@@ -143,7 +143,7 @@ def indel_distance(
 
 
 def min_distance(
-    code: CodeSample, tol: Tolerance | None = None
+    code: CodeSample, tol: Tolerance = Tolerance()
 ) -> tuple[int, tuple[str, str], DistanceResult]:
     """Minimum pairwise distance with the achieving pair, level by level.
 
@@ -190,7 +190,7 @@ def min_distance(
 
 
 def corrects(
-    code: CodeSample, t: int, kind: str = "deletions", tol: Tolerance | None = None
+    code: CodeSample, t: int, kind: str = "deletions", tol: Tolerance = Tolerance()
 ) -> Verdict:
     """Capability verdict from the minimum distance.
 
@@ -219,7 +219,7 @@ def corrects(
 def corrects_insertions(
     code: CodeSample,
     t: int,
-    opts: FeasibilityOptions | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> Verdict:
     """Pairwise disjointness of t-insertion spheres.
 
@@ -233,11 +233,10 @@ def corrects_insertions(
         raise CountOutOfRange(f"need t >= 1, got {t}")
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
-    opts = opts or FeasibilityOptions()
     unknown_pair: tuple[str, str] | None = None
     pair_gaps = []
     for (i, a), (j, b) in combinations(enumerate(code.states), 2):
-        report = member_del_ins(a, b, t, t, opts)
+        report = member_del_ins(a, b, t, t, tol)
         pair_gaps.append(
             {"pair": [code.labels[i], code.labels[j]], "status": report.status.value, "gap": report.gap}
         )
@@ -259,7 +258,7 @@ def corrects_insertions(
 
 
 def metric_check(
-    triples, tol: Tolerance | None = None
+    triples, tol: Tolerance = Tolerance()
 ) -> dict:
     """Check the three metric axioms on sampled triples of states.
 

@@ -61,6 +61,10 @@ class ParseError(QindelError, ValueError):
     """A state file or CLI spec could not be parsed."""
 
 
+class InvalidTolerance(QindelError, ValueError):
+    """A tolerance is negative, non-finite, or (feas_tol) not positive."""
+
+
 # --- state validation --------------------------------------------------------
 
 class ValidationError(QindelError, ValueError):

@@ -29,7 +29,6 @@ from .states import DensityMatrix, QuditShape, spectral_decompose, state_to_json
 
 __all__ = [
     "FeasibilityStatus",
-    "FeasibilityOptions",
     "FeasibilityReport",
     "AffineConstraint",
     "member_ins_del",
@@ -49,14 +48,6 @@ MAX_ITERATIONS = 5000  # cap on dual gradient evaluations per (P, Q) pair
 MEMORY = 30  # L-BFGS correction pairs kept
 CANDIDATE_EVERY = 10  # gradient evaluations between Farkas-candidate tests
 MAX_DIM = 16  # cap on l^(n+t) for the lifted state
-
-
-@dataclass(frozen=True)
-class FeasibilityOptions:
-    """A witness may miss each condition by at most feas_tol (Frobenius); a
-    certificate must show that every PSD matrix misses them by more."""
-
-    feas_tol: float = 1e-6
 
 
 @dataclass
@@ -158,9 +149,9 @@ class AffineConstraint:
         return margin, (margin / norm if norm else 0.0)
 
 
-def _range_projector(state: DensityMatrix) -> np.ndarray:
+def _range_projector(state: DensityMatrix, tol: Tolerance) -> np.ndarray:
     """Projector onto the eigenvectors ``spectral_decompose`` keeps."""
-    kets = np.stack([ket for _, ket in spectral_decompose(state).pairs], axis=1)
+    kets = np.stack([ket for _, ket in spectral_decompose(state, tol).pairs], axis=1)
     return kets @ kets.conj().T
 
 
@@ -169,7 +160,7 @@ def member_ins_del(
     rho: DensityMatrix,
     s: int,
     t: int,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> bool:
     """Exact decision of sigma in I^t(D^s(rho)).
 
@@ -192,7 +183,7 @@ def feasibility_del_ins(
     rho: DensityMatrix,
     P,
     Q,
-    opts: FeasibilityOptions | None = None,
+    tol: Tolerance = Tolerance(),
     *,
     ranges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FeasibilityReport:
@@ -203,9 +194,9 @@ def feasibility_del_ins(
     ``details`` gives ``face_dim`` once the face is built, the ``margin`` of
     a certificate and the ``reason`` for any verdict but feasible.
     ``ranges`` are the range projectors of (sigma, rho), for callers that
-    decide many (P, Q) pairs of one state pair.
+    decide many (P, Q) pairs of one state pair; ``tol`` gives ``feas_tol``
+    and the tolerances the range projectors are taken at.
     """
-    opts = opts or FeasibilityOptions()
     if sigma.level != rho.level:
         raise ShapeMismatch(f"levels differ: {sigma.level} vs {rho.level}")
     n, l = rho.length, rho.level
@@ -227,24 +218,24 @@ def feasibility_del_ins(
 
     def certified(lam, reason: str, evaluations: int = 0):
         margin, bound = affine.certify(lam)
-        if bound <= opts.feas_tol:
+        if bound <= tol.feas_tol:
             return None
         details["margin"] = margin
         return verdict(FeasibilityStatus.INFEASIBLE, bound, evaluations, reason, lam=lam)
 
-    if affine.consistency_residual() > opts.feas_tol:
+    if affine.consistency_residual() > tol.feas_tol:
         report = certified(affine.inconsistency_certificate(), "affine constraints inconsistent")
         if report is not None:
             return report
 
     # a feasible tau is orthogonal to the lifted kernels of rho and sigma, so
     # it lives on the null space of their sum M
-    proj_sigma, proj_rho = ranges if ranges is not None else map(_range_projector, (sigma, rho))
+    proj_sigma, proj_rho = ranges or (_range_projector(sigma, tol), _range_projector(rho, tol))
     kernels = (np.eye(len(proj_rho)) - proj_rho, np.eye(len(proj_sigma)) - proj_sigma)
     w, v = np.linalg.eigh(affine.adjoint(kernels))
     # if no eigenvalue is at most face_tol, the certificate below has margin
     # above face_tol and norm at most sqrt(m_rho + m_sigma): its bound clears feas_tol
-    face_tol = 2 * opts.feas_tol * math.sqrt(len(proj_rho) + len(proj_sigma))
+    face_tol = 2 * tol.feas_tol * math.sqrt(len(proj_rho) + len(proj_sigma))
     face_dim = details["face_dim"] = int(np.searchsorted(w, face_tol, side="right"))
     if face_dim == 0:
         lam = (kernels[0] - w[0] * np.eye(len(proj_rho)), kernels[1])
@@ -252,11 +243,11 @@ def feasibility_del_ins(
         return report or verdict(FeasibilityStatus.INCONCLUSIVE, 0.0, 0, "certificate failed its re-check")
 
     face = v[:, :face_dim] if face_dim < len(w) else None
-    outcome, payload, evaluations, residual = _dual_solve(affine, face, opts.feas_tol)
+    outcome, payload, evaluations, residual = _dual_solve(affine, face, tol.feas_tol)
     if outcome == "witness":
         mat = hermitian_part(payload)
         residuals = [float(np.linalg.norm(r - b)) for r, b in zip(affine.apply(mat), affine.rhs)]
-        if max(residuals) <= opts.feas_tol:
+        if max(residuals) <= tol.feas_tol:
             details["constraint_residuals"] = residuals
             witness = DensityMatrix(affine.big_shape, mat)
             return verdict(FeasibilityStatus.FEASIBLE, math.hypot(*residuals), evaluations, witness=witness)
@@ -360,7 +351,7 @@ def member_del_ins(
     rho: DensityMatrix,
     s: int,
     t: int,
-    opts: FeasibilityOptions | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> FeasibilityReport:
     """Decide sigma in D^s(I^t(rho)) as a disjunction of per-(P, Q) feasibility.
 
@@ -368,7 +359,6 @@ def member_del_ins(
     Inconclusive otherwise.  The range projectors of sigma and rho are built
     once for all pairs.
     """
-    opts = opts or FeasibilityOptions()
     if sigma.level != rho.level:
         raise ShapeMismatch(f"levels differ: {sigma.level} vs {rho.level}")
     if sigma.length != rho.length + t - s:
@@ -377,7 +367,7 @@ def member_del_ins(
         )
     n = rho.length
     big = n + t
-    ranges = (_range_projector(sigma), _range_projector(rho))
+    ranges = (_range_projector(sigma, tol), _range_projector(rho, tol))
     pair_reports: list[dict] = []
     total_iterations = 0
     worst = FeasibilityStatus.INFEASIBLE
@@ -385,7 +375,7 @@ def member_del_ins(
     for p_combo in combinations(range(1, big + 1), s):
         for q_combo in combinations(range(1, big + 1), t):
             report = feasibility_del_ins(
-                sigma, rho, IndexSet(p_combo, big), IndexSet(q_combo, big), opts, ranges=ranges
+                sigma, rho, IndexSet(p_combo, big), IndexSet(q_combo, big), tol, ranges=ranges
             )
             total_iterations += report.iterations
             pair_reports.append(
@@ -418,7 +408,7 @@ def check_containment_trial(
     seed: int,
     s: int,
     t: int,
-    tol: Tolerance | None = None,
+    tol: Tolerance = Tolerance(),
 ) -> bool:
     """Apply one random interleaving of s deletions and t insertions to rho
     and test the resulting state for I^t(D^s(rho)) membership.

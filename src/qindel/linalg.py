@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NoConvergence, NonSquare, NotHermitian, ShapeMismatch
+from .errors import InvalidTolerance, NoConvergence, NonSquare, NotHermitian, ShapeMismatch
 
 __all__ = [
     "Tolerance",
@@ -33,35 +33,56 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric slack for equality and PSD decisions.
+    """Numeric slack for equality, PSD and feasibility decisions.
 
-    eq_tol   Frobenius-distance threshold below which two matrices count as equal.
-    psd_tol  eigenvalue floor: min eigenvalue >= -psd_tol still counts as PSD.
+    eq_tol    Frobenius-distance threshold below which two matrices count as
+              equal; unset (None): 1e-9*sqrt(dim).
+    psd_tol   eigenvalue floor: min eigenvalue >= -psd_tol still counts as PSD;
+              unset (None): 1e-9*dim.
+    feas_tol  largest Frobenius miss of each condition a feasibility witness
+              may have; a certificate must show that every PSD matrix misses
+              them by more.
+
+    ``dim`` is the order of the matrices a check compares, so one object
+    passed down a call chain gives every check its own dimension's defaults:
+    each check resolves it with ``at``.  A field that is set applies at every
+    dimension.  Constructed states carry only rounding error, which grows
+    with the dimension.
     """
 
-    eq_tol: float
-    psd_tol: float
+    eq_tol: float | None = None
+    psd_tol: float | None = None
+    feas_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if min(self.eq_tol, self.psd_tol) < 0:
-            raise ValueError("tolerances must be nonnegative")
+        for name in ("eq_tol", "psd_tol"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise InvalidTolerance(f"{name} must be finite and nonnegative, got {value!r}")
+        if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
+            raise InvalidTolerance(f"feas_tol must be finite and positive, got {self.feas_tol!r}")
 
-    @classmethod
-    def for_dim(cls, dim: int) -> "Tolerance":
-        """Default tolerances for matrices of order ``dim``.
+    def at(self, dim: int) -> "Tolerance":
+        """This tolerance with every unset field given its value at ``dim``."""
+        if self.eq_tol is not None and self.psd_tol is not None:
+            return self
+        return Tolerance(
+            self.eq_tol if self.eq_tol is not None else 1e-9 * math.sqrt(dim),
+            self.psd_tol if self.psd_tol is not None else 1e-9 * dim,
+            self.feas_tol,
+        )
 
-        Constructed states carry only rounding error; comparisons get slack
-        proportional to the dimension.
-        """
-        return cls(eq_tol=1e-9 * math.sqrt(dim), psd_tol=1e-9 * dim)
+    def to_json_obj(self) -> dict:
+        """Each field's value, or the rule that gives it at each dimension."""
+        return {
+            "eq_tol": self.eq_tol if self.eq_tol is not None else "1e-9*sqrt(dim)",
+            "psd_tol": self.psd_tol if self.psd_tol is not None else "1e-9*dim",
+            "feas_tol": self.feas_tol,
+        }
 
 
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
-
-
-def _tol_for(a: np.ndarray, tol: Tolerance | None) -> Tolerance:
-    return tol if tol is not None else Tolerance.for_dim(a.shape[0])
 
 
 def kron(a, b) -> np.ndarray:
@@ -102,23 +123,23 @@ def hermitian_residual(a) -> float:
 
 def _require_hermitian(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     res = hermitian_residual(a)
-    if res > tol.eq_tol:
+    if res > tol.at(len(a)).eq_tol:
         raise NotHermitian(f"matrix is not Hermitian (residual {res:.3e})", res)
     return hermitian_part(a)
 
 
-def _hermitian_solve(solver, a, tol: Tolerance | None):
+def _hermitian_solve(solver, a, tol: Tolerance):
     a = _as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquare(f"eigensystem needs a square matrix, got shape {a.shape}")
-    h = _require_hermitian(a, _tol_for(a, tol))
+    h = _require_hermitian(a, tol)
     try:
         return solver(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
 
 
-def hermitian_eigensystem(a, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(a, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and eigenvector matrix of a Hermitian matrix.
 
     The input is checked Hermitian within ``eq_tol`` and symmetrized before the
@@ -128,27 +149,25 @@ def hermitian_eigensystem(a, tol: Tolerance | None = None) -> tuple[np.ndarray, 
     return _hermitian_solve(np.linalg.eigh, a, tol)
 
 
-def hermitian_eigenvalues(a, tol: Tolerance | None = None) -> np.ndarray:
+def hermitian_eigenvalues(a, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Eigenvalues (ascending, real) of a Hermitian matrix, with the checks of
     ``hermitian_eigensystem`` but no eigenvectors, for callers that only need
     the spectrum (PSD tests): the solve skips the vector work."""
     return _hermitian_solve(np.linalg.eigvalsh, a, tol)
 
 
-def is_psd(a, tol: Tolerance | None = None) -> bool:
+def is_psd(a, tol: Tolerance = Tolerance()) -> bool:
     """True iff the Hermitian matrix has min eigenvalue >= -psd_tol."""
     a = _as_complex(a)
-    tol = _tol_for(a, tol)
+    tol = tol.at(len(a))
     return bool(hermitian_eigenvalues(a, tol)[0] >= -tol.psd_tol)
 
 
-def project_psd(a, tol: Tolerance | None = None) -> np.ndarray:
+def project_psd(a, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero.
 
     Fixed point for PSD inputs; does not renormalize the trace.
     """
-    a = _as_complex(a)
-    tol = _tol_for(a, tol)
     w, v = hermitian_eigensystem(a, tol)
     w = np.maximum(w, 0.0)
     return hermitian_part((v * w) @ v.conj().T)
@@ -157,7 +176,7 @@ def project_psd(a, tol: Tolerance | None = None) -> np.ndarray:
 MINORS_MAX_DIM = 4
 
 
-def psd_principal_minors(a, tol: Tolerance | None = None) -> bool:
+def psd_principal_minors(a, tol: Tolerance = Tolerance()) -> bool:
     """Exhaustive principal-minor PSD test, usable only for small matrices.
 
     A Hermitian matrix is PSD iff every principal minor is nonnegative.  The
@@ -168,7 +187,7 @@ def psd_principal_minors(a, tol: Tolerance | None = None) -> bool:
     n = a.shape[0]
     if n > MINORS_MAX_DIM:
         raise ShapeMismatch(f"principal-minor test capped at dim {MINORS_MAX_DIM}, got {n}")
-    tol = _tol_for(a, tol)
+    tol = tol.at(n)
     _require_hermitian(a, tol)
     for k in range(1, n + 1):
         for rows in combinations(range(n), k):

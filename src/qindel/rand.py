@@ -9,7 +9,6 @@ from .states import DensityMatrix, QuditShape
 __all__ = [
     "random_hermitian",
     "random_psd",
-    "random_ket",
     "random_density",
     "random_orthonormal",
 ]
@@ -28,11 +27,6 @@ def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> n
     """B B-dagger for a Ginibre B; rank limits the number of columns."""
     b = _ginibre(rng, dim, rank if rank is not None else dim)
     return b @ b.conj().T
-
-
-def random_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = _ginibre(rng, dim, 1).reshape(-1)
-    return v / np.linalg.norm(v)
 
 
 def random_density(rng: np.random.Generator, shape: QuditShape, rank: int | None = None) -> DensityMatrix:

@@ -90,9 +90,6 @@ class QuditShape:
     def dim(self) -> int:
         return self.level ** self.length
 
-    def tol(self) -> Tolerance:
-        return Tolerance.for_dim(self.dim)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -128,11 +125,10 @@ class DensityMatrix:
     def distance(self, other: "DensityMatrix") -> float:
         return frobenius_distance(self.mat, other.mat)
 
-    def close_to(self, other: "DensityMatrix", tol: Tolerance | None = None) -> bool:
+    def close_to(self, other: "DensityMatrix", tol: Tolerance = Tolerance()) -> bool:
         if self.shape != other.shape:
             return False
-        tol = tol if tol is not None else self.shape.tol()
-        return self.distance(other) <= tol.eq_tol
+        return self.distance(other) <= tol.at(self.dim).eq_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,24 +187,22 @@ def basis_ket(x: str | Sequence[int], shape: QuditShape) -> np.ndarray:
     return ket
 
 
-def pure_ket(amplitudes, shape: QuditShape, tol: Tolerance | None = None) -> PureKet:
+def pure_ket(amplitudes, shape: QuditShape, tol: Tolerance = Tolerance()) -> PureKet:
     """Checked constructor: amplitudes must be finite and unit-norm."""
     vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    tol = tol if tol is not None else shape.tol()
     if not np.all(np.isfinite(vec.view(float))):
         raise NotNormalized("ket has non-finite entries")
     residual = abs(np.linalg.norm(vec) - 1.0)
-    if residual > tol.eq_tol:
+    if residual > tol.at(shape.dim).eq_tol:
         raise NotNormalized(f"ket norm differs from 1 by {residual:.3e}", residual)
     return PureKet(shape, vec)
 
 
-def density_from_ket(ket: PureKet, tol: Tolerance | None = None) -> DensityMatrix:
+def density_from_ket(ket: PureKet, tol: Tolerance = Tolerance()) -> DensityMatrix:
     """Rank-1 state |phi><phi|."""
     vec = ket.amplitudes
-    tol = tol if tol is not None else ket.shape.tol()
     residual = abs(np.linalg.norm(vec) - 1.0)
-    if residual > tol.eq_tol:
+    if residual > tol.at(ket.shape.dim).eq_tol:
         raise NotNormalized(f"ket norm differs from 1 by {residual:.3e}", residual)
     return DensityMatrix(ket.shape, np.outer(vec, vec.conj()))
 
@@ -218,10 +212,10 @@ def _require_finite(mat: np.ndarray) -> None:
         raise ValidationError("matrix has non-finite entries")
 
 
-def validate(mat, shape: QuditShape, tol: Tolerance | None = None) -> DensityMatrix:
+def validate(mat, shape: QuditShape, tol: Tolerance = Tolerance()) -> DensityMatrix:
     """Check all density-matrix invariants; raise naming the first violation."""
     m = np.asarray(mat, dtype=complex)
-    tol = tol if tol is not None else shape.tol()
+    tol = tol.at(shape.dim)
     if m.shape != (shape.dim, shape.dim):
         raise ShapeMismatch(f"expected a {shape.dim}x{shape.dim} matrix, got {m.shape}")
     _require_finite(m)
@@ -244,7 +238,7 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.mat @ rho.mat).real)
 
 
-def spectral_decompose(rho: DensityMatrix, tol: Tolerance | None = None) -> SpectralForm:
+def spectral_decompose(rho: DensityMatrix, tol: Tolerance = Tolerance()) -> SpectralForm:
     """Eigen-pairs with negligible weights dropped, renormalized.
 
     Weights are clipped at zero, and the smallest are dropped only while their
@@ -254,7 +248,7 @@ def spectral_decompose(rho: DensityMatrix, tol: Tolerance | None = None) -> Spec
     degenerate spectra the eigenbasis is whatever the solver returns;
     downstream constructions only depend on the reconstructed matrix.
     """
-    tol = tol if tol is not None else rho.shape.tol()
+    tol = tol.at(rho.dim)
     w, v = hermitian_eigensystem(rho.mat, tol)
     if w[0] < -tol.psd_tol:
         raise NotPSD(f"negative eigenvalue {w[0]:.3e}", -float(w[0]))
@@ -305,14 +299,16 @@ def state_to_json_obj(rho: DensityMatrix) -> dict:
     }
 
 
-def state_from_json_obj(obj: dict, tol: Tolerance | None = None) -> DensityMatrix:
+def state_from_json_obj(obj: dict, tol: Tolerance = Tolerance()) -> DensityMatrix:
     """Parse a state object, validating every invariant; reports the first
     violation with its numeric residual."""
     if not isinstance(obj, dict):
         raise ParseError("state object must be a JSON object")
     try:
-        shape = QuditShape(int(obj["level"]), int(obj["length"]))
-        kind = obj["kind"]
+        level, length, kind = obj["level"], obj["length"], obj["kind"]
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (level, length)):
+            raise TypeError(f"level and length must be integers, got {level!r} and {length!r}")
+        shape = QuditShape(level, length)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed level/length/kind: {exc}") from exc
     dim = shape.dim
@@ -357,7 +353,7 @@ def save_states(states: Iterable[DensityMatrix], path: str | Path) -> None:
     Path(path).write_bytes(orjson.dumps([_finite_json_obj(rho) for rho in states]))
 
 
-def load_state(path: str | Path, tol: Tolerance | None = None) -> DensityMatrix:
+def load_state(path: str | Path, tol: Tolerance = Tolerance()) -> DensityMatrix:
     try:
         obj = orjson.loads(Path(path).read_bytes())
     except (OSError, orjson.JSONDecodeError) as exc:

@@ -28,7 +28,7 @@ from qindel.errors import (
     PositionOutOfRange,
 )
 from qindel.feasibility import feasibility_del_ins
-from qindel.linalg import frobenius_distance, kron
+from qindel.linalg import Tolerance, frobenius_distance, kron
 from qindel.rand import random_density, random_orthonormal
 from qindel.states import (
     DensityMatrix,
@@ -209,7 +209,7 @@ def test_sphere_set_matches_greedy_oracle(rng):
 
     # candidates at 0.5x and 2x eq_tol from a base state
     shape = QuditShape(2, 3)
-    eq_tol = shape.tol().eq_tol
+    eq_tol = Tolerance().at(shape.dim).eq_tol
     base = random_density(rng, shape).mat
     candidates = [("base", base)]
     for k in range(6):
@@ -363,7 +363,7 @@ def test_insert_construct_keeps_small_eigenvalues(rng):
     assert spectral_decompose(rho).rank == 2
     pis = [random_density(rng, QuditShape(2, 1)).mat for _ in range(2)]
     sigma = insert_construct(rho, IndexSet((2,), 4), InsertionBlocks.separable(1, pis))
-    assert delete(sigma, {2}).distance(rho) <= shape.tol().eq_tol / 100
+    assert delete(sigma, {2}).distance(rho) <= Tolerance().at(shape.dim).eq_tol / 100
 
 
 def test_insert_construct_pure_state_form(rng):

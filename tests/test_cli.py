@@ -11,6 +11,7 @@ from qindel.cli import main
 from qindel.codes import example_rho
 from qindel.rand import random_density
 from qindel.states import (
+    DensityMatrix,
     QuditShape,
     basis_ket,
     density_from_ket,
@@ -233,16 +234,54 @@ def test_options_a_command_ignores_are_usage_errors(argv, tmp_path, monkeypatch,
     assert not (tmp_path / "unused.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--eq-tol", "-1"],
+        ["--psd-tol", "nan"],
+        ["--psd-tol", "inf"],
+        ["--feas-tol", "-1"],
+        ["--feas-tol", "0"],
+    ],
+    ids=lambda flags: f"{flags[0]}={flags[1]}",
+)
+def test_invalid_tolerances_exit_3_with_no_report(flags, capsys):
+    code, report, err = run_cli(capsys, "verify", "builtin:{rho,psi}", "--errors", "insertions", *flags)
+    assert code == 3 and report is None
+    assert "InvalidTolerance" in err
+    assert "Traceback" not in err
+
+
+def test_eq_tol_override_keeps_the_psd_default(tmp_path, capsys):
+    """A 6-qubit state with a -1e-8 eigenvalue is PSD within the default
+    psd_tol (1e-9 * 64); setting eq_tol alone must not tighten psd_tol."""
+    rng = np.random.default_rng(8)
+    shape = QuditShape(2, 6)
+    weights = rng.random(shape.dim)
+    weights[0] = 0.0
+    weights *= (1 + 1e-8) / weights.sum()
+    weights[0] = -1e-8
+    q, _ = np.linalg.qr(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    mat = (q * weights) @ q.conj().T
+    path = tmp_path / "state.json"
+    save_state(DensityMatrix(shape, (mat + mat.conj().T) / 2), path)
+    for flags in (["--eq-tol", "1e-8"], []):
+        code, report, err = run_cli(capsys, "distance", str(path), str(path), *flags)
+        assert code == 0, err
+        assert report["results"]["value"] == 0
+        assert report["tolerances"]["psd_tol"] == "1e-9*dim"
+
+
 def test_reports_echo_only_the_options_a_command_reads(tmp_path, capsys):
     out = tmp_path / "sphere.json"
     _, report, _ = run_cli(capsys, "sphere", "builtin:rho", "--s", "1", "--out", str(out), "--eq-tol", "1e-8")
-    assert report["tolerances"] == {"eq_tol": 1e-8, "psd_tol": None}
+    assert report["tolerances"] == {"eq_tol": 1e-8, "psd_tol": "1e-9*dim"}
     assert "seed" not in report
     _, report, _ = run_cli(capsys, "distance", "builtin:rho", "builtin:psi")
-    assert report["tolerances"] == {"eq_tol": None, "psd_tol": None}
+    assert report["tolerances"] == {"eq_tol": "1e-9*sqrt(dim)", "psd_tol": "1e-9*dim"}
     assert "seed" not in report
     _, report, _ = run_cli(capsys, "verify", "builtin:{rho,psi}", "--feas-tol", "1e-7")
-    assert report["tolerances"] == {"eq_tol": None, "psd_tol": None, "feas_tol": 1e-7}
+    assert report["tolerances"] == {"eq_tol": "1e-9*sqrt(dim)", "psd_tol": "1e-9*dim", "feas_tol": 1e-7}
     assert "seed" not in report
 
 

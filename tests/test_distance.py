@@ -23,6 +23,7 @@ from qindel.distance import (
     min_distance,
 )
 from qindel.errors import CountOutOfRange, LevelMismatch, TooFewStates
+from qindel.linalg import Tolerance
 from qindel.rand import random_density
 from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, pure_ket
 from conftest import make_states
@@ -93,7 +94,7 @@ def _assert_matches_pairwise_oracle(code):
     assert (result.s, result.t) == (first.s, first.t) == (want // 2, want // 2)
     assert (result.P, result.Q) == (first.P, first.Q)
     np.testing.assert_array_equal(result.common.mat, first.common.mat)
-    eq_tol = result.common.shape.tol().eq_tol
+    eq_tol = Tolerance().at(result.common.dim).eq_tol
     assert delete(code.states[i], result.P).distance(result.common) <= eq_tol
     assert delete(code.states[j], result.Q).distance(result.common) <= eq_tol
     return value

@@ -8,13 +8,13 @@ from qindel.codes import example_psi, example_rho
 from qindel.errors import ShapeMismatch, SizeCapExceeded
 from qindel.feasibility import (
     AffineConstraint,
-    FeasibilityOptions,
     FeasibilityStatus,
     check_containment_trial,
     feasibility_del_ins,
     member_del_ins,
     member_ins_del,
 )
+from qindel.linalg import Tolerance
 from qindel.rand import random_density, random_hermitian
 from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, pure_ket
 from conftest import make_states
@@ -77,8 +77,8 @@ def _check_witness(report, sigma, rho, pset, qset):
     """A feasible witness re-checked from scratch: PSD, and both conditions
     met within feas_tol."""
     w = report.witness
-    assert np.linalg.eigvalsh(w.mat)[0] >= -w.shape.tol().psd_tol
-    feas_tol = FeasibilityOptions().feas_tol
+    assert np.linalg.eigvalsh(w.mat)[0] >= -Tolerance().at(w.dim).psd_tol
+    feas_tol = Tolerance().feas_tol
     assert delete(w, qset).distance(rho) <= feas_tol
     assert delete(w, pset).distance(sigma) <= feas_tol
 
@@ -128,7 +128,7 @@ def test_feasibility_same_position_roundtrip():
     assert report.status is FeasibilityStatus.FEASIBLE
     w = report.witness
     assert w is not None
-    assert delete(w, {2}).distance(rho) <= FeasibilityOptions().feas_tol
+    assert delete(w, {2}).distance(rho) <= Tolerance().feas_tol
 
 
 def test_feasibility_counterexample_pair():
@@ -151,8 +151,8 @@ def test_feasibility_family_state(rng):
     report = feasibility_del_ins(sigma, rho, IndexSet((3,), 3), IndexSet((1,), 3))
     assert report.status is FeasibilityStatus.FEASIBLE
     w = report.witness
-    assert delete(w, {1}).distance(rho) <= FeasibilityOptions().feas_tol
-    assert delete(w, {3}).distance(sigma) <= FeasibilityOptions().feas_tol
+    assert delete(w, {1}).distance(rho) <= Tolerance().feas_tol
+    assert delete(w, {3}).distance(sigma) <= Tolerance().feas_tol
 
 
 def test_feasibility_size_cap():
@@ -236,7 +236,7 @@ def test_monogamy_dual_certificate():
         assert 0 < report.iterations <= 100
         margin = _check_certificate(report, state, state, p1, q3)
         assert report.details["margin"] == pytest.approx(margin, abs=1e-12)
-        assert report.gap > FeasibilityOptions().feas_tol
+        assert report.gap > Tolerance().feas_tol
     state = _werner(0.6)
     report = feasibility_del_ins(state, state, p1, q3)
     assert report.status is FeasibilityStatus.FEASIBLE
@@ -262,7 +262,7 @@ def test_counterexample_certificates_recheck():
 
 
 def test_tampered_and_feasible_certificates_are_rejected(rng):
-    feas_tol = FeasibilityOptions().feas_tol
+    feas_tol = Tolerance().feas_tol
     rho, psi = example_rho(0.5, 0.5), example_psi(0.5, 0.5)
     p1, q2, q3 = IndexSet((1,), 3), IndexSet((2,), 3), IndexSet((3,), 3)
     werner = _werner(0.05)

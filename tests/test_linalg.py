@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,22 @@ def test_project_psd_is_nearest_among_samples(rng):
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(eq_tol=-1.0, psd_tol=0.0)
-    t = Tolerance.for_dim(16)
+    t = Tolerance().at(16)
     assert t.eq_tol == pytest.approx(4e-9)
     assert t.psd_tol == pytest.approx(16e-9)
+    for dim in (1, 2, 16, 64, 256):
+        t = Tolerance().at(dim)
+        assert (t.eq_tol, t.psd_tol, t.feas_tol) == (1e-9 * math.sqrt(dim), 1e-9 * dim, 1e-6)
+        assert t.at(3) == t  # a field that is set applies at every dimension
+    assert Tolerance(eq_tol=1e-8).at(64) == Tolerance(1e-8, 6.4e-8)
+    assert Tolerance(psd_tol=0.0).at(64) == Tolerance(8e-9, 0.0)
+    assert Tolerance().to_json_obj() == {
+        "eq_tol": "1e-9*sqrt(dim)",
+        "psd_tol": "1e-9*dim",
+        "feas_tol": 1e-6,
+    }
+    assert Tolerance(psd_tol=0.0, feas_tol=1e-7).to_json_obj() == {
+        "eq_tol": "1e-9*sqrt(dim)",
+        "psd_tol": 0.0,
+        "feas_tol": 1e-7,
+    }

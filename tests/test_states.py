@@ -15,6 +15,7 @@ from qindel.errors import (
     TraceNotOne,
     ValidationError,
 )
+from qindel.linalg import Tolerance
 from qindel.rand import random_density
 from qindel.states import (
     DensityMatrix,
@@ -138,7 +139,7 @@ def test_spectral_reconstruction_roundtrip(rng):
         shape = QuditShape(2, int(rng.integers(1, 4)))
         rho = random_density(rng, shape, int(rng.integers(1, shape.dim + 1)))
         form = spectral_decompose(rho)
-        assert reconstruct(form).distance(rho) <= shape.tol().eq_tol
+        assert reconstruct(form).distance(rho) <= Tolerance().at(shape.dim).eq_tol
         # eigenkets are mutually orthonormal
         for i in range(form.rank):
             for j in range(form.rank):
@@ -313,6 +314,11 @@ _TWO_ROWS = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
         pytest.param(_spectral([{"p": True, "ket": _E0}]), id="weight-bool"),
         pytest.param(_spectral([{"p": 1.0, "ket": [[1.0, 0.0]]}]), id="short-spectral-ket"),
         pytest.param(_spectral([{"p": 1.0}]), id="missing-ket"),
+        *(
+            pytest.param({**_mixed(_TWO_ROWS), field: value}, id=f"{field}-{value!r}")
+            for field in ("level", "length")
+            for value in (2.7, "2", 1.9, True, 2.0)
+        ),
     ],
 )
 def test_malformed_state_objects_raise_parse_error(obj):
