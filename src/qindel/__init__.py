@@ -5,6 +5,7 @@ from .channels import (
     InsertionBlocks,
     SphereSet,
     delete,
+    deletion_levels,
     deletion_sphere,
     index_permutation,
     insert_construct,

@@ -1,9 +1,15 @@
 """Deletion channels, qudit index permutations, and insertion-state construction.
 
-Deletion at position p is the partial trace over qudit p; a deletion sphere is
-the read-only result of one greedy dedup, ``distinct_rows``, of the traced
-candidates.  Insertion at a set of positions Q is the *set* of larger states
-whose deletion at Q returns the original; members are constructed from rho's
+Deletion at position p is the partial trace over qudit p.  The deletion
+spheres D^0, D^1, ... of a state form a ladder, ``deletion_levels``: each
+level's candidates are traced from the level before, bit-identical to tracing
+each subset from the state, and a sphere is the read-only result of one
+greedy dedup, ``distinct_rows``, of one level.  Dedups and sphere comparisons
+use one screened call of the distance kernel: only pairs whose diagonals lie
+within eq_tol get a full distance.
+
+Insertion at a set of positions Q is the *set* of larger states whose
+deletion at Q returns the original; members are constructed from rho's
 spectral form and one ``(rank, rank, l**t, l**t)`` array of blocks A_{x,y},
 one per eigenvector pair (t-qudit densities on the diagonal, traceless adjoint
 pairs off it).  The blocks are checked as one array and attached to the
@@ -16,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,6 +51,7 @@ __all__ = [
     "trace_out_adjoint",
     "partial_trace",
     "delete",
+    "deletion_levels",
     "deletion_sphere",
     "index_permutation",
     "tau_Q",
@@ -188,26 +196,64 @@ def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _screened_distances(
+    a: np.ndarray, b: np.ndarray, eq_tol: float, *, later_only: bool = False
+) -> np.ndarray:
+    """``cross_distances(a, b)`` wherever it can be within eq_tol, ``inf`` elsewhere.
+
+    The distance between the diagonals bounds the Frobenius distance from
+    below (its squared sum is part of the full one), so full distances are
+    computed, one ``cross_distances`` call per row, only for the pairs whose
+    diagonals lie within eq_tol*(1 + 1e-6).  Rounding moves either sum by
+    less than 1e-11 relative, so every pair set to ``inf`` is farther than
+    eq_tol, and every entry that is kept is the one ``cross_distances``
+    gives.  Stacks whose every pair fits in one chunk are compared in full,
+    in one call, which no screen can undercut.  ``later_only`` (for ``a``
+    and ``b`` one stack) leaves the pairs (i, j) with i >= j out of the
+    screen; the caller reads only the entries with i < j.
+    """
+    if len(a) * len(b) * a.shape[-1] ** 2 <= _CHUNK:
+        return cross_distances(a, b)
+    lower = cross_distances(
+        np.diagonal(a, axis1=1, axis2=2)[:, None], np.diagonal(b, axis1=1, axis2=2)[:, None]
+    )
+    near = lower <= eq_tol * (1 + 1e-6)
+    if later_only:
+        near &= np.arange(len(a))[:, None] < np.arange(len(b))
+    out = np.full(lower.shape, np.inf)
+    for i in np.flatnonzero(near.any(axis=1)):
+        cols = np.flatnonzero(near[i])
+        out[i, cols] = cross_distances(a[i : i + 1], b[cols])[0]
+    return out
+
+
 def distinct_rows(buf: np.ndarray, eq_tol: float) -> tuple[list[int], list[int]]:
-    """Greedy dedup of a ``(k, d, d)`` buffer, compacted in place.
+    """Greedy dedup of a ``(k, d, d)`` buffer, which is left as it is.
 
     Candidates are taken in order; one becomes a member only if its
-    Frobenius distance to every member kept so far exceeds eq_tol, with those
-    distances computed in one batched call.  Returns ``(kept, joined)``:
-    ``kept`` lists the candidates that became members, whose rows now fill
-    ``buf[:len(kept)]`` in that order, and ``joined[c]`` is the index of the
-    member candidate c became or joined.
+    Frobenius distance to every member kept so far exceeds eq_tol, and
+    otherwise joins the first member within eq_tol.  The distances of all
+    pairs come from one screened call.  Returns ``(kept, joined)``: ``kept``
+    lists the candidates that became members, in order, and ``joined[c]`` is
+    the index of the member candidate c became or joined.
     """
+    if len(buf) <= 1:
+        return list(range(len(buf))), list(range(len(buf)))
+    # earlier[c]: the candidates before c within eq_tol of it, in order
+    earlier: dict[int, list[int]] = {}
+    near = _screened_distances(buf, buf, eq_tol, later_only=True) <= eq_tol
+    for i, c in zip(*(axis.tolist() for axis in np.nonzero(near))):
+        if i < c:
+            earlier.setdefault(c, []).append(i)
     kept: list[int] = []
     joined: list[int] = []
+    member: dict[int, int] = {}  # kept candidate -> its member index
     for c in range(len(buf)):
-        hits = np.flatnonzero(cross_distances(buf[: len(kept)], buf[c : c + 1]) <= eq_tol)
-        if hits.size:
-            joined.append(int(hits[0]))
-        else:
-            buf[len(kept)] = buf[c]
-            joined.append(len(kept))
+        hit = next((member[i] for i in earlier.get(c, ()) if i in member), None)
+        if hit is None:
+            hit = member[c] = len(kept)
             kept.append(c)
+        joined.append(hit)
     return kept, joined
 
 
@@ -246,30 +292,71 @@ class SphereSet:
     ) -> tuple[int, int, float] | None:
         """Indices of the closest cross pair (first in row-major order among
         equals) if within eq_tol, else None."""
-        dist = cross_distances(self.stack, other.stack)
+        eq_tol = max(self.eq_tol, other.eq_tol)
+        dist = _screened_distances(self.stack, other.stack, eq_tol)
         if dist.size == 0:
             return None
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        if dist[i, j] <= max(self.eq_tol, other.eq_tol):
+        if dist[i, j] <= eq_tol:
             return int(i), int(j), float(dist[i, j])
         return None
 
 
+def _traced_levels(rho: DensityMatrix) -> Iterator[np.ndarray]:
+    """The raw deletion levels of rho: for s = 0, 1, ..., n one ``(C(n, s), d, d)``
+    buffer whose rows are the deletions at each s-subset in ``combinations``
+    order.
+
+    Subset c = (c1 < ... < cs) is traced from the row of its parent c[1:] by
+    tracing position c1, which c[1:] leaves unnumbered, so each row is the
+    one ``trace_out(rho.mat, IndexSet(c, n), l)`` gives, bit for bit.  The
+    children with c1 = p are a contiguous block whose parents are the last
+    C(n - p, s - 1) rows of the level before, so a level is n - s + 1 batched
+    ``trace_out`` calls, each written into its block of the level.
+    """
+    n, l = rho.length, rho.level
+    raw = rho.mat[None]
+    yield raw
+    for s in range(1, n + 1):
+        dim = l ** (n - s)
+        level = np.empty((comb(n, s), dim, dim), dtype=complex)
+        row = 0
+        for p in range(1, n - s + 2):
+            parents = raw[len(raw) - comb(n - p, s - 1) :]
+            level[row : row + len(parents)] = trace_out(parents, IndexSet((p,), n - s + 1), l)
+            row += len(parents)
+        raw = level
+        yield raw
+
+
+def deletion_levels(
+    rho: DensityMatrix, tol: Tolerance = Tolerance(), start: int = 0
+) -> Iterator[SphereSet]:
+    """D^start(rho), D^(start+1)(rho), ..., D^n(rho), each level traced from
+    the one before and deduplicated greedily within eq_tol at its dimension.
+
+    Levels below ``start`` are traced but not deduplicated.  Each level is
+    built only when it is asked for, from the last raw level, the only one
+    kept.
+    """
+    n = rho.length
+    for s, raw in enumerate(_traced_levels(rho)):
+        if s < start:
+            continue
+        shape = QuditShape(rho.level, n - s)
+        eq_tol = tol.at(shape.dim).eq_tol
+        kept, _ = distinct_rows(raw, eq_tol)
+        combos = list(combinations(range(1, n + 1), s))
+        stack = raw if len(kept) == len(raw) else raw[kept]
+        yield SphereSet(shape, eq_tol, stack, [IndexSet(combos[c], n) for c in kept], len(raw))
+
+
 def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance = Tolerance()) -> SphereSet:
-    """D^s(rho): all C(n, s) deletions, traced into one buffer and
-    deduplicated greedily within eq_tol."""
+    """D^s(rho): level s of ``deletion_levels``, the only one deduplicated."""
     n = rho.length
     if not 0 <= s <= n:
         raise CountOutOfRange(f"deletion count {s} not in [0, {n}]")
-    out_shape = QuditShape(rho.level, n - s)
-    psets = [IndexSet(combo, n) for combo in combinations(range(1, n + 1), s)]
-    buf = np.empty((len(psets), out_shape.dim, out_shape.dim), dtype=complex)
-    for k, pset in enumerate(psets):
-        buf[k] = trace_out(rho.mat, pset, rho.level)
-    eq_tol = tol.at(out_shape.dim).eq_tol
-    kept, _ = distinct_rows(buf, eq_tol)
-    stack = buf if len(kept) == len(buf) else buf[: len(kept)].copy()
-    return SphereSet(out_shape, eq_tol, stack, [psets[c] for c in kept], len(psets))
+    return next(deletion_levels(rho, tol, s))
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:

@@ -90,7 +90,7 @@ def _load_code_spec(spec: str, grid: str | None, tol: Tolerance) -> tuple[CodeSa
         names = [n.strip() for n in rest.split(",")]
         if len(names) > 1:
             states = [builtin_state(n) for n in names]
-            return CodeSample.from_states(states, names), spec
+            return CodeSample.from_states(states, names, tol), spec
         return builtin_code(names[0], _grid_params(grid)), spec
     path = Path(spec)
     if not path.is_dir():
@@ -99,7 +99,7 @@ def _load_code_spec(spec: str, grid: str | None, tol: Tolerance) -> tuple[CodeSa
     if not files:
         raise ParseError(f"directory {spec!r} contains no .json state files")
     states = [load_state(f, tol) for f in files]
-    return CodeSample.from_states(states, [f.name for f in files]), ",".join(_digest(f) for f in files)
+    return CodeSample.from_states(states, [f.name for f in files], tol), ",".join(_digest(f) for f in files)
 
 
 def _report(args, inputs: dict, results: dict, started: float) -> dict:

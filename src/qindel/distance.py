@@ -7,23 +7,27 @@ equal-length states corrects t deletions iff its minimum distance is at least
 2t + 1, and that capability transfers to any mixed batch of t deletions and
 insertions.
 
-``indel_distance`` searches one pair breadth-first.  ``min_distance`` walks the
-levels instead of the pairs: code states share one length, so the code's
-minimum distance is 2s for the least s at which two of its s-deletion spheres
-meet.  Each level builds every state's sphere once and compares the stacked
-members of all spheres in batched norms; only a witness row is wrapped as a
-state.  ``CodeSample`` checks distinctness with the spheres' greedy dedup.
+``indel_distance`` searches one pair breadth-first, walking the deletion
+ladder (``channels.deletion_levels``) of each state one level per step.
+``min_distance`` walks the levels instead of the pairs: code states share one
+length, so the code's minimum distance is 2s for the least s at which two of
+its s-deletion spheres meet.  It walks one ladder per state and compares the
+stacked members of all spheres of a level in screened batched norms; only a
+witness row is wrapped as a state.  ``metric_check`` builds each state's
+levels once per triple.  ``CodeSample`` checks distinctness with the spheres'
+greedy dedup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
-from .channels import IndexSet, cross_distances, deletion_sphere, distinct_rows
-from .errors import CountOutOfRange, LevelMismatch, TooFewStates
+from .channels import IndexSet, SphereSet, _screened_distances, deletion_levels, distinct_rows
+from .errors import CountOutOfRange, DuplicateStates, LevelMismatch, TooFewStates
 from .feasibility import FeasibilityStatus, member_del_ins
 from .linalg import Tolerance
 from .states import DensityMatrix, state_to_json_obj
@@ -64,12 +68,17 @@ class DistanceResult:
 
 @dataclass(frozen=True)
 class CodeSample:
-    """Finite list of pairwise-distinct states of a common shape."""
+    """Finite list of pairwise-distinct states of a common shape.
+
+    ``tol`` gives the eq_tol within which two states coincide, which raises
+    ``DuplicateStates``; it is not kept.
+    """
 
     states: tuple[DensityMatrix, ...]
     labels: tuple[str, ...]
+    tol: InitVar[Tolerance] = Tolerance()
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tol: Tolerance) -> None:
         if len(self.labels) != len(self.states):
             raise ValueError("labels and states must have equal length")
         shapes = {s.shape for s in self.states}
@@ -77,21 +86,22 @@ class CodeSample:
             raise LevelMismatch(f"states span several shapes: {shapes}")
         if not self.states:
             return
-        eq_tol = Tolerance().at(self.states[0].dim).eq_tol
+        eq_tol = tol.at(self.states[0].dim).eq_tol
         kept, joined = distinct_rows(np.stack([s.mat for s in self.states]), eq_tol)
         for j, k in enumerate(joined):
             i = kept[k]
             if i != j:
-                raise ValueError(
-                    f"states {self.labels[i]!r} and {self.labels[j]!r} coincide within eq_tol"
+                raise DuplicateStates(
+                    f"states {self.labels[i]!r} and {self.labels[j]!r} coincide within "
+                    f"eq_tol {eq_tol:.3e}"
                 )
 
     @classmethod
-    def from_states(cls, states, labels=None) -> "CodeSample":
+    def from_states(cls, states, labels=None, tol: Tolerance = Tolerance()) -> "CodeSample":
         states = tuple(states)
         if labels is None:
             labels = tuple(f"state{k}" for k in range(len(states)))
-        return cls(states, tuple(labels))
+        return cls(states, tuple(labels), tol)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -108,6 +118,25 @@ class Verdict:
         return {"ok": self.ok, "evidence": self.evidence}
 
 
+def _first_meeting(levels1: Iterable[SphereSet], levels2: Iterable[SphereSet]) -> DistanceResult:
+    """The first pair of levels, taken in step, whose spheres meet, with the
+    closest cross pair there as witness."""
+    for sphere1, sphere2 in zip(levels1, levels2):
+        hit = sphere1.intersection_witness(sphere2)
+        if hit is not None:
+            i, j, _ = hit
+            P, Q = sphere1.reps[i], sphere2.reps[j]
+            return DistanceResult(
+                value=P.size + Q.size,
+                s=P.size,
+                t=Q.size,
+                P=P,
+                Q=Q,
+                common=DensityMatrix(sphere1.shape, sphere1.stack[i]),
+            )
+    raise AssertionError("unreachable: full deletion always intersects")
+
+
 def indel_distance(
     rho1: DensityMatrix, rho2: DensityMatrix, tol: Tolerance = Tolerance()
 ) -> DistanceResult:
@@ -115,31 +144,19 @@ def indel_distance(
 
     Deletion spheres are finite, so each candidate total is decided exactly;
     full deletion of both states guarantees a hit by s + t = n + m.  Both s
-    and t grow by one per step, so each sphere is built once and dropped.
+    and t grow by one per step, so the search walks one deletion ladder per
+    state, from s = max(0, n - m) and t = max(0, m - n), and keeps only the
+    current level of each.
     """
     if rho1.level != rho2.level:
         raise LevelMismatch(f"levels differ: {rho1.level} vs {rho2.level}")
     n, m = rho1.length, rho2.length
-    for total in range(abs(n - m), n + m + 1, 2):
-        s = (total + n - m) // 2
-        t = total - s
-        sphere1 = deletion_sphere(rho1, s, tol)
-        sphere2 = deletion_sphere(rho2, t, tol)
-        hit = sphere1.intersection_witness(sphere2)
-        if hit is not None:
-            i, j, _ = hit
-            result = DistanceResult(
-                value=total,
-                s=s,
-                t=t,
-                P=sphere1.reps[i],
-                Q=sphere2.reps[j],
-                common=DensityMatrix(sphere1.shape, sphere1.stack[i]),
-            )
-            # equal-length states are always an even distance apart
-            assert n != m or result.value % 2 == 0
-            return result
-    raise AssertionError("unreachable: full deletion always intersects")
+    result = _first_meeting(
+        deletion_levels(rho1, tol, max(0, n - m)), deletion_levels(rho2, tol, max(0, m - n))
+    )
+    # equal-length states are always an even distance apart
+    assert n != m or result.value % 2 == 0
+    return result
 
 
 def min_distance(
@@ -148,29 +165,29 @@ def min_distance(
     """Minimum pairwise distance with the achieving pair, level by level.
 
     Code states share one length, so a pair's distance is 2s for the least s
-    at which their s-deletion spheres meet.  For s = 0, 1, ... each state's
-    sphere is built once, the members of all spheres are stacked, and the
-    members of each state are compared with those of every later state in
-    one batched call.  The first level with a hit gives the value; the pair
-    reported is the first, in ``combinations`` order, that meets there, and
-    its witness is its closest cross pair, as ``intersection_witness`` picks
-    it.  A level's spheres are dropped before the next is built.
+    at which their s-deletion spheres meet.  Each state's ladder is walked
+    one level at a time; for s = 0, 1, ... the members of all spheres are
+    stacked, and the members of each state are compared with those of every
+    later state in one screened batched call.  The first level with a hit
+    gives the value; the pair reported is the first, in ``combinations``
+    order, that meets there, and its witness is its closest cross pair, as
+    ``intersection_witness`` picks it.
     """
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
-    n = code.states[0].length
-    for s in range(n + 1):
-        spheres = [deletion_sphere(rho, s, tol) for rho in code.states]
+    ladders = [deletion_levels(rho, tol) for rho in code.states]
+    for s in range(code.states[0].length + 1):
+        spheres = [next(ladder) for ladder in ladders]
         shape, eq_tol = spheres[0].shape, spheres[0].eq_tol
         reps = [sphere.reps for sphere in spheres]
         level = np.concatenate([sphere.stack for sphere in spheres])
-        del spheres  # the level stack is now the only copy of its members
+        del spheres
         sizes = [len(r) for r in reps]
         bounds = np.cumsum([0] + sizes)
         owners = np.repeat(np.arange(len(reps)), sizes)
         for i in range(len(reps) - 1):
             rest = bounds[i + 1]
-            dist = cross_distances(level[bounds[i] : rest], level[rest:])
+            dist = _screened_distances(level[bounds[i] : rest], level[rest:], eq_tol)
             hits = np.flatnonzero((dist <= eq_tol).any(axis=0))
             if hits.size == 0:
                 continue
@@ -257,6 +274,12 @@ def corrects_insertions(
     return Verdict(ok=True, evidence={"pairs": pair_gaps})
 
 
+def _level_distance(x: list[SphereSet], y: list[SphereSet]) -> int:
+    """``indel_distance(...).value`` from two states' lists of all their levels."""
+    n, m = len(x) - 1, len(y) - 1
+    return _first_meeting(x[max(0, n - m) :], y[max(0, m - n) :]).value
+
+
 def metric_check(
     triples, tol: Tolerance = Tolerance()
 ) -> dict:
@@ -266,17 +289,19 @@ def metric_check(
     tested per triple; any violation is reported with the offending values.
     ``odd_equal_length`` counts the distances d_ab, d_bc and d_ac between
     states of equal length that are odd (such distances are always even);
-    it does not enter ``ok``.
+    it does not enter ``ok``.  Each state's deletion levels are built once
+    per triple and shared by its distances.
     """
     violations = []
     checked = 0
     odd = 0
     for idx, (a, b, c) in enumerate(triples):
         checked += 1
-        d_ab = indel_distance(a, b, tol).value
-        d_ba = indel_distance(b, a, tol).value
-        d_bc = indel_distance(b, c, tol).value
-        d_ac = indel_distance(a, c, tol).value
+        la, lb, lc = (list(deletion_levels(x, tol)) for x in (a, b, c))
+        d_ab = _level_distance(la, lb)
+        d_ba = _level_distance(lb, la)
+        d_bc = _level_distance(lb, lc)
+        d_ac = _level_distance(la, lc)
         if (d_ab == 0) != a.close_to(b):
             violations.append({"triple": idx, "axiom": "identity", "d": d_ab})
         if d_ab != d_ba:

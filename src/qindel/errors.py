@@ -49,6 +49,10 @@ class TooFewStates(QindelError, ValueError):
     """A code needs at least two states for pairwise checks."""
 
 
+class DuplicateStates(QindelError, ValueError):
+    """Two states of a code coincide within eq_tol."""
+
+
 class SizeCapExceeded(QindelError, ValueError):
     """Requested dimension exceeds the configured cap."""
 

@@ -1,13 +1,19 @@
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import qindel.channels
 from qindel.channels import (
     IndexSet,
     InsertionBlocks,
+    SphereSet,
+    _screened_distances,
+    _traced_levels,
     cross_distances,
     delete,
+    deletion_levels,
     deletion_sphere,
     distinct_rows,
     index_permutation,
@@ -169,14 +175,15 @@ def greedy_oracle(candidates, eq_tol):
 
 def assert_matches_oracle(candidates, eq_tol):
     """``distinct_rows`` on the stacked candidates against the greedy oracle:
-    members, kept tags, the member each candidate joined, and the raw count.
-    Returns the oracle's (members, reps)."""
+    members, kept tags and the member each candidate joined; the buffer is
+    left as it was.  Returns the oracle's (members, reps)."""
     members, reps = greedy_oracle(candidates, eq_tol)
     buf = np.stack([mat for _, mat in candidates])
     kept, joined = distinct_rows(buf, eq_tol)
+    np.testing.assert_array_equal(buf, np.stack([mat for _, mat in candidates]))
     assert [candidates[c][0] for c in kept] == reps
     assert len(kept) == len(members)
-    for got, want in zip(buf, members):
+    for got, want in zip(buf[kept], members):
         np.testing.assert_array_equal(got, want)
     assert len(joined) == len(candidates)
     assert joined == [
@@ -186,12 +193,19 @@ def assert_matches_oracle(candidates, eq_tol):
     return members, reps
 
 
+def repeated_product(rng, level, n):
+    """A product of n copies of one random qudit state: all s-deletions coincide."""
+    one = random_density(rng, QuditShape(level, 1)).mat
+    return DensityMatrix(QuditShape(level, n), reduce(kron, [one] * n))
+
+
 def test_sphere_set_matches_greedy_oracle(rng):
     # deletion spheres of random states, including the coinciding deletions
-    # of a state that is a product with a repeated factor
-    one = random_density(rng, QuditShape(2, 1)).mat
-    product = DensityMatrix(QuditShape(2, 3), kron(kron(one, one), one))
+    # of states that are products with a repeated factor; the 7-qubit levels
+    # are large enough for the diagonal screen to run
+    product = repeated_product(rng, 2, 3)
     rhos = make_states(rng, 2, 4, 3) + make_states(rng, 3, 2, 2) + [product]
+    rhos += make_states(rng, 2, 7, 1) + [repeated_product(rng, 2, 7)]
     for rho in rhos:
         for s in range(rho.length + 1):
             candidates = [
@@ -220,6 +234,120 @@ def test_sphere_set_matches_greedy_oracle(rng):
         candidates.append((f"near{k}", base + scale * step))
     members, _ = assert_matches_oracle(candidates, eq_tol)
     assert 1 < len(members) < len(candidates)
+
+    # candidates at d = 64 that share the base's diagonal and differ off it by
+    # 0.5x and 2x eq_tol: the screen passes every pair, the full distance decides
+    shape = QuditShape(2, 6)
+    eq_tol = Tolerance().at(shape.dim).eq_tol
+    base = random_density(rng, shape).mat
+    candidates = [("base", base)]
+    for k in range(6):
+        step = rng.normal(size=base.shape) + 1j * rng.normal(size=base.shape)
+        step = step + step.conj().T
+        step[np.diag_indices(shape.dim)] = 0
+        scale = (0.5, 2.0)[k % 2] * eq_tol / np.linalg.norm(step)
+        candidates.append((f"off{k}", base + scale * step))
+    assert len(candidates) ** 2 * shape.dim**2 > qindel.channels._CHUNK  # screened
+    members, reps = assert_matches_oracle(candidates, eq_tol)
+    assert reps == ["base", "off1", "off3", "off5"]
+
+
+def _unscreened_witness(a, b, eq_tol):
+    dist = cross_distances(a, b)
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    return (int(i), int(j), float(dist[i, j])) if dist[i, j] <= eq_tol else None
+
+
+def _hermitian_step(rng, dim, part):
+    """A unit-norm Hermitian direction: on the diagonal only, off it only, or both."""
+    step = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    step = step + step.conj().T
+    if part == "diagonal":
+        step = np.diag(np.diag(step).real).astype(complex)
+    elif part == "off":
+        step[np.diag_indices(dim)] = 0
+    return step / np.linalg.norm(step)
+
+
+def _diagonal_rounds_above_full(rng, x, eq_tol):
+    """A state y whose difference from x lies on the diagonal and whose
+    diagonal distance to x, as computed, exceeds its full distance."""
+    for _ in range(2000):
+        y = x + np.diag(rng.normal(size=len(x)) * np.exp(3 * rng.normal(size=len(x))))
+        y = x + (y - x) * (eq_tol / np.linalg.norm(y - x))
+        full = cross_distances(x[None], y[None])[0, 0]
+        diag = cross_distances(np.diag(x)[None, None], np.diag(y)[None, None])[0, 0]
+        if diag > full:
+            return y, float(full)
+    raise AssertionError("no pair whose diagonal distance rounds above its full distance")
+
+
+def test_screened_witness_matches_unscreened_argmin(rng):
+    shape = QuditShape(2, 6)
+    eq_tol = Tolerance().at(shape.dim).eq_tol
+
+    def sphere(stack, tol):
+        return SphereSet(shape, tol, stack, list(range(len(stack))), len(stack))
+
+    def check(a, b, tol):
+        assert len(a) * len(b) * shape.dim**2 > qindel.channels._CHUNK  # screened
+        dist, full = _screened_distances(a, b, tol), cross_distances(a, b)
+        kept = np.isfinite(dist)
+        np.testing.assert_array_equal(dist[kept], full[kept])
+        assert (full[~kept] > tol).all()
+        want = _unscreened_witness(a, b, tol)
+        assert sphere(a, tol).intersection_witness(sphere(b, tol)) == want
+        return want
+
+    plants = [
+        [(0.5, "diagonal"), (2.0, "off")],
+        [(0.99, "diagonal"), (0.999, "both"), (0.3, "off")],
+        [(1.01, "diagonal"), (2.0, "both")],
+        [(1.01, "off"), (1.001, "both"), (3.0, "diagonal")],
+        [(0.0, "both"), (0.0, "both")],  # two exact copies: the first in row-major order wins
+    ]
+    hits = 0
+    for plant in plants:
+        a = np.stack([random_density(rng, shape).mat for _ in range(5)])
+        b = np.stack([random_density(rng, shape).mat for _ in range(4)])
+        for j, (factor, part) in zip(rng.permutation(len(b)), plant):
+            i = int(rng.integers(len(a)))
+            b[j] = a[i] + factor * eq_tol * _hermitian_step(rng, shape.dim, part)
+        hits += check(a, b, eq_tol) is not None
+    assert hits == 3
+
+    # at the edge of eq_tol: a diagonal-only difference whose computed
+    # diagonal distance rounds above the full one still meets, by the margin
+    a = np.stack([random_density(rng, shape).mat for _ in range(5)])
+    b = np.stack([random_density(rng, shape).mat for _ in range(4)])
+    b[1], edge = _diagonal_rounds_above_full(rng, a[2], eq_tol)
+    assert check(a, b, edge) == (2, 1, edge)
+
+
+@pytest.mark.parametrize("level, lengths", [(2, range(1, 7)), (3, range(1, 4))])
+def test_deletion_levels_match_per_subset_traces(rng, level, lengths):
+    """Every raw row of the ladder equals the direct trace bit for bit, and
+    each level's members and reps are the greedy dedup of those rows in
+    ``combinations`` order."""
+    for n in lengths:
+        shape = QuditShape(level, n)
+        product = repeated_product(rng, level, n)
+        for rho in (random_density(rng, shape), random_density(rng, shape, 1), product):
+            raws = list(_traced_levels(rho))
+            spheres = list(deletion_levels(rho))
+            assert len(raws) == len(spheres) == n + 1
+            for s, (raw, sphere) in enumerate(zip(raws, spheres)):
+                combos = list(combinations(range(1, n + 1), s))
+                assert raw.shape[0] == sphere.raw_count == len(combos)
+                for row, combo in zip(raw, combos):
+                    assert np.array_equal(row, trace_out(rho.mat, IndexSet(combo, n), level))
+                kept, _ = distinct_rows(raw, sphere.eq_tol)
+                assert sphere.reps == [IndexSet(combos[c], n) for c in kept]
+                assert np.array_equal(sphere.stack, raw[kept])
+                direct = deletion_sphere(rho, s)
+                assert direct.reps == sphere.reps and np.array_equal(direct.stack, sphere.stack)
+            if rho is product:  # the repeated factor merges each level to one member
+                assert [len(sphere) for sphere in spheres] == [1] * (n + 1)
 
 
 def test_sphere_members_are_read_only_views(rng):

@@ -186,6 +186,24 @@ def test_verify_directory(tmp_path, capsys):
     assert report["inputs"]["size"] == 2
 
 
+def test_verify_directory_with_coinciding_files_exits_3(tmp_path, capsys):
+    rho = example_rho(0.5, 0.5)
+    save_state(rho, tmp_path / "a.json")
+    save_state(rho, tmp_path / "b.json")
+    code, report, err = run_cli(capsys, "verify", str(tmp_path), "--t", "1")
+    assert code == 3 and report is None
+    assert "DuplicateStates" in err and "'a.json' and 'b.json'" in err
+    assert "Traceback" not in err
+
+
+def test_verify_directory_duplicate_check_reads_eq_tol(tmp_path, capsys):
+    _write_pure(tmp_path, "00", "a.json")
+    _write_pure(tmp_path, "11", "b.json")  # Frobenius distance sqrt(2)
+    code, report, err = run_cli(capsys, "verify", str(tmp_path), "--t", "1", "--eq-tol", "1.5")
+    assert code == 3 and report is None
+    assert "DuplicateStates" in err
+
+
 def test_verify_grid_override(capsys):
     code, report, _ = run_cli(capsys, "verify", "builtin:x1", "--t", "1", "--grid", "3,4")
     assert code == 1

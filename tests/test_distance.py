@@ -22,7 +22,7 @@ from qindel.distance import (
     metric_check,
     min_distance,
 )
-from qindel.errors import CountOutOfRange, LevelMismatch, TooFewStates
+from qindel.errors import CountOutOfRange, DuplicateStates, LevelMismatch, TooFewStates
 from qindel.linalg import Tolerance
 from qindel.rand import random_density
 from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, pure_ket
@@ -227,15 +227,13 @@ def test_metric_check(rng):
 def test_metric_check_counts_odd_equal_length_distances(monkeypatch):
     import qindel.distance
 
-    class Odd:
-        value = 1
-
-    monkeypatch.setattr(qindel.distance, "indel_distance", lambda a, b, tol=None: Odd)
+    # metric_check takes each distance from levels it builds once per triple
+    monkeypatch.setattr(qindel.distance, "_level_distance", lambda x, y: 1)
     one = density_from_ket(pure_ket(basis_ket("0", QuditShape(2, 1)), QuditShape(2, 1)))
     assert metric_check([(_pure("00"), _pure("01"), _pure("10"))])["odd_equal_length"] == 3
     assert metric_check([(_pure("00"), one, _pure("10"))])["odd_equal_length"] == 1
 
 
 def test_code_sample_rejects_duplicates():
-    with pytest.raises(ValueError, match="coincide"):
+    with pytest.raises(DuplicateStates, match="coincide"):
         CodeSample.from_states([_pure("00"), _pure("00")])
