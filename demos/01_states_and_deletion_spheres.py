@@ -35,7 +35,7 @@ except Exception as exc:
 
 # spectral form: weights and eigenkets
 form = spectral_decompose(rho)
-print("\nspectral weights:", [round(p, 6) for p, _ in form.pairs])
+print("\nspectral weights:", [round(p, 6) for p in form.weights.tolist()])
 
 # losing either qubit of a Bell pair leaves the maximally mixed qubit
 print("\nTr_1(bell):\n", np.round(partial_trace(rho, 1).mat.real, 3))

@@ -4,9 +4,10 @@ Deletion at position p is the partial trace over qudit p.  The deletion
 spheres D^0, D^1, ... of a state form a ladder, ``deletion_levels``: each
 level's candidates are traced from the level before, bit-identical to tracing
 each subset from the state, and a sphere is the read-only result of one
-greedy dedup, ``distinct_rows``, of one level.  Dedups and sphere comparisons
-use one screened call of the distance kernel: only pairs whose diagonals lie
-within eq_tol get a full distance.
+greedy dedup, ``distinct_rows``, of one level.  Where spheres first meet is
+found by one kernel, ``first_meeting``.  Each dedup and each comparison is one
+screened call of the distance kernel: only pairs whose diagonals lie within
+eq_tol get a full distance.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -19,9 +20,10 @@ permutation then moves them into place.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -47,6 +49,7 @@ __all__ = [
     "SphereSet",
     "cross_distances",
     "distinct_rows",
+    "first_meeting",
     "trace_out",
     "trace_out_adjoint",
     "partial_trace",
@@ -257,6 +260,36 @@ def distinct_rows(buf: np.ndarray, eq_tol: float) -> tuple[list[int], list[int]]
     return kept, joined
 
 
+def first_meeting(
+    stacks: Sequence[np.ndarray], eq_tol: float
+) -> tuple[int, int, int, int, float] | None:
+    """Where a list of ``(k, d, d)`` stacks first meet, or None if no two do.
+
+    Returns ``(i, j, a, b, dist)``: (i, j) is the first pair of stacks, in
+    ``combinations`` order, with rows within eq_tol of each other, and row a
+    of stack i and row b of stack j are its closest cross pair (first in
+    row-major order among equals), ``dist`` apart.  Each stack is compared
+    with all later stacks, stacked once, in one screened call.
+    """
+    if len(stacks) < 2:
+        return None
+    # two stacks (a distance walk's level) are compared without a copy
+    later = stacks[1] if len(stacks) == 2 else np.concatenate(stacks[1:])
+    # starts[j]: the row of ``later`` where stack j begins (stack 0 is not in it)
+    starts = list(accumulate((len(stack) for stack in stacks), initial=-len(stacks[0])))
+    for i in range(len(stacks) - 1):
+        rest = starts[i + 1]
+        dist = _screened_distances(stacks[i], later[rest:], eq_tol)
+        hits = (dist <= eq_tol).any(axis=0)
+        if not hits.any():
+            continue
+        j = bisect_right(starts, rest + int(hits.argmax())) - 1
+        block = dist[:, starts[j] - rest : starts[j + 1] - rest]
+        a, b = divmod(int(block.argmin()), block.shape[1])
+        return i, j, a, b, float(block[a, b])
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class SphereSet:
     """The distinct members of a deduplicated stack of same-shape states.
@@ -291,15 +324,9 @@ class SphereSet:
         self, other: "SphereSet"
     ) -> tuple[int, int, float] | None:
         """Indices of the closest cross pair (first in row-major order among
-        equals) if within eq_tol, else None."""
-        eq_tol = max(self.eq_tol, other.eq_tol)
-        dist = _screened_distances(self.stack, other.stack, eq_tol)
-        if dist.size == 0:
-            return None
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        if dist[i, j] <= eq_tol:
-            return int(i), int(j), float(dist[i, j])
-        return None
+        equals) if within eq_tol, else None: ``first_meeting`` of the two stacks."""
+        hit = first_meeting([self.stack, other.stack], max(self.eq_tol, other.eq_tol))
+        return None if hit is None else hit[2:]
 
 
 def _traced_levels(rho: DensityMatrix) -> Iterator[np.ndarray]:
@@ -505,7 +532,7 @@ def _insert(
     # columns sqrt(p_x) |x_L>, so the state is sum_{x,y} V_x V_y^dagger (x) A_{x,y};
     # contracting V with the blocks first, then with V^dagger, never forms a
     # per-pair Kronecker product
-    v = np.stack([ket for _, ket in form.pairs], axis=1) * np.sqrt(form.weights)
+    v = form.kets * np.sqrt(form.weights)
     big_shape = QuditShape(l, qset.ambient)
     vb = np.tensordot(v, blocks.blocks, (1, 0))  # axes (i, y, a, b)
     mat = np.tensordot(vb, v.conj(), (1, 1)).transpose(0, 1, 3, 2)  # axes (i, a, j, b)

@@ -7,26 +7,26 @@ equal-length states corrects t deletions iff its minimum distance is at least
 2t + 1, and that capability transfers to any mixed batch of t deletions and
 insertions.
 
-``indel_distance`` searches one pair breadth-first, walking the deletion
-ladder (``channels.deletion_levels``) of each state one level per step.
-``min_distance`` walks the levels instead of the pairs: code states share one
-length, so the code's minimum distance is 2s for the least s at which two of
-its s-deletion spheres meet.  It walks one ladder per state and compares the
-stacked members of all spheres of a level in screened batched norms; only a
-witness row is wrapped as a state.  ``metric_check`` builds each state's
-levels once per triple.  ``CodeSample`` checks distinctness with the spheres'
-greedy dedup.
+``indel_distance``, ``min_distance`` and ``metric_check`` all ask where
+deletion spheres first meet.  Each walks deletion ladders
+(``channels.deletion_levels``) in step and asks ``channels.first_meeting``
+once per level: ``indel_distance`` walks the two states' ladders from their
+start levels; ``min_distance`` walks one ladder per code state, since code
+states share one length and the code's minimum distance is 2s for the least
+s at which two of their s-deletion spheres meet; ``metric_check`` builds each
+state's levels once per triple.  Only a witness row is wrapped as a state.
+``CodeSample`` checks distinctness with the spheres' greedy dedup.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import IndexSet, SphereSet, _screened_distances, deletion_levels, distinct_rows
+from .channels import IndexSet, SphereSet, deletion_levels, distinct_rows, first_meeting
 from .errors import CountOutOfRange, DuplicateStates, LevelMismatch, TooFewStates
 from .feasibility import FeasibilityStatus, member_del_ins
 from .linalg import Tolerance
@@ -118,22 +118,17 @@ class Verdict:
         return {"ok": self.ok, "evidence": self.evidence}
 
 
-def _first_meeting(levels1: Iterable[SphereSet], levels2: Iterable[SphereSet]) -> DistanceResult:
-    """The first pair of levels, taken in step, whose spheres meet, with the
-    closest cross pair there as witness."""
-    for sphere1, sphere2 in zip(levels1, levels2):
-        hit = sphere1.intersection_witness(sphere2)
+def _first_meeting(ladders: Sequence[Iterable[SphereSet]]) -> tuple[int, int, DistanceResult]:
+    """The first level, walking the ladders in step, at which two of their
+    spheres meet: the first such pair of ladders (i, j), in ``combinations``
+    order, and their closest cross pair there as witness."""
+    for spheres in zip(*ladders):
+        hit = first_meeting([sphere.stack for sphere in spheres], spheres[0].eq_tol)
         if hit is not None:
-            i, j, _ = hit
-            P, Q = sphere1.reps[i], sphere2.reps[j]
-            return DistanceResult(
-                value=P.size + Q.size,
-                s=P.size,
-                t=Q.size,
-                P=P,
-                Q=Q,
-                common=DensityMatrix(sphere1.shape, sphere1.stack[i]),
-            )
+            i, j, a, b, _ = hit
+            P, Q = spheres[i].reps[a], spheres[j].reps[b]
+            common = DensityMatrix(spheres[i].shape, spheres[i].stack[a])
+            return i, j, DistanceResult(P.size + Q.size, P.size, Q.size, P, Q, common)
     raise AssertionError("unreachable: full deletion always intersects")
 
 
@@ -151,8 +146,8 @@ def indel_distance(
     if rho1.level != rho2.level:
         raise LevelMismatch(f"levels differ: {rho1.level} vs {rho2.level}")
     n, m = rho1.length, rho2.length
-    result = _first_meeting(
-        deletion_levels(rho1, tol, max(0, n - m)), deletion_levels(rho2, tol, max(0, m - n))
+    _, _, result = _first_meeting(
+        [deletion_levels(rho1, tol, max(0, n - m)), deletion_levels(rho2, tol, max(0, m - n))]
     )
     # equal-length states are always an even distance apart
     assert n != m or result.value % 2 == 0
@@ -165,45 +160,16 @@ def min_distance(
     """Minimum pairwise distance with the achieving pair, level by level.
 
     Code states share one length, so a pair's distance is 2s for the least s
-    at which their s-deletion spheres meet.  Each state's ladder is walked
-    one level at a time; for s = 0, 1, ... the members of all spheres are
-    stacked, and the members of each state are compared with those of every
-    later state in one screened batched call.  The first level with a hit
-    gives the value; the pair reported is the first, in ``combinations``
-    order, that meets there, and its witness is its closest cross pair, as
-    ``intersection_witness`` picks it.
+    at which their s-deletion spheres meet.  One ladder per state is walked,
+    one level at a time, and ``channels.first_meeting`` compares each level's
+    spheres at once.  The first level with a hit gives the value; the pair
+    reported is the first, in ``combinations`` order, that meets there, with
+    its closest cross pair as witness.
     """
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
-    ladders = [deletion_levels(rho, tol) for rho in code.states]
-    for s in range(code.states[0].length + 1):
-        spheres = [next(ladder) for ladder in ladders]
-        shape, eq_tol = spheres[0].shape, spheres[0].eq_tol
-        reps = [sphere.reps for sphere in spheres]
-        level = np.concatenate([sphere.stack for sphere in spheres])
-        del spheres
-        sizes = [len(r) for r in reps]
-        bounds = np.cumsum([0] + sizes)
-        owners = np.repeat(np.arange(len(reps)), sizes)
-        for i in range(len(reps) - 1):
-            rest = bounds[i + 1]
-            dist = _screened_distances(level[bounds[i] : rest], level[rest:], eq_tol)
-            hits = np.flatnonzero((dist <= eq_tol).any(axis=0))
-            if hits.size == 0:
-                continue
-            j = int(owners[rest + hits[0]])
-            cross = dist[:, bounds[j] - rest : bounds[j + 1] - rest]
-            a, b = np.unravel_index(np.argmin(cross), cross.shape)
-            result = DistanceResult(
-                value=2 * s,
-                s=s,
-                t=s,
-                P=reps[i][a],
-                Q=reps[j][b],
-                common=DensityMatrix(shape, level[bounds[i] + a]),
-            )
-            return 2 * s, (code.labels[i], code.labels[j]), result
-    raise AssertionError("unreachable: full deletion always intersects")
+    i, j, result = _first_meeting([deletion_levels(rho, tol) for rho in code.states])
+    return result.value, (code.labels[i], code.labels[j]), result
 
 
 def corrects(
@@ -277,7 +243,7 @@ def corrects_insertions(
 def _level_distance(x: list[SphereSet], y: list[SphereSet]) -> int:
     """``indel_distance(...).value`` from two states' lists of all their levels."""
     n, m = len(x) - 1, len(y) - 1
-    return _first_meeting(x[max(0, n - m) :], y[max(0, m - n) :]).value
+    return _first_meeting([x[max(0, n - m) :], y[max(0, m - n) :]])[2].value
 
 
 def metric_check(

@@ -25,7 +25,7 @@ from .channels import IndexSet, _as_index_set, _insertion_set, deletion_sphere, 
 from .channels import sample_insertions, trace_out, trace_out_adjoint
 from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, hermitian_part
-from .states import DensityMatrix, QuditShape, spectral_decompose, state_to_json_obj
+from .states import DensityMatrix, QuditShape, spectral_decompose
 
 __all__ = [
     "FeasibilityStatus",
@@ -64,16 +64,6 @@ class FeasibilityReport:
     details: dict = field(default_factory=dict)
     certificate: tuple[np.ndarray, np.ndarray] | None = None
 
-    def to_json_obj(self) -> dict:
-        obj = {
-            "status": self.status.value,
-            "gap": self.gap,
-            "iterations": self.iterations,
-            "witness": state_to_json_obj(self.witness) if self.witness is not None else None,
-        }
-        if self.details:
-            obj["details"] = self.details
-        return obj
 
 
 def _renumbered(positions: IndexSet, removed: IndexSet) -> IndexSet:
@@ -151,7 +141,7 @@ class AffineConstraint:
 
 def _range_projector(state: DensityMatrix, tol: Tolerance) -> np.ndarray:
     """Projector onto the eigenvectors ``spectral_decompose`` keeps."""
-    kets = np.stack([ket for _, ket in spectral_decompose(state, tol).pairs], axis=1)
+    kets = spectral_decompose(state, tol).kets
     return kets @ kets.conj().T
 
 

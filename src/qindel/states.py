@@ -148,18 +148,16 @@ class PureKet:
 
 @dataclass(frozen=True, eq=False)
 class SpectralForm:
-    """Eigen-pairs (weight, ket) of a density matrix, zero weights dropped."""
+    """The eigenvalues of a density matrix, zero weights dropped, as ``weights``
+    ``(r,)``, and their eigenvectors as the columns of ``kets`` ``(d, r)``."""
 
     shape: QuditShape
-    pairs: tuple[tuple[float, np.ndarray], ...]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([p for p, _ in self.pairs])
+    weights: np.ndarray
+    kets: np.ndarray
 
     @property
     def rank(self) -> int:
-        return len(self.pairs)
+        return len(self.weights)
 
 
 def _digits(x: str | Sequence[int], shape: QuditShape) -> list[int]:
@@ -253,18 +251,15 @@ def spectral_decompose(rho: DensityMatrix, tol: Tolerance = Tolerance()) -> Spec
     if w[0] < -tol.psd_tol:
         raise NotPSD(f"negative eigenvalue {w[0]:.3e}", -float(w[0]))
     dropped = np.searchsorted(np.cumsum(np.clip(w, 0.0, None)), 1e-3 * tol.eq_tol, side="right")
-    keep = [(float(w[k]), v[:, k].copy()) for k in range(dropped, len(w))]
-    total = sum(p for p, _ in keep)
-    pairs = tuple((p / total, ket) for p, ket in sorted(keep, key=lambda t: -t[0]))
-    return SpectralForm(rho.shape, pairs)
+    w, v = w[dropped:], v[:, dropped:]
+    order = np.argsort(-w, kind="stable")
+    total = sum(w.tolist())
+    return SpectralForm(rho.shape, w[order] / total, np.ascontiguousarray(v[:, order]))
 
 
 def reconstruct(form: SpectralForm) -> DensityMatrix:
     """Sum p_x |x_L><x_L| back into a DensityMatrix."""
-    mat = np.zeros((form.shape.dim, form.shape.dim), dtype=complex)
-    for p, ket in form.pairs:
-        mat += p * np.outer(ket, ket.conj())
-    return DensityMatrix(form.shape, mat)
+    return DensityMatrix(form.shape, (form.kets * form.weights) @ form.kets.conj().T)
 
 
 # --- state-file format (JSON, UTF-8) ------------------------------------------

@@ -16,6 +16,7 @@ from qindel.channels import (
     deletion_levels,
     deletion_sphere,
     distinct_rows,
+    first_meeting,
     index_permutation,
     insert_construct,
     insertion_member,
@@ -324,6 +325,52 @@ def test_screened_witness_matches_unscreened_argmin(rng):
     assert check(a, b, edge) == (2, 1, edge)
 
 
+def _meeting_oracle(stacks, eq_tol):
+    """``first_meeting`` pair by pair: the first pair of stacks in
+    ``combinations`` order whose closest cross pair is within eq_tol."""
+    for i, j in combinations(range(len(stacks)), 2):
+        dist = cross_distances(stacks[i], stacks[j])
+        a, b = np.unravel_index(np.argmin(dist), dist.shape)
+        if dist[a, b] <= eq_tol:
+            return i, j, int(a), int(b), float(dist[a, b])
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_first_meeting_matches_pairwise_oracle(rng, n):
+    """Planted cross pairs at 0.5x eq_tol meet and at 2x do not; at n=6 the
+    larger calls exceed one chunk, so the screen runs as well as the direct
+    comparison."""
+    shape = QuditShape(2, n)
+    eq_tol = Tolerance().at(shape.dim).eq_tol
+    plants = [(), (2.0,), (0.5,), (2.0, 0.5), (0.5, 0.5), (2.0, 2.0, 0.5)]
+    found = screened = 0
+    for count in range(2, 6):
+        for plant in plants:
+            stacks = [
+                np.stack([random_density(rng, shape).mat for _ in range(int(rng.integers(1, 5)))])
+                for _ in range(count)
+            ]
+            for factor in plant:
+                i, j = sorted(rng.choice(count, 2, replace=False))
+                a, b = int(rng.integers(len(stacks[i]))), int(rng.integers(len(stacks[j])))
+                step = _hermitian_step(rng, shape.dim, "both")
+                stacks[j][b] = stacks[i][a] + factor * eq_tol * step
+            later = sum(len(stack) for stack in stacks[1:])
+            screened += len(stacks[0]) * later * shape.dim**2 > qindel.channels._CHUNK
+            want = _meeting_oracle(stacks, eq_tol)
+            assert first_meeting(stacks, eq_tol) == want
+            assert (want is not None) == (0.5 in plant)
+            if want is not None:
+                found += 1
+                i, j, a, b, dist = want
+                spheres = [SphereSet(shape, eq_tol, stacks[k], [], 0) for k in (i, j)]
+                assert spheres[0].intersection_witness(spheres[1]) == (a, b, dist)
+    assert found == 4 * 4
+    assert (screened > 0) == (n == 6)
+    assert first_meeting(stacks[:1], eq_tol) is None
+
+
 @pytest.mark.parametrize("level, lengths", [(2, range(1, 7)), (3, range(1, 4))])
 def test_deletion_levels_match_per_subset_traces(rng, level, lengths):
     """Every raw row of the ladder equals the direct trace bit for bit, and
@@ -425,7 +472,7 @@ def _matched_blocks(rho, pis):
     matching |00>, pis[1] on the other."""
     form = spectral_decompose(rho)
     k00 = basis_ket("00", rho.shape)
-    idx00 = max(range(form.rank), key=lambda k: abs(form.pairs[k][1] @ k00.conj()))
+    idx00 = max(range(form.rank), key=lambda k: abs(form.kets[:, k] @ k00.conj()))
     order = [idx00] + [k for k in range(form.rank) if k != idx00]
     return InsertionBlocks.separable(1, [pis[order.index(x)] for x in range(form.rank)])
 
@@ -455,8 +502,8 @@ def kron_sum_reference(rho, qset, blocks):
     form = spectral_decompose(rho)
     dim = rho.dim * blocks.shape[-1]
     mat = np.zeros((dim, dim), dtype=complex)
-    for x, (p_x, ket_x) in enumerate(form.pairs):
-        for y, (p_y, ket_y) in enumerate(form.pairs):
+    for x, (p_x, ket_x) in enumerate(zip(form.weights, form.kets.T)):
+        for y, (p_y, ket_y) in enumerate(zip(form.weights, form.kets.T)):
             mat += np.sqrt(p_x * p_y) * np.kron(np.outer(ket_x, ket_y.conj()), blocks[x, y])
     big = DensityMatrix(QuditShape(rho.level, qset.ambient), mat)
     return index_permutation(big, tau_Q(qset, rho.length)).mat
@@ -668,8 +715,8 @@ def test_inserted_blocks_trace_contract(rng):
     for sigma in sample_insertions(rho, qset, 4, seed=5):
         unpermuted = index_permutation(sigma, inverse)
         tensor = unpermuted.mat.reshape(4, 2, 4, 2)
-        for x, (p_x, ket_x) in enumerate(form.pairs):
-            for y, (p_y, ket_y) in enumerate(form.pairs):
+        for x, (p_x, ket_x) in enumerate(zip(form.weights, form.kets.T)):
+            for y, (p_y, ket_y) in enumerate(zip(form.weights, form.kets.T)):
                 block = np.einsum("a,abcd,c->bd", ket_x.conj(), tensor, ket_y)
                 expected = p_x if x == y else 0.0
                 assert abs(np.trace(block) - expected) <= 1e-10

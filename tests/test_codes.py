@@ -127,10 +127,10 @@ def test_insert_construct_matches_explicit_fixtures(rng):
 
     form = spectral_decompose(rho)
     k00 = basis_ket("00", rho.shape)
-    idx00 = max(range(2), key=lambda k: abs(form.pairs[k][1] @ k00.conj()))
+    idx00 = max(range(2), key=lambda k: abs(form.kets[:, k] @ k00.conj()))
     idx11 = 1 - idx00
     # the diagonal source pins the eigenbasis to exact computational kets
-    assert abs(form.pairs[idx00][1] @ k00.conj() - 1.0) < 1e-12
+    assert abs(form.kets[:, idx00] @ k00.conj() - 1.0) < 1e-12
     arr = np.zeros((2, 2, 2, 2), dtype=complex)
     arr[idx00, idx00], arr[idx11, idx11] = pi00, pi11
     arr[idx11, idx00], arr[idx00, idx11] = a, a.conj().T

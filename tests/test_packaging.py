@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -30,3 +31,12 @@ def test_third_party_imports_are_declared():
     imported = _third_party_imports()
     assert {"numpy", "orjson"} <= imported
     assert imported <= declared, f"imported but not declared: {sorted(imported - declared)}"
+
+
+def test_every_exported_name_resolves():
+    missing = []
+    for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
+        module = importlib.import_module(f"qindel.{path.stem}".removesuffix(".__init__"))
+        names = getattr(module, "__all__", ())
+        missing += [f"{module.__name__}.{name}" for name in names if not hasattr(module, name)]
+    assert not missing, f"__all__ names that do not resolve: {missing}"

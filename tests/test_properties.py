@@ -1,5 +1,5 @@
-"""Property tests: input checks (tolerance values and state-file shapes) and
-the metric axioms of the indel distance.
+"""Property tests: input checks (tolerance values and state-file shapes), the
+metric axioms of the indel distance, and the insertion round trip.
 
 Examples are derived from the test source, not drawn at random, and no
 example database is kept, so runs are deterministic and write nothing to
@@ -21,11 +21,19 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
+from qindel.channels import insertion_member, sample_insertions  # noqa: E402
 from qindel.distance import CodeSample, indel_distance, min_distance  # noqa: E402
 from qindel.errors import DuplicateStates, InvalidTolerance, ParseError  # noqa: E402
 from qindel.linalg import Tolerance, kron  # noqa: E402
 from qindel.rand import random_density  # noqa: E402
-from qindel.states import DensityMatrix, QuditShape, state_from_json_obj  # noqa: E402
+from qindel.states import (  # noqa: E402
+    DensityMatrix,
+    QuditShape,
+    purity,
+    spectral_decompose,
+    state_from_json_obj,
+    validate,
+)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -146,3 +154,21 @@ def test_min_distance_is_the_least_pairwise_distance(states):
     least = min(pairs.values())
     assert value == least
     assert pair == next(p for p, d in pairs.items() if d == least)
+
+
+@DETERMINISTIC
+@given(qubit_states(), st.integers(1, 2), st.data())
+def test_sampled_insertions_are_members_from_both_families(rho, t, data):
+    """Every sample is a valid state whose deletion at Q gives rho back.  The
+    samplers alternate, separable first; an entangled sample is a
+    purification, so it is pure, while a separable one is mixed."""
+    positions = st.lists(st.integers(1, rho.length + t), min_size=t, max_size=t, unique=True)
+    Q = tuple(sorted(data.draw(positions)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    samples = sample_insertions(rho, Q, 4, seed)
+    for sigma in samples:
+        validate(sigma.mat, sigma.shape)
+        assert insertion_member(sigma, rho, Q)
+    entangled_ok = 2**t >= spectral_decompose(rho).rank
+    pure = [purity(sigma) > 1 - 1e-9 for sigma in samples]
+    assert pure == [False, entangled_ok, False, entangled_ok]

@@ -109,7 +109,7 @@ def test_spectral_decompose_pure():
     rho = density_from_ket(pure_ket([1, 0], shape))
     form = spectral_decompose(rho)
     assert form.rank == 1
-    weight, ket = form.pairs[0]
+    weight, ket = form.weights[0], form.kets[:, 0]
     assert weight == pytest.approx(1.0)
     assert abs(ket[0]) == pytest.approx(1.0)
 
@@ -121,8 +121,8 @@ def test_spectral_decompose_diagonal_mixture():
     form = spectral_decompose(rho)
     assert form.rank == 2
     np.testing.assert_allclose(form.weights, [0.7, 0.3])
-    assert abs(form.pairs[0][1] @ k11.conj()) == pytest.approx(1.0)
-    assert abs(form.pairs[1][1] @ k00.conj()) == pytest.approx(1.0)
+    assert abs(form.kets[:, 0] @ k11.conj()) == pytest.approx(1.0)
+    assert abs(form.kets[:, 1] @ k00.conj()) == pytest.approx(1.0)
 
 
 def test_spectral_decompose_degenerate():
@@ -130,7 +130,7 @@ def test_spectral_decompose_degenerate():
     form = spectral_decompose(DensityMatrix(shape, np.eye(2, dtype=complex) / 2))
     assert form.rank == 2
     np.testing.assert_allclose(form.weights, [0.5, 0.5])
-    u, v = form.pairs[0][1], form.pairs[1][1]
+    u, v = form.kets[:, 0], form.kets[:, 1]
     assert abs(u @ v.conj()) < 1e-12  # any orthonormal pair is fine
 
 
@@ -143,7 +143,7 @@ def test_spectral_reconstruction_roundtrip(rng):
         # eigenkets are mutually orthonormal
         for i in range(form.rank):
             for j in range(form.rank):
-                ip = form.pairs[i][1] @ form.pairs[j][1].conj()
+                ip = form.kets[:, i] @ form.kets[:, j].conj()
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
 
 
