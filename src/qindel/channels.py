@@ -13,9 +13,10 @@ Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
 spectral form and one ``(rank, rank, l**t, l**t)`` array of blocks A_{x,y},
 one per eigenvector pair (t-qudit densities on the diagonal, traceless adjoint
-pairs off it).  The blocks are checked as one array and attached to the
-eigenvectors by a single contraction, with the inserted qudits last; an index
-permutation then moves them into place.
+pairs off it).  One builder takes a stack of such arrays, one per member: the
+stack is checked as one array and attached to the eigenvectors by one
+contraction, with the inserted qudits last; one axis transpose then moves them
+into place.  A sampler builds all its samples as one stack.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .errors import (
     RoundTripFailed,
     ShapeMismatch,
 )
-from .linalg import Tolerance, hermitian_eigenvalues, hermitian_part
-from .rand import random_density, random_orthonormal
+from .linalg import Tolerance
+from .rand import random_densities, random_orthonormal
 from .states import DensityMatrix, QuditShape, SpectralForm, spectral_decompose
 
 __all__ = [
@@ -456,48 +457,58 @@ class InsertionBlocks:
         return cls(t, np.einsum("xy,xab->xyab", np.eye(len(pis)), pis))
 
 
-def _worst_pair(residuals: np.ndarray) -> tuple[int, int]:
-    x, y = np.unravel_index(np.argmax(residuals), residuals.shape)
-    return int(x), int(y)
+def _sample_label(k: int, count: int) -> str:
+    """The prefix naming sample k in an error about a stack of ``count`` samples."""
+    return "" if count == 1 else f"sample {k}: "
 
 
-def _check_blocks(blocks: np.ndarray, rank: int, block_shape: QuditShape, tol: Tolerance) -> None:
-    """Raise ``BlockConstraintViolated`` unless ``blocks`` is a valid block
-    array for ``rank`` eigenvectors, within ``tol`` at the t-qudit dimension:
-    its shape, finite entries, adjoint pairs (the array is Hermitian as one
-    matrix), unit trace on the diagonal and zero trace off it, and PSD
-    diagonal blocks."""
+def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: Tolerance) -> None:
+    """Raise ``BlockConstraintViolated`` unless ``stack`` is a valid stack of
+    ``(rank, rank, l**t, l**t)`` block arrays, one per sample, within ``tol``
+    at the t-qudit dimension: its shape, finite entries, adjoint pairs (each
+    array is Hermitian as one matrix), unit trace on the diagonal and zero
+    trace off it, and PSD diagonal blocks.  Each check runs over the whole
+    stack and reports its worst violation; with more than one sample, the
+    message names the sample."""
     tol = tol.at(block_shape.dim)
-    expected = (rank, rank, block_shape.dim, block_shape.dim)
-    if blocks.shape != expected:
-        raise BlockConstraintViolated(f"blocks have shape {blocks.shape}, expected {expected}")
-    if not np.isfinite(blocks).all():
-        raise BlockConstraintViolated("blocks have non-finite entries")
+    count = len(stack)
 
-    adjoint_res = np.linalg.norm(blocks - blocks.transpose(1, 0, 3, 2).conj(), axis=(2, 3))
-    x, y = _worst_pair(adjoint_res)
-    if adjoint_res[x, y] > tol.eq_tol:
-        raise BlockConstraintViolated(
+    def violated(k: int, message: str) -> BlockConstraintViolated:
+        return BlockConstraintViolated(_sample_label(k, count) + message)
+
+    expected = (rank, rank, block_shape.dim, block_shape.dim)
+    if stack.shape[1:] != expected:
+        raise BlockConstraintViolated(f"blocks have shape {stack.shape[1:]}, expected {expected}")
+    finite = np.isfinite(stack).reshape(count, -1).all(axis=1)
+    if not finite.all():
+        raise violated(int(np.argmin(finite)), "blocks have non-finite entries")
+
+    adjoint_res = np.linalg.norm(stack - stack.transpose(0, 2, 1, 4, 3).conj(), axis=(3, 4))
+    k, x, y = np.unravel_index(int(np.argmax(adjoint_res)), adjoint_res.shape)
+    if adjoint_res[k, x, y] > tol.eq_tol:
+        raise violated(
+            k,
             f"blocks ({x}, {y}) and ({y}, {x}) are not adjoints "
-            f"(residual {adjoint_res[x, y]:.3e})"
+            f"(residual {adjoint_res[k, x, y]:.3e})",
         )
 
-    trace_res = np.abs(np.trace(blocks, axis1=2, axis2=3) - np.eye(rank))
-    x, y = _worst_pair(trace_res)
-    if trace_res[x, y] > tol.eq_tol:
+    trace_res = np.abs(np.trace(stack, axis1=3, axis2=4) - np.eye(rank))
+    k, x, y = np.unravel_index(int(np.argmax(trace_res)), trace_res.shape)
+    if trace_res[k, x, y] > tol.eq_tol:
         if x == y:
-            raise BlockConstraintViolated(
+            raise violated(
+                k,
                 f"diagonal block {x} is not a valid state: trace differs from 1 by "
-                f"{trace_res[x, x]:.3e}"
+                f"{trace_res[k, x, x]:.3e}",
             )
-        raise BlockConstraintViolated(f"block ({x}, {y}) has nonzero trace {trace_res[x, y]:.3e}")
+        raise violated(k, f"block ({x}, {y}) has nonzero trace {trace_res[k, x, y]:.3e}")
 
-    diag = blocks[np.arange(rank), np.arange(rank)]
-    lowest = np.linalg.eigvalsh((diag + diag.conj().swapaxes(1, 2)) / 2)[:, 0]
-    x = int(np.argmin(lowest))
-    if lowest[x] < -tol.psd_tol:
-        raise BlockConstraintViolated(
-            f"diagonal block {x} is not a valid state: negative eigenvalue {lowest[x]:.3e}"
+    diag = stack[:, np.arange(rank), np.arange(rank)]
+    lowest = np.linalg.eigvalsh((diag + diag.conj().swapaxes(2, 3)) / 2)[..., 0]
+    k, x = np.unravel_index(int(np.argmin(lowest)), lowest.shape)
+    if lowest[k, x] < -tol.psd_tol:
+        raise violated(
+            k, f"diagonal block {x} is not a valid state: negative eigenvalue {lowest[k, x]:.3e}"
         )
 
 
@@ -507,7 +518,8 @@ def insert_construct(
     blocks: InsertionBlocks,
     tol: Tolerance = Tolerance(),
 ) -> DensityMatrix:
-    """Build a member of I_Q(rho) from explicit blocks.
+    """Build a member of I_Q(rho) from explicit blocks: ``_insert_stack`` of a
+    one-sample stack.
 
     The block formula alone does not guarantee positivity, so the assembled
     state is PSD-checked and rejected rather than repaired; the deletion
@@ -516,41 +528,63 @@ def insert_construct(
     qset = _insertion_set(Q, rho.length)
     if blocks.t != qset.size:
         raise ShapeMismatch(f"blocks are for t={blocks.t} but Q inserts {qset.size} qudits")
-    return _insert(rho, qset, spectral_decompose(rho, tol), blocks, tol)
+    return _insert_stack(rho, qset, spectral_decompose(rho, tol), blocks.blocks[None], tol)[0]
 
 
-def _insert(
+def _insert_stack(
     rho: DensityMatrix,
     qset: IndexSet,
     form: SpectralForm,
-    blocks: InsertionBlocks,
+    stack: np.ndarray,
     tol: Tolerance,
-) -> DensityMatrix:
-    """``insert_construct`` once rho's spectral form is known."""
-    n, l = rho.length, rho.level
-    _check_blocks(blocks.blocks, form.rank, QuditShape(l, qset.size), tol)
-    # columns sqrt(p_x) |x_L>, so the state is sum_{x,y} V_x V_y^dagger (x) A_{x,y};
+) -> list[DensityMatrix]:
+    """The members of I_Q(rho) built from a ``(count, rank, rank, l**t, l**t)``
+    stack of block arrays, once rho's spectral form is known.
+
+    The checks run in order, each over the whole stack: every block check
+    (``_check_blocks``), then the PSD test of every assembled state, then
+    every deletion round trip.  With more than one sample, an error names
+    the sample.
+    """
+    n, l, t = rho.length, rho.level, qset.size
+    count = len(stack)
+    _check_blocks(stack, form.rank, QuditShape(l, t), tol)
+    # columns sqrt(p_x) |x_L>, so a state is sum_{x,y} V_x V_y^dagger (x) A_{x,y};
     # contracting V with the blocks first, then with V^dagger, never forms a
     # per-pair Kronecker product
     v = form.kets * np.sqrt(form.weights)
+    vb = np.tensordot(v, stack, (1, 1))  # axes (i, k, y, a, b)
+    mat = np.tensordot(vb, v.conj(), (2, 1))  # axes (i, k, a, b, j)
+    # the axes of the tensor are i's n qudits, the sample, a's t, b's t and
+    # j's n qudits; one transpose puts the sample first and applies tau_Q to
+    # the rows (i, a) and the columns (b, j) alike
+    source = [0] * qset.ambient  # source[p - 1]: the qudit of (i, a) that tau_Q puts at p
+    for i, p in enumerate(tau_Q(qset, n)):
+        source[p - 1] = i
+    rows = [i + (i >= n) for i in source]  # past the sample axis
+    cols = [r + n + 2 * t + 1 if r < n else r + t for r in rows]
+    tensor = mat.reshape([l] * n + [count] + [l] * (2 * t + n))
     big_shape = QuditShape(l, qset.ambient)
-    vb = np.tensordot(v, blocks.blocks, (1, 0))  # axes (i, y, a, b)
-    mat = np.tensordot(vb, v.conj(), (1, 1)).transpose(0, 1, 3, 2)  # axes (i, a, j, b)
-    sigma_mat = _permute_axes(mat.reshape(big_shape.dim, big_shape.dim), tau_Q(qset, n), l)
+    sigmas = tensor.transpose([n] + rows + cols).reshape(count, big_shape.dim, big_shape.dim)
     big_tol = tol.at(big_shape.dim)
 
-    w = hermitian_eigenvalues(hermitian_part(sigma_mat), big_tol)
-    if w[0] < -big_tol.psd_tol:
+    lowest = np.linalg.eigvalsh((sigmas + sigmas.conj().swapaxes(1, 2)) / 2)[:, 0]
+    k = int(np.argmin(lowest))
+    if lowest[k] < -big_tol.psd_tol:
         raise NotPSD(
-            f"assembled insertion is not PSD (min eigenvalue {w[0]:.3e})", -float(w[0])
+            f"{_sample_label(k, count)}assembled insertion is not PSD "
+            f"(min eigenvalue {lowest[k]:.3e})",
+            -float(lowest[k]),
         )
-    sigma = DensityMatrix(big_shape, sigma_mat)
 
-    back = delete(sigma, qset)
-    residual = back.distance(rho)
-    if residual > tol.at(rho.dim).eq_tol:
-        raise RoundTripFailed(f"D_Q(sigma) differs from rho by {residual:.3e}")
-    return sigma
+    residuals = np.linalg.norm(trace_out(sigmas, qset, l) - rho.mat, axis=(1, 2))
+    k = int(np.argmax(residuals))
+    if residuals[k] > tol.at(rho.dim).eq_tol:
+        raise RoundTripFailed(
+            f"{_sample_label(k, count)}D_Q(sigma) differs from rho by {residuals[k]:.3e}"
+        )
+    sigmas.setflags(write=False)
+    return [DensityMatrix(big_shape, mat) for mat in sigmas]
 
 
 def insertion_member(
@@ -579,24 +613,25 @@ def sample_insertions(
     Two families alternate: (a) separable, a random t-qudit density per
     eigenvector with zero off-diagonal blocks; (b) entangled, a purification
     sigma = |Phi><Phi| with |Phi> = sum_x sqrt(p_x) |x_L> (x) |u_x| over a
-    random orthonormal set, emitted only when l^t >= rank(rho).
+    random orthonormal set, emitted only when l^t >= rank(rho).  Sample k is
+    entangled when k is odd and the family is possible.
+
+    The samples are drawn in order, so the first k of ``count`` samples are
+    the k samples of the same seed, and then built as one block stack by one
+    ``_insert_stack`` call: every sample is checked and verified as
+    ``insert_construct`` checks one.
     """
     if count < 1:
         raise CountOutOfRange(f"need count >= 1, got {count}")
     qset = _insertion_set(Q, rho.length)
-    t = qset.size
     rng = np.random.default_rng(seed)
     form = spectral_decompose(rho, tol)
-    block_shape = QuditShape(rho.level, t)
-    entangled_ok = block_shape.dim >= form.rank
-
-    samples: list[DensityMatrix] = []
+    rank, dim = form.rank, rho.level**qset.size
+    stack = np.empty((count, rank, rank, dim, dim), dtype=complex)
     for k in range(count):
-        if k % 2 == 1 and entangled_ok:
-            kets = np.array(random_orthonormal(rng, block_shape.dim, form.rank))
-            blocks = InsertionBlocks(t, np.einsum("xa,yb->xyab", kets, kets.conj()))
+        if k % 2 == 1 and dim >= rank:
+            kets = np.array(random_orthonormal(rng, dim, rank))
+            stack[k] = np.einsum("xa,yb->xyab", kets, kets.conj())
         else:
-            pis = [random_density(rng, block_shape).mat for _ in range(form.rank)]
-            blocks = InsertionBlocks.separable(t, pis)
-        samples.append(_insert(rho, qset, form, blocks, tol))
-    return samples
+            stack[k] = InsertionBlocks.separable(qset.size, random_densities(rng, dim, rank)).blocks
+    return _insert_stack(rho, qset, form, stack, tol)

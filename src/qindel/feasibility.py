@@ -349,6 +349,8 @@ def member_del_ins(
     Inconclusive otherwise.  The range projectors of sigma and rho are built
     once for all pairs.
     """
+    if s < 0 or t < 0:
+        raise CountOutOfRange(f"counts must be nonnegative, got s={s}, t={t}")
     if sigma.level != rho.level:
         raise ShapeMismatch(f"levels differ: {sigma.level} vs {rho.level}")
     if sigma.length != rho.length + t - s:
@@ -406,10 +408,12 @@ def check_containment_trial(
     Any composite of s deletions and t insertions lands inside the
     insertions-after-deletions sphere, so the test must come back true.
     """
-    if s > rho.length:
+    if not 0 <= s <= rho.length:
         raise CountOutOfRange(
             f"cannot delete {s} qudits from a length-{rho.length} state"
         )
+    if t < 0:
+        raise CountOutOfRange(f"cannot insert {t} qudits")
     rng = np.random.default_rng(seed)
     state = rho
     deletions_left, insertions_left = s, t

@@ -181,7 +181,9 @@ def psd_principal_minors(a, tol: Tolerance = Tolerance()) -> bool:
 
     A Hermitian matrix is PSD iff every principal minor is nonnegative.  The
     subset enumeration is exponential, so this is a cross-check oracle for
-    ``is_psd`` at dim <= ``MINORS_MAX_DIM``, not a production path.
+    ``is_psd`` at dim <= ``MINORS_MAX_DIM``, not a production path.  The
+    minors of each size k are one ``det`` call over the stacked k x k
+    principal submatrices, in ``combinations`` order.
     """
     a = _as_complex(a)
     n = a.shape[0]
@@ -190,8 +192,8 @@ def psd_principal_minors(a, tol: Tolerance = Tolerance()) -> bool:
     tol = tol.at(n)
     _require_hermitian(a, tol)
     for k in range(1, n + 1):
-        for rows in combinations(range(n), k):
-            minor = np.linalg.det(a[np.ix_(rows, rows)])
-            if minor.real < -tol.psd_tol:
-                return False
+        rows = np.array(list(combinations(range(n), k)))
+        minors = np.linalg.det(a[rows[:, :, None], rows[:, None, :]])
+        if (minors.real < -tol.psd_tol).any():
+            return False
     return True

@@ -10,12 +10,19 @@ __all__ = [
     "random_hermitian",
     "random_psd",
     "random_density",
+    "random_densities",
     "random_orthonormal",
 ]
 
 
-def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def _ginibre(
+    rng: np.random.Generator, rows: int, cols: int, batch: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Complex Gaussian matrices of shape ``batch + (rows, cols)`` from one draw;
+    each matrix takes its real part, then its imaginary part, from the stream,
+    so a batch draws what one call per matrix would."""
+    parts = rng.standard_normal((*batch, 2, rows, cols))
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -33,6 +40,14 @@ def random_density(rng: np.random.Generator, shape: QuditShape, rank: int | None
     """Trace-normalized Ginibre state, optionally rank-limited."""
     m = random_psd(rng, shape.dim, rank)
     return DensityMatrix(shape, m / np.trace(m).real)
+
+
+def random_densities(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` full-rank trace-normalized Ginibre states as one ``(count, dim, dim)``
+    array: the matrices ``count`` calls of ``random_density`` would draw."""
+    b = _ginibre(rng, dim, dim, (count,))
+    m = b @ b.conj().swapaxes(1, 2)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
 
 
 def random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:

@@ -9,6 +9,7 @@ from qindel.channels import (
     IndexSet,
     InsertionBlocks,
     SphereSet,
+    _insert_stack,
     _screened_distances,
     _traced_levels,
     cross_distances,
@@ -598,6 +599,40 @@ def test_insert_construct_rejects_non_psd():
     arr = np.array([[pi, a.conj().T], [a, pi]])
     with pytest.raises(NotPSD):
         insert_construct(rho, IndexSet((3,), 3), InsertionBlocks(1, arr))
+
+
+def _tampered(stack, k, case):
+    """``stack`` with one kind of fault written into sample k."""
+    stack = stack.copy()
+    a = np.array([[0, 1], [0, 0]], dtype=complex)
+    if case == "non-finite":
+        stack[k, 0, 1] = np.nan
+    elif case == "adjoint":
+        stack[k, 0, 1] = a  # (1, 0) left zero
+    elif case == "trace":
+        stack[k, 0, 1] = stack[k, 1, 0] = np.eye(2)
+    elif case == "not a valid state":
+        stack[k, 1, 1] = np.diag([1.5, -0.5])
+    else:  # singular diagonal blocks with coupling outside their support
+        stack[k, 0, 0] = stack[k, 1, 1] = np.diag([1.0, 0.0])
+        stack[k, 0, 1], stack[k, 1, 0] = 0.3 * a.conj().T, 0.3 * a
+    return stack
+
+
+@pytest.mark.parametrize("case", ["non-finite", "adjoint", "trace", "not a valid state", "not PSD"])
+def test_block_stack_errors_name_the_sample(case):
+    # a stack of valid block arrays with one tampered slot k > 0 is refused,
+    # and the error names sample k; a one-sample stack keeps the plain message
+    rho = example_rho(0.5, 0.5)
+    qset = IndexSet((3,), 3)
+    form = spectral_decompose(rho)
+    good = np.array([InsertionBlocks.separable(1, [np.eye(2) / 2] * form.rank).blocks] * 3)
+    error = NotPSD if case == "not PSD" else BlockConstraintViolated
+    for k in (1, 2):
+        with pytest.raises(error, match=rf"^sample {k}: .*{case}"):
+            _insert_stack(rho, qset, form, _tampered(good, k, case), Tolerance())
+    with pytest.raises(error, match=rf"^(?!sample).*{case}"):
+        _insert_stack(rho, qset, form, _tampered(good, 0, case)[:1], Tolerance())
 
 
 def test_insertion_member():

@@ -5,7 +5,7 @@ import pytest
 
 from qindel.channels import IndexSet, delete, trace_out
 from qindel.codes import example_psi, example_rho
-from qindel.errors import ShapeMismatch, SizeCapExceeded
+from qindel.errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
 from qindel.feasibility import (
     AffineConstraint,
     FeasibilityStatus,
@@ -199,6 +199,22 @@ def test_containment_trials(rng):
         state = random_density(rng, QuditShape(2, 2), int(rng.integers(1, 5)))
         assert check_containment_trial(state, 100 + seed, 1, 2)
         assert check_containment_trial(state, 200 + seed, 2, 1)
+
+
+@pytest.mark.parametrize("s, t", [(-1, 1), (1, -1)])
+def test_containment_trial_refuses_negative_counts(s, t):
+    # refused by name before the first move is drawn
+    with pytest.raises(CountOutOfRange):
+        check_containment_trial(example_rho(0.5, 0.5), 0, s, t)
+
+
+@pytest.mark.parametrize("s, t", [(-1, 0), (0, -1)])
+def test_member_del_ins_refuses_negative_counts(rng, s, t):
+    # sigma has the length n + t - s the counts ask for, so only the count is wrong
+    rho = example_rho(0.5, 0.5)
+    sigma = random_density(rng, QuditShape(2, rho.length + t - s))
+    with pytest.raises(CountOutOfRange):
+        member_del_ins(sigma, rho, s, t)
 
 
 def test_low_rank_marginals_are_feasible(rng):

@@ -1,5 +1,6 @@
 """Property tests: input checks (tolerance values and state-file shapes), the
-metric axioms of the indel distance, and the insertion round trip.
+metric axioms of the indel distance, the insertion round trip and sampler
+prefixes, and the containment of interleaved errors.
 
 Examples are derived from the test source, not drawn at random, and no
 example database is kept, so runs are deterministic and write nothing to
@@ -24,6 +25,7 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 from qindel.channels import insertion_member, sample_insertions  # noqa: E402
 from qindel.distance import CodeSample, indel_distance, min_distance  # noqa: E402
 from qindel.errors import DuplicateStates, InvalidTolerance, ParseError  # noqa: E402
+from qindel.feasibility import check_containment_trial  # noqa: E402
 from qindel.linalg import Tolerance, kron  # noqa: E402
 from qindel.rand import random_density  # noqa: E402
 from qindel.states import (  # noqa: E402
@@ -172,3 +174,28 @@ def test_sampled_insertions_are_members_from_both_families(rho, t, data):
     entangled_ok = 2**t >= spectral_decompose(rho).rank
     pure = [purity(sigma) > 1 - 1e-9 for sigma in samples]
     assert pure == [False, entangled_ok, False, entangled_ok]
+
+
+@DETERMINISTIC
+@given(qubit_states(), st.integers(1, 2), st.data())
+def test_fewer_samples_are_a_prefix_of_more(rho, t, data):
+    """Samples are drawn in order: the first k of c samples are the k samples
+    of the same seed, bit for bit, however many the block stack holds."""
+    positions = st.lists(st.integers(1, rho.length + t), min_size=t, max_size=t, unique=True)
+    Q = tuple(sorted(data.draw(positions)))
+    more = data.draw(st.integers(2, 6))
+    fewer = data.draw(st.integers(1, more - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    prefix = sample_insertions(rho, Q, fewer, seed)
+    for short, long in zip(prefix, sample_insertions(rho, Q, more, seed)):
+        assert short.mat.tobytes() == long.mat.tobytes()
+
+
+@DETERMINISTIC
+@given(st.sampled_from([(1, 1), (2, 1), (1, 2), (0, 2), (2, 0)]), st.data())
+def test_interleaved_errors_land_in_the_insertions_after_deletions_sphere(counts, data):
+    """Every interleaving of s deletions and t insertions lands in I^t(D^s(rho))."""
+    s, t = counts
+    rho = data.draw(qubit_states(st.integers(max(s, 1), 3)))
+    seed = data.draw(st.integers(0, 2**62 - 1))
+    assert check_containment_trial(rho, seed, s, t)
