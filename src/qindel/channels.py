@@ -583,7 +583,7 @@ def _insert_stack(
         raise RoundTripFailed(
             f"{_sample_label(k, count)}D_Q(sigma) differs from rho by {residuals[k]:.3e}"
         )
-    sigmas.setflags(write=False)
+    sigmas.setflags(write=False)  # so each state keeps its row as a view, not a copy
     return [DensityMatrix(big_shape, mat) for mat in sigmas]
 
 
