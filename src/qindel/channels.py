@@ -15,8 +15,8 @@ spectral form and one ``(rank, rank, l**t, l**t)`` array of blocks A_{x,y},
 one per eigenvector pair (t-qudit densities on the diagonal, traceless adjoint
 pairs off it).  One builder takes a stack of such arrays, one per member: the
 stack is checked as one array and attached to the eigenvectors by one
-contraction, with the inserted qudits last; one axis transpose then moves them
-into place.  A sampler builds all its samples as one stack.
+contraction, with the inserted qudits last; an index permutation then moves
+them into place.  A sampler builds all its samples as one stack.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .errors import (
     RoundTripFailed,
     ShapeMismatch,
 )
-from .linalg import Tolerance
-from .rand import random_densities, random_orthonormal
+from .linalg import Tolerance, hermitian_eigenvalues
+from .rand import random_orthonormal, random_psd
 from .states import DensityMatrix, QuditShape, SpectralForm, spectral_decompose
 
 __all__ = [
@@ -395,16 +395,21 @@ def _check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def _permute_axes(mat: np.ndarray, perm: tuple[int, ...], level: int) -> np.ndarray:
-    """Reorder tensor factors so that qudit i of the input sits at slot perm[i-1]."""
+    """Reorder tensor factors so that qudit i of the input sits at slot perm[i-1].
+
+    Leading axes of ``mat`` are a batch and are kept.
+    """
     n = len(perm)
+    batch = mat.shape[:-2]
+    k = len(batch)
     # new slot j holds old qudit perm^(-1)(j); transpose axes[j] = perm^(-1)(j+1)-1
     inverse = [0] * n
     for i, target in enumerate(perm):
         inverse[target - 1] = i
-    axes = inverse + [n + a for a in inverse]
-    tensor = mat.reshape([level] * (2 * n))
+    axes = list(range(k)) + [k + a for a in inverse] + [k + n + a for a in inverse]
+    tensor = mat.reshape(*batch, *[level] * (2 * n))
     dim = level ** n
-    return tensor.transpose(axes).reshape(dim, dim)
+    return tensor.transpose(axes).reshape(*batch, dim, dim)
 
 
 def index_permutation(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
@@ -554,21 +559,15 @@ def _insert_stack(
     # per-pair Kronecker product
     v = form.kets * np.sqrt(form.weights)
     vb = np.tensordot(v, stack, (1, 1))  # axes (i, k, y, a, b)
-    mat = np.tensordot(vb, v.conj(), (2, 1))  # axes (i, k, a, b, j)
-    # the axes of the tensor are i's n qudits, the sample, a's t, b's t and
-    # j's n qudits; one transpose puts the sample first and applies tau_Q to
-    # the rows (i, a) and the columns (b, j) alike
-    source = [0] * qset.ambient  # source[p - 1]: the qudit of (i, a) that tau_Q puts at p
-    for i, p in enumerate(tau_Q(qset, n)):
-        source[p - 1] = i
-    rows = [i + (i >= n) for i in source]  # past the sample axis
-    cols = [r + n + 2 * t + 1 if r < n else r + t for r in rows]
-    tensor = mat.reshape([l] * n + [count] + [l] * (2 * t + n))
+    mat = np.tensordot(vb, v.conj(), (2, 1)).transpose(1, 0, 2, 4, 3)  # axes (k, i, a, j, b)
     big_shape = QuditShape(l, qset.ambient)
-    sigmas = tensor.transpose([n] + rows + cols).reshape(count, big_shape.dim, big_shape.dim)
+    sigmas = _permute_axes(mat.reshape(count, big_shape.dim, big_shape.dim), tau_Q(qset, n), l)
     big_tol = tol.at(big_shape.dim)
 
-    lowest = np.linalg.eigvalsh((sigmas + sigmas.conj().swapaxes(1, 2)) / 2)[:, 0]
+    # blocks that pass their adjoint check assemble to states Hermitian within
+    # big_tol (up to rounding), so its Hermitian check passes and only the
+    # rounding drift is symmetrized away
+    lowest = hermitian_eigenvalues(sigmas, big_tol)[:, 0]
     k = int(np.argmin(lowest))
     if lowest[k] < -big_tol.psd_tol:
         raise NotPSD(
@@ -633,5 +632,7 @@ def sample_insertions(
             kets = np.array(random_orthonormal(rng, dim, rank))
             stack[k] = np.einsum("xa,yb->xyab", kets, kets.conj())
         else:
-            stack[k] = InsertionBlocks.separable(qset.size, random_densities(rng, dim, rank)).blocks
+            m = random_psd(rng, dim, batch=(rank,))
+            pis = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+            stack[k] = InsertionBlocks.separable(qset.size, pis).blocks
     return _insert_stack(rho, qset, form, stack, tol)

@@ -110,27 +110,29 @@ def frobenius_distance(a, b) -> float:
 
 
 def hermitian_part(a) -> np.ndarray:
-    """(a + a†)/2; removes rounding drift without changing Hermitian inputs."""
+    """(a + a†)/2; removes rounding drift without changing Hermitian inputs.
+    Leading axes are a batch."""
     a = _as_complex(a)
-    return (a + a.conj().T) / 2
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def hermitian_residual(a) -> float:
-    """Frobenius distance between ``a`` and its adjoint."""
+    """Frobenius distance between ``a`` and its adjoint; for a stack of
+    matrices (leading batch axes), the largest of them."""
     a = _as_complex(a)
-    return float(np.linalg.norm(a - a.conj().T))
+    return float(np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)).max())
 
 
 def _require_hermitian(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     res = hermitian_residual(a)
-    if res > tol.at(len(a)).eq_tol:
+    if res > tol.at(a.shape[-1]).eq_tol:
         raise NotHermitian(f"matrix is not Hermitian (residual {res:.3e})", res)
     return hermitian_part(a)
 
 
 def _hermitian_solve(solver, a, tol: Tolerance):
     a = _as_complex(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSquare(f"eigensystem needs a square matrix, got shape {a.shape}")
     h = _require_hermitian(a, tol)
     try:
@@ -144,7 +146,8 @@ def hermitian_eigensystem(a, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, 
 
     The input is checked Hermitian within ``eq_tol`` and symmetrized before the
     solve, so only rounding drift is ever discarded.  Column ``k`` of the
-    returned unitary is the eigenvector for eigenvalue ``k``.
+    returned unitary is the eigenvector for eigenvalue ``k``.  Leading axes
+    of the input are a batch: each matrix is checked and solved, in one call.
     """
     return _hermitian_solve(np.linalg.eigh, a, tol)
 

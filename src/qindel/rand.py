@@ -10,7 +10,6 @@ __all__ = [
     "random_hermitian",
     "random_psd",
     "random_density",
-    "random_densities",
     "random_orthonormal",
 ]
 
@@ -30,24 +29,19 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
-def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    """B B-dagger for a Ginibre B; rank limits the number of columns."""
-    b = _ginibre(rng, dim, rank if rank is not None else dim)
-    return b @ b.conj().T
+def random_psd(
+    rng: np.random.Generator, dim: int, rank: int | None = None, batch: tuple[int, ...] = ()
+) -> np.ndarray:
+    """B B-dagger for a Ginibre B; rank limits the number of columns.  With
+    ``batch`` leading axes, a stack of them from one draw, as ``_ginibre``."""
+    b = _ginibre(rng, dim, rank if rank is not None else dim, batch)
+    return b @ b.conj().swapaxes(-1, -2)
 
 
 def random_density(rng: np.random.Generator, shape: QuditShape, rank: int | None = None) -> DensityMatrix:
     """Trace-normalized Ginibre state, optionally rank-limited."""
     m = random_psd(rng, shape.dim, rank)
     return DensityMatrix(shape, m / np.trace(m).real)
-
-
-def random_densities(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """``count`` full-rank trace-normalized Ginibre states as one ``(count, dim, dim)``
-    array: the matrices ``count`` calls of ``random_density`` would draw."""
-    b = _ginibre(rng, dim, dim, (count,))
-    m = b @ b.conj().swapaxes(1, 2)
-    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
 
 
 def random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:

@@ -10,6 +10,7 @@ from qindel.channels import (
     InsertionBlocks,
     SphereSet,
     _insert_stack,
+    _permute_axes,
     _screened_distances,
     _traced_levels,
     cross_distances,
@@ -445,6 +446,15 @@ def test_index_permutation_basics(rng):
 
     with pytest.raises(NotAPermutation):
         index_permutation(rho, (1, 1, 2))
+
+
+def test_permute_axes_keeps_leading_batch_axes(rng):
+    states = [random_density(rng, QuditShape(2, 3)) for _ in range(6)]
+    stack = np.array([rho.mat for rho in states]).reshape(2, 3, 8, 8)
+    permuted = _permute_axes(stack, (3, 1, 2), 2)
+    assert permuted.shape == (2, 3, 8, 8)
+    for k, rho in enumerate(states):
+        assert np.array_equal(permuted[divmod(k, 3)], index_permutation(rho, (3, 1, 2)).mat)
 
 
 def test_tau_Q():

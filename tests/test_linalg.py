@@ -115,6 +115,27 @@ def test_eigenvalues_match_eigensystem(rng):
         hermitian_eigenvalues(np.zeros((2, 3)))
 
 
+def test_eigenvalues_of_a_stack_match_each_matrix(rng):
+    stack = np.array([random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+    w = hermitian_eigenvalues(stack)
+    assert w.shape == (2, 3, 4)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(w[idx], hermitian_eigenvalues(stack[idx]))
+    stack[1, 2] += 1e-6j * np.eye(4)  # one non-Hermitian member fails the stack
+    with pytest.raises(NotHermitian):
+        hermitian_eigenvalues(stack)
+    with pytest.raises(NonSquare):
+        hermitian_eigenvalues(np.zeros((2, 3, 4)))
+
+
+def test_random_psd_batch_draws_what_one_call_per_matrix_draws():
+    stack = random_psd(np.random.default_rng(3), 3, 2, batch=(2, 2))
+    rng = np.random.default_rng(3)
+    assert stack.shape == (2, 2, 3, 3)
+    for m in stack.reshape(4, 3, 3):
+        assert np.array_equal(m, random_psd(rng, 3, 2))
+
+
 def test_is_psd():
     assert is_psd(I2)
     assert not is_psd([[1, 2], [2, 1]])  # eigenvalue -1
