@@ -3,6 +3,8 @@
 A density matrix on n l-level qudits is Hermitian, PSD, and trace 1.  Deleting
 the qudit at position p is the partial trace over that tensor factor; the
 s-deletion sphere collects the results over every choice of s positions.
+A pure state is a density matrix too, built from its ket by
+``density_from_ket``, which checks the ket's length and norm.
 """
 
 import numpy as np
@@ -14,7 +16,6 @@ from qindel import (
     deletion_sphere,
     density_from_ket,
     partial_trace,
-    pure_ket,
     spectral_decompose,
     validate,
 )
@@ -24,7 +25,7 @@ print(f"two qubits: dimension {shape.dim}")
 
 # a Bell state, built from computational basis kets
 bell = (basis_ket("00", shape) + basis_ket("11", shape)) / np.sqrt(2)
-rho = density_from_ket(pure_ket(bell, shape))
+rho = density_from_ket(bell, shape)
 print("\nBell density matrix:\n", np.round(rho.mat.real, 3))
 
 # validation catches anything that is not a state
@@ -32,6 +33,10 @@ try:
     validate(np.eye(4), shape)
 except Exception as exc:
     print("\nvalidate(I_4) rejects:", exc)
+try:
+    density_from_ket(basis_ket("00", shape) + basis_ket("11", shape), shape)
+except Exception as exc:
+    print("density_from_ket(|00> + |11>) rejects:", exc)
 
 # spectral form: weights and eigenkets
 form = spectral_decompose(rho)
@@ -53,7 +58,7 @@ print(f"\n1-deletion sphere of the mixture: {len(sphere)} distinct "
 print(np.round(sphere.states[0].mat.real, 3))
 
 # |01> keeps track of which qubit was lost
-k01 = density_from_ket(pure_ket(basis_ket("01", shape), shape))
+k01 = density_from_ket(basis_ket("01", shape), shape)
 print(f"\n1-deletion sphere of |01><01|: {len(deletion_sphere(k01, 1))} elements")
 
 # deleting everything terminates at the unique zero-qudit state (1)

@@ -2,23 +2,25 @@
 
 A state sigma is an insertion of rho at positions Q exactly when deleting Q
 from sigma returns rho.  Members are built from rho's spectral form and one
-block array: blocks[x, y] is the t-qudit block of eigenvector pair (x, y)
-(densities on the diagonal, traceless adjoint pairs off it).  One contraction
-attaches the blocks to the eigenvectors, and a permutation moves the inserted
-qudits into place.  The block formula alone does not guarantee positivity, so
-assemblies are PSD-checked and rejected when they fail.
+plain array of blocks, of shape (rank, rank, l^t, l^t): blocks[x, y] is the
+t-qudit block of eigenvector pair (x, y) (densities on the diagonal, traceless
+adjoint pairs off it), and ``separable_blocks`` builds the one without
+coherence.  One contraction attaches the blocks to the eigenvectors, and a
+permutation moves the inserted qudits into place.  The block formula alone
+does not guarantee positivity, so assemblies are PSD-checked and rejected
+when they fail.
 """
 
 import numpy as np
 
 from qindel import (
     IndexSet,
-    InsertionBlocks,
     delete,
     index_permutation,
     insert_construct,
     insertion_member,
     sample_insertions,
+    separable_blocks,
     tau_Q,
 )
 from qindel.codes import example_rho
@@ -32,7 +34,7 @@ rho = example_rho(0.3, 0.7)
 
 # separable insertion: a fresh density per eigenvector, no coherence
 pi = np.array([[0.8, 0.1], [0.1, 0.2]], dtype=complex)
-blocks = InsertionBlocks.separable(1, [pi, pi])
+blocks = separable_blocks([pi, pi])
 sigma = insert_construct(rho, IndexSet((2,), 3), blocks)
 print("\ninserted at position 2; deleting it returns rho:",
       delete(sigma, {2}).distance(rho) < 1e-12)
@@ -45,7 +47,7 @@ coupling = 0.3 * np.array([[0, 1], [0, 0]], dtype=complex)  # traceless
 coherent = np.array([[singular, coupling.conj().T], [coupling, singular]])
 print("\nblock array shape (rank, rank, l^t, l^t):", coherent.shape)
 try:
-    insert_construct(rho, IndexSet((3,), 3), InsertionBlocks(1, coherent))
+    insert_construct(rho, IndexSet((3,), 3), coherent)
 except NotPSD as exc:
     print("\nnon-PSD assembly rejected:", exc)
 

@@ -2,7 +2,6 @@
 
 from .channels import (
     IndexSet,
-    InsertionBlocks,
     SphereSet,
     delete,
     deletion_levels,
@@ -12,6 +11,7 @@ from .channels import (
     insertion_member,
     partial_trace,
     sample_insertions,
+    separable_blocks,
     tau_Q,
 )
 from .distance import (
@@ -46,14 +46,12 @@ from .linalg import (
 )
 from .states import (
     DensityMatrix,
-    PureKet,
     QuditShape,
     SpectralForm,
     basis_index,
     basis_ket,
     density_from_ket,
     load_state,
-    pure_ket,
     purity,
     save_state,
     save_states,

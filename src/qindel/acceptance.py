@@ -14,8 +14,8 @@ import numpy as np
 
 from .channels import IndexSet, cross_distances, delete, deletion_sphere, sample_insertions
 from .codes import (
+    code_params,
     collision_pair_x2,
-    default_code_params,
     example_psi,
     example_rho,
     hagiwara_codeword,
@@ -96,7 +96,7 @@ def check_x1_min_distance(seed: int) -> dict:
 
 def check_x2_min_distance(seed: int) -> dict:
     """The 4-qubit single-deletion code: disjoint 1-deletion spheres, min distance 4."""
-    params = default_code_params()
+    params = code_params()
     if len(params) < 40:
         return _item("hagiwara4-code-min-distance", False, float(len(params)), "grid too small")
     sample = x2_code_sample()

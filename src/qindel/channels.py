@@ -13,7 +13,9 @@ Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
 spectral form and one ``(rank, rank, l**t, l**t)`` array of blocks A_{x,y},
 one per eigenvector pair (t-qudit densities on the diagonal, traceless adjoint
-pairs off it).  One builder takes a stack of such arrays, one per member: the
+pairs off it).  The plain array is the only representation of the blocks;
+``separable_blocks`` builds the one with no coherence between system and
+inserted qudits.  One builder takes a stack of such arrays, one per member: the
 stack is checked as one array and attached to the eigenvectors by one
 contraction, with the inserted qudits last; an index permutation then moves
 them into place.  A sampler builds all its samples as one stack.
@@ -46,7 +48,6 @@ from .states import DensityMatrix, QuditShape, SpectralForm, spectral_decompose
 
 __all__ = [
     "IndexSet",
-    "InsertionBlocks",
     "SphereSet",
     "cross_distances",
     "distinct_rows",
@@ -59,6 +60,7 @@ __all__ = [
     "deletion_sphere",
     "index_permutation",
     "tau_Q",
+    "separable_blocks",
     "insert_construct",
     "insertion_member",
     "sample_insertions",
@@ -437,29 +439,11 @@ def tau_Q(Q, n: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-@dataclass(frozen=True, eq=False)
-class InsertionBlocks:
-    """The blocks A_{x,y} of an inserted t-qudit subsystem, as one array.
-
-    ``blocks[x, y]`` is the l^t x l^t block of the eigenvector pair (x, y),
-    indexed in the order of the ``SpectralForm`` (zero-weight eigenvectors
-    are already dropped there, which realizes their forced-zero blocks).  A
-    valid array has shape ``(rank, rank, l**t, l**t)``, t-qudit densities on
-    the diagonal, traceless blocks off it, and A_{y,x} = A_{x,y}^dagger;
-    ``insert_construct`` checks all of it.
-    """
-
-    t: int
-    blocks: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", np.asarray(self.blocks, dtype=complex))
-
-    @classmethod
-    def separable(cls, t: int, pis: Sequence[np.ndarray]) -> "InsertionBlocks":
-        """No coherence between system and inserted qudits: A_{x,y} = 0 for x != y."""
-        pis = np.asarray(pis, dtype=complex)
-        return cls(t, np.einsum("xy,xab->xyab", np.eye(len(pis)), pis))
+def separable_blocks(pis: Sequence[np.ndarray]) -> np.ndarray:
+    """The block array with no coherence between system and inserted qudits:
+    A_{x,x} = pis[x] and A_{x,y} = 0 for x != y."""
+    pis = np.asarray(pis, dtype=complex)
+    return np.einsum("xy,xab->xyab", np.eye(len(pis)), pis)
 
 
 def _sample_label(k: int, count: int) -> str:
@@ -520,20 +504,25 @@ def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: To
 def insert_construct(
     rho: DensityMatrix,
     Q,
-    blocks: InsertionBlocks,
+    blocks: np.ndarray,
     tol: Tolerance = Tolerance(),
 ) -> DensityMatrix:
     """Build a member of I_Q(rho) from explicit blocks: ``_insert_stack`` of a
     one-sample stack.
 
-    The block formula alone does not guarantee positivity, so the assembled
-    state is PSD-checked and rejected rather than repaired; the deletion
-    round trip D_Q(sigma) = rho is verified before returning.
+    ``blocks[x, y]`` is the l^t x l^t block A_{x,y} of the eigenvector pair
+    (x, y), indexed in the order of ``spectral_decompose(rho, tol)`` (which
+    drops zero-weight eigenvectors, realizing their forced-zero blocks).  A
+    valid array has shape ``(rank, rank, l**t, l**t)`` for t = |Q|, t-qudit
+    densities on the diagonal, traceless blocks off it, and
+    A_{y,x} = A_{x,y}^dagger; ``_check_blocks`` checks all of it.  The block
+    formula alone does not guarantee positivity, so the assembled state is
+    PSD-checked and rejected rather than repaired; the deletion round trip
+    D_Q(sigma) = rho is verified before returning.
     """
     qset = _insertion_set(Q, rho.length)
-    if blocks.t != qset.size:
-        raise ShapeMismatch(f"blocks are for t={blocks.t} but Q inserts {qset.size} qudits")
-    return _insert_stack(rho, qset, spectral_decompose(rho, tol), blocks.blocks[None], tol)[0]
+    stack = np.asarray(blocks, dtype=complex)[None]
+    return _insert_stack(rho, qset, spectral_decompose(rho, tol), stack, tol)[0]
 
 
 def _insert_stack(
@@ -634,5 +623,5 @@ def sample_insertions(
         else:
             m = random_psd(rng, dim, batch=(rank,))
             pis = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
-            stack[k] = InsertionBlocks.separable(qset.size, pis).blocks
+            stack[k] = separable_blocks(pis)
     return _insert_stack(rho, qset, form, stack, tol)

@@ -11,16 +11,14 @@ from that contract).
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
 from .acceptance import run_all
-from .codes import builtin_code, builtin_state
+from .codes import builtin_code, builtin_state, code_params
 from .distance import CodeSample, Verdict, corrects, corrects_insertions, indel_distance
 from .channels import deletion_sphere
 from .errors import ParseError, QindelError
@@ -69,6 +67,7 @@ def _load_state_spec(spec: str, tol: Tolerance) -> tuple[DensityMatrix, str]:
 
 
 def _grid_params(grid: str | None):
+    """The code parameters ``--grid N_THETA,N_PHI`` asks for; None without it."""
     if grid is None:
         return None
     try:
@@ -77,11 +76,7 @@ def _grid_params(grid: str | None):
             raise ValueError
     except ValueError as exc:
         raise ParseError(f"--grid expects 'N_THETA,N_PHI' with N_THETA>=2, got {grid!r}") from exc
-    thetas = [k * (math.pi / 2) / (n_theta - 1) for k in range(n_theta)]
-    phis = [k * 2 * math.pi / n_phi for k in range(n_phi)]
-    return [
-        (complex(math.cos(th)), cmath.exp(1j * ph) * math.sin(th)) for th in thetas for ph in phis
-    ]
+    return code_params(n_theta, n_phi)
 
 
 def _load_code_spec(spec: str, grid: str | None, tol: Tolerance) -> tuple[CodeSample, str]:
@@ -91,7 +86,7 @@ def _load_code_spec(spec: str, grid: str | None, tol: Tolerance) -> tuple[CodeSa
         if len(names) > 1:
             states = [builtin_state(n) for n in names]
             return CodeSample.from_states(states, names, tol), spec
-        return builtin_code(names[0], _grid_params(grid)), spec
+        return builtin_code(names[0], _grid_params(grid), tol), spec
     path = Path(spec)
     if not path.is_dir():
         raise ParseError(f"code spec {spec!r} is neither builtin:... nor a directory")

@@ -16,13 +16,7 @@ from .channels import delete, distinct_rows
 from .distance import CodeSample
 from .errors import DegenerateParam, NotNormalized, ParseError, WeightOutOfRange
 from .linalg import Tolerance, frobenius_distance, kron
-from .states import (
-    DensityMatrix,
-    QuditShape,
-    basis_ket,
-    density_from_ket,
-    pure_ket,
-)
+from .states import DensityMatrix, QuditShape, basis_ket, density_from_ket
 
 __all__ = [
     "dicke_ket",
@@ -38,7 +32,7 @@ __all__ = [
     "hagiwara_single_deletion",
     "hagiwara_double_deletion",
     "collision_pair_x2",
-    "default_code_params",
+    "code_params",
     "x1_phase_pair_params",
     "x2_collision_params",
     "x1_code_sample",
@@ -83,7 +77,7 @@ def hagiwara_codeword(alpha: complex, beta: complex) -> DensityMatrix:
     shape = QuditShape(2, 4)
     zero_l = (dicke_ket(4, 0) + dicke_ket(4, 4)) / math.sqrt(2)
     one_l = dicke_ket(4, 2) / math.sqrt(6)
-    return density_from_ket(pure_ket(alpha * zero_l + beta * one_l, shape))
+    return density_from_ket(alpha * zero_l + beta * one_l, shape)
 
 
 def x1_codeword(alpha: complex, beta: complex) -> DensityMatrix:
@@ -91,7 +85,7 @@ def x1_codeword(alpha: complex, beta: complex) -> DensityMatrix:
     alpha, beta = _check_param(alpha, beta)
     shape = QuditShape(2, 2)
     ket = alpha * basis_ket("00", shape) + beta * basis_ket("11", shape)
-    return density_from_ket(pure_ket(ket, shape))
+    return density_from_ket(ket, shape)
 
 
 def example_rho(p0: float = 0.5, p1: float = 0.5) -> DensityMatrix:
@@ -105,7 +99,7 @@ def example_psi(p0: float = 0.5, p1: float = 0.5) -> DensityMatrix:
     """|psi><psi| for |psi> = sqrt(p0)|01> + sqrt(p1)|10|."""
     shape = QuditShape(2, 2)
     ket = math.sqrt(p0) * basis_ket("01", shape) + math.sqrt(p1) * basis_ket("10", shape)
-    return density_from_ket(pure_ket(ket, shape))
+    return density_from_ket(ket, shape)
 
 
 def _coherence_terms(p0: float, p1: float, a: np.ndarray, slot: int) -> np.ndarray:
@@ -248,10 +242,12 @@ def collision_pair_x2(alpha: complex, beta: complex) -> tuple[DensityMatrix, Den
 # --- parameter grids and code samples -----------------------------------------
 
 
-def default_code_params() -> list[tuple[complex, complex]]:
-    """(alpha, beta) = (cos theta, e^(i phi) sin theta) over the default grid."""
-    thetas = [k * math.pi / 8 for k in range(5)]
-    phis = [k * math.pi / 4 for k in range(8)]
+def code_params(n_theta: int = 5, n_phi: int = 8) -> list[tuple[complex, complex]]:
+    """(alpha, beta) = (cos theta, e^(i phi) sin theta) over a grid: ``n_theta``
+    (at least 2) angles theta evenly spaced over [0, pi/2], each with
+    ``n_phi`` phases phi evenly spaced over [0, 2 pi)."""
+    thetas = [k * (math.pi / 2) / (n_theta - 1) for k in range(n_theta)]
+    phis = [k * 2 * math.pi / n_phi for k in range(n_phi)]
     return [
         (complex(math.cos(th)), cmath.exp(1j * ph) * math.sin(th))
         for th, ph in product(thetas, phis)
@@ -268,13 +264,14 @@ def x2_collision_params() -> tuple[complex, complex]:
     return (math.cos(math.pi / 8), math.sin(math.pi / 8) * cmath.exp(1j * math.pi / 3))
 
 
-def _dedup_sample(entries: list[tuple[str, DensityMatrix]]) -> CodeSample:
-    """Greedy dedup within eq_tol: the first entry of each coinciding group stays."""
-    if not entries:
-        return CodeSample((), ())
-    eq_tol = Tolerance().at(entries[0][1].dim).eq_tol
+def _dedup_sample(entries: list[tuple[str, DensityMatrix]], tol: Tolerance) -> CodeSample:
+    """Greedy dedup of a nonempty list within eq_tol: the first entry of each
+    coinciding group stays."""
+    eq_tol = tol.at(entries[0][1].dim).eq_tol
     kept, _ = distinct_rows(np.stack([state.mat for _, state in entries]), eq_tol)
-    return CodeSample(tuple(entries[c][1] for c in kept), tuple(entries[c][0] for c in kept))
+    return CodeSample(
+        tuple(entries[c][1] for c in kept), tuple(entries[c][0] for c in kept), tol
+    )
 
 
 def _grid_entries(codeword, params) -> list[tuple[str, DensityMatrix]]:
@@ -284,23 +281,23 @@ def _grid_entries(codeword, params) -> list[tuple[str, DensityMatrix]]:
     ]
 
 
-def x1_code_sample(params=None) -> CodeSample:
-    """Grid sample of the two-qubit code, engineered phase pair appended."""
-    entries = _grid_entries(x1_codeword, params if params is not None else default_code_params())
+def x1_code_sample(params=None, tol: Tolerance = Tolerance()) -> CodeSample:
+    """Grid sample of the two-qubit code, engineered phase pair appended,
+    deduplicated within ``tol``."""
+    entries = _grid_entries(x1_codeword, params if params is not None else code_params())
     for k, (a, b) in enumerate(x1_phase_pair_params()):
         entries.append((f"phase-{k + 1}", x1_codeword(a, b)))
-    return _dedup_sample(entries)
+    return _dedup_sample(entries, tol)
 
 
-def x2_code_sample(params=None) -> CodeSample:
-    """Grid sample of the four-qubit single-deletion code, collision pair appended."""
-    entries = _grid_entries(
-        hagiwara_codeword, params if params is not None else default_code_params()
-    )
+def x2_code_sample(params=None, tol: Tolerance = Tolerance()) -> CodeSample:
+    """Grid sample of the four-qubit single-deletion code, collision pair
+    appended, deduplicated within ``tol``."""
+    entries = _grid_entries(hagiwara_codeword, params if params is not None else code_params())
     psi1, psi2 = collision_pair_x2(*x2_collision_params())
     entries.append(("collision-1", psi1))
     entries.append(("collision-2", psi2))
-    return _dedup_sample(entries)
+    return _dedup_sample(entries, tol)
 
 
 # --- builtin registry for the CLI ---------------------------------------------
@@ -333,13 +330,14 @@ def builtin_state(name: str, args: str | None = None) -> DensityMatrix:
     raise ParseError(f"unknown builtin state {name!r}")
 
 
-def builtin_code(name: str, params=None) -> CodeSample:
-    """Resolve a builtin code sample by name."""
+def builtin_code(name: str, params=None, tol: Tolerance = Tolerance()) -> CodeSample:
+    """Resolve a builtin code sample by name; its states are deduplicated, or
+    checked to be distinct, within ``tol``."""
     if name == "x1":
-        return x1_code_sample(params)
+        return x1_code_sample(params, tol)
     if name == "hagiwara4":
-        return x2_code_sample(params)
+        return x2_code_sample(params, tol)
     if name == "collision-x2":
         psi1, psi2 = collision_pair_x2(*x2_collision_params())
-        return CodeSample((psi1, psi2), ("collision-1", "collision-2"))
+        return CodeSample((psi1, psi2), ("collision-1", "collision-2"), tol)
     raise ParseError(f"unknown builtin code {name!r}")

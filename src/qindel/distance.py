@@ -268,7 +268,7 @@ def metric_check(
         d_ba = _level_distance(lb, la)
         d_bc = _level_distance(lb, lc)
         d_ac = _level_distance(la, lc)
-        if (d_ab == 0) != a.close_to(b):
+        if (d_ab == 0) != a.close_to(b, tol):
             violations.append({"triple": idx, "axiom": "identity", "d": d_ab})
         if d_ab != d_ba:
             violations.append({"triple": idx, "axiom": "symmetry", "d_ab": d_ab, "d_ba": d_ba})

@@ -6,6 +6,10 @@ Conventions (fixed once, used everywhere):
   * all qudit positions are 1-based;
   * the n = 0 system has the single state (1), a 1x1 matrix.
 
+Every state, pure or mixed, is a ``DensityMatrix``; a ket is never kept.
+Foreign matrices are checked by ``validate``, and a pure state is built from
+its ket, checked once, by ``density_from_ket``.
+
 State files are UTF-8 JSON, read and written here only, through orjson:
 floats are written compactly in shortest round-trip form (so every file reads
 back bit-identically, also with the stdlib ``json``), and matrices and kets
@@ -38,11 +42,9 @@ __all__ = [
     "SIZE_CAP",
     "QuditShape",
     "DensityMatrix",
-    "PureKet",
     "SpectralForm",
     "basis_index",
     "basis_ket",
-    "pure_ket",
     "density_from_ket",
     "validate",
     "scalar_state",
@@ -132,21 +134,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class PureKet:
-    """Unit vector |phi> on ``shape.length`` qudits."""
-
-    shape: QuditShape
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", _frozen_array(self.amplitudes).reshape(-1))
-        if self.amplitudes.shape != (self.shape.dim,):
-            raise ShapeMismatch(
-                f"ket length {self.amplitudes.shape[0]} does not match dim {self.shape.dim}"
-            )
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralForm:
     """The eigenvalues of a density matrix, zero weights dropped, as ``weights``
     ``(r,)``, and their eigenvectors as the columns of ``kets`` ``(d, r)``."""
@@ -185,24 +172,20 @@ def basis_ket(x: str | Sequence[int], shape: QuditShape) -> np.ndarray:
     return ket
 
 
-def pure_ket(amplitudes, shape: QuditShape, tol: Tolerance = Tolerance()) -> PureKet:
-    """Checked constructor: amplitudes must be finite and unit-norm."""
+def density_from_ket(amplitudes, shape: QuditShape, tol: Tolerance = Tolerance()) -> DensityMatrix:
+    """The pure state |phi><phi| of the ket ``amplitudes``: the checked
+    constructor of a pure state.  The ket must have ``shape.dim`` entries
+    (``ShapeMismatch``), all finite, and unit norm within eq_tol
+    (``NotNormalized``)."""
     vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(vec.view(float))):
+    if vec.shape != (shape.dim,):
+        raise ShapeMismatch(f"ket length {vec.shape[0]} does not match dim {shape.dim}")
+    if not np.isfinite(vec).all():
         raise NotNormalized("ket has non-finite entries")
     residual = abs(np.linalg.norm(vec) - 1.0)
     if residual > tol.at(shape.dim).eq_tol:
         raise NotNormalized(f"ket norm differs from 1 by {residual:.3e}", residual)
-    return PureKet(shape, vec)
-
-
-def density_from_ket(ket: PureKet, tol: Tolerance = Tolerance()) -> DensityMatrix:
-    """Rank-1 state |phi><phi|."""
-    vec = ket.amplitudes
-    residual = abs(np.linalg.norm(vec) - 1.0)
-    if residual > tol.at(ket.shape.dim).eq_tol:
-        raise NotNormalized(f"ket norm differs from 1 by {residual:.3e}", residual)
-    return DensityMatrix(ket.shape, np.outer(vec, vec.conj()))
+    return DensityMatrix(shape, np.outer(vec, vec.conj()))
 
 
 def _require_finite(mat: np.ndarray) -> None:
@@ -310,7 +293,7 @@ def state_from_json_obj(obj: dict, tol: Tolerance = Tolerance()) -> DensityMatri
     try:
         if kind == "pure":
             vec = _complex_array(obj["ket"], "ket", (dim,))
-            return density_from_ket(pure_ket(vec, shape, tol), tol)
+            return density_from_ket(vec, shape, tol)
         if kind == "mixed":
             return validate(_complex_array(obj["matrix"], "matrix", (dim, dim)), shape, tol)
         if kind == "spectral":

@@ -7,7 +7,6 @@ import pytest
 import qindel.channels
 from qindel.channels import (
     IndexSet,
-    InsertionBlocks,
     SphereSet,
     _insert_stack,
     _permute_axes,
@@ -24,6 +23,7 @@ from qindel.channels import (
     insertion_member,
     partial_trace,
     sample_insertions,
+    separable_blocks,
     tau_Q,
     trace_out,
 )
@@ -44,7 +44,6 @@ from qindel.states import (
     QuditShape,
     basis_ket,
     density_from_ket,
-    pure_ket,
     spectral_decompose,
     validate,
 )
@@ -103,7 +102,7 @@ def test_partial_trace_examples():
     np.testing.assert_allclose(partial_trace(mix, 1).mat, np.diag([0.3, 0.7]))
 
     bell = (basis_ket("00", shape2) + basis_ket("11", shape2)) / np.sqrt(2)
-    rho = density_from_ket(pure_ket(bell, shape2))
+    rho = density_from_ket(bell, shape2)
     np.testing.assert_allclose(partial_trace(rho, 1).mat, np.eye(2) / 2)
 
     with pytest.raises(PositionOutOfRange):
@@ -485,7 +484,7 @@ def _matched_blocks(rho, pis):
     k00 = basis_ket("00", rho.shape)
     idx00 = max(range(form.rank), key=lambda k: abs(form.kets[:, k] @ k00.conj()))
     order = [idx00] + [k for k in range(form.rank) if k != idx00]
-    return InsertionBlocks.separable(1, [pis[order.index(x)] for x in range(form.rank)])
+    return separable_blocks([pis[order.index(x)] for x in range(form.rank)])
 
 
 def test_insert_construct_separable(rng):
@@ -530,7 +529,7 @@ def test_insert_construct_matches_kron_sum(rng):
                 q = sorted(rng.choice(range(1, n + t + 1), size=t, replace=False))
                 qset = IndexSet(tuple(q), n + t)
                 blocks = random_blocks(rng, rank, 2**t)
-                sigma = insert_construct(rho, qset, InsertionBlocks(t, blocks))
+                sigma = insert_construct(rho, qset, blocks)
                 want = kron_sum_reference(rho, qset, blocks)
                 assert frobenius_distance(sigma.mat, want) <= 1e-12
                 cases += 1
@@ -548,7 +547,7 @@ def test_insert_construct_keeps_small_eigenvalues(rng):
     )
     assert spectral_decompose(rho).rank == 2
     pis = [random_density(rng, QuditShape(2, 1)).mat for _ in range(2)]
-    sigma = insert_construct(rho, IndexSet((2,), 4), InsertionBlocks.separable(1, pis))
+    sigma = insert_construct(rho, IndexSet((2,), 4), separable_blocks(pis))
     assert delete(sigma, {2}).distance(rho) <= Tolerance().at(shape.dim).eq_tol / 100
 
 
@@ -556,9 +555,9 @@ def test_insert_construct_pure_state_form(rng):
     # inserting into a pure state always gives tau_Q(|phi><phi| (x) pi)
     shape = QuditShape(2, 2)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    rho = density_from_ket(pure_ket(v / np.linalg.norm(v), shape))
+    rho = density_from_ket(v / np.linalg.norm(v), shape)
     pi = random_density(rng, QuditShape(2, 1))
-    sigma = insert_construct(rho, IndexSet((1,), 3), InsertionBlocks.separable(1, [pi.mat]))
+    sigma = insert_construct(rho, IndexSet((1,), 3), separable_blocks([pi.mat]))
     expected = index_permutation(
         DensityMatrix(QuditShape(2, 3), kron(rho.mat, pi.mat)), tau_Q(IndexSet((1,), 3), 2)
     )
@@ -576,13 +575,16 @@ def test_insert_construct_block_validation(rng):
         arr[0, 0] = arr[1, 1] = good_pi
         for (x, y), a in pairs.items():
             arr[x, y] = a
-        return InsertionBlocks(1, arr)
+        return arr
 
     # one diagonal block for two eigenvectors
     with pytest.raises(BlockConstraintViolated, match="shape"):
-        insert_construct(rho, qset, InsertionBlocks.separable(1, [good_pi]))
+        insert_construct(rho, qset, separable_blocks([good_pi]))
     with pytest.raises(BlockConstraintViolated, match="shape"):
-        insert_construct(rho, qset, InsertionBlocks(1, np.zeros((2, 2, 4, 4))))
+        insert_construct(rho, qset, np.zeros((2, 2, 4, 4)))
+    # a valid array for two inserted qubits, where Q inserts one
+    with pytest.raises(BlockConstraintViolated, match=r"shape.*expected \(2, 2, 2, 2\)"):
+        insert_construct(rho, qset, separable_blocks([np.eye(4) / 4] * 2))
     with pytest.raises(BlockConstraintViolated, match="not a valid state"):
         insert_construct(rho, qset, blocks({(1, 1): np.eye(2, dtype=complex)}))
     with pytest.raises(BlockConstraintViolated, match="not a valid state"):
@@ -608,7 +610,7 @@ def test_insert_construct_rejects_non_psd():
     a = 0.3 * np.array([[0, 1], [0, 0]], dtype=complex)
     arr = np.array([[pi, a.conj().T], [a, pi]])
     with pytest.raises(NotPSD):
-        insert_construct(rho, IndexSet((3,), 3), InsertionBlocks(1, arr))
+        insert_construct(rho, IndexSet((3,), 3), arr)
 
 
 def _tampered(stack, k, case):
@@ -636,7 +638,7 @@ def test_block_stack_errors_name_the_sample(case):
     rho = example_rho(0.5, 0.5)
     qset = IndexSet((3,), 3)
     form = spectral_decompose(rho)
-    good = np.array([InsertionBlocks.separable(1, [np.eye(2) / 2] * form.rank).blocks] * 3)
+    good = np.array([separable_blocks([np.eye(2) / 2] * form.rank)] * 3)
     error = NotPSD if case == "not PSD" else BlockConstraintViolated
     for k in (1, 2):
         with pytest.raises(error, match=rf"^sample {k}: .*{case}"):
@@ -648,7 +650,7 @@ def test_block_stack_errors_name_the_sample(case):
 def test_insertion_member():
     rho = example_rho(0.5, 0.5)
     pis = [np.eye(2, dtype=complex) / 2] * 2
-    sigma = insert_construct(rho, IndexSet((3,), 3), InsertionBlocks.separable(1, pis))
+    sigma = insert_construct(rho, IndexSet((3,), 3), separable_blocks(pis))
     assert insertion_member(sigma, rho, IndexSet((3,), 3))
 
     shape2 = QuditShape(2, 2)
@@ -658,7 +660,7 @@ def test_insertion_member():
     assert not insertion_member(rho00, one, IndexSet((2,), 2))
 
     psi = (basis_ket("01", shape2) + basis_ket("10", shape2)) / np.sqrt(2)
-    psi_rho = density_from_ket(pure_ket(psi, shape2))
+    psi_rho = density_from_ket(psi, shape2)
     half = DensityMatrix(QuditShape(2, 1), np.eye(2, dtype=complex) / 2)
     assert insertion_member(psi_rho, half, IndexSet((1,), 2))
 
@@ -714,7 +716,7 @@ def _coercion_case(name):
     rho = example_rho(0.5, 0.5)
     q2 = IndexSet((2,), 3)
     sigma = sample_insertions(rho, q2, 1, seed=0)[0]
-    blocks = InsertionBlocks.separable(1, [np.eye(2) / 2] * spectral_decompose(rho).rank)
+    blocks = separable_blocks([np.eye(2) / 2] * spectral_decompose(rho).rank)
 
     def feasibility(P, Q):
         report = feasibility_del_ins(rho, rho, P, Q)

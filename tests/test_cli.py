@@ -15,7 +15,6 @@ from qindel.states import (
     QuditShape,
     basis_ket,
     density_from_ket,
-    pure_ket,
     save_state,
     state_from_json_obj,
     state_to_json_obj,
@@ -31,7 +30,7 @@ def run_cli(capsys, *argv):
 
 def _write_pure(tmp_path, digits, name):
     shape = QuditShape(2, len(digits))
-    rho = density_from_ket(pure_ket(basis_ket(digits, shape), shape))
+    rho = density_from_ket(basis_ket(digits, shape), shape)
     path = tmp_path / name
     save_state(rho, path)
     return path
@@ -208,6 +207,27 @@ def test_verify_grid_override(capsys):
     code, report, _ = run_cli(capsys, "verify", "builtin:x1", "--t", "1", "--grid", "3,4")
     assert code == 1
     assert report["inputs"]["size"] < len_default()
+
+
+def test_verify_grid_default_is_the_builtin_grid(capsys):
+    # --grid 5,8 names the default grid, built by the same code_params
+    _, plain, _ = run_cli(capsys, "verify", "builtin:hagiwara4", "--t", "1")
+    _, gridded, _ = run_cli(capsys, "verify", "builtin:hagiwara4", "--t", "1", "--grid", "5,8")
+    for report in (plain, gridded):
+        report.pop("elapsed_ms")
+    assert gridded == plain
+
+
+def test_verify_builtin_code_dedups_at_eq_tol(capsys):
+    # the grid is deduplicated at the tolerance it is checked at: two states
+    # within eq_tol merge, rather than meeting at distance 0
+    code, report, _ = run_cli(capsys, "verify", "builtin:x1", "--t", "1", "--eq-tol", "0.3")
+    assert code == 1
+    assert report["inputs"]["size"] == 26 < len_default()
+    assert report["results"]["verdict"]["evidence"]["min_distance"] == 2
+    code, report, err = run_cli(capsys, "verify", "builtin:collision-x2", "--eq-tol", "2")
+    assert code == 3 and report is None
+    assert "DuplicateStates" in err
 
 
 def len_default():

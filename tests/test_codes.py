@@ -9,7 +9,7 @@ from qindel.codes import (
     builtin_code,
     builtin_state,
     collision_pair_x2,
-    default_code_params,
+    code_params,
     dicke_ket,
     example_psi,
     example_rho,
@@ -111,7 +111,7 @@ def test_sigma_fixtures_delete_back(rng):
 def test_insert_construct_matches_explicit_fixtures(rng):
     # blocks fed through the generic constructor reproduce the hand-built
     # sigma formulas at every insertion position
-    from qindel.channels import IndexSet, InsertionBlocks, insert_construct
+    from qindel.channels import IndexSet, insert_construct
     from qindel.states import spectral_decompose
 
     p0, p1 = 0.3, 0.7
@@ -134,7 +134,7 @@ def test_insert_construct_matches_explicit_fixtures(rng):
     arr = np.zeros((2, 2, 2, 2), dtype=complex)
     arr[idx00, idx00], arr[idx11, idx11] = pi00, pi11
     arr[idx11, idx00], arr[idx00, idx11] = a, a.conj().T
-    blocks = InsertionBlocks(1, arr)
+    blocks = arr
 
     for q, fixture in ((1, sigma_1), (2, sigma_2), (3, sigma_3)):
         built = insert_construct(rho, IndexSet((q,), 3), blocks)
@@ -213,7 +213,7 @@ def test_collision_pair():
 
 
 def test_grids_and_samples():
-    params = default_code_params()
+    params = code_params()
     assert len(params) == 40
     x2 = x2_code_sample()
     assert "collision-1" in x2.labels and "collision-2" in x2.labels

@@ -25,13 +25,13 @@ from qindel.distance import (
 from qindel.errors import CountOutOfRange, DuplicateStates, LevelMismatch, TooFewStates
 from qindel.linalg import Tolerance
 from qindel.rand import random_density
-from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, pure_ket
+from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket
 from conftest import make_states
 
 
 def _pure(digits, level=2):
     shape = QuditShape(level, len(digits))
-    return density_from_ket(pure_ket(basis_ket(digits, shape), shape))
+    return density_from_ket(basis_ket(digits, shape), shape)
 
 
 def test_distance_zero_iff_equal(rng):
@@ -219,9 +219,15 @@ def test_metric_check(rng):
     assert report["odd_equal_length"] == 0
 
     # d(|00>, |0>) = 1 is odd, but between states of different lengths
-    one = density_from_ket(pure_ket(basis_ket("0", QuditShape(2, 1)), QuditShape(2, 1)))
+    one = density_from_ket(basis_ket("0", QuditShape(2, 1)), QuditShape(2, 1))
     report = metric_check([(_pure("00"), one, _pure("01"))])
     assert report["ok"] and report["odd_equal_length"] == 0
+
+    # identity is judged at the tolerance the distances are taken at
+    near = example_rho(0.5 + 1e-4, 0.5 - 1e-4)
+    assert 1e-4 < rho.distance(near) < 1e-3
+    report = metric_check([(rho, near, rho)], Tolerance(eq_tol=1e-3))
+    assert report["ok"] and report["violations"] == []
 
 
 def test_metric_check_counts_odd_equal_length_distances(monkeypatch):
@@ -229,7 +235,7 @@ def test_metric_check_counts_odd_equal_length_distances(monkeypatch):
 
     # metric_check takes each distance from levels it builds once per triple
     monkeypatch.setattr(qindel.distance, "_level_distance", lambda x, y: 1)
-    one = density_from_ket(pure_ket(basis_ket("0", QuditShape(2, 1)), QuditShape(2, 1)))
+    one = density_from_ket(basis_ket("0", QuditShape(2, 1)), QuditShape(2, 1))
     assert metric_check([(_pure("00"), _pure("01"), _pure("10"))])["odd_equal_length"] == 3
     assert metric_check([(_pure("00"), one, _pure("10"))])["odd_equal_length"] == 1
 

@@ -16,7 +16,7 @@ from qindel.feasibility import (
 )
 from qindel.linalg import Tolerance
 from qindel.rand import random_density, random_hermitian
-from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, pure_ket
+from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket
 from conftest import make_states
 
 
@@ -174,8 +174,8 @@ def test_member_del_ins_verdicts():
 
     # with the second weight zero the coherent state becomes reachable
     shape2 = QuditShape(2, 2)
-    rho00 = density_from_ket(pure_ket(basis_ket("00", shape2), shape2))
-    psi01 = density_from_ket(pure_ket(basis_ket("01", shape2), shape2))
+    rho00 = density_from_ket(basis_ket("00", shape2), shape2)
+    psi01 = density_from_ket(basis_ket("01", shape2), shape2)
     assert member_del_ins(psi01, rho00, 1, 1).status is FeasibilityStatus.FEASIBLE
 
 

@@ -24,7 +24,6 @@ from qindel.states import (
     basis_ket,
     density_from_ket,
     load_state,
-    pure_ket,
     purity,
     reconstruct,
     save_state,
@@ -76,18 +75,26 @@ def test_basis_index_is_a_bijection(level, length):
 
 def test_density_from_ket():
     shape1 = QuditShape(2, 1)
-    rho = density_from_ket(pure_ket([1, 0], shape1))
+    rho = density_from_ket([1, 0], shape1)
     np.testing.assert_allclose(rho.mat, np.diag([1.0, 0.0]))
 
     shape2 = QuditShape(2, 2)
     bell = (basis_ket("00", shape2) + basis_ket("11", shape2)) / np.sqrt(2)
-    rho = density_from_ket(pure_ket(bell, shape2))
+    rho = density_from_ket(bell, shape2)
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 0.5
     np.testing.assert_allclose(rho.mat, expected, atol=1e-15)
 
     with pytest.raises(NotNormalized):
-        pure_ket([1, 1], shape1)
+        density_from_ket([1, 1], shape1)
+    # the ket's length, finiteness and norm are each checked here, once
+    with pytest.raises(ShapeMismatch, match="ket length 4"):
+        density_from_ket(bell, shape1)
+    with pytest.raises(NotNormalized, match="non-finite"):
+        density_from_ket([np.nan, 1], shape1)
+    with pytest.raises(NotNormalized, match="norm") as exc:
+        density_from_ket([1, 1e-3], shape1)
+    assert exc.value.residual == pytest.approx(5e-7, rel=1e-3)
 
 
 def test_validate():
@@ -106,7 +113,7 @@ def test_validate():
 
 def test_spectral_decompose_pure():
     shape = QuditShape(2, 1)
-    rho = density_from_ket(pure_ket([1, 0], shape))
+    rho = density_from_ket([1, 0], shape)
     form = spectral_decompose(rho)
     assert form.rank == 1
     weight, ket = form.weights[0], form.kets[:, 0]
@@ -151,7 +158,7 @@ def test_purity_detects_rank_one(rng):
     shape = QuditShape(2, 2)
     for _ in range(10):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        rho = density_from_ket(pure_ket(v / np.linalg.norm(v), shape))
+        rho = density_from_ket(v / np.linalg.norm(v), shape)
         validate(rho.mat, shape)  # normalized kets always produce valid states
         assert purity(rho) == pytest.approx(1.0)
     mixed = random_density(rng, shape, 3)
