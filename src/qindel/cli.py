@@ -125,7 +125,10 @@ def _cmd_sphere(args) -> int:
     tol = _tolerance(args)
     state, digest = _load_state_spec(args.state, tol)
     sphere = deletion_sphere(state, args.s, tol)
-    save_states(sphere.states, args.out)
+    try:
+        save_states(sphere.states, args.out)
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     results = {
         "cardinality": len(sphere),
         "pre_dedup": sphere.raw_count,
@@ -156,14 +159,13 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.monotonic()
-    tol = _tolerance(args)
-    code, digest = _load_code_spec(args.code, args.grid, tol)
+    code, digest = _load_code_spec(args.code, args.grid, _tolerance(args))
     if args.errors == "deletions":
-        verdict = corrects(code, args.t, "deletions", tol)
+        verdict = corrects(code, args.t, "deletions")
     elif args.errors == "indel":
-        verdict = corrects(code, args.t, "total", tol)
+        verdict = corrects(code, args.t, "total")
     else:
-        verdict = corrects_insertions(code, args.t, tol)
+        verdict = corrects_insertions(code, args.t)
     results = {"errors": args.errors, "t": args.t, "verdict": verdict.to_json_obj()}
     _emit(_report(args, {"code": digest, "size": len(code)}, results, started))
     return _verdict_exit(verdict)
@@ -173,7 +175,10 @@ def _cmd_paper_examples(args) -> int:
     started = time.monotonic()
     suite = run_all(args.seed)
     if args.report:
-        Path(args.report).write_text(json.dumps(suite, sort_keys=True), encoding="utf-8")
+        try:
+            Path(args.report).write_text(json.dumps(suite, sort_keys=True), encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.report}: {exc.strerror or exc}") from exc
     for item in suite["items"]:
         print(f"{item['status'].upper():4s} {item['name']}: {item['details']}", file=sys.stderr)
     _emit(_report(args, {}, suite, started))

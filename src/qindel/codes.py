@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .channels import delete, distinct_rows
+from .channels import delete
 from .distance import CodeSample
 from .errors import DegenerateParam, NotNormalized, ParseError, WeightOutOfRange
 from .linalg import Tolerance, frobenius_distance, kron
@@ -264,16 +264,6 @@ def x2_collision_params() -> tuple[complex, complex]:
     return (math.cos(math.pi / 8), math.sin(math.pi / 8) * cmath.exp(1j * math.pi / 3))
 
 
-def _dedup_sample(entries: list[tuple[str, DensityMatrix]], tol: Tolerance) -> CodeSample:
-    """Greedy dedup of a nonempty list within eq_tol: the first entry of each
-    coinciding group stays."""
-    eq_tol = tol.at(entries[0][1].dim).eq_tol
-    kept, _ = distinct_rows(np.stack([state.mat for _, state in entries]), eq_tol)
-    return CodeSample(
-        tuple(entries[c][1] for c in kept), tuple(entries[c][0] for c in kept), tol
-    )
-
-
 def _grid_entries(codeword, params) -> list[tuple[str, DensityMatrix]]:
     return [
         (f"a={a.real:+.3f}{a.imag:+.3f}j,b={b.real:+.3f}{b.imag:+.3f}j", codeword(a, b))
@@ -287,7 +277,8 @@ def x1_code_sample(params=None, tol: Tolerance = Tolerance()) -> CodeSample:
     entries = _grid_entries(x1_codeword, params if params is not None else code_params())
     for k, (a, b) in enumerate(x1_phase_pair_params()):
         entries.append((f"phase-{k + 1}", x1_codeword(a, b)))
-    return _dedup_sample(entries, tol)
+    labels, states = zip(*entries)
+    return CodeSample(states, labels, tol)
 
 
 def x2_code_sample(params=None, tol: Tolerance = Tolerance()) -> CodeSample:
@@ -297,7 +288,8 @@ def x2_code_sample(params=None, tol: Tolerance = Tolerance()) -> CodeSample:
     psi1, psi2 = collision_pair_x2(*x2_collision_params())
     entries.append(("collision-1", psi1))
     entries.append(("collision-2", psi2))
-    return _dedup_sample(entries, tol)
+    labels, states = zip(*entries)
+    return CodeSample(states, labels, tol)
 
 
 # --- builtin registry for the CLI ---------------------------------------------
@@ -339,5 +331,5 @@ def builtin_code(name: str, params=None, tol: Tolerance = Tolerance()) -> CodeSa
         return x2_code_sample(params, tol)
     if name == "collision-x2":
         psi1, psi2 = collision_pair_x2(*x2_collision_params())
-        return CodeSample((psi1, psi2), ("collision-1", "collision-2"), tol)
+        return CodeSample.from_states((psi1, psi2), ("collision-1", "collision-2"), tol)
     raise ParseError(f"unknown builtin code {name!r}")

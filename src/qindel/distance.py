@@ -11,16 +11,18 @@ insertions.
 deletion spheres first meet.  Each walks deletion ladders
 (``channels.deletion_levels``) in step and asks ``channels.first_meeting``
 once per level: ``indel_distance`` walks the two states' ladders from their
-start levels; ``min_distance`` walks one ladder per code state, since code
-states share one length and the code's minimum distance is 2s for the least
-s at which two of their s-deletion spheres meet; ``metric_check`` builds each
-state's levels once per triple.  Only a witness row is wrapped as a state.
-``CodeSample`` checks distinctness with the spheres' greedy dedup.
+start levels; ``min_distance`` walks one ladder per code state from level 1,
+since code states share one length, are distinct at level 0 by construction,
+and the code's minimum distance is 2s for the least s at which two of their
+s-deletion spheres meet; ``metric_check`` builds each state's levels once per
+triple.  Only a witness row is wrapped as a state.  ``CodeSample`` dedups
+its states once, with the spheres' greedy dedup, at the tolerance every
+verdict on the code reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -68,17 +70,19 @@ class DistanceResult:
 
 @dataclass(frozen=True)
 class CodeSample:
-    """Finite list of pairwise-distinct states of a common shape.
+    """Finite list of states of a common shape, distinct within ``tol``.
 
-    ``tol`` gives the eq_tol within which two states coincide, which raises
-    ``DuplicateStates``; it is not kept.
+    Construction dedups the offered states greedily: the first of each
+    coinciding group stays, with its label.  ``joined[j]`` is the index in
+    ``states`` of the state offered state j became or joined.
     """
 
     states: tuple[DensityMatrix, ...]
     labels: tuple[str, ...]
-    tol: InitVar[Tolerance] = Tolerance()
+    tol: Tolerance = Tolerance()
+    joined: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
-    def __post_init__(self, tol: Tolerance) -> None:
+    def __post_init__(self) -> None:
         if len(self.labels) != len(self.states):
             raise ValueError("labels and states must have equal length")
         shapes = {s.shape for s in self.states}
@@ -86,22 +90,26 @@ class CodeSample:
             raise LevelMismatch(f"states span several shapes: {shapes}")
         if not self.states:
             return
-        eq_tol = tol.at(self.states[0].dim).eq_tol
+        eq_tol = self.tol.at(self.states[0].dim).eq_tol
         kept, joined = distinct_rows(np.stack([s.mat for s in self.states]), eq_tol)
-        for j, k in enumerate(joined):
-            i = kept[k]
-            if i != j:
-                raise DuplicateStates(
-                    f"states {self.labels[i]!r} and {self.labels[j]!r} coincide within "
-                    f"eq_tol {eq_tol:.3e}"
-                )
+        object.__setattr__(self, "states", tuple(self.states[c] for c in kept))
+        object.__setattr__(self, "labels", tuple(self.labels[c] for c in kept))
+        object.__setattr__(self, "joined", tuple(joined))
 
     @classmethod
     def from_states(cls, states, labels=None, tol: Tolerance = Tolerance()) -> "CodeSample":
+        """The code of ``states``, which must be distinct: ``DuplicateStates``
+        names the first repeat, the first state not kept at its own index."""
         states = tuple(states)
-        if labels is None:
-            labels = tuple(f"state{k}" for k in range(len(states)))
-        return cls(states, tuple(labels), tol)
+        labels = tuple(labels) if labels is not None else tuple(f"state{k}" for k in range(len(states)))
+        code = cls(states, labels, tol)
+        for j, k in enumerate(code.joined):
+            if k != j:
+                raise DuplicateStates(
+                    f"states {labels[k]!r} and {labels[j]!r} coincide within "
+                    f"eq_tol {tol.at(states[0].dim).eq_tol:.3e}"
+                )
+        return code
 
     def __len__(self) -> int:
         return len(self.states)
@@ -154,9 +162,7 @@ def indel_distance(
     return result
 
 
-def min_distance(
-    code: CodeSample, tol: Tolerance = Tolerance()
-) -> tuple[int, tuple[str, str], DistanceResult]:
+def min_distance(code: CodeSample) -> tuple[int, tuple[str, str], DistanceResult]:
     """Minimum pairwise distance with the achieving pair, level by level.
 
     Code states share one length, so a pair's distance is 2s for the least s
@@ -164,17 +170,16 @@ def min_distance(
     one level at a time, and ``channels.first_meeting`` compares each level's
     spheres at once.  The first level with a hit gives the value; the pair
     reported is the first, in ``combinations`` order, that meets there, with
-    its closest cross pair as witness.
+    its closest cross pair as witness.  The walk starts at level 1: level 0
+    is the code's own dedup at ``code.tol``, where no two states meet.
     """
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
-    i, j, result = _first_meeting([deletion_levels(rho, tol) for rho in code.states])
+    i, j, result = _first_meeting([deletion_levels(rho, code.tol, 1) for rho in code.states])
     return result.value, (code.labels[i], code.labels[j]), result
 
 
-def corrects(
-    code: CodeSample, t: int, kind: str = "deletions", tol: Tolerance = Tolerance()
-) -> Verdict:
+def corrects(code: CodeSample, t: int, kind: str = "deletions") -> Verdict:
     """Capability verdict from the minimum distance.
 
     kind="deletions": corrects t deletions iff min distance >= 2t + 1.
@@ -186,7 +191,7 @@ def corrects(
         raise CountOutOfRange(f"need t >= 1, got {t}")
     if kind not in ("deletions", "total"):
         raise ValueError(f"unknown kind {kind!r}")
-    value, pair, result = min_distance(code, tol)
+    value, pair, result = min_distance(code)
     threshold = 2 * t + 1
     evidence = {
         "min_distance": value,
@@ -199,11 +204,7 @@ def corrects(
     return Verdict(ok=value >= threshold, evidence=evidence)
 
 
-def corrects_insertions(
-    code: CodeSample,
-    t: int,
-    tol: Tolerance = Tolerance(),
-) -> Verdict:
+def corrects_insertions(code: CodeSample, t: int) -> Verdict:
     """Pairwise disjointness of t-insertion spheres.
 
     Two insertion spheres meet iff one state lies in the
@@ -219,7 +220,7 @@ def corrects_insertions(
     unknown_pair: tuple[str, str] | None = None
     pair_gaps = []
     for (i, a), (j, b) in combinations(enumerate(code.states), 2):
-        report = member_del_ins(a, b, t, t, tol)
+        report = member_del_ins(a, b, t, t, code.tol)
         pair_gaps.append(
             {"pair": [code.labels[i], code.labels[j]], "status": report.status.value, "gap": report.gap}
         )

@@ -206,8 +206,8 @@ def feasibility_del_ins(
             details["reason"] = reason
         return FeasibilityReport(status, witness, gap, evaluations, details, lam)
 
-    def certified(lam, reason: str, evaluations: int = 0):
-        margin, bound = affine.certify(lam)
+    def certified(lam, reason: str, evaluations: int = 0, checked=None):
+        margin, bound = checked or affine.certify(lam)
         if bound <= tol.feas_tol:
             return None
         details["margin"] = margin
@@ -243,10 +243,8 @@ def feasibility_del_ins(
             return verdict(FeasibilityStatus.FEASIBLE, math.hypot(*residuals), evaluations, witness=witness)
         payload = "witness failed its re-check"
     elif outcome == "certificate":
-        report = certified(payload, "dual certificate", evaluations)
-        if report is not None:
-            return report
-        payload = "certificate failed its re-check"
+        lam, checked = payload
+        return certified(lam, "dual certificate", evaluations, checked)
     return verdict(FeasibilityStatus.INCONCLUSIVE, residual, evaluations, payload)
 
 
@@ -258,7 +256,8 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
     makes tau a witness; if theta is unbounded below, -y / ||y|| tends to a
     Farkas certificate.  Dual points are real vectors, the (Re, Im) parts of
     (y_Q, y_P).  Returns (outcome, payload, evaluations, residual), outcome
-    "witness" (tau), "certificate" (lam) or "stopped" (why).
+    "witness" (tau), "certificate" (lam and its ``certify`` result, whose
+    bound clears feas_tol) or "stopped" (why).
     """
     rho, sigma = affine.rhs
     b = np.concatenate([rho.ravel(), sigma.ravel()]).view(float)
@@ -281,7 +280,8 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
 
     def certificate(y):
         lam = unpack(-y / (float(np.linalg.norm(y)) or 1.0))
-        return lam if affine.certify(lam)[1] > feas_tol else None
+        checked = affine.certify(lam)
+        return (lam, checked) if checked[1] > feas_tol else None
 
     y = np.concatenate([part.ravel() for part in affine.least_squares_dual()]).view(float)
     f, g, tau = evaluate(y)
@@ -297,9 +297,9 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
         stop = "iteration cap reached" if evaluations >= MAX_ITERATIONS else stop
         if stop or evaluations >= next_test:
             next_test += CANDIDATE_EVERY
-            lam = certificate(y)
-            if lam is not None:
-                return "certificate", lam, evaluations, residual
+            found = certificate(y)
+            if found is not None:
+                return "certificate", found, evaluations, residual
             if stop:
                 return "stopped", stop, evaluations, residual
         direction = _lbfgs_direction(g, S, Y, step0)
@@ -389,7 +389,7 @@ def member_del_ins(
     return FeasibilityReport(
         worst,
         None,
-        min_gap if pair_reports else 0.0,
+        min_gap,
         total_iterations,
         {"pairs": pair_reports},
     )
@@ -419,7 +419,7 @@ def check_containment_trial(
     deletions_left, insertions_left = s, t
     while deletions_left or insertions_left:
         moves = []
-        if deletions_left and state.length >= 1:
+        if deletions_left:
             moves.append("D")
         if insertions_left:
             moves.append("I")

@@ -247,6 +247,22 @@ def test_usage_errors(capsys):
     assert code == 3
 
 
+def test_sphere_unwritable_out_exits_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, report, err = run_cli(capsys, "sphere", "builtin:rho", "--s", "1", "--out", str(out))
+    assert code == 3 and report is None
+    assert f"error: cannot write {out}: " in err
+    assert "Traceback" not in err
+
+
+def test_paper_examples_unwritable_report_exits_3(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code, report, err = run_cli(capsys, "paper-examples", "--report", str(path))
+    assert code == 3 and report is None
+    assert f"error: cannot write {path}: " in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

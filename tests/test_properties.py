@@ -1,6 +1,7 @@
-"""Property tests: input checks (tolerance values and state-file shapes), the
-metric axioms of the indel distance, the insertion round trip and sampler
-prefixes, and the containment of interleaved errors.
+"""Property tests: input checks (tolerance values, state-file shapes and
+malformed payloads), the metric axioms of the indel distance, a code's
+dedup of coinciding states, the insertion round trip and sampler prefixes,
+and the containment of interleaved errors.
 
 Examples are derived from the test source, not drawn at random, and no
 example database is kept, so runs are deterministic and write nothing to
@@ -100,6 +101,80 @@ def test_integer_level_and_length_load(level, length):
     assert (rho.level, rho.length) == (level, length)
 
 
+_NUMBERS = st.floats(-1.0, 1.0)
+_JUNK = st.one_of(
+    st.text(max_size=2), st.none(), st.dictionaries(st.text(max_size=1), _NUMBERS, max_size=1)
+)
+
+
+def _draw_nest(draw, shape: tuple[int, ...]) -> list:
+    """Nested lists of [re, im] number pairs of ``shape``."""
+    if not shape:
+        return [draw(_NUMBERS), draw(_NUMBERS)]
+    return [_draw_nest(draw, shape[1:]) for _ in range(shape[0])]
+
+
+@st.composite
+def malformed_nests(draw, shape: tuple[int, ...]):
+    """A nest of ``shape`` with one defect: a list one entry short or long
+    (ragged, or the wrong length), an entry or the whole nest one level too
+    deep, or an entry or the whole nest that is not a number or a list."""
+    nest = _draw_nest(draw, shape)
+    how = draw(st.sampled_from(["drop", "extra", "deeper", "junk", "deeper nest", "junk nest"]))
+    if how == "deeper nest":
+        return [nest]
+    if how == "junk nest":
+        return draw(_JUNK)
+    parent = nest  # the list to corrupt: the nest itself down to a [re, im] pair
+    for _ in range(draw(st.integers(0, len(shape)))):
+        parent = parent[draw(st.integers(0, len(parent) - 1))]
+    k = draw(st.integers(0, len(parent) - 1))
+    if how == "drop":
+        del parent[k]
+    elif how == "extra":
+        parent.append(parent[k])
+    elif how == "deeper":
+        parent[k] = [parent[k]]
+    else:
+        parent[k] = draw(_JUNK)
+    return nest
+
+
+@st.composite
+def malformed_payloads(draw):
+    """A state object for one or two qubits whose ``ket``, ``matrix`` or
+    ``pairs`` payload is malformed."""
+    length = draw(st.integers(1, 2))
+    dim = 2**length
+    kind = draw(st.sampled_from(["pure", "mixed", "spectral"]))
+    obj = {"level": 2, "length": length, "kind": kind}
+    if kind == "pure":
+        obj["ket"] = draw(malformed_nests((dim,)))
+    elif kind == "mixed":
+        obj["matrix"] = draw(malformed_nests((dim, dim)))
+    else:
+        pairs = [{"p": draw(_NUMBERS), "ket": _draw_nest(draw, (dim,))} for _ in range(draw(st.integers(1, 2)))]
+        k = draw(st.integers(0, len(pairs) - 1))
+        how = draw(st.sampled_from(["ket", "p", "missing", "pair", "pairs"]))
+        if how == "ket":
+            pairs[k]["ket"] = draw(malformed_nests((dim,)))
+        elif how == "p":
+            pairs[k]["p"] = draw(st.one_of(_JUNK, st.booleans(), st.just([0.5])))
+        elif how == "missing":
+            del pairs[k][draw(st.sampled_from(["p", "ket"]))]
+        elif how == "pair":
+            pairs[k] = draw(st.one_of(_JUNK.filter(lambda x: not isinstance(x, dict)), st.just([])))
+        obj["pairs"] = draw(_JUNK) if how == "pairs" else pairs
+    return obj
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(malformed_payloads())
+def test_malformed_payloads_are_parse_errors(obj):
+    with pytest.raises(ParseError):
+        state_from_json_obj(orjson.loads(orjson.dumps(obj)))
+
+
 # Products of qubits drawn from a small pool share marginals, so their
 # distances range over every value; seeded random states are generically as
 # far apart as their lengths allow.
@@ -156,6 +231,49 @@ def test_min_distance_is_the_least_pairwise_distance(states):
     least = min(pairs.values())
     assert value == least
     assert pair == next(p for p, d in pairs.items() if d == least)
+
+
+@DETERMINISTIC
+@given(
+    st.integers(1, 2).flatmap(lambda n: st.lists(qubit_states(st.just(n)), min_size=1, max_size=3)),
+    st.data(),
+)
+def test_a_code_keeps_the_first_of_each_coinciding_group(candidates, data):
+    """Repeats, as the same object or as a copy within eq_tol, join the first
+    state of their group: ``CodeSample`` keeps that state with its label,
+    and ``from_states`` refuses the first repeat, naming it and its keeper."""
+    bases = []  # candidates well apart, so each group is one base and its repeats
+    for rho in candidates:
+        if all(np.linalg.norm(rho.mat - b.mat) > 1e-6 for b in bases):
+            bases.append(rho)
+    order = data.draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=6))
+    states, first = [], {}  # first[k]: offered index of base k's first occurrence
+    for j, k in enumerate(order):
+        if k not in first:
+            first[k] = j
+            states.append(bases[k])
+        elif data.draw(st.booleans()):
+            states.append(bases[k])
+        else:
+            mixed = np.eye(len(bases[k].mat)) / len(bases[k].mat)
+            states.append(DensityMatrix(bases[k].shape, (1 - 1e-10) * bases[k].mat + 1e-10 * mixed))
+    labels = [f"offered{j}" for j in range(len(states))]
+
+    code = CodeSample(states, labels)
+    keepers = sorted(first.values())
+    assert all(a is b for a, b in zip(code.states, (states[j] for j in keepers), strict=True))
+    assert code.labels == tuple(labels[j] for j in keepers)
+    assert code.joined == tuple(keepers.index(first[k]) for k in order)
+
+    repeat = next((j for j, k in enumerate(order) if first[k] != j), None)
+    if repeat is None:
+        assert CodeSample.from_states(states, labels).labels == code.labels
+    else:
+        keeper = labels[first[order[repeat]]]
+        with pytest.raises(DuplicateStates, match=f"states '{keeper}' and '{labels[repeat]}' coincide"):
+            CodeSample.from_states(states, labels)
+    with pytest.raises(DuplicateStates, match="states 'state0' and 'state1' coincide"):
+        CodeSample.from_states([bases[0], bases[0]])
 
 
 @DETERMINISTIC
