@@ -34,15 +34,12 @@ from .feasibility import (
 )
 from .linalg import (
     Tolerance,
-    adjoint,
     frobenius_distance,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     is_psd,
-    kron,
     project_psd,
     psd_principal_minors,
-    trace,
 )
 from .states import (
     DensityMatrix,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .errors import (
     BlockConstraintViolated,
     CountOutOfRange,
     InvalidIndexSet,
+    LevelMismatch,
     NotAPermutation,
     NotPSD,
     PositionOutOfRange,
@@ -82,10 +83,6 @@ class IndexSet:
         if pos and (pos[0] < 1 or pos[-1] > self.ambient):
             raise PositionOutOfRange(f"positions {pos} not within [1, {self.ambient}]")
 
-    @classmethod
-    def of(cls, positions: Iterable[int], ambient: int) -> "IndexSet":
-        return cls(tuple(sorted(int(p) for p in positions)), ambient)
-
     @property
     def size(self) -> int:
         return len(self.positions)
@@ -105,7 +102,7 @@ def _as_index_set(positions, ambient: int) -> IndexSet:
                 f"index set over [1, {positions.ambient}] used where ambient is {ambient}"
             )
         return positions
-    return IndexSet.of(positions, ambient)
+    return IndexSet(tuple(sorted(int(p) for p in positions)), ambient)
 
 
 def _insertion_set(Q, n: int) -> IndexSet:
@@ -389,13 +386,6 @@ def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance = Tolerance()) ->
     return next(deletion_levels(rho, tol, s))
 
 
-def _check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise NotAPermutation(f"{perm} is not a permutation of [1, {n}]")
-    return perm
-
-
 def _permute_axes(mat: np.ndarray, perm: tuple[int, ...], level: int) -> np.ndarray:
     """Reorder tensor factors so that qudit i of the input sits at slot perm[i-1].
 
@@ -419,7 +409,9 @@ def index_permutation(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
 
     Trace and spectrum are preserved (it is a permutation-unitary conjugation).
     """
-    perm = _check_permutation(perm, rho.length)
+    perm = tuple(int(p) for p in perm)
+    if sorted(perm) != list(range(1, rho.length + 1)):
+        raise NotAPermutation(f"{perm} is not a permutation of [1, {rho.length}]")
     return DensityMatrix(rho.shape, _permute_axes(rho.mat, perm, rho.level))
 
 
@@ -492,8 +484,9 @@ def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: To
             )
         raise violated(k, f"block ({x}, {y}) has nonzero trace {trace_res[k, x, y]:.3e}")
 
-    diag = stack[:, np.arange(rank), np.arange(rank)]
-    lowest = np.linalg.eigvalsh((diag + diag.conj().swapaxes(2, 3)) / 2)[..., 0]
+    # the adjoint check bounds each diagonal block's Hermitian residual at
+    # eq_tol, so the solve's own Hermitian check passes
+    lowest = hermitian_eigenvalues(stack[:, np.arange(rank), np.arange(rank)], tol)[..., 0]
     k, x = np.unravel_index(int(np.argmin(lowest)), lowest.shape)
     if lowest[k, x] < -tol.psd_tol:
         raise violated(
@@ -575,17 +568,26 @@ def _insert_stack(
     return [DensityMatrix(big_shape, mat) for mat in sigmas]
 
 
+def _check_composed(sigma: DensityMatrix, rho: DensityMatrix, s: int, t: int) -> None:
+    """Raise unless sigma has the shape of a state in a sphere of rho composed
+    of s deletions and t insertions: nonnegative counts (``CountOutOfRange``),
+    rho's level (``LevelMismatch``) and length n - s + t (``ShapeMismatch``)."""
+    if s < 0 or t < 0:
+        raise CountOutOfRange(f"counts must be nonnegative, got s={s}, t={t}")
+    if sigma.level != rho.level:
+        raise LevelMismatch(f"levels differ: {sigma.level} vs {rho.level}")
+    if sigma.length != rho.length - s + t:
+        raise ShapeMismatch(
+            f"len(sigma)={sigma.length} != len(rho)-s+t={rho.length - s + t}"
+        )
+
+
 def insertion_member(
     sigma: DensityMatrix, rho: DensityMatrix, Q, tol: Tolerance = Tolerance()
 ) -> bool:
     """sigma is in I_Q(rho) iff D_Q(sigma) = rho."""
-    if sigma.level != rho.level:
-        raise ShapeMismatch(f"levels differ: {sigma.level} vs {rho.level}")
     qset = _as_index_set(Q, sigma.length)
-    if sigma.length != rho.length + qset.size:
-        raise ShapeMismatch(
-            f"len(sigma)={sigma.length} != len(rho)+|Q|={rho.length + qset.size}"
-        )
+    _check_composed(sigma, rho, 0, qset.size)
     return delete(sigma, qset).distance(rho) <= tol.at(rho.dim).eq_tol
 
 

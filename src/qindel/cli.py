@@ -11,6 +11,7 @@ from that contract).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -173,12 +174,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_paper_examples(args) -> int:
     started = time.monotonic()
-    suite = run_all(args.seed)
-    if args.report:
-        try:
-            Path(args.report).write_text(json.dumps(suite, sort_keys=True), encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot write {args.report}: {exc.strerror or exc}") from exc
+    # the report file is opened first, so an unwritable path is refused before the suite runs
+    try:
+        report_file = open(args.report, "w", encoding="utf-8") if args.report else None
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.report}: {exc.strerror or exc}") from exc
+    with report_file or contextlib.nullcontext():
+        suite = run_all(args.seed)
+        if report_file:
+            report_file.write(json.dumps(suite, sort_keys=True))
     for item in suite["items"]:
         print(f"{item['status'].upper():4s} {item['name']}: {item['details']}", file=sys.stderr)
     _emit(_report(args, {}, suite, started))

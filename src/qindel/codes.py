@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
 from .channels import delete
 from .distance import CodeSample
-from .errors import DegenerateParam, NotNormalized, ParseError, WeightOutOfRange
-from .linalg import Tolerance, frobenius_distance, kron
+from .errors import DegenerateParam, NotNormalized, ParseError, PositionOutOfRange, WeightOutOfRange
+from .linalg import Tolerance, frobenius_distance
 from .states import DensityMatrix, QuditShape, basis_ket, density_from_ket
 
 __all__ = [
@@ -24,9 +25,7 @@ __all__ = [
     "x1_codeword",
     "example_rho",
     "example_psi",
-    "sigma_1",
-    "sigma_2",
-    "sigma_3",
+    "example_insertion",
     "in_del_after_ins_sphere",
     "in_ins_after_del_sphere",
     "hagiwara_single_deletion",
@@ -102,44 +101,23 @@ def example_psi(p0: float = 0.5, p1: float = 0.5) -> DensityMatrix:
     return density_from_ket(ket, shape)
 
 
-def _coherence_terms(p0: float, p1: float, a: np.ndarray, slot: int) -> np.ndarray:
-    """sqrt(p1 p0) X + h.c. where X places A at `slot` among three factors."""
-    a = np.asarray(a, dtype=complex)
-    k = math.sqrt(p1 * p0)
-    out10 = np.outer(_KET1, _KET0.conj())
-    factors = [out10, out10]
-    factors.insert(slot, a)
-    term = k * kron(kron(factors[0], factors[1]), factors[2])
-    return term + term.conj().T
+def example_insertion(q: int, p0: float, p1: float, pi00, pi11, a) -> DensityMatrix:
+    """The member of I_{q}(example_rho(p0, p1)) with qubit q in {1, 2, 3}
+    inserted: p0 pi00 beside |00>, p1 pi11 beside |11>, and the coherence
+    sqrt(p1 p0) |1><0| (x) A (x) |1><0| + h.c. between them, A at slot q.
 
+    Built by hand with ``np.kron``, independently of ``insert_construct``."""
+    if q not in (1, 2, 3):
+        raise PositionOutOfRange(f"insertion position {q} not within [1, 3]")
 
-def sigma_1(p0: float, p1: float, pi00, pi11, a) -> DensityMatrix:
-    """Insertion of one qubit in front of p0|00><00| + p1|11><11|."""
-    pi00, pi11 = np.asarray(pi00, dtype=complex), np.asarray(pi11, dtype=complex)
-    out00 = np.outer(_KET0, _KET0.conj())
-    out11 = np.outer(_KET1, _KET1.conj())
-    mat = p0 * kron(pi00, kron(out00, out00)) + p1 * kron(pi11, kron(out11, out11))
-    mat += _coherence_terms(p0, p1, a, 0)
-    return DensityMatrix(QuditShape(2, 3), mat)
+    def placed(block, outer: np.ndarray) -> np.ndarray:
+        factors = [outer, outer]
+        factors.insert(q - 1, np.asarray(block, dtype=complex))
+        return reduce(np.kron, factors)
 
-
-def sigma_2(p0: float, p1: float, pi00, pi11, a) -> DensityMatrix:
-    """Insertion of one qubit between the two qubits of the example state."""
-    pi00, pi11 = np.asarray(pi00, dtype=complex), np.asarray(pi11, dtype=complex)
-    out00 = np.outer(_KET0, _KET0.conj())
-    out11 = np.outer(_KET1, _KET1.conj())
-    mat = p0 * kron(out00, kron(pi00, out00)) + p1 * kron(out11, kron(pi11, out11))
-    mat += _coherence_terms(p0, p1, a, 1)
-    return DensityMatrix(QuditShape(2, 3), mat)
-
-
-def sigma_3(p0: float, p1: float, pi00, pi11, a) -> DensityMatrix:
-    """Insertion of one qubit after the two qubits of the example state."""
-    pi00, pi11 = np.asarray(pi00, dtype=complex), np.asarray(pi11, dtype=complex)
-    out00 = np.outer(_KET0, _KET0.conj())
-    out11 = np.outer(_KET1, _KET1.conj())
-    mat = p0 * kron(kron(out00, out00), pi00) + p1 * kron(kron(out11, out11), pi11)
-    mat += _coherence_terms(p0, p1, a, 2)
+    mat = p0 * placed(pi00, np.outer(_KET0, _KET0)) + p1 * placed(pi11, np.outer(_KET1, _KET1))
+    term = math.sqrt(p1 * p0) * placed(a, np.outer(_KET1, _KET0))
+    mat += term + term.conj().T
     return DensityMatrix(QuditShape(2, 3), mat)
 
 
@@ -264,32 +242,28 @@ def x2_collision_params() -> tuple[complex, complex]:
     return (math.cos(math.pi / 8), math.sin(math.pi / 8) * cmath.exp(1j * math.pi / 3))
 
 
-def _grid_entries(codeword, params) -> list[tuple[str, DensityMatrix]]:
-    return [
+def _grid_code(codeword, params, extras, tol: Tolerance) -> CodeSample:
+    """The code of ``codeword`` over ``params`` (None: ``code_params()``),
+    each state labelled by its parameters, with the labelled states
+    ``extras`` appended, deduplicated within ``tol``."""
+    grid = [
         (f"a={a.real:+.3f}{a.imag:+.3f}j,b={b.real:+.3f}{b.imag:+.3f}j", codeword(a, b))
-        for a, b in params
+        for a, b in (params if params is not None else code_params())
     ]
+    labels, states = zip(*grid, *extras)
+    return CodeSample(states, labels, tol)
 
 
 def x1_code_sample(params=None, tol: Tolerance = Tolerance()) -> CodeSample:
-    """Grid sample of the two-qubit code, engineered phase pair appended,
-    deduplicated within ``tol``."""
-    entries = _grid_entries(x1_codeword, params if params is not None else code_params())
-    for k, (a, b) in enumerate(x1_phase_pair_params()):
-        entries.append((f"phase-{k + 1}", x1_codeword(a, b)))
-    labels, states = zip(*entries)
-    return CodeSample(states, labels, tol)
+    """Grid sample of the two-qubit code, engineered phase pair appended."""
+    pair = [(f"phase-{k + 1}", x1_codeword(a, b)) for k, (a, b) in enumerate(x1_phase_pair_params())]
+    return _grid_code(x1_codeword, params, pair, tol)
 
 
 def x2_code_sample(params=None, tol: Tolerance = Tolerance()) -> CodeSample:
-    """Grid sample of the four-qubit single-deletion code, collision pair
-    appended, deduplicated within ``tol``."""
-    entries = _grid_entries(hagiwara_codeword, params if params is not None else code_params())
+    """Grid sample of the four-qubit single-deletion code, collision pair appended."""
     psi1, psi2 = collision_pair_x2(*x2_collision_params())
-    entries.append(("collision-1", psi1))
-    entries.append(("collision-2", psi2))
-    labels, states = zip(*entries)
-    return CodeSample(states, labels, tol)
+    return _grid_code(hagiwara_codeword, params, [("collision-1", psi1), ("collision-2", psi2)], tol)
 
 
 # --- builtin registry for the CLI ---------------------------------------------

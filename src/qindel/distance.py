@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import IndexSet, SphereSet, deletion_levels, distinct_rows, first_meeting
-from .errors import CountOutOfRange, DuplicateStates, LevelMismatch, TooFewStates
+from .errors import CountOutOfRange, DuplicateStates, LevelMismatch, ShapeMismatch, TooFewStates
 from .feasibility import FeasibilityStatus, member_del_ins
 from .linalg import Tolerance
 from .states import DensityMatrix, state_to_json_obj
@@ -85,9 +85,12 @@ class CodeSample:
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.states):
             raise ValueError("labels and states must have equal length")
-        shapes = {s.shape for s in self.states}
-        if len(shapes) > 1:
-            raise LevelMismatch(f"states span several shapes: {shapes}")
+        levels = {s.level for s in self.states}
+        if len(levels) > 1:
+            raise LevelMismatch(f"states span several levels: {sorted(levels)}")
+        lengths = {s.length for s in self.states}
+        if len(lengths) > 1:
+            raise ShapeMismatch(f"states span several lengths: {sorted(lengths)}")
         if not self.states:
             return
         eq_tol = self.tol.at(self.states[0].dim).eq_tol

@@ -21,9 +21,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import IndexSet, _as_index_set, _insertion_set, deletion_sphere, partial_trace
-from .channels import sample_insertions, trace_out, trace_out_adjoint
-from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
+from .channels import IndexSet, _as_index_set, _check_composed, _insertion_set, deletion_sphere
+from .channels import partial_trace, sample_insertions, trace_out, trace_out_adjoint
+from .errors import CountOutOfRange, SizeCapExceeded
 from .linalg import Tolerance, hermitian_part
 from .states import DensityMatrix, QuditShape, spectral_decompose
 
@@ -157,12 +157,9 @@ def member_ins_del(
     Membership holds iff the t-deletion sphere of sigma meets the s-deletion
     sphere of rho, which is a finite comparison.
     """
-    if sigma.level != rho.level:
-        raise ShapeMismatch(f"levels differ: {sigma.level} vs {rho.level}")
-    if sigma.length != rho.length - s + t:
-        raise ShapeMismatch(
-            f"len(sigma)={sigma.length} != len(rho)-s+t={rho.length - s + t}"
-        )
+    _check_composed(sigma, rho, s, t)
+    if s > rho.length:
+        raise CountOutOfRange(f"cannot delete s={s} qudits from a length-{rho.length} state")
     left = deletion_sphere(sigma, t, tol)
     right = deletion_sphere(rho, s, tol)
     return left.intersection_witness(right) is not None
@@ -187,16 +184,12 @@ def feasibility_del_ins(
     decide many (P, Q) pairs of one state pair; ``tol`` gives ``feas_tol``
     and the tolerances the range projectors are taken at.
     """
-    if sigma.level != rho.level:
-        raise ShapeMismatch(f"levels differ: {sigma.level} vs {rho.level}")
-    n, l = rho.length, rho.level
-    qset = _insertion_set(Q, n)
+    qset = _insertion_set(Q, rho.length)
     big = qset.ambient
     pset = _as_index_set(P, big)
-    if sigma.length != big - pset.size:
-        raise ShapeMismatch(f"len(sigma)={sigma.length} != n+t-s={big - pset.size}")
-    if l**big > MAX_DIM:
-        raise SizeCapExceeded(f"lifted dimension {l ** big} exceeds cap {MAX_DIM}")
+    _check_composed(sigma, rho, pset.size, qset.size)
+    if rho.level**big > MAX_DIM:
+        raise SizeCapExceeded(f"lifted dimension {rho.level ** big} exceeds cap {MAX_DIM}")
 
     affine = AffineConstraint(rho, qset, sigma, pset)
     details: dict = {}
@@ -349,16 +342,8 @@ def member_del_ins(
     Inconclusive otherwise.  The range projectors of sigma and rho are built
     once for all pairs.
     """
-    if s < 0 or t < 0:
-        raise CountOutOfRange(f"counts must be nonnegative, got s={s}, t={t}")
-    if sigma.level != rho.level:
-        raise ShapeMismatch(f"levels differ: {sigma.level} vs {rho.level}")
-    if sigma.length != rho.length + t - s:
-        raise ShapeMismatch(
-            f"len(sigma)={sigma.length} != len(rho)+t-s={rho.length + t - s}"
-        )
-    n = rho.length
-    big = n + t
+    _check_composed(sigma, rho, s, t)
+    big = rho.length + t
     ranges = (_range_projector(sigma, tol), _range_projector(rho, tol))
     pair_reports: list[dict] = []
     total_iterations = 0
@@ -418,13 +403,8 @@ def check_containment_trial(
     state = rho
     deletions_left, insertions_left = s, t
     while deletions_left or insertions_left:
-        moves = []
-        if deletions_left:
-            moves.append("D")
-        if insertions_left:
-            moves.append("I")
-        move = moves[rng.integers(len(moves))]
-        if move == "D":
+        # a coin is tossed only when both moves remain: 0 deletes, 1 inserts
+        if deletions_left and not (insertions_left and rng.integers(2)):
             p = int(rng.integers(1, state.length + 1))
             state = partial_trace(state, p)
             deletions_left -= 1

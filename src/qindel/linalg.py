@@ -17,9 +17,6 @@ from .errors import InvalidTolerance, NoConvergence, NonSquare, NotHermitian, Sh
 
 __all__ = [
     "Tolerance",
-    "kron",
-    "adjoint",
-    "trace",
     "frobenius_distance",
     "hermitian_part",
     "hermitian_residual",
@@ -83,23 +80,6 @@ class Tolerance:
 
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; accepts matrices or kets (1-d vectors)."""
-    return np.kron(_as_complex(a), _as_complex(b))
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_complex(a).conj().T
-
-
-def trace(a) -> complex:
-    a = _as_complex(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquare(f"trace needs a square matrix, got shape {a.shape}")
-    return complex(np.trace(a))
 
 
 def frobenius_distance(a, b) -> float:

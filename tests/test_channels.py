@@ -37,7 +37,7 @@ from qindel.errors import (
     PositionOutOfRange,
 )
 from qindel.feasibility import feasibility_del_ins
-from qindel.linalg import Tolerance, frobenius_distance, kron
+from qindel.linalg import Tolerance, frobenius_distance
 from qindel.rand import random_density, random_orthonormal
 from qindel.states import (
     DensityMatrix,
@@ -198,7 +198,7 @@ def assert_matches_oracle(candidates, eq_tol):
 def repeated_product(rng, level, n):
     """A product of n copies of one random qudit state: all s-deletions coincide."""
     one = random_density(rng, QuditShape(level, 1)).mat
-    return DensityMatrix(QuditShape(level, n), reduce(kron, [one] * n))
+    return DensityMatrix(QuditShape(level, n), reduce(np.kron, [one] * n))
 
 
 def test_sphere_set_matches_greedy_oracle(rng):
@@ -472,7 +472,7 @@ def test_tau_Q_roundtrip(rng):
         rho = random_density(rng, QuditShape(2, n))
         pi = random_density(rng, QuditShape(2, 1))
         q = int(rng.integers(1, n + 2))
-        big = DensityMatrix(QuditShape(2, n + 1), kron(rho.mat, pi.mat))
+        big = DensityMatrix(QuditShape(2, n + 1), np.kron(rho.mat, pi.mat))
         sigma = index_permutation(big, tau_Q(IndexSet((q,), n + 1), n))
         assert delete(sigma, {q}).distance(rho) <= 1e-12
 
@@ -559,7 +559,7 @@ def test_insert_construct_pure_state_form(rng):
     pi = random_density(rng, QuditShape(2, 1))
     sigma = insert_construct(rho, IndexSet((1,), 3), separable_blocks([pi.mat]))
     expected = index_permutation(
-        DensityMatrix(QuditShape(2, 3), kron(rho.mat, pi.mat)), tau_Q(IndexSet((1,), 3), 2)
+        DensityMatrix(QuditShape(2, 3), np.kron(rho.mat, pi.mat)), tau_Q(IndexSet((1,), 3), 2)
     )
     assert sigma.distance(expected) <= 1e-12
 

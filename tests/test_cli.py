@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import qindel.cli
 import qindel.feasibility as feasibility
 from qindel.channels import delete, deletion_sphere
 from qindel.cli import main
@@ -255,12 +256,15 @@ def test_sphere_unwritable_out_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_paper_examples_unwritable_report_exits_3(tmp_path, capsys):
+def test_paper_examples_unwritable_report_exits_3(tmp_path, monkeypatch, capsys):
+    # refused before the suite runs: it is never called and prints no criterion line
+    monkeypatch.setattr(qindel.cli, "run_all", lambda seed: pytest.fail("the suite ran"))
     path = tmp_path / "missing" / "r.json"
     code, report, err = run_cli(capsys, "paper-examples", "--report", str(path))
     assert code == 3 and report is None
     assert f"error: cannot write {path}: " in err
     assert "Traceback" not in err
+    assert not any(line.startswith(("PASS", "FAIL")) for line in err.splitlines())
 
 
 @pytest.mark.parametrize(
@@ -373,3 +377,10 @@ def test_paper_examples_seed_changes_only_witnesses(suite_runs):
     verdicts0 = [(i["name"], i["status"]) for i in suite_runs[0][1]["items"]]
     verdicts1 = [(i["name"], i["status"]) for i in suite_runs[1][1]["items"]]
     assert verdicts0 == verdicts1
+
+
+def test_verify_refuses_code_specs_that_name_no_states(tmp_path, capsys):
+    code, report, err = run_cli(capsys, "verify", str(tmp_path / "missing"))
+    assert code == 3 and report is None and "neither builtin:... nor a directory" in err
+    code, report, err = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 3 and report is None and "contains no .json state files" in err

@@ -11,6 +11,7 @@ from qindel.codes import (
     collision_pair_x2,
     code_params,
     dicke_ket,
+    example_insertion,
     example_psi,
     example_rho,
     hagiwara_codeword,
@@ -18,15 +19,18 @@ from qindel.codes import (
     hagiwara_single_deletion,
     in_del_after_ins_sphere,
     in_ins_after_del_sphere,
-    sigma_1,
-    sigma_2,
-    sigma_3,
     x1_code_sample,
     x1_codeword,
     x2_code_sample,
     x2_collision_params,
 )
-from qindel.errors import DegenerateParam, NotNormalized, ParseError, WeightOutOfRange
+from qindel.errors import (
+    DegenerateParam,
+    NotNormalized,
+    ParseError,
+    PositionOutOfRange,
+    WeightOutOfRange,
+)
 from qindel.feasibility import FeasibilityStatus, member_del_ins
 from qindel.rand import random_density
 from qindel.states import DensityMatrix, QuditShape, basis_ket, validate
@@ -94,12 +98,14 @@ def test_sigma_fixtures_delete_back(rng):
     pi00 = random_density(rng, QuditShape(2, 1)).mat
     pi11 = random_density(rng, QuditShape(2, 1)).mat
     a = 0.02 * np.array([[1, 2j], [0.5, -1]], dtype=complex)  # traceless
-    for q, fixture in ((1, sigma_1), (2, sigma_2), (3, sigma_3)):
-        sig = fixture(p0, p1, pi00, pi11, a)
+    for q in (1, 2, 3):
+        sig = example_insertion(q, p0, p1, pi00, pi11, a)
         assert delete(sig, {q}).distance(rho) <= 1e-12
+    with pytest.raises(PositionOutOfRange):
+        example_insertion(4, p0, p1, pi00, pi11, a)
 
-    # one-position deletions of sigma_1 drop the coherence block entirely
-    sig1 = sigma_1(p0, p1, pi00, pi11, a)
+    # one-position deletions of the front insertion drop the coherence block entirely
+    sig1 = example_insertion(1, p0, p1, pi00, pi11, a)
     expected = DensityMatrix(
         QuditShape(2, 2),
         p0 * np.kron(pi00, np.diag([1.0, 0])) + p1 * np.kron(pi11, np.diag([0, 1.0])),
@@ -110,7 +116,7 @@ def test_sigma_fixtures_delete_back(rng):
 
 def test_insert_construct_matches_explicit_fixtures(rng):
     # blocks fed through the generic constructor reproduce the hand-built
-    # sigma formulas at every insertion position
+    # example insertion at every position
     from qindel.channels import IndexSet, insert_construct
     from qindel.states import spectral_decompose
 
@@ -136,9 +142,9 @@ def test_insert_construct_matches_explicit_fixtures(rng):
     arr[idx11, idx00], arr[idx00, idx11] = a, a.conj().T
     blocks = arr
 
-    for q, fixture in ((1, sigma_1), (2, sigma_2), (3, sigma_3)):
+    for q in (1, 2, 3):
         built = insert_construct(rho, IndexSet((q,), 3), blocks)
-        assert built.distance(fixture(p0, p1, pi00, pi11, a)) <= 1e-12
+        assert built.distance(example_insertion(q, p0, p1, pi00, pi11, a)) <= 1e-12
 
 
 def test_structural_membership_oracle(rng):

@@ -22,7 +22,13 @@ from qindel.distance import (
     metric_check,
     min_distance,
 )
-from qindel.errors import CountOutOfRange, DuplicateStates, LevelMismatch, TooFewStates
+from qindel.errors import (
+    CountOutOfRange,
+    DuplicateStates,
+    LevelMismatch,
+    ShapeMismatch,
+    TooFewStates,
+)
 from qindel.linalg import Tolerance
 from qindel.rand import random_density
 from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket
@@ -243,3 +249,22 @@ def test_metric_check_counts_odd_equal_length_distances(monkeypatch):
 def test_code_sample_rejects_duplicates():
     with pytest.raises(DuplicateStates, match="coincide"):
         CodeSample.from_states([_pure("00"), _pure("00")])
+
+
+def test_code_sample_names_the_mismatch():
+    qubit, pair, qutrit = (random_density(np.random.default_rng(0), shape)
+                           for shape in (QuditShape(2, 1), QuditShape(2, 2), QuditShape(3, 1)))
+    with pytest.raises(ValueError, match="equal length"):
+        CodeSample((qubit,), ("a", "b"))
+    with pytest.raises(LevelMismatch, match="levels"):
+        CodeSample((qubit, qutrit), ("a", "b"))
+    with pytest.raises(ShapeMismatch, match="lengths"):
+        CodeSample((qubit, pair), ("a", "b"))
+
+
+def test_corrects_insertions_refuses_bad_counts_and_small_codes():
+    code = CodeSample.from_states([example_rho(0.5, 0.5), example_psi(0.5, 0.5)])
+    with pytest.raises(CountOutOfRange):
+        corrects_insertions(code, 0)
+    with pytest.raises(TooFewStates):
+        corrects_insertions(CodeSample.from_states([example_rho(0.5, 0.5)]), 1)

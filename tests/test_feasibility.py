@@ -3,9 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qindel.channels import IndexSet, delete, trace_out
+from qindel.channels import IndexSet, delete, insertion_member, trace_out
 from qindel.codes import example_psi, example_rho
-from qindel.errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
+from qindel.errors import CountOutOfRange, LevelMismatch, ShapeMismatch, SizeCapExceeded
 from qindel.feasibility import (
     AffineConstraint,
     FeasibilityStatus,
@@ -308,3 +308,44 @@ def test_tampered_and_feasible_certificates_are_rejected(rng):
                       (np.eye(8) - 2 * rho_.mat, np.eye(8) - 2 * sigma.mat)]
         for lam in candidates:
             assert affine.certify(lam)[1] <= feas_tol
+
+
+def _mixed(level, length):
+    dim = level**length
+    return DensityMatrix(QuditShape(level, length), np.eye(dim) / dim)
+
+
+# each composed-error call with its counts (s, t): sigma must have rho's
+# level and length n - s + t
+_COMPOSED = [
+    pytest.param(lambda sigma, rho: insertion_member(sigma, rho, IndexSet((1,), sigma.length)),
+                 0, 1, id="insertion_member"),
+    pytest.param(lambda sigma, rho: member_ins_del(sigma, rho, 1, 1), 1, 1, id="member_ins_del"),
+    pytest.param(lambda sigma, rho: feasibility_del_ins(sigma, rho, (1,), (2,)),
+                 1, 1, id="feasibility_del_ins"),
+    pytest.param(lambda sigma, rho: member_del_ins(sigma, rho, 1, 1), 1, 1, id="member_del_ins"),
+]
+
+
+@pytest.mark.parametrize("call, s, t", _COMPOSED)
+@pytest.mark.parametrize(
+    "level, extra, error", [(3, 0, LevelMismatch), (2, 1, ShapeMismatch)], ids=["level", "length"]
+)
+def test_composed_calls_name_the_mismatch(call, s, t, level, extra, error):
+    rho = _mixed(2, 1)
+    sigma = _mixed(level, rho.length - s + t + extra)
+    with pytest.raises(error, match="levels differ" if error is LevelMismatch else "len"):
+        call(sigma, rho)
+
+
+@pytest.mark.parametrize("s, t", [(-1, 0), (0, -1)])
+def test_member_ins_del_refuses_negative_counts(s, t):
+    rho = _mixed(2, 2)
+    with pytest.raises(CountOutOfRange, match="nonnegative"):
+        member_ins_del(_mixed(2, rho.length - s + t), rho, s, t)
+
+
+def test_member_ins_del_names_a_deletion_count_above_the_length():
+    # sigma has the length n - s + t, so only s is wrong, and the error names it
+    with pytest.raises(CountOutOfRange, match="s=3"):
+        member_ins_del(_mixed(2, 1), _mixed(2, 2), 3, 2)

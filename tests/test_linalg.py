@@ -6,58 +6,16 @@ import pytest
 from qindel.errors import NonSquare, NotHermitian, ShapeMismatch
 from qindel.linalg import (
     Tolerance,
-    adjoint,
     frobenius_distance,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     is_psd,
-    kron,
     project_psd,
     psd_principal_minors,
-    trace,
 )
 from qindel.rand import random_hermitian, random_psd
 
 I2 = np.eye(2, dtype=complex)
-
-
-def test_kron_identities():
-    np.testing.assert_array_equal(kron(I2, I2), np.eye(4))
-    np.testing.assert_array_equal(kron([1, 0], [0, 1]), [0, 1, 0, 0])
-    np.testing.assert_array_equal(kron([[0, 1], [0, 0]], [[2]]), [[0, 2], [0, 0]])
-
-
-def test_kron_associative_on_integer_matrices(rng):
-    for _ in range(20):
-        a, b, c = (rng.integers(-3, 4, size=(2, 2)) for _ in range(3))
-        np.testing.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-
-def test_adjoint():
-    np.testing.assert_array_equal(adjoint(I2), I2)
-    np.testing.assert_array_equal(adjoint([[1j]]), [[-1j]])
-
-
-def test_adjoint_is_involution(rng):
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    np.testing.assert_allclose(adjoint(adjoint(a)), a)
-
-
-def test_trace():
-    assert trace(np.eye(4)) == 4
-    ket0, ket1 = np.array([1, 0]), np.array([0, 1])
-    assert trace(np.outer(ket0, ket1)) == 0
-    with pytest.raises(NonSquare):
-        trace(np.zeros((2, 3)))
-
-
-def test_trace_multiplicative_under_kron(rng):
-    for _ in range(10):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        direct = sum(a[i, i] * b[j, j] for i in range(2) for j in range(2))
-        assert abs(trace(kron(a, b)) - direct) < 1e-12
-        assert abs(trace(a) * trace(b) - direct) < 1e-12
 
 
 def test_frobenius_distance():

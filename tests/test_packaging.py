@@ -40,3 +40,30 @@ def test_every_exported_name_resolves():
         names = getattr(module, "__all__", ())
         missing += [f"{module.__name__}.{name}" for name in names if not hasattr(module, name)]
     assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level import bindings that the module never reads: not as a
+    name, not as an attribute base, and not in ``__all__``."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_an_unused_name():
+    unused = []
+    for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            unused += [f"{path.stem}: {name}" for name in _unused_imports(tree)]
+    assert not unused, f"imported but unused: {unused}"

@@ -1,7 +1,8 @@
 """Property tests: input checks (tolerance values, state-file shapes and
 malformed payloads), the metric axioms of the indel distance, a code's
 dedup of coinciding states, the insertion round trip and sampler prefixes,
-and the containment of interleaved errors.
+the containment of interleaved errors, and the evidence of feasibility
+verdicts: witnesses and Farkas certificates.
 
 Examples are derived from the test source, not drawn at random, and no
 example database is kept, so runs are deterministic and write nothing to
@@ -23,11 +24,17 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from qindel.channels import insertion_member, sample_insertions  # noqa: E402
+from qindel.channels import IndexSet, delete, insertion_member, sample_insertions  # noqa: E402
+from qindel.codes import example_psi, example_rho  # noqa: E402
 from qindel.distance import CodeSample, indel_distance, min_distance  # noqa: E402
 from qindel.errors import DuplicateStates, InvalidTolerance, ParseError  # noqa: E402
-from qindel.feasibility import check_containment_trial  # noqa: E402
-from qindel.linalg import Tolerance, kron  # noqa: E402
+from qindel.feasibility import (  # noqa: E402
+    AffineConstraint,
+    FeasibilityStatus,
+    check_containment_trial,
+    feasibility_del_ins,
+)
+from qindel.linalg import Tolerance  # noqa: E402
 from qindel.rand import random_density  # noqa: E402
 from qindel.states import (  # noqa: E402
     DensityMatrix,
@@ -187,7 +194,7 @@ def qubit_states(draw, lengths=st.integers(1, 3)):
     shape = QuditShape(2, n)
     if draw(st.booleans()):
         factors = draw(st.lists(st.sampled_from(range(len(_POOL))), min_size=n, max_size=n))
-        return DensityMatrix(shape, reduce(kron, [_POOL[k] for k in factors]))
+        return DensityMatrix(shape, reduce(np.kron, [_POOL[k] for k in factors]))
     seed = draw(st.integers(0, 2**32 - 1))
     rank = draw(st.integers(1, shape.dim))
     return random_density(np.random.default_rng(seed), shape, rank)
@@ -317,3 +324,68 @@ def test_interleaved_errors_land_in_the_insertions_after_deletions_sphere(counts
     rho = data.draw(qubit_states(st.integers(max(s, 1), 3)))
     seed = data.draw(st.integers(0, 2**62 - 1))
     assert check_containment_trial(rho, seed, s, t)
+
+
+@st.composite
+def feasible_instances(draw):
+    """(sigma, rho, P, Q) = (D_P(tau), D_Q(tau), P, Q) for a random lifted
+    qubit tau of random rank and dimension at most 16, with P and Q any
+    nonempty position sets that leave at least one qubit."""
+    big = draw(st.integers(2, 4))
+    shape = QuditShape(2, big)
+    tau = random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), shape,
+                         draw(st.integers(1, shape.dim)))
+    subsets = st.lists(st.integers(1, big), min_size=1, max_size=big - 1, unique=True)
+    pset, qset = (IndexSet(tuple(sorted(draw(subsets))), big) for _ in range(2))
+    return delete(tau, pset), delete(tau, qset), pset, qset
+
+
+@settings(DETERMINISTIC, max_examples=25)
+@given(feasible_instances())
+def test_feasible_instances_are_never_infeasible(instance):
+    """A feasible instance is never refuted, and a feasible verdict's witness
+    meets both conditions within feas_tol and is PSD."""
+    sigma, rho, pset, qset = instance
+    report = feasibility_del_ins(sigma, rho, pset, qset)
+    assert report.status is not FeasibilityStatus.INFEASIBLE
+    if report.status is FeasibilityStatus.FEASIBLE:
+        w = report.witness
+        assert np.linalg.eigvalsh(w.mat)[0] >= -Tolerance().at(w.dim).psd_tol
+        assert delete(w, qset).distance(rho) <= Tolerance().feas_tol
+        assert delete(w, pset).distance(sigma) <= Tolerance().feas_tol
+
+
+@settings(DETERMINISTIC, max_examples=25)
+@given(feasible_instances())
+def test_no_certificate_clears_feas_tol_on_a_feasible_instance(instance):
+    """Not the mismatch certificate, the least-squares dual point or its
+    negation, nor an empty-face style shift: every certified bound stays at
+    or below feas_tol."""
+    sigma, rho, pset, qset = instance
+    affine = AffineConstraint(rho, qset, sigma, pset)
+    y_q, y_p = affine.least_squares_dual()
+    shift = (np.eye(rho.dim) - 2 * rho.mat, np.eye(sigma.dim) - 2 * sigma.mat)
+    for lam in (affine.inconsistency_certificate(), (y_q, y_p), (-y_q, -y_p), shift):
+        assert affine.certify(lam)[1] <= Tolerance().feas_tol
+
+
+@settings(DETERMINISTIC, max_examples=25)
+@given(st.floats(0.1, 0.9), st.booleans())
+def test_counterexample_verdicts_carry_certificates(p0, swap):
+    """psi = sqrt(p0)|01> + sqrt(p1)|10> and rho = p0|00><00| + p1|11><11| are
+    in no D_P(I_Q) of each other: every (P, Q) is infeasible with a
+    certificate that passes ``certify`` and whose negation has a negative
+    margin."""
+    sigma, rho = example_psi(p0, 1 - p0), example_rho(p0, 1 - p0)
+    if swap:
+        sigma, rho = rho, sigma
+    for p in range(1, 4):
+        for q in range(1, 4):
+            pset, qset = IndexSet((p,), 3), IndexSet((q,), 3)
+            report = feasibility_del_ins(sigma, rho, pset, qset)
+            assert report.status is FeasibilityStatus.INFEASIBLE, (p, q)
+            affine = AffineConstraint(rho, qset, sigma, pset)
+            lam_q, lam_p = report.certificate
+            margin, bound = affine.certify((lam_q, lam_p))
+            assert bound > Tolerance().feas_tol and margin == report.details["margin"]
+            assert affine.certify((-lam_q, -lam_p))[0] < 0

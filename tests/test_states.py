@@ -16,7 +16,7 @@ from qindel.errors import (
     ValidationError,
 )
 from qindel.linalg import Tolerance
-from qindel.rand import random_density
+from qindel.rand import random_density, random_orthonormal
 from qindel.states import (
     DensityMatrix,
     QuditShape,
@@ -43,6 +43,8 @@ def test_qudit_shape():
         QuditShape(2, 9)
     with pytest.raises(ValueError):
         QuditShape(1, 2)
+    with pytest.raises(ValueError, match="length"):
+        QuditShape(2, -1)
 
 
 def test_basis_index_examples():
@@ -314,6 +316,7 @@ _TWO_ROWS = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
             {"level": 2, "length": 1, "kind": "pure", "ket": [["1", "0"], ["0", "0"]]},
             id="string-ket",
         ),
+        pytest.param([1, 2], id="not-an-object"),
         pytest.param(_spectral(5), id="pairs-number"),
         pytest.param(_spectral([5]), id="pair-number"),
         pytest.param(_spectral([{"p": "x", "ket": _E0}]), id="weight-word"),
@@ -350,3 +353,13 @@ def test_malformed_state_files_raise_parse_error(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(ParseError):
         load_state(path)
+
+
+def test_density_matrix_refuses_a_matrix_of_another_shape():
+    with pytest.raises(ShapeMismatch, match="does not match qudit shape"):
+        DensityMatrix(QuditShape(2, 1), np.eye(4) / 4)
+
+
+def test_random_orthonormal_refuses_more_vectors_than_the_dimension():
+    with pytest.raises(ValueError, match="cannot fit 3"):
+        random_orthonormal(np.random.default_rng(0), 2, 3)
