@@ -11,11 +11,10 @@ import numpy as np
 
 from qindel import CodeSample, corrects, corrects_insertions, indel_distance, min_distance
 from qindel.codes import (
+    builtin_code,
     collision_pair_x2,
     example_psi,
     example_rho,
-    x1_code_sample,
-    x2_code_sample,
     x2_collision_params,
 )
 from qindel.states import DensityMatrix, QuditShape, basis_ket
@@ -30,14 +29,14 @@ result = indel_distance(rho1, rho2)
 print(f"d(rho1, rho2) = {result.value}  via P={list(result.P)}, Q={list(result.Q)}")
 
 # the phase-degenerate code: min distance 2, so one deletion is uncorrectable
-x1 = x1_code_sample()
+x1 = builtin_code("x1")
 value, pair, _ = min_distance(x1)
 print(f"\nphase code: {len(x1)} sampled codewords, min distance {value}")
 print("corrects one deletion:", corrects(x1, 1, "deletions").ok)
 
 # the four-qubit code: min distance 4, one deletion (or any single indel
 # error) is correctable
-x2 = x2_code_sample()
+x2 = builtin_code("hagiwara4")
 value, pair, _ = min_distance(x2)
 print(f"\nfour-qubit code: {len(x2)} sampled codewords, min distance {value} "
       f"(achieved by {pair[0]} / {pair[1]})")

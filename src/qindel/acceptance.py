@@ -14,6 +14,7 @@ import numpy as np
 
 from .channels import IndexSet, cross_distances, delete, deletion_sphere, sample_insertions
 from .codes import (
+    builtin_code,
     code_params,
     collision_pair_x2,
     example_psi,
@@ -23,8 +24,6 @@ from .codes import (
     hagiwara_single_deletion,
     in_del_after_ins_sphere,
     in_ins_after_del_sphere,
-    x1_code_sample,
-    x2_code_sample,
     x2_collision_params,
 )
 from .distance import CodeSample, corrects, corrects_insertions, indel_distance, metric_check, min_distance
@@ -76,7 +75,7 @@ def check_mixture_distance(seed: int) -> dict:
 
 def check_x1_min_distance(seed: int) -> dict:
     """The phase-degenerate 2-qubit code has min distance 2 and fails 1-deletion."""
-    code = x1_code_sample()
+    code = builtin_code("x1")
     value, pair, _ = min_distance(code)
     verdict = corrects(code, 1, "deletions")
     i, j = (code.labels.index(lbl) for lbl in verdict.evidence["closest_pair"])
@@ -99,7 +98,7 @@ def check_x2_min_distance(seed: int) -> dict:
     params = code_params()
     if len(params) < 40:
         return _item("hagiwara4-code-min-distance", False, float(len(params)), "grid too small")
-    sample = x2_code_sample()
+    sample = builtin_code("hagiwara4")
 
     spheres = [deletion_sphere(s, 1).stack for s in sample.states]
     min_cross = min(

@@ -43,7 +43,7 @@ from .errors import (
     RoundTripFailed,
     ShapeMismatch,
 )
-from .linalg import Tolerance, hermitian_eigenvalues
+from .linalg import Tolerance, eigensolve, hermitian_part
 from .rand import random_orthonormal, random_psd
 from .states import DensityMatrix, QuditShape, SpectralForm, spectral_decompose
 
@@ -485,8 +485,9 @@ def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: To
         raise violated(k, f"block ({x}, {y}) has nonzero trace {trace_res[k, x, y]:.3e}")
 
     # the adjoint check bounds each diagonal block's Hermitian residual at
-    # eq_tol, so the solve's own Hermitian check passes
-    lowest = hermitian_eigenvalues(stack[:, np.arange(rank), np.arange(rank)], tol)[..., 0]
+    # eq_tol, so only rounding drift is symmetrized away
+    diagonal = hermitian_part(stack[:, np.arange(rank), np.arange(rank)])
+    lowest = eigensolve(np.linalg.eigvalsh, diagonal)[..., 0]
     k, x = np.unravel_index(int(np.argmin(lowest)), lowest.shape)
     if lowest[k, x] < -tol.psd_tol:
         raise violated(
@@ -546,10 +547,11 @@ def _insert_stack(
     sigmas = _permute_axes(mat.reshape(count, big_shape.dim, big_shape.dim), tau_Q(qset, n), l)
     big_tol = tol.at(big_shape.dim)
 
-    # blocks that pass their adjoint check assemble to states Hermitian within
-    # big_tol (up to rounding), so its Hermitian check passes and only the
-    # rounding drift is symmetrized away
-    lowest = hermitian_eigenvalues(sigmas, big_tol)[:, 0]
+    # unpermuted, sigma - sigma^dagger = sum_{x,y} sqrt(p_x p_y) |x_L><y_L| (x)
+    # (A_xy - A_yx^dagger), Frobenius-orthogonal terms with p_x p_y summing to 1:
+    # its norm is at most the largest block residual, at most eq_tol at l^t and
+    # so at big_tol; only rounding drift is symmetrized away
+    lowest = eigensolve(np.linalg.eigvalsh, hermitian_part(sigmas))[:, 0]
     k = int(np.argmin(lowest))
     if lowest[k] < -big_tol.psd_tol:
         raise NotPSD(

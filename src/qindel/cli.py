@@ -174,6 +174,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_paper_examples(args) -> int:
     started = time.monotonic()
+    if args.seed < 0:
+        raise ParseError(f"--seed must be nonnegative, got {args.seed}")
     # the report file is opened first, so an unwritable path is refused before the suite runs
     try:
         report_file = open(args.report, "w", encoding="utf-8") if args.report else None
@@ -219,7 +221,7 @@ def _build_parser() -> _Parser:
 
     p_suite = sub.add_parser("paper-examples", help="run the full reproduction suite")
     p_suite.add_argument("--report", default=None, help="also write the report JSON here")
-    p_suite.add_argument("--seed", type=int, default=0, help="seed of the suite's random draws")
+    p_suite.add_argument("--seed", type=int, default=0, help="nonnegative seed of the suite's random draws")
     p_suite.set_defaults(func=_cmd_paper_examples)
 
     return parser

@@ -32,14 +32,9 @@ __all__ = [
     "hagiwara_double_deletion",
     "collision_pair_x2",
     "code_params",
-    "x1_phase_pair_params",
     "x2_collision_params",
-    "x1_code_sample",
-    "x2_code_sample",
     "builtin_state",
     "builtin_code",
-    "BUILTIN_STATE_NAMES",
-    "BUILTIN_CODE_NAMES",
 ]
 
 _KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -61,12 +56,7 @@ def dicke_ket(n: int, i: int) -> np.ndarray:
     """
     if not 0 <= i <= n:
         raise WeightOutOfRange(f"weight {i} not in [0, {n}]")
-    shape = QuditShape(2, n)
-    ket = np.zeros(shape.dim, dtype=complex)
-    for bits in product((0, 1), repeat=n):
-        if sum(bits) == i:
-            ket += basis_ket(bits, shape)
-    return ket
+    return (np.array([k.bit_count() for k in range(QuditShape(2, n).dim)]) == i).astype(complex)
 
 
 def hagiwara_codeword(alpha: complex, beta: complex) -> DensityMatrix:
@@ -232,12 +222,6 @@ def code_params(n_theta: int = 5, n_phi: int = 8) -> list[tuple[complex, complex
     ]
 
 
-def x1_phase_pair_params() -> list[tuple[complex, complex]]:
-    a = math.cos(math.pi / 8)
-    b = math.sin(math.pi / 8)
-    return [(a, b * cmath.exp(1j * math.pi / 3)), (a, b * cmath.exp(2j * math.pi / 3))]
-
-
 def x2_collision_params() -> tuple[complex, complex]:
     return (math.cos(math.pi / 8), math.sin(math.pi / 8) * cmath.exp(1j * math.pi / 3))
 
@@ -254,22 +238,7 @@ def _grid_code(codeword, params, extras, tol: Tolerance) -> CodeSample:
     return CodeSample(states, labels, tol)
 
 
-def x1_code_sample(params=None, tol: Tolerance = Tolerance()) -> CodeSample:
-    """Grid sample of the two-qubit code, engineered phase pair appended."""
-    pair = [(f"phase-{k + 1}", x1_codeword(a, b)) for k, (a, b) in enumerate(x1_phase_pair_params())]
-    return _grid_code(x1_codeword, params, pair, tol)
-
-
-def x2_code_sample(params=None, tol: Tolerance = Tolerance()) -> CodeSample:
-    """Grid sample of the four-qubit single-deletion code, collision pair appended."""
-    psi1, psi2 = collision_pair_x2(*x2_collision_params())
-    return _grid_code(hagiwara_codeword, params, [("collision-1", psi1), ("collision-2", psi2)], tol)
-
-
 # --- builtin registry for the CLI ---------------------------------------------
-
-BUILTIN_STATE_NAMES = ("rho", "psi", "x1", "hagiwara4")
-BUILTIN_CODE_NAMES = ("x1", "hagiwara4", "collision-x2")
 
 
 def _parse_angles(args: str | None) -> tuple[complex, complex]:
@@ -297,12 +266,16 @@ def builtin_state(name: str, args: str | None = None) -> DensityMatrix:
 
 
 def builtin_code(name: str, params=None, tol: Tolerance = Tolerance()) -> CodeSample:
-    """Resolve a builtin code sample by name; its states are deduplicated, or
-    checked to be distinct, within ``tol``."""
+    """The named code, deduplicated (or checked distinct) within ``tol``: 'x1' or
+    'hagiwara4', the grid code over ``params`` with its phase or collision pair
+    appended, or 'collision-x2', that collision pair alone."""
     if name == "x1":
-        return x1_code_sample(params, tol)
+        a, b = math.cos(math.pi / 8), math.sin(math.pi / 8)
+        pair = [(f"phase-{k}", x1_codeword(a, b * cmath.exp(1j * k * math.pi / 3))) for k in (1, 2)]
+        return _grid_code(x1_codeword, params, pair, tol)
     if name == "hagiwara4":
-        return x2_code_sample(params, tol)
+        psi1, psi2 = collision_pair_x2(*x2_collision_params())
+        return _grid_code(hagiwara_codeword, params, [("collision-1", psi1), ("collision-2", psi2)], tol)
     if name == "collision-x2":
         psi1, psi2 = collision_pair_x2(*x2_collision_params())
         return CodeSample.from_states((psi1, psi2), ("collision-1", "collision-2"), tol)

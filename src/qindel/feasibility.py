@@ -24,7 +24,7 @@ import numpy as np
 from .channels import IndexSet, _as_index_set, _check_composed, _insertion_set, deletion_sphere
 from .channels import partial_trace, sample_insertions, trace_out, trace_out_adjoint
 from .errors import CountOutOfRange, SizeCapExceeded
-from .linalg import Tolerance, hermitian_part
+from .linalg import Tolerance, eigensolve, hermitian_part
 from .states import DensityMatrix, QuditShape, spectral_decompose
 
 __all__ = [
@@ -132,7 +132,7 @@ class AffineConstraint:
         instance and no rounding error can give.
         """
         rho, sigma = self.rhs
-        shift = max(0.0, -float(np.linalg.eigvalsh(self.adjoint(lam))[0]))
+        shift = max(0.0, -float(eigensolve(np.linalg.eigvalsh, self.adjoint(lam))[0]))
         lam_q = lam[0] + shift * np.eye(len(rho))
         margin = -float(np.vdot(rho, lam_q).real + np.vdot(sigma, lam[1]).real)
         norm = math.hypot(float(np.linalg.norm(lam_q)), float(np.linalg.norm(lam[1])))
@@ -215,7 +215,7 @@ def feasibility_del_ins(
     # it lives on the null space of their sum M
     proj_sigma, proj_rho = ranges or (_range_projector(sigma, tol), _range_projector(rho, tol))
     kernels = (np.eye(len(proj_rho)) - proj_rho, np.eye(len(proj_sigma)) - proj_sigma)
-    w, v = np.linalg.eigh(affine.adjoint(kernels))
+    w, v = eigensolve(np.linalg.eigh, affine.adjoint(kernels))
     # if no eigenvalue is at most face_tol, the certificate below has margin
     # above face_tol and norm at most sqrt(m_rho + m_sigma): its bound clears feas_tol
     face_tol = 2 * tol.feas_tol * math.sqrt(len(proj_rho) + len(proj_sigma))
@@ -263,7 +263,7 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
         x = affine.adjoint(unpack(y))
         if face is not None:
             x = face.conj().T @ x @ face
-        w, v = np.linalg.eigh(x)
+        w, v = eigensolve(np.linalg.eigh, x)
         root = v[:, w > 0] * np.sqrt(w[w > 0])
         if face is not None:
             root = face @ root

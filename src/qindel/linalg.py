@@ -17,6 +17,7 @@ from .errors import InvalidTolerance, NoConvergence, NonSquare, NotHermitian, Sh
 
 __all__ = [
     "Tolerance",
+    "eigensolve",
     "frobenius_distance",
     "hermitian_part",
     "hermitian_residual",
@@ -97,13 +98,9 @@ def hermitian_part(a) -> np.ndarray:
 
 
 def hermitian_residual(a) -> float:
-    """Frobenius distance between ``a`` and its adjoint; for a stack of
-    matrices (leading batch axes), the largest of them."""
+    """Frobenius distance between the matrix ``a`` and its adjoint."""
     a = _as_complex(a)
-    diff = a - a.conj().swapaxes(-1, -2)
-    if diff.ndim > 2:
-        return float(np.linalg.norm(diff, axis=(-2, -1)).max())
-    return float(np.linalg.norm(diff))  # one matrix: the flat norm is several us faster
+    return float(np.linalg.norm(a - a.conj().T))
 
 
 def _require_hermitian(a: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -113,24 +110,30 @@ def _require_hermitian(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     return hermitian_part(a)
 
 
-def _hermitian_solve(solver, a, tol: Tolerance):
-    a = _as_complex(a)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise NonSquare(f"eigensystem needs a square matrix, got shape {a.shape}")
-    h = _require_hermitian(a, tol)
+def eigensolve(solver, h):
+    """``solver(h)``, a numpy eigensolver (``np.linalg.eigh``, ``eigvalsh``) on a
+    matrix or stack Hermitian by construction, with a LAPACK failure raised as
+    ``NoConvergence``: every eigen-solve runs here.  Unchecked matrices go
+    through ``hermitian_eigensystem`` or ``hermitian_eigenvalues`` instead."""
     try:
         return solver(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+
+
+def _hermitian_solve(solver, a, tol: Tolerance):
+    a = _as_complex(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSquare(f"eigensystem needs a square matrix, got shape {a.shape}")
+    return eigensolve(solver, _require_hermitian(a, tol))
 
 
 def hermitian_eigensystem(a, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and eigenvector matrix of a Hermitian matrix.
 
-    The input is checked Hermitian within ``eq_tol`` and symmetrized before the
-    solve, so only rounding drift is ever discarded.  Column ``k`` of the
-    returned unitary is the eigenvector for eigenvalue ``k``.  Leading axes
-    of the input are a batch: each matrix is checked and solved, in one call.
+    The input is checked square and Hermitian within ``eq_tol`` and
+    symmetrized before the solve, so only rounding drift is ever discarded.
+    Column ``k`` of the returned unitary is the eigenvector for eigenvalue ``k``.
     """
     return _hermitian_solve(np.linalg.eigh, a, tol)
 

@@ -1,3 +1,5 @@
+from itertools import count
+
 import numpy as np
 import pytest
 
@@ -16,3 +18,16 @@ def make_states(rng, level, length, count, max_rank=None):
     return [
         random_density(rng, shape, int(rng.integers(1, cap + 1))) for _ in range(count)
     ]
+
+
+def failing_from(call, solver):
+    """``solver``, but raising the ``LinAlgError`` of a LAPACK failure from
+    its ``call``-th call on, as a stand-in patched into ``np.linalg``."""
+    calls = count(1)
+
+    def patched(*args, **kwargs):
+        if next(calls) >= call:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solver(*args, **kwargs)
+
+    return patched

@@ -20,6 +20,7 @@ from qindel.states import (
     state_from_json_obj,
     state_to_json_obj,
 )
+from conftest import failing_from
 
 
 def run_cli(capsys, *argv):
@@ -232,9 +233,9 @@ def test_verify_builtin_code_dedups_at_eq_tol(capsys):
 
 
 def len_default():
-    from qindel.codes import x1_code_sample
+    from qindel.codes import builtin_code
 
-    return len(x1_code_sample())
+    return len(builtin_code("x1"))
 
 
 def test_usage_errors(capsys):
@@ -265,6 +266,24 @@ def test_paper_examples_unwritable_report_exits_3(tmp_path, monkeypatch, capsys)
     assert f"error: cannot write {path}: " in err
     assert "Traceback" not in err
     assert not any(line.startswith(("PASS", "FAIL")) for line in err.splitlines())
+
+
+def test_paper_examples_refuses_a_negative_seed(tmp_path, monkeypatch, capsys):
+    # refused before the report is opened or the suite runs
+    monkeypatch.setattr(qindel.cli, "run_all", lambda seed: pytest.fail("the suite ran"))
+    path = tmp_path / "r.json"
+    code, report, err = run_cli(capsys, "paper-examples", "--seed", "-5", "--report", str(path))
+    assert code == 3 and report is None
+    assert err == "error: --seed must be nonnegative, got -5\n"
+    assert not path.exists()
+
+
+def test_verify_reports_an_eigensolver_failure_as_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigh", failing_from(3, np.linalg.eigh))
+    code, report, err = run_cli(capsys, "verify", "builtin:{rho,psi}", "--errors", "insertions")
+    assert code == 3 and report is None
+    assert err.startswith("error: NoConvergence: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import cmath
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,9 +20,7 @@ from qindel.codes import (
     hagiwara_single_deletion,
     in_del_after_ins_sphere,
     in_ins_after_del_sphere,
-    x1_code_sample,
     x1_codeword,
-    x2_code_sample,
     x2_collision_params,
 )
 from qindel.errors import (
@@ -29,6 +28,7 @@ from qindel.errors import (
     NotNormalized,
     ParseError,
     PositionOutOfRange,
+    SizeCapExceeded,
     WeightOutOfRange,
 )
 from qindel.feasibility import FeasibilityStatus, member_del_ins
@@ -37,6 +37,17 @@ from qindel.states import DensityMatrix, QuditShape, basis_ket, validate
 
 
 def test_dicke_kets():
+    # oracle: the sum of the basis kets of weight i
+    for n in range(9):
+        shape = QuditShape(2, n)
+        for i in range(n + 1):
+            oracle = np.zeros(shape.dim, dtype=complex)
+            for bits in product((0, 1), repeat=n):
+                if sum(bits) == i:
+                    oracle += basis_ket(bits, shape)
+            assert np.array_equal(dicke_ket(n, i), oracle), (n, i)
+    with pytest.raises(SizeCapExceeded):
+        dicke_ket(9, 0)
     np.testing.assert_array_equal(dicke_ket(4, 0), basis_ket("0000", QuditShape(2, 4)))
     np.testing.assert_array_equal(dicke_ket(4, 4), basis_ket("1111", QuditShape(2, 4)))
     assert np.linalg.norm(dicke_ket(4, 2)) == pytest.approx(math.sqrt(6))
@@ -221,11 +232,15 @@ def test_collision_pair():
 def test_grids_and_samples():
     params = code_params()
     assert len(params) == 40
-    x2 = x2_code_sample()
+    x2 = builtin_code("hagiwara4")
     assert "collision-1" in x2.labels and "collision-2" in x2.labels
     assert len(x2) >= 26
-    x1 = x1_code_sample()
+    x1 = builtin_code("x1")
     assert "phase-1" in x1.labels and "phase-2" in x1.labels
+    a, b = math.cos(math.pi / 8), math.sin(math.pi / 8)
+    for k in (1, 2):
+        phase_k = x1.states[x1.labels.index(f"phase-{k}")]
+        assert np.array_equal(phase_k.mat, x1_codeword(a, b * cmath.exp(1j * k * math.pi / 3)).mat)
 
 
 def test_builtin_registry():
@@ -234,7 +249,6 @@ def test_builtin_registry():
     assert builtin_state("hagiwara4", "0,0").distance(hagiwara_codeword(1, 0)) <= 1e-15
     assert builtin_state("x1").length == 2
     assert len(builtin_code("collision-x2")) == 2
-    assert len(builtin_code("x1")) == len(x1_code_sample())
     with pytest.raises(ParseError):
         builtin_state("nope")
     with pytest.raises(ParseError):

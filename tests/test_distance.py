@@ -11,7 +11,6 @@ from qindel.codes import (
     collision_pair_x2,
     example_psi,
     example_rho,
-    x1_code_sample,
     x2_collision_params,
 )
 from qindel.distance import (
@@ -78,7 +77,7 @@ def test_distance_even_and_symmetric(rng):
 
 
 def test_min_distance_x1_grid():
-    value, pair, result = min_distance(x1_code_sample())
+    value, pair, result = min_distance(builtin_code("x1"))
     assert value == 2
     assert result.value == 2
 
@@ -142,7 +141,7 @@ def test_collision_pair_distance():
 
 
 def test_corrects_deletions():
-    x1 = x1_code_sample()
+    x1 = builtin_code("x1")
     verdict = corrects(x1, 1, "deletions")
     assert verdict.ok is False
     i, j = (x1.labels.index(lbl) for lbl in verdict.evidence["closest_pair"])

@@ -5,10 +5,11 @@ import pytest
 
 from qindel.channels import IndexSet, delete, insertion_member, trace_out
 from qindel.codes import example_psi, example_rho
-from qindel.errors import CountOutOfRange, LevelMismatch, ShapeMismatch, SizeCapExceeded
+from qindel.errors import CountOutOfRange, LevelMismatch, NoConvergence, ShapeMismatch, SizeCapExceeded
 from qindel.feasibility import (
     AffineConstraint,
     FeasibilityStatus,
+    _range_projector,
     check_containment_trial,
     feasibility_del_ins,
     member_del_ins,
@@ -17,7 +18,7 @@ from qindel.feasibility import (
 from qindel.linalg import Tolerance
 from qindel.rand import random_density, random_hermitian
 from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket
-from conftest import make_states
+from conftest import failing_from, make_states
 
 
 def _columns(x):
@@ -349,3 +350,23 @@ def test_member_ins_del_names_a_deletion_count_above_the_length():
     # sigma has the length n - s + t, so only s is wrong, and the error names it
     with pytest.raises(CountOutOfRange, match="s=3"):
         member_ins_del(_mixed(2, 1), _mixed(2, 2), 3, 2)
+
+
+@pytest.mark.parametrize(
+    "solver, call, sigma, reason",
+    [
+        ("eigh", 1, example_rho(0.5, 0.5), None),  # the face
+        ("eigh", 2, example_rho(0.5, 0.5), None),  # the first dual evaluation
+        ("eigvalsh", 1, example_psi(0.5, 0.5), "affine constraints inconsistent"),  # certify
+    ],
+)
+def test_a_lapack_failure_raises_no_convergence(monkeypatch, solver, call, sigma, reason):
+    rho = example_rho(0.5, 0.5)
+    pset = qset = IndexSet((2,), 3)
+    tol = Tolerance()
+    ranges = (_range_projector(sigma, tol), _range_projector(rho, tol))
+    report = feasibility_del_ins(sigma, rho, pset, qset, tol, ranges=ranges)
+    assert report.details.get("reason") == reason
+    monkeypatch.setattr(np.linalg, solver, failing_from(call, getattr(np.linalg, solver)))
+    with pytest.raises(NoConvergence):
+        feasibility_del_ins(sigma, rho, pset, qset, tol, ranges=ranges)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qindel.errors import NonSquare, NotHermitian, ShapeMismatch
+from qindel.errors import NoConvergence, NonSquare, NotHermitian, ShapeMismatch
 from qindel.linalg import (
     Tolerance,
+    eigensolve,
     frobenius_distance,
     hermitian_eigensystem,
     hermitian_eigenvalues,
@@ -14,6 +15,7 @@ from qindel.linalg import (
     psd_principal_minors,
 )
 from qindel.rand import random_hermitian, random_psd
+from conftest import failing_from
 
 I2 = np.eye(2, dtype=complex)
 
@@ -73,17 +75,23 @@ def test_eigenvalues_match_eigensystem(rng):
         hermitian_eigenvalues(np.zeros((2, 3)))
 
 
-def test_eigenvalues_of_a_stack_match_each_matrix(rng):
+def test_checked_solves_refuse_a_stack(rng):
     stack = np.array([random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
-    w = hermitian_eigenvalues(stack)
-    assert w.shape == (2, 3, 4)
-    for idx in np.ndindex(2, 3):
-        assert np.array_equal(w[idx], hermitian_eigenvalues(stack[idx]))
-    stack[1, 2] += 1e-6j * np.eye(4)  # one non-Hermitian member fails the stack
-    with pytest.raises(NotHermitian):
-        hermitian_eigenvalues(stack)
-    with pytest.raises(NonSquare):
-        hermitian_eigenvalues(np.zeros((2, 3, 4)))
+    for solve in (hermitian_eigensystem, hermitian_eigenvalues):
+        for bad in (stack, stack[0], np.zeros((2, 3, 3))):
+            with pytest.raises(NonSquare):
+                solve(bad)
+
+
+def test_a_lapack_failure_raises_no_convergence(monkeypatch):
+    h = np.diag([1.0, 2.0]).astype(complex)
+    for name, solve in (("eigh", hermitian_eigensystem), ("eigvalsh", hermitian_eigenvalues)):
+        failing = failing_from(1, getattr(np.linalg, name))
+        with pytest.raises(NoConvergence):
+            eigensolve(failing, h)
+        monkeypatch.setattr(np.linalg, name, failing)
+        with pytest.raises(NoConvergence):
+            solve(h)
 
 
 def test_random_psd_batch_draws_what_one_call_per_matrix_draws():

@@ -67,3 +67,21 @@ def test_no_module_imports_an_unused_name():
             tree = ast.parse(path.read_text(encoding="utf-8"))
             unused += [f"{path.stem}: {name}" for name in _unused_imports(tree)]
     assert not unused, f"imported but unused: {unused}"
+
+
+EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def test_only_linalg_calls_an_eigensolver():
+    # every eigen-solve runs inside linalg, which maps a LAPACK failure to
+    # NoConvergence; elsewhere a solver may only be passed as an argument
+    calls = []
+    for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
+        if path.name != "linalg.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name in EIGENSOLVERS:
+                        calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"eigensolver called outside linalg: {calls}"
