@@ -73,20 +73,20 @@ def _grid_params(grid: str | None):
         return None
     try:
         n_theta, n_phi = (int(x) for x in grid.split(","))
-        if n_theta < 2 or n_phi < 1:
-            raise ValueError
     except ValueError as exc:
-        raise ParseError(f"--grid expects 'N_THETA,N_PHI' with N_THETA>=2, got {grid!r}") from exc
+        raise ParseError(f"--grid expects 'N_THETA,N_PHI' integers, got {grid!r}") from exc
     return code_params(n_theta, n_phi)
 
 
 def _load_code_spec(spec: str, grid: str | None, tol: Tolerance) -> tuple[CodeSample, str]:
+    names = []
     if spec.startswith("builtin:"):
-        rest = spec[len("builtin:"):].strip("{}")
-        names = [n.strip() for n in rest.split(",")]
-        if len(names) > 1:
-            states = [builtin_state(n) for n in names]
-            return CodeSample.from_states(states, names, tol), spec
+        names = [n.strip() for n in spec[len("builtin:"):].strip("{}").split(",")]
+    if grid is not None and names not in (["x1"], ["hagiwara4"]):
+        raise ParseError(f"--grid applies only to builtin:x1 and builtin:hagiwara4, got {spec!r}")
+    if len(names) > 1:
+        return CodeSample.from_states([builtin_state(n) for n in names], names, tol), spec
+    if names:
         return builtin_code(names[0], _grid_params(grid), tol), spec
     path = Path(spec)
     if not path.is_dir():
@@ -214,7 +214,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument(
         "--errors", choices=("deletions", "indel", "insertions"), default="deletions"
     )
-    p_verify.add_argument("--grid", default=None, help="N_THETA,N_PHI grid override for builtin codes")
+    p_verify.add_argument("--grid", default=None, help="N_THETA,N_PHI grid (builtin:x1, builtin:hagiwara4)")
     _add_state_tolerances(p_verify)
     p_verify.add_argument("--feas-tol", type=float, default=None, help="feasibility residual threshold")
     p_verify.set_defaults(func=_cmd_verify)

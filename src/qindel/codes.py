@@ -15,7 +15,8 @@ import numpy as np
 
 from .channels import delete
 from .distance import CodeSample
-from .errors import DegenerateParam, NotNormalized, ParseError, PositionOutOfRange, WeightOutOfRange
+from .errors import CountOutOfRange, DegenerateParam, NotNormalized, ParseError, PositionOutOfRange
+from .errors import WeightOutOfRange
 from .linalg import Tolerance, frobenius_distance
 from .states import DensityMatrix, QuditShape, basis_ket, density_from_ket
 
@@ -213,7 +214,9 @@ def collision_pair_x2(alpha: complex, beta: complex) -> tuple[DensityMatrix, Den
 def code_params(n_theta: int = 5, n_phi: int = 8) -> list[tuple[complex, complex]]:
     """(alpha, beta) = (cos theta, e^(i phi) sin theta) over a grid: ``n_theta``
     (at least 2) angles theta evenly spaced over [0, pi/2], each with
-    ``n_phi`` phases phi evenly spaced over [0, 2 pi)."""
+    ``n_phi`` (at least 1) phases phi evenly spaced over [0, 2 pi)."""
+    if n_theta < 2 or n_phi < 1:
+        raise CountOutOfRange(f"a grid needs n_theta >= 2 and n_phi >= 1, got {n_theta},{n_phi}")
     thetas = [k * (math.pi / 2) / (n_theta - 1) for k in range(n_theta)]
     phis = [k * 2 * math.pi / n_phi for k in range(n_phi)]
     return [
@@ -249,11 +252,15 @@ def _parse_angles(args: str | None) -> tuple[complex, complex]:
             theta, phi = (float(x) for x in args.split(","))
         except ValueError as exc:
             raise ParseError(f"expected 'theta,phi' floats, got {args!r}") from exc
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ParseError(f"theta and phi must be finite, got {args!r}")
     return complex(math.cos(theta)), cmath.exp(1j * phi) * math.sin(theta)
 
 
 def builtin_state(name: str, args: str | None = None) -> DensityMatrix:
     """Resolve 'rho', 'psi', 'x1[:theta,phi]', 'hagiwara4[:theta,phi]'."""
+    if name in ("rho", "psi") and args:
+        raise ParseError(f"builtin state {name!r} takes no parameters, got {args!r}")
     if name == "rho":
         return example_rho()
     if name == "psi":

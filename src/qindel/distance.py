@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import IndexSet, SphereSet, deletion_levels, distinct_rows, first_meeting
-from .errors import CountOutOfRange, DuplicateStates, LevelMismatch, ShapeMismatch, TooFewStates
+from .errors import CountOutOfRange, DuplicateStates, LevelMismatch, ParseError, ShapeMismatch, TooFewStates
 from .feasibility import FeasibilityStatus, member_del_ins
 from .linalg import Tolerance
 from .states import DensityMatrix, state_to_json_obj
@@ -84,7 +84,7 @@ class CodeSample:
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.states):
-            raise ValueError("labels and states must have equal length")
+            raise ShapeMismatch("labels and states must have equal length")
         levels = {s.level for s in self.states}
         if len(levels) > 1:
             raise LevelMismatch(f"states span several levels: {sorted(levels)}")
@@ -193,7 +193,7 @@ def corrects(code: CodeSample, t: int, kind: str = "deletions") -> Verdict:
     if t < 1:
         raise CountOutOfRange(f"need t >= 1, got {t}")
     if kind not in ("deletions", "total"):
-        raise ValueError(f"unknown kind {kind!r}")
+        raise ParseError(f"unknown kind {kind!r}")
     value, pair, result = min_distance(code)
     threshold = 2 * t + 1
     evidence = {
@@ -220,28 +220,19 @@ def corrects_insertions(code: CodeSample, t: int) -> Verdict:
         raise CountOutOfRange(f"need t >= 1, got {t}")
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
-    unknown_pair: tuple[str, str] | None = None
-    pair_gaps = []
+    pairs = []
     for (i, a), (j, b) in combinations(enumerate(code.states), 2):
         report = member_del_ins(a, b, t, t, code.tol)
-        pair_gaps.append(
-            {"pair": [code.labels[i], code.labels[j]], "status": report.status.value, "gap": report.gap}
-        )
+        pair = [code.labels[i], code.labels[j]]
+        pairs.append({"pair": pair, "status": report.status.value, "gap": report.gap})
         if report.status is FeasibilityStatus.FEASIBLE:
-            return Verdict(
-                ok=False,
-                evidence={
-                    "pair": [code.labels[i], code.labels[j]],
-                    "witness": state_to_json_obj(report.witness) if report.witness else None,
-                    "gap": report.gap,
-                    "pairs": pair_gaps,
-                },
-            )
-        if report.status is FeasibilityStatus.INCONCLUSIVE and unknown_pair is None:
-            unknown_pair = (code.labels[i], code.labels[j])
-    if unknown_pair is not None:
-        return Verdict(ok=None, evidence={"inconclusive_pair": list(unknown_pair), "pairs": pair_gaps})
-    return Verdict(ok=True, evidence={"pairs": pair_gaps})
+            witness = state_to_json_obj(report.witness)
+            evidence = {"pair": pair, "witness": witness, "gap": report.gap, "pairs": pairs}
+            return Verdict(ok=False, evidence=evidence)
+    inconclusive = [entry["pair"] for entry in pairs if entry["status"] == FeasibilityStatus.INCONCLUSIVE]
+    if inconclusive:
+        return Verdict(ok=None, evidence={"inconclusive_pair": inconclusive[0], "pairs": pairs})
+    return Verdict(ok=True, evidence={"pairs": pairs})
 
 
 def _level_distance(x: list[SphereSet], y: list[SphereSet]) -> int:

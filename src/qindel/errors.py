@@ -13,6 +13,10 @@ class NonSquare(QindelError, ValueError):
     """Matrix is not square where a square one is required."""
 
 
+class InvalidShape(QindelError, ValueError):
+    """A qudit shape has a level below 2 or a negative length."""
+
+
 class ShapeMismatch(QindelError, ValueError):
     """Operands have incompatible shapes or qudit lengths."""
 
@@ -30,7 +34,7 @@ class PositionOutOfRange(QindelError, ValueError):
 
 
 class CountOutOfRange(QindelError, ValueError):
-    """A deletion/insertion/sample count is outside its valid range."""
+    """A deletion/insertion/sample/grid count is outside its valid range."""
 
 
 class WeightOutOfRange(QindelError, ValueError):

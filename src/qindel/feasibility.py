@@ -9,7 +9,9 @@ conditions must fix the same common marginal; facial reduction (Drusvyatskiy
 L-BFGS on the dual semidefinite least-squares problem on that face (Malick,
 SIMAX 2004) converges to a witness or diverges along a Farkas certificate.
 A feasible verdict carries a re-checked witness, an infeasible one a
-re-checked certificate; with neither, the verdict is inconclusive.
+re-checked certificate; with neither, the verdict is inconclusive.  Sphere
+membership (``member_del_ins``) is the disjunction of these problems over
+the position pairs (P, Q), its verdict read off the list of pair verdicts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -171,18 +173,16 @@ def feasibility_del_ins(
     P,
     Q,
     tol: Tolerance = Tolerance(),
-    *,
-    ranges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FeasibilityReport:
     """Decide sigma in D_P(I_Q(rho)): is there a PSD tau with D_Q(tau) = rho
     and D_P(tau) = sigma?
 
-    Consistency, then the face, then the dual on it (module docstring).
+    Consistency, then the face, then the dual on it (module docstring).  The
+    range projectors of sigma and rho are built only for the face step, so
+    a pair refuted by its inconsistency certificate builds none.
     ``details`` gives ``face_dim`` once the face is built, the ``margin`` of
-    a certificate and the ``reason`` for any verdict but feasible.
-    ``ranges`` are the range projectors of (sigma, rho), for callers that
-    decide many (P, Q) pairs of one state pair; ``tol`` gives ``feas_tol``
-    and the tolerances the range projectors are taken at.
+    a certificate and the ``reason`` for any verdict but feasible.  ``tol``
+    gives ``feas_tol`` and the tolerances the range projectors are taken at.
     """
     qset = _insertion_set(Q, rho.length)
     big = qset.ambient
@@ -213,7 +213,7 @@ def feasibility_del_ins(
 
     # a feasible tau is orthogonal to the lifted kernels of rho and sigma, so
     # it lives on the null space of their sum M
-    proj_sigma, proj_rho = ranges or (_range_projector(sigma, tol), _range_projector(rho, tol))
+    proj_sigma, proj_rho = _range_projector(sigma, tol), _range_projector(rho, tol)
     kernels = (np.eye(len(proj_rho)) - proj_rho, np.eye(len(proj_sigma)) - proj_sigma)
     w, v = eigensolve(np.linalg.eigh, affine.adjoint(kernels))
     # if no eigenvalue is at most face_tol, the certificate below has margin
@@ -338,46 +338,28 @@ def member_del_ins(
 ) -> FeasibilityReport:
     """Decide sigma in D^s(I^t(rho)) as a disjunction of per-(P, Q) feasibility.
 
-    Feasible if any pair is Feasible, Infeasible if all pairs are Infeasible,
-    Inconclusive otherwise.  The range projectors of sigma and rho are built
-    once for all pairs.
+    Feasible at the first feasible pair; otherwise inconclusive if any pair
+    is, else infeasible, with the least pair gap.  ``details["pairs"]`` lists
+    every pair decided.
     """
     _check_composed(sigma, rho, s, t)
-    big = rho.length + t
-    ranges = (_range_projector(sigma, tol), _range_projector(rho, tol))
-    pair_reports: list[dict] = []
-    total_iterations = 0
-    worst = FeasibilityStatus.INFEASIBLE
-    min_gap = math.inf
-    for p_combo in combinations(range(1, big + 1), s):
-        for q_combo in combinations(range(1, big + 1), t):
-            report = feasibility_del_ins(
-                sigma, rho, IndexSet(p_combo, big), IndexSet(q_combo, big), tol, ranges=ranges
-            )
-            total_iterations += report.iterations
-            pair_reports.append(
-                {
-                    "P": list(p_combo),
-                    "Q": list(q_combo),
-                    "status": report.status.value,
-                    "gap": report.gap,
-                    **report.details,
-                }
-            )
-            if report.status is FeasibilityStatus.FEASIBLE:
-                report.iterations = total_iterations
-                report.details["pairs"] = pair_reports
-                return report
-            if report.status is FeasibilityStatus.INCONCLUSIVE:
-                worst = FeasibilityStatus.INCONCLUSIVE
-            min_gap = min(min_gap, report.gap)
-    return FeasibilityReport(
-        worst,
-        None,
-        min_gap,
-        total_iterations,
-        {"pairs": pair_reports},
-    )
+    positions = range(1, rho.length + t + 1)
+    pairs: list[dict] = []
+    iterations = 0
+    for P, Q in product(combinations(positions, s), combinations(positions, t)):
+        report = feasibility_del_ins(sigma, rho, P, Q, tol)
+        iterations += report.iterations
+        pairs.append(
+            {"P": list(P), "Q": list(Q), "status": report.status.value, "gap": report.gap, **report.details}
+        )
+        if report.status is FeasibilityStatus.FEASIBLE:
+            report.iterations = iterations
+            report.details["pairs"] = pairs
+            return report
+    inconclusive = any(pair["status"] == FeasibilityStatus.INCONCLUSIVE for pair in pairs)
+    status = FeasibilityStatus.INCONCLUSIVE if inconclusive else FeasibilityStatus.INFEASIBLE
+    gap = min(pair["gap"] for pair in pairs)
+    return FeasibilityReport(status, None, gap, iterations, {"pairs": pairs})
 
 
 def check_containment_trial(

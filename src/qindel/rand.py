@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import CountOutOfRange
 from .states import DensityMatrix, QuditShape
 
 __all__ = [
@@ -47,6 +48,6 @@ def random_density(rng: np.random.Generator, shape: QuditShape, rank: int | None
 def random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
     """``count`` orthonormal vectors in C^dim (count <= dim)."""
     if count > dim:
-        raise ValueError(f"cannot fit {count} orthonormal vectors in dimension {dim}")
+        raise CountOutOfRange(f"cannot fit {count} orthonormal vectors in dimension {dim}")
     q, _ = np.linalg.qr(_ginibre(rng, dim, count))
     return [q[:, k].copy() for k in range(count)]

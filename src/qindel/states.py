@@ -28,6 +28,7 @@ import orjson
 
 from .errors import (
     DigitOutOfRange,
+    InvalidShape,
     NotNormalized,
     NotPSD,
     ParseError,
@@ -80,9 +81,9 @@ class QuditShape:
 
     def __post_init__(self) -> None:
         if self.level < 2:
-            raise ValueError(f"qudit level must be >= 2, got {self.level}")
+            raise InvalidShape(f"qudit level must be >= 2, got {self.level}")
         if self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
+            raise InvalidShape(f"length must be >= 0, got {self.length}")
         if self.level ** self.length > SIZE_CAP:
             raise SizeCapExceeded(
                 f"dimension {self.level}**{self.length} exceeds the cap {SIZE_CAP}"
@@ -285,9 +286,9 @@ def state_from_json_obj(obj: dict, tol: Tolerance = Tolerance()) -> DensityMatri
     try:
         level, length, kind = obj["level"], obj["length"], obj["kind"]
         if any(isinstance(v, bool) or not isinstance(v, int) for v in (level, length)):
-            raise TypeError(f"level and length must be integers, got {level!r} and {length!r}")
+            raise ParseError(f"level and length must be integers, got {level!r} and {length!r}")
         shape = QuditShape(level, length)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ParseError(f"missing or malformed level/length/kind: {exc}") from exc
     dim = shape.dim
     try:

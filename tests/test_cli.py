@@ -312,6 +312,30 @@ def test_options_a_command_ignores_are_usage_errors(argv, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["distance", "builtin:hagiwara4:inf,0", "builtin:x1"], "theta and phi must be finite, got 'inf,0'"),
+        (["distance", "builtin:hagiwara4:0,nan", "builtin:x1"], "theta and phi must be finite, got '0,nan'"),
+        (["distance", "builtin:rho:0.3,0.1", "builtin:psi"], "builtin state 'rho' takes no parameters"),
+        (["verify", "builtin:collision-x2", "--grid", "3,2"], "--grid applies only to builtin:x1"),
+        (["verify", "builtin:{rho,psi}", "--grid", "3,2"], "--grid applies only to builtin:x1"),
+        (["verify", ".", "--grid", "3,2"], "--grid applies only to builtin:x1"),
+        (["verify", "builtin:x1", "--grid", "1,8"], "CountOutOfRange: a grid needs n_theta >= 2"),
+    ],
+    ids=["inf-angle", "nan-angle", "rho-parameters", "collision-grid", "list-grid", "directory-grid",
+         "one-angle-grid"],
+)
+def test_spec_inputs_a_command_cannot_honour_are_usage_errors(argv, message, tmp_path, monkeypatch, capsys):
+    # the directory holds one state file, so only --grid is wrong with it
+    monkeypatch.chdir(tmp_path)
+    _write_pure(tmp_path, "00", "a.json")
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 3 and report is None
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--eq-tol", "-1"],

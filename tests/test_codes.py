@@ -24,6 +24,7 @@ from qindel.codes import (
     x2_collision_params,
 )
 from qindel.errors import (
+    CountOutOfRange,
     DegenerateParam,
     NotNormalized,
     ParseError,
@@ -253,5 +254,21 @@ def test_builtin_registry():
         builtin_state("nope")
     with pytest.raises(ParseError):
         builtin_state("hagiwara4", "a,b")
+    for name, args in (("rho", "0.3,0.1"), ("psi", "0")):
+        with pytest.raises(ParseError, match=f"builtin state '{name}' takes no parameters"):
+            builtin_state(name, args)
+    for name, args in (("x1", "inf,0"), ("hagiwara4", "0,nan"), ("x1", "-inf,-inf")):
+        with pytest.raises(ParseError, match="theta and phi must be finite"):
+            builtin_state(name, args)
     with pytest.raises(ParseError):
         builtin_code("nope")
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(1, 8), (0, 8), (5, 0), (2, -1)])
+def test_code_params_refuses_a_grid_without_two_angles_and_a_phase(n_theta, n_phi):
+    # one angle leaves no spacing, and an empty grid would leave a builtin
+    # code with only its appended pair
+    with pytest.raises(CountOutOfRange, match="n_theta >= 2 and n_phi >= 1"):
+        code_params(n_theta, n_phi)
+    assert len(code_params(2, 1)) == 2
+

@@ -21,16 +21,19 @@ from qindel.distance import (
     metric_check,
     min_distance,
 )
+import qindel.distance as distance
 from qindel.errors import (
     CountOutOfRange,
     DuplicateStates,
     LevelMismatch,
+    ParseError,
     ShapeMismatch,
     TooFewStates,
 )
+from qindel.feasibility import FeasibilityReport, FeasibilityStatus
 from qindel.linalg import Tolerance
 from qindel.rand import random_density
-from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket
+from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, state_to_json_obj
 from conftest import make_states
 
 
@@ -160,7 +163,7 @@ def test_corrects_deletions():
 
     with pytest.raises(CountOutOfRange):
         corrects(pair, 0, "deletions")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="unknown kind 'sideways'"):
         corrects(pair, 1, "sideways")
 
 
@@ -253,7 +256,7 @@ def test_code_sample_rejects_duplicates():
 def test_code_sample_names_the_mismatch():
     qubit, pair, qutrit = (random_density(np.random.default_rng(0), shape)
                            for shape in (QuditShape(2, 1), QuditShape(2, 2), QuditShape(3, 1)))
-    with pytest.raises(ValueError, match="equal length"):
+    with pytest.raises(ShapeMismatch, match="equal length"):
         CodeSample((qubit,), ("a", "b"))
     with pytest.raises(LevelMismatch, match="levels"):
         CodeSample((qubit, qutrit), ("a", "b"))
@@ -267,3 +270,30 @@ def test_corrects_insertions_refuses_bad_counts_and_small_codes():
         corrects_insertions(code, 0)
     with pytest.raises(TooFewStates):
         corrects_insertions(CodeSample.from_states([example_rho(0.5, 0.5)]), 1)
+
+
+def test_corrects_insertions_reads_the_verdict_off_the_pairs(monkeypatch):
+    # pair verdicts scripted in combinations order: with none feasible, the
+    # first inconclusive pair is named once every pair is decided; a feasible
+    # pair decides at once, with the state it found as witness
+    code = CodeSample.from_states([_pure("00"), _pure("01"), _pure("10"), _pure("11")], list("abcd"))
+    script = ["infeasible", "inconclusive", "infeasible", "inconclusive", "infeasible", "infeasible"]
+    gaps = []
+
+    def scripted(sigma, rho, s, t, tol):
+        status = FeasibilityStatus(script[len(gaps)])
+        gaps.append(0.5 + len(gaps))
+        witness = sigma if status is FeasibilityStatus.FEASIBLE else None
+        return FeasibilityReport(status, witness, gaps[-1], 0)
+
+    monkeypatch.setattr(distance, "member_del_ins", scripted)
+    verdict = corrects_insertions(code, 1)
+    assert verdict.ok is None and verdict.evidence["inconclusive_pair"] == ["a", "c"]
+    assert [entry["status"] for entry in verdict.evidence["pairs"]] == script
+    assert [entry["gap"] for entry in verdict.evidence["pairs"]] == gaps == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
+
+    script[2], gaps[:] = "feasible", []
+    verdict = corrects_insertions(code, 1)
+    assert verdict.ok is False and verdict.evidence["pair"] == ["a", "d"]
+    assert verdict.evidence["witness"] == state_to_json_obj(_pure("00"))
+    assert verdict.evidence["gap"] == 2.5 and len(verdict.evidence["pairs"]) == 3

@@ -6,10 +6,11 @@ import pytest
 from qindel.channels import IndexSet, delete, insertion_member, trace_out
 from qindel.codes import example_psi, example_rho
 from qindel.errors import CountOutOfRange, LevelMismatch, NoConvergence, ShapeMismatch, SizeCapExceeded
+import qindel.feasibility as feasibility
 from qindel.feasibility import (
     AffineConstraint,
+    FeasibilityReport,
     FeasibilityStatus,
-    _range_projector,
     check_containment_trial,
     feasibility_del_ins,
     member_del_ins,
@@ -178,6 +179,40 @@ def test_member_del_ins_verdicts():
     rho00 = density_from_ket(basis_ket("00", shape2), shape2)
     psi01 = density_from_ket(basis_ket("01", shape2), shape2)
     assert member_del_ins(psi01, rho00, 1, 1).status is FeasibilityStatus.FEASIBLE
+
+
+def test_member_del_ins_reads_its_verdict_off_the_pairs(monkeypatch):
+    # pair verdicts scripted over the 9 (P, Q) pairs, P outer: without a
+    # feasible pair the status is inconclusive if any pair is, else
+    # infeasible, with the least gap and the summed iterations; a feasible
+    # pair is returned at once, with every pair decided so far
+    rho, psi = example_rho(0.5, 0.5), example_psi(0.5, 0.5)
+    script = ["infeasible"] * 9
+    seen = []
+
+    def scripted(sigma, rho, P, Q, tol):
+        k = len(seen)
+        seen.append((P, Q))
+        status = FeasibilityStatus(script[k])
+        return FeasibilityReport(status, None, [3.0, 2.0, 5.0, 0.5, 4.0, 1.0, 6.0, 7.0, 8.0][k], k, {"k": k})
+
+    monkeypatch.setattr(feasibility, "feasibility_del_ins", scripted)
+    report = member_del_ins(psi, rho, 1, 1)
+    assert seen == [((p,), (q,)) for p in range(1, 4) for q in range(1, 4)]
+    assert (report.status, report.gap, report.iterations) == (FeasibilityStatus.INFEASIBLE, 0.5, 36)
+    assert [(pair["P"], pair["Q"], pair["k"]) for pair in report.details["pairs"]] == [
+        (list(P), list(Q), k) for k, (P, Q) in enumerate(seen)
+    ]
+
+    script[7], seen[:] = "inconclusive", []
+    report = member_del_ins(psi, rho, 1, 1)
+    assert (report.status, report.gap, report.iterations) == (FeasibilityStatus.INCONCLUSIVE, 0.5, 36)
+
+    script[4], seen[:] = "feasible", []
+    report = member_del_ins(psi, rho, 1, 1)
+    assert (report.status, report.gap, report.iterations) == (FeasibilityStatus.FEASIBLE, 4.0, 10)
+    assert [pair["status"] for pair in report.details["pairs"]] == script[:5]
+    assert report.details["k"] == 4
 
 
 def test_del_ins_membership_implies_ins_del(rng):
@@ -353,20 +388,24 @@ def test_member_ins_del_names_a_deletion_count_above_the_length():
 
 
 @pytest.mark.parametrize(
-    "solver, call, sigma, reason",
+    "solver, call, sigma, reason, step",
     [
-        ("eigh", 1, example_rho(0.5, 0.5), None),  # the face
-        ("eigh", 2, example_rho(0.5, 0.5), None),  # the first dual evaluation
-        ("eigvalsh", 1, example_psi(0.5, 0.5), "affine constraints inconsistent"),  # certify
+        pytest.param("eigh", 1, example_rho(0.5, 0.5), None, "_range_projector", id="sigma-projector"),
+        pytest.param("eigh", 2, example_rho(0.5, 0.5), None, "_range_projector", id="rho-projector"),
+        pytest.param("eigh", 3, example_rho(0.5, 0.5), None, "eigensolve", id="face"),
+        pytest.param("eigh", 4, example_rho(0.5, 0.5), None, "_dual_solve", id="first-dual-evaluation"),
+        pytest.param("eigvalsh", 1, example_psi(0.5, 0.5), "affine constraints inconsistent", "certified",
+                     id="certify"),
     ],
 )
-def test_a_lapack_failure_raises_no_convergence(monkeypatch, solver, call, sigma, reason):
+def test_a_lapack_failure_raises_no_convergence(monkeypatch, solver, call, sigma, reason, step):
+    # ``step`` is the frame feasibility_del_ins was in when the solver failed
     rho = example_rho(0.5, 0.5)
     pset = qset = IndexSet((2,), 3)
-    tol = Tolerance()
-    ranges = (_range_projector(sigma, tol), _range_projector(rho, tol))
-    report = feasibility_del_ins(sigma, rho, pset, qset, tol, ranges=ranges)
+    report = feasibility_del_ins(sigma, rho, pset, qset)
     assert report.details.get("reason") == reason
     monkeypatch.setattr(np.linalg, solver, failing_from(call, getattr(np.linalg, solver)))
-    with pytest.raises(NoConvergence):
-        feasibility_del_ins(sigma, rho, pset, qset, tol, ranges=ranges)
+    with pytest.raises(NoConvergence) as failure:
+        feasibility_del_ins(sigma, rho, pset, qset)
+    frames = [entry.name for entry in failure.traceback]
+    assert frames[frames.index("feasibility_del_ins") + 1] == step

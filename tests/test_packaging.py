@@ -85,3 +85,36 @@ def test_only_linalg_calls_an_eigensolver():
                     if name in EIGENSOLVERS:
                         calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"eigensolver called outside linalg: {calls}"
+
+
+def _named_errors() -> set[str]:
+    errors = importlib.import_module("qindel.errors")
+    return {name for name, obj in vars(errors).items() if getattr(obj, "__module__", None) == errors.__name__}
+
+
+def _unnamed_raises(tree: ast.Module, named: set[str]) -> list[int]:
+    """Lines of ``raise`` statements whose exception is not a class of
+    ``named``, nor built by a helper annotated to return one, nor an
+    ``AssertionError`` for an unreachable state; a bare re-raise passes."""
+    helpers = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and getattr(node.returns, "id", None) in named
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) not in named | helpers | {"AssertionError"}:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_raise_names_a_package_error():
+    # bad input is refused with a named error, which the CLI reports as a usage error
+    named = _named_errors()
+    unnamed = []
+    for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unnamed += [f"{path.name}:{line}" for line in _unnamed_raises(tree, named)]
+    assert not unnamed, f"raise without a qindel.errors class: {unnamed}"

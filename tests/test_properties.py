@@ -2,7 +2,9 @@
 malformed payloads), the metric axioms of the indel distance, a code's
 dedup of coinciding states, the insertion round trip and sampler prefixes,
 the containment of interleaved errors, and the evidence of feasibility
-verdicts: witnesses and Farkas certificates.
+verdicts: witnesses and Farkas certificates.  The metric, insertion,
+containment and feasibility tests draw qubit and qutrit states; qutrit
+cases keep the lifted dimension at most 16.
 
 Examples are derived from the test source, not drawn at random, and no
 example database is kept, so runs are deterministic and write nothing to
@@ -25,6 +27,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from qindel.channels import IndexSet, delete, insertion_member, sample_insertions  # noqa: E402
+from qindel.channels import trace_out_adjoint  # noqa: E402
 from qindel.codes import example_psi, example_rho  # noqa: E402
 from qindel.distance import CodeSample, indel_distance, min_distance  # noqa: E402
 from qindel.errors import DuplicateStates, InvalidTolerance, ParseError  # noqa: E402
@@ -35,7 +38,7 @@ from qindel.feasibility import (  # noqa: E402
     feasibility_del_ins,
 )
 from qindel.linalg import Tolerance  # noqa: E402
-from qindel.rand import random_density  # noqa: E402
+from qindel.rand import random_density, random_hermitian  # noqa: E402
 from qindel.states import (  # noqa: E402
     DensityMatrix,
     QuditShape,
@@ -182,34 +185,56 @@ def test_malformed_payloads_are_parse_errors(obj):
         state_from_json_obj(orjson.loads(orjson.dumps(obj)))
 
 
-# Products of qubits drawn from a small pool share marginals, so their
+# Products of qudits drawn from a small pool share marginals, so their
 # distances range over every value; seeded random states are generically as
 # far apart as their lengths allow.
-_POOL = [random_density(np.random.default_rng(k), QuditShape(2, 1)).mat for k in range(3)]
+_POOLS = {
+    level: [random_density(np.random.default_rng(k), QuditShape(level, 1)).mat for k in range(3)]
+    for level in (2, 3)
+}
+LEVELS = st.sampled_from([2, 3])
+# the tests that draw qutrits as well as qubits run twice the examples, so
+# they try as many qubit states as before
+BOTH_LEVELS = settings(DETERMINISTIC, max_examples=2 * settings.default.max_examples)
 
 
 @st.composite
-def qubit_states(draw, lengths=st.integers(1, 3)):
+def qudit_states(draw, level=2, lengths=st.integers(1, 3)):
     n = draw(lengths)
-    shape = QuditShape(2, n)
+    shape = QuditShape(level, n)
     if draw(st.booleans()):
-        factors = draw(st.lists(st.sampled_from(range(len(_POOL))), min_size=n, max_size=n))
-        return DensityMatrix(shape, reduce(np.kron, [_POOL[k] for k in factors]))
+        pool = _POOLS[level]
+        factors = draw(st.lists(st.sampled_from(range(len(pool))), min_size=n, max_size=n))
+        return DensityMatrix(shape, reduce(np.kron, [pool[k] for k in factors]))
     seed = draw(st.integers(0, 2**32 - 1))
     rank = draw(st.integers(1, shape.dim))
     return random_density(np.random.default_rng(seed), shape, rank)
 
 
-@DETERMINISTIC
-@given(qubit_states())
-def test_distance_of_a_state_to_itself_is_zero(a):
+def qubit_states(lengths=st.integers(1, 3)):
+    return qudit_states(2, lengths)
+
+
+@st.composite
+def same_level_states(draw, count):
+    """``count`` states of one level: qubits on 1-3 qudits, or qutrits on 1-2."""
+    level = draw(LEVELS)
+    lengths = st.integers(1, 3 if level == 2 else 2)
+    return [draw(qudit_states(level, lengths)) for _ in range(count)]
+
+
+@BOTH_LEVELS
+@given(same_level_states(1))
+def test_distance_of_a_state_to_itself_is_zero(states):
+    (a,) = states
     result = indel_distance(a, a)
     assert (result.value, result.s, result.t) == (0, 0, 0)
 
 
-@DETERMINISTIC
-@given(qubit_states(), qubit_states())
-def test_distance_is_symmetric_and_even_between_equal_lengths(a, b):
+@BOTH_LEVELS
+@given(same_level_states(2))
+def test_distance_is_symmetric_and_even_between_equal_lengths(states):
+    a, b = states
     d_ab, d_ba = indel_distance(a, b).value, indel_distance(b, a).value
     assert d_ab == d_ba
     assert abs(a.length - b.length) <= d_ab <= a.length + b.length
@@ -217,9 +242,10 @@ def test_distance_is_symmetric_and_even_between_equal_lengths(a, b):
         assert d_ab % 2 == 0
 
 
-@DETERMINISTIC
-@given(qubit_states(), qubit_states(), qubit_states())
-def test_triangle_inequality(a, b, c):
+@BOTH_LEVELS
+@given(same_level_states(3))
+def test_triangle_inequality(states):
+    a, b, c = states
     assert indel_distance(a, c).value <= indel_distance(a, b).value + indel_distance(b, c).value
 
 
@@ -283,12 +309,22 @@ def test_a_code_keeps_the_first_of_each_coinciding_group(candidates, data):
         CodeSample.from_states([bases[0], bases[0]])
 
 
-@DETERMINISTIC
-@given(qubit_states(), st.integers(1, 2), st.data())
-def test_sampled_insertions_are_members_from_both_families(rho, t, data):
+@st.composite
+def insertion_cases(draw):
+    """(rho, t): a qubit state on 1-3 qudits with t of 1 or 2, or a qutrit
+    with t = 1 (lifted dimension 9)."""
+    if draw(LEVELS) == 2:
+        return draw(qubit_states()), draw(st.integers(1, 2))
+    return draw(qudit_states(3, st.just(1))), 1
+
+
+@BOTH_LEVELS
+@given(insertion_cases(), st.data())
+def test_sampled_insertions_are_members_from_both_families(case, data):
     """Every sample is a valid state whose deletion at Q gives rho back.  The
     samplers alternate, separable first; an entangled sample is a
     purification, so it is pure, while a separable one is mixed."""
+    rho, t = case
     positions = st.lists(st.integers(1, rho.length + t), min_size=t, max_size=t, unique=True)
     Q = tuple(sorted(data.draw(positions)))
     seed = data.draw(st.integers(0, 2**32 - 1))
@@ -296,7 +332,7 @@ def test_sampled_insertions_are_members_from_both_families(rho, t, data):
     for sigma in samples:
         validate(sigma.mat, sigma.shape)
         assert insertion_member(sigma, rho, Q)
-    entangled_ok = 2**t >= spectral_decompose(rho).rank
+    entangled_ok = rho.level**t >= spectral_decompose(rho).rank
     pure = [purity(sigma) > 1 - 1e-9 for sigma in samples]
     assert pure == [False, entangled_ok, False, entangled_ok]
 
@@ -316,12 +352,15 @@ def test_fewer_samples_are_a_prefix_of_more(rho, t, data):
         assert short.mat.tobytes() == long.mat.tobytes()
 
 
-@DETERMINISTIC
-@given(st.sampled_from([(1, 1), (2, 1), (1, 2), (0, 2), (2, 0)]), st.data())
-def test_interleaved_errors_land_in_the_insertions_after_deletions_sphere(counts, data):
-    """Every interleaving of s deletions and t insertions lands in I^t(D^s(rho))."""
-    s, t = counts
-    rho = data.draw(qubit_states(st.integers(max(s, 1), 3)))
+@BOTH_LEVELS
+@given(LEVELS, st.data())
+def test_interleaved_errors_land_in_the_insertions_after_deletions_sphere(level, data):
+    """Every interleaving of s deletions and t insertions lands in I^t(D^s(rho)).
+    A qutrit trial keeps n + t <= 2, so no state it passes through exceeds
+    dimension 9."""
+    counts = [(1, 1), (2, 1), (1, 2), (0, 2), (2, 0)] if level == 2 else [(1, 1), (2, 0)]
+    s, t = data.draw(st.sampled_from(counts))
+    rho = data.draw(qudit_states(level, st.integers(max(s, 1), 3 if level == 2 else 2 - t)))
     seed = data.draw(st.integers(0, 2**62 - 1))
     assert check_containment_trial(rho, seed, s, t)
 
@@ -329,10 +368,11 @@ def test_interleaved_errors_land_in_the_insertions_after_deletions_sphere(counts
 @st.composite
 def feasible_instances(draw):
     """(sigma, rho, P, Q) = (D_P(tau), D_Q(tau), P, Q) for a random lifted
-    qubit tau of random rank and dimension at most 16, with P and Q any
-    nonempty position sets that leave at least one qubit."""
-    big = draw(st.integers(2, 4))
-    shape = QuditShape(2, big)
+    tau of random rank and dimension at most 16, on 2-4 qubits or 2 qutrits,
+    with P and Q any nonempty position sets that leave at least one qudit."""
+    level = draw(LEVELS)
+    big = draw(st.integers(2, 4)) if level == 2 else 2
+    shape = QuditShape(level, big)
     tau = random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), shape,
                          draw(st.integers(1, shape.dim)))
     subsets = st.lists(st.integers(1, big), min_size=1, max_size=big - 1, unique=True)
@@ -340,7 +380,7 @@ def feasible_instances(draw):
     return delete(tau, pset), delete(tau, qset), pset, qset
 
 
-@settings(DETERMINISTIC, max_examples=25)
+@settings(DETERMINISTIC, max_examples=50)
 @given(feasible_instances())
 def test_feasible_instances_are_never_infeasible(instance):
     """A feasible instance is never refuted, and a feasible verdict's witness
@@ -355,18 +395,34 @@ def test_feasible_instances_are_never_infeasible(instance):
         assert delete(w, pset).distance(sigma) <= Tolerance().feas_tol
 
 
-@settings(DETERMINISTIC, max_examples=25)
-@given(feasible_instances())
-def test_no_certificate_clears_feas_tol_on_a_feasible_instance(instance):
+@settings(DETERMINISTIC, max_examples=50)
+@given(feasible_instances(), st.floats(-10.0, 10.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_no_certificate_clears_feas_tol_on_a_feasible_instance(instance, c, weight, seed):
     """Not the mismatch certificate, the least-squares dual point or its
     negation, nor an empty-face style shift: every certified bound stays at
-    or below feas_tol."""
+    or below feas_tol.  Nor does any of them scaled by 1e-3 or 1e3, shifted
+    by c times a random element of A*'s kernel, or mixed with the
+    least-squares dual point."""
     sigma, rho, pset, qset = instance
     affine = AffineConstraint(rho, qset, sigma, pset)
     y_q, y_p = affine.least_squares_dual()
     shift = (np.eye(rho.dim) - 2 * rho.mat, np.eye(sigma.dim) - 2 * sigma.mat)
+    # (-A*_{rest0}(delta), A*_{rest1}(delta)) for a Hermitian delta on the
+    # common marginal inserts identities at P u Q in both terms, so A* sends it to 0
+    delta = random_hermitian(np.random.default_rng(seed), len(affine.mismatch))
+    rest0, rest1 = affine._rest
+    kernel = (-trace_out_adjoint(delta, rest0, rho.level), trace_out_adjoint(delta, rest1, rho.level))
+    assert np.abs(affine.adjoint(kernel)).max() <= 1e-12 * np.abs(delta).max()
     for lam in (affine.inconsistency_certificate(), (y_q, y_p), (-y_q, -y_p), shift):
-        assert affine.certify(lam)[1] <= Tolerance().feas_tol
+        forms = [
+            lam,
+            (1e-3 * lam[0], 1e-3 * lam[1]),
+            (1e3 * lam[0], 1e3 * lam[1]),
+            (lam[0] + c * kernel[0], lam[1] + c * kernel[1]),
+            ((1 - weight) * lam[0] + weight * y_q, (1 - weight) * lam[1] + weight * y_p),
+        ]
+        for form in forms:
+            assert affine.certify(form)[1] <= Tolerance().feas_tol
 
 
 @settings(DETERMINISTIC, max_examples=25)

@@ -5,7 +5,9 @@ import orjson
 import pytest
 
 from qindel.errors import (
+    CountOutOfRange,
     DigitOutOfRange,
+    InvalidShape,
     NotHermitian,
     NotNormalized,
     NotPSD,
@@ -41,9 +43,9 @@ def test_qudit_shape():
     assert QuditShape(2, 0).dim == 1
     with pytest.raises(SizeCapExceeded):
         QuditShape(2, 9)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidShape, match="level"):
         QuditShape(1, 2)
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(InvalidShape, match="length"):
         QuditShape(2, -1)
 
 
@@ -361,5 +363,5 @@ def test_density_matrix_refuses_a_matrix_of_another_shape():
 
 
 def test_random_orthonormal_refuses_more_vectors_than_the_dimension():
-    with pytest.raises(ValueError, match="cannot fit 3"):
+    with pytest.raises(CountOutOfRange, match="cannot fit 3"):
         random_orthonormal(np.random.default_rng(0), 2, 3)
