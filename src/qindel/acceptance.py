@@ -76,8 +76,8 @@ def check_mixture_distance(seed: int) -> dict:
 def check_x1_min_distance(seed: int) -> dict:
     """The phase-degenerate 2-qubit code has min distance 2 and fails 1-deletion."""
     code = builtin_code("x1")
-    value, pair, _ = min_distance(code)
     verdict = corrects(code, 1, "deletions")
+    value = verdict.evidence["min_distance"]
     i, j = (code.labels.index(lbl) for lbl in verdict.evidence["closest_pair"])
     a, b = code.states[i], code.states[j]
     # the closest pair must differ only in relative phase: same diagonals, distinct state
@@ -96,8 +96,6 @@ def check_x1_min_distance(seed: int) -> dict:
 def check_x2_min_distance(seed: int) -> dict:
     """The 4-qubit single-deletion code: disjoint 1-deletion spheres, min distance 4."""
     params = code_params()
-    if len(params) < 40:
-        return _item("hagiwara4-code-min-distance", False, float(len(params)), "grid too small")
     sample = builtin_code("hagiwara4")
 
     spheres = [deletion_sphere(s, 1).stack for s in sample.states]

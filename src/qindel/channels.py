@@ -23,6 +23,7 @@ them into place.  A sampler builds all its samples as one stack.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,6 +69,14 @@ __all__ = [
 ]
 
 
+def _positions(values) -> tuple[int, ...]:
+    """Python or numpy integer positions as ints; a float or a string is refused."""
+    try:
+        return tuple(operator.index(p) for p in values)
+    except TypeError as exc:
+        raise InvalidIndexSet(f"qudit positions must be integers: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Strictly increasing 1-based qudit positions inside an ambient range."""
@@ -76,7 +85,7 @@ class IndexSet:
     ambient: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
+        object.__setattr__(self, "positions", _positions(self.positions))
         pos = self.positions
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise InvalidIndexSet(f"positions {pos} must be strictly increasing")
@@ -102,7 +111,7 @@ def _as_index_set(positions, ambient: int) -> IndexSet:
                 f"index set over [1, {positions.ambient}] used where ambient is {ambient}"
             )
         return positions
-    return IndexSet(tuple(sorted(int(p) for p in positions)), ambient)
+    return IndexSet(tuple(sorted(_positions(positions))), ambient)
 
 
 def _insertion_set(Q, n: int) -> IndexSet:
@@ -409,7 +418,10 @@ def index_permutation(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
 
     Trace and spectrum are preserved (it is a permutation-unitary conjugation).
     """
-    perm = tuple(int(p) for p in perm)
+    try:
+        perm = _positions(perm)
+    except InvalidIndexSet as exc:
+        raise NotAPermutation(str(exc)) from exc
     if sorted(perm) != list(range(1, rho.length + 1)):
         raise NotAPermutation(f"{perm} is not a permutation of [1, {rho.length}]")
     return DensityMatrix(rho.shape, _permute_axes(rho.mat, perm, rho.level))

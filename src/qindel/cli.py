@@ -3,9 +3,10 @@
 Subcommands: ``sphere`` (deletion spheres), ``distance`` (indel distance),
 ``verify`` (code-capability verdicts), ``paper-examples`` (the full
 reproduction suite).  Exit codes: 0 success/true, 1 falsified, 2 inconclusive,
-3 usage or parse error.  Reports are JSON on stdout and deterministic for
-fixed inputs and seed (the ``elapsed_ms`` field is wall-clock and excluded
-from that contract).
+3 usage or parse error.  Each command returns its exit code and report
+parts, and ``main`` times it and prints the one report: JSON on stdout,
+deterministic for fixed inputs and seed (the ``elapsed_ms`` field is
+wall-clock, argument parsing included, and excluded from that contract).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .acceptance import run_all
 from .codes import builtin_code, builtin_state, code_params
-from .distance import CodeSample, Verdict, corrects, corrects_insertions, indel_distance
+from .distance import CodeSample, corrects, corrects_insertions, indel_distance
 from .channels import deletion_sphere
 from .errors import ParseError, QindelError
 from .linalg import Tolerance
@@ -98,14 +99,14 @@ def _load_code_spec(spec: str, grid: str | None, tol: Tolerance) -> tuple[CodeSa
     return CodeSample.from_states(states, [f.name for f in files], tol), ",".join(_digest(f) for f in files)
 
 
-def _report(args, inputs: dict, results: dict, started: float) -> dict:
+def _report(args, inputs: dict, results: dict, elapsed_ms: int) -> dict:
     """``seed`` and ``tolerances`` echo only the options the command accepts;
     a tolerance is echoed with its value, or with its rule if left unset."""
     report = {
         "command": args.command,
         "inputs": inputs,
         "results": results,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
+        "elapsed_ms": elapsed_ms,
     }
     tolerances = {
         name: value for name, value in _tolerance(args).to_json_obj().items() if hasattr(args, name)
@@ -121,8 +122,7 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True))
 
 
-def _cmd_sphere(args) -> int:
-    started = time.monotonic()
+def _cmd_sphere(args) -> tuple[int, dict, dict]:
     tol = _tolerance(args)
     state, digest = _load_state_spec(args.state, tol)
     sphere = deletion_sphere(state, args.s, tol)
@@ -136,44 +136,28 @@ def _cmd_sphere(args) -> int:
         "out": str(args.out),
     }
     print(f"deletion sphere: {len(sphere)} distinct of {sphere.raw_count} raw", file=sys.stderr)
-    _emit(_report(args, {"state": digest, "s": args.s}, results, started))
-    return EXIT_TRUE
+    return EXIT_TRUE, {"state": digest, "s": args.s}, results
 
 
-def _cmd_distance(args) -> int:
-    started = time.monotonic()
+def _cmd_distance(args) -> tuple[int, dict, dict]:
     tol = _tolerance(args)
     a, digest_a = _load_state_spec(args.state_a, tol)
     b, digest_b = _load_state_spec(args.state_b, tol)
-    result = indel_distance(a, b, tol)
-    _emit(_report(args, {"a": digest_a, "b": digest_b}, result.to_json_obj(), started))
-    return EXIT_TRUE
+    return EXIT_TRUE, {"a": digest_a, "b": digest_b}, indel_distance(a, b, tol).to_json_obj()
 
 
-def _verdict_exit(verdict: Verdict) -> int:
-    if verdict.ok is True:
-        return EXIT_TRUE
-    if verdict.ok is False:
-        return EXIT_FALSE
-    return EXIT_UNKNOWN
+_VERDICT_EXIT = {True: EXIT_TRUE, False: EXIT_FALSE, None: EXIT_UNKNOWN}
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
+def _cmd_verify(args) -> tuple[int, dict, dict]:
     code, digest = _load_code_spec(args.code, args.grid, _tolerance(args))
-    if args.errors == "deletions":
-        verdict = corrects(code, args.t, "deletions")
-    elif args.errors == "indel":
-        verdict = corrects(code, args.t, "total")
-    else:
-        verdict = corrects_insertions(code, args.t)
+    kind = "total" if args.errors == "indel" else args.errors
+    verdict = corrects_insertions(code, args.t) if kind == "insertions" else corrects(code, args.t, kind)
     results = {"errors": args.errors, "t": args.t, "verdict": verdict.to_json_obj()}
-    _emit(_report(args, {"code": digest, "size": len(code)}, results, started))
-    return _verdict_exit(verdict)
+    return _VERDICT_EXIT[verdict.ok], {"code": digest, "size": len(code)}, results
 
 
-def _cmd_paper_examples(args) -> int:
-    started = time.monotonic()
+def _cmd_paper_examples(args) -> tuple[int, dict, dict]:
     if args.seed < 0:
         raise ParseError(f"--seed must be nonnegative, got {args.seed}")
     # the report file is opened first, so an unwritable path is refused before the suite runs
@@ -187,8 +171,7 @@ def _cmd_paper_examples(args) -> int:
             report_file.write(json.dumps(suite, sort_keys=True))
     for item in suite["items"]:
         print(f"{item['status'].upper():4s} {item['name']}: {item['details']}", file=sys.stderr)
-    _emit(_report(args, {}, suite, started))
-    return EXIT_TRUE if all(i["status"] == "pass" for i in suite["items"]) else EXIT_FALSE
+    return (EXIT_TRUE if all(i["status"] == "pass" for i in suite["items"]) else EXIT_FALSE), {}, suite
 
 
 def _build_parser() -> _Parser:
@@ -228,16 +211,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    started = time.monotonic()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code, inputs, results = args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QindelError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _emit(_report(args, inputs, results, int((time.monotonic() - started) * 1000)))
+    return code
 
 
 if __name__ == "__main__":

@@ -50,6 +50,14 @@ def _check_param(alpha: complex, beta: complex) -> tuple[complex, complex]:
     return alpha, beta
 
 
+def _check_weights(p0: float, p1: float) -> None:
+    if not (p0 >= 0 and p1 >= 0):
+        raise WeightOutOfRange(f"weights must be nonnegative, got {p0!r} and {p1!r}")
+    residual = abs(p0 + p1 - 1.0)
+    if residual > 1e-9:
+        raise NotNormalized(f"p0+p1 differs from 1 by {residual:.3e}", residual)
+
+
 def dicke_ket(n: int, i: int) -> np.ndarray:
     """Unnormalized sum of all n-qubit basis kets of Hamming weight i.
 
@@ -80,6 +88,7 @@ def x1_codeword(alpha: complex, beta: complex) -> DensityMatrix:
 
 def example_rho(p0: float = 0.5, p1: float = 0.5) -> DensityMatrix:
     """p0 |00><00| + p1 |11><11|."""
+    _check_weights(p0, p1)
     shape = QuditShape(2, 2)
     k00, k11 = basis_ket("00", shape), basis_ket("11", shape)
     return DensityMatrix(shape, p0 * np.outer(k00, k00) + p1 * np.outer(k11, k11))
@@ -87,6 +96,7 @@ def example_rho(p0: float = 0.5, p1: float = 0.5) -> DensityMatrix:
 
 def example_psi(p0: float = 0.5, p1: float = 0.5) -> DensityMatrix:
     """|psi><psi| for |psi> = sqrt(p0)|01> + sqrt(p1)|10|."""
+    _check_weights(p0, p1)
     shape = QuditShape(2, 2)
     ket = math.sqrt(p0) * basis_ket("01", shape) + math.sqrt(p1) * basis_ket("10", shape)
     return density_from_ket(ket, shape)
@@ -100,6 +110,7 @@ def example_insertion(q: int, p0: float, p1: float, pi00, pi11, a) -> DensityMat
     Built by hand with ``np.kron``, independently of ``insert_construct``."""
     if q not in (1, 2, 3):
         raise PositionOutOfRange(f"insertion position {q} not within [1, 3]")
+    _check_weights(p0, p1)
 
     def placed(block, outer: np.ndarray) -> np.ndarray:
         factors = [outer, outer]
@@ -129,7 +140,7 @@ def in_del_after_ins_sphere(
     p0 pi00 (x) |0><0| + p1 pi11 (x) |1><1| (and its mirror) with arbitrary
     single-qubit densities pi00, pi11 and no cross-sector coherence.
     """
-    rho = example_rho(p0, p1)
+    rho = example_rho(p0, p1)  # checks the weights
     tol = tol.at(sigma.dim)
     if sigma.close_to(rho, tol):
         return True
@@ -156,6 +167,7 @@ def in_ins_after_del_sphere(
     p0|0><0| + p1|1><1|, so membership just asks one of sigma's single-qudit
     deletions to equal it.
     """
+    _check_weights(p0, p1)
     target = p0 * np.outer(_KET0, _KET0.conj()) + p1 * np.outer(_KET1, _KET1.conj())
     tol = tol.at(sigma.dim)
     for q in (1, 2):

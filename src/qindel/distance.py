@@ -248,6 +248,7 @@ def metric_check(
 
     Identity of indiscernibles, symmetry, and the triangle inequality are
     tested per triple; any violation is reported with the offending values.
+    A triple of states of different levels is refused (``LevelMismatch``).
     ``odd_equal_length`` counts the distances d_ab, d_bc and d_ac between
     states of equal length that are odd (such distances are always even);
     it does not enter ``ok``.  Each state's deletion levels are built once
@@ -258,6 +259,8 @@ def metric_check(
     odd = 0
     for idx, (a, b, c) in enumerate(triples):
         checked += 1
+        if not a.level == b.level == c.level:
+            raise LevelMismatch(f"triple {idx} spans levels {a.level}, {b.level}, {c.level}")
         la, lb, lc = (list(deletion_levels(x, tol)) for x in (a, b, c))
         d_ab = _level_distance(la, lb)
         d_ba = _level_distance(lb, la)

@@ -38,7 +38,7 @@ class CountOutOfRange(QindelError, ValueError):
 
 
 class WeightOutOfRange(QindelError, ValueError):
-    """A Hamming weight is outside [0, n]."""
+    """A Hamming weight is outside [0, n], or a mixture weight is negative."""
 
 
 class NotAPermutation(QindelError, ValueError):

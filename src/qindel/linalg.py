@@ -13,14 +13,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidTolerance, NoConvergence, NonSquare, NotHermitian, ShapeMismatch
+from .errors import InvalidTolerance, NoConvergence, NonSquare, NotHermitian, ShapeMismatch, ValidationError
 
 __all__ = [
     "Tolerance",
     "eigensolve",
     "frobenius_distance",
     "hermitian_part",
-    "hermitian_residual",
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
     "is_psd",
@@ -97,15 +96,22 @@ def hermitian_part(a) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def hermitian_residual(a) -> float:
-    """Frobenius distance between the matrix ``a`` and its adjoint."""
+def _require_finite(a: np.ndarray) -> None:
+    # an explicit test before any arithmetic: NaN and inf raise no warning
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has non-finite entries")
+
+
+def _require_hermitian(a, tol: Tolerance) -> np.ndarray:
+    """The one check of a matrix the package did not build, in order: square
+    (``NonSquare``), finite (``ValidationError``), Hermitian within eq_tol
+    (``NotHermitian``, with its residual).  Returns it symmetrized."""
     a = _as_complex(a)
-    return float(np.linalg.norm(a - a.conj().T))
-
-
-def _require_hermitian(a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    res = hermitian_residual(a)
-    if res > tol.at(a.shape[-1]).eq_tol:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSquare(f"need a square matrix, got shape {a.shape}")
+    _require_finite(a)
+    res = float(np.linalg.norm(a - a.conj().T))
+    if res > tol.at(len(a)).eq_tol:
         raise NotHermitian(f"matrix is not Hermitian (residual {res:.3e})", res)
     return hermitian_part(a)
 
@@ -121,35 +127,27 @@ def eigensolve(solver, h):
         raise NoConvergence(str(exc)) from exc
 
 
-def _hermitian_solve(solver, a, tol: Tolerance):
-    a = _as_complex(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquare(f"eigensystem needs a square matrix, got shape {a.shape}")
-    return eigensolve(solver, _require_hermitian(a, tol))
-
-
 def hermitian_eigensystem(a, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and eigenvector matrix of a Hermitian matrix.
 
-    The input is checked square and Hermitian within ``eq_tol`` and
+    The input is checked square, finite and Hermitian within ``eq_tol`` and
     symmetrized before the solve, so only rounding drift is ever discarded.
     Column ``k`` of the returned unitary is the eigenvector for eigenvalue ``k``.
     """
-    return _hermitian_solve(np.linalg.eigh, a, tol)
+    return eigensolve(np.linalg.eigh, _require_hermitian(a, tol))
 
 
 def hermitian_eigenvalues(a, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Eigenvalues (ascending, real) of a Hermitian matrix, with the checks of
     ``hermitian_eigensystem`` but no eigenvectors, for callers that only need
     the spectrum (PSD tests): the solve skips the vector work."""
-    return _hermitian_solve(np.linalg.eigvalsh, a, tol)
+    return eigensolve(np.linalg.eigvalsh, _require_hermitian(a, tol))
 
 
 def is_psd(a, tol: Tolerance = Tolerance()) -> bool:
     """True iff the Hermitian matrix has min eigenvalue >= -psd_tol."""
-    a = _as_complex(a)
-    tol = tol.at(len(a))
-    return bool(hermitian_eigenvalues(a, tol)[0] >= -tol.psd_tol)
+    w = hermitian_eigenvalues(a, tol)
+    return bool(w[0] >= -tol.at(len(w)).psd_tol)
 
 
 def project_psd(a, tol: Tolerance = Tolerance()) -> np.ndarray:
@@ -174,12 +172,11 @@ def psd_principal_minors(a, tol: Tolerance = Tolerance()) -> bool:
     minors of each size k are one ``det`` call over the stacked k x k
     principal submatrices, in ``combinations`` order.
     """
-    a = _as_complex(a)
-    n = a.shape[0]
+    a = _require_hermitian(a, tol)
+    n = len(a)
     if n > MINORS_MAX_DIM:
         raise ShapeMismatch(f"principal-minor test capped at dim {MINORS_MAX_DIM}, got {n}")
     tol = tol.at(n)
-    _require_hermitian(a, tol)
     for k in range(1, n + 1):
         rows = np.array(list(combinations(range(n), k)))
         minors = np.linalg.det(a[rows[:, :, None], rows[:, None, :]])

@@ -37,7 +37,7 @@ from .errors import (
     TraceNotOne,
     ValidationError,
 )
-from .linalg import Tolerance, frobenius_distance, hermitian_eigensystem, hermitian_eigenvalues
+from .linalg import Tolerance, _require_finite, frobenius_distance, hermitian_eigensystem, hermitian_eigenvalues
 
 __all__ = [
     "SIZE_CAP",
@@ -189,24 +189,23 @@ def density_from_ket(amplitudes, shape: QuditShape, tol: Tolerance = Tolerance()
     return DensityMatrix(shape, np.outer(vec, vec.conj()))
 
 
-def _require_finite(mat: np.ndarray) -> None:
-    if not np.isfinite(mat).all():
-        raise ValidationError("matrix has non-finite entries")
+def _require_psd(w: np.ndarray, tol: Tolerance) -> None:  # w ascending
+    if w[0] < -tol.psd_tol:
+        raise NotPSD(f"negative eigenvalue {w[0]:.3e}", -float(w[0]))
 
 
 def validate(mat, shape: QuditShape, tol: Tolerance = Tolerance()) -> DensityMatrix:
-    """Check all density-matrix invariants; raise naming the first violation."""
+    """Check all density-matrix invariants; raise naming the first violation:
+    shape, then the eigen-solve's finite and Hermitian checks, trace, PSD."""
     m = np.asarray(mat, dtype=complex)
     tol = tol.at(shape.dim)
     if m.shape != (shape.dim, shape.dim):
         raise ShapeMismatch(f"expected a {shape.dim}x{shape.dim} matrix, got {m.shape}")
-    _require_finite(m)
-    w = hermitian_eigenvalues(m, tol)  # its Hermitian check (NotHermitian) comes first
+    w = hermitian_eigenvalues(m, tol)
     tr_res = abs(np.trace(m) - 1.0)
     if tr_res > tol.eq_tol:
         raise TraceNotOne(f"trace differs from 1 by {tr_res:.3e}", tr_res)
-    if w[0] < -tol.psd_tol:
-        raise NotPSD(f"negative eigenvalue {w[0]:.3e}", -float(w[0]))
+    _require_psd(w, tol)
     return DensityMatrix(shape, m)
 
 
@@ -232,8 +231,7 @@ def spectral_decompose(rho: DensityMatrix, tol: Tolerance = Tolerance()) -> Spec
     """
     tol = tol.at(rho.dim)
     w, v = hermitian_eigensystem(rho.mat, tol)
-    if w[0] < -tol.psd_tol:
-        raise NotPSD(f"negative eigenvalue {w[0]:.3e}", -float(w[0]))
+    _require_psd(w, tol)
     dropped = np.searchsorted(np.cumsum(np.clip(w, 0.0, None)), 1e-3 * tol.eq_tol, side="right")
     w, v = w[dropped:], v[:, dropped:]
     order = np.argsort(-w, kind="stable")

@@ -445,6 +445,9 @@ def test_index_permutation_basics(rng):
 
     with pytest.raises(NotAPermutation):
         index_permutation(rho, (1, 1, 2))
+    with pytest.raises(NotAPermutation):
+        index_permutation(rho, (1.9, 2, 3))  # refused, not truncated to the identity
+    assert index_permutation(rho, np.array([3, 1, 2])).distance(permuted) == 0
 
 
 def test_permute_axes_keeps_leading_batch_axes(rng):
@@ -723,6 +726,8 @@ def _coercion_case(name):
         return report.status.value, report.gap
 
     return {
+        "IndexSet": (lambda q: IndexSet(tuple(q), 3).positions, q2),
+        "delete": (lambda p: delete(sigma, p).mat, q2),
         "tau_Q": (lambda q: tau_Q(q, 2), q2),
         "insert_construct": (lambda q: insert_construct(rho, q, blocks).mat, q2),
         "insertion_member": (lambda q: insertion_member(sigma, rho, q), q2),
@@ -735,6 +740,8 @@ def _coercion_case(name):
 @pytest.mark.parametrize(
     "name",
     [
+        "IndexSet",
+        "delete",
         "tau_Q",
         "insert_construct",
         "insertion_member",
@@ -747,9 +754,15 @@ def test_index_set_coercion(name):
     # an index set over the wrong range is refused by name, and a one-shot
     # iterable of positions is read once and means the same as the index set
     call, positions = _coercion_case(name)
-    with pytest.raises(InvalidIndexSet):
-        call(IndexSet(positions.positions, positions.ambient + 1))
+    if name != "IndexSet":
+        with pytest.raises(InvalidIndexSet):
+            call(IndexSet(positions.positions, positions.ambient + 1))
     np.testing.assert_array_equal(call(iter(positions.positions)), call(positions))
+    # numpy integers are positions too; a float or a string is refused, not truncated
+    np.testing.assert_array_equal(call(np.array(positions.positions)), call(positions))
+    for bad in ([p + 0.7 for p in positions], [str(p) for p in positions]):
+        with pytest.raises(InvalidIndexSet, match="integers"):
+            call(bad)
 
 
 def test_inserted_blocks_trace_contract(rng):

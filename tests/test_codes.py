@@ -126,6 +126,37 @@ def test_sigma_fixtures_delete_back(rng):
     assert delete(sig1, {3}).distance(expected) <= 1e-12
 
 
+_HALF = np.eye(2) / 2
+
+
+@pytest.mark.parametrize(
+    "build, p0, p1, error",
+    [
+        pytest.param(example_rho, 0.3, 0.3, NotNormalized, id="rho-trace-0.6"),
+        pytest.param(example_rho, 1.5, -0.5, WeightOutOfRange, id="rho-negative"),
+        pytest.param(example_psi, -0.5, 1.5, WeightOutOfRange, id="psi-negative"),
+        pytest.param(
+            lambda p0, p1: example_insertion(1, p0, p1, _HALF, _HALF, np.zeros((2, 2))),
+            0.3, 0.3, NotNormalized, id="insertion-trace-0.6",
+        ),
+        pytest.param(
+            lambda p0, p1: in_del_after_ins_sphere(example_rho(), p0, p1),
+            0.3, 0.3, NotNormalized, id="del-after-ins-trace-0.6",
+        ),
+        pytest.param(
+            lambda p0, p1: in_ins_after_del_sphere(example_rho(), p0, p1),
+            float("nan"), 0.5, WeightOutOfRange, id="ins-after-del-nan",
+        ),
+    ],
+)
+def test_example_weights_must_make_a_state(build, p0, p1, error):
+    # weights that make no state are refused by name, with the normalization residual
+    with pytest.raises(error) as info:
+        build(p0, p1)
+    if error is NotNormalized:
+        assert info.value.residual == pytest.approx(0.4)
+
+
 def test_insert_construct_matches_explicit_fixtures(rng):
     # blocks fed through the generic constructor reproduce the hand-built
     # example insertion at every position

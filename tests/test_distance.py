@@ -237,6 +237,10 @@ def test_metric_check(rng):
     report = metric_check([(rho, near, rho)], Tolerance(eq_tol=1e-3))
     assert report["ok"] and report["violations"] == []
 
+    # a triple of mixed levels is refused by name, as indel_distance refuses a pair
+    with pytest.raises(LevelMismatch, match="triple 1"):
+        metric_check([(rho, rho, rho), (rho, _pure("00", 3), rho)])
+
 
 def test_metric_check_counts_odd_equal_length_distances(monkeypatch):
     import qindel.distance

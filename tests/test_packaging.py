@@ -87,6 +87,25 @@ def test_only_linalg_calls_an_eigensolver():
     assert not calls, f"eigensolver called outside linalg: {calls}"
 
 
+def test_cli_builds_and_prints_one_report():
+    # each command returns its exit code and report parts to main, which reads
+    # the clock at start and stop and prints the one report, so a new command
+    # cannot grow its own report path
+    tree = ast.parse((ROOT / "src" / "qindel" / "cli.py").read_text(encoding="utf-8"))
+    owner = {
+        id(node): func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+    }
+    calls = sorted(
+        (ast.unparse(node.func), owner.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("time.monotonic", "_emit")
+    )
+    assert calls == [("_emit", "main"), ("time.monotonic", "main"), ("time.monotonic", "main")]
+
+
 def _named_errors() -> set[str]:
     errors = importlib.import_module("qindel.errors")
     return {name for name, obj in vars(errors).items() if getattr(obj, "__module__", None) == errors.__name__}

@@ -1,10 +1,10 @@
 """Property tests: input checks (tolerance values, state-file shapes and
-malformed payloads), the metric axioms of the indel distance, a code's
-dedup of coinciding states, the insertion round trip and sampler prefixes,
-the containment of interleaved errors, and the evidence of feasibility
-verdicts: witnesses and Farkas certificates.  The metric, insertion,
-containment and feasibility tests draw qubit and qutrit states; qutrit
-cases keep the lifted dimension at most 16.
+malformed payloads, non-finite and non-square matrices), the metric axioms
+of the indel distance, a code's dedup of coinciding states, the insertion
+round trip and sampler prefixes, the containment of interleaved errors, and
+the evidence of feasibility verdicts: witnesses and Farkas certificates.
+The metric, insertion, containment and feasibility tests draw qubit and
+qutrit states; qutrit cases keep the lifted dimension at most 16.
 
 Examples are derived from the test source, not drawn at random, and no
 example database is kept, so runs are deterministic and write nothing to
@@ -30,14 +30,22 @@ from qindel.channels import IndexSet, delete, insertion_member, sample_insertion
 from qindel.channels import trace_out_adjoint  # noqa: E402
 from qindel.codes import example_psi, example_rho  # noqa: E402
 from qindel.distance import CodeSample, indel_distance, min_distance  # noqa: E402
-from qindel.errors import DuplicateStates, InvalidTolerance, ParseError  # noqa: E402
+from qindel.errors import DuplicateStates, InvalidTolerance, NonSquare, ParseError  # noqa: E402
+from qindel.errors import ShapeMismatch, ValidationError  # noqa: E402
 from qindel.feasibility import (  # noqa: E402
     AffineConstraint,
     FeasibilityStatus,
     check_containment_trial,
     feasibility_del_ins,
 )
-from qindel.linalg import Tolerance  # noqa: E402
+from qindel.linalg import (  # noqa: E402
+    Tolerance,
+    hermitian_eigensystem,
+    hermitian_eigenvalues,
+    is_psd,
+    project_psd,
+    psd_principal_minors,
+)
 from qindel.rand import random_density, random_hermitian  # noqa: E402
 from qindel.states import (  # noqa: E402
     DensityMatrix,
@@ -109,6 +117,44 @@ def test_integer_level_and_length_load(level, length):
     obj = {"level": level, "length": length, "kind": "pure", "ket": ket}
     rho = state_from_json_obj(orjson.loads(orjson.dumps(obj)))
     assert (rho.level, rho.length) == (level, length)
+
+
+# every entry point that checks a matrix it did not build, on orders 1-4
+# (the principal-minor oracle's range); validate reads a matrix of order 3 as
+# one qutrit and the rest as qubits
+_SHAPES = {1: QuditShape(2, 0), 2: QuditShape(2, 1), 3: QuditShape(3, 1), 4: QuditShape(2, 2)}
+CHECKED = {
+    "hermitian_eigensystem": hermitian_eigensystem,
+    "hermitian_eigenvalues": hermitian_eigenvalues,
+    "is_psd": is_psd,
+    "project_psd": project_psd,
+    "psd_principal_minors": psd_principal_minors,
+    "validate": lambda m: validate(m, _SHAPES[len(m)]),
+}
+NON_FINITE_ENTRIES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, complex(0.25, math.inf), complex(math.nan, -math.inf)]
+)
+
+
+@DETERMINISTIC
+@given(st.sampled_from(sorted(CHECKED)), st.sampled_from(sorted(_SHAPES)), NON_FINITE_ENTRIES, st.data())
+def test_checked_entry_points_refuse_a_non_finite_entry(name, dim, entry, data):
+    # the state would pass every check but for the one entry
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    mat = random_density(np.random.default_rng(seed), _SHAPES[dim]).mat.copy()
+    i, j = data.draw(st.integers(0, dim - 1), label="row"), data.draw(st.integers(0, dim - 1), label="col")
+    mat[i, j] = entry
+    with pytest.raises(ValidationError, match="non-finite"):
+        CHECKED[name](mat)
+
+
+@DETERMINISTIC
+@given(st.sampled_from(sorted(CHECKED)), st.integers(1, 4), st.integers(1, 4))
+def test_checked_entry_points_refuse_a_non_square_matrix(name, rows, cols):
+    assume(rows != cols)
+    # validate compares the shape with the qudit shape first
+    with pytest.raises(ShapeMismatch if name == "validate" else NonSquare):
+        CHECKED[name](np.eye(rows, cols, dtype=complex))
 
 
 _NUMBERS = st.floats(-1.0, 1.0)
