@@ -45,7 +45,7 @@ _KET1 = np.array([0.0, 1.0], dtype=complex)
 def _check_param(alpha: complex, beta: complex) -> tuple[complex, complex]:
     alpha, beta = complex(alpha), complex(beta)
     residual = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
-    if residual > 1e-9:
+    if not residual <= 1e-9:  # also refuses a NaN residual
         raise NotNormalized(f"|alpha|^2+|beta|^2 differs from 1 by {residual:.3e}", residual)
     return alpha, beta
 

@@ -244,6 +244,8 @@ def feasibility_del_ins(
 def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: float):
     """L-BFGS with Armijo backtracking on theta(y) = 1/2 ||Pi_+(U^dagger A*(y) U)||^2
     - <b, y>, U the face basis (None: the whole space), from the least-squares dual.
+    The curvature memory is kept in compact form and updated one pair at a
+    time (``_CurvatureMemory``), so a search direction takes no solve.
 
     The gradient is A(tau) - b with tau = U Pi_+(...) U^dagger, so a small one
     makes tau a witness; if theta is unbounded below, -y / ||y|| tends to a
@@ -264,12 +266,14 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
         if face is not None:
             x = face.conj().T @ x @ face
         w, v = eigensolve(np.linalg.eigh, x)
-        root = v[:, w > 0] * np.sqrt(w[w > 0])
+        positive = w > 0
+        w = w[positive]
+        root = v[:, positive] * np.sqrt(w)
         if face is not None:
             root = face @ root
         tau = root @ root.conj().T
         grad = np.concatenate([part.ravel() for part in affine.apply(tau)]).view(float) - b
-        return 0.5 * float(np.sum(w[w > 0] ** 2)) - float(b @ y), grad, tau
+        return 0.5 * float(np.sum(w**2)) - float(b @ y), grad, tau
 
     def certificate(y):
         lam = unpack(-y / (float(np.linalg.norm(y)) or 1.0))
@@ -280,7 +284,7 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
     f, g, tau = evaluate(y)
     # 1 / ||A||^2: a safe gradient step before any curvature is known
     step0 = 1.0 / (affine.level**affine.qset.size + affine.level**affine.pset.size)
-    S = Y = np.empty((0, len(y)))
+    memory = _CurvatureMemory(len(y))
     evaluations, failures, next_test = 0, 0, CANDIDATE_EVERY
     while True:
         residual = float(np.linalg.norm(g))
@@ -295,9 +299,9 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
                 return "certificate", found, evaluations, residual
             if stop:
                 return "stopped", stop, evaluations, residual
-        direction = _lbfgs_direction(g, S, Y, step0)
+        direction = memory.direction(g, step0)
         if g @ direction >= 0:
-            S = Y = S[:0]
+            memory.clear()
             direction = -step0 * g
         slope, alpha = 1e-4 * float(g @ direction), 1.0
         while True:
@@ -308,25 +312,67 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
             alpha /= 2
         if f_new > f + alpha * slope:
             failures += 1
-            S = Y = S[:0]
+            memory.clear()
             continue
         s_vec, g_vec = alpha * direction, g_new - g
         if s_vec @ g_vec > 1e-12 * (g_vec @ g_vec):
-            S, Y = np.vstack([S[1 - MEMORY :], s_vec]), np.vstack([Y[1 - MEMORY :], g_vec])
+            memory.push(s_vec, g_vec)
         y, f, g, tau = y + s_vec, f_new, g_new, tau_new
 
 
-def _lbfgs_direction(g: np.ndarray, S: np.ndarray, Y: np.ndarray, step0: float) -> np.ndarray:
-    """-H g for the L-BFGS pairs, the rows of S and Y (oldest first), in the
-    compact form of Byrd, Nocedal and Schnabel (1994): a few small products,
-    which numpy runs faster than the two-loop recursion's Python loops."""
-    if not len(S):
-        return -step0 * g
-    sy = S @ Y.T
-    upper, gamma = np.triu(sy), sy[-1, -1] / float(Y[-1] @ Y[-1])
-    u = np.linalg.solve(upper, S @ g)
-    p = np.linalg.solve(upper.T, np.diag(sy) * u + gamma * (Y @ (Y.T @ u) - Y @ g))
-    return -(gamma * g + p @ S - gamma * (u @ Y))
+class _CurvatureMemory:
+    """The last ``MEMORY`` L-BFGS pairs (s, y) in the compact form of Byrd,
+    Nocedal and Schnabel (1994), kept up to date one pair at a time.
+
+    The pairs are rows ``start`` to ``start + count`` of S and Y, oldest
+    first.  With R the upper triangle of S Y^T, the same window of ``r_inv``,
+    ``yy`` and ``sy`` holds R^-1, Y Y^T and diag(R).  A push adds a row and
+    column to each in O(m n + m^2) and slides the window past the oldest pair
+    once the memory is full: R[1:, 1:]^-1 is R^-1[1:, 1:] for a triangular R,
+    so nothing is refactored.  The buffers hold two memories' worth of rows,
+    so the window is copied back to the front once every ``MEMORY`` pushes.
+    """
+
+    def __init__(self, n: int):
+        size = 2 * MEMORY
+        self.S, self.Y = np.empty((size, n)), np.empty((size, n))
+        # only the upper triangle of r_inv is ever written: the rest stays 0
+        self.r_inv, self.yy, self.sy = np.zeros((size, size)), np.empty((size, size)), np.empty(size)
+        self.start = self.count = 0
+
+    def clear(self) -> None:
+        self.start = self.count = 0
+
+    def push(self, s: np.ndarray, y: np.ndarray) -> None:
+        if self.count == MEMORY:
+            self.start, self.count = self.start + 1, self.count - 1
+        a, k = self.start, self.start + self.count
+        if k == len(self.sy):
+            for rows in (self.S, self.Y, self.sy):
+                rows[: k - a] = rows[a:k]
+            for block in (self.r_inv, self.yy):
+                block[: k - a, : k - a] = block[a:k, a:k]
+            a, k, self.start = 0, k - a, 0
+        sy = float(s @ y)
+        # [[R, S y], [0, sy]]^-1 = [[R^-1, -R^-1 S y / sy], [0, 1 / sy]]
+        self.r_inv[a:k, k] = self.r_inv[a:k, a:k] @ (self.S[a:k] @ y) / -sy
+        self.r_inv[k, k] = 1 / sy
+        self.yy[k, a:k] = self.yy[a:k, k] = self.Y[a:k] @ y
+        self.yy[k, k] = y @ y
+        self.S[k], self.Y[k], self.sy[k] = s, y, sy
+        self.count += 1
+
+    def direction(self, g: np.ndarray, step0: float) -> np.ndarray:
+        """-H g, H the L-BFGS inverse Hessian with gamma I as its seed, gamma
+        = s^T y / y^T y of the newest pair; -step0 g with no pair held."""
+        if not self.count:
+            return -step0 * g
+        a, k = self.start, self.start + self.count
+        S, Y, r_inv = self.S[a:k], self.Y[a:k], self.r_inv[a:k, a:k]
+        gamma = self.sy[k - 1] / self.yy[k - 1, k - 1]
+        u = r_inv @ (S @ g)
+        p = (self.sy[a:k] * u + gamma * (self.yy[a:k, a:k] @ u - Y @ g)) @ r_inv
+        return -(gamma * g + p @ S - gamma * (u @ Y))
 
 
 def member_del_ins(

@@ -89,11 +89,19 @@ def frobenius_distance(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
+_HALF_MAX = np.finfo(float).max / 2
+
+
 def hermitian_part(a) -> np.ndarray:
     """(a + a†)/2; removes rounding drift without changing Hermitian inputs.
-    Leading axes are a batch."""
+    Leading axes are a batch.  The sum is halved, which keeps subnormal
+    entries exact, unless an entry is large enough for the sum to overflow:
+    then each term is halved first."""
     a = _as_complex(a)
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+    b = a.conj().swapaxes(-1, -2)
+    if np.abs(a).max(initial=0.0) > _HALF_MAX:
+        return a / 2 + b / 2
+    return (a + b) / 2
 
 
 def _require_finite(a: np.ndarray) -> None:

@@ -74,6 +74,22 @@ def test_hagiwara_codeword_endpoints():
         hagiwara_codeword(1, 1)
 
 
+@pytest.mark.parametrize(
+    "build", [hagiwara_codeword, x1_codeword, hagiwara_single_deletion, hagiwara_double_deletion]
+)
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(math.nan, 0), (0.6, complex(math.nan, math.nan)), (math.inf, 0)],
+    ids=["nan-alpha", "complex-nan-beta", "inf-alpha"],
+)
+def test_non_finite_amplitudes_are_not_normalized(build, alpha, beta):
+    # a NaN residual fails the normalization check like any other: the
+    # error names it, before any matrix is built
+    with pytest.raises(NotNormalized) as info:
+        build(alpha, beta)
+    assert not info.value.residual <= 1e-9
+
+
 def test_single_deletion_closed_form():
     # every deletion position of every sampled codeword matches the closed form
     alpha_c, beta_c = x2_collision_params()

@@ -254,8 +254,8 @@ def test_member_del_ins_refuses_negative_counts(rng, s, t):
 
 
 def test_low_rank_marginals_are_feasible(rng):
-    # marginals of low-rank states, which stalled Dykstra: the face shrinks
-    # with the rank, and the dual on it converges to a witness
+    # marginals of low-rank states have no positive definite lift: the face
+    # shrinks with the rank, and the dual on it converges to a witness
     for n, ranks in ((4, range(1, 6)), (3, (1, 2))):
         shape = QuditShape(2, n)
         for rank in ranks:
@@ -268,6 +268,61 @@ def test_low_rank_marginals_are_feasible(rng):
                 assert report.certificate is None
                 assert 1 <= report.details["face_dim"] <= shape.dim
                 _check_witness(report, sigma, rho, pset, qset)
+
+
+def test_full_face_marginals_are_feasible(rng):
+    # marginals of rank-4 states on 4 qubits: full-rank marginals, so the
+    # face is the whole space, but a rank-deficient tau, which makes the dual
+    # the slowest; the memory rebuilt at every step (_compact_direction) took
+    # 138, 990, 277 and 628 evaluations (2,033), and rounding moves each count
+    shape = QuditShape(2, 4)
+    total = 0
+    for p, q in ((1, 4), (2, 3), (4, 2), (3, 1)):
+        tau = random_density(rng, shape, 4)
+        pset, qset = IndexSet((p,), 4), IndexSet((q,), 4)
+        sigma, rho = delete(tau, pset), delete(tau, qset)
+        report = feasibility_del_ins(sigma, rho, pset, qset)
+        assert report.status is FeasibilityStatus.FEASIBLE, (p, q)
+        assert report.details["face_dim"] == shape.dim
+        _check_witness(report, sigma, rho, pset, qset)
+        assert report.iterations <= 1500, (p, q)
+        total += report.iterations
+    assert total <= 2500
+
+
+def _compact_direction(g, S, Y, step0):
+    """-H g for the L-BFGS pairs, the rows of S and Y (oldest first), rebuilt
+    from scratch in the compact form of Byrd, Nocedal and Schnabel (1994):
+    R = triu(S Y^T) and two solves.  The oracle for the incremental memory."""
+    if not len(S):
+        return -step0 * g
+    sy = S @ Y.T
+    upper, gamma = np.triu(sy), sy[-1, -1] / float(Y[-1] @ Y[-1])
+    u = np.linalg.solve(upper, S @ g)
+    p = np.linalg.solve(upper.T, np.diag(sy) * u + gamma * (Y @ (Y.T @ u) - Y @ g))
+    return -(gamma * g + p @ S - gamma * (u @ Y))
+
+
+@pytest.mark.parametrize("n", [64, 256])  # the dual sizes at d=8 and at d=16
+def test_curvature_memory_matches_the_compact_form_from_scratch(rng, n):
+    # pairs of a well-conditioned quadratic plus noise, s^T y > 0; from the
+    # empty memory, 75 pushes drop the oldest pair 45 times and copy the
+    # window back once, then a clear and 5 more pushes start over
+    memory, pairs = feasibility._CurvatureMemory(n), []
+    g, curvature = rng.standard_normal(n), rng.uniform(1.0, 4.0, n)
+    for k in range(81):
+        if k == 75:
+            memory.clear()
+            pairs.clear()
+        if k:
+            s = rng.standard_normal(n)
+            y = curvature * s + 0.1 * rng.standard_normal(n)
+            memory.push(s, y)
+            pairs.append((s, y))
+        S, Y = (np.array([pair[i] for pair in pairs[-feasibility.MEMORY :]]).reshape(-1, n) for i in (0, 1))
+        want = _compact_direction(g, S, Y, 0.25)
+        got = memory.direction(g, 0.25)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), k
 
 
 def _werner(eps):

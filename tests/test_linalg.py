@@ -9,6 +9,7 @@ from qindel.linalg import (
     eigensolve,
     frobenius_distance,
     hermitian_eigensystem,
+    hermitian_part,
     hermitian_eigenvalues,
     is_psd,
     project_psd,
@@ -105,6 +106,21 @@ def test_random_psd_batch_draws_what_one_call_per_matrix_draws():
 def test_is_psd():
     assert is_psd(I2)
     assert not is_psd([[1, 2], [2, 1]])  # eigenvalue -1
+
+
+def test_hermitian_part_at_both_ends_of_the_float_range():
+    # a + a† overflows for these finite entries, so each term is halved
+    # first: the PSD diagonal keeps its spectrum and stays PSD
+    huge = np.diag([1e308, 1e308])
+    assert np.array_equal(hermitian_part(huge), huge)
+    assert np.array_equal(hermitian_eigenvalues(huge), [1e308, 1e308])
+    assert is_psd(huge) is True
+    skew = np.array([[1e308, 1.6e308], [1.4e308, 1e308]])
+    assert np.array_equal(hermitian_part(skew), [[1e308, 1.5e308], [1.5e308, 1e308]])
+    # halving first would round an odd subnormal (5e-324 / 2 is 0): a
+    # Hermitian matrix of subnormals comes back unchanged
+    tiny = np.array([[5e-324, 3e-320 + 5e-324j], [3e-320 - 5e-324j, 1e-310]])
+    assert np.array_equal(hermitian_part(tiny), tiny)
 
 
 def test_congruence_preserves_psd(rng):
