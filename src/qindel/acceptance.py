@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .channels import IndexSet, cross_distances, delete, deletion_sphere, sample_insertions
+from .channels import IndexSet, delete, deletion_sphere, sample_insertions
 from .codes import (
     builtin_code,
     code_params,
@@ -33,7 +33,7 @@ from .feasibility import (
     member_del_ins,
     member_ins_del,
 )
-from .linalg import Tolerance, hermitian_eigensystem, is_psd, project_psd, psd_principal_minors
+from .linalg import Tolerance, cross_distances, hermitian_eigensystem, is_psd, project_psd, psd_principal_minors
 from .rand import random_density, random_hermitian, random_psd
 from .states import DensityMatrix, QuditShape, basis_ket, validate
 

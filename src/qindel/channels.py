@@ -6,8 +6,8 @@ level's candidates are traced from the level before, bit-identical to tracing
 each subset from the state, and a sphere is the read-only result of one
 greedy dedup, ``distinct_rows``, of one level.  Where spheres first meet is
 found by one kernel, ``first_meeting``.  Each dedup and each comparison is one
-screened call of the distance kernel: only pairs whose diagonals lie within
-eq_tol get a full distance.
+screened call of ``linalg.cross_distances``: only pairs whose diagonals lie
+within eq_tol get a full distance.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -44,14 +44,13 @@ from .errors import (
     RoundTripFailed,
     ShapeMismatch,
 )
-from .linalg import Tolerance, eigensolve, hermitian_part
+from .linalg import _CHUNK, Tolerance, cross_distances, eigensolve, frobenius_distance, hermitian_part
 from .rand import random_orthonormal, random_psd
 from .states import DensityMatrix, QuditShape, SpectralForm, spectral_decompose
 
 __all__ = [
     "IndexSet",
     "SphereSet",
-    "cross_distances",
     "distinct_rows",
     "first_meeting",
     "trace_out",
@@ -176,36 +175,6 @@ def delete(rho: DensityMatrix, positions) -> DensityMatrix:
     pset = _as_index_set(positions, rho.length)
     reduced = trace_out(rho.mat, pset, rho.level)
     return DensityMatrix(QuditShape(rho.level, rho.length - pset.size), reduced)
-
-
-# Largest temporary, in complex entries, that ``cross_distances`` allocates.
-_CHUNK = 1 << 16
-
-
-def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius distances between two ``(k, d, d)`` stacks, as a ``(ka, kb)`` array.
-
-    Entry ``[i, j]`` is ``||a[i] - b[j]||``, computed from the difference
-    itself (not from Gram products, whose cancellation would swamp eq_tol).
-    The pairs are taken in blocks, so no temporary holds more than ``_CHUNK``
-    complex entries whatever the stack sizes (one pair always fits: the
-    dimension cap is 256, and 256**2 = _CHUNK).
-    """
-    ka, kb = len(a), len(b)
-    size = a.shape[-1] * a.shape[-2]
-    a = a.reshape(ka, 1, size)
-    b = b.reshape(1, kb, size)
-    out = np.empty((ka, kb))
-    cols = max(1, min(kb, _CHUNK // size))
-    rows = max(1, min(ka, _CHUNK // (cols * size)))
-    diff = np.empty((rows, cols, size), dtype=complex)
-    for i in range(0, ka, rows):
-        for j in range(0, kb, cols):
-            block = diff[: min(rows, ka - i), : min(cols, kb - j)]
-            np.subtract(a[i : i + rows], b[:, j : j + cols], out=block)
-            flat = block.view(float)
-            out[i : i + rows, j : j + cols] = np.einsum("...k,...k->...", flat, flat)
-    return np.sqrt(out, out=out)
 
 
 def _screened_distances(
@@ -476,14 +445,11 @@ def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: To
     if not finite.all():
         raise violated(int(np.argmin(finite)), "blocks have non-finite entries")
 
-    adjoint_res = np.linalg.norm(stack - stack.transpose(0, 2, 1, 4, 3).conj(), axis=(3, 4))
+    adjoint_res = frobenius_distance(stack, stack.transpose(0, 2, 1, 4, 3).conj())
     k, x, y = np.unravel_index(int(np.argmax(adjoint_res)), adjoint_res.shape)
     if adjoint_res[k, x, y] > tol.eq_tol:
-        raise violated(
-            k,
-            f"blocks ({x}, {y}) and ({y}, {x}) are not adjoints "
-            f"(residual {adjoint_res[k, x, y]:.3e})",
-        )
+        residual = adjoint_res[k, x, y]
+        raise violated(k, f"blocks ({x}, {y}) and ({y}, {x}) are not adjoints (residual {residual:.3e})")
 
     trace_res = np.abs(np.trace(stack, axis1=3, axis2=4) - np.eye(rank))
     k, x, y = np.unravel_index(int(np.argmax(trace_res)), trace_res.shape)
@@ -572,12 +538,10 @@ def _insert_stack(
             -float(lowest[k]),
         )
 
-    residuals = np.linalg.norm(trace_out(sigmas, qset, l) - rho.mat, axis=(1, 2))
+    residuals = frobenius_distance(trace_out(sigmas, qset, l), [rho.mat] * count)
     k = int(np.argmax(residuals))
     if residuals[k] > tol.at(rho.dim).eq_tol:
-        raise RoundTripFailed(
-            f"{_sample_label(k, count)}D_Q(sigma) differs from rho by {residuals[k]:.3e}"
-        )
+        raise RoundTripFailed(f"{_sample_label(k, count)}D_Q(sigma) differs from rho by {residuals[k]:.3e}")
     sigmas.setflags(write=False)  # so each state keeps its row as a view, not a copy
     return [DensityMatrix(big_shape, mat) for mat in sigmas]
 

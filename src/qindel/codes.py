@@ -17,7 +17,7 @@ from .channels import delete
 from .distance import CodeSample
 from .errors import CountOutOfRange, DegenerateParam, NotNormalized, ParseError, PositionOutOfRange
 from .errors import WeightOutOfRange
-from .linalg import Tolerance, frobenius_distance
+from .linalg import Tolerance
 from .states import DensityMatrix, QuditShape, basis_ket, density_from_ket
 
 __all__ = [
@@ -165,16 +165,11 @@ def in_ins_after_del_sphere(
 
     The deletion sphere of the example state is the single qubit
     p0|0><0| + p1|1><1|, so membership just asks one of sigma's single-qudit
-    deletions to equal it.
+    deletions to equal it, within eq_tol at the qubit's dimension.
     """
     _check_weights(p0, p1)
-    target = p0 * np.outer(_KET0, _KET0.conj()) + p1 * np.outer(_KET1, _KET1.conj())
-    tol = tol.at(sigma.dim)
-    for q in (1, 2):
-        reduced = delete(sigma, {q})
-        if frobenius_distance(reduced.mat, target) <= tol.eq_tol:
-            return True
-    return False
+    target = DensityMatrix(QuditShape(2, 1), np.diag([p0, p1]))
+    return any(delete(sigma, {q}).close_to(target, tol) for q in (1, 2))
 
 
 def hagiwara_single_deletion(alpha: complex, beta: complex) -> DensityMatrix:

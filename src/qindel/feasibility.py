@@ -26,7 +26,7 @@ import numpy as np
 from .channels import IndexSet, _as_index_set, _check_composed, _insertion_set, deletion_sphere
 from .channels import partial_trace, sample_insertions, trace_out, trace_out_adjoint
 from .errors import CountOutOfRange, SizeCapExceeded
-from .linalg import Tolerance, eigensolve, hermitian_part
+from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
 from .states import DensityMatrix, QuditShape, spectral_decompose
 
 __all__ = [
@@ -114,7 +114,7 @@ class AffineConstraint:
     def consistency_residual(self) -> float:
         """Distance from b to the range of A: zero iff some matrix meets both conditions."""
         scale = math.sqrt(sum(self.level**rest.size for rest in self._rest))
-        return float(np.linalg.norm(self.mismatch)) / scale
+        return float(frobenius_norm(self.mismatch)) / scale
 
     def inconsistency_certificate(self) -> tuple[np.ndarray, np.ndarray]:
         """lam with A*(lam) = 0 and <b, lam> = -||mismatch||^2."""
@@ -137,7 +137,7 @@ class AffineConstraint:
         shift = max(0.0, -float(eigensolve(np.linalg.eigvalsh, self.adjoint(lam))[0]))
         lam_q = lam[0] + shift * np.eye(len(rho))
         margin = -float(np.vdot(rho, lam_q).real + np.vdot(sigma, lam[1]).real)
-        norm = math.hypot(float(np.linalg.norm(lam_q)), float(np.linalg.norm(lam[1])))
+        norm = math.hypot(frobenius_norm(lam_q), frobenius_norm(lam[1]))
         return margin, (margin / norm if norm else 0.0)
 
 
@@ -229,7 +229,7 @@ def feasibility_del_ins(
     outcome, payload, evaluations, residual = _dual_solve(affine, face, tol.feas_tol)
     if outcome == "witness":
         mat = hermitian_part(payload)
-        residuals = [float(np.linalg.norm(r - b)) for r, b in zip(affine.apply(mat), affine.rhs)]
+        residuals = [float(frobenius_distance(r, b)) for r, b in zip(affine.apply(mat), affine.rhs)]
         if max(residuals) <= tol.feas_tol:
             details["constraint_residuals"] = residuals
             witness = DensityMatrix(affine.big_shape, mat)

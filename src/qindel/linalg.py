@@ -17,8 +17,10 @@ from .errors import InvalidTolerance, NoConvergence, NonSquare, NotHermitian, Sh
 
 __all__ = [
     "Tolerance",
+    "cross_distances",
     "eigensolve",
     "frobenius_distance",
+    "frobenius_norm",
     "hermitian_part",
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
@@ -82,11 +84,49 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def frobenius_distance(a, b) -> float:
+def frobenius_norm(a) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix of a ``(..., m, n)`` stack:
+    the package's one Frobenius reduction, behind every distance and residual
+    a verdict reads.  It sums the squared entries (Gram products would cancel
+    below eq_tol) and reads ``inf``, without a warning, past the float range."""
+    a = _as_complex(a)
+    flat = a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1]).view(float)
+    return np.sqrt(np.einsum("...k,...k->...", flat, flat))
+
+
+def frobenius_distance(a, b) -> float | np.ndarray:
+    """``frobenius_norm(a - b)`` of two matrices, or of two same-shape stacks
+    matrix by matrix (``ShapeMismatch`` otherwise); ``inf``, without a
+    warning, where the difference itself leaves the float range."""
     a, b = _as_complex(a), _as_complex(b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.linalg.norm(a - b))
+    with np.errstate(over="ignore"):
+        return frobenius_norm(a - b)
+
+
+_CHUNK = 1 << 16  # largest temporary, in complex entries, of ``cross_distances``
+
+
+def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All-pairs Frobenius distances of two ``(k, d, d)`` stacks, a ``(ka, kb)``
+    array of ``frobenius_norm(a[i] - b[j])``.  The pairs are taken in blocks of
+    at most ``_CHUNK`` complex entries (one pair always fits: the dimension cap
+    is 256, and 256**2 = _CHUNK), whose layout can move an entry's last bit
+    against ``frobenius_distance`` of the pair."""
+    ka, kb = len(a), len(b)
+    size = a.shape[-1] * a.shape[-2]
+    out = np.empty((ka, kb))
+    cols = max(1, min(kb, _CHUNK // size))
+    rows = max(1, min(ka, _CHUNK // (cols * size)))
+    diff = np.empty((rows, cols) + a.shape[1:], dtype=complex)
+    with np.errstate(over="ignore"):
+        for i in range(0, ka, rows):
+            for j in range(0, kb, cols):
+                block = diff[: min(rows, ka - i), : min(cols, kb - j)]
+                np.subtract(a[i : i + rows, None], b[None, j : j + cols], out=block)
+                out[i : i + rows, j : j + cols] = frobenius_norm(block)
+    return out
 
 
 _HALF_MAX = np.finfo(float).max / 2
@@ -113,12 +153,13 @@ def _require_finite(a: np.ndarray) -> None:
 def _require_hermitian(a, tol: Tolerance) -> np.ndarray:
     """The one check of a matrix the package did not build, in order: square
     (``NonSquare``), finite (``ValidationError``), Hermitian within eq_tol
-    (``NotHermitian``, with its residual).  Returns it symmetrized."""
+    (``NotHermitian``, with its residual, ``inf`` past the float range).
+    Returns it symmetrized."""
     a = _as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquare(f"need a square matrix, got shape {a.shape}")
     _require_finite(a)
-    res = float(np.linalg.norm(a - a.conj().T))
+    res = float(frobenius_distance(a, a.conj().T))
     if res > tol.at(len(a)).eq_tol:
         raise NotHermitian(f"matrix is not Hermitian (residual {res:.3e})", res)
     return hermitian_part(a)
@@ -126,13 +167,18 @@ def _require_hermitian(a, tol: Tolerance) -> np.ndarray:
 
 def eigensolve(solver, h):
     """``solver(h)``, a numpy eigensolver (``np.linalg.eigh``, ``eigvalsh``) on a
-    matrix or stack Hermitian by construction, with a LAPACK failure raised as
-    ``NoConvergence``: every eigen-solve runs here.  Unchecked matrices go
-    through ``hermitian_eigensystem`` or ``hermitian_eigenvalues`` instead."""
+    matrix or stack Hermitian by construction, with a LAPACK failure or a
+    spectrum that leaves the float range (a finite matrix can have one)
+    raised as ``NoConvergence``: every eigen-solve runs here.  Unchecked
+    matrices go through ``hermitian_eigensystem`` or ``hermitian_eigenvalues``."""
     try:
-        return solver(h)
+        out = solver(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+    w = out[0] if isinstance(out, tuple) else out
+    if not np.isfinite(w).all():
+        raise NoConvergence(f"eigensolver returned a non-finite spectrum {w}")
+    return out
 
 
 def hermitian_eigensystem(a, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, np.ndarray]:

@@ -126,7 +126,7 @@ class DensityMatrix:
         return self.shape.dim
 
     def distance(self, other: "DensityMatrix") -> float:
-        return frobenius_distance(self.mat, other.mat)
+        return float(frobenius_distance(self.mat, other.mat))
 
     def close_to(self, other: "DensityMatrix", tol: Tolerance = Tolerance()) -> bool:
         if self.shape != other.shape:
@@ -196,7 +196,7 @@ def _require_psd(w: np.ndarray, tol: Tolerance) -> None:  # w ascending
 
 def validate(mat, shape: QuditShape, tol: Tolerance = Tolerance()) -> DensityMatrix:
     """Check all density-matrix invariants; raise naming the first violation:
-    shape, then the eigen-solve's finite and Hermitian checks, trace, PSD."""
+    shape, then the eigen-solve's checks (finite, Hermitian, finite spectrum), trace, PSD."""
     m = np.asarray(mat, dtype=complex)
     tol = tol.at(shape.dim)
     if m.shape != (shape.dim, shape.dim):

@@ -12,7 +12,6 @@ from qindel.channels import (
     _permute_axes,
     _screened_distances,
     _traced_levels,
-    cross_distances,
     delete,
     deletion_levels,
     deletion_sphere,
@@ -26,6 +25,7 @@ from qindel.channels import (
     separable_blocks,
     tau_Q,
     trace_out,
+    trace_out_adjoint,
 )
 from qindel.codes import example_rho, x1_codeword
 from qindel.errors import (
@@ -35,9 +35,10 @@ from qindel.errors import (
     NotAPermutation,
     NotPSD,
     PositionOutOfRange,
+    ShapeMismatch,
 )
 from qindel.feasibility import feasibility_del_ins
-from qindel.linalg import Tolerance, frobenius_distance
+from qindel.linalg import Tolerance, cross_distances, frobenius_distance
 from qindel.rand import random_density, random_orthonormal
 from qindel.states import (
     DensityMatrix,
@@ -166,10 +167,11 @@ def test_sphere_size_bounded_by_binomial(rng):
 
 
 def greedy_oracle(candidates, eq_tol):
-    """Greedy dedup by a loop over frobenius_distance: (members, reps)."""
+    """Greedy dedup by a loop over ``np.linalg.norm``, a reduction independent
+    of the package's kernel: (members, reps)."""
     members, reps = [], []
     for tag, mat in candidates:
-        if all(frobenius_distance(mat, m) > eq_tol for m in members):
+        if all(np.linalg.norm(mat - m) > eq_tol for m in members):
             members.append(mat)
             reps.append(tag)
     return members, reps
@@ -189,7 +191,7 @@ def assert_matches_oracle(candidates, eq_tol):
         np.testing.assert_array_equal(got, want)
     assert len(joined) == len(candidates)
     assert joined == [
-        next(k for k, m in enumerate(members) if frobenius_distance(mat, m) <= eq_tol)
+        next(k for k, m in enumerate(members) if np.linalg.norm(mat - m) <= eq_tol)
         for _, mat in candidates
     ]
     return members, reps
@@ -420,7 +422,7 @@ def test_cross_distances_chunked_matches_pairwise(rng):
         dist = cross_distances(left.stack, right.stack)
         for i, x in enumerate(left):
             for j, y in enumerate(right):
-                assert abs(dist[i, j] - x.distance(y)) <= 1e-12
+                assert abs(dist[i, j] - np.linalg.norm(x.mat - y.mat)) <= 1e-12
     i, j, gap = a.intersection_witness(a)
     assert i == j == 0 and gap == 0.0
     assert a.intersection_witness(b) is None
@@ -604,6 +606,10 @@ def test_insert_construct_block_validation(rng):
         insert_construct(rho, qset, blocks({(1, 1): good_pi + 0.1 * a}))
     with pytest.raises(BlockConstraintViolated, match="non-finite"):
         insert_construct(rho, qset, blocks({(0, 1): np.full((2, 2), np.nan)}))
+    # a finite entry whose square leaves the float range: the adjoint
+    # residual reads inf, without a RuntimeWarning
+    with pytest.raises(BlockConstraintViolated, match=r"adjoints \(residual inf\)"):
+        insert_construct(rho, (3,), blocks({(0, 1): np.array([[1e200, 0], [0, 0]])}))
 
 
 def test_insert_construct_rejects_non_psd():
@@ -763,6 +769,23 @@ def test_index_set_coercion(name):
     for bad in ([p + 0.7 for p in positions], [str(p) for p in positions]):
         with pytest.raises(InvalidIndexSet, match="integers"):
             call(bad)
+
+
+def test_repeated_or_decreasing_positions_are_refused():
+    rho = example_rho(0.5, 0.5)
+    for call in (lambda: delete(rho, [1, 1]), lambda: IndexSet((2, 1), 3), lambda: IndexSet((1, 1), 2)):
+        with pytest.raises(InvalidIndexSet, match="strictly increasing"):
+            call()
+
+
+def test_raw_traces_refuse_a_wrong_shape():
+    pset = IndexSet((2,), 3)
+    for mat in (np.eye(4), np.zeros((2, 8, 4))):
+        with pytest.raises(ShapeMismatch, match=r"2\*\*3"):
+            trace_out(mat, pset, 2)
+    for mat in (np.eye(8), np.zeros((2, 4, 4))):
+        with pytest.raises(ShapeMismatch, match=r"2\*\*2"):
+            trace_out_adjoint(mat, pset, 2)
 
 
 def test_inserted_blocks_trace_contract(rng):

@@ -278,6 +278,19 @@ def test_paper_examples_refuses_a_negative_seed(tmp_path, monkeypatch, capsys):
     assert not path.exists()
 
 
+def test_a_state_file_with_a_spectrum_past_the_float_range_exits_3(tmp_path, capsys):
+    # finite and Hermitian, but its eigenvalue 2e308 is not a float
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"level": 2, "length": 1, "kind": "mixed", '
+        '"matrix": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]}'
+    )
+    good = _write_pure(tmp_path, "0", "good.json")
+    code, report, err = run_cli(capsys, "distance", str(path), str(good))
+    assert code == 3 and report is None
+    assert err.startswith("error: NoConvergence: ") and "non-finite spectrum" in err
+
+
 def test_verify_reports_an_eigensolver_failure_as_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigh", failing_from(3, np.linalg.eigh))
     code, report, err = run_cli(capsys, "verify", "builtin:{rho,psi}", "--errors", "insertions")

@@ -32,7 +32,7 @@ from qindel.errors import (
     SizeCapExceeded,
     WeightOutOfRange,
 )
-from qindel.feasibility import FeasibilityStatus, member_del_ins
+from qindel.feasibility import FeasibilityStatus, member_del_ins, member_ins_del
 from qindel.rand import random_density
 from qindel.states import DensityMatrix, QuditShape, basis_ket, validate
 
@@ -236,6 +236,15 @@ def test_structural_oracle_degenerate_weights(rng):
     outside = example_psi(0.5, 0.5)
     assert not in_del_after_ins_sphere(outside, 1.0, 0.0)
     assert not in_ins_after_del_sphere(outside, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("shift, member", [(1.2e-9, False), (0.9e-9, True)])
+def test_ins_after_del_oracle_compares_marginals_at_their_own_dimension(shift, member):
+    # the 1-qubit marginals are shift * sqrt(2) from the target: 1.70e-9 is
+    # past eq_tol at dim 2 (1.414e-9), 1.27e-9 is within it
+    sigma = DensityMatrix(QuditShape(2, 2), np.diag([0.5 + shift, 0, 0, 0.5 - shift]))
+    assert in_ins_after_del_sphere(sigma) is member
+    assert member_ins_del(sigma, example_rho(), 1, 1) is member
 
 
 def test_structural_oracle_agrees_with_feasibility(rng):

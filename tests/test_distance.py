@@ -252,6 +252,22 @@ def test_metric_check_counts_odd_equal_length_distances(monkeypatch):
     assert metric_check([(_pure("00"), one, _pure("10"))])["odd_equal_length"] == 1
 
 
+def test_metric_check_records_each_violation_with_its_values(monkeypatch):
+    # distances scripted in call order d_ab, d_ba, d_bc, d_ac: the first
+    # triple is clean, the second breaks every axiom at once (d_ab = 0
+    # between distinct states)
+    script = iter([2, 2, 2, 2, 0, 2, 1, 4])
+    monkeypatch.setattr(distance, "_level_distance", lambda x, y: next(script))
+    a, b, c = _pure("00"), _pure("01"), _pure("11")
+    report = metric_check([(a, b, c), (a, b, c)])
+    assert report["checked"] == 2 and report["ok"] is False
+    assert report["violations"] == [
+        {"triple": 1, "axiom": "identity", "d": 0},
+        {"triple": 1, "axiom": "symmetry", "d_ab": 0, "d_ba": 2},
+        {"triple": 1, "axiom": "triangle", "d_ac": 4, "d_ab": 0, "d_bc": 1},
+    ]
+
+
 def test_code_sample_rejects_duplicates():
     with pytest.raises(DuplicateStates, match="coincide"):
         CodeSample.from_states([_pure("00"), _pure("00")])

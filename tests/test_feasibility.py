@@ -181,6 +181,18 @@ def test_member_del_ins_verdicts():
     assert member_del_ins(psi01, rho00, 1, 1).status is FeasibilityStatus.FEASIBLE
 
 
+def test_a_witness_that_fails_its_recheck_is_inconclusive(monkeypatch):
+    # the solver's witness is re-checked against both conditions; the zero
+    # matrix misses them, so the feasible pair gets no feasible verdict
+    rho = example_rho(0.5, 0.5)
+    scripted = lambda affine, face, feas_tol: ("witness", np.zeros((8, 8), complex), 7, 0.25)
+    monkeypatch.setattr(feasibility, "_dual_solve", scripted)
+    report = feasibility_del_ins(rho, rho, (3,), (3,))
+    assert (report.status, report.gap, report.iterations) == (FeasibilityStatus.INCONCLUSIVE, 0.25, 7)
+    assert report.witness is None and report.certificate is None
+    assert report.details["reason"] == "witness failed its re-check"
+
+
 def test_member_del_ins_reads_its_verdict_off_the_pairs(monkeypatch):
     # pair verdicts scripted over the 9 (P, Q) pairs, P outer: without a
     # feasible pair the status is inconclusive if any pair is, else

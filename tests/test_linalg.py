@@ -6,8 +6,10 @@ import pytest
 from qindel.errors import NoConvergence, NonSquare, NotHermitian, ShapeMismatch
 from qindel.linalg import (
     Tolerance,
+    cross_distances,
     eigensolve,
     frobenius_distance,
+    frobenius_norm,
     hermitian_eigensystem,
     hermitian_part,
     hermitian_eigenvalues,
@@ -16,6 +18,7 @@ from qindel.linalg import (
     psd_principal_minors,
 )
 from qindel.rand import random_hermitian, random_psd
+from qindel.states import QuditShape, validate
 from conftest import failing_from
 
 I2 = np.eye(2, dtype=complex)
@@ -121,6 +124,41 @@ def test_hermitian_part_at_both_ends_of_the_float_range():
     # Hermitian matrix of subnormals comes back unchanged
     tiny = np.array([[5e-324, 3e-320 + 5e-324j], [3e-320 - 5e-324j, 1e-310]])
     assert np.array_equal(hermitian_part(tiny), tiny)
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e308])
+def test_a_residual_past_the_float_range_refuses_cleanly(entry):
+    # the residual's squares (1e200) or the difference itself (1e308) leave
+    # the float range: the gate reads inf and refuses without a RuntimeWarning
+    skew = np.array([[0, entry], [-entry, 0]])
+    for solve in (hermitian_eigenvalues, hermitian_eigensystem, is_psd):
+        with pytest.raises(NotHermitian, match="residual inf"):
+            solve(skew)
+    assert frobenius_distance(skew, -skew) == math.inf
+    assert frobenius_norm(skew) == math.inf
+
+
+def test_a_spectrum_past_the_float_range_is_refused():
+    # finite and Hermitian, but the eigenvalue 2e308 overflows inside LAPACK
+    huge = np.full((2, 2), 1e308)
+    for check in (hermitian_eigenvalues, hermitian_eigensystem, is_psd, project_psd):
+        with pytest.raises(NoConvergence, match="non-finite spectrum"):
+            check(huge)
+    with pytest.raises(NoConvergence, match="non-finite spectrum"):
+        validate(huge, QuditShape(2, 1))
+
+
+def test_the_paired_and_all_pairs_forms_agree(rng):
+    stacks = [np.array([random_hermitian(rng, d) for _ in range(5)]) for d in (2, 8, 64)]
+    for a in stacks:
+        b = a[::-1]
+        paired = frobenius_distance(a, b)
+        assert paired.shape == (5,)
+        want = [np.linalg.norm(x - y) for x, y in zip(a, b)]
+        np.testing.assert_allclose(paired, want, rtol=1e-14)
+        np.testing.assert_allclose(np.diagonal(cross_distances(a, b)), want, rtol=1e-14)
+        np.testing.assert_allclose(frobenius_norm(a - b), want, rtol=1e-14)
+        assert isinstance(frobenius_distance(a[0], b[0]), float)
 
 
 def test_congruence_preserves_psd(rng):

@@ -87,6 +87,34 @@ def test_only_linalg_calls_an_eigensolver():
     assert not calls, f"eigensolver called outside linalg: {calls}"
 
 
+# functions that may call np.linalg.norm: the dual solver's step norms, which
+# steer its iterates, and a ket's norm (a vector, not a matrix); the
+# acceptance suite keeps its own residuals as a check independent of the kernel
+NORM_ALLOWED = {("feasibility.py", "_dual_solve"), ("states.py", "density_from_ket")}
+
+
+def test_every_frobenius_norm_goes_through_the_linalg_kernel():
+    # linalg.frobenius_norm is the one Frobenius reduction (it reads inf, not
+    # a RuntimeWarning, past the float range); a second one would give
+    # eq_tol and feas_tol a second meaning
+    calls = []
+    for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
+        if path.name == "acceptance.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): func.name
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.norm":
+                if (path.name, owner.get(id(node))) not in NORM_ALLOWED:
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"np.linalg.norm called outside the allow-list: {calls}"
+
+
 def test_cli_builds_and_prints_one_report():
     # each command returns its exit code and report parts to main, which reads
     # the clock at start and stop and prints the one report, so a new command
