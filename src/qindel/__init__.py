@@ -28,6 +28,7 @@ from .feasibility import (
     FeasibilityReport,
     FeasibilityStatus,
     check_containment_trial,
+    check_containment_trials,
     feasibility_del_ins,
     member_del_ins,
     member_ins_del,

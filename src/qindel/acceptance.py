@@ -29,7 +29,7 @@ from .codes import (
 from .distance import CodeSample, corrects, corrects_insertions, indel_distance, metric_check, min_distance
 from .feasibility import (
     FeasibilityStatus,
-    check_containment_trial,
+    check_containment_trials,
     member_del_ins,
     member_ins_del,
 )
@@ -140,19 +140,23 @@ def check_x2_min_distance(seed: int) -> dict:
 
 def check_containment(seed: int) -> dict:
     """Interleaved (s, t)-error trajectories always land in the
-    insertions-after-deletions sphere; zero failures tolerated."""
+    insertions-after-deletions sphere; zero failures tolerated.  Each (s, t)
+    draws its 200 (rho, seed) pairs in order, then runs them in lockstep in
+    one ``check_containment_trials`` call."""
     rng = np.random.default_rng(seed)
     failures = 0
     total = 0
     for s, t in ((1, 1), (2, 1), (1, 2)):
+        rhos, seeds = [], []
         for _ in range(200):
             n = int(rng.integers(max(s, 1), 4))  # s <= n keeps D^s(rho) nonempty
             shape = QuditShape(2, n)
             rank = int(rng.integers(1, shape.dim + 1))
-            rho = random_density(rng, shape, rank)
-            total += 1
-            if not check_containment_trial(rho, int(rng.integers(2**62)), s, t):
-                failures += 1
+            rhos.append(random_density(rng, shape, rank))
+            seeds.append(int(rng.integers(2**62)))
+        verdicts = check_containment_trials(rhos, seeds, s, t)
+        total += len(verdicts)
+        failures += verdicts.count(False)
     return _item(
         "interleaved-error-containment",
         failures == 0,

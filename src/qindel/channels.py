@@ -15,10 +15,13 @@ spectral form and one ``(rank, rank, l**t, l**t)`` array of blocks A_{x,y},
 one per eigenvector pair (t-qudit densities on the diagonal, traceless adjoint
 pairs off it).  The plain array is the only representation of the blocks;
 ``separable_blocks`` builds the one with no coherence between system and
-inserted qudits.  One builder takes a stack of such arrays, one per member: the
-stack is checked as one array and attached to the eigenvectors by one
-contraction, with the inserted qudits last; an index permutation then moves
-them into place.  A sampler builds all its samples as one stack.
+inserted qudits.  One builder takes a stack of such arrays, one per member,
+each with its own source: the stack is checked as one array and attached to
+each member's eigenvectors by one batched product per side, with the inserted
+qudits last; an index permutation then moves them into place.  A member's
+bits depend only on its own source and blocks, never on the rest of the
+stack, so a sampler builds all its samples as one stack and the containment
+trials build the insertions of many sources at once.
 """
 
 from __future__ import annotations
@@ -424,19 +427,32 @@ def _sample_label(k: int, count: int) -> str:
     return "" if count == 1 else f"sample {k}: "
 
 
-def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: Tolerance) -> None:
+def _count(value, what: str, least: int = 0) -> int:
+    """A count or a seed as an int: Python or numpy integers of at least
+    ``least`` pass; a float, a string or a smaller value is refused with
+    ``CountOutOfRange`` naming ``what``."""
+    try:
+        value = operator.index(value)
+    except TypeError as exc:
+        raise CountOutOfRange(f"{what} must be an integer, got {value!r}") from exc
+    if value < least:
+        raise CountOutOfRange(f"{what} must be at least {least}, got {value}")
+    return value
+
+
+def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: Tolerance, label) -> None:
     """Raise ``BlockConstraintViolated`` unless ``stack`` is a valid stack of
     ``(rank, rank, l**t, l**t)`` block arrays, one per sample, within ``tol``
     at the t-qudit dimension: its shape, finite entries, adjoint pairs (each
     array is Hermitian as one matrix), unit trace on the diagonal and zero
     trace off it, and PSD diagonal blocks.  Each check runs over the whole
-    stack and reports its worst violation; with more than one sample, the
-    message names the sample."""
+    stack and reports its worst violation, its message prefixed with
+    ``label(k)`` of the sample k it found."""
     tol = tol.at(block_shape.dim)
     count = len(stack)
 
     def violated(k: int, message: str) -> BlockConstraintViolated:
-        return BlockConstraintViolated(_sample_label(k, count) + message)
+        return BlockConstraintViolated(label(k) + message)
 
     expected = (rank, rank, block_shape.dim, block_shape.dim)
     if stack.shape[1:] != expected:
@@ -473,14 +489,19 @@ def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: To
         )
 
 
+def _weighted_kets(form: SpectralForm) -> np.ndarray:
+    """The ``(d, rank)`` columns sqrt(p_x) |x> of a spectral form."""
+    return form.kets * np.sqrt(form.weights)
+
+
 def insert_construct(
     rho: DensityMatrix,
     Q,
     blocks: np.ndarray,
     tol: Tolerance = Tolerance(),
 ) -> DensityMatrix:
-    """Build a member of I_Q(rho) from explicit blocks: ``_insert_stack`` of a
-    one-sample stack.
+    """Build a member of I_Q(rho) from explicit blocks: ``_insert_stack`` of
+    one source and a one-sample stack.
 
     ``blocks[x, y]`` is the l^t x l^t block A_{x,y} of the eigenvector pair
     (x, y), indexed in the order of ``spectral_decompose(rho, tol)`` (which
@@ -494,35 +515,49 @@ def insert_construct(
     """
     qset = _insertion_set(Q, rho.length)
     stack = np.asarray(blocks, dtype=complex)[None]
-    return _insert_stack(rho, qset, spectral_decompose(rho, tol), stack, tol)[0]
+    v = _weighted_kets(spectral_decompose(rho, tol))
+    return _insert_stack(rho.shape, qset, rho.mat, v, stack, tol)[0]
 
 
 def _insert_stack(
-    rho: DensityMatrix,
+    shape: QuditShape,
     qset: IndexSet,
-    form: SpectralForm,
+    sources: np.ndarray,
+    v: np.ndarray,
     stack: np.ndarray,
     tol: Tolerance,
+    label=None,
 ) -> list[DensityMatrix]:
-    """The members of I_Q(rho) built from a ``(count, rank, rank, l**t, l**t)``
-    stack of block arrays, once rho's spectral form is known.
+    """Members of I_Q of their sources, one per sample: sample k inserts
+    the blocks ``stack[k]``, a ``(rank, rank, l**t, l**t)`` array, into the
+    source ``sources[k]`` of qudit shape ``shape``, whose spectral form gives
+    ``v[k]``, the ``(l**n, rank)`` columns sqrt(p_x) |x> (``_weighted_kets``).
+    A source shared by every sample may be passed once, as one matrix and
+    one set of columns.
 
     The checks run in order, each over the whole stack: every block check
     (``_check_blocks``), then the PSD test of every assembled state, then
-    every deletion round trip.  With more than one sample, an error names
-    the sample.
+    every deletion round trip against its own source.  An error's message
+    starts with ``label(k)`` of the sample k it names; by default, "sample
+    k: " with more than one sample and nothing with one.
     """
-    n, l, t = rho.length, rho.level, qset.size
-    count = len(stack)
-    _check_blocks(stack, form.rank, QuditShape(l, t), tol)
-    # columns sqrt(p_x) |x_L>, so a state is sum_{x,y} V_x V_y^dagger (x) A_{x,y};
-    # contracting V with the blocks first, then with V^dagger, never forms a
-    # per-pair Kronecker product
-    v = form.kets * np.sqrt(form.weights)
-    vb = np.tensordot(v, stack, (1, 1))  # axes (i, k, y, a, b)
-    mat = np.tensordot(vb, v.conj(), (2, 1)).transpose(1, 0, 2, 4, 3)  # axes (k, i, a, j, b)
+    n, l, t = shape.length, shape.level, qset.size
+    count, rank, block_dim = len(stack), v.shape[-1], l**t
+    if label is None:
+        label = lambda k: _sample_label(k, count)
+    _check_blocks(stack, rank, QuditShape(l, t), tol, label)
+    sources = np.broadcast_to(sources, (count, shape.dim, shape.dim))
+    v = np.broadcast_to(v, (count, shape.dim, rank))
+    # a state is sum_{x,y} V_x V_y^dagger (x) A_{x,y}; contracting V with the
+    # blocks first, then with V^dagger, one product per sample on each side,
+    # never forms a per-pair Kronecker product, and a sample's rounding does
+    # not depend on the rest of the stack
+    blocks = stack.transpose(0, 1, 3, 4, 2).reshape(count, rank, block_dim * block_dim * rank)
+    vb = (v @ blocks).reshape(count, shape.dim * block_dim * block_dim, rank)  # axes (k, (i, a, b), y)
+    mat = (vb @ v.conj().swapaxes(1, 2)).reshape(count, shape.dim, block_dim, block_dim, shape.dim)
     big_shape = QuditShape(l, qset.ambient)
-    sigmas = _permute_axes(mat.reshape(count, big_shape.dim, big_shape.dim), tau_Q(qset, n), l)
+    mat = mat.transpose(0, 1, 2, 4, 3).reshape(count, big_shape.dim, big_shape.dim)  # axes (k, (i, a), (j, b))
+    sigmas = _permute_axes(mat, tau_Q(qset, n), l)
     big_tol = tol.at(big_shape.dim)
 
     # unpermuted, sigma - sigma^dagger = sum_{x,y} sqrt(p_x p_y) |x_L><y_L| (x)
@@ -533,15 +568,14 @@ def _insert_stack(
     k = int(np.argmin(lowest))
     if lowest[k] < -big_tol.psd_tol:
         raise NotPSD(
-            f"{_sample_label(k, count)}assembled insertion is not PSD "
-            f"(min eigenvalue {lowest[k]:.3e})",
+            f"{label(k)}assembled insertion is not PSD (min eigenvalue {lowest[k]:.3e})",
             -float(lowest[k]),
         )
 
-    residuals = frobenius_distance(trace_out(sigmas, qset, l), [rho.mat] * count)
+    residuals = frobenius_distance(trace_out(sigmas, qset, l), sources)
     k = int(np.argmax(residuals))
-    if residuals[k] > tol.at(rho.dim).eq_tol:
-        raise RoundTripFailed(f"{_sample_label(k, count)}D_Q(sigma) differs from rho by {residuals[k]:.3e}")
+    if residuals[k] > tol.at(shape.dim).eq_tol:
+        raise RoundTripFailed(f"{label(k)}D_Q(sigma) differs from rho by {residuals[k]:.3e}")
     sigmas.setflags(write=False)  # so each state keeps its row as a view, not a copy
     return [DensityMatrix(big_shape, mat) for mat in sigmas]
 
@@ -569,32 +603,18 @@ def insertion_member(
     return delete(sigma, qset).distance(rho) <= tol.at(rho.dim).eq_tol
 
 
-def sample_insertions(
-    rho: DensityMatrix,
-    Q,
-    count: int,
-    seed: int,
-    tol: Tolerance = Tolerance(),
-) -> list[DensityMatrix]:
-    """Draw ``count`` members of I_Q(rho), deterministically from ``seed``.
+def _draw_blocks(rng: np.random.Generator, count: int, rank: int, dim: int) -> np.ndarray:
+    """``count`` block arrays for a rank-``rank`` source and ``dim = l**t``,
+    drawn in order from ``rng`` as a ``(count, rank, rank, dim, dim)`` stack.
 
     Two families alternate: (a) separable, a random t-qudit density per
     eigenvector with zero off-diagonal blocks; (b) entangled, a purification
-    sigma = |Phi><Phi| with |Phi> = sum_x sqrt(p_x) |x_L> (x) |u_x| over a
-    random orthonormal set, emitted only when l^t >= rank(rho).  Sample k is
-    entangled when k is odd and the family is possible.
-
-    The samples are drawn in order, so the first k of ``count`` samples are
-    the k samples of the same seed, and then built as one block stack by one
-    ``_insert_stack`` call: every sample is checked and verified as
-    ``insert_construct`` checks one.
+    |Phi> = sum_x sqrt(p_x) |x_L> (x) |u_x> over a random orthonormal set,
+    possible only when dim >= rank.  Sample k is entangled when k is odd and
+    the family is possible.  A separable sample's ``rank`` Ginibre matrices
+    are one draw, so the first k of ``count`` arrays are the k arrays drawn
+    from the same generator state.
     """
-    if count < 1:
-        raise CountOutOfRange(f"need count >= 1, got {count}")
-    qset = _insertion_set(Q, rho.length)
-    rng = np.random.default_rng(seed)
-    form = spectral_decompose(rho, tol)
-    rank, dim = form.rank, rho.level**qset.size
     stack = np.empty((count, rank, rank, dim, dim), dtype=complex)
     for k in range(count):
         if k % 2 == 1 and dim >= rank:
@@ -604,4 +624,63 @@ def sample_insertions(
             m = random_psd(rng, dim, batch=(rank,))
             pis = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
             stack[k] = separable_blocks(pis)
-    return _insert_stack(rho, qset, form, stack, tol)
+    return stack
+
+
+def sample_insertions(
+    rho: DensityMatrix,
+    Q,
+    count: int,
+    seed: int,
+    tol: Tolerance = Tolerance(),
+) -> list[DensityMatrix]:
+    """Draw ``count`` members of I_Q(rho), deterministically from ``seed``:
+    ``_draw_blocks`` from ``default_rng(seed)``, built by one
+    ``_insert_stack`` call with rho as the one source of every sample, so
+    every sample is checked and verified as ``insert_construct`` checks one.
+    It is the one-request case of ``_sample_batch``.
+
+    ``count`` (at least 1) and ``seed`` (at least 0) must be integers, else
+    ``CountOutOfRange``.  A sample's bits depend only on rho, Q and the draws
+    before it, so the first k of ``count`` samples are the k samples of the
+    same seed, bit for bit, at every level.
+    """
+    count, seed = _count(count, "sample count", least=1), _count(seed, "seed")
+    return _sample_batch([(rho, _insertion_set(Q, rho.length), count, seed)], tol)[0]
+
+
+def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatrix]]:
+    """The samples of each request ``(rho, qset, count, seed)``, as
+    ``sample_insertions(rho, qset, count, seed, tol)`` draws them.
+
+    Each request decomposes its source and draws its blocks from its own
+    generator; the requests are then grouped by (shape, rank, qset), and
+    each group is built by one ``_insert_stack`` call, which gives every
+    sample the bits it gets alone.  An error names its request by
+    ``names[r]`` (nothing by default) and then, with more than one sample
+    in the request, the sample.
+    """
+    names = names or [""] * len(requests)
+    groups: dict[tuple, list] = {}
+    for r, (rho, qset, count, seed) in enumerate(requests):
+        form = spectral_decompose(rho, tol)
+        stack = _draw_blocks(np.random.default_rng(seed), count, form.rank, rho.level**qset.size)
+        member = (r, rho.mat, _weighted_kets(form), stack)
+        groups.setdefault((rho.shape, form.rank, qset), []).append(member)
+    samples: list = [None] * len(requests)
+    for (shape, _, qset), members in groups.items():
+        counts = [len(stack) for *_, stack in members]
+        # row of the group -> (request, sample within the request, its count)
+        rows = [(r, k, c) for (r, *_), c in zip(members, counts) for k in range(c)]
+        built = _insert_stack(
+            shape,
+            qset,
+            np.repeat([mat for _, mat, _, _ in members], counts, axis=0),
+            np.repeat([v for _, _, v, _ in members], counts, axis=0),
+            np.concatenate([stack for *_, stack in members]),
+            tol,
+            lambda row: names[rows[row][0]] + _sample_label(*rows[row][1:]),
+        )
+        for (r, *_), start, count in zip(members, accumulate(counts, initial=0), counts):
+            samples[r] = built[start : start + count]
+    return samples

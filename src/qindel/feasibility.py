@@ -23,9 +23,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .channels import IndexSet, _as_index_set, _check_composed, _insertion_set, deletion_sphere
-from .channels import partial_trace, sample_insertions, trace_out, trace_out_adjoint
-from .errors import CountOutOfRange, SizeCapExceeded
+from .channels import IndexSet, _as_index_set, _check_composed, _count, _insertion_set, _sample_batch
+from .channels import deletion_sphere, partial_trace, trace_out, trace_out_adjoint
+from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
 from .states import DensityMatrix, QuditShape, spectral_decompose
 
@@ -37,6 +37,7 @@ __all__ = [
     "feasibility_del_ins",
     "member_del_ins",
     "check_containment_trial",
+    "check_containment_trials",
 ]
 
 
@@ -416,36 +417,65 @@ def check_containment_trial(
     tol: Tolerance = Tolerance(),
 ) -> bool:
     """Apply one random interleaving of s deletions and t insertions to rho
-    and test the resulting state for I^t(D^s(rho)) membership.
+    and test the resulting state for I^t(D^s(rho)) membership: the one-trial
+    case of ``check_containment_trials``."""
+    return check_containment_trials([rho], [seed], s, t, tol)[0]
 
-    Any composite of s deletions and t insertions lands inside the
-    insertions-after-deletions sphere, so the test must come back true.
+
+def check_containment_trials(
+    rhos,
+    seeds,
+    s: int,
+    t: int,
+    tol: Tolerance = Tolerance(),
+) -> list[bool]:
+    """Apply one random interleaving of s deletions and t insertions to each
+    ``rhos[i]``, drawn from ``default_rng(seeds[i])``, and test each result
+    for I^t(D^s(rhos[i])) membership.  Any composite of s deletions and t
+    insertions lands inside the insertions-after-deletions sphere, so every
+    verdict must come back true.
+
+    The trials run in lockstep, one move each per step.  A trial draws its
+    moves as a lone trial would: a coin only while both moves remain (0
+    deletes, 1 inserts), then the position, and for an insertion the sample
+    count (1 or 2) and the sampler seed; the draws depend only on the
+    state's length, so each trajectory is the same in any batch.  Deletions
+    are applied per trial.  An insertion keeps the last of the samples
+    ``sample_insertions`` would draw; the insertions of one step are one
+    ``_sample_batch`` call, which builds each (shape, rank, position) group
+    of them with one ``_insert_stack`` call and checks every sample.  A
+    build error names the trial's index in ``rhos`` and the step.
+
+    ``s``, ``t`` and every seed must be nonnegative integers, and s at most
+    each rho's length (``CountOutOfRange``); ``rhos`` and ``seeds`` must have
+    the same length (``ShapeMismatch``).
     """
-    if not 0 <= s <= rho.length:
-        raise CountOutOfRange(
-            f"cannot delete {s} qudits from a length-{rho.length} state"
-        )
-    if t < 0:
-        raise CountOutOfRange(f"cannot insert {t} qudits")
-    rng = np.random.default_rng(seed)
-    state = rho
-    deletions_left, insertions_left = s, t
-    while deletions_left or insertions_left:
-        # a coin is tossed only when both moves remain: 0 deletes, 1 inserts
-        if deletions_left and not (insertions_left and rng.integers(2)):
-            p = int(rng.integers(1, state.length + 1))
-            state = partial_trace(state, p)
-            deletions_left -= 1
-        else:
-            q = int(rng.integers(1, state.length + 2))
-            how_many = int(rng.integers(1, 3))
-            samples = sample_insertions(
-                state,
-                IndexSet((q,), state.length + 1),
-                how_many,
-                int(rng.integers(2**62)),
-                tol,
-            )
-            state = samples[-1]
-            insertions_left -= 1
-    return member_ins_del(state, rho, s, t, tol)
+    rhos = list(rhos)
+    seeds = [_count(seed, f"seed of trial {i}") for i, seed in enumerate(seeds)]
+    if len(seeds) != len(rhos):
+        raise ShapeMismatch(f"{len(rhos)} states but {len(seeds)} seeds")
+    s, t = _count(s, "deletion count s"), _count(t, "insertion count t")
+    for i, rho in enumerate(rhos):
+        if s > rho.length:
+            raise CountOutOfRange(f"trial {i}: cannot delete {s} qudits from a length-{rho.length} state")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    states = list(rhos)
+    left = [[s, t] for _ in rhos]  # the deletions and insertions each trial has left
+    for step in range(1, s + t + 1):
+        requests, inserting = [], []
+        for i, rng in enumerate(rngs):
+            state, moves = states[i], left[i]
+            # a coin is tossed only when both moves remain: 0 deletes, 1 inserts
+            if moves[0] and not (moves[1] and rng.integers(2)):
+                states[i] = partial_trace(state, int(rng.integers(1, state.length + 1)))
+                moves[0] -= 1
+            else:
+                qset = IndexSet((int(rng.integers(1, state.length + 2)),), state.length + 1)
+                how_many = int(rng.integers(1, 3))
+                requests.append((state, qset, how_many, int(rng.integers(2**62))))
+                inserting.append(i)
+                moves[1] -= 1
+        names = [f"trial {i}, step {step}: " for i in inserting]
+        for i, samples in zip(inserting, _sample_batch(requests, tol, names)):
+            states[i] = samples[-1]
+    return [member_ins_del(state, rho, s, t, tol) for state, rho in zip(states, rhos)]

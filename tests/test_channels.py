@@ -12,6 +12,7 @@ from qindel.channels import (
     _permute_axes,
     _screened_distances,
     _traced_levels,
+    _weighted_kets,
     delete,
     deletion_levels,
     deletion_sphere,
@@ -646,14 +647,14 @@ def test_block_stack_errors_name_the_sample(case):
     # and the error names sample k; a one-sample stack keeps the plain message
     rho = example_rho(0.5, 0.5)
     qset = IndexSet((3,), 3)
-    form = spectral_decompose(rho)
-    good = np.array([separable_blocks([np.eye(2) / 2] * form.rank)] * 3)
+    v = _weighted_kets(spectral_decompose(rho))
+    good = np.array([separable_blocks([np.eye(2) / 2] * v.shape[1])] * 3)
     error = NotPSD if case == "not PSD" else BlockConstraintViolated
     for k in (1, 2):
         with pytest.raises(error, match=rf"^sample {k}: .*{case}"):
-            _insert_stack(rho, qset, form, _tampered(good, k, case), Tolerance())
+            _insert_stack(rho.shape, qset, rho.mat, v, _tampered(good, k, case), Tolerance())
     with pytest.raises(error, match=rf"^(?!sample).*{case}"):
-        _insert_stack(rho, qset, form, _tampered(good, 0, case)[:1], Tolerance())
+        _insert_stack(rho.shape, qset, rho.mat, v, _tampered(good, 0, case)[:1], Tolerance())
 
 
 def test_insertion_member():
@@ -701,6 +702,24 @@ def test_sample_insertions_contract(rng):
     full = random_density(rng, QuditShape(2, 2), 4)
     for sigma in sample_insertions(full, IndexSet((1,), 3), 4, seed=7):
         assert insertion_member(sigma, full, IndexSet((1,), 3))
+
+
+@pytest.mark.parametrize(
+    "count, seed",
+    [(2.0, 1), ("2", 1), (0, 1), (-1, 1), (1, -1), (1, 1.0), (1, "1"), (np.float64(2), 1)],
+)
+def test_sample_insertions_refuses_bad_counts_and_seeds(count, seed):
+    # one argument check: a non-integer or out-of-range count or seed is a
+    # named error, never a builtin TypeError or numpy's ValueError
+    with pytest.raises(CountOutOfRange):
+        sample_insertions(example_rho(0.5, 0.5), (2,), count, seed)
+
+
+def test_sample_insertions_takes_numpy_integers():
+    rho = example_rho(0.5, 0.5)
+    plain = sample_insertions(rho, (2,), 3, 5)
+    numpy = sample_insertions(rho, (2,), np.int64(3), np.uint64(5))
+    assert [a.mat.tobytes() for a in plain] == [b.mat.tobytes() for b in numpy]
 
 
 def test_sample_insertions_decomposes_once(monkeypatch):

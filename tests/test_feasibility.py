@@ -5,20 +5,23 @@ import pytest
 
 from qindel.channels import IndexSet, delete, insertion_member, trace_out
 from qindel.codes import example_psi, example_rho
-from qindel.errors import CountOutOfRange, LevelMismatch, NoConvergence, ShapeMismatch, SizeCapExceeded
+from qindel.errors import BlockConstraintViolated, CountOutOfRange, LevelMismatch, NoConvergence
+from qindel.errors import RoundTripFailed, ShapeMismatch, SizeCapExceeded
+import qindel.channels as channels
 import qindel.feasibility as feasibility
 from qindel.feasibility import (
     AffineConstraint,
     FeasibilityReport,
     FeasibilityStatus,
     check_containment_trial,
+    check_containment_trials,
     feasibility_del_ins,
     member_del_ins,
     member_ins_del,
 )
 from qindel.linalg import Tolerance
 from qindel.rand import random_density, random_hermitian
-from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket
+from qindel.states import DensityMatrix, QuditShape, SpectralForm, basis_ket, density_from_ket
 from conftest import failing_from, make_states
 
 
@@ -254,6 +257,104 @@ def test_containment_trial_refuses_negative_counts(s, t):
     # refused by name before the first move is drawn
     with pytest.raises(CountOutOfRange):
         check_containment_trial(example_rho(0.5, 0.5), 0, s, t)
+
+
+@pytest.mark.parametrize(
+    "seed, s, t",
+    [(-1, 1, 1), (1.0, 1, 1), ("1", 1, 1), (1, 1.0, 1), (1, 1, 1.0), (1, np.float64(1), 1), (1, 3, 1)],
+)
+def test_containment_trial_refuses_bad_counts_and_seeds(seed, s, t):
+    # a negative or non-integer seed or count, or more deletions than qudits,
+    # is refused by name before the first move is drawn
+    with pytest.raises(CountOutOfRange):
+        check_containment_trial(example_rho(0.5, 0.5), seed, s, t)
+
+
+@pytest.mark.parametrize("rhos, seeds", [(2, 1), (1, 2), (0, 1)])
+def test_containment_trials_refuse_unpaired_seeds(rhos, seeds):
+    with pytest.raises(ShapeMismatch):
+        check_containment_trials([example_rho(0.5, 0.5)] * rhos, list(range(seeds)), 1, 1)
+
+
+def _mixed_trials(rng, s, t):
+    """States for one lockstep call: 1-3 qubits of every rank, and, where
+    n + t <= 2 allows, 1-2 qutrits of every rank."""
+    rhos = []
+    for level, lengths in ((2, range(max(s, 1), 4)), (3, range(max(s, 1), 3 - t))):
+        for n in lengths:
+            shape = QuditShape(level, n)
+            rhos += [random_density(rng, shape, rank) for rank in range(1, shape.dim + 1)]
+    return rhos
+
+
+def _recorded(monkeypatch, module, name):
+    """Wrap ``module.<name>`` so each call's arguments are recorded."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("s, t", [(1, 1), (2, 1), (1, 2), (0, 2), (2, 0)])
+def test_lockstep_trials_match_one_trial_bit_for_bit(monkeypatch, rng, s, t):
+    # every trial of one mixed call ends in the state, bit for bit, and with
+    # the verdict that the same trial reaches alone
+    rhos = _mixed_trials(rng, s, t)
+    seeds = [int(seed) for seed in rng.integers(2**62, size=len(rhos))]
+    finals = _recorded(monkeypatch, feasibility, "member_ins_del")
+    builds = _recorded(monkeypatch, channels, "_insert_stack")
+    verdicts = check_containment_trials(rhos, seeds, s, t)
+    batched = [sigma.mat.tobytes() for sigma, *_ in finals]
+    if t:  # same-shape insertions of different trials share one build
+        assert len(builds) < sum(len(sources) for _, _, sources, *_ in builds)
+    finals.clear()
+    alone = [check_containment_trial(rho, seed, s, t) for rho, seed in zip(rhos, seeds)]
+    assert batched == [sigma.mat.tobytes() for sigma, *_ in finals]
+    assert verdicts == alone
+    assert all(verdicts)
+
+
+def _tamper_request(monkeypatch, fault, request):
+    """Script one fault into one request of a ``_sample_batch`` call: its
+    source's weights off by 0.2 % (a round trip fails), or its blocks NaN."""
+    name = "spectral_decompose" if fault == "round trip" else "_draw_blocks"
+    real, calls = getattr(channels, name), []
+
+    def faulty(*args):
+        out = real(*args)
+        calls.append(None)
+        if len(calls) != request + 1:
+            return out
+        if fault == "round trip":
+            return SpectralForm(out.shape, out.weights * 1.002, out.kets)
+        return np.full_like(out, np.nan)
+
+    monkeypatch.setattr(channels, name, faulty)
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        ("round trip", RoundTripFailed, "D_Q\\(sigma\\) differs"),
+        ("non-finite", BlockConstraintViolated, "blocks have non-finite"),
+    ],
+)
+def test_batch_errors_name_the_trial_and_step(monkeypatch, rng, fault, error, message):
+    # three 2-qubit trials, then three 1-qubit trials whose seeds all insert
+    # at position 2: trial 3 is row 0 of a build it shares with trials 4 and
+    # 5, and a fault in it is reported as trial 3 at step 1, not by its row
+    rhos = [random_density(rng, QuditShape(2, n)) for n in (2, 2, 2, 1, 1, 1)]
+    builds = _recorded(monkeypatch, channels, "_insert_stack")
+    _tamper_request(monkeypatch, fault, 3)  # every trial inserts at step 1
+    with pytest.raises(error, match=rf"^trial 3, step 1: {message}"):
+        check_containment_trials(rhos, list(range(6)), 0, 1)
+    _, _, sources, *_ = builds[-1]  # the build that raised
+    assert list(dict.fromkeys(row.tobytes() for row in sources)) == [rho.mat.tobytes() for rho in rhos[3:]]
 
 
 @pytest.mark.parametrize("s, t", [(-1, 0), (0, -1)])

@@ -383,11 +383,13 @@ def test_sampled_insertions_are_members_from_both_families(case, data):
     assert pure == [False, entangled_ok, False, entangled_ok]
 
 
-@DETERMINISTIC
-@given(qubit_states(), st.integers(1, 2), st.data())
-def test_fewer_samples_are_a_prefix_of_more(rho, t, data):
+@BOTH_LEVELS
+@given(LEVELS, st.integers(1, 2), st.data())
+def test_fewer_samples_are_a_prefix_of_more(level, t, data):
     """Samples are drawn in order: the first k of c samples are the k samples
-    of the same seed, bit for bit, however many the block stack holds."""
+    of the same seed, bit for bit, however many the block stack holds, at
+    either level."""
+    rho = data.draw(qudit_states(level, st.integers(1, 3 if level == 2 else 2)))
     positions = st.lists(st.integers(1, rho.length + t), min_size=t, max_size=t, unique=True)
     Q = tuple(sorted(data.draw(positions)))
     more = data.draw(st.integers(2, 6))
