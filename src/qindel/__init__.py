@@ -55,6 +55,7 @@ from .states import (
     save_states,
     scalar_state,
     spectral_decompose,
+    spectral_decompose_stack,
     validate,
 )
 

@@ -257,45 +257,63 @@ def check_metric_axioms(seed: int) -> dict:
     )
 
 
+def _by_dim(pairs) -> dict[int, list]:
+    """The items of ``(dim, item)`` pairs grouped by dim, each group in order."""
+    groups: dict[int, list] = {}
+    for dim, item in pairs:
+        groups.setdefault(dim, []).append(item)
+    return groups
+
+
 def check_linear_algebra(seed: int) -> dict:
     """Eigenvalue sums match traces; the eigenvalue PSD test agrees with the
     exhaustive principal-minor criterion; congruence preserves PSD; a zero
-    diagonal entry kills its row and column."""
+    diagonal entry kills its row and column.  Each part draws its matrices
+    in order, then checks each dimension's matrices with one call per
+    check, so every matrix passes the checked solves' gate."""
     rng = np.random.default_rng(seed)
-    worst_trace = 0.0
+    drawn = []
     for _ in range(500):
         dim = int(rng.integers(2, 13))
-        h = random_hermitian(rng, dim)
-        w, _ = hermitian_eigensystem(h)
-        worst_trace = max(worst_trace, abs(float(np.sum(w) - np.trace(h).real)) / (1e-10 * dim))
+        drawn.append((dim, random_hermitian(rng, dim)))
+    worst_trace = 0.0
+    for dim, hs in _by_dim(drawn).items():
+        hs = np.array(hs)
+        w, _ = hermitian_eigensystem(hs)
+        gaps = np.abs(w.sum(axis=-1) - np.trace(hs, axis1=1, axis2=2).real) / (1e-10 * dim)
+        worst_trace = max(worst_trace, float(gaps.max()))
     trace_ok = worst_trace <= 1.0
 
-    minor_disagreements = 0
+    drawn = []
     for k in range(1000):
         dim = int(rng.integers(1, 5))
-        if k % 2:
-            h = random_hermitian(rng, dim)
-        else:
-            h = random_psd(rng, dim)
-        if is_psd(h) != psd_principal_minors(h):
-            minor_disagreements += 1
+        drawn.append((dim, random_hermitian(rng, dim) if k % 2 else random_psd(rng, dim)))
+    minor_disagreements = 0
+    for hs in _by_dim(drawn).values():
+        hs = np.array(hs)
+        minor_disagreements += int((is_psd(hs) != psd_principal_minors(hs)).sum())
 
-    congruence_failures = 0
+    drawn = []
     for _ in range(200):
         dim = int(rng.integers(2, 7))
         m = random_psd(rng, dim)
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        if not is_psd(a @ m @ a.conj().T):
-            congruence_failures += 1
+        drawn.append((dim, a @ m @ a.conj().T))
+    congruence_failures = sum(int((~is_psd(np.array(ms))).sum()) for ms in _by_dim(drawn).values())
 
-    worst_row = 0.0
+    drawn = []
     for _ in range(200):
         dim = int(rng.integers(2, 7))
         i = int(rng.integers(dim))
         b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         b[i, :] = 0.0  # forces M[i, i] = 0 for M = B B-dagger
-        m = project_psd(b @ b.conj().T)
-        worst_row = max(worst_row, float(np.abs(m[i, :]).max()), float(np.abs(m[:, i]).max()))
+        drawn.append((dim, (i, b @ b.conj().T)))
+    worst_row = 0.0
+    for group in _by_dim(drawn).values():
+        rows = [i for i, _ in group]
+        ms = project_psd(np.array([m for _, m in group]))
+        for i, m in zip(rows, ms):
+            worst_row = max(worst_row, float(np.abs(m[i, :]).max()), float(np.abs(m[:, i]).max()))
     row_ok = worst_row <= 1e-12
 
     ok = trace_ok and minor_disagreements == 0 and congruence_failures == 0 and row_ok

@@ -7,7 +7,9 @@ each subset from the state, and a sphere is the read-only result of one
 greedy dedup, ``distinct_rows``, of one level.  Where spheres first meet is
 found by one kernel, ``first_meeting``.  Each dedup and each comparison is one
 screened call of ``linalg.cross_distances``: only pairs whose diagonals lie
-within eq_tol get a full distance.
+within eq_tol get a full distance.  Whether the spheres of many pairs of
+states meet is one ``_levels_meet`` call on their stacked levels, which
+dedups and compares every pair's levels in three batched calls.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -49,7 +51,7 @@ from .errors import (
 )
 from .linalg import _CHUNK, Tolerance, cross_distances, eigensolve, frobenius_distance, hermitian_part
 from .rand import random_orthonormal, random_psd
-from .states import DensityMatrix, QuditShape, SpectralForm, spectral_decompose
+from .states import DensityMatrix, QuditShape, SpectralForm, spectral_decompose, spectral_decompose_stack
 
 __all__ = [
     "IndexSet",
@@ -269,6 +271,42 @@ def first_meeting(
         a, b = divmod(int(block.argmin()), block.shape[1])
         return i, j, a, b, float(block[a, b])
     return None
+
+
+def _deletion_level(mats: np.ndarray, shape: QuditShape, s: int) -> np.ndarray:
+    """The raw s-deletions of each state of ``shape`` in the ``(B, d, d)``
+    stack ``mats``: a ``(B, C(n, s), d_s, d_s)`` array whose rows follow
+    ``combinations`` order, each traced from the state by one batched
+    ``trace_out`` (the bits of the row ``_traced_levels`` gives), with no
+    other level kept."""
+    n = shape.length
+    return np.stack([trace_out(mats, IndexSet(c, n), shape.level) for c in combinations(range(1, n + 1), s)], axis=1)
+
+
+def _distinct_mask(near: np.ndarray) -> np.ndarray:
+    """The rows ``distinct_rows`` keeps, as a ``(..., k)`` mask, from the
+    ``(..., k, k)`` mask of row pairs within eq_tol of each other: row c is
+    kept iff no kept row before it is within eq_tol."""
+    kept = np.zeros(near.shape[:-1], dtype=bool)
+    for c in range(near.shape[-1]):
+        kept[..., c] = ~(near[..., :c, c] & kept[..., :c]).any(axis=-1)
+    return kept
+
+
+def _levels_meet(left: np.ndarray, right: np.ndarray, eq_tol: float) -> np.ndarray:
+    """For ``(B, ka, d, d)`` and ``(B, kb, d, d)`` stacks of raw sphere
+    levels, whether each entry's two levels, each deduplicated greedily as
+    ``distinct_rows`` does, have rows within eq_tol of each other: the
+    verdict of ``SphereSet.intersection_witness`` of the two spheres, for
+    B pairs of levels in three ``cross_distances`` calls.
+
+    The kept rows, not the raw ones, are compared: a dropped row can lie
+    within eq_tol of the other level while the row that absorbed it does not.
+    """
+    kept_left = _distinct_mask(cross_distances(left, left) <= eq_tol)
+    kept_right = _distinct_mask(cross_distances(right, right) <= eq_tol)
+    near = cross_distances(left, right) <= eq_tol
+    return (near & kept_left[:, :, None] & kept_right[:, None, :]).any(axis=(1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -653,17 +691,25 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
     """The samples of each request ``(rho, qset, count, seed)``, as
     ``sample_insertions(rho, qset, count, seed, tol)`` draws them.
 
-    Each request decomposes its source and draws its blocks from its own
-    generator; the requests are then grouped by (shape, rank, qset), and
-    each group is built by one ``_insert_stack`` call, which gives every
-    sample the bits it gets alone.  An error names its request by
+    The sources of each shape are decomposed by one checked
+    ``spectral_decompose_stack`` call.  Each request draws its blocks from
+    its own generator; the requests are then grouped by (shape, rank, qset),
+    and each group is built by one ``_insert_stack`` call.  Every form and
+    sample has the bits it gets alone.  A build error names its request by
     ``names[r]`` (nothing by default) and then, with more than one sample
     in the request, the sample.
     """
     names = names or [""] * len(requests)
+    by_shape: dict[QuditShape, list[int]] = {}
+    for r, (rho, *_) in enumerate(requests):
+        by_shape.setdefault(rho.shape, []).append(r)
+    forms: list = [None] * len(requests)
+    for shape, rs in by_shape.items():
+        stacked = spectral_decompose_stack(np.stack([requests[r][0].mat for r in rs]), shape, tol)
+        for r, form in zip(rs, stacked):
+            forms[r] = form
     groups: dict[tuple, list] = {}
-    for r, (rho, qset, count, seed) in enumerate(requests):
-        form = spectral_decompose(rho, tol)
+    for r, ((rho, qset, count, seed), form) in enumerate(zip(requests, forms)):
         stack = _draw_blocks(np.random.default_rng(seed), count, form.rank, rho.level**qset.size)
         member = (r, rho.mat, _weighted_kets(form), stack)
         groups.setdefault((rho.shape, form.rank, qset), []).append(member)

@@ -23,8 +23,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .channels import IndexSet, _as_index_set, _check_composed, _count, _insertion_set, _sample_batch
-from .channels import deletion_sphere, partial_trace, trace_out, trace_out_adjoint
+from .channels import IndexSet, _as_index_set, _check_composed, _count, _deletion_level, _insertion_set, _levels_meet
+from .channels import _sample_batch, partial_trace, trace_out, trace_out_adjoint
 from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
 from .states import DensityMatrix, QuditShape, spectral_decompose
@@ -155,17 +155,40 @@ def member_ins_del(
     t: int,
     tol: Tolerance = Tolerance(),
 ) -> bool:
-    """Exact decision of sigma in I^t(D^s(rho)).
+    """Exact decision of sigma in I^t(D^s(rho)): the one-pair case of
+    ``_members_ins_del``.
 
     Membership holds iff the t-deletion sphere of sigma meets the s-deletion
     sphere of rho, which is a finite comparison.
     """
-    _check_composed(sigma, rho, s, t)
-    if s > rho.length:
-        raise CountOutOfRange(f"cannot delete s={s} qudits from a length-{rho.length} state")
-    left = deletion_sphere(sigma, t, tol)
-    right = deletion_sphere(rho, s, tol)
-    return left.intersection_witness(right) is not None
+    return _members_ins_del([sigma], [rho], s, t, tol)[0]
+
+
+def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance()) -> list[bool]:
+    """``member_ins_del(sigmas[i], rhos[i], s, t, tol)`` for every i, in one
+    ``_levels_meet`` call per (sigma shape, rho shape) group.
+
+    Each pair is checked first (``_check_composed``, and s at most rho's
+    length).  A group's levels t of its sigmas and s of its rhos are traced
+    as two stacks, each deduplicated per pair as ``deletion_sphere`` does,
+    and compared at eq_tol of their common dimension: each verdict is the
+    one ``deletion_sphere(sigma, t).intersection_witness(deletion_sphere(rho, s))``
+    reads.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (sigma, rho) in enumerate(zip(sigmas, rhos)):
+        _check_composed(sigma, rho, s, t)
+        if s > rho.length:
+            raise CountOutOfRange(f"cannot delete s={s} qudits from a length-{rho.length} state")
+        groups.setdefault((sigma.shape, rho.shape), []).append(i)
+    verdicts = [False] * len(sigmas)
+    for (sigma_shape, rho_shape), members in groups.items():
+        left = _deletion_level(np.stack([sigmas[i].mat for i in members]), sigma_shape, t)
+        right = _deletion_level(np.stack([rhos[i].mat for i in members]), rho_shape, s)
+        eq_tol = tol.at(rho_shape.level ** (rho_shape.length - s)).eq_tol
+        for i, meets in zip(members, _levels_meet(left, right, eq_tol).tolist()):
+            verdicts[i] = meets
+    return verdicts
 
 
 def feasibility_del_ins(
@@ -442,9 +465,13 @@ def check_containment_trials(
     state's length, so each trajectory is the same in any batch.  Deletions
     are applied per trial.  An insertion keeps the last of the samples
     ``sample_insertions`` would draw; the insertions of one step are one
-    ``_sample_batch`` call, which builds each (shape, rank, position) group
-    of them with one ``_insert_stack`` call and checks every sample.  A
-    build error names the trial's index in ``rhos`` and the step.
+    ``_sample_batch`` call, which decomposes their sources with one checked
+    ``spectral_decompose_stack`` call per shape, builds each (shape, rank,
+    position) group of them with one ``_insert_stack`` call and checks every
+    sample.  A build error names the trial's index in ``rhos`` and the step.
+    The final memberships are one ``_members_ins_del`` call, one batched
+    comparison per (final shape, source shape) group, each verdict the one
+    ``member_ins_del`` gives.
 
     ``s``, ``t`` and every seed must be nonnegative integers, and s at most
     each rho's length (``CountOutOfRange``); ``rhos`` and ``seeds`` must have
@@ -478,4 +505,4 @@ def check_containment_trials(
         names = [f"trial {i}, step {step}: " for i in inserting]
         for i, samples in zip(inserting, _sample_batch(requests, tol, names)):
             states[i] = samples[-1]
-    return [member_ins_del(state, rho, s, t, tol) for state, rho in zip(states, rhos)]
+    return _members_ins_del(states, rhos, s, t, tol)

@@ -106,27 +106,37 @@ def frobenius_distance(a, b) -> float | np.ndarray:
 
 
 _CHUNK = 1 << 16  # largest temporary, in complex entries, of ``cross_distances``
+# largest temporary spanning several batch entries: a batch of small stacks
+# then adds no more than this (64 KiB) to the peak memory of its caller
+_BATCH_CHUNK = 1 << 12
 
 
 def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs Frobenius distances of two ``(k, d, d)`` stacks, a ``(ka, kb)``
-    array of ``frobenius_norm(a[i] - b[j])``.  The pairs are taken in blocks of
-    at most ``_CHUNK`` complex entries (one pair always fits: the dimension cap
-    is 256, and 256**2 = _CHUNK), whose layout can move an entry's last bit
-    against ``frobenius_distance`` of the pair."""
-    ka, kb = len(a), len(b)
-    size = a.shape[-1] * a.shape[-2]
-    out = np.empty((ka, kb))
+    """All-pairs Frobenius distances of two ``(..., k, d, d)`` stacks with the
+    same leading batch axes: a ``(..., ka, kb)`` array of
+    ``frobenius_norm(a[..., i, :, :] - b[..., j, :, :])``, each batch entry's
+    pairs on their own.  The pairs are taken in blocks of at most ``_CHUNK``
+    complex entries (one pair always fits: the dimension cap is 256, and
+    256**2 = _CHUNK), and a block spans several batch entries only within
+    ``_BATCH_CHUNK``; a block's layout can move an entry's last bit against
+    ``frobenius_distance`` of the pair."""
+    batch, (ka, d1, d2), kb = a.shape[:-3], a.shape[-3:], b.shape[-3]
+    count = math.prod(batch)
+    a, b = a.reshape(count, ka, d1, d2), b.reshape(count, kb, d1, d2)
+    size = d1 * d2
+    out = np.empty((count, ka, kb))
     cols = max(1, min(kb, _CHUNK // size))
     rows = max(1, min(ka, _CHUNK // (cols * size)))
-    diff = np.empty((rows, cols) + a.shape[1:], dtype=complex)
+    mats = max(1, min(count, _BATCH_CHUNK // (rows * cols * size)))
+    diff = np.empty((mats, rows, cols, d1, d2), dtype=complex)
     with np.errstate(over="ignore"):
-        for i in range(0, ka, rows):
-            for j in range(0, kb, cols):
-                block = diff[: min(rows, ka - i), : min(cols, kb - j)]
-                np.subtract(a[i : i + rows, None], b[None, j : j + cols], out=block)
-                out[i : i + rows, j : j + cols] = frobenius_norm(block)
-    return out
+        for m in range(0, count, mats):
+            for i in range(0, ka, rows):
+                for j in range(0, kb, cols):
+                    block = diff[: min(mats, count - m), : min(rows, ka - i), : min(cols, kb - j)]
+                    np.subtract(a[m : m + mats, i : i + rows, None], b[m : m + mats, None, j : j + cols], out=block)
+                    out[m : m + mats, i : i + rows, j : j + cols] = frobenius_norm(block)
+    return out.reshape(*batch, ka, kb)
 
 
 _HALF_MAX = np.finfo(float).max / 2
@@ -135,13 +145,17 @@ _HALF_MAX = np.finfo(float).max / 2
 def hermitian_part(a) -> np.ndarray:
     """(a + a†)/2; removes rounding drift without changing Hermitian inputs.
     Leading axes are a batch.  The sum is halved, which keeps subnormal
-    entries exact, unless an entry is large enough for the sum to overflow:
-    then each term is halved first."""
+    entries exact, unless an entry of the matrix is large enough for the sum
+    to overflow: then each of its terms is halved first.  The choice is made
+    per matrix, so each matrix of a stack gets the bits it gets alone."""
     a = _as_complex(a)
     b = a.conj().swapaxes(-1, -2)
-    if np.abs(a).max(initial=0.0) > _HALF_MAX:
-        return a / 2 + b / 2
-    return (a + b) / 2
+    magnitude = np.abs(a)
+    if magnitude.max(initial=0.0) <= _HALF_MAX:
+        return (a + b) / 2
+    large = magnitude.max(axis=(-2, -1), initial=0.0) > _HALF_MAX
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing sums are discarded
+        return np.where(large[..., None, None], a / 2 + b / 2, (a + b) / 2)
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -150,18 +164,43 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValidationError("matrix has non-finite entries")
 
 
+def _matrix_name(a: np.ndarray, k: int) -> str:
+    """"matrix" for a lone matrix; "matrix i", or "matrix (i, j, ...)" with
+    more than one batch axis, for row ``k`` of a flattened stack."""
+    if a.ndim == 2:
+        return "matrix"
+    index = tuple(int(i) for i in np.unravel_index(k, a.shape[:-2]))
+    return f"matrix {index[0] if len(index) == 1 else index}"
+
+
 def _require_hermitian(a, tol: Tolerance) -> np.ndarray:
-    """The one check of a matrix the package did not build, in order: square
-    (``NonSquare``), finite (``ValidationError``), Hermitian within eq_tol
-    (``NotHermitian``, with its residual, ``inf`` past the float range).
-    Returns it symmetrized."""
+    """The one check of a matrix, or a ``(..., d, d)`` stack of them, that
+    the package did not build, in order: square (``NonSquare``), finite
+    (``ValidationError``), Hermitian within eq_tol at d (``NotHermitian``,
+    with its residual, ``inf`` past the float range).  Returns it
+    symmetrized.
+
+    On a stack the first matrix that fails a check is refused, with the
+    class and residual its lone call gives and its batch index named.  A
+    residual is computed only for the matrices before the first non-finite
+    one.
+    """
     a = _as_complex(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSquare(f"need a square matrix, got shape {a.shape}")
-    _require_finite(a)
-    res = float(frobenius_distance(a, a.conj().T))
-    if res > tol.at(len(a)).eq_tol:
-        raise NotHermitian(f"matrix is not Hermitian (residual {res:.3e})", res)
+    d = a.shape[-1]
+    clean = a
+    if not np.isfinite(a).all():
+        flat = a.reshape(math.prod(a.shape[:-2]), d, d)
+        clean = flat[: int(np.argmin(np.isfinite(flat).all(axis=(1, 2))))]
+    res = frobenius_distance(clean, clean.conj().swapaxes(-1, -2))
+    over = res > tol.at(d).eq_tol
+    if over.any():
+        k = int(np.argmax(over))
+        worst = float(np.ravel(res)[k])
+        raise NotHermitian(f"{_matrix_name(a, k)} is not Hermitian (residual {worst:.3e})", worst)
+    if clean is not a:
+        raise ValidationError(f"{_matrix_name(a, len(clean))} has non-finite entries")
     return hermitian_part(a)
 
 
@@ -177,63 +216,77 @@ def eigensolve(solver, h):
         raise NoConvergence(str(exc)) from exc
     w = out[0] if isinstance(out, tuple) else out
     if not np.isfinite(w).all():
-        raise NoConvergence(f"eigensolver returned a non-finite spectrum {w}")
+        spectra = w.reshape(-1, w.shape[-1])
+        k = int(np.argmin(np.isfinite(spectra).all(axis=1)))
+        where = "" if w.ndim == 1 else f" for {_matrix_name(h, k)}"
+        raise NoConvergence(f"eigensolver returned a non-finite spectrum {spectra[k]}{where}")
     return out
 
 
 def hermitian_eigensystem(a, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, real) and eigenvector matrix of a Hermitian matrix.
+    """Eigenvalues (ascending, real) and eigenvector matrix of a Hermitian
+    matrix, or of each matrix of a ``(..., d, d)`` stack.
 
     The input is checked square, finite and Hermitian within ``eq_tol`` and
-    symmetrized before the solve, so only rounding drift is ever discarded.
-    Column ``k`` of the returned unitary is the eigenvector for eigenvalue ``k``.
+    symmetrized before the solve (``_require_hermitian``), so only rounding
+    drift is ever discarded.  Column ``k`` of the returned unitary is the
+    eigenvector for eigenvalue ``k``.  Each matrix of a stack gets the bits
+    of its lone call.
     """
     return eigensolve(np.linalg.eigh, _require_hermitian(a, tol))
 
 
 def hermitian_eigenvalues(a, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Eigenvalues (ascending, real) of a Hermitian matrix, with the checks of
-    ``hermitian_eigensystem`` but no eigenvectors, for callers that only need
-    the spectrum (PSD tests): the solve skips the vector work."""
+    """Eigenvalues (ascending, real) of a Hermitian matrix or stack, with the
+    checks of ``hermitian_eigensystem`` but no eigenvectors, for callers that
+    only need the spectrum (PSD tests): the solve skips the vector work."""
     return eigensolve(np.linalg.eigvalsh, _require_hermitian(a, tol))
 
 
-def is_psd(a, tol: Tolerance = Tolerance()) -> bool:
-    """True iff the Hermitian matrix has min eigenvalue >= -psd_tol."""
+def _verdicts(ok: np.ndarray) -> bool | np.ndarray:
+    """A lone matrix's verdict as a bool, a stack's as a bool array."""
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def is_psd(a, tol: Tolerance = Tolerance()) -> bool | np.ndarray:
+    """True iff the Hermitian matrix has min eigenvalue >= -psd_tol; for a
+    ``(..., d, d)`` stack, that verdict per matrix.  An empty matrix is PSD."""
     w = hermitian_eigenvalues(a, tol)
-    return bool(w[0] >= -tol.at(len(w)).psd_tol)
+    return _verdicts(w.min(axis=-1, initial=np.inf) >= -tol.at(w.shape[-1]).psd_tol)
 
 
 def project_psd(a, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero.
+    """Frobenius-nearest PSD matrix, of a matrix or of each matrix of a
+    stack: clip negative eigenvalues to zero.
 
     Fixed point for PSD inputs; does not renormalize the trace.
     """
     w, v = hermitian_eigensystem(a, tol)
     w = np.maximum(w, 0.0)
-    return hermitian_part((v * w) @ v.conj().T)
+    return hermitian_part((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 MINORS_MAX_DIM = 4
 
 
-def psd_principal_minors(a, tol: Tolerance = Tolerance()) -> bool:
+def psd_principal_minors(a, tol: Tolerance = Tolerance()) -> bool | np.ndarray:
     """Exhaustive principal-minor PSD test, usable only for small matrices.
 
     A Hermitian matrix is PSD iff every principal minor is nonnegative.  The
     subset enumeration is exponential, so this is a cross-check oracle for
     ``is_psd`` at dim <= ``MINORS_MAX_DIM``, not a production path.  The
     minors of each size k are one ``det`` call over the stacked k x k
-    principal submatrices, in ``combinations`` order.
+    principal submatrices, in ``combinations`` order, of every matrix of a
+    ``(..., d, d)`` stack at once; the verdict is per matrix, as ``is_psd``.
     """
     a = _require_hermitian(a, tol)
-    n = len(a)
+    n = a.shape[-1]
     if n > MINORS_MAX_DIM:
         raise ShapeMismatch(f"principal-minor test capped at dim {MINORS_MAX_DIM}, got {n}")
     tol = tol.at(n)
+    ok = np.ones(a.shape[:-2], dtype=bool)
     for k in range(1, n + 1):
         rows = np.array(list(combinations(range(n), k)))
-        minors = np.linalg.det(a[rows[:, :, None], rows[:, None, :]])
-        if (minors.real < -tol.psd_tol).any():
-            return False
-    return True
+        minors = np.linalg.det(a[..., rows[:, :, None], rows[:, None, :]])
+        ok &= ~(minors.real < -tol.psd_tol).any(axis=-1)
+    return _verdicts(ok)

@@ -51,6 +51,7 @@ __all__ = [
     "scalar_state",
     "purity",
     "spectral_decompose",
+    "spectral_decompose_stack",
     "reconstruct",
     "state_to_json_obj",
     "state_from_json_obj",
@@ -189,9 +190,16 @@ def density_from_ket(amplitudes, shape: QuditShape, tol: Tolerance = Tolerance()
     return DensityMatrix(shape, np.outer(vec, vec.conj()))
 
 
-def _require_psd(w: np.ndarray, tol: Tolerance) -> None:  # w ascending
-    if w[0] < -tol.psd_tol:
-        raise NotPSD(f"negative eigenvalue {w[0]:.3e}", -float(w[0]))
+def _require_psd(w: np.ndarray, tol: Tolerance) -> None:
+    """Refuse the first spectrum (ascending, the last axis of ``w``) whose
+    least eigenvalue is below -psd_tol; on a stack, the message names it."""
+    lowest = w[..., 0]
+    bad = lowest < -tol.psd_tol
+    if bad.any():
+        k = int(np.argmax(bad))
+        value = float(np.ravel(lowest)[k])
+        where = "" if w.ndim == 1 else f"matrix {k}: "
+        raise NotPSD(f"{where}negative eigenvalue {value:.3e}", -value)
 
 
 def validate(mat, shape: QuditShape, tol: Tolerance = Tolerance()) -> DensityMatrix:
@@ -220,23 +228,42 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def spectral_decompose(rho: DensityMatrix, tol: Tolerance = Tolerance()) -> SpectralForm:
-    """Eigen-pairs with negligible weights dropped, renormalized.
+    """Eigen-pairs with negligible weights dropped, renormalized: the
+    one-state case of ``spectral_decompose_stack``."""
+    return spectral_decompose_stack(rho.mat, rho.shape, tol)[0]
+
+
+def spectral_decompose_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> list[SpectralForm]:
+    """The spectral form of each state of ``shape`` in ``mats``, a ``(k, d, d)``
+    stack (or one ``(d, d)`` matrix, which gives one form), from one checked
+    eigen-solve: the gate of ``hermitian_eigensystem`` and a PSD test at d,
+    each naming the first matrix of a stack it refuses.  Other shapes of
+    ``mats`` raise ``ShapeMismatch``.
 
     Weights are clipped at zero, and the smallest are dropped only while their
     running sum stays at most 1e-3 * eq_tol, so the reconstruction moves far
     less than the eq_tol that round trips are held to (dropping every weight
     up to psd_tol could move it by more).  Ordered by descending weight.  For
     degenerate spectra the eigenbasis is whatever the solver returns;
-    downstream constructions only depend on the reconstructed matrix.
+    downstream constructions only depend on the reconstructed matrix.  Each
+    state's form has the bits it gets alone.
     """
-    tol = tol.at(rho.dim)
-    w, v = hermitian_eigensystem(rho.mat, tol)
+    mats, dim = np.asarray(mats, dtype=complex), shape.dim
+    if mats.ndim not in (2, 3) or mats.shape[-2:] != (dim, dim):
+        raise ShapeMismatch(f"expected a {dim}x{dim} matrix or a stack of them, got {mats.shape}")
+    tol = tol.at(dim)
+    w, v = hermitian_eigensystem(mats, tol)
     _require_psd(w, tol)
-    dropped = np.searchsorted(np.cumsum(np.clip(w, 0.0, None)), 1e-3 * tol.eq_tol, side="right")
-    w, v = w[dropped:], v[:, dropped:]
-    order = np.argsort(-w, kind="stable")
-    total = sum(w.tolist())
-    return SpectralForm(rho.shape, w[order] / total, np.ascontiguousarray(v[:, order]))
+    w, v = w.reshape(-1, dim), v.reshape(-1, dim, dim)
+    # the clipped running sum only rises: the weights dropped are those where it is still within the bound
+    drops = (np.cumsum(np.maximum(w, 0.0), axis=1) <= 1e-3 * tol.eq_tol).sum(axis=1).tolist()
+    forms = []
+    for w_k, v_k, dropped in zip(w, v, drops):
+        w_k, v_k = w_k[dropped:], v_k[:, dropped:]
+        order = np.argsort(-w_k, kind="stable")
+        total = sum(w_k.tolist())
+        forms.append(SpectralForm(shape, w_k[order] / total, np.ascontiguousarray(v_k[:, order])))
+    return forms
 
 
 def reconstruct(form: SpectralForm) -> DensityMatrix:

@@ -47,6 +47,7 @@ from qindel.states import (
     basis_ket,
     density_from_ket,
     spectral_decompose,
+    spectral_decompose_stack,
     validate,
 )
 from conftest import make_states
@@ -727,16 +728,16 @@ def test_sample_insertions_decomposes_once(monkeypatch):
 
     calls = []
 
-    def counting(rho, tol=None):
-        calls.append(rho)
-        return spectral_decompose(rho, tol)
+    def counting(mats, shape, tol):
+        calls.extend(mat.tobytes() for mat in mats)
+        return spectral_decompose_stack(mats, shape, tol)
 
-    monkeypatch.setattr(channels, "spectral_decompose", counting)
+    monkeypatch.setattr(channels, "spectral_decompose_stack", counting)
     rho = example_rho(0.5, 0.5)
     for count in (1, 2, 5):
         calls.clear()
         sample_insertions(rho, IndexSet((2,), 3), count, seed=3)
-        assert calls == [rho]
+        assert calls == [rho.mat.tobytes()]
 
 
 def _coercion_case(name):

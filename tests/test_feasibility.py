@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qindel.channels import IndexSet, delete, insertion_member, trace_out
+from qindel.channels import IndexSet, delete, insertion_member, sample_insertions, trace_out
 from qindel.codes import example_psi, example_rho
 from qindel.errors import BlockConstraintViolated, CountOutOfRange, LevelMismatch, NoConvergence
 from qindel.errors import RoundTripFailed, ShapeMismatch, SizeCapExceeded
@@ -306,32 +306,41 @@ def test_lockstep_trials_match_one_trial_bit_for_bit(monkeypatch, rng, s, t):
     # the verdict that the same trial reaches alone
     rhos = _mixed_trials(rng, s, t)
     seeds = [int(seed) for seed in rng.integers(2**62, size=len(rhos))]
-    finals = _recorded(monkeypatch, feasibility, "member_ins_del")
+    finals = _recorded(monkeypatch, feasibility, "_members_ins_del")
     builds = _recorded(monkeypatch, channels, "_insert_stack")
     verdicts = check_containment_trials(rhos, seeds, s, t)
-    batched = [sigma.mat.tobytes() for sigma, *_ in finals]
+    assert len(finals) == 1  # every final membership is decided by one call
+    batched = [sigma.mat.tobytes() for sigma in finals[0][0]]
+    assert len(batched) == len(rhos)
     if t:  # same-shape insertions of different trials share one build
         assert len(builds) < sum(len(sources) for _, _, sources, *_ in builds)
     finals.clear()
     alone = [check_containment_trial(rho, seed, s, t) for rho, seed in zip(rhos, seeds)]
-    assert batched == [sigma.mat.tobytes() for sigma, *_ in finals]
+    assert [len(sigmas) for sigmas, *_ in finals] == [1] * len(rhos)
+    assert batched == [sigmas[0].mat.tobytes() for sigmas, *_ in finals]
     assert verdicts == alone
     assert all(verdicts)
 
 
 def _tamper_request(monkeypatch, fault, request):
     """Script one fault into one request of a ``_sample_batch`` call: its
-    source's weights off by 0.2 % (a round trip fails), or its blocks NaN."""
-    name = "spectral_decompose" if fault == "round trip" else "_draw_blocks"
-    real, calls = getattr(channels, name), []
+    source's weights off by 0.2 % (a round trip fails), or its blocks NaN.
+    Sources are decomposed a stack per shape and blocks drawn one request at
+    a time, both in request order when each shape's requests are adjacent."""
+    name = "spectral_decompose_stack" if fault == "round trip" else "_draw_blocks"
+    real, done = getattr(channels, name), []
 
     def faulty(*args):
         out = real(*args)
-        calls.append(None)
-        if len(calls) != request + 1:
+        outputs = out if fault == "round trip" else [out]
+        k = request - len(done)
+        done.extend(outputs)
+        if not 0 <= k < len(outputs):
             return out
         if fault == "round trip":
-            return SpectralForm(out.shape, out.weights * 1.002, out.kets)
+            form = out[k]
+            out[k] = SpectralForm(form.shape, form.weights * 1.002, form.kets)
+            return out
         return np.full_like(out, np.nan)
 
     monkeypatch.setattr(channels, name, faulty)
@@ -547,6 +556,49 @@ def test_member_ins_del_refuses_negative_counts(s, t):
     rho = _mixed(2, 2)
     with pytest.raises(CountOutOfRange, match="nonnegative"):
         member_ins_del(_mixed(2, rho.length - s + t), rho, s, t)
+
+
+def test_memberships_compare_deduplicated_levels_not_raw_ones():
+    # sigma's 1-deletions are x2 then x1, within eq_tol(2) = 1.41e-9 of each
+    # other, so the sphere keeps only x2; rho's are y twice.  The raw x1 is
+    # 0.71e-9 from y, the kept x2 1.84e-9: the spheres do not meet
+    shape = QuditShape(2, 1)
+    x1 = np.diag([0.5, 0.5])
+    x2 = np.diag([0.5 + 0.8e-9, 0.5 - 0.8e-9])
+    y = np.diag([0.5 - 0.5e-9, 0.5 + 0.5e-9])
+    sigma = DensityMatrix(QuditShape(2, 2), np.kron(x1, x2))
+    rho = DensityMatrix(QuditShape(2, 2), np.kron(y, y))
+    eq_tol = Tolerance().at(shape.dim).eq_tol
+    raw = [delete(sigma, {p}).mat for p in (1, 2)]
+    assert min(np.linalg.norm(mat - y) for mat in raw) <= eq_tol  # the raw levels meet
+    assert channels.deletion_sphere(sigma, 1).intersection_witness(channels.deletion_sphere(rho, 1)) is None
+    assert member_ins_del(sigma, rho, 1, 1) is False
+    assert feasibility._members_ins_del([rho, sigma, sigma], [rho, rho, sigma], 1, 1) == [True, False, True]
+
+
+@pytest.mark.parametrize("s, t", [(1, 1), (2, 1), (1, 2), (0, 2), (2, 0), (0, 0)])
+def test_batched_memberships_match_the_sphere_oracle(rng, s, t):
+    # qubits and qutrits of every rank in one call: half of the sigmas are a
+    # deletion of rho then an insertion (members), half random states
+    rhos = _mixed_trials(rng, s, t)
+    sigmas = []
+    for k, rho in enumerate(rhos):
+        n = rho.length
+        shape = QuditShape(rho.level, n - s + t)
+        if k % 2:
+            sigmas.append(random_density(rng, shape, int(rng.integers(1, shape.dim + 1))))
+            continue
+        kept = delete(rho, range(1, s + 1)) if s else rho
+        inserted = tuple(sorted(rng.choice(np.arange(1, n - s + t + 1), size=t, replace=False).tolist()))
+        sigmas.append(sample_insertions(kept, inserted, 1, k)[0] if t else kept)
+    verdicts = feasibility._members_ins_del(sigmas, rhos, s, t)
+    oracle = [
+        channels.deletion_sphere(sigma, t).intersection_witness(channels.deletion_sphere(rho, s)) is not None
+        for sigma, rho in zip(sigmas, rhos)
+    ]
+    assert verdicts == oracle
+    assert all(verdicts[::2])
+    assert verdicts == [member_ins_del(sigma, rho, s, t) for sigma, rho in zip(sigmas, rhos)]
 
 
 def test_member_ins_del_names_a_deletion_count_above_the_length():

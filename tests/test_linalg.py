@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qindel.errors import NoConvergence, NonSquare, NotHermitian, ShapeMismatch
+from qindel.errors import NoConvergence, NonSquare, NotHermitian, ShapeMismatch, ValidationError
 from qindel.linalg import (
     Tolerance,
+    _require_hermitian,
     cross_distances,
     eigensolve,
     frobenius_distance,
@@ -79,12 +80,106 @@ def test_eigenvalues_match_eigensystem(rng):
         hermitian_eigenvalues(np.zeros((2, 3)))
 
 
-def test_checked_solves_refuse_a_stack(rng):
-    stack = np.array([random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
-    for solve in (hermitian_eigensystem, hermitian_eigenvalues):
-        for bad in (stack, stack[0], np.zeros((2, 3, 3))):
-            with pytest.raises(NonSquare):
-                solve(bad)
+# the six checked entry points, each taking a matrix or a (..., d, d) stack
+CHECKED = {
+    "_require_hermitian": lambda a: _require_hermitian(a, Tolerance()),
+    "hermitian_eigensystem": hermitian_eigensystem,
+    "hermitian_eigenvalues": hermitian_eigenvalues,
+    "is_psd": is_psd,
+    "project_psd": project_psd,
+    "psd_principal_minors": psd_principal_minors,
+}
+
+
+def _bits(out):
+    """An entry point's result as comparable bits."""
+    if isinstance(out, tuple):
+        return tuple(part.tobytes() for part in out)
+    return out.tobytes() if isinstance(out, np.ndarray) else out
+
+
+def _at(out, index):
+    """Matrix ``index``'s part of a stacked result; a lone result is its own."""
+    if not index:
+        return out
+    if isinstance(out, tuple):
+        return tuple(part[index] for part in out)
+    return bool(out[index]) if out.dtype == bool else out[index]
+
+
+@pytest.mark.parametrize("name", CHECKED)
+@pytest.mark.parametrize("batch", [(), (5,), (2, 5)], ids=["lone", "stack", "grid"])
+def test_checked_solves_give_each_matrix_of_a_stack_its_lone_bits(rng, name, batch):
+    solve = CHECKED[name]
+    for dim in (1, 2, 3, 4):
+        count = math.prod(batch)
+        mats = [random_hermitian(rng, dim) if k % 2 else random_psd(rng, dim) for k in range(count)]
+        # rounding drift within eq_tol, which the gate symmetrizes away
+        stack = np.array(mats).reshape(*batch, dim, dim) + 1e-13 * rng.standard_normal((*batch, dim, dim))
+        out = solve(stack)
+        for index in np.ndindex(*batch):
+            assert _bits(_at(out, index)) == _bits(solve(stack[index])), (name, batch, dim, index)
+    for bad in (np.zeros(3), np.zeros(()), np.zeros((2, 3)), np.zeros((4, 2, 3)), np.zeros((2, 2, 3, 1))):
+        with pytest.raises(NonSquare):
+            solve(bad)
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_a_stack_refuses_its_first_bad_matrix_by_index(rng, name):
+    solve = CHECKED[name]
+    skew = np.array([[1.0, 3e-6], [0.0, 1.0]])
+    nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(NotHermitian) as lone:
+        solve(skew)
+    with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+        solve(nan)
+    stack = np.array([random_psd(rng, 2) for _ in range(6)])
+    cases = (
+        ({3: skew}, NotHermitian, "matrix 3 is not Hermitian"),
+        ({3: nan}, ValidationError, "matrix 3 has non-finite entries"),
+        ({1: skew, 3: nan}, NotHermitian, "matrix 1 is not Hermitian"),
+        ({1: nan, 3: skew}, ValidationError, "matrix 1 has non-finite entries"),
+    )
+    for bad, error, message in cases:
+        mats = stack.copy()
+        for k, mat in bad.items():
+            mats[k] = mat
+        with pytest.raises(error, match=f"^{message}") as caught:
+            solve(mats)
+        if error is NotHermitian:
+            assert caught.value.residual == lone.value.residual
+        k = min(bad)
+        with pytest.raises(error, match=rf"^matrix \({k // 3}, {k % 3}\) "):
+            solve(mats.reshape(2, 3, 2, 2))
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_a_stack_is_held_to_the_tolerances_of_its_matrix_dimension(name):
+    # eq_tol(2) = 1.41e-9 refuses a Hermitian residual of 2e-9; resolved at
+    # the stack's length, eq_tol(300) = 1.7e-8 would pass it
+    solve = CHECKED[name]
+    stack = np.array([np.eye(2, dtype=complex)] * 300)
+    stack[217, 0, 1] = 2e-9 / math.sqrt(2)
+    with pytest.raises(NotHermitian, match="^matrix 217 is not Hermitian") as caught:
+        solve(stack)
+    assert caught.value.residual == pytest.approx(2e-9, rel=1e-12)
+
+
+def test_a_stack_is_psd_at_the_floor_of_its_matrix_dimension():
+    # psd_tol(2) = 2e-9 refuses an eigenvalue of -3e-9; psd_tol(300) would not
+    stack = np.array([np.eye(2, dtype=complex)] * 300)
+    stack[217] = np.diag([1.0, -3e-9])
+    for oracle in (is_psd, psd_principal_minors):
+        verdicts = oracle(stack)
+        assert verdicts.shape == (300,)
+        assert np.flatnonzero(~verdicts).tolist() == [217]
+
+
+def test_an_empty_matrix_is_psd_for_both_oracles():
+    for empty in (np.zeros((0, 0)), np.zeros((3, 0, 0))):
+        eig, minors = is_psd(empty), psd_principal_minors(empty)
+        assert np.array_equal(eig, minors) and np.all(eig)
+    assert is_psd(np.zeros((0, 0))) is True
 
 
 def test_a_lapack_failure_raises_no_convergence(monkeypatch):
