@@ -55,8 +55,14 @@ def _tolerance(args) -> Tolerance:
     )
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+def _load_file(path: Path, tol: Tolerance) -> tuple[DensityMatrix, str]:
+    """The state in file ``path`` and the first 16 hex digits of the file's
+    sha256, from one read of the file."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read state file {path}: {exc}") from exc
+    return load_state(path, tol, data=data), hashlib.sha256(data).hexdigest()[:16]
 
 
 def _load_state_spec(spec: str, tol: Tolerance) -> tuple[DensityMatrix, str]:
@@ -64,8 +70,7 @@ def _load_state_spec(spec: str, tol: Tolerance) -> tuple[DensityMatrix, str]:
         rest = spec[len("builtin:"):]
         name, _, params = rest.partition(":")
         return builtin_state(name, params or None), spec
-    path = Path(spec)
-    return load_state(path, tol), _digest(path)
+    return _load_file(Path(spec), tol)
 
 
 def _grid_params(grid: str | None):
@@ -95,8 +100,8 @@ def _load_code_spec(spec: str, grid: str | None, tol: Tolerance) -> tuple[CodeSa
     files = sorted(path.glob("*.json"))
     if not files:
         raise ParseError(f"directory {spec!r} contains no .json state files")
-    states = [load_state(f, tol) for f in files]
-    return CodeSample.from_states(states, [f.name for f in files], tol), ",".join(_digest(f) for f in files)
+    states, digests = zip(*(_load_file(f, tol) for f in files))
+    return CodeSample.from_states(states, [f.name for f in files], tol), ",".join(digests)
 
 
 def _report(args, inputs: dict, results: dict, elapsed_ms: int) -> dict:

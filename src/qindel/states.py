@@ -10,15 +10,20 @@ Every state, pure or mixed, is a ``DensityMatrix``; a ket is never kept.
 Foreign matrices are checked by ``validate``, and a pure state is built from
 its ket, checked once, by ``density_from_ket``.
 
-State files are UTF-8 JSON, read and written here only, through orjson:
-floats are written compactly in shortest round-trip form (so every file reads
-back bit-identically, also with the stdlib ``json``), and matrices and kets
-are parsed as whole arrays of ``[re, im]`` pairs.  ``NaN`` and ``Infinity``
-tokens are not JSON and are rejected.
+State files are UTF-8 JSON objects, read and written here only, through
+orjson.  The one encoder writes a matrix in the compact form: the base64 of
+its row-major little-endian complex128 bytes, marked by ``"encoding":
+"base64"``, so a file reads back bit for bit, also with the stdlib ``json``
+and ``base64``.  The reader takes that form, where every complex array of the
+object (``matrix``, ``ket``, each spectral ``ket``) is such a string decoded
+in one copy, and the nested form, where each is a whole array of ``[re, im]``
+pairs.  ``NaN`` and ``Infinity`` tokens are not JSON and are rejected.
 """
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -294,18 +299,46 @@ def _complex_array(value, what: str, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
+def _decoded_array(value, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex array of ``shape`` whose row-major little-endian complex128
+    bytes ``value`` holds in base64: a read-only view of the decoded bytes.
+
+    A value that is not a string, is not strict base64 (characters outside
+    the alphabet, bad padding) or decodes to another byte count than
+    ``shape`` needs raises ``ParseError``.  Entries are not checked here:
+    non-finite ones are refused by the state's validation, as in a nest.
+    """
+    if not isinstance(value, str):
+        raise ParseError(f"malformed {what}: expected a base64 string, got {type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ParseError(f"malformed {what}: bad base64: {exc}") from exc
+    expected = 16 * math.prod(shape)
+    if len(raw) != expected:
+        raise ParseError(
+            f"malformed {what}: expected {expected} bytes of complex128 for shape {shape}, got {len(raw)}"
+        )
+    return np.frombuffer(raw, dtype="<c16").reshape(shape)
+
+
 def state_to_json_obj(rho: DensityMatrix) -> dict:
+    """The state object of ``rho``, its matrix in the compact form."""
+    payload = rho.mat.astype("<c16", copy=False).tobytes()  # row-major
     return {
         "level": rho.level,
         "length": rho.length,
         "kind": "mixed",
-        "matrix": np.stack([rho.mat.real, rho.mat.imag], -1).tolist(),
+        "encoding": "base64",
+        "matrix": base64.b64encode(payload).decode("ascii"),
     }
 
 
 def state_from_json_obj(obj: dict, tol: Tolerance = Tolerance()) -> DensityMatrix:
     """Parse a state object, validating every invariant; reports the first
-    violation with its numeric residual."""
+    violation with its numeric residual.  With an ``encoding`` field (whose
+    one value is ``"base64"``) every complex array in it is a base64 string,
+    and without one a nest of ``[re, im]`` pairs."""
     if not isinstance(obj, dict):
         raise ParseError("state object must be a JSON object")
     try:
@@ -315,13 +348,15 @@ def state_from_json_obj(obj: dict, tol: Tolerance = Tolerance()) -> DensityMatri
         shape = QuditShape(level, length)
     except (KeyError, ValueError) as exc:
         raise ParseError(f"missing or malformed level/length/kind: {exc}") from exc
+    if "encoding" in obj and obj["encoding"] != "base64":
+        raise ParseError(f"unknown encoding {obj['encoding']!r}: expected 'base64'")
+    array = _decoded_array if "encoding" in obj else _complex_array
     dim = shape.dim
     try:
         if kind == "pure":
-            vec = _complex_array(obj["ket"], "ket", (dim,))
-            return density_from_ket(vec, shape, tol)
+            return density_from_ket(array(obj["ket"], "ket", (dim,)), shape, tol)
         if kind == "mixed":
-            return validate(_complex_array(obj["matrix"], "matrix", (dim, dim)), shape, tol)
+            return validate(array(obj["matrix"], "matrix", (dim, dim)), shape, tol)
         if kind == "spectral":
             pairs = obj["pairs"]
             if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
@@ -331,8 +366,10 @@ def state_from_json_obj(obj: dict, tol: Tolerance = Tolerance()) -> DensityMatri
                 weight = pair["p"]
                 if isinstance(weight, bool) or not isinstance(weight, (int, float)):
                     raise ParseError(f"malformed spectral weight {weight!r}: expected a number")
-                ket = _complex_array(pair["ket"], "spectral ket", (dim,))
-                mat += weight * np.outer(ket, ket.conj())
+                ket = array(pair["ket"], "spectral ket", (dim,))
+                # a non-finite or overflowing term is left for validate to refuse
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mat += weight * np.outer(ket, ket.conj())
             return validate(mat, shape, tol)
     except KeyError as exc:
         raise ParseError(f"missing field for kind={kind!r}: {exc}") from exc
@@ -342,8 +379,8 @@ def state_from_json_obj(obj: dict, tol: Tolerance = Tolerance()) -> DensityMatri
 
 
 def _finite_json_obj(rho: DensityMatrix) -> dict:
-    # orjson would write NaN and infinities as null, which no reader accepts:
-    # the writers refuse such a state before any file is opened
+    # no reader accepts a non-finite entry, so the writers refuse such a
+    # state before any file is opened
     _require_finite(rho.mat)
     return state_to_json_obj(rho)
 
@@ -357,9 +394,12 @@ def save_states(states: Iterable[DensityMatrix], path: str | Path) -> None:
     Path(path).write_bytes(orjson.dumps([_finite_json_obj(rho) for rho in states]))
 
 
-def load_state(path: str | Path, tol: Tolerance = Tolerance()) -> DensityMatrix:
+def load_state(path: str | Path, tol: Tolerance = Tolerance(), *, data: bytes | None = None) -> DensityMatrix:
+    """The state in the state file ``path``.  ``data``, when given, is the
+    file's content already read: the file is not read again, and ``path``
+    only names it in errors."""
     try:
-        obj = orjson.loads(Path(path).read_bytes())
+        obj = orjson.loads(Path(path).read_bytes() if data is None else data)
     except (OSError, orjson.JSONDecodeError) as exc:
         raise ParseError(f"cannot read state file {path}: {exc}") from exc
     return state_from_json_obj(obj, tol)

@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,30 @@ def test_distance_report_is_byte_stable(tmp_path, capsys):
     first.pop("elapsed_ms")
     second.pop("elapsed_ms")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def test_each_state_file_is_read_once_and_named_by_its_digest(tmp_path, capsys, monkeypatch):
+    code_dir = tmp_path / "code"
+    code_dir.mkdir()
+    for name, digits in (("a.json", "00"), ("b.json", "11")):
+        _write_pure(code_dir, digits, name)
+    a, b = code_dir / "a.json", code_dir / "b.json"
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path.name) or read_bytes(path))
+
+    def digest(path):
+        return hashlib.sha256(read_bytes(path)).hexdigest()[:16]
+
+    code, report, _ = run_cli(capsys, "distance", str(a), str(b))
+    assert code == 0
+    assert report["inputs"] == {"a": digest(a), "b": digest(b)}
+    assert sorted(reads) == ["a.json", "b.json"]
+    reads.clear()
+    code, report, _ = run_cli(capsys, "verify", str(code_dir), "--t", "1")
+    assert code == 0
+    assert report["inputs"]["code"] == f"{digest(a)},{digest(b)}"
+    assert sorted(reads) == ["a.json", "b.json"]
 
 
 def test_verify_deletions(capsys):

@@ -87,6 +87,27 @@ def test_only_linalg_calls_an_eigensolver():
     assert not calls, f"eigensolver called outside linalg: {calls}"
 
 
+STATE_FILE_CODECS = {"orjson", "base64"}
+
+
+def test_only_states_imports_the_state_file_codecs():
+    # the state-file encoding is decided in one module: a second importer of
+    # the JSON or base64 codec could write or read a second format
+    imports = []
+    for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
+        if path.name != "states.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.split(".")[0] in STATE_FILE_CODECS for name in names):
+                    imports.append(f"{path.name}:{node.lineno}")
+    assert not imports, f"state-file codec imported outside states: {imports}"
+
+
 # functions that may call np.linalg.norm: the dual solver's step norms, which
 # steer its iterates, and a ket's norm (a vector, not a matrix); the
 # acceptance suite keeps its own residuals as a check independent of the kernel

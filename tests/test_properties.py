@@ -1,5 +1,6 @@
 """Property tests: input checks (tolerance values, state-file shapes and
-malformed payloads, non-finite and non-square matrices), the metric axioms
+malformed payloads in both forms, non-finite and non-square matrices), the
+agreement of the nested and compact state-file forms, the metric axioms
 of the indel distance, a code's dedup of coinciding states, the insertion
 round trip and sampler prefixes, the containment of interleaved errors, and
 the evidence of feasibility verdicts: witnesses and Farkas certificates.
@@ -11,6 +12,7 @@ example database is kept, so runs are deterministic and write nothing to
 the working tree.
 """
 
+import base64
 import math
 import tempfile
 from functools import reduce
@@ -46,13 +48,15 @@ from qindel.linalg import (  # noqa: E402
     project_psd,
     psd_principal_minors,
 )
-from qindel.rand import random_density, random_hermitian  # noqa: E402
+from qindel.rand import random_density, random_hermitian, random_orthonormal  # noqa: E402
 from qindel.states import (  # noqa: E402
     DensityMatrix,
     QuditShape,
+    load_state,
     purity,
     spectral_decompose,
     state_from_json_obj,
+    state_to_json_obj,
     validate,
 )
 
@@ -196,24 +200,94 @@ def malformed_nests(draw, shape: tuple[int, ...]):
     return nest
 
 
+def _encode(values) -> str:
+    """The compact payload of a complex array: base64 of its row-major
+    little-endian complex128 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<c16").tobytes()).decode("ascii")
+
+
+def _nest(values) -> list:
+    """The nested payload of a complex array: [re, im] pairs."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], -1).tolist()
+
+
+def _draw_encoded(draw, shape: tuple[int, ...]) -> str:
+    """A compact payload of ``shape`` with [re, im] parts drawn as in a nest."""
+    return _encode(np.array(_draw_nest(draw, shape)).view(complex)[..., 0])
+
+
+def _draw_valid(draw, shape: tuple[int, ...]) -> np.ndarray:
+    """A unit ket of ``shape`` ``(dim,)`` or a density matrix of ``shape``
+    ``(dim, dim)``, dim a power of 2: a payload that only its defect spoils."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if len(shape) == 1:
+        return random_orthonormal(rng, shape[0], 1)[0]
+    return random_density(rng, QuditShape(2, shape[0].bit_length() - 1)).mat
+
+
+# float64 bit patterns with an all-ones exponent: the infinities (zero
+# mantissa) and every NaN, quiet or signalling, of either sign
+NON_FINITE_BITS = st.builds(
+    lambda sign, mantissa: (sign << 63) | (0x7FF << 52) | mantissa,
+    st.integers(0, 1),
+    st.one_of(st.just(0), st.integers(0, 2**52 - 1)),
+)
+
+
+@st.composite
+def malformed_encodings(draw, shape: tuple[int, ...]):
+    """A compact payload of ``shape`` that would read as a valid ket or
+    density matrix but for one defect: not a string (its valid nest
+    included), not strict base64 (a character outside the alphabet inserted,
+    or one character dropped), a byte count other than the 16 per entry that
+    ``shape`` needs, or one NaN or infinite part."""
+    values = _draw_valid(draw, shape)
+    how = draw(st.sampled_from(["type", "character", "drop", "count", "non-finite"]))
+    if how == "type":
+        return draw(st.one_of(_JUNK.filter(lambda x: not isinstance(x, str)), st.just(_nest(values))))
+    if how == "count":
+        expected = 16 * math.prod(shape)
+        size = draw(st.integers(0, expected + 32).filter(lambda n: n != expected))
+        return base64.b64encode(draw(st.binary(min_size=size, max_size=size))).decode("ascii")
+    if how == "non-finite":
+        parts = np.asarray(values, dtype="<c16").view("<u8").reshape(-1).copy()
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(NON_FINITE_BITS)
+        return base64.b64encode(parts.tobytes()).decode("ascii")
+    text = _encode(values)
+    k = draw(st.integers(0, len(text) - 1))
+    if how == "drop":
+        return text[:k] + text[k + 1:]
+    return text[:k] + draw(st.sampled_from("!-_.* \n=\u00e9")) + text[k:]
+
+
 @st.composite
 def malformed_payloads(draw):
     """A state object for one or two qubits whose ``ket``, ``matrix`` or
-    ``pairs`` payload is malformed."""
+    ``pairs`` payload is malformed, in the nested or the compact form, or
+    a valid compact state object under an unknown ``encoding``."""
     length = draw(st.integers(1, 2))
     dim = 2**length
+    form = draw(st.sampled_from(["nested", "compact", "unknown encoding"]))
+    if form == "unknown encoding":
+        encoding = draw(st.one_of(_JUNK, st.sampled_from(["BASE64", "base64 ", "hex", "base85"])))
+        return {**state_to_json_obj(DensityMatrix(QuditShape(2, length), np.eye(dim) / dim)), "encoding": encoding}
     kind = draw(st.sampled_from(["pure", "mixed", "spectral"]))
     obj = {"level": 2, "length": length, "kind": kind}
+    good, bad = _draw_nest, malformed_nests
+    if form == "compact":
+        obj["encoding"] = "base64"
+        good, bad = _draw_encoded, malformed_encodings
     if kind == "pure":
-        obj["ket"] = draw(malformed_nests((dim,)))
+        obj["ket"] = draw(bad((dim,)))
     elif kind == "mixed":
-        obj["matrix"] = draw(malformed_nests((dim, dim)))
+        obj["matrix"] = draw(bad((dim, dim)))
     else:
-        pairs = [{"p": draw(_NUMBERS), "ket": _draw_nest(draw, (dim,))} for _ in range(draw(st.integers(1, 2)))]
+        pairs = [{"p": draw(_NUMBERS), "ket": good(draw, (dim,))} for _ in range(draw(st.integers(1, 2)))]
         k = draw(st.integers(0, len(pairs) - 1))
         how = draw(st.sampled_from(["ket", "p", "missing", "pair", "pairs"]))
         if how == "ket":
-            pairs[k]["ket"] = draw(malformed_nests((dim,)))
+            pairs[k]["ket"] = draw(bad((dim,)))
         elif how == "p":
             pairs[k]["p"] = draw(st.one_of(_JUNK, st.booleans(), st.just([0.5])))
         elif how == "missing":
@@ -224,11 +298,47 @@ def malformed_payloads(draw):
     return obj
 
 
-@settings(DETERMINISTIC, max_examples=300)
+@settings(DETERMINISTIC, max_examples=400)
 @given(malformed_payloads())
 def test_malformed_payloads_are_parse_errors(obj):
     with pytest.raises(ParseError):
         state_from_json_obj(orjson.loads(orjson.dumps(obj)))
+
+
+_FILE_SHAPES = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
+
+
+def _bits(mat: np.ndarray) -> np.ndarray:
+    """The IEEE bit patterns of a complex array, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(mat, dtype=complex).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "pure", "spectral"])
+@pytest.mark.parametrize("level, length", _FILE_SHAPES)
+@settings(DETERMINISTIC, max_examples=3)
+@given(st.integers(0, 2**32 - 1))
+def test_nested_and_compact_files_read_to_the_same_bits(level, length, kind, seed):
+    # the nested file is what the writer wrote before the compact form; a
+    # mixed state's compact file is what it writes now
+    shape, rng = QuditShape(level, length), np.random.default_rng(seed)
+    head = {"level": level, "length": length, "kind": kind}
+    if kind == "pure":
+        (ket,) = random_orthonormal(rng, shape.dim, 1)
+        nested, compact = {**head, "ket": _nest(ket)}, {**head, "encoding": "base64", "ket": _encode(ket)}
+    else:
+        rho = random_density(rng, shape, int(rng.integers(1, shape.dim + 1)))
+    if kind == "mixed":
+        nested, compact = {**head, "matrix": _nest(rho.mat)}, state_to_json_obj(rho)
+    elif kind == "spectral":
+        form = spectral_decompose(rho)
+        pairs = list(zip(form.weights.tolist(), form.kets.T))
+        nested = {**head, "pairs": [{"p": p, "ket": _nest(ket)} for p, ket in pairs]}
+        compact = {**head, "encoding": "base64", "pairs": [{"p": p, "ket": _encode(ket)} for p, ket in pairs]}
+    from_nested = load_state("nested.json", data=orjson.dumps(nested))
+    from_compact = load_state("compact.json", data=orjson.dumps(compact))
+    assert np.array_equal(_bits(from_nested.mat), _bits(from_compact.mat))
+    if kind == "mixed":
+        assert np.array_equal(_bits(from_compact.mat), _bits(rho.mat))
 
 
 # Products of qudits drawn from a small pool share marginals, so their

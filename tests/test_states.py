@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -275,11 +276,13 @@ def test_state_file_special_floats_are_exact(tmp_path):
     save_state(DensityMatrix(QuditShape(2, 1), mat), path)
     assert np.array_equal(_bits(load_state(path).mat), _bits(mat))
 
-    # no valid state holds 1e300, so that value is checked at the file level
+    # no valid state holds 1e300, so that value is checked at the file level:
+    # the payload is the row-major bytes of little-endian complex128
     raw = np.array([[1e300, complex(third, 5e-324)], [complex(-0.0, -third), 5e-324]])
     save_state(DensityMatrix(QuditShape(2, 1), raw), path)
     for parsed in (json.loads(path.read_text(encoding="utf-8")), orjson.loads(path.read_bytes())):
-        back = np.array(parsed["matrix"], dtype=float).view(complex)[..., 0]
+        assert parsed["encoding"] == "base64"
+        back = np.frombuffer(base64.b64decode(parsed["matrix"], validate=True), dtype="<c16").reshape(2, 2)
         assert np.array_equal(_bits(back), _bits(raw))
     assert b" " not in path.read_bytes()  # compact separators
 
@@ -336,6 +339,58 @@ _TWO_ROWS = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 def test_malformed_state_objects_raise_parse_error(obj):
     with pytest.raises(ParseError):
         state_from_json_obj(obj)
+
+
+def _compact(kind: str, **payload) -> dict:
+    return {"level": 2, "length": 1, "kind": kind, "encoding": "base64", **payload}
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<c16").tobytes()).decode("ascii")
+
+
+_HALF = _b64(np.eye(2) / 2)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        pytest.param(_compact("mixed", matrix=_TWO_ROWS), "expected a base64 string, got list", id="nest"),
+        pytest.param(_compact("mixed", matrix=None), "expected a base64 string, got NoneType", id="null"),
+        pytest.param(_compact("pure", ket=5), "malformed ket: expected a base64 string", id="ket-number"),
+        pytest.param(_compact("mixed", matrix=_HALF[:-1]), "bad base64", id="bad-padding"),
+        pytest.param(_compact("mixed", matrix="!" + _HALF[1:]), "bad base64", id="bad-character"),
+        pytest.param(_compact("mixed", matrix=_HALF[:4] + "\n" + _HALF[4:]), "bad base64", id="newline"),
+        pytest.param(_compact("mixed", matrix="\u00e9" * 4), "bad base64", id="non-ascii"),
+        pytest.param(_compact("mixed", matrix=_b64(np.eye(2)[0] / 2)), "expected 64 bytes .* got 32", id="short"),
+        pytest.param(_compact("mixed", matrix=_b64(np.eye(3) / 3)), "expected 64 bytes .* got 144", id="long"),
+        pytest.param(_compact("pure", ket=_b64([1.0])), "malformed ket: expected 32 bytes .* got 16", id="short-ket"),
+        pytest.param(
+            _compact("spectral", pairs=[{"p": 1.0, "ket": _b64([1.0, 0.0, 0.0])}]),
+            "malformed spectral ket: expected 32 bytes .* got 48",
+            id="long-spectral-ket",
+        ),
+        pytest.param(_compact("spectral", pairs=[{"p": 1.0, "ket": [[1.0, 0.0], [0.0, 0.0]]}]),
+                     "malformed spectral ket: expected a base64 string", id="nested-spectral-ket"),
+        pytest.param({**_compact("mixed", matrix=_HALF), "encoding": "hex"}, "unknown encoding 'hex'", id="hex"),
+        pytest.param({**_compact("mixed", matrix=_HALF), "encoding": None}, "unknown encoding None", id="null-encoding"),
+        pytest.param(
+            {"level": 2, "length": 1, "kind": "mixed", "matrix": _HALF}, "numeric \\[re, im\\] pairs", id="no-encoding"
+        ),
+        *(
+            pytest.param(obj, "non-finite", id=f"{kind}-{value!r}")
+            for value in (np.nan, np.inf, complex(0.5, -np.inf))
+            for kind, obj in (
+                ("mixed", _compact("mixed", matrix=_b64([[0.5, value], [np.conj(value), 0.5]]))),
+                ("pure", _compact("pure", ket=_b64([value, 0.0]))),
+                ("spectral", _compact("spectral", pairs=[{"p": 1.0, "ket": _b64([value, 0.0])}])),
+            )
+        ),
+    ],
+)
+def test_malformed_compact_payloads_name_the_fault(obj, message):
+    with pytest.raises(ParseError, match=message):
+        state_from_json_obj(orjson.loads(orjson.dumps(obj)))
 
 
 @pytest.mark.parametrize(
