@@ -1,15 +1,19 @@
 """Deletion channels, qudit index permutations, and insertion-state construction.
 
 Deletion at position p is the partial trace over qudit p.  The deletion
-spheres D^0, D^1, ... of a state form a ladder, ``deletion_levels``: each
-level's candidates are traced from the level before, bit-identical to tracing
-each subset from the state, and a sphere is the read-only result of one
-greedy dedup, ``distinct_rows``, of one level.  Where spheres first meet is
-found by one kernel, ``first_meeting``.  Each dedup and each comparison is one
+spheres D^0, D^1, ... of a state form a ladder, ``deletion_levels``.  Its
+levels come from the one level builder, ``_traced_levels``, which traces
+each level's candidates from the level before, bit-identical to tracing
+each subset from the state, for one state or a stack of states alike.  A
+sphere is the read-only result of one greedy dedup, ``distinct_rows``, of
+one level, and the greedy rule is one loop, ``_distinct_mask``.  Where
+spheres first meet is found by one kernel, ``first_meeting``.  Each
+``distinct_rows`` dedup and each ``first_meeting`` comparison is one
 screened call of ``linalg.cross_distances``: only pairs whose diagonals lie
 within eq_tol get a full distance.  Whether the spheres of many pairs of
 states meet is one ``_levels_meet`` call on their stacked levels, which
-dedups and compares every pair's levels in three batched calls.
+dedups each pair's levels by ``_distinct_mask`` and compares them, in three
+unscreened batched calls.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -213,34 +217,41 @@ def _screened_distances(
     return out
 
 
+def _distinct_mask(near: np.ndarray) -> np.ndarray:
+    """The rows ``distinct_rows`` keeps, as a ``(..., k)`` mask, from the
+    ``(..., k, k)`` mask of row pairs within eq_tol of each other: row c is
+    kept iff no kept row before it is within eq_tol.  Only the pairs (i, c)
+    with i < c are read."""
+    dropped = np.zeros(near.shape[:-1], dtype=bool)
+    # only a column with an earlier row within eq_tol, in some batch entry,
+    # can drop its row; the columns are visited in order
+    rows, cols = np.nonzero(near)[-2:]
+    for c in sorted(set(cols[rows < cols].tolist())):
+        dropped[..., c] = (near[..., :c, c] & ~dropped[..., :c]).any(axis=-1)
+    return ~dropped
+
+
 def distinct_rows(buf: np.ndarray, eq_tol: float) -> tuple[list[int], list[int]]:
     """Greedy dedup of a ``(k, d, d)`` buffer, which is left as it is.
 
     Candidates are taken in order; one becomes a member only if its
     Frobenius distance to every member kept so far exceeds eq_tol, and
     otherwise joins the first member within eq_tol.  The distances of all
-    pairs come from one screened call.  Returns ``(kept, joined)``: ``kept``
-    lists the candidates that became members, in order, and ``joined[c]`` is
-    the index of the member candidate c became or joined.
+    pairs come from one screened call and the members from
+    ``_distinct_mask``, the one greedy rule.  Returns ``(kept, joined)``:
+    ``kept`` lists the candidates that became members, in order, and
+    ``joined[c]`` is the index of the member candidate c became or joined.
     """
     if len(buf) <= 1:
         return list(range(len(buf))), list(range(len(buf)))
-    # earlier[c]: the candidates before c within eq_tol of it, in order
-    earlier: dict[int, list[int]] = {}
     near = _screened_distances(buf, buf, eq_tol, later_only=True) <= eq_tol
-    for i, c in zip(*(axis.tolist() for axis in np.nonzero(near))):
-        if i < c:
-            earlier.setdefault(c, []).append(i)
-    kept: list[int] = []
-    joined: list[int] = []
-    member: dict[int, int] = {}  # kept candidate -> its member index
-    for c in range(len(buf)):
-        hit = next((member[i] for i in earlier.get(c, ()) if i in member), None)
-        if hit is None:
-            hit = member[c] = len(kept)
-            kept.append(c)
-        joined.append(hit)
-    return kept, joined
+    np.fill_diagonal(near, True)  # the screen leaves it out; a kept c joins itself
+    kept = _distinct_mask(near)
+    members = np.flatnonzero(kept)
+    # column c's first kept row within eq_tol: a dropped c's first kept
+    # candidate before it, else c itself (no kept row before c is near it)
+    first = (near & kept[:, None]).argmax(axis=0)
+    return members.tolist(), np.searchsorted(members, first).tolist()
 
 
 def first_meeting(
@@ -273,32 +284,12 @@ def first_meeting(
     return None
 
 
-def _deletion_level(mats: np.ndarray, shape: QuditShape, s: int) -> np.ndarray:
-    """The raw s-deletions of each state of ``shape`` in the ``(B, d, d)``
-    stack ``mats``: a ``(B, C(n, s), d_s, d_s)`` array whose rows follow
-    ``combinations`` order, each traced from the state by one batched
-    ``trace_out`` (the bits of the row ``_traced_levels`` gives), with no
-    other level kept."""
-    n = shape.length
-    return np.stack([trace_out(mats, IndexSet(c, n), shape.level) for c in combinations(range(1, n + 1), s)], axis=1)
-
-
-def _distinct_mask(near: np.ndarray) -> np.ndarray:
-    """The rows ``distinct_rows`` keeps, as a ``(..., k)`` mask, from the
-    ``(..., k, k)`` mask of row pairs within eq_tol of each other: row c is
-    kept iff no kept row before it is within eq_tol."""
-    kept = np.zeros(near.shape[:-1], dtype=bool)
-    for c in range(near.shape[-1]):
-        kept[..., c] = ~(near[..., :c, c] & kept[..., :c]).any(axis=-1)
-    return kept
-
-
 def _levels_meet(left: np.ndarray, right: np.ndarray, eq_tol: float) -> np.ndarray:
     """For ``(B, ka, d, d)`` and ``(B, kb, d, d)`` stacks of raw sphere
-    levels, whether each entry's two levels, each deduplicated greedily as
-    ``distinct_rows`` does, have rows within eq_tol of each other: the
-    verdict of ``SphereSet.intersection_witness`` of the two spheres, for
-    B pairs of levels in three ``cross_distances`` calls.
+    levels, whether each entry's two levels, each deduplicated by
+    ``_distinct_mask`` as ``distinct_rows`` is, have rows within eq_tol of
+    each other: the verdict of ``SphereSet.intersection_witness`` of the two
+    spheres, for B pairs of levels in three ``cross_distances`` calls.
 
     The kept rows, not the raw ones, are compared: a dropped row can lie
     within eq_tol of the other level while the row that absorbed it does not.
@@ -348,29 +339,32 @@ class SphereSet:
         return None if hit is None else hit[2:]
 
 
-def _traced_levels(rho: DensityMatrix) -> Iterator[np.ndarray]:
-    """The raw deletion levels of rho: for s = 0, 1, ..., n one ``(C(n, s), d, d)``
-    buffer whose rows are the deletions at each s-subset in ``combinations``
-    order.
+def _traced_levels(mats: np.ndarray, shape: QuditShape) -> Iterator[np.ndarray]:
+    """The raw deletion levels of each state of ``shape`` in the ``(..., d, d)``
+    stack ``mats`` (a lone state passes its matrix): for s = 0, 1, ..., n one
+    ``(..., C(n, s), d_s, d_s)`` array whose rows are the deletions at each
+    s-subset in ``combinations`` order.
 
     Subset c = (c1 < ... < cs) is traced from the row of its parent c[1:] by
     tracing position c1, which c[1:] leaves unnumbered, so each row is the
-    one ``trace_out(rho.mat, IndexSet(c, n), l)`` gives, bit for bit.  The
+    one ``trace_out(mat, IndexSet(c, n), l)`` gives, bit for bit.  The
     children with c1 = p are a contiguous block whose parents are the last
     C(n - p, s - 1) rows of the level before, so a level is n - s + 1 batched
     ``trace_out`` calls, each written into its block of the level.
     """
-    n, l = rho.length, rho.level
-    raw = rho.mat[None]
+    n, l = shape.length, shape.level
+    batch = mats.shape[:-2]
+    raw = mats[..., None, :, :]
     yield raw
     for s in range(1, n + 1):
         dim = l ** (n - s)
-        level = np.empty((comb(n, s), dim, dim), dtype=complex)
+        level = np.empty((*batch, comb(n, s), dim, dim), dtype=complex)
         row = 0
         for p in range(1, n - s + 2):
-            parents = raw[len(raw) - comb(n - p, s - 1) :]
-            level[row : row + len(parents)] = trace_out(parents, IndexSet((p,), n - s + 1), l)
-            row += len(parents)
+            count = comb(n - p, s - 1)
+            parents = raw[..., -count:, :, :]
+            level[..., row : row + count, :, :] = trace_out(parents, IndexSet((p,), n - s + 1), l)
+            row += count
         raw = level
         yield raw
 
@@ -386,7 +380,7 @@ def deletion_levels(
     kept.
     """
     n = rho.length
-    for s, raw in enumerate(_traced_levels(rho)):
+    for s, raw in enumerate(_traced_levels(rho.mat, rho.shape)):
         if s < start:
             continue
         shape = QuditShape(rho.level, n - s)
@@ -400,7 +394,7 @@ def deletion_levels(
 def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance = Tolerance()) -> SphereSet:
     """D^s(rho): level s of ``deletion_levels``, the only one deduplicated."""
     n = rho.length
-    if not 0 <= s <= n:
+    if _count(s, "deletion count") > n:
         raise CountOutOfRange(f"deletion count {s} not in [0, {n}]")
     return next(deletion_levels(rho, tol, s))
 
@@ -474,7 +468,8 @@ def _count(value, what: str, least: int = 0) -> int:
     except TypeError as exc:
         raise CountOutOfRange(f"{what} must be an integer, got {value!r}") from exc
     if value < least:
-        raise CountOutOfRange(f"{what} must be at least {least}, got {value}")
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise CountOutOfRange(f"{what} must be {bound}, got {value}")
     return value
 
 
@@ -622,8 +617,7 @@ def _check_composed(sigma: DensityMatrix, rho: DensityMatrix, s: int, t: int) ->
     """Raise unless sigma has the shape of a state in a sphere of rho composed
     of s deletions and t insertions: nonnegative counts (``CountOutOfRange``),
     rho's level (``LevelMismatch``) and length n - s + t (``ShapeMismatch``)."""
-    if s < 0 or t < 0:
-        raise CountOutOfRange(f"counts must be nonnegative, got s={s}, t={t}")
+    s, t = _count(s, "deletion count s"), _count(t, "insertion count t")
     if sigma.level != rho.level:
         raise LevelMismatch(f"levels differ: {sigma.level} vs {rho.level}")
     if sigma.length != rho.length - s + t:

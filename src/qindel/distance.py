@@ -28,8 +28,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import IndexSet, SphereSet, deletion_levels, distinct_rows, first_meeting
-from .errors import CountOutOfRange, DuplicateStates, LevelMismatch, ParseError, ShapeMismatch, TooFewStates
+from .channels import IndexSet, SphereSet, _count, deletion_levels, distinct_rows, first_meeting
+from .errors import DuplicateStates, LevelMismatch, ParseError, ShapeMismatch, TooFewStates
 from .feasibility import FeasibilityStatus, member_del_ins
 from .linalg import Tolerance
 from .states import DensityMatrix, state_to_json_obj
@@ -190,8 +190,7 @@ def corrects(code: CodeSample, t: int, kind: str = "deletions") -> Verdict:
                       t deletion-plus-insertion errors (deletion capability
                       transfers to mixed batches).
     """
-    if t < 1:
-        raise CountOutOfRange(f"need t >= 1, got {t}")
+    t = _count(t, "error count t", least=1)
     if kind not in ("deletions", "total"):
         raise ParseError(f"unknown kind {kind!r}")
     value, pair, result = min_distance(code)
@@ -216,8 +215,7 @@ def corrects_insertions(code: CodeSample, t: int) -> Verdict:
     a re-checked Farkas certificate; False on a re-checked witness.  Any
     inconclusive pair makes the overall verdict unknown rather than true.
     """
-    if t < 1:
-        raise CountOutOfRange(f"need t >= 1, got {t}")
+    t = _count(t, "error count t", least=1)
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
     pairs = []

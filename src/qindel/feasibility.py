@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
-from .channels import IndexSet, _as_index_set, _check_composed, _count, _deletion_level, _insertion_set, _levels_meet
+from .channels import IndexSet, _as_index_set, _check_composed, _count, _insertion_set, _levels_meet, _traced_levels
 from .channels import _sample_batch, partial_trace, trace_out, trace_out_adjoint
 from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
@@ -169,10 +169,11 @@ def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance())
     ``_levels_meet`` call per (sigma shape, rho shape) group.
 
     Each pair is checked first (``_check_composed``, and s at most rho's
-    length).  A group's levels t of its sigmas and s of its rhos are traced
-    as two stacks, each deduplicated per pair as ``deletion_sphere`` does,
-    and compared at eq_tol of their common dimension: each verdict is the
-    one ``deletion_sphere(sigma, t).intersection_witness(deletion_sphere(rho, s))``
+    length).  A group's levels t of its sigmas and s of its rhos are read
+    off two stacked ladders (``_traced_levels``, the one ``deletion_sphere``
+    reads), each deduplicated per pair as ``deletion_sphere`` does, and
+    compared at eq_tol of their common dimension: each verdict is the one
+    ``deletion_sphere(sigma, t).intersection_witness(deletion_sphere(rho, s))``
     reads.
     """
     groups: dict[tuple, list[int]] = {}
@@ -183,8 +184,9 @@ def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance())
         groups.setdefault((sigma.shape, rho.shape), []).append(i)
     verdicts = [False] * len(sigmas)
     for (sigma_shape, rho_shape), members in groups.items():
-        left = _deletion_level(np.stack([sigmas[i].mat for i in members]), sigma_shape, t)
-        right = _deletion_level(np.stack([rhos[i].mat for i in members]), rho_shape, s)
+        # each ladder, and the stack it holds, is dropped once its level is read
+        left = next(islice(_traced_levels(np.stack([sigmas[i].mat for i in members]), sigma_shape), t, None))
+        right = next(islice(_traced_levels(np.stack([rhos[i].mat for i in members]), rho_shape), s, None))
         eq_tol = tol.at(rho_shape.level ** (rho_shape.length - s)).eq_tol
         for i, meets in zip(members, _levels_meet(left, right, eq_tol).tolist()):
             verdicts[i] = meets

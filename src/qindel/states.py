@@ -189,7 +189,8 @@ def density_from_ket(amplitudes, shape: QuditShape, tol: Tolerance = Tolerance()
         raise ShapeMismatch(f"ket length {vec.shape[0]} does not match dim {shape.dim}")
     if not np.isfinite(vec).all():
         raise NotNormalized("ket has non-finite entries")
-    residual = abs(np.linalg.norm(vec) - 1.0)
+    with np.errstate(over="ignore"):  # a finite ket past the float range has norm inf
+        residual = abs(np.linalg.norm(vec) - 1.0)
     if residual > tol.at(shape.dim).eq_tol:
         raise NotNormalized(f"ket norm differs from 1 by {residual:.3e}", residual)
     return DensityMatrix(shape, np.outer(vec, vec.conj()))

@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 from itertools import combinations
 
@@ -258,6 +259,22 @@ def test_sphere_set_matches_greedy_oracle(rng):
     assert reps == ["base", "off1", "off3", "off5"]
 
 
+@pytest.mark.parametrize("length", [3, 6])
+def test_a_candidate_near_only_a_dropped_one_is_kept(rng, length):
+    # along one direction, at 0, 0.8, 10, 1.7 and 5 eq_tol: the fourth lies
+    # within eq_tol only of the dropped second, so it is kept, and every
+    # candidate joins a member, never a dropped candidate; at d = 64 the
+    # diagonals agree, so the screen passes every pair
+    shape = QuditShape(2, length)
+    eq_tol = Tolerance().at(shape.dim).eq_tol
+    base = random_density(rng, shape).mat
+    step = _hermitian_step(rng, shape.dim, "off")
+    candidates = [(f"x{k}", base + t * eq_tol * step) for k, t in enumerate((0, 0.8, 10, 1.7, 5))]
+    assert (len(candidates) ** 2 * shape.dim**2 > qindel.channels._CHUNK) == (length == 6)
+    assert_matches_oracle(candidates, eq_tol)
+    assert distinct_rows(np.stack([mat for _, mat in candidates]), eq_tol) == ([0, 2, 3, 4], [0, 0, 1, 2, 3])
+
+
 def _unscreened_witness(a, b, eq_tol):
     dist = cross_distances(a, b)
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
@@ -385,7 +402,7 @@ def test_deletion_levels_match_per_subset_traces(rng, level, lengths):
         shape = QuditShape(level, n)
         product = repeated_product(rng, level, n)
         for rho in (random_density(rng, shape), random_density(rng, shape, 1), product):
-            raws = list(_traced_levels(rho))
+            raws = list(_traced_levels(rho.mat, rho.shape))
             spheres = list(deletion_levels(rho))
             assert len(raws) == len(spheres) == n + 1
             for s, (raw, sphere) in enumerate(zip(raws, spheres)):
@@ -400,6 +417,29 @@ def test_deletion_levels_match_per_subset_traces(rng, level, lengths):
                 assert direct.reps == sphere.reps and np.array_equal(direct.stack, sphere.stack)
             if rho is product:  # the repeated factor merges each level to one member
                 assert [len(sphere) for sphere in spheres] == [1] * (n + 1)
+
+
+@pytest.mark.parametrize("level, n", [(2, 3), (2, 4), (3, 2), (3, 3)])
+@pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+def test_stacked_ladders_give_each_state_its_lone_rows(rng, level, n, batch):
+    # one ladder serves a lone state and a batch: each entry's rows are the
+    # lone ladder's rows, bit for bit, at every level
+    shape = QuditShape(level, n)
+    rhos = [random_density(rng, shape, int(rng.integers(1, shape.dim + 1))) for _ in range(math.prod(batch))]
+    mats = np.stack([rho.mat for rho in rhos]).reshape(*batch, shape.dim, shape.dim)
+    stacked = list(_traced_levels(mats, shape))
+    assert len(stacked) == n + 1
+    for k, rho in enumerate(rhos):
+        for s, (level_rows, lone) in enumerate(zip(stacked, _traced_levels(rho.mat, shape))):
+            assert level_rows.shape == (*batch, math.comb(n, s), *lone.shape[-2:])
+            rows = level_rows.reshape(-1, *lone.shape)[k]
+            assert rows.tobytes() == lone.tobytes()
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_distinct_rows_of_no_row_or_one(count):
+    # the dedup of fewer than two candidates needs no distance and keeps each
+    assert distinct_rows(np.zeros((count, 2, 2), dtype=complex), 1e-9) == ([0] * count, [0] * count)
 
 
 def test_sphere_members_are_read_only_views(rng):

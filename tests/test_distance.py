@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qindel.channels import delete
+from qindel.channels import delete, deletion_sphere
 from qindel.codes import (
     builtin_code,
     collision_pair_x2,
@@ -30,7 +30,7 @@ from qindel.errors import (
     ShapeMismatch,
     TooFewStates,
 )
-from qindel.feasibility import FeasibilityReport, FeasibilityStatus
+from qindel.feasibility import FeasibilityReport, FeasibilityStatus, member_del_ins, member_ins_del
 from qindel.linalg import Tolerance
 from qindel.rand import random_density
 from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, state_to_json_obj
@@ -282,6 +282,28 @@ def test_code_sample_names_the_mismatch():
         CodeSample((qubit, qutrit), ("a", "b"))
     with pytest.raises(ShapeMismatch, match="lengths"):
         CodeSample((qubit, pair), ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda rho, code: deletion_sphere(rho, 1.5), id="deletion_sphere-float"),
+        pytest.param(lambda rho, code: deletion_sphere(rho, "1"), id="deletion_sphere-string"),
+        pytest.param(lambda rho, code: corrects(code, "1"), id="corrects-string"),
+        pytest.param(lambda rho, code: corrects(code, np.float64(1)), id="corrects-numpy-float"),
+        pytest.param(lambda rho, code: corrects_insertions(code, 1.5), id="corrects_insertions-float"),
+        pytest.param(lambda rho, code: member_del_ins(rho, rho, 1.5, 1.5), id="member_del_ins-floats"),
+        pytest.param(lambda rho, code: member_ins_del(rho, rho, 1.0, 1), id="member_ins_del-float-s"),
+        pytest.param(lambda rho, code: member_ins_del(rho, rho, 1, "1"), id="member_ins_del-string-t"),
+    ],
+)
+def test_non_integer_counts_are_refused_by_name(call):
+    # every count goes through one check: a float or a string is a
+    # CountOutOfRange, never a bare TypeError or a silently empty sphere
+    rho = example_rho(0.5, 0.5)
+    code = CodeSample.from_states([rho, example_psi(0.5, 0.5)])
+    with pytest.raises(CountOutOfRange, match="must be an integer"):
+        call(rho, code)
 
 
 def test_corrects_insertions_refuses_bad_counts_and_small_codes():

@@ -186,3 +186,37 @@ def test_every_raise_names_a_package_error():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         unnamed += [f"{path.name}:{line}" for line in _unnamed_raises(tree, named)]
     assert not unnamed, f"raise without a qindel.errors class: {unnamed}"
+
+
+MODULES = sorted(path.stem for path in (ROOT / "src" / "qindel").glob("*.py") if path.stem != "__init__")
+# a backticked `module.attr` or `module.attr.attr`, optionally `qindel.`-prefixed,
+# at the start of a code span (a call's arguments may follow)
+README_REFERENCE = re.compile(rf"`(?:qindel\.)?((?:{'|'.join(MODULES)})(?:\.\w+){{1,2}})(?![\w.])")
+
+
+def _span_strings() -> set[str]:
+    """Every string literal in ``perfbench/spans.py``, read, not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def _resolves(reference: str) -> bool:
+    module, *attrs = reference.split(".")
+    obj = importlib.import_module(f"qindel.{module}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_every_readme_reference_resolves():
+    # a README that names a module's function, class or constant names one
+    # that exists, or a metric the benchmark's tracer emits; a stale name
+    # (a helper since deleted) fails here
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    references = {match.group(1) for match in README_REFERENCE.finditer(text)}
+    assert "channels.first_meeting" in references
+    spans = _span_strings()
+    stale = sorted(ref for ref in references if not _resolves(ref) and ref not in spans)
+    assert not stale, f"README names what no qindel module has: {stale}"

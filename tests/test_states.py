@@ -394,6 +394,22 @@ def test_malformed_compact_payloads_name_the_fault(obj, message):
 
 
 @pytest.mark.parametrize(
+    "obj",
+    [
+        pytest.param({"level": 2, "length": 1, "kind": "pure", "ket": [[1e300, 0.0], [1e300, 0.0]]}, id="nested"),
+        pytest.param(_compact("pure", ket=_b64([1e300, 1e300])), id="compact"),
+    ],
+)
+def test_a_ket_whose_norm_overflows_is_a_parse_error(obj):
+    # the entries are finite but the norm is past the float range: the reader
+    # names it (residual inf), with no numpy overflow warning on the way
+    with pytest.raises(ParseError, match="ket norm differs from 1 by inf") as info:
+        state_from_json_obj(obj)
+    assert isinstance(info.value.__cause__, NotNormalized)
+    assert info.value.__cause__.residual == np.inf
+
+
+@pytest.mark.parametrize(
     "content",
     [
         b'{"level": 2, "length": 1, "kind": "mixed", "matrix": '
