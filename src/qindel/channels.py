@@ -5,15 +5,14 @@ spheres D^0, D^1, ... of a state form a ladder, ``deletion_levels``.  Its
 levels come from the one level builder, ``_traced_levels``, which traces
 each level's candidates from the level before, bit-identical to tracing
 each subset from the state, for one state or a stack of states alike.  A
-sphere is the read-only result of one greedy dedup, ``distinct_rows``, of
-one level, and the greedy rule is one loop, ``_distinct_mask``.  Where
-spheres first meet is found by one kernel, ``first_meeting``.  Each
-``distinct_rows`` dedup and each ``first_meeting`` comparison is one
-screened call of ``linalg.cross_distances``: only pairs whose diagonals lie
-within eq_tol get a full distance.  Whether the spheres of many pairs of
-states meet is one ``_levels_meet`` call on their stacked levels, which
-dedups each pair's levels by ``_distinct_mask`` and compares them, in three
-unscreened batched calls.
+sphere is the read-only result of one greedy dedup of one level by
+``_dedup_levels``, for one state or each state of a stack; the greedy
+rule is one loop, ``_distinct_mask``, which ``distinct_rows`` applies to
+any buffer.  Where spheres first meet is found by one kernel,
+``first_meeting``.  Every dedup and every comparison of rows is one call
+of ``_screened_distances``, on a lone stack or a batch of stacks: only
+pairs whose diagonals lie within eq_tol get a full
+``linalg.cross_distances`` distance.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -186,10 +185,9 @@ def delete(rho: DensityMatrix, positions) -> DensityMatrix:
     return DensityMatrix(QuditShape(rho.level, rho.length - pset.size), reduced)
 
 
-def _screened_distances(
-    a: np.ndarray, b: np.ndarray, eq_tol: float, *, later_only: bool = False
-) -> np.ndarray:
-    """``cross_distances(a, b)`` wherever it can be within eq_tol, ``inf`` elsewhere.
+def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float) -> np.ndarray:
+    """``cross_distances(a, b)`` of two ``(..., k, d, d)`` stacks with the same
+    batch axes wherever it can be within eq_tol, ``inf`` elsewhere.
 
     The distance between the diagonals bounds the Frobenius distance from
     below (its squared sum is part of the full one), so full distances are
@@ -198,17 +196,17 @@ def _screened_distances(
     less than 1e-11 relative, so every pair set to ``inf`` is farther than
     eq_tol, and every entry that is kept is the one ``cross_distances``
     gives.  Stacks whose every pair fits in one chunk are compared in full,
-    in one call, which no screen can undercut.  ``later_only`` (for ``a``
-    and ``b`` one stack) leaves the pairs (i, j) with i >= j out of the
-    screen; the caller reads only the entries with i < j.
+    in one call, which no screen can undercut; otherwise each batch entry is
+    screened on its own and gets the bits of its lone call.  When ``a`` is
+    ``b``, only the pairs (i, j) with i < j, all a dedup reads, are screened in.
     """
-    if len(a) * len(b) * a.shape[-1] ** 2 <= _CHUNK:
+    if a.shape[-3] * b.shape[-3] * a.shape[-1] ** 2 <= _CHUNK:
         return cross_distances(a, b)
-    lower = cross_distances(
-        np.diagonal(a, axis1=1, axis2=2)[:, None], np.diagonal(b, axis1=1, axis2=2)[:, None]
-    )
+    if a.ndim > 3:
+        return np.stack([_screened_distances(x, x if a is b else y, eq_tol) for x, y in zip(a, b)])
+    lower = cross_distances(np.diagonal(a, axis1=1, axis2=2)[:, None], np.diagonal(b, axis1=1, axis2=2)[:, None])
     near = lower <= eq_tol * (1 + 1e-6)
-    if later_only:
+    if a is b:
         near &= np.arange(len(a))[:, None] < np.arange(len(b))
     out = np.full(lower.shape, np.inf)
     for i in np.flatnonzero(near.any(axis=1)):
@@ -218,7 +216,7 @@ def _screened_distances(
 
 
 def _distinct_mask(near: np.ndarray) -> np.ndarray:
-    """The rows ``distinct_rows`` keeps, as a ``(..., k)`` mask, from the
+    """The rows a greedy dedup keeps, as a ``(..., k)`` mask, from the
     ``(..., k, k)`` mask of row pairs within eq_tol of each other: row c is
     kept iff no kept row before it is within eq_tol.  Only the pairs (i, c)
     with i < c are read."""
@@ -244,7 +242,7 @@ def distinct_rows(buf: np.ndarray, eq_tol: float) -> tuple[list[int], list[int]]
     """
     if len(buf) <= 1:
         return list(range(len(buf))), list(range(len(buf)))
-    near = _screened_distances(buf, buf, eq_tol, later_only=True) <= eq_tol
+    near = _screened_distances(buf, buf, eq_tol) <= eq_tol
     np.fill_diagonal(near, True)  # the screen leaves it out; a kept c joins itself
     kept = _distinct_mask(near)
     members = np.flatnonzero(kept)
@@ -284,22 +282,6 @@ def first_meeting(
     return None
 
 
-def _levels_meet(left: np.ndarray, right: np.ndarray, eq_tol: float) -> np.ndarray:
-    """For ``(B, ka, d, d)`` and ``(B, kb, d, d)`` stacks of raw sphere
-    levels, whether each entry's two levels, each deduplicated by
-    ``_distinct_mask`` as ``distinct_rows`` is, have rows within eq_tol of
-    each other: the verdict of ``SphereSet.intersection_witness`` of the two
-    spheres, for B pairs of levels in three ``cross_distances`` calls.
-
-    The kept rows, not the raw ones, are compared: a dropped row can lie
-    within eq_tol of the other level while the row that absorbed it does not.
-    """
-    kept_left = _distinct_mask(cross_distances(left, left) <= eq_tol)
-    kept_right = _distinct_mask(cross_distances(right, right) <= eq_tol)
-    near = cross_distances(left, right) <= eq_tol
-    return (near & kept_left[:, :, None] & kept_right[:, None, :]).any(axis=(1, 2))
-
-
 @dataclass(frozen=True, eq=False)
 class SphereSet:
     """The distinct members of a deduplicated stack of same-shape states.
@@ -308,7 +290,7 @@ class SphereSet:
     only copy; ``states`` wraps views of its rows on first access.  ``reps``
     holds, per member, the tag of the first candidate that produced it (the
     index set, for a deletion sphere); ``raw_count`` counts every candidate
-    offered to ``distinct_rows``.
+    offered to the dedup.
     """
 
     shape: QuditShape
@@ -334,7 +316,13 @@ class SphereSet:
         self, other: "SphereSet"
     ) -> tuple[int, int, float] | None:
         """Indices of the closest cross pair (first in row-major order among
-        equals) if within eq_tol, else None: ``first_meeting`` of the two stacks."""
+        equals) if within eq_tol, else None: ``first_meeting`` of the two
+        stacks.  Spheres of different levels (``LevelMismatch``) or lengths
+        (``ShapeMismatch``) are refused."""
+        if self.shape.level != other.shape.level:
+            raise LevelMismatch(f"levels differ: {self.shape.level} vs {other.shape.level}")
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"sphere shapes differ: {self.shape} vs {other.shape}")
         hit = first_meeting([self.stack, other.stack], max(self.eq_tol, other.eq_tol))
         return None if hit is None else hit[2:]
 
@@ -362,40 +350,49 @@ def _traced_levels(mats: np.ndarray, shape: QuditShape) -> Iterator[np.ndarray]:
         row = 0
         for p in range(1, n - s + 2):
             count = comb(n - p, s - 1)
-            parents = raw[..., -count:, :, :]
-            level[..., row : row + count, :, :] = trace_out(parents, IndexSet((p,), n - s + 1), l)
+            # the parents are not named, so no view keeps the level before alive past this level
+            level[..., row : row + count, :, :] = trace_out(raw[..., -count:, :, :], IndexSet((p,), n - s + 1), l)
             row += count
         raw = level
         yield raw
+
+
+def _dedup_levels(mats: np.ndarray, shape: QuditShape, tol: Tolerance, start: int = 0) -> Iterator[tuple]:
+    """For s = start, ..., n, level s of ``_traced_levels(mats, shape)`` as
+    ``(eq_tol, raw, kept)``: eq_tol at the level's dimension, the raw
+    ``(..., C(n, s), d_s, d_s)`` level, and the ``(..., C(n, s))`` mask of
+    the rows each state's greedy dedup keeps, from one screened
+    self-comparison.  A one-row level keeps its row without a distance."""
+    for s, raw in enumerate(_traced_levels(mats, shape)):
+        if s < start:
+            continue
+        eq_tol = tol.at(shape.level ** (shape.length - s)).eq_tol
+        if raw.shape[-3] == 1:
+            yield eq_tol, raw, np.ones(raw.shape[:-2], dtype=bool)
+        else:
+            yield eq_tol, raw, _distinct_mask(_screened_distances(raw, raw, eq_tol) <= eq_tol)
 
 
 def deletion_levels(
     rho: DensityMatrix, tol: Tolerance = Tolerance(), start: int = 0
 ) -> Iterator[SphereSet]:
     """D^start(rho), D^(start+1)(rho), ..., D^n(rho), each level traced from
-    the one before and deduplicated greedily within eq_tol at its dimension.
-
-    Levels below ``start`` are traced but not deduplicated.  Each level is
-    built only when it is asked for, from the last raw level, the only one
-    kept.
+    the one before and deduplicated greedily within eq_tol at its dimension
+    (``_dedup_levels``).  ``start``, a deletion count, must be an integer in
+    [0, n], else the first ``next`` raises ``CountOutOfRange``.  Levels
+    below it are traced but not deduplicated.  Each level is built only when
+    it is asked for, from the last raw level, the only one kept.
     """
-    n = rho.length
-    for s, raw in enumerate(_traced_levels(rho.mat, rho.shape)):
-        if s < start:
-            continue
-        shape = QuditShape(rho.level, n - s)
-        eq_tol = tol.at(shape.dim).eq_tol
-        kept, _ = distinct_rows(raw, eq_tol)
-        combos = list(combinations(range(1, n + 1), s))
-        stack = raw if len(kept) == len(raw) else raw[kept]
-        yield SphereSet(shape, eq_tol, stack, [IndexSet(combos[c], n) for c in kept], len(raw))
+    n, start = rho.length, _count(start, "deletion count")
+    if start > n:
+        raise CountOutOfRange(f"deletion count {start} not in [0, {n}]")
+    for s, (eq_tol, raw, kept) in enumerate(_dedup_levels(rho.mat, rho.shape, tol, start), start):
+        reps = [IndexSet(c, n) for c, keep in zip(combinations(range(1, n + 1), s), kept) if keep]
+        yield SphereSet(QuditShape(rho.level, n - s), eq_tol, raw if kept.all() else raw[kept], reps, len(raw))
 
 
 def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance = Tolerance()) -> SphereSet:
     """D^s(rho): level s of ``deletion_levels``, the only one deduplicated."""
-    n = rho.length
-    if _count(s, "deletion count") > n:
-        raise CountOutOfRange(f"deletion count {s} not in [0, {n}]")
     return next(deletion_levels(rho, tol, s))
 
 
@@ -461,10 +458,10 @@ def _sample_label(k: int, count: int) -> str:
 
 def _count(value, what: str, least: int = 0) -> int:
     """A count or a seed as an int: Python or numpy integers of at least
-    ``least`` pass; a float, a string or a smaller value is refused with
-    ``CountOutOfRange`` naming ``what``."""
-    try:
-        value = operator.index(value)
+    ``least`` pass; a bool, a float, a string or a smaller value is refused
+    with ``CountOutOfRange`` naming ``what``."""
+    try:  # a bool is an int to ``operator.index``, but no count
+        value = operator.index(None if isinstance(value, bool) else value)
     except TypeError as exc:
         raise CountOutOfRange(f"{what} must be an integer, got {value!r}") from exc
     if value < least:

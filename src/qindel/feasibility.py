@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 import numpy as np
 
-from .channels import IndexSet, _as_index_set, _check_composed, _count, _insertion_set, _levels_meet, _traced_levels
-from .channels import _sample_batch, partial_trace, trace_out, trace_out_adjoint
+from .channels import IndexSet, _as_index_set, _check_composed, _count, _dedup_levels, _insertion_set
+from .channels import _sample_batch, _screened_distances, partial_trace, trace_out, trace_out_adjoint
 from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
 from .states import DensityMatrix, QuditShape, spectral_decompose
@@ -166,13 +166,14 @@ def member_ins_del(
 
 def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance()) -> list[bool]:
     """``member_ins_del(sigmas[i], rhos[i], s, t, tol)`` for every i, in one
-    ``_levels_meet`` call per (sigma shape, rho shape) group.
+    screened comparison per (sigma shape, rho shape) group.
 
     Each pair is checked first (``_check_composed``, and s at most rho's
-    length).  A group's levels t of its sigmas and s of its rhos are read
-    off two stacked ladders (``_traced_levels``, the one ``deletion_sphere``
-    reads), each deduplicated per pair as ``deletion_sphere`` does, and
-    compared at eq_tol of their common dimension: each verdict is the one
+    length).  A group's level t of its stacked sigmas and level s of its
+    stacked rhos, with the masks of their kept rows, come from
+    ``_dedup_levels``, the dedup ``deletion_sphere`` reads.  The kept rows,
+    not the raw ones, are compared, in one ``_screened_distances`` call at
+    eq_tol of the common dimension, so each verdict is the one
     ``deletion_sphere(sigma, t).intersection_witness(deletion_sphere(rho, s))``
     reads.
     """
@@ -182,15 +183,15 @@ def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance())
         if s > rho.length:
             raise CountOutOfRange(f"cannot delete s={s} qudits from a length-{rho.length} state")
         groups.setdefault((sigma.shape, rho.shape), []).append(i)
-    verdicts = [False] * len(sigmas)
+    verdicts: dict[int, bool] = {}
     for (sigma_shape, rho_shape), members in groups.items():
         # each ladder, and the stack it holds, is dropped once its level is read
-        left = next(islice(_traced_levels(np.stack([sigmas[i].mat for i in members]), sigma_shape), t, None))
-        right = next(islice(_traced_levels(np.stack([rhos[i].mat for i in members]), rho_shape), s, None))
-        eq_tol = tol.at(rho_shape.level ** (rho_shape.length - s)).eq_tol
-        for i, meets in zip(members, _levels_meet(left, right, eq_tol).tolist()):
-            verdicts[i] = meets
-    return verdicts
+        eq_tol, left, kept_left = next(_dedup_levels(np.stack([sigmas[i].mat for i in members]), sigma_shape, tol, t))
+        _, right, kept_right = next(_dedup_levels(np.stack([rhos[i].mat for i in members]), rho_shape, tol, s))
+        near = _screened_distances(left, right, eq_tol) <= eq_tol
+        meets = (near & kept_left[:, :, None] & kept_right[:, None, :]).any(axis=(1, 2))
+        verdicts.update(zip(members, meets.tolist()))
+    return [verdicts[i] for i in range(len(sigmas))]
 
 
 def feasibility_del_ins(

@@ -1,4 +1,5 @@
 import math
+import weakref
 from functools import reduce
 from itertools import combinations
 
@@ -34,6 +35,7 @@ from qindel.errors import (
     BlockConstraintViolated,
     CountOutOfRange,
     InvalidIndexSet,
+    LevelMismatch,
     NotAPermutation,
     NotPSD,
     PositionOutOfRange,
@@ -329,7 +331,7 @@ def test_screened_witness_matches_unscreened_argmin(rng):
         [(1.01, "off"), (1.001, "both"), (3.0, "diagonal")],
         [(0.0, "both"), (0.0, "both")],  # two exact copies: the first in row-major order wins
     ]
-    hits = 0
+    hits, pairs = 0, []
     for plant in plants:
         a = np.stack([random_density(rng, shape).mat for _ in range(5)])
         b = np.stack([random_density(rng, shape).mat for _ in range(4)])
@@ -337,7 +339,25 @@ def test_screened_witness_matches_unscreened_argmin(rng):
             i = int(rng.integers(len(a)))
             b[j] = a[i] + factor * eq_tol * _hermitian_step(rng, shape.dim, part)
         hits += check(a, b, eq_tol) is not None
+        pairs.append((a, b))
     assert hits == 3
+
+    # a batch axis: each entry gets the bits of its lone call, and in a
+    # self-comparison (the same array twice) only the pairs i < j are screened
+    # in, though every row meets itself and each planted pair meets both ways
+    lefts, rights = (np.stack(side) for side in zip(*pairs))
+    both = np.concatenate([lefts, rights], axis=1)
+    batched, self_batched = _screened_distances(lefts, rights, eq_tol), _screened_distances(both, both, eq_tol)
+    for k, (a, b) in enumerate(pairs):
+        assert batched[k].tobytes() == _screened_distances(a, b, eq_tol).tobytes()
+        rows = both[k]
+        assert self_batched[k].tobytes() == _screened_distances(rows, rows, eq_tol).tobytes()
+    finite, later = np.isfinite(self_batched), np.triu(np.ones((9, 9), dtype=bool), 1)
+    full = cross_distances(both, both)
+    assert not (finite & ~later).any()
+    np.testing.assert_array_equal(self_batched[finite], full[finite])
+    near = full <= eq_tol
+    assert (near & later).any() and not (near & later & ~finite).any()
 
     # at the edge of eq_tol: a diagonal-only difference whose computed
     # diagonal distance rounds above the full one still meets, by the margin
@@ -434,6 +454,34 @@ def test_stacked_ladders_give_each_state_its_lone_rows(rng, level, n, batch):
             assert level_rows.shape == (*batch, math.comb(n, s), *lone.shape[-2:])
             rows = level_rows.reshape(-1, *lone.shape)[k]
             assert rows.tobytes() == lone.tobytes()
+
+
+def test_a_ladder_keeps_only_its_current_level(rng):
+    # an open ladder (min_distance holds one per code state) lets each level
+    # go once the next one is built
+    rho = random_density(rng, QuditShape(2, 4))
+    ladder = _traced_levels(rho.mat, rho.shape)
+    next(ladder)
+    before = weakref.ref(next(ladder))
+    next(ladder)
+    assert before() is None
+
+
+@pytest.mark.parametrize("start", [1.5, -3, 7, "1"])
+def test_deletion_levels_refuse_a_bad_start(start):
+    # start is a deletion count: a float or a string is not a level, and a
+    # 3-qubit state has no level below D^0 or above D^3
+    with pytest.raises(CountOutOfRange):
+        next(deletion_levels(random_density(np.random.default_rng(0), QuditShape(2, 3)), start=start))
+
+
+def test_intersection_witness_refuses_spheres_of_other_shapes(rng):
+    three, two = (random_density(rng, QuditShape(2, n)) for n in (3, 2))
+    with pytest.raises(ShapeMismatch, match=r"QuditShape\(level=2, length=2\) vs QuditShape\(level=2, length=1\)"):
+        deletion_sphere(three, 1).intersection_witness(deletion_sphere(two, 1))
+    qutrit = random_density(rng, QuditShape(3, 2))
+    with pytest.raises(LevelMismatch, match="levels differ: 2 vs 3"):
+        deletion_sphere(two, 1).intersection_witness(deletion_sphere(qutrit, 1))
 
 
 @pytest.mark.parametrize("count", [0, 1])

@@ -291,6 +291,7 @@ def test_code_sample_names_the_mismatch():
         pytest.param(lambda rho, code: deletion_sphere(rho, "1"), id="deletion_sphere-string"),
         pytest.param(lambda rho, code: corrects(code, "1"), id="corrects-string"),
         pytest.param(lambda rho, code: corrects(code, np.float64(1)), id="corrects-numpy-float"),
+        pytest.param(lambda rho, code: corrects(code, True), id="corrects-bool"),
         pytest.param(lambda rho, code: corrects_insertions(code, 1.5), id="corrects_insertions-float"),
         pytest.param(lambda rho, code: member_del_ins(rho, rho, 1.5, 1.5), id="member_del_ins-floats"),
         pytest.param(lambda rho, code: member_ins_del(rho, rho, 1.0, 1), id="member_ins_del-float-s"),

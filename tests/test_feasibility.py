@@ -1,3 +1,4 @@
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -261,7 +262,8 @@ def test_containment_trial_refuses_negative_counts(s, t):
 
 @pytest.mark.parametrize(
     "seed, s, t",
-    [(-1, 1, 1), (1.0, 1, 1), ("1", 1, 1), (1, 1.0, 1), (1, 1, 1.0), (1, np.float64(1), 1), (1, 3, 1)],
+    [(-1, 1, 1), (1.0, 1, 1), ("1", 1, 1), (True, 1, 1), (1, 1.0, 1), (1, 1, 1.0), (1, np.float64(1), 1),
+     (1, 3, 1)],
 )
 def test_containment_trial_refuses_bad_counts_and_seeds(seed, s, t):
     # a negative or non-integer seed or count, or more deletions than qudits,
@@ -599,6 +601,30 @@ def test_batched_memberships_match_the_sphere_oracle(rng, s, t):
     assert verdicts == oracle
     assert all(verdicts[::2])
     assert verdicts == [member_ins_del(sigma, rho, s, t) for sigma, rho in zip(sigmas, rhos)]
+
+
+def test_batched_memberships_above_one_chunk_match_the_sphere_oracle(rng):
+    # 7-qubit levels of 7 rows of 64 x 64 exceed one chunk, so the dedups and
+    # the comparison are screened per pair; two marginals of one 8-qubit
+    # state share their 1-deletions (members), random pairs do not.  The
+    # marginals of a product of 8 copies of one qubit state dedup each level
+    # to one kept row
+    s = t = 1
+    one = random_density(rng, QuditShape(2, 1)).mat
+    taus = [random_density(rng, QuditShape(2, 8), 4), random_density(rng, QuditShape(2, 8))]
+    taus.append(DensityMatrix(QuditShape(2, 8), reduce(np.kron, [one] * 8)))
+    sigmas = [delete(tau, {p}) for tau, p in zip(taus, (2, 8, 3))]
+    rhos = [delete(tau, {q}) for tau, q in zip(taus, (5, 1, 3))]
+    sigmas += [random_density(rng, QuditShape(2, 7), rank) for rank in (1, 9, 128)]
+    rhos += [random_density(rng, QuditShape(2, 7)) for _ in range(3)]
+    assert 7 * 7 * sigmas[0].dim ** 2 > channels._CHUNK
+    assert [len(channels.deletion_sphere(sigma, t)) for sigma in sigmas[:3]] == [7, 7, 1]
+    verdicts = feasibility._members_ins_del(sigmas, rhos, s, t)
+    oracle = [
+        channels.deletion_sphere(sigma, t).intersection_witness(channels.deletion_sphere(rho, s)) is not None
+        for sigma, rho in zip(sigmas, rhos)
+    ]
+    assert verdicts == oracle == [True, True, True, False, False, False]
 
 
 def test_member_ins_del_names_a_deletion_count_above_the_length():

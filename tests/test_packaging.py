@@ -136,6 +136,31 @@ def test_every_frobenius_norm_goes_through_the_linalg_kernel():
     assert not calls, f"np.linalg.norm called outside the allow-list: {calls}"
 
 
+SCREEN = ("channels.py", "_screened_distances")
+
+
+def test_only_the_screen_reads_cross_distances():
+    # every dedup and every comparison of states goes through the one screened
+    # kernel, channels._screened_distances; the acceptance suite keeps its own
+    # independent residuals, and linalg defines the kernel
+    reads = []
+    for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
+        if path.name in ("linalg.py", "acceptance.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): func.name
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "cross_distances" and (path.name, owner.get(id(node))) != SCREEN:
+                reads.append(f"{path.name}:{node.lineno}")
+    assert not reads, f"cross_distances read outside channels._screened_distances: {reads}"
+
+
 def test_cli_builds_and_prints_one_report():
     # each command returns its exit code and report parts to main, which reads
     # the clock at start and stop and prints the one report, so a new command
