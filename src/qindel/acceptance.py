@@ -35,7 +35,7 @@ from .feasibility import (
 )
 from .linalg import Tolerance, cross_distances, hermitian_eigensystem, is_psd, project_psd, psd_principal_minors
 from .rand import random_density, random_hermitian, random_psd
-from .states import DensityMatrix, QuditShape, basis_ket, validate
+from .states import DensityMatrix, QuditShape, _count, basis_ket, validate
 
 __all__ = ["CRITERIA", "run_all"]
 
@@ -344,7 +344,7 @@ CRITERIA = (
 def run_all(seed: int = 0) -> dict:
     """Run every criterion; verdicts are deterministic for a fixed seed (and
     stable across seeds, which only move the sampled witnesses)."""
-    start = time.monotonic()
+    start, seed = time.monotonic(), _count(seed, "seed")
     items = [criterion(seed + k) for k, criterion in enumerate(CRITERIA)]
     return {
         "items": items,

@@ -26,7 +26,8 @@ each member's eigenvectors by one batched product per side, with the inserted
 qudits last; an index permutation then moves them into place.  A member's
 bits depend only on its own source and blocks, never on the rest of the
 stack, so a sampler builds all its samples as one stack and the containment
-trials build the insertions of many sources at once.
+trials build the insertions of many sources at once.  Counts and seeds
+are checked by ``states._count``; positions by ``_positions``.
 """
 
 from __future__ import annotations
@@ -43,18 +44,18 @@ import numpy as np
 
 from .errors import (
     BlockConstraintViolated,
-    CountOutOfRange,
     InvalidIndexSet,
     LevelMismatch,
     NotAPermutation,
     NotPSD,
     PositionOutOfRange,
+    QindelError,
     RoundTripFailed,
     ShapeMismatch,
 )
 from .linalg import _CHUNK, Tolerance, cross_distances, eigensolve, frobenius_distance, hermitian_part
 from .rand import random_orthonormal, random_psd
-from .states import DensityMatrix, QuditShape, SpectralForm, spectral_decompose, spectral_decompose_stack
+from .states import DensityMatrix, QuditShape, SpectralForm, _count, spectral_decompose, spectral_decompose_stack
 
 __all__ = [
     "IndexSet",
@@ -383,9 +384,7 @@ def deletion_levels(
     below it are traced but not deduplicated.  Each level is built only when
     it is asked for, from the last raw level, the only one kept.
     """
-    n, start = rho.length, _count(start, "deletion count")
-    if start > n:
-        raise CountOutOfRange(f"deletion count {start} not in [0, {n}]")
+    n, start = rho.length, _count(start, "deletion count start", most=rho.length)
     for s, (eq_tol, raw, kept) in enumerate(_dedup_levels(rho.mat, rho.shape, tol, start), start):
         reps = [IndexSet(c, n) for c, keep in zip(combinations(range(1, n + 1), s), kept) if keep]
         yield SphereSet(QuditShape(rho.level, n - s), eq_tol, raw if kept.all() else raw[kept], reps, len(raw))
@@ -454,20 +453,6 @@ def separable_blocks(pis: Sequence[np.ndarray]) -> np.ndarray:
 def _sample_label(k: int, count: int) -> str:
     """The prefix naming sample k in an error about a stack of ``count`` samples."""
     return "" if count == 1 else f"sample {k}: "
-
-
-def _count(value, what: str, least: int = 0) -> int:
-    """A count or a seed as an int: Python or numpy integers of at least
-    ``least`` pass; a bool, a float, a string or a smaller value is refused
-    with ``CountOutOfRange`` naming ``what``."""
-    try:  # a bool is an int to ``operator.index``, but no count
-        value = operator.index(None if isinstance(value, bool) else value)
-    except TypeError as exc:
-        raise CountOutOfRange(f"{what} must be an integer, got {value!r}") from exc
-    if value < least:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise CountOutOfRange(f"{what} must be {bound}, got {value}")
-    return value
 
 
 def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: Tolerance, label) -> None:
@@ -610,11 +595,11 @@ def _insert_stack(
     return [DensityMatrix(big_shape, mat) for mat in sigmas]
 
 
-def _check_composed(sigma: DensityMatrix, rho: DensityMatrix, s: int, t: int) -> None:
-    """Raise unless sigma has the shape of a state in a sphere of rho composed
-    of s deletions and t insertions: nonnegative counts (``CountOutOfRange``),
-    rho's level (``LevelMismatch``) and length n - s + t (``ShapeMismatch``)."""
-    s, t = _count(s, "deletion count s"), _count(t, "insertion count t")
+def _check_composed(sigma: DensityMatrix, rho: DensityMatrix, s: int, t: int, most_s: int | None = None) -> None:
+    """Raise unless sigma has the shape of a state in a sphere of rho composed of
+    s deletions and t insertions: counts from 0, s up to ``most_s`` if given
+    (``CountOutOfRange``), rho's level (``LevelMismatch``), length n - s + t (``ShapeMismatch``)."""
+    s, t = _count(s, "deletion count s", most=most_s), _count(t, "insertion count t")
     if sigma.level != rho.level:
         raise LevelMismatch(f"levels differ: {sigma.level} vs {rho.level}")
     if sigma.length != rho.length - s + t:
@@ -686,9 +671,10 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
     ``spectral_decompose_stack`` call.  Each request draws its blocks from
     its own generator; the requests are then grouped by (shape, rank, qset),
     and each group is built by one ``_insert_stack`` call.  Every form and
-    sample has the bits it gets alone.  A build error names its request by
-    ``names[r]`` (nothing by default) and then, with more than one sample
-    in the request, the sample.
+    sample has the bits it gets alone.  An error names its request by
+    ``names[r]`` (nothing by default): a refused source reads as its lone
+    ``spectral_decompose``, and a build error then names the sample, with
+    more than one sample in the request.
     """
     names = names or [""] * len(requests)
     by_shape: dict[QuditShape, list[int]] = {}
@@ -696,7 +682,18 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
         by_shape.setdefault(rho.shape, []).append(r)
     forms: list = [None] * len(requests)
     for shape, rs in by_shape.items():
-        stacked = spectral_decompose_stack(np.stack([requests[r][0].mat for r in rs]), shape, tol)
+        try:
+            stacked = spectral_decompose_stack(np.stack([requests[r][0].mat for r in rs]), shape, tol)
+        except QindelError:
+            # the error path only: the first source refused alone is named
+            # by its request, with the class and residual of its lone call
+            for r in rs:
+                try:
+                    spectral_decompose(requests[r][0], tol)
+                except QindelError as exc:
+                    exc.args = (names[r] + str(exc),)
+                    raise
+            raise
         for r, form in zip(rs, stacked):
             forms[r] = form
     groups: dict[tuple, list] = {}

@@ -85,12 +85,17 @@ def _grid_params(grid: str | None):
 
 
 def _load_code_spec(spec: str, grid: str | None, tol: Tolerance) -> tuple[CodeSample, str]:
-    names = []
+    names, listed = [], False
     if spec.startswith("builtin:"):
-        names = [n.strip() for n in spec[len("builtin:"):].strip("{}").split(",")]
-    if grid is not None and names not in (["x1"], ["hagiwara4"]):
+        body = spec[len("builtin:"):]
+        listed = body[:1] == "{" and body[-1:] == "}"  # braces always make a list of builtin states
+        inner = body[1:-1] if listed else body
+        if "{" in inner or "}" in inner:
+            raise ParseError(f"unbalanced braces in code spec {spec!r}")
+        names = [n.strip() for n in inner.split(",")]
+    if grid is not None and (listed or names not in (["x1"], ["hagiwara4"])):
         raise ParseError(f"--grid applies only to builtin:x1 and builtin:hagiwara4, got {spec!r}")
-    if len(names) > 1:
+    if listed or len(names) > 1:
         return CodeSample.from_states([builtin_state(n) for n in names], names, tol), spec
     if names:
         return builtin_code(names[0], _grid_params(grid), tol), spec

@@ -18,7 +18,7 @@ from .distance import CodeSample
 from .errors import CountOutOfRange, DegenerateParam, NotNormalized, ParseError, PositionOutOfRange
 from .errors import WeightOutOfRange
 from .linalg import Tolerance
-from .states import DensityMatrix, QuditShape, basis_ket, density_from_ket
+from .states import DensityMatrix, QuditShape, _count, basis_ket, density_from_ket
 
 __all__ = [
     "dicke_ket",
@@ -63,8 +63,10 @@ def dicke_ket(n: int, i: int) -> np.ndarray:
 
     The squared norm is C(n, i).
     """
-    if not 0 <= i <= n:
-        raise WeightOutOfRange(f"weight {i} not in [0, {n}]")
+    try:
+        i = _count(i, "weight i", most=n)
+    except CountOutOfRange as exc:
+        raise WeightOutOfRange(str(exc)) from exc
     return (np.array([k.bit_count() for k in range(QuditShape(2, n).dim)]) == i).astype(complex)
 
 
@@ -222,6 +224,8 @@ def code_params(n_theta: int = 5, n_phi: int = 8) -> list[tuple[complex, complex
     """(alpha, beta) = (cos theta, e^(i phi) sin theta) over a grid: ``n_theta``
     (at least 2) angles theta evenly spaced over [0, pi/2], each with
     ``n_phi`` (at least 1) phases phi evenly spaced over [0, 2 pi)."""
+    # the type alone: the range below has the grid's own message
+    n_theta, n_phi = _count(n_theta, "n_theta", least=-math.inf), _count(n_phi, "n_phi", least=-math.inf)
     if n_theta < 2 or n_phi < 1:
         raise CountOutOfRange(f"a grid needs n_theta >= 2 and n_phi >= 1, got {n_theta},{n_phi}")
     thetas = [k * (math.pi / 2) / (n_theta - 1) for k in range(n_theta)]

@@ -28,11 +28,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import IndexSet, SphereSet, _count, deletion_levels, distinct_rows, first_meeting
+from .channels import IndexSet, SphereSet, deletion_levels, distinct_rows, first_meeting
 from .errors import DuplicateStates, LevelMismatch, ParseError, ShapeMismatch, TooFewStates
 from .feasibility import FeasibilityStatus, member_del_ins
 from .linalg import Tolerance
-from .states import DensityMatrix, state_to_json_obj
+from .states import DensityMatrix, _count, state_to_json_obj
 
 __all__ = [
     "DistanceResult",

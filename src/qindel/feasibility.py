@@ -23,11 +23,11 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .channels import IndexSet, _as_index_set, _check_composed, _count, _dedup_levels, _insertion_set
+from .channels import IndexSet, _as_index_set, _check_composed, _dedup_levels, _insertion_set
 from .channels import _sample_batch, _screened_distances, partial_trace, trace_out, trace_out_adjoint
-from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
+from .errors import ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
-from .states import DensityMatrix, QuditShape, spectral_decompose
+from .states import DensityMatrix, QuditShape, _count, spectral_decompose
 
 __all__ = [
     "FeasibilityStatus",
@@ -179,9 +179,7 @@ def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance())
     """
     groups: dict[tuple, list[int]] = {}
     for i, (sigma, rho) in enumerate(zip(sigmas, rhos)):
-        _check_composed(sigma, rho, s, t)
-        if s > rho.length:
-            raise CountOutOfRange(f"cannot delete s={s} qudits from a length-{rho.length} state")
+        _check_composed(sigma, rho, s, t, most_s=rho.length)
         groups.setdefault((sigma.shape, rho.shape), []).append(i)
     verdicts: dict[int, bool] = {}
     for (sigma_shape, rho_shape), members in groups.items():
@@ -484,10 +482,8 @@ def check_containment_trials(
     seeds = [_count(seed, f"seed of trial {i}") for i, seed in enumerate(seeds)]
     if len(seeds) != len(rhos):
         raise ShapeMismatch(f"{len(rhos)} states but {len(seeds)} seeds")
-    s, t = _count(s, "deletion count s"), _count(t, "insertion count t")
-    for i, rho in enumerate(rhos):
-        if s > rho.length:
-            raise CountOutOfRange(f"trial {i}: cannot delete {s} qudits from a length-{rho.length} state")
+    s = _count(s, "deletion count s", most=min((rho.length for rho in rhos), default=None))
+    t = _count(t, "insertion count t")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     states = list(rhos)
     left = [[s, t] for _ in rhos]  # the deletions and insertions each trial has left

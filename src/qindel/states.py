@@ -1,4 +1,5 @@
-"""Density-matrix data model: validation, spectral form, basis conventions, file I/O.
+"""Density-matrix data model: validation, spectral form, basis conventions, file I/O,
+and ``_count``, the one check of every count, length, level and seed in the package.
 
 Conventions (fixed once, used everywhere):
   * qudit 1 is the most significant tensor factor, so the basis ket |x_1 ... x_n>
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import base64
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -32,6 +34,7 @@ import numpy as np
 import orjson
 
 from .errors import (
+    CountOutOfRange,
     DigitOutOfRange,
     InvalidShape,
     NotNormalized,
@@ -78,6 +81,22 @@ def _frozen_array(values, dtype=complex) -> np.ndarray:
     return arr
 
 
+def _count(value, what: str, least: int = 0, most: int | None = None) -> int:
+    """The one check of every count, length, level and seed: Python or numpy
+    integers in [``least``, ``most``] (``most=None``: unbounded) pass as an int;
+    a bool, a float, a string or a value out of range is ``CountOutOfRange`` naming ``what``."""
+    try:  # a bool is an int to ``operator.index``, but no count
+        value = operator.index(None if isinstance(value, bool) else value)
+    except TypeError as exc:
+        raise CountOutOfRange(f"{what} must be an integer, got {value!r}") from exc
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise CountOutOfRange(f"{what} must be {bound}, got {value}")
+    if most is not None and value > most:
+        raise CountOutOfRange(f"{what}={value} not in [{least}, {most}]")
+    return value
+
+
 @dataclass(frozen=True)
 class QuditShape:
     """``length`` qudits of ``level`` levels each; total dimension level**length."""
@@ -86,14 +105,15 @@ class QuditShape:
     length: int
 
     def __post_init__(self) -> None:
-        if self.level < 2:
-            raise InvalidShape(f"qudit level must be >= 2, got {self.level}")
-        if self.length < 0:
-            raise InvalidShape(f"length must be >= 0, got {self.length}")
-        if self.level ** self.length > SIZE_CAP:
-            raise SizeCapExceeded(
-                f"dimension {self.level}**{self.length} exceeds the cap {SIZE_CAP}"
-            )
+        try:
+            level, length = _count(self.level, "qudit level", least=2), _count(self.length, "length")
+        except CountOutOfRange as exc:
+            raise InvalidShape(str(exc)) from exc
+        # a length of SIZE_CAP.bit_length() exceeds the cap at every level: refused before the power
+        if length >= SIZE_CAP.bit_length() or level**length > SIZE_CAP:
+            raise SizeCapExceeded(f"dimension {level}**{length} exceeds the cap {SIZE_CAP}")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "length", length)
 
     @property
     def dim(self) -> int:
@@ -343,10 +363,7 @@ def state_from_json_obj(obj: dict, tol: Tolerance = Tolerance()) -> DensityMatri
     if not isinstance(obj, dict):
         raise ParseError("state object must be a JSON object")
     try:
-        level, length, kind = obj["level"], obj["length"], obj["kind"]
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (level, length)):
-            raise ParseError(f"level and length must be integers, got {level!r} and {length!r}")
-        shape = QuditShape(level, length)
+        shape, kind = QuditShape(obj["level"], obj["length"]), obj["kind"]
     except (KeyError, ValueError) as exc:
         raise ParseError(f"missing or malformed level/length/kind: {exc}") from exc
     if "encoding" in obj and obj["encoding"] != "base64":

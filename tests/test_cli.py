@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qindel.acceptance
 import qindel.cli
 import qindel.feasibility as feasibility
 from qindel.channels import delete, deletion_sphere
 from qindel.cli import main
 from qindel.codes import example_rho
+from qindel.errors import CountOutOfRange
 from qindel.rand import random_density
 from qindel.states import (
     DensityMatrix,
@@ -302,6 +304,8 @@ def test_paper_examples_refuses_a_negative_seed(tmp_path, monkeypatch, capsys):
     assert code == 3 and report is None
     assert err == "error: --seed must be nonnegative, got -5\n"
     assert not path.exists()
+    with pytest.raises(CountOutOfRange, match="nonnegative"):  # and so is the suite's own seed
+        qindel.acceptance.run_all(-5)
 
 
 def test_a_state_file_with_a_spectrum_past_the_float_range_exits_3(tmp_path, capsys):
@@ -360,9 +364,15 @@ def test_options_a_command_ignores_are_usage_errors(argv, tmp_path, monkeypatch,
         (["verify", "builtin:{rho,psi}", "--grid", "3,2"], "--grid applies only to builtin:x1"),
         (["verify", ".", "--grid", "3,2"], "--grid applies only to builtin:x1"),
         (["verify", "builtin:x1", "--grid", "1,8"], "CountOutOfRange: a grid needs n_theta >= 2"),
+        # braces always make a list of builtin states, never a named code
+        (["verify", "builtin:{x1}", "--t", "1"], "TooFewStates: need at least 2 states, got 1"),
+        (["verify", "builtin:{rho}"], "TooFewStates: need at least 2 states, got 1"),
+        (["verify", "builtin:{x1}", "--grid", "3,2"], "--grid applies only to builtin:x1"),
+        (["verify", "builtin:{rho,psi"], "unbalanced braces in code spec 'builtin:{rho,psi'"),
+        (["verify", "builtin:rho,psi}"], "unbalanced braces"),
     ],
     ids=["inf-angle", "nan-angle", "rho-parameters", "collision-grid", "list-grid", "directory-grid",
-         "one-angle-grid"],
+         "one-angle-grid", "one-code-list", "one-state-list", "one-code-list-grid", "open-brace", "close-brace"],
 )
 def test_spec_inputs_a_command_cannot_honour_are_usage_errors(argv, message, tmp_path, monkeypatch, capsys):
     # the directory holds one state file, so only --grid is wrong with it

@@ -55,6 +55,8 @@ def test_dicke_kets():
     assert np.count_nonzero(dicke_ket(4, 2)) == 6
     with pytest.raises(WeightOutOfRange):
         dicke_ket(4, 5)
+    with pytest.raises(WeightOutOfRange, match="must be an integer"):
+        dicke_ket(4, 1.5)  # not a zero ket
 
 
 def test_weight_kets_are_orthogonal():

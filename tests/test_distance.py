@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from qindel.channels import delete, deletion_sphere
+from qindel.acceptance import run_all
 from qindel.codes import (
     builtin_code,
+    code_params,
     collision_pair_x2,
     example_psi,
     example_rho,
@@ -296,6 +298,8 @@ def test_code_sample_names_the_mismatch():
         pytest.param(lambda rho, code: member_del_ins(rho, rho, 1.5, 1.5), id="member_del_ins-floats"),
         pytest.param(lambda rho, code: member_ins_del(rho, rho, 1.0, 1), id="member_ins_del-float-s"),
         pytest.param(lambda rho, code: member_ins_del(rho, rho, 1, "1"), id="member_ins_del-string-t"),
+        pytest.param(lambda rho, code: code_params(2.5, 8), id="code_params-float"),
+        pytest.param(lambda rho, code: run_all(1.5), id="run_all-float-seed"),
     ],
 )
 def test_non_integer_counts_are_refused_by_name(call):

@@ -4,9 +4,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qindel.channels import IndexSet, delete, insertion_member, sample_insertions, trace_out
+from qindel.channels import IndexSet, delete, insert_construct, insertion_member, sample_insertions, trace_out
 from qindel.codes import example_psi, example_rho
-from qindel.errors import BlockConstraintViolated, CountOutOfRange, LevelMismatch, NoConvergence
+from qindel.errors import BlockConstraintViolated, CountOutOfRange, LevelMismatch, NoConvergence, NotPSD
 from qindel.errors import RoundTripFailed, ShapeMismatch, SizeCapExceeded
 import qindel.channels as channels
 import qindel.feasibility as feasibility
@@ -366,6 +366,21 @@ def test_batch_errors_name_the_trial_and_step(monkeypatch, rng, fault, error, me
         check_containment_trials(rhos, list(range(6)), 0, 1)
     _, _, sources, *_ = builds[-1]  # the build that raised
     assert list(dict.fromkeys(row.tobytes() for row in sources)) == [rho.mat.tobytes() for rho in rhos[3:]]
+
+
+def test_batch_errors_name_the_trial_of_a_refused_source(rng):
+    # trial 4 is row 2 of the 2-qubit sources, decomposed as one stack; its
+    # refusal names the trial and step, with the class and residual of the
+    # lone decomposition, which a lone sampler and insert_construct both read
+    bad = DensityMatrix(QuditShape(2, 2), np.diag([1.2, -0.2, 0.0, 0.0]))
+    rhos = [random_density(rng, QuditShape(2, n)) for n in (1, 2, 1, 2)] + [bad]
+    with pytest.raises(NotPSD, match=r"^trial 4, step 1: negative eigenvalue -2\.000e-01$") as batched:
+        check_containment_trials(rhos, list(range(5)), 0, 1)
+    assert batched.value.residual == pytest.approx(0.2)
+    with pytest.raises(NotPSD) as lone:
+        insert_construct(bad, (1,), np.zeros((2, 2, 2, 2)))
+    with pytest.raises(NotPSD, match=f"^{lone.value}$"):
+        sample_insertions(bad, (1,), 1, 0)
 
 
 @pytest.mark.parametrize("s, t", [(-1, 0), (0, -1)])

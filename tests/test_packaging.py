@@ -161,6 +161,31 @@ def test_only_the_screen_reads_cross_distances():
     assert not reads, f"cross_distances read outside channels._screened_distances: {reads}"
 
 
+COUNT_RAISES = {("states.py", "_count"), ("codes.py", "code_params"), ("rand.py", "random_orthonormal")}
+
+
+def test_only_the_count_rule_raises_count_out_of_range():
+    # every count, length, level and seed, upper bounds included, is checked
+    # by states._count; the grid's range and the orthonormal set's fit keep
+    # their own pinned messages
+    raises = []
+    for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): func.name
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) == "CountOutOfRange" and (path.name, owner.get(id(node))) not in COUNT_RAISES:
+                raises.append(f"{path.name}:{node.lineno}")
+    assert not raises, f"CountOutOfRange raised outside states._count: {raises}"
+
+
 def test_cli_builds_and_prints_one_report():
     # each command returns its exit code and report parts to main, which reads
     # the clock at start and stop and prints the one report, so a new command

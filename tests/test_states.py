@@ -44,10 +44,19 @@ def test_qudit_shape():
     assert QuditShape(2, 0).dim == 1
     with pytest.raises(SizeCapExceeded):
         QuditShape(2, 9)
+    with pytest.raises(SizeCapExceeded):
+        QuditShape(3, 10**12)  # refused before 3**(10**12) is built
     with pytest.raises(InvalidShape, match="level"):
         QuditShape(1, 2)
     with pytest.raises(InvalidShape, match="length"):
         QuditShape(2, -1)
+    # a level and a length are counts: a float or a bool is refused, and a
+    # numpy integer is kept as the int it names
+    for level, length in ((2, 3.0), (2.5, 2), (2, True)):
+        with pytest.raises(InvalidShape):
+            QuditShape(level, length)
+    shape = QuditShape(np.int64(2), np.uint8(3))
+    assert (type(shape.level), type(shape.length), shape) == (int, int, QuditShape(2, 3))
 
 
 def test_basis_index_examples():
@@ -334,6 +343,7 @@ _TWO_ROWS = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
             for field in ("level", "length")
             for value in (2.7, "2", 1.9, True, 2.0)
         ),
+        pytest.param({**_mixed(_TWO_ROWS), "level": 3, "length": 10**12}, id="huge-length"),
     ],
 )
 def test_malformed_state_objects_raise_parse_error(obj):
