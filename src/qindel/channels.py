@@ -1,18 +1,19 @@
 """Deletion channels, qudit index permutations, and insertion-state construction.
 
 Deletion at position p is the partial trace over qudit p.  The deletion
-spheres D^0, D^1, ... of a state form a ladder, ``deletion_levels``.  Its
-levels come from the one level builder, ``_traced_levels``, which traces
-each level's candidates from the level before, bit-identical to tracing
-each subset from the state, for one state or a stack of states alike.  A
-sphere is the read-only result of one greedy dedup of one level by
-``_dedup_levels``, for one state or each state of a stack; the greedy
-rule is one loop, ``_distinct_mask``, which ``distinct_rows`` applies to
-any buffer.  Where spheres first meet is found by one kernel,
-``first_meeting``.  Every dedup and every comparison of rows is one call
-of ``_screened_distances``, on a lone stack or a batch of stacks: only
-pairs whose diagonals lie within eq_tol get a full
-``linalg.cross_distances`` distance.
+spheres D^0, D^1, ... of a state form a ladder: ``deletion_levels`` for one
+state, ``_dedup_levels`` for a stack of states, which the distance walks
+read.  Its levels come from the one level builder, ``_traced_levels``, which
+traces each level's candidates from the level before, bit-identical to
+tracing each subset from the state, for one state or a stack of states
+alike.  A sphere is the read-only result of one greedy dedup of one level by
+``_dedup_levels``, for one state or each state of a stack; the greedy rule
+is one loop, ``_distinct_mask``, which ``distinct_rows`` applies to any
+buffer.  Where spheres first meet is found by one kernel, ``first_meeting``.
+Every dedup and every comparison of rows is one call of
+``_screened_distances``, on a lone stack or a batch of stacks: only pairs
+whose diagonals lie within eq_tol get a full ``linalg.cross_distances``
+distance.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -344,6 +345,7 @@ def _traced_levels(mats: np.ndarray, shape: QuditShape) -> Iterator[np.ndarray]:
     n, l = shape.length, shape.level
     batch = mats.shape[:-2]
     raw = mats[..., None, :, :]
+    del mats  # the level-0 view alone keeps the stack alive, until level 1 is built
     yield raw
     for s in range(1, n + 1):
         dim = l ** (n - s)
@@ -364,7 +366,9 @@ def _dedup_levels(mats: np.ndarray, shape: QuditShape, tol: Tolerance, start: in
     ``(..., C(n, s), d_s, d_s)`` level, and the ``(..., C(n, s))`` mask of
     the rows each state's greedy dedup keeps, from one screened
     self-comparison.  A one-row level keeps its row without a distance."""
-    for s, raw in enumerate(_traced_levels(mats, shape)):
+    levels = _traced_levels(mats, shape)
+    del mats  # as in ``_traced_levels``: a caller's stack is freed once level 1 is built
+    for s, raw in enumerate(levels):
         if s < start:
             continue
         eq_tol = tol.at(shape.level ** (shape.length - s)).eq_tol

@@ -70,14 +70,19 @@ def dicke_ket(n: int, i: int) -> np.ndarray:
     return (np.array([k.bit_count() for k in range(QuditShape(2, n).dim)]) == i).astype(complex)
 
 
+# the logical kets of hagiwara_codeword, built once
+_HAGIWARA_SHAPE = QuditShape(2, 4)
+_ZERO_L = (dicke_ket(4, 0) + dicke_ket(4, 4)) / math.sqrt(2)
+_ONE_L = dicke_ket(4, 2) / math.sqrt(6)
+_ZERO_L.setflags(write=False)
+_ONE_L.setflags(write=False)
+
+
 def hagiwara_codeword(alpha: complex, beta: complex) -> DensityMatrix:
     """Four-qubit codeword alpha|0_L> + beta|1_L> of the single-deletion code
     with |0_L> = (|0000> + |1111>)/sqrt(2) and |1_L> the normalized weight-2 sum."""
     alpha, beta = _check_param(alpha, beta)
-    shape = QuditShape(2, 4)
-    zero_l = (dicke_ket(4, 0) + dicke_ket(4, 4)) / math.sqrt(2)
-    one_l = dicke_ket(4, 2) / math.sqrt(6)
-    return density_from_ket(alpha * zero_l + beta * one_l, shape)
+    return density_from_ket(alpha * _ZERO_L + beta * _ONE_L, _HAGIWARA_SHAPE)
 
 
 def x1_codeword(alpha: complex, beta: complex) -> DensityMatrix:

@@ -8,31 +8,32 @@ equal-length states corrects t deletions iff its minimum distance is at least
 insertions.
 
 ``indel_distance``, ``min_distance`` and ``metric_check`` all ask where
-deletion spheres first meet.  Each walks deletion ladders
-(``channels.deletion_levels``) in step and asks ``channels.first_meeting``
-once per level: ``indel_distance`` walks the two states' ladders from their
-start levels; ``min_distance`` walks one ladder per code state from level 1,
-since code states share one length, are distinct at level 0 by construction,
-and the code's minimum distance is 2s for the least s at which two of their
-s-deletion spheres meet; ``metric_check`` builds each state's levels once per
-triple.  Only a witness row is wrapped as a state.  ``CodeSample`` dedups
-its states once, with the spheres' greedy dedup, at the tolerance every
-verdict on the code reads.
+deletion spheres first meet, by one walk, ``_first_meeting``.  It walks
+ladders of ``channels._dedup_levels`` in step, each one of a stack of
+states, and asks ``channels.first_meeting`` once per level about every
+state's kept rows: ``indel_distance`` walks two one-state ladders from their
+start levels; ``min_distance`` stacks the code's states once and walks the
+one ladder of the stack from level 1, since code states share one length,
+are distinct at level 0 by construction, and the code's minimum distance is
+2s for the least s at which two of their s-deletion spheres meet;
+``metric_check`` builds each state's levels once per triple.  Only a witness
+row is wrapped as a state.  ``CodeSample`` dedups its states once, with the
+spheres' greedy dedup, at the tolerance every verdict on the code reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import IndexSet, SphereSet, deletion_levels, distinct_rows, first_meeting
+from .channels import IndexSet, _dedup_levels, distinct_rows, first_meeting
 from .errors import DuplicateStates, LevelMismatch, ParseError, ShapeMismatch, TooFewStates
 from .feasibility import FeasibilityStatus, member_del_ins
 from .linalg import Tolerance
-from .states import DensityMatrix, _count, state_to_json_obj
+from .states import DensityMatrix, QuditShape, _count, state_to_json_obj
 
 __all__ = [
     "DistanceResult",
@@ -129,18 +130,40 @@ class Verdict:
         return {"ok": self.ok, "evidence": self.evidence}
 
 
-def _first_meeting(ladders: Sequence[Iterable[SphereSet]]) -> tuple[int, int, DistanceResult]:
+def _first_meeting(ladders: Sequence[tuple[QuditShape, int, Iterable[tuple]]]) -> tuple[int, int, DistanceResult]:
     """The first level, walking the ladders in step, at which two of their
-    spheres meet: the first such pair of ladders (i, j), in ``combinations``
-    order, and their closest cross pair there as witness."""
-    for spheres in zip(*ladders):
-        hit = first_meeting([sphere.stack for sphere in spheres], spheres[0].eq_tol)
+    states' spheres meet: the first such pair of states (i, j), numbered
+    across the ladders in order and taken in ``combinations`` order, and
+    their closest cross pair there as witness.
+
+    A ladder ``(shape, start, levels)`` holds a stack of states of ``shape``:
+    ``levels`` yields ``channels._dedup_levels`` of the stack from level
+    ``start`` on, one ``(eq_tol, raw, kept)`` per level.  Each level hands
+    each state's kept rows, a view when every row is kept, to one
+    ``channels.first_meeting`` call; a witness row's P and Q are its
+    position in ``combinations(range(1, n + 1), s)``, the order of the raw
+    rows.
+    """
+    for step, levels in enumerate(zip(*(levels for _, _, levels in ladders))):
+        stacks, owners = [], []
+        for (shape, start, _), (_, raw, kept) in zip(ladders, levels):
+            stacks += [mats if whole else mats[keep] for mats, keep, whole in zip(raw, kept, kept.all(axis=-1))]
+            owners += [(shape, start + step, keep) for keep in kept]
+        hit = first_meeting(stacks, levels[0][0])
         if hit is not None:
             i, j, a, b, _ = hit
-            P, Q = spheres[i].reps[a], spheres[j].reps[b]
-            common = DensityMatrix(spheres[i].shape, spheres[i].stack[a])
+            P, Q = _deleted(*owners[i], a), _deleted(*owners[j], b)
+            shape, s, _ = owners[i]
+            common = DensityMatrix(QuditShape(shape.level, shape.length - s), stacks[i][a])
             return i, j, DistanceResult(P.size + Q.size, P.size, Q.size, P, Q, common)
     raise AssertionError("unreachable: full deletion always intersects")
+
+
+def _deleted(shape: QuditShape, s: int, keep: np.ndarray, row: int) -> IndexSet:
+    """The positions deleted to give kept row ``row`` of level s of a state
+    of ``shape`` whose level-s kept mask is ``keep``."""
+    n = shape.length
+    return IndexSet(next(islice(combinations(range(1, n + 1), s), int(np.flatnonzero(keep)[row]), None)), n)
 
 
 def indel_distance(
@@ -157,9 +180,9 @@ def indel_distance(
     if rho1.level != rho2.level:
         raise LevelMismatch(f"levels differ: {rho1.level} vs {rho2.level}")
     n, m = rho1.length, rho2.length
-    _, _, result = _first_meeting(
-        [deletion_levels(rho1, tol, max(0, n - m)), deletion_levels(rho2, tol, max(0, m - n))]
-    )
+    starts = ((rho1, max(0, n - m)), (rho2, max(0, m - n)))
+    ladders = [(rho.shape, s, _dedup_levels(rho.mat[None], rho.shape, tol, s)) for rho, s in starts]
+    _, _, result = _first_meeting(ladders)
     # equal-length states are always an even distance apart
     assert n != m or result.value % 2 == 0
     return result
@@ -169,16 +192,20 @@ def min_distance(code: CodeSample) -> tuple[int, tuple[str, str], DistanceResult
     """Minimum pairwise distance with the achieving pair, level by level.
 
     Code states share one length, so a pair's distance is 2s for the least s
-    at which their s-deletion spheres meet.  One ladder per state is walked,
-    one level at a time, and ``channels.first_meeting`` compares each level's
-    spheres at once.  The first level with a hit gives the value; the pair
-    reported is the first, in ``combinations`` order, that meets there, with
-    its closest cross pair as witness.  The walk starts at level 1: level 0
-    is the code's own dedup at ``code.tol``, where no two states meet.
+    at which their s-deletion spheres meet.  The code's states are stacked
+    once and the stack's one ladder is walked, one level at a time: each
+    level is traced and deduplicated for every state in batched calls, and
+    ``channels.first_meeting`` compares the states' kept rows at once.  The
+    first level with a hit gives the value; the pair reported is the first,
+    in ``combinations`` order, that meets there, with its closest cross pair
+    as witness.  The walk starts at level 1: level 0 is the code's own
+    dedup at ``code.tol``, where no two states meet.
     """
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
-    i, j, result = _first_meeting([deletion_levels(rho, code.tol, 1) for rho in code.states])
+    # the stack is not named, so it is freed once its level 1 is built
+    shape, mats = code.states[0].shape, [rho.mat for rho in code.states]
+    i, j, result = _first_meeting([(shape, 1, _dedup_levels(np.stack(mats), shape, code.tol, 1))])
     return result.value, (code.labels[i], code.labels[j]), result
 
 
@@ -233,10 +260,12 @@ def corrects_insertions(code: CodeSample, t: int) -> Verdict:
     return Verdict(ok=True, evidence={"pairs": pairs})
 
 
-def _level_distance(x: list[SphereSet], y: list[SphereSet]) -> int:
-    """``indel_distance(...).value`` from two states' lists of all their levels."""
-    n, m = len(x) - 1, len(y) - 1
-    return _first_meeting([x[max(0, n - m) :], y[max(0, m - n) :]])[2].value
+def _level_distance(x: tuple[QuditShape, list], y: tuple[QuditShape, list]) -> int:
+    """``indel_distance(...).value`` from two states' shapes and lists of all
+    their ``_dedup_levels``."""
+    (xshape, xlevels), (yshape, ylevels) = x, y
+    s, t = max(0, xshape.length - yshape.length), max(0, yshape.length - xshape.length)
+    return _first_meeting([(xshape, s, xlevels[s:]), (yshape, t, ylevels[t:])])[2].value
 
 
 def metric_check(
@@ -259,7 +288,7 @@ def metric_check(
         checked += 1
         if not a.level == b.level == c.level:
             raise LevelMismatch(f"triple {idx} spans levels {a.level}, {b.level}, {c.level}")
-        la, lb, lc = (list(deletion_levels(x, tol)) for x in (a, b, c))
+        la, lb, lc = ((x.shape, list(_dedup_levels(x.mat[None], x.shape, tol))) for x in (a, b, c))
         d_ab = _level_distance(la, lb)
         d_ba = _level_distance(lb, la)
         d_bc = _level_distance(lb, lc)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CountOutOfRange
-from .states import DensityMatrix, QuditShape
+from .states import DensityMatrix, QuditShape, _count
 
 __all__ = [
     "random_hermitian",
@@ -40,13 +40,17 @@ def random_psd(
 
 
 def random_density(rng: np.random.Generator, shape: QuditShape, rank: int | None = None) -> DensityMatrix:
-    """Trace-normalized Ginibre state, optionally rank-limited."""
+    """Trace-normalized Ginibre state, optionally rank-limited: ``rank`` is
+    None (full rank) or an integer in [1, ``shape.dim``]."""
+    if rank is not None:
+        rank = _count(rank, "rank", least=1, most=shape.dim)
     m = random_psd(rng, shape.dim, rank)
     return DensityMatrix(shape, m / np.trace(m).real)
 
 
 def random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
-    """``count`` orthonormal vectors in C^dim (count <= dim)."""
+    """``count`` orthonormal vectors in C^dim (0 <= count <= dim)."""
+    count = _count(count, "count")
     if count > dim:
         raise CountOutOfRange(f"cannot fit {count} orthonormal vectors in dimension {dim}")
     q, _ = np.linalg.qr(_ginibre(rng, dim, count))

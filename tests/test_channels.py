@@ -10,6 +10,7 @@ import qindel.channels
 from qindel.channels import (
     IndexSet,
     SphereSet,
+    _dedup_levels,
     _insert_stack,
     _permute_axes,
     _screened_distances,
@@ -457,14 +458,26 @@ def test_stacked_ladders_give_each_state_its_lone_rows(rng, level, n, batch):
 
 
 def test_a_ladder_keeps_only_its_current_level(rng):
-    # an open ladder (min_distance holds one per code state) lets each level
-    # go once the next one is built
+    # an open ladder (min_distance holds one for the code's stacked states)
+    # lets each level go once the next one is built
     rho = random_density(rng, QuditShape(2, 4))
     ladder = _traced_levels(rho.mat, rho.shape)
     next(ladder)
     before = weakref.ref(next(ladder))
     next(ladder)
     assert before() is None
+
+
+def test_a_ladder_lets_its_stack_go_once_level_1_is_built(rng):
+    # min_distance stacks the code's states for its ladder and names no stack,
+    # so the copy lives only as long as the walk needs it
+    shape = QuditShape(2, 4)
+    stack = np.stack([random_density(rng, shape).mat for _ in range(3)])
+    source = weakref.ref(stack)
+    ladder = _dedup_levels(stack, shape, Tolerance(), 1)
+    del stack
+    next(ladder)
+    assert source() is None
 
 
 @pytest.mark.parametrize("start", [1.5, -3, 7, "1"])

@@ -34,7 +34,7 @@ from qindel.errors import (
 )
 from qindel.feasibility import FeasibilityStatus, member_del_ins, member_ins_del
 from qindel.rand import random_density
-from qindel.states import DensityMatrix, QuditShape, basis_ket, validate
+from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, validate
 
 
 def test_dicke_kets():
@@ -74,6 +74,19 @@ def test_hagiwara_codeword_endpoints():
     np.testing.assert_allclose(hagiwara_codeword(0, 1).mat, np.outer(w2, w2.conj()), atol=1e-15)
     with pytest.raises(NotNormalized):
         hagiwara_codeword(1, 1)
+
+
+@pytest.mark.parametrize("grid", [(), (9, 12)], ids=["default-grid", "grid-9-12"])
+def test_hagiwara_codewords_keep_the_bits_of_the_inline_formula(grid):
+    # the logical kets are module constants; every grid codeword, and the
+    # collision pair's, is the matrix building them per call gave, bit for bit
+    shape = QuditShape(2, 4)
+    zero_l = (dicke_ket(4, 0) + dicke_ket(4, 4)) / math.sqrt(2)
+    one_l = dicke_ket(4, 2) / math.sqrt(6)
+    for a, b in code_params(*grid) + [x2_collision_params()]:
+        a, b = complex(a), complex(b)
+        expected = density_from_ket(a * zero_l + b * one_l, shape)
+        assert np.array_equal(hagiwara_codeword(a, b).mat, expected.mat)
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ from qindel.feasibility import FeasibilityReport, FeasibilityStatus, member_del_
 from qindel.linalg import Tolerance
 from qindel.rand import random_density
 from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, state_to_json_obj
-from conftest import make_states
+from conftest import assert_matches_lone_walk, make_states
 
 
 def _pure(digits, level=2):
@@ -129,6 +129,18 @@ def test_min_distance_matches_pairwise_oracle(rng):
     code = CodeSample.from_states(make_states(rng, 2, 2, 3) + [delete(tau, {1}), delete(tau, {3})])
     assert _assert_matches_pairwise_oracle(code) == 2
     assert min_distance(code)[1] == ("state3", "state4")
+
+
+@pytest.mark.parametrize(
+    "name, grid, size, want",
+    [("x1", None, 28, 2), ("hagiwara4", (9, 12), 86, 4)],
+)
+def test_the_stacked_walk_matches_the_lone_walk_on_the_builtin_grids(name, grid, size, want):
+    # one ladder of the whole stack gives the value, pair, P, Q and common
+    # bits that each state's own deletion spheres give
+    code = builtin_code(name, _grid(*grid) if grid else None)
+    assert len(code) == size
+    assert assert_matches_lone_walk(code) == want
 
 
 def test_min_distance_orthogonal_product_states():

@@ -161,6 +161,23 @@ def test_only_the_screen_reads_cross_distances():
     assert not reads, f"cross_distances read outside channels._screened_distances: {reads}"
 
 
+LONE_LADDER_NAMES = {"deletion_levels", "deletion_sphere", "SphereSet"}
+
+
+def test_the_distance_walks_read_only_the_stacked_ladder():
+    # every ladder distance.py walks comes from channels._dedup_levels, one
+    # per stack of states; the lone sphere path stays for the sphere command
+    path = ROOT / "src" / "qindel" / "distance.py"
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)]
+        reads += [f"{name} at line {node.lineno}" for name in names if name in LONE_LADDER_NAMES]
+    assert not reads, f"distance.py reads the lone ladder: {reads}"
+
+
 COUNT_RAISES = {("states.py", "_count"), ("codes.py", "code_params"), ("rand.py", "random_orthonormal")}
 
 

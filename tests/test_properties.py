@@ -1,7 +1,8 @@
 """Property tests: input checks (tolerance values, state-file shapes and
 malformed payloads in both forms, non-finite and non-square matrices), the
 agreement of the nested and compact state-file forms, the metric axioms
-of the indel distance, a code's dedup of coinciding states, the insertion
+of the indel distance, the code minimum distance's stacked walk against
+each state's own spheres, a code's dedup of coinciding states, the insertion
 round trip and sampler prefixes, the containment of interleaved errors, and
 the evidence of feasibility verdicts: witnesses and Farkas certificates.
 The metric, insertion, containment and feasibility tests draw qubit and
@@ -59,6 +60,7 @@ from qindel.states import (  # noqa: E402
     state_to_json_obj,
     validate,
 )
+from conftest import assert_matches_lone_walk  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -420,6 +422,24 @@ def test_min_distance_is_the_least_pairwise_distance(states):
     least = min(pairs.values())
     assert value == least
     assert pair == next(p for p, d in pairs.items() if d == least)
+
+
+@st.composite
+def codes(draw):
+    """A code of 2-6 offered states: qubits on 1-4 qudits or qutrits on 1-3,
+    half of them products of a 3-state pool, so deletions coincide and
+    the dedup of a level drops rows; coinciding offers are merged."""
+    level = draw(LEVELS)
+    n = draw(st.integers(1, 4 if level == 2 else 3))
+    states = draw(st.lists(qudit_states(level, st.just(n)), min_size=2, max_size=6))
+    return CodeSample(tuple(states), tuple(f"state{k}" for k in range(len(states))))
+
+
+@BOTH_LEVELS
+@given(codes())
+def test_the_stacked_walk_matches_each_states_own_spheres(code):
+    assume(len(code) >= 2)
+    assert_matches_lone_walk(code)
 
 
 @DETERMINISTIC

@@ -446,3 +446,21 @@ def test_density_matrix_refuses_a_matrix_of_another_shape():
 def test_random_orthonormal_refuses_more_vectors_than_the_dimension():
     with pytest.raises(CountOutOfRange, match="cannot fit 3"):
         random_orthonormal(np.random.default_rng(0), 2, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda rng: random_density(rng, QuditShape(2, 1), 0), "rank must be at least 1", id="rank-0"),
+        pytest.param(lambda rng: random_density(rng, QuditShape(2, 1), 5), r"rank=5 not in \[1, 2\]", id="rank-5"),
+        pytest.param(lambda rng: random_density(rng, QuditShape(2, 1), 1.0), "must be an integer", id="rank-float"),
+        pytest.param(lambda rng: random_orthonormal(rng, 4, 1.5), "must be an integer", id="count-float"),
+        pytest.param(lambda rng: random_orthonormal(rng, 4, -1), "must be nonnegative", id="count-negative"),
+    ],
+)
+def test_random_counts_go_through_the_count_rule(call, message):
+    # a rank of zero once divided by a zero trace, and a rank above the
+    # dimension silently drew a full-rank state
+    with pytest.raises(CountOutOfRange, match=message):
+        call(np.random.default_rng(0))
+
