@@ -12,8 +12,10 @@ is one loop, ``_distinct_mask``, which ``distinct_rows`` applies to any
 buffer.  Where spheres first meet is found by one kernel, ``first_meeting``.
 Every dedup and every comparison of rows is one call of
 ``_screened_distances``, on a lone stack or a batch of stacks: only pairs
-whose diagonals lie within eq_tol get a full ``linalg.cross_distances``
-distance.
+whose diagonals lie within eq_tol get a full distance, gathered across rows
+and batch entries for ``linalg.frobenius_norm``.  ``first_meeting`` compares
+many stacks in blocks of whole stacks, one screened call per block: a run
+of one-row stacks, or one stack of several rows.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -54,7 +56,7 @@ from .errors import (
     RoundTripFailed,
     ShapeMismatch,
 )
-from .linalg import _CHUNK, Tolerance, cross_distances, eigensolve, frobenius_distance, hermitian_part
+from .linalg import _CHUNK, Tolerance, cross_distances, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
 from .rand import random_orthonormal, random_psd
 from .states import DensityMatrix, QuditShape, SpectralForm, _count, spectral_decompose, spectral_decompose_stack
 
@@ -187,33 +189,68 @@ def delete(rho: DensityMatrix, positions) -> DensityMatrix:
     return DensityMatrix(QuditShape(rho.level, rho.length - pset.size), reduced)
 
 
+# a Frobenius reduction of more than this many complex entries is summed in
+# pieces of numpy's iterator buffer (8192 floats) when it is one of several,
+# so its last bit depends on whether it was reduced alone
+_ONE_PASS = 4096
+
+
 def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float) -> np.ndarray:
     """``cross_distances(a, b)`` of two ``(..., k, d, d)`` stacks with the same
     batch axes wherever it can be within eq_tol, ``inf`` elsewhere.
 
     The distance between the diagonals bounds the Frobenius distance from
     below (its squared sum is part of the full one), so full distances are
-    computed, one ``cross_distances`` call per row, only for the pairs whose
-    diagonals lie within eq_tol*(1 + 1e-6).  Rounding moves either sum by
-    less than 1e-11 relative, so every pair set to ``inf`` is farther than
-    eq_tol, and every entry that is kept is the one ``cross_distances``
-    gives.  Stacks whose every pair fits in one chunk are compared in full,
-    in one call, which no screen can undercut; otherwise each batch entry is
-    screened on its own and gets the bits of its lone call.  When ``a`` is
-    ``b``, only the pairs (i, j) with i < j, all a dedup reads, are screened in.
+    computed only for the pairs whose diagonals lie within eq_tol*(1 + 1e-6).
+    Rounding moves either sum by less than 1e-11 relative, so every pair set
+    to ``inf`` is farther than eq_tol.  Stacks whose every pair fits in one
+    chunk are compared in full, in one call, which no screen can undercut.
+    Otherwise the diagonals of every batch entry are compared in one call,
+    and the screened-in pairs of all entries and rows are gathered as
+    ``a[r] - b[c]`` differences, whose two operands hold at most ``_CHUNK``
+    complex entries a chunk, for the Frobenius kernel.  Each kept entry is the one a lone
+    ``cross_distances(a[i:i+1], b[cols])`` call over its row's screened-in
+    columns gives, bit for bit: above ``_ONE_PASS`` entries a pair that
+    call reduces alone is reduced alone here, and every other pair is
+    reduced as one of several.  When ``a`` is ``b``, only the pairs (i, j)
+    with i < j, all a dedup reads, are screened in.
     """
     if a.shape[-3] * b.shape[-3] * a.shape[-1] ** 2 <= _CHUNK:
         return cross_distances(a, b)
-    if a.ndim > 3:
-        return np.stack([_screened_distances(x, x if a is b else y, eq_tol) for x, y in zip(a, b)])
-    lower = cross_distances(np.diagonal(a, axis1=1, axis2=2)[:, None], np.diagonal(b, axis1=1, axis2=2)[:, None])
-    near = lower <= eq_tol * (1 + 1e-6)
+    diagonals = (np.diagonal(x, axis1=-2, axis2=-1)[..., None, :] for x in (a, b))
+    near = cross_distances(*diagonals) <= eq_tol * (1 + 1e-6)
     if a is b:
-        near &= np.arange(len(a))[:, None] < np.arange(len(b))
-    out = np.full(lower.shape, np.inf)
-    for i in np.flatnonzero(near.any(axis=1)):
-        cols = np.flatnonzero(near[i])
-        out[i, cols] = cross_distances(a[i : i + 1], b[cols])[0]
+        near &= np.arange(a.shape[-3])[:, None] < np.arange(b.shape[-3])
+    out = np.full(near.shape, np.inf)
+    *lead, rows, cols = np.nonzero(near)  # row-major: a row's columns in order
+    if not len(rows):
+        return out
+    size = a.shape[-2] * a.shape[-1]
+    lone = np.zeros(len(rows), dtype=bool)
+    if size > _ONE_PASS:
+        # a row's lone call takes its columns in blocks of ``width``; a pair
+        # it reduces alone, in a block of one column, is reduced alone here
+        counts = near.sum(axis=-1).ravel()
+        row = np.repeat(np.arange(len(counts)), counts)
+        kb = counts[row]
+        width = np.minimum(kb, _CHUNK // size)
+        position = np.arange(len(rows)) - (np.cumsum(counts) - counts)[row]
+        lone = (width == 1) | ((position == kb - 1) & ((kb - 1) % width == 0))
+    left, right = (*lead, rows), (*lead, cols)
+    dist = np.empty(len(rows))
+    batched = np.flatnonzero(~lone)
+    step = max(2, _CHUNK // (2 * size))  # a chunk's two gathered operands hold _CHUNK entries
+    with np.errstate(over="ignore"):
+        for start in range(0, len(batched), step):
+            picks = batched[start : start + step]
+            if len(picks) == 1:  # reduced beside a copy of itself, as one of several
+                picks = np.repeat(picks, 2)
+            diff = a[tuple(x[picks] for x in left)]
+            np.subtract(diff, b[tuple(x[picks] for x in right)], out=diff)
+            dist[picks] = frobenius_norm(diff)
+        for p in np.flatnonzero(lone):
+            dist[p] = frobenius_norm(a[tuple(x[p] for x in left)] - b[tuple(x[p] for x in right)])
+    out[near] = dist
     return out
 
 
@@ -262,26 +299,67 @@ def first_meeting(
     Returns ``(i, j, a, b, dist)``: (i, j) is the first pair of stacks, in
     ``combinations`` order, with rows within eq_tol of each other, and row a
     of stack i and row b of stack j are its closest cross pair (first in
-    row-major order among equals), ``dist`` apart.  Each stack is compared
-    with all later stacks, stacked once, in one screened call.
+    row-major order among equals), ``dist`` apart.
+
+    Two stacks are compared in one screened call, without a copy.  More are
+    stacked once and walked in blocks, one screened call each, up to the
+    first block with a hit.  A stack of several rows is a block of its own,
+    compared with the rows of the later stacks.  Consecutive one-row stacks
+    (a grid code's level, where each state's deletions coincide) form
+    blocks of as many as keep the block's rows times the rows from the block
+    on within ``_MEETING_BUDGET`` pairs; a block's rows are compared with
+    their own and all later rows, a self-comparison when the block runs to
+    the end, and pairs of a stack with itself or an earlier stack are masked
+    out.  One-row stacks have no pairs of their own, so no block compares
+    a stack's own pairs.
     """
     if len(stacks) < 2:
         return None
-    # two stacks (a distance walk's level) are compared without a copy
-    later = stacks[1] if len(stacks) == 2 else np.concatenate(stacks[1:])
-    # starts[j]: the row of ``later`` where stack j begins (stack 0 is not in it)
-    starts = list(accumulate((len(stack) for stack in stacks), initial=-len(stacks[0])))
-    for i in range(len(stacks) - 1):
-        rest = starts[i + 1]
-        dist = _screened_distances(stacks[i], later[rest:], eq_tol)
-        hits = (dist <= eq_tol).any(axis=0)
+    starts = list(accumulate((len(stack) for stack in stacks), initial=0))
+    # the stack of each stacked row; two stacks' rows form cross pairs only
+    owner = np.repeat(np.arange(len(stacks)), np.diff(starts)) if len(stacks) > 2 else None
+    for left, top, right, base in _meeting_blocks(stacks, starts):
+        dist = _screened_distances(left, right, eq_tol)
+        hits = dist <= eq_tol
+        if owner is not None:
+            hits &= owner[top : top + len(left), None] < owner[None, base:]
         if not hits.any():
             continue
-        j = bisect_right(starts, rest + int(hits.argmax())) - 1
-        block = dist[:, starts[j] - rest : starts[j + 1] - rest]
+        # row-major, the first hit lies in the first stack i with one; j is
+        # the least stack among the columns that i's rows hit
+        rows, cols = np.nonzero(hits)
+        i = bisect_right(starts, top + int(rows[0])) - 1
+        j = bisect_right(starts, base + int(cols[rows < starts[i + 1] - top].min())) - 1
+        block = dist[starts[i] - top : starts[i + 1] - top, starts[j] - base : starts[j + 1] - base]
         a, b = divmod(int(block.argmin()), block.shape[1])
         return i, j, a, b, float(block[a, b])
     return None
+
+
+_MEETING_BUDGET = _CHUNK  # largest (block rows) x (rows compared) of a block of one-row stacks
+
+
+def _meeting_blocks(stacks: Sequence[np.ndarray], starts: list[int]) -> Iterator[tuple]:
+    """The screened calls of ``first_meeting``, one ``(left, top, right,
+    base)`` per block: the block's rows ``left`` and the rows ``right`` they
+    are compared with, which begin at stacked rows ``top`` and ``base``
+    (``starts[i]`` is the stacked row where stack i begins)."""
+    if len(stacks) == 2:  # a view: one array passed twice is still two stacks
+        yield stacks[0], 0, stacks[1][:], starts[1]
+        return
+    rows = np.concatenate(stacks)
+    several = [k for k, stack in enumerate(stacks) if len(stack) != 1] + [len(stacks)]
+    i = 0
+    while i < len(stacks) - 1:
+        if len(stacks[i]) != 1:  # compared with the later stacks only: none of its own pairs
+            yield stacks[i], starts[i], rows[starts[i + 1] :], starts[i + 1]
+            i += 1
+            continue
+        right = rows[starts[i] :]
+        budget = bisect_right(starts, starts[i] + _MEETING_BUDGET // len(right)) - 1
+        end = min(several[bisect_right(several, i)], max(i + 1, budget))
+        yield (right if end == len(stacks) else right[: end - i]), starts[i], right, starts[i]
+        i = end
 
 
 @dataclass(frozen=True, eq=False)

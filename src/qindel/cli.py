@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import sys
@@ -184,6 +185,7 @@ def _cmd_paper_examples(args) -> tuple[int, dict, dict]:
     return (EXIT_TRUE if all(i["status"] == "pass" for i in suite["items"]) else EXIT_FALSE), {}, suite
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qindel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,7 +1,10 @@
 """Fixture states, codes, and closed-form oracles used throughout the tests.
 
 Everything here is built from exact rational / square-root amplitudes at full
-floating precision, so oracle comparisons can run at 1e-10 tightness.
+floating precision, so oracle comparisons can run at 1e-10 tightness.  A
+codeword family is its shape and its two logical kets; ``_codewords`` builds
+any number of a family's codewords as one read-only stack, for a grid code
+and for a lone codeword alike.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .channels import delete
 from .distance import CodeSample
 from .errors import CountOutOfRange, DegenerateParam, NotNormalized, ParseError, PositionOutOfRange
 from .errors import WeightOutOfRange
-from .linalg import Tolerance
+from .linalg import Tolerance, frobenius_norm
 from .states import DensityMatrix, QuditShape, _count, basis_ket, density_from_ket
 
 __all__ = [
@@ -42,11 +45,23 @@ _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
+def _check_params(params) -> np.ndarray:
+    """The (alpha, beta) pairs of ``params`` as a ``(k, 2)`` complex array,
+    each normalized: the first pair whose |alpha|^2 + |beta|^2 differs from 1
+    by more than 1e-9 is refused (``NotNormalized``)."""
+    pairs = np.array(params, dtype=complex).reshape(-1, 2)
+    with np.errstate(over="ignore"):  # a square past the float range reads inf
+        residual = np.abs(np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2 - 1.0)
+    bad = ~(residual <= 1e-9)  # also refuses a NaN residual
+    if bad.any():
+        first = float(residual[bad.argmax()])
+        raise NotNormalized(f"|alpha|^2+|beta|^2 differs from 1 by {first:.3e}", first)
+    return pairs
+
+
 def _check_param(alpha: complex, beta: complex) -> tuple[complex, complex]:
-    alpha, beta = complex(alpha), complex(beta)
-    residual = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
-    if not residual <= 1e-9:  # also refuses a NaN residual
-        raise NotNormalized(f"|alpha|^2+|beta|^2 differs from 1 by {residual:.3e}", residual)
+    """One pair of ``_check_params``, as Python complex numbers."""
+    alpha, beta = _check_params([(alpha, beta)])[0].tolist()
     return alpha, beta
 
 
@@ -70,27 +85,49 @@ def dicke_ket(n: int, i: int) -> np.ndarray:
     return (np.array([k.bit_count() for k in range(QuditShape(2, n).dim)]) == i).astype(complex)
 
 
-# the logical kets of hagiwara_codeword, built once
-_HAGIWARA_SHAPE = QuditShape(2, 4)
-_ZERO_L = (dicke_ket(4, 0) + dicke_ket(4, 4)) / math.sqrt(2)
-_ONE_L = dicke_ket(4, 2) / math.sqrt(6)
-_ZERO_L.setflags(write=False)
-_ONE_L.setflags(write=False)
+def _family(shape: QuditShape, zero: np.ndarray, one: np.ndarray) -> tuple[QuditShape, np.ndarray, np.ndarray]:
+    """A codeword family: its qudit shape and its logical kets |0_L>, |1_L>, read-only."""
+    zero.setflags(write=False)
+    one.setflags(write=False)
+    return shape, zero, one
+
+
+# the families of x1_codeword and hagiwara_codeword, built once
+_X1 = _family(QuditShape(2, 2), basis_ket("00", QuditShape(2, 2)), basis_ket("11", QuditShape(2, 2)))
+_HAGIWARA = _family(QuditShape(2, 4), (dicke_ket(4, 0) + dicke_ket(4, 4)) / math.sqrt(2), dicke_ket(4, 2) / math.sqrt(6))
+
+
+def _codewords(family, params) -> np.ndarray:
+    """The read-only ``(k, d, d)`` stack of the codewords alpha|0_L> + beta|1_L>
+    of ``family`` over the k (alpha, beta) pairs of ``params``.
+
+    The pairs pass ``_check_params``; the kets then pass ``density_from_ket``'s
+    norm rule, with its message, all at once.  Each row is the outer product
+    of its ket with the ufunc ``np.outer`` uses, so it has the bits of building
+    its state alone."""
+    shape, zero, one = family
+    pairs = _check_params(params)
+    kets = pairs[:, :1] * zero + pairs[:, 1:] * one
+    residual = np.abs(frobenius_norm(kets[:, None, :]) - 1.0)
+    bad = residual > Tolerance().at(shape.dim).eq_tol
+    if bad.any():
+        first = float(residual[bad.argmax()])
+        raise NotNormalized(f"ket norm differs from 1 by {first:.3e}", first)
+    stack = kets[:, :, None] * kets.conj()[:, None, :]
+    stack.setflags(write=False)
+    return stack
 
 
 def hagiwara_codeword(alpha: complex, beta: complex) -> DensityMatrix:
     """Four-qubit codeword alpha|0_L> + beta|1_L> of the single-deletion code
-    with |0_L> = (|0000> + |1111>)/sqrt(2) and |1_L> the normalized weight-2 sum."""
-    alpha, beta = _check_param(alpha, beta)
-    return density_from_ket(alpha * _ZERO_L + beta * _ONE_L, _HAGIWARA_SHAPE)
+    with |0_L> = (|0000> + |1111>)/sqrt(2) and |1_L> the normalized weight-2
+    sum: the one-pair case of ``_codewords``."""
+    return DensityMatrix(_HAGIWARA[0], _codewords(_HAGIWARA, [(alpha, beta)])[0])
 
 
 def x1_codeword(alpha: complex, beta: complex) -> DensityMatrix:
-    """Two-qubit codeword alpha|00> + beta|11>."""
-    alpha, beta = _check_param(alpha, beta)
-    shape = QuditShape(2, 2)
-    ket = alpha * basis_ket("00", shape) + beta * basis_ket("11", shape)
-    return density_from_ket(ket, shape)
+    """Two-qubit codeword alpha|00> + beta|11>: the one-pair case of ``_codewords``."""
+    return DensityMatrix(_X1[0], _codewords(_X1, [(alpha, beta)])[0])
 
 
 def example_rho(p0: float = 0.5, p1: float = 0.5) -> DensityMatrix:
@@ -213,13 +250,19 @@ def collision_pair_x2(alpha: complex, beta: complex) -> tuple[DensityMatrix, Den
     phase is trivial (in particular for alpha or beta zero, or both real) the
     two states coincide and no pair exists.
     """
+    first, second = _codewords(_HAGIWARA, _collision_params(alpha, beta))
+    return DensityMatrix(_HAGIWARA[0], first), DensityMatrix(_HAGIWARA[0], second)
+
+
+def _collision_params(alpha: complex, beta: complex) -> list[tuple[complex, complex]]:
+    """The parameters of ``collision_pair_x2(alpha, beta)``."""
     alpha, beta = _check_param(alpha, beta)
     if abs(alpha) < 1e-12 or abs(beta) < 1e-12:
         raise DegenerateParam("alpha and beta must both be nonzero")
     phase = cmath.exp(2j * (cmath.phase(alpha) - cmath.phase(beta)))
     if abs(phase - 1.0) < 1e-12:
         raise DegenerateParam("phase factor is 1; the pair coincides")
-    return hagiwara_codeword(alpha, beta), hagiwara_codeword(alpha, phase * beta)
+    return [(alpha, beta), (alpha, phase * beta)]
 
 
 # --- parameter grids and code samples -----------------------------------------
@@ -245,16 +288,17 @@ def x2_collision_params() -> tuple[complex, complex]:
     return (math.cos(math.pi / 8), math.sin(math.pi / 8) * cmath.exp(1j * math.pi / 3))
 
 
-def _grid_code(codeword, params, extras, tol: Tolerance) -> CodeSample:
-    """The code of ``codeword`` over ``params`` (None: ``code_params()``),
-    each state labelled by its parameters, with the labelled states
-    ``extras`` appended, deduplicated within ``tol``."""
-    grid = [
-        (f"a={a.real:+.3f}{a.imag:+.3f}j,b={b.real:+.3f}{b.imag:+.3f}j", codeword(a, b))
-        for a, b in (params if params is not None else code_params())
-    ]
-    labels, states = zip(*grid, *extras)
-    return CodeSample(states, labels, tol)
+def _grid_code(family, params, extras, tol: Tolerance) -> CodeSample:
+    """The code of ``family``'s codewords over ``params`` (None:
+    ``code_params()``), each state labelled by its parameters, with the
+    codewords of the labelled parameters ``extras`` appended, deduplicated
+    within ``tol``.  The states are views of the rows of one ``_codewords``
+    stack, so a bad pair is refused as ``_check_params`` refuses it."""
+    params = code_params() if params is None else list(params)
+    labels = [f"a={a.real:+.3f}{a.imag:+.3f}j,b={b.real:+.3f}{b.imag:+.3f}j" for a, b in params]
+    stack = _codewords(family, params + [pair for _, pair in extras])
+    states = tuple(DensityMatrix(family[0], mat) for mat in stack)
+    return CodeSample(states, tuple(labels + [label for label, _ in extras]), tol)
 
 
 # --- builtin registry for the CLI ---------------------------------------------
@@ -294,11 +338,11 @@ def builtin_code(name: str, params=None, tol: Tolerance = Tolerance()) -> CodeSa
     appended, or 'collision-x2', that collision pair alone."""
     if name == "x1":
         a, b = math.cos(math.pi / 8), math.sin(math.pi / 8)
-        pair = [(f"phase-{k}", x1_codeword(a, b * cmath.exp(1j * k * math.pi / 3))) for k in (1, 2)]
-        return _grid_code(x1_codeword, params, pair, tol)
+        pair = [(f"phase-{k}", (a, b * cmath.exp(1j * k * math.pi / 3))) for k in (1, 2)]
+        return _grid_code(_X1, params, pair, tol)
     if name == "hagiwara4":
-        psi1, psi2 = collision_pair_x2(*x2_collision_params())
-        return _grid_code(hagiwara_codeword, params, [("collision-1", psi1), ("collision-2", psi2)], tol)
+        pair = zip(("collision-1", "collision-2"), _collision_params(*x2_collision_params()))
+        return _grid_code(_HAGIWARA, params, list(pair), tol)
     if name == "collision-x2":
         psi1, psi2 = collision_pair_x2(*x2_collision_params())
         return CodeSample.from_states((psi1, psi2), ("collision-1", "collision-2"), tol)

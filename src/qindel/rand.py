@@ -26,6 +26,8 @@ def _ginibre(
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """(G + G-dagger)/2 for a Ginibre G; ``dim`` is an integer of at least 1."""
+    dim = _count(dim, "dimension", least=1)
     g = _ginibre(rng, dim, dim)
     return (g + g.conj().T) / 2
 
@@ -33,17 +35,19 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_psd(
     rng: np.random.Generator, dim: int, rank: int | None = None, batch: tuple[int, ...] = ()
 ) -> np.ndarray:
-    """B B-dagger for a Ginibre B; rank limits the number of columns.  With
-    ``batch`` leading axes, a stack of them from one draw, as ``_ginibre``."""
-    b = _ginibre(rng, dim, rank if rank is not None else dim, batch)
+    """B B-dagger for a Ginibre B, ``dim`` (an integer of at least 1) square;
+    ``rank`` is None (full rank) or an integer in [1, ``dim``], the number of
+    columns of B.  With ``batch`` leading axes, a stack of them from one
+    draw, as ``_ginibre``."""
+    dim = _count(dim, "dimension", least=1)
+    rank = dim if rank is None else _count(rank, "rank", least=1, most=dim)
+    b = _ginibre(rng, dim, rank, batch)
     return b @ b.conj().swapaxes(-1, -2)
 
 
 def random_density(rng: np.random.Generator, shape: QuditShape, rank: int | None = None) -> DensityMatrix:
-    """Trace-normalized Ginibre state, optionally rank-limited: ``rank`` is
-    None (full rank) or an integer in [1, ``shape.dim``]."""
-    if rank is not None:
-        rank = _count(rank, "rank", least=1, most=shape.dim)
+    """Trace-normalized ``random_psd`` state, optionally rank-limited: ``rank``
+    is None (full rank) or an integer in [1, ``shape.dim``]."""
     m = random_psd(rng, shape.dim, rank)
     return DensityMatrix(shape, m / np.trace(m).real)
 

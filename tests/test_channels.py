@@ -414,6 +414,95 @@ def test_first_meeting_matches_pairwise_oracle(rng, n):
     assert first_meeting(stacks[:1], eq_tol) is None
 
 
+def _counting(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records each call's
+    arguments; returns the list of records."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("budget", [1, 10, None], ids=["one-stack-blocks", "small-blocks", "one-block"])
+def test_first_meeting_in_blocks_matches_pairwise_oracle(rng, monkeypatch, budget):
+    """Blocks of one-row stacks, and stacks of several rows alone, one
+    screened call each, give the pairwise oracle's answer: the first meeting
+    pair, then the first of its closest cross pairs, exact copies at
+    distance 0 included; copies within one stack never meet."""
+    if budget is not None:
+        monkeypatch.setattr(qindel.channels, "_MEETING_BUDGET", budget)
+    calls = _counting(monkeypatch, qindel.channels, "_screened_distances")
+    shape = QuditShape(2, 2)
+    eq_tol = Tolerance().at(shape.dim).eq_tol
+    found, one_row_calls = 0, []
+    for trial in range(120):
+        count = int(rng.integers(3, 9))
+        most = 1 if trial % 2 else 4  # every other code has one row per stack, as a grid's levels do
+        stacks = [np.stack([random_density(rng, shape).mat for _ in range(int(rng.integers(1, most + 1)))]) for _ in range(count)]
+        for _ in range(int(rng.integers(0, 4))):
+            # an exact copy of a row, in its own stack or a later one, at
+            # one or two places: ties at distance 0
+            i = int(rng.integers(count))
+            row = stacks[i][int(rng.integers(len(stacks[i])))]
+            for j in rng.choice(np.arange(i, count), int(rng.integers(1, 3))):
+                stacks[j][int(rng.integers(len(stacks[j])))] = row
+        if rng.random() < 0.3:  # a near pair, within eq_tol but not a copy
+            i, j = sorted(rng.choice(count, 2, replace=False))
+            b = int(rng.integers(len(stacks[j])))
+            stacks[j][b] = stacks[i][0] + 0.5 * eq_tol * _hermitian_step(rng, shape.dim, "both")
+        calls.clear()
+        want = _meeting_oracle(stacks, eq_tol)
+        assert first_meeting(stacks, eq_tol) == want
+        assert len(calls) <= count - 1
+        found += want is not None
+        if most == 1:
+            one_row_calls.append(len(calls))
+    assert 20 < found < 120
+    assert (max(one_row_calls) > 1) == (budget is not None)
+
+
+def _shared_diagonal_rows(rng, dim, sizes):
+    """Hermitian rows in families of ``sizes`` rows, each family sharing one
+    diagonal, as the states of one grid angle do at every phase."""
+    rows = []
+    for size in sizes:
+        diagonal = rng.random(dim)
+        for _ in range(size):
+            row = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            row = row + row.conj().T
+            np.fill_diagonal(row, diagonal)
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dim, sizes", [(16, (30, 20, 1)), (128, (1, 2, 3, 5, 4, 9))])
+def test_screened_pairs_past_one_chunk_keep_the_bits_of_each_rows_call(rng, dim, sizes):
+    """Every pair of a family passes the diagonal screen, far more pairs than
+    one chunk holds; each kept entry is the one its row's lone
+    ``cross_distances`` call gives, bit for bit.  At d=128 that call reduces
+    a block of one column alone (a row of 1, 5 or 9 columns ends in one),
+    with other last bits than a pair reduced among several, and the cross
+    case leaves one pair for the last chunk of the rest."""
+    b = _shared_diagonal_rows(rng, dim, sizes)
+    family = np.repeat(np.arange(len(sizes)), sizes)
+    for left, right in ((b.copy(), b), (b, b)):
+        dist = _screened_distances(left, right, 1e-9)
+        kept = np.isfinite(dist)
+        want = family[:, None] == family[None, :]
+        if left is right:
+            want &= np.arange(len(b))[:, None] < np.arange(len(b))
+        np.testing.assert_array_equal(kept, want)
+        assert kept.sum() > 2 * qindel.channels._CHUNK // dim**2
+        for i, row in enumerate(dist):
+            cols = np.flatnonzero(kept[i])
+            if len(cols):
+                assert row[cols].tobytes() == cross_distances(left[i : i + 1], right[cols])[0].tobytes()
+
+
 @pytest.mark.parametrize("level, lengths", [(2, range(1, 7)), (3, range(1, 4))])
 def test_deletion_levels_match_per_subset_traces(rng, level, lengths):
     """Every raw row of the ladder equals the direct trace bit for bit, and

@@ -277,6 +277,36 @@ def test_usage_errors(capsys):
     assert code == 3
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; each report and exit code is the
+    # one a freshly built parser gives, a usage error between calls included
+    monkeypatch.setattr(qindel.cli, "run_all", lambda seed: {"items": [{"status": "pass", "name": "seed", "details": seed}]})
+    a, b = _write_pure(tmp_path, "01", "a.json"), _write_pure(tmp_path, "10", "b.json")
+    calls = [
+        ("verify", "builtin:x1", "--grid", "3,2", "--t", "1", "--errors", "indel"),
+        ("verify", "builtin:x1", "--t", "one"),
+        ("distance", str(a), str(b), "--eq-tol", "1e-6"),
+        ("paper-examples", "--seed", "7"),
+    ]
+
+    def outcome(argv):
+        code, report, err = run_cli(capsys, *argv)
+        if report is not None:
+            report.pop("elapsed_ms")
+        return code, report, err
+
+    qindel.cli._build_parser.cache_clear()
+    shared = [outcome(argv) for argv in calls]
+    assert qindel.cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        qindel.cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 3, 0, 0]
+    assert shared[3][1]["results"]["items"][0]["details"] == 7
+
+
 def test_sphere_unwritable_out_exits_3(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     code, report, err = run_cli(capsys, "sphere", "builtin:rho", "--s", "1", "--out", str(out))

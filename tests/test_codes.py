@@ -89,6 +89,54 @@ def test_hagiwara_codewords_keep_the_bits_of_the_inline_formula(grid):
         assert np.array_equal(hagiwara_codeword(a, b).mat, expected.mat)
 
 
+def _per_state_formula(name, a, b):
+    """The parent formula of one grid state: its ket built alone, then np.outer."""
+    if name == "x1":
+        shape = QuditShape(2, 2)
+        zero, one = basis_ket("00", shape), basis_ket("11", shape)
+    else:
+        zero, one = (dicke_ket(4, 0) + dicke_ket(4, 4)) / math.sqrt(2), dicke_ket(4, 2) / math.sqrt(6)
+    ket = complex(a) * zero + complex(b) * one
+    return np.outer(ket, ket.conj())
+
+
+@pytest.mark.parametrize("name", ["x1", "hagiwara4"])
+@pytest.mark.parametrize("grid", [None, (9, 12), (2, 1)], ids=["default-grid", "grid-9-12", "grid-2-1"])
+def test_grid_states_keep_the_bits_of_the_per_state_formula(name, grid):
+    # the grid and its appended pair are built as one read-only stack, and
+    # every state is a view of its row with the bits of building it alone
+    code = builtin_code(name, None if grid is None else code_params(*grid))
+    params = code_params(*(grid or ()))
+    if name == "x1":
+        a, b = math.cos(math.pi / 8), math.sin(math.pi / 8)
+        params += [(a, b * cmath.exp(1j * k * math.pi / 3)) for k in (1, 2)]
+    else:
+        alpha, beta = x2_collision_params()
+        phase = cmath.exp(2j * (cmath.phase(alpha) - cmath.phase(beta)))
+        params += [(alpha, beta), (alpha, phase * beta)]
+    offered = [_per_state_formula(name, a, b) for a, b in params]
+    assert len(code.joined) == len(offered)
+    for state, k in zip(code.states, [code.joined.index(j) for j in range(len(code))]):
+        assert state.mat.tobytes() == offered[k].tobytes()
+        assert not state.mat.flags.writeable
+        assert state.mat.base is not None and state.mat.base is code.states[0].mat.base
+
+
+@pytest.mark.parametrize("name", ["x1", "hagiwara4"])
+def test_a_bad_grid_pair_is_refused_as_its_lone_codeword_is(name):
+    # the first pair off the unit sphere is named by its residual, with the
+    # message the one-state check gives; later bad pairs are not reached
+    good = code_params(3, 2)
+    for bad in ([(1, 1), (0.5, 0.5)], [(math.nan, 0), (1, 1)], [(0.6, 0.8 + 1e-6), (2, 0)]):
+        with pytest.raises(NotNormalized) as lone:
+            x1_codeword(*bad[0])
+        with pytest.raises(NotNormalized) as grid:
+            builtin_code(name, good[:2] + bad + good[2:])
+        assert str(grid.value) == str(lone.value)
+        assert str(lone.value).startswith("|alpha|^2+|beta|^2 differs from 1 by ")
+        assert grid.value.residual == lone.value.residual or math.isnan(lone.value.residual)
+
+
 @pytest.mark.parametrize(
     "build", [hagiwara_codeword, x1_codeword, hagiwara_single_deletion, hagiwara_double_deletion]
 )

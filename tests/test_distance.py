@@ -23,6 +23,7 @@ from qindel.distance import (
     metric_check,
     min_distance,
 )
+import qindel.channels
 import qindel.distance as distance
 from qindel.errors import (
     CountOutOfRange,
@@ -141,6 +142,42 @@ def test_the_stacked_walk_matches_the_lone_walk_on_the_builtin_grids(name, grid,
     code = builtin_code(name, _grid(*grid) if grid else None)
     assert len(code) == size
     assert assert_matches_lone_walk(code) == want
+
+
+def _recorded(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records the shapes of the
+    arrays of each call; returns the list of records."""
+    calls, real = [], getattr(module, name)
+
+    def recorded(*args):
+        calls.append(tuple(arg.shape for arg in args if isinstance(arg, np.ndarray)))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_a_grid_code_is_deduplicated_with_one_diagonal_screen(monkeypatch):
+    # the 110 offered states of the 9x12 grid and its collision pair: one
+    # cross_distances call compares their diagonals, and the pairs it lets
+    # through are gathered, not compared row by row
+    calls = _recorded(monkeypatch, qindel.channels, "cross_distances")
+    assert len(builtin_code("hagiwara4", _grid(9, 12))) == 86
+    assert calls == [((110, 1, 16), (110, 1, 16))]
+
+
+def test_a_grid_walk_makes_one_screened_call_per_level_and_block(monkeypatch):
+    # min distance 4: levels 1 and 2, each one dedup of all 86 stacked
+    # ladders and one block of the 86 kept rows, not one call per state
+    code = builtin_code("hagiwara4", _grid(9, 12))
+    calls = _recorded(monkeypatch, qindel.channels, "_screened_distances")
+    assert min_distance(code)[0] == 4
+    assert calls == [
+        ((86, 4, 8, 8), (86, 4, 8, 8)),
+        ((86, 8, 8), (86, 8, 8)),
+        ((86, 6, 4, 4), (86, 6, 4, 4)),
+        ((86, 4, 4), (86, 4, 4)),
+    ]
 
 
 def test_min_distance_orthogonal_product_states():

@@ -19,7 +19,7 @@ from qindel.errors import (
     ValidationError,
 )
 from qindel.linalg import Tolerance
-from qindel.rand import random_density, random_orthonormal
+from qindel.rand import random_density, random_hermitian, random_orthonormal, random_psd
 from qindel.states import (
     DensityMatrix,
     QuditShape,
@@ -456,11 +456,31 @@ def test_random_orthonormal_refuses_more_vectors_than_the_dimension():
         pytest.param(lambda rng: random_density(rng, QuditShape(2, 1), 1.0), "must be an integer", id="rank-float"),
         pytest.param(lambda rng: random_orthonormal(rng, 4, 1.5), "must be an integer", id="count-float"),
         pytest.param(lambda rng: random_orthonormal(rng, 4, -1), "must be nonnegative", id="count-negative"),
+        pytest.param(lambda rng: random_psd(rng, 2, 0), "rank must be at least 1", id="psd-rank-0"),
+        pytest.param(lambda rng: random_psd(rng, 2, -1), "rank must be at least 1", id="psd-rank-negative"),
+        pytest.param(lambda rng: random_psd(rng, 2, 3), r"rank=3 not in \[1, 2\]", id="psd-rank-3"),
+        pytest.param(lambda rng: random_psd(rng, 0), "dimension must be at least 1", id="psd-dim-0"),
+        pytest.param(lambda rng: random_hermitian(rng, 1.5), "must be an integer", id="hermitian-dim-float"),
+        pytest.param(lambda rng: random_hermitian(rng, -2), "dimension must be at least 1", id="hermitian-dim-negative"),
     ],
 )
 def test_random_counts_go_through_the_count_rule(call, message):
-    # a rank of zero once divided by a zero trace, and a rank above the
-    # dimension silently drew a full-rank state
+    # a rank of zero once divided by a zero trace (random_psd returned the
+    # zero matrix), a rank above the dimension silently drew a full-rank
+    # state, and a float or negative dimension reached numpy
     with pytest.raises(CountOutOfRange, match=message):
         call(np.random.default_rng(0))
 
+
+
+def test_checked_draws_keep_their_bits():
+    # the count checks draw nothing: each draw is the Ginibre formula it was
+    rng = np.random.default_rng(11)
+    parts = rng.standard_normal((2, 3, 3))
+    g = parts[0] + 1j * parts[1]
+    assert random_hermitian(np.random.default_rng(11), np.int64(3)).tobytes() == ((g + g.conj().T) / 2).tobytes()
+    for rank in (None, 3, 2):
+        rng = np.random.default_rng(11)
+        parts = rng.standard_normal((2, 3, rank or 3))
+        b = parts[0] + 1j * parts[1]
+        assert random_psd(np.random.default_rng(11), 3, rank).tobytes() == (b @ b.conj().T).tobytes()
