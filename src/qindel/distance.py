@@ -12,13 +12,14 @@ deletion spheres first meet, by one walk, ``_first_meeting``.  It walks
 ladders of ``channels._dedup_levels`` in step, each one of a stack of
 states, and asks ``channels.first_meeting`` once per level about every
 state's kept rows: ``indel_distance`` walks two one-state ladders from their
-start levels; ``min_distance`` stacks the code's states once and walks the
-one ladder of the stack from level 1, since code states share one length,
-are distinct at level 0 by construction, and the code's minimum distance is
-2s for the least s at which two of their s-deletion spheres meet;
+start levels; ``min_distance`` walks the one ladder of the code's stack
+from level 1, since code states share one length, are distinct at level 0
+by construction, and the code's minimum distance is 2s for the least s at
+which two of their s-deletion spheres meet;
 ``metric_check`` builds each state's levels once per triple.  Only a witness
-row is wrapped as a state.  ``CodeSample`` dedups its states once, with the
-spheres' greedy dedup, at the tolerance every verdict on the code reads.
+row is wrapped as a state.  ``CodeSample`` stacks and dedups its states
+once, with the spheres' greedy dedup, at the tolerance every verdict on the
+code reads, and keeps the stack its states view.
 """
 
 from __future__ import annotations
@@ -75,13 +76,16 @@ class CodeSample:
 
     Construction dedups the offered states greedily: the first of each
     coinciding group stays, with its label.  ``joined[j]`` is the index in
-    ``states`` of the state offered state j became or joined.
+    ``states`` of the state offered state j became or joined.  The offered
+    matrices are stacked once; ``stack`` is the read-only ``(k, d, d)``
+    array of the kept ones, and each of ``states`` views its row.
     """
 
     states: tuple[DensityMatrix, ...]
     labels: tuple[str, ...]
     tol: Tolerance = Tolerance()
     joined: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.states):
@@ -94,9 +98,14 @@ class CodeSample:
             raise ShapeMismatch(f"states span several lengths: {sorted(lengths)}")
         if not self.states:
             return
-        eq_tol = self.tol.at(self.states[0].dim).eq_tol
-        kept, joined = distinct_rows(np.stack([s.mat for s in self.states]), eq_tol)
-        object.__setattr__(self, "states", tuple(self.states[c] for c in kept))
+        shape = self.states[0].shape
+        stack = np.stack([s.mat for s in self.states])
+        kept, joined = distinct_rows(stack, self.tol.at(shape.dim).eq_tol)
+        if len(kept) < len(stack):
+            stack = stack[kept]
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "states", tuple(DensityMatrix(shape, mat) for mat in stack))
         object.__setattr__(self, "labels", tuple(self.labels[c] for c in kept))
         object.__setattr__(self, "joined", tuple(joined))
 
@@ -192,9 +201,9 @@ def min_distance(code: CodeSample) -> tuple[int, tuple[str, str], DistanceResult
     """Minimum pairwise distance with the achieving pair, level by level.
 
     Code states share one length, so a pair's distance is 2s for the least s
-    at which their s-deletion spheres meet.  The code's states are stacked
-    once and the stack's one ladder is walked, one level at a time: each
-    level is traced and deduplicated for every state in batched calls, and
+    at which their s-deletion spheres meet.  The one ladder of the code's
+    ``stack`` is walked, one level at a time: each level is traced and
+    deduplicated for every state in batched calls, and
     ``channels.first_meeting`` compares the states' kept rows at once.  The
     first level with a hit gives the value; the pair reported is the first,
     in ``combinations`` order, that meets there, with its closest cross pair
@@ -203,9 +212,8 @@ def min_distance(code: CodeSample) -> tuple[int, tuple[str, str], DistanceResult
     """
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
-    # the stack is not named, so it is freed once its level 1 is built
-    shape, mats = code.states[0].shape, [rho.mat for rho in code.states]
-    i, j, result = _first_meeting([(shape, 1, _dedup_levels(np.stack(mats), shape, code.tol, 1))])
+    shape = code.states[0].shape
+    i, j, result = _first_meeting([(shape, 1, _dedup_levels(code.stack, shape, code.tol, 1))])
     return result.value, (code.labels[i], code.labels[j]), result
 
 

@@ -223,6 +223,43 @@ def eigensolve(solver, h):
     return out
 
 
+_EPS = np.finfo(float).eps
+
+
+def _psd_certified(h: np.ndarray, psd_tol: float) -> bool:
+    """True only if the gated matrix ``h`` (``_require_hermitian``'s fresh
+    copy) is shown to have every eigenvalue above -psd_tol with room to
+    spare, by one Cholesky factorization and no eigen-solve.
+
+    With c = psd_tol / 2 added to its diagonal, h is factored as R R^H.
+    R R^H is then exactly h + cI plus a backward error of 2-norm at most
+    gamma_{d+1} ||R||_F^2 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 10.5; gamma_k = k eps / (1 - k eps) is taken at the
+    machine epsilon eps = 2u, which covers complex products), so the least
+    eigenvalue of h is at least -c minus that error and the shift's
+    rounding.  h is certified when those two and ``eigvalsh``'s own rounding
+    (about d eps ||h||_2), bounded together by
+    (gamma_{d+1} + (d + 1) eps)(||R||_F^2 + c), stay within c / 2:
+    ``eigvalsh`` could then read its least eigenvalue no lower than
+    -3c/2 > -psd_tol.  A factorization that fails, a bound that fails
+    (always, at psd_tol = 0) or a non-finite ``R`` means "not certified",
+    never "not PSD".  ``h`` is left as given.
+    """
+    d, c = h.shape[-1], psd_tol / 2
+    diagonal = h.flat[:: d + 1]  # a copy
+    # a shift or an R past the float range fails the factorization or the bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        h.flat[:: d + 1] = diagonal + c
+        try:
+            r = np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            return False
+        finally:
+            h.flat[:: d + 1] = diagonal
+        gamma = (d + 1) * _EPS / (1 - (d + 1) * _EPS)
+        return bool((gamma + (d + 1) * _EPS) * (frobenius_norm(r) ** 2 + c) <= c / 2)
+
+
 def hermitian_eigensystem(a, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and eigenvector matrix of a Hermitian
     matrix, or of each matrix of a ``(..., d, d)`` stack.

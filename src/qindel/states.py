@@ -9,7 +9,10 @@ Conventions (fixed once, used everywhere):
 
 Every state, pure or mixed, is a ``DensityMatrix``; a ket is never kept.
 Foreign matrices are checked by ``validate``, and a pure state is built from
-its ket, checked once, by ``density_from_ket``.
+its ket, checked once, by ``density_from_ket``.  ``validate`` shows a matrix
+PSD by one Cholesky factorization of it shifted by psd_tol / 2
+(``linalg._psd_certified``) and eigen-solves only a matrix that fails it,
+to name the refusal with its residual.
 
 State files are UTF-8 JSON objects, read and written here only, through
 orjson.  The one encoder writes a matrix in the compact form: the base64 of
@@ -45,7 +48,15 @@ from .errors import (
     TraceNotOne,
     ValidationError,
 )
-from .linalg import Tolerance, _require_finite, frobenius_distance, hermitian_eigensystem, hermitian_eigenvalues
+from .linalg import (
+    Tolerance,
+    _psd_certified,
+    _require_finite,
+    _require_hermitian,
+    eigensolve,
+    frobenius_distance,
+    hermitian_eigensystem,
+)
 
 __all__ = [
     "SIZE_CAP",
@@ -230,16 +241,25 @@ def _require_psd(w: np.ndarray, tol: Tolerance) -> None:
 
 def validate(mat, shape: QuditShape, tol: Tolerance = Tolerance()) -> DensityMatrix:
     """Check all density-matrix invariants; raise naming the first violation:
-    shape, then the eigen-solve's checks (finite, Hermitian, finite spectrum), trace, PSD."""
+    shape, the gate (finite, Hermitian), a finite spectrum, trace, PSD.
+
+    A matrix that ``linalg._psd_certified`` certifies, by one Cholesky
+    factorization, needs no eigen-solve: its spectrum is finite and its
+    least eigenvalue above -psd_tol.  Any other matrix takes the
+    eigen-solve, so every refusal has the class, message and residual the
+    spectrum gives.
+    """
     m = np.asarray(mat, dtype=complex)
     tol = tol.at(shape.dim)
     if m.shape != (shape.dim, shape.dim):
         raise ShapeMismatch(f"expected a {shape.dim}x{shape.dim} matrix, got {m.shape}")
-    w = hermitian_eigenvalues(m, tol)
+    h = _require_hermitian(m, tol)
+    w = None if _psd_certified(h, tol.psd_tol) else eigensolve(np.linalg.eigvalsh, h)
     tr_res = abs(np.trace(m) - 1.0)
     if tr_res > tol.eq_tol:
         raise TraceNotOne(f"trace differs from 1 by {tr_res:.3e}", tr_res)
-    _require_psd(w, tol)
+    if w is not None:
+        _require_psd(w, tol)
     return DensityMatrix(shape, m)
 
 

@@ -1,12 +1,16 @@
+import sys
 from itertools import count
 
 import numpy as np
 import pytest
 
+from qindel import linalg
 from qindel.channels import deletion_sphere, first_meeting
 from qindel.distance import min_distance
+from qindel.errors import QindelError, ShapeMismatch, TraceNotOne
+from qindel.linalg import Tolerance, hermitian_eigenvalues
 from qindel.rand import random_density
-from qindel.states import QuditShape
+from qindel.states import DensityMatrix, QuditShape, _require_psd, validate
 
 
 @pytest.fixture
@@ -59,3 +63,69 @@ def assert_matches_lone_walk(code):
     assert (result.P, result.Q) == (P, Q)
     assert np.array_equal(result.common.mat, common)
     return value
+
+
+def reference_validate(mat, shape, tol=Tolerance()):
+    """``states.validate`` by the eigen-solve rule alone, with no PSD
+    certificate: shape, the checked eigen-solve (finite, Hermitian, finite
+    spectrum), trace, then the least eigenvalue against -psd_tol."""
+    m = np.asarray(mat, dtype=complex)
+    tol = tol.at(shape.dim)
+    if m.shape != (shape.dim, shape.dim):
+        raise ShapeMismatch(f"expected a {shape.dim}x{shape.dim} matrix, got {m.shape}")
+    w = hermitian_eigenvalues(m, tol)
+    tr_res = abs(np.trace(m) - 1.0)
+    if tr_res > tol.eq_tol:
+        raise TraceNotOne(f"trace differs from 1 by {tr_res:.3e}", tr_res)
+    _require_psd(w, tol)
+    return DensityMatrix(shape, m)
+
+
+def assert_validates_as_reference(mat, shape, tol=Tolerance()):
+    """``validate`` returns the state ``reference_validate`` returns, bit for
+    bit, or raises what it raises: class, message and residual.  Returns the
+    refusal, or None."""
+    try:
+        want = reference_validate(mat, shape, tol)
+    except QindelError as exc:
+        with pytest.raises(QindelError) as got:
+            validate(mat, shape, tol)
+        # a float's repr gives its bits back, NaN included
+        seen, expected = (repr(getattr(e, "residual", None)) for e in (got.value, exc))
+        assert (type(got.value), str(got.value), seen) == (type(exc), str(exc), expected)
+        return exc
+    got = validate(mat, shape, tol)
+    assert got.shape == want.shape and np.array_equal(got.mat, want.mat)
+    return None
+
+
+def planted_state(rng, shape, lowest, rank=None):
+    """A Hermitian matrix of ``shape`` with trace 1 in a random basis: its
+    eigenvalues are ``lowest``, ``rank - 1`` positive ones summing to
+    1 - ``lowest`` (``rank`` at least 2, default the dimension) and zeros.
+    At dimension 1 the one eigenvalue is ``lowest``."""
+    d = shape.dim
+    rank = d if rank is None else rank
+    w = np.zeros(d)
+    w[0] = lowest
+    if d > 1:
+        positive = rng.uniform(0.5, 1.5, rank - 1)
+        w[1:rank] = positive * (1 - lowest) / positive.sum()
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return (q * w) @ q.conj().T
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The solvers of every eigen-solve made through ``linalg.eigensolve``
+    while the test runs, in order, from each package module that binds it."""
+    calls, real = [], linalg.eigensolve
+
+    def counted(solver, h):
+        calls.append(solver.__name__)
+        return real(solver, h)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qindel" and getattr(module, "eigensolve", None) is real:
+            monkeypatch.setattr(module, "eigensolve", counted)
+    return calls

@@ -69,12 +69,13 @@ def test_no_module_imports_an_unused_name():
     assert not unused, f"imported but unused: {unused}"
 
 
-EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+FACTORIZATIONS = {"cholesky", "eig", "eigh", "eigvals", "eigvalsh"}
 
 
 def test_only_linalg_calls_an_eigensolver():
-    # every eigen-solve runs inside linalg, which maps a LAPACK failure to
-    # NoConvergence; elsewhere a solver may only be passed as an argument
+    # every eigen-solve and Cholesky factorization runs inside linalg, which
+    # maps a LAPACK failure to NoConvergence or to "not certified"; elsewhere
+    # a solver may only be passed as an argument
     calls = []
     for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
         if path.name != "linalg.py":
@@ -82,9 +83,9 @@ def test_only_linalg_calls_an_eigensolver():
                 if isinstance(node, ast.Call):
                     func = node.func
                     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                    if name in EIGENSOLVERS:
+                    if name in FACTORIZATIONS:
                         calls.append(f"{path.name}:{node.lineno}")
-    assert not calls, f"eigensolver called outside linalg: {calls}"
+    assert not calls, f"eigensolver or factorization called outside linalg: {calls}"
 
 
 STATE_FILE_CODECS = {"orjson", "base64"}

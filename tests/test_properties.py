@@ -60,7 +60,7 @@ from qindel.states import (  # noqa: E402
     state_to_json_obj,
     validate,
 )
-from conftest import assert_matches_lone_walk  # noqa: E402
+from conftest import assert_matches_lone_walk, assert_validates_as_reference, planted_state  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -161,6 +161,37 @@ def test_checked_entry_points_refuse_a_non_square_matrix(name, rows, cols):
     # validate compares the shape with the qudit shape first
     with pytest.raises(ShapeMismatch if name == "validate" else NonSquare):
         CHECKED[name](np.eye(rows, cols, dtype=complex))
+
+
+# validate against the eigen-solve rule alone (conftest.reference_validate):
+# least eigenvalues around -psd_tol and its half, the certificate's shift,
+# in full-rank and rank-deficient states, and trace and Hermitian faults
+# around eq_tol, at the default psd_tol, at 0 and at an explicit large one
+_VALIDATED = [QuditShape(2, 0), QuditShape(2, 1), QuditShape(3, 1), QuditShape(2, 2), QuditShape(3, 2),
+              QuditShape(2, 4), QuditShape(3, 3), QuditShape(2, 6), QuditShape(2, 8)]
+
+
+@DETERMINISTIC
+@given(
+    st.sampled_from(_VALIDATED),
+    st.floats(-3.0, 1.0),
+    st.sampled_from([None, 0.0, 0.25]),
+    st.sampled_from(["none", "rank", "trace", "hermitian"]),
+    st.floats(0.5, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_validate_decides_as_the_eigen_solve_rule(shape, factor, psd_tol, fault, size, seed):
+    rng, dim, tol = np.random.default_rng(seed), shape.dim, Tolerance(psd_tol=psd_tol)
+    at = tol.at(dim)
+    rank = int(rng.integers(2, dim)) if fault == "rank" and dim > 2 else None
+    mat = planted_state(rng, shape, factor * (at.psd_tol or Tolerance().at(dim).psd_tol), rank)
+    if fault == "trace":
+        mat += size * at.eq_tol * np.eye(dim) / dim
+    elif fault == "hermitian":
+        skew = rng.normal(size=(dim, dim)) * 1j
+        skew = skew + skew.T  # anti-Hermitian
+        mat += size * at.eq_tol * skew / np.linalg.norm(skew) / 2
+    assert_validates_as_reference(mat, shape, tol)
 
 
 _NUMBERS = st.floats(-1.0, 1.0)
@@ -470,7 +501,10 @@ def test_a_code_keeps_the_first_of_each_coinciding_group(candidates, data):
 
     code = CodeSample(states, labels)
     keepers = sorted(first.values())
-    assert all(a is b for a, b in zip(code.states, (states[j] for j in keepers), strict=True))
+    # each kept state has its keeper's bits and views its row of the code's one stack
+    for rho, j, row in zip(code.states, keepers, code.stack, strict=True):
+        assert rho.shape == states[j].shape and np.array_equal(rho.mat, states[j].mat)
+        assert np.shares_memory(rho.mat, row) and np.array_equal(rho.mat, row)
     assert code.labels == tuple(labels[j] for j in keepers)
     assert code.joined == tuple(keepers.index(first[k]) for k in order)
 

@@ -9,6 +9,7 @@ from qindel.errors import (
     CountOutOfRange,
     DigitOutOfRange,
     InvalidShape,
+    NoConvergence,
     NotHermitian,
     NotNormalized,
     NotPSD,
@@ -37,6 +38,7 @@ from qindel.states import (
     state_to_json_obj,
     validate,
 )
+from conftest import assert_validates_as_reference, planted_state
 
 
 def test_qudit_shape():
@@ -123,6 +125,91 @@ def test_validate():
         validate([[0.5, 1], [0, 0.5]], shape1)
     with pytest.raises(ShapeMismatch):
         validate(np.eye(2) / 2, QuditShape(2, 2))
+
+
+# one shape per dimension validate is checked at, qutrits included
+SHAPES = {
+    1: QuditShape(2, 0),
+    2: QuditShape(2, 1),
+    3: QuditShape(3, 1),
+    4: QuditShape(2, 2),
+    9: QuditShape(3, 2),
+    16: QuditShape(2, 4),
+    27: QuditShape(3, 3),
+    64: QuditShape(2, 6),
+    256: QuditShape(2, 8),
+}
+PSD_TOLS = {
+    "default": Tolerance(),
+    "psd_tol=0": Tolerance(psd_tol=0.0),
+    "psd_tol=0.25": Tolerance(psd_tol=0.25),
+}
+
+
+@pytest.mark.parametrize("tol", PSD_TOLS.values(), ids=PSD_TOLS)
+@pytest.mark.parametrize("dim", SHAPES)
+def test_validate_decides_planted_spectra_as_the_eigen_solve_rule(dim, tol):
+    # least eigenvalues on both sides of -psd_tol and at its half, the
+    # certificate's shift (psd_tol=0 plants them around the default floor)
+    shape, rng = SHAPES[dim], np.random.default_rng(dim)
+    psd_tol = tol.at(dim).psd_tol
+    scale = psd_tol or Tolerance().at(dim).psd_tol
+    for factor in (-2, -1.01, -0.99, -0.5, 0, 1e-3):
+        refusal = assert_validates_as_reference(planted_state(rng, shape, factor * scale), shape, tol)
+        if dim == 1:  # the one eigenvalue is the trace
+            assert isinstance(refusal, TraceNotOne)
+        elif factor * scale < -psd_tol:
+            assert isinstance(refusal, NotPSD)
+        elif factor > 0 or (factor > -1 and psd_tol > 0):
+            assert refusal is None
+    for rank in sorted({2, dim // 2, dim - 1} & set(range(2, dim))):
+        assert_validates_as_reference(planted_state(rng, shape, 0.0, rank), shape, tol)
+
+
+@pytest.mark.parametrize("dim", [2, 256])
+def test_validate_refuses_as_the_eigen_solve_rule(dim):
+    shape, rng = SHAPES[dim], np.random.default_rng(dim)
+    rho = random_density(rng, shape, 2).mat
+    nan, inf, skew = rho.copy(), rho.copy(), rho.copy()
+    nan[0, 1], inf[1, 1], skew[0, 1] = np.nan, np.inf, skew[0, 1] + 1e-3
+    negative = planted_state(rng, shape, -0.1)
+    cases = [
+        (nan, ValidationError),
+        (inf, ValidationError),
+        (skew, NotHermitian),
+        (1.1 * rho, TraceNotOne),  # PSD: refused on the certified path
+        (1.1 * negative, TraceNotOne),  # the trace is checked before the spectrum
+        (negative, NotPSD),
+    ]
+    for mat, error in cases:
+        assert type(assert_validates_as_reference(mat, shape)) is error
+    assert_validates_as_reference(rho, shape)
+
+
+def test_a_spectrum_past_the_float_range_is_refused_before_the_trace():
+    huge = np.full((2, 2), 1e308)
+    assert type(assert_validates_as_reference(huge, QuditShape(2, 1))) is NoConvergence
+    with pytest.raises(NoConvergence, match="non-finite spectrum"):
+        validate(huge, QuditShape(2, 1))
+
+
+def test_a_valid_state_file_loads_without_an_eigen_solve(tmp_path, rng, eigensolves):
+    rho = random_density(rng, QuditShape(2, 8), 5)
+    save_state(rho, tmp_path / "rho.json")
+    assert np.array_equal(load_state(tmp_path / "rho.json").mat, rho.mat)
+    assert eigensolves == []
+
+
+def test_a_state_file_below_the_psd_floor_is_refused_by_one_eigen_solve(tmp_path, rng, eigensolves):
+    shape = QuditShape(2, 8)
+    psd_tol = Tolerance().at(shape.dim).psd_tol  # 2.56e-7
+    save_state(DensityMatrix(shape, planted_state(rng, shape, -2 * psd_tol)), tmp_path / "bad.json")
+    message = r"invalid mixed state: negative eigenvalue -5\.120e-07 \(residual 5\.120e-07\)"
+    with pytest.raises(ParseError, match=message) as exc:
+        load_state(tmp_path / "bad.json")
+    assert isinstance(exc.value.__cause__, NotPSD)
+    assert exc.value.__cause__.residual == pytest.approx(2 * psd_tol, rel=1e-9)
+    assert eigensolves == ["eigvalsh"]
 
 
 def test_spectral_decompose_pure():
