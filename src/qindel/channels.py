@@ -6,10 +6,11 @@ state, ``_dedup_levels`` for a stack of states, which the distance walks
 read.  Its levels come from the one level builder, ``_traced_levels``, which
 traces each level's candidates from the level before, bit-identical to
 tracing each subset from the state, for one state or a stack of states
-alike.  A sphere is the read-only result of one greedy dedup of one level by
-``_dedup_levels``, for one state or each state of a stack; the greedy rule
-is one loop, ``_distinct_mask``, which ``distinct_rows`` applies to any
-buffer.  Where spheres first meet is found by one kernel, ``first_meeting``.
+alike; a ladder started high builds its first level directly, from only
+the parents its rows need.  A sphere is the read-only result of one greedy
+dedup of one level by ``_dedup_levels``, for one state or each state of a
+stack; the greedy rule is one loop, ``_distinct_mask``, which
+``distinct_rows`` applies to any buffer.  Where spheres first meet is found by one kernel, ``first_meeting``.
 Every dedup and every comparison of rows is one call of
 ``_screened_distances``, on a lone stack or a batch of stacks: only pairs
 whose diagonals lie within eq_tol get a full distance, gathered across rows
@@ -39,7 +40,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from math import comb
 from typing import Iterator, Sequence
 
@@ -407,25 +408,39 @@ class SphereSet:
         return None if hit is None else hit[2:]
 
 
-def _traced_levels(mats: np.ndarray, shape: QuditShape) -> Iterator[np.ndarray]:
+def _traced_levels(mats: np.ndarray, shape: QuditShape, start: int = 0) -> Iterator[np.ndarray]:
     """The raw deletion levels of each state of ``shape`` in the ``(..., d, d)``
-    stack ``mats`` (a lone state passes its matrix): for s = 0, 1, ..., n one
-    ``(..., C(n, s), d_s, d_s)`` array whose rows are the deletions at each
-    s-subset in ``combinations`` order.
+    stack ``mats`` (a lone state passes its matrix): for s = start, ..., n
+    one ``(..., C(n, s), d_s, d_s)`` array whose rows are the deletions at
+    each s-subset in ``combinations`` order.
 
     Subset c = (c1 < ... < cs) is traced from the row of its parent c[1:] by
-    tracing position c1, which c[1:] leaves unnumbered, so each row is the
-    one ``trace_out(mat, IndexSet(c, n), l)`` gives, bit for bit.  The
+    tracing position c1, which c[1:] leaves unnumbered.  ``trace_out``
+    traces the largest position first too, so each row is the one
+    ``trace_out(mat, IndexSet(c, n), l)`` gives, bit for bit.  Level
+    ``start`` is built directly: only its rows' parents, their parents and
+    so on are traced, each once, one ``trace_out`` call per row, and no
+    level below it is built whole (at start 0 the level is a view of the
+    stack).  Each later level is built whole from the one before: the
     children with c1 = p are a contiguous block whose parents are the last
-    C(n - p, s - 1) rows of the level before, so a level is n - s + 1 batched
-    ``trace_out`` calls, each written into its block of the level.
+    C(n - p, s - 1) rows of the level before, so a level is n - s + 1
+    batched ``trace_out`` calls, each written into its block of the level.
     """
     n, l = shape.length, shape.level
     batch = mats.shape[:-2]
-    raw = mats[..., None, :, :]
-    del mats  # the level-0 view alone keeps the stack alive, until level 1 is built
+    if start == 0:
+        raw = mats[..., None, :, :]
+    else:
+        rows = {(): mats}  # each subset traced so far, by its positions
+        for c in combinations(range(1, n + 1), start):
+            for k in range(len(c) - 1, -1, -1):  # the parents first, the largest subsets last
+                if c[k:] not in rows:
+                    rows[c[k:]] = trace_out(rows[c[k + 1 :]], IndexSet(c[k : k + 1], n - start + k + 1), l)
+        raw = np.stack([rows[c] for c in combinations(range(1, n + 1), start)], axis=-3)
+        del rows
+    del mats  # a level-0 view alone keeps the stack alive, until level 1 is built
     yield raw
-    for s in range(1, n + 1):
+    for s in range(start + 1, n + 1):
         dim = l ** (n - s)
         level = np.empty((*batch, comb(n, s), dim, dim), dtype=complex)
         row = 0
@@ -438,17 +453,22 @@ def _traced_levels(mats: np.ndarray, shape: QuditShape) -> Iterator[np.ndarray]:
         yield raw
 
 
-def _dedup_levels(mats: np.ndarray, shape: QuditShape, tol: Tolerance, start: int = 0) -> Iterator[tuple]:
-    """For s = start, ..., n, level s of ``_traced_levels(mats, shape)`` as
-    ``(eq_tol, raw, kept)``: eq_tol at the level's dimension, the raw
-    ``(..., C(n, s), d_s, d_s)`` level, and the ``(..., C(n, s))`` mask of
-    the rows each state's greedy dedup keeps, from one screened
-    self-comparison.  A one-row level keeps its row without a distance."""
-    levels = _traced_levels(mats, shape)
-    del mats  # as in ``_traced_levels``: a caller's stack is freed once level 1 is built
-    for s, raw in enumerate(levels):
-        if s < start:
-            continue
+def _dedup_levels(
+    levels: Iterator[np.ndarray], shape: QuditShape, tol: Tolerance, start: int = 0
+) -> Iterator[tuple]:
+    """For s = start, ..., n, the raw level s of ``levels``, which yields
+    the levels of ``_traced_levels`` for stacks of states of ``shape`` from
+    level ``start`` on, as ``(eq_tol, raw, kept)``: eq_tol at the level's
+    dimension, the raw ``(..., C(n, s), d_s, d_s)`` level, and the
+    ``(..., C(n, s))`` mask of the rows each state's greedy dedup keeps,
+    from one screened self-comparison.  A one-row level keeps its row
+    without a distance.
+
+    A caller that starts above level 0 passes ``islice`` of the chained
+    levels (the levels below ``start`` are traced, not deduplicated), or,
+    as a distance walk whose probe built its top level directly does, that
+    level and the rest of its ladder."""
+    for s, raw in enumerate(levels, start):
         eq_tol = tol.at(shape.level ** (shape.length - s)).eq_tol
         if raw.shape[-3] == 1:
             yield eq_tol, raw, np.ones(raw.shape[:-2], dtype=bool)
@@ -467,7 +487,8 @@ def deletion_levels(
     it is asked for, from the last raw level, the only one kept.
     """
     n, start = rho.length, _count(start, "deletion count start", most=rho.length)
-    for s, (eq_tol, raw, kept) in enumerate(_dedup_levels(rho.mat, rho.shape, tol, start), start):
+    levels = islice(_traced_levels(rho.mat, rho.shape), start, None)
+    for s, (eq_tol, raw, kept) in enumerate(_dedup_levels(levels, rho.shape, tol, start), start):
         reps = [IndexSet(c, n) for c, keep in zip(combinations(range(1, n + 1), s), kept) if keep]
         yield SphereSet(QuditShape(rho.level, n - s), eq_tol, raw if kept.all() else raw[kept], reps, len(raw))
 

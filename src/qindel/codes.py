@@ -292,13 +292,13 @@ def _grid_code(family, params, extras, tol: Tolerance) -> CodeSample:
     """The code of ``family``'s codewords over ``params`` (None:
     ``code_params()``), each state labelled by its parameters, with the
     codewords of the labelled parameters ``extras`` appended, deduplicated
-    within ``tol``.  The states are views of the rows of one ``_codewords``
-    stack, so a bad pair is refused as ``_check_params`` refuses it."""
+    within ``tol``.  The code is handed the one ``_codewords`` stack, so a
+    bad pair is refused as ``_check_params`` refuses it, and the dedup's
+    gather of the kept rows is the only copy."""
     params = code_params() if params is None else list(params)
     labels = [f"a={a.real:+.3f}{a.imag:+.3f}j,b={b.real:+.3f}{b.imag:+.3f}j" for a, b in params]
     stack = _codewords(family, params + [pair for _, pair in extras])
-    states = tuple(DensityMatrix(family[0], mat) for mat in stack)
-    return CodeSample(states, tuple(labels + [label for label, _ in extras]), tol)
+    return CodeSample._of_stack(family[0], stack, labels + [label for label, _ in extras], tol)
 
 
 # --- builtin registry for the CLI ---------------------------------------------

@@ -19,21 +19,35 @@ which two of their s-deletion spheres meet;
 ``metric_check`` builds each state's levels once per triple.  Only a witness
 row is wrapped as a state.  ``CodeSample`` stacks and dedups its states
 once, with the spheres' greedy dedup, at the tolerance every verdict on the
-code reads, and keeps the stack its states view.
+code reads, and keeps the stack its states view; a grid hands over the
+stack it built.
+
+Before ``indel_distance`` and ``min_distance`` walk, ``_ladders`` probes
+the walk's top non-trivial level K, of one-qudit rows: level n - 1 for a
+code, step min(n, m) - 1 for two states.  A meeting carries up the ladder
+(tracing the same qudits out of two rows moves them at most sqrt(l) times
+farther apart per qudit), so when no row of level K lies within
+``_probe_bound`` (the largest eq_tol of a skipped level, carried up, plus
+a rounding margin) of a row of another state, no lower level can meet, and
+the walk starts at K: ``channels._traced_levels`` builds that level
+directly, and the probe's rows are the walk's first raw level.  Otherwise
+the walk starts where it would without the probe.  Every value, pair and
+witness is the one the walk from the start gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import IndexSet, _dedup_levels, distinct_rows, first_meeting
+from .channels import IndexSet, _dedup_levels, _screened_distances, _traced_levels, distinct_rows, first_meeting
 from .errors import DuplicateStates, LevelMismatch, ParseError, ShapeMismatch, TooFewStates
 from .feasibility import FeasibilityStatus, member_del_ins
-from .linalg import Tolerance
+from .linalg import Tolerance, _gamma, frobenius_norm
 from .states import DensityMatrix, QuditShape, _count, state_to_json_obj
 
 __all__ = [
@@ -88,18 +102,23 @@ class CodeSample:
     stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.labels) != len(self.states):
-            raise ShapeMismatch("labels and states must have equal length")
         levels = {s.level for s in self.states}
         if len(levels) > 1:
             raise LevelMismatch(f"states span several levels: {sorted(levels)}")
         lengths = {s.length for s in self.states}
         if len(lengths) > 1:
             raise ShapeMismatch(f"states span several lengths: {sorted(lengths)}")
-        if not self.states:
-            return
-        shape = self.states[0].shape
-        stack = np.stack([s.mat for s in self.states])
+        if self.states:
+            self._keep(self.states[0].shape, np.stack([s.mat for s in self.states]))
+        elif self.labels:
+            raise ShapeMismatch("labels and states must have equal length")
+
+    def _keep(self, shape: QuditShape, stack: np.ndarray) -> None:
+        """Dedup the offered matrices, the rows of ``stack``, one per label,
+        and keep the kept rows: the stack itself when every row is kept,
+        else one gather."""
+        if len(self.labels) != len(stack):
+            raise ShapeMismatch("labels and states must have equal length")
         kept, joined = distinct_rows(stack, self.tol.at(shape.dim).eq_tol)
         if len(kept) < len(stack):
             stack = stack[kept]
@@ -108,6 +127,17 @@ class CodeSample:
         object.__setattr__(self, "states", tuple(DensityMatrix(shape, mat) for mat in stack))
         object.__setattr__(self, "labels", tuple(self.labels[c] for c in kept))
         object.__setattr__(self, "joined", tuple(joined))
+
+    @classmethod
+    def _of_stack(cls, shape: QuditShape, stack: np.ndarray, labels: Sequence[str], tol: Tolerance) -> "CodeSample":
+        """The code of the ``(k, d, d)`` stack of states of ``shape`` that a
+        grid builds, as ``CodeSample`` of its rows gives it, without
+        wrapping or stacking the rows first: the stack is read only, and
+        kept whole when the dedup keeps every row."""
+        code = cls((), (), tol)
+        object.__setattr__(code, "labels", tuple(labels))
+        code._keep(shape, stack)
+        return code
 
     @classmethod
     def from_states(cls, states, labels=None, tol: Tolerance = Tolerance()) -> "CodeSample":
@@ -151,7 +181,9 @@ def _first_meeting(ladders: Sequence[tuple[QuditShape, int, Iterable[tuple]]]) -
     each state's kept rows, a view when every row is kept, to one
     ``channels.first_meeting`` call; a witness row's P and Q are its
     position in ``combinations(range(1, n + 1), s)``, the order of the raw
-    rows.
+    rows.  The last level, of each state's trace, always meets: where
+    ``first_meeting`` reads no pair within eq_tol there, the first pair
+    meets by its only rows.
     """
     for step, levels in enumerate(zip(*(levels for _, _, levels in ladders))):
         stacks, owners = [], []
@@ -160,12 +192,107 @@ def _first_meeting(ladders: Sequence[tuple[QuditShape, int, Iterable[tuple]]]) -
             owners += [(shape, start + step, keep) for keep in kept]
         hit = first_meeting(stacks, levels[0][0])
         if hit is not None:
-            i, j, a, b, _ = hit
-            P, Q = _deleted(*owners[i], a), _deleted(*owners[j], b)
-            shape, s, _ = owners[i]
-            common = DensityMatrix(QuditShape(shape.level, shape.length - s), stacks[i][a])
-            return i, j, DistanceResult(P.size + Q.size, P.size, Q.size, P, Q, common)
-    raise AssertionError("unreachable: full deletion always intersects")
+            break
+    else:
+        # full deletion leaves every state the one empty state: its first
+        # pair meets there, by its only rows, even where eq_tol 0 reads two
+        # computed traces a last bit apart
+        hit = 0, 1, 0, 0, None
+    i, j, a, b, _ = hit
+    P, Q = _deleted(*owners[i], a), _deleted(*owners[j], b)
+    shape, s, _ = owners[i]
+    common = DensityMatrix(QuditShape(shape.level, shape.length - s), stacks[i][a])
+    return i, j, DistanceResult(P.size + Q.size, P.size, Q.size, P, Q, common)
+
+
+def _ladders(stacks: Sequence[tuple[np.ndarray, QuditShape, int]], tol: Tolerance) -> list[tuple]:
+    """The ladders ``_first_meeting`` walks for stacks ``(mats, shape,
+    start)`` of states whose rows have one length r at their start levels:
+    from those starts, or from the top non-trivial step K = r - 1 (rows of
+    one qudit) when one probe there shows that no earlier step can meet.
+
+    A meeting carries up the ladder.  Two rows x, y of step k < K, of two
+    states, give two rows of step K by tracing the same K - k of their
+    qudits out of both, and ||Tr_1 X||_F <= sqrt(l) ||X||_F (Cauchy-Schwarz
+    over the l terms of each entry), so those rows are at most
+    l^((K - k)/2) ||x - y||_F apart.  So when no row of step K lies within
+    ``_probe_bound`` of a row of another state, no step below K holds a
+    cross pair within its eq_tol, and the walk starts at K: the probe's rows
+    are its first raw level and no level below K is traced.  Otherwise it
+    walks from the starts, as it would without the probe.
+
+    The probe is one ``_screened_distances`` call of the R rows of step K
+    (``_traced_levels`` from that level) against themselves, whose pairs of
+    one state's own rows are not read.  It is made only when those R^2
+    pairs of l^2 entries are fewer entries than the first level it would
+    skip holds, so a code of many short states never pays for it.
+    """
+    _, shape, start = stacks[0]
+    l, r = shape.level, shape.length - start
+    top = r - 1
+    if top >= 1:
+        rows = sum(len(mats) * math.comb(shape.length, start + top) for mats, shape, start in stacks)
+        first = sum(len(mats) * math.comb(shape.length, start) for mats, shape, start in stacks) * l ** (2 * r)
+        if rows * rows * l * l < first:
+            traced = [_traced_levels(mats, shape, start + top) for mats, shape, start in stacks]
+            tops = [next(levels) for levels in traced]
+            if _apart(tops, _probe_bound(stacks, tol, top)):
+                return [
+                    (shape, start + top, _dedup_levels(chain([raw], levels), shape, tol, start + top))
+                    for (_, shape, start), raw, levels in zip(stacks, tops, traced)
+                ]
+    return [
+        (shape, start, _dedup_levels(islice(_traced_levels(mats, shape), start, None), shape, tol, start))
+        for mats, shape, start in stacks
+    ]
+
+
+def _probe_bound(stacks: Sequence[tuple[np.ndarray, QuditShape, int]], tol: Tolerance, top: int) -> float:
+    """The probe's threshold at step K = ``top``: no computed distance of a
+    cross pair of a step k < K is within that step's eq_tol unless a cross
+    pair of step K is computed within this bound.
+
+    With d_k = l^(r - k) the row dimension at step k and tau_k the eq_tol
+    at d_k, the exact bound is B = max_{k < K} l^((K - k)/2) tau_k (see
+    ``_ladders``).  Three roundings are added to it:
+
+    - a computed distance of rows of dimension d is within a factor
+      1 + gamma_{2 d^2 + 4} of the norm of the computed rows' difference
+      (the difference, 2 d^2 squares and their sum, the square root), taken
+      at d_0 for the skipped steps and at l for the probe;
+    - one computed trace over a qudit misses the exact trace of its input Y
+      by at most delta ||Y||_F, delta = sqrt(l) gamma_l (each entry sums l
+      terms); so a row of level s, s traces from a state of norm nu, misses
+      its exact value by at most s delta (sqrt(l) + delta)^(s - 1) nu, and,
+      carried up to level S = start + K and counted there too, by at most
+      E = S delta (sqrt(l) + delta)^(S - 1) nu;
+    - a pair has two rows, so 2 (E_x + E_y) <= 4 E with E the largest over
+      the stacks, nu each stack's largest Frobenius norm.
+
+    So the bound is (1 + gamma_{2 l^2 + 4}) ((1 + gamma_{2 d_0^2 + 4}) B + 4 E).
+    E keeps it above 0 where eq_tol is 0.  A stack with a non-finite entry
+    gives a NaN or infinite bound, which no probe passes.
+    """
+    _, shape, start = stacks[0]
+    l, r = shape.level, shape.length - start
+    exact = max(l ** ((top - k) / 2) * tol.at(l ** (r - k)).eq_tol for k in range(top))
+    delta = math.sqrt(l) * _gamma(l)
+    carried = max(
+        (start + top) * delta * (math.sqrt(l) + delta) ** (start + top - 1) * float(frobenius_norm(mats).max())
+        for mats, shape, start in stacks
+    )
+    return (1 + _gamma(2 * l * l + 4)) * ((1 + _gamma(2 * l ** (2 * r) + 4)) * exact + 4 * carried)
+
+
+def _apart(tops: Sequence[np.ndarray], bound: float) -> bool:
+    """Whether every row of the raw levels ``tops``, each ``(k, C, d, d)``
+    for k states, is farther than ``bound`` from every row of every other
+    state, by one screened self-comparison of all the rows; a NaN distance
+    or bound is not farther."""
+    rows = np.concatenate([top.reshape(-1, *top.shape[-2:]) for top in tops])
+    owner = np.repeat(np.arange(sum(len(top) for top in tops)), [top.shape[1] for top in tops for _ in top])
+    dist = _screened_distances(rows, rows, bound)
+    return bool((dist[owner[:, None] < owner[None, :]] > bound).all())
 
 
 def _deleted(shape: QuditShape, s: int, keep: np.ndarray, row: int) -> IndexSet:
@@ -184,14 +311,15 @@ def indel_distance(
     full deletion of both states guarantees a hit by s + t = n + m.  Both s
     and t grow by one per step, so the search walks one deletion ladder per
     state, from s = max(0, n - m) and t = max(0, m - n), and keeps only the
-    current level of each.
+    current level of each.  When the probe of ``_ladders`` shows that no
+    step below min(n, m) - 1 can meet, as for two generic states, the walk
+    starts at that step and no lower level is traced.
     """
     if rho1.level != rho2.level:
         raise LevelMismatch(f"levels differ: {rho1.level} vs {rho2.level}")
     n, m = rho1.length, rho2.length
     starts = ((rho1, max(0, n - m)), (rho2, max(0, m - n)))
-    ladders = [(rho.shape, s, _dedup_levels(rho.mat[None], rho.shape, tol, s)) for rho, s in starts]
-    _, _, result = _first_meeting(ladders)
+    _, _, result = _first_meeting(_ladders([(rho.mat[None], rho.shape, s) for rho, s in starts], tol))
     # equal-length states are always an even distance apart
     assert n != m or result.value % 2 == 0
     return result
@@ -208,12 +336,14 @@ def min_distance(code: CodeSample) -> tuple[int, tuple[str, str], DistanceResult
     first level with a hit gives the value; the pair reported is the first,
     in ``combinations`` order, that meets there, with its closest cross pair
     as witness.  The walk starts at level 1: level 0 is the code's own
-    dedup at ``code.tol``, where no two states meet.
+    dedup at ``code.tol``, where no two states meet; or at level n - 1 when
+    the probe of ``_ladders`` shows that no lower level can meet.  A code
+    of many short states (a grid code) is not probed: its probe would
+    compare more entries than level 1 holds.
     """
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
-    shape = code.states[0].shape
-    i, j, result = _first_meeting([(shape, 1, _dedup_levels(code.stack, shape, code.tol, 1))])
+    i, j, result = _first_meeting(_ladders([(code.stack, code.states[0].shape, 1)], code.tol))
     return result.value, (code.labels[i], code.labels[j]), result
 
 
@@ -296,7 +426,9 @@ def metric_check(
         checked += 1
         if not a.level == b.level == c.level:
             raise LevelMismatch(f"triple {idx} spans levels {a.level}, {b.level}, {c.level}")
-        la, lb, lc = ((x.shape, list(_dedup_levels(x.mat[None], x.shape, tol))) for x in (a, b, c))
+        la, lb, lc = (
+            (x.shape, list(_dedup_levels(_traced_levels(x.mat[None], x.shape), x.shape, tol))) for x in (a, b, c)
+        )
         d_ab = _level_distance(la, lb)
         d_ba = _level_distance(lb, la)
         d_bc = _level_distance(lb, lc)

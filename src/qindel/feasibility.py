@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
 from .channels import IndexSet, _as_index_set, _check_composed, _dedup_levels, _insertion_set
-from .channels import _sample_batch, _screened_distances, partial_trace, trace_out, trace_out_adjoint
+from .channels import _sample_batch, _screened_distances, _traced_levels, partial_trace, trace_out, trace_out_adjoint
 from .errors import ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
 from .states import DensityMatrix, QuditShape, _count, spectral_decompose
@@ -183,9 +183,11 @@ def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance())
         groups.setdefault((sigma.shape, rho.shape), []).append(i)
     verdicts: dict[int, bool] = {}
     for (sigma_shape, rho_shape), members in groups.items():
-        # each ladder, and the stack it holds, is dropped once its level is read
-        eq_tol, left, kept_left = next(_dedup_levels(np.stack([sigmas[i].mat for i in members]), sigma_shape, tol, t))
-        _, right, kept_right = next(_dedup_levels(np.stack([rhos[i].mat for i in members]), rho_shape, tol, s))
+        # a ladder holds its stack only until its level 1 is built
+        sigma_levels = _traced_levels(np.stack([sigmas[i].mat for i in members]), sigma_shape)
+        eq_tol, left, kept_left = next(_dedup_levels(islice(sigma_levels, t, None), sigma_shape, tol, t))
+        rho_levels = _traced_levels(np.stack([rhos[i].mat for i in members]), rho_shape)
+        _, right, kept_right = next(_dedup_levels(islice(rho_levels, s, None), rho_shape, tol, s))
         near = _screened_distances(left, right, eq_tol) <= eq_tol
         meets = (near & kept_left[:, :, None] & kept_right[:, None, :]).any(axis=(1, 2))
         verdicts.update(zip(members, meets.tolist()))

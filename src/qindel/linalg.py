@@ -184,24 +184,47 @@ def _require_hermitian(a, tol: Tolerance) -> np.ndarray:
     class and residual its lone call gives and its batch index named.  A
     residual is computed only for the matrices before the first non-finite
     one.
+
+    The finite check reads the largest real or imaginary part, p (NaN if
+    any part is).  A finite input's conjugate transpose b is formed once, in
+    row order: a - b gives the residual and a + b, summed into the same
+    buffer and halved, the result, the bits of ``hermitian_part``.  Where p
+    is at most ``_HALF_MAX`` / 2, no entry's modulus (at most sqrt(2) p)
+    reaches ``_HALF_MAX``, so ``hermitian_part`` would halve no term first
+    and its test needs no pass of its own; above, ``hermitian_part``
+    decides.
     """
     a = _as_complex(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSquare(f"need a square matrix, got shape {a.shape}")
     d = a.shape[-1]
-    clean = a
-    if not np.isfinite(a).all():
+    parts = np.ascontiguousarray(a).view(float)
+    peak = max(parts.max(initial=0.0), -parts.min(initial=0.0))  # NaN if any part is: both are
+    if not peak < math.inf:
         flat = a.reshape(math.prod(a.shape[:-2]), d, d)
         clean = flat[: int(np.argmin(np.isfinite(flat).all(axis=(1, 2))))]
-    res = frobenius_distance(clean, clean.conj().swapaxes(-1, -2))
-    over = res > tol.at(d).eq_tol
+        _require_residual(a, frobenius_distance(clean, clean.conj().swapaxes(-1, -2)), tol)
+        raise ValidationError(f"{_matrix_name(a, len(clean))} has non-finite entries")
+    b = np.conjugate(a.swapaxes(-1, -2), order="C")
+    if peak > _HALF_MAX / 2:  # a - b can overflow, and a matrix's terms may need halving first
+        with np.errstate(over="ignore"):
+            _require_residual(a, frobenius_norm(a - b), tol)
+        return hermitian_part(a)
+    out = a - b  # parts of at most _HALF_MAX / 2: neither a - b nor a + b overflows
+    _require_residual(a, frobenius_norm(out), tol)
+    np.add(a, b, out=out)
+    out /= 2
+    return out
+
+
+def _require_residual(a: np.ndarray, res: np.ndarray, tol: Tolerance) -> None:
+    """Refuse the first matrix of ``a`` whose Hermitian residual in ``res``
+    exceeds eq_tol at d (``NotHermitian``)."""
+    over = res > tol.at(a.shape[-1]).eq_tol
     if over.any():
         k = int(np.argmax(over))
         worst = float(np.ravel(res)[k])
         raise NotHermitian(f"{_matrix_name(a, k)} is not Hermitian (residual {worst:.3e})", worst)
-    if clean is not a:
-        raise ValidationError(f"{_matrix_name(a, len(clean))} has non-finite entries")
-    return hermitian_part(a)
 
 
 def eigensolve(solver, h):
@@ -224,6 +247,12 @@ def eigensolve(solver, h):
 
 
 _EPS = np.finfo(float).eps
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k eps / (1 - k eps), taken at the machine epsilon
+    eps = 2u, which covers complex products and sums."""
+    return k * _EPS / (1 - k * _EPS)
 
 
 def _psd_certified(h: np.ndarray, psd_tol: float) -> bool:
@@ -256,8 +285,7 @@ def _psd_certified(h: np.ndarray, psd_tol: float) -> bool:
             return False
         finally:
             h.flat[:: d + 1] = diagonal
-        gamma = (d + 1) * _EPS / (1 - (d + 1) * _EPS)
-        return bool((gamma + (d + 1) * _EPS) * (frobenius_norm(r) ** 2 + c) <= c / 2)
+        return bool((_gamma(d + 1) + (d + 1) * _EPS) * (frobenius_norm(r) ** 2 + c) <= c / 2)
 
 
 def hermitian_eigensystem(a, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, np.ndarray]:

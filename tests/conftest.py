@@ -6,7 +6,7 @@ import pytest
 
 from qindel import linalg
 from qindel.channels import deletion_sphere, first_meeting
-from qindel.distance import min_distance
+from qindel.distance import indel_distance, min_distance
 from qindel.errors import QindelError, ShapeMismatch, TraceNotOne
 from qindel.linalg import Tolerance, hermitian_eigenvalues
 from qindel.rand import random_density
@@ -50,7 +50,37 @@ def lone_walk_min_distance(code):
             i, j, a, b, _ = hit
             pair = (code.labels[i], code.labels[j])
             return 2 * s, pair, spheres[i].reps[a], spheres[j].reps[b], spheres[i].stack[a]
-    raise AssertionError("full deletion always meets")
+    # full deletion leaves every state the one empty state, so the first
+    # pair meets there even where eq_tol 0 reads two traces a bit apart
+    return 2 * s, (code.labels[0], code.labels[1]), spheres[0].reps[0], spheres[1].reps[0], spheres[0].stack[0]
+
+
+def lone_walk_indel_distance(rho, sigma, tol=Tolerance()):
+    """``indel_distance(rho, sigma, tol)`` from each state's own
+    ``deletion_sphere`` at each step, s = max(0, n - m) + k against
+    t = max(0, m - n) + k for k = 0, 1, ..., and one ``first_meeting`` per
+    step: ``(value, s, t, P, Q, common matrix)``."""
+    n, m = rho.length, sigma.length
+    for k in range(min(n, m) + 1):
+        s, t = max(0, n - m) + k, max(0, m - n) + k
+        a, b = deletion_sphere(rho, s, tol), deletion_sphere(sigma, t, tol)
+        hit = first_meeting([a.stack, b.stack], a.eq_tol)
+        if hit is not None:
+            _, _, i, j, _ = hit
+            return s + t, s, t, a.reps[i], b.reps[j], a.stack[i]
+    # as in ``lone_walk_min_distance``: the empty states always meet
+    return s + t, s, t, a.reps[0], b.reps[0], a.stack[0]
+
+
+def assert_indel_matches_lone_walk(rho, sigma, tol=Tolerance()):
+    """``indel_distance(rho, sigma, tol)`` equals
+    ``lone_walk_indel_distance``: value, s, t, P, Q and the common state's
+    bits.  Returns the value."""
+    result = indel_distance(rho, sigma, tol)
+    value, s, t, P, Q, common = lone_walk_indel_distance(rho, sigma, tol)
+    assert (result.value, result.s, result.t, result.P, result.Q) == (value, s, t, P, Q)
+    assert np.array_equal(result.common.mat, common)
+    return value
 
 
 def assert_matches_lone_walk(code):

@@ -1,7 +1,7 @@
 import math
 import weakref
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -546,6 +546,22 @@ def test_stacked_ladders_give_each_state_its_lone_rows(rng, level, n, batch):
             assert rows.tobytes() == lone.tobytes()
 
 
+@pytest.mark.parametrize("level, n", [(2, 4), (2, 6), (3, 3)])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_a_ladder_started_high_gives_the_chained_rows(rng, level, n, batch):
+    # a level built directly, from only the parents its rows need, and every
+    # level after it have the bits of the ladder traced from level 0
+    shape = QuditShape(level, n)
+    rhos = [random_density(rng, shape, int(rng.integers(1, shape.dim + 1))) for _ in range(math.prod(batch))]
+    mats = np.stack([rho.mat for rho in rhos]).reshape(*batch, shape.dim, shape.dim)
+    chained = list(_traced_levels(mats, shape))
+    for start in range(1, n + 1):
+        started = list(_traced_levels(mats, shape, start))
+        assert len(started) == n + 1 - start
+        for raw, want in zip(started, chained[start:]):
+            assert raw.shape == want.shape and raw.tobytes() == want.tobytes()
+
+
 def test_a_ladder_keeps_only_its_current_level(rng):
     # an open ladder (min_distance holds one for the code's stacked states)
     # lets each level go once the next one is built
@@ -563,7 +579,7 @@ def test_a_ladder_lets_its_stack_go_once_level_1_is_built(rng):
     shape = QuditShape(2, 4)
     stack = np.stack([random_density(rng, shape).mat for _ in range(3)])
     source = weakref.ref(stack)
-    ladder = _dedup_levels(stack, shape, Tolerance(), 1)
+    ladder = _dedup_levels(islice(_traced_levels(stack, shape), 1, None), shape, Tolerance(), 1)
     del stack
     next(ladder)
     assert source() is None

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import qindel.codes as codes
 from qindel.channels import delete
 from qindel.codes import (
     builtin_code,
@@ -98,6 +99,24 @@ def _per_state_formula(name, a, b):
         zero, one = (dicke_ket(4, 0) + dicke_ket(4, 4)) / math.sqrt(2), dicke_ket(4, 2) / math.sqrt(6)
     ket = complex(a) * zero + complex(b) * one
     return np.outer(ket, ket.conj())
+
+
+@pytest.mark.parametrize("name, grid, offered, kept", [("x1", (2, 1), 4, 4), ("hagiwara4", (9, 12), 110, 86)])
+def test_a_grid_code_is_handed_its_codeword_stack(monkeypatch, name, grid, offered, kept):
+    # the code keeps the one stack _codewords builds when every row is kept,
+    # and otherwise one gather of the kept rows, which its states view
+    stacks, real = [], codes._codewords
+    monkeypatch.setattr(codes, "_codewords", lambda family, params: stacks.append(real(family, params)) or stacks[-1])
+    code = builtin_code(name, code_params(*grid))
+    (stack,) = stacks
+    assert (len(stack), len(code)) == (offered, kept)
+    rows = [code.joined.index(k) for k in range(len(code))]  # the offered row each kept state is
+    if kept == offered:
+        assert code.stack is stack
+    else:
+        assert not np.shares_memory(code.stack, stack)
+    assert code.stack.tobytes() == stack[rows].tobytes() and not code.stack.flags.writeable
+    assert all(np.shares_memory(state.mat, code.stack) for state in code.states)
 
 
 @pytest.mark.parametrize("name", ["x1", "hagiwara4"])

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qindel.channels import delete, deletion_sphere
+from qindel.channels import IndexSet, delete, deletion_sphere
 from qindel.acceptance import run_all
 from qindel.codes import (
     builtin_code,
@@ -37,7 +37,7 @@ from qindel.feasibility import FeasibilityReport, FeasibilityStatus, member_del_
 from qindel.linalg import Tolerance
 from qindel.rand import random_density
 from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, state_to_json_obj
-from conftest import assert_matches_lone_walk, make_states
+from conftest import assert_indel_matches_lone_walk, assert_matches_lone_walk, make_states
 
 
 def _pure(digits, level=2):
@@ -177,6 +177,145 @@ def test_a_grid_walk_makes_one_screened_call_per_level_and_block(monkeypatch):
         ((86, 8, 8), (86, 8, 8)),
         ((86, 6, 4, 4), (86, 6, 4, 4)),
         ((86, 4, 4), (86, 4, 4)),
+    ]
+
+
+def _probes(monkeypatch):
+    """Record ``("trace", start)`` for each ``_traced_levels`` call of
+    distance.py (a probe traces from its top level, a walk from level 0)
+    and ``("dedup", start)`` for each ladder ``_dedup_levels`` walks: a
+    walk whose probe passed traces nothing more."""
+    calls, dedup, traced = [], distance._dedup_levels, distance._traced_levels
+
+    def recorded_dedup(levels, shape, tol, start=0):
+        calls.append(("dedup", start))
+        return dedup(levels, shape, tol, start)
+
+    def recorded_traced(mats, shape, start=0):
+        calls.append(("trace", start))
+        return traced(mats, shape, start)
+
+    monkeypatch.setattr(distance, "_dedup_levels", recorded_dedup)
+    monkeypatch.setattr(distance, "_traced_levels", recorded_traced)
+    return calls
+
+
+def test_a_pair_meeting_only_at_its_one_qudit_rows_fails_the_probe(rng, monkeypatch):
+    # A(x)A(x)A(x)A and A(x)B(x)B(x)B share the marginal A and no marginal
+    # of two or more qubits: the probe at level 3 meets, so the walk starts
+    # at level 0 and meets at level 3, s = t = 3
+    a, b = (random_density(rng, QuditShape(2, 1)).mat for _ in range(2))
+    rho = DensityMatrix(QuditShape(2, 4), np.kron(np.kron(a, a), np.kron(a, a)))
+    sigma = DensityMatrix(QuditShape(2, 4), np.kron(np.kron(a, b), np.kron(b, b)))
+    calls = _probes(monkeypatch)
+    assert assert_indel_matches_lone_walk(rho, sigma) == 6
+    assert calls == [("trace", 3), ("trace", 3), ("trace", 0), ("dedup", 0), ("trace", 0), ("dedup", 0)]
+    assert indel_distance(rho, sigma).s == 3
+    calls.clear()
+    code = CodeSample.from_states([rho, sigma])
+    assert assert_matches_lone_walk(code) == 6
+    assert calls == [("trace", 3), ("trace", 0), ("dedup", 1)]
+
+
+def test_a_generic_pair_walks_from_the_rows_of_its_probe(rng, monkeypatch):
+    # two generic 4-qubit states share no marginal: the probe at level 3
+    # passes and its rows are each ladder's first level, traced once
+    rho, sigma = (random_density(rng, QuditShape(2, 4), 16) for _ in range(2))
+    calls = _probes(monkeypatch)
+    assert assert_indel_matches_lone_walk(rho, sigma) == 8
+    assert calls == [("trace", 3), ("trace", 3), ("dedup", 3), ("dedup", 3)]
+
+
+def test_full_deletion_meets_at_eq_tol_0(rng):
+    # at eq_tol 0 two states' computed traces can differ in their last
+    # bit; the empty states they delete to still meet, at n + m
+    exact = Tolerance(eq_tol=0.0)
+    for _ in range(20):
+        rho, sigma = random_density(rng, QuditShape(2, 3)), random_density(rng, QuditShape(2, 2))
+        if deletion_sphere(rho, 3).stack[0] != deletion_sphere(sigma, 2).stack[0]:
+            break
+    else:
+        pytest.fail("no pair of traces differed")
+    result = indel_distance(rho, sigma, exact)
+    assert (result.value, result.s, result.t) == (5, 3, 2)
+    assert result.common.mat.tobytes() == deletion_sphere(rho, 3).stack[0].tobytes()
+    assert assert_indel_matches_lone_walk(rho, sigma, exact) == 5
+    code = CodeSample((rho, random_density(rng, QuditShape(2, 3))), ("a", "b"), exact)
+    assert assert_matches_lone_walk(code) == 6
+
+
+def test_the_collision_pair_probes_and_walks_from_level_1(monkeypatch):
+    # two 4-qubit states: 8 probe rows are fewer entries than level 1, but
+    # the pair meets at level 2, so the probe at level 3 fails
+    code = builtin_code("collision-x2")
+    calls = _probes(monkeypatch)
+    assert assert_matches_lone_walk(code) == 4
+    assert calls == [("trace", 3), ("trace", 0), ("dedup", 1)]
+
+
+def test_a_large_grid_code_walks_without_a_probe(monkeypatch):
+    # 86 states of 4 qubits: 344 probe rows squared outnumber level 1's
+    # entries, so the walk starts at level 1 as it did before the probe
+    code = builtin_code("hagiwara4", _grid(9, 12))
+    calls = _probes(monkeypatch)
+    assert min_distance(code)[0] == 4
+    assert calls == [("trace", 0), ("dedup", 1)]
+
+
+def test_a_pair_within_eq_tol_fails_the_probe(rng, monkeypatch):
+    # sigma is rho moved by half of eq_tol: they meet at level 0, and their
+    # one-qubit marginals, some 1e-10 apart, lie within the probe's bound
+    rho = random_density(rng, QuditShape(2, 4))
+    h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    h = h + h.conj().T - np.trace(h + h.conj().T) / 16 * np.eye(16)
+    sigma = DensityMatrix(rho.shape, rho.mat + h * (Tolerance().at(16).eq_tol / 2 / np.linalg.norm(h)))
+    calls = _probes(monkeypatch)
+    assert assert_indel_matches_lone_walk(rho, sigma) == 0
+    assert calls == [("trace", 3), ("trace", 3), ("trace", 0), ("dedup", 0), ("trace", 0), ("dedup", 0)]
+
+
+def test_the_probe_bound_covers_the_rounding_of_the_rows(rng):
+    # at eq_tol 0 the bound is its rounding margin alone; it must exceed the
+    # spread of one marginal traced in two orders, both rounded from one
+    # exact row
+    rho = random_density(rng, QuditShape(2, 8))
+    spread = 0.0
+    for q in range(1, 9):
+        others = [p for p in range(1, 9) if p != q]
+        chained = qindel.channels.trace_out(rho.mat, IndexSet(tuple(others), 8), 2)
+        upward = rho.mat
+        for k, p in enumerate(others):  # smallest first: each traced position renumbers the rest
+            upward = qindel.channels.trace_out(upward, IndexSet((p - k,), 8 - k), 2)
+        spread = max(spread, float(np.linalg.norm(chained - upward)))
+    bound = distance._probe_bound([(rho.mat[None], rho.shape, 0)] * 2, Tolerance(eq_tol=0.0), 7)
+    assert 0 < spread < bound < 1e-12
+
+
+def test_two_generic_8_qubit_states_walk_only_their_top_levels(rng, monkeypatch):
+    # generic states share no marginal: one screened probe of their 16
+    # one-qubit rows passes, so no level below 7 is built; the walk then
+    # dedups each state's level 7, compares it, and meets at level 8
+    rho, sigma = (random_density(rng, QuditShape(2, 8), 40) for _ in range(2))
+    levels, traced = [], qindel.channels._traced_levels
+
+    def recorded(mats, shape, start=0):
+        for level in traced(mats, shape, start):
+            levels.append(level.shape)
+            yield level
+
+    monkeypatch.setattr(distance, "_traced_levels", recorded)
+    monkeypatch.setattr(qindel.channels, "_traced_levels", recorded)
+    calls = _recorded(monkeypatch, qindel.channels, "_screened_distances")
+    monkeypatch.setattr(distance, "_screened_distances", qindel.channels._screened_distances)
+    result = indel_distance(rho, sigma)
+    assert (result.value, result.s, result.t) == (16, 8, 8)
+    assert levels == [(1, 8, 2, 2), (1, 8, 2, 2), (1, 1, 1, 1), (1, 1, 1, 1)]
+    assert calls == [
+        ((16, 2, 2), (16, 2, 2)),  # the probe
+        ((1, 8, 2, 2), (1, 8, 2, 2)),  # level 7: each state's dedup
+        ((1, 8, 2, 2), (1, 8, 2, 2)),
+        ((8, 2, 2), (8, 2, 2)),  # level 7: the comparison
+        ((1, 1, 1), (1, 1, 1)),  # level 8: the comparison
     ]
 
 
@@ -333,6 +472,11 @@ def test_code_sample_names_the_mismatch():
         CodeSample((qubit, qutrit), ("a", "b"))
     with pytest.raises(ShapeMismatch, match="lengths"):
         CodeSample((qubit, pair), ("a", "b"))
+    with pytest.raises(ShapeMismatch, match="equal length"):
+        CodeSample((), ("a",))
+    # a grid hands over its stack: the labels are counted against its rows
+    with pytest.raises(ShapeMismatch, match="equal length"):
+        CodeSample._of_stack(pair.shape, np.stack([pair.mat, pair.mat]), ["a"], Tolerance())
 
 
 @pytest.mark.parametrize(

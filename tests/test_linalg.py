@@ -221,6 +221,44 @@ def test_hermitian_part_at_both_ends_of_the_float_range():
     assert np.array_equal(hermitian_part(tiny), tiny)
 
 
+def _peaked(h, peak):
+    """``h`` scaled so that its largest real or imaginary part is ``peak``."""
+    return h * (peak / np.abs(h.view(float)).max())
+
+
+def _signed_zeros(rng, d):
+    """A Hermitian matrix with a zero part of either sign in many entries."""
+    h = random_hermitian(rng, d)
+    parts = h.view(float).reshape(d, d, 2)
+    for i, j in zip(*np.nonzero(np.triu(rng.random((d, d)) < 0.6))):
+        which = [0] if i == j else [[0], [1], [0, 1]][rng.integers(3)]
+        parts[i, j, which] = rng.choice([0.0, -0.0], len(which))
+        h[j, i] = np.conj(h[i, j])  # the mirrored zero has the other sign
+    return h
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: random_hermitian(rng, 16),
+        lambda rng: random_hermitian(rng, 64).real.astype(complex),  # -0 imaginary parts in its adjoint
+        lambda rng: _signed_zeros(rng, 8),
+        lambda rng: _signed_zeros(rng, 32),
+        lambda rng: random_hermitian(rng, 4) * 1e-310,  # subnormal entries
+        lambda rng: _peaked(random_hermitian(rng, 4), 1e308),  # parts past _HALF_MAX / 2
+        lambda rng: np.stack([random_hermitian(rng, 3), _signed_zeros(rng, 3), _peaked(random_hermitian(rng, 3), 6e307)]),
+        lambda rng: random_hermitian(rng, 5).T,  # not in row order
+        lambda rng: random_hermitian(rng, 256) + 1e-13 * rng.standard_normal((256, 256)),
+    ],
+    ids=["generic", "real", "signed-zeros", "signed-zeros-d32", "subnormal", "huge", "stack", "transposed", "d256-drift"],
+)
+def test_the_gate_returns_the_bits_of_hermitian_part(rng, make):
+    # one conjugate transpose serves the residual and the sum, summed into
+    # the residual's buffer and halved there: the bits stay hermitian_part's
+    a = make(rng)
+    assert _require_hermitian(a, Tolerance()).tobytes() == hermitian_part(a).tobytes()
+
+
 @pytest.mark.parametrize("entry", [1e200, 1e308])
 def test_a_residual_past_the_float_range_refuses_cleanly(entry):
     # the residual's squares (1e200) or the difference itself (1e308) leave

@@ -60,7 +60,8 @@ from qindel.states import (  # noqa: E402
     state_to_json_obj,
     validate,
 )
-from conftest import assert_matches_lone_walk, assert_validates_as_reference, planted_state  # noqa: E402
+from conftest import assert_indel_matches_lone_walk, assert_matches_lone_walk  # noqa: E402
+from conftest import assert_validates_as_reference, planted_state  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -469,6 +470,51 @@ def codes(draw):
 @BOTH_LEVELS
 @given(codes())
 def test_the_stacked_walk_matches_each_states_own_spheres(code):
+    assume(len(code) >= 2)
+    assert_matches_lone_walk(code)
+
+
+def _probe_failing_tolerance(states, skipped):
+    """A fixed eq_tol at which the top-level probe of a walk over ``states``
+    that would skip ``skipped`` steps finds a cross pair: the probe's bound
+    is at least 2^(skipped/2) eq_tol, here just above the closest pair of
+    one-qubit marginals of two different states."""
+    marginals = [
+        [delete(rho, [q for q in range(1, rho.length + 1) if q != p]).mat for p in range(1, rho.length + 1)]
+        for rho in states
+    ]
+    closest = min(
+        np.linalg.norm(x - y) for a, b in combinations(marginals, 2) for x in a for y in b
+    )
+    return Tolerance(eq_tol=1.01 * closest / 2 ** (skipped / 2))
+
+
+WALK_TOLERANCES = st.sampled_from(["default", "exact", "probe-failing"])
+
+
+def _walk_tolerance(name, states, skipped):
+    """The tolerance named ``name``: unset, eq_tol 0 (the probe's bound is
+    its rounding margin alone) or one that fails every probe."""
+    if name == "probe-failing":
+        return _probe_failing_tolerance(states, skipped)
+    return Tolerance() if name == "default" else Tolerance(eq_tol=0.0)
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(st.lists(qubit_states(st.integers(4, 6)), min_size=2, max_size=2), WALK_TOLERANCES)
+def test_indel_distance_matches_each_states_own_spheres(states, tol_name):
+    # generic states pass the top-level probe; products of a small pool
+    # share marginals and meet mid-ladder, where the probe fails
+    rho, sigma = states
+    tol = _walk_tolerance(tol_name, states, min(rho.length, sigma.length) - 1)
+    assert_indel_matches_lone_walk(rho, sigma, tol)
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(st.integers(4, 6).flatmap(lambda n: st.lists(qubit_states(st.just(n)), min_size=2, max_size=4)), WALK_TOLERANCES)
+def test_min_distance_matches_each_states_own_spheres_at_every_tolerance(states, tol_name):
+    tol = _walk_tolerance(tol_name, states, states[0].length - 2)
+    code = CodeSample(tuple(states), tuple(f"state{k}" for k in range(len(states))), tol)
     assume(len(code) >= 2)
     assert_matches_lone_walk(code)
 
