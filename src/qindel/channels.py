@@ -190,12 +190,6 @@ def delete(rho: DensityMatrix, positions) -> DensityMatrix:
     return DensityMatrix(QuditShape(rho.level, rho.length - pset.size), reduced)
 
 
-# a Frobenius reduction of more than this many complex entries is summed in
-# pieces of numpy's iterator buffer (8192 floats) when it is one of several,
-# so its last bit depends on whether it was reduced alone
-_ONE_PASS = 4096
-
-
 def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float) -> np.ndarray:
     """``cross_distances(a, b)`` of two ``(..., k, d, d)`` stacks with the same
     batch axes wherever it can be within eq_tol, ``inf`` elsewhere.
@@ -209,12 +203,10 @@ def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float) -> np.ndarr
     Otherwise the diagonals of every batch entry are compared in one call,
     and the screened-in pairs of all entries and rows are gathered as
     ``a[r] - b[c]`` differences, whose two operands hold at most ``_CHUNK``
-    complex entries a chunk, for the Frobenius kernel.  Each kept entry is the one a lone
-    ``cross_distances(a[i:i+1], b[cols])`` call over its row's screened-in
-    columns gives, bit for bit: above ``_ONE_PASS`` entries a pair that
-    call reduces alone is reduced alone here, and every other pair is
-    reduced as one of several.  When ``a`` is ``b``, only the pairs (i, j)
-    with i < j, all a dedup reads, are screened in.
+    complex entries a chunk, for the Frobenius kernel.  Each kept entry is
+    ``frobenius_distance`` of its pair, bit for bit, as in
+    ``cross_distances``.  When ``a`` is ``b``, only the pairs (i, j) with
+    i < j, all a dedup reads, are screened in.
     """
     if a.shape[-3] * b.shape[-3] * a.shape[-1] ** 2 <= _CHUNK:
         return cross_distances(a, b)
@@ -223,34 +215,16 @@ def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float) -> np.ndarr
     if a is b:
         near &= np.arange(a.shape[-3])[:, None] < np.arange(b.shape[-3])
     out = np.full(near.shape, np.inf)
-    *lead, rows, cols = np.nonzero(near)  # row-major: a row's columns in order
-    if not len(rows):
-        return out
-    size = a.shape[-2] * a.shape[-1]
-    lone = np.zeros(len(rows), dtype=bool)
-    if size > _ONE_PASS:
-        # a row's lone call takes its columns in blocks of ``width``; a pair
-        # it reduces alone, in a block of one column, is reduced alone here
-        counts = near.sum(axis=-1).ravel()
-        row = np.repeat(np.arange(len(counts)), counts)
-        kb = counts[row]
-        width = np.minimum(kb, _CHUNK // size)
-        position = np.arange(len(rows)) - (np.cumsum(counts) - counts)[row]
-        lone = (width == 1) | ((position == kb - 1) & ((kb - 1) % width == 0))
+    *lead, rows, cols = np.nonzero(near)
     left, right = (*lead, rows), (*lead, cols)
     dist = np.empty(len(rows))
-    batched = np.flatnonzero(~lone)
-    step = max(2, _CHUNK // (2 * size))  # a chunk's two gathered operands hold _CHUNK entries
+    step = max(1, _CHUNK // (2 * a.shape[-2] * a.shape[-1]))  # a chunk's two gathered operands hold _CHUNK entries
     with np.errstate(over="ignore"):
-        for start in range(0, len(batched), step):
-            picks = batched[start : start + step]
-            if len(picks) == 1:  # reduced beside a copy of itself, as one of several
-                picks = np.repeat(picks, 2)
+        for start in range(0, len(rows), step):
+            picks = slice(start, start + step)
             diff = a[tuple(x[picks] for x in left)]
             np.subtract(diff, b[tuple(x[picks] for x in right)], out=diff)
             dist[picks] = frobenius_norm(diff)
-        for p in np.flatnonzero(lone):
-            dist[p] = frobenius_norm(a[tuple(x[p] for x in left)] - b[tuple(x[p] for x in right)])
     out[near] = dist
     return out
 
@@ -453,23 +427,20 @@ def _traced_levels(mats: np.ndarray, shape: QuditShape, start: int = 0) -> Itera
         yield raw
 
 
-def _dedup_levels(
-    levels: Iterator[np.ndarray], shape: QuditShape, tol: Tolerance, start: int = 0
-) -> Iterator[tuple]:
-    """For s = start, ..., n, the raw level s of ``levels``, which yields
-    the levels of ``_traced_levels`` for stacks of states of ``shape`` from
-    level ``start`` on, as ``(eq_tol, raw, kept)``: eq_tol at the level's
+def _dedup_levels(levels: Iterator[np.ndarray], tol: Tolerance) -> Iterator[tuple]:
+    """For each raw level of ``levels`` (those of ``_traced_levels``, from
+    any level on), ``(eq_tol, raw, kept)``: eq_tol at the level's row
     dimension, the raw ``(..., C(n, s), d_s, d_s)`` level, and the
     ``(..., C(n, s))`` mask of the rows each state's greedy dedup keeps,
     from one screened self-comparison.  A one-row level keeps its row
     without a distance.
 
     A caller that starts above level 0 passes ``islice`` of the chained
-    levels (the levels below ``start`` are traced, not deduplicated), or,
+    levels (the levels below the start are traced, not deduplicated), or,
     as a distance walk whose probe built its top level directly does, that
     level and the rest of its ladder."""
-    for s, raw in enumerate(levels, start):
-        eq_tol = tol.at(shape.level ** (shape.length - s)).eq_tol
+    for raw in levels:
+        eq_tol = tol.at(raw.shape[-1]).eq_tol
         if raw.shape[-3] == 1:
             yield eq_tol, raw, np.ones(raw.shape[:-2], dtype=bool)
         else:
@@ -488,7 +459,7 @@ def deletion_levels(
     """
     n, start = rho.length, _count(start, "deletion count start", most=rho.length)
     levels = islice(_traced_levels(rho.mat, rho.shape), start, None)
-    for s, (eq_tol, raw, kept) in enumerate(_dedup_levels(levels, rho.shape, tol, start), start):
+    for s, (eq_tol, raw, kept) in enumerate(_dedup_levels(levels, tol), start):
         reps = [IndexSet(c, n) for c, keep in zip(combinations(range(1, n + 1), s), kept) if keep]
         yield SphereSet(QuditShape(rho.level, n - s), eq_tol, raw if kept.all() else raw[kept], reps, len(raw))
 

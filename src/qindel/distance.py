@@ -238,11 +238,11 @@ def _ladders(stacks: Sequence[tuple[np.ndarray, QuditShape, int]], tol: Toleranc
             tops = [next(levels) for levels in traced]
             if _apart(tops, _probe_bound(stacks, tol, top)):
                 return [
-                    (shape, start + top, _dedup_levels(chain([raw], levels), shape, tol, start + top))
+                    (shape, start + top, _dedup_levels(chain([raw], levels), tol))
                     for (_, shape, start), raw, levels in zip(stacks, tops, traced)
                 ]
     return [
-        (shape, start, _dedup_levels(islice(_traced_levels(mats, shape), start, None), shape, tol, start))
+        (shape, start, _dedup_levels(islice(_traced_levels(mats, shape), start, None), tol))
         for mats, shape, start in stacks
     ]
 
@@ -427,7 +427,7 @@ def metric_check(
         if not a.level == b.level == c.level:
             raise LevelMismatch(f"triple {idx} spans levels {a.level}, {b.level}, {c.level}")
         la, lb, lc = (
-            (x.shape, list(_dedup_levels(_traced_levels(x.mat[None], x.shape), x.shape, tol))) for x in (a, b, c)
+            (x.shape, list(_dedup_levels(_traced_levels(x.mat[None], x.shape), tol))) for x in (a, b, c)
         )
         d_ab = _level_distance(la, lb)
         d_ba = _level_distance(lb, la)

@@ -185,9 +185,9 @@ def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance())
     for (sigma_shape, rho_shape), members in groups.items():
         # a ladder holds its stack only until its level 1 is built
         sigma_levels = _traced_levels(np.stack([sigmas[i].mat for i in members]), sigma_shape)
-        eq_tol, left, kept_left = next(_dedup_levels(islice(sigma_levels, t, None), sigma_shape, tol, t))
+        eq_tol, left, kept_left = next(_dedup_levels(islice(sigma_levels, t, None), tol))
         rho_levels = _traced_levels(np.stack([rhos[i].mat for i in members]), rho_shape)
-        _, right, kept_right = next(_dedup_levels(islice(rho_levels, s, None), rho_shape, tol, s))
+        _, right, kept_right = next(_dedup_levels(islice(rho_levels, s, None), tol))
         near = _screened_distances(left, right, eq_tol) <= eq_tol
         meets = (near & kept_left[:, :, None] & kept_right[:, None, :]).any(axis=(1, 2))
         verdicts.update(zip(members, meets.tolist()))

@@ -482,11 +482,11 @@ def _shared_diagonal_rows(rng, dim, sizes):
 @pytest.mark.parametrize("dim, sizes", [(16, (30, 20, 1)), (128, (1, 2, 3, 5, 4, 9))])
 def test_screened_pairs_past_one_chunk_keep_the_bits_of_each_rows_call(rng, dim, sizes):
     """Every pair of a family passes the diagonal screen, far more pairs than
-    one chunk holds; each kept entry is the one its row's lone
-    ``cross_distances`` call gives, bit for bit.  At d=128 that call reduces
-    a block of one column alone (a row of 1, 5 or 9 columns ends in one),
-    with other last bits than a pair reduced among several, and the cross
-    case leaves one pair for the last chunk of the rest."""
+    one chunk holds; each kept entry is ``frobenius_distance`` of its pair,
+    bit for bit, and so what its row's lone ``cross_distances`` call gives.
+    At d=128 a pair has more entries than one buffer of numpy's iterator
+    holds, rows keep 1 to 9 columns, and the cross case leaves one pair for
+    the last chunk of the rest."""
     b = _shared_diagonal_rows(rng, dim, sizes)
     family = np.repeat(np.arange(len(sizes)), sizes)
     for left, right in ((b.copy(), b), (b, b)):
@@ -497,10 +497,8 @@ def test_screened_pairs_past_one_chunk_keep_the_bits_of_each_rows_call(rng, dim,
             want &= np.arange(len(b))[:, None] < np.arange(len(b))
         np.testing.assert_array_equal(kept, want)
         assert kept.sum() > 2 * qindel.channels._CHUNK // dim**2
-        for i, row in enumerate(dist):
-            cols = np.flatnonzero(kept[i])
-            if len(cols):
-                assert row[cols].tobytes() == cross_distances(left[i : i + 1], right[cols])[0].tobytes()
+        pairs = np.array([frobenius_distance(left[i], right[j]) for i, j in zip(*np.nonzero(kept))])
+        assert dist[kept].tobytes() == pairs.tobytes()
 
 
 @pytest.mark.parametrize("level, lengths", [(2, range(1, 7)), (3, range(1, 4))])
@@ -579,7 +577,7 @@ def test_a_ladder_lets_its_stack_go_once_level_1_is_built(rng):
     shape = QuditShape(2, 4)
     stack = np.stack([random_density(rng, shape).mat for _ in range(3)])
     source = weakref.ref(stack)
-    ladder = _dedup_levels(islice(_traced_levels(stack, shape), 1, None), shape, Tolerance(), 1)
+    ladder = _dedup_levels(islice(_traced_levels(stack, shape), 1, None), Tolerance())
     del stack
     next(ladder)
     assert source() is None

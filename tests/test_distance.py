@@ -183,19 +183,20 @@ def test_a_grid_walk_makes_one_screened_call_per_level_and_block(monkeypatch):
 def _probes(monkeypatch):
     """Record ``("trace", start)`` for each ``_traced_levels`` call of
     distance.py (a probe traces from its top level, a walk from level 0)
-    and ``("dedup", start)`` for each ladder ``_dedup_levels`` walks: a
+    and ``("walk", start)`` for each ladder ``_ladders`` hands the walk: a
     walk whose probe passed traces nothing more."""
-    calls, dedup, traced = [], distance._dedup_levels, distance._traced_levels
+    calls, ladders, traced = [], distance._ladders, distance._traced_levels
 
-    def recorded_dedup(levels, shape, tol, start=0):
-        calls.append(("dedup", start))
-        return dedup(levels, shape, tol, start)
+    def recorded_ladders(stacks, tol):
+        built = ladders(stacks, tol)
+        calls.extend(("walk", start) for _, start, _ in built)
+        return built
 
     def recorded_traced(mats, shape, start=0):
         calls.append(("trace", start))
         return traced(mats, shape, start)
 
-    monkeypatch.setattr(distance, "_dedup_levels", recorded_dedup)
+    monkeypatch.setattr(distance, "_ladders", recorded_ladders)
     monkeypatch.setattr(distance, "_traced_levels", recorded_traced)
     return calls
 
@@ -209,12 +210,12 @@ def test_a_pair_meeting_only_at_its_one_qudit_rows_fails_the_probe(rng, monkeypa
     sigma = DensityMatrix(QuditShape(2, 4), np.kron(np.kron(a, b), np.kron(b, b)))
     calls = _probes(monkeypatch)
     assert assert_indel_matches_lone_walk(rho, sigma) == 6
-    assert calls == [("trace", 3), ("trace", 3), ("trace", 0), ("dedup", 0), ("trace", 0), ("dedup", 0)]
+    assert calls == [("trace", 3), ("trace", 3), ("trace", 0), ("trace", 0), ("walk", 0), ("walk", 0)]
     assert indel_distance(rho, sigma).s == 3
     calls.clear()
     code = CodeSample.from_states([rho, sigma])
     assert assert_matches_lone_walk(code) == 6
-    assert calls == [("trace", 3), ("trace", 0), ("dedup", 1)]
+    assert calls == [("trace", 3), ("trace", 0), ("walk", 1)]
 
 
 def test_a_generic_pair_walks_from_the_rows_of_its_probe(rng, monkeypatch):
@@ -223,7 +224,7 @@ def test_a_generic_pair_walks_from_the_rows_of_its_probe(rng, monkeypatch):
     rho, sigma = (random_density(rng, QuditShape(2, 4), 16) for _ in range(2))
     calls = _probes(monkeypatch)
     assert assert_indel_matches_lone_walk(rho, sigma) == 8
-    assert calls == [("trace", 3), ("trace", 3), ("dedup", 3), ("dedup", 3)]
+    assert calls == [("trace", 3), ("trace", 3), ("walk", 3), ("walk", 3)]
 
 
 def test_full_deletion_meets_at_eq_tol_0(rng):
@@ -250,7 +251,7 @@ def test_the_collision_pair_probes_and_walks_from_level_1(monkeypatch):
     code = builtin_code("collision-x2")
     calls = _probes(monkeypatch)
     assert assert_matches_lone_walk(code) == 4
-    assert calls == [("trace", 3), ("trace", 0), ("dedup", 1)]
+    assert calls == [("trace", 3), ("trace", 0), ("walk", 1)]
 
 
 def test_a_large_grid_code_walks_without_a_probe(monkeypatch):
@@ -259,7 +260,7 @@ def test_a_large_grid_code_walks_without_a_probe(monkeypatch):
     code = builtin_code("hagiwara4", _grid(9, 12))
     calls = _probes(monkeypatch)
     assert min_distance(code)[0] == 4
-    assert calls == [("trace", 0), ("dedup", 1)]
+    assert calls == [("trace", 0), ("walk", 1)]
 
 
 def test_a_pair_within_eq_tol_fails_the_probe(rng, monkeypatch):
@@ -271,7 +272,7 @@ def test_a_pair_within_eq_tol_fails_the_probe(rng, monkeypatch):
     sigma = DensityMatrix(rho.shape, rho.mat + h * (Tolerance().at(16).eq_tol / 2 / np.linalg.norm(h)))
     calls = _probes(monkeypatch)
     assert assert_indel_matches_lone_walk(rho, sigma) == 0
-    assert calls == [("trace", 3), ("trace", 3), ("trace", 0), ("dedup", 0), ("trace", 0), ("dedup", 0)]
+    assert calls == [("trace", 3), ("trace", 3), ("trace", 0), ("trace", 0), ("walk", 0), ("walk", 0)]
 
 
 def test_the_probe_bound_covers_the_rounding_of_the_rows(rng):

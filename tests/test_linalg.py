@@ -294,6 +294,33 @@ def test_the_paired_and_all_pairs_forms_agree(rng):
         assert isinstance(frobenius_distance(a[0], b[0]), float)
 
 
+@pytest.mark.parametrize("dim", [65, 81, 128, 256])
+def test_every_distance_has_the_bits_of_its_lone_pair(rng, dim):
+    # past 4096 complex entries a batched reduction could be summed in
+    # pieces where a lone one is not: paired stacks and every all-pairs
+    # entry must still read the pair's own frobenius_distance
+    a = np.array([random_hermitian(rng, dim) for _ in range(3)])
+    b = np.array([random_hermitian(rng, dim) for _ in range(4)])
+    lone = np.array([[frobenius_distance(x, y) for y in b] for x in a])
+    assert cross_distances(a, b).tobytes() == lone.tobytes()
+    assert frobenius_distance(a, b[:3]).tobytes() == np.diagonal(lone).tobytes()
+    assert frobenius_distance(a[::-1], b[1:]).tobytes() == np.diagonal(lone[::-1, 1:]).tobytes()
+
+
+def test_a_refused_stack_carries_the_residual_of_its_lone_call(rng):
+    # a stack of 128 x 128 matrices whose middle one is 1e-3 off Hermitian:
+    # the stacked refusal names it with the residual its lone call reads
+    for _ in range(4):
+        stack = np.array([random_hermitian(rng, 128) for _ in range(3)])
+        skew = rng.normal(size=(128, 128))
+        stack[1] += 1e-3 * (skew - skew.T) / np.linalg.norm(skew - skew.T)
+        with pytest.raises(NotHermitian) as lone:
+            hermitian_eigenvalues(stack[1])
+        with pytest.raises(NotHermitian, match="^matrix 1 is not Hermitian") as stacked:
+            hermitian_eigenvalues(stack)
+        assert stacked.value.residual == lone.value.residual
+
+
 def test_congruence_preserves_psd(rng):
     for _ in range(30):
         dim = int(rng.integers(2, 6))

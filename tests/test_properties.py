@@ -16,6 +16,7 @@ the working tree.
 import base64
 import math
 import tempfile
+import warnings
 from functools import reduce
 from itertools import combinations
 from pathlib import Path
@@ -25,7 +26,7 @@ import orjson
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
@@ -43,6 +44,7 @@ from qindel.feasibility import (  # noqa: E402
 )
 from qindel.linalg import (  # noqa: E402
     Tolerance,
+    frobenius_norm,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     is_psd,
@@ -162,6 +164,49 @@ def test_checked_entry_points_refuse_a_non_square_matrix(name, rows, cols):
     # validate compares the shape with the qudit shape first
     with pytest.raises(ShapeMismatch if name == "validate" else NonSquare):
         CHECKED[name](np.eye(rows, cols, dtype=complex))
+
+
+def _norm_bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(st.lists(st.integers(1, 3), max_size=3), st.integers(1, 100), st.integers(1, 100), st.integers(0, 2**32 - 1))
+@example([3], 256, 256, 0)
+def test_each_matrix_keeps_the_frobenius_bits_of_its_lone_call(batch, rows, cols, seed):
+    # frobenius_norm(x)[idx] == frobenius_norm(x[idx]), bit for bit, whatever
+    # the stack around a matrix, its layout or its address
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(*batch, rows, cols)) + 1j * rng.normal(size=(*batch, rows, cols))
+    x *= 10.0 ** rng.uniform(-8, 8, size=(*batch, 1, 1))
+    flat = x.reshape(-1, rows, cols)
+    lone = [frobenius_norm(mat) for mat in flat]
+    norms = frobenius_norm(x)
+    assert _norm_bits(norms) == _norm_bits(np.reshape(lone, batch))
+    picks = rng.integers(len(flat), size=5)  # gathered, repeats included
+    assert _norm_bits(frobenius_norm(flat[picks])) == _norm_bits([lone[k] for k in picks])
+    shifted = np.empty(x.nbytes + 1, dtype=np.uint8)[1:].view(complex).reshape(x.shape)
+    shifted[...] = x
+    assert not shifted.flags.aligned
+    assert _norm_bits(frobenius_norm(shifted)) == _norm_bits(norms)
+    apart = np.empty((*batch, 2, rows, cols), dtype=complex)[..., 0, :, :]  # a strided stack
+    apart[...] = x
+    assert _norm_bits(frobenius_norm(apart)) == _norm_bits(norms)
+    if batch:  # the batch axes reordered: the same matrices in another order
+        assert _norm_bits(frobenius_norm(np.moveaxis(x, 0, -3))) == _norm_bits(np.moveaxis(norms, 0, -1))
+    flipped = x.swapaxes(-1, -2).reshape(-1, cols, rows)  # non-contiguous matrices
+    assert _norm_bits(frobenius_norm(flipped)) == _norm_bits([frobenius_norm(mat) for mat in flipped])
+
+    # one matrix past the float range reads inf, with no warning, and the
+    # others keep their lone bits
+    k = int(rng.integers(len(flat)))
+    big = flat.copy()
+    big[k] *= 1e280
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = frobenius_norm(big)
+    assert norms[k] == math.inf
+    assert _norm_bits(np.delete(norms, k)) == _norm_bits(np.delete(lone, k))
 
 
 # validate against the eigen-solve rule alone (conftest.reference_validate):
