@@ -4,7 +4,6 @@ from .channels import (
     IndexSet,
     SphereSet,
     delete,
-    deletion_levels,
     deletion_sphere,
     index_permutation,
     insert_construct,

@@ -195,7 +195,7 @@ def check_strict_inclusion(seed: int) -> dict:
 
 def check_insertion_code(seed: int) -> dict:
     """The two-state code correcting one insertion but not one deletion."""
-    code = CodeSample((example_rho(0.5, 0.5), example_psi(0.5, 0.5)), ("rho", "psi"))
+    code = CodeSample.from_states((example_rho(0.5, 0.5), example_psi(0.5, 0.5)), ("rho", "psi"))
     ins = corrects_insertions(code, 1)
     dels = corrects(code, 1, "deletions")
     ok = ins.ok is True and dels.ok is False

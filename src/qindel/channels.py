@@ -1,17 +1,18 @@
 """Deletion channels, qudit index permutations, and insertion-state construction.
 
 Deletion at position p is the partial trace over qudit p.  The deletion
-spheres D^0, D^1, ... of a state form a ladder: ``deletion_levels`` for one
-state, ``_dedup_levels`` for a stack of states, which the distance walks
-read.  Its levels come from the one level builder, ``_traced_levels``, which
-traces each level's candidates from the level before, bit-identical to
-tracing each subset from the state, for one state or a stack of states
-alike; a ladder started high builds its first level directly, from only
-the parents its rows need.  A sphere is the read-only result of one greedy
-dedup of one level by ``_dedup_levels``, for one state or each state of a
-stack; the greedy rule is one loop, ``_distinct_mask``, which
-``distinct_rows`` applies to any buffer.  Where spheres first meet is found by one kernel, ``first_meeting``.
-Every dedup and every comparison of rows is one call of
+spheres D^0, D^1, ... of a state, or of each state of a stack, form one
+ladder, ``_dedup_levels``: the distance walks read it level by level, and
+``deletion_sphere`` reads its one level s.  Its levels come from the one
+level builder, ``_traced_levels``, which traces each level's candidates
+from the level before, bit-identical to tracing each subset from the
+state, for one state or a stack of states alike; a ladder started high
+builds its first level directly, from only the parents its rows need.  A
+sphere is the read-only result of one greedy dedup of one level by
+``_dedup_levels``, for one state or each state of a stack; the greedy rule
+is one loop, ``_distinct_mask``, which ``distinct_rows`` applies to a
+code's stack.  Where spheres first meet is found by one kernel,
+``first_meeting``.  Every dedup and every comparison of rows is one call of
 ``_screened_distances``, on a lone stack or a batch of stacks: only pairs
 whose diagonals lie within eq_tol get a full distance, gathered across rows
 and batch entries for ``linalg.frobenius_norm``.  ``first_meeting`` compares
@@ -70,7 +71,6 @@ __all__ = [
     "trace_out_adjoint",
     "partial_trace",
     "delete",
-    "deletion_levels",
     "deletion_sphere",
     "index_permutation",
     "tau_Q",
@@ -364,9 +364,6 @@ class SphereSet:
     def __len__(self) -> int:
         return len(self.stack)
 
-    def __iter__(self) -> Iterator[DensityMatrix]:
-        return iter(self.states)
-
     def intersection_witness(
         self, other: "SphereSet"
     ) -> tuple[int, int, float] | None:
@@ -447,26 +444,15 @@ def _dedup_levels(levels: Iterator[np.ndarray], tol: Tolerance) -> Iterator[tupl
             yield eq_tol, raw, _distinct_mask(_screened_distances(raw, raw, eq_tol) <= eq_tol)
 
 
-def deletion_levels(
-    rho: DensityMatrix, tol: Tolerance = Tolerance(), start: int = 0
-) -> Iterator[SphereSet]:
-    """D^start(rho), D^(start+1)(rho), ..., D^n(rho), each level traced from
-    the one before and deduplicated greedily within eq_tol at its dimension
-    (``_dedup_levels``).  ``start``, a deletion count, must be an integer in
-    [0, n], else the first ``next`` raises ``CountOutOfRange``.  Levels
-    below it are traced but not deduplicated.  Each level is built only when
-    it is asked for, from the last raw level, the only one kept.
-    """
-    n, start = rho.length, _count(start, "deletion count start", most=rho.length)
-    levels = islice(_traced_levels(rho.mat, rho.shape), start, None)
-    for s, (eq_tol, raw, kept) in enumerate(_dedup_levels(levels, tol), start):
-        reps = [IndexSet(c, n) for c, keep in zip(combinations(range(1, n + 1), s), kept) if keep]
-        yield SphereSet(QuditShape(rho.level, n - s), eq_tol, raw if kept.all() else raw[kept], reps, len(raw))
-
-
 def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance = Tolerance()) -> SphereSet:
-    """D^s(rho): level s of ``deletion_levels``, the only one deduplicated."""
-    return next(deletion_levels(rho, tol, s))
+    """D^s(rho): level s of rho's ladder, traced from the levels before it,
+    which are not deduplicated, and deduplicated greedily within eq_tol at
+    its dimension (``_dedup_levels``).  ``s``, a deletion count, must be an
+    integer in [0, n], else ``CountOutOfRange``."""
+    n, s = rho.length, _count(s, "deletion count s", most=rho.length)
+    eq_tol, raw, kept = next(_dedup_levels(islice(_traced_levels(rho.mat, rho.shape), s, None), tol))
+    reps = [IndexSet(c, n) for c, keep in zip(combinations(range(1, n + 1), s), kept) if keep]
+    return SphereSet(QuditShape(rho.level, n - s), eq_tol, raw if kept.all() else raw[kept], reps, len(raw))
 
 
 def _permute_axes(mat: np.ndarray, perm: tuple[int, ...], level: int) -> np.ndarray:

@@ -298,7 +298,7 @@ def _grid_code(family, params, extras, tol: Tolerance) -> CodeSample:
     params = code_params() if params is None else list(params)
     labels = [f"a={a.real:+.3f}{a.imag:+.3f}j,b={b.real:+.3f}{b.imag:+.3f}j" for a, b in params]
     stack = _codewords(family, params + [pair for _, pair in extras])
-    return CodeSample._of_stack(family[0], stack, labels + [label for label, _ in extras], tol)
+    return CodeSample(family[0], stack, labels + [label for label, _ in extras], tol)
 
 
 # --- builtin registry for the CLI ---------------------------------------------

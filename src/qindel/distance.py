@@ -17,10 +17,10 @@ from level 1, since code states share one length, are distinct at level 0
 by construction, and the code's minimum distance is 2s for the least s at
 which two of their s-deletion spheres meet;
 ``metric_check`` builds each state's levels once per triple.  Only a witness
-row is wrapped as a state.  ``CodeSample`` stacks and dedups its states
-once, with the spheres' greedy dedup, at the tolerance every verdict on the
-code reads, and keeps the stack its states view; a grid hands over the
-stack it built.
+row is wrapped as a state.  A ``CodeSample`` is one stack of states of one
+shape, deduplicated in its constructor, with the spheres' greedy dedup, at
+the tolerance every verdict on the code reads: a grid hands over the stack
+it built, and ``from_states`` stacks a list of states once.
 
 Before ``indel_distance`` and ``min_distance`` walk, ``_ladders`` probes
 the walk's top non-trivial level K, of one-qudit rows: level n - 1 for a
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations, islice
 from typing import Iterable, Sequence
 
@@ -84,68 +85,56 @@ class DistanceResult:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSample:
-    """Finite list of states of a common shape, distinct within ``tol``.
+    """Finite list of states of one shape, distinct within ``tol``: the
+    rows of the ``(k, d, d)`` array ``stack``, one per label.
 
-    Construction dedups the offered states greedily: the first of each
-    coinciding group stays, with its label.  ``joined[j]`` is the index in
-    ``states`` of the state offered state j became or joined.  The offered
-    matrices are stacked once; ``stack`` is the read-only ``(k, d, d)``
-    array of the kept ones, and each of ``states`` views its row.
+    Construction dedups the offered rows greedily, by one ``distinct_rows``
+    call: the first of each coinciding group stays, with its label.
+    ``joined[j]`` is the index in ``stack`` of the row offered row j became
+    or joined.  ``stack`` keeps the kept rows read-only: the offered array
+    itself when every row is kept, else one gather.  ``states`` wraps views
+    of its rows on first access.
     """
 
-    states: tuple[DensityMatrix, ...]
+    shape: QuditShape
+    stack: np.ndarray = field(repr=False)
     labels: tuple[str, ...]
     tol: Tolerance = Tolerance()
-    joined: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    joined: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        levels = {s.level for s in self.states}
-        if len(levels) > 1:
-            raise LevelMismatch(f"states span several levels: {sorted(levels)}")
-        lengths = {s.length for s in self.states}
-        if len(lengths) > 1:
-            raise ShapeMismatch(f"states span several lengths: {sorted(lengths)}")
-        if self.states:
-            self._keep(self.states[0].shape, np.stack([s.mat for s in self.states]))
-        elif self.labels:
+        if len(self.labels) != len(self.stack):
             raise ShapeMismatch("labels and states must have equal length")
-
-    def _keep(self, shape: QuditShape, stack: np.ndarray) -> None:
-        """Dedup the offered matrices, the rows of ``stack``, one per label,
-        and keep the kept rows: the stack itself when every row is kept,
-        else one gather."""
-        if len(self.labels) != len(stack):
-            raise ShapeMismatch("labels and states must have equal length")
-        kept, joined = distinct_rows(stack, self.tol.at(shape.dim).eq_tol)
-        if len(kept) < len(stack):
-            stack = stack[kept]
+        if self.stack.shape[1:] != (self.shape.dim, self.shape.dim):
+            raise ShapeMismatch(
+                f"rows of shape {self.stack.shape[1:]} do not match qudit shape "
+                f"(l={self.shape.level}, n={self.shape.length}, dim={self.shape.dim})"
+            )
+        kept, joined = distinct_rows(self.stack, self.tol.at(self.shape.dim).eq_tol)
+        stack = self.stack if len(kept) == len(self.stack) else self.stack[kept]
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "states", tuple(DensityMatrix(shape, mat) for mat in stack))
         object.__setattr__(self, "labels", tuple(self.labels[c] for c in kept))
         object.__setattr__(self, "joined", tuple(joined))
 
     @classmethod
-    def _of_stack(cls, shape: QuditShape, stack: np.ndarray, labels: Sequence[str], tol: Tolerance) -> "CodeSample":
-        """The code of the ``(k, d, d)`` stack of states of ``shape`` that a
-        grid builds, as ``CodeSample`` of its rows gives it, without
-        wrapping or stacking the rows first: the stack is read only, and
-        kept whole when the dedup keeps every row."""
-        code = cls((), (), tol)
-        object.__setattr__(code, "labels", tuple(labels))
-        code._keep(shape, stack)
-        return code
-
-    @classmethod
     def from_states(cls, states, labels=None, tol: Tolerance = Tolerance()) -> "CodeSample":
-        """The code of ``states``, which must be distinct: ``DuplicateStates``
-        names the first repeat, the first state not kept at its own index."""
+        """The code of ``states``, at least one, of one level and length,
+        stacked once, which must be distinct: ``DuplicateStates`` names the
+        first repeat, the first state not kept at its own index."""
         states = tuple(states)
+        if not states:
+            raise TooFewStates("a code needs at least 1 state, got 0")
+        levels = {s.level for s in states}
+        if len(levels) > 1:
+            raise LevelMismatch(f"states span several levels: {sorted(levels)}")
+        lengths = {s.length for s in states}
+        if len(lengths) > 1:
+            raise ShapeMismatch(f"states span several lengths: {sorted(lengths)}")
         labels = tuple(labels) if labels is not None else tuple(f"state{k}" for k in range(len(states)))
-        code = cls(states, labels, tol)
+        code = cls(states[0].shape, np.stack([s.mat for s in states]), labels, tol)
         for j, k in enumerate(code.joined):
             if k != j:
                 raise DuplicateStates(
@@ -154,8 +143,12 @@ class CodeSample:
                 )
         return code
 
+    @cached_property
+    def states(self) -> list[DensityMatrix]:
+        return [DensityMatrix(self.shape, mat) for mat in self.stack]
+
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.stack)
 
 
 @dataclass
@@ -343,7 +336,7 @@ def min_distance(code: CodeSample) -> tuple[int, tuple[str, str], DistanceResult
     """
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
-    i, j, result = _first_meeting(_ladders([(code.stack, code.states[0].shape, 1)], code.tol))
+    i, j, result = _first_meeting(_ladders([(code.stack, code.shape, 1)], code.tol))
     return result.value, (code.labels[i], code.labels[j]), result
 
 

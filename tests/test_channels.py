@@ -17,7 +17,6 @@ from qindel.channels import (
     _traced_levels,
     _weighted_kets,
     delete,
-    deletion_levels,
     deletion_sphere,
     distinct_rows,
     first_meeting,
@@ -154,7 +153,7 @@ def test_deletion_sphere():
     rho01 = DensityMatrix(shape2, np.outer(k01, k01))
     sphere = deletion_sphere(rho01, 1)
     assert len(sphere) == 2
-    mats = sorted((tuple(np.round(np.diag(m.mat).real, 9)) for m in sphere))
+    mats = sorted((tuple(np.round(np.diag(m.mat).real, 9)) for m in sphere.states))
     assert mats == [(0.0, 1.0), (1.0, 0.0)]
 
     word = x1_codeword(0.6, 0.8)
@@ -503,16 +502,16 @@ def test_screened_pairs_past_one_chunk_keep_the_bits_of_each_rows_call(rng, dim,
 
 @pytest.mark.parametrize("level, lengths", [(2, range(1, 7)), (3, range(1, 4))])
 def test_deletion_levels_match_per_subset_traces(rng, level, lengths):
-    """Every raw row of the ladder equals the direct trace bit for bit, and
-    each level's members and reps are the greedy dedup of those rows in
-    ``combinations`` order."""
+    """At every level s, every raw row of the ladder equals the direct trace
+    bit for bit, and the members and reps of ``deletion_sphere(rho, s)`` are
+    the greedy dedup of those rows in ``combinations`` order."""
     for n in lengths:
         shape = QuditShape(level, n)
         product = repeated_product(rng, level, n)
         for rho in (random_density(rng, shape), random_density(rng, shape, 1), product):
             raws = list(_traced_levels(rho.mat, rho.shape))
-            spheres = list(deletion_levels(rho))
-            assert len(raws) == len(spheres) == n + 1
+            spheres = [deletion_sphere(rho, s) for s in range(n + 1)]
+            assert len(raws) == n + 1
             for s, (raw, sphere) in enumerate(zip(raws, spheres)):
                 combos = list(combinations(range(1, n + 1), s))
                 assert raw.shape[0] == sphere.raw_count == len(combos)
@@ -521,8 +520,6 @@ def test_deletion_levels_match_per_subset_traces(rng, level, lengths):
                 kept, _ = distinct_rows(raw, sphere.eq_tol)
                 assert sphere.reps == [IndexSet(combos[c], n) for c in kept]
                 assert np.array_equal(sphere.stack, raw[kept])
-                direct = deletion_sphere(rho, s)
-                assert direct.reps == sphere.reps and np.array_equal(direct.stack, sphere.stack)
             if rho is product:  # the repeated factor merges each level to one member
                 assert [len(sphere) for sphere in spheres] == [1] * (n + 1)
 
@@ -583,12 +580,12 @@ def test_a_ladder_lets_its_stack_go_once_level_1_is_built(rng):
     assert source() is None
 
 
-@pytest.mark.parametrize("start", [1.5, -3, 7, "1"])
-def test_deletion_levels_refuse_a_bad_start(start):
-    # start is a deletion count: a float or a string is not a level, and a
+@pytest.mark.parametrize("s", [1.5, -3, -1, 4, 7, "1"])
+def test_deletion_levels_refuse_a_bad_start(s):
+    # s is a deletion count: a float or a string is not a level, and a
     # 3-qubit state has no level below D^0 or above D^3
-    with pytest.raises(CountOutOfRange):
-        next(deletion_levels(random_density(np.random.default_rng(0), QuditShape(2, 3)), start=start))
+    with pytest.raises(CountOutOfRange, match="deletion count s"):
+        deletion_sphere(random_density(np.random.default_rng(0), QuditShape(2, 3)), s)
 
 
 def test_intersection_witness_refuses_spheres_of_other_shapes(rng):
@@ -626,8 +623,8 @@ def test_cross_distances_chunked_matches_pairwise(rng):
     assert a.shape.dim == 128 and len(a) == len(b) == 8
     for left, right in ((a, b), (a, a)):
         dist = cross_distances(left.stack, right.stack)
-        for i, x in enumerate(left):
-            for j, y in enumerate(right):
+        for i, x in enumerate(left.states):
+            for j, y in enumerate(right.states):
                 assert abs(dist[i, j] - np.linalg.norm(x.mat - y.mat)) <= 1e-12
     i, j, gap = a.intersection_witness(a)
     assert i == j == 0 and gap == 0.0

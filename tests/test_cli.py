@@ -307,6 +307,14 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch, capsys
     assert shared[3][1]["results"]["items"][0]["details"] == 7
 
 
+def test_sphere_names_an_out_of_range_count_by_its_flag(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, report, err = run_cli(capsys, "sphere", "builtin:rho", "--s", "3", "--out", str(out))
+    assert code == 3 and report is None
+    assert err == "error: CountOutOfRange: deletion count s=3 not in [0, 2]\n"
+    assert not out.exists()
+
+
 def test_sphere_unwritable_out_exits_3(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     code, report, err = run_cli(capsys, "sphere", "builtin:rho", "--s", "1", "--out", str(out))

@@ -241,7 +241,7 @@ def test_full_deletion_meets_at_eq_tol_0(rng):
     assert (result.value, result.s, result.t) == (5, 3, 2)
     assert result.common.mat.tobytes() == deletion_sphere(rho, 3).stack[0].tobytes()
     assert assert_indel_matches_lone_walk(rho, sigma, exact) == 5
-    code = CodeSample((rho, random_density(rng, QuditShape(2, 3))), ("a", "b"), exact)
+    code = CodeSample.from_states((rho, random_density(rng, QuditShape(2, 3))), ("a", "b"), exact)
     assert assert_matches_lone_walk(code) == 6
 
 
@@ -468,16 +468,23 @@ def test_code_sample_names_the_mismatch():
     qubit, pair, qutrit = (random_density(np.random.default_rng(0), shape)
                            for shape in (QuditShape(2, 1), QuditShape(2, 2), QuditShape(3, 1)))
     with pytest.raises(ShapeMismatch, match="equal length"):
-        CodeSample((qubit,), ("a", "b"))
+        CodeSample.from_states((qubit,), ("a", "b"))
     with pytest.raises(LevelMismatch, match="levels"):
-        CodeSample((qubit, qutrit), ("a", "b"))
+        CodeSample.from_states((qubit, qutrit), ("a", "b"))
     with pytest.raises(ShapeMismatch, match="lengths"):
-        CodeSample((qubit, pair), ("a", "b"))
+        CodeSample.from_states((qubit, pair), ("a", "b"))
     with pytest.raises(ShapeMismatch, match="equal length"):
-        CodeSample((), ("a",))
+        CodeSample(qubit.shape, np.empty((0, 2, 2), dtype=complex), ("a",))
     # a grid hands over its stack: the labels are counted against its rows
     with pytest.raises(ShapeMismatch, match="equal length"):
-        CodeSample._of_stack(pair.shape, np.stack([pair.mat, pair.mat]), ["a"], Tolerance())
+        CodeSample(pair.shape, np.stack([pair.mat, pair.mat]), ["a"])
+    # a 2-qubit code's rows are 4 x 4: smaller or oblong rows, or one
+    # matrix handed over as a stack of 4 rows, name the qudit shape
+    for rows in ((2, 2, 2), (2, 4, 2), (4, 4)):
+        with pytest.raises(ShapeMismatch, match=r"rows of shape .* do not match qudit shape \(l=2, n=2, dim=4\)"):
+            CodeSample(pair.shape, np.zeros(rows, dtype=complex), [f"s{k}" for k in range(rows[0])])
+    with pytest.raises(TooFewStates, match="at least 1 state, got 0"):
+        CodeSample.from_states([])
 
 
 @pytest.mark.parametrize(

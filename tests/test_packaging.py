@@ -162,7 +162,7 @@ def test_only_the_screen_reads_cross_distances():
     assert not reads, f"cross_distances read outside channels._screened_distances: {reads}"
 
 
-LONE_LADDER_NAMES = {"deletion_levels", "deletion_sphere", "SphereSet"}
+LONE_LADDER_NAMES = {"deletion_sphere", "SphereSet"}
 
 
 def test_the_distance_walks_read_only_the_stacked_ladder():
@@ -177,6 +177,29 @@ def test_the_distance_walks_read_only_the_stacked_ladder():
             names = [node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)]
         reads += [f"{name} at line {node.lineno}" for name in names if name in LONE_LADDER_NAMES]
     assert not reads, f"distance.py reads the lone ladder: {reads}"
+
+
+CODE_DEDUP = ("distance.py", "CodeSample.__post_init__")
+
+
+def test_every_code_dedups_in_its_constructor():
+    # a code is the distinct rows of one stack: distinct_rows runs in
+    # CodeSample's constructor and nowhere else, so every code, a grid's
+    # too, is deduplicated inside CodeSample.__init__
+    reads = []
+    for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for top in tree.body:
+            defs = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
+            if isinstance(top, ast.ClassDef):
+                defs = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
+            owner.update({id(node): name for name, func in defs for node in ast.walk(func)})
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "distinct_rows" and (path.name, owner.get(id(node))) != CODE_DEDUP:
+                reads.append(f"{path.name}:{node.lineno}")
+    assert not reads, f"distinct_rows read outside CodeSample.__post_init__: {reads}"
 
 
 COUNT_RAISES = {("states.py", "_count"), ("codes.py", "code_params"), ("rand.py", "random_orthonormal")}

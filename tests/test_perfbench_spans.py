@@ -31,3 +31,28 @@ def test_traced_methods_resolve():
 def test_traced_criteria_are_functions():
     assert qindel.acceptance.CRITERIA
     assert all(callable(fn) and fn.__name__.startswith("check_") for fn in qindel.acceptance.CRITERIA)
+
+
+def test_a_grid_code_dedups_inside_the_code_sample_span(monkeypatch):
+    # the span around CodeSample.__init__ covers every code's dedup, a grid
+    # code's included, so the distance.CodeSample layer times the dedup
+    import qindel.distance
+    from qindel.codes import builtin_code, code_params
+
+    tracer = SPANS["Tracer"]()
+    monkeypatch.setattr(
+        qindel.distance.CodeSample,
+        "__init__",
+        tracer.span("distance.CodeSample", qindel.distance.CodeSample.__init__),
+    )
+    inside = []
+    distinct_rows = qindel.distance.distinct_rows
+
+    def recorded(*args, **kwargs):
+        inside.append(tracer.is_open("distance.CodeSample"))
+        return distinct_rows(*args, **kwargs)
+
+    monkeypatch.setattr(qindel.distance, "distinct_rows", recorded)
+    code = builtin_code("hagiwara4", code_params(9, 12))
+    assert inside == [True]
+    assert tracer.call_count("distance.CodeSample") == 1 and len(code) == 86

@@ -509,7 +509,7 @@ def codes(draw):
     level = draw(LEVELS)
     n = draw(st.integers(1, 4 if level == 2 else 3))
     states = draw(st.lists(qudit_states(level, st.just(n)), min_size=2, max_size=6))
-    return CodeSample(tuple(states), tuple(f"state{k}" for k in range(len(states))))
+    return CodeSample(states[0].shape, np.stack([rho.mat for rho in states]), [f"state{k}" for k in range(len(states))])
 
 
 @BOTH_LEVELS
@@ -559,7 +559,7 @@ def test_indel_distance_matches_each_states_own_spheres(states, tol_name):
 @given(st.integers(4, 6).flatmap(lambda n: st.lists(qubit_states(st.just(n)), min_size=2, max_size=4)), WALK_TOLERANCES)
 def test_min_distance_matches_each_states_own_spheres_at_every_tolerance(states, tol_name):
     tol = _walk_tolerance(tol_name, states, states[0].length - 2)
-    code = CodeSample(tuple(states), tuple(f"state{k}" for k in range(len(states))), tol)
+    code = CodeSample(states[0].shape, np.stack([rho.mat for rho in states]), [f"state{k}" for k in range(len(states))], tol)
     assume(len(code) >= 2)
     assert_matches_lone_walk(code)
 
@@ -590,7 +590,7 @@ def test_a_code_keeps_the_first_of_each_coinciding_group(candidates, data):
             states.append(DensityMatrix(bases[k].shape, (1 - 1e-10) * bases[k].mat + 1e-10 * mixed))
     labels = [f"offered{j}" for j in range(len(states))]
 
-    code = CodeSample(states, labels)
+    code = CodeSample(states[0].shape, np.stack([rho.mat for rho in states]), labels)
     keepers = sorted(first.values())
     # each kept state has its keeper's bits and views its row of the code's one stack
     for rho, j, row in zip(code.states, keepers, code.stack, strict=True):
