@@ -12,12 +12,14 @@ sphere is the read-only result of one greedy dedup of one level by
 ``_dedup_levels``, for one state or each state of a stack; the greedy rule
 is one loop, ``_distinct_mask``, which ``distinct_rows`` applies to a
 code's stack.  Where spheres first meet is found by one kernel,
-``first_meeting``.  Every dedup and every comparison of rows is one call of
-``_screened_distances``, on a lone stack or a batch of stacks: only pairs
-whose diagonals lie within eq_tol get a full distance, gathered across rows
-and batch entries for ``linalg.frobenius_norm``.  ``first_meeting`` compares
-many stacks in blocks of whole stacks, one screened call per block: a run
-of one-row stacks, or one stack of several rows.
+``first_meeting``, over one stack of rows, each owned by a state.  Every
+dedup and every comparison of rows is one call of ``_screened_distances``,
+on a lone stack or a batch of stacks, with a mask of the pairs it reads:
+only those pairs whose diagonals lie within eq_tol get a full distance,
+gathered across rows and batch entries for ``linalg.frobenius_norm``.  A
+dedup reads the pairs i < j; ``first_meeting`` walks the owners in blocks
+of whole owners, one screened call per block, and reads the pairs of rows
+of two owners.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -190,9 +192,11 @@ def delete(rho: DensityMatrix, positions) -> DensityMatrix:
     return DensityMatrix(QuditShape(rho.level, rho.length - pset.size), reduced)
 
 
-def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float) -> np.ndarray:
+def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float, pairs: np.ndarray | None = None) -> np.ndarray:
     """``cross_distances(a, b)`` of two ``(..., k, d, d)`` stacks with the same
-    batch axes wherever it can be within eq_tol, ``inf`` elsewhere.
+    batch axes wherever it can be within eq_tol, ``inf`` elsewhere.  The
+    boolean mask ``pairs``, broadcast over the result, leaves out the pairs
+    it is False at: they read ``inf`` and are never gathered.
 
     The distance between the diagonals bounds the Frobenius distance from
     below (its squared sum is part of the full one), so full distances are
@@ -205,15 +209,15 @@ def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float) -> np.ndarr
     ``a[r] - b[c]`` differences, whose two operands hold at most ``_CHUNK``
     complex entries a chunk, for the Frobenius kernel.  Each kept entry is
     ``frobenius_distance`` of its pair, bit for bit, as in
-    ``cross_distances``.  When ``a`` is ``b``, only the pairs (i, j) with
-    i < j, all a dedup reads, are screened in.
+    ``cross_distances``.
     """
     if a.shape[-3] * b.shape[-3] * a.shape[-1] ** 2 <= _CHUNK:
-        return cross_distances(a, b)
+        dist = cross_distances(a, b)
+        return dist if pairs is None else np.where(pairs, dist, np.inf)
     diagonals = (np.diagonal(x, axis1=-2, axis2=-1)[..., None, :] for x in (a, b))
     near = cross_distances(*diagonals) <= eq_tol * (1 + 1e-6)
-    if a is b:
-        near &= np.arange(a.shape[-3])[:, None] < np.arange(b.shape[-3])
+    if pairs is not None:
+        near &= pairs
     out = np.full(near.shape, np.inf)
     *lead, rows, cols = np.nonzero(near)
     left, right = (*lead, rows), (*lead, cols)
@@ -256,8 +260,9 @@ def distinct_rows(buf: np.ndarray, eq_tol: float) -> tuple[list[int], list[int]]
     """
     if len(buf) <= 1:
         return list(range(len(buf))), list(range(len(buf)))
-    near = _screened_distances(buf, buf, eq_tol) <= eq_tol
-    np.fill_diagonal(near, True)  # the screen leaves it out; a kept c joins itself
+    order = np.arange(len(buf))  # only the pairs i < j are compared, all the greedy rule reads
+    near = _screened_distances(buf, buf, eq_tol, order[:, None] < order) <= eq_tol
+    np.fill_diagonal(near, True)  # the mask leaves it out; a kept c joins itself
     kept = _distinct_mask(near)
     members = np.flatnonzero(kept)
     # column c's first kept row within eq_tol: a dropped c's first kept
@@ -266,75 +271,47 @@ def distinct_rows(buf: np.ndarray, eq_tol: float) -> tuple[list[int], list[int]]
     return members.tolist(), np.searchsorted(members, first).tolist()
 
 
-def first_meeting(
-    stacks: Sequence[np.ndarray], eq_tol: float
-) -> tuple[int, int, int, int, float] | None:
-    """Where a list of ``(k, d, d)`` stacks first meet, or None if no two do.
+def first_meeting(rows: np.ndarray, owner: np.ndarray, eq_tol: float) -> tuple[int, int, float] | None:
+    """Where rows of two owners first meet, or None if no two do.
 
-    Returns ``(i, j, a, b, dist)``: (i, j) is the first pair of stacks, in
-    ``combinations`` order, with rows within eq_tol of each other, and row a
-    of stack i and row b of stack j are its closest cross pair (first in
-    row-major order among equals), ``dist`` apart.
+    ``rows`` is one ``(R, d, d)`` stack and ``owner`` its R nondecreasing
+    owner ids.  Returns ``(r, c, dist)``: rows r and c, ``dist`` apart, are
+    the closest pair (first in row-major order among equals) of the first
+    pair of owners, in ``combinations`` order, with rows within eq_tol of
+    each other.
 
-    Two stacks are compared in one screened call, without a copy.  More are
-    stacked once and walked in blocks, one screened call each, up to the
-    first block with a hit.  A stack of several rows is a block of its own,
-    compared with the rows of the later stacks.  Consecutive one-row stacks
-    (a grid code's level, where each state's deletions coincide) form
-    blocks of as many as keep the block's rows times the rows from the block
-    on within ``_MEETING_BUDGET`` pairs; a block's rows are compared with
-    their own and all later rows, a self-comparison when the block runs to
-    the end, and pairs of a stack with itself or an earlier stack are masked
-    out.  One-row stacks have no pairs of their own, so no block compares
-    a stack's own pairs.
+    The owners are walked in blocks of whole owners, up to the first block
+    with a hit: a block holds at least one owner, never the last, and as
+    many as keep its rows times the rows of the owners after its first owner
+    within ``_MEETING_BUDGET``.  Its rows are compared with those rows in one
+    screened call, masked to the pairs ``owner[r] < owner[c]``, so no owner's
+    own pairs are compared.  R owners of one row each (a grid code's level)
+    are one call while (R - 1)^2 is within the budget.
     """
-    if len(stacks) < 2:
-        return None
-    starts = list(accumulate((len(stack) for stack in stacks), initial=0))
-    # the stack of each stacked row; two stacks' rows form cross pairs only
-    owner = np.repeat(np.arange(len(stacks)), np.diff(starts)) if len(stacks) > 2 else None
-    for left, top, right, base in _meeting_blocks(stacks, starts):
-        dist = _screened_distances(left, right, eq_tol)
+    starts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()]  # the row where each owner begins
+    ends = starts[1:] + [len(rows)]
+    g = 0
+    while g < len(starts) - 1:
+        top, base = starts[g], starts[g + 1]
+        end = max(g + 1, bisect_right(starts, top + _MEETING_BUDGET // (len(rows) - base)) - 1)
+        dist = _screened_distances(
+            rows[top : starts[end]], rows[base:], eq_tol, owner[top : starts[end], None] < owner[None, base:]
+        )
         hits = dist <= eq_tol
-        if owner is not None:
-            hits &= owner[top : top + len(left), None] < owner[None, base:]
-        if not hits.any():
-            continue
-        # row-major, the first hit lies in the first stack i with one; j is
-        # the least stack among the columns that i's rows hit
-        rows, cols = np.nonzero(hits)
-        i = bisect_right(starts, top + int(rows[0])) - 1
-        j = bisect_right(starts, base + int(cols[rows < starts[i + 1] - top].min())) - 1
-        block = dist[starts[i] - top : starts[i + 1] - top, starts[j] - base : starts[j + 1] - base]
-        a, b = divmod(int(block.argmin()), block.shape[1])
-        return i, j, a, b, float(block[a, b])
+        if hits.any():
+            # row-major, the first hit lies in the first owner i with one; j
+            # is the least owner among the rows that i's rows hit
+            left, right = np.nonzero(hits)
+            i = bisect_right(starts, top + int(left[0])) - 1
+            j = bisect_right(starts, base + int(right[left < ends[i] - top].min())) - 1
+            block = dist[starts[i] - top : ends[i] - top, starts[j] - base : ends[j] - base]
+            a, b = divmod(int(block.argmin()), block.shape[1])
+            return starts[i] + a, starts[j] + b, float(block[a, b])
+        g = end
     return None
 
 
-_MEETING_BUDGET = _CHUNK  # largest (block rows) x (rows compared) of a block of one-row stacks
-
-
-def _meeting_blocks(stacks: Sequence[np.ndarray], starts: list[int]) -> Iterator[tuple]:
-    """The screened calls of ``first_meeting``, one ``(left, top, right,
-    base)`` per block: the block's rows ``left`` and the rows ``right`` they
-    are compared with, which begin at stacked rows ``top`` and ``base``
-    (``starts[i]`` is the stacked row where stack i begins)."""
-    if len(stacks) == 2:  # a view: one array passed twice is still two stacks
-        yield stacks[0], 0, stacks[1][:], starts[1]
-        return
-    rows = np.concatenate(stacks)
-    several = [k for k, stack in enumerate(stacks) if len(stack) != 1] + [len(stacks)]
-    i = 0
-    while i < len(stacks) - 1:
-        if len(stacks[i]) != 1:  # compared with the later stacks only: none of its own pairs
-            yield stacks[i], starts[i], rows[starts[i + 1] :], starts[i + 1]
-            i += 1
-            continue
-        right = rows[starts[i] :]
-        budget = bisect_right(starts, starts[i] + _MEETING_BUDGET // len(right)) - 1
-        end = min(several[bisect_right(several, i)], max(i + 1, budget))
-        yield (right if end == len(stacks) else right[: end - i]), starts[i], right, starts[i]
-        i = end
+_MEETING_BUDGET = _CHUNK  # largest (block rows) x (rows compared) of a block of more than one owner
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,14 +346,15 @@ class SphereSet:
     ) -> tuple[int, int, float] | None:
         """Indices of the closest cross pair (first in row-major order among
         equals) if within eq_tol, else None: ``first_meeting`` of the two
-        stacks.  Spheres of different levels (``LevelMismatch``) or lengths
-        (``ShapeMismatch``) are refused."""
+        spheres' rows, two owners.  Spheres of different levels
+        (``LevelMismatch``) or lengths (``ShapeMismatch``) are refused."""
         if self.shape.level != other.shape.level:
             raise LevelMismatch(f"levels differ: {self.shape.level} vs {other.shape.level}")
         if self.shape != other.shape:
             raise ShapeMismatch(f"sphere shapes differ: {self.shape} vs {other.shape}")
-        hit = first_meeting([self.stack, other.stack], max(self.eq_tol, other.eq_tol))
-        return None if hit is None else hit[2:]
+        rows = np.concatenate([self.stack, other.stack])
+        hit = first_meeting(rows, np.repeat([0, 1], [len(self), len(other)]), max(self.eq_tol, other.eq_tol))
+        return None if hit is None else (hit[0], hit[1] - len(self), hit[2])
 
 
 def _traced_levels(mats: np.ndarray, shape: QuditShape, start: int = 0) -> Iterator[np.ndarray]:
@@ -429,7 +407,8 @@ def _dedup_levels(levels: Iterator[np.ndarray], tol: Tolerance) -> Iterator[tupl
     any level on), ``(eq_tol, raw, kept)``: eq_tol at the level's row
     dimension, the raw ``(..., C(n, s), d_s, d_s)`` level, and the
     ``(..., C(n, s))`` mask of the rows each state's greedy dedup keeps,
-    from one screened self-comparison.  A one-row level keeps its row
+    from one screened comparison of the level with itself, masked to the
+    pairs i < j the greedy rule reads.  A one-row level keeps its row
     without a distance.
 
     A caller that starts above level 0 passes ``islice`` of the chained
@@ -441,7 +420,8 @@ def _dedup_levels(levels: Iterator[np.ndarray], tol: Tolerance) -> Iterator[tupl
         if raw.shape[-3] == 1:
             yield eq_tol, raw, np.ones(raw.shape[:-2], dtype=bool)
         else:
-            yield eq_tol, raw, _distinct_mask(_screened_distances(raw, raw, eq_tol) <= eq_tol)
+            order = np.arange(raw.shape[-3])
+            yield eq_tol, raw, _distinct_mask(_screened_distances(raw, raw, eq_tol, order[:, None] < order) <= eq_tol)
 
 
 def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance = Tolerance()) -> SphereSet:

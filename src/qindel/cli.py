@@ -24,9 +24,9 @@ from .acceptance import run_all
 from .codes import builtin_code, builtin_state, code_params
 from .distance import CodeSample, corrects, corrects_insertions, indel_distance
 from .channels import deletion_sphere
-from .errors import ParseError, QindelError
+from .errors import CountOutOfRange, ParseError, QindelError
 from .linalg import Tolerance
-from .states import DensityMatrix, load_state, save_states
+from .states import DensityMatrix, _count, load_state, save_states
 
 __all__ = ["main"]
 
@@ -169,8 +169,10 @@ def _cmd_verify(args) -> tuple[int, dict, dict]:
 
 
 def _cmd_paper_examples(args) -> tuple[int, dict, dict]:
-    if args.seed < 0:
-        raise ParseError(f"--seed must be nonnegative, got {args.seed}")
+    try:  # refused as a usage error, before the report file is opened
+        _count(args.seed, "--seed")
+    except CountOutOfRange as exc:
+        raise ParseError(str(exc)) from exc
     # the report file is opened first, so an unwritable path is refused before the suite runs
     try:
         report_file = open(args.report, "w", encoding="utf-8") if args.report else None

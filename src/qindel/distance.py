@@ -10,8 +10,10 @@ insertions.
 ``indel_distance``, ``min_distance`` and ``metric_check`` all ask where
 deletion spheres first meet, by one walk, ``_first_meeting``.  It walks
 ladders of ``channels._dedup_levels`` in step, each one of a stack of
-states, and asks ``channels.first_meeting`` once per level about every
-state's kept rows: ``indel_distance`` walks two one-state ladders from their
+states, gathers each level's kept rows once, each owned by its state, and
+asks ``channels.first_meeting`` once per level about them: every
+comparison distance.py makes is a ``first_meeting`` call, the probe's
+too.  ``indel_distance`` walks two one-state ladders from their
 start levels; ``min_distance`` walks the one ladder of the code's stack
 from level 1, since code states share one length, are distinct at level 0
 by construction, and the code's minimum distance is 2s for the least s at
@@ -28,7 +30,8 @@ code, step min(n, m) - 1 for two states.  A meeting carries up the ladder
 (tracing the same qudits out of two rows moves them at most sqrt(l) times
 farther apart per qudit), so when no row of level K lies within
 ``_probe_bound`` (the largest eq_tol of a skipped level, carried up, plus
-a rounding margin) of a row of another state, no lower level can meet, and
+a rounding margin) of a row of another state (one ``first_meeting`` call
+at that bound finds no meeting), no lower level can meet, and
 the walk starts at K: ``channels._traced_levels`` builds that level
 directly, and the probe's rows are the walk's first raw level.  Otherwise
 the walk starts where it would without the probe.  Every value, pair and
@@ -45,7 +48,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import IndexSet, _dedup_levels, _screened_distances, _traced_levels, distinct_rows, first_meeting
+from .channels import IndexSet, _dedup_levels, _traced_levels, distinct_rows, first_meeting
 from .errors import DuplicateStates, LevelMismatch, ParseError, ShapeMismatch, TooFewStates
 from .feasibility import FeasibilityStatus, member_del_ins
 from .linalg import Tolerance, _gamma, frobenius_norm
@@ -170,32 +173,46 @@ def _first_meeting(ladders: Sequence[tuple[QuditShape, int, Iterable[tuple]]]) -
 
     A ladder ``(shape, start, levels)`` holds a stack of states of ``shape``:
     ``levels`` yields ``channels._dedup_levels`` of the stack from level
-    ``start`` on, one ``(eq_tol, raw, kept)`` per level.  Each level hands
-    each state's kept rows, a view when every row is kept, to one
-    ``channels.first_meeting`` call; a witness row's P and Q are its
-    position in ``combinations(range(1, n + 1), s)``, the order of the raw
-    rows.  The last level, of each state's trace, always meets: where
+    ``start`` on, one ``(eq_tol, raw, kept)`` per level.  Each level's kept
+    rows are gathered once (``_owned_rows``) for one
+    ``channels.first_meeting`` call; a witness row's P and Q are its index
+    in its raw level, its place in ``combinations(range(1, n + 1), s)``.
+    The last level, of each state's trace, always meets: where
     ``first_meeting`` reads no pair within eq_tol there, the first pair
     meets by its only rows.
     """
     for step, levels in enumerate(zip(*(levels for _, _, levels in ladders))):
-        stacks, owners = [], []
-        for (shape, start, _), (_, raw, kept) in zip(ladders, levels):
-            stacks += [mats if whole else mats[keep] for mats, keep, whole in zip(raw, kept, kept.all(axis=-1))]
-            owners += [(shape, start + step, keep) for keep in kept]
-        hit = first_meeting(stacks, levels[0][0])
+        rows, owner, index = _owned_rows((raw, kept) for _, raw, kept in levels)
+        hit = first_meeting(rows, owner, levels[0][0])
         if hit is not None:
             break
     else:
         # full deletion leaves every state the one empty state: its first
         # pair meets there, by its only rows, even where eq_tol 0 reads two
         # computed traces a last bit apart
-        hit = 0, 1, 0, 0, None
-    i, j, a, b, _ = hit
-    P, Q = _deleted(*owners[i], a), _deleted(*owners[j], b)
-    shape, s, _ = owners[i]
-    common = DensityMatrix(QuditShape(shape.level, shape.length - s), stacks[i][a])
-    return i, j, DistanceResult(P.size + Q.size, P.size, Q.size, P, Q, common)
+        hit = 0, 1, None
+    r, c, _ = hit
+    states = [(shape, start + step) for (shape, start, _), (_, _, kept) in zip(ladders, levels) for _ in kept]
+    i, j = int(owner[r]), int(owner[c])
+    (shape, s), (other, t) = states[i], states[j]
+    P, Q = _deleted(shape.length, s, index[r]), _deleted(other.length, t, index[c])
+    common = DensityMatrix(QuditShape(shape.level, shape.length - s), rows[r])
+    return i, j, DistanceResult(P.size + Q.size, s, t, P, Q, common)
+
+
+def _owned_rows(levels: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kept rows of raw levels ``(raw, kept)``, each ``(k, C, d, d)`` for
+    k states with its ``(k, C)`` kept mask, gathered once into one
+    ``(R, d, d)`` stack, with each row's owner, its state numbered across
+    the levels in order, and its index in its raw level."""
+    rows, owner, index, first = [], [], [], 0
+    for raw, kept in levels:
+        state, row = np.nonzero(kept)
+        rows.append(raw[kept])
+        owner.append(state + first)
+        index.append(row)
+        first += len(kept)
+    return np.concatenate(rows), np.concatenate(owner), np.concatenate(index)
 
 
 def _ladders(stacks: Sequence[tuple[np.ndarray, QuditShape, int]], tol: Tolerance) -> list[tuple]:
@@ -214,10 +231,11 @@ def _ladders(stacks: Sequence[tuple[np.ndarray, QuditShape, int]], tol: Toleranc
     are its first raw level and no level below K is traced.  Otherwise it
     walks from the starts, as it would without the probe.
 
-    The probe is one ``_screened_distances`` call of the R rows of step K
-    (``_traced_levels`` from that level) against themselves, whose pairs of
-    one state's own rows are not read.  It is made only when those R^2
-    pairs of l^2 entries are fewer entries than the first level it would
+    The probe asks ``channels.first_meeting`` whether the R rows of step K
+    (``_traced_levels`` from that level), each owned by its state, meet
+    within the bound; it passes when the bound is finite (a stack with a
+    non-finite entry fails it) and they do not.  It is made only when those
+    R^2 pairs of l^2 entries are fewer entries than the first level it would
     skip holds, so a code of many short states never pays for it.
     """
     _, shape, start = stacks[0]
@@ -229,7 +247,9 @@ def _ladders(stacks: Sequence[tuple[np.ndarray, QuditShape, int]], tol: Toleranc
         if rows * rows * l * l < first:
             traced = [_traced_levels(mats, shape, start + top) for mats, shape, start in stacks]
             tops = [next(levels) for levels in traced]
-            if _apart(tops, _probe_bound(stacks, tol, top)):
+            bound = _probe_bound(stacks, tol, top)
+            probe, owner, _ = _owned_rows((raw, np.ones(raw.shape[:2], dtype=bool)) for raw in tops)
+            if math.isfinite(bound) and first_meeting(probe, owner, bound) is None:
                 return [
                     (shape, start + top, _dedup_levels(chain([raw], levels), tol))
                     for (_, shape, start), raw, levels in zip(stacks, tops, traced)
@@ -270,29 +290,18 @@ def _probe_bound(stacks: Sequence[tuple[np.ndarray, QuditShape, int]], tol: Tole
     l, r = shape.level, shape.length - start
     exact = max(l ** ((top - k) / 2) * tol.at(l ** (r - k)).eq_tol for k in range(top))
     delta = math.sqrt(l) * _gamma(l)
-    carried = max(
+    # np.max, unlike max, keeps a NaN norm whichever stack gives it
+    carried = np.max([
         (start + top) * delta * (math.sqrt(l) + delta) ** (start + top - 1) * float(frobenius_norm(mats).max())
         for mats, shape, start in stacks
-    )
+    ])
     return (1 + _gamma(2 * l * l + 4)) * ((1 + _gamma(2 * l ** (2 * r) + 4)) * exact + 4 * carried)
 
 
-def _apart(tops: Sequence[np.ndarray], bound: float) -> bool:
-    """Whether every row of the raw levels ``tops``, each ``(k, C, d, d)``
-    for k states, is farther than ``bound`` from every row of every other
-    state, by one screened self-comparison of all the rows; a NaN distance
-    or bound is not farther."""
-    rows = np.concatenate([top.reshape(-1, *top.shape[-2:]) for top in tops])
-    owner = np.repeat(np.arange(sum(len(top) for top in tops)), [top.shape[1] for top in tops for _ in top])
-    dist = _screened_distances(rows, rows, bound)
-    return bool((dist[owner[:, None] < owner[None, :]] > bound).all())
-
-
-def _deleted(shape: QuditShape, s: int, keep: np.ndarray, row: int) -> IndexSet:
-    """The positions deleted to give kept row ``row`` of level s of a state
-    of ``shape`` whose level-s kept mask is ``keep``."""
-    n = shape.length
-    return IndexSet(next(islice(combinations(range(1, n + 1), s), int(np.flatnonzero(keep)[row]), None)), n)
+def _deleted(n: int, s: int, index: int) -> IndexSet:
+    """The s positions deleted from n qudits to give row ``index`` of a
+    raw level s."""
+    return IndexSet(next(islice(combinations(range(1, n + 1), s), int(index), None)), n)
 
 
 def indel_distance(

@@ -173,7 +173,8 @@ def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance())
     stacked rhos, with the masks of their kept rows, come from
     ``_dedup_levels``, the dedup ``deletion_sphere`` reads.  The kept rows,
     not the raw ones, are compared, in one ``_screened_distances`` call at
-    eq_tol of the common dimension, so each verdict is the one
+    eq_tol of the common dimension masked to the pairs of kept rows, so no
+    dropped row is gathered and each verdict is the one
     ``deletion_sphere(sigma, t).intersection_witness(deletion_sphere(rho, s))``
     reads.
     """
@@ -188,8 +189,8 @@ def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance())
         eq_tol, left, kept_left = next(_dedup_levels(islice(sigma_levels, t, None), tol))
         rho_levels = _traced_levels(np.stack([rhos[i].mat for i in members]), rho_shape)
         _, right, kept_right = next(_dedup_levels(islice(rho_levels, s, None), tol))
-        near = _screened_distances(left, right, eq_tol) <= eq_tol
-        meets = (near & kept_left[:, :, None] & kept_right[:, None, :]).any(axis=(1, 2))
+        near = _screened_distances(left, right, eq_tol, kept_left[:, :, None] & kept_right[:, None, :]) <= eq_tol
+        meets = near.any(axis=(1, 2))
         verdicts.update(zip(members, meets.tolist()))
     return [verdicts[i] for i in range(len(sigmas))]
 

@@ -1,11 +1,11 @@
 import sys
-from itertools import count
+from itertools import combinations, count
 
 import numpy as np
 import pytest
 
 from qindel import linalg
-from qindel.channels import deletion_sphere, first_meeting
+from qindel.channels import deletion_sphere
 from qindel.distance import indel_distance, min_distance
 from qindel.errors import QindelError, ShapeMismatch, TraceNotOne
 from qindel.linalg import Tolerance, hermitian_eigenvalues
@@ -41,15 +41,17 @@ def failing_from(call, solver):
 
 def lone_walk_min_distance(code):
     """``min_distance(code)`` from each state's own ``deletion_sphere`` at
-    each level s = 1, 2, ... and one ``first_meeting`` per level:
+    each level s = 1, 2, ..., each pair of spheres decided by its own
+    ``intersection_witness``, in ``combinations`` order:
     ``(value, pair, P, Q, common matrix)``."""
     for s in range(1, code.states[0].length + 1):
         spheres = [deletion_sphere(rho, s, code.tol) for rho in code.states]
-        hit = first_meeting([sphere.stack for sphere in spheres], spheres[0].eq_tol)
-        if hit is not None:
-            i, j, a, b, _ = hit
-            pair = (code.labels[i], code.labels[j])
-            return 2 * s, pair, spheres[i].reps[a], spheres[j].reps[b], spheres[i].stack[a]
+        for i, j in combinations(range(len(spheres)), 2):
+            hit = spheres[i].intersection_witness(spheres[j])
+            if hit is not None:
+                a, b, _ = hit
+                pair = (code.labels[i], code.labels[j])
+                return 2 * s, pair, spheres[i].reps[a], spheres[j].reps[b], spheres[i].stack[a]
     # full deletion leaves every state the one empty state, so the first
     # pair meets there even where eq_tol 0 reads two traces a bit apart
     return 2 * s, (code.labels[0], code.labels[1]), spheres[0].reps[0], spheres[1].reps[0], spheres[0].stack[0]
@@ -58,15 +60,15 @@ def lone_walk_min_distance(code):
 def lone_walk_indel_distance(rho, sigma, tol=Tolerance()):
     """``indel_distance(rho, sigma, tol)`` from each state's own
     ``deletion_sphere`` at each step, s = max(0, n - m) + k against
-    t = max(0, m - n) + k for k = 0, 1, ..., and one ``first_meeting`` per
-    step: ``(value, s, t, P, Q, common matrix)``."""
+    t = max(0, m - n) + k for k = 0, 1, ..., and the two spheres'
+    ``intersection_witness`` per step: ``(value, s, t, P, Q, common matrix)``."""
     n, m = rho.length, sigma.length
     for k in range(min(n, m) + 1):
         s, t = max(0, n - m) + k, max(0, m - n) + k
         a, b = deletion_sphere(rho, s, tol), deletion_sphere(sigma, t, tol)
-        hit = first_meeting([a.stack, b.stack], a.eq_tol)
+        hit = a.intersection_witness(b)
         if hit is not None:
-            _, _, i, j, _ = hit
+            i, j, _ = hit
             return s + t, s, t, a.reps[i], b.reps[j], a.stack[i]
     # as in ``lone_walk_min_distance``: the empty states always meet
     return s + t, s, t, a.reps[0], b.reps[0], a.stack[0]

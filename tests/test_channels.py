@@ -1,7 +1,7 @@
 import math
 import weakref
 from functools import reduce
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 
 import numpy as np
 import pytest
@@ -342,22 +342,36 @@ def test_screened_witness_matches_unscreened_argmin(rng):
         pairs.append((a, b))
     assert hits == 3
 
-    # a batch axis: each entry gets the bits of its lone call, and in a
-    # self-comparison (the same array twice) only the pairs i < j are screened
-    # in, though every row meets itself and each planted pair meets both ways
+    # a batch axis: each entry gets the bits of its lone call.  An array
+    # passed twice with no mask is compared in full, every row meeting
+    # itself; with the mask of the pairs i < j, the pairs masked out read
+    # inf, though each planted pair meets both ways
     lefts, rights = (np.stack(side) for side in zip(*pairs))
     both = np.concatenate([lefts, rights], axis=1)
-    batched, self_batched = _screened_distances(lefts, rights, eq_tol), _screened_distances(both, both, eq_tol)
+    later = np.triu(np.ones((9, 9), dtype=bool), 1)
+    batched = _screened_distances(lefts, rights, eq_tol)
+    unmasked, masked = _screened_distances(both, both, eq_tol), _screened_distances(both, both, eq_tol, later)
     for k, (a, b) in enumerate(pairs):
         assert batched[k].tobytes() == _screened_distances(a, b, eq_tol).tobytes()
         rows = both[k]
-        assert self_batched[k].tobytes() == _screened_distances(rows, rows, eq_tol).tobytes()
-    finite, later = np.isfinite(self_batched), np.triu(np.ones((9, 9), dtype=bool), 1)
+        assert masked[k].tobytes() == _screened_distances(rows, rows, eq_tol, later).tobytes()
+        assert unmasked[k].tobytes() == _screened_distances(rows, rows.copy(), eq_tol).tobytes()
     full = cross_distances(both, both)
-    assert not (finite & ~later).any()
-    np.testing.assert_array_equal(self_batched[finite], full[finite])
     near = full <= eq_tol
+    finite = np.isfinite(masked)
+    assert not (finite & ~later).any()
+    np.testing.assert_array_equal(masked[finite], full[finite])
     assert (near & later).any() and not (near & later & ~finite).any()
+    finite = np.isfinite(unmasked)
+    np.testing.assert_array_equal(unmasked[finite], full[finite])
+    assert (near & ~later).any() and not (near & ~finite).any()
+    assert (unmasked[:, range(9), range(9)] == 0).all()
+    # stacks whose every pair fits in one chunk, compared in full: the mask
+    # still sets the pairs it leaves out to inf
+    rows = both[0, :3]
+    assert len(rows) ** 2 * shape.dim**2 <= qindel.channels._CHUNK
+    got = _screened_distances(rows, rows, eq_tol, later[:3, :3])
+    assert got.tobytes() == np.where(later[:3, :3], cross_distances(rows, rows), np.inf).tobytes()
 
     # at the edge of eq_tol: a diagonal-only difference whose computed
     # diagonal distance rounds above the full one still meets, by the margin
@@ -367,15 +381,27 @@ def test_screened_witness_matches_unscreened_argmin(rng):
     assert check(a, b, edge) == (2, 1, edge)
 
 
+def _owned(stacks, ids=None):
+    """The stacks as ``first_meeting`` takes them: one stack of their rows
+    and each row's owner, its stack's entry of ``ids`` (by default its
+    index)."""
+    ids = np.arange(len(stacks)) if ids is None else ids
+    return np.concatenate(stacks), np.repeat(ids, [len(stack) for stack in stacks])
+
+
 def _meeting_oracle(stacks, eq_tol):
     """``first_meeting`` pair by pair: the first pair of stacks in
-    ``combinations`` order whose closest cross pair is within eq_tol."""
+    ``combinations`` order whose closest cross pair is within eq_tol, as
+    ``(i, j, a, b, dist)``, and that pair as rows ``(r, c, dist)`` of
+    ``_owned(stacks)``; or None and None."""
+    starts = [0, *accumulate(len(stack) for stack in stacks)]
     for i, j in combinations(range(len(stacks)), 2):
         dist = cross_distances(stacks[i], stacks[j])
         a, b = np.unravel_index(np.argmin(dist), dist.shape)
         if dist[a, b] <= eq_tol:
-            return i, j, int(a), int(b), float(dist[a, b])
-    return None
+            a, b, d = int(a), int(b), float(dist[a, b])
+            return (i, j, a, b, d), (starts[i] + a, starts[j] + b, d)
+    return None, None
 
 
 @pytest.mark.parametrize("n", [2, 6])
@@ -400,8 +426,8 @@ def test_first_meeting_matches_pairwise_oracle(rng, n):
                 stacks[j][b] = stacks[i][a] + factor * eq_tol * step
             later = sum(len(stack) for stack in stacks[1:])
             screened += len(stacks[0]) * later * shape.dim**2 > qindel.channels._CHUNK
-            want = _meeting_oracle(stacks, eq_tol)
-            assert first_meeting(stacks, eq_tol) == want
+            want, rows_want = _meeting_oracle(stacks, eq_tol)
+            assert first_meeting(*_owned(stacks), eq_tol) == rows_want
             assert (want is not None) == (0.5 in plant)
             if want is not None:
                 found += 1
@@ -410,7 +436,7 @@ def test_first_meeting_matches_pairwise_oracle(rng, n):
                 assert spheres[0].intersection_witness(spheres[1]) == (a, b, dist)
     assert found == 4 * 4
     assert (screened > 0) == (n == 6)
-    assert first_meeting(stacks[:1], eq_tol) is None
+    assert first_meeting(stacks[0], np.zeros(len(stacks[0]), dtype=int), eq_tol) is None
 
 
 def _counting(monkeypatch, module, name):
@@ -428,10 +454,11 @@ def _counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("budget", [1, 10, None], ids=["one-stack-blocks", "small-blocks", "one-block"])
 def test_first_meeting_in_blocks_matches_pairwise_oracle(rng, monkeypatch, budget):
-    """Blocks of one-row stacks, and stacks of several rows alone, one
-    screened call each, give the pairwise oracle's answer: the first meeting
-    pair, then the first of its closest cross pairs, exact copies at
-    distance 0 included; copies within one stack never meet."""
+    """Blocks of whole owners, of one row or several each, one screened call
+    each and at most one per owner but the last, give the pairwise oracle's
+    answer: the first meeting pair, then the first of its closest cross
+    pairs, exact copies at distance 0 included; copies within one owner
+    never meet.  Owner ids need only be nondecreasing."""
     if budget is not None:
         monkeypatch.setattr(qindel.channels, "_MEETING_BUDGET", budget)
     calls = _counting(monkeypatch, qindel.channels, "_screened_distances")
@@ -454,8 +481,8 @@ def test_first_meeting_in_blocks_matches_pairwise_oracle(rng, monkeypatch, budge
             b = int(rng.integers(len(stacks[j])))
             stacks[j][b] = stacks[i][0] + 0.5 * eq_tol * _hermitian_step(rng, shape.dim, "both")
         calls.clear()
-        want = _meeting_oracle(stacks, eq_tol)
-        assert first_meeting(stacks, eq_tol) == want
+        _, want = _meeting_oracle(stacks, eq_tol)
+        assert first_meeting(*_owned(stacks, np.cumsum(rng.integers(1, 3, count))), eq_tol) == want
         assert len(calls) <= count - 1
         found += want is not None
         if most == 1:
@@ -485,15 +512,17 @@ def test_screened_pairs_past_one_chunk_keep_the_bits_of_each_rows_call(rng, dim,
     bit for bit, and so what its row's lone ``cross_distances`` call gives.
     At d=128 a pair has more entries than one buffer of numpy's iterator
     holds, rows keep 1 to 9 columns, and the cross case leaves one pair for
-    the last chunk of the rest."""
+    the last chunk of the rest.  One array passed twice is compared in full,
+    as against its copy; the mask of the pairs i < j leaves the rest out."""
     b = _shared_diagonal_rows(rng, dim, sizes)
     family = np.repeat(np.arange(len(sizes)), sizes)
-    for left, right in ((b.copy(), b), (b, b)):
-        dist = _screened_distances(left, right, 1e-9)
+    later = np.arange(len(b))[:, None] < np.arange(len(b))
+    for left, right, pairs in ((b.copy(), b, None), (b, b, None), (b, b, later)):
+        dist = _screened_distances(left, right, 1e-9, pairs)
         kept = np.isfinite(dist)
         want = family[:, None] == family[None, :]
-        if left is right:
-            want &= np.arange(len(b))[:, None] < np.arange(len(b))
+        if pairs is not None:
+            want &= pairs
         np.testing.assert_array_equal(kept, want)
         assert kept.sum() > 2 * qindel.channels._CHUNK // dim**2
         pairs = np.array([frobenius_distance(left[i], right[j]) for i, j in zip(*np.nonzero(kept))])

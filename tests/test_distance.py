@@ -168,15 +168,18 @@ def test_a_grid_code_is_deduplicated_with_one_diagonal_screen(monkeypatch):
 
 def test_a_grid_walk_makes_one_screened_call_per_level_and_block(monkeypatch):
     # min distance 4: levels 1 and 2, each one dedup of all 86 stacked
-    # ladders and one block of the 86 kept rows, not one call per state
+    # ladders, masked to the pairs i < j, and one block of the 86 kept rows,
+    # one per state: the rows of every state but the last against those of
+    # every state but the first, masked to pairs of two states, not one
+    # call per state
     code = builtin_code("hagiwara4", _grid(9, 12))
     calls = _recorded(monkeypatch, qindel.channels, "_screened_distances")
     assert min_distance(code)[0] == 4
     assert calls == [
-        ((86, 4, 8, 8), (86, 4, 8, 8)),
-        ((86, 8, 8), (86, 8, 8)),
-        ((86, 6, 4, 4), (86, 6, 4, 4)),
-        ((86, 4, 4), (86, 4, 4)),
+        ((86, 4, 8, 8), (86, 4, 8, 8), (4, 4)),
+        ((85, 8, 8), (85, 8, 8), (85, 85)),
+        ((86, 6, 4, 4), (86, 6, 4, 4), (6, 6)),
+        ((85, 4, 4), (85, 4, 4), (85, 85)),
     ]
 
 
@@ -275,6 +278,29 @@ def test_a_pair_within_eq_tol_fails_the_probe(rng, monkeypatch):
     assert calls == [("trace", 3), ("trace", 3), ("trace", 0), ("trace", 0), ("walk", 0), ("walk", 0)]
 
 
+@pytest.mark.parametrize("entry, at", [(np.nan, (3, 3)), (np.inf, (0, 15))], ids=["nan", "inf"])
+def test_a_state_with_a_non_finite_entry_fails_the_probe(rng, monkeypatch, entry, at):
+    # a NaN or inf entry gives a NaN or inf probe bound, whichever state has
+    # it, and a NaN distance is within no bound, so the probe never passes:
+    # the walk starts where it would without it.  The inf entry pairs
+    # |0000> with |1111>, so only the state itself holds it; a code's own
+    # dedup compares each row with itself, and inf - inf warns, so the
+    # code is walked with the NaN entry
+    rho = random_density(rng, QuditShape(2, 4), 16)
+    mat = random_density(rng, QuditShape(2, 4), 16).mat.copy()
+    mat[at] = entry
+    sigma = DensityMatrix(rho.shape, mat)
+    stacks = [(x.mat[None], x.shape, 0) for x in (rho, sigma)]
+    assert not math.isfinite(distance._probe_bound(stacks, Tolerance(), 3))
+    calls = _probes(monkeypatch)
+    assert assert_indel_matches_lone_walk(rho, sigma) == 8
+    assert calls == [("trace", 3), ("trace", 3), ("trace", 0), ("trace", 0), ("walk", 0), ("walk", 0)]
+    if np.isnan(entry):
+        calls.clear()
+        assert assert_matches_lone_walk(CodeSample.from_states([rho, sigma])) == 8
+        assert calls == [("trace", 3), ("trace", 0), ("walk", 1)]
+
+
 def test_the_probe_bound_covers_the_rounding_of_the_rows(rng):
     # at eq_tol 0 the bound is its rounding margin alone; it must exceed the
     # spread of one marginal traced in two orders, both rounded from one
@@ -293,9 +319,10 @@ def test_the_probe_bound_covers_the_rounding_of_the_rows(rng):
 
 
 def test_two_generic_8_qubit_states_walk_only_their_top_levels(rng, monkeypatch):
-    # generic states share no marginal: one screened probe of their 16
-    # one-qubit rows passes, so no level below 7 is built; the walk then
-    # dedups each state's level 7, compares it, and meets at level 8
+    # generic states share no marginal: the probe compares the first
+    # state's 8 one-qubit rows with the second's in one screened call and
+    # passes, so no level below 7 is built; the walk then dedups each
+    # state's level 7, compares it, and meets at level 8
     rho, sigma = (random_density(rng, QuditShape(2, 8), 40) for _ in range(2))
     levels, traced = [], qindel.channels._traced_levels
 
@@ -307,16 +334,15 @@ def test_two_generic_8_qubit_states_walk_only_their_top_levels(rng, monkeypatch)
     monkeypatch.setattr(distance, "_traced_levels", recorded)
     monkeypatch.setattr(qindel.channels, "_traced_levels", recorded)
     calls = _recorded(monkeypatch, qindel.channels, "_screened_distances")
-    monkeypatch.setattr(distance, "_screened_distances", qindel.channels._screened_distances)
     result = indel_distance(rho, sigma)
     assert (result.value, result.s, result.t) == (16, 8, 8)
     assert levels == [(1, 8, 2, 2), (1, 8, 2, 2), (1, 1, 1, 1), (1, 1, 1, 1)]
     assert calls == [
-        ((16, 2, 2), (16, 2, 2)),  # the probe
-        ((1, 8, 2, 2), (1, 8, 2, 2)),  # level 7: each state's dedup
-        ((1, 8, 2, 2), (1, 8, 2, 2)),
-        ((8, 2, 2), (8, 2, 2)),  # level 7: the comparison
-        ((1, 1, 1), (1, 1, 1)),  # level 8: the comparison
+        ((8, 2, 2), (8, 2, 2), (8, 8)),  # the probe
+        ((1, 8, 2, 2), (1, 8, 2, 2), (8, 8)),  # level 7: each state's dedup
+        ((1, 8, 2, 2), (1, 8, 2, 2), (8, 8)),
+        ((8, 2, 2), (8, 2, 2), (8, 8)),  # level 7: the comparison
+        ((1, 1, 1), (1, 1, 1), (1, 1)),  # level 8: the comparison
     ]
 
 
