@@ -27,14 +27,20 @@ spectral form and one ``(rank, rank, l**t, l**t)`` array of blocks A_{x,y},
 one per eigenvector pair (t-qudit densities on the diagonal, traceless adjoint
 pairs off it).  The plain array is the only representation of the blocks;
 ``separable_blocks`` builds the one with no coherence between system and
-inserted qudits.  One builder takes a stack of such arrays, one per member,
-each with its own source: the stack is checked as one array and attached to
-each member's eigenvectors by one batched product per side, with the inserted
-qudits last; an index permutation then moves them into place.  A member's
-bits depend only on its own source and blocks, never on the rest of the
-stack, so a sampler builds all its samples as one stack and the containment
-trials build the insertions of many sources at once.  Counts and seeds
-are checked by ``states._count``; positions by ``_positions``.
+inserted qudits.  Blocks are checked by ``_check_blocks``, a stack of
+arrays per call, before any state is built.  One builder, ``_insert_stack``,
+takes the samples of one (shape, Q) group, each with its own source and
+blocks, of any ranks: each rank's samples are attached to their sources'
+eigenvectors by one batched product per side, with the inserted qudits
+last; an index permutation then moves them into place, and one PSD test
+and one round trip check them all.  A sample's bits depend only on its own
+source and blocks, never on the rest of the call.  The sampler
+``_sample_batch`` serves many requests at once: one draw pass,
+``_draw_groups``, draws every request's blocks from its own seed into one
+stack per (rank, l, t) draw group, one ``_check_blocks`` call checks each
+group and one ``_insert_stack`` call builds each (shape, Q) group; the
+containment trials use it for the insertions of each step.  Counts and
+seeds are checked by ``states._count``; positions by ``_positions``.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations, islice
+from itertools import combinations, islice
 from math import comb
 from typing import Iterator, Sequence
 
@@ -61,7 +67,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import _CHUNK, Tolerance, cross_distances, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
-from .rand import random_orthonormal, random_psd
+from .rand import _complex_parts
 from .states import DensityMatrix, QuditShape, SpectralForm, _count, spectral_decompose, spectral_decompose_stack
 
 __all__ = [
@@ -223,7 +229,7 @@ def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float, pairs: np.n
     left, right = (*lead, rows), (*lead, cols)
     dist = np.empty(len(rows))
     step = max(1, _CHUNK // (2 * a.shape[-2] * a.shape[-1]))  # a chunk's two gathered operands hold _CHUNK entries
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # as in cross_distances
         for start in range(0, len(rows), step):
             picks = slice(start, start + step)
             diff = a[tuple(x[picks] for x in left)]
@@ -485,9 +491,10 @@ def tau_Q(Q, n: int) -> tuple[int, ...]:
 
 def separable_blocks(pis: Sequence[np.ndarray]) -> np.ndarray:
     """The block array with no coherence between system and inserted qudits:
-    A_{x,x} = pis[x] and A_{x,y} = 0 for x != y."""
+    A_{x,x} = pis[x] and A_{x,y} = 0 for x != y.  A ``(..., rank, d, d)``
+    stack of such lists gives the stack of their arrays."""
     pis = np.asarray(pis, dtype=complex)
-    return np.einsum("xy,xab->xyab", np.eye(len(pis)), pis)
+    return np.einsum("xy,...xab->...xyab", np.eye(pis.shape[-3]), pis)
 
 
 def _sample_label(k: int, count: int) -> str:
@@ -495,16 +502,19 @@ def _sample_label(k: int, count: int) -> str:
     return "" if count == 1 else f"sample {k}: "
 
 
-def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: Tolerance, label) -> None:
+def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: Tolerance, label=None) -> None:
     """Raise ``BlockConstraintViolated`` unless ``stack`` is a valid stack of
     ``(rank, rank, l**t, l**t)`` block arrays, one per sample, within ``tol``
     at the t-qudit dimension: its shape, finite entries, adjoint pairs (each
     array is Hermitian as one matrix), unit trace on the diagonal and zero
     trace off it, and PSD diagonal blocks.  Each check runs over the whole
     stack and reports its worst violation, its message prefixed with
-    ``label(k)`` of the sample k it found."""
+    ``label(k)`` of the sample k it found; by default, "sample k: " with
+    more than one sample and nothing with one."""
     tol = tol.at(block_shape.dim)
     count = len(stack)
+    if label is None:
+        label = lambda k: _sample_label(k, count)
 
     def violated(k: int, message: str) -> BlockConstraintViolated:
         return BlockConstraintViolated(label(k) + message)
@@ -555,8 +565,9 @@ def insert_construct(
     blocks: np.ndarray,
     tol: Tolerance = Tolerance(),
 ) -> DensityMatrix:
-    """Build a member of I_Q(rho) from explicit blocks: ``_insert_stack`` of
-    one source and a one-sample stack.
+    """Build a member of I_Q(rho) from explicit blocks: ``_check_blocks`` of
+    the one array, then ``_insert_stack`` of one source and a one-sample
+    stack.
 
     ``blocks[x, y]`` is the l^t x l^t block A_{x,y} of the eigenvector pair
     (x, y), indexed in the order of ``spectral_decompose(rho, tol)`` (which
@@ -571,47 +582,50 @@ def insert_construct(
     qset = _insertion_set(Q, rho.length)
     stack = np.asarray(blocks, dtype=complex)[None]
     v = _weighted_kets(spectral_decompose(rho, tol))
-    return _insert_stack(rho.shape, qset, rho.mat, v, stack, tol)[0]
+    _check_blocks(stack, v.shape[1], QuditShape(rho.level, qset.size), tol)
+    return _insert_stack(rho.shape, qset, [(rho.mat, v, stack)], tol)[0][0]
 
 
-def _insert_stack(
-    shape: QuditShape,
-    qset: IndexSet,
-    sources: np.ndarray,
-    v: np.ndarray,
-    stack: np.ndarray,
-    tol: Tolerance,
-    label=None,
-) -> list[DensityMatrix]:
-    """Members of I_Q of their sources, one per sample: sample k inserts
-    the blocks ``stack[k]``, a ``(rank, rank, l**t, l**t)`` array, into the
-    source ``sources[k]`` of qudit shape ``shape``, whose spectral form gives
-    ``v[k]``, the ``(l**n, rank)`` columns sqrt(p_x) |x> (``_weighted_kets``).
-    A source shared by every sample may be passed once, as one matrix and
-    one set of columns.
+def _insert_stack(shape: QuditShape, qset: IndexSet, members, tol: Tolerance, label=None) -> list[list[DensityMatrix]]:
+    """Members of I_Q of their sources, for each member ``(source, v,
+    blocks)``: a source of qudit shape ``shape``, the ``(l**n, rank)``
+    columns sqrt(p_x) |x> of its spectral form (``_weighted_kets``) and a
+    stack of ``(rank, rank, l**t, l**t)`` block arrays, one per sample,
+    already checked by ``_check_blocks``.  Returns, per member, the states
+    of its samples, in order.
 
-    The checks run in order, each over the whole stack: every block check
-    (``_check_blocks``), then the PSD test of every assembled state, then
-    every deletion round trip against its own source.  An error's message
-    starts with ``label(k)`` of the sample k it names; by default, "sample
-    k: " with more than one sample and nothing with one.
+    The samples of each rank, across members, are assembled together, with
+    one product per sample on each side; then one PSD test runs over every
+    assembled state, then one deletion round trip of every state against
+    its own source.  A state's bits depend only on its own source and
+    blocks, never on the rest of the call.  An error's message starts with
+    ``label(i, k)`` of the sample k of member i it names; by default,
+    "sample k: " when that member has more than one sample and nothing
+    otherwise.
     """
-    n, l, t = shape.length, shape.level, qset.size
-    count, rank, block_dim = len(stack), v.shape[-1], l**t
+    n, l, block_dim = shape.length, shape.level, shape.level**qset.size
     if label is None:
-        label = lambda k: _sample_label(k, count)
-    _check_blocks(stack, rank, QuditShape(l, t), tol, label)
-    sources = np.broadcast_to(sources, (count, shape.dim, shape.dim))
-    v = np.broadcast_to(v, (count, shape.dim, rank))
-    # a state is sum_{x,y} V_x V_y^dagger (x) A_{x,y}; contracting V with the
-    # blocks first, then with V^dagger, one product per sample on each side,
-    # never forms a per-pair Kronecker product, and a sample's rounding does
-    # not depend on the rest of the stack
-    blocks = stack.transpose(0, 1, 3, 4, 2).reshape(count, rank, block_dim * block_dim * rank)
-    vb = (v @ blocks).reshape(count, shape.dim * block_dim * block_dim, rank)  # axes (k, (i, a, b), y)
-    mat = (vb @ v.conj().swapaxes(1, 2)).reshape(count, shape.dim, block_dim, block_dim, shape.dim)
+        label = lambda i, k: _sample_label(k, len(members[i][2]))
+    by_rank: dict[int, list[int]] = {}
+    for i, (_, v, _) in enumerate(members):
+        by_rank.setdefault(v.shape[-1], []).append(i)
+    rows, sources, mats = [], [], []  # row -> (member, sample); per rank, the sources and states of its rows
+    for rank, group in by_rank.items():
+        counts = [len(members[i][2]) for i in group]
+        rows += [(i, k) for i, count in zip(group, counts) for k in range(count)]
+        sources.append(np.repeat([members[i][0] for i in group], counts, axis=0))
+        v = np.repeat([members[i][1] for i in group], counts, axis=0)
+        count = len(v)
+        # a state is sum_{x,y} V_x V_y^dagger (x) A_{x,y}; contracting V with
+        # the blocks first, then with V^dagger, one product per sample on each
+        # side, never forms a per-pair Kronecker product, and a sample's
+        # rounding does not depend on the rest of the stack
+        blocks = np.concatenate([members[i][2] for i in group]).transpose(0, 1, 3, 4, 2)
+        vb = (v @ blocks.reshape(count, rank, block_dim * block_dim * rank)).reshape(count, -1, rank)
+        mats.append((vb @ v.conj().swapaxes(1, 2)).reshape(count, shape.dim, block_dim, block_dim, shape.dim))
     big_shape = QuditShape(l, qset.ambient)
-    mat = mat.transpose(0, 1, 2, 4, 3).reshape(count, big_shape.dim, big_shape.dim)  # axes (k, (i, a), (j, b))
+    mat = np.concatenate(mats).transpose(0, 1, 2, 4, 3)  # axes (row, i, a, j, b)
+    mat = mat.reshape(len(rows), big_shape.dim, big_shape.dim)
     sigmas = _permute_axes(mat, tau_Q(qset, n), l)
     big_tol = tol.at(big_shape.dim)
 
@@ -623,16 +637,19 @@ def _insert_stack(
     k = int(np.argmin(lowest))
     if lowest[k] < -big_tol.psd_tol:
         raise NotPSD(
-            f"{label(k)}assembled insertion is not PSD (min eigenvalue {lowest[k]:.3e})",
+            f"{label(*rows[k])}assembled insertion is not PSD (min eigenvalue {lowest[k]:.3e})",
             -float(lowest[k]),
         )
 
-    residuals = frobenius_distance(trace_out(sigmas, qset, l), sources)
+    residuals = frobenius_distance(trace_out(sigmas, qset, l), np.concatenate(sources))
     k = int(np.argmax(residuals))
     if residuals[k] > tol.at(shape.dim).eq_tol:
-        raise RoundTripFailed(f"{label(k)}D_Q(sigma) differs from rho by {residuals[k]:.3e}")
+        raise RoundTripFailed(f"{label(*rows[k])}D_Q(sigma) differs from rho by {residuals[k]:.3e}")
     sigmas.setflags(write=False)  # so each state keeps its row as a view, not a copy
-    return [DensityMatrix(big_shape, mat) for mat in sigmas]
+    states: list[list[DensityMatrix]] = [[] for _ in members]
+    for (i, _), mat in zip(rows, sigmas):
+        states[i].append(DensityMatrix(big_shape, mat))
+    return states
 
 
 def _check_composed(sigma: DensityMatrix, rho: DensityMatrix, s: int, t: int, most_s: int | None = None) -> None:
@@ -657,28 +674,51 @@ def insertion_member(
     return delete(sigma, qset).distance(rho) <= tol.at(rho.dim).eq_tol
 
 
-def _draw_blocks(rng: np.random.Generator, count: int, rank: int, dim: int) -> np.ndarray:
-    """``count`` block arrays for a rank-``rank`` source and ``dim = l**t``,
-    drawn in order from ``rng`` as a ``(count, rank, rank, dim, dim)`` stack.
+def _draw_groups(draws) -> dict[tuple, np.ndarray]:
+    """The block arrays of each draw ``(seed, count, rank, l, t)``: ``count``
+    arrays for a rank-``rank`` source and t inserted qudits of level l, drawn
+    in order from ``default_rng(seed)``.  The draws of one (rank, l, t)
+    group share one ``(samples, rank, rank, l**t, l**t)`` stack, keyed by
+    the group: its draws in order, each draw's samples in order.
 
     Two families alternate: (a) separable, a random t-qudit density per
     eigenvector with zero off-diagonal blocks; (b) entangled, a purification
     |Phi> = sum_x sqrt(p_x) |x_L> (x) |u_x> over a random orthonormal set,
-    possible only when dim >= rank.  Sample k is entangled when k is odd and
-    the family is possible.  A separable sample's ``rank`` Ginibre matrices
-    are one draw, so the first k of ``count`` arrays are the k arrays drawn
-    from the same generator state.
+    possible only when l**t >= rank.  Sample k is entangled when k is odd and
+    the family is possible.  Each sample is one ``standard_normal`` call on
+    its draw's generator, written into its family's buffer: a separable
+    sample's ``rank`` square Ginibre matrices, as ``random_psd`` with a
+    batch draws them, an entangled sample's one ``l**t x rank`` matrix, as
+    ``random_orthonormal`` does, so the first k of ``count`` arrays are the
+    k arrays drawn from the same seed.  The algebra then runs once per
+    family of a group: the Ginibre products, trace normalisation and
+    ``separable_blocks``, or the QR; every array has the bits of its lone
+    draw.
     """
-    stack = np.empty((count, rank, rank, dim, dim), dtype=complex)
-    for k in range(count):
-        if k % 2 == 1 and dim >= rank:
-            kets = np.array(random_orthonormal(rng, dim, rank))
-            stack[k] = np.einsum("xa,yb->xyab", kets, kets.conj())
-        else:
-            m = random_psd(rng, dim, batch=(rank,))
-            pis = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
-            stack[k] = separable_blocks(pis)
-    return stack
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for seed, count, rank, level, t in draws:
+        groups.setdefault((rank, level, t), []).append((seed, count))
+    stacks = {}
+    for (rank, level, t), members in groups.items():
+        dim = level**t
+        entangled = np.array([k % 2 == 1 and dim >= rank for _, count in members for k in range(count)])
+        pure = np.empty((np.count_nonzero(entangled), 2, dim, rank))
+        mixed = np.empty((len(entangled) - len(pure), rank, 2, dim, dim))
+        pure_rows, mixed_rows = iter(pure), iter(mixed)
+        targets = iter([next(pure_rows) if e else next(mixed_rows) for e in entangled])
+        for seed, count in members:
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                rng.standard_normal(out=next(targets))
+        stack = np.empty((len(entangled), rank, rank, dim, dim), dtype=complex)
+        g = _complex_parts(mixed)
+        m = g @ g.conj().swapaxes(-1, -2)
+        stack[~entangled] = separable_blocks(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+        if len(pure):
+            kets = np.linalg.qr(_complex_parts(pure))[0].swapaxes(-1, -2)  # rows u_x
+            stack[entangled] = np.einsum("kxa,kyb->kxyab", kets, kets.conj())
+        stacks[(rank, level, t)] = stack
+    return stacks
 
 
 def sample_insertions(
@@ -689,10 +729,8 @@ def sample_insertions(
     tol: Tolerance = Tolerance(),
 ) -> list[DensityMatrix]:
     """Draw ``count`` members of I_Q(rho), deterministically from ``seed``:
-    ``_draw_blocks`` from ``default_rng(seed)``, built by one
-    ``_insert_stack`` call with rho as the one source of every sample, so
-    every sample is checked and verified as ``insert_construct`` checks one.
-    It is the one-request case of ``_sample_batch``.
+    the one-request case of ``_sample_batch``, so every sample is checked
+    and verified as ``insert_construct`` checks one.
 
     ``count`` (at least 1) and ``seed`` (at least 0) must be integers, else
     ``CountOutOfRange``.  A sample's bits depend only on rho, Q and the draws
@@ -705,16 +743,20 @@ def sample_insertions(
 
 def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatrix]]:
     """The samples of each request ``(rho, qset, count, seed)``, as
-    ``sample_insertions(rho, qset, count, seed, tol)`` draws them.
+    ``sample_insertions(rho, qset, count, seed, tol)`` draws them, in a few
+    stacked calls.
 
     The sources of each shape are decomposed by one checked
-    ``spectral_decompose_stack`` call.  Each request draws its blocks from
-    its own generator; the requests are then grouped by (shape, rank, qset),
-    and each group is built by one ``_insert_stack`` call.  Every form and
-    sample has the bits it gets alone.  An error names its request by
-    ``names[r]`` (nothing by default): a refused source reads as its lone
-    ``spectral_decompose``, and a build error then names the sample, with
-    more than one sample in the request.
+    ``spectral_decompose_stack`` call.  One ``_draw_groups`` pass draws the
+    blocks of every request, each from its own generator, into one stack per
+    (rank, l, t) draw group, and each group is checked by one
+    ``_check_blocks`` call.  Then each (shape, qset) group is built by one
+    ``_insert_stack`` call, whatever its ranks.  Every block check runs
+    before any state is assembled, and every form and sample has the bits
+    it gets alone.  An error names its request by ``names[r]`` (nothing
+    by default): a refused source reads as its lone ``spectral_decompose``,
+    and a block or build error then names the sample, with more than one
+    sample in the request.
     """
     names = names or [""] * len(requests)
     by_shape: dict[QuditShape, list[int]] = {}
@@ -736,25 +778,27 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
             raise
         for r, form in zip(rs, stacked):
             forms[r] = form
-    groups: dict[tuple, list] = {}
-    for r, ((rho, qset, count, seed), form) in enumerate(zip(requests, forms)):
-        stack = _draw_blocks(np.random.default_rng(seed), count, form.rank, rho.level**qset.size)
-        member = (r, rho.mat, _weighted_kets(form), stack)
-        groups.setdefault((rho.shape, form.rank, qset), []).append(member)
+
+    def label(r: int, k: int) -> str:
+        return names[r] + _sample_label(k, requests[r][2])
+
+    draws = [(seed, count, form.rank, rho.level, qset.size) for (rho, qset, count, seed), form in zip(requests, forms)]
+    stacks = _draw_groups(draws)
+    owners: dict[tuple, list[tuple[int, int]]] = {key: [] for key in stacks}  # row of a group -> (request, sample)
+    blocks = []  # each request's rows of its group's stack
+    for r, (_, count, *key) in enumerate(draws):
+        rows = owners[tuple(key)]
+        blocks.append(stacks[tuple(key)][len(rows) : len(rows) + count])
+        rows.extend((r, k) for k in range(count))
+    for (rank, level, t), stack in stacks.items():
+        rows = owners[rank, level, t]
+        _check_blocks(stack, rank, QuditShape(level, t), tol, lambda row: label(*rows[row]))
+    builds: dict[tuple, list[int]] = {}
+    for r, (rho, qset, *_) in enumerate(requests):
+        builds.setdefault((rho.shape, qset), []).append(r)
     samples: list = [None] * len(requests)
-    for (shape, _, qset), members in groups.items():
-        counts = [len(stack) for *_, stack in members]
-        # row of the group -> (request, sample within the request, its count)
-        rows = [(r, k, c) for (r, *_), c in zip(members, counts) for k in range(c)]
-        built = _insert_stack(
-            shape,
-            qset,
-            np.repeat([mat for _, mat, _, _ in members], counts, axis=0),
-            np.repeat([v for _, _, v, _ in members], counts, axis=0),
-            np.concatenate([stack for *_, stack in members]),
-            tol,
-            lambda row: names[rows[row][0]] + _sample_label(*rows[row][1:]),
-        )
-        for (r, *_), start, count in zip(members, accumulate(counts, initial=0), counts):
-            samples[r] = built[start : start + count]
+    for (shape, qset), rs in builds.items():
+        members = [(requests[r][0].mat, _weighted_kets(forms[r]), blocks[r]) for r in rs]
+        for r, states in zip(rs, _insert_stack(shape, qset, members, tol, lambda i, k: label(rs[i], k))):
+            samples[r] = states
     return samples

@@ -24,7 +24,7 @@ from itertools import combinations, islice, product
 import numpy as np
 
 from .channels import IndexSet, _as_index_set, _check_composed, _dedup_levels, _insertion_set
-from .channels import _sample_batch, _screened_distances, _traced_levels, partial_trace, trace_out, trace_out_adjoint
+from .channels import _sample_batch, _screened_distances, _traced_levels, trace_out, trace_out_adjoint
 from .errors import ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
 from .states import DensityMatrix, QuditShape, _count, spectral_decompose
@@ -466,16 +466,19 @@ def check_containment_trials(
     moves as a lone trial would: a coin only while both moves remain (0
     deletes, 1 inserts), then the position, and for an insertion the sample
     count (1 or 2) and the sampler seed; the draws depend only on the
-    state's length, so each trajectory is the same in any batch.  Deletions
-    are applied per trial.  An insertion keeps the last of the samples
+    state's length, so each trajectory is the same in any batch.  The
+    deletions of one step are one ``trace_out`` call per (shape, position)
+    group, on the stack of its states, each result the bits of that state's
+    lone ``partial_trace``.  An insertion keeps the last of the samples
     ``sample_insertions`` would draw; the insertions of one step are one
     ``_sample_batch`` call, which decomposes their sources with one checked
-    ``spectral_decompose_stack`` call per shape, builds each (shape, rank,
-    position) group of them with one ``_insert_stack`` call and checks every
-    sample.  A build error names the trial's index in ``rhos`` and the step.
-    The final memberships are one ``_members_ins_del`` call, one batched
-    comparison per (final shape, source shape) group, each verdict the one
-    ``member_ins_del`` gives.
+    ``spectral_decompose_stack`` call per shape, draws their blocks in one
+    pass, checks each (rank, level, t) draw group with one ``_check_blocks``
+    call and builds each (shape, position) group with one ``_insert_stack``
+    call.  A block or build error names the trial's index in ``rhos`` and
+    the step.  The final memberships are one ``_members_ins_del`` call, one
+    batched comparison per (final shape, source shape) group, each verdict
+    the one ``member_ins_del`` gives.
 
     ``s``, ``t`` and every seed must be nonnegative integers, and s at most
     each rho's length (``CountOutOfRange``); ``rhos`` and ``seeds`` must have
@@ -491,12 +494,12 @@ def check_containment_trials(
     states = list(rhos)
     left = [[s, t] for _ in rhos]  # the deletions and insertions each trial has left
     for step in range(1, s + t + 1):
-        requests, inserting = [], []
+        requests, inserting, deleting = [], [], {}
         for i, rng in enumerate(rngs):
             state, moves = states[i], left[i]
             # a coin is tossed only when both moves remain: 0 deletes, 1 inserts
             if moves[0] and not (moves[1] and rng.integers(2)):
-                states[i] = partial_trace(state, int(rng.integers(1, state.length + 1)))
+                deleting.setdefault((state.shape, int(rng.integers(1, state.length + 1))), []).append(i)
                 moves[0] -= 1
             else:
                 qset = IndexSet((int(rng.integers(1, state.length + 2)),), state.length + 1)
@@ -504,6 +507,12 @@ def check_containment_trials(
                 requests.append((state, qset, how_many, int(rng.integers(2**62))))
                 inserting.append(i)
                 moves[1] -= 1
+        for (shape, p), group in deleting.items():
+            reduced = trace_out(np.stack([states[i].mat for i in group]), IndexSet((p,), shape.length), shape.level)
+            reduced.setflags(write=False)  # so each state keeps its row as a view, not a copy
+            shape = QuditShape(shape.level, shape.length - 1)
+            for i, mat in zip(group, reduced):
+                states[i] = DensityMatrix(shape, mat)
         names = [f"trial {i}, step {step}: " for i in inserting]
         for i, samples in zip(inserting, _sample_batch(requests, tol, names)):
             states[i] = samples[-1]

@@ -136,7 +136,7 @@ def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows = max(1, min(ka, _CHUNK // (cols * size)))
     mats = max(1, min(count, _BATCH_CHUNK // (rows * cols * size)))
     diff = np.empty((mats, rows, cols, d1, d2), dtype=complex)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, as the norm of a NaN pair reads
         for m in range(0, count, mats):
             for i in range(0, ka, rows):
                 for j in range(0, kb, cols):

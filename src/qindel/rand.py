@@ -21,7 +21,12 @@ def _ginibre(
     """Complex Gaussian matrices of shape ``batch + (rows, cols)`` from one draw;
     each matrix takes its real part, then its imaginary part, from the stream,
     so a batch draws what one call per matrix would."""
-    parts = rng.standard_normal((*batch, 2, rows, cols))
+    return _complex_parts(rng.standard_normal((*batch, 2, rows, cols)))
+
+
+def _complex_parts(parts: np.ndarray) -> np.ndarray:
+    """The complex matrices of a ``(..., 2, rows, cols)`` array of draws laid
+    out as ``_ginibre`` draws them: each real part, then its imaginary part."""
     return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 

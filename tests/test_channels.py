@@ -10,6 +10,7 @@ import qindel.channels
 from qindel.channels import (
     IndexSet,
     SphereSet,
+    _check_blocks,
     _dedup_levels,
     _insert_stack,
     _permute_axes,
@@ -505,6 +506,16 @@ def _shared_diagonal_rows(rng, dim, sizes):
     return np.array(rows)
 
 
+@pytest.mark.parametrize("n", [4, 8], ids=["one chunk", "screened"])
+def test_a_row_with_an_infinite_entry_reads_nan_against_itself_without_a_warning(rng, n):
+    # inf - inf is NaN in both paths: in the one-chunk comparison and in the
+    # screened gather of the pairs whose diagonals meet (each row's own)
+    mats = np.stack([random_density(rng, QuditShape(2, n)).mat for _ in range(2)])
+    mats[:, 0, -1] = np.inf
+    dist = _screened_distances(mats, mats, 1e-9)
+    assert np.isnan(np.diagonal(dist)).all()
+
+
 @pytest.mark.parametrize("dim, sizes", [(16, (30, 20, 1)), (128, (1, 2, 3, 5, 4, 9))])
 def test_screened_pairs_past_one_chunk_keep_the_bits_of_each_rows_call(rng, dim, sizes):
     """Every pair of a family passes the diagonal screen, far more pairs than
@@ -875,17 +886,24 @@ def _tampered(stack, k, case):
 @pytest.mark.parametrize("case", ["non-finite", "adjoint", "trace", "not a valid state", "not PSD"])
 def test_block_stack_errors_name_the_sample(case):
     # a stack of valid block arrays with one tampered slot k > 0 is refused,
-    # and the error names sample k; a one-sample stack keeps the plain message
+    # and the error names sample k; a one-sample stack keeps the plain
+    # message.  The blocks are refused by _check_blocks, which checks a stack
+    # before it is built; a non-PSD state by the build, _insert_stack
     rho = example_rho(0.5, 0.5)
     qset = IndexSet((3,), 3)
     v = _weighted_kets(spectral_decompose(rho))
     good = np.array([separable_blocks([np.eye(2) / 2] * v.shape[1])] * 3)
     error = NotPSD if case == "not PSD" else BlockConstraintViolated
+
+    def build(stack):
+        _check_blocks(stack, v.shape[1], QuditShape(2, 1), Tolerance())
+        return _insert_stack(rho.shape, qset, [(rho.mat, v, stack)], Tolerance())
+
     for k in (1, 2):
         with pytest.raises(error, match=rf"^sample {k}: .*{case}"):
-            _insert_stack(rho.shape, qset, rho.mat, v, _tampered(good, k, case), Tolerance())
+            build(_tampered(good, k, case))
     with pytest.raises(error, match=rf"^(?!sample).*{case}"):
-        _insert_stack(rho.shape, qset, rho.mat, v, _tampered(good, 0, case)[:1], Tolerance())
+        build(_tampered(good, 0, case)[:1])
 
 
 def test_insertion_member():

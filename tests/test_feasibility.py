@@ -324,28 +324,96 @@ def test_lockstep_trials_match_one_trial_bit_for_bit(monkeypatch, rng, s, t):
     assert all(verdicts)
 
 
+def _lockstep_calls(monkeypatch, steps):
+    """Record, for each of ``steps`` lockstep steps, the group key of each
+    call: a stacked deletion (``feasibility.trace_out``: dimension and
+    position), a block check (``_check_blocks``: rank, l, t) and a build
+    (``_insert_stack``: shape, Q).  A step's deletions come before its one
+    ``_sample_batch`` call, and its checks and builds inside it."""
+    calls = [{"trace_out": [], "_check_blocks": [], "_insert_stack": []} for _ in range(steps)]
+    batches = []
+
+    def record(module, name, key):
+        real = getattr(module, name)
+
+        def recording(*args):
+            if name == "_sample_batch":
+                batches.append(None)
+            else:
+                calls[len(batches) - (name != "trace_out")][name].append(key(*args))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    record(feasibility, "trace_out", lambda mat, pset, level: (mat.shape[-1], pset.positions))
+    record(feasibility, "_sample_batch", None)
+    record(channels, "_check_blocks", lambda stack, rank, shape, *_: (rank, shape.level, shape.length))
+    record(channels, "_insert_stack", lambda shape, qset, *_: (shape, qset))
+    return calls, batches
+
+
+def test_a_lockstep_step_makes_one_stacked_call_per_group(monkeypatch, rng):
+    # one mixed call: qubits on 1-3 and qutrits on 1-2 qudits, of every rank,
+    # through one deletion and two insertions.  Each step makes one stacked
+    # trace_out per (shape, position) of its deletions, one _check_blocks
+    # per (rank, l, t) of its insertions and one _insert_stack per (shape,
+    # Q), the groups read off each trial's calls alone
+    s, t = 1, 2
+    rhos = [
+        random_density(rng, shape, rank)
+        for shape in (QuditShape(2, 1), QuditShape(2, 2), QuditShape(2, 3), QuditShape(3, 1), QuditShape(3, 2))
+        for rank in range(1, shape.dim + 1)
+    ]
+    seeds = [int(seed) for seed in rng.integers(2**62, size=len(rhos))]
+    alone = []
+    for rho, seed in zip(rhos, seeds):
+        with monkeypatch.context() as patch:
+            calls, _ = _lockstep_calls(patch, s + t)
+            check_containment_trial(rho, seed, s, t)
+        alone.append(calls)
+    calls, batches = _lockstep_calls(monkeypatch, s + t)
+    check_containment_trials(rhos, seeds, s, t)
+    assert len(batches) == s + t
+    for step, made in enumerate(calls):
+        for name, keys in made.items():
+            groups = {key for trial in alone for key in trial[step][name]}
+            assert sorted(keys, key=repr) == sorted(groups, key=repr), (step, name)
+    # 26 deletions and 52 insertions, one move per trial and step
+    totals = {name: sum(len(made[name]) for made in calls) for name in calls[0]}
+    assert len(rhos) == 26 and totals == {"trace_out": 22, "_check_blocks": 29, "_insert_stack": 38}
+
+
 def _tamper_request(monkeypatch, fault, request):
     """Script one fault into one request of a ``_sample_batch`` call: its
     source's weights off by 0.2 % (a round trip fails), or its blocks NaN.
-    Sources are decomposed a stack per shape and blocks drawn one request at
-    a time, both in request order when each shape's requests are adjacent."""
-    name = "spectral_decompose_stack" if fault == "round trip" else "_draw_blocks"
-    real, done = getattr(channels, name), []
+    Sources are decomposed a stack per shape, in request order when each
+    shape's requests are adjacent.  Blocks are drawn in one ``_draw_groups``
+    pass whose draws are the requests in order; a (rank, l, t) group's stack
+    holds its draws' samples in draw order."""
+    if fault == "round trip":
+        real, done = channels.spectral_decompose_stack, []
 
-    def faulty(*args):
-        out = real(*args)
-        outputs = out if fault == "round trip" else [out]
-        k = request - len(done)
-        done.extend(outputs)
-        if not 0 <= k < len(outputs):
+        def faulty(*args):
+            out = real(*args)
+            k = request - len(done)
+            done.extend(out)
+            if 0 <= k < len(out):
+                form = out[k]
+                out[k] = SpectralForm(form.shape, form.weights * 1.002, form.kets)
             return out
-        if fault == "round trip":
-            form = out[k]
-            out[k] = SpectralForm(form.shape, form.weights * 1.002, form.kets)
-            return out
-        return np.full_like(out, np.nan)
 
-    monkeypatch.setattr(channels, name, faulty)
+        monkeypatch.setattr(channels, "spectral_decompose_stack", faulty)
+        return
+    real = channels._draw_groups
+
+    def faulty(draws):
+        stacks = real(draws)
+        _, count, *key = draws[request]
+        start = sum(c for _, c, *k in draws[:request] if k == key)
+        stacks[tuple(key)][start : start + count] = np.nan
+        return stacks
+
+    monkeypatch.setattr(channels, "_draw_groups", faulty)
 
 
 @pytest.mark.parametrize(
@@ -357,15 +425,38 @@ def _tamper_request(monkeypatch, fault, request):
 )
 def test_batch_errors_name_the_trial_and_step(monkeypatch, rng, fault, error, message):
     # three 2-qubit trials, then three 1-qubit trials whose seeds all insert
-    # at position 2: trial 3 is row 0 of a build it shares with trials 4 and
-    # 5, and a fault in it is reported as trial 3 at step 1, not by its row
+    # at position 2: trial 3 is row 0 of the build, and of the rank-2 draw
+    # group, it shares with trials 4 and 5, and a fault in it is reported as
+    # trial 3 at step 1, not by its row
     rhos = [random_density(rng, QuditShape(2, n)) for n in (2, 2, 2, 1, 1, 1)]
     builds = _recorded(monkeypatch, channels, "_insert_stack")
+    checks = _recorded(monkeypatch, channels, "_check_blocks")
     _tamper_request(monkeypatch, fault, 3)  # every trial inserts at step 1
     with pytest.raises(error, match=rf"^trial 3, step 1: {message}"):
         check_containment_trials(rhos, list(range(6)), 0, 1)
-    _, _, sources, *_ = builds[-1]  # the build that raised
-    assert list(dict.fromkeys(row.tobytes() for row in sources)) == [rho.mat.tobytes() for rho in rhos[3:]]
+    if fault == "round trip":
+        _, _, members, *_ = builds[-1]  # the build that raised
+        assert [source.tobytes() for source, *_ in members] == [rho.mat.tobytes() for rho in rhos[3:]]
+    else:  # every block check runs before any build
+        stack, rank, *_ = checks[-1]  # the check that raised
+        assert not builds and rank == 2 and len(stack) >= 3
+        assert np.isnan(stack[0]).all() and np.isfinite(stack[-1]).all()
+
+
+def test_a_block_error_names_its_trial_in_a_draw_group_of_two_shapes(monkeypatch, rng):
+    # a 1-qubit and two 2-qubit sources, all of rank 2, insert one qubit:
+    # one (rank, l, t) draw group, checked by one call, whose rows of trial 2
+    # follow those of trials 0 and 1, of another shape and of the same
+    rhos = [random_density(rng, QuditShape(2, 1))] + [random_density(rng, QuditShape(2, 2), 2) for _ in range(2)]
+    checks = _recorded(monkeypatch, channels, "_check_blocks")
+    _tamper_request(monkeypatch, "non-finite", 2)
+    with pytest.raises(BlockConstraintViolated, match=r"^trial 2, step 1: (sample 0: )?blocks have non-finite"):
+        check_containment_trials(rhos, [3, 4, 5], 0, 1)
+    assert len(checks) == 1
+    stack, rank, block_shape, *_ = checks[0]
+    assert (rank, block_shape) == (2, QuditShape(2, 1))
+    finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+    assert 2 < len(stack) and finite[: len(stack) - 1].sum() >= 2 and not finite[-1]
 
 
 def test_batch_errors_name_the_trial_of_a_refused_source(rng):

@@ -3,10 +3,12 @@ malformed payloads in both forms, non-finite and non-square matrices), the
 agreement of the nested and compact state-file forms, the metric axioms
 of the indel distance, the code minimum distance's stacked walk against
 each state's own spheres, a code's dedup of coinciding states, the insertion
-round trip and sampler prefixes, the containment of interleaved errors, and
-the evidence of feasibility verdicts: witnesses and Farkas certificates.
+round trip and sampler prefixes, a batch of sampler requests against each
+request's lone samples, the containment of interleaved errors, and the
+evidence of feasibility verdicts: witnesses and Farkas certificates.
 The metric, insertion, containment and feasibility tests draw qubit and
-qutrit states; qutrit cases keep the lifted dimension at most 16.
+qutrit states; qutrit cases keep the lifted dimension at most 16, apart
+from the samplers', which reach 3^4 and, in a batch, 3^5.
 
 Examples are derived from the test source, not drawn at random, and no
 example database is kept, so runs are deterministic and write nothing to
@@ -30,7 +32,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from qindel.channels import IndexSet, delete, insertion_member, sample_insertions  # noqa: E402
+from qindel.channels import IndexSet, _sample_batch, delete, insertion_member, sample_insertions  # noqa: E402
 from qindel.channels import trace_out_adjoint  # noqa: E402
 from qindel.codes import example_psi, example_rho  # noqa: E402
 from qindel.distance import CodeSample, indel_distance, min_distance  # noqa: E402
@@ -653,6 +655,40 @@ def test_fewer_samples_are_a_prefix_of_more(level, t, data):
     prefix = sample_insertions(rho, Q, fewer, seed)
     for short, long in zip(prefix, sample_insertions(rho, Q, more, seed)):
         assert short.mat.tobytes() == long.mat.tobytes()
+
+
+@st.composite
+def sampler_requests(draw):
+    """A list of ``_sample_batch`` requests (rho, qset, count, seed) in shuffled
+    order: qubit and qutrit sources on 1-3 qudits of any rank, |Q| of 1 or 2
+    and 1-4 samples each.  Some sources are asked again, at another Q or
+    seed, so requests share draw groups and builds."""
+    requests = []
+    for _ in range(draw(st.integers(1, 4))):
+        level, n = draw(LEVELS), draw(st.integers(1, 3))
+        shape = QuditShape(level, n)
+        seed, rank = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, shape.dim))
+        rho = random_density(np.random.default_rng(seed), shape, rank)
+        for _ in range(draw(st.integers(1, 3))):
+            t = draw(st.integers(1, 2))
+            Q = draw(st.lists(st.integers(1, n + t), min_size=t, max_size=t, unique=True))
+            qset = IndexSet(tuple(sorted(Q)), n + t)
+            requests.append((rho, qset, draw(st.integers(1, 4)), draw(st.integers(0, 2**62 - 1))))
+    return draw(st.permutations(requests))
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(sampler_requests())
+def test_a_batch_of_requests_gives_each_its_lone_samples(requests):
+    """The one draw pass, per-group block checks and per-(shape, Q) builds of
+    ``_sample_batch`` give each request the bits of its own lone
+    ``sample_insertions`` call, whatever the other requests, including counts
+    of 3 and 4 and ranks above l^t, where only the separable family is drawn."""
+    batched = _sample_batch(requests, Tolerance())
+    assert [len(samples) for samples in batched] == [count for _, _, count, _ in requests]
+    for (rho, qset, count, seed), samples in zip(requests, batched):
+        lone = sample_insertions(rho, qset.positions, count, seed)
+        assert [sigma.mat.tobytes() for sigma in samples] == [sigma.mat.tobytes() for sigma in lone]
 
 
 @BOTH_LEVELS
