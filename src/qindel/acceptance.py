@@ -12,14 +12,15 @@ import time
 
 import numpy as np
 
-from .channels import IndexSet, delete, deletion_sphere, sample_insertions
+from .channels import IndexSet, _dedup_levels, _sample_batch, _traced_levels, delete, deletion_sphere, trace_out
 from .codes import (
+    _HAGIWARA,
+    _codewords,
     builtin_code,
     code_params,
     collision_pair_x2,
     example_psi,
     example_rho,
-    hagiwara_codeword,
     hagiwara_double_deletion,
     hagiwara_single_deletion,
     in_del_after_ins_sphere,
@@ -33,7 +34,15 @@ from .feasibility import (
     member_del_ins,
     member_ins_del,
 )
-from .linalg import Tolerance, cross_distances, hermitian_eigensystem, is_psd, project_psd, psd_principal_minors
+from .linalg import (
+    Tolerance,
+    cross_distances,
+    frobenius_distance,
+    hermitian_eigensystem,
+    is_psd,
+    project_psd,
+    psd_principal_minors,
+)
 from .rand import random_density, random_hermitian, random_psd
 from .states import DensityMatrix, QuditShape, _count, basis_ket, validate
 
@@ -94,31 +103,33 @@ def check_x1_min_distance(seed: int) -> dict:
 
 
 def check_x2_min_distance(seed: int) -> dict:
-    """The 4-qubit single-deletion code: disjoint 1-deletion spheres, min distance 4."""
+    """The 4-qubit single-deletion code: disjoint 1-deletion spheres, min
+    distance 4.  The spheres are the kept rows of one level-1 ladder of the
+    code's stack, each state's compared with the later states' by one
+    ``cross_distances`` call; the closed forms are checked against levels 1
+    and 2 of one stack of the 42 codewords."""
     params = code_params()
     sample = builtin_code("hagiwara4")
 
-    spheres = [deletion_sphere(s, 1).stack for s in sample.states]
-    min_cross = min(
-        float(cross_distances(spheres[i], spheres[j]).min())
-        for i in range(len(sample))
-        for j in range(i + 1, len(sample))
-    )
+    _, raw, kept = next(_dedup_levels(_traced_levels(sample.stack, sample.shape, 1), Tolerance()))
+    rows, owner = raw[kept], np.nonzero(kept)[0]
+    # one call per state against the later states' rows: one call over all
+    # the rows would fill a 0.8 MB block and raise the suite's peak memory
+    min_cross = min(float(cross_distances(rows[owner == i], rows[owner > i]).min()) for i in range(len(sample) - 1))
 
     doubles = [deletion_sphere(psi, 2).stack for psi in collision_pair_x2(*x2_collision_params())]
     collision_gap = float(cross_distances(*doubles).min())
 
     alpha_c, beta_c = x2_collision_params()
     partner = (alpha_c, beta_c * np.exp(2j * (np.angle(alpha_c) - np.angle(beta_c))))
+    words = params + [(alpha_c, beta_c), partner]
+    levels = _traced_levels(_codewords(_HAGIWARA, words), sample.shape, 1)
     closed_form_err = 0.0
-    for a, b in params + [(alpha_c, beta_c), partner]:
-        word = hagiwara_codeword(a, b)
-        single = hagiwara_single_deletion(a, b)
-        double = hagiwara_double_deletion(a, b)
-        for p in range(1, 5):
-            closed_form_err = max(closed_form_err, delete(word, {p}).distance(single))
-        for combo in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
-            closed_form_err = max(closed_form_err, delete(word, combo).distance(double))
+    for deleted, closed_form in zip(levels, (hagiwara_single_deletion, hagiwara_double_deletion)):
+        # every deletion of s qubits gives the one closed form of s deletions
+        forms = np.stack([closed_form(a, b).mat for a, b in words])[:, None]
+        residuals = frobenius_distance(deleted, np.broadcast_to(forms, deleted.shape))
+        closed_form_err = max(closed_form_err, float(residuals.max()))
 
     value, pair, _ = min_distance(sample)
     ok = (
@@ -209,23 +220,34 @@ def check_insertion_code(seed: int) -> dict:
 
 def check_insertion_roundtrip(seed: int) -> dict:
     """Constructed insertions delete back to their source within 1e-10 and are
-    valid states; both sampler families must appear."""
+    valid states; both sampler families must appear.  The 50 requests of two
+    samples are drawn in order and sampled by one ``_sample_batch`` call;
+    each (shape, q) group's samples are deleted back by one stacked
+    ``trace_out`` and compared with their sources by one
+    ``frobenius_distance``."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    families = {"separable": 0, "entangled": 0}
-    count = 0
-    while count < 100:
+    requests = []
+    for _ in range(50):
         n = int(rng.integers(1, 3))
         shape = QuditShape(2, n)
         rank = int(rng.integers(1, 3))  # rank <= 2 keeps the purification family live
         rho = random_density(rng, shape, min(rank, shape.dim))
         q = int(rng.integers(1, n + 2))
-        samples = sample_insertions(rho, IndexSet((q,), n + 1), 2, int(rng.integers(2**62)))
-        for k, sigma in enumerate(samples):
+        requests.append((rho, IndexSet((q,), n + 1), 2, int(rng.integers(2**62))))
+    samples = _sample_batch(requests, Tolerance())
+    families = {"separable": 0, "entangled": 0}
+    groups: dict[tuple, list[int]] = {}
+    for r, (rho, qset, *_) in enumerate(requests):
+        groups.setdefault((rho.shape, qset), []).append(r)
+        for k, sigma in enumerate(samples[r]):
             validate(sigma.mat, sigma.shape)
-            worst = max(worst, delete(sigma, {q}).distance(rho))
             families["separable" if k == 0 else "entangled"] += 1
-            count += 1
+    worst = 0.0
+    for (shape, qset), rs in groups.items():
+        sigmas = np.stack([sigma.mat for r in rs for sigma in samples[r]])
+        sources = np.stack([requests[r][0].mat for r in rs for _ in samples[r]])
+        worst = max(worst, float(frobenius_distance(trace_out(sigmas, qset, shape.level), sources).max()))
+    count = sum(families.values())
     ok = worst <= 1e-10 and min(families.values()) > 0
     return _item(
         "insertion-roundtrip",

@@ -19,7 +19,9 @@ only those pairs whose diagonals lie within eq_tol get a full distance,
 gathered across rows and batch entries for ``linalg.frobenius_norm``.  A
 dedup reads the pairs i < j; ``first_meeting`` walks the owners in blocks
 of whole owners, one screened call per block, and reads the pairs of rows
-of two owners.
+of two owners; ``pairs_meet`` decides, with no witness, whether each
+listed pair of states of two ladder levels meets, one screened call per
+chunk of pairs, and reads the pairs of their kept rows.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -75,6 +77,7 @@ __all__ = [
     "SphereSet",
     "distinct_rows",
     "first_meeting",
+    "pairs_meet",
     "trace_out",
     "trace_out_adjoint",
     "partial_trace",
@@ -318,6 +321,31 @@ def first_meeting(rows: np.ndarray, owner: np.ndarray, eq_tol: float) -> tuple[i
 
 
 _MEETING_BUDGET = _CHUNK  # largest (block rows) x (rows compared) of a block of more than one owner
+
+
+def pairs_meet(x: tuple, y: tuple, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Whether the spheres of each pair of states meet: for pair p, whether
+    a kept row of state ``pairs[0][p]`` of level ``x`` lies within eq_tol
+    of a kept row of state ``pairs[1][p]`` of level ``y``.
+
+    ``x`` and ``y`` are levels ``(eq_tol, raw, kept)`` of two
+    ``_dedup_levels`` ladders, each of a stack of states, with rows of one
+    dimension; eq_tol is x's.  The pairs are taken in chunks of as many as
+    keep a chunk's two gathered operands within ``_CHUNK`` complex entries
+    (at least one pair).  Each chunk's levels are gathered and compared in
+    one ``_screened_distances`` call, masked to the pairs of kept rows, so
+    each verdict is the one ``first_meeting`` reads from the two states'
+    kept rows.
+    """
+    (eq_tol, a, a_kept), (_, b, b_kept) = x, y
+    left, right = pairs
+    meets = np.empty(len(left), dtype=bool)
+    step = max(1, _CHUNK // ((a.shape[-3] + b.shape[-3]) * a.shape[-2] * a.shape[-1]))
+    for start in range(0, len(left), step):
+        i, j = left[start : start + step], right[start : start + step]
+        kept = a_kept[i][:, :, None] & b_kept[j][:, None, :]
+        meets[start : start + step] = (_screened_distances(a[i], b[j], eq_tol, kept) <= eq_tol).any(axis=(1, 2))
+    return meets
 
 
 @dataclass(frozen=True, eq=False)

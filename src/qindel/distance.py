@@ -7,22 +7,25 @@ equal-length states corrects t deletions iff its minimum distance is at least
 2t + 1, and that capability transfers to any mixed batch of t deletions and
 insertions.
 
-``indel_distance``, ``min_distance`` and ``metric_check`` all ask where
-deletion spheres first meet, by one walk, ``_first_meeting``.  It walks
-ladders of ``channels._dedup_levels`` in step, each one of a stack of
-states, gathers each level's kept rows once, each owned by its state, and
-asks ``channels.first_meeting`` once per level about them: every
-comparison distance.py makes is a ``first_meeting`` call, the probe's
-too.  ``indel_distance`` walks two one-state ladders from their
-start levels; ``min_distance`` walks the one ladder of the code's stack
-from level 1, since code states share one length, are distinct at level 0
-by construction, and the code's minimum distance is 2s for the least s at
-which two of their s-deletion spheres meet;
-``metric_check`` builds each state's levels once per triple.  Only a witness
-row is wrapped as a state.  A ``CodeSample`` is one stack of states of one
-shape, deduplicated in its constructor, with the spheres' greedy dedup, at
-the tolerance every verdict on the code reads: a grid hands over the stack
-it built, and ``from_states`` stacks a list of states once.
+``indel_distance`` and ``min_distance`` ask where deletion spheres first
+meet, by one walk, ``_first_meeting``.  It walks ladders of
+``channels._dedup_levels`` in step, each one of a stack of states, gathers
+each level's kept rows once, each owned by its state, and asks
+``channels.first_meeting`` once per level about them.  ``indel_distance``
+walks two one-state ladders from their start levels; ``min_distance``
+walks the one ladder of the code's stack from level 1, since code states
+share one length, are distinct at level 0 by construction, and the code's
+minimum distance is 2s for the least s at which two of their s-deletion
+spheres meet.  ``metric_check`` needs only values, of many pairs: it walks
+all of them in lockstep (``_pair_distances``), one ladder per (shape, start
+level) over the states that walk from it, and decides each group of pairs
+at each step by one ``channels.pairs_meet`` call.  Every comparison
+distance.py makes is a ``first_meeting`` or ``pairs_meet`` call, the
+probe's too.  Only a witness row is wrapped as a state.  A ``CodeSample``
+is one stack of states of one shape, deduplicated in its constructor, with
+the spheres' greedy dedup, at the tolerance every verdict on the code
+reads: a grid hands over the stack it built, and ``from_states`` stacks a
+list of states once.
 
 Before ``indel_distance`` and ``min_distance`` walk, ``_ladders`` probes
 the walk's top non-trivial level K, of one-qudit rows: level n - 1 for a
@@ -48,7 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import IndexSet, _dedup_levels, _traced_levels, distinct_rows, first_meeting
+from .channels import IndexSet, _dedup_levels, _traced_levels, distinct_rows, first_meeting, pairs_meet
 from .errors import DuplicateStates, LevelMismatch, ParseError, ShapeMismatch, TooFewStates
 from .feasibility import FeasibilityStatus, member_del_ins
 from .linalg import Tolerance, _gamma, frobenius_norm
@@ -353,9 +356,11 @@ def corrects(code: CodeSample, t: int, kind: str = "deletions") -> Verdict:
     """Capability verdict from the minimum distance.
 
     kind="deletions": corrects t deletions iff min distance >= 2t + 1.
-    kind="total":     the same threshold certifies correction of any combined
-                      t deletion-plus-insertion errors (deletion capability
-                      transfers to mixed batches).
+    kind="total":     the deletion verdict, reported for t errors that mix
+                      deletions and insertions, as the paper's theorem
+                      carries deletion capability over to them.  Only the
+                      deletion verdict is computed; no verdict on mixed
+                      errors is.
     """
     t = _count(t, "error count t", least=1)
     if kind not in ("deletions", "total"):
@@ -400,12 +405,62 @@ def corrects_insertions(code: CodeSample, t: int) -> Verdict:
     return Verdict(ok=True, evidence={"pairs": pairs})
 
 
-def _level_distance(x: tuple[QuditShape, list], y: tuple[QuditShape, list]) -> int:
-    """``indel_distance(...).value`` from two states' shapes and lists of all
-    their ``_dedup_levels``."""
-    (xshape, xlevels), (yshape, ylevels) = x, y
-    s, t = max(0, xshape.length - yshape.length), max(0, yshape.length - xshape.length)
-    return _first_meeting([(xshape, s, xlevels[s:]), (yshape, t, ylevels[t:])])[2].value
+def _pair_distances(pairs: Sequence[tuple[DensityMatrix, DensityMatrix]], tol: Tolerance) -> list[int]:
+    """``indel_distance(x, y, tol).value`` of every pair ``(x, y)`` of
+    states of one level, all walked in lockstep.
+
+    A pair of lengths n and m walks x's ladder from level s = max(0, n - m)
+    and y's from t = max(0, m - n), r = min(n, m) steps down to the empty
+    state.  Each (shape, start level) gets one ``_dedup_levels`` ladder over
+    the stack of the states that walk from it, each state once; it holds
+    only its current level and stops once all its pairs have met.  At step
+    k < r, each (x ladder, y ladder) group of pairs that have not met is
+    decided by one ``channels.pairs_meet`` call, and a pair that meets is
+    s + t + 2k apart.  At step r the pairs left meet by the empty state,
+    which is not traced.  All the pairs of a ladder share its r, so a
+    group's ladders reach their last step together.
+    """
+    ends = [((x.shape, max(0, x.length - y.length)), (y.shape, max(0, y.length - x.length))) for x, y in pairs]
+    members: dict[tuple, dict[int, DensityMatrix]] = {}  # each ladder's states, by id, in order of first use
+    for pair, keys in zip(pairs, ends):
+        for key, state in zip(keys, pair):
+            members.setdefault(key, {}).setdefault(id(state), state)
+    rows = {key: {sid: r for r, sid in enumerate(states)} for key, states in members.items()}
+    groups: dict[tuple, list[tuple[int, int, int]]] = {}  # (x ladder, y ladder) -> (pair, x row, y row)
+    for p, ((x, y), (kx, ky)) in enumerate(zip(pairs, ends)):
+        groups.setdefault((kx, ky), []).append((p, rows[kx][id(x)], rows[ky][id(y)]))
+    pending = {group: np.array(entries) for group, entries in groups.items()}
+    ladders = {
+        key: _dedup_levels(_traced_levels(np.stack([x.mat for x in states.values()]), *key), tol)
+        for key, states in members.items()
+    }
+    levels: dict[tuple, tuple] = {}
+    values = [0] * len(pairs)
+    step = 0
+    while pending:
+        live = {key for kx, ky in pending if kx[0].length - kx[1] > step for key in (kx, ky)}
+        for key in list(ladders):
+            if key in live:
+                levels[key] = next(ladders[key])
+            else:
+                levels.pop(key, None)
+                del ladders[key]
+        for (kx, ky), entries in list(pending.items()):
+            p, i, j = entries.T
+            if kx[0].length - kx[1] > step:
+                met = pairs_meet(levels[kx], levels[ky], (i, j))
+            else:
+                # full deletion leaves every state the one empty state, even
+                # where eq_tol 0 reads two computed traces a last bit apart
+                met = np.ones(len(p), dtype=bool)
+            for q in p[met].tolist():
+                values[q] = kx[1] + ky[1] + 2 * step
+            if met.all():
+                del pending[kx, ky]
+            else:
+                pending[kx, ky] = entries[~met]
+        step += 1
+    return values
 
 
 def metric_check(
@@ -415,26 +470,24 @@ def metric_check(
 
     Identity of indiscernibles, symmetry, and the triangle inequality are
     tested per triple; any violation is reported with the offending values.
-    A triple of states of different levels is refused (``LevelMismatch``).
-    ``odd_equal_length`` counts the distances d_ab, d_bc and d_ac between
-    states of equal length that are odd (such distances are always even);
-    it does not enter ``ok``.  Each state's deletion levels are built once
-    per triple and shared by its distances.
+    A triple of states of different levels is refused (``LevelMismatch``)
+    before any distance is taken.  ``odd_equal_length`` counts the
+    distances d_ab, d_bc and d_ac between states of equal length that are
+    odd (such distances are always even); it does not enter ``ok``.  The
+    distances d_ab, d_ba, d_bc and d_ac of every triple are taken together,
+    by one lockstep walk (``_pair_distances``): each state's levels are
+    built once per start level, and each step makes one batched comparison
+    per group of pairs.
     """
-    violations = []
-    checked = 0
-    odd = 0
+    triples = list(triples)
     for idx, (a, b, c) in enumerate(triples):
-        checked += 1
         if not a.level == b.level == c.level:
             raise LevelMismatch(f"triple {idx} spans levels {a.level}, {b.level}, {c.level}")
-        la, lb, lc = (
-            (x.shape, list(_dedup_levels(_traced_levels(x.mat[None], x.shape), tol))) for x in (a, b, c)
-        )
-        d_ab = _level_distance(la, lb)
-        d_ba = _level_distance(lb, la)
-        d_bc = _level_distance(lb, lc)
-        d_ac = _level_distance(la, lc)
+    distances = _pair_distances([pair for a, b, c in triples for pair in ((a, b), (b, a), (b, c), (a, c))], tol)
+    violations = []
+    odd = 0
+    for idx, (a, b, c) in enumerate(triples):
+        d_ab, d_ba, d_bc, d_ac = distances[4 * idx : 4 * idx + 4]
         if (d_ab == 0) != a.close_to(b, tol):
             violations.append({"triple": idx, "axiom": "identity", "d": d_ab})
         if d_ab != d_ba:
@@ -445,4 +498,4 @@ def metric_check(
             )
         pairs = ((a, b, d_ab), (b, c, d_bc), (a, c, d_ac))
         odd += sum(1 for x, y, d in pairs if x.length == y.length and d % 2)
-    return {"checked": checked, "violations": violations, "odd_equal_length": odd, "ok": not violations}
+    return {"checked": len(triples), "violations": violations, "odd_equal_length": odd, "ok": not violations}

@@ -24,7 +24,7 @@ from itertools import combinations, islice, product
 import numpy as np
 
 from .channels import IndexSet, _as_index_set, _check_composed, _dedup_levels, _insertion_set
-from .channels import _sample_batch, _screened_distances, _traced_levels, trace_out, trace_out_adjoint
+from .channels import _sample_batch, _traced_levels, pairs_meet, trace_out, trace_out_adjoint
 from .errors import ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
 from .states import DensityMatrix, QuditShape, _count, spectral_decompose
@@ -166,15 +166,15 @@ def member_ins_del(
 
 def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance()) -> list[bool]:
     """``member_ins_del(sigmas[i], rhos[i], s, t, tol)`` for every i, in one
-    screened comparison per (sigma shape, rho shape) group.
+    batched comparison per (sigma shape, rho shape) group.
 
     Each pair is checked first (``_check_composed``, and s at most rho's
     length).  A group's level t of its stacked sigmas and level s of its
     stacked rhos, with the masks of their kept rows, come from
-    ``_dedup_levels``, the dedup ``deletion_sphere`` reads.  The kept rows,
-    not the raw ones, are compared, in one ``_screened_distances`` call at
-    eq_tol of the common dimension masked to the pairs of kept rows, so no
-    dropped row is gathered and each verdict is the one
+    ``_dedup_levels``, the dedup ``deletion_sphere`` reads.  The group's
+    pairs, sigma i with rho i, are decided by one ``channels.pairs_meet``
+    call, at eq_tol of the common dimension, over the kept rows only, so
+    each verdict is the one
     ``deletion_sphere(sigma, t).intersection_witness(deletion_sphere(rho, s))``
     reads.
     """
@@ -186,12 +186,11 @@ def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance())
     for (sigma_shape, rho_shape), members in groups.items():
         # a ladder holds its stack only until its level 1 is built
         sigma_levels = _traced_levels(np.stack([sigmas[i].mat for i in members]), sigma_shape)
-        eq_tol, left, kept_left = next(_dedup_levels(islice(sigma_levels, t, None), tol))
+        left = next(_dedup_levels(islice(sigma_levels, t, None), tol))
         rho_levels = _traced_levels(np.stack([rhos[i].mat for i in members]), rho_shape)
-        _, right, kept_right = next(_dedup_levels(islice(rho_levels, s, None), tol))
-        near = _screened_distances(left, right, eq_tol, kept_left[:, :, None] & kept_right[:, None, :]) <= eq_tol
-        meets = near.any(axis=(1, 2))
-        verdicts.update(zip(members, meets.tolist()))
+        right = next(_dedup_levels(islice(rho_levels, s, None), tol))
+        order = np.arange(len(members))
+        verdicts.update(zip(members, pairs_meet(left, right, (order, order)).tolist()))
     return [verdicts[i] for i in range(len(sigmas))]
 
 

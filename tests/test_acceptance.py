@@ -3,9 +3,17 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import numpy as np
 import pytest
 
-from qindel.acceptance import CRITERIA, run_all
+from qindel.acceptance import CRITERIA, _item, check_insertion_roundtrip, check_x2_min_distance, run_all
+from qindel.channels import IndexSet, delete, deletion_sphere, sample_insertions
+from qindel.codes import builtin_code, code_params, collision_pair_x2, hagiwara_codeword
+from qindel.codes import hagiwara_double_deletion, hagiwara_single_deletion, x2_collision_params
+from qindel.distance import min_distance
+from qindel.linalg import cross_distances
+from qindel.rand import random_density
+from qindel.states import QuditShape, validate
 
 NAMES = [
     "indel-distance-two-qubit-mixtures",
@@ -42,3 +50,82 @@ def test_suite_is_complete(suite):
     assert {"seed", "tolerances", "elapsed_ms", "items"} <= set(suite.keys())
     for item in suite["items"]:
         assert {"name", "status", "residual", "details"} <= set(item.keys())
+
+
+def per_request_insertion_roundtrip(seed: int) -> dict:
+    """``check_insertion_roundtrip`` as a loop over its requests: one
+    ``sample_insertions`` call per request, each sample deleted back by its
+    own ``delete``."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    families = {"separable": 0, "entangled": 0}
+    count = 0
+    while count < 100:
+        n = int(rng.integers(1, 3))
+        shape = QuditShape(2, n)
+        rank = int(rng.integers(1, 3))
+        rho = random_density(rng, shape, min(rank, shape.dim))
+        q = int(rng.integers(1, n + 2))
+        samples = sample_insertions(rho, IndexSet((q,), n + 1), 2, int(rng.integers(2**62)))
+        for k, sigma in enumerate(samples):
+            validate(sigma.mat, sigma.shape)
+            worst = max(worst, delete(sigma, {q}).distance(rho))
+            families["separable" if k == 0 else "entangled"] += 1
+            count += 1
+    ok = worst <= 1e-10 and min(families.values()) > 0
+    return _item(
+        "insertion-roundtrip",
+        ok,
+        worst,
+        f"{count} samples ({families['separable']} separable, {families['entangled']} entangled), "
+        f"worst deletion round-trip residual={worst:.3e} (want <= 1e-10)",
+    )
+
+
+def per_state_x2_min_distance(seed: int) -> dict:
+    """``check_x2_min_distance`` as loops over its states: one
+    ``deletion_sphere`` per state, ``cross_distances`` per pair of spheres,
+    and one ``delete`` per codeword and deleted set."""
+    params = code_params()
+    sample = builtin_code("hagiwara4")
+    spheres = [deletion_sphere(s, 1).stack for s in sample.states]
+    min_cross = min(
+        float(cross_distances(spheres[i], spheres[j]).min())
+        for i in range(len(sample))
+        for j in range(i + 1, len(sample))
+    )
+    doubles = [deletion_sphere(psi, 2).stack for psi in collision_pair_x2(*x2_collision_params())]
+    collision_gap = float(cross_distances(*doubles).min())
+    alpha_c, beta_c = x2_collision_params()
+    partner = (alpha_c, beta_c * np.exp(2j * (np.angle(alpha_c) - np.angle(beta_c))))
+    closed_form_err = 0.0
+    for a, b in params + [(alpha_c, beta_c), partner]:
+        word = hagiwara_codeword(a, b)
+        single = hagiwara_single_deletion(a, b)
+        double = hagiwara_double_deletion(a, b)
+        for p in range(1, 5):
+            closed_form_err = max(closed_form_err, delete(word, {p}).distance(single))
+        for combo in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
+            closed_form_err = max(closed_form_err, delete(word, combo).distance(double))
+    value, pair, _ = min_distance(sample)
+    ok = min_cross > 1e-6 and collision_gap <= 1e-9 and value == 4 and closed_form_err <= 1e-10
+    return _item(
+        "hagiwara4-code-min-distance",
+        ok,
+        max(collision_gap, closed_form_err),
+        f"grid={len(params)} params, sample={len(sample)} distinct states, "
+        f"min 1-deletion cross distance={min_cross:.3e} (want > 1e-6), "
+        f"collision gap={collision_gap:.3e}, min_distance={value} (want 4), "
+        f"closed-form error={closed_form_err:.3e}",
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize(
+    "criterion, oracle",
+    [(check_insertion_roundtrip, per_request_insertion_roundtrip), (check_x2_min_distance, per_state_x2_min_distance)],
+)
+def test_stacked_criteria_match_their_per_item_loops(criterion, oracle, seed):
+    got, want = criterion(seed), oracle(seed)
+    assert got == want
+    assert float(got["residual"]).hex() == float(want["residual"]).hex()

@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -472,20 +473,25 @@ def test_metric_check(rng):
 def test_metric_check_counts_odd_equal_length_distances(monkeypatch):
     import qindel.distance
 
-    # metric_check takes each distance from levels it builds once per triple
-    monkeypatch.setattr(qindel.distance, "_level_distance", lambda x, y: 1)
+    # metric_check takes every distance from one lockstep walk over its pairs
+    monkeypatch.setattr(qindel.distance, "_pair_distances", lambda pairs, tol: [1] * len(pairs))
     one = density_from_ket(basis_ket("0", QuditShape(2, 1)), QuditShape(2, 1))
     assert metric_check([(_pure("00"), _pure("01"), _pure("10"))])["odd_equal_length"] == 3
     assert metric_check([(_pure("00"), one, _pure("10"))])["odd_equal_length"] == 1
 
 
 def test_metric_check_records_each_violation_with_its_values(monkeypatch):
-    # distances scripted in call order d_ab, d_ba, d_bc, d_ac: the first
-    # triple is clean, the second breaks every axiom at once (d_ab = 0
+    # distances scripted in pair order d_ab, d_ba, d_bc, d_ac per triple: the
+    # first triple is clean, the second breaks every axiom at once (d_ab = 0
     # between distinct states)
-    script = iter([2, 2, 2, 2, 0, 2, 1, 4])
-    monkeypatch.setattr(distance, "_level_distance", lambda x, y: next(script))
     a, b, c = _pure("00"), _pure("01"), _pure("11")
+
+    def scripted(pairs, tol):
+        order = [(a, b), (b, a), (b, c), (a, c)] * 2
+        assert [tuple(map(id, pair)) for pair in pairs] == [tuple(map(id, pair)) for pair in order]
+        return [2, 2, 2, 2, 0, 2, 1, 4]
+
+    monkeypatch.setattr(distance, "_pair_distances", scripted)
     report = metric_check([(a, b, c), (a, b, c)])
     assert report["checked"] == 2 and report["ok"] is False
     assert report["violations"] == [
@@ -493,6 +499,45 @@ def test_metric_check_records_each_violation_with_its_values(monkeypatch):
         {"triple": 1, "axiom": "symmetry", "d_ab": 0, "d_ba": 2},
         {"triple": 1, "axiom": "triangle", "d_ac": 4, "d_ab": 0, "d_bc": 1},
     ]
+
+
+@pytest.mark.parametrize("level, n", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_metric_check_makes_one_batched_comparison_per_step(monkeypatch, rng, level, n):
+    # the pairs of 50 same-shape triples walk one ladder in lockstep: one
+    # pairs_meet call per step, all 200 pairs at the first, and none at the
+    # empty state, where the pairs left meet untraced: n calls at most
+    calls, real = [], distance.pairs_meet
+    monkeypatch.setattr(distance, "pairs_meet", lambda x, y, pairs: calls.append(len(pairs[0])) or real(x, y, pairs))
+    report = metric_check([tuple(make_states(rng, level, n, 3)) for _ in range(50)])
+    assert report["ok"] and report["checked"] == 50
+    assert 1 <= len(calls) <= n and calls[0] == 200
+
+
+def test_the_lockstep_walk_keeps_each_gather_within_budget(monkeypatch):
+    # 6-qubit triples: a pair's two level-0 rows hold 2 * 4096 entries, so
+    # the 32 pairs of 8 triples take four chunks at level 0; products of a
+    # small pool meet mid-ladder, random states only at the empty state
+    rng = np.random.default_rng(6)
+    shape = QuditShape(2, 6)
+    pool = [random_density(rng, QuditShape(2, 1)).mat for _ in range(3)]
+    words = [(0, 1, 2, 0, 1, 2), (1, 2, 0, 1, 2, 0), (0, 0, 1, 1, 2, 2), (2, 1, 0, 2, 1, 0)]
+    products = [DensityMatrix(shape, reduce(np.kron, [pool[k] for k in word])) for word in words]
+    states = products + make_states(rng, 2, 6, 4)
+    triples = [(states[k], states[(k + 1) % 8], states[(k + 3) % 8]) for k in range(8)]
+    pairs = [pair for a, b, c in triples for pair in ((a, b), (b, a), (b, c), (a, c))]
+    want = [indel_distance(x, y).value for x, y in pairs]
+    assert min(want) < 12 and max(want) == 12
+    gathered, screen = [], qindel.channels._screened_distances
+
+    def recording(a, b, eq_tol, mask=None):
+        if a is not b:  # a dedup compares its level with itself, ungathered
+            gathered.append(a.size + b.size)
+        return screen(a, b, eq_tol, mask)
+
+    monkeypatch.setattr(qindel.channels, "_screened_distances", recording)
+    assert distance._pair_distances(pairs, Tolerance()) == want
+    assert len(gathered) > 5 and max(gathered) <= qindel.channels._CHUNK
+    assert metric_check(triples)["ok"]
 
 
 def test_code_sample_rejects_duplicates():

@@ -167,8 +167,10 @@ NAMES_DISTANCE_MUST_NOT_READ = {"deletion_sphere", "SphereSet", "_screened_dista
 
 def test_the_distance_walks_read_only_the_stacked_ladder():
     # every ladder distance.py walks comes from channels._dedup_levels, one
-    # per stack of states, and every comparison it makes, the probe's too,
-    # is a first_meeting call; the lone sphere path stays for the sphere command
+    # per stack of states, and every comparison it makes is a channels call:
+    # first_meeting for the walks and the probe, pairs_meet for the pairs
+    # metric_check walks in lockstep; the lone sphere path stays for the
+    # sphere command
     path = ROOT / "src" / "qindel" / "distance.py"
     reads = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

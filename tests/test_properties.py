@@ -1,7 +1,8 @@
 """Property tests: input checks (tolerance values, state-file shapes and
 malformed payloads in both forms, non-finite and non-square matrices), the
 agreement of the nested and compact state-file forms, the metric axioms
-of the indel distance, the code minimum distance's stacked walk against
+of the indel distance, ``metric_check``'s lockstep walk against each
+pair's indel distance, the code minimum distance's stacked walk against
 each state's own spheres, a code's dedup of coinciding states, the insertion
 round trip and sampler prefixes, a batch of sampler requests against each
 request's lone samples, the containment of interleaved errors, and the
@@ -35,7 +36,7 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 from qindel.channels import IndexSet, _sample_batch, delete, insertion_member, sample_insertions  # noqa: E402
 from qindel.channels import trace_out_adjoint  # noqa: E402
 from qindel.codes import example_psi, example_rho  # noqa: E402
-from qindel.distance import CodeSample, indel_distance, min_distance  # noqa: E402
+from qindel.distance import CodeSample, _pair_distances, indel_distance, min_distance  # noqa: E402
 from qindel.errors import DuplicateStates, InvalidTolerance, NonSquare, ParseError  # noqa: E402
 from qindel.errors import ShapeMismatch, ValidationError  # noqa: E402
 from qindel.feasibility import (  # noqa: E402
@@ -484,6 +485,27 @@ def test_distance_is_symmetric_and_even_between_equal_lengths(states):
 def test_triangle_inequality(states):
     a, b, c = states
     assert indel_distance(a, c).value <= indel_distance(a, b).value + indel_distance(b, c).value
+
+
+def _nudged(state, tol):
+    """A copy of ``state`` moved eq_tol/2 at its dimension, along a unit
+    traceless diagonal: distinct from it, yet equal to it at eq_tol."""
+    step = np.zeros(state.dim)
+    step[:2] = (1, -1)
+    return DensityMatrix(state.shape, state.mat + np.diag(step) * (tol.at(state.dim).eq_tol / 2 / math.sqrt(2)))
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(LEVELS.flatmap(lambda level: st.lists(qudit_states(level), min_size=1, max_size=3)), st.booleans())
+def test_the_lockstep_walk_gives_each_pairs_indel_distance(states, exact):
+    # mixed lengths, a repeated state and one eq_tol/2 from another; at
+    # eq_tol 0 the nudge is none, and the traces must still meet at n + m
+    tol = Tolerance(eq_tol=0.0) if exact else Tolerance()
+    states = [*states, states[0], _nudged(states[-1], tol)]
+    pairs = [(x, y) for x in states for y in states]
+    distances = _pair_distances(pairs, tol)
+    assert distances == [indel_distance(x, y, tol).value for x, y in pairs]
+    assert all(d <= x.length + y.length for d, (x, y) in zip(distances, pairs))
 
 
 @DETERMINISTIC
