@@ -9,6 +9,7 @@ and reports pass/fail with the worst numeric residual it saw.  The CLI
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .linalg import (
     project_psd,
     psd_principal_minors,
 )
-from .rand import random_density, random_hermitian, random_psd
+from .rand import _ginibre, _random_densities, random_density, random_hermitian, random_psd
 from .states import DensityMatrix, QuditShape, _count, basis_ket, validate
 
 __all__ = ["CRITERIA", "run_all"]
@@ -152,19 +153,23 @@ def check_x2_min_distance(seed: int) -> dict:
 def check_containment(seed: int) -> dict:
     """Interleaved (s, t)-error trajectories always land in the
     insertions-after-deletions sphere; zero failures tolerated.  Each (s, t)
-    draws its 200 (rho, seed) pairs in order, then runs them in lockstep in
-    one ``check_containment_trials`` call."""
+    draws the sizes of its 200 trials first, one ``rng.integers`` call each
+    for the lengths, the ranks and the trial seeds; then each length's
+    states, lengths in ascending order, by one ``_random_densities`` call
+    (one ``random_psd`` batch per rank), each at its trial's index.  The
+    trials run in lockstep in one ``check_containment_trials`` call."""
     rng = np.random.default_rng(seed)
     failures = 0
     total = 0
     for s, t in ((1, 1), (2, 1), (1, 2)):
-        rhos, seeds = [], []
-        for _ in range(200):
-            n = int(rng.integers(max(s, 1), 4))  # s <= n keeps D^s(rho) nonempty
-            shape = QuditShape(2, n)
-            rank = int(rng.integers(1, shape.dim + 1))
-            rhos.append(random_density(rng, shape, rank))
-            seeds.append(int(rng.integers(2**62)))
+        ns = rng.integers(max(s, 1), 4, size=200)  # s <= n keeps D^s(rho) nonempty
+        ranks = rng.integers(1, 2**ns + 1)
+        seeds = rng.integers(2**62, size=200).tolist()
+        rhos = [None] * len(ns)
+        for n in sorted(set(ns.tolist())):  # not np.unique, as in _random_densities
+            where = np.flatnonzero(ns == n)
+            for j, rho in zip(where.tolist(), _random_densities(rng, QuditShape(2, n), ranks[where])):
+                rhos[j] = rho
         verdicts = check_containment_trials(rhos, seeds, s, t)
         total += len(verdicts)
         failures += verdicts.count(False)
@@ -260,13 +265,13 @@ def check_insertion_roundtrip(seed: int) -> dict:
 
 def check_metric_axioms(seed: int) -> dict:
     """Identity, symmetry, triangle inequality on random 2-qubit triples, and
-    evenness of every equal-length distance."""
+    evenness of every equal-length distance.  The 150 ranks are drawn first,
+    by one ``rng.integers`` call, then the states by one
+    ``_random_densities`` call (one ``random_psd`` batch per rank); triple k
+    is states 3k, 3k + 1 and 3k + 2."""
     rng = np.random.default_rng(seed)
-    shape = QuditShape(2, 2)
-    triples = [
-        tuple(random_density(rng, shape, int(rng.integers(1, 5))) for _ in range(3))
-        for _ in range(50)
-    ]
+    states = _random_densities(rng, QuditShape(2, 2), rng.integers(1, 5, size=150))
+    triples = list(zip(states[0::3], states[1::3], states[2::3]))
     report = metric_check(triples)
     odd = report["odd_equal_length"]
     ok = report["ok"] and odd == 0
@@ -279,63 +284,48 @@ def check_metric_axioms(seed: int) -> dict:
     )
 
 
-def _by_dim(pairs) -> dict[int, list]:
-    """The items of ``(dim, item)`` pairs grouped by dim, each group in order."""
-    groups: dict[int, list] = {}
-    for dim, item in pairs:
-        groups.setdefault(dim, []).append(item)
-    return groups
-
-
 def check_linear_algebra(seed: int) -> dict:
     """Eigenvalue sums match traces; the eigenvalue PSD test agrees with the
     exhaustive principal-minor criterion; congruence preserves PSD; a zero
-    diagonal entry kills its row and column.  Each part draws its matrices
-    in order, then checks each dimension's matrices with one call per
-    check, so every matrix passes the checked solves' gate."""
+    diagonal entry kills its row and column.  Each part draws its sizes
+    first, one ``rng.integers`` call each for the dimensions and the zeroed
+    rows, then each dimension's matrices, dimensions in ascending order, as
+    one stacked draw per kind, and checks them with one call per check, so
+    every matrix passes the checked solves' gate."""
     rng = np.random.default_rng(seed)
-    drawn = []
-    for _ in range(500):
-        dim = int(rng.integers(2, 13))
-        drawn.append((dim, random_hermitian(rng, dim)))
+    dims = rng.integers(2, 13, size=500)
     worst_trace = 0.0
-    for dim, hs in _by_dim(drawn).items():
-        hs = np.array(hs)
+    for dim, count in sorted(Counter(dims.tolist()).items()):
+        hs = random_hermitian(rng, dim, (count,))
         w, _ = hermitian_eigensystem(hs)
         gaps = np.abs(w.sum(axis=-1) - np.trace(hs, axis1=1, axis2=2).real) / (1e-10 * dim)
         worst_trace = max(worst_trace, float(gaps.max()))
     trace_ok = worst_trace <= 1.0
 
-    drawn = []
-    for k in range(1000):
-        dim = int(rng.integers(1, 5))
-        drawn.append((dim, random_hermitian(rng, dim) if k % 2 else random_psd(rng, dim)))
+    dims = rng.integers(1, 5, size=1000)  # matrix k is Hermitian for odd k, PSD for even k
     minor_disagreements = 0
-    for hs in _by_dim(drawn).values():
-        hs = np.array(hs)
+    for dim in sorted(set(dims.tolist())):
+        hermitian, psd = int((dims[1::2] == dim).sum()), int((dims[0::2] == dim).sum())
+        hs = np.concatenate([random_hermitian(rng, dim, (hermitian,)), random_psd(rng, dim, batch=(psd,))])
         minor_disagreements += int((is_psd(hs) != psd_principal_minors(hs)).sum())
 
-    drawn = []
-    for _ in range(200):
-        dim = int(rng.integers(2, 7))
-        m = random_psd(rng, dim)
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        drawn.append((dim, a @ m @ a.conj().T))
-    congruence_failures = sum(int((~is_psd(np.array(ms))).sum()) for ms in _by_dim(drawn).values())
+    dims = rng.integers(2, 7, size=200)
+    congruence_failures = 0
+    for dim, count in sorted(Counter(dims.tolist()).items()):
+        m = random_psd(rng, dim, batch=(count,))
+        a = _ginibre(rng, dim, dim, (count,))
+        congruence_failures += int((~is_psd(a @ m @ a.conj().swapaxes(-1, -2))).sum())
 
-    drawn = []
-    for _ in range(200):
-        dim = int(rng.integers(2, 7))
-        i = int(rng.integers(dim))
-        b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        b[i, :] = 0.0  # forces M[i, i] = 0 for M = B B-dagger
-        drawn.append((dim, (i, b @ b.conj().T)))
+    dims = rng.integers(2, 7, size=200)
+    zeroed = rng.integers(dims)
     worst_row = 0.0
-    for group in _by_dim(drawn).values():
-        rows = [i for i, _ in group]
-        ms = project_psd(np.array([m for _, m in group]))
-        for i, m in zip(rows, ms):
-            worst_row = max(worst_row, float(np.abs(m[i, :]).max()), float(np.abs(m[:, i]).max()))
+    for dim in sorted(set(dims.tolist())):
+        rows = zeroed[dims == dim]
+        at = np.arange(len(rows))
+        b = _ginibre(rng, dim, dim, (len(rows),))
+        b[at, rows, :] = 0.0  # forces M[i, i] = 0 for M = B B-dagger
+        ms = project_psd(b @ b.conj().swapaxes(-1, -2))
+        worst_row = max(worst_row, float(np.abs(ms[at, rows, :]).max()), float(np.abs(ms[at, :, rows]).max()))
     row_ok = worst_row <= 1e-12
 
     ok = trace_ok and minor_disagreements == 0 and congruence_failures == 0 and row_ok

@@ -97,6 +97,19 @@ _X1 = _family(QuditShape(2, 2), basis_ket("00", QuditShape(2, 2)), basis_ket("11
 _HAGIWARA = _family(QuditShape(2, 4), (dicke_ket(4, 0) + dicke_ket(4, 4)) / math.sqrt(2), dicke_ket(4, 2) / math.sqrt(6))
 
 
+def _dicke_kets(n: int) -> tuple[np.ndarray, ...]:
+    """The n-qubit Dicke kets of weights 0..n, read-only."""
+    kets = tuple(dicke_ket(n, i) for i in range(n + 1))
+    for ket in kets:
+        ket.setflags(write=False)
+    return kets
+
+
+# the Dicke kets of the hagiwara closed forms, built once
+_DICKE3 = _dicke_kets(3)
+_DICKE2 = _dicke_kets(2)
+
+
 def _codewords(family, params) -> np.ndarray:
     """The read-only ``(k, d, d)`` stack of the codewords alpha|0_L> + beta|1_L>
     of ``family`` over the k (alpha, beta) pairs of ``params``.
@@ -223,8 +236,9 @@ def hagiwara_single_deletion(alpha: complex, beta: complex) -> DensityMatrix:
     """
     alpha, beta = _check_param(alpha, beta)
     shape = QuditShape(2, 3)
-    v1 = alpha * dicke_ket(3, 0) + (beta / math.sqrt(3)) * dicke_ket(3, 2)
-    v2 = alpha * dicke_ket(3, 3) + (beta / math.sqrt(3)) * dicke_ket(3, 1)
+    d0, d1, d2, d3 = _DICKE3
+    v1 = alpha * d0 + (beta / math.sqrt(3)) * d2
+    v2 = alpha * d3 + (beta / math.sqrt(3)) * d1
     mat = 0.5 * (np.outer(v1, v1.conj()) + np.outer(v2, v2.conj()))
     return DensityMatrix(shape, mat)
 
@@ -233,7 +247,7 @@ def hagiwara_double_deletion(alpha: complex, beta: complex) -> DensityMatrix:
     """Closed form of any two-qubit deletion of a hagiwara_codeword."""
     alpha, beta = _check_param(alpha, beta)
     shape = QuditShape(2, 2)
-    k0, k1, k2 = dicke_ket(2, 0), dicke_ket(2, 1), dicke_ket(2, 2)
+    k0, k1, k2 = _DICKE2
     out = lambda u, v: np.outer(u, v.conj())
     coeff = 0.5 * (abs(alpha) ** 2 + abs(beta) ** 2 / 3)
     cross = (alpha * beta.conjugate() + alpha.conjugate() * beta) / (2 * math.sqrt(3))

@@ -30,11 +30,13 @@ def _complex_parts(parts: np.ndarray) -> np.ndarray:
     return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """(G + G-dagger)/2 for a Ginibre G; ``dim`` is an integer of at least 1."""
+def random_hermitian(rng: np.random.Generator, dim: int, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """(G + G-dagger)/2 for a Ginibre G; ``dim`` is an integer of at least 1.
+    With ``batch`` leading axes, a stack of them from one draw, as
+    ``_ginibre``: each matrix has the bits of one call per matrix in turn."""
     dim = _count(dim, "dimension", least=1)
-    g = _ginibre(rng, dim, dim)
-    return (g + g.conj().T) / 2
+    g = _ginibre(rng, dim, dim, batch)
+    return (g + g.conj().swapaxes(-1, -2)) / 2
 
 
 def random_psd(
@@ -53,8 +55,31 @@ def random_psd(
 def random_density(rng: np.random.Generator, shape: QuditShape, rank: int | None = None) -> DensityMatrix:
     """Trace-normalized ``random_psd`` state, optionally rank-limited: ``rank``
     is None (full rank) or an integer in [1, ``shape.dim``]."""
-    m = random_psd(rng, shape.dim, rank)
-    return DensityMatrix(shape, m / np.trace(m).real)
+    return DensityMatrix(shape, _trace_normalized(random_psd(rng, shape.dim, rank)))
+
+
+def _random_densities(rng: np.random.Generator, shape: QuditShape, ranks) -> list[DensityMatrix]:
+    """One ``random_density`` state of ``shape`` per entry of ``ranks``
+    (integers in [1, ``shape.dim``]), in ``ranks`` order.  Each distinct rank,
+    in ascending order, draws its states as one ``random_psd`` batch, so each
+    state has the bits of one ``random_density`` call per state of that rank
+    in turn; the rows are read-only views of their rank's stack."""
+    ranks = np.asarray(ranks)
+    states: list = [None] * len(ranks)
+    # not np.unique: on numpy 2.4 its first call imports numpy.ma, about 1.7 MB
+    # of resident memory
+    for rank in sorted(set(ranks.tolist())):
+        where = np.flatnonzero(ranks == rank)
+        stack = _trace_normalized(random_psd(rng, shape.dim, rank, (len(where),)))
+        stack.setflags(write=False)
+        for j, mat in zip(where.tolist(), stack):
+            states[j] = DensityMatrix(shape, mat)
+    return states
+
+
+def _trace_normalized(m: np.ndarray) -> np.ndarray:
+    """Each matrix of a ``(..., d, d)`` stack divided by its real trace."""
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:

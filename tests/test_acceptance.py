@@ -6,7 +6,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import numpy as np
 import pytest
 
+import qindel.acceptance
+import qindel.rand
 from qindel.acceptance import CRITERIA, _item, check_insertion_roundtrip, check_x2_min_distance, run_all
+from qindel.acceptance import check_containment, check_linear_algebra, check_metric_axioms
 from qindel.channels import IndexSet, delete, deletion_sphere, sample_insertions
 from qindel.codes import builtin_code, code_params, collision_pair_x2, hagiwara_codeword
 from qindel.codes import hagiwara_double_deletion, hagiwara_single_deletion, x2_collision_params
@@ -129,3 +132,36 @@ def test_stacked_criteria_match_their_per_item_loops(criterion, oracle, seed):
     got, want = criterion(seed), oracle(seed)
     assert got == want
     assert float(got["residual"]).hex() == float(want["residual"]).hex()
+
+
+@pytest.mark.parametrize(
+    "criterion, most",
+    # one Ginibre draw per (dimension, rank, kind) group: 11 + 8 + 10 + 5
+    # groups in the four linear-algebra parts, 14 + 12 + 14 (length, rank)
+    # groups over the three (s, t), four ranks of 2-qubit states
+    [(check_linear_algebra, 34), (check_containment, 40), (check_metric_axioms, 4)],
+)
+def test_sampled_criteria_draw_one_stack_per_group(monkeypatch, criterion, most):
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(args[1:])
+        return ginibre(*args, **kwargs)
+
+    ginibre = qindel.rand._ginibre
+    monkeypatch.setattr(qindel.rand, "_ginibre", counted)
+    monkeypatch.setattr(qindel.acceptance, "_ginibre", counted)
+    assert criterion(0)["status"] == "pass"
+    assert 0 < len(draws) <= most
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 5, 6])
+def test_sampled_criteria_pass_across_seeds(seed):
+    containment = check_containment(seed)
+    assert containment["status"] == "pass"
+    assert containment["details"] == "600/600 trajectories contained over (s,t) in (1,1),(2,1),(1,2)"
+    metric = check_metric_axioms(seed)
+    assert metric["status"] == "pass"
+    assert metric["details"] == "50 triples, 0 axiom violations, 0 odd equal-length distances"
+    linear_algebra = check_linear_algebra(seed)
+    assert linear_algebra["status"] == "pass", linear_algebra["details"]

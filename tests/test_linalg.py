@@ -18,7 +18,7 @@ from qindel.linalg import (
     project_psd,
     psd_principal_minors,
 )
-from qindel.rand import random_hermitian, random_psd
+from qindel.rand import _random_densities, random_density, random_hermitian, random_psd
 from qindel.states import QuditShape, validate
 from conftest import failing_from
 
@@ -199,6 +199,28 @@ def test_random_psd_batch_draws_what_one_call_per_matrix_draws():
     assert stack.shape == (2, 2, 3, 3)
     for m in stack.reshape(4, 3, 3):
         assert np.array_equal(m, random_psd(rng, 3, 2))
+
+
+def test_random_hermitian_batch_draws_what_one_call_per_matrix_draws():
+    stack = random_hermitian(np.random.default_rng(5), 4, batch=(3,))
+    rng = np.random.default_rng(5)
+    assert stack.shape == (3, 4, 4)
+    for m in stack:
+        assert m.tobytes() == random_hermitian(rng, 4).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_densities_draw_each_rank_as_lone_calls(n):
+    # each rank, in ascending order, draws its states as back-to-back lone
+    # random_density calls; the states come back in ranks order
+    shape = QuditShape(2, n)
+    ranks = np.random.default_rng(n).permutation(np.repeat(np.arange(1, shape.dim + 1), 3))
+    states = _random_densities(np.random.default_rng(9), shape, ranks)
+    rng = np.random.default_rng(9)
+    for rank in range(1, shape.dim + 1):
+        for j in np.flatnonzero(ranks == rank):
+            assert states[j].shape == shape
+            assert states[j].mat.tobytes() == random_density(rng, shape, rank).mat.tobytes()
 
 
 def test_is_psd():
