@@ -56,6 +56,7 @@ from .states import (
     spectral_decompose,
     spectral_decompose_stack,
     validate,
+    validate_stack,
 )
 
 __version__ = "0.1.0"

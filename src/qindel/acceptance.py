@@ -45,7 +45,7 @@ from .linalg import (
     psd_principal_minors,
 )
 from .rand import _ginibre, _random_densities, random_density, random_hermitian, random_psd
-from .states import DensityMatrix, QuditShape, _count, basis_ket, validate
+from .states import DensityMatrix, QuditShape, _count, basis_ket, validate_stack
 
 __all__ = ["CRITERIA", "run_all"]
 
@@ -156,28 +156,30 @@ def check_containment(seed: int) -> dict:
     draws the sizes of its 200 trials first, one ``rng.integers`` call each
     for the lengths, the ranks and the trial seeds; then each length's
     states, lengths in ascending order, by one ``_random_densities`` call
-    (one ``random_psd`` batch per rank), each at its trial's index.  The
-    trials run in lockstep in one ``check_containment_trials`` call."""
+    (one ``random_psd`` batch per rank), each at its trial's index.  Once
+    every (s, t) has drawn its inputs, the 600 trials run in lockstep in one
+    ``check_containment_trials`` call, with one (s, t) per trial."""
     rng = np.random.default_rng(seed)
-    failures = 0
-    total = 0
+    rhos, seeds, ss, ts = [], [], [], []
     for s, t in ((1, 1), (2, 1), (1, 2)):
         ns = rng.integers(max(s, 1), 4, size=200)  # s <= n keeps D^s(rho) nonempty
         ranks = rng.integers(1, 2**ns + 1)
-        seeds = rng.integers(2**62, size=200).tolist()
-        rhos = [None] * len(ns)
+        seeds += rng.integers(2**62, size=200).tolist()
+        batch = [None] * len(ns)
         for n in sorted(set(ns.tolist())):  # not np.unique, as in _random_densities
             where = np.flatnonzero(ns == n)
             for j, rho in zip(where.tolist(), _random_densities(rng, QuditShape(2, n), ranks[where])):
-                rhos[j] = rho
-        verdicts = check_containment_trials(rhos, seeds, s, t)
-        total += len(verdicts)
-        failures += verdicts.count(False)
+                batch[j] = rho
+        rhos += batch
+        ss += [s] * len(ns)
+        ts += [t] * len(ns)
+    verdicts = check_containment_trials(rhos, seeds, ss, ts)
+    failures = verdicts.count(False)
     return _item(
         "interleaved-error-containment",
         failures == 0,
         float(failures),
-        f"{total - failures}/{total} trajectories contained over (s,t) in (1,1),(2,1),(1,2)",
+        f"{len(verdicts) - failures}/{len(verdicts)} trajectories contained over (s,t) in (1,1),(2,1),(1,2)",
     )
 
 
@@ -227,7 +229,8 @@ def check_insertion_roundtrip(seed: int) -> dict:
     """Constructed insertions delete back to their source within 1e-10 and are
     valid states; both sampler families must appear.  The 50 requests of two
     samples are drawn in order and sampled by one ``_sample_batch`` call;
-    each (shape, q) group's samples are deleted back by one stacked
+    the samples of each shape are validated by one ``validate_stack`` call,
+    and each (shape, q) group's samples are deleted back by one stacked
     ``trace_out`` and compared with their sources by one
     ``frobenius_distance``."""
     rng = np.random.default_rng(seed)
@@ -242,11 +245,14 @@ def check_insertion_roundtrip(seed: int) -> dict:
     samples = _sample_batch(requests, Tolerance())
     families = {"separable": 0, "entangled": 0}
     groups: dict[tuple, list[int]] = {}
+    by_shape: dict[QuditShape, list[np.ndarray]] = {}
     for r, (rho, qset, *_) in enumerate(requests):
         groups.setdefault((rho.shape, qset), []).append(r)
         for k, sigma in enumerate(samples[r]):
-            validate(sigma.mat, sigma.shape)
+            by_shape.setdefault(sigma.shape, []).append(sigma.mat)
             families["separable" if k == 0 else "entangled"] += 1
+    for shape, mats in by_shape.items():
+        validate_stack(np.stack(mats), shape)
     worst = 0.0
     for (shape, qset), rs in groups.items():
         sigmas = np.stack([sigma.mat for r in rs for sigma in samples[r]])

@@ -68,7 +68,8 @@ from .errors import (
     RoundTripFailed,
     ShapeMismatch,
 )
-from .linalg import _CHUNK, Tolerance, cross_distances, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
+from .linalg import _CHUNK, Tolerance, _least_eigenvalues, cross_distances, frobenius_distance, frobenius_norm
+from .linalg import hermitian_part
 from .rand import _complex_parts
 from .states import DensityMatrix, QuditShape, SpectralForm, _count, spectral_decompose, spectral_decompose_stack
 
@@ -574,7 +575,7 @@ def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: To
     # the adjoint check bounds each diagonal block's Hermitian residual at
     # eq_tol, so only rounding drift is symmetrized away
     diagonal = hermitian_part(stack[:, np.arange(rank), np.arange(rank)])
-    lowest = eigensolve(np.linalg.eigvalsh, diagonal)[..., 0]
+    lowest = _least_eigenvalues(diagonal, tol.psd_tol)
     k, x = np.unravel_index(int(np.argmin(lowest)), lowest.shape)
     if lowest[k, x] < -tol.psd_tol:
         raise violated(
@@ -653,15 +654,17 @@ def _insert_stack(shape: QuditShape, qset: IndexSet, members, tol: Tolerance, la
         mats.append((vb @ v.conj().swapaxes(1, 2)).reshape(count, shape.dim, block_dim, block_dim, shape.dim))
     big_shape = QuditShape(l, qset.ambient)
     mat = np.concatenate(mats).transpose(0, 1, 2, 4, 3)  # axes (row, i, a, j, b)
+    del mats, blocks, vb  # the per-rank operands and products, released before the PSD test
     mat = mat.reshape(len(rows), big_shape.dim, big_shape.dim)
     sigmas = _permute_axes(mat, tau_Q(qset, n), l)
+    del mat  # the unpermuted stack, unless the permutation is a view of it
     big_tol = tol.at(big_shape.dim)
 
     # unpermuted, sigma - sigma^dagger = sum_{x,y} sqrt(p_x p_y) |x_L><y_L| (x)
     # (A_xy - A_yx^dagger), Frobenius-orthogonal terms with p_x p_y summing to 1:
     # its norm is at most the largest block residual, at most eq_tol at l^t and
     # so at big_tol; only rounding drift is symmetrized away
-    lowest = eigensolve(np.linalg.eigvalsh, hermitian_part(sigmas))[:, 0]
+    lowest = _least_eigenvalues(hermitian_part(sigmas), big_tol.psd_tol)
     k = int(np.argmin(lowest))
     if lowest[k] < -big_tol.psd_tol:
         raise NotPSD(

@@ -448,24 +448,60 @@ def check_containment_trial(
     return check_containment_trials([rho], [seed], s, t, tol)[0]
 
 
+def _trial_counts(value, what: str, rhos: list, bounded: bool) -> list[int]:
+    """One count per trial: ``value`` for every trial, or ``value[i]`` for
+    trial i.  Each is a nonnegative integer (``CountOutOfRange``), at most
+    its trial's length where ``bounded``; one per trial, or ``ShapeMismatch``."""
+    if np.ndim(value) == 0:
+        most = min((rho.length for rho in rhos), default=None) if bounded else None
+        return [_count(value, what, most=most)] * len(rhos)
+    values = list(value)
+    if len(values) != len(rhos):
+        raise ShapeMismatch(f"{len(rhos)} states but {len(values)} values of {what}")
+    return [
+        _count(v, f"{what} of trial {i}", most=rho.length if bounded else None)
+        for i, (v, rho) in enumerate(zip(values, rhos))
+    ]
+
+
+def _trial_moves(rng: np.random.Generator, n: int, s: int, t: int) -> list[tuple]:
+    """The s + t moves of one trial from an n-qudit state, drawn in order:
+    a coin only while both moves remain (0 deletes, 1 inserts), then the
+    position, and for an insertion the sample count (1 or 2) and the sampler
+    seed.  A move is ``(p, None)``, deleting qudit p, or ``(q, (count,
+    seed))``, inserting at q."""
+    moves = []
+    for _ in range(s + t):
+        if s and not (t and rng.integers(2)):
+            moves.append((int(rng.integers(1, n + 1)), None))
+            s, n = s - 1, n - 1
+        else:
+            q = int(rng.integers(1, n + 2))
+            how_many = int(rng.integers(1, 3))
+            moves.append((q, (how_many, int(rng.integers(2**62)))))
+            t, n = t - 1, n + 1
+    return moves
+
+
 def check_containment_trials(
     rhos,
     seeds,
-    s: int,
-    t: int,
+    s,
+    t,
     tol: Tolerance = Tolerance(),
 ) -> list[bool]:
     """Apply one random interleaving of s deletions and t insertions to each
     ``rhos[i]``, drawn from ``default_rng(seeds[i])``, and test each result
     for I^t(D^s(rhos[i])) membership.  Any composite of s deletions and t
     insertions lands inside the insertions-after-deletions sphere, so every
-    verdict must come back true.
+    verdict must come back true.  ``s`` and ``t`` are one count for every
+    trial, or one count per trial.
 
-    The trials run in lockstep, one move each per step.  A trial draws its
-    moves as a lone trial would: a coin only while both moves remain (0
-    deletes, 1 inserts), then the position, and for an insertion the sample
-    count (1 or 2) and the sampler seed; the draws depend only on the
-    state's length, so each trajectory is the same in any batch.  The
+    Before the first step, each trial draws all its moves from its
+    generator, as a lone trial would (``_trial_moves``), and drops it; the
+    draws depend only on the state's length, so each trajectory is the same
+    in any batch.  The trials then run in lockstep, one move each per step,
+    and a trial whose moves are done sits out the later steps.  The
     deletions of one step are one ``trace_out`` call per (shape, position)
     group, on the stack of its states, each result the bits of that state's
     lone ``partial_trace``.  An insertion keeps the last of the samples
@@ -475,37 +511,36 @@ def check_containment_trials(
     pass, checks each (rank, level, t) draw group with one ``_check_blocks``
     call and builds each (shape, position) group with one ``_insert_stack``
     call.  A block or build error names the trial's index in ``rhos`` and
-    the step.  The final memberships are one ``_members_ins_del`` call, one
-    batched comparison per (final shape, source shape) group, each verdict
-    the one ``member_ins_del`` gives.
+    the step.  The final memberships are one ``_members_ins_del`` call per
+    distinct (s, t), one batched comparison per (final shape, source shape)
+    group, each verdict the one ``member_ins_del`` gives.
 
-    ``s``, ``t`` and every seed must be nonnegative integers, and s at most
-    each rho's length (``CountOutOfRange``); ``rhos`` and ``seeds`` must have
-    the same length (``ShapeMismatch``).
+    Every count and seed must be a nonnegative integer, and each s at most
+    its rho's length (``CountOutOfRange``); ``rhos``, ``seeds`` and a
+    per-trial ``s`` or ``t`` must have the same length (``ShapeMismatch``).
     """
     rhos = list(rhos)
     seeds = [_count(seed, f"seed of trial {i}") for i, seed in enumerate(seeds)]
     if len(seeds) != len(rhos):
         raise ShapeMismatch(f"{len(rhos)} states but {len(seeds)} seeds")
-    s = _count(s, "deletion count s", most=min((rho.length for rho in rhos), default=None))
-    t = _count(t, "insertion count t")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    ss = _trial_counts(s, "deletion count s", rhos, bounded=True)
+    ts = _trial_counts(t, "insertion count t", rhos, bounded=False)
+    plans = [
+        _trial_moves(np.random.default_rng(seed), rho.length, s_i, t_i)
+        for rho, seed, s_i, t_i in zip(rhos, seeds, ss, ts)
+    ]
     states = list(rhos)
-    left = [[s, t] for _ in rhos]  # the deletions and insertions each trial has left
-    for step in range(1, s + t + 1):
+    for step in range(1, max(map(len, plans), default=0) + 1):
         requests, inserting, deleting = [], [], {}
-        for i, rng in enumerate(rngs):
-            state, moves = states[i], left[i]
-            # a coin is tossed only when both moves remain: 0 deletes, 1 inserts
-            if moves[0] and not (moves[1] and rng.integers(2)):
-                deleting.setdefault((state.shape, int(rng.integers(1, state.length + 1))), []).append(i)
-                moves[0] -= 1
+        for i, moves in enumerate(plans):
+            if step > len(moves):
+                continue
+            state, (position, sampler) = states[i], moves[step - 1]
+            if sampler is None:
+                deleting.setdefault((state.shape, position), []).append(i)
             else:
-                qset = IndexSet((int(rng.integers(1, state.length + 2)),), state.length + 1)
-                how_many = int(rng.integers(1, 3))
-                requests.append((state, qset, how_many, int(rng.integers(2**62))))
+                requests.append((state, IndexSet((position,), state.length + 1), *sampler))
                 inserting.append(i)
-                moves[1] -= 1
         for (shape, p), group in deleting.items():
             reduced = trace_out(np.stack([states[i].mat for i in group]), IndexSet((p,), shape.length), shape.level)
             reduced.setflags(write=False)  # so each state keeps its row as a view, not a copy
@@ -515,4 +550,12 @@ def check_containment_trials(
         names = [f"trial {i}, step {step}: " for i in inserting]
         for i, samples in zip(inserting, _sample_batch(requests, tol, names)):
             states[i] = samples[-1]
-    return _members_ins_del(states, rhos, s, t, tol)
+    by_counts: dict[tuple[int, int], list[int]] = {}
+    for i, counts in enumerate(zip(ss, ts)):
+        by_counts.setdefault(counts, []).append(i)
+    verdicts: list = [None] * len(rhos)
+    for (s_k, t_k), group in by_counts.items():
+        found = _members_ins_del([states[i] for i in group], [rhos[i] for i in group], s_k, t_k, tol)
+        for i, verdict in zip(group, found):
+            verdicts[i] = verdict
+    return verdicts

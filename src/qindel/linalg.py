@@ -262,10 +262,12 @@ def _gamma(k: int) -> float:
     return k * _EPS / (1 - k * _EPS)
 
 
-def _psd_certified(h: np.ndarray, psd_tol: float) -> bool:
-    """True only if the gated matrix ``h`` (``_require_hermitian``'s fresh
-    copy) is shown to have every eigenvalue above -psd_tol with room to
-    spare, by one Cholesky factorization and no eigen-solve.
+def _psd_certified(h: np.ndarray, psd_tol: float) -> bool | np.ndarray:
+    """True only if the gated matrix ``h`` (a fresh, writable Hermitian
+    copy, such as ``_require_hermitian`` or ``hermitian_part`` returns) is
+    shown to have every eigenvalue above -psd_tol with room to spare, by one
+    Cholesky factorization and no eigen-solve; for a ``(..., d, d)`` stack,
+    that verdict per matrix, from one stacked factorization.
 
     With c = psd_tol / 2 added to its diagonal, h is factored as R R^H.
     R R^H is then exactly h + cI plus a backward error of 2-norm at most
@@ -277,22 +279,41 @@ def _psd_certified(h: np.ndarray, psd_tol: float) -> bool:
     (about d eps ||h||_2), bounded together by
     (gamma_{d+1} + (d + 1) eps)(||R||_F^2 + c), stay within c / 2:
     ``eigvalsh`` could then read its least eigenvalue no lower than
-    -3c/2 > -psd_tol.  A factorization that fails, a bound that fails
-    (always, at psd_tol = 0) or a non-finite ``R`` means "not certified",
-    never "not PSD".  ``h`` is left as given.
+    -3c/2 > -psd_tol.  A bound that fails (always, at psd_tol = 0) or a
+    non-finite ``R`` means "not certified" for its own matrix, never "not
+    PSD".  numpy refuses a whole stack when any matrix of it fails to
+    factor: then none is certified.  Each matrix's factor has the bits of
+    its lone call.  The diagonal is shifted in place, through a writable
+    view, and ``h`` is left as given.
     """
     d, c = h.shape[-1], psd_tol / 2
-    diagonal = h.flat[:: d + 1]  # a copy
+    diagonal = np.einsum("...ii->...i", h)  # a writable view
+    saved = diagonal.copy()
     # a shift or an R past the float range fails the factorization or the bound
     with np.errstate(over="ignore", invalid="ignore"):
-        h.flat[:: d + 1] = diagonal + c
+        diagonal += c
         try:
             r = np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
-            return False
+            return _verdicts(np.zeros(h.shape[:-2], dtype=bool))
         finally:
-            h.flat[:: d + 1] = diagonal
-        return bool((_gamma(d + 1) + (d + 1) * _EPS) * (frobenius_norm(r) ** 2 + c) <= c / 2)
+            diagonal[...] = saved
+        return _verdicts((_gamma(d + 1) + (d + 1) * _EPS) * (frobenius_norm(r) ** 2 + c) <= c / 2)
+
+
+def _least_eigenvalues(h: np.ndarray, psd_tol: float) -> np.ndarray:
+    """For the PSD tests of a ``(..., d, d)`` stack ``h`` (fresh and
+    Hermitian, as ``_psd_certified`` takes it): the least eigenvalue of each
+    matrix that ``_psd_certified`` does not clear, from one eigen-solve of
+    those matrices only, each the value its lone ``eigvalsh`` gives, and 0
+    for each matrix it clears, whose least eigenvalue reads above -psd_tol.
+    Every value below -psd_tol is then a matrix's own, and the first or the
+    least of them names the matrix a full eigen-solve would."""
+    certified = _psd_certified(h, psd_tol)
+    lowest = np.zeros(h.shape[:-2])
+    if not certified.all():
+        lowest[~certified] = eigensolve(np.linalg.eigvalsh, h[~certified])[:, 0]
+    return lowest
 
 
 def hermitian_eigensystem(a, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, np.ndarray]:

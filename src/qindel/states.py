@@ -8,11 +8,12 @@ Conventions (fixed once, used everywhere):
   * the n = 0 system has the single state (1), a 1x1 matrix.
 
 Every state, pure or mixed, is a ``DensityMatrix``; a ket is never kept.
-Foreign matrices are checked by ``validate``, and a pure state is built from
-its ket, checked once, by ``density_from_ket``.  ``validate`` shows a matrix
-PSD by one Cholesky factorization of it shifted by psd_tol / 2
-(``linalg._psd_certified``) and eigen-solves only a matrix that fails it,
-to name the refusal with its residual.
+Foreign matrices are checked by ``validate`` (``validate_stack`` for a
+stack), and a pure state is built from its ket, checked once, by
+``density_from_ket``.  ``validate_stack`` shows matrices PSD by one stacked
+Cholesky factorization of them shifted by psd_tol / 2
+(``linalg._psd_certified``) and eigen-solves only the matrices that fail
+it, to name a refusal with its residual.
 
 State files are UTF-8 JSON objects, read and written here only, through
 orjson.  The one encoder writes a matrix in the compact form: the base64 of
@@ -43,6 +44,7 @@ from .errors import (
     NotNormalized,
     NotPSD,
     ParseError,
+    QindelError,
     ShapeMismatch,
     SizeCapExceeded,
     TraceNotOne,
@@ -50,6 +52,7 @@ from .errors import (
 )
 from .linalg import (
     Tolerance,
+    _least_eigenvalues,
     _psd_certified,
     _require_finite,
     _require_hermitian,
@@ -67,6 +70,7 @@ __all__ = [
     "basis_ket",
     "density_from_ket",
     "validate",
+    "validate_stack",
     "scalar_state",
     "purity",
     "spectral_decompose",
@@ -241,26 +245,69 @@ def _require_psd(w: np.ndarray, tol: Tolerance) -> None:
 
 def validate(mat, shape: QuditShape, tol: Tolerance = Tolerance()) -> DensityMatrix:
     """Check all density-matrix invariants; raise naming the first violation:
-    shape, the gate (finite, Hermitian), a finite spectrum, trace, PSD.
-
-    A matrix that ``linalg._psd_certified`` certifies, by one Cholesky
-    factorization, needs no eigen-solve: its spectrum is finite and its
-    least eigenvalue above -psd_tol.  Any other matrix takes the
-    eigen-solve, so every refusal has the class, message and residual the
-    spectrum gives.
+    shape, the gate (finite, Hermitian), a finite spectrum, trace, PSD.  The
+    one-matrix case of ``validate_stack``.
     """
     m = np.asarray(mat, dtype=complex)
-    tol = tol.at(shape.dim)
     if m.shape != (shape.dim, shape.dim):
         raise ShapeMismatch(f"expected a {shape.dim}x{shape.dim} matrix, got {m.shape}")
-    h = _require_hermitian(m, tol)
-    w = None if _psd_certified(h, tol.psd_tol) else eigensolve(np.linalg.eigvalsh, h)
-    tr_res = abs(np.trace(m) - 1.0)
-    if tr_res > tol.eq_tol:
-        raise TraceNotOne(f"trace differs from 1 by {tr_res:.3e}", tr_res)
-    if w is not None:
-        _require_psd(w, tol)
-    return DensityMatrix(shape, m)
+    return validate_stack(m, shape, tol)[0]
+
+
+def validate_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> list[DensityMatrix]:
+    """The state of ``shape`` of each matrix of ``mats``, a ``(k, d, d)``
+    stack (or one ``(d, d)`` matrix, which gives one state), after the
+    checks of ``validate``, each made once over the whole stack: one gate,
+    one certificate, one eigen-solve of the matrices it does not certify,
+    one trace test and one PSD test.  Other shapes of ``mats`` raise
+    ``ShapeMismatch``.
+
+    A matrix that ``linalg._psd_certified`` certifies, by its row of one
+    stacked Cholesky factorization, needs no eigen-solve: its spectrum is
+    finite and its least eigenvalue above -psd_tol.  Any other matrix takes
+    the eigen-solve, so every refusal has the class, message and residual
+    the spectrum gives.  Each check refuses the first matrix k at fault,
+    with the class, message and residual of its lone ``validate``, the
+    message prefixed "matrix k: " on a stack; the gate and the eigen-solve
+    find that matrix by checking their matrices alone, on the error path
+    only.
+    """
+    m, dim = np.asarray(mats, dtype=complex), shape.dim
+    if m.ndim not in (2, 3) or m.shape[-2:] != (dim, dim):
+        raise ShapeMismatch(f"expected a {dim}x{dim} matrix or a stack of them, got {m.shape}")
+    tol = tol.at(dim)
+    flat = m.reshape(-1, dim, dim)
+
+    def name(k: int) -> str:
+        return "" if m.ndim == 2 else f"matrix {k}: "
+
+    def refuse_alone(check, ks) -> None:
+        # the error path only: the first matrix k of ks that check(k)
+        # refuses is refused, named
+        for k in ks:
+            try:
+                check(k)
+            except QindelError as exc:
+                exc.args = (name(k) + str(exc),)
+                raise
+
+    try:
+        h = _require_hermitian(flat, tol)
+    except QindelError:
+        refuse_alone(lambda k: _require_hermitian(flat[k], tol), range(len(flat)))
+        raise
+    try:
+        lowest = _least_eigenvalues(h, tol.psd_tol)
+    except QindelError:
+        uncertified = np.flatnonzero(~_psd_certified(h, tol.psd_tol)).tolist()
+        refuse_alone(lambda k: eigensolve(np.linalg.eigvalsh, h[k]), uncertified)
+        raise
+    tr_res = np.abs(flat.trace(axis1=1, axis2=2) - 1.0)
+    if tr_res.max(initial=0.0) > tol.eq_tol:
+        k = int(np.argmax(tr_res > tol.eq_tol))
+        raise TraceNotOne(f"{name(k)}trace differs from 1 by {tr_res[k]:.3e}", tr_res[k])
+    _require_psd(lowest.reshape(*m.shape[:-2], 1), tol)  # one-value spectra, batched as mats is
+    return [DensityMatrix(shape, mat) for mat in flat]
 
 
 def scalar_state(level: int) -> DensityMatrix:

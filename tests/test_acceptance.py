@@ -3,11 +3,15 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 import qindel.acceptance
+import qindel.feasibility
 import qindel.rand
+import qindel.states
 from qindel.acceptance import CRITERIA, _item, check_insertion_roundtrip, check_x2_min_distance, run_all
 from qindel.acceptance import check_containment, check_linear_algebra, check_metric_axioms
 from qindel.channels import IndexSet, delete, deletion_sphere, sample_insertions
@@ -165,3 +169,47 @@ def test_sampled_criteria_pass_across_seeds(seed):
     assert metric["details"] == "50 triples, 0 axiom violations, 0 odd equal-length distances"
     linear_algebra = check_linear_algebra(seed)
     assert linear_algebra["status"] == "pass", linear_algebra["details"]
+
+
+def _counted(monkeypatch, module, names):
+    """Count the calls of ``module.<name>`` for each of ``names`` it has,
+    through every qindel module that binds it."""
+    calls = []
+    for name in names:
+        real = getattr(module, name, None)
+        if real is None:
+            continue
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(_real.__name__)
+            return _real(*args, **kwargs)
+
+        for modname, bound in list(sys.modules.items()):
+            if modname.split(".")[0] == "qindel" and getattr(bound, name, None) is real:
+                monkeypatch.setattr(bound, name, counted)
+    return calls
+
+
+def test_containment_runs_its_600_trials_in_one_lockstep_call(monkeypatch):
+    # three (s, t) of 200 trials each, one call of three steps
+    trials = _counted(monkeypatch, qindel.feasibility, ["check_containment_trials"])
+    batches = _counted(monkeypatch, qindel.feasibility, ["_sample_batch"])
+    item = check_containment(0)
+    assert item["status"] == "pass"
+    assert item["details"] == "600/600 trajectories contained over (s,t) in (1,1),(2,1),(1,2)"
+    assert (len(trials), len(batches)) == (1, 3)
+
+
+def test_containment_certifies_every_psd_test_without_an_eigen_solve(monkeypatch):
+    # every sampled block and assembled state is certified PSD by one
+    # stacked Cholesky factorization, so no eigenvalue solve runs
+    solves, real = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: solves.append(h.shape) or real(h))
+    assert check_containment(3)["status"] == "pass"
+    assert solves == []
+
+
+def test_the_round_trip_validates_one_stack_per_shape(monkeypatch):
+    calls = _counted(monkeypatch, qindel.states, ["validate", "validate_stack"])
+    assert check_insertion_roundtrip(3)["status"] == "pass"
+    assert 0 < len(calls) <= 2

@@ -383,6 +383,57 @@ def test_a_lockstep_step_makes_one_stacked_call_per_group(monkeypatch, rng):
     assert len(rhos) == 26 and totals == {"trace_out": 22, "_check_blocks": 29, "_insert_stack": 38}
 
 
+def test_one_call_runs_trials_of_different_counts_as_each_runs_alone(monkeypatch, rng):
+    # (1,1), (2,1), (1,2), (0,2) and (2,0) trials, shuffled into one call:
+    # three lockstep steps, each trial's final state and verdict those of
+    # its lone trial, and one final-membership call per distinct (s, t)
+    counts = [(1, 1), (2, 1), (1, 2), (0, 2), (2, 0)]
+    trials = [(rho, s, t) for s, t in counts for rho in _mixed_trials(rng, s, t)]
+    rhos, ss, ts = zip(*[trials[k] for k in rng.permutation(len(trials))])
+    seeds = [int(seed) for seed in rng.integers(2**62, size=len(rhos))]
+    finals = _recorded(monkeypatch, feasibility, "_members_ins_del")
+    batches = _recorded(monkeypatch, feasibility, "_sample_batch")
+    verdicts = check_containment_trials(rhos, seeds, list(ss), np.array(ts))
+    assert len(batches) == 3
+    assert sorted((s, t) for _, _, s, t, *_ in finals) == sorted(counts)
+    batched = {}
+    for sigmas, _, s, t, *_ in finals:
+        group = [i for i in range(len(rhos)) if (ss[i], ts[i]) == (s, t)]
+        batched.update(zip(group, [sigma.mat.tobytes() for sigma in sigmas]))
+    finals.clear()
+    alone = [check_containment_trial(*trial) for trial in zip(rhos, seeds, ss, ts)]
+    assert [sigmas[0].mat.tobytes() for sigmas, *_ in finals] == [batched[i] for i in range(len(rhos))]
+    assert verdicts == alone
+    assert all(verdicts)
+
+
+@pytest.mark.parametrize(
+    "s, t, lone",
+    [
+        ([1, 1.0], 1, (1.0, 1)),
+        (1, [1, np.float64(1)], (1, np.float64(1))),
+        ([1, 3], 1, (3, 1)),
+        ([-1, 1], 1, (-1, 1)),
+        (1, [True, 1], (1, True)),
+        ([1, "1"], 1, ("1", 1)),
+    ],
+)
+def test_per_trial_counts_are_refused_as_a_lone_trial_refuses_them(s, t, lone):
+    # a float, a bool, a string, a negative count or more deletions than
+    # that trial's qudits: refused by name before the first move is drawn
+    rho = example_rho(0.5, 0.5)
+    with pytest.raises(CountOutOfRange, match="of trial [01]"):
+        check_containment_trials([rho, rho], [3, 4], s, t)
+    with pytest.raises(CountOutOfRange):
+        check_containment_trial(rho, 3, *lone)
+
+
+@pytest.mark.parametrize("s, t", [([1], 1), (1, [1, 1, 1]), ([], [])])
+def test_per_trial_counts_need_one_count_per_trial(s, t):
+    with pytest.raises(ShapeMismatch):
+        check_containment_trials([example_rho(0.5, 0.5)] * 2, [3, 4], s, t)
+
+
 def _tamper_request(monkeypatch, fault, request):
     """Script one fault into one request of a ``_sample_batch`` call: its
     source's weights off by 0.2 % (a round trip fails), or its blocks NaN.

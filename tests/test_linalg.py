@@ -6,7 +6,9 @@ import pytest
 from qindel.errors import NoConvergence, NonSquare, NotHermitian, ShapeMismatch, ValidationError
 from qindel.linalg import (
     Tolerance,
+    _psd_certified,
     _require_hermitian,
+    _least_eigenvalues,
     cross_distances,
     eigensolve,
     frobenius_distance,
@@ -20,7 +22,7 @@ from qindel.linalg import (
 )
 from qindel.rand import _random_densities, random_density, random_hermitian, random_psd
 from qindel.states import QuditShape, validate
-from conftest import failing_from
+from conftest import failing_from, planted_state
 
 I2 = np.eye(2, dtype=complex)
 
@@ -411,3 +413,70 @@ def test_tolerance_validation():
         "psd_tol": 0.0,
         "feas_tol": 1e-7,
     }
+
+
+def _certificate_cases(rng, d, psd_tol):
+    """Fresh Hermitian matrices of order d around the edges of the PSD
+    certificate at psd_tol: PSD of full rank, rank-deficient, with a least
+    eigenvalue planted inside the shift (-psd_tol / 4), and PSD but of a norm
+    whose rounding the bound does not clear."""
+    shape = QuditShape(d, 1) if d > 1 else QuditShape(2, 0)
+    mats = [
+        planted_state(rng, shape, 0.5 / d),
+        planted_state(rng, shape, 0.0, max(2, d // 2)),
+        planted_state(rng, shape, -psd_tol / 4),
+        1e8 * planted_state(rng, shape, 0.5 / d),
+    ]
+    return [hermitian_part(m) for m in mats]
+
+
+@pytest.mark.parametrize("psd_tol", [None, 0.0], ids=["default", "psd_tol=0"])
+def test_a_stacked_certificate_gives_each_matrix_its_lone_verdict(psd_tol):
+    # every verdict of one stacked factorization is the lone call's, the
+    # stack is left as given, and a batch of two axes keeps its shape
+    rng = np.random.default_rng(5)
+    for d in range(1, 33):
+        tol = Tolerance(psd_tol=psd_tol).at(d).psd_tol
+        mats = _certificate_cases(rng, d, tol) + _certificate_cases(rng, d, tol)
+        stack = np.stack([mats[k] for k in rng.permutation(len(mats))])
+        before = stack.tobytes()
+        alone = [_psd_certified(m.copy(), tol) for m in stack]
+        assert all(type(verdict) is bool for verdict in alone)
+        got = _psd_certified(stack, tol)
+        assert stack.tobytes() == before
+        assert got.dtype == bool and got.tolist() == alone, d
+        assert _psd_certified(stack.reshape(2, -1, d, d), tol).ravel().tolist() == alone
+        if psd_tol is None:  # the large norm fails its bound alone, the rest pass
+            assert alone.count(True) == 6
+        else:
+            assert not any(alone)
+
+
+def test_a_stack_with_a_member_that_fails_to_factor_certifies_none():
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 5, 16):
+        tol = Tolerance().at(d).psd_tol
+        shape = QuditShape(d, 1) if d > 1 else QuditShape(2, 0)
+        good = _certificate_cases(rng, d, tol)[:3]
+        refused = hermitian_part(planted_state(rng, shape, -4 * tol))  # below the shift
+        assert not _psd_certified(refused.copy(), tol)
+        assert all(_psd_certified(m.copy(), tol) for m in good)
+        stack = np.stack(good + [refused])
+        before = stack.tobytes()
+        assert _psd_certified(stack, tol).tolist() == [False] * 4
+        assert stack.tobytes() == before
+
+
+def test_only_the_uncertified_matrices_are_eigen_solved(monkeypatch):
+    rng = np.random.default_rng(7)
+    d = 6
+    tol = Tolerance().at(d).psd_tol
+    mats = _certificate_cases(rng, d, tol)  # the last fails its bound alone
+    stack = np.stack(mats + mats[:3])
+    solved, real = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: solved.append(h.shape) or real(h))
+    assert _least_eigenvalues(stack[:3], tol).tolist() == [0.0] * 3 and solved == []
+    lowest = _least_eigenvalues(stack.reshape(7, 1, d, d), tol)
+    assert solved == [(1, d, d)] and lowest.shape == (7, 1)
+    assert lowest[3].tobytes() == real(stack[3])[:1].tobytes()
+    assert np.delete(lowest, 3).tolist() == [0.0] * 6

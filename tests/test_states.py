@@ -7,6 +7,7 @@ import pytest
 
 from qindel.errors import (
     CountOutOfRange,
+    QindelError,
     DigitOutOfRange,
     InvalidShape,
     NoConvergence,
@@ -37,6 +38,7 @@ from qindel.states import (
     state_from_json_obj,
     state_to_json_obj,
     validate,
+    validate_stack,
 )
 from conftest import assert_validates_as_reference, planted_state
 
@@ -210,6 +212,91 @@ def test_a_state_file_below_the_psd_floor_is_refused_by_one_eigen_solve(tmp_path
     assert isinstance(exc.value.__cause__, NotPSD)
     assert exc.value.__cause__.residual == pytest.approx(2 * psd_tol, rel=1e-9)
     assert eigensolves == ["eigvalsh"]
+
+
+def _refusal(call):
+    """What ``call()`` raises, or None."""
+    try:
+        call()
+    except QindelError as exc:
+        return exc
+    return None
+
+
+def _faults(rng, shape):
+    """One matrix per way ``validate`` can refuse one at ``shape`` (or
+    pass it, at a loose psd_tol): non-finite, skew, off trace, below the
+    PSD floor, and, from dimension 2, a spectrum past the float range."""
+    d = shape.dim
+    rho = random_density(rng, shape, min(2, d)).mat
+    nan, inf, skew = rho.copy(), rho.copy(), rho.copy()
+    nan[0, 0], inf[-1, -1] = np.nan, np.inf
+    skew[0, -1] += 1e-3
+    faults = [nan, inf, 1.1 * rho, planted_state(rng, shape, -2 * Tolerance().at(d).psd_tol)]
+    if d > 1:
+        faults += [skew, np.full((d, d), 1e308)]
+    return faults
+
+
+@pytest.mark.parametrize("tol", PSD_TOLS.values(), ids=PSD_TOLS)
+@pytest.mark.parametrize("dim", [1, 2, 4, 9, 64])
+def test_validate_stack_gives_each_matrix_its_lone_result(dim, tol):
+    # a stack of valid states of every rank validates to the states lone
+    # calls give, bit for bit; one fault at slot k is refused with the
+    # class, residual and message of its lone call, named "matrix k: "
+    shape, rng = SHAPES[dim], np.random.default_rng(dim)
+    candidates = [random_density(rng, shape, rank).mat for rank in sorted({1, (dim + 1) // 2, dim})]
+    candidates += [planted_state(rng, shape, 0.0, min(dim, 2)) if dim > 1 else np.ones((1, 1), complex)]
+    candidates += [planted_state(rng, shape, 0.5 / dim) for _ in range(2)]  # full rank
+    # at psd_tol=0 a rank-deficient state may read a rounding-negative eigenvalue
+    good = [m for m in candidates if _refusal(lambda: validate(m, shape, tol)) is None]
+    assert len(good) >= 2
+    stack = np.stack(good)
+    states = validate_stack(stack, shape, tol)
+    assert [rho.mat.tobytes() for rho in states] == [validate(m, shape, tol).mat.tobytes() for m in good]
+    assert [rho.shape for rho in states] == [shape] * len(good)
+    [lone] = validate_stack(good[0], shape, tol)  # one matrix gives one state
+    assert lone.mat.tobytes() == good[0].tobytes()
+    for fault in _faults(rng, shape):
+        want = _refusal(lambda: validate(fault, shape, tol))
+        for k in (0, len(good) - 1):
+            faulty = stack.copy()
+            faulty[k] = fault
+            got = _refusal(lambda: validate_stack(faulty, shape, tol))
+            if want is None:
+                assert got is None
+                continue
+            assert type(got) is type(want) and str(got) == f"matrix {k}: {want}"
+            assert repr(getattr(got, "residual", None)) == repr(getattr(want, "residual", None))
+            # a lone matrix is named by nothing, as validate names it
+            lone = _refusal(lambda: validate_stack(fault, shape, tol))
+            assert (type(lone), str(lone)) == (type(want), str(want))
+
+
+def test_validate_stack_refuses_other_shapes():
+    shape = QuditShape(2, 1)
+    for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((2, 4, 4)), np.zeros((1, 2, 2, 2))):
+        with pytest.raises(ShapeMismatch):
+            validate_stack(bad, shape)
+    with pytest.raises(ShapeMismatch):  # one matrix only
+        validate(np.zeros((1, 2, 2)), shape)
+
+
+def test_a_valid_stack_eigen_solves_only_when_not_certified(rng, eigensolves):
+    shape = QuditShape(2, 3)
+    mats = np.stack([random_density(rng, shape, rank).mat for rank in range(1, 9)])
+    validate_stack(mats, shape)
+    assert eigensolves == []
+    # a least eigenvalue planted just inside the floor, below the shift,
+    # fails to factor: the stack is not certified, and one solve of all of
+    # it passes it
+    mats[3] = planted_state(rng, shape, -0.9 * Tolerance().at(shape.dim).psd_tol)
+    solved = []
+    real = np.linalg.eigvalsh
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", lambda h: solved.append(h.shape) or real(h))
+        validate_stack(mats, shape)
+    assert solved == [(8, 8, 8)]
 
 
 def test_spectral_decompose_pure():
