@@ -15,7 +15,7 @@ delete-after-insert.
 
 import numpy as np
 
-from qindel import check_containment_trial, member_del_ins, member_ins_del
+from qindel import check_containment_trials, member_del_ins, member_ins_del
 from qindel.codes import example_psi, example_rho, in_del_after_ins_sphere
 
 rho = example_rho(0.5, 0.5)
@@ -34,8 +34,8 @@ print("   ...")
 print("closed-form check agrees:", not in_del_after_ins_sphere(psi))
 
 # every interleaving of deletions and insertions stays inside the
-# insertions-after-deletions sphere
-trials = [check_containment_trial(rho, seed, s=1, t=2) for seed in range(20)]
+# insertions-after-deletions sphere: 20 trajectories, one call, one seed
+trials = check_containment_trials([rho] * 20, 0, s=1, t=2)
 print(f"\n20 random (1,2)-error trajectories contained: {all(trials)}")
 
 # a feasible instance comes back with an explicit witness

@@ -154,17 +154,17 @@ def check_containment(seed: int) -> dict:
     """Interleaved (s, t)-error trajectories always land in the
     insertions-after-deletions sphere; zero failures tolerated.  Each (s, t)
     draws the sizes of its 200 trials first, one ``rng.integers`` call each
-    for the lengths, the ranks and the trial seeds; then each length's
-    states, lengths in ascending order, by one ``_random_densities`` call
-    (one ``random_psd`` batch per rank), each at its trial's index.  Once
-    every (s, t) has drawn its inputs, the 600 trials run in lockstep in one
-    ``check_containment_trials`` call, with one (s, t) per trial."""
+    for the lengths and the ranks; then each length's states, lengths in
+    ascending order, by one ``_random_densities`` call (one ``random_psd``
+    batch per rank), each at its trial's index.  Once every (s, t) has
+    drawn its inputs, one batch seed is drawn, and the 600 trials run in
+    lockstep in one ``check_containment_trials`` call on that seed, with
+    one (s, t) per trial."""
     rng = np.random.default_rng(seed)
-    rhos, seeds, ss, ts = [], [], [], []
+    rhos, ss, ts = [], [], []
     for s, t in ((1, 1), (2, 1), (1, 2)):
         ns = rng.integers(max(s, 1), 4, size=200)  # s <= n keeps D^s(rho) nonempty
         ranks = rng.integers(1, 2**ns + 1)
-        seeds += rng.integers(2**62, size=200).tolist()
         batch = [None] * len(ns)
         for n in sorted(set(ns.tolist())):  # not np.unique, as in _random_densities
             where = np.flatnonzero(ns == n)
@@ -173,7 +173,7 @@ def check_containment(seed: int) -> dict:
         rhos += batch
         ss += [s] * len(ns)
         ts += [t] * len(ns)
-    verdicts = check_containment_trials(rhos, seeds, ss, ts)
+    verdicts = check_containment_trials(rhos, int(rng.integers(2**62)), ss, ts)
     failures = verdicts.count(False)
     return _item(
         "interleaved-error-containment",
@@ -228,11 +228,11 @@ def check_insertion_code(seed: int) -> dict:
 def check_insertion_roundtrip(seed: int) -> dict:
     """Constructed insertions delete back to their source within 1e-10 and are
     valid states; both sampler families must appear.  The 50 requests of two
-    samples are drawn in order and sampled by one ``_sample_batch`` call;
-    the samples of each shape are validated by one ``validate_stack`` call,
-    and each (shape, q) group's samples are deleted back by one stacked
-    ``trace_out`` and compared with their sources by one
-    ``frobenius_distance``."""
+    samples are drawn in order, each with a generator of its own seed, and
+    sampled by one ``_sample_batch`` call; the samples of each shape are
+    validated by one ``validate_stack`` call, and each (shape, q) group's
+    samples are deleted back by one stacked ``trace_out`` and compared with
+    their sources by one ``frobenius_distance``."""
     rng = np.random.default_rng(seed)
     requests = []
     for _ in range(50):
@@ -241,7 +241,7 @@ def check_insertion_roundtrip(seed: int) -> dict:
         rank = int(rng.integers(1, 3))  # rank <= 2 keeps the purification family live
         rho = random_density(rng, shape, min(rank, shape.dim))
         q = int(rng.integers(1, n + 2))
-        requests.append((rho, IndexSet((q,), n + 1), 2, int(rng.integers(2**62))))
+        requests.append((rho, IndexSet((q,), n + 1), 2, np.random.default_rng(int(rng.integers(2**62)))))
     samples = _sample_batch(requests, Tolerance())
     families = {"separable": 0, "entangled": 0}
     groups: dict[tuple, list[int]] = {}

@@ -38,11 +38,12 @@ last; an index permutation then moves them into place, and one PSD test
 and one round trip check them all.  A sample's bits depend only on its own
 source and blocks, never on the rest of the call.  The sampler
 ``_sample_batch`` serves many requests at once: one draw pass,
-``_draw_groups``, draws every request's blocks from its own seed into one
-stack per (rank, l, t) draw group, one ``_check_blocks`` call checks each
-group and one ``_insert_stack`` call builds each (shape, Q) group; the
-containment trials use it for the insertions of each step.  Counts and
-seeds are checked by ``states._count``; positions by ``_positions``.
+``_draw_groups``, draws every request's blocks from its generator, in
+request order, into one stack per (rank, l, t) draw group, one
+``_check_blocks`` call checks each group and one ``_insert_stack`` call
+builds each (shape, Q) group; the containment trials use it, on one
+generator per batch, for the insertions of each step.  Counts and seeds
+are checked by ``states._count``; positions by ``_positions``.
 """
 
 from __future__ import annotations
@@ -706,11 +707,13 @@ def insertion_member(
 
 
 def _draw_groups(draws) -> dict[tuple, np.ndarray]:
-    """The block arrays of each draw ``(seed, count, rank, l, t)``: ``count``
-    arrays for a rank-``rank`` source and t inserted qudits of level l, drawn
-    in order from ``default_rng(seed)``.  The draws of one (rank, l, t)
-    group share one ``(samples, rank, rank, l**t, l**t)`` stack, keyed by
-    the group: its draws in order, each draw's samples in order.
+    """The block arrays of each draw ``(rng, count, rank, l, t)``: ``count``
+    arrays for a rank-``rank`` source and t inserted qudits of level l,
+    drawn in order from the generator ``rng``.  The draws read their
+    generators in draw order, so draws that share one generator read it as
+    back-to-back lone draws would.  The draws of one (rank, l, t) group
+    share one ``(samples, rank, rank, l**t, l**t)`` stack, keyed by the
+    group: its draws in order, each draw's samples in order.
 
     Two families alternate: (a) separable, a random t-qudit density per
     eigenvector with zero off-diagonal blocks; (b) entangled, a purification
@@ -721,26 +724,32 @@ def _draw_groups(draws) -> dict[tuple, np.ndarray]:
     sample's ``rank`` square Ginibre matrices, as ``random_psd`` with a
     batch draws them, an entangled sample's one ``l**t x rank`` matrix, as
     ``random_orthonormal`` does, so the first k of ``count`` arrays are the
-    k arrays drawn from the same seed.  The algebra then runs once per
-    family of a group: the Ginibre products, trace normalisation and
-    ``separable_blocks``, or the QR; every array has the bits of its lone
-    draw.
+    k arrays drawn from the same generator state.  The algebra then runs
+    once per family of a group: the Ginibre products, trace normalisation
+    and ``separable_blocks``, or the QR; every array has the bits of its
+    lone draw.
     """
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    for seed, count, rank, level, t in draws:
-        groups.setdefault((rank, level, t), []).append((seed, count))
-    stacks = {}
+    groups: dict[tuple, list[int]] = {}
+    for d, (_, _, rank, level, t) in enumerate(draws):
+        groups.setdefault((rank, level, t), []).append(d)
+    targets: list = [None] * len(draws)  # each draw's rows of its group's buffers
+    families = {}
     for (rank, level, t), members in groups.items():
         dim = level**t
-        entangled = np.array([k % 2 == 1 and dim >= rank for _, count in members for k in range(count)])
+        entangled = np.array([k % 2 == 1 and dim >= rank for d in members for k in range(draws[d][1])])
         pure = np.empty((np.count_nonzero(entangled), 2, dim, rank))
         mixed = np.empty((len(entangled) - len(pure), rank, 2, dim, dim))
         pure_rows, mixed_rows = iter(pure), iter(mixed)
-        targets = iter([next(pure_rows) if e else next(mixed_rows) for e in entangled])
-        for seed, count in members:
-            rng = np.random.default_rng(seed)
-            for _ in range(count):
-                rng.standard_normal(out=next(targets))
+        rows = iter([next(pure_rows) if e else next(mixed_rows) for e in entangled])
+        for d in members:
+            targets[d] = [next(rows) for _ in range(draws[d][1])]
+        families[(rank, level, t)] = (entangled, pure, mixed)
+    for (rng, *_), rows in zip(draws, targets):
+        for row in rows:
+            rng.standard_normal(out=row)
+    stacks = {}
+    for (rank, level, t), (entangled, pure, mixed) in families.items():
+        dim = level**t
         stack = np.empty((len(entangled), rank, rank, dim, dim), dtype=complex)
         g = _complex_parts(mixed)
         m = g @ g.conj().swapaxes(-1, -2)
@@ -760,8 +769,9 @@ def sample_insertions(
     tol: Tolerance = Tolerance(),
 ) -> list[DensityMatrix]:
     """Draw ``count`` members of I_Q(rho), deterministically from ``seed``:
-    the one-request case of ``_sample_batch``, so every sample is checked
-    and verified as ``insert_construct`` checks one.
+    the one-request case of ``_sample_batch``, on a generator
+    ``default_rng(seed)`` of its own, so every sample is checked and
+    verified as ``insert_construct`` checks one.
 
     ``count`` (at least 1) and ``seed`` (at least 0) must be integers, else
     ``CountOutOfRange``.  A sample's bits depend only on rho, Q and the draws
@@ -769,17 +779,22 @@ def sample_insertions(
     same seed, bit for bit, at every level.
     """
     count, seed = _count(count, "sample count", least=1), _count(seed, "seed")
-    return _sample_batch([(rho, _insertion_set(Q, rho.length), count, seed)], tol)[0]
+    request = (rho, _insertion_set(Q, rho.length), count, np.random.default_rng(seed))
+    return _sample_batch([request], tol)[0]
 
 
 def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatrix]]:
-    """The samples of each request ``(rho, qset, count, seed)``, as
-    ``sample_insertions(rho, qset, count, seed, tol)`` draws them, in a few
-    stacked calls.
+    """The samples of each request ``(rho, qset, count, rng)``, ``count``
+    members of I_Q(rho) drawn from the generator ``rng``, in a few stacked
+    calls.  Requests read their generators in request order, so requests
+    that share one generator get the samples of one-request calls made in
+    that order on it, and a request with a generator ``default_rng(seed)``
+    of its own gets the samples of ``sample_insertions(rho, qset, count,
+    seed, tol)``.
 
     The sources of each shape are decomposed by one checked
     ``spectral_decompose_stack`` call.  One ``_draw_groups`` pass draws the
-    blocks of every request, each from its own generator, into one stack per
+    blocks of every request, in request order, into one stack per
     (rank, l, t) draw group, and each group is checked by one
     ``_check_blocks`` call.  Then each (shape, qset) group is built by one
     ``_insert_stack`` call, whatever its ranks.  Every block check runs
@@ -813,7 +828,7 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
     def label(r: int, k: int) -> str:
         return names[r] + _sample_label(k, requests[r][2])
 
-    draws = [(seed, count, form.rank, rho.level, qset.size) for (rho, qset, count, seed), form in zip(requests, forms)]
+    draws = [(rng, count, form.rank, rho.level, qset.size) for (rho, qset, count, rng), form in zip(requests, forms)]
     stacks = _draw_groups(draws)
     owners: dict[tuple, list[tuple[int, int]]] = {key: [] for key in stacks}  # row of a group -> (request, sample)
     blocks = []  # each request's rows of its group's stack

@@ -444,8 +444,9 @@ def check_containment_trial(
 ) -> bool:
     """Apply one random interleaving of s deletions and t insertions to rho
     and test the resulting state for I^t(D^s(rho)) membership: the one-trial
-    case of ``check_containment_trials``."""
-    return check_containment_trials([rho], [seed], s, t, tol)[0]
+    case of ``check_containment_trials``, its moves and samples drawn from
+    ``default_rng(seed)``."""
+    return check_containment_trials([rho], seed, s, t, tol)[0]
 
 
 def _trial_counts(value, what: str, rhos: list, bounded: bool) -> list[int]:
@@ -464,82 +465,78 @@ def _trial_counts(value, what: str, rhos: list, bounded: bool) -> list[int]:
     ]
 
 
-def _trial_moves(rng: np.random.Generator, n: int, s: int, t: int) -> list[tuple]:
-    """The s + t moves of one trial from an n-qudit state, drawn in order:
-    a coin only while both moves remain (0 deletes, 1 inserts), then the
-    position, and for an insertion the sample count (1 or 2) and the sampler
-    seed.  A move is ``(p, None)``, deleting qudit p, or ``(q, (count,
-    seed))``, inserting at q."""
-    moves = []
-    for _ in range(s + t):
-        if s and not (t and rng.integers(2)):
-            moves.append((int(rng.integers(1, n + 1)), None))
-            s, n = s - 1, n - 1
-        else:
-            q = int(rng.integers(1, n + 2))
-            how_many = int(rng.integers(1, 3))
-            moves.append((q, (how_many, int(rng.integers(2**62)))))
-            t, n = t - 1, n + 1
-    return moves
+def _below(u: np.ndarray, k) -> np.ndarray:
+    """floor(u * k): an integer in [0, k) for each u in [0, 1), since the
+    rounded product of a double below 1 and an integer k < 2**53 is below k."""
+    return np.floor(u * k).astype(int)
 
 
 def check_containment_trials(
     rhos,
-    seeds,
+    seed,
     s,
     t,
     tol: Tolerance = Tolerance(),
 ) -> list[bool]:
     """Apply one random interleaving of s deletions and t insertions to each
-    ``rhos[i]``, drawn from ``default_rng(seeds[i])``, and test each result
-    for I^t(D^s(rhos[i])) membership.  Any composite of s deletions and t
-    insertions lands inside the insertions-after-deletions sphere, so every
-    verdict must come back true.  ``s`` and ``t`` are one count for every
-    trial, or one count per trial.
+    ``rhos[i]``, all drawn from one generator ``default_rng(seed)``, and
+    test each result for I^t(D^s(rhos[i])) membership.  Any composite of s
+    deletions and t insertions lands inside the insertions-after-deletions
+    sphere, so every verdict must come back true.  ``s`` and ``t`` are one
+    count for every trial, or one count per trial.
 
-    Before the first step, each trial draws all its moves from its
-    generator, as a lone trial would (``_trial_moves``), and drops it; the
-    draws depend only on the state's length, so each trajectory is the same
-    in any batch.  The trials then run in lockstep, one move each per step,
-    and a trial whose moves are done sits out the later steps.  The
-    deletions of one step are one ``trace_out`` call per (shape, position)
-    group, on the stack of its states, each result the bits of that state's
-    lone ``partial_trace``.  An insertion keeps the last of the samples
-    ``sample_insertions`` would draw; the insertions of one step are one
-    ``_sample_batch`` call, which decomposes their sources with one checked
-    ``spectral_decompose_stack`` call per shape, draws their blocks in one
-    pass, checks each (rank, level, t) draw group with one ``_check_blocks``
-    call and builds each (shape, position) group with one ``_insert_stack``
-    call.  A block or build error names the trial's index in ``rhos`` and
-    the step.  The final memberships are one ``_members_ins_del`` call per
-    distinct (s, t), one batched comparison per (final shape, source shape)
-    group, each verdict the one ``member_ins_del`` gives.
+    Before the first step, one ``rng.random((3, trials, steps))`` call
+    draws every trial's coin, position and sample count for every step, as
+    uniform floats u mapped to integers by floor(u * k) (``_below``).  At
+    each step a trial with both kinds of move left inserts on a coin of 1
+    and deletes on 0; one with one kind left makes that move.  A deletion
+    removes qudit 1 + floor(u * n) of the trial's n qudits, an insertion
+    inserts at 1 + floor(u * (n + 1)) and keeps the last of 1 + floor(2u)
+    samples.  The trials run in lockstep, one move each per step, and a
+    trial whose moves are done sits out the later steps.  The deletions of
+    one step are one ``trace_out`` call per (shape, position) group, on the
+    stack of its states, each result the bits of that state's lone
+    ``partial_trace``.  The insertions of one step are one ``_sample_batch``
+    call on the batch's generator, its requests in trial order, so the
+    samples are those of one-request calls made trial by trial; it
+    decomposes their sources with one checked ``spectral_decompose_stack``
+    call per shape, draws their blocks in one pass, checks each (rank,
+    level, t) draw group with one ``_check_blocks`` call and builds each
+    (shape, position) group with one ``_insert_stack`` call.  Every sample
+    is checked and built, the discarded ones too.  A block or build error
+    names the trial's index in ``rhos`` and the step.  The final
+    memberships are one ``_members_ins_del`` call per distinct (s, t), one
+    batched comparison per (final shape, source shape) group, each verdict
+    the one ``member_ins_del`` gives.
 
-    Every count and seed must be a nonnegative integer, and each s at most
-    its rho's length (``CountOutOfRange``); ``rhos``, ``seeds`` and a
-    per-trial ``s`` or ``t`` must have the same length (``ShapeMismatch``).
+    The seed and every count must be nonnegative integers, and each s at
+    most its rho's length (``CountOutOfRange``); a per-trial ``s`` or ``t``
+    must have one count per trial (``ShapeMismatch``).
     """
     rhos = list(rhos)
-    seeds = [_count(seed, f"seed of trial {i}") for i, seed in enumerate(seeds)]
-    if len(seeds) != len(rhos):
-        raise ShapeMismatch(f"{len(rhos)} states but {len(seeds)} seeds")
+    rng = np.random.default_rng(_count(seed, "seed"))
     ss = _trial_counts(s, "deletion count s", rhos, bounded=True)
     ts = _trial_counts(t, "insertion count t", rhos, bounded=False)
-    plans = [
-        _trial_moves(np.random.default_rng(seed), rho.length, s_i, t_i)
-        for rho, seed, s_i, t_i in zip(rhos, seeds, ss, ts)
-    ]
+    left_s, left_t = np.array(ss, dtype=int), np.array(ts, dtype=int)  # moves left per trial
+    lengths = np.array([rho.length for rho in rhos], dtype=int)
+    coins, spots, sizes = rng.random((3, len(rhos), int((left_s + left_t).max(initial=0))))
     states = list(rhos)
-    for step in range(1, max(map(len, plans), default=0) + 1):
+    for step in range(1, coins.shape[1] + 1):
+        moving = left_s + left_t > 0
+        deletes = (left_s > 0) & ~((left_t > 0) & (_below(coins[:, step - 1], 2) == 1))
+        positions = 1 + _below(spots[:, step - 1], lengths + ~deletes)  # n qudits, n + 1 gaps
+        how_many = 1 + _below(sizes[:, step - 1], 2)
+        left_s -= moving & deletes
+        left_t -= moving & ~deletes
+        lengths += moving * np.where(deletes, -1, 1)
         requests, inserting, deleting = [], [], {}
-        for i, moves in enumerate(plans):
-            if step > len(moves):
-                continue
-            state, (position, sampler) = states[i], moves[step - 1]
-            if sampler is None:
+        moves = (np.flatnonzero(moving), deletes[moving], positions[moving], how_many[moving])
+        for i, deleted, position, count in zip(*(column.tolist() for column in moves)):
+            state = states[i]
+            if deleted:
                 deleting.setdefault((state.shape, position), []).append(i)
             else:
-                requests.append((state, IndexSet((position,), state.length + 1), *sampler))
+                requests.append((state, IndexSet((position,), state.length + 1), count, rng))
                 inserting.append(i)
         for (shape, p), group in deleting.items():
             reduced = trace_out(np.stack([states[i].mat for i in group]), IndexSet((p,), shape.length), shape.level)

@@ -209,6 +209,15 @@ def test_containment_certifies_every_psd_test_without_an_eigen_solve(monkeypatch
     assert solves == []
 
 
+def test_containment_builds_no_generator_per_trial_or_sampler(monkeypatch):
+    # the criterion's generator and the batch's; the 600 trials and their
+    # insertion samplers all read the batch's
+    built, real = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: built.append(args) or real(*args))
+    assert check_containment(0)["status"] == "pass"
+    assert len(built) <= 2
+
+
 def test_the_round_trip_validates_one_stack_per_shape(monkeypatch):
     calls = _counted(monkeypatch, qindel.states, ["validate", "validate_stack"])
     assert check_insertion_roundtrip(3)["status"] == "pass"

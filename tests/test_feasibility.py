@@ -1,10 +1,12 @@
+import math
 from functools import reduce
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from qindel.channels import IndexSet, delete, insert_construct, insertion_member, sample_insertions, trace_out
+from qindel.channels import IndexSet, _sample_batch, delete, insert_construct, insertion_member, sample_insertions
+from qindel.channels import trace_out
 from qindel.codes import example_psi, example_rho
 from qindel.errors import BlockConstraintViolated, CountOutOfRange, LevelMismatch, NoConvergence, NotPSD
 from qindel.errors import RoundTripFailed, ShapeMismatch, SizeCapExceeded
@@ -22,7 +24,7 @@ from qindel.feasibility import (
 )
 from qindel.linalg import Tolerance
 from qindel.rand import random_density, random_hermitian
-from qindel.states import DensityMatrix, QuditShape, SpectralForm, basis_ket, density_from_ket
+from qindel.states import DensityMatrix, QuditShape, SpectralForm, basis_ket, density_from_ket, spectral_decompose
 from conftest import failing_from, make_states
 
 
@@ -272,10 +274,58 @@ def test_containment_trial_refuses_bad_counts_and_seeds(seed, s, t):
         check_containment_trial(example_rho(0.5, 0.5), seed, s, t)
 
 
-@pytest.mark.parametrize("rhos, seeds", [(2, 1), (1, 2), (0, 1)])
-def test_containment_trials_refuse_unpaired_seeds(rhos, seeds):
-    with pytest.raises(ShapeMismatch):
-        check_containment_trials([example_rho(0.5, 0.5)] * rhos, list(range(seeds)), 1, 1)
+@pytest.mark.parametrize("seed", [-1, 1.0, True, [3, 4]])
+def test_containment_trials_refuse_a_bad_batch_seed(seed):
+    # one seed serves the whole batch: a negative, float or bool seed, or a
+    # seed per trial, is refused before any move is drawn
+    with pytest.raises(CountOutOfRange, match="^seed must be"):
+        check_containment_trials([example_rho(0.5, 0.5)] * 2, seed, 1, 1)
+
+
+def _replayed_moves(rhos, seed, ss, ts):
+    """Each trial's moves as ``check_containment_trials`` draws them, derived
+    one trial at a time by a scalar loop from the same
+    ``rng.random((3, trials, steps))`` call on ``default_rng(seed)``: a move
+    is ``(p, None)``, deleting qudit p, or ``(q, count)``, inserting at q
+    and keeping the last of ``count`` samples.  Returns the generator, at
+    the state the samplers read next, and the moves."""
+    rng = np.random.default_rng(seed)
+    coins, spots, sizes = rng.random((3, len(rhos), max(map(sum, zip(ss, ts)), default=0))).tolist()
+    plans = []
+    for i, (rho, s, t) in enumerate(zip(rhos, ss, ts)):
+        moves, n = [], rho.length
+        for k in range(s + t):
+            if s and not (t and math.floor(coins[i][k] * 2)):
+                moves.append((1 + math.floor(spots[i][k] * n), None))
+                s, n = s - 1, n - 1
+            else:
+                moves.append((1 + math.floor(spots[i][k] * (n + 1)), 1 + math.floor(sizes[i][k] * 2)))
+                t, n = t - 1, n + 1
+        plans.append(moves)
+    return rng, plans
+
+
+def _replayed_trials(rhos, seed, ss, ts):
+    """``check_containment_trials`` replayed one move at a time: the moves of
+    ``_replayed_moves``, then, step by step and in trial order, a lone
+    ``delete`` per deletion and a one-request ``_sample_batch`` call per
+    insertion, every call on the one shared generator.  Returns the final
+    states and, per step, each moving trial's ``(i, state, position,
+    count)``."""
+    rng, plans = _replayed_moves(rhos, seed, ss, ts)
+    states, history = list(rhos), []
+    for step in range(max(map(len, plans), default=0)):
+        history.append([])
+        for i, moves in enumerate(plans):
+            if step < len(moves):
+                state, (position, count) = states[i], moves[step]
+                history[-1].append((i, state, position, count))
+                if count is None:
+                    states[i] = delete(state, {position})
+                else:
+                    request = (state, IndexSet((position,), state.length + 1), count, rng)
+                    states[i] = _sample_batch([request], Tolerance())[0][-1]
+    return states, history
 
 
 def _mixed_trials(rng, s, t):
@@ -305,22 +355,21 @@ def _recorded(monkeypatch, module, name):
 @pytest.mark.parametrize("s, t", [(1, 1), (2, 1), (1, 2), (0, 2), (2, 0)])
 def test_lockstep_trials_match_one_trial_bit_for_bit(monkeypatch, rng, s, t):
     # every trial of one mixed call ends in the state, bit for bit, and with
-    # the verdict that the same trial reaches alone
+    # the verdict that the trial reaches when the batch is replayed one
+    # trial's move at a time
     rhos = _mixed_trials(rng, s, t)
-    seeds = [int(seed) for seed in rng.integers(2**62, size=len(rhos))]
+    seed = int(rng.integers(2**62))
     finals = _recorded(monkeypatch, feasibility, "_members_ins_del")
     builds = _recorded(monkeypatch, channels, "_insert_stack")
-    verdicts = check_containment_trials(rhos, seeds, s, t)
+    verdicts = check_containment_trials(rhos, seed, s, t)
     assert len(finals) == 1  # every final membership is decided by one call
     batched = [sigma.mat.tobytes() for sigma in finals[0][0]]
     assert len(batched) == len(rhos)
     if t:  # same-shape insertions of different trials share one build
         assert len(builds) < sum(len(sources) for _, _, sources, *_ in builds)
-    finals.clear()
-    alone = [check_containment_trial(rho, seed, s, t) for rho, seed in zip(rhos, seeds)]
-    assert [len(sigmas) for sigmas, *_ in finals] == [1] * len(rhos)
-    assert batched == [sigmas[0].mat.tobytes() for sigmas, *_ in finals]
-    assert verdicts == alone
+    replayed, _ = _replayed_trials(rhos, seed, [s] * len(rhos), [t] * len(rhos))
+    assert batched == [sigma.mat.tobytes() for sigma in replayed]
+    assert verdicts == [member_ins_del(sigma, rho, s, t) for sigma, rho in zip(replayed, rhos)]
     assert all(verdicts)
 
 
@@ -357,53 +406,57 @@ def test_a_lockstep_step_makes_one_stacked_call_per_group(monkeypatch, rng):
     # through one deletion and two insertions.  Each step makes one stacked
     # trace_out per (shape, position) of its deletions, one _check_blocks
     # per (rank, l, t) of its insertions and one _insert_stack per (shape,
-    # Q), the groups read off each trial's calls alone
+    # Q), the groups read off the moves of the batch replayed trial by trial
     s, t = 1, 2
     rhos = [
         random_density(rng, shape, rank)
         for shape in (QuditShape(2, 1), QuditShape(2, 2), QuditShape(2, 3), QuditShape(3, 1), QuditShape(3, 2))
         for rank in range(1, shape.dim + 1)
     ]
-    seeds = [int(seed) for seed in rng.integers(2**62, size=len(rhos))]
-    alone = []
-    for rho, seed in zip(rhos, seeds):
-        with monkeypatch.context() as patch:
-            calls, _ = _lockstep_calls(patch, s + t)
-            check_containment_trial(rho, seed, s, t)
-        alone.append(calls)
+    seed = int(rng.integers(2**62))
+    _, history = _replayed_trials(rhos, seed, [s] * len(rhos), [t] * len(rhos))
     calls, batches = _lockstep_calls(monkeypatch, s + t)
-    check_containment_trials(rhos, seeds, s, t)
+    check_containment_trials(rhos, seed, s, t)
     assert len(batches) == s + t
     for step, made in enumerate(calls):
+        moves = history[step]
+        groups = {
+            "trace_out": {(state.dim, (p,)) for _, state, p, count in moves if count is None},
+            "_check_blocks": {
+                (spectral_decompose(state).rank, state.level, 1) for _, state, _, count in moves if count
+            },
+            "_insert_stack": {
+                (state.shape, IndexSet((q,), state.length + 1)) for _, state, q, count in moves if count
+            },
+        }
         for name, keys in made.items():
-            groups = {key for trial in alone for key in trial[step][name]}
-            assert sorted(keys, key=repr) == sorted(groups, key=repr), (step, name)
+            assert sorted(keys, key=repr) == sorted(groups[name], key=repr), (step, name)
     # 26 deletions and 52 insertions, one move per trial and step
     totals = {name: sum(len(made[name]) for made in calls) for name in calls[0]}
-    assert len(rhos) == 26 and totals == {"trace_out": 22, "_check_blocks": 29, "_insert_stack": 38}
+    assert len(rhos) == 26 and totals == {"trace_out": 22, "_check_blocks": 34, "_insert_stack": 32}
 
 
 def test_one_call_runs_trials_of_different_counts_as_each_runs_alone(monkeypatch, rng):
     # (1,1), (2,1), (1,2), (0,2) and (2,0) trials, shuffled into one call:
     # three lockstep steps, each trial's final state and verdict those of
-    # its lone trial, and one final-membership call per distinct (s, t)
+    # the batch replayed trial by trial, and one final-membership call per
+    # distinct (s, t)
     counts = [(1, 1), (2, 1), (1, 2), (0, 2), (2, 0)]
     trials = [(rho, s, t) for s, t in counts for rho in _mixed_trials(rng, s, t)]
     rhos, ss, ts = zip(*[trials[k] for k in rng.permutation(len(trials))])
-    seeds = [int(seed) for seed in rng.integers(2**62, size=len(rhos))]
+    seed = int(rng.integers(2**62))
     finals = _recorded(monkeypatch, feasibility, "_members_ins_del")
     batches = _recorded(monkeypatch, feasibility, "_sample_batch")
-    verdicts = check_containment_trials(rhos, seeds, list(ss), np.array(ts))
+    verdicts = check_containment_trials(rhos, seed, list(ss), np.array(ts))
     assert len(batches) == 3
     assert sorted((s, t) for _, _, s, t, *_ in finals) == sorted(counts)
     batched = {}
     for sigmas, _, s, t, *_ in finals:
         group = [i for i in range(len(rhos)) if (ss[i], ts[i]) == (s, t)]
         batched.update(zip(group, [sigma.mat.tobytes() for sigma in sigmas]))
-    finals.clear()
-    alone = [check_containment_trial(*trial) for trial in zip(rhos, seeds, ss, ts)]
-    assert [sigmas[0].mat.tobytes() for sigmas, *_ in finals] == [batched[i] for i in range(len(rhos))]
-    assert verdicts == alone
+    replayed, _ = _replayed_trials(rhos, seed, ss, ts)
+    assert [sigma.mat.tobytes() for sigma in replayed] == [batched[i] for i in range(len(rhos))]
+    assert verdicts == [member_ins_del(*trial) for trial in zip(replayed, rhos, ss, ts)]
     assert all(verdicts)
 
 
@@ -423,7 +476,7 @@ def test_per_trial_counts_are_refused_as_a_lone_trial_refuses_them(s, t, lone):
     # that trial's qudits: refused by name before the first move is drawn
     rho = example_rho(0.5, 0.5)
     with pytest.raises(CountOutOfRange, match="of trial [01]"):
-        check_containment_trials([rho, rho], [3, 4], s, t)
+        check_containment_trials([rho, rho], 3, s, t)
     with pytest.raises(CountOutOfRange):
         check_containment_trial(rho, 3, *lone)
 
@@ -431,7 +484,7 @@ def test_per_trial_counts_are_refused_as_a_lone_trial_refuses_them(s, t, lone):
 @pytest.mark.parametrize("s, t", [([1], 1), (1, [1, 1, 1]), ([], [])])
 def test_per_trial_counts_need_one_count_per_trial(s, t):
     with pytest.raises(ShapeMismatch):
-        check_containment_trials([example_rho(0.5, 0.5)] * 2, [3, 4], s, t)
+        check_containment_trials([example_rho(0.5, 0.5)] * 2, 3, s, t)
 
 
 def _tamper_request(monkeypatch, fault, request):
@@ -475,16 +528,23 @@ def _tamper_request(monkeypatch, fault, request):
     ],
 )
 def test_batch_errors_name_the_trial_and_step(monkeypatch, rng, fault, error, message):
-    # three 2-qubit trials, then three 1-qubit trials whose seeds all insert
-    # at position 2: trial 3 is row 0 of the build, and of the rank-2 draw
-    # group, it shares with trials 4 and 5, and a fault in it is reported as
-    # trial 3 at step 1, not by its row
+    # three 2-qubit trials, then three 1-qubit trials that all insert at one
+    # position, trial 3 drawing one sample (the first seed whose moves do
+    # so): trial 3 is row 0 of the build, and of the rank-2 draw group, it
+    # shares with trials 4 and 5, and a fault in it is reported as trial 3
+    # at step 1, not by its row
     rhos = [random_density(rng, QuditShape(2, n)) for n in (2, 2, 2, 1, 1, 1)]
+
+    def fits(seed):
+        (q3, count), (q4, _), (q5, _) = [plan[0] for plan in _replayed_moves(rhos, seed, [0] * 6, [1] * 6)[1][3:]]
+        return q3 == q4 == q5 and count == 1
+
+    seed = next(seed for seed in range(100) if fits(seed))
     builds = _recorded(monkeypatch, channels, "_insert_stack")
     checks = _recorded(monkeypatch, channels, "_check_blocks")
     _tamper_request(monkeypatch, fault, 3)  # every trial inserts at step 1
     with pytest.raises(error, match=rf"^trial 3, step 1: {message}"):
-        check_containment_trials(rhos, list(range(6)), 0, 1)
+        check_containment_trials(rhos, seed, 0, 1)
     if fault == "round trip":
         _, _, members, *_ = builds[-1]  # the build that raised
         assert [source.tobytes() for source, *_ in members] == [rho.mat.tobytes() for rho in rhos[3:]]
@@ -502,7 +562,7 @@ def test_a_block_error_names_its_trial_in_a_draw_group_of_two_shapes(monkeypatch
     checks = _recorded(monkeypatch, channels, "_check_blocks")
     _tamper_request(monkeypatch, "non-finite", 2)
     with pytest.raises(BlockConstraintViolated, match=r"^trial 2, step 1: (sample 0: )?blocks have non-finite"):
-        check_containment_trials(rhos, [3, 4, 5], 0, 1)
+        check_containment_trials(rhos, 3, 0, 1)
     assert len(checks) == 1
     stack, rank, block_shape, *_ = checks[0]
     assert (rank, block_shape) == (2, QuditShape(2, 1))
@@ -517,7 +577,7 @@ def test_batch_errors_name_the_trial_of_a_refused_source(rng):
     bad = DensityMatrix(QuditShape(2, 2), np.diag([1.2, -0.2, 0.0, 0.0]))
     rhos = [random_density(rng, QuditShape(2, n)) for n in (1, 2, 1, 2)] + [bad]
     with pytest.raises(NotPSD, match=r"^trial 4, step 1: negative eigenvalue -2\.000e-01$") as batched:
-        check_containment_trials(rhos, list(range(5)), 0, 1)
+        check_containment_trials(rhos, 0, 0, 1)
     assert batched.value.residual == pytest.approx(0.2)
     with pytest.raises(NotPSD) as lone:
         insert_construct(bad, (1,), np.zeros((2, 2, 2, 2)))

@@ -681,7 +681,7 @@ def test_fewer_samples_are_a_prefix_of_more(level, t, data):
 
 @st.composite
 def sampler_requests(draw):
-    """A list of ``_sample_batch`` requests (rho, qset, count, seed) in shuffled
+    """A list of sampler requests (rho, qset, count, seed) in shuffled
     order: qubit and qutrit sources on 1-3 qudits of any rank, |Q| of 1 or 2
     and 1-4 samples each.  Some sources are asked again, at another Q or
     seed, so requests share draw groups and builds."""
@@ -705,11 +705,29 @@ def test_a_batch_of_requests_gives_each_its_lone_samples(requests):
     """The one draw pass, per-group block checks and per-(shape, Q) builds of
     ``_sample_batch`` give each request the bits of its own lone
     ``sample_insertions`` call, whatever the other requests, including counts
-    of 3 and 4 and ranks above l^t, where only the separable family is drawn."""
-    batched = _sample_batch(requests, Tolerance())
+    of 3 and 4 and ranks above l^t, where only the separable family is
+    drawn.  Each request draws from a generator ``default_rng(seed)`` of its
+    own."""
+    own = [(rho, qset, count, np.random.default_rng(seed)) for rho, qset, count, seed in requests]
+    batched = _sample_batch(own, Tolerance())
     assert [len(samples) for samples in batched] == [count for _, _, count, _ in requests]
     for (rho, qset, count, seed), samples in zip(requests, batched):
         lone = sample_insertions(rho, qset.positions, count, seed)
+        assert [sigma.mat.tobytes() for sigma in samples] == [sigma.mat.tobytes() for sigma in lone]
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(sampler_requests(), st.integers(0, 2**62 - 1))
+def test_requests_that_share_a_generator_read_it_in_request_order(requests, seed):
+    """Requests of one ``_sample_batch`` call that share one generator get
+    the samples of lone one-request calls made in request order on one
+    generator of the same seed, bit for bit, whatever their draw groups and
+    builds."""
+    shared = np.random.default_rng(seed)
+    batched = _sample_batch([(rho, qset, count, shared) for rho, qset, count, _ in requests], Tolerance())
+    rng = np.random.default_rng(seed)
+    for (rho, qset, count, _), samples in zip(requests, batched):
+        lone = _sample_batch([(rho, qset, count, rng)], Tolerance())[0]
         assert [sigma.mat.tobytes() for sigma in samples] == [sigma.mat.tobytes() for sigma in lone]
 
 
