@@ -31,19 +31,19 @@ pairs off it).  The plain array is the only representation of the blocks;
 ``separable_blocks`` builds the one with no coherence between system and
 inserted qudits.  Blocks are checked by ``_check_blocks``, a stack of
 arrays per call, before any state is built.  One builder, ``_insert_stack``,
-takes the samples of one (shape, Q) group, each with its own source and
-blocks, of any ranks: each rank's samples are attached to their sources'
-eigenvectors by one batched product per side, with the inserted qudits
-last; an index permutation then moves them into place, and one PSD test
-and one round trip check them all.  A sample's bits depend only on its own
-source and blocks, never on the rest of the call.  The sampler
-``_sample_batch`` serves many requests at once: one draw pass,
-``_draw_groups``, draws every request's blocks from its generator, in
-request order, into one stack per (rank, l, t) draw group, one
-``_check_blocks`` call checks each group and one ``_insert_stack`` call
-builds each (shape, Q) group; the containment trials use it, on one
-generator per batch, for the insertions of each step.  Counts and seeds
-are checked by ``states._count``; positions by ``_positions``.
+takes the rows of one source shape and t, each with its own source,
+position and blocks, of any ranks: each rank's rows are attached to their
+sources' eigenvectors by one batched product per side, the inserted qudits
+last; then each position's rows take one index permutation, one PSD test
+and one round trip.  A sample's bits depend only on its own source,
+position and blocks.  The sampler ``_sample_batch`` serves many requests
+at once, as stacks indexed by row: one ``states._spectral_groups`` call
+per source shape, one draw pass, ``_draw_groups``, with one normal draw per
+run of requests on one generator, one ``_check_blocks`` call per (rank, l,
+t) draw group and one ``_insert_stack`` call per (shape, t) group; the
+containment trials use it, on one generator per batch, for the
+insertions of each step.  Counts and seeds are checked by
+``states._count``; positions by ``_positions``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .errors import (
 from .linalg import _CHUNK, Tolerance, _least_eigenvalues, cross_distances, frobenius_distance, frobenius_norm
 from .linalg import hermitian_part
 from .rand import _complex_parts
-from .states import DensityMatrix, QuditShape, SpectralForm, _count, spectral_decompose, spectral_decompose_stack
+from .states import DensityMatrix, QuditShape, _count, _spectral_groups, spectral_decompose
 
 __all__ = [
     "IndexSet",
@@ -471,10 +471,11 @@ def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance = Tolerance()) ->
     return SphereSet(QuditShape(rho.level, n - s), eq_tol, raw if kept.all() else raw[kept], reps, len(raw))
 
 
-def _permute_axes(mat: np.ndarray, perm: tuple[int, ...], level: int) -> np.ndarray:
+def _permute_axes(mat: np.ndarray, perm: tuple[int, ...], level: int, out: np.ndarray | None = None) -> np.ndarray:
     """Reorder tensor factors so that qudit i of the input sits at slot perm[i-1].
 
-    Leading axes of ``mat`` are a batch and are kept.
+    Leading axes of ``mat`` are a batch and are kept.  The result is written
+    into ``out``, a contiguous array of its shape, when one is given.
     """
     n = len(perm)
     batch = mat.shape[:-2]
@@ -486,7 +487,10 @@ def _permute_axes(mat: np.ndarray, perm: tuple[int, ...], level: int) -> np.ndar
     axes = list(range(k)) + [k + a for a in inverse] + [k + n + a for a in inverse]
     tensor = mat.reshape(*batch, *[level] * (2 * n))
     dim = level ** n
-    return tensor.transpose(axes).reshape(*batch, dim, dim)
+    if out is None:
+        return tensor.transpose(axes).reshape(*batch, dim, dim)
+    out.reshape(tensor.shape)[...] = tensor.transpose(axes)
+    return out
 
 
 def index_permutation(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
@@ -584,9 +588,10 @@ def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: To
         )
 
 
-def _weighted_kets(form: SpectralForm) -> np.ndarray:
-    """The ``(d, rank)`` columns sqrt(p_x) |x> of a spectral form."""
-    return form.kets * np.sqrt(form.weights)
+def _weighted_kets(weights: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """The ``(..., d, rank)`` columns sqrt(p_x) |x> of spectral forms given by
+    their ``(..., rank)`` weights and ``(..., d, rank)`` kets."""
+    return kets * np.sqrt(weights)[..., None, :]
 
 
 def insert_construct(
@@ -596,8 +601,7 @@ def insert_construct(
     tol: Tolerance = Tolerance(),
 ) -> DensityMatrix:
     """Build a member of I_Q(rho) from explicit blocks: ``_check_blocks`` of
-    the one array, then ``_insert_stack`` of one source and a one-sample
-    stack.
+    the one array, then ``_insert_stack`` of its one row.
 
     ``blocks[x, y]`` is the l^t x l^t block A_{x,y} of the eigenvector pair
     (x, y), indexed in the order of ``spectral_decompose(rho, tol)`` (which
@@ -611,77 +615,72 @@ def insert_construct(
     """
     qset = _insertion_set(Q, rho.length)
     stack = np.asarray(blocks, dtype=complex)[None]
-    v = _weighted_kets(spectral_decompose(rho, tol))
-    _check_blocks(stack, v.shape[1], QuditShape(rho.level, qset.size), tol)
-    return _insert_stack(rho.shape, qset, [(rho.mat, v, stack)], tol)[0][0]
+    form = spectral_decompose(rho, tol)
+    _check_blocks(stack, form.rank, QuditShape(rho.level, qset.size), tol)
+    one = np.zeros(1, dtype=int)
+    part = (one, _weighted_kets(form.weights, form.kets)[None], stack)
+    sigma = _insert_stack(rho.shape, [qset], rho.mat[None], [1], [part], tol)[0]
+    return DensityMatrix(QuditShape(rho.level, qset.ambient), sigma)
 
 
-def _insert_stack(shape: QuditShape, qset: IndexSet, members, tol: Tolerance, label=None) -> list[list[DensityMatrix]]:
-    """Members of I_Q of their sources, for each member ``(source, v,
-    blocks)``: a source of qudit shape ``shape``, the ``(l**n, rank)``
-    columns sqrt(p_x) |x> of its spectral form (``_weighted_kets``) and a
-    stack of ``(rank, rank, l**t, l**t)`` block arrays, one per sample,
-    already checked by ``_check_blocks``.  Returns, per member, the states
-    of its samples, in order.
+def _insert_stack(shape: QuditShape, qsets, sources, ends, parts, tol: Tolerance, label=None) -> np.ndarray:
+    """Members of I_Q of their sources, one per row: row i inserts t qudits
+    into ``sources[i]``, a state of ``shape``, at ``qsets[j]`` for
+    ``ends[j - 1] <= i < ends[j]``.  ``parts`` yields, per rank r of the
+    rows, ``(rows, v, blocks)``: those rows, their sources' ``(l**n, r)``
+    columns sqrt(p_x) |x> (``_weighted_kets``) and their checked
+    ``(r, r, l**t, l**t)`` block arrays.  Returns the read-only stack of
+    the states.
 
-    The samples of each rank, across members, are assembled together, with
-    one product per sample on each side; then one PSD test runs over every
-    assembled state, then one deletion round trip of every state against
-    its own source.  A state's bits depend only on its own source and
-    blocks, never on the rest of the call.  An error's message starts with
-    ``label(i, k)`` of the sample k of member i it names; by default,
-    "sample k: " when that member has more than one sample and nothing
-    otherwise.
+    Each rank's rows are assembled together, one product per row on each
+    side, the inserted qudits last; then each position's rows take one
+    ``_permute_axes``, one PSD test and one deletion round trip, so the
+    largest temporaries are one position's.  A state's bits depend only on
+    its own source, position and blocks.  An error's message starts with
+    ``label(i)`` of its row i; by default, "sample i: " with more than one
+    row.
     """
-    n, l, block_dim = shape.length, shape.level, shape.level**qset.size
+    n, l, count = shape.length, shape.level, len(sources)
+    block_dim, big_shape = l ** qsets[0].size, QuditShape(l, qsets[0].ambient)
     if label is None:
-        label = lambda i, k: _sample_label(k, len(members[i][2]))
-    by_rank: dict[int, list[int]] = {}
-    for i, (_, v, _) in enumerate(members):
-        by_rank.setdefault(v.shape[-1], []).append(i)
-    rows, sources, mats = [], [], []  # row -> (member, sample); per rank, the sources and states of its rows
-    for rank, group in by_rank.items():
-        counts = [len(members[i][2]) for i in group]
-        rows += [(i, k) for i, count in zip(group, counts) for k in range(count)]
-        sources.append(np.repeat([members[i][0] for i in group], counts, axis=0))
-        v = np.repeat([members[i][1] for i in group], counts, axis=0)
-        count = len(v)
+        label = lambda i: _sample_label(i, count)
+    mat = np.empty((count, shape.dim, block_dim, shape.dim, block_dim), dtype=complex)  # axes (row, i, a, j, b)
+    for rows, v, blocks in parts:
+        size, rank = v.shape[0], v.shape[-1]
         # a state is sum_{x,y} V_x V_y^dagger (x) A_{x,y}; contracting V with
-        # the blocks first, then with V^dagger, one product per sample on each
-        # side, never forms a per-pair Kronecker product, and a sample's
+        # the blocks first, then with V^dagger, one product per row on each
+        # side, never forms a per-pair Kronecker product, and a row's
         # rounding does not depend on the rest of the stack
-        blocks = np.concatenate([members[i][2] for i in group]).transpose(0, 1, 3, 4, 2)
-        vb = (v @ blocks.reshape(count, rank, block_dim * block_dim * rank)).reshape(count, -1, rank)
-        mats.append((vb @ v.conj().swapaxes(1, 2)).reshape(count, shape.dim, block_dim, block_dim, shape.dim))
-    big_shape = QuditShape(l, qset.ambient)
-    mat = np.concatenate(mats).transpose(0, 1, 2, 4, 3)  # axes (row, i, a, j, b)
-    del mats, blocks, vb  # the per-rank operands and products, released before the PSD test
-    mat = mat.reshape(len(rows), big_shape.dim, big_shape.dim)
-    sigmas = _permute_axes(mat, tau_Q(qset, n), l)
-    del mat  # the unpermuted stack, unless the permutation is a view of it
-    big_tol = tol.at(big_shape.dim)
-
-    # unpermuted, sigma - sigma^dagger = sum_{x,y} sqrt(p_x p_y) |x_L><y_L| (x)
-    # (A_xy - A_yx^dagger), Frobenius-orthogonal terms with p_x p_y summing to 1:
-    # its norm is at most the largest block residual, at most eq_tol at l^t and
-    # so at big_tol; only rounding drift is symmetrized away
-    lowest = _least_eigenvalues(hermitian_part(sigmas), big_tol.psd_tol)
-    k = int(np.argmin(lowest))
-    if lowest[k] < -big_tol.psd_tol:
-        raise NotPSD(
-            f"{label(*rows[k])}assembled insertion is not PSD (min eigenvalue {lowest[k]:.3e})",
-            -float(lowest[k]),
-        )
-
-    residuals = frobenius_distance(trace_out(sigmas, qset, l), np.concatenate(sources))
-    k = int(np.argmax(residuals))
-    if residuals[k] > tol.at(shape.dim).eq_tol:
-        raise RoundTripFailed(f"{label(*rows[k])}D_Q(sigma) differs from rho by {residuals[k]:.3e}")
+        blocks = blocks.transpose(0, 1, 3, 4, 2).reshape(size, rank, block_dim * block_dim * rank)
+        vb = (v @ blocks).reshape(size, -1, rank)
+        product = (vb @ v.conj().swapaxes(1, 2)).reshape(size, shape.dim, block_dim, block_dim, shape.dim)
+        mat[rows] = product.transpose(0, 1, 2, 4, 3)
+    del blocks, vb, product  # the last rank's operands
+    mat = mat.reshape(count, big_shape.dim, big_shape.dim)
+    spans = list(zip(qsets, [0, *ends[:-1]], ends))
+    sigmas = np.empty_like(mat)
+    for qset, start, stop in spans:
+        _permute_axes(mat[start:stop], tau_Q(qset, n), l, out=sigmas[start:stop])
+    del mat
+    big_tol, eq_tol = tol.at(big_shape.dim), tol.at(shape.dim).eq_tol
+    for qset, start, stop in spans:
+        # unpermuted, sigma - sigma^dagger = sum_{x,y} sqrt(p_x p_y) |x_L><y_L| (x)
+        # (A_xy - A_yx^dagger), Frobenius-orthogonal terms with p_x p_y summing to 1:
+        # its norm is at most the largest block residual, at most eq_tol at l^t and
+        # so at big_tol; only rounding drift is symmetrized away
+        lowest = _least_eigenvalues(hermitian_part(sigmas[start:stop]), big_tol.psd_tol)
+        k = int(np.argmin(lowest))
+        if lowest[k] < -big_tol.psd_tol:
+            raise NotPSD(
+                f"{label(start + k)}assembled insertion is not PSD (min eigenvalue {lowest[k]:.3e})",
+                -float(lowest[k]),
+            )
+        residuals = frobenius_distance(trace_out(sigmas[start:stop], qset, l), sources[start:stop])
+        k = int(np.argmax(residuals))
+        if residuals[k] > eq_tol:
+            raise RoundTripFailed(f"{label(start + k)}D_Q(sigma) differs from rho by {residuals[k]:.3e}")
     sigmas.setflags(write=False)  # so each state keeps its row as a view, not a copy
-    states: list[list[DensityMatrix]] = [[] for _ in members]
-    for (i, _), mat in zip(rows, sigmas):
-        states[i].append(DensityMatrix(big_shape, mat))
-    return states
+    return sigmas
 
 
 def _check_composed(sigma: DensityMatrix, rho: DensityMatrix, s: int, t: int, most_s: int | None = None) -> None:
@@ -706,58 +705,57 @@ def insertion_member(
     return delete(sigma, qset).distance(rho) <= tol.at(rho.dim).eq_tol
 
 
-def _draw_groups(draws) -> dict[tuple, np.ndarray]:
-    """The block arrays of each draw ``(rng, count, rank, l, t)``: ``count``
-    arrays for a rank-``rank`` source and t inserted qudits of level l,
-    drawn in order from the generator ``rng``.  The draws read their
-    generators in draw order, so draws that share one generator read it as
-    back-to-back lone draws would.  The draws of one (rank, l, t) group
-    share one ``(samples, rank, rank, l**t, l**t)`` stack, keyed by the
-    group: its draws in order, each draw's samples in order.
+def _draw_groups(rngs, counts, keys) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
+    """The block arrays of each draw d: ``counts[d]`` arrays for a rank-r
+    source and t inserted qudits of level l, ``keys[d] = (r, l, t)``, drawn
+    in order from the generator ``rngs[d]``.  Returns, per (r, l, t) draw
+    group in order of first draw, ``(samples, stack)``: the indices of its
+    arrays among all the draws' arrays, in draw order, and their stack.
 
     Two families alternate: (a) separable, a random t-qudit density per
     eigenvector with zero off-diagonal blocks; (b) entangled, a purification
     |Phi> = sum_x sqrt(p_x) |x_L> (x) |u_x> over a random orthonormal set,
-    possible only when l**t >= rank.  Sample k is entangled when k is odd and
-    the family is possible.  Each sample is one ``standard_normal`` call on
-    its draw's generator, written into its family's buffer: a separable
-    sample's ``rank`` square Ginibre matrices, as ``random_psd`` with a
-    batch draws them, an entangled sample's one ``l**t x rank`` matrix, as
-    ``random_orthonormal`` does, so the first k of ``count`` arrays are the
-    k arrays drawn from the same generator state.  The algebra then runs
-    once per family of a group: the Ginibre products, trace normalisation
-    and ``separable_blocks``, or the QR; every array has the bits of its
-    lone draw.
+    possible only when l**t >= rank.  Array k of a draw is entangled when k
+    is odd and the family is possible.  A separable array reads ``rank``
+    square Ginibre matrices, as ``random_psd`` with a batch draws them, an
+    entangled one an ``l**t x rank`` matrix, as ``random_orthonormal``
+    does.  One ``standard_normal`` call per run of consecutive draws on one
+    generator draws them all: a ``Generator`` keeps no normal-draw state
+    between calls, so it reads what one call per array would, and the first
+    k of ``count`` arrays are the k arrays of the same generator state.
+    Index arrays gather each group's values into its families' buffers, and
+    the algebra runs once per family of a group; every array has the bits
+    of its lone draw.
     """
-    groups: dict[tuple, list[int]] = {}
-    for d, (_, _, rank, level, t) in enumerate(draws):
-        groups.setdefault((rank, level, t), []).append(d)
-    targets: list = [None] * len(draws)  # each draw's rows of its group's buffers
-    families = {}
-    for (rank, level, t), members in groups.items():
-        dim = level**t
-        entangled = np.array([k % 2 == 1 and dim >= rank for d in members for k in range(draws[d][1])])
-        pure = np.empty((np.count_nonzero(entangled), 2, dim, rank))
-        mixed = np.empty((len(entangled) - len(pure), rank, 2, dim, dim))
-        pure_rows, mixed_rows = iter(pure), iter(mixed)
-        rows = iter([next(pure_rows) if e else next(mixed_rows) for e in entangled])
-        for d in members:
-            targets[d] = [next(rows) for _ in range(draws[d][1])]
-        families[(rank, level, t)] = (entangled, pure, mixed)
-    for (rng, *_), rows in zip(draws, targets):
-        for row in rows:
-            rng.standard_normal(out=row)
+    counts = np.asarray(counts, dtype=int)
+    index = {key: g for g, key in enumerate(dict.fromkeys(keys))}  # groups in order of first draw
+    draw = np.repeat(np.arange(len(counts)), counts)  # each array's draw
+    group = np.array([index[key] for key in keys], dtype=int)[draw]
+    rank, level, t = np.array(list(index), dtype=int).reshape(-1, 3)[group].T
+    k = np.arange(len(draw)) - (np.cumsum(counts) - counts)[draw]
+    dim = level**t
+    entangled = (k % 2 == 1) & (dim >= rank)
+    starts = np.concatenate(([0], np.cumsum(np.where(entangled, 2 * dim * rank, 2 * rank * dim * dim))))
+    edges = starts[np.concatenate(([0], np.cumsum(counts)))]  # each draw's first value, then the total
+    runs = [0] + [d for d in range(1, len(rngs)) if rngs[d] is not rngs[d - 1]] + [len(rngs)]
+    values = np.empty(int(starts[-1]))
+    for first, stop in zip(runs, runs[1:]):
+        rngs[first].standard_normal(out=values[edges[first] : edges[stop]])
     stacks = {}
-    for (rank, level, t), (entangled, pure, mixed) in families.items():
+    for (rank, level, t), g in index.items():
         dim = level**t
-        stack = np.empty((len(entangled), rank, rank, dim, dim), dtype=complex)
-        g = _complex_parts(mixed)
-        m = g @ g.conj().swapaxes(-1, -2)
-        stack[~entangled] = separable_blocks(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
-        if len(pure):
-            kets = np.linalg.qr(_complex_parts(pure))[0].swapaxes(-1, -2)  # rows u_x
-            stack[entangled] = np.einsum("kxa,kyb->kxyab", kets, kets.conj())
-        stacks[(rank, level, t)] = stack
+        samples = np.flatnonzero(group == g)
+        pure, at = entangled[samples], starts[samples]
+        mixed = values[at[~pure, None] + np.arange(2 * rank * dim * dim)].reshape(-1, rank, 2, dim, dim)
+        stack = np.empty((len(samples), rank, rank, dim, dim), dtype=complex)
+        ginibre = _complex_parts(mixed)
+        m = ginibre @ ginibre.conj().swapaxes(-1, -2)
+        stack[~pure] = separable_blocks(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+        if pure.any():
+            normals = values[at[pure, None] + np.arange(2 * dim * rank)].reshape(-1, 2, dim, rank)
+            kets = np.linalg.qr(_complex_parts(normals))[0].swapaxes(-1, -2)  # rows u_x
+            stack[pure] = np.einsum("kxa,kyb->kxyab", kets, kets.conj())
+        stacks[rank, level, t] = (samples, stack)
     return stacks
 
 
@@ -792,59 +790,89 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
     of its own gets the samples of ``sample_insertions(rho, qset, count,
     seed, tol)``.
 
-    The sources of each shape are decomposed by one checked
-    ``spectral_decompose_stack`` call.  One ``_draw_groups`` pass draws the
-    blocks of every request, in request order, into one stack per
-    (rank, l, t) draw group, and each group is checked by one
-    ``_check_blocks`` call.  Then each (shape, qset) group is built by one
-    ``_insert_stack`` call, whatever its ranks.  Every block check runs
-    before any state is assembled, and every form and sample has the bits
-    it gets alone.  An error names its request by ``names[r]`` (nothing
-    by default): a refused source reads as its lone ``spectral_decompose``,
-    and a block or build error then names the sample, with more than one
-    sample in the request.
+    Sources, forms, blocks and samples pass as stacks indexed by row; no
+    numpy call is made per sample, nor per request but one normal draw per
+    run of requests on one generator.  Each shape's sources are
+    decomposed by one checked ``_spectral_groups`` call, each rank group's
+    weighted kets by one multiply.  One ``_draw_groups`` pass draws every
+    request's blocks, one ``_check_blocks`` call checks each (rank, l, t)
+    draw group, and one ``_insert_stack`` call builds each (shape, t)
+    group, its requests grouped by position.  Every block check runs before
+    any state is assembled, and every sample has the bits it gets alone.
+    An error names its request by ``names[r]`` (nothing by default): a
+    refused source reads as its lone ``spectral_decompose``, and a block
+    or build error then names the sample, with more than one in the
+    request.
     """
+    if not requests:
+        return []
     names = names or [""] * len(requests)
+    rhos, qsets, counts, rngs = (list(column) for column in zip(*requests))
+    counts = np.array(counts, dtype=int)
+    first = np.cumsum(counts) - counts  # each request's first sample; samples in request order
+    request = np.repeat(np.arange(len(requests)), counts)  # each sample's request
+
+    def label(sample) -> str:
+        r = int(request[sample])
+        return names[r] + _sample_label(int(sample - first[r]), int(counts[r]))
+
     by_shape: dict[QuditShape, list[int]] = {}
-    for r, (rho, *_) in enumerate(requests):
+    builds: dict[tuple, tuple] = {}  # per (shape, t), its index and its distinct positions, indexed
+    build, where = np.empty(len(requests), dtype=int), np.empty(len(requests), dtype=int)
+    for r, (rho, qset) in enumerate(zip(rhos, qsets)):
         by_shape.setdefault(rho.shape, []).append(r)
-    forms: list = [None] * len(requests)
+        build[r], positions = builds.setdefault((rho.shape, qset.size), (len(builds), {}))
+        where[r] = positions.setdefault(qset, len(positions))
+
+    # each request's rank, its row of its shape's sources and its row of its (shape, rank) group
+    ranks, slots, spots = (np.empty(len(requests), dtype=int) for _ in range(3))
+    sources, weighted = {}, {}
     for shape, rs in by_shape.items():
+        rs = np.array(rs)
+        sources[shape] = np.array([rhos[r].mat for r in rs.tolist()])
         try:
-            stacked = spectral_decompose_stack(np.stack([requests[r][0].mat for r in rs]), shape, tol)
+            groups = _spectral_groups(sources[shape], shape, tol)
         except QindelError:
             # the error path only: the first source refused alone is named
             # by its request, with the class and residual of its lone call
-            for r in rs:
+            for r in rs.tolist():
                 try:
-                    spectral_decompose(requests[r][0], tol)
+                    spectral_decompose(rhos[r], tol)
                 except QindelError as exc:
                     exc.args = (names[r] + str(exc),)
                     raise
             raise
-        for r, form in zip(rs, stacked):
-            forms[r] = form
+        slots[rs] = np.arange(len(rs))
+        for rows, weights, kets in groups:
+            ranks[rs[rows]], spots[rs[rows]] = kets.shape[-1], np.arange(len(rows))
+            weighted[shape, kets.shape[-1]] = _weighted_kets(weights, kets)
 
-    def label(r: int, k: int) -> str:
-        return names[r] + _sample_label(k, requests[r][2])
+    keys = list(zip(ranks.tolist(), [rho.level for rho in rhos], [qset.size for qset in qsets]))
+    draws = _draw_groups(rngs, counts, keys)
+    rows = np.empty(len(request), dtype=int)  # each sample's row of its draw group's stack
+    for (rank, level, t), (members, stack) in draws.items():
+        rows[members] = np.arange(len(members))
+        _check_blocks(stack, rank, QuditShape(level, t), tol, lambda row: label(members[row]))
 
-    draws = [(rng, count, form.rank, rho.level, qset.size) for (rho, qset, count, rng), form in zip(requests, forms)]
-    stacks = _draw_groups(draws)
-    owners: dict[tuple, list[tuple[int, int]]] = {key: [] for key in stacks}  # row of a group -> (request, sample)
-    blocks = []  # each request's rows of its group's stack
-    for r, (_, count, *key) in enumerate(draws):
-        rows = owners[tuple(key)]
-        blocks.append(stacks[tuple(key)][len(rows) : len(rows) + count])
-        rows.extend((r, k) for k in range(count))
-    for (rank, level, t), stack in stacks.items():
-        rows = owners[rank, level, t]
-        _check_blocks(stack, rank, QuditShape(level, t), tol, lambda row: label(*rows[row]))
-    builds: dict[tuple, list[int]] = {}
-    for r, (rho, qset, *_) in enumerate(requests):
-        builds.setdefault((rho.shape, qset), []).append(r)
     samples: list = [None] * len(requests)
-    for (shape, qset), rs in builds.items():
-        members = [(requests[r][0].mat, _weighted_kets(forms[r]), blocks[r]) for r in rs]
-        for r, states in zip(rs, _insert_stack(shape, qset, members, tol, lambda i, k: label(rs[i], k))):
-            samples[r] = states
+    for (shape, t), (b, positions) in builds.items():
+        rs = np.flatnonzero(build == b)
+        rs = rs[np.argsort(where[rs], kind="stable")]
+        stops = np.cumsum(counts[rs])
+        mine = np.arange(stops[-1]) + np.repeat(first[rs] - (stops - counts[rs]), counts[rs])  # its rows' samples
+        owners = request[mine]
+
+        def parts():  # each rank's operands, gathered only as the build reaches that rank
+            for rank in sorted(set(ranks[rs].tolist())):
+                at = np.flatnonzero(ranks[owners] == rank)
+                yield at, weighted[shape, rank][spots[owners[at]]], draws[rank, shape.level, t][1][rows[mine[at]]]
+
+        ends = np.searchsorted(where[owners], np.arange(len(positions)), side="right").tolist()
+        sigmas = _insert_stack(
+            shape, list(positions), sources[shape][slots[owners]], ends, parts(), tol, lambda row: label(mine[row])
+        )
+        big_shape = QuditShape(shape.level, shape.length + t)
+        states = [DensityMatrix(big_shape, mat) for mat in sigmas]
+        for r, start, stop in zip(rs.tolist(), (stops - counts[rs]).tolist(), stops.tolist()):
+            samples[r] = states[start:stop]
     return samples

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import IndexSet, _as_index_set, _check_composed, _dedup_levels, _insertion_set
 from .channels import _sample_batch, _traced_levels, pairs_meet, trace_out, trace_out_adjoint
-from .errors import ShapeMismatch, SizeCapExceeded
+from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
 from .states import DensityMatrix, QuditShape, _count, spectral_decompose
 
@@ -452,17 +452,39 @@ def check_containment_trial(
 def _trial_counts(value, what: str, rhos: list, bounded: bool) -> list[int]:
     """One count per trial: ``value`` for every trial, or ``value[i]`` for
     trial i.  Each is a nonnegative integer (``CountOutOfRange``), at most
-    its trial's length where ``bounded``; one per trial, or ``ShapeMismatch``."""
+    its trial's length where ``bounded``; one per trial, or ``ShapeMismatch``.
+    Each distinct (type, value, bound) is checked once; only on a refusal
+    (or an unhashable value) are the trials checked one by one, so that it
+    names the first trial at fault, ``... of trial i``."""
     if np.ndim(value) == 0:
         most = min((rho.length for rho in rhos), default=None) if bounded else None
         return [_count(value, what, most=most)] * len(rhos)
     values = list(value)
     if len(values) != len(rhos):
         raise ShapeMismatch(f"{len(rhos)} states but {len(values)} values of {what}")
-    return [
-        _count(v, f"{what} of trial {i}", most=rho.length if bounded else None)
-        for i, (v, rho) in enumerate(zip(values, rhos))
-    ]
+    bounds = [rho.length if bounded else None for rho in rhos]
+    # the type is part of the key: 1, 1.0 and True are equal keys, but only 1 is a count
+    keys = list(zip(map(type, values), values, bounds))
+    try:
+        checked = {key: _count(key[1], what, most=key[2]) for key in set(keys)}
+    except (CountOutOfRange, TypeError):
+        return [_count(v, f"{what} of trial {i}", most=most) for i, (v, most) in enumerate(zip(values, bounds))]
+    return [checked[key] for key in keys]
+
+
+def _compact(states: list) -> None:
+    """Replace each state of ``states``, in place, by a row of one fresh
+    read-only stack per shape, so that none keeps alive a stack it viewed,
+    such as a build's stack with the samples a trial discards.  A shape's
+    old states are dropped as soon as its stack is made."""
+    by_shape: dict[QuditShape, list[int]] = {}
+    for k, state in enumerate(states):
+        by_shape.setdefault(state.shape, []).append(k)
+    for shape, ks in by_shape.items():
+        mats = np.array([states[k].mat for k in ks])
+        mats.setflags(write=False)
+        for k, mat in zip(ks, mats):
+            states[k] = DensityMatrix(shape, mat)
 
 
 def _below(u: np.ndarray, k) -> np.ndarray:
@@ -499,12 +521,13 @@ def check_containment_trials(
     ``partial_trace``.  The insertions of one step are one ``_sample_batch``
     call on the batch's generator, its requests in trial order, so the
     samples are those of one-request calls made trial by trial; it
-    decomposes their sources with one checked ``spectral_decompose_stack``
+    decomposes their sources with one checked ``states._spectral_groups``
     call per shape, draws their blocks in one pass, checks each (rank,
     level, t) draw group with one ``_check_blocks`` call and builds each
-    (shape, position) group with one ``_insert_stack`` call.  Every sample
-    is checked and built, the discarded ones too.  A block or build error
-    names the trial's index in ``rhos`` and the step.  The final
+    source shape's insertions with one ``_insert_stack`` call.  Every sample
+    is checked and built, the discarded ones too; the kept ones are then
+    copied by ``_compact``, so no build's stack outlives its step.  A block
+    or build error names the trial's index in ``rhos`` and the step.  The final
     memberships are one ``_members_ins_del`` call per distinct (s, t), one
     batched comparison per (final shape, source shape) group, each verdict
     the one ``member_ins_del`` gives.
@@ -521,6 +544,7 @@ def check_containment_trials(
     lengths = np.array([rho.length for rho in rhos], dtype=int)
     coins, spots, sizes = rng.random((3, len(rhos), int((left_s + left_t).max(initial=0))))
     states = list(rhos)
+    index_sets: dict[tuple[int, int], IndexSet] = {}  # one per (position, length), shared by the trials
     for step in range(1, coins.shape[1] + 1):
         moving = left_s + left_t > 0
         deletes = (left_s > 0) & ~((left_t > 0) & (_below(coins[:, step - 1], 2) == 1))
@@ -530,23 +554,27 @@ def check_containment_trials(
         left_t -= moving & ~deletes
         lengths += moving * np.where(deletes, -1, 1)
         requests, inserting, deleting = [], [], {}
-        moves = (np.flatnonzero(moving), deletes[moving], positions[moving], how_many[moving])
-        for i, deleted, position, count in zip(*(column.tolist() for column in moves)):
+        moves = (np.flatnonzero(moving), deletes[moving], positions[moving], how_many[moving], lengths[moving])
+        for i, deleted, position, count, length in zip(*(column.tolist() for column in moves)):
             state = states[i]
             if deleted:
                 deleting.setdefault((state.shape, position), []).append(i)
             else:
-                requests.append((state, IndexSet((position,), state.length + 1), count, rng))
+                if (position, length) not in index_sets:
+                    index_sets[position, length] = IndexSet((position,), length)
+                requests.append((state, index_sets[position, length], count, rng))
                 inserting.append(i)
         for (shape, p), group in deleting.items():
-            reduced = trace_out(np.stack([states[i].mat for i in group]), IndexSet((p,), shape.length), shape.level)
+            reduced = trace_out(np.array([states[i].mat for i in group]), IndexSet((p,), shape.length), shape.level)
             reduced.setflags(write=False)  # so each state keeps its row as a view, not a copy
             shape = QuditShape(shape.level, shape.length - 1)
             for i, mat in zip(group, reduced):
                 states[i] = DensityMatrix(shape, mat)
         names = [f"trial {i}, step {step}: " for i in inserting]
-        for i, samples in zip(inserting, _sample_batch(requests, tol, names)):
-            states[i] = samples[-1]
+        kept = [samples[-1] for samples in _sample_batch(requests, tol, names)]
+        _compact(kept)
+        for i, state in zip(inserting, kept):
+            states[i] = state
     by_counts: dict[tuple[int, int], list[int]] = {}
     for i, counts in enumerate(zip(ss, ts)):
         by_counts.setdefault(counts, []).append(i)

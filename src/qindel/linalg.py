@@ -154,13 +154,20 @@ def hermitian_part(a) -> np.ndarray:
     Leading axes are a batch.  The sum is halved, which keeps subnormal
     entries exact, unless an entry of the matrix is large enough for the sum
     to overflow: then each of its terms is halved first.  The choice is made
-    per matrix, so each matrix of a stack gets the bits it gets alone."""
+    per matrix, so each matrix of a stack gets the bits it gets alone.
+    With no modulus above ``_HALF_MAX`` (as no part above ``_HALF_MAX`` / 2
+    shows, with no ``np.abs`` pass), a is added into its conjugate
+    transpose, the one array made, and the sum halved in place."""
     a = _as_complex(a)
+    h = np.conjugate(a.swapaxes(-1, -2), order="C")
+    parts = h.view(float)
+    # NaN fails both tests
+    if max(parts.max(initial=0.0), -parts.min(initial=0.0)) <= _HALF_MAX / 2 or np.abs(a).max(initial=0.0) <= _HALF_MAX:
+        h += a  # b + a: the bits of a + b
+        h /= 2
+        return h
     b = a.conj().swapaxes(-1, -2)
-    magnitude = np.abs(a)
-    if magnitude.max(initial=0.0) <= _HALF_MAX:
-        return (a + b) / 2
-    large = magnitude.max(axis=(-2, -1), initial=0.0) > _HALF_MAX
+    large = np.abs(a).max(axis=(-2, -1), initial=0.0) > _HALF_MAX
     with np.errstate(over="ignore", invalid="ignore"):  # the overflowing sums are discarded
         return np.where(large[..., None, None], a / 2 + b / 2, (a + b) / 2)
 

@@ -328,10 +328,8 @@ def spectral_decompose(rho: DensityMatrix, tol: Tolerance = Tolerance()) -> Spec
 
 def spectral_decompose_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> list[SpectralForm]:
     """The spectral form of each state of ``shape`` in ``mats``, a ``(k, d, d)``
-    stack (or one ``(d, d)`` matrix, which gives one form), from one checked
-    eigen-solve: the gate of ``hermitian_eigensystem`` and a PSD test at d,
-    each naming the first matrix of a stack it refuses.  Other shapes of
-    ``mats`` raise ``ShapeMismatch``.
+    stack (or one ``(d, d)`` matrix, which gives one form), sliced from its
+    rank group of ``_spectral_groups``, whose checks and errors these are.
 
     Weights are clipped at zero, and the smallest are dropped only while their
     running sum stays at most 1e-3 * eq_tol, so the reconstruction moves far
@@ -341,6 +339,28 @@ def spectral_decompose_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance
     downstream constructions only depend on the reconstructed matrix.  Each
     state's form has the bits it gets alone.
     """
+    groups = _spectral_groups(mats, shape, tol)
+    forms: list = [None] * sum(len(rows) for rows, _, _ in groups)
+    for rows, weights, kets in groups:
+        for k, w_k, v_k in zip(rows.tolist(), weights, kets):
+            forms[k] = SpectralForm(shape, w_k, v_k)
+    return forms
+
+
+def _spectral_groups(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> list[tuple]:
+    """The spectral forms of the states of ``shape`` in ``mats`` (as
+    ``spectral_decompose_stack`` takes it), by rank, ranks ascending: per
+    rank r, ``(rows, weights, kets)``, the indices of its states, their
+    ``(g, r)`` weights and ``(g, d, r)`` kets.  Other shapes of ``mats``
+    raise ``ShapeMismatch``.
+
+    One checked eigen-solve: the gate of ``hermitian_eigensystem`` and a
+    PSD test at d, each naming the first matrix of a stack it refuses.
+    Each group is ordered by one stable descending ``argsort`` and divided
+    by the last column of the ``cumsum`` of its kept weights, which adds
+    them in ascending order one by one, so every row has the bits of its
+    state's form computed alone.
+    """
     mats, dim = np.asarray(mats, dtype=complex), shape.dim
     if mats.ndim not in (2, 3) or mats.shape[-2:] != (dim, dim):
         raise ShapeMismatch(f"expected a {dim}x{dim} matrix or a stack of them, got {mats.shape}")
@@ -349,14 +369,17 @@ def spectral_decompose_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance
     _require_psd(w, tol)
     w, v = w.reshape(-1, dim), v.reshape(-1, dim, dim)
     # the clipped running sum only rises: the weights dropped are those where it is still within the bound
-    drops = (np.cumsum(np.maximum(w, 0.0), axis=1) <= 1e-3 * tol.eq_tol).sum(axis=1).tolist()
-    forms = []
-    for w_k, v_k, dropped in zip(w, v, drops):
-        w_k, v_k = w_k[dropped:], v_k[:, dropped:]
-        order = np.argsort(-w_k, kind="stable")
-        total = sum(w_k.tolist())
-        forms.append(SpectralForm(shape, w_k[order] / total, np.ascontiguousarray(v_k[:, order])))
-    return forms
+    ranks = dim - (np.cumsum(np.maximum(w, 0.0), axis=1) <= 1e-3 * tol.eq_tol).sum(axis=1)
+    groups = []
+    for rank in sorted(set(ranks.tolist())):
+        rows = np.flatnonzero(ranks == rank)
+        kept = w[rows, dim - rank :]
+        order = dim - rank + np.argsort(-kept, axis=1, kind="stable")  # columns of w and v
+        # the total as a (g, 1) column; at rank 0 an empty one, which no weight reads
+        total = np.cumsum(kept, axis=1)[:, -1:]
+        kets = v[rows[:, None, None], np.arange(dim)[:, None], order[:, None, :]]
+        groups.append((rows, w[rows[:, None], order] / total, kets))
+    return groups
 
 
 def reconstruct(form: SpectralForm) -> DensityMatrix:

@@ -8,7 +8,7 @@ from qindel import linalg
 from qindel.channels import deletion_sphere
 from qindel.distance import indel_distance, min_distance
 from qindel.errors import QindelError, ShapeMismatch, TraceNotOne
-from qindel.linalg import Tolerance, hermitian_eigenvalues
+from qindel.linalg import Tolerance, hermitian_eigensystem, hermitian_eigenvalues
 from qindel.rand import random_density
 from qindel.states import DensityMatrix, QuditShape, _require_psd, validate
 
@@ -129,6 +129,20 @@ def assert_validates_as_reference(mat, shape, tol=Tolerance()):
     got = validate(mat, shape, tol)
     assert got.shape == want.shape and np.array_equal(got.mat, want.mat)
     return None
+
+
+def reference_spectral_form(mat, shape, tol=Tolerance()):
+    """The spectral form of one state by the per-state rule: its own checked
+    eigen-solve, the weights dropped while their clipped running sum stays
+    within 1e-3 * eq_tol, a stable descending sort and the kept weights
+    summed one by one in ascending order.  Returns (weights, kets)."""
+    tol = tol.at(shape.dim)
+    w, v = hermitian_eigensystem(np.asarray(mat, dtype=complex), tol)
+    _require_psd(w, tol)
+    dropped = int((np.cumsum(np.maximum(w, 0.0)) <= 1e-3 * tol.eq_tol).sum())
+    w, v = w[dropped:], v[:, dropped:]
+    order = np.argsort(-w, kind="stable")
+    return w[order] / sum(w.tolist()), np.ascontiguousarray(v[:, order])
 
 
 def planted_state(rng, shape, lowest, rank=None):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qindel.acceptance
+import qindel.channels
 import qindel.feasibility
 import qindel.rand
 import qindel.states
@@ -198,6 +199,23 @@ def test_containment_runs_its_600_trials_in_one_lockstep_call(monkeypatch):
     assert item["status"] == "pass"
     assert item["details"] == "600/600 trajectories contained over (s,t) in (1,1),(2,1),(1,2)"
     assert (len(trials), len(batches)) == (1, 3)
+
+
+def test_containment_builds_once_per_step_and_source_shape(monkeypatch):
+    # each of the three steps builds each source shape's insertions in one
+    # _insert_stack call, whatever their positions and ranks, and the
+    # sampler reads its rank groups with no SpectralForm per request
+    steps, builds, forms = [], [], []
+    real_batch, real_build = qindel.feasibility._sample_batch, qindel.channels._insert_stack
+    monkeypatch.setattr(qindel.feasibility, "_sample_batch", lambda *args: steps.append(None) or real_batch(*args))
+    monkeypatch.setattr(
+        qindel.channels, "_insert_stack", lambda shape, *args: builds.append((len(steps), shape)) or real_build(shape, *args)
+    )
+    real_form = qindel.states.SpectralForm.__init__
+    monkeypatch.setattr(qindel.states.SpectralForm, "__init__", lambda *args: forms.append(None) or real_form(*args))
+    assert check_containment(0)["status"] == "pass"
+    assert len(steps) == 3 and len(builds) == len(set(builds))
+    assert {step for step, _ in builds} == {1, 2, 3} and forms == []
 
 
 def test_containment_certifies_every_psd_test_without_an_eigen_solve(monkeypatch):

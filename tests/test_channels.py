@@ -12,6 +12,7 @@ from qindel.channels import (
     SphereSet,
     _check_blocks,
     _dedup_levels,
+    _draw_groups,
     _insert_stack,
     _permute_axes,
     _screened_distances,
@@ -51,7 +52,6 @@ from qindel.states import (
     basis_ket,
     density_from_ket,
     spectral_decompose,
-    spectral_decompose_stack,
     validate,
 )
 from conftest import make_states
@@ -891,19 +891,57 @@ def test_block_stack_errors_name_the_sample(case):
     # before it is built; a non-PSD state by the build, _insert_stack
     rho = example_rho(0.5, 0.5)
     qset = IndexSet((3,), 3)
-    v = _weighted_kets(spectral_decompose(rho))
-    good = np.array([separable_blocks([np.eye(2) / 2] * v.shape[1])] * 3)
+    form = spectral_decompose(rho)
+    v = _weighted_kets(form.weights, form.kets)
+    good = np.array([separable_blocks([np.eye(2) / 2] * form.rank)] * 3)
     error = NotPSD if case == "not PSD" else BlockConstraintViolated
 
     def build(stack):
-        _check_blocks(stack, v.shape[1], QuditShape(2, 1), Tolerance())
-        return _insert_stack(rho.shape, qset, [(rho.mat, v, stack)], Tolerance())
+        _check_blocks(stack, form.rank, QuditShape(2, 1), Tolerance())
+        rows = np.arange(len(stack))
+        sources, vs = np.array([rho.mat] * len(stack)), np.array([v] * len(stack))
+        return _insert_stack(rho.shape, [qset], sources, [len(stack)], [(rows, vs, stack)], Tolerance())
 
     for k in (1, 2):
         with pytest.raises(error, match=rf"^sample {k}: .*{case}"):
             build(_tampered(good, k, case))
     with pytest.raises(error, match=rf"^(?!sample).*{case}"):
         build(_tampered(good, 0, case)[:1])
+
+
+def _build(shape, qsets, rows):
+    """One ``_insert_stack`` call on ``rows``, each ``(j, rho, blocks)``:
+    blocks inserted into rho at ``qsets[j]``, the rows already in
+    ascending j."""
+    ends = np.cumsum([sum(row[0] == j for row in rows) for j in range(len(qsets))]).tolist()
+    forms = [spectral_decompose(rho) for _, rho, _ in rows]
+    ranks = np.array([form.rank for form in forms])
+    parts = []
+    for rank in sorted(set(ranks.tolist())):
+        at = np.flatnonzero(ranks == rank)
+        v = np.array([_weighted_kets(forms[i].weights, forms[i].kets) for i in at])
+        parts.append((at, v, np.array([rows[i][2] for i in at])))
+    sources = np.array([rho.mat for _, rho, _ in rows])
+    return _insert_stack(shape, qsets, sources, ends, parts, Tolerance())
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("n", range(4))
+def test_one_build_over_every_position_gives_each_row_its_positions_build(rng, n, t):
+    # rows at every Q of size t, from sources of the least and the largest
+    # rank, with a separable and an entangled block array each where the
+    # family is possible: one call over all positions gives each row the
+    # bits of the call over its position's rows alone
+    shape = QuditShape(2, n)
+    qsets = [IndexSet(Q, n + t) for Q in combinations(range(1, n + t + 1), t)]
+    rhos = [random_density(rng, shape, rank) for rank in sorted({1, shape.dim})]
+    draws = _draw_groups([rng] * len(rhos), [2] * len(rhos), [(spectral_decompose(rho).rank, 2, t) for rho in rhos])
+    arrays = [stack for _, stack in draws.values()]
+    rows = [(j, rho, blocks) for j in range(len(qsets)) for rho, stack in zip(rhos, arrays) for blocks in stack]
+    together = _build(shape, qsets, rows)
+    assert together.shape == (len(rows), 2 ** (n + t), 2 ** (n + t)) and not together.flags.writeable
+    alone = [_build(shape, [qset], [(0, *row[1:]) for row in rows if row[0] == j]) for j, qset in enumerate(qsets)]
+    assert [mat.tobytes() for mat in together] == [mat.tobytes() for stack in alone for mat in stack]
 
 
 def test_insertion_member():
@@ -976,11 +1014,13 @@ def test_sample_insertions_decomposes_once(monkeypatch):
 
     calls = []
 
+    real = channels._spectral_groups
+
     def counting(mats, shape, tol):
         calls.extend(mat.tobytes() for mat in mats)
-        return spectral_decompose_stack(mats, shape, tol)
+        return real(mats, shape, tol)
 
-    monkeypatch.setattr(channels, "spectral_decompose_stack", counting)
+    monkeypatch.setattr(channels, "_spectral_groups", counting)
     rho = example_rho(0.5, 0.5)
     for count in (1, 2, 5):
         calls.clear()

@@ -24,7 +24,7 @@ from qindel.feasibility import (
 )
 from qindel.linalg import Tolerance
 from qindel.rand import random_density, random_hermitian
-from qindel.states import DensityMatrix, QuditShape, SpectralForm, basis_ket, density_from_ket, spectral_decompose
+from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, spectral_decompose
 from conftest import failing_from, make_states
 
 
@@ -377,7 +377,8 @@ def _lockstep_calls(monkeypatch, steps):
     """Record, for each of ``steps`` lockstep steps, the group key of each
     call: a stacked deletion (``feasibility.trace_out``: dimension and
     position), a block check (``_check_blocks``: rank, l, t) and a build
-    (``_insert_stack``: shape, Q).  A step's deletions come before its one
+    (``_insert_stack``: source shape, and the set of its positions).  A
+    step's deletions come before its one
     ``_sample_batch`` call, and its checks and builds inside it."""
     calls = [{"trace_out": [], "_check_blocks": [], "_insert_stack": []} for _ in range(steps)]
     batches = []
@@ -397,7 +398,7 @@ def _lockstep_calls(monkeypatch, steps):
     record(feasibility, "trace_out", lambda mat, pset, level: (mat.shape[-1], pset.positions))
     record(feasibility, "_sample_batch", None)
     record(channels, "_check_blocks", lambda stack, rank, shape, *_: (rank, shape.level, shape.length))
-    record(channels, "_insert_stack", lambda shape, qset, *_: (shape, qset))
+    record(channels, "_insert_stack", lambda shape, qsets, *_: (shape, frozenset(qsets)))
     return calls, batches
 
 
@@ -405,8 +406,9 @@ def test_a_lockstep_step_makes_one_stacked_call_per_group(monkeypatch, rng):
     # one mixed call: qubits on 1-3 and qutrits on 1-2 qudits, of every rank,
     # through one deletion and two insertions.  Each step makes one stacked
     # trace_out per (shape, position) of its deletions, one _check_blocks
-    # per (rank, l, t) of its insertions and one _insert_stack per (shape,
-    # Q), the groups read off the moves of the batch replayed trial by trial
+    # per (rank, l, t) of its insertions and one _insert_stack per source
+    # shape, whatever its positions, the groups read off the moves of the
+    # batch replayed trial by trial
     s, t = 1, 2
     rhos = [
         random_density(rng, shape, rank)
@@ -420,20 +422,22 @@ def test_a_lockstep_step_makes_one_stacked_call_per_group(monkeypatch, rng):
     assert len(batches) == s + t
     for step, made in enumerate(calls):
         moves = history[step]
+        positions: dict = {}  # per source shape of an insertion, its positions
+        for _, state, q, count in moves:
+            if count:
+                positions.setdefault(state.shape, set()).add(IndexSet((q,), state.length + 1))
         groups = {
             "trace_out": {(state.dim, (p,)) for _, state, p, count in moves if count is None},
             "_check_blocks": {
                 (spectral_decompose(state).rank, state.level, 1) for _, state, _, count in moves if count
             },
-            "_insert_stack": {
-                (state.shape, IndexSet((q,), state.length + 1)) for _, state, q, count in moves if count
-            },
+            "_insert_stack": {(shape, frozenset(qsets)) for shape, qsets in positions.items()},
         }
         for name, keys in made.items():
             assert sorted(keys, key=repr) == sorted(groups[name], key=repr), (step, name)
     # 26 deletions and 52 insertions, one move per trial and step
     totals = {name: sum(len(made[name]) for made in calls) for name in calls[0]}
-    assert len(rhos) == 26 and totals == {"trace_out": 22, "_check_blocks": 34, "_insert_stack": 32}
+    assert len(rhos) == 26 and totals == {"trace_out": 22, "_check_blocks": 34, "_insert_stack": 18}
 
 
 def test_one_call_runs_trials_of_different_counts_as_each_runs_alone(monkeypatch, rng):
@@ -491,30 +495,30 @@ def _tamper_request(monkeypatch, fault, request):
     """Script one fault into one request of a ``_sample_batch`` call: its
     source's weights off by 0.2 % (a round trip fails), or its blocks NaN.
     Sources are decomposed a stack per shape, in request order when each
-    shape's requests are adjacent.  Blocks are drawn in one ``_draw_groups``
-    pass whose draws are the requests in order; a (rank, l, t) group's stack
-    holds its draws' samples in draw order."""
+    shape's requests are adjacent, into rank groups that name their rows of
+    the stack.  Blocks are drawn in one ``_draw_groups`` pass whose draws are
+    the requests in order; a (rank, l, t) group names its arrays among the
+    arrays of all draws, in draw order."""
     if fault == "round trip":
-        real, done = channels.spectral_decompose_stack, []
+        real, done = channels._spectral_groups, []
 
         def faulty(*args):
-            out = real(*args)
+            groups = real(*args)
             k = request - len(done)
-            done.extend(out)
-            if 0 <= k < len(out):
-                form = out[k]
-                out[k] = SpectralForm(form.shape, form.weights * 1.002, form.kets)
-            return out
+            for rows, weights, _ in groups:
+                done.extend(rows)
+                weights[rows == k] *= 1.002
+            return groups
 
-        monkeypatch.setattr(channels, "spectral_decompose_stack", faulty)
+        monkeypatch.setattr(channels, "_spectral_groups", faulty)
         return
     real = channels._draw_groups
 
-    def faulty(draws):
-        stacks = real(draws)
-        _, count, *key = draws[request]
-        start = sum(c for _, c, *k in draws[:request] if k == key)
-        stacks[tuple(key)][start : start + count] = np.nan
+    def faulty(rngs, counts, keys):
+        stacks = real(rngs, counts, keys)
+        start = sum(counts[:request])
+        for samples, stack in stacks.values():
+            stack[(start <= samples) & (samples < start + counts[request])] = np.nan
         return stacks
 
     monkeypatch.setattr(channels, "_draw_groups", faulty)
@@ -546,8 +550,10 @@ def test_batch_errors_name_the_trial_and_step(monkeypatch, rng, fault, error, me
     with pytest.raises(error, match=rf"^trial 3, step 1: {message}"):
         check_containment_trials(rhos, seed, 0, 1)
     if fault == "round trip":
-        _, _, members, *_ = builds[-1]  # the build that raised
-        assert [source.tobytes() for source, *_ in members] == [rho.mat.tobytes() for rho in rhos[3:]]
+        _, _, sources, *_ = builds[-1]  # the build that raised: one row per sample
+        counts = [plan[0][1] for plan in _replayed_moves(rhos, seed, [0] * 6, [1] * 6)[1][3:]]
+        expected = [rho.mat.tobytes() for rho, count in zip(rhos[3:], counts) for _ in range(count)]
+        assert [source.tobytes() for source in sources] == expected
     else:  # every block check runs before any build
         stack, rank, *_ = checks[-1]  # the check that raised
         assert not builds and rank == 2 and len(stack) >= 3

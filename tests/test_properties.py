@@ -5,7 +5,8 @@ of the indel distance, ``metric_check``'s lockstep walk against each
 pair's indel distance, the code minimum distance's stacked walk against
 each state's own spheres, a code's dedup of coinciding states, the insertion
 round trip and sampler prefixes, a batch of sampler requests against each
-request's lone samples, the containment of interleaved errors, and the
+request's lone samples, the split of one normal draw that the sampler's
+draw pass relies on, the containment of interleaved errors, and the
 evidence of feasibility verdicts: witnesses and Farkas certificates.
 The metric, insertion, containment and feasibility tests draw qubit and
 qutrit states; qutrit cases keep the lifted dimension at most 16, apart
@@ -729,6 +730,27 @@ def test_requests_that_share_a_generator_read_it_in_request_order(requests, seed
     for (rho, qset, count, _), samples in zip(requests, batched):
         lone = _sample_batch([(rho, qset, count, rng)], Tolerance())[0]
         assert [sigma.mat.tobytes() for sigma in samples] == [sigma.mat.tobytes() for sigma in lone]
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(st.integers(0, 2**63 - 1), st.lists(st.integers(0, 300), min_size=1, max_size=8))
+def test_one_normal_draw_is_its_back_to_back_parts(seed, sizes):
+    """One ``standard_normal`` call of N values draws the values that
+    back-to-back calls whose sizes sum to N draw, as ``out`` arrays or by
+    size, and leaves the generator where they leave it: a ``Generator``
+    keeps no normal-draw state between calls.  The sampler's draw pass
+    (``channels._draw_groups``) relies on it to make one call per run of
+    draws on one generator."""
+    whole, parts, sized = (np.random.default_rng(seed) for _ in range(3))
+    values = whole.standard_normal(sum(sizes))
+    pieces = []
+    for size in sizes:
+        piece = np.empty(size)
+        parts.standard_normal(out=piece)
+        pieces.append(piece)
+    assert np.concatenate(pieces).tobytes() == values.tobytes()
+    assert np.concatenate([sized.standard_normal(size) for size in sizes]).tobytes() == values.tobytes()
+    assert whole.standard_normal(3).tobytes() == parts.standard_normal(3).tobytes() == sized.standard_normal(3).tobytes()
 
 
 @BOTH_LEVELS

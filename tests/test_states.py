@@ -34,13 +34,15 @@ from qindel.states import (
     save_state,
     save_states,
     scalar_state,
+    _spectral_groups,
     spectral_decompose,
+    spectral_decompose_stack,
     state_from_json_obj,
     state_to_json_obj,
     validate,
     validate_stack,
 )
-from conftest import assert_validates_as_reference, planted_state
+from conftest import assert_validates_as_reference, planted_state, reference_spectral_form
 
 
 def test_qudit_shape():
@@ -327,6 +329,44 @@ def test_spectral_decompose_degenerate():
     np.testing.assert_allclose(form.weights, [0.5, 0.5])
     u, v = form.kets[:, 0], form.kets[:, 1]
     assert abs(u @ v.conj()) < 1e-12  # any orthonormal pair is fine
+
+
+def _spectral_stack(rng, shape):
+    """States of ``shape`` whose forms drop different numbers of weights:
+    a random state of each rank (a rank-r draw has d - r eigenvalues at
+    rounding level, all dropped), the maximally mixed state (one weight
+    repeated d times), a degenerate mixture of two weights, and planted
+    spectra whose smallest weight sits on either side of the drop bound."""
+    d = shape.dim
+    mats = [random_density(rng, shape, rank).mat for rank in range(1, d + 1)]
+    mats.append(np.eye(d, dtype=complex) / d)
+    if d > 1:
+        mats.append(np.diag([0.5] * 2 + [0.0] * (d - 2) if d > 2 else [0.5, 0.5]).astype(complex))
+        bound = 1e-3 * Tolerance().at(d).eq_tol
+        for lowest in (bound / 4, bound * 4):
+            mats.append(planted_state(rng, shape, lowest))
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("level, length", [(2, n) for n in range(4)] + [(3, n) for n in range(4)])
+def test_rank_grouped_forms_are_the_lone_forms_bit_for_bit(rng, level, length):
+    # every row of every rank group, the forms sliced from them and the lone
+    # spectral_decompose of each state carry the per-state rule's bits
+    shape = QuditShape(level, length)
+    mats = _spectral_stack(rng, shape)
+    expected = [reference_spectral_form(mat, shape) for mat in mats]
+    groups = _spectral_groups(mats, shape)
+    assert sorted(k for rows, _, _ in groups for k in rows.tolist()) == list(range(len(mats)))
+    ranks = [kets.shape[-1] for _, _, kets in groups]
+    assert ranks == sorted(set(ranks)) and len({len(w) for w, _ in expected}) == len(ranks)
+    for rows, weights, kets in groups:
+        for k, w_k, v_k in zip(rows.tolist(), weights, kets):
+            assert (w_k.tobytes(), v_k.tobytes()) == (expected[k][0].tobytes(), expected[k][1].tobytes())
+    for k, form in enumerate(spectral_decompose_stack(mats, shape)):
+        lone = spectral_decompose(DensityMatrix(shape, mats[k]))
+        for got in (form, lone):
+            assert got.kets.flags.c_contiguous and got.kets.shape == expected[k][1].shape
+            assert (got.weights.tobytes(), got.kets.tobytes()) == (expected[k][0].tobytes(), expected[k][1].tobytes())
 
 
 def test_spectral_reconstruction_roundtrip(rng):
