@@ -49,12 +49,9 @@ from .states import (
     basis_ket,
     density_from_ket,
     load_state,
-    purity,
     save_state,
     save_states,
-    scalar_state,
     spectral_decompose,
-    spectral_decompose_stack,
     validate,
     validate_stack,
 )

@@ -229,10 +229,11 @@ def check_insertion_roundtrip(seed: int) -> dict:
     """Constructed insertions delete back to their source within 1e-10 and are
     valid states; both sampler families must appear.  The 50 requests of two
     samples are drawn in order, each with a generator of its own seed, and
-    sampled by one ``_sample_batch`` call; the samples of each shape are
-    validated by one ``validate_stack`` call, and each (shape, q) group's
-    samples are deleted back by one stacked ``trace_out`` and compared with
-    their sources by one ``frobenius_distance``."""
+    sampled by one ``_sample_batch`` call, whose per-request sample stacks
+    are read directly; the samples of each shape are validated by one
+    ``validate_stack`` call, and each (shape, q) group's samples are deleted
+    back by one stacked ``trace_out`` and compared with their sources by one
+    ``frobenius_distance``."""
     rng = np.random.default_rng(seed)
     requests = []
     for _ in range(50):
@@ -241,24 +242,22 @@ def check_insertion_roundtrip(seed: int) -> dict:
         rank = int(rng.integers(1, 3))  # rank <= 2 keeps the purification family live
         rho = random_density(rng, shape, min(rank, shape.dim))
         q = int(rng.integers(1, n + 2))
-        requests.append((rho, IndexSet((q,), n + 1), 2, np.random.default_rng(int(rng.integers(2**62)))))
+        requests.append((shape, rho.mat, IndexSet((q,), n + 1), 2, np.random.default_rng(int(rng.integers(2**62)))))
     samples = _sample_batch(requests, Tolerance())
-    families = {"separable": 0, "entangled": 0}
     groups: dict[tuple, list[int]] = {}
     by_shape: dict[QuditShape, list[np.ndarray]] = {}
-    for r, (rho, qset, *_) in enumerate(requests):
-        groups.setdefault((rho.shape, qset), []).append(r)
-        for k, sigma in enumerate(samples[r]):
-            by_shape.setdefault(sigma.shape, []).append(sigma.mat)
-            families["separable" if k == 0 else "entangled"] += 1
-    for shape, mats in by_shape.items():
-        validate_stack(np.stack(mats), shape)
+    for r, (shape, _, qset, *_) in enumerate(requests):
+        groups.setdefault((shape, qset), []).append(r)
+        by_shape.setdefault(QuditShape(2, qset.ambient), []).append(samples[r])
+    for shape, stacks in by_shape.items():
+        validate_stack(np.concatenate(stacks), shape)
+    count = sum(len(mats) for mats in samples)
+    families = {"separable": len(samples), "entangled": count - len(samples)}  # each request's first is separable
     worst = 0.0
     for (shape, qset), rs in groups.items():
-        sigmas = np.stack([sigma.mat for r in rs for sigma in samples[r]])
-        sources = np.stack([requests[r][0].mat for r in rs for _ in samples[r]])
+        sigmas = np.concatenate([samples[r] for r in rs])
+        sources = np.stack([requests[r][1] for r in rs for _ in samples[r]])
         worst = max(worst, float(frobenius_distance(trace_out(sigmas, qset, shape.level), sources).max()))
-    count = sum(families.values())
     ok = worst <= 1e-10 and min(families.values()) > 0
     return _item(
         "insertion-roundtrip",

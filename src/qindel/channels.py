@@ -40,7 +40,9 @@ position and blocks.  The sampler ``_sample_batch`` serves many requests
 at once, as stacks indexed by row: one ``states._spectral_groups`` call
 per source shape, one draw pass, ``_draw_groups``, with one normal draw per
 run of requests on one generator, one ``_check_blocks`` call per (rank, l,
-t) draw group and one ``_insert_stack`` call per (shape, t) group; the
+t) draw group and one ``_insert_stack`` call per (shape, t) group.  A
+request names its source by shape and bare matrix, and gets its samples
+as a bare stack; only ``sample_insertions`` wraps them as states.  The
 containment trials use it, on one generator per batch, for the
 insertions of each step.  Counts and seeds are checked by
 ``states._count``; positions by ``_positions``.
@@ -683,10 +685,11 @@ def _insert_stack(shape: QuditShape, qsets, sources, ends, parts, tol: Tolerance
     return sigmas
 
 
-def _check_composed(sigma: DensityMatrix, rho: DensityMatrix, s: int, t: int, most_s: int | None = None) -> None:
-    """Raise unless sigma has the shape of a state in a sphere of rho composed of
-    s deletions and t insertions: counts from 0, s up to ``most_s`` if given
-    (``CountOutOfRange``), rho's level (``LevelMismatch``), length n - s + t (``ShapeMismatch``)."""
+def _check_composed(sigma: QuditShape, rho: QuditShape, s: int, t: int, most_s: int | None = None) -> None:
+    """Raise unless ``sigma`` is the shape of a state in a sphere, composed of
+    s deletions and t insertions, of a state of shape ``rho``: counts from
+    0, s up to ``most_s`` if given (``CountOutOfRange``), rho's level
+    (``LevelMismatch``), length n - s + t (``ShapeMismatch``)."""
     s, t = _count(s, "deletion count s", most=most_s), _count(t, "insertion count t")
     if sigma.level != rho.level:
         raise LevelMismatch(f"levels differ: {sigma.level} vs {rho.level}")
@@ -701,7 +704,7 @@ def insertion_member(
 ) -> bool:
     """sigma is in I_Q(rho) iff D_Q(sigma) = rho."""
     qset = _as_index_set(Q, sigma.length)
-    _check_composed(sigma, rho, 0, qset.size)
+    _check_composed(sigma.shape, rho.shape, 0, qset.size)
     return delete(sigma, qset).distance(rho) <= tol.at(rho.dim).eq_tol
 
 
@@ -769,7 +772,8 @@ def sample_insertions(
     """Draw ``count`` members of I_Q(rho), deterministically from ``seed``:
     the one-request case of ``_sample_batch``, on a generator
     ``default_rng(seed)`` of its own, so every sample is checked and
-    verified as ``insert_construct`` checks one.
+    verified as ``insert_construct`` checks one; each row of its stack is
+    wrapped as a state.
 
     ``count`` (at least 1) and ``seed`` (at least 0) must be integers, else
     ``CountOutOfRange``.  A sample's bits depend only on rho, Q and the draws
@@ -777,18 +781,21 @@ def sample_insertions(
     same seed, bit for bit, at every level.
     """
     count, seed = _count(count, "sample count", least=1), _count(seed, "seed")
-    request = (rho, _insertion_set(Q, rho.length), count, np.random.default_rng(seed))
-    return _sample_batch([request], tol)[0]
+    qset = _insertion_set(Q, rho.length)
+    samples = _sample_batch([(rho.shape, rho.mat, qset, count, np.random.default_rng(seed))], tol)[0]
+    big_shape = QuditShape(rho.level, qset.ambient)
+    return [DensityMatrix(big_shape, mat) for mat in samples]
 
 
-def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatrix]]:
-    """The samples of each request ``(rho, qset, count, rng)``, ``count``
-    members of I_Q(rho) drawn from the generator ``rng``, in a few stacked
-    calls.  Requests read their generators in request order, so requests
-    that share one generator get the samples of one-request calls made in
-    that order on it, and a request with a generator ``default_rng(seed)``
-    of its own gets the samples of ``sample_insertions(rho, qset, count,
-    seed, tol)``.
+def _sample_batch(requests, tol: Tolerance, names=None) -> list[np.ndarray]:
+    """The samples of each request ``(shape, mat, qset, count, rng)``:
+    ``count`` members of I_Q of the state ``mat`` of ``shape``, drawn from
+    the generator ``rng``, as a read-only ``(count, D, D)`` array, a view
+    of its build's stack.  Requests read their generators in request
+    order, so requests that share one generator get the samples of
+    one-request calls made in that order on it, and a request with a
+    generator ``default_rng(seed)`` of its own gets the samples of
+    ``sample_insertions(rho, qset, count, seed, tol)``.
 
     Sources, forms, blocks and samples pass as stacks indexed by row; no
     numpy call is made per sample, nor per request but one normal draw per
@@ -800,14 +807,14 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
     group, its requests grouped by position.  Every block check runs before
     any state is assembled, and every sample has the bits it gets alone.
     An error names its request by ``names[r]`` (nothing by default): a
-    refused source reads as its lone ``spectral_decompose``, and a block
+    refused source reads as its lone ``_spectral_groups`` call, and a block
     or build error then names the sample, with more than one in the
     request.
     """
     if not requests:
         return []
     names = names or [""] * len(requests)
-    rhos, qsets, counts, rngs = (list(column) for column in zip(*requests))
+    shapes, mats, qsets, counts, rngs = (list(column) for column in zip(*requests))
     counts = np.array(counts, dtype=int)
     first = np.cumsum(counts) - counts  # each request's first sample; samples in request order
     request = np.repeat(np.arange(len(requests)), counts)  # each sample's request
@@ -819,9 +826,9 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
     by_shape: dict[QuditShape, list[int]] = {}
     builds: dict[tuple, tuple] = {}  # per (shape, t), its index and its distinct positions, indexed
     build, where = np.empty(len(requests), dtype=int), np.empty(len(requests), dtype=int)
-    for r, (rho, qset) in enumerate(zip(rhos, qsets)):
-        by_shape.setdefault(rho.shape, []).append(r)
-        build[r], positions = builds.setdefault((rho.shape, qset.size), (len(builds), {}))
+    for r, (shape, qset) in enumerate(zip(shapes, qsets)):
+        by_shape.setdefault(shape, []).append(r)
+        build[r], positions = builds.setdefault((shape, qset.size), (len(builds), {}))
         where[r] = positions.setdefault(qset, len(positions))
 
     # each request's rank, its row of its shape's sources and its row of its (shape, rank) group
@@ -829,7 +836,7 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
     sources, weighted = {}, {}
     for shape, rs in by_shape.items():
         rs = np.array(rs)
-        sources[shape] = np.array([rhos[r].mat for r in rs.tolist()])
+        sources[shape] = np.array([mats[r] for r in rs.tolist()])
         try:
             groups = _spectral_groups(sources[shape], shape, tol)
         except QindelError:
@@ -837,7 +844,7 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
             # by its request, with the class and residual of its lone call
             for r in rs.tolist():
                 try:
-                    spectral_decompose(rhos[r], tol)
+                    _spectral_groups(mats[r], shape, tol)
                 except QindelError as exc:
                     exc.args = (names[r] + str(exc),)
                     raise
@@ -847,7 +854,7 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
             ranks[rs[rows]], spots[rs[rows]] = kets.shape[-1], np.arange(len(rows))
             weighted[shape, kets.shape[-1]] = _weighted_kets(weights, kets)
 
-    keys = list(zip(ranks.tolist(), [rho.level for rho in rhos], [qset.size for qset in qsets]))
+    keys = list(zip(ranks.tolist(), [shape.level for shape in shapes], [qset.size for qset in qsets]))
     draws = _draw_groups(rngs, counts, keys)
     rows = np.empty(len(request), dtype=int)  # each sample's row of its draw group's stack
     for (rank, level, t), (members, stack) in draws.items():
@@ -871,8 +878,6 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[list[DensityMatr
         sigmas = _insert_stack(
             shape, list(positions), sources[shape][slots[owners]], ends, parts(), tol, lambda row: label(mine[row])
         )
-        big_shape = QuditShape(shape.level, shape.length + t)
-        states = [DensityMatrix(big_shape, mat) for mat in sigmas]
         for r, start, stop in zip(rs.tolist(), (stops - counts[rs]).tolist(), stops.tolist()):
-            samples[r] = states[start:stop]
+            samples[r] = sigmas[start:stop]
     return samples

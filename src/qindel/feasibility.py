@@ -1,7 +1,9 @@
 """Membership tests for composed error spheres.
 
 Insertions-after-deletions membership reduces to a finite intersection of
-deletion spheres and is decided exactly.  Deletions-after-insertions
+deletion spheres and is decided exactly, for two same-shape stacks of pairs
+at once by ``_members_ins_del``; the containment trials keep their states
+as bare matrices and stacks and wrap none.  Deletions-after-insertions
 membership is a PSD feasibility problem (is there a PSD tau with
 D_Q(tau) = rho and D_P(tau) = sigma?), decided in up to three steps: both
 conditions must fix the same common marginal; facial reduction (Drusvyatskiy
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -161,37 +164,28 @@ def member_ins_del(
     Membership holds iff the t-deletion sphere of sigma meets the s-deletion
     sphere of rho, which is a finite comparison.
     """
-    return _members_ins_del([sigma], [rho], s, t, tol)[0]
+    return _members_ins_del(sigma.shape, sigma.mat[None], rho.shape, rho.mat[None], s, t, tol)[0]
 
 
-def _members_ins_del(sigmas, rhos, s: int, t: int, tol: Tolerance = Tolerance()) -> list[bool]:
-    """``member_ins_del(sigmas[i], rhos[i], s, t, tol)`` for every i, in one
-    batched comparison per (sigma shape, rho shape) group.
+def _members_ins_del(sigma_shape, sigmas, rho_shape, rhos, s: int, t: int, tol: Tolerance) -> list[bool]:
+    """Whether each state of the ``(k, d, d)`` stack ``sigmas``, of
+    ``sigma_shape``, lies in I^t(D^s) of the same row of ``rhos``, of
+    ``rho_shape``: ``member_ins_del`` of each pair, in one batched comparison.
 
-    Each pair is checked first (``_check_composed``, and s at most rho's
-    length).  A group's level t of its stacked sigmas and level s of its
-    stacked rhos, with the masks of their kept rows, come from
-    ``_dedup_levels``, the dedup ``deletion_sphere`` reads.  The group's
-    pairs, sigma i with rho i, are decided by one ``channels.pairs_meet``
-    call, at eq_tol of the common dimension, over the kept rows only, so
-    each verdict is the one
+    The shapes are checked once (``_check_composed``, and s at most rho's
+    length).  Level t of the sigmas and level s of the rhos, with the masks
+    of their kept rows, come from ``_dedup_levels``, the dedup
+    ``deletion_sphere`` reads.  The pairs, sigma i with rho i, are decided
+    by one ``channels.pairs_meet`` call, at eq_tol of the common dimension,
+    over the kept rows only, so each verdict is the one
     ``deletion_sphere(sigma, t).intersection_witness(deletion_sphere(rho, s))``
     reads.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, (sigma, rho) in enumerate(zip(sigmas, rhos)):
-        _check_composed(sigma, rho, s, t, most_s=rho.length)
-        groups.setdefault((sigma.shape, rho.shape), []).append(i)
-    verdicts: dict[int, bool] = {}
-    for (sigma_shape, rho_shape), members in groups.items():
-        # a ladder holds its stack only until its level 1 is built
-        sigma_levels = _traced_levels(np.stack([sigmas[i].mat for i in members]), sigma_shape)
-        left = next(_dedup_levels(islice(sigma_levels, t, None), tol))
-        rho_levels = _traced_levels(np.stack([rhos[i].mat for i in members]), rho_shape)
-        right = next(_dedup_levels(islice(rho_levels, s, None), tol))
-        order = np.arange(len(members))
-        verdicts.update(zip(members, pairs_meet(left, right, (order, order)).tolist()))
-    return [verdicts[i] for i in range(len(sigmas))]
+    _check_composed(sigma_shape, rho_shape, s, t, most_s=rho_shape.length)
+    left = next(_dedup_levels(islice(_traced_levels(sigmas, sigma_shape), t, None), tol))
+    right = next(_dedup_levels(islice(_traced_levels(rhos, rho_shape), s, None), tol))
+    order = np.arange(len(sigmas))
+    return pairs_meet(left, right, (order, order)).tolist()
 
 
 def feasibility_del_ins(
@@ -214,7 +208,7 @@ def feasibility_del_ins(
     qset = _insertion_set(Q, rho.length)
     big = qset.ambient
     pset = _as_index_set(P, big)
-    _check_composed(sigma, rho, pset.size, qset.size)
+    _check_composed(sigma.shape, rho.shape, pset.size, qset.size)
     if rho.level**big > MAX_DIM:
         raise SizeCapExceeded(f"lifted dimension {rho.level ** big} exceeds cap {MAX_DIM}")
 
@@ -415,7 +409,7 @@ def member_del_ins(
     is, else infeasible, with the least pair gap.  ``details["pairs"]`` lists
     every pair decided.
     """
-    _check_composed(sigma, rho, s, t)
+    _check_composed(sigma.shape, rho.shape, s, t)
     positions = range(1, rho.length + t + 1)
     pairs: list[dict] = []
     iterations = 0
@@ -472,21 +466,6 @@ def _trial_counts(value, what: str, rhos: list, bounded: bool) -> list[int]:
     return [checked[key] for key in keys]
 
 
-def _compact(states: list) -> None:
-    """Replace each state of ``states``, in place, by a row of one fresh
-    read-only stack per shape, so that none keeps alive a stack it viewed,
-    such as a build's stack with the samples a trial discards.  A shape's
-    old states are dropped as soon as its stack is made."""
-    by_shape: dict[QuditShape, list[int]] = {}
-    for k, state in enumerate(states):
-        by_shape.setdefault(state.shape, []).append(k)
-    for shape, ks in by_shape.items():
-        mats = np.array([states[k].mat for k in ks])
-        mats.setflags(write=False)
-        for k, mat in zip(ks, mats):
-            states[k] = DensityMatrix(shape, mat)
-
-
 def _below(u: np.ndarray, k) -> np.ndarray:
     """floor(u * k): an integer in [0, k) for each u in [0, 1), since the
     rounded product of a double below 1 and an integer k < 2**53 is below k."""
@@ -515,22 +494,24 @@ def check_containment_trials(
     removes qudit 1 + floor(u * n) of the trial's n qudits, an insertion
     inserts at 1 + floor(u * (n + 1)) and keeps the last of 1 + floor(2u)
     samples.  The trials run in lockstep, one move each per step, and a
-    trial whose moves are done sits out the later steps.  The deletions of
-    one step are one ``trace_out`` call per (shape, position) group, on the
-    stack of its states, each result the bits of that state's lone
-    ``partial_trace``.  The insertions of one step are one ``_sample_batch``
-    call on the batch's generator, its requests in trial order, so the
-    samples are those of one-request calls made trial by trial; it
-    decomposes their sources with one checked ``states._spectral_groups``
-    call per shape, draws their blocks in one pass, checks each (rank,
-    level, t) draw group with one ``_check_blocks`` call and builds each
-    source shape's insertions with one ``_insert_stack`` call.  Every sample
-    is checked and built, the discarded ones too; the kept ones are then
-    copied by ``_compact``, so no build's stack outlives its step.  A block
-    or build error names the trial's index in ``rhos`` and the step.  The final
-    memberships are one ``_members_ins_del`` call per distinct (s, t), one
-    batched comparison per (final shape, source shape) group, each verdict
-    the one ``member_ins_del`` gives.
+    trial whose moves are done sits out the later steps.  Each trial's
+    state is a bare matrix with its shape; none is wrapped as a state.  The
+    deletions of one step are one ``trace_out`` call per (shape, position)
+    group, on the stack of its states, each result the bits of that
+    state's lone ``partial_trace``.  The insertions of one step are one
+    ``_sample_batch`` call on the batch's generator, its requests in trial
+    order, so the samples are those of one-request calls made trial by
+    trial; it decomposes their sources with one checked
+    ``states._spectral_groups`` call per shape, draws their blocks in one
+    pass, checks each (rank, level, t) draw group with one ``_check_blocks``
+    call and builds each source shape's insertions with one
+    ``_insert_stack`` call.  Every sample is checked and built, the
+    discarded ones too; each source shape's kept ones are then copied into
+    one fresh read-only stack, so no build's stack outlives its step.  A
+    block or build error names the trial's index in ``rhos`` and the step.
+    The final memberships are one ``_members_ins_del`` call per (s, t,
+    final shape, source shape) group, each verdict the one
+    ``member_ins_del`` gives.
 
     The seed and every count must be nonnegative integers, and each s at
     most its rho's length (``CountOutOfRange``); a per-trial ``s`` or ``t``
@@ -543,8 +524,8 @@ def check_containment_trials(
     left_s, left_t = np.array(ss, dtype=int), np.array(ts, dtype=int)  # moves left per trial
     lengths = np.array([rho.length for rho in rhos], dtype=int)
     coins, spots, sizes = rng.random((3, len(rhos), int((left_s + left_t).max(initial=0))))
-    states = list(rhos)
-    index_sets: dict[tuple[int, int], IndexSet] = {}  # one per (position, length), shared by the trials
+    mats, shapes = [rho.mat for rho in rhos], [rho.shape for rho in rhos]  # each trial's state
+    shape_of, index_set = cache(QuditShape), cache(lambda p, n: IndexSet((p,), n))  # shared by the trials
     for step in range(1, coins.shape[1] + 1):
         moving = left_s + left_t > 0
         deletes = (left_s > 0) & ~((left_t > 0) & (_below(coins[:, step - 1], 2) == 1))
@@ -553,34 +534,36 @@ def check_containment_trials(
         left_s -= moving & deletes
         left_t -= moving & ~deletes
         lengths += moving * np.where(deletes, -1, 1)
-        requests, inserting, deleting = [], [], {}
+        requests, names, inserting, deleting = [], [], {}, {}
         moves = (np.flatnonzero(moving), deletes[moving], positions[moving], how_many[moving], lengths[moving])
         for i, deleted, position, count, length in zip(*(column.tolist() for column in moves)):
-            state = states[i]
             if deleted:
-                deleting.setdefault((state.shape, position), []).append(i)
+                deleting.setdefault((shapes[i], position), []).append(i)
             else:
-                if (position, length) not in index_sets:
-                    index_sets[position, length] = IndexSet((position,), length)
-                requests.append((state, index_sets[position, length], count, rng))
-                inserting.append(i)
+                inserting.setdefault(shapes[i], []).append((len(requests), i))
+                requests.append((shapes[i], mats[i], index_set(position, length), count, rng))
+                names.append(f"trial {i}, step {step}: ")
         for (shape, p), group in deleting.items():
-            reduced = trace_out(np.array([states[i].mat for i in group]), IndexSet((p,), shape.length), shape.level)
-            reduced.setflags(write=False)  # so each state keeps its row as a view, not a copy
-            shape = QuditShape(shape.level, shape.length - 1)
+            reduced = trace_out(np.array([mats[i] for i in group]), index_set(p, shape.length), shape.level)
+            reduced.setflags(write=False)  # every trial state is read-only, as the sources and samples are
+            shape = shape_of(shape.level, shape.length - 1)
             for i, mat in zip(group, reduced):
-                states[i] = DensityMatrix(shape, mat)
-        names = [f"trial {i}, step {step}: " for i in inserting]
-        kept = [samples[-1] for samples in _sample_batch(requests, tol, names)]
-        _compact(kept)
-        for i, state in zip(inserting, kept):
-            states[i] = state
-    by_counts: dict[tuple[int, int], list[int]] = {}
-    for i, counts in enumerate(zip(ss, ts)):
-        by_counts.setdefault(counts, []).append(i)
+                mats[i], shapes[i] = mat, shape
+        samples = _sample_batch(requests, tol, names)
+        for shape, group in inserting.items():
+            # the kept samples, copied into one fresh read-only stack; a
+            # build's stack, with the samples discarded, goes with its last view
+            kept = np.array([samples[k][-1] for k, _ in group])
+            kept.setflags(write=False)
+            shape = shape_of(shape.level, shape.length + 1)
+            for (k, i), mat in zip(group, kept):
+                mats[i], shapes[i], samples[k] = mat, shape, None
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(ss, ts, shapes, (rho.shape for rho in rhos))):
+        groups.setdefault(key, []).append(i)
     verdicts: list = [None] * len(rhos)
-    for (s_k, t_k), group in by_counts.items():
-        found = _members_ins_del([states[i] for i in group], [rhos[i] for i in group], s_k, t_k, tol)
-        for i, verdict in zip(group, found):
+    for (s_k, t_k, shape, rho_shape), group in groups.items():
+        sigmas, sources = np.array([mats[i] for i in group]), np.array([rhos[i].mat for i in group])
+        for i, verdict in zip(group, _members_ins_del(shape, sigmas, rho_shape, sources, s_k, t_k, tol)):
             verdicts[i] = verdict
     return verdicts

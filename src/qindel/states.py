@@ -71,11 +71,7 @@ __all__ = [
     "density_from_ket",
     "validate",
     "validate_stack",
-    "scalar_state",
-    "purity",
     "spectral_decompose",
-    "spectral_decompose_stack",
-    "reconstruct",
     "state_to_json_obj",
     "state_from_json_obj",
     "save_state",
@@ -310,49 +306,28 @@ def validate_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> lis
     return [DensityMatrix(shape, mat) for mat in flat]
 
 
-def scalar_state(level: int) -> DensityMatrix:
-    """The unique zero-qudit state (1); the endpoint of full deletion."""
-    return DensityMatrix(QuditShape(level, 0), np.array([[1.0 + 0.0j]]))
-
-
-def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2); equals 1 iff rho is rank 1."""
-    return float(np.trace(rho.mat @ rho.mat).real)
-
-
 def spectral_decompose(rho: DensityMatrix, tol: Tolerance = Tolerance()) -> SpectralForm:
-    """Eigen-pairs with negligible weights dropped, renormalized: the
-    one-state case of ``spectral_decompose_stack``."""
-    return spectral_decompose_stack(rho.mat, rho.shape, tol)[0]
-
-
-def spectral_decompose_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> list[SpectralForm]:
-    """The spectral form of each state of ``shape`` in ``mats``, a ``(k, d, d)``
-    stack (or one ``(d, d)`` matrix, which gives one form), sliced from its
-    rank group of ``_spectral_groups``, whose checks and errors these are.
+    """Eigen-pairs with negligible weights dropped, renormalized: the one
+    row of rho's one rank group of ``_spectral_groups``, whose checks and
+    errors these are.
 
     Weights are clipped at zero, and the smallest are dropped only while their
     running sum stays at most 1e-3 * eq_tol, so the reconstruction moves far
     less than the eq_tol that round trips are held to (dropping every weight
     up to psd_tol could move it by more).  Ordered by descending weight.  For
     degenerate spectra the eigenbasis is whatever the solver returns;
-    downstream constructions only depend on the reconstructed matrix.  Each
-    state's form has the bits it gets alone.
+    downstream constructions only depend on the reconstructed matrix.
     """
-    groups = _spectral_groups(mats, shape, tol)
-    forms: list = [None] * sum(len(rows) for rows, _, _ in groups)
-    for rows, weights, kets in groups:
-        for k, w_k, v_k in zip(rows.tolist(), weights, kets):
-            forms[k] = SpectralForm(shape, w_k, v_k)
-    return forms
+    [(_, weights, kets)] = _spectral_groups(rho.mat, rho.shape, tol)
+    return SpectralForm(rho.shape, weights[0], kets[0])
 
 
 def _spectral_groups(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> list[tuple]:
-    """The spectral forms of the states of ``shape`` in ``mats`` (as
-    ``spectral_decompose_stack`` takes it), by rank, ranks ascending: per
-    rank r, ``(rows, weights, kets)``, the indices of its states, their
-    ``(g, r)`` weights and ``(g, d, r)`` kets.  Other shapes of ``mats``
-    raise ``ShapeMismatch``.
+    """The spectral forms of the states of ``shape`` in ``mats``, a
+    ``(k, d, d)`` stack (or one ``(d, d)`` matrix, one state), by rank,
+    ranks ascending: per rank r, ``(rows, weights, kets)``, the indices of
+    its states, their ``(g, r)`` weights and ``(g, d, r)`` kets.  Other
+    shapes of ``mats`` raise ``ShapeMismatch``.
 
     One checked eigen-solve: the gate of ``hermitian_eigensystem`` and a
     PSD test at d, each naming the first matrix of a stack it refuses.
@@ -380,11 +355,6 @@ def _spectral_groups(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> l
         kets = v[rows[:, None, None], np.arange(dim)[:, None], order[:, None, :]]
         groups.append((rows, w[rows[:, None], order] / total, kets))
     return groups
-
-
-def reconstruct(form: SpectralForm) -> DensityMatrix:
-    """Sum p_x |x_L><x_L| back into a DensityMatrix."""
-    return DensityMatrix(form.shape, (form.kets * form.weights) @ form.kets.conj().T)
 
 
 # --- state-file format (JSON, UTF-8) ------------------------------------------

@@ -236,6 +236,19 @@ def test_containment_builds_no_generator_per_trial_or_sampler(monkeypatch):
     assert len(built) <= 2
 
 
+def test_containment_and_round_trip_wrap_only_their_drawn_and_validated_states(monkeypatch):
+    # the sampler, the trial loop and the batched memberships pass states as
+    # bare matrices: containment wraps its 600 drawn sources, the round trip
+    # its 50 drawn sources and the 100 samples that validate_stack returns
+    built, real = [], qindel.states.DensityMatrix.__post_init__
+    monkeypatch.setattr(qindel.states.DensityMatrix, "__post_init__", lambda self: built.append(None) or real(self))
+    assert check_containment(0)["status"] == "pass"
+    assert len(built) <= 610
+    built.clear()
+    assert check_insertion_roundtrip(0)["status"] == "pass"
+    assert len(built) <= 150
+
+
 def test_the_round_trip_validates_one_stack_per_shape(monkeypatch):
     calls = _counted(monkeypatch, qindel.states, ["validate", "validate_stack"])
     assert check_insertion_roundtrip(3)["status"] == "pass"

@@ -323,8 +323,9 @@ def _replayed_trials(rhos, seed, ss, ts):
                 if count is None:
                     states[i] = delete(state, {position})
                 else:
-                    request = (state, IndexSet((position,), state.length + 1), count, rng)
-                    states[i] = _sample_batch([request], Tolerance())[0][-1]
+                    request = (state.shape, state.mat, IndexSet((position,), state.length + 1), count, rng)
+                    sample = _sample_batch([request], Tolerance())[0][-1]
+                    states[i] = DensityMatrix(QuditShape(state.level, state.length + 1), sample)
     return states, history
 
 
@@ -337,6 +338,39 @@ def _mixed_trials(rng, s, t):
             shape = QuditShape(level, n)
             rhos += [random_density(rng, shape, rank) for rank in range(1, shape.dim + 1)]
     return rhos
+
+
+def _assert_final_groups(finals, meets, rhos, ss, ts, replayed):
+    """The final memberships of a lockstep call: one ``_members_ins_del``
+    call, and in it one ``pairs_meet`` call, per (s, t, final shape, source
+    shape) group, on the stacks of its trials' final states, bit for bit
+    those of the replay, and of their sources, in trial order."""
+    groups: dict = {}
+    for i, key in enumerate(zip(ss, ts, (sigma.shape for sigma in replayed), (rho.shape for rho in rhos))):
+        groups.setdefault(key, []).append(i)
+    assert len(finals) == len(meets) == len(groups)
+    batched = {(s, t, sigma_shape, rho_shape): (sigmas.tobytes(), sources.tobytes())
+               for sigma_shape, sigmas, rho_shape, sources, s, t, _ in finals}
+    assert batched == {
+        key: (b"".join(replayed[i].mat.tobytes() for i in group), b"".join(rhos[i].mat.tobytes() for i in group))
+        for key, group in groups.items()
+    }
+
+
+def _memberships(sigmas, rhos, s, t):
+    """``feasibility._members_ins_del`` of each (sigma shape, rho shape)
+    group of the pairs, on the stacks of its sigmas and its rhos; the
+    verdicts in pair order."""
+    groups: dict = {}
+    for i, (sigma, rho) in enumerate(zip(sigmas, rhos)):
+        groups.setdefault((sigma.shape, rho.shape), []).append(i)
+    verdicts: list = [None] * len(sigmas)
+    for (sigma_shape, rho_shape), group in groups.items():
+        left, right = (np.array([states[i].mat for i in group]) for states in (sigmas, rhos))
+        found = feasibility._members_ins_del(sigma_shape, left, rho_shape, right, s, t, Tolerance())
+        for i, verdict in zip(group, found):
+            verdicts[i] = verdict
+    return verdicts
 
 
 def _recorded(monkeypatch, module, name):
@@ -360,15 +394,14 @@ def test_lockstep_trials_match_one_trial_bit_for_bit(monkeypatch, rng, s, t):
     rhos = _mixed_trials(rng, s, t)
     seed = int(rng.integers(2**62))
     finals = _recorded(monkeypatch, feasibility, "_members_ins_del")
+    meets = _recorded(monkeypatch, feasibility, "pairs_meet")
     builds = _recorded(monkeypatch, channels, "_insert_stack")
     verdicts = check_containment_trials(rhos, seed, s, t)
-    assert len(finals) == 1  # every final membership is decided by one call
-    batched = [sigma.mat.tobytes() for sigma in finals[0][0]]
-    assert len(batched) == len(rhos)
     if t:  # same-shape insertions of different trials share one build
         assert len(builds) < sum(len(sources) for _, _, sources, *_ in builds)
     replayed, _ = _replayed_trials(rhos, seed, [s] * len(rhos), [t] * len(rhos))
-    assert batched == [sigma.mat.tobytes() for sigma in replayed]
+    # every final membership is decided by one comparison per group
+    _assert_final_groups(finals, meets, rhos, [s] * len(rhos), [t] * len(rhos), replayed)
     assert verdicts == [member_ins_del(sigma, rho, s, t) for sigma, rho in zip(replayed, rhos)]
     assert all(verdicts)
 
@@ -450,16 +483,13 @@ def test_one_call_runs_trials_of_different_counts_as_each_runs_alone(monkeypatch
     rhos, ss, ts = zip(*[trials[k] for k in rng.permutation(len(trials))])
     seed = int(rng.integers(2**62))
     finals = _recorded(monkeypatch, feasibility, "_members_ins_del")
+    meets = _recorded(monkeypatch, feasibility, "pairs_meet")
     batches = _recorded(monkeypatch, feasibility, "_sample_batch")
     verdicts = check_containment_trials(rhos, seed, list(ss), np.array(ts))
     assert len(batches) == 3
-    assert sorted((s, t) for _, _, s, t, *_ in finals) == sorted(counts)
-    batched = {}
-    for sigmas, _, s, t, *_ in finals:
-        group = [i for i in range(len(rhos)) if (ss[i], ts[i]) == (s, t)]
-        batched.update(zip(group, [sigma.mat.tobytes() for sigma in sigmas]))
+    assert {(s, t) for *_, s, t, _ in finals} == set(counts)
     replayed, _ = _replayed_trials(rhos, seed, ss, ts)
-    assert [sigma.mat.tobytes() for sigma in replayed] == [batched[i] for i in range(len(rhos))]
+    _assert_final_groups(finals, meets, rhos, ss, ts, replayed)
     assert verdicts == [member_ins_del(*trial) for trial in zip(replayed, rhos, ss, ts)]
     assert all(verdicts)
 
@@ -798,7 +828,7 @@ def test_memberships_compare_deduplicated_levels_not_raw_ones():
     assert min(np.linalg.norm(mat - y) for mat in raw) <= eq_tol  # the raw levels meet
     assert channels.deletion_sphere(sigma, 1).intersection_witness(channels.deletion_sphere(rho, 1)) is None
     assert member_ins_del(sigma, rho, 1, 1) is False
-    assert feasibility._members_ins_del([rho, sigma, sigma], [rho, rho, sigma], 1, 1) == [True, False, True]
+    assert _memberships([rho, sigma, sigma], [rho, rho, sigma], 1, 1) == [True, False, True]
 
 
 @pytest.mark.parametrize("s, t", [(1, 1), (2, 1), (1, 2), (0, 2), (2, 0), (0, 0)])
@@ -816,7 +846,7 @@ def test_batched_memberships_match_the_sphere_oracle(rng, s, t):
         kept = delete(rho, range(1, s + 1)) if s else rho
         inserted = tuple(sorted(rng.choice(np.arange(1, n - s + t + 1), size=t, replace=False).tolist()))
         sigmas.append(sample_insertions(kept, inserted, 1, k)[0] if t else kept)
-    verdicts = feasibility._members_ins_del(sigmas, rhos, s, t)
+    verdicts = _memberships(sigmas, rhos, s, t)
     oracle = [
         channels.deletion_sphere(sigma, t).intersection_witness(channels.deletion_sphere(rho, s)) is not None
         for sigma, rho in zip(sigmas, rhos)
@@ -842,7 +872,7 @@ def test_batched_memberships_above_one_chunk_match_the_sphere_oracle(rng):
     rhos += [random_density(rng, QuditShape(2, 7)) for _ in range(3)]
     assert 7 * 7 * sigmas[0].dim ** 2 > channels._CHUNK
     assert [len(channels.deletion_sphere(sigma, t)) for sigma in sigmas[:3]] == [7, 7, 1]
-    verdicts = feasibility._members_ins_del(sigmas, rhos, s, t)
+    verdicts = _memberships(sigmas, rhos, s, t)
     oracle = [
         channels.deletion_sphere(sigma, t).intersection_witness(channels.deletion_sphere(rho, s)) is not None
         for sigma, rho in zip(sigmas, rhos)

@@ -88,6 +88,27 @@ def test_only_linalg_calls_an_eigensolver():
     assert not calls, f"eigensolver or factorization called outside linalg: {calls}"
 
 
+# the containment path, from draw to verdict: states pass as bare matrices
+# and same-shape stacks, and only the public one-state calls wrap them
+STACK_NATIVE = {"channels.py": {"_sample_batch"}, "feasibility.py": {"_members_ins_del", "check_containment_trials"}}
+
+
+def test_the_containment_path_wraps_no_state():
+    wraps = []
+    for filename, names in STACK_NATIVE.items():
+        tree = ast.parse((ROOT / "src" / "qindel" / filename).read_text(encoding="utf-8"))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names]
+        assert {function.name for function in functions} == names
+        for function in functions:
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "DensityMatrix":
+                        wraps.append(f"{filename}:{function.name}:{node.lineno}")
+    assert not wraps, f"DensityMatrix built on the containment path: {wraps}"
+
+
 STATE_FILE_CODECS = {"orjson", "base64"}
 
 

@@ -20,7 +20,7 @@ from qindel.errors import (
     TraceNotOne,
     ValidationError,
 )
-from qindel.linalg import Tolerance
+from qindel.linalg import Tolerance, frobenius_distance
 from qindel.rand import random_density, random_hermitian, random_orthonormal, random_psd
 from qindel.states import (
     DensityMatrix,
@@ -29,14 +29,10 @@ from qindel.states import (
     basis_ket,
     density_from_ket,
     load_state,
-    purity,
-    reconstruct,
     save_state,
     save_states,
-    scalar_state,
     _spectral_groups,
     spectral_decompose,
-    spectral_decompose_stack,
     state_from_json_obj,
     state_to_json_obj,
     validate,
@@ -93,7 +89,7 @@ def test_basis_index_is_a_bijection(level, length):
     assert seen == set(range(shape.dim))
 
 
-def test_density_from_ket():
+def test_density_from_ket(rng):
     shape1 = QuditShape(2, 1)
     rho = density_from_ket([1, 0], shape1)
     np.testing.assert_allclose(rho.mat, np.diag([1.0, 0.0]))
@@ -104,6 +100,11 @@ def test_density_from_ket():
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 0.5
     np.testing.assert_allclose(rho.mat, expected, atol=1e-15)
+    for _ in range(10):  # normalized kets always produce valid rank-one states
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        rho = density_from_ket(v / np.linalg.norm(v), shape2)
+        validate(rho.mat, shape2)
+        assert spectral_decompose(rho).rank == 1
 
     with pytest.raises(NotNormalized):
         density_from_ket([1, 1], shape1)
@@ -361,12 +362,16 @@ def test_rank_grouped_forms_are_the_lone_forms_bit_for_bit(rng, level, length):
     assert ranks == sorted(set(ranks)) and len({len(w) for w, _ in expected}) == len(ranks)
     for rows, weights, kets in groups:
         for k, w_k, v_k in zip(rows.tolist(), weights, kets):
+            assert v_k.flags.c_contiguous and v_k.shape == expected[k][1].shape
             assert (w_k.tobytes(), v_k.tobytes()) == (expected[k][0].tobytes(), expected[k][1].tobytes())
-    for k, form in enumerate(spectral_decompose_stack(mats, shape)):
-        lone = spectral_decompose(DensityMatrix(shape, mats[k]))
-        for got in (form, lone):
-            assert got.kets.flags.c_contiguous and got.kets.shape == expected[k][1].shape
-            assert (got.weights.tobytes(), got.kets.tobytes()) == (expected[k][0].tobytes(), expected[k][1].tobytes())
+    for k, mat in enumerate(mats):
+        # a lone matrix is one rank group of one row, and its form that row
+        [(rows, weights, kets)] = _spectral_groups(mat, shape)
+        lone = spectral_decompose(DensityMatrix(shape, mat))
+        assert rows.tolist() == [0]
+        for w_k, v_k in ((weights[0], kets[0]), (lone.weights, lone.kets)):
+            assert v_k.flags.c_contiguous and v_k.shape == expected[k][1].shape
+            assert (w_k.tobytes(), v_k.tobytes()) == (expected[k][0].tobytes(), expected[k][1].tobytes())
 
 
 def test_spectral_reconstruction_roundtrip(rng):
@@ -374,30 +379,13 @@ def test_spectral_reconstruction_roundtrip(rng):
         shape = QuditShape(2, int(rng.integers(1, 4)))
         rho = random_density(rng, shape, int(rng.integers(1, shape.dim + 1)))
         form = spectral_decompose(rho)
-        assert reconstruct(form).distance(rho) <= Tolerance().at(shape.dim).eq_tol
+        rebuilt = (form.kets * form.weights) @ form.kets.conj().T
+        assert frobenius_distance(rebuilt, rho.mat) <= Tolerance().at(shape.dim).eq_tol
         # eigenkets are mutually orthonormal
         for i in range(form.rank):
             for j in range(form.rank):
                 ip = form.kets[:, i] @ form.kets[:, j].conj()
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
-
-
-def test_purity_detects_rank_one(rng):
-    shape = QuditShape(2, 2)
-    for _ in range(10):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        rho = density_from_ket(v / np.linalg.norm(v), shape)
-        validate(rho.mat, shape)  # normalized kets always produce valid states
-        assert purity(rho) == pytest.approx(1.0)
-    mixed = random_density(rng, shape, 3)
-    assert purity(mixed) < 1.0 - 1e-6
-
-
-def test_scalar_state():
-    one = scalar_state(2)
-    assert one.length == 0
-    assert one.dim == 1
-    np.testing.assert_array_equal(one.mat, [[1.0]])
 
 
 def test_state_file_roundtrip(tmp_path, rng):
