@@ -29,12 +29,7 @@ from .codes import (
     x2_collision_params,
 )
 from .distance import CodeSample, corrects, corrects_insertions, indel_distance, metric_check, min_distance
-from .feasibility import (
-    FeasibilityStatus,
-    check_containment_trials,
-    member_del_ins,
-    member_ins_del,
-)
+from .feasibility import FeasibilityStatus, _containment_trials, member_del_ins, member_ins_del
 from .linalg import (
     Tolerance,
     cross_distances,
@@ -44,7 +39,7 @@ from .linalg import (
     project_psd,
     psd_principal_minors,
 )
-from .rand import _ginibre, _random_densities, random_density, random_hermitian, random_psd
+from .rand import _ginibre, _random_densities, random_hermitian, random_psd
 from .states import DensityMatrix, QuditShape, _count, basis_ket, validate_stack
 
 __all__ = ["CRITERIA", "run_all"]
@@ -150,30 +145,37 @@ def check_x2_min_distance(seed: int) -> dict:
     )
 
 
+def _qubit_states(rng: np.random.Generator, ns: np.ndarray, ranks: np.ndarray) -> list[np.ndarray]:
+    """One state of ``ns[i]`` qubits and rank ``ranks[i]`` per item, a bare
+    matrix: each length's states, lengths in ascending order, are one
+    ``_random_densities`` stack, each row at its item's index."""
+    states: list = [None] * len(ns)
+    for n in sorted(set(ns.tolist())):  # not np.unique, as in _random_densities
+        where = np.flatnonzero(ns == n)
+        for j, mat in zip(where.tolist(), _random_densities(rng, QuditShape(2, n), ranks[where])):
+            states[j] = mat
+    return states
+
+
 def check_containment(seed: int) -> dict:
     """Interleaved (s, t)-error trajectories always land in the
     insertions-after-deletions sphere; zero failures tolerated.  Each (s, t)
     draws the sizes of its 200 trials first, one ``rng.integers`` call each
-    for the lengths and the ranks; then each length's states, lengths in
-    ascending order, by one ``_random_densities`` call (one ``random_psd``
-    batch per rank), each at its trial's index.  Once every (s, t) has
+    for the lengths and the ranks, then its states by ``_qubit_states``
+    (one ``random_psd`` batch per length and rank).  Once every (s, t) has
     drawn its inputs, one batch seed is drawn, and the 600 trials run in
-    lockstep in one ``check_containment_trials`` call on that seed, with
-    one (s, t) per trial."""
+    lockstep in one ``feasibility._containment_trials`` call on that seed,
+    with one (s, t) per trial; no state is wrapped."""
     rng = np.random.default_rng(seed)
-    rhos, ss, ts = [], [], []
+    shapes, mats, ss, ts = [], [], [], []
     for s, t in ((1, 1), (2, 1), (1, 2)):
         ns = rng.integers(max(s, 1), 4, size=200)  # s <= n keeps D^s(rho) nonempty
         ranks = rng.integers(1, 2**ns + 1)
-        batch = [None] * len(ns)
-        for n in sorted(set(ns.tolist())):  # not np.unique, as in _random_densities
-            where = np.flatnonzero(ns == n)
-            for j, rho in zip(where.tolist(), _random_densities(rng, QuditShape(2, n), ranks[where])):
-                batch[j] = rho
-        rhos += batch
+        shapes += [QuditShape(2, n) for n in ns.tolist()]
+        mats += _qubit_states(rng, ns, ranks)
         ss += [s] * len(ns)
         ts += [t] * len(ns)
-    verdicts = check_containment_trials(rhos, int(rng.integers(2**62)), ss, ts)
+    verdicts = _containment_trials(shapes, mats, int(rng.integers(2**62)), ss, ts, Tolerance())
     failures = verdicts.count(False)
     return _item(
         "interleaved-error-containment",
@@ -227,26 +229,27 @@ def check_insertion_code(seed: int) -> dict:
 
 def check_insertion_roundtrip(seed: int) -> dict:
     """Constructed insertions delete back to their source within 1e-10 and are
-    valid states; both sampler families must appear.  The 50 requests of two
-    samples are drawn in order, each with a generator of its own seed, and
-    sampled by one ``_sample_batch`` call, whose per-request sample stacks
-    are read directly; the samples of each shape are validated by one
+    valid states; both sampler families must appear.  The sizes of the 50
+    requests of two samples are drawn first, one ``rng.integers`` call each
+    for the lengths, the ranks and the positions; then its sources by
+    ``_qubit_states``; then every sample by one ``_sample_batch`` call on
+    the criterion's generator, whose per-request sample stacks are read
+    directly.  The samples of each shape are validated by one
     ``validate_stack`` call, and each (shape, q) group's samples are deleted
     back by one stacked ``trace_out`` and compared with their sources by one
-    ``frobenius_distance``."""
+    ``frobenius_distance``; no state is wrapped."""
     rng = np.random.default_rng(seed)
-    requests = []
-    for _ in range(50):
-        n = int(rng.integers(1, 3))
-        shape = QuditShape(2, n)
-        rank = int(rng.integers(1, 3))  # rank <= 2 keeps the purification family live
-        rho = random_density(rng, shape, min(rank, shape.dim))
-        q = int(rng.integers(1, n + 2))
-        requests.append((shape, rho.mat, IndexSet((q,), n + 1), 2, np.random.default_rng(int(rng.integers(2**62)))))
-    samples = _sample_batch(requests, Tolerance())
+    ns = rng.integers(1, 3, size=50)
+    ranks = rng.integers(1, 3, size=50)  # rank <= 2 keeps the purification family live
+    qs = rng.integers(1, ns + 2, size=50)
+    sources = _qubit_states(rng, ns, ranks)
+    requests = [
+        (QuditShape(2, n), mat, IndexSet((q,), n + 1), 2) for n, q, mat in zip(ns.tolist(), qs.tolist(), sources)
+    ]
+    samples = _sample_batch(requests, rng, Tolerance())
     groups: dict[tuple, list[int]] = {}
     by_shape: dict[QuditShape, list[np.ndarray]] = {}
-    for r, (shape, _, qset, *_) in enumerate(requests):
+    for r, (shape, _, qset, _) in enumerate(requests):
         groups.setdefault((shape, qset), []).append(r)
         by_shape.setdefault(QuditShape(2, qset.ambient), []).append(samples[r])
     for shape, stacks in by_shape.items():
@@ -256,8 +259,8 @@ def check_insertion_roundtrip(seed: int) -> dict:
     worst = 0.0
     for (shape, qset), rs in groups.items():
         sigmas = np.concatenate([samples[r] for r in rs])
-        sources = np.stack([requests[r][1] for r in rs for _ in samples[r]])
-        worst = max(worst, float(frobenius_distance(trace_out(sigmas, qset, shape.level), sources).max()))
+        originals = np.stack([sources[r] for r in rs for _ in samples[r]])
+        worst = max(worst, float(frobenius_distance(trace_out(sigmas, qset, shape.level), originals).max()))
     ok = worst <= 1e-10 and min(families.values()) > 0
     return _item(
         "insertion-roundtrip",
@@ -275,7 +278,8 @@ def check_metric_axioms(seed: int) -> dict:
     ``_random_densities`` call (one ``random_psd`` batch per rank); triple k
     is states 3k, 3k + 1 and 3k + 2."""
     rng = np.random.default_rng(seed)
-    states = _random_densities(rng, QuditShape(2, 2), rng.integers(1, 5, size=150))
+    shape = QuditShape(2, 2)
+    states = [DensityMatrix(shape, mat) for mat in _random_densities(rng, shape, rng.integers(1, 5, size=150))]
     triples = list(zip(states[0::3], states[1::3], states[2::3]))
     report = metric_check(triples)
     odd = report["odd_equal_length"]

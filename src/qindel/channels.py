@@ -37,14 +37,14 @@ sources' eigenvectors by one batched product per side, the inserted qudits
 last; then each position's rows take one index permutation, one PSD test
 and one round trip.  A sample's bits depend only on its own source,
 position and blocks.  The sampler ``_sample_batch`` serves many requests
-at once, as stacks indexed by row: one ``states._spectral_groups`` call
-per source shape, one draw pass, ``_draw_groups``, with one normal draw per
-run of requests on one generator, one ``_check_blocks`` call per (rank, l,
-t) draw group and one ``_insert_stack`` call per (shape, t) group.  A
-request names its source by shape and bare matrix, and gets its samples
-as a bare stack; only ``sample_insertions`` wraps them as states.  The
-containment trials use it, on one generator per batch, for the
-insertions of each step.  Counts and seeds are checked by
+at once on one generator, as stacks indexed by row: one
+``states._spectral_groups`` call per source shape, one draw pass,
+``_draw_groups``, with one normal draw, one ``_check_blocks`` call per
+(rank, l, t) draw group and one ``_insert_stack`` call per (shape, t)
+group.  A request names its source by shape and bare matrix, and gets its
+samples as a bare stack; only ``sample_insertions`` wraps them as states.
+The containment trials use it for the insertions of each step, and the
+insertion round trip for all its samples.  Counts and seeds are checked by
 ``states._count``; positions by ``_positions``.
 """
 
@@ -708,12 +708,13 @@ def insertion_member(
     return delete(sigma, qset).distance(rho) <= tol.at(rho.dim).eq_tol
 
 
-def _draw_groups(rngs, counts, keys) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
+def _draw_groups(rng, counts, keys) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
     """The block arrays of each draw d: ``counts[d]`` arrays for a rank-r
-    source and t inserted qudits of level l, ``keys[d] = (r, l, t)``, drawn
-    in order from the generator ``rngs[d]``.  Returns, per (r, l, t) draw
-    group in order of first draw, ``(samples, stack)``: the indices of its
-    arrays among all the draws' arrays, in draw order, and their stack.
+    source and t inserted qudits of level l, ``keys[d] = (r, l, t)``, the
+    draws read in order from the one generator ``rng``.  Returns, per
+    (r, l, t) draw group in order of first draw, ``(samples, stack)``: the
+    indices of its arrays among all the draws' arrays, in draw order, and
+    their stack.
 
     Two families alternate: (a) separable, a random t-qudit density per
     eigenvector with zero off-diagonal blocks; (b) entangled, a purification
@@ -721,11 +722,11 @@ def _draw_groups(rngs, counts, keys) -> dict[tuple, tuple[np.ndarray, np.ndarray
     possible only when l**t >= rank.  Array k of a draw is entangled when k
     is odd and the family is possible.  A separable array reads ``rank``
     square Ginibre matrices, as ``random_psd`` with a batch draws them, an
-    entangled one an ``l**t x rank`` matrix, as ``random_orthonormal``
-    does.  One ``standard_normal`` call per run of consecutive draws on one
-    generator draws them all: a ``Generator`` keeps no normal-draw state
-    between calls, so it reads what one call per array would, and the first
-    k of ``count`` arrays are the k arrays of the same generator state.
+    entangled one an ``l**t x rank`` Ginibre matrix, whose QR factor's
+    columns are the set.  One ``standard_normal`` call draws them all: a
+    ``Generator`` keeps no normal-draw state between calls, so it reads
+    what one call per array would, and the first k of ``count`` arrays are
+    the k arrays of the same generator state.
     Index arrays gather each group's values into its families' buffers, and
     the algebra runs once per family of a group; every array has the bits
     of its lone draw.
@@ -739,11 +740,7 @@ def _draw_groups(rngs, counts, keys) -> dict[tuple, tuple[np.ndarray, np.ndarray
     dim = level**t
     entangled = (k % 2 == 1) & (dim >= rank)
     starts = np.concatenate(([0], np.cumsum(np.where(entangled, 2 * dim * rank, 2 * rank * dim * dim))))
-    edges = starts[np.concatenate(([0], np.cumsum(counts)))]  # each draw's first value, then the total
-    runs = [0] + [d for d in range(1, len(rngs)) if rngs[d] is not rngs[d - 1]] + [len(rngs)]
-    values = np.empty(int(starts[-1]))
-    for first, stop in zip(runs, runs[1:]):
-        rngs[first].standard_normal(out=values[edges[first] : edges[stop]])
+    values = rng.standard_normal(int(starts[-1]))
     stacks = {}
     for (rank, level, t), g in index.items():
         dim = level**t
@@ -782,39 +779,37 @@ def sample_insertions(
     """
     count, seed = _count(count, "sample count", least=1), _count(seed, "seed")
     qset = _insertion_set(Q, rho.length)
-    samples = _sample_batch([(rho.shape, rho.mat, qset, count, np.random.default_rng(seed))], tol)[0]
+    samples = _sample_batch([(rho.shape, rho.mat, qset, count)], np.random.default_rng(seed), tol)[0]
     big_shape = QuditShape(rho.level, qset.ambient)
     return [DensityMatrix(big_shape, mat) for mat in samples]
 
 
-def _sample_batch(requests, tol: Tolerance, names=None) -> list[np.ndarray]:
-    """The samples of each request ``(shape, mat, qset, count, rng)``:
-    ``count`` members of I_Q of the state ``mat`` of ``shape``, drawn from
-    the generator ``rng``, as a read-only ``(count, D, D)`` array, a view
-    of its build's stack.  Requests read their generators in request
-    order, so requests that share one generator get the samples of
-    one-request calls made in that order on it, and a request with a
-    generator ``default_rng(seed)`` of its own gets the samples of
+def _sample_batch(requests, rng, tol: Tolerance, names=None) -> list[np.ndarray]:
+    """The samples of each request ``(shape, mat, qset, count)``: ``count``
+    members of I_Q of the state ``mat`` of ``shape``, as a read-only
+    ``(count, D, D)`` array, a view of its build's stack.  The requests
+    read the one generator ``rng`` in request order, so each gets the
+    samples of a one-request call made in that order on it, and a lone
+    request on ``default_rng(seed)`` gets the samples of
     ``sample_insertions(rho, qset, count, seed, tol)``.
 
     Sources, forms, blocks and samples pass as stacks indexed by row; no
-    numpy call is made per sample, nor per request but one normal draw per
-    run of requests on one generator.  Each shape's sources are
+    numpy call is made per sample or per request.  Each shape's sources are
     decomposed by one checked ``_spectral_groups`` call, each rank group's
-    weighted kets by one multiply.  One ``_draw_groups`` pass draws every
-    request's blocks, one ``_check_blocks`` call checks each (rank, l, t)
-    draw group, and one ``_insert_stack`` call builds each (shape, t)
-    group, its requests grouped by position.  Every block check runs before
-    any state is assembled, and every sample has the bits it gets alone.
-    An error names its request by ``names[r]`` (nothing by default): a
-    refused source reads as its lone ``_spectral_groups`` call, and a block
-    or build error then names the sample, with more than one in the
-    request.
+    weighted kets by one multiply.  One ``_draw_groups`` pass, one normal
+    draw, draws every request's blocks, one ``_check_blocks`` call checks
+    each (rank, l, t) draw group, and one ``_insert_stack`` call builds each
+    (shape, t) group, its requests grouped by position.  Every block check
+    runs before any state is assembled, and every sample has the bits it
+    gets alone.  An error names its request by ``names[r]`` (nothing by
+    default): a refused source reads as its lone ``_spectral_groups`` call,
+    and a block or build error then names the sample, with more than one in
+    the request.
     """
     if not requests:
         return []
     names = names or [""] * len(requests)
-    shapes, mats, qsets, counts, rngs = (list(column) for column in zip(*requests))
+    shapes, mats, qsets, counts = (list(column) for column in zip(*requests))
     counts = np.array(counts, dtype=int)
     first = np.cumsum(counts) - counts  # each request's first sample; samples in request order
     request = np.repeat(np.arange(len(requests)), counts)  # each sample's request
@@ -855,7 +850,7 @@ def _sample_batch(requests, tol: Tolerance, names=None) -> list[np.ndarray]:
             weighted[shape, kets.shape[-1]] = _weighted_kets(weights, kets)
 
     keys = list(zip(ranks.tolist(), [shape.level for shape in shapes], [qset.size for qset in qsets]))
-    draws = _draw_groups(rngs, counts, keys)
+    draws = _draw_groups(rng, counts, keys)
     rows = np.empty(len(request), dtype=int)  # each sample's row of its draw group's stack
     for (rank, level, t), (members, stack) in draws.items():
         rows[members] = np.arange(len(members))

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import reduce
 from itertools import product
 
 import numpy as np
 
 from .channels import delete
 from .distance import CodeSample
-from .errors import CountOutOfRange, DegenerateParam, NotNormalized, ParseError, PositionOutOfRange
+from .errors import CountOutOfRange, DegenerateParam, NotNormalized, ParseError
 from .errors import WeightOutOfRange
 from .linalg import Tolerance, frobenius_norm
 from .states import DensityMatrix, QuditShape, _count, basis_ket, density_from_ket
@@ -29,7 +28,6 @@ __all__ = [
     "x1_codeword",
     "example_rho",
     "example_psi",
-    "example_insertion",
     "in_del_after_ins_sphere",
     "in_ins_after_del_sphere",
     "hagiwara_single_deletion",
@@ -40,10 +38,6 @@ __all__ = [
     "builtin_state",
     "builtin_code",
 ]
-
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET1 = np.array([0.0, 1.0], dtype=complex)
-
 
 def _check_params(params) -> np.ndarray:
     """The (alpha, beta) pairs of ``params`` as a ``(k, 2)`` complex array,
@@ -157,27 +151,6 @@ def example_psi(p0: float = 0.5, p1: float = 0.5) -> DensityMatrix:
     shape = QuditShape(2, 2)
     ket = math.sqrt(p0) * basis_ket("01", shape) + math.sqrt(p1) * basis_ket("10", shape)
     return density_from_ket(ket, shape)
-
-
-def example_insertion(q: int, p0: float, p1: float, pi00, pi11, a) -> DensityMatrix:
-    """The member of I_{q}(example_rho(p0, p1)) with qubit q in {1, 2, 3}
-    inserted: p0 pi00 beside |00>, p1 pi11 beside |11>, and the coherence
-    sqrt(p1 p0) |1><0| (x) A (x) |1><0| + h.c. between them, A at slot q.
-
-    Built by hand with ``np.kron``, independently of ``insert_construct``."""
-    if q not in (1, 2, 3):
-        raise PositionOutOfRange(f"insertion position {q} not within [1, 3]")
-    _check_weights(p0, p1)
-
-    def placed(block, outer: np.ndarray) -> np.ndarray:
-        factors = [outer, outer]
-        factors.insert(q - 1, np.asarray(block, dtype=complex))
-        return reduce(np.kron, factors)
-
-    mat = p0 * placed(pi00, np.outer(_KET0, _KET0)) + p1 * placed(pi11, np.outer(_KET1, _KET1))
-    term = math.sqrt(p1 * p0) * placed(a, np.outer(_KET1, _KET0))
-    mat += term + term.conj().T
-    return DensityMatrix(QuditShape(2, 3), mat)
 
 
 def _sector_blocks(sigma: DensityMatrix, classical_qubit: int) -> np.ndarray:

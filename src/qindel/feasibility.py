@@ -443,20 +443,20 @@ def check_containment_trial(
     return check_containment_trials([rho], seed, s, t, tol)[0]
 
 
-def _trial_counts(value, what: str, rhos: list, bounded: bool) -> list[int]:
+def _trial_counts(value, what: str, lengths: list, bounded: bool) -> list[int]:
     """One count per trial: ``value`` for every trial, or ``value[i]`` for
     trial i.  Each is a nonnegative integer (``CountOutOfRange``), at most
-    its trial's length where ``bounded``; one per trial, or ``ShapeMismatch``.
-    Each distinct (type, value, bound) is checked once; only on a refusal
-    (or an unhashable value) are the trials checked one by one, so that it
-    names the first trial at fault, ``... of trial i``."""
+    its trial's length ``lengths[i]`` where ``bounded``; one per trial, or
+    ``ShapeMismatch``.  Each distinct (type, value, bound) is checked once;
+    only on a refusal (or an unhashable value) are the trials checked one by
+    one, so that it names the first trial at fault, ``... of trial i``."""
     if np.ndim(value) == 0:
-        most = min((rho.length for rho in rhos), default=None) if bounded else None
-        return [_count(value, what, most=most)] * len(rhos)
+        most = min(lengths, default=None) if bounded else None
+        return [_count(value, what, most=most)] * len(lengths)
     values = list(value)
-    if len(values) != len(rhos):
-        raise ShapeMismatch(f"{len(rhos)} states but {len(values)} values of {what}")
-    bounds = [rho.length if bounded else None for rho in rhos]
+    if len(values) != len(lengths):
+        raise ShapeMismatch(f"{len(lengths)} states but {len(values)} values of {what}")
+    bounds = lengths if bounded else [None] * len(lengths)
     # the type is part of the key: 1, 1.0 and True are equal keys, but only 1 is a count
     keys = list(zip(map(type, values), values, bounds))
     try:
@@ -484,7 +484,20 @@ def check_containment_trials(
     test each result for I^t(D^s(rhos[i])) membership.  Any composite of s
     deletions and t insertions lands inside the insertions-after-deletions
     sphere, so every verdict must come back true.  ``s`` and ``t`` are one
-    count for every trial, or one count per trial.
+    count for every trial, or one count per trial.  The states are unwrapped
+    once, for ``_containment_trials``, which runs the trials.
+
+    The seed and every count must be nonnegative integers, and each s at
+    most its rho's length (``CountOutOfRange``); a per-trial ``s`` or ``t``
+    must have one count per trial (``ShapeMismatch``).
+    """
+    rhos = list(rhos)
+    return _containment_trials([rho.shape for rho in rhos], [rho.mat for rho in rhos], seed, s, t, tol)
+
+
+def _containment_trials(shapes, mats, seed, s, t, tol: Tolerance) -> list[bool]:
+    """``check_containment_trials`` of the states ``mats[i]``, bare
+    matrices of ``shapes[i]``; none is wrapped as a state.
 
     Before the first step, one ``rng.random((3, trials, steps))`` call
     draws every trial's coin, position and sample count for every step, as
@@ -494,11 +507,10 @@ def check_containment_trials(
     removes qudit 1 + floor(u * n) of the trial's n qudits, an insertion
     inserts at 1 + floor(u * (n + 1)) and keeps the last of 1 + floor(2u)
     samples.  The trials run in lockstep, one move each per step, and a
-    trial whose moves are done sits out the later steps.  Each trial's
-    state is a bare matrix with its shape; none is wrapped as a state.  The
-    deletions of one step are one ``trace_out`` call per (shape, position)
-    group, on the stack of its states, each result the bits of that
-    state's lone ``partial_trace``.  The insertions of one step are one
+    trial whose moves are done sits out the later steps.  The deletions of
+    one step are one ``trace_out`` call per (shape, position) group, on the
+    stack of its states, each result the bits of that state's lone
+    ``partial_trace``.  The insertions of one step are one
     ``_sample_batch`` call on the batch's generator, its requests in trial
     order, so the samples are those of one-request calls made trial by
     trial; it decomposes their sources with one checked
@@ -508,23 +520,19 @@ def check_containment_trials(
     ``_insert_stack`` call.  Every sample is checked and built, the
     discarded ones too; each source shape's kept ones are then copied into
     one fresh read-only stack, so no build's stack outlives its step.  A
-    block or build error names the trial's index in ``rhos`` and the step.
-    The final memberships are one ``_members_ins_del`` call per (s, t,
-    final shape, source shape) group, each verdict the one
-    ``member_ins_del`` gives.
-
-    The seed and every count must be nonnegative integers, and each s at
-    most its rho's length (``CountOutOfRange``); a per-trial ``s`` or ``t``
-    must have one count per trial (``ShapeMismatch``).
+    block or build error names the trial's index and the step.  The final
+    memberships are one ``_members_ins_del`` call per (s, t, final shape,
+    source shape) group, each verdict the one ``member_ins_del`` gives.
     """
-    rhos = list(rhos)
     rng = np.random.default_rng(_count(seed, "seed"))
-    ss = _trial_counts(s, "deletion count s", rhos, bounded=True)
-    ts = _trial_counts(t, "insertion count t", rhos, bounded=False)
+    lengths = [shape.length for shape in shapes]
+    ss = _trial_counts(s, "deletion count s", lengths, bounded=True)
+    ts = _trial_counts(t, "insertion count t", lengths, bounded=False)
     left_s, left_t = np.array(ss, dtype=int), np.array(ts, dtype=int)  # moves left per trial
-    lengths = np.array([rho.length for rho in rhos], dtype=int)
-    coins, spots, sizes = rng.random((3, len(rhos), int((left_s + left_t).max(initial=0))))
-    mats, shapes = [rho.mat for rho in rhos], [rho.shape for rho in rhos]  # each trial's state
+    lengths = np.array(lengths, dtype=int)
+    coins, spots, sizes = rng.random((3, len(mats), int((left_s + left_t).max(initial=0))))
+    sources, rho_shapes = mats, shapes
+    mats, shapes = list(mats), list(shapes)  # each trial's state
     shape_of, index_set = cache(QuditShape), cache(lambda p, n: IndexSet((p,), n))  # shared by the trials
     for step in range(1, coins.shape[1] + 1):
         moving = left_s + left_t > 0
@@ -541,7 +549,7 @@ def check_containment_trials(
                 deleting.setdefault((shapes[i], position), []).append(i)
             else:
                 inserting.setdefault(shapes[i], []).append((len(requests), i))
-                requests.append((shapes[i], mats[i], index_set(position, length), count, rng))
+                requests.append((shapes[i], mats[i], index_set(position, length), count))
                 names.append(f"trial {i}, step {step}: ")
         for (shape, p), group in deleting.items():
             reduced = trace_out(np.array([mats[i] for i in group]), index_set(p, shape.length), shape.level)
@@ -549,7 +557,7 @@ def check_containment_trials(
             shape = shape_of(shape.level, shape.length - 1)
             for i, mat in zip(group, reduced):
                 mats[i], shapes[i] = mat, shape
-        samples = _sample_batch(requests, tol, names)
+        samples = _sample_batch(requests, rng, tol, names)
         for shape, group in inserting.items():
             # the kept samples, copied into one fresh read-only stack; a
             # build's stack, with the samples discarded, goes with its last view
@@ -559,11 +567,11 @@ def check_containment_trials(
             for (k, i), mat in zip(group, kept):
                 mats[i], shapes[i], samples[k] = mat, shape, None
     groups: dict[tuple, list[int]] = {}
-    for i, key in enumerate(zip(ss, ts, shapes, (rho.shape for rho in rhos))):
+    for i, key in enumerate(zip(ss, ts, shapes, rho_shapes)):
         groups.setdefault(key, []).append(i)
-    verdicts: list = [None] * len(rhos)
+    verdicts: list = [None] * len(mats)
     for (s_k, t_k, shape, rho_shape), group in groups.items():
-        sigmas, sources = np.array([mats[i] for i in group]), np.array([rhos[i].mat for i in group])
-        for i, verdict in zip(group, _members_ins_del(shape, sigmas, rho_shape, sources, s_k, t_k, tol)):
+        sigmas, rhos = np.array([mats[i] for i in group]), np.array([sources[i] for i in group])
+        for i, verdict in zip(group, _members_ins_del(shape, sigmas, rho_shape, rhos, s_k, t_k, tol)):
             verdicts[i] = verdict
     return verdicts

@@ -1,17 +1,15 @@
-"""Seeded random states and bases for property tests and samplers."""
+"""Seeded random matrices and states for property tests and samplers."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CountOutOfRange
 from .states import DensityMatrix, QuditShape, _count
 
 __all__ = [
     "random_hermitian",
     "random_psd",
     "random_density",
-    "random_orthonormal",
 ]
 
 
@@ -58,34 +56,24 @@ def random_density(rng: np.random.Generator, shape: QuditShape, rank: int | None
     return DensityMatrix(shape, _trace_normalized(random_psd(rng, shape.dim, rank)))
 
 
-def _random_densities(rng: np.random.Generator, shape: QuditShape, ranks) -> list[DensityMatrix]:
-    """One ``random_density`` state of ``shape`` per entry of ``ranks``
-    (integers in [1, ``shape.dim``]), in ``ranks`` order.  Each distinct rank,
-    in ascending order, draws its states as one ``random_psd`` batch, so each
-    state has the bits of one ``random_density`` call per state of that rank
-    in turn; the rows are read-only views of their rank's stack."""
+def _random_densities(rng: np.random.Generator, shape: QuditShape, ranks) -> np.ndarray:
+    """The read-only ``(k, d, d)`` stack of one ``random_density`` state of
+    ``shape`` per entry of ``ranks`` (integers in [1, ``shape.dim``]), in
+    ``ranks`` order.  Each distinct rank, in ascending order, draws its
+    states as one ``random_psd`` batch, so each row has the bits of one
+    ``random_density`` call per state of that rank in turn."""
     ranks = np.asarray(ranks)
-    states: list = [None] * len(ranks)
+    stack = np.empty((len(ranks), shape.dim, shape.dim), dtype=complex)
     # not np.unique: on numpy 2.4 its first call imports numpy.ma, about 1.7 MB
     # of resident memory
     for rank in sorted(set(ranks.tolist())):
         where = np.flatnonzero(ranks == rank)
-        stack = _trace_normalized(random_psd(rng, shape.dim, rank, (len(where),)))
-        stack.setflags(write=False)
-        for j, mat in zip(where.tolist(), stack):
-            states[j] = DensityMatrix(shape, mat)
-    return states
+        stack[where] = _trace_normalized(random_psd(rng, shape.dim, rank, (len(where),)))
+    stack.setflags(write=False)
+    return stack
 
 
 def _trace_normalized(m: np.ndarray) -> np.ndarray:
     """Each matrix of a ``(..., d, d)`` stack divided by its real trace."""
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
-
-def random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
-    """``count`` orthonormal vectors in C^dim (0 <= count <= dim)."""
-    count = _count(count, "count")
-    if count > dim:
-        raise CountOutOfRange(f"cannot fit {count} orthonormal vectors in dimension {dim}")
-    q, _ = np.linalg.qr(_ginibre(rng, dim, count))
-    return [q[:, k].copy() for k in range(count)]

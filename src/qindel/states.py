@@ -8,12 +8,14 @@ Conventions (fixed once, used everywhere):
   * the n = 0 system has the single state (1), a 1x1 matrix.
 
 Every state, pure or mixed, is a ``DensityMatrix``; a ket is never kept.
-Foreign matrices are checked by ``validate`` (``validate_stack`` for a
-stack), and a pure state is built from its ket, checked once, by
-``density_from_ket``.  ``validate_stack`` shows matrices PSD by one stacked
-Cholesky factorization of them shifted by psd_tol / 2
-(``linalg._psd_certified``) and eigen-solves only the matrices that fail
-it, to name a refusal with its residual.
+Inside the package a set of same-shape states is one read-only ``(k, d, d)``
+stack with its ``QuditShape``, wrapped only where a public call returns a
+state.  Foreign matrices are checked by ``validate`` (``validate_stack``,
+which returns the checked stack, for a stack), and a pure state is built
+from its ket, checked once, by ``density_from_ket``.  ``validate_stack``
+shows matrices PSD by one stacked Cholesky factorization of them shifted by
+psd_tol / 2 (``linalg._psd_certified``) and eigen-solves only the matrices
+that fail it, to name a refusal with its residual.
 
 State files are UTF-8 JSON objects, read and written here only, through
 orjson.  The one encoder writes a matrix in the compact form: the base64 of
@@ -247,15 +249,17 @@ def validate(mat, shape: QuditShape, tol: Tolerance = Tolerance()) -> DensityMat
     m = np.asarray(mat, dtype=complex)
     if m.shape != (shape.dim, shape.dim):
         raise ShapeMismatch(f"expected a {shape.dim}x{shape.dim} matrix, got {m.shape}")
-    return validate_stack(m, shape, tol)[0]
+    return DensityMatrix(shape, validate_stack(m, shape, tol)[0])
 
 
-def validate_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> list[DensityMatrix]:
-    """The state of ``shape`` of each matrix of ``mats``, a ``(k, d, d)``
-    stack (or one ``(d, d)`` matrix, which gives one state), after the
-    checks of ``validate``, each made once over the whole stack: one gate,
-    one certificate, one eigen-solve of the matrices it does not certify,
-    one trace test and one PSD test.  Other shapes of ``mats`` raise
+def validate_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """The read-only ``(k, d, d)`` stack of the matrices of ``mats``, a
+    ``(k, d, d)`` stack (or one ``(d, d)`` matrix, which gives a one-row
+    stack), each a state of ``shape`` after the checks of ``validate``,
+    each made once over the whole stack: one gate, one certificate, one
+    eigen-solve of the matrices it does not certify, one trace test and one
+    PSD test.  The rows of a read-only complex ``mats`` are returned as they
+    are, those of any other copied once.  Other shapes of ``mats`` raise
     ``ShapeMismatch``.
 
     A matrix that ``linalg._psd_certified`` certifies, by its row of one
@@ -303,7 +307,7 @@ def validate_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> lis
         k = int(np.argmax(tr_res > tol.eq_tol))
         raise TraceNotOne(f"{name(k)}trace differs from 1 by {tr_res[k]:.3e}", tr_res[k])
     _require_psd(lowest.reshape(*m.shape[:-2], 1), tol)  # one-value spectra, batched as mats is
-    return [DensityMatrix(shape, mat) for mat in flat]
+    return _frozen_array(flat)
 
 
 def spectral_decompose(rho: DensityMatrix, tol: Tolerance = Tolerance()) -> SpectralForm:

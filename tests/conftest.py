@@ -1,4 +1,6 @@
+import math
 import sys
+from functools import reduce
 from itertools import combinations, count
 
 import numpy as np
@@ -6,11 +8,12 @@ import pytest
 
 from qindel import linalg
 from qindel.channels import deletion_sphere
+from qindel.codes import _check_weights
 from qindel.distance import indel_distance, min_distance
-from qindel.errors import QindelError, ShapeMismatch, TraceNotOne
+from qindel.errors import CountOutOfRange, PositionOutOfRange, QindelError, ShapeMismatch, TraceNotOne
 from qindel.linalg import Tolerance, hermitian_eigensystem, hermitian_eigenvalues
-from qindel.rand import random_density
-from qindel.states import DensityMatrix, QuditShape, _require_psd, validate
+from qindel.rand import _ginibre, random_density
+from qindel.states import DensityMatrix, QuditShape, _count, _require_psd, validate
 
 
 @pytest.fixture
@@ -24,6 +27,40 @@ def make_states(rng, level, length, count, max_rank=None):
     return [
         random_density(rng, shape, int(rng.integers(1, cap + 1))) for _ in range(count)
     ]
+
+
+def random_orthonormal(rng, dim: int, count: int) -> list[np.ndarray]:
+    """``count`` orthonormal vectors in C^dim (0 <= count <= dim)."""
+    count = _count(count, "count")
+    if count > dim:
+        raise CountOutOfRange(f"cannot fit {count} orthonormal vectors in dimension {dim}")
+    q, _ = np.linalg.qr(_ginibre(rng, dim, count))
+    return [q[:, k].copy() for k in range(count)]
+
+
+_KET0 = np.array([1.0, 0.0], dtype=complex)
+_KET1 = np.array([0.0, 1.0], dtype=complex)
+
+
+def example_insertion(q: int, p0: float, p1: float, pi00, pi11, a) -> DensityMatrix:
+    """The member of I_{q}(example_rho(p0, p1)) with qubit q in {1, 2, 3}
+    inserted: p0 pi00 beside |00>, p1 pi11 beside |11>, and the coherence
+    sqrt(p1 p0) |1><0| (x) A (x) |1><0| + h.c. between them, A at slot q.
+
+    Built by hand with ``np.kron``, independently of ``insert_construct``."""
+    if q not in (1, 2, 3):
+        raise PositionOutOfRange(f"insertion position {q} not within [1, 3]")
+    _check_weights(p0, p1)
+
+    def placed(block, outer: np.ndarray) -> np.ndarray:
+        factors = [outer, outer]
+        factors.insert(q - 1, np.asarray(block, dtype=complex))
+        return reduce(np.kron, factors)
+
+    mat = p0 * placed(pi00, np.outer(_KET0, _KET0)) + p1 * placed(pi11, np.outer(_KET1, _KET1))
+    term = math.sqrt(p1 * p0) * placed(a, np.outer(_KET1, _KET0))
+    mat += term + term.conj().T
+    return DensityMatrix(QuditShape(2, 3), mat)
 
 
 def failing_from(call, solver):

@@ -15,11 +15,11 @@ import qindel.rand
 import qindel.states
 from qindel.acceptance import CRITERIA, _item, check_insertion_roundtrip, check_x2_min_distance, run_all
 from qindel.acceptance import check_containment, check_linear_algebra, check_metric_axioms
-from qindel.channels import IndexSet, delete, deletion_sphere, sample_insertions
+from qindel.channels import IndexSet, _sample_batch, delete, deletion_sphere
 from qindel.codes import builtin_code, code_params, collision_pair_x2, hagiwara_codeword
 from qindel.codes import hagiwara_double_deletion, hagiwara_single_deletion, x2_collision_params
 from qindel.distance import min_distance
-from qindel.linalg import cross_distances
+from qindel.linalg import Tolerance, cross_distances
 from qindel.rand import random_density
 from qindel.states import QuditShape, validate
 
@@ -61,23 +61,28 @@ def test_suite_is_complete(suite):
 
 
 def per_request_insertion_roundtrip(seed: int) -> dict:
-    """``check_insertion_roundtrip`` as a loop over its requests: one
-    ``sample_insertions`` call per request, each sample deleted back by its
-    own ``delete``."""
+    """``check_insertion_roundtrip`` as loops over its requests: the same
+    sizes, each source by its own ``random_density`` call, lengths and then
+    ranks ascending, then one one-request ``_sample_batch`` call per request
+    on the criterion's generator, each sample checked by ``validate`` and
+    deleted back by its own ``delete``."""
     rng = np.random.default_rng(seed)
+    ns = rng.integers(1, 3, size=50)
+    ranks = rng.integers(1, 3, size=50)
+    qs = rng.integers(1, ns + 2, size=50)
+    sources = [None] * len(ns)
+    for n in sorted(set(ns.tolist())):
+        for rank in sorted(set(ranks[ns == n].tolist())):
+            for r in np.flatnonzero((ns == n) & (ranks == rank)).tolist():
+                sources[r] = random_density(rng, QuditShape(2, n), rank)
     worst = 0.0
     families = {"separable": 0, "entangled": 0}
     count = 0
-    while count < 100:
-        n = int(rng.integers(1, 3))
-        shape = QuditShape(2, n)
-        rank = int(rng.integers(1, 3))
-        rho = random_density(rng, shape, min(rank, shape.dim))
-        q = int(rng.integers(1, n + 2))
-        samples = sample_insertions(rho, IndexSet((q,), n + 1), 2, int(rng.integers(2**62)))
-        for k, sigma in enumerate(samples):
-            validate(sigma.mat, sigma.shape)
-            worst = max(worst, delete(sigma, {q}).distance(rho))
+    for rho, q in zip(sources, qs.tolist()):
+        qset = IndexSet((q,), rho.length + 1)
+        for k, mat in enumerate(_sample_batch([(rho.shape, rho.mat, qset, 2)], rng, Tolerance())[0]):
+            sigma = validate(mat, QuditShape(2, qset.ambient))
+            worst = max(worst, delete(sigma, qset).distance(rho))
             families["separable" if k == 0 else "entangled"] += 1
             count += 1
     ok = worst <= 1e-10 and min(families.values()) > 0
@@ -193,7 +198,7 @@ def _counted(monkeypatch, module, names):
 
 def test_containment_runs_its_600_trials_in_one_lockstep_call(monkeypatch):
     # three (s, t) of 200 trials each, one call of three steps
-    trials = _counted(monkeypatch, qindel.feasibility, ["check_containment_trials"])
+    trials = _counted(monkeypatch, qindel.feasibility, ["_containment_trials"])
     batches = _counted(monkeypatch, qindel.feasibility, ["_sample_batch"])
     item = check_containment(0)
     assert item["status"] == "pass"
@@ -236,17 +241,23 @@ def test_containment_builds_no_generator_per_trial_or_sampler(monkeypatch):
     assert len(built) <= 2
 
 
-def test_containment_and_round_trip_wrap_only_their_drawn_and_validated_states(monkeypatch):
-    # the sampler, the trial loop and the batched memberships pass states as
-    # bare matrices: containment wraps its 600 drawn sources, the round trip
-    # its 50 drawn sources and the 100 samples that validate_stack returns
+def test_the_round_trip_builds_one_generator(monkeypatch):
+    # the criterion's: its sizes, sources and samples all read it
+    built, real = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: built.append(args) or real(*args))
+    assert check_insertion_roundtrip(0)["status"] == "pass"
+    assert built == [(0,)]
+
+
+def test_containment_and_round_trip_wrap_no_state(monkeypatch):
+    # draws, the sampler, the trial loop, validate_stack and the batched
+    # memberships pass states as bare matrices and read-only stacks
     built, real = [], qindel.states.DensityMatrix.__post_init__
     monkeypatch.setattr(qindel.states.DensityMatrix, "__post_init__", lambda self: built.append(None) or real(self))
     assert check_containment(0)["status"] == "pass"
-    assert len(built) <= 610
-    built.clear()
+    assert built == []
     assert check_insertion_roundtrip(0)["status"] == "pass"
-    assert len(built) <= 150
+    assert built == []
 
 
 def test_the_round_trip_validates_one_stack_per_shape(monkeypatch):

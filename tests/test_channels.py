@@ -45,7 +45,7 @@ from qindel.errors import (
 )
 from qindel.feasibility import feasibility_del_ins
 from qindel.linalg import Tolerance, cross_distances, frobenius_distance
-from qindel.rand import random_density, random_orthonormal
+from qindel.rand import random_density
 from qindel.states import (
     DensityMatrix,
     QuditShape,
@@ -54,7 +54,7 @@ from qindel.states import (
     spectral_decompose,
     validate,
 )
-from conftest import make_states
+from conftest import make_states, random_orthonormal
 
 
 def partial_trace_oracle(mat, p, level, n):
@@ -935,7 +935,7 @@ def test_one_build_over_every_position_gives_each_row_its_positions_build(rng, n
     shape = QuditShape(2, n)
     qsets = [IndexSet(Q, n + t) for Q in combinations(range(1, n + t + 1), t)]
     rhos = [random_density(rng, shape, rank) for rank in sorted({1, shape.dim})]
-    draws = _draw_groups([rng] * len(rhos), [2] * len(rhos), [(spectral_decompose(rho).rank, 2, t) for rho in rhos])
+    draws = _draw_groups(rng, [2] * len(rhos), [(spectral_decompose(rho).rank, 2, t) for rho in rhos])
     arrays = [stack for _, stack in draws.values()]
     rows = [(j, rho, blocks) for j in range(len(qsets)) for rho, stack in zip(rhos, arrays) for blocks in stack]
     together = _build(shape, qsets, rows)

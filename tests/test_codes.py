@@ -13,7 +13,6 @@ from qindel.codes import (
     collision_pair_x2,
     code_params,
     dicke_ket,
-    example_insertion,
     example_psi,
     example_rho,
     hagiwara_codeword,
@@ -36,6 +35,8 @@ from qindel.errors import (
 from qindel.feasibility import FeasibilityStatus, member_del_ins, member_ins_del
 from qindel.rand import random_density
 from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, validate
+
+from conftest import example_insertion
 
 
 def test_dicke_kets():

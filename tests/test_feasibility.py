@@ -323,8 +323,8 @@ def _replayed_trials(rhos, seed, ss, ts):
                 if count is None:
                     states[i] = delete(state, {position})
                 else:
-                    request = (state.shape, state.mat, IndexSet((position,), state.length + 1), count, rng)
-                    sample = _sample_batch([request], Tolerance())[0][-1]
+                    request = (state.shape, state.mat, IndexSet((position,), state.length + 1), count)
+                    sample = _sample_batch([request], rng, Tolerance())[0][-1]
                     states[i] = DensityMatrix(QuditShape(state.level, state.length + 1), sample)
     return states, history
 
@@ -544,8 +544,8 @@ def _tamper_request(monkeypatch, fault, request):
         return
     real = channels._draw_groups
 
-    def faulty(rngs, counts, keys):
-        stacks = real(rngs, counts, keys)
+    def faulty(rng, counts, keys):
+        stacks = real(rng, counts, keys)
         start = sum(counts[:request])
         for samples, stack in stacks.values():
             stack[(start <= samples) & (samples < start + counts[request])] = np.nan

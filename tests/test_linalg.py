@@ -214,15 +214,16 @@ def test_random_hermitian_batch_draws_what_one_call_per_matrix_draws():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_random_densities_draw_each_rank_as_lone_calls(n):
     # each rank, in ascending order, draws its states as back-to-back lone
-    # random_density calls; the states come back in ranks order
+    # random_density calls; the states come back as one read-only stack in
+    # ranks order
     shape = QuditShape(2, n)
     ranks = np.random.default_rng(n).permutation(np.repeat(np.arange(1, shape.dim + 1), 3))
-    states = _random_densities(np.random.default_rng(9), shape, ranks)
+    stack = _random_densities(np.random.default_rng(9), shape, ranks)
+    assert stack.shape == (len(ranks), shape.dim, shape.dim) and not stack.flags.writeable
     rng = np.random.default_rng(9)
     for rank in range(1, shape.dim + 1):
         for j in np.flatnonzero(ranks == rank):
-            assert states[j].shape == shape
-            assert states[j].mat.tobytes() == random_density(rng, shape, rank).mat.tobytes()
+            assert stack[j].tobytes() == random_density(rng, shape, rank).mat.tobytes()
 
 
 def test_is_psd():

@@ -88,9 +88,16 @@ def test_only_linalg_calls_an_eigensolver():
     assert not calls, f"eigensolver or factorization called outside linalg: {calls}"
 
 
-# the containment path, from draw to verdict: states pass as bare matrices
-# and same-shape stacks, and only the public one-state calls wrap them
-STACK_NATIVE = {"channels.py": {"_sample_batch"}, "feasibility.py": {"_members_ins_del", "check_containment_trials"}}
+# the containment and round-trip paths, from draw to verdict: states pass as
+# bare matrices and same-shape read-only stacks, and only the public
+# one-state calls wrap them
+STACK_NATIVE = {
+    "acceptance.py": {"_qubit_states", "check_containment", "check_insertion_roundtrip"},
+    "channels.py": {"_sample_batch"},
+    "feasibility.py": {"_containment_trials", "_members_ins_del", "check_containment_trials"},
+    "rand.py": {"_random_densities"},
+    "states.py": {"validate_stack"},
+}
 
 
 def test_the_containment_path_wraps_no_state():
@@ -226,13 +233,12 @@ def test_every_code_dedups_in_its_constructor():
     assert not reads, f"distinct_rows read outside CodeSample.__post_init__: {reads}"
 
 
-COUNT_RAISES = {("states.py", "_count"), ("codes.py", "code_params"), ("rand.py", "random_orthonormal")}
+COUNT_RAISES = {("states.py", "_count"), ("codes.py", "code_params")}
 
 
 def test_only_the_count_rule_raises_count_out_of_range():
     # every count, length, level and seed, upper bounds included, is checked
-    # by states._count; the grid's range and the orthonormal set's fit keep
-    # their own pinned messages
+    # by states._count; the grid's range keeps its own pinned message
     raises = []
     for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -335,3 +341,32 @@ def test_every_readme_reference_resolves():
     spans = _span_strings()
     stale = sorted(ref for ref in references if not _resolves(ref) and ref not in spans)
     assert not stale, f"README names what no qindel module has: {stale}"
+
+
+def _code_reads(path: Path) -> set[str]:
+    """Every name that ``path`` reads as code: a name, an attribute or an
+    imported name; the strings of an ``__all__`` list are not read."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            reads.update(alias.name.split(".")[-1] for alias in node.names)
+    return reads
+
+
+def test_every_export_is_read_outside_the_tests():
+    # an exported name that only tests read is a test helper in the library:
+    # each one is read by the package itself (not its re-exports), a demo or
+    # the benchmark, or pinned by name in the benchmark's span list
+    package = ROOT / "src" / "qindel"
+    sources = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    sources += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    reads = set().union(*map(_code_reads, sources)) | _span_strings()
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"qindel.{path.stem}".removesuffix(".__init__"))
+        unread += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ()) if name not in reads]
+    assert not unread, f"exported but read only by tests: {unread}"

@@ -55,7 +55,7 @@ from qindel.linalg import (  # noqa: E402
     project_psd,
     psd_principal_minors,
 )
-from qindel.rand import random_density, random_hermitian, random_orthonormal  # noqa: E402
+from qindel.rand import random_density, random_hermitian  # noqa: E402
 from qindel.states import (  # noqa: E402
     DensityMatrix,
     QuditShape,
@@ -66,7 +66,7 @@ from qindel.states import (  # noqa: E402
     validate,
 )
 from conftest import assert_indel_matches_lone_walk, assert_matches_lone_walk  # noqa: E402
-from conftest import assert_validates_as_reference, planted_state  # noqa: E402
+from conftest import assert_validates_as_reference, planted_state, random_orthonormal  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -681,10 +681,10 @@ def test_fewer_samples_are_a_prefix_of_more(level, t, data):
 
 @st.composite
 def sampler_requests(draw):
-    """A list of sampler requests (rho, qset, count, seed) in shuffled
-    order: qubit and qutrit sources on 1-3 qudits of any rank, |Q| of 1 or 2
-    and 1-4 samples each.  Some sources are asked again, at another Q or
-    seed, so requests share draw groups and builds."""
+    """A list of sampler requests (rho, qset, count) in shuffled order:
+    qubit and qutrit sources on 1-3 qudits of any rank, |Q| of 1 or 2 and
+    1-4 samples each.  Some sources are asked again, at another Q, so
+    requests share draw groups and builds."""
     requests = []
     for _ in range(draw(st.integers(1, 4))):
         level, n = draw(LEVELS), draw(st.integers(1, 3))
@@ -695,41 +695,32 @@ def sampler_requests(draw):
             t = draw(st.integers(1, 2))
             Q = draw(st.lists(st.integers(1, n + t), min_size=t, max_size=t, unique=True))
             qset = IndexSet(tuple(sorted(Q)), n + t)
-            requests.append((rho, qset, draw(st.integers(1, 4)), draw(st.integers(0, 2**62 - 1))))
+            requests.append((rho, qset, draw(st.integers(1, 4))))
     return draw(st.permutations(requests))
-
-
-@settings(DETERMINISTIC, max_examples=30)
-@given(sampler_requests())
-def test_a_batch_of_requests_gives_each_its_lone_samples(requests):
-    """The one draw pass, per-group block checks and per-(shape, Q) builds of
-    ``_sample_batch`` give each request the bits of its own lone
-    ``sample_insertions`` call, whatever the other requests, including counts
-    of 3 and 4 and ranks above l^t, where only the separable family is
-    drawn.  Each request draws from a generator ``default_rng(seed)`` of its
-    own."""
-    own = [(rho.shape, rho.mat, qset, count, np.random.default_rng(seed)) for rho, qset, count, seed in requests]
-    batched = _sample_batch(own, Tolerance())
-    assert [len(samples) for samples in batched] == [count for _, _, count, _ in requests]
-    for (rho, qset, count, seed), samples in zip(requests, batched):
-        lone = sample_insertions(rho, qset.positions, count, seed)
-        assert not samples.flags.writeable
-        assert [mat.tobytes() for mat in samples] == [sigma.mat.tobytes() for sigma in lone]
 
 
 @settings(DETERMINISTIC, max_examples=30)
 @given(sampler_requests(), st.integers(0, 2**62 - 1))
 def test_requests_that_share_a_generator_read_it_in_request_order(requests, seed):
-    """Requests of one ``_sample_batch`` call that share one generator get
-    the samples of lone one-request calls made in request order on one
-    generator of the same seed, bit for bit, whatever their draw groups and
-    builds."""
-    shared = np.random.default_rng(seed)
-    batched = _sample_batch([(rho.shape, rho.mat, qset, count, shared) for rho, qset, count, _ in requests], Tolerance())
+    """The one draw pass, per-group block checks and per-(shape, Q) builds
+    of ``_sample_batch`` give each request the samples of a lone
+    one-request call made in request order on one generator of the same
+    seed, bit for bit, as a read-only stack, whatever the other requests,
+    including counts of 3 and 4 and ranks above l^t, where only the
+    separable family is drawn.  The first request's samples are those of
+    its lone ``sample_insertions`` call of that seed."""
+    batched = _sample_batch(
+        [(rho.shape, rho.mat, qset, count) for rho, qset, count in requests], np.random.default_rng(seed), Tolerance()
+    )
+    assert [len(samples) for samples in batched] == [count for _, _, count in requests]
     rng = np.random.default_rng(seed)
-    for (rho, qset, count, _), samples in zip(requests, batched):
-        lone = _sample_batch([(rho.shape, rho.mat, qset, count, rng)], Tolerance())[0]
+    for (rho, qset, count), samples in zip(requests, batched):
+        lone = _sample_batch([(rho.shape, rho.mat, qset, count)], rng, Tolerance())[0]
+        assert not samples.flags.writeable
         assert samples.tobytes() == lone.tobytes()
+    rho, qset, count = requests[0]
+    first = sample_insertions(rho, qset.positions, count, seed)
+    assert [mat.tobytes() for mat in batched[0]] == [sigma.mat.tobytes() for sigma in first]
 
 
 @settings(DETERMINISTIC, max_examples=60)
@@ -739,8 +730,8 @@ def test_one_normal_draw_is_its_back_to_back_parts(seed, sizes):
     back-to-back calls whose sizes sum to N draw, as ``out`` arrays or by
     size, and leaves the generator where they leave it: a ``Generator``
     keeps no normal-draw state between calls.  The sampler's draw pass
-    (``channels._draw_groups``) relies on it to make one call per run of
-    draws on one generator."""
+    (``channels._draw_groups``) relies on it to make one call for all its
+    draws."""
     whole, parts, sized = (np.random.default_rng(seed) for _ in range(3))
     values = whole.standard_normal(sum(sizes))
     pieces = []

@@ -21,7 +21,7 @@ from qindel.errors import (
     ValidationError,
 )
 from qindel.linalg import Tolerance, frobenius_distance
-from qindel.rand import random_density, random_hermitian, random_orthonormal, random_psd
+from qindel.rand import random_density, random_hermitian, random_psd
 from qindel.states import (
     DensityMatrix,
     QuditShape,
@@ -38,7 +38,7 @@ from qindel.states import (
     validate,
     validate_stack,
 )
-from conftest import assert_validates_as_reference, planted_state, reference_spectral_form
+from conftest import assert_validates_as_reference, planted_state, random_orthonormal, reference_spectral_form
 
 
 def test_qudit_shape():
@@ -244,9 +244,10 @@ def _faults(rng, shape):
 @pytest.mark.parametrize("tol", PSD_TOLS.values(), ids=PSD_TOLS)
 @pytest.mark.parametrize("dim", [1, 2, 4, 9, 64])
 def test_validate_stack_gives_each_matrix_its_lone_result(dim, tol):
-    # a stack of valid states of every rank validates to the states lone
-    # calls give, bit for bit; one fault at slot k is refused with the
-    # class, residual and message of its lone call, named "matrix k: "
+    # a stack of valid states of every rank validates to the read-only
+    # stack of the states lone calls give, bit for bit; one fault at slot k
+    # is refused with the class, residual and message of its lone call,
+    # named "matrix k: "
     shape, rng = SHAPES[dim], np.random.default_rng(dim)
     candidates = [random_density(rng, shape, rank).mat for rank in sorted({1, (dim + 1) // 2, dim})]
     candidates += [planted_state(rng, shape, 0.0, min(dim, 2)) if dim > 1 else np.ones((1, 1), complex)]
@@ -255,11 +256,12 @@ def test_validate_stack_gives_each_matrix_its_lone_result(dim, tol):
     good = [m for m in candidates if _refusal(lambda: validate(m, shape, tol)) is None]
     assert len(good) >= 2
     stack = np.stack(good)
-    states = validate_stack(stack, shape, tol)
-    assert [rho.mat.tobytes() for rho in states] == [validate(m, shape, tol).mat.tobytes() for m in good]
-    assert [rho.shape for rho in states] == [shape] * len(good)
+    checked = validate_stack(stack, shape, tol)
+    assert [mat.tobytes() for mat in checked] == [validate(m, shape, tol).mat.tobytes() for m in good]
+    assert checked.shape == stack.shape and not checked.flags.writeable
+    assert np.shares_memory(validate_stack(checked, shape, tol), checked)  # a read-only stack is not copied
     [lone] = validate_stack(good[0], shape, tol)  # one matrix gives one state
-    assert lone.mat.tobytes() == good[0].tobytes()
+    assert lone.tobytes() == good[0].tobytes()
     for fault in _faults(rng, shape):
         want = _refusal(lambda: validate(fault, shape, tol))
         for k in (0, len(good) - 1):
