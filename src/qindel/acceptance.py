@@ -145,16 +145,18 @@ def check_x2_min_distance(seed: int) -> dict:
     )
 
 
-def _qubit_states(rng: np.random.Generator, ns: np.ndarray, ranks: np.ndarray) -> list[np.ndarray]:
-    """One state of ``ns[i]`` qubits and rank ``ranks[i]`` per item, a bare
-    matrix: each length's states, lengths in ascending order, are one
-    ``_random_densities`` stack, each row at its item's index."""
+def _qubit_states(rng: np.random.Generator, ns: np.ndarray, ranks: np.ndarray) -> tuple[list, list]:
+    """One state of ``ns[i]`` qubits and rank ``ranks[i]`` per item, as its
+    shape (one ``QuditShape`` per length) and bare matrix: each length's
+    states, lengths in ascending order, are one ``_random_densities``
+    stack, each row at its item's index."""
+    shapes: list = [None] * len(ns)
     states: list = [None] * len(ns)
     for n in sorted(set(ns.tolist())):  # not np.unique, as in _random_densities
-        where = np.flatnonzero(ns == n)
-        for j, mat in zip(where.tolist(), _random_densities(rng, QuditShape(2, n), ranks[where])):
-            states[j] = mat
-    return states
+        where, shape = np.flatnonzero(ns == n), QuditShape(2, n)
+        for j, mat in zip(where.tolist(), _random_densities(rng, shape, ranks[where])):
+            shapes[j], states[j] = shape, mat
+    return shapes, states
 
 
 def check_containment(seed: int) -> dict:
@@ -171,8 +173,9 @@ def check_containment(seed: int) -> dict:
     for s, t in ((1, 1), (2, 1), (1, 2)):
         ns = rng.integers(max(s, 1), 4, size=200)  # s <= n keeps D^s(rho) nonempty
         ranks = rng.integers(1, 2**ns + 1)
-        shapes += [QuditShape(2, n) for n in ns.tolist()]
-        mats += _qubit_states(rng, ns, ranks)
+        batch_shapes, batch = _qubit_states(rng, ns, ranks)
+        shapes += batch_shapes
+        mats += batch
         ss += [s] * len(ns)
         ts += [t] * len(ns)
     verdicts = _containment_trials(shapes, mats, int(rng.integers(2**62)), ss, ts, Tolerance())
@@ -242,9 +245,9 @@ def check_insertion_roundtrip(seed: int) -> dict:
     ns = rng.integers(1, 3, size=50)
     ranks = rng.integers(1, 3, size=50)  # rank <= 2 keeps the purification family live
     qs = rng.integers(1, ns + 2, size=50)
-    sources = _qubit_states(rng, ns, ranks)
+    shapes, sources = _qubit_states(rng, ns, ranks)
     requests = [
-        (QuditShape(2, n), mat, IndexSet((q,), n + 1), 2) for n, q, mat in zip(ns.tolist(), qs.tolist(), sources)
+        (shape, mat, IndexSet((q,), shape.length + 1), 2) for shape, q, mat in zip(shapes, qs.tolist(), sources)
     ]
     samples = _sample_batch(requests, rng, Tolerance())
     groups: dict[tuple, list[int]] = {}
