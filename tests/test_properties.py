@@ -701,14 +701,13 @@ def sampler_requests(draw):
 
 @settings(DETERMINISTIC, max_examples=30)
 @given(sampler_requests(), st.integers(0, 2**62 - 1))
-def test_requests_that_share_a_generator_read_it_in_request_order(requests, seed):
+def test_a_batch_of_requests_gives_each_its_lone_samples(requests, seed):
     """The one draw pass, per-group block checks and per-(shape, Q) builds
     of ``_sample_batch`` give each request the samples of a lone
     one-request call made in request order on one generator of the same
     seed, bit for bit, as a read-only stack, whatever the other requests,
     including counts of 3 and 4 and ranks above l^t, where only the
-    separable family is drawn.  The first request's samples are those of
-    its lone ``sample_insertions`` call of that seed."""
+    separable family is drawn."""
     batched = _sample_batch(
         [(rho.shape, rho.mat, qset, count) for rho, qset, count in requests], np.random.default_rng(seed), Tolerance()
     )
@@ -718,9 +717,25 @@ def test_requests_that_share_a_generator_read_it_in_request_order(requests, seed
         lone = _sample_batch([(rho.shape, rho.mat, qset, count)], rng, Tolerance())[0]
         assert not samples.flags.writeable
         assert samples.tobytes() == lone.tobytes()
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(sampler_requests(), st.integers(0, 2**62 - 1))
+def test_requests_that_share_a_generator_read_it_in_request_order(requests, seed):
+    """Requests of one ``_sample_batch`` call read its one generator in
+    request order: the first request's samples are those of its lone
+    ``sample_insertions`` call of that seed, and the batch leaves the
+    generator where one-request calls made in request order on a generator
+    of the same seed leave it."""
+    shared = np.random.default_rng(seed)
+    batched = _sample_batch([(rho.shape, rho.mat, qset, count) for rho, qset, count in requests], shared, Tolerance())
     rho, qset, count = requests[0]
     first = sample_insertions(rho, qset.positions, count, seed)
     assert [mat.tobytes() for mat in batched[0]] == [sigma.mat.tobytes() for sigma in first]
+    rng = np.random.default_rng(seed)
+    for rho, qset, count in requests:
+        _sample_batch([(rho.shape, rho.mat, qset, count)], rng, Tolerance())
+    assert shared.bit_generator.state == rng.bit_generator.state
 
 
 @settings(DETERMINISTIC, max_examples=60)
