@@ -36,7 +36,6 @@ from .linalg import (
     Tolerance,
     frobenius_distance,
     hermitian_eigensystem,
-    hermitian_eigenvalues,
     is_psd,
     project_psd,
     psd_principal_minors,

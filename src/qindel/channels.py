@@ -10,8 +10,8 @@ state, for one state or a stack of states alike; a ladder started high
 builds its first level directly, from only the parents its rows need.  A
 sphere is the read-only result of one greedy dedup of one level by
 ``_dedup_levels``, for one state or each state of a stack; the greedy rule
-is one loop, ``_distinct_mask``, which ``distinct_rows`` applies to a
-code's stack.  Where spheres first meet is found by one kernel,
+is one loop, ``_distinct_mask``, and a code's stack is deduplicated as one
+level of it.  Where spheres first meet is found by one kernel,
 ``first_meeting``, over one stack of rows, each owned by a state.  Every
 dedup and every comparison of rows is one call of ``_screened_distances``,
 on a lone stack or a batch of stacks, with a mask of the pairs it reads:
@@ -73,13 +73,12 @@ from .errors import (
 )
 from .linalg import _CHUNK, Tolerance, _least_eigenvalues, cross_distances, frobenius_distance, frobenius_norm
 from .linalg import hermitian_part
-from .rand import _complex_parts
+from .rand import _complex_parts, _trace_normalized
 from .states import DensityMatrix, QuditShape, _count, _spectral_groups, spectral_decompose
 
 __all__ = [
     "IndexSet",
     "SphereSet",
-    "distinct_rows",
     "first_meeting",
     "pairs_meet",
     "trace_out",
@@ -193,9 +192,8 @@ def trace_out_adjoint(mat: np.ndarray, pset: IndexSet, level: int) -> np.ndarray
 
 
 def partial_trace(rho: DensityMatrix, p: int) -> DensityMatrix:
-    """Trace out qudit p (the system loses that qudit)."""
-    reduced = trace_out(rho.mat, IndexSet((p,), rho.length), rho.level)
-    return DensityMatrix(QuditShape(rho.level, rho.length - 1), reduced)
+    """Trace out qudit p (the system loses that qudit): ``delete`` at {p}."""
+    return delete(rho, (p,))
 
 
 def delete(rho: DensityMatrix, positions) -> DensityMatrix:
@@ -258,30 +256,6 @@ def _distinct_mask(near: np.ndarray) -> np.ndarray:
     for c in sorted(set(cols[rows < cols].tolist())):
         dropped[..., c] = (near[..., :c, c] & ~dropped[..., :c]).any(axis=-1)
     return ~dropped
-
-
-def distinct_rows(buf: np.ndarray, eq_tol: float) -> tuple[list[int], list[int]]:
-    """Greedy dedup of a ``(k, d, d)`` buffer, which is left as it is.
-
-    Candidates are taken in order; one becomes a member only if its
-    Frobenius distance to every member kept so far exceeds eq_tol, and
-    otherwise joins the first member within eq_tol.  The distances of all
-    pairs come from one screened call and the members from
-    ``_distinct_mask``, the one greedy rule.  Returns ``(kept, joined)``:
-    ``kept`` lists the candidates that became members, in order, and
-    ``joined[c]`` is the index of the member candidate c became or joined.
-    """
-    if len(buf) <= 1:
-        return list(range(len(buf))), list(range(len(buf)))
-    order = np.arange(len(buf))  # only the pairs i < j are compared, all the greedy rule reads
-    near = _screened_distances(buf, buf, eq_tol, order[:, None] < order) <= eq_tol
-    np.fill_diagonal(near, True)  # the mask leaves it out; a kept c joins itself
-    kept = _distinct_mask(near)
-    members = np.flatnonzero(kept)
-    # column c's first kept row within eq_tol: a dropped c's first kept
-    # candidate before it, else c itself (no kept row before c is near it)
-    first = (near & kept[:, None]).argmax(axis=0)
-    return members.tolist(), np.searchsorted(members, first).tolist()
 
 
 def first_meeting(rows: np.ndarray, owner: np.ndarray, eq_tol: float) -> tuple[int, int, float] | None:
@@ -705,7 +679,7 @@ def insertion_member(
     """sigma is in I_Q(rho) iff D_Q(sigma) = rho."""
     qset = _as_index_set(Q, sigma.length)
     _check_composed(sigma.shape, rho.shape, 0, qset.size)
-    return delete(sigma, qset).distance(rho) <= tol.at(rho.dim).eq_tol
+    return delete(sigma, qset).close_to(rho, tol)
 
 
 def _draw_groups(rng, counts, keys) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
@@ -749,8 +723,7 @@ def _draw_groups(rng, counts, keys) -> dict[tuple, tuple[np.ndarray, np.ndarray]
         mixed = values[at[~pure, None] + np.arange(2 * rank * dim * dim)].reshape(-1, rank, 2, dim, dim)
         stack = np.empty((len(samples), rank, rank, dim, dim), dtype=complex)
         ginibre = _complex_parts(mixed)
-        m = ginibre @ ginibre.conj().swapaxes(-1, -2)
-        stack[~pure] = separable_blocks(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+        stack[~pure] = separable_blocks(_trace_normalized(ginibre @ ginibre.conj().swapaxes(-1, -2)))
         if pure.any():
             normals = values[at[pure, None] + np.arange(2 * dim * rank)].reshape(-1, 2, dim, rank)
             kets = np.linalg.qr(_complex_parts(normals))[0].swapaxes(-1, -2)  # rows u_x

@@ -19,8 +19,8 @@ from .channels import delete
 from .distance import CodeSample
 from .errors import CountOutOfRange, DegenerateParam, NotNormalized, ParseError
 from .errors import WeightOutOfRange
-from .linalg import Tolerance, frobenius_norm
-from .states import DensityMatrix, QuditShape, _count, basis_ket, density_from_ket
+from .linalg import Tolerance
+from .states import DensityMatrix, QuditShape, _count, _pure_stack, basis_ket, density_from_ket
 
 __all__ = [
     "dicke_ket",
@@ -108,21 +108,13 @@ def _codewords(family, params) -> np.ndarray:
     """The read-only ``(k, d, d)`` stack of the codewords alpha|0_L> + beta|1_L>
     of ``family`` over the k (alpha, beta) pairs of ``params``.
 
-    The pairs pass ``_check_params``; the kets then pass ``density_from_ket``'s
-    norm rule, with its message, all at once.  Each row is the outer product
-    of its ket with the ufunc ``np.outer`` uses, so it has the bits of building
-    its state alone."""
+    The pairs pass ``_check_params``; the kets then pass
+    ``states._pure_stack``, the one check and build of pure states, at the
+    default tolerance, so each row has the bits of building its state
+    alone."""
     shape, zero, one = family
     pairs = _check_params(params)
-    kets = pairs[:, :1] * zero + pairs[:, 1:] * one
-    residual = np.abs(frobenius_norm(kets[:, None, :]) - 1.0)
-    bad = residual > Tolerance().at(shape.dim).eq_tol
-    if bad.any():
-        first = float(residual[bad.argmax()])
-        raise NotNormalized(f"ket norm differs from 1 by {first:.3e}", first)
-    stack = kets[:, :, None] * kets.conj()[:, None, :]
-    stack.setflags(write=False)
-    return stack
+    return _pure_stack(pairs[:, :1] * zero + pairs[:, 1:] * one, shape)
 
 
 def hagiwara_codeword(alpha: complex, beta: complex) -> DensityMatrix:

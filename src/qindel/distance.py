@@ -51,10 +51,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import IndexSet, _dedup_levels, _traced_levels, distinct_rows, first_meeting, pairs_meet
+from .channels import IndexSet, _dedup_levels, _traced_levels, first_meeting, pairs_meet
 from .errors import DuplicateStates, LevelMismatch, ParseError, ShapeMismatch, TooFewStates
 from .feasibility import FeasibilityStatus, member_del_ins
-from .linalg import Tolerance, _gamma, frobenius_norm
+from .linalg import Tolerance, _gamma, frobenius_distance, frobenius_norm
 from .states import DensityMatrix, QuditShape, _count, state_to_json_obj
 
 __all__ = [
@@ -96,19 +96,17 @@ class CodeSample:
     """Finite list of states of one shape, distinct within ``tol``: the
     rows of the ``(k, d, d)`` array ``stack``, one per label.
 
-    Construction dedups the offered rows greedily, by one ``distinct_rows``
-    call: the first of each coinciding group stays, with its label.
-    ``joined[j]`` is the index in ``stack`` of the row offered row j became
-    or joined.  ``stack`` keeps the kept rows read-only: the offered array
-    itself when every row is kept, else one gather.  ``states`` wraps views
-    of its rows on first access.
+    Construction dedups the offered rows greedily, as a ladder level, by
+    one ``channels._dedup_levels`` step: the first of each coinciding
+    group stays, with its label.  ``stack`` keeps the kept rows read-only:
+    the offered array itself when every row is kept, else one gather.
+    ``states`` wraps views of its rows on first access.
     """
 
     shape: QuditShape
     stack: np.ndarray = field(repr=False)
     labels: tuple[str, ...]
     tol: Tolerance = Tolerance()
-    joined: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.stack):
@@ -118,18 +116,20 @@ class CodeSample:
                 f"rows of shape {self.stack.shape[1:]} do not match qudit shape "
                 f"(l={self.shape.level}, n={self.shape.length}, dim={self.shape.dim})"
             )
-        kept, joined = distinct_rows(self.stack, self.tol.at(self.shape.dim).eq_tol)
-        stack = self.stack if len(kept) == len(self.stack) else self.stack[kept]
+        _, _, kept = next(_dedup_levels(iter([self.stack]), self.tol))
+        stack = self.stack if kept.all() else self.stack[kept]
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "labels", tuple(self.labels[c] for c in kept))
-        object.__setattr__(self, "joined", tuple(joined))
+        object.__setattr__(self, "labels", tuple(label for label, keep in zip(self.labels, kept) if keep))
 
     @classmethod
     def from_states(cls, states, labels=None, tol: Tolerance = Tolerance()) -> "CodeSample":
         """The code of ``states``, at least one, of one level and length,
         stacked once, which must be distinct: ``DuplicateStates`` names the
-        first repeat, the first state not kept at its own index."""
+        first repeat, the first state within eq_tol of an earlier one, and
+        the first such earlier state.  Every state before the first repeat
+        is kept, and ``frobenius_distance`` reads the dedup's distances, so
+        that pair is the one the dedup joined."""
         states = tuple(states)
         if not states:
             raise TooFewStates("a code needs at least 1 state, got 0")
@@ -141,12 +141,15 @@ class CodeSample:
             raise ShapeMismatch(f"states span several lengths: {sorted(lengths)}")
         labels = tuple(labels) if labels is not None else tuple(f"state{k}" for k in range(len(states)))
         code = cls(states[0].shape, np.stack([s.mat for s in states]), labels, tol)
-        for j, k in enumerate(code.joined):
-            if k != j:
-                raise DuplicateStates(
-                    f"states {labels[k]!r} and {labels[j]!r} coincide within "
-                    f"eq_tol {tol.at(states[0].dim).eq_tol:.3e}"
-                )
+        if len(code) < len(states):
+            eq_tol = tol.at(states[0].dim).eq_tol
+            j, k = next(
+                (j, k)
+                for j in range(len(states))
+                for k in range(j)
+                if frobenius_distance(states[k].mat, states[j].mat) <= eq_tol
+            )
+            raise DuplicateStates(f"states {labels[k]!r} and {labels[j]!r} coincide within eq_tol {eq_tol:.3e}")
         return code
 
     @cached_property

@@ -23,7 +23,6 @@ __all__ = [
     "frobenius_norm",
     "hermitian_part",
     "hermitian_eigensystem",
-    "hermitian_eigenvalues",
     "is_psd",
     "project_psd",
     "psd_principal_minors",
@@ -246,7 +245,7 @@ def eigensolve(solver, h):
     matrix or stack Hermitian by construction, with a LAPACK failure or a
     spectrum that leaves the float range (a finite matrix can have one)
     raised as ``NoConvergence``: every eigen-solve runs here.  Unchecked
-    matrices go through ``hermitian_eigensystem`` or ``hermitian_eigenvalues``."""
+    matrices go through ``hermitian_eigensystem`` or ``is_psd``."""
     try:
         out = solver(h)
     except np.linalg.LinAlgError as exc:
@@ -336,13 +335,6 @@ def hermitian_eigensystem(a, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, 
     return eigensolve(np.linalg.eigh, _require_hermitian(a, tol))
 
 
-def hermitian_eigenvalues(a, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Eigenvalues (ascending, real) of a Hermitian matrix or stack, with the
-    checks of ``hermitian_eigensystem`` but no eigenvectors, for callers that
-    only need the spectrum (PSD tests): the solve skips the vector work."""
-    return eigensolve(np.linalg.eigvalsh, _require_hermitian(a, tol))
-
-
 def _verdicts(ok: np.ndarray) -> bool | np.ndarray:
     """A lone matrix's verdict as a bool, a stack's as a bool array."""
     return bool(ok) if ok.ndim == 0 else ok
@@ -350,9 +342,17 @@ def _verdicts(ok: np.ndarray) -> bool | np.ndarray:
 
 def is_psd(a, tol: Tolerance = Tolerance()) -> bool | np.ndarray:
     """True iff the Hermitian matrix has min eigenvalue >= -psd_tol; for a
-    ``(..., d, d)`` stack, that verdict per matrix.  An empty matrix is PSD."""
-    w = hermitian_eigenvalues(a, tol)
-    return _verdicts(w.min(axis=-1, initial=np.inf) >= -tol.at(w.shape[-1]).psd_tol)
+    ``(..., d, d)`` stack, that verdict per matrix.  An empty matrix is PSD.
+
+    One gate (``_require_hermitian``), then ``_least_eigenvalues`` of the
+    flattened stack, a lone matrix being a one-row stack: a matrix that
+    the Cholesky certificate clears reads above -psd_tol, and any other
+    gets the least eigenvalue of its lone ``eigvalsh``."""
+    h = _require_hermitian(a, tol)
+    d = h.shape[-1]
+    psd_tol = tol.at(d).psd_tol
+    lowest = _least_eigenvalues(h.reshape(math.prod(h.shape[:-2]), d, d), psd_tol)
+    return _verdicts(lowest.reshape(h.shape[:-2]) >= -psd_tol)
 
 
 def project_psd(a, tol: Tolerance = Tolerance()) -> np.ndarray:

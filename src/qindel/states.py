@@ -11,11 +11,12 @@ Every state, pure or mixed, is a ``DensityMatrix``; a ket is never kept.
 Inside the package a set of same-shape states is one read-only ``(k, d, d)``
 stack with its ``QuditShape``, wrapped only where a public call returns a
 state.  Foreign matrices are checked by ``validate`` (``validate_stack``,
-which returns the checked stack, for a stack), and a pure state is built
-from its ket, checked once, by ``density_from_ket``.  ``validate_stack``
-shows matrices PSD by one stacked Cholesky factorization of them shifted by
-psd_tol / 2 (``linalg._psd_certified``) and eigen-solves only the matrices
-that fail it, to name a refusal with its residual.
+which returns the checked stack, for a stack), and pure states are built
+from their kets, checked once, by ``_pure_stack`` (``density_from_ket``
+for one ket).  ``validate_stack`` shows matrices PSD by one stacked
+Cholesky factorization of them shifted by psd_tol / 2
+(``linalg._psd_certified``) and eigen-solves only the matrices that fail
+it, to name a refusal with its residual.
 
 State files are UTF-8 JSON objects, read and written here only, through
 orjson.  The one encoder writes a matrix in the compact form: the base64 of
@@ -60,6 +61,7 @@ from .linalg import (
     _require_hermitian,
     eigensolve,
     frobenius_distance,
+    frobenius_norm,
     hermitian_eigensystem,
 )
 
@@ -212,21 +214,37 @@ def basis_ket(x: str | Sequence[int], shape: QuditShape) -> np.ndarray:
     return ket
 
 
+def _pure_stack(kets: np.ndarray, shape: QuditShape, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """The read-only ``(k, d, d)`` stack of the pure states |phi><phi| of the
+    k kets of ``shape``, the rows of the ``(k, d)`` array ``kets``: the one
+    check and build of pure states.  Every entry must be finite, and every
+    ket of unit ``frobenius_norm`` within eq_tol (``NotNormalized``, naming
+    the first ket at fault; "ket" alone for a lone ket).  Each row is the
+    outer product of its ket with the ufunc ``np.outer`` uses, so it has the
+    bits of ``np.outer`` of its ket."""
+    finite = np.isfinite(kets).all(axis=1)
+    residual = np.abs(frobenius_norm(kets[:, None, :]) - 1.0)  # inf past the float range
+    bad = ~finite | (residual > tol.at(shape.dim).eq_tol)
+    if bad.any():
+        k = int(bad.argmax())
+        name = "ket" if len(kets) == 1 else f"ket {k}"
+        if not finite[k]:
+            raise NotNormalized(f"{name} has non-finite entries")
+        raise NotNormalized(f"{name} norm differs from 1 by {residual[k]:.3e}", residual[k])
+    stack = kets[:, :, None] * kets.conj()[:, None, :]
+    stack.setflags(write=False)
+    return stack
+
+
 def density_from_ket(amplitudes, shape: QuditShape, tol: Tolerance = Tolerance()) -> DensityMatrix:
     """The pure state |phi><phi| of the ket ``amplitudes``: the checked
-    constructor of a pure state.  The ket must have ``shape.dim`` entries
-    (``ShapeMismatch``), all finite, and unit norm within eq_tol
-    (``NotNormalized``)."""
+    constructor of a pure state, the one-ket case of ``_pure_stack``.  The
+    ket must have ``shape.dim`` entries (``ShapeMismatch``), all finite,
+    and unit norm within eq_tol (``NotNormalized``)."""
     vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if vec.shape != (shape.dim,):
         raise ShapeMismatch(f"ket length {vec.shape[0]} does not match dim {shape.dim}")
-    if not np.isfinite(vec).all():
-        raise NotNormalized("ket has non-finite entries")
-    with np.errstate(over="ignore"):  # a finite ket past the float range has norm inf
-        residual = abs(np.linalg.norm(vec) - 1.0)
-    if residual > tol.at(shape.dim).eq_tol:
-        raise NotNormalized(f"ket norm differs from 1 by {residual:.3e}", residual)
-    return DensityMatrix(shape, np.outer(vec, vec.conj()))
+    return DensityMatrix(shape, _pure_stack(vec[None], shape, tol)[0])
 
 
 def _require_psd(w: np.ndarray, tol: Tolerance) -> None:

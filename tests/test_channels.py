@@ -20,7 +20,6 @@ from qindel.channels import (
     _weighted_kets,
     delete,
     deletion_sphere,
-    distinct_rows,
     first_meeting,
     index_permutation,
     insert_construct,
@@ -33,9 +32,11 @@ from qindel.channels import (
     trace_out_adjoint,
 )
 from qindel.codes import example_rho, x1_codeword
+from qindel.distance import CodeSample
 from qindel.errors import (
     BlockConstraintViolated,
     CountOutOfRange,
+    DuplicateStates,
     InvalidIndexSet,
     LevelMismatch,
     NotAPermutation,
@@ -184,22 +185,18 @@ def greedy_oracle(candidates, eq_tol):
 
 
 def assert_matches_oracle(candidates, eq_tol):
-    """``distinct_rows`` on the stacked candidates against the greedy oracle:
-    members, kept tags and the member each candidate joined; the buffer is
+    """The kept mask of ``_dedup_levels`` on the stacked candidates, as one
+    level, against the greedy oracle: members and kept tags; the buffer is
     left as it was.  Returns the oracle's (members, reps)."""
     members, reps = greedy_oracle(candidates, eq_tol)
     buf = np.stack([mat for _, mat in candidates])
-    kept, joined = distinct_rows(buf, eq_tol)
+    _, raw, kept = next(_dedup_levels(iter([buf]), Tolerance(eq_tol=eq_tol)))
+    assert raw is buf
     np.testing.assert_array_equal(buf, np.stack([mat for _, mat in candidates]))
-    assert [candidates[c][0] for c in kept] == reps
-    assert len(kept) == len(members)
+    assert [tag for (tag, _), keep in zip(candidates, kept) if keep] == reps
+    assert kept.sum() == len(members)
     for got, want in zip(buf[kept], members):
         np.testing.assert_array_equal(got, want)
-    assert len(joined) == len(candidates)
-    assert joined == [
-        next(k for k, m in enumerate(members) if np.linalg.norm(mat - m) <= eq_tol)
-        for _, mat in candidates
-    ]
     return members, reps
 
 
@@ -275,7 +272,12 @@ def test_a_candidate_near_only_a_dropped_one_is_kept(rng, length):
     candidates = [(f"x{k}", base + t * eq_tol * step) for k, t in enumerate((0, 0.8, 10, 1.7, 5))]
     assert (len(candidates) ** 2 * shape.dim**2 > qindel.channels._CHUNK) == (length == 6)
     assert_matches_oracle(candidates, eq_tol)
-    assert distinct_rows(np.stack([mat for _, mat in candidates]), eq_tol) == ([0, 2, 3, 4], [0, 0, 1, 2, 3])
+    stack, labels = np.stack([mat for _, mat in candidates]), [tag for tag, _ in candidates]
+    code = CodeSample(shape, stack, labels)
+    assert code.labels == ("x0", "x2", "x3", "x4")
+    assert code.stack.tobytes() == stack[[0, 2, 3, 4]].tobytes()
+    with pytest.raises(DuplicateStates, match="states 'x0' and 'x1' coincide"):
+        CodeSample.from_states([DensityMatrix(shape, mat) for mat in stack], labels)
 
 
 def _unscreened_witness(a, b, eq_tol):
@@ -557,9 +559,9 @@ def test_deletion_levels_match_per_subset_traces(rng, level, lengths):
                 assert raw.shape[0] == sphere.raw_count == len(combos)
                 for row, combo in zip(raw, combos):
                     assert np.array_equal(row, trace_out(rho.mat, IndexSet(combo, n), level))
-                kept, _ = distinct_rows(raw, sphere.eq_tol)
-                assert sphere.reps == [IndexSet(combos[c], n) for c in kept]
-                assert np.array_equal(sphere.stack, raw[kept])
+                members, reps = greedy_oracle(zip([IndexSet(c, n) for c in combos], raw), sphere.eq_tol)
+                assert sphere.reps == reps
+                assert np.array_equal(sphere.stack, np.stack(members))
             if rho is product:  # the repeated factor merges each level to one member
                 assert [len(sphere) for sphere in spheres] == [1] * (n + 1)
 
@@ -639,8 +641,13 @@ def test_intersection_witness_refuses_spheres_of_other_shapes(rng):
 
 @pytest.mark.parametrize("count", [0, 1])
 def test_distinct_rows_of_no_row_or_one(count):
-    # the dedup of fewer than two candidates needs no distance and keeps each
-    assert distinct_rows(np.zeros((count, 2, 2), dtype=complex), 1e-9) == ([0] * count, [0] * count)
+    # the dedup of fewer than two candidates keeps each: as a ladder level
+    # and as a code's rows and labels
+    stack = np.zeros((count, 2, 2), dtype=complex)
+    _, _, kept = next(_dedup_levels(iter([stack]), Tolerance(eq_tol=1e-9)))
+    assert kept.tolist() == [True] * count
+    code = CodeSample(QuditShape(2, 1), stack, [f"row{k}" for k in range(count)])
+    assert code.stack is stack and code.labels == tuple(f"row{k}" for k in range(count))
 
 
 def test_sphere_members_are_read_only_views(rng):

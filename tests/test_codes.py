@@ -102,16 +102,31 @@ def _per_state_formula(name, a, b):
     return np.outer(ket, ket.conj())
 
 
+def _offered_labels(monkeypatch) -> list[str]:
+    """The labels the next grid code is offered, in order, filled in when
+    ``codes._grid_code`` hands them to ``CodeSample``; each kept state is the
+    first offered row with its label."""
+    labels, real = [], codes.CodeSample
+
+    def recorded(shape, stack, offered, tol):
+        labels.extend(offered)
+        return real(shape, stack, offered, tol)
+
+    monkeypatch.setattr(codes, "CodeSample", recorded)
+    return labels
+
+
 @pytest.mark.parametrize("name, grid, offered, kept", [("x1", (2, 1), 4, 4), ("hagiwara4", (9, 12), 110, 86)])
 def test_a_grid_code_is_handed_its_codeword_stack(monkeypatch, name, grid, offered, kept):
     # the code keeps the one stack _codewords builds when every row is kept,
     # and otherwise one gather of the kept rows, which its states view
     stacks, real = [], codes._codewords
     monkeypatch.setattr(codes, "_codewords", lambda family, params: stacks.append(real(family, params)) or stacks[-1])
+    labels = _offered_labels(monkeypatch)
     code = builtin_code(name, code_params(*grid))
     (stack,) = stacks
-    assert (len(stack), len(code)) == (offered, kept)
-    rows = [code.joined.index(k) for k in range(len(code))]  # the offered row each kept state is
+    assert (len(stack), len(labels), len(code)) == (offered, offered, kept)
+    rows = [labels.index(label) for label in code.labels]  # the offered row each kept state is
     if kept == offered:
         assert code.stack is stack
     else:
@@ -122,9 +137,10 @@ def test_a_grid_code_is_handed_its_codeword_stack(monkeypatch, name, grid, offer
 
 @pytest.mark.parametrize("name", ["x1", "hagiwara4"])
 @pytest.mark.parametrize("grid", [None, (9, 12), (2, 1)], ids=["default-grid", "grid-9-12", "grid-2-1"])
-def test_grid_states_keep_the_bits_of_the_per_state_formula(name, grid):
+def test_grid_states_keep_the_bits_of_the_per_state_formula(monkeypatch, name, grid):
     # the grid and its appended pair are built as one read-only stack, and
     # every state is a view of its row with the bits of building it alone
+    labels = _offered_labels(monkeypatch)
     code = builtin_code(name, None if grid is None else code_params(*grid))
     params = code_params(*(grid or ()))
     if name == "x1":
@@ -135,8 +151,8 @@ def test_grid_states_keep_the_bits_of_the_per_state_formula(name, grid):
         phase = cmath.exp(2j * (cmath.phase(alpha) - cmath.phase(beta)))
         params += [(alpha, beta), (alpha, phase * beta)]
     offered = [_per_state_formula(name, a, b) for a, b in params]
-    assert len(code.joined) == len(offered)
-    for state, k in zip(code.states, [code.joined.index(j) for j in range(len(code))]):
+    assert len(labels) == len(offered)
+    for state, k in zip(code.states, [labels.index(label) for label in code.labels], strict=True):
         assert state.mat.tobytes() == offered[k].tobytes()
         assert not state.mat.flags.writeable
         assert state.mat.base is not None and state.mat.base is code.states[0].mat.base

@@ -15,7 +15,6 @@ from qindel.linalg import (
     frobenius_norm,
     hermitian_eigensystem,
     hermitian_part,
-    hermitian_eigenvalues,
     is_psd,
     project_psd,
     psd_principal_minors,
@@ -66,27 +65,34 @@ def test_eigenvalue_sum_matches_trace(rng):
 
 
 def test_eigenvalues_match_eigensystem(rng):
+    # the least eigenvalue is_psd reads, from the certificate or its lone
+    # eigvalsh, against the eigensystem's, on PSD and indefinite matrices
     for k in range(60):
         dim = int(rng.integers(1, 33)) if k < 50 else 256
         h = random_hermitian(rng, dim) * 10.0 ** int(rng.integers(-3, 4))
-        w = hermitian_eigenvalues(h)
-        assert w.dtype == float and w.shape == (dim,)
-        assert np.all(np.diff(w) >= 0)
-        assert np.max(np.abs(w - hermitian_eigensystem(h)[0])) <= 1e-12 * np.linalg.norm(h)
+        if k % 2:
+            h = hermitian_part(h @ h)  # PSD: the certificate clears it
+        psd_tol = Tolerance().at(dim).psd_tol
+        (lowest,) = _least_eigenvalues(_require_hermitian(h[None], Tolerance()), psd_tol)
+        want = hermitian_eigensystem(h)[0][0]
+        if lowest == 0:
+            assert want > -psd_tol
+        else:
+            assert abs(lowest - want) <= 1e-12 * np.linalg.norm(h)
+        assert is_psd(h) == (want >= -psd_tol)
     for bad in ([[0, 1], [0, 0]], [[1, 1j], [1j, 1]], random_psd(rng, 4) + 1e-6j * np.eye(4)):
         with pytest.raises(NotHermitian):
             hermitian_eigensystem(bad)
         with pytest.raises(NotHermitian):
-            hermitian_eigenvalues(bad)
+            is_psd(bad)
     with pytest.raises(NonSquare):
-        hermitian_eigenvalues(np.zeros((2, 3)))
+        is_psd(np.zeros((2, 3)))
 
 
-# the six checked entry points, each taking a matrix or a (..., d, d) stack
+# the five checked entry points, each taking a matrix or a (..., d, d) stack
 CHECKED = {
     "_require_hermitian": lambda a: _require_hermitian(a, Tolerance()),
     "hermitian_eigensystem": hermitian_eigensystem,
-    "hermitian_eigenvalues": hermitian_eigenvalues,
     "is_psd": is_psd,
     "project_psd": project_psd,
     "psd_principal_minors": psd_principal_minors,
@@ -185,8 +191,10 @@ def test_an_empty_matrix_is_psd_for_both_oracles():
 
 
 def test_a_lapack_failure_raises_no_convergence(monkeypatch):
-    h = np.diag([1.0, 2.0]).astype(complex)
-    for name, solve in (("eigh", hermitian_eigensystem), ("eigvalsh", hermitian_eigenvalues)):
+    # is_psd eigen-solves only what its certificate does not clear: the
+    # indefinite diag(-1, 2)
+    for name, solve, diagonal in (("eigh", hermitian_eigensystem, [1.0, 2.0]), ("eigvalsh", is_psd, [-1.0, 2.0])):
+        h = np.diag(diagonal).astype(complex)
         failing = failing_from(1, getattr(np.linalg, name))
         with pytest.raises(NoConvergence):
             eigensolve(failing, h)
@@ -236,7 +244,7 @@ def test_hermitian_part_at_both_ends_of_the_float_range():
     # first: the PSD diagonal keeps its spectrum and stays PSD
     huge = np.diag([1e308, 1e308])
     assert np.array_equal(hermitian_part(huge), huge)
-    assert np.array_equal(hermitian_eigenvalues(huge), [1e308, 1e308])
+    assert np.array_equal(hermitian_eigensystem(huge)[0], [1e308, 1e308])
     assert is_psd(huge) is True
     skew = np.array([[1e308, 1.6e308], [1.4e308, 1e308]])
     assert np.array_equal(hermitian_part(skew), [[1e308, 1.5e308], [1.5e308, 1e308]])
@@ -289,7 +297,7 @@ def test_a_residual_past_the_float_range_refuses_cleanly(entry):
     # the residual's squares (1e200) or the difference itself (1e308) leave
     # the float range: the gate reads inf and refuses without a RuntimeWarning
     skew = np.array([[0, entry], [-entry, 0]])
-    for solve in (hermitian_eigenvalues, hermitian_eigensystem, is_psd):
+    for solve in (hermitian_eigensystem, is_psd):
         with pytest.raises(NotHermitian, match="residual inf"):
             solve(skew)
     assert frobenius_distance(skew, -skew) == math.inf
@@ -299,7 +307,7 @@ def test_a_residual_past_the_float_range_refuses_cleanly(entry):
 def test_a_spectrum_past_the_float_range_is_refused():
     # finite and Hermitian, but the eigenvalue 2e308 overflows inside LAPACK
     huge = np.full((2, 2), 1e308)
-    for check in (hermitian_eigenvalues, hermitian_eigensystem, is_psd, project_psd):
+    for check in (hermitian_eigensystem, is_psd, project_psd):
         with pytest.raises(NoConvergence, match="non-finite spectrum"):
             check(huge)
     with pytest.raises(NoConvergence, match="non-finite spectrum"):
@@ -340,9 +348,9 @@ def test_a_refused_stack_carries_the_residual_of_its_lone_call(rng):
         skew = rng.normal(size=(128, 128))
         stack[1] += 1e-3 * (skew - skew.T) / np.linalg.norm(skew - skew.T)
         with pytest.raises(NotHermitian) as lone:
-            hermitian_eigenvalues(stack[1])
+            is_psd(stack[1])
         with pytest.raises(NotHermitian, match="^matrix 1 is not Hermitian") as stacked:
-            hermitian_eigenvalues(stack)
+            is_psd(stack)
         assert stacked.value.residual == lone.value.residual
 
 

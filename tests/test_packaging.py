@@ -138,9 +138,9 @@ def test_only_states_imports_the_state_file_codecs():
 
 
 # functions that may call np.linalg.norm: the dual solver's step norms, which
-# steer its iterates, and a ket's norm (a vector, not a matrix); the
-# acceptance suite keeps its own residuals as a check independent of the kernel
-NORM_ALLOWED = {("feasibility.py", "_dual_solve"), ("states.py", "density_from_ket")}
+# steer its iterates; the acceptance suite keeps its own residuals as a check
+# independent of the kernel
+NORM_ALLOWED = {("feasibility.py", "_dual_solve")}
 
 
 def test_every_frobenius_norm_goes_through_the_linalg_kernel():
@@ -211,13 +211,14 @@ def test_the_distance_walks_read_only_the_stacked_ladder():
 
 
 CODE_DEDUP = ("distance.py", "CodeSample.__post_init__")
+GREEDY_RULE = ("channels.py", "_dedup_levels")
 
 
 def test_every_code_dedups_in_its_constructor():
-    # a code is the distinct rows of one stack: distinct_rows runs in
-    # CodeSample's constructor and nowhere else, so every code, a grid's
-    # too, is deduplicated inside CodeSample.__init__
-    reads = []
+    # one greedy rule: _distinct_mask is read only in channels._dedup_levels,
+    # which every sphere, ladder and code dedups through, a code's inside
+    # CodeSample.__init__, a grid code's too
+    reads, owners = [], set()
     for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {}
@@ -228,9 +229,12 @@ def test_every_code_dedups_in_its_constructor():
             owner.update({id(node): name for name, func in defs for node in ast.walk(func)})
         for node in ast.walk(tree):
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name == "distinct_rows" and (path.name, owner.get(id(node))) != CODE_DEDUP:
+            if name == "_distinct_mask" and (path.name, owner.get(id(node))) != GREEDY_RULE:
                 reads.append(f"{path.name}:{node.lineno}")
-    assert not reads, f"distinct_rows read outside CodeSample.__post_init__: {reads}"
+            if name == "_dedup_levels":
+                owners.add((path.name, owner.get(id(node))))
+    assert not reads, f"_distinct_mask read outside channels._dedup_levels: {reads}"
+    assert CODE_DEDUP in owners, "CodeSample.__post_init__ does not dedup through _dedup_levels"
 
 
 COUNT_RAISES = {("states.py", "_count"), ("codes.py", "code_params")}

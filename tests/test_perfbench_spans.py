@@ -46,13 +46,13 @@ def test_a_grid_code_dedups_inside_the_code_sample_span(monkeypatch):
         tracer.span("distance.CodeSample", qindel.distance.CodeSample.__init__),
     )
     inside = []
-    distinct_rows = qindel.distance.distinct_rows
+    dedup_levels = qindel.distance._dedup_levels
 
     def recorded(*args, **kwargs):
         inside.append(tracer.is_open("distance.CodeSample"))
-        return distinct_rows(*args, **kwargs)
+        return dedup_levels(*args, **kwargs)
 
-    monkeypatch.setattr(qindel.distance, "distinct_rows", recorded)
+    monkeypatch.setattr(qindel.distance, "_dedup_levels", recorded)
     code = builtin_code("hagiwara4", code_params(9, 12))
     assert inside == [True]
     assert tracer.call_count("distance.CodeSample") == 1 and len(code) == 86

@@ -50,7 +50,7 @@ from qindel.linalg import (  # noqa: E402
     Tolerance,
     frobenius_norm,
     hermitian_eigensystem,
-    hermitian_eigenvalues,
+    hermitian_part,
     is_psd,
     project_psd,
     psd_principal_minors,
@@ -137,7 +137,6 @@ def test_integer_level_and_length_load(level, length):
 _SHAPES = {1: QuditShape(2, 0), 2: QuditShape(2, 1), 3: QuditShape(3, 1), 4: QuditShape(2, 2)}
 CHECKED = {
     "hermitian_eigensystem": hermitian_eigensystem,
-    "hermitian_eigenvalues": hermitian_eigenvalues,
     "is_psd": is_psd,
     "project_psd": project_psd,
     "psd_principal_minors": psd_principal_minors,
@@ -241,6 +240,48 @@ def test_validate_decides_as_the_eigen_solve_rule(shape, factor, psd_tol, fault,
         skew = skew + skew.T  # anti-Hermitian
         mat += size * at.eq_tol * skew / np.linalg.norm(skew) / 2
     assert_validates_as_reference(mat, shape, tol)
+
+
+def _planted_hermitian(rng, d, lowest):
+    """An exactly Hermitian d x d matrix of trace about 1 in a random basis
+    with least eigenvalue ``lowest`` (at d = 1 its one eigenvalue)."""
+    if d == 0:
+        return np.zeros((0, 0), dtype=complex)
+    w = np.concatenate(([lowest], rng.uniform(0.5, 1.5, d - 1) / d))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return hermitian_part((q * w) @ q.conj().T)
+
+
+# is_psd (the gate, the Cholesky certificate, eigvalsh of what it does not
+# clear) against the eigvalsh verdict alone, on lone matrices and (2, 3)
+# stacks that mix PSD, indefinite and near-boundary matrices, the last with
+# least eigenvalue within psd_tol of -psd_tol, at the default psd_tol, at 0
+# and at an explicit one
+@DETERMINISTIC
+@given(
+    st.integers(0, 6),
+    st.sampled_from([(), (2, 3)]),
+    st.sampled_from([None, 0.0, 0.25]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_is_psd_gives_the_eigvalsh_verdict(d, batch, psd_tol, seed, data):
+    rng, tol = np.random.default_rng(seed), Tolerance(psd_tol=psd_tol)
+    floor = tol.at(d).psd_tol
+    count = math.prod(batch)
+    kinds = data.draw(st.lists(st.sampled_from(["psd", "indefinite", "boundary"]), min_size=count, max_size=count))
+    offsets = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=count, max_size=count))
+    lowest = {
+        "psd": lambda u: abs(u) / 10,
+        "indefinite": lambda u: -0.05 - abs(u) / 10,
+        "boundary": lambda u: (u - 1) * floor,  # within psd_tol of -psd_tol
+    }
+    h = np.array([_planted_hermitian(rng, d, lowest[kind](u)) for kind, u in zip(kinds, offsets)])
+    h = h.reshape(*batch, d, d)
+    want = np.linalg.eigvalsh(h)[..., 0] >= -floor if d else np.ones(batch, dtype=bool)
+    got = is_psd(h, tol)
+    assert isinstance(got, bool) if not batch else got.shape == batch
+    assert np.array_equal(got, want)
 
 
 _NUMBERS = st.floats(-1.0, 1.0)
@@ -621,7 +662,6 @@ def test_a_code_keeps_the_first_of_each_coinciding_group(candidates, data):
         assert rho.shape == states[j].shape and np.array_equal(rho.mat, states[j].mat)
         assert np.shares_memory(rho.mat, row) and np.array_equal(rho.mat, row)
     assert code.labels == tuple(labels[j] for j in keepers)
-    assert code.joined == tuple(keepers.index(first[k]) for k in order)
 
     repeat = next((j for j, k in enumerate(order) if first[k] != j), None)
     if repeat is None:

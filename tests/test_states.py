@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 
 import numpy as np
 import orjson
@@ -20,11 +21,13 @@ from qindel.errors import (
     TraceNotOne,
     ValidationError,
 )
-from qindel.linalg import Tolerance, frobenius_distance
+from qindel.codes import _codewords
+from qindel.linalg import Tolerance, frobenius_distance, frobenius_norm
 from qindel.rand import random_density, random_hermitian, random_psd
 from qindel.states import (
     DensityMatrix,
     QuditShape,
+    _pure_stack,
     basis_index,
     basis_ket,
     density_from_ket,
@@ -116,6 +119,53 @@ def test_density_from_ket(rng):
     with pytest.raises(NotNormalized, match="norm") as exc:
         density_from_ket([1, 1e-3], shape1)
     assert exc.value.residual == pytest.approx(5e-7, rel=1e-3)
+
+
+@pytest.mark.parametrize("count", [1, 6])
+def test_pure_states_are_the_outer_products_of_their_kets(rng, count):
+    # one check and build of pure states: each row of the read-only stack
+    # is np.outer of its ket, bit for bit, and density_from_ket its one-ket case
+    shape = QuditShape(2, 3)
+    kets = rng.standard_normal((count, shape.dim)) + 1j * rng.standard_normal((count, shape.dim))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    stack = _pure_stack(kets, shape)
+    assert stack.shape == (count, shape.dim, shape.dim) and not stack.flags.writeable
+    for ket, row in zip(kets, stack, strict=True):
+        assert row.tobytes() == np.outer(ket, ket.conj()).tobytes()
+        assert density_from_ket(ket, shape).mat.tobytes() == row.tobytes()
+
+
+def test_a_ket_off_the_unit_sphere_is_refused_by_every_pure_state_builder():
+    # the first ket at fault is named, by its index on a stack of several;
+    # density_from_ket and a codeword family's _codewords refuse it alike (a
+    # family's non-finite logical ket makes every codeword non-finite, 0 * nan
+    # being nan)
+    shape = QuditShape(2, 2)
+    faults = [
+        ([1, 1, 0, 0], "norm differs from 1 by 4.142e-01"),
+        ([1, 1e-3, 0, 0], "norm differs from 1 by 5.000e-07"),
+        ([np.nan, 0, 0, 0], "has non-finite entries"),
+        ([np.inf, 0, 0, 0], "has non-finite entries"),
+        ([1e200, 0, 0, 0], "norm differs from 1 by inf"),
+    ]
+    for bad, message in faults:
+        bad = np.array(bad, dtype=complex)
+        finite = np.isfinite(bad).all()
+        residual = float(abs(frobenius_norm(bad[None]) - 1.0)) if finite else math.nan
+        kets = np.eye(4, dtype=complex)
+        kets[2], kets[3] = bad, [2, 0, 0, 0]  # two kets at fault: the first is named
+        refusals = []
+        for build, name in (
+            (lambda: _pure_stack(kets, shape), "ket 2"),
+            (lambda: density_from_ket(bad, shape), "ket"),
+            (lambda: _codewords((shape, bad, kets[1]), [(1, 0)]), "ket"),
+            (lambda: _codewords((shape, kets[1], bad), [(1, 0), (-1, 0), (0, 1)]), "ket 2" if finite else "ket 0"),
+        ):
+            # a codeword's sum takes 0 * inf to nan
+            with pytest.raises(NotNormalized, match=f"^{name} {message}$") as exc, np.errstate(invalid="ignore"):
+                build()
+            refusals.append(repr(exc.value.residual))
+        assert refusals == [repr(residual)] * 4
 
 
 def test_validate():
