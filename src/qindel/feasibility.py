@@ -28,9 +28,9 @@ import numpy as np
 
 from .channels import IndexSet, _as_index_set, _check_composed, _dedup_levels, _insertion_set
 from .channels import _sample_batch, _traced_levels, pairs_meet, trace_out, trace_out_adjoint
-from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
+from .errors import CountOutOfRange, QindelError, ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
-from .states import DensityMatrix, QuditShape, _count, spectral_decompose
+from .states import DensityMatrix, QuditShape, _count, _spectral_groups, spectral_decompose
 
 __all__ = [
     "FeasibilityStatus",
@@ -51,7 +51,7 @@ class FeasibilityStatus(str, Enum):
 
 
 MAX_ITERATIONS = 5000  # cap on dual gradient evaluations per (P, Q) pair
-MEMORY = 30  # L-BFGS correction pairs kept
+MEMORY = 60  # L-BFGS correction pairs kept; set by a measured sweep (ROADMAP item 5)
 CANDIDATE_EVERY = 10  # gradient evaluations between Farkas-candidate tests
 MAX_DIM = 16  # cap on l^(n+t) for the lifted state
 
@@ -78,12 +78,68 @@ def _renumbered(positions: IndexSet, removed: IndexSet) -> IndexSet:
     return IndexSet(tuple(rest.index(p) + 1 for p in positions if p in rest), len(rest))
 
 
+@cache
+def _index_maps(level: int, qset: IndexSet, pset: IndexSet) -> tuple[list, np.ndarray]:
+    """A and A* of ``AffineConstraint`` as read-only index arrays, built once
+    per (level, ambient, Q, P); ``MAX_DIM`` bounds how many there are.
+
+    A packed dual vector is vec(lam_Q) then vec(lam_P), here padded with one
+    zero.  The adjoint's map is ``(2, d, d)``: entry (i, j) of
+    ``trace_out_adjoint(lam_S)`` is the packed entry it copies, or the pad
+    where that function writes a zero.  A's map gives, for each entry of the
+    packed A(tau), the ``l**|S|`` entries of vec(tau) that ``trace_out``
+    adds into it, in the order of the traced digits, the first position's
+    most significant: the transpose of the adjoint's map, read off it by one
+    stable sort.  It is a list of (gather, packed slice) blocks, one for
+    both conditions when |P| = |Q|, else one per condition.
+    """
+    sides = [level ** (traced.ambient - traced.size) for traced in (qset, pset)]
+    pad = sides[0] ** 2 + sides[1] ** 2
+    gathers, spread, offset = [], [], 0
+    for traced, side in zip((qset, pset), sides):
+        # entry k + 1 of the small matrix lands where trace_out_adjoint copies entry k
+        copies = trace_out_adjoint(np.arange(1, side * side + 1).reshape(side, side), traced, level)
+        zeros = copies.size - np.count_nonzero(copies)
+        gathers.append(np.argsort(copies, axis=None, kind="stable")[zeros:].reshape(side * side, -1))
+        spread.append(np.where(copies > 0, copies - 1 + offset, pad))
+        offset += side * side
+    if qset.size == pset.size:
+        blocks = [(np.concatenate(gathers), slice(None))]
+    else:
+        blocks = [(gathers[0], slice(None, sides[0] ** 2)), (gathers[1], slice(sides[0] ** 2, None))]
+    spread = np.array(spread)
+    for array in (*(gather for gather, _ in blocks), spread):
+        array.setflags(write=False)
+    return blocks, spread
+
+
+def _column_sums(columns: np.ndarray, level: int, out: np.ndarray) -> None:
+    """Each row of ``columns``, an ``_index_maps`` gather, added as
+    ``trace_out`` adds it, into ``out``: one traced qudit at a time, the last
+    first, each one's ``level`` columns in turn, so every sum has its bits.
+    (``.sum(-1)`` costs several times as much on a length-2 axis.)"""
+    rows = len(columns)
+    if columns.shape[1] == 1:  # nothing traced
+        out[:] = columns[:, 0]
+    while columns.shape[1] > 1:
+        width = columns.shape[1] // level
+        columns = columns.reshape(rows, width, level)
+        total = out.reshape(rows, 1) if width == 1 else np.empty((rows, width), complex)
+        np.add(columns[..., 0], columns[..., 1], out=total)
+        for k in range(2, level):
+            total += columns[..., k]
+        columns = total
+
+
 class AffineConstraint:
     """The conditions D_Q(tau) = rho and D_P(tau) = sigma, applied matrix-free.
 
     A sends a lifted tau to (D_Q tau, D_P tau), and its adjoint inserts an
-    identity at Q and at P and adds.  Dual points and certificates are pairs
+    identity at Q and at P and adds.  Dual points are packed complex vectors,
+    vec(lam_Q) then vec(lam_P) (``pack``, ``unpack``), and certificates pairs
     (lam_Q, lam_P) shaped like b = (rho, sigma), under Re tr(x^dagger y).
+    ``apply`` and ``adjoint`` are the compiled index maps of
+    ``_index_maps``, with the bits of ``trace_out`` and ``trace_out_adjoint``.
     """
 
     def __init__(self, rho: DensityMatrix, qset: IndexSet, sigma: DensityMatrix, pset: IndexSet):
@@ -97,13 +153,32 @@ class AffineConstraint:
         self.mismatch = trace_out(rho.mat, self._rest[0], self.level) - trace_out(
             sigma.mat, self._rest[1], self.level
         )
+        self._blocks, self._spread = _index_maps(self.level, qset, pset)
+        self._padded = np.zeros(rho.mat.size + sigma.mat.size + 1, complex)
 
-    def apply(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return trace_out(x, self.qset, self.level), trace_out(x, self.pset, self.level)
+    def pack(self, lam) -> np.ndarray:
+        """The packed dual vector of the pair lam = (lam_Q, lam_P)."""
+        return np.concatenate([part.ravel() for part in lam])
 
-    def adjoint(self, lam) -> np.ndarray:
-        l = self.level
-        return trace_out_adjoint(lam[0], self.qset, l) + trace_out_adjoint(lam[1], self.pset, l)
+    def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pair (lam_Q, lam_P), as views, of the packed vector z."""
+        rho, sigma = self.rhs
+        return z[: rho.size].reshape(rho.shape), z[rho.size :].reshape(sigma.shape)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A(x), packed: one gather from vec(x) per ``_index_maps`` block,
+        its columns added by ``_column_sums``."""
+        flat, out = x.ravel(), np.empty(len(self._padded) - 1, complex)
+        for gather, part in self._blocks:
+            _column_sums(flat[gather], self.level, out[part])
+        return out
+
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        """A*(z) of a packed z: one gather from z and its zero pad, then the
+        two conditions' identity insertions added."""
+        self._padded[:-1] = z
+        both = self._padded[self._spread]
+        return both[0] + both[1]
 
     def least_squares_dual(self) -> tuple[np.ndarray, np.ndarray]:
         """y0 with A*(y0) = r_Q + r_P - Pi_P r_Q, where r_S = A_S*(target) / l^|S|
@@ -138,17 +213,33 @@ class AffineConstraint:
         instance and no rounding error can give.
         """
         rho, sigma = self.rhs
-        shift = max(0.0, -float(eigensolve(np.linalg.eigvalsh, self.adjoint(lam))[0]))
+        shift = max(0.0, -float(eigensolve(np.linalg.eigvalsh, self.adjoint(self.pack(lam)))[0]))
         lam_q = lam[0] + shift * np.eye(len(rho))
         margin = -float(np.vdot(rho, lam_q).real + np.vdot(sigma, lam[1]).real)
         norm = math.hypot(frobenius_norm(lam_q), frobenius_norm(lam[1]))
         return margin, (margin / norm if norm else 0.0)
 
 
-def _range_projector(state: DensityMatrix, tol: Tolerance) -> np.ndarray:
-    """Projector onto the eigenvectors ``spectral_decompose`` keeps."""
-    kets = spectral_decompose(state, tol).kets
-    return kets @ kets.conj().T
+def _range_projectors(sigma: DensityMatrix, rho: DensityMatrix, tol: Tolerance) -> list[np.ndarray]:
+    """Projectors onto the eigenvectors ``spectral_decompose`` keeps of sigma
+    and of rho.  States of one shape (s = t) are decomposed by one
+    ``states._spectral_groups`` call on their two-row stack, each row with
+    the bits of its lone call; on a refusal they are decomposed alone, so
+    the error is the one the lone calls give."""
+    if sigma.shape != rho.shape:
+        kets = [spectral_decompose(state, tol).kets for state in (sigma, rho)]
+    else:
+        try:
+            groups = _spectral_groups(np.stack([sigma.mat, rho.mat]), sigma.shape, tol)
+        except QindelError:
+            for state in (sigma, rho):
+                spectral_decompose(state, tol)
+            raise
+        kets = [None, None]
+        for rows, _, group in groups:
+            for row, row_kets in zip(rows.tolist(), group):
+                kets[row] = row_kets
+    return [k @ k.conj().T for k in kets]
 
 
 def member_ins_del(
@@ -234,9 +325,9 @@ def feasibility_del_ins(
 
     # a feasible tau is orthogonal to the lifted kernels of rho and sigma, so
     # it lives on the null space of their sum M
-    proj_sigma, proj_rho = _range_projector(sigma, tol), _range_projector(rho, tol)
+    proj_sigma, proj_rho = _range_projectors(sigma, rho, tol)
     kernels = (np.eye(len(proj_rho)) - proj_rho, np.eye(len(proj_sigma)) - proj_sigma)
-    w, v = eigensolve(np.linalg.eigh, affine.adjoint(kernels))
+    w, v = eigensolve(np.linalg.eigh, affine.adjoint(affine.pack(kernels)))
     # if no eigenvalue is at most face_tol, the certificate below has margin
     # above face_tol and norm at most sqrt(m_rho + m_sigma): its bound clears feas_tol
     face_tol = 2 * tol.feas_tol * math.sqrt(len(proj_rho) + len(proj_sigma))
@@ -250,7 +341,8 @@ def feasibility_del_ins(
     outcome, payload, evaluations, residual = _dual_solve(affine, face, tol.feas_tol)
     if outcome == "witness":
         mat = hermitian_part(payload)
-        residuals = [float(frobenius_distance(r, b)) for r, b in zip(affine.apply(mat), affine.rhs)]
+        images = affine.unpack(affine.apply(mat))
+        residuals = [float(frobenius_distance(r, b)) for r, b in zip(images, affine.rhs)]
         if max(residuals) <= tol.feas_tol:
             details["constraint_residuals"] = residuals
             witness = DensityMatrix(affine.big_shape, mat)
@@ -271,19 +363,16 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
     The gradient is A(tau) - b with tau = U Pi_+(...) U^dagger, so a small one
     makes tau a witness; if theta is unbounded below, -y / ||y|| tends to a
     Farkas certificate.  Dual points are real vectors, the (Re, Im) parts of
-    (y_Q, y_P).  Returns (outcome, payload, evaluations, residual), outcome
+    the packed (y_Q, y_P) that ``apply`` returns and ``adjoint`` takes, so
+    an evaluation is one ``eigh`` and a few array operations and unpacks
+    nothing.  Returns (outcome, payload, evaluations, residual), outcome
     "witness" (tau), "certificate" (lam and its ``certify`` result, whose
     bound clears feas_tol) or "stopped" (why).
     """
-    rho, sigma = affine.rhs
-    b = np.concatenate([rho.ravel(), sigma.ravel()]).view(float)
-
-    def unpack(y):
-        y = y.view(complex)
-        return y[: rho.size].reshape(rho.shape), y[rho.size :].reshape(sigma.shape)
+    b = affine.pack(affine.rhs).view(float)
 
     def evaluate(y):
-        x = affine.adjoint(unpack(y))
+        x = affine.adjoint(y.view(complex))
         if face is not None:
             x = face.conj().T @ x @ face
         w, v = eigensolve(np.linalg.eigh, x)
@@ -293,22 +382,22 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
         if face is not None:
             root = face @ root
         tau = root @ root.conj().T
-        grad = np.concatenate([part.ravel() for part in affine.apply(tau)]).view(float) - b
+        grad = affine.apply(tau).view(float) - b
         return 0.5 * float(np.sum(w**2)) - float(b @ y), grad, tau
 
     def certificate(y):
-        lam = unpack(-y / (float(np.linalg.norm(y)) or 1.0))
+        lam = affine.unpack((-y / (float(np.linalg.norm(y)) or 1.0)).view(complex))
         checked = affine.certify(lam)
         return (lam, checked) if checked[1] > feas_tol else None
 
-    y = np.concatenate([part.ravel() for part in affine.least_squares_dual()]).view(float)
+    y = affine.pack(affine.least_squares_dual()).view(float)
     f, g, tau = evaluate(y)
     # 1 / ||A||^2: a safe gradient step before any curvature is known
     step0 = 1.0 / (affine.level**affine.qset.size + affine.level**affine.pset.size)
     memory = _CurvatureMemory(len(y))
     evaluations, failures, next_test = 0, 0, CANDIDATE_EVERY
     while True:
-        residual = float(np.linalg.norm(g))
+        residual = math.sqrt(g @ g)  # np.linalg.norm's own formula for a real vector
         if residual <= feas_tol / 2:
             return "witness", tau, evaluations, residual
         stop = "line search failed" if failures == 2 else None

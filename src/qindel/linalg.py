@@ -308,17 +308,32 @@ def _psd_certified(h: np.ndarray, psd_tol: float) -> bool | np.ndarray:
 
 
 def _least_eigenvalues(h: np.ndarray, psd_tol: float) -> np.ndarray:
-    """For the PSD tests of a ``(..., d, d)`` stack ``h`` (fresh and
-    Hermitian, as ``_psd_certified`` takes it): the least eigenvalue of each
-    matrix that ``_psd_certified`` does not clear, from one eigen-solve of
-    those matrices only, each the value its lone ``eigvalsh`` gives, and 0
+    """For the PSD tests of a matrix or a ``(..., d, d)`` stack ``h`` (fresh
+    and Hermitian, as ``_psd_certified`` takes it): the least eigenvalue of
+    each matrix that ``_psd_certified`` does not clear, from one eigen-solve
+    of those matrices only, each the value its lone ``eigvalsh`` gives, and 0
     for each matrix it clears, whose least eigenvalue reads above -psd_tol.
     Every value below -psd_tol is then a matrix's own, and the first or the
-    least of them names the matrix a full eigen-solve would."""
-    certified = _psd_certified(h, psd_tol)
+    least of them names the matrix a full eigen-solve would.  A refusal
+    (``NoConvergence``) names the matrix of ``h`` at fault: none for a lone
+    matrix, its batch index in a stack."""
+    certified = np.asarray(_psd_certified(h, psd_tol))
     lowest = np.zeros(h.shape[:-2])
     if not certified.all():
-        lowest[~certified] = eigensolve(np.linalg.eigvalsh, h[~certified])[:, 0]
+        flat, rows = h.reshape(-1, *h.shape[-2:]), np.flatnonzero(~certified)
+        try:
+            lowest.flat[rows] = eigensolve(np.linalg.eigvalsh, flat[rows])[:, 0]
+        except NoConvergence:
+            # the error path only: the uncertified matrices solved alone, in
+            # order, so the refusal names the first of them that fails
+            for k in rows.tolist():
+                try:
+                    eigensolve(np.linalg.eigvalsh, flat[k])
+                except NoConvergence as exc:
+                    if h.ndim > 2:
+                        exc.args = (f"{exc} for {_matrix_name(h, k)}",)
+                    raise
+            raise
     return lowest
 
 
@@ -344,15 +359,12 @@ def is_psd(a, tol: Tolerance = Tolerance()) -> bool | np.ndarray:
     """True iff the Hermitian matrix has min eigenvalue >= -psd_tol; for a
     ``(..., d, d)`` stack, that verdict per matrix.  An empty matrix is PSD.
 
-    One gate (``_require_hermitian``), then ``_least_eigenvalues`` of the
-    flattened stack, a lone matrix being a one-row stack: a matrix that
-    the Cholesky certificate clears reads above -psd_tol, and any other
-    gets the least eigenvalue of its lone ``eigvalsh``."""
+    One gate (``_require_hermitian``), then ``_least_eigenvalues``: a matrix
+    that the Cholesky certificate clears reads above -psd_tol, and any
+    other gets the least eigenvalue of its lone ``eigvalsh``."""
     h = _require_hermitian(a, tol)
-    d = h.shape[-1]
-    psd_tol = tol.at(d).psd_tol
-    lowest = _least_eigenvalues(h.reshape(math.prod(h.shape[:-2]), d, d), psd_tol)
-    return _verdicts(lowest.reshape(h.shape[:-2]) >= -psd_tol)
+    psd_tol = tol.at(h.shape[-1]).psd_tol
+    return _verdicts(_least_eigenvalues(h, psd_tol) >= -psd_tol)
 
 
 def project_psd(a, tol: Tolerance = Tolerance()) -> np.ndarray:

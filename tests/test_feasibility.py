@@ -1,12 +1,12 @@
 import math
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
 from qindel.channels import IndexSet, _sample_batch, delete, insert_construct, insertion_member, sample_insertions
-from qindel.channels import trace_out
+from qindel.channels import trace_out, trace_out_adjoint
 from qindel.codes import example_psi, example_rho
 from qindel.errors import BlockConstraintViolated, CountOutOfRange, LevelMismatch, NoConvergence, NotPSD
 from qindel.errors import RoundTripFailed, ShapeMismatch, SizeCapExceeded
@@ -65,12 +65,12 @@ def test_affine_projection_properties(rng):
                     assert abs(affine.consistency_residual() - residual) <= 1e-12
                     if residual <= 1e-12:
                         point = np.ascontiguousarray(point).view(complex).reshape(shape.dim, -1)
-                        assert np.abs(affine.adjoint(affine.least_squares_dual()) - point).max() <= 1e-12
+                        assert np.abs(affine.adjoint(affine.pack(affine.least_squares_dual())) - point).max() <= 1e-12
                     inconsistent += residual > 1e-3
                 x = random_hermitian(rng, shape.dim) + 1j * random_hermitian(rng, shape.dim)
                 y = tuple(random_hermitian(rng, len(m)) for m in affine.rhs)
-                left = sum(_inner(a, b) for a, b in zip(affine.apply(x), y))
-                assert abs(left - _inner(x, affine.adjoint(y))) <= 1e-12 * max(1.0, abs(left))
+                left = sum(_inner(a, b) for a, b in zip(affine.unpack(affine.apply(x)), y))
+                assert abs(left - _inner(x, affine.adjoint(affine.pack(y)))) <= 1e-12 * max(1.0, abs(left))
     assert inconsistent > 0
     # marginals of a random 4-qubit state at P={1}, Q={4}: a loose pseudo-inverse
     # cutoff once made them look inconsistent; the face-reduced dual decides them
@@ -667,6 +667,79 @@ def test_full_face_marginals_are_feasible(rng):
     assert total <= 2500
 
 
+def test_a_d16_sweep_stays_within_its_measured_evaluations():
+    # marginals of a random 4-qubit state at every rank 1-16, as the
+    # benchmark's feasibility-d16 slot builds them, over three seeds.  At
+    # MEMORY = 60 the sweep took 1,233 evaluations (30 pairs: 1,470); the
+    # bound leaves 5 % for other LAPACK builds.  Counts repeat exactly at one
+    # BLAS thread
+    shape, pairs, total = QuditShape(2, 4), list(permutations(range(1, 5), 2)), 0
+    for seed in (3, 4, 5):
+        rng = np.random.default_rng([seed, 16])
+        for rank in range(1, shape.dim + 1):
+            tau = random_density(rng, shape, rank)
+            p, q = pairs[(seed + rank) % len(pairs)]
+            pset, qset = IndexSet((p,), 4), IndexSet((q,), 4)
+            sigma, rho = delete(tau, pset), delete(tau, qset)
+            report = feasibility_del_ins(sigma, rho, pset, qset)
+            assert report.status is FeasibilityStatus.FEASIBLE, (seed, rank)
+            _check_witness(report, sigma, rho, pset, qset)
+            total += report.iterations
+    assert total <= 1295
+
+
+def _lifted_pairs():
+    """Every (level, Q, P) of index sets, empty ones included, at lifted
+    d <= 16: qubits up to n + t = 4 and qutrits up to n + t = 2."""
+    for level, most in ((2, 4), (3, 2)):
+        for ambient in range(1, most + 1):
+            sets = [IndexSet(c, ambient) for k in range(ambient + 1) for c in combinations(range(1, ambient + 1), k)]
+            for qset, pset in product(sets, repeat=2):
+                yield level, qset, pset
+
+
+def test_compiled_maps_have_the_bits_of_trace_out_and_are_adjoint(rng):
+    covered = set()
+    for level, qset, pset in _lifted_pairs():
+        rho, sigma = _mixed(level, qset.ambient - qset.size), _mixed(level, pset.ambient - pset.size)
+        affine = AffineConstraint(rho, qset, sigma, pset)
+        d = level**qset.ambient
+        # magnitudes far apart, so that another order of the sums would round otherwise
+        x = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * 10.0 ** rng.integers(-6, 7, (d, d))
+        lam = tuple(rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape) for m in affine.rhs)
+        parts = affine.unpack(affine.apply(x))
+        for part, traced in zip(parts, (qset, pset)):
+            assert part.tobytes() == trace_out(x, traced, level).tobytes(), (level, qset, pset)
+        spread = trace_out_adjoint(lam[0], qset, level) + trace_out_adjoint(lam[1], pset, level)
+        z = affine.pack(lam)
+        assert affine.adjoint(z).tobytes() == spread.tobytes(), (level, qset, pset)
+        left = np.vdot(affine.apply(x), z).real
+        assert abs(left - np.vdot(x, affine.adjoint(z)).real) <= 1e-12 * np.abs(x).max() * np.abs(z).max() * d * d
+        covered.add((level, qset.size == pset.size, pset.size))
+    assert {(2, False, 2), (2, True, 2), (3, False, 1), (3, True, 1)} <= covered
+
+
+def test_range_projectors_of_one_shape_have_the_bits_of_lone_calls(rng):
+    # one stacked decomposition for sigma and rho of one shape, of equal or
+    # different ranks; each projector has the bits of its state's lone
+    # spectral_decompose, and a refusal is the lone call's
+    def lone(state):
+        kets = spectral_decompose(state).kets
+        return kets @ kets.conj().T
+
+    for level, length in ((2, 2), (2, 3), (3, 1)):
+        shape = QuditShape(level, length)
+        for ranks in ((1, 1), (1, shape.dim), (2, 3), (shape.dim, shape.dim)):
+            sigma, rho = (random_density(rng, shape, rank) for rank in ranks)
+            got = feasibility._range_projectors(sigma, rho, Tolerance())
+            assert [m.tobytes() for m in got] == [lone(sigma).tobytes(), lone(rho).tobytes()]
+    sigma = random_density(rng, QuditShape(2, 2))
+    bad = DensityMatrix(sigma.shape, np.diag([1.2, -0.2, 0.0, 0.0]))
+    with pytest.raises(NotPSD) as refusal:
+        feasibility._range_projectors(sigma, bad, Tolerance())
+    assert str(refusal.value).startswith("negative eigenvalue")
+
+
 def _compact_direction(g, S, Y, step0):
     """-H g for the L-BFGS pairs, the rows of S and Y (oldest first), rebuilt
     from scratch in the compact form of Byrd, Nocedal and Schnabel (1994):
@@ -886,21 +959,27 @@ def test_member_ins_del_names_a_deletion_count_above_the_length():
         member_ins_del(_mixed(2, 1), _mixed(2, 2), 3, 2)
 
 
+# sigma of rho's shape (P = {2}) has both range projectors from one stacked
+# solve; a one-qubit sigma (P = {1, 2}) has its own, before rho's
+_ONE_QUBIT = delete(example_rho(0.5, 0.5), {1})
+
+
 @pytest.mark.parametrize(
-    "solver, call, sigma, reason, step",
+    "solver, call, sigma, P, reason, step",
     [
-        pytest.param("eigh", 1, example_rho(0.5, 0.5), None, "_range_projector", id="sigma-projector"),
-        pytest.param("eigh", 2, example_rho(0.5, 0.5), None, "_range_projector", id="rho-projector"),
-        pytest.param("eigh", 3, example_rho(0.5, 0.5), None, "eigensolve", id="face"),
-        pytest.param("eigh", 4, example_rho(0.5, 0.5), None, "_dual_solve", id="first-dual-evaluation"),
-        pytest.param("eigvalsh", 1, example_psi(0.5, 0.5), "affine constraints inconsistent", "certified",
+        pytest.param("eigh", 1, _ONE_QUBIT, (1, 2), None, "_range_projectors", id="sigma-projector"),
+        pytest.param("eigh", 2, _ONE_QUBIT, (1, 2), None, "_range_projectors", id="rho-projector"),
+        pytest.param("eigh", 1, example_rho(0.5, 0.5), (2,), None, "_range_projectors", id="range-projectors"),
+        pytest.param("eigh", 2, example_rho(0.5, 0.5), (2,), None, "eigensolve", id="face"),
+        pytest.param("eigh", 3, example_rho(0.5, 0.5), (2,), None, "_dual_solve", id="first-dual-evaluation"),
+        pytest.param("eigvalsh", 1, example_psi(0.5, 0.5), (2,), "affine constraints inconsistent", "certified",
                      id="certify"),
     ],
 )
-def test_a_lapack_failure_raises_no_convergence(monkeypatch, solver, call, sigma, reason, step):
+def test_a_lapack_failure_raises_no_convergence(monkeypatch, solver, call, sigma, P, reason, step):
     # ``step`` is the frame feasibility_del_ins was in when the solver failed
     rho = example_rho(0.5, 0.5)
-    pset = qset = IndexSet((2,), 3)
+    pset, qset = IndexSet(P, 3), IndexSet((2,), 3)
     report = feasibility_del_ins(sigma, rho, pset, qset)
     assert report.details.get("reason") == reason
     monkeypatch.setattr(np.linalg, solver, failing_from(call, getattr(np.linalg, solver)))

@@ -314,6 +314,23 @@ def test_a_spectrum_past_the_float_range_is_refused():
         validate(huge, QuditShape(2, 1))
 
 
+def test_a_refused_spectrum_names_the_callers_matrix():
+    # a lone matrix names none; in a stack, an overflowing matrix after one
+    # the Cholesky certificate clears is named by its own batch index, not
+    # by its index among the uncertified matrices.  Its eigenvalue 2e308
+    # overflows inside LAPACK, while its factor overflows only the bound
+    with pytest.raises(NoConvergence) as lone:
+        is_psd(np.full((2, 2), 1e308))
+    assert "non-finite spectrum" in str(lone.value) and "matrix" not in str(lone.value)
+    overflowing = np.array([[1.5e308, 0.5e308], [0.5e308, 1.5e308]])
+    psd_tol = Tolerance().at(2).psd_tol
+    assert _psd_certified(np.stack([np.eye(2), overflowing]).astype(complex), psd_tol).tolist() == [True, False]
+    for stack, name in ((np.stack([np.eye(2), overflowing]), "matrix 1"),
+                        (np.stack([[np.eye(2)] * 2, [np.eye(2), overflowing]]), r"matrix \(1, 1\)")):
+        with pytest.raises(NoConvergence, match=f"non-finite spectrum .* for {name}$"):
+            is_psd(stack)
+
+
 def test_the_paired_and_all_pairs_forms_agree(rng):
     stacks = [np.array([random_hermitian(rng, d) for _ in range(5)]) for d in (2, 8, 64)]
     for a in stacks:

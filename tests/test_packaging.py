@@ -165,6 +165,30 @@ def test_every_frobenius_norm_goes_through_the_linalg_kernel():
     assert not calls, f"np.linalg.norm called outside the allow-list: {calls}"
 
 
+# the dual steps' A and A*: one compiled form each, the index maps of
+# feasibility._index_maps, which the tests hold to trace_out's bits
+DUAL_STEPS = {"AffineConstraint.apply", "AffineConstraint.adjoint", "_dual_solve"}
+
+
+def test_the_dual_steps_read_no_partial_trace():
+    tree = ast.parse((ROOT / "src" / "qindel" / "feasibility.py").read_text(encoding="utf-8"))
+    steps = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            steps[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            steps.update((f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
+    assert DUAL_STEPS <= set(steps)
+    reads = [
+        f"{name}:{node.lineno}"
+        for name in sorted(DUAL_STEPS)
+        for node in ast.walk(steps[name])
+        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+        in ("trace_out", "trace_out_adjoint")
+    ]
+    assert not reads, f"trace_out or trace_out_adjoint read in a dual step: {reads}"
+
+
 SCREEN = ("channels.py", "_screened_distances")
 
 

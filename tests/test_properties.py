@@ -859,7 +859,7 @@ def test_no_certificate_clears_feas_tol_on_a_feasible_instance(instance, c, weig
     delta = random_hermitian(np.random.default_rng(seed), len(affine.mismatch))
     rest0, rest1 = affine._rest
     kernel = (-trace_out_adjoint(delta, rest0, rho.level), trace_out_adjoint(delta, rest1, rho.level))
-    assert np.abs(affine.adjoint(kernel)).max() <= 1e-12 * np.abs(delta).max()
+    assert np.abs(affine.adjoint(affine.pack(kernel))).max() <= 1e-12 * np.abs(delta).max()
     for lam in (affine.inconsistency_certificate(), (y_q, y_p), (-y_q, -y_p), shift):
         forms = [
             lam,
