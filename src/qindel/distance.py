@@ -53,7 +53,7 @@ import numpy as np
 
 from .channels import IndexSet, _dedup_levels, _traced_levels, first_meeting, pairs_meet
 from .errors import DuplicateStates, LevelMismatch, ParseError, ShapeMismatch, TooFewStates
-from .feasibility import FeasibilityStatus, member_del_ins
+from .feasibility import FeasibilityStatus, _PairDecider
 from .linalg import Tolerance, _gamma, frobenius_distance, frobenius_norm
 from .states import DensityMatrix, QuditShape, _count, state_to_json_obj
 
@@ -384,18 +384,19 @@ def corrects(code: CodeSample, t: int, kind: str = "deletions") -> Verdict:
 def corrects_insertions(code: CodeSample, t: int) -> Verdict:
     """Pairwise disjointness of t-insertion spheres.
 
-    Two insertion spheres meet iff one state lies in the
-    deletions-after-insertions sphere of the other, so each pair is decided by
-    the PSD feasibility solver.  True rests on infeasible verdicts, each with
-    a re-checked Farkas certificate; False on a re-checked witness.  Any
-    inconclusive pair makes the overall verdict unknown rather than true.
+    Two spheres meet iff one state lies in the deletions-after-insertions
+    sphere of the other: the code's state pairs walk through one
+    ``feasibility._PairDecider``, which traces each marginal once per stack.
+    True rests on re-checked Farkas certificates, False on a re-checked
+    witness; an inconclusive pair makes the verdict unknown.
     """
     t = _count(t, "error count t", least=1)
     if len(code) < 2:
         raise TooFewStates(f"need at least 2 states, got {len(code)}")
+    decider = _PairDecider(code.shape, code.stack, code.shape, code.stack, t, t, code.tol)
     pairs = []
-    for (i, a), (j, b) in combinations(enumerate(code.states), 2):
-        report = member_del_ins(a, b, t, t, code.tol)
+    for i, j in combinations(range(len(code)), 2):
+        report = decider.member(i, j)
         pair = [code.labels[i], code.labels[j]]
         pairs.append({"pair": pair, "status": report.status.value, "gap": report.gap})
         if report.status is FeasibilityStatus.FEASIBLE:

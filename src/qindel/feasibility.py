@@ -6,14 +6,15 @@ at once by ``_members_ins_del``; the containment trials keep their states
 as bare matrices and stacks and wrap none.  Deletions-after-insertions
 membership is a PSD feasibility problem (is there a PSD tau with
 D_Q(tau) = rho and D_P(tau) = sigma?), decided in up to three steps: both
-conditions must fix the same common marginal; facial reduction (Drusvyatskiy
-& Wolkowicz, 2017) confines tau to the lifted ranges of rho and sigma; and
-L-BFGS on the dual semidefinite least-squares problem on that face (Malick,
-SIMAX 2004) converges to a witness or diverges along a Farkas certificate.
-A feasible verdict carries a re-checked witness, an infeasible one a
-re-checked certificate; with neither, the verdict is inconclusive.  Sphere
-membership (``member_del_ins``) is the disjunction of these problems over
-the position pairs (P, Q), its verdict read off the list of pair verdicts.
+conditions must fix the same common marginal, within eq_tol at its
+dimension; facial reduction (Drusvyatskiy & Wolkowicz, 2017) confines tau to
+the lifted ranges of rho and sigma; and L-BFGS on the dual semidefinite
+least-squares problem on that face (Malick, SIMAX 2004) converges to a
+witness or diverges along a Farkas certificate.  A feasible verdict carries
+a re-checked witness, an infeasible one a re-checked certificate; with
+neither, the verdict is inconclusive.  One ``_PairDecider`` per pair of
+state stacks decides them all; ``feasibility_del_ins`` and ``member_del_ins``
+are its one-pair and one-state-pair cases.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 
 from .channels import IndexSet, _as_index_set, _check_composed, _dedup_levels, _insertion_set
 from .channels import _sample_batch, _traced_levels, pairs_meet, trace_out, trace_out_adjoint
-from .errors import CountOutOfRange, QindelError, ShapeMismatch, SizeCapExceeded
+from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
-from .states import DensityMatrix, QuditShape, _count, _spectral_groups, spectral_decompose
+from .states import DensityMatrix, QuditShape, _count, spectral_decompose
 
 __all__ = [
     "FeasibilityStatus",
@@ -71,11 +72,15 @@ class FeasibilityReport:
     certificate: tuple[np.ndarray, np.ndarray] | None = None
 
 
-
-def _renumbered(positions: IndexSet, removed: IndexSet) -> IndexSet:
-    """The positions outside ``removed``, numbered among the qudits it leaves."""
-    rest = removed.complement()
-    return IndexSet(tuple(rest.index(p) + 1 for p in positions if p in rest), len(rest))
+@cache
+def _rests(qset: IndexSet, pset: IndexSet) -> tuple[IndexSet, IndexSet]:
+    """P \\ Q numbered among rho's qudits (those Q leaves) and Q \\ P among
+    sigma's: traced from rho and from sigma, they leave the common marginal
+    D_{P u Q} that both conditions fix."""
+    return tuple(
+        IndexSet(tuple(rest.index(p) + 1 for p in positions if p in rest), len(rest))
+        for positions, rest in ((pset, qset.complement()), (qset, pset.complement()))
+    )
 
 
 @cache
@@ -140,21 +145,18 @@ class AffineConstraint:
     (lam_Q, lam_P) shaped like b = (rho, sigma), under Re tr(x^dagger y).
     ``apply`` and ``adjoint`` are the compiled index maps of
     ``_index_maps``, with the bits of ``trace_out`` and ``trace_out_adjoint``.
+    Its ``mismatch``, D_{P\\Q} rho - D_{Q\\P} sigma (``_rests``), comes traced.
     """
 
-    def __init__(self, rho: DensityMatrix, qset: IndexSet, sigma: DensityMatrix, pset: IndexSet):
-        self.level = rho.level
-        self.big_shape = QuditShape(rho.level, qset.ambient)
+    def __init__(self, level: int, rho: np.ndarray, qset: IndexSet, sigma: np.ndarray, pset: IndexSet, mismatch):
+        self.level = level
         self.qset, self.pset = qset, pset
-        self.rhs = (rho.mat, sigma.mat)
-        # tracing P \ Q from rho and Q \ P from sigma leaves the common
-        # marginal D_{P u Q} that both conditions fix
-        self._rest = (_renumbered(pset, qset), _renumbered(qset, pset))
-        self.mismatch = trace_out(rho.mat, self._rest[0], self.level) - trace_out(
-            sigma.mat, self._rest[1], self.level
-        )
-        self._blocks, self._spread = _index_maps(self.level, qset, pset)
-        self._padded = np.zeros(rho.mat.size + sigma.mat.size + 1, complex)
+        self.rhs = (rho, sigma)
+        self._rest = _rests(qset, pset)
+        self.mismatch = mismatch
+        self.scale = math.sqrt(sum(level**rest.size for rest in self._rest))
+        self._blocks, self._spread = _index_maps(level, qset, pset)
+        self._padded = np.zeros(rho.size + sigma.size + 1, complex)
 
     def pack(self, lam) -> np.ndarray:
         """The packed dual vector of the pair lam = (lam_Q, lam_P)."""
@@ -192,8 +194,7 @@ class AffineConstraint:
 
     def consistency_residual(self) -> float:
         """Distance from b to the range of A: zero iff some matrix meets both conditions."""
-        scale = math.sqrt(sum(self.level**rest.size for rest in self._rest))
-        return float(frobenius_norm(self.mismatch)) / scale
+        return float(frobenius_norm(self.mismatch)) / self.scale
 
     def inconsistency_certificate(self) -> tuple[np.ndarray, np.ndarray]:
         """lam with A*(lam) = 0 and <b, lam> = -||mismatch||^2."""
@@ -208,9 +209,9 @@ class AffineConstraint:
 
         lam' = lam + c (I, 0), c = max(0, -lambda_min(A* lam)), has A*(lam')
         PSD, so every PSD X has <A(X) - b, lam'> >= margin := -<b, lam'> and
-        ||A(X) - b|| >= bound := margin / ||lam'||.  ``feasibility_del_ins``
-        accepts lam only when the bound exceeds feas_tol, which no feasible
-        instance and no rounding error can give.
+        ||A(X) - b|| >= bound := margin / ||lam'||.  ``_PairDecider.decide``
+        accepts lam only when the bound exceeds its step's threshold, feas_tol
+        or the consistency step's, far above any rounding error.
         """
         rho, sigma = self.rhs
         shift = max(0.0, -float(eigensolve(np.linalg.eigvalsh, self.adjoint(self.pack(lam)))[0]))
@@ -218,28 +219,6 @@ class AffineConstraint:
         margin = -float(np.vdot(rho, lam_q).real + np.vdot(sigma, lam[1]).real)
         norm = math.hypot(frobenius_norm(lam_q), frobenius_norm(lam[1]))
         return margin, (margin / norm if norm else 0.0)
-
-
-def _range_projectors(sigma: DensityMatrix, rho: DensityMatrix, tol: Tolerance) -> list[np.ndarray]:
-    """Projectors onto the eigenvectors ``spectral_decompose`` keeps of sigma
-    and of rho.  States of one shape (s = t) are decomposed by one
-    ``states._spectral_groups`` call on their two-row stack, each row with
-    the bits of its lone call; on a refusal they are decomposed alone, so
-    the error is the one the lone calls give."""
-    if sigma.shape != rho.shape:
-        kets = [spectral_decompose(state, tol).kets for state in (sigma, rho)]
-    else:
-        try:
-            groups = _spectral_groups(np.stack([sigma.mat, rho.mat]), sigma.shape, tol)
-        except QindelError:
-            for state in (sigma, rho):
-                spectral_decompose(state, tol)
-            raise
-        kets = [None, None]
-        for rows, _, group in groups:
-            for row, row_kets in zip(rows.tolist(), group):
-                kets[row] = row_kets
-    return [k @ k.conj().T for k in kets]
 
 
 def member_ins_del(
@@ -279,79 +258,122 @@ def _members_ins_del(sigma_shape, sigmas, rho_shape, rhos, s: int, t: int, tol: 
     return pairs_meet(left, right, (order, order)).tolist()
 
 
+class _PairDecider:
+    """sigma in D_P(I_Q(rho)) for row i of the stack ``sigmas``, row j of
+    ``rhos`` and any (P, Q) of s and t positions, its shapes, counts and
+    lifted dimension checked once.  Each subset a pair traces from one side
+    (``_rests``) is traced once, by one ``trace_out`` over that side's stack,
+    each row with the bits of its lone call; each state is decomposed once,
+    on its first pair that reaches the face, by a lone ``spectral_decompose``,
+    whose error a refused state raises."""
+
+    def __init__(self, sigma_shape: QuditShape, sigmas, rho_shape: QuditShape, rhos, s, t, tol: Tolerance):
+        _check_composed(sigma_shape, rho_shape, s, t)
+        self.ambient, self.level, self.s, self.t, self.tol = rho_shape.length + t, rho_shape.level, s, t, tol
+        if self.level**self.ambient > MAX_DIM:
+            raise SizeCapExceeded(f"lifted dimension {self.level ** self.ambient} exceeds cap {MAX_DIM}")
+        self.shapes, self.stacks = (sigma_shape, rho_shape), (sigmas, rhos)  # side 0 is sigma's, 1 rho's
+        self._marginals, self._kernels = {}, {}  # by (side, subset) and by (side, row)
+
+    def _marginal(self, side: int, row: int, rest: IndexSet) -> np.ndarray:
+        if (side, rest) not in self._marginals:
+            self._marginals[side, rest] = trace_out(self.stacks[side], rest, self.level)
+        return self._marginals[side, rest][row]
+
+    def _kernels_of(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """I minus the range projectors of rho j and of sigma i; sigma's is built first."""
+        for side, row in ((0, i), (1, j)):
+            if (side, row) not in self._kernels:
+                kets = spectral_decompose(DensityMatrix(self.shapes[side], self.stacks[side][row]), self.tol).kets
+                self._kernels[side, row] = np.eye(len(kets)) - kets @ kets.conj().T
+        return self._kernels[1, j], self._kernels[0, i]
+
+    def decide(self, i: int, j: int, pset: IndexSet, qset: IndexSet) -> FeasibilityReport:
+        """Whether sigma i lies in D_P(I_Q(rho j)), by the module docstring's steps.  ``details``
+        gives ``consistency_tol``, ``face_dim`` once the face is built, the
+        ``margin`` of a certificate and the ``reason`` for any verdict but feasible."""
+        tol, (rest_rho, rest_sigma) = self.tol, _rests(qset, pset)
+        mismatch = self._marginal(1, j, rest_rho) - self._marginal(0, i, rest_sigma)
+        affine = AffineConstraint(self.level, self.stacks[1][j], qset, self.stacks[0][i], pset, mismatch)
+        details: dict = {}
+
+        def verdict(status, gap, evaluations=0, reason=None, witness=None, lam=None):
+            if reason is not None:
+                details["reason"] = reason
+            return FeasibilityReport(status, witness, gap, evaluations, details, lam)
+
+        def certified(lam, reason: str, threshold: float, evaluations: int = 0, checked=None):
+            margin, bound = checked or affine.certify(lam)
+            if bound <= threshold:
+                return None
+            details["margin"] = margin
+            return verdict(FeasibilityStatus.INFEASIBLE, bound, evaluations, reason, lam=lam)
+
+        # marginals of dimension d more than eq_tol(d) apart differ, however far below feas_tol
+        threshold = min(tol.feas_tol, tol.at(len(affine.mismatch)).eq_tol / affine.scale)
+        details["consistency_tol"] = threshold
+        if affine.consistency_residual() > threshold:
+            report = certified(affine.inconsistency_certificate(), "affine constraints inconsistent", threshold)
+            if report is not None:
+                return report
+
+        # a feasible tau is orthogonal to the lifted kernels of rho and sigma, so
+        # it lives on the null space of their sum M
+        kernels = self._kernels_of(i, j)
+        w, v = eigensolve(np.linalg.eigh, affine.adjoint(affine.pack(kernels)))
+        # if no eigenvalue is at most face_tol, the certificate below has margin
+        # above face_tol and norm at most sqrt(m_rho + m_sigma): its bound clears feas_tol
+        face_tol = 2 * tol.feas_tol * math.sqrt(len(kernels[0]) + len(kernels[1]))
+        face_dim = details["face_dim"] = int(np.searchsorted(w, face_tol, side="right"))
+        if face_dim == 0:
+            lam = (kernels[0] - w[0] * np.eye(len(kernels[0])), kernels[1].copy())  # the report's own arrays
+            report = certified(lam, "empty face", tol.feas_tol)
+            return report or verdict(FeasibilityStatus.INCONCLUSIVE, 0.0, 0, "certificate failed its re-check")
+
+        face = v[:, :face_dim] if face_dim < len(w) else None
+        outcome, payload, evaluations, residual = _dual_solve(affine, face, tol.feas_tol)
+        if outcome == "witness":
+            mat = hermitian_part(payload)
+            images = affine.unpack(affine.apply(mat))
+            residuals = [float(frobenius_distance(r, b)) for r, b in zip(images, affine.rhs)]
+            if max(residuals) <= tol.feas_tol:
+                details["constraint_residuals"] = residuals
+                witness = DensityMatrix(QuditShape(self.level, self.ambient), mat)
+                return verdict(FeasibilityStatus.FEASIBLE, math.hypot(*residuals), evaluations, witness=witness)
+            payload = "witness failed its re-check"
+        elif outcome == "certificate":
+            lam, checked = payload
+            return certified(lam, "dual certificate", tol.feas_tol, evaluations, checked)
+        return verdict(FeasibilityStatus.INCONCLUSIVE, residual, evaluations, payload)
+
+    def member(self, i: int, j: int) -> FeasibilityReport:
+        """Whether sigma i lies in D^s(I^t(rho j)), by ``decide`` over the (P, Q)
+        pairs: feasible at the first feasible pair; otherwise inconclusive if any
+        pair is, else infeasible, with the least gap.  ``details["pairs"]`` lists each."""
+        pairs, iterations = [], 0
+        for P, Q in product(*(combinations(range(1, self.ambient + 1), k) for k in (self.s, self.t))):
+            report = self.decide(i, j, IndexSet(P, self.ambient), IndexSet(Q, self.ambient))
+            iterations += report.iterations
+            pairs.append({"P": list(P), "Q": list(Q), "status": report.status.value, "gap": report.gap,
+                          **report.details})
+            if report.status is FeasibilityStatus.FEASIBLE:
+                report.iterations = iterations
+                report.details["pairs"] = pairs
+                return report
+        inconclusive = any(pair["status"] == FeasibilityStatus.INCONCLUSIVE for pair in pairs)
+        status = FeasibilityStatus.INCONCLUSIVE if inconclusive else FeasibilityStatus.INFEASIBLE
+        return FeasibilityReport(status, None, min(pair["gap"] for pair in pairs), iterations, {"pairs": pairs})
+
+
 def feasibility_del_ins(
-    sigma: DensityMatrix,
-    rho: DensityMatrix,
-    P,
-    Q,
-    tol: Tolerance = Tolerance(),
+    sigma: DensityMatrix, rho: DensityMatrix, P, Q, tol: Tolerance = Tolerance()
 ) -> FeasibilityReport:
     """Decide sigma in D_P(I_Q(rho)): is there a PSD tau with D_Q(tau) = rho
-    and D_P(tau) = sigma?
-
-    Consistency, then the face, then the dual on it (module docstring).  The
-    range projectors of sigma and rho are built only for the face step, so
-    a pair refuted by its inconsistency certificate builds none.
-    ``details`` gives ``face_dim`` once the face is built, the ``margin`` of
-    a certificate and the ``reason`` for any verdict but feasible.  ``tol``
-    gives ``feas_tol`` and the tolerances the range projectors are taken at.
-    """
+    and D_P(tau) = sigma?  The one-pair case of ``_PairDecider.decide``."""
     qset = _insertion_set(Q, rho.length)
-    big = qset.ambient
-    pset = _as_index_set(P, big)
-    _check_composed(sigma.shape, rho.shape, pset.size, qset.size)
-    if rho.level**big > MAX_DIM:
-        raise SizeCapExceeded(f"lifted dimension {rho.level ** big} exceeds cap {MAX_DIM}")
-
-    affine = AffineConstraint(rho, qset, sigma, pset)
-    details: dict = {}
-
-    def verdict(status, gap, evaluations=0, reason=None, witness=None, lam=None):
-        if reason is not None:
-            details["reason"] = reason
-        return FeasibilityReport(status, witness, gap, evaluations, details, lam)
-
-    def certified(lam, reason: str, evaluations: int = 0, checked=None):
-        margin, bound = checked or affine.certify(lam)
-        if bound <= tol.feas_tol:
-            return None
-        details["margin"] = margin
-        return verdict(FeasibilityStatus.INFEASIBLE, bound, evaluations, reason, lam=lam)
-
-    if affine.consistency_residual() > tol.feas_tol:
-        report = certified(affine.inconsistency_certificate(), "affine constraints inconsistent")
-        if report is not None:
-            return report
-
-    # a feasible tau is orthogonal to the lifted kernels of rho and sigma, so
-    # it lives on the null space of their sum M
-    proj_sigma, proj_rho = _range_projectors(sigma, rho, tol)
-    kernels = (np.eye(len(proj_rho)) - proj_rho, np.eye(len(proj_sigma)) - proj_sigma)
-    w, v = eigensolve(np.linalg.eigh, affine.adjoint(affine.pack(kernels)))
-    # if no eigenvalue is at most face_tol, the certificate below has margin
-    # above face_tol and norm at most sqrt(m_rho + m_sigma): its bound clears feas_tol
-    face_tol = 2 * tol.feas_tol * math.sqrt(len(proj_rho) + len(proj_sigma))
-    face_dim = details["face_dim"] = int(np.searchsorted(w, face_tol, side="right"))
-    if face_dim == 0:
-        lam = (kernels[0] - w[0] * np.eye(len(proj_rho)), kernels[1])
-        report = certified(lam, "empty face")
-        return report or verdict(FeasibilityStatus.INCONCLUSIVE, 0.0, 0, "certificate failed its re-check")
-
-    face = v[:, :face_dim] if face_dim < len(w) else None
-    outcome, payload, evaluations, residual = _dual_solve(affine, face, tol.feas_tol)
-    if outcome == "witness":
-        mat = hermitian_part(payload)
-        images = affine.unpack(affine.apply(mat))
-        residuals = [float(frobenius_distance(r, b)) for r, b in zip(images, affine.rhs)]
-        if max(residuals) <= tol.feas_tol:
-            details["constraint_residuals"] = residuals
-            witness = DensityMatrix(affine.big_shape, mat)
-            return verdict(FeasibilityStatus.FEASIBLE, math.hypot(*residuals), evaluations, witness=witness)
-        payload = "witness failed its re-check"
-    elif outcome == "certificate":
-        lam, checked = payload
-        return certified(lam, "dual certificate", evaluations, checked)
-    return verdict(FeasibilityStatus.INCONCLUSIVE, residual, evaluations, payload)
+    pset = _as_index_set(P, qset.ambient)
+    decider = _PairDecider(sigma.shape, sigma.mat[None], rho.shape, rho.mat[None], pset.size, qset.size, tol)
+    return decider.decide(0, 0, pset, qset)
 
 
 def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: float):
@@ -486,36 +508,11 @@ class _CurvatureMemory:
 
 
 def member_del_ins(
-    sigma: DensityMatrix,
-    rho: DensityMatrix,
-    s: int,
-    t: int,
-    tol: Tolerance = Tolerance(),
+    sigma: DensityMatrix, rho: DensityMatrix, s: int, t: int, tol: Tolerance = Tolerance()
 ) -> FeasibilityReport:
-    """Decide sigma in D^s(I^t(rho)) as a disjunction of per-(P, Q) feasibility.
-
-    Feasible at the first feasible pair; otherwise inconclusive if any pair
-    is, else infeasible, with the least pair gap.  ``details["pairs"]`` lists
-    every pair decided.
-    """
-    _check_composed(sigma.shape, rho.shape, s, t)
-    positions = range(1, rho.length + t + 1)
-    pairs: list[dict] = []
-    iterations = 0
-    for P, Q in product(combinations(positions, s), combinations(positions, t)):
-        report = feasibility_del_ins(sigma, rho, P, Q, tol)
-        iterations += report.iterations
-        pairs.append(
-            {"P": list(P), "Q": list(Q), "status": report.status.value, "gap": report.gap, **report.details}
-        )
-        if report.status is FeasibilityStatus.FEASIBLE:
-            report.iterations = iterations
-            report.details["pairs"] = pairs
-            return report
-    inconclusive = any(pair["status"] == FeasibilityStatus.INCONCLUSIVE for pair in pairs)
-    status = FeasibilityStatus.INCONCLUSIVE if inconclusive else FeasibilityStatus.INFEASIBLE
-    gap = min(pair["gap"] for pair in pairs)
-    return FeasibilityReport(status, None, gap, iterations, {"pairs": pairs})
+    """Decide sigma in D^s(I^t(rho)) as a disjunction of per-(P, Q)
+    feasibility: the one-state-pair case of ``_PairDecider.member``."""
+    return _PairDecider(sigma.shape, sigma.mat[None], rho.shape, rho.mat[None], s, t, tol).member(0, 0)
 
 
 def check_containment_trial(

@@ -39,7 +39,8 @@ class Tolerance:
               unset (None): 1e-9*dim.
     feas_tol  largest Frobenius miss of each condition a feasibility witness
               may have; a certificate must show that every PSD matrix misses
-              them by more.
+              them by more.  The consistency step reads the smaller of
+              feas_tol and eq_tol at the common marginal's dimension.
 
     ``dim`` is the order of the matrices a check compares, so one object
     passed down a call chain gives every check its own dimension's defaults:

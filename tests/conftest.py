@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from qindel import linalg
-from qindel.channels import deletion_sphere
+from qindel.channels import deletion_sphere, trace_out
 from qindel.codes import _check_weights
 from qindel.distance import indel_distance, min_distance
 from qindel.errors import CountOutOfRange, PositionOutOfRange, QindelError, ShapeMismatch, TraceNotOne
+from qindel.feasibility import AffineConstraint, _rests
 from qindel.linalg import Tolerance, _require_hermitian, eigensolve, hermitian_eigensystem
 from qindel.rand import _ginibre, random_density
 from qindel.states import DensityMatrix, QuditShape, _count, _require_psd, validate
@@ -61,6 +62,14 @@ def example_insertion(q: int, p0: float, p1: float, pi00, pi11, a) -> DensityMat
     term = math.sqrt(p1 * p0) * placed(a, np.outer(_KET1, _KET0))
     mat += term + term.conj().T
     return DensityMatrix(QuditShape(2, 3), mat)
+
+
+def affine_constraint(sigma, rho, pset, qset):
+    """The ``AffineConstraint`` of sigma in D_P(I_Q(rho)), its mismatch of
+    the common marginals traced here, as the pair decider traces it."""
+    rest_rho, rest_sigma = _rests(qset, pset)
+    mismatch = trace_out(rho.mat, rest_rho, rho.level) - trace_out(sigma.mat, rest_sigma, rho.level)
+    return AffineConstraint(rho.level, rho.mat, qset, sigma.mat, pset, mismatch)
 
 
 def failing_from(call, solver):

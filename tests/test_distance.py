@@ -26,6 +26,7 @@ from qindel.distance import (
 )
 import qindel.channels
 import qindel.distance as distance
+import qindel.feasibility as feasibility
 from qindel.errors import (
     CountOutOfRange,
     DuplicateStates,
@@ -601,28 +602,54 @@ def test_corrects_insertions_refuses_bad_counts_and_small_codes():
         corrects_insertions(CodeSample.from_states([example_rho(0.5, 0.5)]), 1)
 
 
+def test_corrects_insertions_traces_each_marginal_once_per_stack(monkeypatch):
+    # x1's 28 states make 378 state pairs and 3,402 (P, Q) pairs: one decider
+    # traces each of the three subsets a pair needs, per side, once over the
+    # whole stack, and decomposes a state at most once per side
+    counts = {"trace_out": 0, "spectral_decompose": 0}
+
+    def counted(name):
+        real = getattr(feasibility, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(feasibility, name, counted(name))
+    code = builtin_code("x1")
+    assert len(code) == 28 and corrects_insertions(code, 1).ok is True
+    assert counts["trace_out"] <= 6
+    assert 0 < counts["spectral_decompose"] <= 2 * len(code)
+
+
 def test_corrects_insertions_reads_the_verdict_off_the_pairs(monkeypatch):
     # pair verdicts scripted in combinations order: with none feasible, the
     # first inconclusive pair is named once every pair is decided; a feasible
     # pair decides at once, with the state it found as witness
     code = CodeSample.from_states([_pure("00"), _pure("01"), _pure("10"), _pure("11")], list("abcd"))
     script = ["infeasible", "inconclusive", "infeasible", "inconclusive", "infeasible", "infeasible"]
-    gaps = []
+    gaps, seen = [], []
 
-    def scripted(sigma, rho, s, t, tol):
+    def scripted(decider, i, j):
+        seen.append((i, j))
         status = FeasibilityStatus(script[len(gaps)])
         gaps.append(0.5 + len(gaps))
-        witness = sigma if status is FeasibilityStatus.FEASIBLE else None
+        witness = DensityMatrix(code.shape, code.stack[i]) if status is FeasibilityStatus.FEASIBLE else None
         return FeasibilityReport(status, witness, gaps[-1], 0)
 
-    monkeypatch.setattr(distance, "member_del_ins", scripted)
+    monkeypatch.setattr(feasibility._PairDecider, "member", scripted)
     verdict = corrects_insertions(code, 1)
+    assert seen == list(combinations(range(4), 2))
     assert verdict.ok is None and verdict.evidence["inconclusive_pair"] == ["a", "c"]
     assert [entry["status"] for entry in verdict.evidence["pairs"]] == script
     assert [entry["gap"] for entry in verdict.evidence["pairs"]] == gaps == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
 
-    script[2], gaps[:] = "feasible", []
+    script[2], gaps[:], seen[:] = "feasible", [], []
     verdict = corrects_insertions(code, 1)
+    assert seen == [(0, 1), (0, 2), (0, 3)]
     assert verdict.ok is False and verdict.evidence["pair"] == ["a", "d"]
     assert verdict.evidence["witness"] == state_to_json_obj(_pure("00"))
     assert verdict.evidence["gap"] == 2.5 and len(verdict.evidence["pairs"]) == 3

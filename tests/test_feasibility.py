@@ -1,4 +1,5 @@
 import math
+import re
 from functools import reduce
 from itertools import combinations, permutations, product
 
@@ -13,7 +14,6 @@ from qindel.errors import RoundTripFailed, ShapeMismatch, SizeCapExceeded
 import qindel.channels as channels
 import qindel.feasibility as feasibility
 from qindel.feasibility import (
-    AffineConstraint,
     FeasibilityReport,
     FeasibilityStatus,
     check_containment_trial,
@@ -25,7 +25,7 @@ from qindel.feasibility import (
 from qindel.linalg import Tolerance
 from qindel.rand import random_density, random_hermitian
 from qindel.states import DensityMatrix, QuditShape, basis_ket, density_from_ket, spectral_decompose
-from conftest import failing_from, make_states
+from conftest import affine_constraint, failing_from, make_states
 
 
 def _columns(x):
@@ -58,7 +58,7 @@ def test_affine_projection_properties(rng):
                 pinv = np.linalg.pinv(matrix, rcond=1e-10)
                 rho = delete(tau, qset)
                 for sigma in (delete(tau, pset), delete(other, pset)):
-                    affine = AffineConstraint(rho, qset, sigma, pset)
+                    affine = affine_constraint(sigma, rho, pset, qset)
                     rhs = np.vstack([_columns(rho.mat), _columns(sigma.mat)])
                     point = pinv @ rhs
                     residual = float(np.linalg.norm(matrix @ point - rhs))
@@ -208,18 +208,18 @@ def test_member_del_ins_reads_its_verdict_off_the_pairs(monkeypatch):
     script = ["infeasible"] * 9
     seen = []
 
-    def scripted(sigma, rho, P, Q, tol):
+    def scripted(decider, i, j, pset, qset):
         k = len(seen)
-        seen.append((P, Q))
+        seen.append((i, j, pset.positions, qset.positions))
         status = FeasibilityStatus(script[k])
         return FeasibilityReport(status, None, [3.0, 2.0, 5.0, 0.5, 4.0, 1.0, 6.0, 7.0, 8.0][k], k, {"k": k})
 
-    monkeypatch.setattr(feasibility, "feasibility_del_ins", scripted)
+    monkeypatch.setattr(feasibility._PairDecider, "decide", scripted)
     report = member_del_ins(psi, rho, 1, 1)
-    assert seen == [((p,), (q,)) for p in range(1, 4) for q in range(1, 4)]
+    assert seen == [(0, 0, (p,), (q,)) for p in range(1, 4) for q in range(1, 4)]
     assert (report.status, report.gap, report.iterations) == (FeasibilityStatus.INFEASIBLE, 0.5, 36)
     assert [(pair["P"], pair["Q"], pair["k"]) for pair in report.details["pairs"]] == [
-        (list(P), list(Q), k) for k, (P, Q) in enumerate(seen)
+        (list(P), list(Q), k) for k, (_, _, P, Q) in enumerate(seen)
     ]
 
     script[7], seen[:] = "inconclusive", []
@@ -702,7 +702,7 @@ def test_compiled_maps_have_the_bits_of_trace_out_and_are_adjoint(rng):
     covered = set()
     for level, qset, pset in _lifted_pairs():
         rho, sigma = _mixed(level, qset.ambient - qset.size), _mixed(level, pset.ambient - pset.size)
-        affine = AffineConstraint(rho, qset, sigma, pset)
+        affine = affine_constraint(sigma, rho, pset, qset)
         d = level**qset.ambient
         # magnitudes far apart, so that another order of the sums would round otherwise
         x = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * 10.0 ** rng.integers(-6, 7, (d, d))
@@ -719,25 +719,38 @@ def test_compiled_maps_have_the_bits_of_trace_out_and_are_adjoint(rng):
     assert {(2, False, 2), (2, True, 2), (3, False, 1), (3, True, 1)} <= covered
 
 
-def test_range_projectors_of_one_shape_have_the_bits_of_lone_calls(rng):
-    # one stacked decomposition for sigma and rho of one shape, of equal or
-    # different ranks; each projector has the bits of its state's lone
-    # spectral_decompose, and a refusal is the lone call's
-    def lone(state):
-        kets = spectral_decompose(state).kets
-        return kets @ kets.conj().T
+def test_decider_kernels_have_the_bits_of_lone_decompositions(rng, monkeypatch):
+    # the decider decomposes each state once per side, sigma's before rho's,
+    # by a lone spectral_decompose: each kernel I - P has the bits of that
+    # call's projector, whatever the ranks beside it, and a refusal is its error
+    def lone(shape, mat):
+        kets = spectral_decompose(DensityMatrix(shape, mat)).kets
+        return np.eye(len(kets)) - kets @ kets.conj().T
 
+    calls = []
+    real = feasibility.spectral_decompose
+    monkeypatch.setattr(feasibility, "spectral_decompose", lambda state, tol: calls.append(1) or real(state, tol))
     for level, length in ((2, 2), (2, 3), (3, 1)):
         shape = QuditShape(level, length)
-        for ranks in ((1, 1), (1, shape.dim), (2, 3), (shape.dim, shape.dim)):
-            sigma, rho = (random_density(rng, shape, rank) for rank in ranks)
-            got = feasibility._range_projectors(sigma, rho, Tolerance())
-            assert [m.tobytes() for m in got] == [lone(sigma).tobytes(), lone(rho).tobytes()]
-    sigma = random_density(rng, QuditShape(2, 2))
-    bad = DensityMatrix(sigma.shape, np.diag([1.2, -0.2, 0.0, 0.0]))
+        stack = np.array([random_density(rng, shape, rank).mat for rank in (1, shape.dim, 2, 3)])
+        decider = feasibility._PairDecider(shape, stack, shape, stack, 1, 1, Tolerance())
+        calls.clear()
+        for i, j in product(range(len(stack)), repeat=2):
+            rho_kernel, sigma_kernel = decider._kernels_of(i, j)
+            assert rho_kernel.tobytes() == lone(shape, stack[j]).tobytes()
+            assert sigma_kernel.tobytes() == lone(shape, stack[i]).tobytes()
+        assert len(calls) == 2 * len(stack)
+    shape = QuditShape(2, 2)
+    good, bad = random_density(rng, shape).mat, np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(NotPSD) as refusal:
-        feasibility._range_projectors(sigma, bad, Tolerance())
+        spectral_decompose(DensityMatrix(shape, bad))
     assert str(refusal.value).startswith("negative eigenvalue")
+    decider = feasibility._PairDecider(shape, np.array([good, bad]), shape, np.array([bad]), 1, 1, Tolerance())
+    for i in (1, 0):  # sigma 1 refused first, then rho 0 after sigma 0 passes
+        calls.clear()
+        with pytest.raises(NotPSD, match=f"^{re.escape(str(refusal.value))}$") as error:
+            decider._kernels_of(i, 0)
+        assert error.value.residual == refusal.value.residual and len(calls) == (1 if i else 2)
 
 
 def _compact_direction(g, S, Y, step0):
@@ -826,7 +839,7 @@ def test_tampered_and_feasible_certificates_are_rejected(rng):
     for sigma, rho_, pset, qset in ((psi, rho, p1, q2), (psi, rho, p1, IndexSet((1,), 3)),
                                      (werner, werner, p1, q3)):
         report = feasibility_del_ins(sigma, rho_, pset, qset)
-        affine = AffineConstraint(rho_, qset, sigma, pset)
+        affine = affine_constraint(sigma, rho_, pset, qset)
         lam_q, lam_p = report.certificate
         assert affine.certify((lam_q, lam_p))[1] > feas_tol
         assert affine.certify((-lam_q, -lam_p))[0] < 0
@@ -843,7 +856,7 @@ def test_tampered_and_feasible_certificates_are_rejected(rng):
         sigma, rho_ = delete(tau, pset), delete(tau, qset)
         report = feasibility_del_ins(sigma, rho_, pset, qset)
         assert report.status is FeasibilityStatus.FEASIBLE and report.certificate is None
-        affine = AffineConstraint(rho_, qset, sigma, pset)
+        affine = affine_constraint(sigma, rho_, pset, qset)
         y_q, y_p = affine.least_squares_dual()
         candidates = [affine.inconsistency_certificate(), (-y_q, -y_p), (y_q, y_p),
                       (np.eye(8) - 2 * rho_.mat, np.eye(8) - 2 * sigma.mat)]
@@ -959,25 +972,25 @@ def test_member_ins_del_names_a_deletion_count_above_the_length():
         member_ins_del(_mixed(2, 1), _mixed(2, 2), 3, 2)
 
 
-# sigma of rho's shape (P = {2}) has both range projectors from one stacked
-# solve; a one-qubit sigma (P = {1, 2}) has its own, before rho's
+# the decider decomposes sigma, then rho, each by its own lone solve, before
+# the face: sigma of rho's shape (P = {2}) or of one qubit (P = {1, 2})
 _ONE_QUBIT = delete(example_rho(0.5, 0.5), {1})
 
 
 @pytest.mark.parametrize(
     "solver, call, sigma, P, reason, step",
     [
-        pytest.param("eigh", 1, _ONE_QUBIT, (1, 2), None, "_range_projectors", id="sigma-projector"),
-        pytest.param("eigh", 2, _ONE_QUBIT, (1, 2), None, "_range_projectors", id="rho-projector"),
-        pytest.param("eigh", 1, example_rho(0.5, 0.5), (2,), None, "_range_projectors", id="range-projectors"),
-        pytest.param("eigh", 2, example_rho(0.5, 0.5), (2,), None, "eigensolve", id="face"),
-        pytest.param("eigh", 3, example_rho(0.5, 0.5), (2,), None, "_dual_solve", id="first-dual-evaluation"),
+        pytest.param("eigh", 1, _ONE_QUBIT, (1, 2), None, "_kernels_of", id="sigma-projector"),
+        pytest.param("eigh", 2, _ONE_QUBIT, (1, 2), None, "_kernels_of", id="rho-projector"),
+        pytest.param("eigh", 1, example_rho(0.5, 0.5), (2,), None, "_kernels_of", id="range-projectors"),
+        pytest.param("eigh", 3, example_rho(0.5, 0.5), (2,), None, "eigensolve", id="face"),
+        pytest.param("eigh", 4, example_rho(0.5, 0.5), (2,), None, "_dual_solve", id="first-dual-evaluation"),
         pytest.param("eigvalsh", 1, example_psi(0.5, 0.5), (2,), "affine constraints inconsistent", "certified",
                      id="certify"),
     ],
 )
 def test_a_lapack_failure_raises_no_convergence(monkeypatch, solver, call, sigma, P, reason, step):
-    # ``step`` is the frame feasibility_del_ins was in when the solver failed
+    # ``step`` is the frame the decider's decide was in when the solver failed
     rho = example_rho(0.5, 0.5)
     pset, qset = IndexSet(P, 3), IndexSet((2,), 3)
     report = feasibility_del_ins(sigma, rho, pset, qset)
@@ -986,4 +999,4 @@ def test_a_lapack_failure_raises_no_convergence(monkeypatch, solver, call, sigma
     with pytest.raises(NoConvergence) as failure:
         feasibility_del_ins(sigma, rho, pset, qset)
     frames = [entry.name for entry in failure.traceback]
-    assert frames[frames.index("feasibility_del_ins") + 1] == step
+    assert frames[frames.index("decide") + 1] == step

@@ -166,8 +166,9 @@ def test_every_frobenius_norm_goes_through_the_linalg_kernel():
 
 
 # the dual steps' A and A*: one compiled form each, the index maps of
-# feasibility._index_maps, which the tests hold to trace_out's bits
-DUAL_STEPS = {"AffineConstraint.apply", "AffineConstraint.adjoint", "_dual_solve"}
+# feasibility._index_maps, which the tests hold to trace_out's bits; the
+# constraint's mismatch comes traced from the decider's marginals
+DUAL_STEPS = {"AffineConstraint.__init__", "AffineConstraint.apply", "AffineConstraint.adjoint", "_dual_solve"}
 
 
 def test_the_dual_steps_read_no_partial_trace():
@@ -186,7 +187,7 @@ def test_the_dual_steps_read_no_partial_trace():
         if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
         in ("trace_out", "trace_out_adjoint")
     ]
-    assert not reads, f"trace_out or trace_out_adjoint read in a dual step: {reads}"
+    assert not reads, f"trace_out or trace_out_adjoint read in a dual step or the constraint's build: {reads}"
 
 
 SCREEN = ("channels.py", "_screened_distances")
@@ -223,6 +224,12 @@ def test_the_distance_walks_read_only_the_stacked_ladder():
     # first_meeting for the walks and the probe, pairs_meet for the pairs
     # metric_check walks in lockstep; the lone sphere path stays for the
     # sphere command
+    reads = _distance_reads(NAMES_DISTANCE_MUST_NOT_READ)
+    assert not reads, f"distance.py reads the lone ladder or compares rows itself: {reads}"
+
+
+def _distance_reads(forbidden) -> list[str]:
+    """Each name of ``forbidden`` that distance.py imports or reads, with its line."""
     path = ROOT / "src" / "qindel" / "distance.py"
     reads = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -230,8 +237,16 @@ def test_the_distance_walks_read_only_the_stacked_ladder():
             names = [alias.name for alias in node.names]
         else:
             names = [node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)]
-        reads += [f"{name} at line {node.lineno}" for name in names if name in NAMES_DISTANCE_MUST_NOT_READ]
-    assert not reads, f"distance.py reads the lone ladder or compares rows itself: {reads}"
+        reads += [f"{name} at line {node.lineno}" for name in names if name in forbidden]
+    return reads
+
+
+def test_corrects_insertions_reads_no_state_pair_membership():
+    # corrects_insertions walks the pairs of a code's stack through one
+    # feasibility._PairDecider, so each marginal is traced once per stack;
+    # member_del_ins is that decider's one-state-pair case, not its loop body
+    reads = _distance_reads({"member_del_ins"})
+    assert not reads, f"distance.py reads member_del_ins: {reads}"
 
 
 CODE_DEDUP = ("distance.py", "CodeSample.__post_init__")

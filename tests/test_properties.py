@@ -37,11 +37,11 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 from qindel.channels import IndexSet, _sample_batch, delete, insertion_member, sample_insertions  # noqa: E402
 from qindel.channels import trace_out_adjoint  # noqa: E402
 from qindel.codes import example_psi, example_rho  # noqa: E402
-from qindel.distance import CodeSample, _pair_distances, indel_distance, min_distance  # noqa: E402
+from qindel.distance import CodeSample, _pair_distances, corrects, corrects_insertions, indel_distance  # noqa: E402
+from qindel.distance import min_distance  # noqa: E402
 from qindel.errors import DuplicateStates, InvalidTolerance, NonSquare, ParseError  # noqa: E402
 from qindel.errors import ShapeMismatch, ValidationError  # noqa: E402
 from qindel.feasibility import (  # noqa: E402
-    AffineConstraint,
     FeasibilityStatus,
     check_containment_trial,
     feasibility_del_ins,
@@ -65,7 +65,7 @@ from qindel.states import (  # noqa: E402
     state_to_json_obj,
     validate,
 )
-from conftest import assert_indel_matches_lone_walk, assert_matches_lone_walk  # noqa: E402
+from conftest import affine_constraint, assert_indel_matches_lone_walk, assert_matches_lone_walk  # noqa: E402
 from conftest import assert_validates_as_reference, planted_state, random_orthonormal  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -851,7 +851,7 @@ def test_no_certificate_clears_feas_tol_on_a_feasible_instance(instance, c, weig
     by c times a random element of A*'s kernel, or mixed with the
     least-squares dual point."""
     sigma, rho, pset, qset = instance
-    affine = AffineConstraint(rho, qset, sigma, pset)
+    affine = affine_constraint(sigma, rho, pset, qset)
     y_q, y_p = affine.least_squares_dual()
     shift = (np.eye(rho.dim) - 2 * rho.mat, np.eye(sigma.dim) - 2 * sigma.mat)
     # (-A*_{rest0}(delta), A*_{rest1}(delta)) for a Hermitian delta on the
@@ -887,8 +887,35 @@ def test_counterexample_verdicts_carry_certificates(p0, swap):
             pset, qset = IndexSet((p,), 3), IndexSet((q,), 3)
             report = feasibility_del_ins(sigma, rho, pset, qset)
             assert report.status is FeasibilityStatus.INFEASIBLE, (p, q)
-            affine = AffineConstraint(rho, qset, sigma, pset)
+            affine = affine_constraint(sigma, rho, pset, qset)
             lam_q, lam_p = report.certificate
             margin, bound = affine.certify((lam_q, lam_p))
             assert bound > Tolerance().feas_tol and margin == report.details["margin"]
             assert affine.certify((-lam_q, -lam_p))[0] < 0
+
+
+def test_near_copy_codes_that_correct_a_deletion_correct_an_insertion():
+    """The paper's theorem: a code correcting t deletions corrects t
+    insertions.  Codes {a, (1 - eps) a + eps b} of random 2- and 3-qubit
+    states, eps from 3e-9 to 1e-5, have marginals closer than feas_tol but
+    farther than eq_tol, so the consistency step must judge them at eq_tol.
+    A draw within eq_tol of a is refused as ``DuplicateStates`` and counted."""
+    drawn = {"codes": 0, "deletion-correcting": 0, "duplicates": 0}
+
+    @settings(DETERMINISTIC, max_examples=40)
+    @given(st.integers(2, 3), st.floats(math.log(3e-9), math.log(1e-5)), st.integers(0, 2**32 - 1))
+    def check(n, log_eps, seed):
+        rng, shape, eps = np.random.default_rng(seed), QuditShape(2, n), math.exp(log_eps)
+        a, b = random_density(rng, shape), random_density(rng, shape)
+        try:
+            code = CodeSample.from_states([a, DensityMatrix(shape, (1 - eps) * a.mat + eps * b.mat)])
+        except DuplicateStates:
+            drawn["duplicates"] += 1
+            return
+        drawn["codes"] += 1
+        if corrects(code, 1).ok:
+            drawn["deletion-correcting"] += 1
+            assert corrects_insertions(code, 1).ok is True, (n, eps)
+
+    check()
+    assert drawn["deletion-correcting"] >= 20 and drawn["duplicates"] < drawn["codes"], drawn
