@@ -156,7 +156,7 @@ class AffineConstraint:
         self.mismatch = mismatch
         self.scale = math.sqrt(sum(level**rest.size for rest in self._rest))
         self._blocks, self._spread = _index_maps(level, qset, pset)
-        self._padded = np.zeros(rho.size + sigma.size + 1, complex)
+        self._size = rho.size + sigma.size
 
     def pack(self, lam) -> np.ndarray:
         """The packed dual vector of the pair lam = (lam_Q, lam_P)."""
@@ -167,19 +167,27 @@ class AffineConstraint:
         rho, sigma = self.rhs
         return z[: rho.size].reshape(rho.shape), z[rho.size :].reshape(sigma.shape)
 
+    def padded(self, z: np.ndarray) -> np.ndarray:
+        """A fresh copy of the packed z with the one zero pad that
+        ``adjoint`` gathers from, so that ``adjoint`` reads it in place."""
+        return np.append(z, 0j)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A(x), packed: one gather from vec(x) per ``_index_maps`` block,
         its columns added by ``_column_sums``."""
-        flat, out = x.ravel(), np.empty(len(self._padded) - 1, complex)
+        flat, out = x.ravel(), np.empty(self._size, complex)
         for gather, part in self._blocks:
             _column_sums(flat[gather], self.level, out[part])
         return out
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """A*(z) of a packed z: one gather from z and its zero pad, then the
-        two conditions' identity insertions added."""
-        self._padded[:-1] = z
-        both = self._padded[self._spread]
+        two conditions' identity insertions added.  A z from ``padded``
+        carries its pad and is gathered from in place; any other is padded
+        first."""
+        if len(z) == self._size:
+            z = self.padded(z)
+        both = z[self._spread]
         return both[0] + both[1]
 
     def least_squares_dual(self) -> tuple[np.ndarray, np.ndarray]:
@@ -219,6 +227,20 @@ class AffineConstraint:
         margin = -float(np.vdot(rho, lam_q).real + np.vdot(sigma, lam[1]).real)
         norm = math.hypot(frobenius_norm(lam_q), frobenius_norm(lam[1]))
         return margin, (margin / norm if norm else 0.0)
+
+    def margin_bound(self, z: np.ndarray, top: float) -> float:
+        """An upper bound on the margin ``certify`` gives the candidate
+        -z / ||z|| of a packed z, from ``top``, the greatest eigenvalue of
+        U^dagger A*(z) U for an orthonormal face basis U (or of A*(z)).
+
+        top is at most lambda_max(A*(z)), so certify's shift is at least
+        max(0, top) / ||z||, and its margin Re<b, z> / ||z|| - shift tr(rho)
+        at most max(0, top) tr(rho) less.  A negative bound means a negative
+        margin, which no threshold accepts."""
+        rho, sigma = self.rhs
+        z_q, z_p = self.unpack(z)
+        reach = np.vdot(rho, z_q).real + np.vdot(sigma, z_p).real - max(0.0, top) * np.trace(rho).real
+        return float(reach) / (math.hypot(frobenius_norm(z_q), frobenius_norm(z_p)) or 1.0)
 
 
 def member_ins_del(
@@ -265,7 +287,8 @@ class _PairDecider:
     (``_rests``) is traced once, by one ``trace_out`` over that side's stack,
     each row with the bits of its lone call; each state is decomposed once,
     on its first pair that reaches the face, by a lone ``spectral_decompose``,
-    whose error a refused state raises."""
+    whose error a refused state raises.  When both sides are one stack of one
+    shape, its marginals and kernels are kept once, by row and subset."""
 
     def __init__(self, sigma_shape: QuditShape, sigmas, rho_shape: QuditShape, rhos, s, t, tol: Tolerance):
         _check_composed(sigma_shape, rho_shape, s, t)
@@ -273,20 +296,24 @@ class _PairDecider:
         if self.level**self.ambient > MAX_DIM:
             raise SizeCapExceeded(f"lifted dimension {self.level ** self.ambient} exceeds cap {MAX_DIM}")
         self.shapes, self.stacks = (sigma_shape, rho_shape), (sigmas, rhos)  # side 0 is sigma's, 1 rho's
-        self._marginals, self._kernels = {}, {}  # by (side, subset) and by (side, row)
+        # one stack on both sides (a code against itself) is traced and decomposed once
+        self._sources = (0, 0) if sigmas is rhos and sigma_shape == rho_shape else (0, 1)
+        self._marginals, self._kernels = {}, {}  # by (source, subset) and by (source, row)
 
     def _marginal(self, side: int, row: int, rest: IndexSet) -> np.ndarray:
-        if (side, rest) not in self._marginals:
-            self._marginals[side, rest] = trace_out(self.stacks[side], rest, self.level)
-        return self._marginals[side, rest][row]
+        key = self._sources[side], rest
+        if key not in self._marginals:
+            self._marginals[key] = trace_out(self.stacks[side], rest, self.level)
+        return self._marginals[key][row]
 
     def _kernels_of(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """I minus the range projectors of rho j and of sigma i; sigma's is built first."""
         for side, row in ((0, i), (1, j)):
-            if (side, row) not in self._kernels:
+            key = self._sources[side], row
+            if key not in self._kernels:
                 kets = spectral_decompose(DensityMatrix(self.shapes[side], self.stacks[side][row]), self.tol).kets
-                self._kernels[side, row] = np.eye(len(kets)) - kets @ kets.conj().T
-        return self._kernels[1, j], self._kernels[0, i]
+                self._kernels[key] = np.eye(len(kets)) - kets @ kets.conj().T
+        return self._kernels[self._sources[1], j], self._kernels[0, i]
 
     def decide(self, i: int, j: int, pset: IndexSet, qset: IndexSet) -> FeasibilityReport:
         """Whether sigma i lies in D_P(I_Q(rho j)), by the module docstring's steps.  ``details``
@@ -385,35 +412,49 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
     The gradient is A(tau) - b with tau = U Pi_+(...) U^dagger, so a small one
     makes tau a witness; if theta is unbounded below, -y / ||y|| tends to a
     Farkas certificate.  Dual points are real vectors, the (Re, Im) parts of
-    the packed (y_Q, y_P) that ``apply`` returns and ``adjoint`` takes, so
-    an evaluation is one ``eigh`` and a few array operations and unpacks
-    nothing.  Returns (outcome, payload, evaluations, residual), outcome
-    "witness" (tau), "certificate" (lam and its ``certify`` result, whose
-    bound clears feas_tol) or "stopped" (why).
+    the packed (y_Q, y_P) that ``apply`` returns and ``adjoint`` takes, kept
+    in ``padded`` buffers that ``adjoint`` reads in place: a trial point is
+    written into one, and an accepted one swaps with it.  An evaluation is
+    one ``eigh`` and a fixed handful of array calls: the positive part is the
+    top of the ascending spectrum, as views, and theta reads w @ w.  A step
+    makes three products with the memory: two for the direction, one for
+    the push.  Every ``CANDIDATE_EVERY`` evaluations the candidate
+    -y / ||y|| is screened by ``margin_bound`` from the top eigenvalue of the
+    accepted point, and goes to ``certify`` unless its margin is below
+    -feas_tol, which no rounding lifts to a margin ``certify`` accepts.
+    Returns (outcome, payload, evaluations, residual), outcome "witness"
+    (tau), "certificate" (lam and its ``certify`` result, whose bound clears
+    feas_tol) or "stopped" (why).
     """
     b = affine.pack(affine.rhs).view(float)
+    face_h = None if face is None else face.conj().T
 
-    def evaluate(y):
-        x = affine.adjoint(y.view(complex))
+    def evaluate(z, y):
+        x = affine.adjoint(z)
         if face is not None:
-            x = face.conj().T @ x @ face
+            x = face_h @ x @ face
         w, v = eigensolve(np.linalg.eigh, x)
-        positive = w > 0
-        w = w[positive]
-        root = v[:, positive] * np.sqrt(w)
+        k = w.searchsorted(0.0, "right")  # the positive part is the top of the ascending spectrum
+        top, w = w[-1], w[k:]
+        root = v[:, k:] * np.sqrt(w)
         if face is not None:
             root = face @ root
         tau = root @ root.conj().T
-        grad = affine.apply(tau).view(float) - b
-        return 0.5 * float(np.sum(w**2)) - float(b @ y), grad, tau
+        grad = affine.apply(tau).view(float)
+        grad -= b
+        return float(0.5 * (w @ w) - b @ y), grad, tau, top
 
-    def certificate(y):
+    def certificate(y, top):
+        if affine.margin_bound(y.view(complex), top) < -feas_tol:
+            return None
         lam = affine.unpack((-y / (float(np.linalg.norm(y)) or 1.0)).view(complex))
         checked = affine.certify(lam)
         return (lam, checked) if checked[1] > feas_tol else None
 
-    y = affine.pack(affine.least_squares_dual()).view(float)
-    f, g, tau = evaluate(y)
+    point = affine.padded(affine.pack(affine.least_squares_dual()))
+    trial = np.zeros_like(point)
+    y, y_trial, step = point[:-1].view(float), trial[:-1].view(float), np.empty(len(b))
+    f, g, tau, top = evaluate(point, y)
     # 1 / ||A||^2: a safe gradient step before any curvature is known
     step0 = 1.0 / (affine.level**affine.qset.size + affine.level**affine.pset.size)
     memory = _CurvatureMemory(len(y))
@@ -426,18 +467,22 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
         stop = "iteration cap reached" if evaluations >= MAX_ITERATIONS else stop
         if stop or evaluations >= next_test:
             next_test += CANDIDATE_EVERY
-            found = certificate(y)
+            found = certificate(y, top)
             if found is not None:
                 return "certificate", found, evaluations, residual
             if stop:
                 return "stopped", stop, evaluations, residual
         direction = memory.direction(g, step0)
-        if g @ direction >= 0:
+        slope = float(g @ direction)
+        if slope >= 0:
             memory.clear()
             direction = -step0 * g
-        slope, alpha = 1e-4 * float(g @ direction), 1.0
+            slope = float(g @ direction)
+        slope, alpha = 1e-4 * slope, 1.0
         while True:
-            f_new, g_new, tau_new = evaluate(y + alpha * direction)
+            np.multiply(direction, alpha, out=step)
+            np.add(y, step, out=y_trial)
+            f_new, g_new, tau_new, top_new = evaluate(trial, y_trial)
             evaluations += 1
             if f_new <= f + alpha * slope or alpha < 1e-10 or evaluations >= MAX_ITERATIONS:
                 break
@@ -446,28 +491,32 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
             failures += 1
             memory.clear()
             continue
-        s_vec, g_vec = alpha * direction, g_new - g
-        if s_vec @ g_vec > 1e-12 * (g_vec @ g_vec):
-            memory.push(s_vec, g_vec)
-        y, f, g, tau = y + s_vec, f_new, g_new, tau_new
+        g_vec = g_new - g
+        if step @ g_vec > 1e-12 * (g_vec @ g_vec):
+            memory.push(step, g_vec)
+        point, trial, y, y_trial = trial, point, y_trial, y
+        f, g, tau, top = f_new, g_new, tau_new, top_new
 
 
 class _CurvatureMemory:
     """The last ``MEMORY`` L-BFGS pairs (s, y) in the compact form of Byrd,
     Nocedal and Schnabel (1994), kept up to date one pair at a time.
 
-    The pairs are rows ``start`` to ``start + count`` of S and Y, oldest
-    first.  With R the upper triangle of S Y^T, the same window of ``r_inv``,
-    ``yy`` and ``sy`` holds R^-1, Y Y^T and diag(R).  A push adds a row and
-    column to each in O(m n + m^2) and slides the window past the oldest pair
-    once the memory is full: R[1:, 1:]^-1 is R^-1[1:, 1:] for a triangular R,
-    so nothing is refactored.  The buffers hold two memories' worth of rows,
-    so the window is copied back to the front once every ``MEMORY`` pushes.
+    The pairs are interleaved in one buffer W, s_i in row 2i and y_i in row
+    2i + 1; pairs ``start`` to ``start + count`` are held, oldest first.
+    With R the upper triangle of S Y^T, the same window of ``r_inv``, ``yy``
+    and ``sy`` holds R^-1, Y Y^T and diag(R).  A push adds a row and column
+    to each in O(m n + m^2), reading S y, Y y, s^T y and y^T y off one
+    product W y, and slides the window past the oldest pair once the memory
+    is full: R[1:, 1:]^-1 is R^-1[1:, 1:] for a triangular R, so nothing is
+    refactored.  A direction is W g, O(m^2) algebra on its two halves and one
+    c W: two gemvs.  The buffers hold two memories' worth of pairs, so the
+    window is copied back to the front once every ``MEMORY`` pushes.
     """
 
     def __init__(self, n: int):
         size = 2 * MEMORY
-        self.S, self.Y = np.empty((size, n)), np.empty((size, n))
+        self.W = np.empty((2 * size, n))
         # only the upper triangle of r_inv is ever written: the rest stays 0
         self.r_inv, self.yy, self.sy = np.zeros((size, size)), np.empty((size, size)), np.empty(size)
         self.start = self.count = 0
@@ -480,18 +529,19 @@ class _CurvatureMemory:
             self.start, self.count = self.start + 1, self.count - 1
         a, k = self.start, self.start + self.count
         if k == len(self.sy):
-            for rows in (self.S, self.Y, self.sy):
-                rows[: k - a] = rows[a:k]
+            self.W[: 2 * (k - a)] = self.W[2 * a : 2 * k]
+            self.sy[: k - a] = self.sy[a:k]
             for block in (self.r_inv, self.yy):
                 block[: k - a, : k - a] = block[a:k, a:k]
             a, k, self.start = 0, k - a, 0
-        sy = float(s @ y)
+        self.W[2 * k], self.W[2 * k + 1] = s, y
+        products = self.W[2 * a : 2 * k + 2] @ y  # S y and Y y interleaved, then s^T y and y^T y
+        sy = self.sy[k] = products[-2]
         # [[R, S y], [0, sy]]^-1 = [[R^-1, -R^-1 S y / sy], [0, 1 / sy]]
-        self.r_inv[a:k, k] = self.r_inv[a:k, a:k] @ (self.S[a:k] @ y) / -sy
+        self.r_inv[a:k, k] = self.r_inv[a:k, a:k] @ products[:-2:2] / -sy
         self.r_inv[k, k] = 1 / sy
-        self.yy[k, a:k] = self.yy[a:k, k] = self.Y[a:k] @ y
-        self.yy[k, k] = y @ y
-        self.S[k], self.Y[k], self.sy[k] = s, y, sy
+        self.yy[k, a:k] = self.yy[a:k, k] = products[1:-2:2]
+        self.yy[k, k] = products[-1]
         self.count += 1
 
     def direction(self, g: np.ndarray, step0: float) -> np.ndarray:
@@ -500,11 +550,15 @@ class _CurvatureMemory:
         if not self.count:
             return -step0 * g
         a, k = self.start, self.start + self.count
-        S, Y, r_inv = self.S[a:k], self.Y[a:k], self.r_inv[a:k, a:k]
-        gamma = self.sy[k - 1] / self.yy[k - 1, k - 1]
-        u = r_inv @ (S @ g)
-        p = (self.sy[a:k] * u + gamma * (self.yy[a:k, a:k] @ u - Y @ g)) @ r_inv
-        return -(gamma * g + p @ S - gamma * (u @ Y))
+        W, r_inv = self.W[2 * a : 2 * k], self.r_inv[a:k, a:k]
+        gamma = float(self.sy[k - 1] / self.yy[k - 1, k - 1])
+        products = W @ g  # S g and Y g, interleaved
+        u = r_inv @ products[::2]
+        p = (self.sy[a:k] * u + gamma * (self.yy[a:k, a:k] @ u - products[1::2])) @ r_inv
+        # -(gamma g + p S - gamma u Y) as one product with W
+        np.negative(p, out=products[::2])
+        np.multiply(u, gamma, out=products[1::2])
+        return products @ W - gamma * g
 
 
 def member_del_ins(

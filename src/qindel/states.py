@@ -223,7 +223,9 @@ def _pure_stack(kets: np.ndarray, shape: QuditShape, tol: Tolerance = Tolerance(
     outer product of its ket with the ufunc ``np.outer`` uses, so it has the
     bits of ``np.outer`` of its ket."""
     finite = np.isfinite(kets).all(axis=1)
-    residual = np.abs(frobenius_norm(kets[:, None, :]) - 1.0)  # inf past the float range
+    # only finite kets are squared: a signalling NaN would raise an invalid-value warning
+    residual = np.full(len(kets), np.inf)
+    residual[finite] = np.abs(frobenius_norm(kets[finite, None, :]) - 1.0)  # inf past the float range
     bad = ~finite | (residual > tol.at(shape.dim).eq_tol)
     if bad.any():
         k = int(bad.argmax())

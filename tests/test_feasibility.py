@@ -670,7 +670,8 @@ def test_full_face_marginals_are_feasible(rng):
 def test_a_d16_sweep_stays_within_its_measured_evaluations():
     # marginals of a random 4-qubit state at every rank 1-16, as the
     # benchmark's feasibility-d16 slot builds them, over three seeds.  At
-    # MEMORY = 60 the sweep took 1,233 evaluations (30 pairs: 1,470); the
+    # MEMORY = 60 the sweep took 1,233 evaluations (30 pairs: 1,470), and
+    # 1,234 once the memory's interleaved products rounded otherwise; the
     # bound leaves 5 % for other LAPACK builds.  Counts repeat exactly at one
     # BLAS thread
     shape, pairs, total = QuditShape(2, 4), list(permutations(range(1, 5), 2)), 0
@@ -720,9 +721,10 @@ def test_compiled_maps_have_the_bits_of_trace_out_and_are_adjoint(rng):
 
 
 def test_decider_kernels_have_the_bits_of_lone_decompositions(rng, monkeypatch):
-    # the decider decomposes each state once per side, sigma's before rho's,
-    # by a lone spectral_decompose: each kernel I - P has the bits of that
-    # call's projector, whatever the ranks beside it, and a refusal is its error
+    # the decider decomposes each state once per side (once in all when both
+    # sides are one stack), sigma's before rho's, by a lone
+    # spectral_decompose: each kernel I - P has the bits of that call's
+    # projector, whatever the ranks beside it, and a refusal is its error
     def lone(shape, mat):
         kets = spectral_decompose(DensityMatrix(shape, mat)).kets
         return np.eye(len(kets)) - kets @ kets.conj().T
@@ -733,13 +735,14 @@ def test_decider_kernels_have_the_bits_of_lone_decompositions(rng, monkeypatch):
     for level, length in ((2, 2), (2, 3), (3, 1)):
         shape = QuditShape(level, length)
         stack = np.array([random_density(rng, shape, rank).mat for rank in (1, shape.dim, 2, 3)])
-        decider = feasibility._PairDecider(shape, stack, shape, stack, 1, 1, Tolerance())
-        calls.clear()
-        for i, j in product(range(len(stack)), repeat=2):
-            rho_kernel, sigma_kernel = decider._kernels_of(i, j)
-            assert rho_kernel.tobytes() == lone(shape, stack[j]).tobytes()
-            assert sigma_kernel.tobytes() == lone(shape, stack[i]).tobytes()
-        assert len(calls) == 2 * len(stack)
+        for rhos, sides in ((stack, 1), (stack.copy(), 2)):
+            decider = feasibility._PairDecider(shape, stack, shape, rhos, 1, 1, Tolerance())
+            calls.clear()
+            for i, j in product(range(len(stack)), repeat=2):
+                rho_kernel, sigma_kernel = decider._kernels_of(i, j)
+                assert rho_kernel.tobytes() == lone(shape, stack[j]).tobytes()
+                assert sigma_kernel.tobytes() == lone(shape, stack[i]).tobytes()
+            assert len(calls) == sides * len(stack)
     shape = QuditShape(2, 2)
     good, bad = random_density(rng, shape).mat, np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(NotPSD) as refusal:
@@ -811,6 +814,69 @@ def test_monogamy_dual_certificate():
     report = feasibility_del_ins(state, state, p1, q3)
     assert report.status is FeasibilityStatus.FEASIBLE
     _check_witness(report, state, state, p1, q3)
+
+
+def _screen_instances():
+    """(sigma, rho, P, Q) of the candidate screen's tests: the Werner
+    monogamy pairs on a face of 8 (two certified, one feasible), rho/psi both
+    ways at every P and Q, and the 96-instance d=16 sweep of marginals of
+    random 4-qubit states (seeds 0-5, every rank)."""
+    p1, q3 = IndexSet((1,), 3), IndexSet((3,), 3)
+    for eps in (0.05, 0.3, 0.6):
+        yield _werner(eps), _werner(eps), p1, q3
+    rho, psi = example_rho(0.5, 0.5), example_psi(0.5, 0.5)
+    for (sigma, rho_), p, q in product(((psi, rho), (rho, psi)), range(1, 4), range(1, 4)):
+        yield sigma, rho_, IndexSet((p,), 3), IndexSet((q,), 3)
+    shape, pairs = QuditShape(2, 4), list(permutations(range(1, 5), 2))
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 16])
+        for rank in range(1, shape.dim + 1):
+            tau = random_density(rng, shape, rank)
+            p, q = pairs[(seed + rank) % len(pairs)]
+            pset, qset = IndexSet((p,), 4), IndexSet((q,), 4)
+            yield delete(tau, pset), delete(tau, qset), pset, qset
+
+
+def test_the_candidate_screen_skips_only_candidates_that_cannot_certify(monkeypatch):
+    # margin_bound bounds certify's margin of -z / ||z|| from above (here up
+    # to rounding), so a candidate it puts below -feas_tol has a negative
+    # margin and a bound no threshold accepts; the Werner candidates pass it
+    feas_tol, seen = Tolerance().feas_tol, []
+    real = feasibility.AffineConstraint.margin_bound
+
+    def recorded(affine, z, top):
+        bound = real(affine, z, top)
+        seen.append((affine, z.copy(), bound))
+        return bound
+
+    monkeypatch.setattr(feasibility.AffineConstraint, "margin_bound", recorded)
+    for instance in _screen_instances():
+        feasibility_del_ins(*instance)
+    skipped = 0
+    for affine, z, bound in seen:
+        margin, certified = affine.certify(affine.unpack(-z / np.linalg.norm(z)))
+        assert margin <= bound + 1e-12
+        if bound < -feas_tol:
+            skipped += 1
+            assert margin < 0 and certified <= feas_tol
+    assert 0 < skipped < len(seen)
+
+
+def test_the_candidate_screen_keeps_every_verdict(monkeypatch):
+    # with the screen off (no candidate skipped) every report is the same:
+    # status, reason and evaluations, and an infeasible one's margin
+    screened = [feasibility_del_ins(*instance) for instance in _screen_instances()]
+    monkeypatch.setattr(feasibility.AffineConstraint, "margin_bound", lambda affine, z, top: math.inf)
+    reasons = []
+    for instance, report in zip(_screen_instances(), screened, strict=True):
+        alone = feasibility_del_ins(*instance)
+        assert report.status is alone.status and report.status is not FeasibilityStatus.INCONCLUSIVE
+        assert report.iterations == alone.iterations
+        assert report.details.get("reason") == alone.details.get("reason")
+        if report.status is FeasibilityStatus.INFEASIBLE:
+            assert report.details["margin"] == pytest.approx(alone.details["margin"], abs=1e-12)
+            reasons.append(report.details["reason"])
+    assert reasons.count("dual certificate") == 2 and len(reasons) == 20
 
 
 def test_counterexample_certificates_recheck():

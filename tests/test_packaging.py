@@ -168,7 +168,14 @@ def test_every_frobenius_norm_goes_through_the_linalg_kernel():
 # the dual steps' A and A*: one compiled form each, the index maps of
 # feasibility._index_maps, which the tests hold to trace_out's bits; the
 # constraint's mismatch comes traced from the decider's marginals
-DUAL_STEPS = {"AffineConstraint.__init__", "AffineConstraint.apply", "AffineConstraint.adjoint", "_dual_solve"}
+DUAL_STEPS = {
+    "AffineConstraint.__init__",
+    "AffineConstraint.padded",
+    "AffineConstraint.apply",
+    "AffineConstraint.adjoint",
+    "AffineConstraint.margin_bound",
+    "_dual_solve",
+}
 
 
 def test_the_dual_steps_read_no_partial_trace():

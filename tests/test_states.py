@@ -168,6 +168,35 @@ def test_a_ket_off_the_unit_sphere_is_refused_by_every_pure_state_builder():
         assert refusals == [repr(residual)] * 4
 
 
+def _signalling_nan() -> float:
+    """A NaN whose quiet bit is clear: arithmetic on it raises numpy's
+    invalid-value warning, where a quiet NaN passes silently."""
+    return np.array([0x7FF0000000000001], dtype=np.int64).view(float)[0]
+
+
+def test_a_ket_with_a_signalling_nan_is_refused_without_a_warning():
+    # the norm is taken of the finite kets only: squaring a signalling NaN
+    # would warn ("invalid value encountered in square") before the refusal
+    shape = QuditShape(2, 2)
+    kets = np.eye(4, dtype=complex)
+    kets.view(float)[1, 2] = _signalling_nan()  # the real part of ket 1's entry 1
+    assert kets.view(np.int64)[1, 2] == 0x7FF0000000000001
+    with pytest.raises(NotNormalized, match="^ket 1 has non-finite entries$"):
+        _pure_stack(kets, shape)
+    with pytest.raises(NotNormalized, match="^ket has non-finite entries$"):
+        _pure_stack(kets[1:2], shape)
+
+
+def test_a_signalling_nan_in_a_payload_ket_is_a_parse_error():
+    # a falsifying example of test_malformed_payloads_are_parse_errors: its
+    # first amplitude's real part is the signalling NaN 0x7ff0000000000001
+    payload = {"level": 2, "length": 1, "kind": "pure", "encoding": "base64",
+               "ket": "AQAAAAAA8H+akbsuyWbuvznF2YioFck/Ya2zKTrrw78="}
+    assert np.frombuffer(base64.b64decode(payload["ket"]), np.int64)[0] == 0x7FF0000000000001
+    with pytest.raises(ParseError, match="^invalid pure state: ket has non-finite entries"):
+        state_from_json_obj(payload)
+
+
 def test_validate():
     shape1 = QuditShape(2, 1)
     ok = validate(np.eye(2) / 2, shape1)
