@@ -72,7 +72,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import _CHUNK, Tolerance, _least_eigenvalues, cross_distances, frobenius_distance, frobenius_norm
-from .linalg import hermitian_part
+from .linalg import _refuse_alone, hermitian_part
 from .rand import _complex_parts, _trace_normalized
 from .states import DensityMatrix, QuditShape, _count, _spectral_groups, spectral_decompose
 
@@ -96,11 +96,15 @@ __all__ = [
 
 
 def _positions(values) -> tuple[int, ...]:
-    """Python or numpy integer positions as ints; a float or a string is refused."""
+    """Python or numpy integer positions as ints; a bool, float or string is refused."""
     try:
-        return tuple(operator.index(p) for p in values)
+        values = tuple(values)
+        positions = tuple(operator.index(p) for p in values)
     except TypeError as exc:
         raise InvalidIndexSet(f"qudit positions must be integers: {exc}") from exc
+    if any(isinstance(p, bool) for p in values):  # which operator.index takes
+        raise InvalidIndexSet(f"qudit positions must be integers, not bools: {values}")
+    return positions
 
 
 @dataclass(frozen=True)
@@ -203,11 +207,12 @@ def delete(rho: DensityMatrix, positions) -> DensityMatrix:
     return DensityMatrix(QuditShape(rho.level, rho.length - pset.size), reduced)
 
 
-def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float, pairs: np.ndarray | None = None) -> np.ndarray:
+def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float, pairs: np.ndarray | bool) -> np.ndarray:
     """``cross_distances(a, b)`` of two ``(..., k, d, d)`` stacks with the same
     batch axes wherever it can be within eq_tol, ``inf`` elsewhere.  The
-    boolean mask ``pairs``, broadcast over the result, leaves out the pairs
-    it is False at: they read ``inf`` and are never gathered.
+    boolean mask ``pairs``, broadcast over the result (``True`` for every
+    pair), leaves out the pairs it is False at: they read ``inf`` and are
+    never gathered.
 
     The distance between the diagonals bounds the Frobenius distance from
     below (its squared sum is part of the full one), so full distances are
@@ -223,12 +228,10 @@ def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float, pairs: np.n
     ``cross_distances``.
     """
     if a.shape[-3] * b.shape[-3] * a.shape[-1] ** 2 <= _CHUNK:
-        dist = cross_distances(a, b)
-        return dist if pairs is None else np.where(pairs, dist, np.inf)
+        return np.where(pairs, cross_distances(a, b), np.inf)
     diagonals = (np.diagonal(x, axis1=-2, axis2=-1)[..., None, :] for x in (a, b))
     near = cross_distances(*diagonals) <= eq_tol * (1 + 1e-6)
-    if pairs is not None:
-        near &= pairs
+    near &= pairs
     out = np.full(near.shape, np.inf)
     *lead, rows, cols = np.nonzero(near)
     left, right = (*lead, rows), (*lead, cols)
@@ -512,19 +515,16 @@ def _sample_label(k: int, count: int) -> str:
     return "" if count == 1 else f"sample {k}: "
 
 
-def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: Tolerance, label=None) -> None:
+def _check_blocks(stack: np.ndarray, rank: int, block_shape: QuditShape, tol: Tolerance, label) -> None:
     """Raise ``BlockConstraintViolated`` unless ``stack`` is a valid stack of
     ``(rank, rank, l**t, l**t)`` block arrays, one per sample, within ``tol``
     at the t-qudit dimension: its shape, finite entries, adjoint pairs (each
     array is Hermitian as one matrix), unit trace on the diagonal and zero
     trace off it, and PSD diagonal blocks.  Each check runs over the whole
     stack and reports its worst violation, its message prefixed with
-    ``label(k)`` of the sample k it found; by default, "sample k: " with
-    more than one sample and nothing with one."""
+    ``label(k)`` of the sample k it found."""
     tol = tol.at(block_shape.dim)
     count = len(stack)
-    if label is None:
-        label = lambda k: _sample_label(k, count)
 
     def violated(k: int, message: str) -> BlockConstraintViolated:
         return BlockConstraintViolated(label(k) + message)
@@ -592,14 +592,14 @@ def insert_construct(
     qset = _insertion_set(Q, rho.length)
     stack = np.asarray(blocks, dtype=complex)[None]
     form = spectral_decompose(rho, tol)
-    _check_blocks(stack, form.rank, QuditShape(rho.level, qset.size), tol)
+    _check_blocks(stack, form.rank, QuditShape(rho.level, qset.size), tol, lambda k: "")  # one sample, no name
     one = np.zeros(1, dtype=int)
     part = (one, _weighted_kets(form.weights, form.kets)[None], stack)
-    sigma = _insert_stack(rho.shape, [qset], rho.mat[None], [1], [part], tol)[0]
+    sigma = _insert_stack(rho.shape, [qset], rho.mat[None], [1], [part], tol, lambda i: "")[0]
     return DensityMatrix(QuditShape(rho.level, qset.ambient), sigma)
 
 
-def _insert_stack(shape: QuditShape, qsets, sources, ends, parts, tol: Tolerance, label=None) -> np.ndarray:
+def _insert_stack(shape: QuditShape, qsets, sources, ends, parts, tol: Tolerance, label) -> np.ndarray:
     """Members of I_Q of their sources, one per row: row i inserts t qudits
     into ``sources[i]``, a state of ``shape``, at ``qsets[j]`` for
     ``ends[j - 1] <= i < ends[j]``.  ``parts`` yields, per rank r of the
@@ -613,13 +613,10 @@ def _insert_stack(shape: QuditShape, qsets, sources, ends, parts, tol: Tolerance
     ``_permute_axes``, one PSD test and one deletion round trip, so the
     largest temporaries are one position's.  A state's bits depend only on
     its own source, position and blocks.  An error's message starts with
-    ``label(i)`` of its row i; by default, "sample i: " with more than one
-    row.
+    ``label(i)`` of its row i.
     """
     n, l, count = shape.length, shape.level, len(sources)
     block_dim, big_shape = l ** qsets[0].size, QuditShape(l, qsets[0].ambient)
-    if label is None:
-        label = lambda i: _sample_label(i, count)
     mat = np.empty((count, shape.dim, block_dim, shape.dim, block_dim), dtype=complex)  # axes (row, i, a, j, b)
     for rows, v, blocks in parts:
         size, rank = v.shape[0], v.shape[-1]
@@ -808,14 +805,8 @@ def _sample_batch(requests, rng, tol: Tolerance, names=None) -> list[np.ndarray]
         try:
             groups = _spectral_groups(sources[shape], shape, tol)
         except QindelError:
-            # the error path only: the first source refused alone is named
-            # by its request, with the class and residual of its lone call
-            for r in rs.tolist():
-                try:
-                    _spectral_groups(mats[r], shape, tol)
-                except QindelError as exc:
-                    exc.args = (names[r] + str(exc),)
-                    raise
+            # the first source refused alone is named by its request
+            _refuse_alone(lambda r: _spectral_groups(mats[r], shape, tol), rs.tolist(), lambda r, m: names[r] + m)
             raise
         slots[rs] = np.arange(len(rs))
         for rows, weights, kets in groups:

@@ -88,8 +88,8 @@ def _index_maps(level: int, qset: IndexSet, pset: IndexSet) -> tuple[list, np.nd
     """A and A* of ``AffineConstraint`` as read-only index arrays, built once
     per (level, ambient, Q, P); ``MAX_DIM`` bounds how many there are.
 
-    A packed dual vector is vec(lam_Q) then vec(lam_P), here padded with one
-    zero.  The adjoint's map is ``(2, d, d)``: entry (i, j) of
+    A packed dual vector is vec(lam_Q) then vec(lam_P), then one zero pad
+    (``AffineConstraint.pack``).  The adjoint's map is ``(2, d, d)``: entry (i, j) of
     ``trace_out_adjoint(lam_S)`` is the packed entry it copies, or the pad
     where that function writes a zero.  A's map gives, for each entry of the
     packed A(tau), the ``l**|S|`` entries of vec(tau) that ``trace_out``
@@ -141,8 +141,9 @@ class AffineConstraint:
 
     A sends a lifted tau to (D_Q tau, D_P tau), and its adjoint inserts an
     identity at Q and at P and adds.  Dual points are packed complex vectors,
-    vec(lam_Q) then vec(lam_P) (``pack``, ``unpack``), and certificates pairs
-    (lam_Q, lam_P) shaped like b = (rho, sigma), under Re tr(x^dagger y).
+    vec(lam_Q), vec(lam_P) and one zero pad (``pack``, ``unpack``), and
+    certificates pairs (lam_Q, lam_P) shaped like b = (rho, sigma), under
+    Re tr(x^dagger y).
     ``apply`` and ``adjoint`` are the compiled index maps of
     ``_index_maps``, with the bits of ``trace_out`` and ``trace_out_adjoint``.
     Its ``mismatch``, D_{P\\Q} rho - D_{Q\\P} sigma (``_rests``), comes traced.
@@ -159,18 +160,16 @@ class AffineConstraint:
         self._size = rho.size + sigma.size
 
     def pack(self, lam) -> np.ndarray:
-        """The packed dual vector of the pair lam = (lam_Q, lam_P)."""
-        return np.concatenate([part.ravel() for part in lam])
+        """The packed dual vector of the pair lam = (lam_Q, lam_P), a fresh
+        complex vector ending in the one zero pad that ``adjoint`` gathers
+        from."""
+        return np.concatenate([*(part.ravel() for part in lam), [0j]])
 
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pair (lam_Q, lam_P), as views, of the packed vector z."""
+        """The pair (lam_Q, lam_P), as views, of the packed vector z, with
+        or without its pad."""
         rho, sigma = self.rhs
-        return z[: rho.size].reshape(rho.shape), z[rho.size :].reshape(sigma.shape)
-
-    def padded(self, z: np.ndarray) -> np.ndarray:
-        """A fresh copy of the packed z with the one zero pad that
-        ``adjoint`` gathers from, so that ``adjoint`` reads it in place."""
-        return np.append(z, 0j)
+        return z[: rho.size].reshape(rho.shape), z[rho.size : self._size].reshape(sigma.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A(x), packed: one gather from vec(x) per ``_index_maps`` block,
@@ -181,12 +180,8 @@ class AffineConstraint:
         return out
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
-        """A*(z) of a packed z: one gather from z and its zero pad, then the
-        two conditions' identity insertions added.  A z from ``padded``
-        carries its pad and is gathered from in place; any other is padded
-        first."""
-        if len(z) == self._size:
-            z = self.padded(z)
+        """A*(z) of a packed z, pad included: one gather from z, then the
+        two conditions' identity insertions added."""
         both = z[self._spread]
         return both[0] + both[1]
 
@@ -413,8 +408,8 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
     makes tau a witness; if theta is unbounded below, -y / ||y|| tends to a
     Farkas certificate.  Dual points are real vectors, the (Re, Im) parts of
     the packed (y_Q, y_P) that ``apply`` returns and ``adjoint`` takes, kept
-    in ``padded`` buffers that ``adjoint`` reads in place: a trial point is
-    written into one, and an accepted one swaps with it.  An evaluation is
+    in ``pack`` buffers, whose pad ``adjoint`` reads in place: a trial point
+    is written into one, and an accepted one swaps with it.  An evaluation is
     one ``eigh`` and a fixed handful of array calls: the positive part is the
     top of the ascending spectrum, as views, and theta reads w @ w.  A step
     makes three products with the memory: two for the direction, one for
@@ -426,7 +421,7 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
     (tau), "certificate" (lam and its ``certify`` result, whose bound clears
     feas_tol) or "stopped" (why).
     """
-    b = affine.pack(affine.rhs).view(float)
+    b = affine.pack(affine.rhs)[:-1].view(float)
     face_h = None if face is None else face.conj().T
 
     def evaluate(z, y):
@@ -451,7 +446,7 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
         checked = affine.certify(lam)
         return (lam, checked) if checked[1] > feas_tol else None
 
-    point = affine.padded(affine.pack(affine.least_squares_dual()))
+    point = affine.pack(affine.least_squares_dual())
     trial = np.zeros_like(point)
     y, y_trial, step = point[:-1].view(float), trial[:-1].view(float), np.empty(len(b))
     f, g, tau, top = evaluate(point, y)

@@ -8,12 +8,14 @@ the handful of operations here.  All functions are pure and accept anything
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidTolerance, NoConvergence, NonSquare, NotHermitian, ShapeMismatch, ValidationError
+from .errors import InvalidTolerance, NoConvergence, NonSquare, NotHermitian, QindelError, ShapeMismatch
+from .errors import ValidationError
 
 __all__ = [
     "Tolerance",
@@ -54,12 +56,18 @@ class Tolerance:
     feas_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("eq_tol", "psd_tol"):
+        # each field that is set is stored as a float; a bool, string, complex value or array is refused
+        for name, positive in (("eq_tol", False), ("psd_tol", False), ("feas_tol", True)):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise InvalidTolerance(f"{name} must be finite and nonnegative, got {value!r}")
-        if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
-            raise InvalidTolerance(f"feas_tol must be finite and positive, got {self.feas_tol!r}")
+            if value is None and not positive:
+                continue
+            if type(value) is not float:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise InvalidTolerance(f"{name} must be a real number, got {value!r}")
+                object.__setattr__(self, name, float(value))
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                sign = "positive" if positive else "nonnegative"
+                raise InvalidTolerance(f"{name} must be finite and {sign}, got {value!r}")
 
     def at(self, dim: int) -> "Tolerance":
         """This tolerance with every unset field given its value at ``dim``."""
@@ -325,17 +333,24 @@ def _least_eigenvalues(h: np.ndarray, psd_tol: float) -> np.ndarray:
         try:
             lowest.flat[rows] = eigensolve(np.linalg.eigvalsh, flat[rows])[:, 0]
         except NoConvergence:
-            # the error path only: the uncertified matrices solved alone, in
-            # order, so the refusal names the first of them that fails
-            for k in rows.tolist():
-                try:
-                    eigensolve(np.linalg.eigvalsh, flat[k])
-                except NoConvergence as exc:
-                    if h.ndim > 2:
-                        exc.args = (f"{exc} for {_matrix_name(h, k)}",)
-                    raise
+            name = (lambda k, m: m) if h.ndim == 2 else (lambda k, m: f"{m} for {_matrix_name(h, k)}")
+            _refuse_alone(lambda k: eigensolve(np.linalg.eigvalsh, flat[k]), rows.tolist(), name)
             raise
     return lowest
+
+
+def _refuse_alone(check, items, rename) -> None:
+    """The error path of a stacked check that refused: ``check(item)`` runs
+    on each item alone, in order, and the first refusal is raised with the
+    class and residual of that lone call and the message
+    ``rename(item, message)``.  Returns if no item is refused alone, and the
+    caller re-raises its stacked refusal."""
+    for item in items:
+        try:
+            check(item)
+        except QindelError as exc:
+            exc.args = (rename(item, str(exc)),)
+            raise
 
 
 def hermitian_eigensystem(a, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, np.ndarray]:

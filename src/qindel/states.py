@@ -57,6 +57,7 @@ from .linalg import (
     Tolerance,
     _least_eigenvalues,
     _psd_certified,
+    _refuse_alone,
     _require_finite,
     _require_hermitian,
     eigensolve,
@@ -86,12 +87,12 @@ __all__ = [
 SIZE_CAP = 256  # largest allowed l^n
 
 
-def _frozen_array(values, dtype=complex) -> np.ndarray:
-    """A read-only array of ``values``; one that is already read-only and of
-    ``dtype`` (such as a row of a sphere's stack) is kept, not copied."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+def _frozen_array(values) -> np.ndarray:
+    """A read-only complex array of ``values``; one that is already read-only
+    and complex (such as a row of a sphere's stack) is kept, not copied."""
+    if isinstance(values, np.ndarray) and values.dtype == complex and not values.flags.writeable:
         return values
-    arr = np.array(values, dtype=dtype)
+    arr = np.array(values, dtype=complex)
     arr.setflags(write=False)
     return arr
 
@@ -289,8 +290,8 @@ def validate_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> np.
     the spectrum gives.  Each check refuses the first matrix k at fault,
     with the class, message and residual of its lone ``validate``, the
     message prefixed "matrix k: " on a stack; the gate and the eigen-solve
-    find that matrix by checking their matrices alone, on the error path
-    only.
+    find that matrix by checking their matrices alone
+    (``linalg._refuse_alone``), on the error path only.
     """
     m, dim = np.asarray(mats, dtype=complex), shape.dim
     if m.ndim not in (2, 3) or m.shape[-2:] != (dim, dim):
@@ -298,34 +299,24 @@ def validate_stack(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> np.
     tol = tol.at(dim)
     flat = m.reshape(-1, dim, dim)
 
-    def name(k: int) -> str:
-        return "" if m.ndim == 2 else f"matrix {k}: "
-
-    def refuse_alone(check, ks) -> None:
-        # the error path only: the first matrix k of ks that check(k)
-        # refuses is refused, named
-        for k in ks:
-            try:
-                check(k)
-            except QindelError as exc:
-                exc.args = (name(k) + str(exc),)
-                raise
+    def named(k: int, message: str) -> str:
+        return message if m.ndim == 2 else f"matrix {k}: {message}"
 
     try:
         h = _require_hermitian(flat, tol)
     except QindelError:
-        refuse_alone(lambda k: _require_hermitian(flat[k], tol), range(len(flat)))
+        _refuse_alone(lambda k: _require_hermitian(flat[k], tol), range(len(flat)), named)
         raise
     try:
         lowest = _least_eigenvalues(h, tol.psd_tol)
     except QindelError:
         uncertified = np.flatnonzero(~_psd_certified(h, tol.psd_tol)).tolist()
-        refuse_alone(lambda k: eigensolve(np.linalg.eigvalsh, h[k]), uncertified)
+        _refuse_alone(lambda k: eigensolve(np.linalg.eigvalsh, h[k]), uncertified, named)
         raise
     tr_res = np.abs(flat.trace(axis1=1, axis2=2) - 1.0)
     if tr_res.max(initial=0.0) > tol.eq_tol:
         k = int(np.argmax(tr_res > tol.eq_tol))
-        raise TraceNotOne(f"{name(k)}trace differs from 1 by {tr_res[k]:.3e}", tr_res[k])
+        raise TraceNotOne(named(k, f"trace differs from 1 by {tr_res[k]:.3e}"), tr_res[k])
     _require_psd(lowest.reshape(*m.shape[:-2], 1), tol)  # one-value spectra, batched as mats is
     return _frozen_array(flat)
 
@@ -346,7 +337,7 @@ def spectral_decompose(rho: DensityMatrix, tol: Tolerance = Tolerance()) -> Spec
     return SpectralForm(rho.shape, weights[0], kets[0])
 
 
-def _spectral_groups(mats, shape: QuditShape, tol: Tolerance = Tolerance()) -> list[tuple]:
+def _spectral_groups(mats, shape: QuditShape, tol: Tolerance) -> list[tuple]:
     """The spectral forms of the states of ``shape`` in ``mats``, a
     ``(k, d, d)`` stack (or one ``(d, d)`` matrix, one state), by rank,
     ranks ascending: per rank r, ``(rows, weights, kets)``, the indices of

@@ -15,6 +15,7 @@ from qindel.channels import (
     _draw_groups,
     _insert_stack,
     _permute_axes,
+    _sample_label,
     _screened_distances,
     _traced_levels,
     _weighted_kets,
@@ -319,7 +320,7 @@ def test_screened_witness_matches_unscreened_argmin(rng):
 
     def check(a, b, tol):
         assert len(a) * len(b) * shape.dim**2 > qindel.channels._CHUNK  # screened
-        dist, full = _screened_distances(a, b, tol), cross_distances(a, b)
+        dist, full = _screened_distances(a, b, tol, True), cross_distances(a, b)
         kept = np.isfinite(dist)
         np.testing.assert_array_equal(dist[kept], full[kept])
         assert (full[~kept] > tol).all()
@@ -346,19 +347,19 @@ def test_screened_witness_matches_unscreened_argmin(rng):
     assert hits == 3
 
     # a batch axis: each entry gets the bits of its lone call.  An array
-    # passed twice with no mask is compared in full, every row meeting
+    # passed twice with the all-True mask is compared in full, every row meeting
     # itself; with the mask of the pairs i < j, the pairs masked out read
     # inf, though each planted pair meets both ways
     lefts, rights = (np.stack(side) for side in zip(*pairs))
     both = np.concatenate([lefts, rights], axis=1)
     later = np.triu(np.ones((9, 9), dtype=bool), 1)
-    batched = _screened_distances(lefts, rights, eq_tol)
-    unmasked, masked = _screened_distances(both, both, eq_tol), _screened_distances(both, both, eq_tol, later)
+    batched = _screened_distances(lefts, rights, eq_tol, True)
+    unmasked, masked = _screened_distances(both, both, eq_tol, True), _screened_distances(both, both, eq_tol, later)
     for k, (a, b) in enumerate(pairs):
-        assert batched[k].tobytes() == _screened_distances(a, b, eq_tol).tobytes()
+        assert batched[k].tobytes() == _screened_distances(a, b, eq_tol, True).tobytes()
         rows = both[k]
         assert masked[k].tobytes() == _screened_distances(rows, rows, eq_tol, later).tobytes()
-        assert unmasked[k].tobytes() == _screened_distances(rows, rows.copy(), eq_tol).tobytes()
+        assert unmasked[k].tobytes() == _screened_distances(rows, rows.copy(), eq_tol, True).tobytes()
     full = cross_distances(both, both)
     near = full <= eq_tol
     finite = np.isfinite(masked)
@@ -514,7 +515,7 @@ def test_a_row_with_an_infinite_entry_reads_nan_against_itself_without_a_warning
     # screened gather of the pairs whose diagonals meet (each row's own)
     mats = np.stack([random_density(rng, QuditShape(2, n)).mat for _ in range(2)])
     mats[:, 0, -1] = np.inf
-    dist = _screened_distances(mats, mats, 1e-9)
+    dist = _screened_distances(mats, mats, 1e-9, True)
     assert np.isnan(np.diagonal(dist)).all()
 
 
@@ -530,12 +531,10 @@ def test_screened_pairs_past_one_chunk_keep_the_bits_of_each_rows_call(rng, dim,
     b = _shared_diagonal_rows(rng, dim, sizes)
     family = np.repeat(np.arange(len(sizes)), sizes)
     later = np.arange(len(b))[:, None] < np.arange(len(b))
-    for left, right, pairs in ((b.copy(), b, None), (b, b, None), (b, b, later)):
+    for left, right, pairs in ((b.copy(), b, True), (b, b, True), (b, b, later)):
         dist = _screened_distances(left, right, 1e-9, pairs)
         kept = np.isfinite(dist)
-        want = family[:, None] == family[None, :]
-        if pairs is not None:
-            want &= pairs
+        want = (family[:, None] == family[None, :]) & pairs
         np.testing.assert_array_equal(kept, want)
         assert kept.sum() > 2 * qindel.channels._CHUNK // dim**2
         pairs = np.array([frobenius_distance(left[i], right[j]) for i, j in zip(*np.nonzero(kept))])
@@ -904,10 +903,11 @@ def test_block_stack_errors_name_the_sample(case):
     error = NotPSD if case == "not PSD" else BlockConstraintViolated
 
     def build(stack):
-        _check_blocks(stack, form.rank, QuditShape(2, 1), Tolerance())
+        label = lambda k: _sample_label(k, len(stack))  # the sampler's names
+        _check_blocks(stack, form.rank, QuditShape(2, 1), Tolerance(), label)
         rows = np.arange(len(stack))
         sources, vs = np.array([rho.mat] * len(stack)), np.array([v] * len(stack))
-        return _insert_stack(rho.shape, [qset], sources, [len(stack)], [(rows, vs, stack)], Tolerance())
+        return _insert_stack(rho.shape, [qset], sources, [len(stack)], [(rows, vs, stack)], Tolerance(), label)
 
     for k in (1, 2):
         with pytest.raises(error, match=rf"^sample {k}: .*{case}"):
@@ -929,7 +929,7 @@ def _build(shape, qsets, rows):
         v = np.array([_weighted_kets(forms[i].weights, forms[i].kets) for i in at])
         parts.append((at, v, np.array([rows[i][2] for i in at])))
     sources = np.array([rho.mat for _, rho, _ in rows])
-    return _insert_stack(shape, qsets, sources, ends, parts, Tolerance())
+    return _insert_stack(shape, qsets, sources, ends, parts, Tolerance(), lambda i: _sample_label(i, len(rows)))
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -1084,6 +1084,19 @@ def test_index_set_coercion(name):
     for bad in ([p + 0.7 for p in positions], [str(p) for p in positions]):
         with pytest.raises(InvalidIndexSet, match="integers"):
             call(bad)
+
+
+def test_a_bool_is_not_a_position():
+    # operator.index reads True as 1, so a bool would pass as qudit 1;
+    # like _count for counts, positions refuse it
+    rho = example_rho(0.5, 0.5)
+    calls = (lambda: IndexSet((True, 2), 2), lambda: delete(rho, [True]), lambda: delete(rho, [np.int64(1), False]))
+    for call in calls:
+        with pytest.raises(InvalidIndexSet, match="not bools"):
+            call()
+    with pytest.raises(NotAPermutation, match="not bools"):
+        index_permutation(rho, (True, 2))
+    assert delete(rho, [np.int64(1)]).distance(delete(rho, [1])) == 0
 
 
 def test_repeated_or_decreasing_positions_are_refused():

@@ -714,7 +714,7 @@ def test_compiled_maps_have_the_bits_of_trace_out_and_are_adjoint(rng):
         spread = trace_out_adjoint(lam[0], qset, level) + trace_out_adjoint(lam[1], pset, level)
         z = affine.pack(lam)
         assert affine.adjoint(z).tobytes() == spread.tobytes(), (level, qset, pset)
-        left = np.vdot(affine.apply(x), z).real
+        left = np.vdot(affine.apply(x), z[:-1]).real  # z without its pad
         assert abs(left - np.vdot(x, affine.adjoint(z)).real) <= 1e-12 * np.abs(x).max() * np.abs(z).max() * d * d
         covered.add((level, qset.size == pset.size, pset.size))
     assert {(2, False, 2), (2, True, 2), (3, False, 1), (3, True, 1)} <= covered

@@ -170,7 +170,7 @@ def test_every_frobenius_norm_goes_through_the_linalg_kernel():
 # constraint's mismatch comes traced from the decider's marginals
 DUAL_STEPS = {
     "AffineConstraint.__init__",
-    "AffineConstraint.padded",
+    "AffineConstraint.pack",
     "AffineConstraint.apply",
     "AffineConstraint.adjoint",
     "AffineConstraint.margin_bound",
@@ -305,6 +305,32 @@ def test_only_the_count_rule_raises_count_out_of_range():
             if getattr(exc, "id", None) == "CountOutOfRange" and (path.name, owner.get(id(node))) not in COUNT_RAISES:
                 raises.append(f"{path.name}:{node.lineno}")
     assert not raises, f"CountOutOfRange raised outside states._count: {raises}"
+
+
+RENAMES = {("linalg.py", "_refuse_alone")}
+
+
+def test_only_the_lone_recheck_renames_a_refusal():
+    # a stacked check that refuses re-checks its items alone through
+    # linalg._refuse_alone, the one place that sets an exception's args to
+    # name the refused item; a second copy of that loop would be a second
+    # naming rule
+    found = []
+    for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): func.name
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(leaf, ast.Attribute) and leaf.attr == "args" for t in targets for leaf in ast.walk(t)):
+                    found.append((path.name, owner.get(id(node)), node.lineno))
+    owners = {(name, func) for name, func, _ in found}
+    assert owners == RENAMES, f"exception args set outside linalg._refuse_alone: {found}"
 
 
 def test_cli_builds_and_prints_one_report():

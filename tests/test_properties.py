@@ -87,8 +87,32 @@ def test_negative_or_non_finite_eq_and_psd_tolerances_are_refused(name, value):
         Tolerance(**{name: value})
 
 
+NOT_REAL = st.one_of(
+    st.booleans(),
+    st.sampled_from([np.True_, "1e-9", 1e-9 + 0j, np.array([1e-9, 1e-9]), np.array(1e-9)]),
+)
+
+
 @DETERMINISTIC
-@given(st.one_of(NEGATIVE, st.just(0.0), NON_FINITE))
+@given(st.sampled_from(["eq_tol", "psd_tol", "feas_tol"]), NOT_REAL)
+def test_a_tolerance_that_is_not_a_real_number_is_refused(name, value):
+    # a bool is not a tolerance, though it compares as 0 or 1, and a string,
+    # a complex value or an array is refused by name, not as a TypeError
+    with pytest.raises(InvalidTolerance, match=f"^{name} must be a real number"):
+        Tolerance(**{name: value})
+
+
+@DETERMINISTIC
+@given(st.sampled_from(["eq_tol", "psd_tol", "feas_tol"]), st.floats(1e-12, 1.0))
+def test_a_set_tolerance_is_stored_as_a_float(name, value):
+    for given_value in (value, np.float32(value), np.float64(value), 1 if value > 0.5 else value):
+        stored = getattr(Tolerance(**{name: given_value}), name)
+        assert type(stored) is float and stored == float(given_value)
+    assert Tolerance(eq_tol=np.float64(value)).to_json_obj()["eq_tol"] == value
+
+
+@DETERMINISTIC
+@given(st.one_of(NEGATIVE, st.just(0.0), NON_FINITE, st.none()))
 def test_feas_tol_must_be_positive_and_finite(value):
     with pytest.raises(InvalidTolerance, match="feas_tol"):
         Tolerance(feas_tol=value)
@@ -919,3 +943,53 @@ def test_near_copy_codes_that_correct_a_deletion_correct_an_insertion():
 
     check()
     assert drawn["deletion-correcting"] >= 20 and drawn["duplicates"] < drawn["codes"], drawn
+
+
+def _factor_pool(level: int) -> list[np.ndarray]:
+    """One-qudit factors of the product codes: two basis states, a pure
+    superposition and a full-rank mixed state."""
+    rng = np.random.default_rng([level, 4])
+    ket = rng.standard_normal(level) + 1j * rng.standard_normal(level)
+    ket /= np.linalg.norm(ket)
+    basis = [np.diag(np.eye(level)[k]).astype(complex) for k in range(2)]
+    return [*basis, np.outer(ket, ket.conj()), random_density(rng, QuditShape(level, 1)).mat]
+
+
+_FACTORS = {level: _factor_pool(level) for level in (2, 3)}
+
+
+@st.composite
+def product_codes(draw):
+    """2-4 product states of one shape: qubits on 1-3 qudits or one qutrit,
+    so the lifted dimension at t = 1 is at most 16."""
+    level = draw(LEVELS)
+    n = draw(st.integers(1, 3)) if level == 2 else 1
+    pool = _FACTORS[level]
+    words = draw(st.lists(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n), min_size=2, max_size=4))
+    return QuditShape(level, n), [reduce(np.kron, [pool[k] for k in word]) for word in words]
+
+
+def test_product_codes_that_correct_a_deletion_correct_an_insertion():
+    """The insertion half of the paper's theorem on product codes over basis,
+    pure and mixed factors: ``corrects(code, 1)`` True implies
+    ``corrects_insertions(code, 1)`` True, never False or inconclusive.  A
+    draw with two equal states is refused as ``DuplicateStates`` and
+    counted."""
+    drawn = {"codes": 0, "deletion-correcting": 0, "duplicates": 0}
+
+    @settings(DETERMINISTIC, max_examples=1500)
+    @given(product_codes())
+    def check(case):
+        shape, mats = case
+        try:
+            code = CodeSample.from_states([DensityMatrix(shape, mat) for mat in mats])
+        except DuplicateStates:
+            drawn["duplicates"] += 1
+            return
+        drawn["codes"] += 1
+        if corrects(code, 1).ok:
+            drawn["deletion-correcting"] += 1
+            assert corrects_insertions(code, 1).ok is True, (shape, mats)
+
+    check()
+    assert drawn["deletion-correcting"] >= 50 and drawn["duplicates"] > 0, drawn

@@ -437,7 +437,7 @@ def test_rank_grouped_forms_are_the_lone_forms_bit_for_bit(rng, level, length):
     shape = QuditShape(level, length)
     mats = _spectral_stack(rng, shape)
     expected = [reference_spectral_form(mat, shape) for mat in mats]
-    groups = _spectral_groups(mats, shape)
+    groups = _spectral_groups(mats, shape, Tolerance())
     assert sorted(k for rows, _, _ in groups for k in rows.tolist()) == list(range(len(mats)))
     ranks = [kets.shape[-1] for _, _, kets in groups]
     assert ranks == sorted(set(ranks)) and len({len(w) for w, _ in expected}) == len(ranks)
@@ -447,7 +447,7 @@ def test_rank_grouped_forms_are_the_lone_forms_bit_for_bit(rng, level, length):
             assert (w_k.tobytes(), v_k.tobytes()) == (expected[k][0].tobytes(), expected[k][1].tobytes())
     for k, mat in enumerate(mats):
         # a lone matrix is one rank group of one row, and its form that row
-        [(rows, weights, kets)] = _spectral_groups(mat, shape)
+        [(rows, weights, kets)] = _spectral_groups(mat, shape, Tolerance())
         lone = spectral_decompose(DensityMatrix(shape, mat))
         assert rows.tolist() == [0]
         for w_k, v_k in ((weights[0], kets[0]), (lone.weights, lone.kets)):
