@@ -15,13 +15,14 @@ level of it.  Where spheres first meet is found by one kernel,
 ``first_meeting``, over one stack of rows, each owned by a state.  Every
 dedup and every comparison of rows is one call of ``_screened_distances``,
 on a lone stack or a batch of stacks, with a mask of the pairs it reads:
-only those pairs whose diagonals lie within eq_tol get a full distance,
-gathered across rows and batch entries for ``linalg.frobenius_norm``.  A
-dedup reads the pairs i < j; ``first_meeting`` walks the owners in blocks
-of whole owners, one screened call per block, and reads the pairs of rows
-of two owners; ``pairs_meet`` decides, with no witness, whether each
-listed pair of states of two ladder levels meets, one screened call per
-chunk of pairs, and reads the pairs of their kept rows.
+only the pairs that a rigorous Gram lower bound on their diagonals cannot
+rule out get a full distance, gathered across rows and batch entries for
+``linalg.frobenius_norm``.  A dedup reads the pairs i < j;
+``first_meeting`` walks the owners in blocks of whole owners, one screened
+call per block, and reads the pairs of rows of two owners; ``pairs_meet``
+decides, with no witness, whether each listed pair of states of two ladder
+levels meets, one screened call per chunk of pairs, and reads the pairs of
+their kept rows.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -53,9 +54,9 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, islice
-from math import comb
+from math import comb, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -151,6 +152,9 @@ def _insertion_set(Q, n: int) -> IndexSet:
     return _as_index_set(Q, n + len(tuple(Q)))
 
 
+_one_position = cache(lambda p, ambient: IndexSet((p,), ambient))  # the index sets a ladder traces, built once
+
+
 def trace_out(mat: np.ndarray, pset: IndexSet, level: int) -> np.ndarray:
     """Partial trace over the qudits at ``pset`` of a raw ``(..., d, d)`` array.
 
@@ -207,36 +211,71 @@ def delete(rho: DensityMatrix, positions) -> DensityMatrix:
     return DensityMatrix(QuditShape(rho.level, rho.length - pset.size), reduced)
 
 
+_UNIT = np.finfo(float).eps / 2  # the unit roundoff u of a double
+_SUBNORMAL = np.nextafter(0.0, 1.0)  # the spacing of the subnormal doubles
+# A comparison of at most _IN_FULL complex entries in all, every pair's
+# difference counted, is made in full: a screen's dozen numpy calls cost more.
+_IN_FULL = _CHUNK // 8
+
+
+def _gram_far(x: np.ndarray, y: np.ndarray, limit: float) -> np.ndarray:
+    """The ``(..., kx, ky)`` mask of the pairs of rows of two ``(..., k, m)``
+    complex stacks with the same batch axes whose squared distance, by the
+    Gram bound, exceeds ``limit``.
+
+    On the rows' float views, n = 2m reals a row, ||x - y||^2 = T - 2 x.y
+    with T = ||x||^2 + ||y||^2: the norms and one batched GEMM give every
+    pair.  A computed dot product of n terms misses by at most
+    gamma_n |x|.|y| <= gamma_n T / 2, gamma_n = n u / (1 - n u), in any
+    summation order (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 3.1), so for any BLAS, and the three
+    products miss by 2 gamma_n T.  The last three roundings miss by at most
+    5 u T: the norms' sum by u T, adding -2 x.y by u |T - 2 x.y| <= 2 u T
+    (||x - y||^2 <= 2 T), the final subtraction by 2 u T.  So the value less
+    (2 gamma_n + 8 u) T is a lower bound, with 3 u T left for the rounding
+    of the slack itself and second-order terms.  Underflowing products lose
+    at most n subnormal spacings, which the threshold adds.  A non-finite
+    bound rules nothing out.
+    """
+    x, y = (np.ascontiguousarray(v).view(float) for v in (x, y))
+    n = x.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.einsum("...i,...i->...", x, x)[..., :, None] + np.einsum("...i,...i->...", y, y)[..., None, :]
+        bound = np.matmul(x, y.swapaxes(-1, -2))
+        bound *= -2
+        bound += total
+        total *= 2 * n * _UNIT / (1 - n * _UNIT) + 8 * _UNIT
+        bound -= total
+        return (bound > limit + 4 * n * _SUBNORMAL) & (bound < np.inf)
+
+
 def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float, pairs: np.ndarray | bool) -> np.ndarray:
     """``cross_distances(a, b)`` of two ``(..., k, d, d)`` stacks with the same
     batch axes wherever it can be within eq_tol, ``inf`` elsewhere.  The
     boolean mask ``pairs``, broadcast over the result (``True`` for every
-    pair), leaves out the pairs it is False at: they read ``inf`` and are
-    never gathered.
+    pair), leaves out the pairs it is False at: they read ``inf``.
 
-    The distance between the diagonals bounds the Frobenius distance from
-    below (its squared sum is part of the full one), so full distances are
-    computed only for the pairs whose diagonals lie within eq_tol*(1 + 1e-6).
-    Rounding moves either sum by less than 1e-11 relative, so every pair set
-    to ``inf`` is farther than eq_tol.  Stacks whose every pair fits in one
-    chunk are compared in full, in one call, which no screen can undercut.
-    Otherwise the diagonals of every batch entry are compared in one call,
-    and the screened-in pairs of all entries and rows are gathered as
-    ``a[r] - b[c]`` differences, whose two operands hold at most ``_CHUNK``
-    complex entries a chunk, for the Frobenius kernel.  Each kept entry is
+    A comparison of at most ``_IN_FULL`` complex entries in all is made in
+    full, by one ``cross_distances`` call.  Any other rules a pair out only
+    where ``_gram_far`` shows its diagonals farther apart than
+    eq_tol*(1 + 1e-6): the diagonals' distance bounds the full one from
+    below, so the pair's computed distance too lies above eq_tol.  The
+    survivors of all entries and rows are gathered as ``a[r] - b[c]``
+    differences, whose two operands hold at most ``_CHUNK`` complex entries
+    a chunk, for the Frobenius kernel.  Each kept entry is
     ``frobenius_distance`` of its pair, bit for bit, as in
-    ``cross_distances``.
+    ``cross_distances``; a pair beyond eq_tol may read ``inf``.
     """
-    if a.shape[-3] * b.shape[-3] * a.shape[-1] ** 2 <= _CHUNK:
+    d = a.shape[-1]
+    if prod(a.shape[:-3]) * a.shape[-3] * b.shape[-3] * d * d <= _IN_FULL:
         return np.where(pairs, cross_distances(a, b), np.inf)
-    diagonals = (np.diagonal(x, axis1=-2, axis2=-1)[..., None, :] for x in (a, b))
-    near = cross_distances(*diagonals) <= eq_tol * (1 + 1e-6)
-    near &= pairs
+    limit = (eq_tol * (1 + 1e-6)) ** 2
+    near = pairs & ~_gram_far(*(np.diagonal(x, axis1=-2, axis2=-1) for x in (a, b)), limit)
     out = np.full(near.shape, np.inf)
     *lead, rows, cols = np.nonzero(near)
     left, right = (*lead, rows), (*lead, cols)
     dist = np.empty(len(rows))
-    step = max(1, _CHUNK // (2 * a.shape[-2] * a.shape[-1]))  # a chunk's two gathered operands hold _CHUNK entries
+    step = max(1, _CHUNK // (2 * d * d))  # a chunk's two gathered operands hold _CHUNK entries
     with np.errstate(over="ignore", invalid="ignore"):  # as in cross_distances
         for start in range(0, len(rows), step):
             picks = slice(start, start + step)
@@ -381,7 +420,8 @@ def _traced_levels(mats: np.ndarray, shape: QuditShape, start: int = 0) -> Itera
     Subset c = (c1 < ... < cs) is traced from the row of its parent c[1:] by
     tracing position c1, which c[1:] leaves unnumbered.  ``trace_out``
     traces the largest position first too, so each row is the one
-    ``trace_out(mat, IndexSet(c, n), l)`` gives, bit for bit.  Level
+    ``trace_out(mat, IndexSet(c, n), l)`` gives, bit for bit; each call
+    takes its one-position index set from ``_one_position``.  Level
     ``start`` is built directly: only its rows' parents, their parents and
     so on are traced, each once, one ``trace_out`` call per row, and no
     level below it is built whole (at start 0 the level is a view of the
@@ -399,7 +439,7 @@ def _traced_levels(mats: np.ndarray, shape: QuditShape, start: int = 0) -> Itera
         for c in combinations(range(1, n + 1), start):
             for k in range(len(c) - 1, -1, -1):  # the parents first, the largest subsets last
                 if c[k:] not in rows:
-                    rows[c[k:]] = trace_out(rows[c[k + 1 :]], IndexSet(c[k : k + 1], n - start + k + 1), l)
+                    rows[c[k:]] = trace_out(rows[c[k + 1 :]], _one_position(c[k], n - start + k + 1), l)
         raw = np.stack([rows[c] for c in combinations(range(1, n + 1), start)], axis=-3)
         del rows
     del mats  # a level-0 view alone keeps the stack alive, until level 1 is built
@@ -411,7 +451,7 @@ def _traced_levels(mats: np.ndarray, shape: QuditShape, start: int = 0) -> Itera
         for p in range(1, n - s + 2):
             count = comb(n - p, s - 1)
             # the parents are not named, so no view keeps the level before alive past this level
-            level[..., row : row + count, :, :] = trace_out(raw[..., -count:, :, :], IndexSet((p,), n - s + 1), l)
+            level[..., row : row + count, :, :] = trace_out(raw[..., -count:, :, :], _one_position(p, n - s + 1), l)
             row += count
         raw = level
         yield raw

@@ -27,7 +27,7 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from .channels import IndexSet, _as_index_set, _check_composed, _dedup_levels, _insertion_set
+from .channels import IndexSet, _as_index_set, _check_composed, _dedup_levels, _insertion_set, _one_position
 from .channels import _sample_batch, _traced_levels, pairs_meet, trace_out, trace_out_adjoint
 from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
@@ -668,7 +668,7 @@ def _containment_trials(shapes, mats, seed, s, t, tol: Tolerance) -> list[bool]:
     coins, spots, sizes = rng.random((3, len(mats), int((left_s + left_t).max(initial=0))))
     sources, rho_shapes = mats, shapes
     mats, shapes = list(mats), list(shapes)  # each trial's state
-    shape_of, index_set = cache(QuditShape), cache(lambda p, n: IndexSet((p,), n))  # shared by the trials
+    shape_of = cache(QuditShape)  # shared by the trials
     for step in range(1, coins.shape[1] + 1):
         moving = left_s + left_t > 0
         deletes = (left_s > 0) & ~((left_t > 0) & (_below(coins[:, step - 1], 2) == 1))
@@ -684,10 +684,10 @@ def _containment_trials(shapes, mats, seed, s, t, tol: Tolerance) -> list[bool]:
                 deleting.setdefault((shapes[i], position), []).append(i)
             else:
                 inserting.setdefault(shapes[i], []).append((len(requests), i))
-                requests.append((shapes[i], mats[i], index_set(position, length), count))
+                requests.append((shapes[i], mats[i], _one_position(position, length), count))
                 names.append(f"trial {i}, step {step}: ")
         for (shape, p), group in deleting.items():
-            reduced = trace_out(np.array([mats[i] for i in group]), index_set(p, shape.length), shape.level)
+            reduced = trace_out(np.array([mats[i] for i in group]), _one_position(p, shape.length), shape.level)
             reduced.setflags(write=False)  # every trial state is read-only, as the sources and samples are
             shape = shape_of(shape.level, shape.length - 1)
             for i, mat in zip(group, reduced):

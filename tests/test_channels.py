@@ -319,7 +319,7 @@ def test_screened_witness_matches_unscreened_argmin(rng):
         return SphereSet(shape, tol, stack, list(range(len(stack))), len(stack))
 
     def check(a, b, tol):
-        assert len(a) * len(b) * shape.dim**2 > qindel.channels._CHUNK  # screened
+        assert len(a) * len(b) * shape.dim**2 > qindel.channels._IN_FULL  # screened
         dist, full = _screened_distances(a, b, tol, True), cross_distances(a, b)
         kept = np.isfinite(dist)
         np.testing.assert_array_equal(dist[kept], full[kept])
@@ -370,12 +370,15 @@ def test_screened_witness_matches_unscreened_argmin(rng):
     np.testing.assert_array_equal(unmasked[finite], full[finite])
     assert (near & ~later).any() and not (near & ~finite).any()
     assert (unmasked[:, range(9), range(9)] == 0).all()
-    # stacks whose every pair fits in one chunk, compared in full: the mask
-    # still sets the pairs it leaves out to inf
-    rows = both[0, :3]
-    assert len(rows) ** 2 * shape.dim**2 <= qindel.channels._CHUNK
-    got = _screened_distances(rows, rows, eq_tol, later[:3, :3])
-    assert got.tobytes() == np.where(later[:3, :3], cross_distances(rows, rows), np.inf).tobytes()
+    # a comparison of at most _IN_FULL entries in all is made in full: the
+    # mask still sets the pairs it leaves out to inf
+    small = QuditShape(2, 4)
+    rows = np.stack([random_density(rng, small).mat for _ in range(5)])
+    rows[3] = rows[1]
+    assert len(rows) ** 2 * small.dim**2 <= qindel.channels._IN_FULL
+    got = _screened_distances(rows, rows, eq_tol, later[:5, :5])
+    assert got.tobytes() == np.where(later[:5, :5], cross_distances(rows, rows), np.inf).tobytes()
+    assert got[1, 3] == 0
 
     # at the edge of eq_tol: a diagonal-only difference whose computed
     # diagonal distance rounds above the full one still meets, by the margin
@@ -495,17 +498,18 @@ def test_first_meeting_in_blocks_matches_pairwise_oracle(rng, monkeypatch, budge
     assert (max(one_row_calls) > 1) == (budget is not None)
 
 
-def _shared_diagonal_rows(rng, dim, sizes):
-    """Hermitian rows in families of ``sizes`` rows, each family sharing one
-    diagonal, as the states of one grid angle do at every phase."""
-    rows = []
+def _near_copy_families(rng, dim, sizes, eq_tol):
+    """Hermitian rows in families of ``sizes`` rows, all with one diagonal,
+    as the states of one grid angle are at every phase; each row lies within
+    eq_tol / 4 of its family's base, so every pair of a family is within
+    eq_tol, and rows of two families lie far apart."""
+    rows, diagonal = [], rng.random(dim)
     for size in sizes:
-        diagonal = rng.random(dim)
+        base = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        base = base + base.conj().T
+        np.fill_diagonal(base, diagonal)
         for _ in range(size):
-            row = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            row = row + row.conj().T
-            np.fill_diagonal(row, diagonal)
-            rows.append(row)
+            rows.append(base + 0.25 * eq_tol * _hermitian_step(rng, dim, "off") * rng.random())
     return np.array(rows)
 
 
@@ -521,24 +525,25 @@ def test_a_row_with_an_infinite_entry_reads_nan_against_itself_without_a_warning
 
 @pytest.mark.parametrize("dim, sizes", [(16, (30, 20, 1)), (128, (1, 2, 3, 5, 4, 9))])
 def test_screened_pairs_past_one_chunk_keep_the_bits_of_each_rows_call(rng, dim, sizes):
-    """Every pair of a family passes the diagonal screen, far more pairs than
-    one chunk holds; each kept entry is ``frobenius_distance`` of its pair,
-    bit for bit, and so what its row's lone ``cross_distances`` call gives.
-    At d=128 a pair has more entries than one buffer of numpy's iterator
-    holds, rows keep 1 to 9 columns, and the cross case leaves one pair for
-    the last chunk of the rest.  One array passed twice is compared in full,
-    as against its copy; the mask of the pairs i < j leaves the rest out."""
-    b = _shared_diagonal_rows(rng, dim, sizes)
-    family = np.repeat(np.arange(len(sizes)), sizes)
+    """Every pair of a family lies within eq_tol, far more pairs than one
+    chunk holds: the screen keeps each of them, and each kept entry is
+    ``frobenius_distance`` of its pair, bit for bit, and so what its row's
+    lone ``cross_distances`` call gives.  At d=128 a pair has more entries
+    than one buffer of numpy's iterator holds, rows keep 1 to 9 columns, and
+    the cross case leaves one pair for the last chunk of the rest.  One
+    array passed twice is compared in full, as against its copy; the mask of
+    the pairs i < j leaves the rest out."""
+    b = _near_copy_families(rng, dim, sizes, 1e-9)
     later = np.arange(len(b))[:, None] < np.arange(len(b))
     for left, right, pairs in ((b.copy(), b, True), (b, b, True), (b, b, later)):
         dist = _screened_distances(left, right, 1e-9, pairs)
+        want = np.array([frobenius_distance(np.broadcast_to(row, right.shape), right) for row in left])
+        asked = np.broadcast_to(pairs, want.shape)
+        within = asked & (want <= 1e-9)
+        assert within.sum() > 2 * qindel.channels._CHUNK // dim**2
         kept = np.isfinite(dist)
-        want = (family[:, None] == family[None, :]) & pairs
-        np.testing.assert_array_equal(kept, want)
-        assert kept.sum() > 2 * qindel.channels._CHUNK // dim**2
-        pairs = np.array([frobenius_distance(left[i], right[j]) for i, j in zip(*np.nonzero(kept))])
-        assert dist[kept].tobytes() == pairs.tobytes()
+        assert not (within & ~kept).any() and not (kept & ~asked).any()
+        assert dist[kept].tobytes() == want[kept].tobytes()
 
 
 @pytest.mark.parametrize("level, lengths", [(2, range(1, 7)), (3, range(1, 4))])

@@ -161,11 +161,13 @@ def _recorded(monkeypatch, module, name):
 
 def test_a_grid_code_is_deduplicated_with_one_diagonal_screen(monkeypatch):
     # the 110 offered states of the 9x12 grid and its collision pair: one
-    # cross_distances call compares their diagonals, and the pairs it lets
-    # through are gathered, not compared row by row
-    calls = _recorded(monkeypatch, qindel.channels, "cross_distances")
+    # Gram bound rules out pairs by their diagonals, and the pairs it lets
+    # through are gathered, not compared in full
+    bounds = _recorded(monkeypatch, qindel.channels, "_gram_far")
+    full = _recorded(monkeypatch, qindel.channels, "cross_distances")
     assert len(builtin_code("hagiwara4", _grid(9, 12))) == 86
-    assert calls == [((110, 1, 16), (110, 1, 16))]
+    assert bounds == [((110, 16), (110, 16))]
+    assert full == []
 
 
 def test_a_grid_walk_makes_one_screened_call_per_level_and_block(monkeypatch):

@@ -200,13 +200,12 @@ def test_the_dual_steps_read_no_partial_trace():
 SCREEN = ("channels.py", "_screened_distances")
 
 
-def test_only_the_screen_reads_cross_distances():
-    # every dedup and every comparison of states goes through the one screened
-    # kernel, channels._screened_distances; the acceptance suite keeps its own
-    # independent residuals, and linalg defines the kernel
+def _reads_outside_the_screen(name: str, skip=()) -> list[str]:
+    """Where a library module outside ``skip`` reads ``name`` other than in
+    channels._screened_distances."""
     reads = []
     for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
-        if path.name in ("linalg.py", "acceptance.py"):
+        if path.name in skip:
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {
@@ -216,10 +215,26 @@ def test_only_the_screen_reads_cross_distances():
             for node in ast.walk(func)
         }
         for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name == "cross_distances" and (path.name, owner.get(id(node))) != SCREEN:
+            read = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if read == name and (path.name, owner.get(id(node))) != SCREEN:
                 reads.append(f"{path.name}:{node.lineno}")
+    return reads
+
+
+def test_only_the_screen_reads_cross_distances():
+    # every dedup and every comparison of states goes through the one screened
+    # kernel, channels._screened_distances; the acceptance suite keeps its own
+    # independent residuals, and linalg defines the kernel
+    reads = _reads_outside_the_screen("cross_distances", skip=("linalg.py", "acceptance.py"))
     assert not reads, f"cross_distances read outside channels._screened_distances: {reads}"
+
+
+def test_only_the_screen_reads_the_gram_bound():
+    # Gram products cancel below eq_tol, so they only rule pairs out: the
+    # screen is their one reader, and every distance a verdict reads is
+    # linalg.frobenius_norm's
+    reads = _reads_outside_the_screen("_gram_far")
+    assert not reads, f"channels._gram_far read outside channels._screened_distances: {reads}"
 
 
 NAMES_DISTANCE_MUST_NOT_READ = {"deletion_sphere", "SphereSet", "_screened_distances", "cross_distances"}

@@ -1,7 +1,8 @@
 """Property tests: input checks (tolerance values, state-file shapes and
 malformed payloads in both forms, non-finite and non-square matrices), the
 agreement of the nested and compact state-file forms, the metric axioms
-of the indel distance, ``metric_check``'s lockstep walk against each
+of the indel distance, the sphere-row screen's kept pairs and their
+bits, ``metric_check``'s lockstep walk against each
 pair's indel distance, the code minimum distance's stacked walk against
 each state's own spheres, a code's dedup of coinciding states, the insertion
 round trip and sampler prefixes, a batch of sampler requests against each
@@ -18,12 +19,14 @@ the working tree.
 """
 
 import base64
+import contextlib
 import math
 import tempfile
 import warnings
 from functools import reduce
 from itertools import combinations
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import orjson
@@ -34,8 +37,9 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from qindel.channels import IndexSet, _sample_batch, delete, insertion_member, sample_insertions  # noqa: E402
-from qindel.channels import trace_out_adjoint  # noqa: E402
+import qindel.channels  # noqa: E402
+from qindel.channels import IndexSet, _sample_batch, _screened_distances, delete, insertion_member  # noqa: E402
+from qindel.channels import sample_insertions, trace_out_adjoint  # noqa: E402
 from qindel.codes import example_psi, example_rho  # noqa: E402
 from qindel.distance import CodeSample, _pair_distances, corrects, corrects_insertions, indel_distance  # noqa: E402
 from qindel.distance import min_distance  # noqa: E402
@@ -48,6 +52,7 @@ from qindel.feasibility import (  # noqa: E402
 )
 from qindel.linalg import (  # noqa: E402
     Tolerance,
+    frobenius_distance,
     frobenius_norm,
     hermitian_eigensystem,
     hermitian_part,
@@ -233,6 +238,93 @@ def test_each_matrix_keeps_the_frobenius_bits_of_its_lone_call(batch, rows, cols
         norms = frobenius_norm(big)
     assert norms[k] == math.inf
     assert _norm_bits(np.delete(norms, k)) == _norm_bits(np.delete(lone, k))
+
+
+def _unit_hermitian_step(rng, dim: int, part: str) -> np.ndarray:
+    """A unit-norm Hermitian direction on the diagonal only, off it only (on
+    the diagonal for a 1x1 matrix, which has nothing off it), or both."""
+    step = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    step = step + step.conj().T
+    if part == "diagonal" or dim == 1:
+        step = np.diag(np.diag(step).real).astype(complex)
+    elif part == "off":
+        step[np.diag_indices(dim)] = 0
+    return step / np.linalg.norm(step)
+
+
+# how far a planted pair lies apart: an exact copy, a pair at eq_tol*(1 -+
+# 1e-9), and a near copy 1e-12 to 1e-8 apart
+_PLANT_AT = {
+    "copy": lambda rng, eq_tol: 0.0,
+    "edge below": lambda rng, eq_tol: eq_tol * (1 - 1e-9),
+    "edge above": lambda rng, eq_tol: eq_tol * (1 + 1e-9),
+    "near": lambda rng, eq_tol: 10.0 ** rng.uniform(-12, -8),
+}
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(
+    st.sampled_from([(), (1,), (3,), (2, 2)]),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.sampled_from([1, 2, 4, 8, 16]),
+    st.sampled_from(["cross", "cross, masked", "self", "self, i < j"]),
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from(sorted(_PLANT_AT)), st.sampled_from(["diagonal", "off", "both"])), max_size=4),
+    st.sampled_from(["default", "zero", "large"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example((), 0, 3, 4, "cross", False, [], "default", True, 0)
+@example((2, 2), 1, 0, 16, "self", True, [], "large", True, 0)
+@example((3,), 1, 1, 16, "cross", True, [("copy", "off")], "zero", True, 0)
+def test_the_screen_keeps_every_pair_within_eq_tol_with_its_bits(
+    batch, ka, kb, dim, compare, equal_diagonals, plants, tol_kind, forced, seed
+):
+    # the Gram bound rules out no pair within eq_tol, and every kept entry
+    # has the bits of frobenius_distance of its pair: planted copies, pairs
+    # at the edge of eq_tol and near copies, differing on the diagonal, off
+    # it or both, among random rows or rows with one diagonal, as a phase
+    # grid's are; a forced case screens even the smallest comparison and
+    # gathers a pair a chunk
+    rng = np.random.default_rng(seed)
+    eq_tol = {"default": Tolerance().at(dim).eq_tol, "zero": 0.0, "large": 0.5}[tol_kind]
+    diagonal = rng.random(dim)
+
+    def rows(count):
+        x = rng.normal(size=(*batch, count, dim, dim)) + 1j * rng.normal(size=(*batch, count, dim, dim))
+        x = (x + x.conj().swapaxes(-1, -2)) / (2 * dim)
+        if equal_diagonals:
+            x[..., range(dim), range(dim)] = diagonal
+        return x
+
+    a = rows(ka)
+    b = a if compare.startswith("self") else rows(kb)
+    kb = b.shape[-3]
+    for plant, part in plants:
+        if ka and kb:
+            i, j = int(rng.integers(ka)), int(rng.integers(kb))
+            if b is not a or i != j:
+                b[..., j, :, :] = a[..., i, :, :] + _PLANT_AT[plant](rng, eq_tol) * _unit_hermitian_step(rng, dim, part)
+    pairs = {
+        "cross": True,
+        "cross, masked": rng.random((*batch, ka, kb)) < 0.6,
+        "self": True,
+        "self, i < j": np.arange(ka)[:, None] < np.arange(kb),
+    }[compare]
+    small = patch.multiple(qindel.channels, _IN_FULL=0, _CHUNK=64) if forced else contextlib.nullcontext()
+    with small, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = _screened_distances(a, b, eq_tol, pairs)
+    want = frobenius_distance(*np.broadcast_arrays(a[..., :, None, :, :], b[..., None, :, :, :]))
+    asked = np.broadcast_to(pairs, want.shape)
+    assert dist.shape == want.shape
+    assert np.isinf(dist[~asked]).all()
+    within = asked & (want <= eq_tol)
+    assert dist[within].tobytes() == want[within].tobytes()
+    kept = np.isfinite(dist)
+    assert dist[kept].tobytes() == want[kept].tobytes()
+    assert np.isinf(dist[~kept]).all()
 
 
 # validate against the eigen-solve rule alone (conftest.reference_validate):
