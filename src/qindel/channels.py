@@ -14,15 +14,22 @@ is one loop, ``_distinct_mask``, and a code's stack is deduplicated as one
 level of it.  Where spheres first meet is found by one kernel,
 ``first_meeting``, over one stack of rows, each owned by a state.  Every
 dedup and every comparison of rows is one call of ``_screened_distances``,
-on a lone stack or a batch of stacks, with a mask of the pairs it reads:
-only the pairs that a rigorous Gram lower bound on their diagonals cannot
-rule out get a full distance, gathered across rows and batch entries for
-``linalg.frobenius_norm``.  A dedup reads the pairs i < j;
-``first_meeting`` walks the owners in blocks of whole owners, one screened
-call per block, and reads the pairs of rows of two owners; ``pairs_meet``
+on a lone stack or a batch of stacks, which returns the pairs the caller
+keeps, sparse, with their distances.  Its candidates come from one
+sort-and-sweep kernel, ``_near_pairs`` (the one-axis sweep of collision
+detection: Cohen, Lin, Manocha and Ponamgi, *I-COLLIDE*, 1995): each row
+is projected on one fixed unit vector, the projections are sorted within
+each batch entry, and a row's candidates are the rows whose projections lie
+within a window of eq_tol (1 + 1e-6), plus the projections' rounding,
+gamma_n (||x|| + ||y||) by Higham's inner-product bound, plus the
+underflow of subnormals.  The windows are expanded in chunks of about
+``_CHUNK`` pairs; only the candidates get a full distance, gathered across
+rows and batch entries for ``linalg.frobenius_norm``, and no k x k array is
+formed.  A dedup keeps the pairs i < j; ``first_meeting`` sweeps a whole
+level once and keeps the pairs of rows of two owners; ``pairs_meet``
 decides, with no witness, whether each listed pair of states of two ladder
-levels meets, one screened call per chunk of pairs, and reads the pairs of
-their kept rows.
+levels meets, one screened call per chunk of gathered pairs, and keeps the
+pairs of their kept rows.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -51,8 +58,8 @@ insertion round trip for all its samples.  Counts and seeds are checked by
 
 from __future__ import annotations
 
+import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, islice
@@ -72,7 +79,7 @@ from .errors import (
     RoundTripFailed,
     ShapeMismatch,
 )
-from .linalg import _CHUNK, Tolerance, _least_eigenvalues, cross_distances, frobenius_distance, frobenius_norm
+from .linalg import _CHUNK, Tolerance, _least_eigenvalues, frobenius_distance, frobenius_norm
 from .linalg import _refuse_alone, hermitian_part
 from .rand import _complex_parts, _trace_normalized
 from .states import DensityMatrix, QuditShape, _count, _spectral_groups, spectral_decompose
@@ -213,91 +220,122 @@ def delete(rho: DensityMatrix, positions) -> DensityMatrix:
 
 _UNIT = np.finfo(float).eps / 2  # the unit roundoff u of a double
 _SUBNORMAL = np.nextafter(0.0, 1.0)  # the spacing of the subnormal doubles
-# A comparison of at most _IN_FULL complex entries in all, every pair's
-# difference counted, is made in full: a screen's dozen numpy calls cost more.
-_IN_FULL = _CHUNK // 8
+_HUGE = np.finfo(float).max
 
 
-def _gram_far(x: np.ndarray, y: np.ndarray, limit: float) -> np.ndarray:
-    """The ``(..., kx, ky)`` mask of the pairs of rows of two ``(..., k, m)``
-    complex stacks with the same batch axes whose squared distance, by the
-    Gram bound, exceeds ``limit``.
+@cache
+def _axis(n: int) -> np.ndarray:
+    """The fixed unit vector, drawn from a fixed seed, that rows of n reals are projected on."""
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.sqrt(v @ v)
+    v.setflags(write=False)
+    return v
 
-    On the rows' float views, n = 2m reals a row, ||x - y||^2 = T - 2 x.y
-    with T = ||x||^2 + ||y||^2: the norms and one batched GEMM give every
-    pair.  A computed dot product of n terms misses by at most
-    gamma_n |x|.|y| <= gamma_n T / 2, gamma_n = n u / (1 - n u), in any
-    summation order (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., section 3.1), so for any BLAS, and the three
-    products miss by 2 gamma_n T.  The last three roundings miss by at most
-    5 u T: the norms' sum by u T, adding -2 x.y by u |T - 2 x.y| <= 2 u T
-    (||x - y||^2 <= 2 T), the final subtraction by 2 u T.  So the value less
-    (2 gamma_n + 8 u) T is a lower bound, with 3 u T left for the rounding
-    of the slack itself and second-order terms.  Underflowing products lose
-    at most n subnormal spacings, which the threshold adds.  A non-finite
-    bound rules nothing out.
+
+def _near_pairs(a: np.ndarray, b: np.ndarray, eq_tol: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The candidate pairs of rows of two contiguous ``(..., k, d, d)``
+    stacks with the same batch axes: every pair of rows of one batch entry
+    whose computed distance can be within eq_tol, in chunks ``(i, j)`` of
+    indices of rows of ``a`` and ``b``, each flattened over its batch and
+    rows, each chunk sorted.
+
+    Each row's n = 2 d^2 reals are projected on one fixed unit vector v
+    (``_axis``), and |<x, v> - <y, v>| <= ||x - y||_F (Cauchy-Schwarz), so
+    a pair is a candidate where the projections lie within a window of
+    eq_tol (1 + 1e-6) (which covers the rounding of the distance, of ||v||
+    and of the window's own sums), plus the projections' rounding, at most
+    gamma_n (||x|| + ||y||) with gamma_n = n u / (1 - n u) in any summation
+    order (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., section 3.1), taken at the root of both stacks' squared sums, with
+    8 u of it more for the rounding of the bounds, plus 4 sqrt(n) square
+    roots of the subnormal spacing, more than the projections (n spacings)
+    and the distance's squares (sqrt(n) root spacings a side) lose to
+    underflow.  The projections are sorted within each batch entry, and
+    ``np.searchsorted`` finds every row's window.  A row with a non-finite
+    entry gets a projection, the largest double, no window holds; where the
+    rows of finite entries leave the float range, every pair of them is a
+    candidate.  The windows are expanded in chunks of about ``_CHUNK``
+    pairs, by their counts, so a wide window (a large eq_tol) holds no more
+    memory.
     """
-    x, y = (np.ascontiguousarray(v).view(float) for v in (x, y))
-    n = x.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.einsum("...i,...i->...", x, x)[..., :, None] + np.einsum("...i,...i->...", y, y)[..., None, :]
-        bound = np.matmul(x, y.swapaxes(-1, -2))
-        bound *= -2
-        bound += total
-        total *= 2 * n * _UNIT / (1 - n * _UNIT) + 8 * _UNIT
-        bound -= total
-        return (bound > limit + 4 * n * _SUBNORMAL) & (bound < np.inf)
+    (ka, d, _), kb = a.shape[-3:], b.shape[-3]
+    n = 2 * d * d
+    x, y = a.reshape(-1, d * d).view(float), b.reshape(-1, d * d).view(float)
+    p = x @ _axis(n)
+    q = p if b is a else y @ _axis(n)
+    top = float(np.vdot(x, x)) + float(np.vdot(y, y))  # at least both largest squared norms
+    if not top < math.inf:  # a non-finite entry, or rows of finite entries past the float range
+        seen_x, seen_y = np.isfinite(x).all(axis=1), np.isfinite(y).all(axis=1)
+        top = float(np.vdot(x[seen_x], x[seen_x])) + float(np.vdot(y[seen_y], y[seen_y]))
+        if not top < math.inf:
+            p, q, top = np.zeros_like(p), np.zeros_like(q), 0.0
+        p, q = np.where(seen_x, p, -_HUGE), np.where(seen_y, q, _HUGE)
+    width = eq_tol * (1 + 1e-6) + (2 * n * _UNIT / (1 - n * _UNIT) + 8 * _UNIT) * math.sqrt(top) + 4 * math.sqrt(n * _SUBNORMAL)
+    # complex keys entry + i projection: numpy sorts and searches them by entry, then value
+    keys = np.arange(len(q)) // kb + 1j * q
+    order = np.argsort(keys, kind="stable")  # the rows of b, by entry and projection
+    keys, entries = keys[order], np.arange(len(p)) // ka
+    lo = np.searchsorted(keys, entries + 1j * (p - width), "left")
+    counts = np.searchsorted(keys, entries + 1j * (p + width), "right") - lo
+    ends = np.cumsum(counts)
+    shift = ends - counts - lo  # a window's first pair, less its first sorted row
+    start = 0
+    while start < len(p):
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - counts[start] + _CHUNK, "right")))
+        rows = np.repeat(np.arange(start, stop), counts[start:stop])
+        key = np.sort(rows * len(q) + order[np.arange(ends[start] - counts[start], ends[stop - 1]) - shift[rows]])
+        yield key // len(q), key % len(q)
+        start = stop
 
 
-def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float, pairs: np.ndarray | bool) -> np.ndarray:
-    """``cross_distances(a, b)`` of two ``(..., k, d, d)`` stacks with the same
-    batch axes wherever it can be within eq_tol, ``inf`` elsewhere.  The
-    boolean mask ``pairs``, broadcast over the result (``True`` for every
-    pair), leaves out the pairs it is False at: they read ``inf``.
+def _screened_distances(a: np.ndarray, b: np.ndarray, eq_tol: float, keep) -> tuple[tuple, np.ndarray]:
+    """The pairs of rows of two ``(..., k, d, d)`` stacks with the same
+    batch axes that can be within eq_tol, and their distances:
+    ``((i, j), dist)``, sparse, with i and j the rows of ``a`` and ``b``
+    flattened over their batch and rows, sorted.  ``keep(i, j)`` masks
+    the candidates the caller reads; the rest are left out.  Every pair
+    within eq_tol that ``keep`` keeps is there.
 
-    A comparison of at most ``_IN_FULL`` complex entries in all is made in
-    full, by one ``cross_distances`` call.  Any other rules a pair out only
-    where ``_gram_far`` shows its diagonals farther apart than
-    eq_tol*(1 + 1e-6): the diagonals' distance bounds the full one from
-    below, so the pair's computed distance too lies above eq_tol.  The
-    survivors of all entries and rows are gathered as ``a[r] - b[c]``
-    differences, whose two operands hold at most ``_CHUNK`` complex entries
-    a chunk, for the Frobenius kernel.  Each kept entry is
-    ``frobenius_distance`` of its pair, bit for bit, as in
-    ``cross_distances``; a pair beyond eq_tol may read ``inf``.
+    The candidates are ``_near_pairs``', in chunks; the kept ones are
+    gathered as ``a[i] - b[j]`` differences, whose two operands hold at
+    most ``_CHUNK`` complex entries a chunk, for the Frobenius kernel.  Each
+    distance is ``frobenius_distance`` of its pair, bit for bit; no k x k
+    array is formed.
     """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)  # one array passed twice stays one
     d = a.shape[-1]
-    if prod(a.shape[:-3]) * a.shape[-3] * b.shape[-3] * d * d <= _IN_FULL:
-        return np.where(pairs, cross_distances(a, b), np.inf)
-    limit = (eq_tol * (1 + 1e-6)) ** 2
-    near = pairs & ~_gram_far(*(np.diagonal(x, axis1=-2, axis2=-1) for x in (a, b)), limit)
-    out = np.full(near.shape, np.inf)
-    *lead, rows, cols = np.nonzero(near)
-    left, right = (*lead, rows), (*lead, cols)
-    dist = np.empty(len(rows))
+    x, y = a.reshape(-1, d, d), b.reshape(-1, d, d)
     step = max(1, _CHUNK // (2 * d * d))  # a chunk's two gathered operands hold _CHUNK entries
-    with np.errstate(over="ignore", invalid="ignore"):  # as in cross_distances
-        for start in range(0, len(rows), step):
-            picks = slice(start, start + step)
-            diff = a[tuple(x[picks] for x in left)]
-            np.subtract(diff, b[tuple(x[picks] for x in right)], out=diff)
-            dist[picks] = frobenius_norm(diff)
-    out[near] = dist
-    return out
+    found = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]  # rows, columns, distances
+    with np.errstate(over="ignore"):  # a difference past the float range reads inf, as in frobenius_distance
+        for i, j in _near_pairs(a, b, eq_tol):
+            mine = keep(i, j)
+            i, j = i[mine], j[mine]
+            dist = np.empty(len(i))
+            for start in range(0, len(i), step):
+                picks = slice(start, start + step)
+                diff = x[i[picks]]
+                np.subtract(diff, y[j[picks]], out=diff)
+                dist[picks] = frobenius_norm(diff)
+            for side, part in zip(found, (i, j, dist)):
+                side.append(part)
+    rows, cols, dist = (side[-1] if len(side) == 2 else np.concatenate(side) for side in found)  # one chunk: no copy
+    return (rows, cols), dist
 
 
-def _distinct_mask(near: np.ndarray) -> np.ndarray:
-    """The rows a greedy dedup keeps, as a ``(..., k)`` mask, from the
-    ``(..., k, k)`` mask of row pairs within eq_tol of each other: row c is
-    kept iff no kept row before it is within eq_tol.  Only the pairs (i, c)
-    with i < c are read."""
-    dropped = np.zeros(near.shape[:-1], dtype=bool)
-    # only a column with an earlier row within eq_tol, in some batch entry,
-    # can drop its row; the columns are visited in order
-    rows, cols = np.nonzero(near)[-2:]
-    for c in sorted(set(cols[rows < cols].tolist())):
-        dropped[..., c] = (near[..., :c, c] & ~dropped[..., :c]).any(axis=-1)
-    return ~dropped
+def _distinct_mask(shape: tuple, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The rows a greedy dedup keeps, as a ``shape`` = ``(..., k)`` mask,
+    from the pairs of rows within eq_tol of each other, as indices into
+    the flattened mask, each pair of one batch entry, the earlier row
+    first: row c is kept iff no kept row before it is within eq_tol.  The
+    pairs are visited by column, in order, every batch entry at once."""
+    dropped = np.zeros(prod(shape), dtype=bool)
+    order = np.argsort(cols % shape[-1], kind="stable")
+    rows, cols = rows[order], cols[order]
+    starts = np.flatnonzero(np.diff(cols % shape[-1], prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(cols)]):
+        dropped[cols[lo:hi][~dropped[rows[lo:hi]]]] = True
+    return ~dropped.reshape(shape)
 
 
 def first_meeting(rows: np.ndarray, owner: np.ndarray, eq_tol: float) -> tuple[int, int, float] | None:
@@ -309,38 +347,18 @@ def first_meeting(rows: np.ndarray, owner: np.ndarray, eq_tol: float) -> tuple[i
     pair of owners, in ``combinations`` order, with rows within eq_tol of
     each other.
 
-    The owners are walked in blocks of whole owners, up to the first block
-    with a hit: a block holds at least one owner, never the last, and as
-    many as keep its rows times the rows of the owners after its first owner
-    within ``_MEETING_BUDGET``.  Its rows are compared with those rows in one
-    screened call, masked to the pairs ``owner[r] < owner[c]``, so no owner's
-    own pairs are compared.  R owners of one row each (a grid code's level)
-    are one call while (R - 1)^2 is within the budget.
+    The rows are compared with themselves in one screened call, kept to the
+    pairs ``owner[r] < owner[c]``, so no owner's own pairs are compared.
+    The closest pair of two owners lies within eq_tol when any does, so it
+    is among the near pairs, which come in row-major order.
     """
-    starts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()]  # the row where each owner begins
-    ends = starts[1:] + [len(rows)]
-    g = 0
-    while g < len(starts) - 1:
-        top, base = starts[g], starts[g + 1]
-        end = max(g + 1, bisect_right(starts, top + _MEETING_BUDGET // (len(rows) - base)) - 1)
-        dist = _screened_distances(
-            rows[top : starts[end]], rows[base:], eq_tol, owner[top : starts[end], None] < owner[None, base:]
-        )
-        hits = dist <= eq_tol
-        if hits.any():
-            # row-major, the first hit lies in the first owner i with one; j
-            # is the least owner among the rows that i's rows hit
-            left, right = np.nonzero(hits)
-            i = bisect_right(starts, top + int(left[0])) - 1
-            j = bisect_right(starts, base + int(right[left < ends[i] - top].min())) - 1
-            block = dist[starts[i] - top : ends[i] - top, starts[j] - base : ends[j] - base]
-            a, b = divmod(int(block.argmin()), block.shape[1])
-            return starts[i] + a, starts[j] + b, float(block[a, b])
-        g = end
-    return None
-
-
-_MEETING_BUDGET = _CHUNK  # largest (block rows) x (rows compared) of a block of more than one owner
+    (r, c), dist = _screened_distances(rows, rows, eq_tol, lambda r, c: owner[r] < owner[c])
+    near = dist <= eq_tol
+    if not near.any():
+        return None
+    r, c, dist = r[near], c[near], dist[near]
+    k = np.lexsort((dist, owner[c], owner[r]))[0]  # a stable sort: row-major among equals
+    return int(r[k]), int(c[k]), float(dist[k])
 
 
 def pairs_meet(x: tuple, y: tuple, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -350,21 +368,22 @@ def pairs_meet(x: tuple, y: tuple, pairs: tuple[np.ndarray, np.ndarray]) -> np.n
 
     ``x`` and ``y`` are levels ``(eq_tol, raw, kept)`` of two
     ``_dedup_levels`` ladders, each of a stack of states, with rows of one
-    dimension; eq_tol is x's.  The pairs are taken in chunks of as many as
-    keep a chunk's two gathered operands within ``_CHUNK`` complex entries
-    (at least one pair).  Each chunk's levels are gathered and compared in
-    one ``_screened_distances`` call, masked to the pairs of kept rows, so
-    each verdict is the one ``first_meeting`` reads from the two states'
-    kept rows.
+    dimension; eq_tol is x's.  The pairs' levels are gathered in chunks of
+    as many pairs as keep a chunk's two gathered operands within ``_CHUNK``
+    complex entries (at least one pair), each chunk a batch of one
+    ``_screened_distances`` call, kept to the pairs of kept rows, so each
+    verdict is the one ``first_meeting`` reads from the two states' kept
+    rows.
     """
     (eq_tol, a, a_kept), (_, b, b_kept) = x, y
     left, right = pairs
-    meets = np.empty(len(left), dtype=bool)
+    meets = np.zeros(len(left), dtype=bool)
     step = max(1, _CHUNK // ((a.shape[-3] + b.shape[-3]) * a.shape[-2] * a.shape[-1]))
     for start in range(0, len(left), step):
         i, j = left[start : start + step], right[start : start + step]
-        kept = a_kept[i][:, :, None] & b_kept[j][:, None, :]
-        meets[start : start + step] = (_screened_distances(a[i], b[j], eq_tol, kept) <= eq_tol).any(axis=(1, 2))
+        kept_a, kept_b = a_kept[i].ravel(), b_kept[j].ravel()
+        (r, _), dist = _screened_distances(a[i], b[j], eq_tol, lambda r, c: kept_a[r] & kept_b[c])
+        meets[start + r[dist <= eq_tol] // a.shape[-3]] = True
     return meets
 
 
@@ -462,7 +481,7 @@ def _dedup_levels(levels: Iterator[np.ndarray], tol: Tolerance) -> Iterator[tupl
     any level on), ``(eq_tol, raw, kept)``: eq_tol at the level's row
     dimension, the raw ``(..., C(n, s), d_s, d_s)`` level, and the
     ``(..., C(n, s))`` mask of the rows each state's greedy dedup keeps,
-    from one screened comparison of the level with itself, masked to the
+    from one screened comparison of the level with itself, kept to the
     pairs i < j the greedy rule reads.  A one-row level keeps its row
     without a distance.
 
@@ -475,8 +494,9 @@ def _dedup_levels(levels: Iterator[np.ndarray], tol: Tolerance) -> Iterator[tupl
         if raw.shape[-3] == 1:
             yield eq_tol, raw, np.ones(raw.shape[:-2], dtype=bool)
         else:
-            order = np.arange(raw.shape[-3])
-            yield eq_tol, raw, _distinct_mask(_screened_distances(raw, raw, eq_tol, order[:, None] < order) <= eq_tol)
+            (r, c), dist = _screened_distances(raw, raw, eq_tol, operator.lt)
+            near = dist <= eq_tol
+            yield eq_tol, raw, _distinct_mask(raw.shape[:-2], r[near], c[near])
 
 
 def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance = Tolerance()) -> SphereSet:

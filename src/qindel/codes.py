@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .channels import delete
-from .distance import CodeSample
+from .distance import CODE_CAP, CodeSample
 from .errors import CountOutOfRange, DegenerateParam, NotNormalized, ParseError
 from .errors import WeightOutOfRange
 from .linalg import Tolerance
@@ -250,11 +250,14 @@ def _collision_params(alpha: complex, beta: complex) -> list[tuple[complex, comp
 def code_params(n_theta: int = 5, n_phi: int = 8) -> list[tuple[complex, complex]]:
     """(alpha, beta) = (cos theta, e^(i phi) sin theta) over a grid: ``n_theta``
     (at least 2) angles theta evenly spaced over [0, pi/2], each with
-    ``n_phi`` (at least 1) phases phi evenly spaced over [0, 2 pi)."""
+    ``n_phi`` (at least 1) phases phi evenly spaced over [0, 2 pi), at most
+    ``distance.CODE_CAP`` pairs in all (``CountOutOfRange``, before any is
+    built)."""
     # the type alone: the range below has the grid's own message
     n_theta, n_phi = _count(n_theta, "n_theta", least=-math.inf), _count(n_phi, "n_phi", least=-math.inf)
     if n_theta < 2 or n_phi < 1:
         raise CountOutOfRange(f"a grid needs n_theta >= 2 and n_phi >= 1, got {n_theta},{n_phi}")
+    _count(n_theta * n_phi, "grid states n_theta*n_phi", least=1, most=CODE_CAP)  # before any pair is built
     thetas = [k * (math.pi / 2) / (n_theta - 1) for k in range(n_theta)]
     phis = [k * 2 * math.pi / n_phi for k in range(n_phi)]
     return [

@@ -91,6 +91,9 @@ class DistanceResult:
         }
 
 
+CODE_CAP = 1 << 14  # most states a code may offer (verify at the cap: under 1 s and 250 MB on a 2-CPU host)
+
+
 @dataclass(frozen=True, eq=False)
 class CodeSample:
     """Finite list of states of one shape, distinct within ``tol``: the
@@ -124,15 +127,22 @@ class CodeSample:
 
     @classmethod
     def from_states(cls, states, labels=None, tol: Tolerance = Tolerance()) -> "CodeSample":
-        """The code of ``states``, at least one, of one level and length,
-        stacked once, which must be distinct: ``DuplicateStates`` names the
-        first repeat, the first state within eq_tol of an earlier one, and
-        the first such earlier state.  Every state before the first repeat
-        is kept, and ``frobenius_distance`` reads the dedup's distances, so
-        that pair is the one the dedup joined."""
+        """The code of ``states``, at least one and at most ``CODE_CAP``
+        (``CountOutOfRange``), of one level and length, stacked once, which
+        must be distinct: ``DuplicateStates`` names the first repeat, the
+        first state within eq_tol of an earlier one, and the first such
+        earlier state.
+
+        The first repeat is the first row the dedup drops: every row before
+        it is kept, so it is the first row where the kept rows part from the
+        offered ones (a later row of its very values would be dropped too).
+        Its partner comes from one stacked ``frobenius_distance`` of the rows
+        before it against it, which reads the dedup's distances, so that
+        pair is the one the dedup joined."""
         states = tuple(states)
         if not states:
             raise TooFewStates("a code needs at least 1 state, got 0")
+        _count(len(states), "states in a code", least=1, most=CODE_CAP)
         levels = {s.level for s in states}
         if len(levels) > 1:
             raise LevelMismatch(f"states span several levels: {sorted(levels)}")
@@ -140,15 +150,12 @@ class CodeSample:
         if len(lengths) > 1:
             raise ShapeMismatch(f"states span several lengths: {sorted(lengths)}")
         labels = tuple(labels) if labels is not None else tuple(f"state{k}" for k in range(len(states)))
-        code = cls(states[0].shape, np.stack([s.mat for s in states]), labels, tol)
+        stack = np.stack([s.mat for s in states])
+        code = cls(states[0].shape, stack, labels, tol)
         if len(code) < len(states):
             eq_tol = tol.at(states[0].dim).eq_tol
-            j, k = next(
-                (j, k)
-                for j in range(len(states))
-                for k in range(j)
-                if frobenius_distance(states[k].mat, states[j].mat) <= eq_tol
-            )
+            j = int(np.argmin(np.append((code.stack == stack[: len(code)]).all(axis=(1, 2)), False)))
+            k = int(np.argmax(frobenius_distance(stack[:j], np.broadcast_to(stack[j], stack[:j].shape)) <= eq_tol))
             raise DuplicateStates(f"states {labels[k]!r} and {labels[j]!r} coincide within eq_tol {eq_tol:.3e}")
         return code
 

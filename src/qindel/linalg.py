@@ -95,10 +95,10 @@ def _as_complex(a) -> np.ndarray:
 def frobenius_norm(a) -> np.ndarray:
     """Frobenius norm of a matrix, or of each matrix of a ``(..., m, n)`` stack:
     the package's one Frobenius reduction, behind every distance and residual
-    a verdict reads.  It sums the squared entries (Gram products would cancel
-    below eq_tol: only ``channels._screened_distances`` reads them, through
-    its Gram bound, and only to rule pairs out) and reads ``inf``, without a
-    warning, past the float range.
+    a verdict reads.  It sums the squared entries (a distance read off Gram
+    products would cancel below eq_tol; the projections of
+    ``channels._near_pairs`` only rule pairs out) and reads ``inf``, without
+    a warning, past the float range.
 
     The squares are a fresh aligned array with contiguous rows, and
     ``np.add.reduce`` sums each matrix's row of them whole, by numpy's

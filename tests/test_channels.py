@@ -210,7 +210,7 @@ def repeated_product(rng, level, n):
 def test_sphere_set_matches_greedy_oracle(rng):
     # deletion spheres of random states, including the coinciding deletions
     # of states that are products with a repeated factor; the 7-qubit levels
-    # are large enough for the diagonal screen to run
+    # hold more than one chunk
     product = repeated_product(rng, 2, 3)
     rhos = make_states(rng, 2, 4, 3) + make_states(rng, 3, 2, 2) + [product]
     rhos += make_states(rng, 2, 7, 1) + [repeated_product(rng, 2, 7)]
@@ -244,7 +244,7 @@ def test_sphere_set_matches_greedy_oracle(rng):
     assert 1 < len(members) < len(candidates)
 
     # candidates at d = 64 that share the base's diagonal and differ off it by
-    # 0.5x and 2x eq_tol: the screen passes every pair, the full distance decides
+    # 0.5x and 2x eq_tol, all within the sweep's window: the full distance decides
     shape = QuditShape(2, 6)
     eq_tol = Tolerance().at(shape.dim).eq_tol
     base = random_density(rng, shape).mat
@@ -265,7 +265,7 @@ def test_a_candidate_near_only_a_dropped_one_is_kept(rng, length):
     # along one direction, at 0, 0.8, 10, 1.7 and 5 eq_tol: the fourth lies
     # within eq_tol only of the dropped second, so it is kept, and every
     # candidate joins a member, never a dropped candidate; at d = 64 the
-    # diagonals agree, so the screen passes every pair
+    # rows hold more than one chunk
     shape = QuditShape(2, length)
     eq_tol = Tolerance().at(shape.dim).eq_tol
     base = random_density(rng, shape).mat
@@ -279,6 +279,18 @@ def test_a_candidate_near_only_a_dropped_one_is_kept(rng, length):
     assert code.stack.tobytes() == stack[[0, 2, 3, 4]].tobytes()
     with pytest.raises(DuplicateStates, match="states 'x0' and 'x1' coincide"):
         CodeSample.from_states([DensityMatrix(shape, mat) for mat in stack], labels)
+
+
+def _screened(a, b, eq_tol, pairs=True):
+    """``_screened_distances`` read as a dense ``(..., ka, kb)`` array, the
+    mask ``pairs`` (broadcast over it) as its keep: each kept pair's
+    distance, ``inf`` at every pair it leaves out."""
+    shape = (*a.shape[:-3], a.shape[-3], b.shape[-3])
+    mask = np.broadcast_to(pairs, shape).reshape(math.prod(shape[:-2]), *shape[-2:])
+    (i, j), dist = _screened_distances(a, b, eq_tol, lambda i, j: mask[i // shape[-2], i % shape[-2], j % shape[-1]])
+    out = np.full(mask.shape, np.inf)
+    out[i // shape[-2], i % shape[-2], j % shape[-1]] = dist
+    return out.reshape(shape)
 
 
 def _unscreened_witness(a, b, eq_tol):
@@ -319,8 +331,7 @@ def test_screened_witness_matches_unscreened_argmin(rng):
         return SphereSet(shape, tol, stack, list(range(len(stack))), len(stack))
 
     def check(a, b, tol):
-        assert len(a) * len(b) * shape.dim**2 > qindel.channels._IN_FULL  # screened
-        dist, full = _screened_distances(a, b, tol, True), cross_distances(a, b)
+        dist, full = _screened(a, b, tol), cross_distances(a, b)
         kept = np.isfinite(dist)
         np.testing.assert_array_equal(dist[kept], full[kept])
         assert (full[~kept] > tol).all()
@@ -347,19 +358,19 @@ def test_screened_witness_matches_unscreened_argmin(rng):
     assert hits == 3
 
     # a batch axis: each entry gets the bits of its lone call.  An array
-    # passed twice with the all-True mask is compared in full, every row meeting
+    # passed twice with the all-True mask is swept once, every row meeting
     # itself; with the mask of the pairs i < j, the pairs masked out read
     # inf, though each planted pair meets both ways
     lefts, rights = (np.stack(side) for side in zip(*pairs))
     both = np.concatenate([lefts, rights], axis=1)
     later = np.triu(np.ones((9, 9), dtype=bool), 1)
-    batched = _screened_distances(lefts, rights, eq_tol, True)
-    unmasked, masked = _screened_distances(both, both, eq_tol, True), _screened_distances(both, both, eq_tol, later)
+    batched = _screened(lefts, rights, eq_tol)
+    unmasked, masked = _screened(both, both, eq_tol), _screened(both, both, eq_tol, later)
     for k, (a, b) in enumerate(pairs):
-        assert batched[k].tobytes() == _screened_distances(a, b, eq_tol, True).tobytes()
+        assert batched[k].tobytes() == _screened(a, b, eq_tol).tobytes()
         rows = both[k]
-        assert masked[k].tobytes() == _screened_distances(rows, rows, eq_tol, later).tobytes()
-        assert unmasked[k].tobytes() == _screened_distances(rows, rows.copy(), eq_tol, True).tobytes()
+        assert masked[k].tobytes() == _screened(rows, rows, eq_tol, later).tobytes()
+        assert unmasked[k].tobytes() == _screened(rows, rows.copy(), eq_tol).tobytes()
     full = cross_distances(both, both)
     near = full <= eq_tol
     finite = np.isfinite(masked)
@@ -370,15 +381,15 @@ def test_screened_witness_matches_unscreened_argmin(rng):
     np.testing.assert_array_equal(unmasked[finite], full[finite])
     assert (near & ~later).any() and not (near & ~finite).any()
     assert (unmasked[:, range(9), range(9)] == 0).all()
-    # a comparison of at most _IN_FULL entries in all is made in full: the
-    # mask still sets the pairs it leaves out to inf
+    # a small comparison is swept too: the pairs the mask leaves out read
+    # inf, the copy 0, and every kept pair its full distance's bits
     small = QuditShape(2, 4)
     rows = np.stack([random_density(rng, small).mat for _ in range(5)])
     rows[3] = rows[1]
-    assert len(rows) ** 2 * small.dim**2 <= qindel.channels._IN_FULL
-    got = _screened_distances(rows, rows, eq_tol, later[:5, :5])
-    assert got.tobytes() == np.where(later[:5, :5], cross_distances(rows, rows), np.inf).tobytes()
-    assert got[1, 3] == 0
+    got, full = _screened(rows, rows, eq_tol, later[:5, :5]), cross_distances(rows, rows)
+    finite = np.isfinite(got)
+    assert got[1, 3] == 0 and not (finite & ~later[:5, :5]).any()
+    assert got[finite].tobytes() == full[finite].tobytes() and (full[later[:5, :5] & ~finite] > eq_tol).all()
 
     # at the edge of eq_tol: a diagonal-only difference whose computed
     # diagonal distance rounds above the full one still meets, by the margin
@@ -414,8 +425,7 @@ def _meeting_oracle(stacks, eq_tol):
 @pytest.mark.parametrize("n", [2, 6])
 def test_first_meeting_matches_pairwise_oracle(rng, n):
     """Planted cross pairs at 0.5x eq_tol meet and at 2x do not; at n=6 the
-    larger calls exceed one chunk, so the screen runs as well as the direct
-    comparison."""
+    rows of the larger calls hold more than one chunk."""
     shape = QuditShape(2, n)
     eq_tol = Tolerance().at(shape.dim).eq_tol
     plants = [(), (2.0,), (0.5,), (2.0, 0.5), (0.5, 0.5), (2.0, 2.0, 0.5)]
@@ -461,17 +471,26 @@ def _counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("budget", [1, 10, None], ids=["one-stack-blocks", "small-blocks", "one-block"])
 def test_first_meeting_in_blocks_matches_pairwise_oracle(rng, monkeypatch, budget):
-    """Blocks of whole owners, of one row or several each, one screened call
-    each and at most one per owner but the last, give the pairwise oracle's
-    answer: the first meeting pair, then the first of its closest cross
-    pairs, exact copies at distance 0 included; copies within one owner
-    never meet.  Owner ids need only be nondecreasing."""
+    """One screened call sweeps all the rows, its windows expanded in blocks
+    of ``_CHUNK`` pairs (patched to 1, a block per row's window and a
+    gather per pair; to 10, small blocks; unpatched, one block), and gives
+    the pairwise oracle's answer: the first meeting pair, then the first of
+    its closest cross pairs, exact copies at distance 0 included; copies
+    within one owner never meet.  Owner ids need only be nondecreasing."""
     if budget is not None:
-        monkeypatch.setattr(qindel.channels, "_MEETING_BUDGET", budget)
+        monkeypatch.setattr(qindel.channels, "_CHUNK", budget)
     calls = _counting(monkeypatch, qindel.channels, "_screened_distances")
+    blocks, sweep = [], qindel.channels._near_pairs
+
+    def counted(*args):
+        for block in sweep(*args):
+            blocks.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(qindel.channels, "_near_pairs", counted)
     shape = QuditShape(2, 2)
     eq_tol = Tolerance().at(shape.dim).eq_tol
-    found, one_row_calls = 0, []
+    found, most_blocks = 0, 0
     for trial in range(120):
         count = int(rng.integers(3, 9))
         most = 1 if trial % 2 else 4  # every other code has one row per stack, as a grid's levels do
@@ -488,14 +507,14 @@ def test_first_meeting_in_blocks_matches_pairwise_oracle(rng, monkeypatch, budge
             b = int(rng.integers(len(stacks[j])))
             stacks[j][b] = stacks[i][0] + 0.5 * eq_tol * _hermitian_step(rng, shape.dim, "both")
         calls.clear()
+        blocks.clear()
         _, want = _meeting_oracle(stacks, eq_tol)
         assert first_meeting(*_owned(stacks, np.cumsum(rng.integers(1, 3, count))), eq_tol) == want
-        assert len(calls) <= count - 1
+        assert len(calls) == 1
         found += want is not None
-        if most == 1:
-            one_row_calls.append(len(calls))
+        most_blocks = max(most_blocks, len(blocks))
     assert 20 < found < 120
-    assert (max(one_row_calls) > 1) == (budget is not None)
+    assert (most_blocks > 1) == (budget is not None)
 
 
 def _near_copy_families(rng, dim, sizes, eq_tol):
@@ -515,12 +534,14 @@ def _near_copy_families(rng, dim, sizes, eq_tol):
 
 @pytest.mark.parametrize("n", [4, 8], ids=["one chunk", "screened"])
 def test_a_row_with_an_infinite_entry_reads_nan_against_itself_without_a_warning(rng, n):
-    # inf - inf is NaN in both paths: in the one-chunk comparison and in the
-    # screened gather of the pairs whose diagonals meet (each row's own)
-    mats = np.stack([random_density(rng, QuditShape(2, n)).mat for _ in range(2)])
-    mats[:, 0, -1] = np.inf
-    dist = _screened_distances(mats, mats, 1e-9, True)
-    assert np.isnan(np.diagonal(dist)).all()
+    # a row with an infinite entry is within eq_tol of no row, its own
+    # included: the sweep gives it no candidate, so each of its pairs reads
+    # inf (where a full comparison read NaN), no inf - inf is formed, and
+    # no warning is raised; the finite row still meets itself
+    mats = np.stack([random_density(rng, QuditShape(2, n)).mat for _ in range(3)])
+    mats[:2, 0, -1] = np.inf
+    dist = _screened(mats, mats, 1e-9)
+    assert np.isinf(dist[:2]).all() and np.isinf(dist[:, :2]).all() and dist[2, 2] == 0
 
 
 @pytest.mark.parametrize("dim, sizes", [(16, (30, 20, 1)), (128, (1, 2, 3, 5, 4, 9))])
@@ -531,12 +552,12 @@ def test_screened_pairs_past_one_chunk_keep_the_bits_of_each_rows_call(rng, dim,
     lone ``cross_distances`` call gives.  At d=128 a pair has more entries
     than one buffer of numpy's iterator holds, rows keep 1 to 9 columns, and
     the cross case leaves one pair for the last chunk of the rest.  One
-    array passed twice is compared in full, as against its copy; the mask of
-    the pairs i < j leaves the rest out."""
+    array passed twice is swept once, as against its copy; the mask of the
+    pairs i < j leaves the rest out."""
     b = _near_copy_families(rng, dim, sizes, 1e-9)
     later = np.arange(len(b))[:, None] < np.arange(len(b))
     for left, right, pairs in ((b.copy(), b, True), (b, b, True), (b, b, later)):
-        dist = _screened_distances(left, right, 1e-9, pairs)
+        dist = _screened(left, right, 1e-9, pairs)
         want = np.array([frobenius_distance(np.broadcast_to(row, right.shape), right) for row in left])
         asked = np.broadcast_to(pairs, want.shape)
         within = asked & (want <= 1e-9)

@@ -9,6 +9,7 @@ import pytest
 
 import qindel.acceptance
 import qindel.cli
+import qindel.codes
 import qindel.feasibility as feasibility
 from qindel.channels import delete, deletion_sphere
 from qindel.cli import main
@@ -237,6 +238,16 @@ def test_verify_grid_override(capsys):
     code, report, _ = run_cli(capsys, "verify", "builtin:x1", "--t", "1", "--grid", "3,4")
     assert code == 1
     assert report["inputs"]["size"] < len_default()
+
+
+def test_a_grid_past_the_state_cap_exits_3_before_any_codeword_is_built(capsys, monkeypatch):
+    # 10^12 states: code_params refuses the count before it builds a pair,
+    # so no codeword stack is built and the command is a usage error
+    built = []
+    monkeypatch.setattr(qindel.codes, "_codewords", lambda *args: built.append(args))
+    code, report, err = run_cli(capsys, "verify", "builtin:x1", "--grid", "1000000,1000000")
+    assert code == 3 and report is None and built == []
+    assert "CountOutOfRange: grid states n_theta*n_phi=1000000000000 not in [1, 16384]" in err
 
 
 def test_verify_grid_default_is_the_builtin_grid(capsys):

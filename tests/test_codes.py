@@ -427,3 +427,13 @@ def test_code_params_refuses_a_grid_without_two_angles_and_a_phase(n_theta, n_ph
         code_params(n_theta, n_phi)
     assert len(code_params(2, 1)) == 2
 
+
+def test_code_params_refuses_a_grid_past_the_state_cap():
+    # the count is checked before any pair is built: a 10^12-state grid is
+    # refused at once, and the largest grid at the cap is built
+    with pytest.raises(CountOutOfRange, match=r"grid states n_theta\*n_phi=1000000000000 not in \[1, 16384\]"):
+        code_params(10**6, 10**6)
+    with pytest.raises(CountOutOfRange, match="16512"):
+        code_params(128, 129)
+    assert len(code_params(128, 128)) == codes.CODE_CAP == 16384
+

@@ -159,31 +159,32 @@ def _recorded(monkeypatch, module, name):
     return calls
 
 
-def test_a_grid_code_is_deduplicated_with_one_diagonal_screen(monkeypatch):
+def test_a_grid_code_is_deduplicated_with_one_sweep(monkeypatch):
     # the 110 offered states of the 9x12 grid and its collision pair: one
-    # Gram bound rules out pairs by their diagonals, and the pairs it lets
-    # through are gathered, not compared in full
-    bounds = _recorded(monkeypatch, qindel.channels, "_gram_far")
-    full = _recorded(monkeypatch, qindel.channels, "cross_distances")
+    # sweep of their projections finds the candidates, and only those are
+    # gathered for a full distance: the 134 pairs i < j of the 12 phases at
+    # each pole and of the two collision states with their grid points,
+    # every one within eq_tol, so 24 states are dropped
+    sweeps = _recorded(monkeypatch, qindel.channels, "_near_pairs")
+    gathers = _recorded(monkeypatch, qindel.channels, "frobenius_norm")
     assert len(builtin_code("hagiwara4", _grid(9, 12))) == 86
-    assert bounds == [((110, 16), (110, 16))]
-    assert full == []
+    assert sweeps == [((110, 16, 16), (110, 16, 16))]
+    assert sum(shape[0] for (shape,) in gathers) == 134
 
 
 def test_a_grid_walk_makes_one_screened_call_per_level_and_block(monkeypatch):
     # min distance 4: levels 1 and 2, each one dedup of all 86 stacked
-    # ladders, masked to the pairs i < j, and one block of the 86 kept rows,
-    # one per state: the rows of every state but the last against those of
-    # every state but the first, masked to pairs of two states, not one
-    # call per state
+    # ladders, kept to the pairs i < j, and one block, the whole level, of
+    # the 86 kept rows, one per state: the rows swept once against
+    # themselves, kept to pairs of two states, not one call per state
     code = builtin_code("hagiwara4", _grid(9, 12))
     calls = _recorded(monkeypatch, qindel.channels, "_screened_distances")
     assert min_distance(code)[0] == 4
     assert calls == [
-        ((86, 4, 8, 8), (86, 4, 8, 8), (4, 4)),
-        ((85, 8, 8), (85, 8, 8), (85, 85)),
-        ((86, 6, 4, 4), (86, 6, 4, 4), (6, 6)),
-        ((85, 4, 4), (85, 4, 4), (85, 85)),
+        ((86, 4, 8, 8), (86, 4, 8, 8)),
+        ((86, 8, 8), (86, 8, 8)),
+        ((86, 6, 4, 4), (86, 6, 4, 4)),
+        ((86, 4, 4), (86, 4, 4)),
     ]
 
 
@@ -333,10 +334,10 @@ def test_the_probe_bound_covers_the_rounding_of_the_rows(rng):
 
 
 def test_two_generic_8_qubit_states_walk_only_their_top_levels(rng, monkeypatch):
-    # generic states share no marginal: the probe compares the first
-    # state's 8 one-qubit rows with the second's in one screened call and
-    # passes, so no level below 7 is built; the walk then dedups each
-    # state's level 7, compares it, and meets at level 8
+    # generic states share no marginal: the probe sweeps the two states'
+    # 16 one-qubit rows in one screened call and passes, so no level below
+    # 7 is built; the walk then dedups each state's level 7, compares it,
+    # and meets at level 8
     rho, sigma = (random_density(rng, QuditShape(2, 8), 40) for _ in range(2))
     levels, traced = [], qindel.channels._traced_levels
 
@@ -352,11 +353,11 @@ def test_two_generic_8_qubit_states_walk_only_their_top_levels(rng, monkeypatch)
     assert (result.value, result.s, result.t) == (16, 8, 8)
     assert levels == [(1, 8, 2, 2), (1, 8, 2, 2), (1, 1, 1, 1), (1, 1, 1, 1)]
     assert calls == [
-        ((8, 2, 2), (8, 2, 2), (8, 8)),  # the probe
-        ((1, 8, 2, 2), (1, 8, 2, 2), (8, 8)),  # level 7: each state's dedup
-        ((1, 8, 2, 2), (1, 8, 2, 2), (8, 8)),
-        ((8, 2, 2), (8, 2, 2), (8, 8)),  # level 7: the comparison
-        ((1, 1, 1), (1, 1, 1), (1, 1)),  # level 8: the comparison
+        ((16, 2, 2), (16, 2, 2)),  # the probe
+        ((1, 8, 2, 2), (1, 8, 2, 2)),  # level 7: each state's dedup
+        ((1, 8, 2, 2), (1, 8, 2, 2)),
+        ((16, 2, 2), (16, 2, 2)),  # level 7: the comparison
+        ((2, 1, 1), (2, 1, 1)),  # level 8: the comparison
     ]
 
 
@@ -546,6 +547,30 @@ def test_the_lockstep_walk_keeps_each_gather_within_budget(monkeypatch):
 def test_code_sample_rejects_duplicates():
     with pytest.raises(DuplicateStates, match="coincide"):
         CodeSample.from_states([_pure("00"), _pure("00")])
+
+
+def test_code_sample_names_a_last_repeat_among_many_states_with_one_distance_call(rng, monkeypatch):
+    # the first repeat is the first row the dedup drops, found without a
+    # pairwise loop: one stacked frobenius_distance of the rows before it
+    # names its partner, the first of them within eq_tol; equal labels do
+    # not confuse it
+    states = make_states(rng, 2, 2, 200)
+    states.append(DensityMatrix(states[57].shape, states[57].mat + 1e-12))
+    calls, real = [], distance.frobenius_distance
+    monkeypatch.setattr(distance, "frobenius_distance", lambda a, b: calls.append(a.shape) or real(a, b))
+    with pytest.raises(DuplicateStates, match="states 'state57' and 'state200' coincide"):
+        CodeSample.from_states(states)
+    assert calls == [(200, 4, 4)]
+    with pytest.raises(DuplicateStates, match="states 'same' and 'same' coincide"):
+        CodeSample.from_states(states[:3] + [states[1]], ["same"] * 4)
+
+
+def test_a_code_of_more_states_than_the_cap_is_refused_before_it_is_stacked(rng, monkeypatch):
+    monkeypatch.setattr(distance, "CODE_CAP", 3)
+    states = make_states(rng, 2, 1, 4)
+    assert len(CodeSample.from_states(states[:3])) == 3
+    with pytest.raises(CountOutOfRange, match=r"states in a code=4 not in \[1, 3\]"):
+        CodeSample.from_states(states)
 
 
 def test_code_sample_names_the_mismatch():

@@ -200,9 +200,9 @@ def test_the_dual_steps_read_no_partial_trace():
 SCREEN = ("channels.py", "_screened_distances")
 
 
-def _reads_outside_the_screen(name: str, skip=()) -> list[str]:
+def _reads_outside_the_screen(name: str, skip=(), screen=SCREEN) -> list[str]:
     """Where a library module outside ``skip`` reads ``name`` other than in
-    channels._screened_distances."""
+    ``screen`` (channels._screened_distances by default; None: anywhere)."""
     reads = []
     for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
         if path.name in skip:
@@ -216,25 +216,27 @@ def _reads_outside_the_screen(name: str, skip=()) -> list[str]:
         }
         for node in ast.walk(tree):
             read = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if read == name and (path.name, owner.get(id(node))) != SCREEN:
+            if read == name and (path.name, owner.get(id(node))) != screen:
                 reads.append(f"{path.name}:{node.lineno}")
     return reads
 
 
 def test_only_the_screen_reads_cross_distances():
     # every dedup and every comparison of states goes through the one screened
-    # kernel, channels._screened_distances; the acceptance suite keeps its own
-    # independent residuals, and linalg defines the kernel
-    reads = _reads_outside_the_screen("cross_distances", skip=("linalg.py", "acceptance.py"))
-    assert not reads, f"cross_distances read outside channels._screened_distances: {reads}"
+    # kernel, channels._screened_distances, which forms no k x k array: no
+    # library module reads the all-pairs form linalg defines but the
+    # acceptance suite, which keeps its own independent residuals
+    reads = _reads_outside_the_screen("cross_distances", skip=("acceptance.py",), screen=None)
+    assert not reads, f"cross_distances read outside the acceptance suite: {reads}"
 
 
-def test_only_the_screen_reads_the_gram_bound():
-    # Gram products cancel below eq_tol, so they only rule pairs out: the
-    # screen is their one reader, and every distance a verdict reads is
+def test_only_the_screen_reads_the_near_pair_kernel():
+    # a projection only rules pairs out: the sort-and-sweep kernel's one
+    # reader is the screen, and every distance a verdict reads is
     # linalg.frobenius_norm's
-    reads = _reads_outside_the_screen("_gram_far")
-    assert not reads, f"channels._gram_far read outside channels._screened_distances: {reads}"
+    reads = _reads_outside_the_screen("_near_pairs")
+    assert _reads_outside_the_screen("_near_pairs", screen=None), "the screen does not read channels._near_pairs"
+    assert not reads, f"channels._near_pairs read outside channels._screened_distances: {reads}"
 
 
 NAMES_DISTANCE_MUST_NOT_READ = {"deletion_sphere", "SphereSet", "_screened_distances", "cross_distances"}

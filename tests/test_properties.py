@@ -253,16 +253,28 @@ def _unit_hermitian_step(rng, dim: int, part: str) -> np.ndarray:
 
 
 # how far a planted pair lies apart: an exact copy, a pair at eq_tol*(1 -+
-# 1e-9), and a near copy 1e-12 to 1e-8 apart
+# 1e-9), a near copy 1e-12 to 1e-8 apart, and a pair 1 apart
 _PLANT_AT = {
     "copy": lambda rng, eq_tol: 0.0,
     "edge below": lambda rng, eq_tol: eq_tol * (1 - 1e-9),
     "edge above": lambda rng, eq_tol: eq_tol * (1 + 1e-9),
     "near": lambda rng, eq_tol: 10.0 ** rng.uniform(-12, -8),
+    "far": lambda rng, eq_tol: 1.0,
 }
 
 
-@settings(DETERMINISTIC, max_examples=200)
+def _unit_unseen_step(rng, dim: int) -> np.ndarray:
+    """A unit-norm direction the sweep cannot see: orthogonal, in the rows'
+    real coordinates, to the axis their projections are taken on, so a
+    pair that differs along it projects to one point."""
+    v = qindel.channels._axis(2 * dim * dim)
+    w = rng.normal(size=v.shape)
+    w -= (w @ v) * v
+    w /= np.sqrt(w @ w)
+    return w.view(complex).reshape(dim, dim)
+
+
+@settings(DETERMINISTIC, max_examples=300)
 @given(
     st.sampled_from([(), (1,), (3,), (2, 2)]),
     st.integers(0, 5),
@@ -270,25 +282,36 @@ _PLANT_AT = {
     st.sampled_from([1, 2, 4, 8, 16]),
     st.sampled_from(["cross", "cross, masked", "self", "self, i < j"]),
     st.booleans(),
-    st.lists(st.tuples(st.sampled_from(sorted(_PLANT_AT)), st.sampled_from(["diagonal", "off", "both"])), max_size=4),
-    st.sampled_from(["default", "zero", "large"]),
+    st.lists(
+        st.tuples(st.sampled_from(sorted(_PLANT_AT)), st.sampled_from(["diagonal", "off", "both", "unseen"])),
+        max_size=4,
+    ),
+    st.sampled_from(["default", "zero", "large", "huge"]),
+    st.sampled_from([None, "infinite", "past the float range"]),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-@example((), 0, 3, 4, "cross", False, [], "default", True, 0)
-@example((2, 2), 1, 0, 16, "self", True, [], "large", True, 0)
-@example((3,), 1, 1, 16, "cross", True, [("copy", "off")], "zero", True, 0)
+@example((), 0, 3, 4, "cross", False, [], "default", None, True, 0)
+@example((2, 2), 1, 0, 16, "self", True, [], "large", None, True, 0)
+@example((3,), 1, 1, 16, "cross", True, [("copy", "off")], "zero", None, True, 0)
+@example((3,), 5, 5, 4, "self", False, [("edge below", "unseen"), ("far", "unseen")], "default", None, True, 0)
+@example((2,), 4, 3, 2, "cross", False, [("copy", "both")], "huge", "past the float range", True, 0)
+@example((), 4, 4, 2, "self", False, [("copy", "both")], "default", "infinite", False, 0)
 def test_the_screen_keeps_every_pair_within_eq_tol_with_its_bits(
-    batch, ka, kb, dim, compare, equal_diagonals, plants, tol_kind, forced, seed
+    batch, ka, kb, dim, compare, equal_diagonals, plants, tol_kind, odd_row, forced, seed
 ):
-    # the Gram bound rules out no pair within eq_tol, and every kept entry
-    # has the bits of frobenius_distance of its pair: planted copies, pairs
-    # at the edge of eq_tol and near copies, differing on the diagonal, off
-    # it or both, among random rows or rows with one diagonal, as a phase
-    # grid's are; a forced case screens even the smallest comparison and
-    # gathers a pair a chunk
+    # the sweep rules out no pair within eq_tol, and every kept pair has the
+    # bits of frobenius_distance: planted copies, pairs at the edge of
+    # eq_tol, near copies and far pairs, differing on the diagonal, off it,
+    # both, or only where the sweep's axis cannot see (equal projections),
+    # among random rows or rows with one diagonal, as a phase grid's are,
+    # at eq_tol 0, the default, 0.5 and 1e3 (every pair a candidate); a row
+    # with an infinite entry meets none, and a row past the float range
+    # (its norm overflows) still meets its copy.  A forced case expands
+    # each row's window and gathers each pair in a chunk of its own.  The
+    # pairs come sorted, once each, only where the caller's keep holds
     rng = np.random.default_rng(seed)
-    eq_tol = {"default": Tolerance().at(dim).eq_tol, "zero": 0.0, "large": 0.5}[tol_kind]
+    eq_tol = {"default": Tolerance().at(dim).eq_tol, "zero": 0.0, "large": 0.5, "huge": 1e3}[tol_kind]
     diagonal = rng.random(dim)
 
     def rows(count):
@@ -301,30 +324,38 @@ def test_the_screen_keeps_every_pair_within_eq_tol_with_its_bits(
     a = rows(ka)
     b = a if compare.startswith("self") else rows(kb)
     kb = b.shape[-3]
+    if odd_row and ka:
+        a[..., int(rng.integers(ka)), :, :] *= 1e300 if odd_row == "past the float range" else 1.0
+        if odd_row == "infinite":
+            a[..., int(rng.integers(ka)), 0, -1] = np.inf
     for plant, part in plants:
         if ka and kb:
             i, j = int(rng.integers(ka)), int(rng.integers(kb))
             if b is not a or i != j:
-                b[..., j, :, :] = a[..., i, :, :] + _PLANT_AT[plant](rng, eq_tol) * _unit_hermitian_step(rng, dim, part)
+                step = _unit_unseen_step(rng, dim) if part == "unseen" else _unit_hermitian_step(rng, dim, part)
+                b[..., j, :, :] = a[..., i, :, :] + _PLANT_AT[plant](rng, eq_tol) * step
     pairs = {
         "cross": True,
         "cross, masked": rng.random((*batch, ka, kb)) < 0.6,
         "self": True,
         "self, i < j": np.arange(ka)[:, None] < np.arange(kb),
     }[compare]
-    small = patch.multiple(qindel.channels, _IN_FULL=0, _CHUNK=64) if forced else contextlib.nullcontext()
+    with np.errstate(invalid="ignore"):  # inf - inf in the oracle
+        want = frobenius_distance(*np.broadcast_arrays(a[..., :, None, :, :], b[..., None, :, :, :]))
+    asked = np.broadcast_to(pairs, want.shape).reshape(math.prod(batch), ka, kb)
+    want = want.reshape(asked.shape)
+    small = patch.object(qindel.channels, "_CHUNK", 1) if forced else contextlib.nullcontext()
     with small, warnings.catch_warnings():
         warnings.simplefilter("error")
-        dist = _screened_distances(a, b, eq_tol, pairs)
-    want = frobenius_distance(*np.broadcast_arrays(a[..., :, None, :, :], b[..., None, :, :, :]))
-    asked = np.broadcast_to(pairs, want.shape)
-    assert dist.shape == want.shape
-    assert np.isinf(dist[~asked]).all()
-    within = asked & (want <= eq_tol)
-    assert dist[within].tobytes() == want[within].tobytes()
-    kept = np.isfinite(dist)
-    assert dist[kept].tobytes() == want[kept].tobytes()
-    assert np.isinf(dist[~kept]).all()
+        (i, j), dist = _screened_distances(a, b, eq_tol, lambda i, j: asked[i // ka, i % ka, j % kb])
+    e, r, c = i // max(ka, 1), i % max(ka, 1), j % max(kb, 1)
+    assert (e == j // max(kb, 1)).all() and (np.diff(i * len(asked) * kb + j) > 0).all() and asked[e, r, c].all()
+    assert dist.tobytes() == want[e, r, c].tobytes()
+    kept = np.zeros(asked.shape, dtype=bool)
+    kept[e, r, c] = True
+    assert not (asked & (want <= eq_tol) & ~kept).any()
+    if odd_row == "infinite":
+        assert not np.isnan(dist).any() and np.isfinite(a.reshape(-1, dim * dim)[i]).all()
 
 
 # validate against the eigen-solve rule alone (conftest.reference_validate):
