@@ -10,11 +10,16 @@ conditions must fix the same common marginal, within eq_tol at its
 dimension; facial reduction (Drusvyatskiy & Wolkowicz, 2017) confines tau to
 the lifted ranges of rho and sigma; and L-BFGS on the dual semidefinite
 least-squares problem on that face (Malick, SIMAX 2004) converges to a
-witness or diverges along a Farkas certificate.  A feasible verdict carries
-a re-checked witness, an infeasible one a re-checked certificate; with
-neither, the verdict is inconclusive.  One ``_PairDecider`` per pair of
-state stacks decides them all; ``feasibility_del_ins`` and ``member_del_ins``
-are its one-pair and one-state-pair cases.
+witness or diverges along a Farkas certificate.  A solve still running
+after ``NEWTON_AFTER`` evaluations tries once to finish by Gauss–Newton
+steps on the factor R of tau = R R^dagger (Burer & Monteiro, 2003), from
+the dual's positive part: it returns a witness that meets the dual's own
+witness test, or fails and leaves L-BFGS to go on as it would have.  A
+feasible verdict carries a re-checked witness, an infeasible one a
+re-checked certificate; with neither, the verdict is inconclusive.  One
+``_PairDecider`` per pair of state stacks decides them all;
+``feasibility_del_ins`` and ``member_del_ins`` are its one-pair and
+one-state-pair cases.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ import numpy as np
 
 from .channels import IndexSet, _as_index_set, _check_composed, _dedup_levels, _insertion_set, _one_position
 from .channels import _sample_batch, _traced_levels, pairs_meet, trace_out, trace_out_adjoint
-from .errors import CountOutOfRange, ShapeMismatch, SizeCapExceeded
-from .linalg import Tolerance, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
-from .states import DensityMatrix, QuditShape, _count, spectral_decompose
+from .errors import CountOutOfRange, QindelError, ShapeMismatch, SizeCapExceeded
+from .linalg import Tolerance, _refuse_alone, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
+from .states import DensityMatrix, QuditShape, _count, _spectral_groups
 
 __all__ = [
     "FeasibilityStatus",
@@ -54,6 +59,9 @@ class FeasibilityStatus(str, Enum):
 MAX_ITERATIONS = 5000  # cap on dual gradient evaluations per (P, Q) pair
 MEMORY = 60  # L-BFGS correction pairs kept; set by a measured sweep (ROADMAP item 5)
 CANDIDATE_EVERY = 10  # gradient evaluations between Farkas-candidate tests
+NEWTON_AFTER = 20  # dual gradient evaluations before the one Gauss–Newton finish; set by a measured sweep
+NEWTON_STEPS = 8  # cap on the finish's steps
+NEWTON_KEEP = 1e-2  # the finish keeps the factor's columns of weight at least this share of the largest; measured
 MAX_DIM = 16  # cap on l^(n+t) for the lifted state
 
 
@@ -116,6 +124,81 @@ def _index_maps(level: int, qset: IndexSet, pset: IndexSet) -> tuple[list, np.nd
     for array in (*(gather for gather, _ in blocks), spread):
         array.setflags(write=False)
     return blocks, spread
+
+
+@cache
+def _normal_maps(level: int, qset: IndexSet, pset: IndexSet) -> tuple:
+    """The Gauss–Newton normal matrix N = S (I (x) tau^T + tau (x) I) S^T of
+    ``_newton_finish``, S the 0/1 gather-sum of A (S^T is A*), as read-only
+    index maps built once per (level, ambient, Q, P) from the adjoint's map
+    of ``_index_maps`` only.
+
+    Entry (a, b) of N adds, over the entries p of tau that packed entry a
+    sums and q that b sums, tau[j_q, j_p] where p and q share a row and
+    tau[i_p, i_q] where they share a column.  Within one condition's block
+    these sums are the condition's marginal of tau, entries of A(tau), so
+    the block is that marginal's Kronecker sum; only the cross block reads
+    tau itself.  The system is solved in real coordinates: Re of each packed
+    entry (i, j) with i <= j, then Im of each with i < j.  A row of the real
+    N takes that part of a row of N; a column adds the columns of an entry
+    and of its mirror (j, i), times i and -i for Im.  So each real entry is
+    a signed sum of floats of the source [vec(tau), A(tau)]: ``gather``
+    indexes them in [its floats, their negatives], grouped by the flattened
+    real cell they add into (``cells``; each group from its ``starts``).
+    W N is symmetric, W = diag(``weights``) with weight 2 on the coordinates
+    of an entry off the diagonal, so only cells on or above the diagonal
+    are mapped.  ``coordinates`` reads the real coordinates off a packed
+    vector's floats; ``real_of`` and ``imag_of`` give each packed entry,
+    pad included, its Re and signed Im in [u, -u, 0], u the real coordinates.
+    """
+    _, spread = _index_maps(level, qset, pset)
+    n = (level ** (qset.ambient - qset.size), level ** (pset.ambient - pset.size))
+    d, pad, offsets = spread.shape[1], n[0] ** 2 + n[1] ** 2, (0, n[0] ** 2)
+    i, j = (np.concatenate(parts) for parts in zip(*(np.divmod(np.arange(side * side), side) for side in n)))
+    mirror = np.concatenate([start + np.arange(m * m).reshape(m, m).T.ravel() for m, start in zip(n, offsets)])
+    upper, strict = np.flatnonzero(i <= j), np.flatnonzero(i < j)
+    # int32 while building: the terms are many, and every index fits
+    up, st, spread = np.full(pad, -1, np.int32), np.full(pad, -1, np.int32), spread.astype(np.int32)
+    up[upper], st[strict] = np.arange(len(upper)), len(upper) + np.arange(len(strict))
+    # complex terms (a, b, k): N[a, b] adds source[k]; the cross blocks first, rows then columns
+    k, terms = np.arange(d, dtype=np.int32), []
+    for rows, cols in (spread, spread[::-1]):
+        for a, b, t in (
+            np.broadcast_arrays(rows[:, :, None], cols[:, None, :], k[None, None, :] * d + k[None, :, None]),
+            np.broadcast_arrays(rows[:, None, :], cols[None, :, :], k[:, None, None] * d + k[None, :, None]),
+        ):
+            kept = (a < pad) & (b < pad)
+            terms.append([a[kept], b[kept], t[kept]])
+    for side, start in zip(n, offsets):
+        x, y, z = (part.ravel() for part in np.indices((side,) * 3, dtype=np.int32))
+        # the block's Kronecker sum: N[(x, y), (x, z)] adds marginal[z, y], N[(x, y), (z, y)] marginal[x, z]
+        terms.append([start + x * side + y, start + x * side + z, d * d + start + z * side + y])
+        terms.append([start + x * side + y, start + z * side + y, d * d + start + x * side + z])
+    a, b, t = (np.concatenate(parts) for parts in zip(*terms))
+    del terms
+    lower = up[b] < 0
+    b = np.where(lower, mirror[b], b)
+    floats, cells, gather = 2 * (d * d + pad), [], []
+    # (row part, column part): Re/Re and Im/Re read coef 1; Re/Im reads -Im (+Im for a lower b), Im/Im +Re (-Re)
+    for rows, cols, part, negative in ((up, up, 0, None), (st, up, 1, None), (up, st, 1, ~lower), (st, st, 0, lower)):
+        row, col = rows[a], cols[b]
+        kept = (row >= 0) & (row <= col)
+        cells.append(row[kept] * pad + col[kept])
+        gather.append(2 * t[kept] + part + (0 if negative is None else floats * negative[kept]))
+    cells, gather = np.concatenate(cells), np.concatenate(gather)
+    order = np.argsort(cells, kind="stable")
+    cells, gather = cells[order], gather[order]
+    starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+    weights = np.where(np.r_[i[upper] == j[upper], np.zeros(len(strict), bool)], 1.0, 2.0)
+    coordinates = np.concatenate([2 * upper, 2 * strict + 1])
+    real_of = np.append(up[np.where(up >= 0, np.arange(pad), mirror)], 2 * pad)
+    imag_of = np.append(np.where(st >= 0, st, np.where(i > j, pad + st[mirror], 2 * pad)), 2 * pad)
+    index = np.min_scalar_type(max(pad * pad, 2 * floats))
+    maps = (*(array.astype(index) for array in (cells[starts], gather, starts)), weights,
+            *(array.astype(index) for array in (coordinates, real_of, imag_of)))
+    for array in maps:
+        array.setflags(write=False)
+    return maps
 
 
 def _column_sums(columns: np.ndarray, level: int, out: np.ndarray) -> None:
@@ -281,9 +364,11 @@ class _PairDecider:
     lifted dimension checked once.  Each subset a pair traces from one side
     (``_rests``) is traced once, by one ``trace_out`` over that side's stack,
     each row with the bits of its lone call; each state is decomposed once,
-    on its first pair that reaches the face, by a lone ``spectral_decompose``,
-    whose error a refused state raises.  When both sides are one stack of one
-    shape, its marginals and kernels are kept once, by row and subset."""
+    on its first pair that reaches the face, the pair's two states of one
+    shape by one stacked call, each row with the bits of its lone call, and a
+    refused state raises its lone call's error.  When both sides are one
+    stack of one shape, its marginals and kernels are kept once, by row and
+    subset."""
 
     def __init__(self, sigma_shape: QuditShape, sigmas, rho_shape: QuditShape, rhos, s, t, tol: Tolerance):
         _check_composed(sigma_shape, rho_shape, s, t)
@@ -302,17 +387,33 @@ class _PairDecider:
         return self._marginals[key][row]
 
     def _kernels_of(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """I minus the range projectors of rho j and of sigma i; sigma's is built first."""
+        """I minus the range projectors of rho j and of sigma i.  The states
+        not yet decomposed are decomposed by one ``states._spectral_groups``
+        call per shape, sigma's first, each row with the bits of its lone
+        call; on a refusal each is decomposed alone, in that order, so the
+        first refused state raises its lone call's error."""
+        missing: dict = {}
         for side, row in ((0, i), (1, j)):
             key = self._sources[side], row
             if key not in self._kernels:
-                kets = spectral_decompose(DensityMatrix(self.shapes[side], self.stacks[side][row]), self.tol).kets
-                self._kernels[key] = np.eye(len(kets)) - kets @ kets.conj().T
+                missing.setdefault(self.shapes[side], {})[key] = self.stacks[side][row]
+        for shape, states in missing.items():
+            keys, mats = list(states), np.array(list(states.values()))
+            try:
+                groups = _spectral_groups(mats, shape, self.tol)
+            except QindelError:
+                _refuse_alone(lambda mat: _spectral_groups(mat, shape, self.tol), mats, lambda mat, message: message)
+                raise
+            for rows, _, kets in groups:
+                for row, ket in zip(rows.tolist(), kets):
+                    self._kernels[keys[row]] = np.eye(len(ket)) - ket @ ket.conj().T
         return self._kernels[self._sources[1], j], self._kernels[0, i]
 
     def decide(self, i: int, j: int, pset: IndexSet, qset: IndexSet) -> FeasibilityReport:
         """Whether sigma i lies in D_P(I_Q(rho j)), by the module docstring's steps.  ``details``
-        gives ``consistency_tol``, ``face_dim`` once the face is built, the
+        gives ``consistency_tol``, ``face_dim`` once the face is built (the
+        whole space, with no eigensolve, when both kernels are rounding),
+        ``newton_steps``, the Gauss–Newton steps of the dual solve, the
         ``margin`` of a certificate and the ``reason`` for any verdict but feasible."""
         tol, (rest_rho, rest_sigma) = self.tol, _rests(qset, pset)
         mismatch = self._marginal(1, j, rest_rho) - self._marginal(0, i, rest_sigma)
@@ -342,18 +443,24 @@ class _PairDecider:
         # a feasible tau is orthogonal to the lifted kernels of rho and sigma, so
         # it lives on the null space of their sum M
         kernels = self._kernels_of(i, j)
-        w, v = eigensolve(np.linalg.eigh, affine.adjoint(affine.pack(kernels)))
         # if no eigenvalue is at most face_tol, the certificate below has margin
         # above face_tol and norm at most sqrt(m_rho + m_sigma): its bound clears feas_tol
         face_tol = 2 * tol.feas_tol * math.sqrt(len(kernels[0]) + len(kernels[1]))
-        face_dim = details["face_dim"] = int(np.searchsorted(w, face_tol, side="right"))
-        if face_dim == 0:
-            lam = (kernels[0] - w[0] * np.eye(len(kernels[0])), kernels[1].copy())  # the report's own arrays
-            report = certified(lam, "empty face", tol.feas_tol)
-            return report or verdict(FeasibilityStatus.INCONCLUSIVE, 0.0, 0, "certificate failed its re-check")
-
-        face = v[:, :face_dim] if face_dim < len(w) else None
-        outcome, payload, evaluations, residual = _dual_solve(affine, face, tol.feas_tol)
+        # ||A*(kernels)|| <= sqrt(l^t) ||K_rho|| + sqrt(l^s) ||K_sigma||; for states of full rank,
+        # whose kernels are rounding, it is far below face_tol, and so is every eigenvalue: the
+        # face is the whole space without an eigensolve
+        reach = sum(math.sqrt(self.level**S.size) * frobenius_norm(K) for S, K in zip((qset, pset), kernels))
+        if 2 * reach <= face_tol:
+            face, details["face_dim"] = None, self.level**self.ambient
+        else:
+            w, v = eigensolve(np.linalg.eigh, affine.adjoint(affine.pack(kernels)))
+            face_dim = details["face_dim"] = int(np.searchsorted(w, face_tol, side="right"))
+            if face_dim == 0:
+                lam = (kernels[0] - w[0] * np.eye(len(kernels[0])), kernels[1].copy())  # the report's own arrays
+                report = certified(lam, "empty face", tol.feas_tol)
+                return report or verdict(FeasibilityStatus.INCONCLUSIVE, 0.0, 0, "certificate failed its re-check")
+            face = v[:, :face_dim] if face_dim < len(w) else None
+        outcome, payload, evaluations, residual, details["newton_steps"] = _dual_solve(affine, face, tol.feas_tol)
         if outcome == "witness":
             mat = hermitian_part(payload)
             images = affine.unpack(affine.apply(mat))
@@ -417,9 +524,20 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
     -y / ||y|| is screened by ``margin_bound`` from the top eigenvalue of the
     accepted point, and goes to ``certify`` unless its margin is below
     -feas_tol, which no rounding lifts to a margin ``certify`` accepts.
-    Returns (outcome, payload, evaluations, residual), outcome "witness"
-    (tau), "certificate" (lam and its ``certify`` result, whose bound clears
-    feas_tol) or "stopped" (why).
+
+    Once per solve, after that test at the first evaluation count of at
+    least ``NEWTON_AFTER``, ``_newton_finish`` takes Gauss–Newton steps on
+    the factor R of tau = R R^dagger from the accepted point's positive
+    part: by then the dual has found the witness's rank, and the steps
+    converge fast where L-BFGS crawls (ranks near sqrt(d)).  A finish that
+    meets the witness test returns its tau; one that fails changes nothing,
+    and L-BFGS goes on from its own state.  A certified bound above feas_tol
+    and a witness within it cannot both hold, so the finish decides no
+    pair that L-BFGS would have certified.
+    Returns (outcome, payload, evaluations, residual, steps), outcome
+    "witness" (tau), "certificate" (lam and its ``certify`` result, whose
+    bound clears feas_tol) or "stopped" (why), and steps the Gauss–Newton
+    steps taken.
     """
     b = affine.pack(affine.rhs)[:-1].view(float)
     face_h = None if face is None else face.conj().T
@@ -434,10 +552,9 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
         root = v[:, k:] * np.sqrt(w)
         if face is not None:
             root = face @ root
-        tau = root @ root.conj().T
-        grad = affine.apply(tau).view(float)
+        grad = affine.apply(root @ root.conj().T).view(float)
         grad -= b
-        return float(0.5 * (w @ w) - b @ y), grad, tau, top
+        return float(0.5 * (w @ w) - b @ y), grad, root, top
 
     def certificate(y, top):
         if affine.margin_bound(y.view(complex), top) < -feas_tol:
@@ -449,24 +566,29 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
     point = affine.pack(affine.least_squares_dual())
     trial = np.zeros_like(point)
     y, y_trial, step = point[:-1].view(float), trial[:-1].view(float), np.empty(len(b))
-    f, g, tau, top = evaluate(point, y)
+    f, g, root, top = evaluate(point, y)
     # 1 / ||A||^2: a safe gradient step before any curvature is known
     step0 = 1.0 / (affine.level**affine.qset.size + affine.level**affine.pset.size)
     memory = _CurvatureMemory(len(y))
-    evaluations, failures, next_test = 0, 0, CANDIDATE_EVERY
+    evaluations, failures, next_test, steps, finish_at = 0, 0, CANDIDATE_EVERY, 0, NEWTON_AFTER
     while True:
         residual = math.sqrt(g @ g)  # np.linalg.norm's own formula for a real vector
         if residual <= feas_tol / 2:
-            return "witness", tau, evaluations, residual
+            return "witness", root @ root.conj().T, evaluations, residual, steps
         stop = "line search failed" if failures == 2 else None
         stop = "iteration cap reached" if evaluations >= MAX_ITERATIONS else stop
         if stop or evaluations >= next_test:
             next_test += CANDIDATE_EVERY
             found = certificate(y, top)
             if found is not None:
-                return "certificate", found, evaluations, residual
+                return "certificate", found, evaluations, residual, steps
             if stop:
-                return "stopped", stop, evaluations, residual
+                return "stopped", stop, evaluations, residual, steps
+        if evaluations >= finish_at:  # once per solve; a failed finish leaves the L-BFGS state as it was
+            finish_at = math.inf
+            tau, steps, finished = _newton_finish(affine, root, b, feas_tol)
+            if tau is not None:
+                return "witness", tau, evaluations, finished, steps
         direction = memory.direction(g, step0)
         slope = float(g @ direction)
         if slope >= 0:
@@ -477,7 +599,7 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
         while True:
             np.multiply(direction, alpha, out=step)
             np.add(y, step, out=y_trial)
-            f_new, g_new, tau_new, top_new = evaluate(trial, y_trial)
+            f_new, g_new, root_new, top_new = evaluate(trial, y_trial)
             evaluations += 1
             if f_new <= f + alpha * slope or alpha < 1e-10 or evaluations >= MAX_ITERATIONS:
                 break
@@ -490,7 +612,54 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
         if step @ g_vec > 1e-12 * (g_vec @ g_vec):
             memory.push(step, g_vec)
         point, trial, y, y_trial = trial, point, y_trial, y
-        f, g, tau, top = f_new, g_new, tau_new, top_new
+        f, g, root, top = f_new, g_new, root_new, top_new
+
+
+def _newton_finish(affine: AffineConstraint, root: np.ndarray, b: np.ndarray, feas_tol: float):
+    """Min-norm Gauss–Newton steps on F(R) = A(R R^dagger) - b from the
+    factor ``root`` of the dual's primal point (Burer & Monteiro, 2003),
+    less its columns of weight below ``NEWTON_KEEP`` times the largest.
+
+    J dR = A(dR R^dagger + R dR^dagger) is F's Jacobian at R, J^*(y) = 2
+    A*(y) R and J J^* = 2 N, N = ``_normal_maps``' normal matrix at tau =
+    R R^dagger.  So the least-norm solution of J dR = -F is dR = A*(y) R,
+    y the solution of N y = -F: one LU solve of W N in real coordinates,
+    with a small shift on its diagonal for the null directions of the shared
+    marginal.  Returns (tau, steps, residual) once ||F|| <= feas_tol / 2,
+    the dual's own witness test, else (None, steps, residual) after
+    ``NEWTON_STEPS`` steps, or sooner once a step does not shrink ||F||.
+    """
+    cells, gather, starts, weights, coordinates, real_of, imag_of = _normal_maps(
+        affine.level, affine.qset, affine.pset
+    )
+    # a column of negligible weight is a rank the witness lacks: Gauss–Newton shrinks it only linearly
+    norms = np.einsum("ij,ij->j", root.conj(), root).real
+    root = root[:, norms >= NEWTON_KEEP * norms.max(initial=0.0)]
+    size = len(weights)
+    half = np.zeros(size * size)  # N on and above its diagonal
+    diagonal = np.diag_indices(size)
+    best, steps = math.inf, 0
+    while True:
+        tau = root @ root.conj().T
+        image = affine.apply(tau)
+        misfit = image.view(float) - b
+        residual = math.sqrt(misfit @ misfit)
+        if residual <= feas_tol / 2:
+            return tau, steps, residual
+        if steps == NEWTON_STEPS or not residual < best:
+            return None, steps, residual
+        best, steps = residual, steps + 1
+        floats = np.concatenate([tau.ravel(), image]).view(float)
+        half[cells] = np.add.reduceat(np.concatenate([floats, -floats])[gather], starts)
+        upper = half.reshape(size, size) * weights[:, None]
+        matrix = upper + upper.T
+        matrix[diagonal] = upper[diagonal] + 1e-12 * math.fsum(upper[diagonal]) / size
+        try:
+            u = np.linalg.solve(matrix, -misfit[coordinates] * weights)
+        except np.linalg.LinAlgError:  # singular to working precision: no step
+            return None, steps, residual
+        u = np.concatenate([u, -u, [0.0]])
+        root = root + affine.adjoint(u[real_of] + 1j * u[imag_of]) @ root
 
 
 class _CurvatureMemory:

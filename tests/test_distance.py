@@ -633,13 +633,13 @@ def test_corrects_insertions_traces_each_marginal_once_per_stack(monkeypatch):
     # x1's 28 states make 378 state pairs and 3,402 (P, Q) pairs: one decider,
     # the code's stack on both sides, traces each of the three subsets a pair
     # needs once over the whole stack, and decomposes a state at most once
-    counts = {"trace_out": 0, "spectral_decompose": 0}
+    counts = {"trace_out": 0, "_spectral_groups": 0}  # calls, and states decomposed
 
     def counted(name):
         real = getattr(feasibility, name)
 
         def call(*args):
-            counts[name] += 1
+            counts[name] += len(args[0]) if name == "_spectral_groups" and np.ndim(args[0]) == 3 else 1
             return real(*args)
 
         return call
@@ -649,7 +649,7 @@ def test_corrects_insertions_traces_each_marginal_once_per_stack(monkeypatch):
     code = builtin_code("x1")
     assert len(code) == 28 and corrects_insertions(code, 1).ok is True
     assert counts["trace_out"] <= 3
-    assert 0 < counts["spectral_decompose"] <= len(code)
+    assert 0 < counts["_spectral_groups"] <= len(code)
 
 
 def test_corrects_insertions_reads_the_verdict_off_the_pairs(monkeypatch):

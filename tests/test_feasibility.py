@@ -191,7 +191,7 @@ def test_a_witness_that_fails_its_recheck_is_inconclusive(monkeypatch):
     # the solver's witness is re-checked against both conditions; the zero
     # matrix misses them, so the feasible pair gets no feasible verdict
     rho = example_rho(0.5, 0.5)
-    scripted = lambda affine, face, feas_tol: ("witness", np.zeros((8, 8), complex), 7, 0.25)
+    scripted = lambda affine, face, feas_tol: ("witness", np.zeros((8, 8), complex), 7, 0.25, 0)
     monkeypatch.setattr(feasibility, "_dual_solve", scripted)
     report = feasibility_del_ins(rho, rho, (3,), (3,))
     assert (report.status, report.gap, report.iterations) == (FeasibilityStatus.INCONCLUSIVE, 0.25, 7)
@@ -667,26 +667,143 @@ def test_full_face_marginals_are_feasible(rng):
     assert total <= 2500
 
 
-def test_a_d16_sweep_stays_within_its_measured_evaluations():
-    # marginals of a random 4-qubit state at every rank 1-16, as the
-    # benchmark's feasibility-d16 slot builds them, over three seeds.  At
-    # MEMORY = 60 the sweep took 1,233 evaluations (30 pairs: 1,470), and
-    # 1,234 once the memory's interleaved products rounded otherwise; the
-    # bound leaves 5 % for other LAPACK builds.  Counts repeat exactly at one
-    # BLAS thread
-    shape, pairs, total = QuditShape(2, 4), list(permutations(range(1, 5), 2)), 0
-    for seed in (3, 4, 5):
+def _d16_instances(seeds):
+    """(sigma, rho, P, Q) of the d=16 sweep, as the benchmark's
+    feasibility-d16 slot builds them: the marginals of a random 4-qubit
+    state at every rank 1-16, one ordered position pair per rank."""
+    shape, pairs = QuditShape(2, 4), list(permutations(range(1, 5), 2))
+    for seed in seeds:
         rng = np.random.default_rng([seed, 16])
         for rank in range(1, shape.dim + 1):
             tau = random_density(rng, shape, rank)
             p, q = pairs[(seed + rank) % len(pairs)]
             pset, qset = IndexSet((p,), 4), IndexSet((q,), 4)
-            sigma, rho = delete(tau, pset), delete(tau, qset)
-            report = feasibility_del_ins(sigma, rho, pset, qset)
-            assert report.status is FeasibilityStatus.FEASIBLE, (seed, rank)
-            _check_witness(report, sigma, rho, pset, qset)
-            total += report.iterations
+            yield delete(tau, pset), delete(tau, qset), pset, qset
+
+
+def test_a_d16_sweep_stays_within_its_measured_evaluations():
+    # seeds 3-5 of the d=16 sweep.  At MEMORY = 60 the sweep took 1,233
+    # evaluations (30 pairs: 1,470), and 1,234 once the memory's interleaved
+    # products rounded otherwise; the bound leaves 5 % for other LAPACK
+    # builds.  The Gauss–Newton finish took it to 568.  Counts repeat
+    # exactly at one BLAS thread
+    total = 0
+    for sigma, rho, pset, qset in _d16_instances((3, 4, 5)):
+        report = feasibility_del_ins(sigma, rho, pset, qset)
+        assert report.status is FeasibilityStatus.FEASIBLE, (pset, qset)
+        _check_witness(report, sigma, rho, pset, qset)
+        total += report.iterations
     assert total <= 1295
+
+
+def _recorded_finishes(monkeypatch):
+    """Patch ``_newton_finish`` to record whether each finish met the
+    witness test; returns the list it appends to."""
+    outcomes, real = [], feasibility._newton_finish
+
+    def recorded(*args):
+        tau, steps, residual = real(*args)
+        outcomes.append(tau is not None)
+        return tau, steps, residual
+
+    monkeypatch.setattr(feasibility, "_newton_finish", recorded)
+    return outcomes
+
+
+def test_the_newton_finish_shortens_the_d16_sweep(monkeypatch):
+    # the 96 instances of seeds 0-5: 2,395 evaluations without the finish
+    # (rank 4: 869), 1,160 with it (rank 4: 120), all 31 of its tries meeting
+    # the witness test; the bound leaves 5 %.  Every witness, finished or
+    # not, is re-checked here on its own
+    outcomes, total, steps = _recorded_finishes(monkeypatch), 0, 0
+    for sigma, rho, pset, qset in _d16_instances(range(6)):
+        report = feasibility_del_ins(sigma, rho, pset, qset)
+        assert report.status is FeasibilityStatus.FEASIBLE, (pset, qset)
+        _check_witness(report, sigma, rho, pset, qset)
+        total += report.iterations
+        steps += report.details["newton_steps"]
+        assert report.iterations >= feasibility.NEWTON_AFTER or not report.details["newton_steps"]
+    assert total <= 1220
+    assert len(outcomes) >= 25 and sum(outcomes) >= len(outcomes) - 2
+    assert len(outcomes) <= steps <= feasibility.NEWTON_STEPS * len(outcomes)
+
+
+def test_a_failed_finish_leaves_every_report_as_no_finish_leaves_it(monkeypatch):
+    # a finish forced to fail after its steps: each report, Werner
+    # certificates, rho/psi and the d=16 sweep, is the one with the finish
+    # switched off, to the bit (status, evaluations, gap, witness, certificate)
+    real = feasibility._newton_finish
+    monkeypatch.setattr(feasibility, "_newton_finish", lambda *args: (None, *real(*args)[1:]))
+    failed = [feasibility_del_ins(*instance) for instance in _screen_instances()]
+    monkeypatch.setattr(feasibility, "NEWTON_AFTER", math.inf)
+    tried = 0
+    for instance, report in zip(_screen_instances(), failed, strict=True):
+        alone = feasibility_del_ins(*instance)
+        assert (report.status, report.iterations, report.gap) == (alone.status, alone.iterations, alone.gap)
+        assert report.details.get("reason") == alone.details.get("reason")
+        assert alone.details.get("newton_steps", 0) == 0
+        tried += report.details.get("newton_steps", 0) > 0
+        for mine, theirs in ((report.witness, alone.witness), (report.certificate, alone.certificate)):
+            assert (mine is None) == (theirs is None)
+        if report.witness is not None:
+            assert report.witness.mat.tobytes() == alone.witness.mat.tobytes()
+        if report.certificate is not None:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(report.certificate, alone.certificate))
+    assert tried >= 25
+
+
+def test_the_finish_covers_two_blocks_and_qutrits(monkeypatch):
+    # |P| != |Q| packs the two conditions as two blocks; at its natural start
+    # the finish meets the witness test on 4 qubits, P = {1, 2}, Q = {3}.  No
+    # qutrit solve at d <= 16 runs 20 evaluations, so there it starts after 2
+    outcomes = _recorded_finishes(monkeypatch)
+    rng = np.random.default_rng([0, 42])
+    tau = [random_density(rng, QuditShape(2, 4), rank) for rank in range(1, 5)][-1]  # the rank-4 draw
+    pset, qset = IndexSet((1, 2), 4), IndexSet((3,), 4)
+    sigma, rho = delete(tau, pset), delete(tau, qset)
+    report = feasibility_del_ins(sigma, rho, pset, qset)
+    assert report.status is FeasibilityStatus.FEASIBLE and outcomes == [True]
+    assert report.iterations == feasibility.NEWTON_AFTER and report.details["newton_steps"] > 0
+    _check_witness(report, sigma, rho, pset, qset)
+    monkeypatch.setattr(feasibility, "NEWTON_AFTER", 2)
+    rng, wins = np.random.default_rng([0, 43]), 0
+    for rank in range(2, 6):
+        tau = random_density(rng, QuditShape(3, 2), rank)
+        for p, q in ((1, 2), (2, 1)):
+            pset, qset = IndexSet((p,), 2), IndexSet((q,), 2)
+            sigma, rho = delete(tau, pset), delete(tau, qset)
+            outcomes.clear()
+            report = feasibility_del_ins(sigma, rho, pset, qset)
+            assert report.status is FeasibilityStatus.FEASIBLE
+            _check_witness(report, sigma, rho, pset, qset)
+            wins += outcomes == [True]
+    assert wins >= 6
+
+
+def test_the_normal_maps_give_the_matrix_free_normal_matrix(rng):
+    # the real W N of _normal_maps, from its mapped half, against W times
+    # N y = A(A*(y) tau + tau A*(y)) for a Hermitian pair y, at every
+    # (level, Q, P) of the lifted pairs, two blocks and qutrits included;
+    # real_of and imag_of give y back from its real coordinates
+    for level, qset, pset in _lifted_pairs():
+        rho, sigma = _mixed(level, qset.ambient - qset.size), _mixed(level, pset.ambient - pset.size)
+        affine = affine_constraint(sigma, rho, pset, qset)
+        d = level**qset.ambient
+        root = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+        tau = root @ root.conj().T
+        cells, gather, starts, weights, coordinates, real_of, imag_of = feasibility._normal_maps(level, qset, pset)
+        floats = np.concatenate([tau.ravel(), affine.apply(tau)]).view(float)
+        half = np.zeros(len(weights) ** 2)
+        half[cells] = np.add.reduceat(np.concatenate([floats, -floats])[gather], starts)
+        upper = half.reshape(len(weights), -1) * weights[:, None]
+        matrix = upper + upper.T - np.diag(upper.diagonal())
+        y = affine.pack(tuple(random_hermitian(rng, len(m)) for m in affine.rhs))
+        x = affine.adjoint(y)
+        want = affine.apply(x @ tau + tau @ x).view(float)[coordinates] * weights
+        u = y[:-1].view(float)[coordinates]
+        assert np.abs(matrix @ u - want).max() <= 1e-12 * np.abs(want).max(), (level, qset, pset)
+        u = np.concatenate([u, -u, [0.0]])
+        assert np.array_equal(u[real_of] + 1j * u[imag_of], y)  # pad included
 
 
 def _lifted_pairs():
@@ -722,16 +839,18 @@ def test_compiled_maps_have_the_bits_of_trace_out_and_are_adjoint(rng):
 
 def test_decider_kernels_have_the_bits_of_lone_decompositions(rng, monkeypatch):
     # the decider decomposes each state once per side (once in all when both
-    # sides are one stack), sigma's before rho's, by a lone
-    # spectral_decompose: each kernel I - P has the bits of that call's
-    # projector, whatever the ranks beside it, and a refusal is its error
+    # sides are one stack), the states a pair still lacks by one
+    # _spectral_groups call per shape, sigma's row first: each kernel I - P
+    # has the bits of a lone spectral_decompose's projector, whatever the
+    # ranks beside it, and a refusal is the lone call's error
     def lone(shape, mat):
         kets = spectral_decompose(DensityMatrix(shape, mat)).kets
         return np.eye(len(kets)) - kets @ kets.conj().T
 
     calls = []
-    real = feasibility.spectral_decompose
-    monkeypatch.setattr(feasibility, "spectral_decompose", lambda state, tol: calls.append(1) or real(state, tol))
+    real = feasibility._spectral_groups
+    monkeypatch.setattr(feasibility, "_spectral_groups", lambda mats, shape, tol: calls.append(
+        len(mats) if np.ndim(mats) == 3 else 1) or real(mats, shape, tol))
     for level, length in ((2, 2), (2, 3), (3, 1)):
         shape = QuditShape(level, length)
         stack = np.array([random_density(rng, shape, rank).mat for rank in (1, shape.dim, 2, 3)])
@@ -742,7 +861,8 @@ def test_decider_kernels_have_the_bits_of_lone_decompositions(rng, monkeypatch):
                 rho_kernel, sigma_kernel = decider._kernels_of(i, j)
                 assert rho_kernel.tobytes() == lone(shape, stack[j]).tobytes()
                 assert sigma_kernel.tobytes() == lone(shape, stack[i]).tobytes()
-            assert len(calls) == sides * len(stack)
+            assert sum(calls) == sides * len(stack)  # every state decomposed once
+            assert calls[0] == sides  # the first pair's two states share one call
     shape = QuditShape(2, 2)
     good, bad = random_density(rng, shape).mat, np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(NotPSD) as refusal:
@@ -753,7 +873,36 @@ def test_decider_kernels_have_the_bits_of_lone_decompositions(rng, monkeypatch):
         calls.clear()
         with pytest.raises(NotPSD, match=f"^{re.escape(str(refusal.value))}$") as error:
             decider._kernels_of(i, 0)
-        assert error.value.residual == refusal.value.residual and len(calls) == (1 if i else 2)
+        # the stacked call, then the lone calls up to the refused state
+        assert error.value.residual == refusal.value.residual and calls == ([2, 1] if i else [2, 1, 1])
+
+
+def test_a_one_pair_decision_decomposes_both_states_in_one_call(monkeypatch):
+    # the two same-shape states of a one-pair decision share one stacked
+    # _spectral_groups call; marginals of full rank (tau of rank >= 4) leave
+    # kernels of rounding only, so the face is the whole space with no
+    # eigensolve, which is what the eigensolve finds: every eigenvalue below
+    # face_tol.  At rank 2 the face takes its eigensolve
+    calls, solves, faces = [], [], []
+    groups, solve = feasibility._spectral_groups, feasibility.eigensolve
+    monkeypatch.setattr(feasibility, "_spectral_groups",
+                        lambda mats, shape, tol: calls.append(np.shape(mats)) or groups(mats, shape, tol))
+    monkeypatch.setattr(feasibility, "eigensolve", lambda solver, h: solves.append(1) or solve(solver, h))
+    monkeypatch.setattr(feasibility, "_dual_solve",
+                        lambda affine, face, feas_tol: faces.append(face) or ("stopped", "stub", 0, 1.0, 0))
+    rng, pset, qset = np.random.default_rng(7), IndexSet((1,), 4), IndexSet((3,), 4)
+    for rank, full in ((16, True), (4, True), (2, False)):
+        tau = random_density(rng, QuditShape(2, 4), rank)
+        sigma, rho = delete(tau, pset), delete(tau, qset)
+        calls.clear(), solves.clear(), faces.clear()
+        report = feasibility_del_ins(sigma, rho, pset, qset)
+        assert calls == [(2, 8, 8)] and len(solves) == (0 if full else 1) and len(faces) == 1
+        assert (faces[0] is None and report.details["face_dim"] == 16) if full else faces[0] is not None
+        decider = feasibility._PairDecider(sigma.shape, sigma.mat[None], rho.shape, rho.mat[None], 1, 1, Tolerance())
+        kernels = decider._kernels_of(0, 0)
+        affine = affine_constraint(sigma, rho, pset, qset)
+        w = np.linalg.eigvalsh(affine.adjoint(affine.pack(kernels)))
+        assert (w.max() <= 2 * Tolerance().feas_tol * math.sqrt(16)) == full
 
 
 def _compact_direction(g, S, Y, step0):
@@ -827,14 +976,7 @@ def _screen_instances():
     rho, psi = example_rho(0.5, 0.5), example_psi(0.5, 0.5)
     for (sigma, rho_), p, q in product(((psi, rho), (rho, psi)), range(1, 4), range(1, 4)):
         yield sigma, rho_, IndexSet((p,), 3), IndexSet((q,), 3)
-    shape, pairs = QuditShape(2, 4), list(permutations(range(1, 5), 2))
-    for seed in range(6):
-        rng = np.random.default_rng([seed, 16])
-        for rank in range(1, shape.dim + 1):
-            tau = random_density(rng, shape, rank)
-            p, q = pairs[(seed + rank) % len(pairs)]
-            pset, qset = IndexSet((p,), 4), IndexSet((q,), 4)
-            yield delete(tau, pset), delete(tau, qset), pset, qset
+    yield from _d16_instances(range(6))
 
 
 def test_the_candidate_screen_skips_only_candidates_that_cannot_certify(monkeypatch):
@@ -1038,8 +1180,9 @@ def test_member_ins_del_names_a_deletion_count_above_the_length():
         member_ins_del(_mixed(2, 1), _mixed(2, 2), 3, 2)
 
 
-# the decider decomposes sigma, then rho, each by its own lone solve, before
-# the face: sigma of rho's shape (P = {2}) or of one qubit (P = {1, 2})
+# the decider decomposes sigma, then rho, before the face: sigma of rho's
+# shape (P = {2}) by one stacked solve with rho, one of one qubit (P = {1, 2})
+# by its own lone solve, then rho by its own
 _ONE_QUBIT = delete(example_rho(0.5, 0.5), {1})
 
 
@@ -1049,8 +1192,8 @@ _ONE_QUBIT = delete(example_rho(0.5, 0.5), {1})
         pytest.param("eigh", 1, _ONE_QUBIT, (1, 2), None, "_kernels_of", id="sigma-projector"),
         pytest.param("eigh", 2, _ONE_QUBIT, (1, 2), None, "_kernels_of", id="rho-projector"),
         pytest.param("eigh", 1, example_rho(0.5, 0.5), (2,), None, "_kernels_of", id="range-projectors"),
-        pytest.param("eigh", 3, example_rho(0.5, 0.5), (2,), None, "eigensolve", id="face"),
-        pytest.param("eigh", 4, example_rho(0.5, 0.5), (2,), None, "_dual_solve", id="first-dual-evaluation"),
+        pytest.param("eigh", 2, example_rho(0.5, 0.5), (2,), None, "eigensolve", id="face"),
+        pytest.param("eigh", 3, example_rho(0.5, 0.5), (2,), None, "_dual_solve", id="first-dual-evaluation"),
         pytest.param("eigvalsh", 1, example_psi(0.5, 0.5), (2,), "affine constraints inconsistent", "certified",
                      id="certify"),
     ],

@@ -167,7 +167,8 @@ def test_every_frobenius_norm_goes_through_the_linalg_kernel():
 
 # the dual steps' A and A*: one compiled form each, the index maps of
 # feasibility._index_maps, which the tests hold to trace_out's bits; the
-# constraint's mismatch comes traced from the decider's marginals
+# constraint's mismatch comes traced from the decider's marginals, and the
+# Gauss–Newton finish's normal matrix from maps read off _index_maps only
 DUAL_STEPS = {
     "AffineConstraint.__init__",
     "AffineConstraint.pack",
@@ -175,6 +176,8 @@ DUAL_STEPS = {
     "AffineConstraint.adjoint",
     "AffineConstraint.margin_bound",
     "_dual_solve",
+    "_newton_finish",
+    "_normal_maps",
 }
 
 
