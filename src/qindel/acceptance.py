@@ -32,8 +32,8 @@ from .distance import CodeSample, corrects, corrects_insertions, indel_distance,
 from .feasibility import FeasibilityStatus, _containment_trials, member_del_ins, member_ins_del
 from .linalg import (
     Tolerance,
-    cross_distances,
     frobenius_distance,
+    frobenius_norm,
     hermitian_eigensystem,
     is_psd,
     project_psd,
@@ -102,8 +102,8 @@ def check_x2_min_distance(seed: int) -> dict:
     """The 4-qubit single-deletion code: disjoint 1-deletion spheres, min
     distance 4.  The spheres are the kept rows of one level-1 ladder of the
     code's stack, each state's compared with the later states' by one
-    ``cross_distances`` call; the closed forms are checked against levels 1
-    and 2 of one stack of the 42 codewords."""
+    ``frobenius_norm`` of their broadcast differences; the closed forms are
+    checked against levels 1 and 2 of one stack of the 42 codewords."""
     params = code_params()
     sample = builtin_code("hagiwara4")
 
@@ -111,10 +111,12 @@ def check_x2_min_distance(seed: int) -> dict:
     rows, owner = raw[kept], np.nonzero(kept)[0]
     # one call per state against the later states' rows: one call over all
     # the rows would fill a 0.8 MB block and raise the suite's peak memory
-    min_cross = min(float(cross_distances(rows[owner == i], rows[owner > i]).min()) for i in range(len(sample) - 1))
+    min_cross = min(
+        float(frobenius_norm(rows[owner == i, None] - rows[None, owner > i]).min()) for i in range(len(sample) - 1)
+    )
 
     doubles = [deletion_sphere(psi, 2).stack for psi in collision_pair_x2(*x2_collision_params())]
-    collision_gap = float(cross_distances(*doubles).min())
+    collision_gap = float(frobenius_norm(doubles[0][:, None] - doubles[1][None]).min())
 
     alpha_c, beta_c = x2_collision_params()
     partner = (alpha_c, beta_c * np.exp(2j * (np.angle(alpha_c) - np.angle(beta_c))))

@@ -5,31 +5,31 @@ spheres D^0, D^1, ... of a state, or of each state of a stack, form one
 ladder, ``_dedup_levels``: the distance walks read it level by level, and
 ``deletion_sphere`` reads its one level s.  Its levels come from the one
 level builder, ``_traced_levels``, which traces each level's candidates
-from the level before, bit-identical to tracing each subset from the
-state, for one state or a stack of states alike; a ladder started high
-builds its first level directly, from only the parents its rows need.  A
-sphere is the read-only result of one greedy dedup of one level by
-``_dedup_levels``, for one state or each state of a stack; the greedy rule
-is one loop, ``_distinct_mask``, and a code's stack is deduplicated as one
-level of it.  Where spheres first meet is found by one kernel,
-``first_meeting``, over one stack of rows, each owned by a state.  Every
-dedup and every comparison of rows is one call of ``_screened_distances``,
-on a lone stack or a batch of stacks, which returns the pairs the caller
-keeps, sparse, with their distances.  Its candidates come from one
-sort-and-sweep kernel, ``_near_pairs`` (the one-axis sweep of collision
-detection: Cohen, Lin, Manocha and Ponamgi, *I-COLLIDE*, 1995): each row
-is projected on one fixed unit vector, the projections are sorted within
-each batch entry, and a row's candidates are the rows whose projections lie
-within a window of eq_tol (1 + 1e-6), plus the projections' rounding,
-gamma_n (||x|| + ||y||) by Higham's inner-product bound, plus the
-underflow of subnormals.  The windows are expanded in chunks of about
-``_CHUNK`` pairs; only the candidates get a full distance, gathered across
-rows and batch entries for ``linalg.frobenius_norm``, and no k x k array is
-formed.  A dedup keeps the pairs i < j; ``first_meeting`` sweeps a whole
-level once and keeps the pairs of rows of two owners; ``pairs_meet``
-decides, with no witness, whether each listed pair of states of two ladder
-levels meets, one screened call per chunk of gathered pairs, and keeps the
-pairs of their kept rows.
+from the level before, one batched call per block of rows, bit-identical to
+tracing each subset from the state, for one state or a stack of states
+alike; every caller passes the level it starts at, and below it only the
+tail of each level that later levels read is built.  A sphere is the
+read-only result of one greedy dedup of one level by ``_dedup_levels``, for
+one state or each state of a stack; the greedy rule is one loop,
+``_distinct_mask``, and a code's stack is deduplicated as one level of it.
+Where spheres first meet is found by one kernel, ``first_meeting``, over
+one stack of rows, each owned by a state.  Every dedup and every comparison
+of rows is one call of ``_screened_distances``, on a lone stack or a batch
+of stacks, which returns the pairs the caller keeps, sparse, with their
+distances.  Its candidates come from one sort-and-sweep kernel,
+``_near_pairs`` (the one-axis sweep of collision detection: Cohen, Lin,
+Manocha and Ponamgi, *I-COLLIDE*, 1995): each row is projected on one fixed
+unit vector, the projections are sorted within each batch entry, and a
+row's candidates are the rows whose projections lie within a window of
+eq_tol (1 + 1e-6), plus the projections' rounding, gamma_n (||x|| + ||y||)
+by Higham's inner-product bound, plus the underflow of subnormals.  The
+windows are expanded in chunks of about ``_CHUNK`` pairs; only the
+candidates get a full distance, gathered across rows and batch entries for
+``linalg.frobenius_norm``, and no k x k array is formed.  A dedup keeps the
+pairs i < j; ``first_meeting`` sweeps a whole level once and keeps the
+pairs of rows of two owners; ``pairs_meet`` decides, with no witness,
+whether each listed pair of states of two ladder levels meets, one screened
+call per chunk of gathered pairs, and keeps the pairs of their kept rows.
 
 Insertion at a set of positions Q is the *set* of larger states whose
 deletion at Q returns the original; members are constructed from rho's
@@ -62,7 +62,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb, prod
 from typing import Iterator, Sequence
 
@@ -430,7 +430,7 @@ class SphereSet:
         return None if hit is None else (hit[0], hit[1] - len(self), hit[2])
 
 
-def _traced_levels(mats: np.ndarray, shape: QuditShape, start: int = 0) -> Iterator[np.ndarray]:
+def _traced_levels(mats: np.ndarray, shape: QuditShape, start: int) -> Iterator[np.ndarray]:
     """The raw deletion levels of each state of ``shape`` in the ``(..., d, d)``
     stack ``mats`` (a lone state passes its matrix): for s = start, ..., n
     one ``(..., C(n, s), d_s, d_s)`` array whose rows are the deletions at
@@ -440,40 +440,32 @@ def _traced_levels(mats: np.ndarray, shape: QuditShape, start: int = 0) -> Itera
     tracing position c1, which c[1:] leaves unnumbered.  ``trace_out``
     traces the largest position first too, so each row is the one
     ``trace_out(mat, IndexSet(c, n), l)`` gives, bit for bit; each call
-    takes its one-position index set from ``_one_position``.  Level
-    ``start`` is built directly: only its rows' parents, their parents and
-    so on are traced, each once, one ``trace_out`` call per row, and no
-    level below it is built whole (at start 0 the level is a view of the
-    stack).  Each later level is built whole from the one before: the
+    takes its one-position index set from ``_one_position``.  Each level is
+    built from the one before, level 0 being a view of the stack: the
     children with c1 = p are a contiguous block whose parents are the last
-    C(n - p, s - 1) rows of the level before, so a level is n - s + 1
-    batched ``trace_out`` calls, each written into its block of the level.
+    C(n - p, s - 1) rows of the level before, so each block is one batched
+    ``trace_out`` call, written into its place in the level.  Below
+    ``start`` only the blocks with p > start - s are built: they are the
+    tail of their level and hold every row a later level reads.
     """
     n, l = shape.length, shape.level
     batch = mats.shape[:-2]
-    if start == 0:
-        raw = mats[..., None, :, :]
-    else:
-        rows = {(): mats}  # each subset traced so far, by its positions
-        for c in combinations(range(1, n + 1), start):
-            for k in range(len(c) - 1, -1, -1):  # the parents first, the largest subsets last
-                if c[k:] not in rows:
-                    rows[c[k:]] = trace_out(rows[c[k + 1 :]], _one_position(c[k], n - start + k + 1), l)
-        raw = np.stack([rows[c] for c in combinations(range(1, n + 1), start)], axis=-3)
-        del rows
+    raw = mats[..., None, :, :]
     del mats  # a level-0 view alone keeps the stack alive, until level 1 is built
-    yield raw
-    for s in range(start + 1, n + 1):
-        dim = l ** (n - s)
-        level = np.empty((*batch, comb(n, s), dim, dim), dtype=complex)
+    if start == 0:
+        yield raw
+    for s in range(1, n + 1):
+        first, dim = max(1, start - s + 1), l ** (n - s)
+        level = np.empty((*batch, comb(n + 1 - first, s), dim, dim), dtype=complex)
         row = 0
-        for p in range(1, n - s + 2):
+        for p in range(first, n - s + 2):
             count = comb(n - p, s - 1)
             # the parents are not named, so no view keeps the level before alive past this level
             level[..., row : row + count, :, :] = trace_out(raw[..., -count:, :, :], _one_position(p, n - s + 1), l)
             row += count
         raw = level
-        yield raw
+        if s >= start:
+            yield raw
 
 
 def _dedup_levels(levels: Iterator[np.ndarray], tol: Tolerance) -> Iterator[tuple]:
@@ -485,10 +477,10 @@ def _dedup_levels(levels: Iterator[np.ndarray], tol: Tolerance) -> Iterator[tupl
     pairs i < j the greedy rule reads.  A one-row level keeps its row
     without a distance.
 
-    A caller that starts above level 0 passes ``islice`` of the chained
-    levels (the levels below the start are traced, not deduplicated), or,
-    as a distance walk whose probe built its top level directly does, that
-    level and the rest of its ladder."""
+    A caller that starts above level 0 passes the ladder from its start
+    (the levels below it are traced, not deduplicated), or, as a distance
+    walk whose probe passed does, the probe's level and the rest of its
+    ladder."""
     for raw in levels:
         eq_tol = tol.at(raw.shape[-1]).eq_tol
         if raw.shape[-3] == 1:
@@ -500,12 +492,12 @@ def _dedup_levels(levels: Iterator[np.ndarray], tol: Tolerance) -> Iterator[tupl
 
 
 def deletion_sphere(rho: DensityMatrix, s: int, tol: Tolerance = Tolerance()) -> SphereSet:
-    """D^s(rho): level s of rho's ladder, traced from the levels before it,
-    which are not deduplicated, and deduplicated greedily within eq_tol at
-    its dimension (``_dedup_levels``).  ``s``, a deletion count, must be an
+    """D^s(rho): level s of rho's ladder, started at s (only the tails of
+    the levels before it are traced, and none is deduplicated), deduplicated
+    greedily within eq_tol at its dimension (``_dedup_levels``).  ``s``, a deletion count, must be an
     integer in [0, n], else ``CountOutOfRange``."""
     n, s = rho.length, _count(s, "deletion count s", most=rho.length)
-    eq_tol, raw, kept = next(_dedup_levels(islice(_traced_levels(rho.mat, rho.shape), s, None), tol))
+    eq_tol, raw, kept = next(_dedup_levels(_traced_levels(rho.mat, rho.shape, s), tol))
     reps = [IndexSet(c, n) for c, keep in zip(combinations(range(1, n + 1), s), kept) if keep]
     return SphereSet(QuditShape(rho.level, n - s), eq_tol, raw if kept.all() else raw[kept], reps, len(raw))
 

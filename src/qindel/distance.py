@@ -12,13 +12,14 @@ meet, by one walk, ``_first_meeting``.  It walks ladders of
 ``channels._dedup_levels`` in step, each one of a stack of states, gathers
 each level's kept rows once, each owned by its state, and asks
 ``channels.first_meeting`` once per level about them.  ``indel_distance``
-walks two one-state ladders from their start levels; ``min_distance``
-walks the one ladder of the code's stack from level 1, since code states
-share one length, are distinct at level 0 by construction, and the code's
-minimum distance is 2s for the least s at which two of their s-deletion
-spheres meet.  ``metric_check`` needs only values, of many pairs: it walks
-all of them in lockstep (``_pair_distances``), one ladder per (shape, start
-level) over the states that walk from it, and decides each group of pairs
+walks two one-state ladders from their start levels; ``min_distance`` walks
+the one ladder of the code's stack from level 1, since code states share
+one length, are distinct at level 0 by construction, and the code's minimum
+distance is 2s for the least s at which two of their s-deletion spheres
+meet.  ``metric_check`` needs only values, of many pairs:
+``_pair_distances`` groups them by their two (shape, start level) ladders
+and walks each group on its own, one ladder a side over the group's states
+(one for both sides when the two are the same), deciding the group's pairs
 at each step by one ``channels.pairs_meet`` call.  Every comparison
 distance.py makes is a ``first_meeting`` or ``pairs_meet`` call, the
 probe's too.  Only a witness row is wrapped as a state.  A ``CodeSample``
@@ -32,13 +33,14 @@ the walk's top non-trivial level K, of one-qudit rows: level n - 1 for a
 code, step min(n, m) - 1 for two states.  A meeting carries up the ladder
 (tracing the same qudits out of two rows moves them at most sqrt(l) times
 farther apart per qudit), so when no row of level K lies within
-``_probe_bound`` (the largest eq_tol of a skipped level, carried up, plus
-a rounding margin) of a row of another state (one ``first_meeting`` call
-at that bound finds no meeting), no lower level can meet, and
-the walk starts at K: ``channels._traced_levels`` builds that level
-directly, and the probe's rows are the walk's first raw level.  Otherwise
-the walk starts where it would without the probe.  Every value, pair and
-witness is the one the walk from the start gives.
+``_probe_bound`` (the largest eq_tol of a skipped level, carried up, plus a
+rounding margin) of a row of another state (one ``first_meeting`` call at
+that bound finds no meeting), no lower level can meet, and the walk starts
+at K: ``channels._traced_levels`` started at K builds of each level below
+it only the tail that K's rows are traced from, and the probe's rows are
+the walk's first raw level.  Otherwise the walk starts where it would
+without the probe.  Every value, pair and witness is the one the walk from
+the start gives.
 """
 
 from __future__ import annotations
@@ -268,7 +270,7 @@ def _ladders(stacks: Sequence[tuple[np.ndarray, QuditShape, int]], tol: Toleranc
                     for (_, shape, start), raw, levels in zip(stacks, tops, traced)
                 ]
     return [
-        (shape, start, _dedup_levels(islice(_traced_levels(mats, shape), start, None), tol))
+        (shape, start, _dedup_levels(_traced_levels(mats, shape, start), tol))
         for mats, shape, start in stacks
     ]
 
@@ -418,60 +420,47 @@ def corrects_insertions(code: CodeSample, t: int) -> Verdict:
 
 def _pair_distances(pairs: Sequence[tuple[DensityMatrix, DensityMatrix]], tol: Tolerance) -> list[int]:
     """``indel_distance(x, y, tol).value`` of every pair ``(x, y)`` of
-    states of one level, all walked in lockstep.
+    states of one level, each group of pairs walked on its own.
 
     A pair of lengths n and m walks x's ladder from level s = max(0, n - m)
     and y's from t = max(0, m - n), r = min(n, m) steps down to the empty
-    state.  Each (shape, start level) gets one ``_dedup_levels`` ladder over
-    the stack of the states that walk from it, each state once; it holds
-    only its current level and stops once all its pairs have met.  At step
-    k < r, each (x ladder, y ladder) group of pairs that have not met is
-    decided by one ``channels.pairs_meet`` call, and a pair that meets is
-    s + t + 2k apart.  At step r the pairs left meet by the empty state,
-    which is not traced.  All the pairs of a ladder share its r, so a
-    group's ladders reach their last step together.
+    state.  The pairs are grouped by their two (shape, start level)
+    ladders; each group's x states and y states get one ``_dedup_levels``
+    ladder a side, over the stack of that side's states, each once, and one
+    ladder for both sides when the two are the same.  At step k < r the
+    group's pairs that have not met are decided by one
+    ``channels.pairs_meet`` call, and a pair that meets is s + t + 2k
+    apart; the walk stops once all have met.  At step r the pairs left
+    meet by the empty state, which is not traced.
     """
-    ends = [((x.shape, max(0, x.length - y.length)), (y.shape, max(0, y.length - x.length))) for x, y in pairs]
-    members: dict[tuple, dict[int, DensityMatrix]] = {}  # each ladder's states, by id, in order of first use
-    for pair, keys in zip(pairs, ends):
-        for key, state in zip(keys, pair):
-            members.setdefault(key, {}).setdefault(id(state), state)
-    rows = {key: {sid: r for r, sid in enumerate(states)} for key, states in members.items()}
-    groups: dict[tuple, list[tuple[int, int, int]]] = {}  # (x ladder, y ladder) -> (pair, x row, y row)
-    for p, ((x, y), (kx, ky)) in enumerate(zip(pairs, ends)):
-        groups.setdefault((kx, ky), []).append((p, rows[kx][id(x)], rows[ky][id(y)]))
-    pending = {group: np.array(entries) for group, entries in groups.items()}
-    ladders = {
-        key: _dedup_levels(_traced_levels(np.stack([x.mat for x in states.values()]), *key), tol)
-        for key, states in members.items()
-    }
-    levels: dict[tuple, tuple] = {}
-    values = [0] * len(pairs)
-    step = 0
-    while pending:
-        live = {key for kx, ky in pending if kx[0].length - kx[1] > step for key in (kx, ky)}
-        for key in list(ladders):
-            if key in live:
-                levels[key] = next(ladders[key])
-            else:
-                levels.pop(key, None)
-                del ladders[key]
-        for (kx, ky), entries in list(pending.items()):
-            p, i, j = entries.T
-            if kx[0].length - kx[1] > step:
-                met = pairs_meet(levels[kx], levels[ky], (i, j))
-            else:
-                # full deletion leaves every state the one empty state, even
-                # where eq_tol 0 reads two computed traces a last bit apart
-                met = np.ones(len(p), dtype=bool)
-            for q in p[met].tolist():
-                values[q] = kx[1] + ky[1] + 2 * step
-            if met.all():
-                del pending[kx, ky]
-            else:
-                pending[kx, ky] = entries[~met]
-        step += 1
-    return values
+    groups: dict[tuple, list[int]] = {}  # (x ladder, y ladder) -> its pairs
+    for p, (x, y) in enumerate(pairs):
+        keys = (x.shape, max(0, x.length - y.length)), (y.shape, max(0, y.length - x.length))
+        groups.setdefault(keys, []).append(p)
+    values = np.empty(len(pairs), dtype=int)
+    for (kx, ky), group in groups.items():
+        members: dict[tuple, dict] = {kx: {}, ky: {}}  # each ladder's states, by id: (row, state)
+        rows = [
+            [members[key].setdefault(id(state), (len(members[key]), state))[0] for key, state in zip((kx, ky), pairs[p])]
+            for p in group
+        ]
+        ladders = {}
+        for (shape, start), states in members.items():
+            stack = np.stack([state.mat for _, state in states.values()])
+            ladders[shape, start] = _dedup_levels(_traced_levels(stack, shape, start), tol)
+        pending, (i, j), r = np.array(group), np.array(rows).T, kx[0].length - kx[1]
+        for step in range(r):
+            levels = {key: next(ladder) for key, ladder in ladders.items()}
+            met = pairs_meet(levels[kx], levels[ky], (i, j))
+            values[pending[met]] = kx[1] + ky[1] + 2 * step
+            pending, i, j = pending[~met], i[~met], j[~met]
+            if not len(pending):
+                break
+        # full deletion leaves every state the one empty state: the pairs
+        # left meet there, even where eq_tol 0 reads two computed traces a
+        # last bit apart
+        values[pending] = kx[1] + ky[1] + 2 * r
+    return values.tolist()
 
 
 def metric_check(
@@ -485,10 +474,10 @@ def metric_check(
     before any distance is taken.  ``odd_equal_length`` counts the
     distances d_ab, d_bc and d_ac between states of equal length that are
     odd (such distances are always even); it does not enter ``ok``.  The
-    distances d_ab, d_ba, d_bc and d_ac of every triple are taken together,
-    by one lockstep walk (``_pair_distances``): each state's levels are
-    built once per start level, and each step makes one batched comparison
-    per group of pairs.
+    distances d_ab, d_ba, d_bc and d_ac of every triple are taken together
+    (``_pair_distances``): the pairs are grouped by their two ladders, each
+    state's levels are built once per group it belongs to, and each step
+    makes one batched comparison per group.
     """
     triples = list(triples)
     for idx, (a, b, c) in enumerate(triples):

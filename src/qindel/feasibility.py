@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -352,8 +352,8 @@ def _members_ins_del(sigma_shape, sigmas, rho_shape, rhos, s: int, t: int, tol: 
     reads.
     """
     _check_composed(sigma_shape, rho_shape, s, t, most_s=rho_shape.length)
-    left = next(_dedup_levels(islice(_traced_levels(sigmas, sigma_shape), t, None), tol))
-    right = next(_dedup_levels(islice(_traced_levels(rhos, rho_shape), s, None), tol))
+    left = next(_dedup_levels(_traced_levels(sigmas, sigma_shape, t), tol))
+    right = next(_dedup_levels(_traced_levels(rhos, rho_shape, s), tol))
     order = np.arange(len(sigmas))
     return pairs_meet(left, right, (order, order)).tolist()
 

@@ -64,6 +64,41 @@ def example_insertion(q: int, p0: float, p1: float, pi00, pi11, a) -> DensityMat
     return DensityMatrix(QuditShape(2, 3), mat)
 
 
+# the all-pairs oracle's blocks: at most _CHUNK complex entries, and at most
+# _BATCH_CHUNK where a block spans several batch entries
+_CHUNK = 1 << 16
+_BATCH_CHUNK = 1 << 12
+
+
+def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All-pairs Frobenius distances of two ``(..., k, d, d)`` stacks with the
+    same leading batch axes: a ``(..., ka, kb)`` array of
+    ``frobenius_norm(a[..., i, :, :] - b[..., j, :, :])``, each batch entry's
+    pairs on their own, the screen's reference oracle.  The pairs are taken
+    in blocks of at most ``_CHUNK`` complex entries (one pair always fits:
+    the dimension cap is 256, and 256**2 = _CHUNK), and a block spans
+    several batch entries only within ``_BATCH_CHUNK``.  Each entry is
+    ``frobenius_distance`` of its pair, bit for bit, whatever block it
+    falls in."""
+    batch, (ka, d1, d2), kb = a.shape[:-3], a.shape[-3:], b.shape[-3]
+    count = math.prod(batch)
+    a, b = a.reshape(count, ka, d1, d2), b.reshape(count, kb, d1, d2)
+    size = d1 * d2
+    out = np.empty((count, ka, kb))
+    cols = max(1, min(kb, _CHUNK // size))
+    rows = max(1, min(ka, _CHUNK // (cols * size)))
+    mats = max(1, min(count, _BATCH_CHUNK // (rows * cols * size)))
+    diff = np.empty((mats, rows, cols, d1, d2), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, as the norm of a NaN pair reads
+        for m in range(0, count, mats):
+            for i in range(0, ka, rows):
+                for j in range(0, kb, cols):
+                    block = diff[: min(mats, count - m), : min(rows, ka - i), : min(cols, kb - j)]
+                    np.subtract(a[m : m + mats, i : i + rows, None], b[m : m + mats, None, j : j + cols], out=block)
+                    out[m : m + mats, i : i + rows, j : j + cols] = linalg.frobenius_norm(block)
+    return out.reshape(*batch, ka, kb)
+
+
 def affine_constraint(sigma, rho, pset, qset):
     """The ``AffineConstraint`` of sigma in D_P(I_Q(rho)), its mismatch of
     the common marginals traced here, as the pair decider traces it."""

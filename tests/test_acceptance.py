@@ -19,9 +19,10 @@ from qindel.channels import IndexSet, _sample_batch, delete, deletion_sphere
 from qindel.codes import builtin_code, code_params, collision_pair_x2, hagiwara_codeword
 from qindel.codes import hagiwara_double_deletion, hagiwara_single_deletion, x2_collision_params
 from qindel.distance import min_distance
-from qindel.linalg import Tolerance, cross_distances
+from qindel.linalg import Tolerance
 from qindel.rand import random_density
 from qindel.states import QuditShape, validate
+from conftest import cross_distances
 
 NAMES = [
     "indel-distance-two-qubit-mixtures",

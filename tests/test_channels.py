@@ -1,7 +1,7 @@
 import math
 import weakref
 from functools import reduce
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -46,7 +46,7 @@ from qindel.errors import (
     ShapeMismatch,
 )
 from qindel.feasibility import feasibility_del_ins
-from qindel.linalg import Tolerance, cross_distances, frobenius_distance
+from qindel.linalg import Tolerance, frobenius_distance
 from qindel.rand import random_density
 from qindel.states import (
     DensityMatrix,
@@ -56,7 +56,7 @@ from qindel.states import (
     spectral_decompose,
     validate,
 )
-from conftest import make_states, random_orthonormal
+from conftest import cross_distances, make_states, random_orthonormal
 
 
 def partial_trace_oracle(mat, p, level, n):
@@ -576,7 +576,7 @@ def test_deletion_levels_match_per_subset_traces(rng, level, lengths):
         shape = QuditShape(level, n)
         product = repeated_product(rng, level, n)
         for rho in (random_density(rng, shape), random_density(rng, shape, 1), product):
-            raws = list(_traced_levels(rho.mat, rho.shape))
+            raws = list(_traced_levels(rho.mat, rho.shape, 0))
             spheres = [deletion_sphere(rho, s) for s in range(n + 1)]
             assert len(raws) == n + 1
             for s, (raw, sphere) in enumerate(zip(raws, spheres)):
@@ -599,10 +599,10 @@ def test_stacked_ladders_give_each_state_its_lone_rows(rng, level, n, batch):
     shape = QuditShape(level, n)
     rhos = [random_density(rng, shape, int(rng.integers(1, shape.dim + 1))) for _ in range(math.prod(batch))]
     mats = np.stack([rho.mat for rho in rhos]).reshape(*batch, shape.dim, shape.dim)
-    stacked = list(_traced_levels(mats, shape))
+    stacked = list(_traced_levels(mats, shape, 0))
     assert len(stacked) == n + 1
     for k, rho in enumerate(rhos):
-        for s, (level_rows, lone) in enumerate(zip(stacked, _traced_levels(rho.mat, shape))):
+        for s, (level_rows, lone) in enumerate(zip(stacked, _traced_levels(rho.mat, shape, 0))):
             assert level_rows.shape == (*batch, math.comb(n, s), *lone.shape[-2:])
             rows = level_rows.reshape(-1, *lone.shape)[k]
             assert rows.tobytes() == lone.tobytes()
@@ -611,12 +611,12 @@ def test_stacked_ladders_give_each_state_its_lone_rows(rng, level, n, batch):
 @pytest.mark.parametrize("level, n", [(2, 4), (2, 6), (3, 3)])
 @pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
 def test_a_ladder_started_high_gives_the_chained_rows(rng, level, n, batch):
-    # a level built directly, from only the parents its rows need, and every
-    # level after it have the bits of the ladder traced from level 0
+    # a level built from only the tails of the levels below it, and every
+    # level after it, have the bits of the ladder traced from level 0
     shape = QuditShape(level, n)
     rhos = [random_density(rng, shape, int(rng.integers(1, shape.dim + 1))) for _ in range(math.prod(batch))]
     mats = np.stack([rho.mat for rho in rhos]).reshape(*batch, shape.dim, shape.dim)
-    chained = list(_traced_levels(mats, shape))
+    chained = list(_traced_levels(mats, shape, 0))
     for start in range(1, n + 1):
         started = list(_traced_levels(mats, shape, start))
         assert len(started) == n + 1 - start
@@ -624,11 +624,24 @@ def test_a_ladder_started_high_gives_the_chained_rows(rng, level, n, batch):
             assert raw.shape == want.shape and raw.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("start, calls", [(7, 14), (3, 18)])
+def test_a_ladder_started_high_traces_one_block_per_call(rng, monkeypatch, start, calls):
+    # 8 qubits: each level up to the start traces only its blocks with
+    # c1 > start - s, n - start + 1 of them at every level, one batched
+    # trace_out call each
+    traced, real = [], qindel.channels.trace_out
+    monkeypatch.setattr(qindel.channels, "trace_out", lambda *args: traced.append(args[1]) or real(*args))
+    rho = random_density(rng, QuditShape(2, 8))
+    top = next(_traced_levels(rho.mat, rho.shape, start))
+    assert top.shape == (math.comb(8, start), 2 ** (8 - start), 2 ** (8 - start))
+    assert len(traced) == calls == start * (8 - start + 1)
+
+
 def test_a_ladder_keeps_only_its_current_level(rng):
     # an open ladder (min_distance holds one for the code's stacked states)
     # lets each level go once the next one is built
     rho = random_density(rng, QuditShape(2, 4))
-    ladder = _traced_levels(rho.mat, rho.shape)
+    ladder = _traced_levels(rho.mat, rho.shape, 0)
     next(ladder)
     before = weakref.ref(next(ladder))
     next(ladder)
@@ -641,7 +654,7 @@ def test_a_ladder_lets_its_stack_go_once_level_1_is_built(rng):
     shape = QuditShape(2, 4)
     stack = np.stack([random_density(rng, shape).mat for _ in range(3)])
     source = weakref.ref(stack)
-    ladder = _dedup_levels(islice(_traced_levels(stack, shape), 1, None), Tolerance())
+    ladder = _dedup_levels(_traced_levels(stack, shape, 1), Tolerance())
     del stack
     next(ladder)
     assert source() is None

@@ -190,9 +190,10 @@ def test_a_grid_walk_makes_one_screened_call_per_level_and_block(monkeypatch):
 
 def _probes(monkeypatch):
     """Record ``("trace", start)`` for each ``_traced_levels`` call of
-    distance.py (a probe traces from its top level, a walk from level 0)
-    and ``("walk", start)`` for each ladder ``_ladders`` hands the walk: a
-    walk whose probe passed traces nothing more."""
+    distance.py (a probe traces from its top level, a walk from its start,
+    level 1 for a code) and ``("walk", start)`` for each ladder
+    ``_ladders`` hands the walk: a walk whose probe passed traces nothing
+    more."""
     calls, ladders, traced = [], distance._ladders, distance._traced_levels
 
     def recorded_ladders(stacks, tol):
@@ -200,7 +201,7 @@ def _probes(monkeypatch):
         calls.extend(("walk", start) for _, start, _ in built)
         return built
 
-    def recorded_traced(mats, shape, start=0):
+    def recorded_traced(mats, shape, start):
         calls.append(("trace", start))
         return traced(mats, shape, start)
 
@@ -223,7 +224,7 @@ def test_a_pair_meeting_only_at_its_one_qudit_rows_fails_the_probe(rng, monkeypa
     calls.clear()
     code = CodeSample.from_states([rho, sigma])
     assert assert_matches_lone_walk(code) == 6
-    assert calls == [("trace", 3), ("trace", 0), ("walk", 1)]
+    assert calls == [("trace", 3), ("trace", 1), ("walk", 1)]
 
 
 def test_a_generic_pair_walks_from_the_rows_of_its_probe(rng, monkeypatch):
@@ -259,7 +260,7 @@ def test_the_collision_pair_probes_and_walks_from_level_1(monkeypatch):
     code = builtin_code("collision-x2")
     calls = _probes(monkeypatch)
     assert assert_matches_lone_walk(code) == 4
-    assert calls == [("trace", 3), ("trace", 0), ("walk", 1)]
+    assert calls == [("trace", 3), ("trace", 1), ("walk", 1)]
 
 
 def test_a_large_grid_code_walks_without_a_probe(monkeypatch):
@@ -268,7 +269,7 @@ def test_a_large_grid_code_walks_without_a_probe(monkeypatch):
     code = builtin_code("hagiwara4", _grid(9, 12))
     calls = _probes(monkeypatch)
     assert min_distance(code)[0] == 4
-    assert calls == [("trace", 0), ("walk", 1)]
+    assert calls == [("trace", 1), ("walk", 1)]
 
 
 def test_a_pair_within_eq_tol_fails_the_probe(rng, monkeypatch):
@@ -300,7 +301,7 @@ def test_a_state_with_a_non_finite_entry_fails_the_probe(rng, monkeypatch, entry
     assert calls == [("trace", 3), ("trace", 3), ("trace", 0), ("trace", 0), ("walk", 0), ("walk", 0)]
     calls.clear()
     assert assert_matches_lone_walk(CodeSample.from_states([rho, sigma])) == 8
-    assert calls == [("trace", 3), ("trace", 0), ("walk", 1)]
+    assert calls == [("trace", 3), ("trace", 1), ("walk", 1)]
 
 
 def test_a_code_with_an_infinite_entry_is_built_without_a_warning(rng):
@@ -341,7 +342,7 @@ def test_two_generic_8_qubit_states_walk_only_their_top_levels(rng, monkeypatch)
     rho, sigma = (random_density(rng, QuditShape(2, 8), 40) for _ in range(2))
     levels, traced = [], qindel.channels._traced_levels
 
-    def recorded(mats, shape, start=0):
+    def recorded(mats, shape, start):
         for level in traced(mats, shape, start):
             levels.append(level.shape)
             yield level
@@ -507,14 +508,44 @@ def test_metric_check_records_each_violation_with_its_values(monkeypatch):
 
 @pytest.mark.parametrize("level, n", [(2, 1), (2, 2), (2, 3), (3, 2)])
 def test_metric_check_makes_one_batched_comparison_per_step(monkeypatch, rng, level, n):
-    # the pairs of 50 same-shape triples walk one ladder in lockstep: one
-    # pairs_meet call per step, all 200 pairs at the first, and none at the
-    # empty state, where the pairs left meet untraced: n calls at most
+    # the pairs of 50 same-shape triples form one group and walk one
+    # ladder: one pairs_meet call per step, all 200 pairs at the first, and
+    # none at the empty state, where the pairs left meet untraced: n calls
+    # at most
     calls, real = [], distance.pairs_meet
     monkeypatch.setattr(distance, "pairs_meet", lambda x, y, pairs: calls.append(len(pairs[0])) or real(x, y, pairs))
     report = metric_check([tuple(make_states(rng, level, n, 3)) for _ in range(50)])
     assert report["ok"] and report["checked"] == 50
     assert 1 <= len(calls) <= n and calls[0] == 200
+
+
+def test_mixed_length_groups_each_walk_on_their_own(monkeypatch, rng):
+    # triples of 2-, 3- and 2-qubit states give three (x ladder, y ladder)
+    # groups, in order of first pair: (a, b); (b, a) with (b, c); and (a, c),
+    # one ladder for both its sides.  Each group makes one pairs_meet call
+    # per step over its pairs that have not met, until all have met or only
+    # the empty state is left
+    x = random_density(rng, QuditShape(2, 1))
+    a = make_states(rng, 2, 2, 3)
+    b = [DensityMatrix(QuditShape(2, 3), np.kron(a[0].mat, x.mat)), *make_states(rng, 2, 3, 2)]
+    c = [make_states(rng, 2, 2, 1)[0], a[1], make_states(rng, 2, 2, 1)[0]]
+    pairs = [pair for a, b, c in zip(a, b, c) for pair in ((a, b), (b, a), (b, c), (a, c))]
+    want = [indel_distance(x, y).value for x, y in pairs]
+    assert {0, 1, 4, 5} <= set(want)  # pairs meet at step 0 and at the empty state
+    calls, real = [], distance.pairs_meet
+
+    def recorded(x, y, pairs):
+        calls.append((x is y, len(pairs[0])))
+        return real(x, y, pairs)
+
+    monkeypatch.setattr(distance, "pairs_meet", recorded)
+    assert distance._pair_distances(pairs, Tolerance()) == want
+    expected = []
+    for group, apart, shared in (({0}, 1, False), ({1, 2}, 1, False), ({3}, 0, True)):
+        steps = [(d - apart) // 2 for p, d in enumerate(want) if p % 4 in group]
+        expected += [(shared, sum(k <= step for step in steps)) for k in range(min(max(steps) + 1, 2))]
+    assert calls == expected
+    assert metric_check(list(zip(a, b, c)))["ok"]
 
 
 def test_the_lockstep_walk_keeps_each_gather_within_budget(monkeypatch):

@@ -9,7 +9,6 @@ from qindel.linalg import (
     _psd_certified,
     _require_hermitian,
     _least_eigenvalues,
-    cross_distances,
     eigensolve,
     frobenius_distance,
     frobenius_norm,
@@ -21,7 +20,7 @@ from qindel.linalg import (
 )
 from qindel.rand import _random_densities, random_density, random_hermitian, random_psd
 from qindel.states import QuditShape, validate
-from conftest import failing_from, planted_state
+from conftest import cross_distances, failing_from, planted_state
 
 I2 = np.eye(2, dtype=complex)
 

@@ -203,13 +203,11 @@ def test_the_dual_steps_read_no_partial_trace():
 SCREEN = ("channels.py", "_screened_distances")
 
 
-def _reads_outside_the_screen(name: str, skip=(), screen=SCREEN) -> list[str]:
-    """Where a library module outside ``skip`` reads ``name`` other than in
-    ``screen`` (channels._screened_distances by default; None: anywhere)."""
+def _reads_outside_the_screen(name: str, screen=SCREEN) -> list[str]:
+    """Where a library module reads ``name`` other than in ``screen``
+    (channels._screened_distances by default; None: anywhere)."""
     reads = []
     for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
-        if path.name in skip:
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {
             id(node): func.name
@@ -226,11 +224,37 @@ def _reads_outside_the_screen(name: str, skip=(), screen=SCREEN) -> list[str]:
 
 def test_only_the_screen_reads_cross_distances():
     # every dedup and every comparison of states goes through the one screened
-    # kernel, channels._screened_distances, which forms no k x k array: no
-    # library module reads the all-pairs form linalg defines but the
-    # acceptance suite, which keeps its own independent residuals
-    reads = _reads_outside_the_screen("cross_distances", skip=("acceptance.py",), screen=None)
-    assert not reads, f"cross_distances read outside the acceptance suite: {reads}"
+    # kernel, channels._screened_distances, which forms no k x k array: the
+    # all-pairs form is the tests' oracle (tests/conftest.py), and no library
+    # module defines, imports, reads or names it
+    named = [
+        path.name
+        for path in sorted((ROOT / "src" / "qindel").glob("*.py"))
+        if "cross_distances" in path.read_text(encoding="utf-8")
+    ]
+    assert not named, f"cross_distances named in the library: {named}"
+
+
+def _called(node, name: str) -> bool:
+    """Whether ``node`` is a call of ``name``, bare or as an attribute."""
+    return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+
+
+def test_every_ladder_passes_its_start():
+    # one way to start a ladder: every channels._traced_levels call passes
+    # the level it starts at, and none skips the levels below it by islice
+    calls, startless, sliced = 0, [], []
+    for path in sorted((ROOT / "src" / "qindel").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _called(node, "_traced_levels"):
+                calls += 1
+                if len(node.args) + len(node.keywords) < 3:
+                    startless.append(f"{path.name}:{node.lineno}")
+            if _called(node, "islice"):
+                sliced += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node) if _called(inner, "_traced_levels")]
+    assert calls >= 5, f"found {calls} _traced_levels calls"
+    assert not startless, f"_traced_levels called without a start: {startless}"
+    assert not sliced, f"_traced_levels called inside islice: {sliced}"
 
 
 def test_only_the_screen_reads_the_near_pair_kernel():
@@ -248,8 +272,8 @@ NAMES_DISTANCE_MUST_NOT_READ = {"deletion_sphere", "SphereSet", "_screened_dista
 def test_the_distance_walks_read_only_the_stacked_ladder():
     # every ladder distance.py walks comes from channels._dedup_levels, one
     # per stack of states, and every comparison it makes is a channels call:
-    # first_meeting for the walks and the probe, pairs_meet for the pairs
-    # metric_check walks in lockstep; the lone sphere path stays for the
+    # first_meeting for the walks and the probe, pairs_meet for the groups
+    # of pairs metric_check walks; the lone sphere path stays for the
     # sphere command
     reads = _distance_reads(NAMES_DISTANCE_MUST_NOT_READ)
     assert not reads, f"distance.py reads the lone ladder or compares rows itself: {reads}"
