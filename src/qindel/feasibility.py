@@ -11,10 +11,11 @@ dimension; facial reduction (Drusvyatskiy & Wolkowicz, 2017) confines tau to
 the lifted ranges of rho and sigma; and L-BFGS on the dual semidefinite
 least-squares problem on that face (Malick, SIMAX 2004) converges to a
 witness or diverges along a Farkas certificate.  A solve still running
-after ``NEWTON_AFTER`` evaluations tries once to finish by Gauss–Newton
-steps on the factor R of tau = R R^dagger (Burer & Monteiro, 2003), from
-the dual's positive part: it returns a witness that meets the dual's own
-witness test, or fails and leaves L-BFGS to go on as it would have.  A
+after ``NEWTON_AFTER`` evaluations tries to finish by Gauss–Newton steps on
+the factor R of tau = R R^dagger (Burer & Monteiro, 2003), from the dual's
+positive part, and tries again at ``NEWTON_AFTER`` times the count of each
+try that fails: a try returns a witness that meets the dual's own witness
+test, or fails and leaves L-BFGS to go on as it would have.  A
 feasible verdict carries a re-checked witness, an infeasible one a
 re-checked certificate; with neither, the verdict is inconclusive.  One
 ``_PairDecider`` per pair of state stacks decides them all;
@@ -59,7 +60,7 @@ class FeasibilityStatus(str, Enum):
 MAX_ITERATIONS = 5000  # cap on dual gradient evaluations per (P, Q) pair
 MEMORY = 60  # L-BFGS correction pairs kept; set by a measured sweep (ROADMAP item 5)
 CANDIDATE_EVERY = 10  # gradient evaluations between Farkas-candidate tests
-NEWTON_AFTER = 20  # dual gradient evaluations before the one Gauss–Newton finish; set by a measured sweep
+NEWTON_AFTER = 4  # evaluations before the first Gauss–Newton try, and the growth of the count between tries; measured
 NEWTON_STEPS = 8  # cap on the finish's steps
 NEWTON_KEEP = 1e-2  # the finish keeps the factor's columns of weight at least this share of the largest; measured
 MAX_DIM = 16  # cap on l^(n+t) for the lifted state
@@ -142,12 +143,16 @@ def _normal_maps(level: int, qset: IndexSet, pset: IndexSet) -> tuple:
     entry (i, j) with i <= j, then Im of each with i < j.  A row of the real
     N takes that part of a row of N; a column adds the columns of an entry
     and of its mirror (j, i), times i and -i for Im.  So each real entry is
-    a signed sum of floats of the source [vec(tau), A(tau)]: ``gather``
-    indexes them in [its floats, their negatives], grouped by the flattened
-    real cell they add into (``cells``; each group from its ``starts``).
-    W N is symmetric, W = diag(``weights``) with weight 2 on the coordinates
-    of an entry off the diagonal, so only cells on or above the diagonal
-    are mapped.  ``coordinates`` reads the real coordinates off a packed
+    a signed sum of floats f of the source [vec(tau), A(tau)].  W N is
+    symmetric, W = diag(``weights``) with weight 2 on the coordinates of an
+    entry off the diagonal: each term of a cell on or above the diagonal is
+    mapped to its flattened cell (``cells``) and, off the diagonal, to the
+    mirror cell too, and ``gather`` indexes its float in [f, -f, 2f, -2f],
+    so the term carries its sign and its row's weight.  The terms are sorted
+    by cell, and W N is one ``np.bincount(cells, source[gather])``.  The
+    maps live as long as the process, so each is kept in the smallest
+    unsigned dtype that holds it: about 49 KB for a d=16 pair with
+    |P| = |Q| = 1.  ``coordinates`` reads the real coordinates off a packed
     vector's floats; ``real_of`` and ``imag_of`` give each packed entry,
     pad included, its Re and signed Im in [u, -u, 0], u the real coordinates.
     """
@@ -178,23 +183,24 @@ def _normal_maps(level: int, qset: IndexSet, pset: IndexSet) -> tuple:
     del terms
     lower = up[b] < 0
     b = np.where(lower, mirror[b], b)
-    floats, cells, gather = 2 * (d * d + pad), [], []
+    floats, terms = 2 * (d * d + pad), []
     # (row part, column part): Re/Re and Im/Re read coef 1; Re/Im reads -Im (+Im for a lower b), Im/Im +Re (-Re)
     for rows, cols, part, negative in ((up, up, 0, None), (st, up, 1, None), (up, st, 1, ~lower), (st, st, 0, lower)):
         row, col = rows[a], cols[b]
         kept = (row >= 0) & (row <= col)
-        cells.append(row[kept] * pad + col[kept])
-        gather.append(2 * t[kept] + part + (0 if negative is None else floats * negative[kept]))
-    cells, gather = np.concatenate(cells), np.concatenate(gather)
-    order = np.argsort(cells, kind="stable")
-    cells, gather = cells[order], gather[order]
-    starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+        terms.append([row[kept], col[kept], 2 * t[kept] + part + (0 if negative is None else floats * negative[kept])])
+    row, col, gather = (np.concatenate(parts) for parts in zip(*terms))
     weights = np.where(np.r_[i[upper] == j[upper], np.zeros(len(strict), bool)], 1.0, 2.0)
+    gather += 2 * floats * (weights[row] == 2)  # the row's weight, read from [f, -f] or [2f, -2f]
+    mirrored = row < col  # W N is symmetric: a term off its diagonal adds into both cells
+    cells = np.concatenate([row * pad + col, col[mirrored] * pad + row[mirrored]])
+    gather = np.concatenate([gather, gather[mirrored]])
+    order = np.argsort(cells, kind="stable")
     coordinates = np.concatenate([2 * upper, 2 * strict + 1])
     real_of = np.append(up[np.where(up >= 0, np.arange(pad), mirror)], 2 * pad)
     imag_of = np.append(np.where(st >= 0, st, np.where(i > j, pad + st[mirror], 2 * pad)), 2 * pad)
-    index = np.min_scalar_type(max(pad * pad, 2 * floats))
-    maps = (*(array.astype(index) for array in (cells[starts], gather, starts)), weights,
+    index = np.min_scalar_type(max(pad * pad, 4 * floats))
+    maps = (*(array.astype(index) for array in (cells[order], gather[order])), weights,
             *(array.astype(index) for array in (coordinates, real_of, imag_of)))
     for array in maps:
         array.setflags(write=False)
@@ -413,8 +419,8 @@ class _PairDecider:
         """Whether sigma i lies in D_P(I_Q(rho j)), by the module docstring's steps.  ``details``
         gives ``consistency_tol``, ``face_dim`` once the face is built (the
         whole space, with no eigensolve, when both kernels are rounding),
-        ``newton_steps``, the Gauss–Newton steps of the dual solve, the
-        ``margin`` of a certificate and the ``reason`` for any verdict but feasible."""
+        ``newton_steps`` and ``newton_tries``, the Gauss–Newton steps and tries of the dual
+        solve, the ``margin`` of a certificate and the ``reason`` for any verdict but feasible."""
         tol, (rest_rho, rest_sigma) = self.tol, _rests(qset, pset)
         mismatch = self._marginal(1, j, rest_rho) - self._marginal(0, i, rest_sigma)
         affine = AffineConstraint(self.level, self.stacks[1][j], qset, self.stacks[0][i], pset, mismatch)
@@ -460,7 +466,9 @@ class _PairDecider:
                 report = certified(lam, "empty face", tol.feas_tol)
                 return report or verdict(FeasibilityStatus.INCONCLUSIVE, 0.0, 0, "certificate failed its re-check")
             face = v[:, :face_dim] if face_dim < len(w) else None
-        outcome, payload, evaluations, residual, details["newton_steps"] = _dual_solve(affine, face, tol.feas_tol)
+        outcome, payload, evaluations, residual, details["newton_steps"], details["newton_tries"] = _dual_solve(
+            affine, face, tol.feas_tol
+        )
         if outcome == "witness":
             mat = hermitian_part(payload)
             images = affine.unpack(affine.apply(mat))
@@ -525,19 +533,21 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
     accepted point, and goes to ``certify`` unless its margin is below
     -feas_tol, which no rounding lifts to a margin ``certify`` accepts.
 
-    Once per solve, after that test at the first evaluation count of at
-    least ``NEWTON_AFTER``, ``_newton_finish`` takes Gauss–Newton steps on
-    the factor R of tau = R R^dagger from the accepted point's positive
-    part: by then the dual has found the witness's rank, and the steps
-    converge fast where L-BFGS crawls (ranks near sqrt(d)).  A finish that
-    meets the witness test returns its tau; one that fails changes nothing,
-    and L-BFGS goes on from its own state.  A certified bound above feas_tol
-    and a witness within it cannot both hold, so the finish decides no
+    After that test at the first evaluation count of at least
+    ``NEWTON_AFTER``, ``_newton_finish`` tries Gauss–Newton steps on the
+    factor R of tau = R R^dagger from the accepted point's positive part:
+    once the dual has found the witness's rank, the steps converge fast
+    where L-BFGS crawls (ranks near sqrt(d)).  A try that meets the witness
+    test returns its tau; one that fails changes nothing, L-BFGS goes on
+    from its own state, and the next try comes at the first count of at
+    least ``NEWTON_AFTER`` times the failed try's (4, 16, 64, ...), so a
+    long solve makes only logarithmically many tries.  A certified bound above
+    feas_tol and a witness within it cannot both hold, so no try decides a
     pair that L-BFGS would have certified.
-    Returns (outcome, payload, evaluations, residual, steps), outcome
+    Returns (outcome, payload, evaluations, residual, steps, tries), outcome
     "witness" (tau), "certificate" (lam and its ``certify`` result, whose
-    bound clears feas_tol) or "stopped" (why), and steps the Gauss–Newton
-    steps taken.
+    bound clears feas_tol) or "stopped" (why), and steps and tries the
+    Gauss–Newton steps and tries taken.
     """
     b = affine.pack(affine.rhs)[:-1].view(float)
     face_h = None if face is None else face.conj().T
@@ -570,25 +580,26 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
     # 1 / ||A||^2: a safe gradient step before any curvature is known
     step0 = 1.0 / (affine.level**affine.qset.size + affine.level**affine.pset.size)
     memory = _CurvatureMemory(len(y))
-    evaluations, failures, next_test, steps, finish_at = 0, 0, CANDIDATE_EVERY, 0, NEWTON_AFTER
+    evaluations, failures, next_test, steps, tries, finish_at = 0, 0, CANDIDATE_EVERY, 0, 0, NEWTON_AFTER
     while True:
         residual = math.sqrt(g @ g)  # np.linalg.norm's own formula for a real vector
         if residual <= feas_tol / 2:
-            return "witness", root @ root.conj().T, evaluations, residual, steps
+            return "witness", root @ root.conj().T, evaluations, residual, steps, tries
         stop = "line search failed" if failures == 2 else None
         stop = "iteration cap reached" if evaluations >= MAX_ITERATIONS else stop
         if stop or evaluations >= next_test:
             next_test += CANDIDATE_EVERY
             found = certificate(y, top)
             if found is not None:
-                return "certificate", found, evaluations, residual, steps
+                return "certificate", found, evaluations, residual, steps, tries
             if stop:
-                return "stopped", stop, evaluations, residual, steps
-        if evaluations >= finish_at:  # once per solve; a failed finish leaves the L-BFGS state as it was
-            finish_at = math.inf
-            tau, steps, finished = _newton_finish(affine, root, b, feas_tol)
+                return "stopped", stop, evaluations, residual, steps, tries
+        if evaluations >= finish_at:  # a failed try leaves the L-BFGS state as it was
+            finish_at, tries = NEWTON_AFTER * evaluations, tries + 1
+            tau, taken, finished = _newton_finish(affine, root, b, feas_tol)
+            steps += taken
             if tau is not None:
-                return "witness", tau, evaluations, finished, steps
+                return "witness", tau, evaluations, finished, steps, tries
         direction = memory.direction(g, step0)
         slope = float(g @ direction)
         if slope >= 0:
@@ -623,21 +634,18 @@ def _newton_finish(affine: AffineConstraint, root: np.ndarray, b: np.ndarray, fe
     J dR = A(dR R^dagger + R dR^dagger) is F's Jacobian at R, J^*(y) = 2
     A*(y) R and J J^* = 2 N, N = ``_normal_maps``' normal matrix at tau =
     R R^dagger.  So the least-norm solution of J dR = -F is dR = A*(y) R,
-    y the solution of N y = -F: one LU solve of W N in real coordinates,
-    with a small shift on its diagonal for the null directions of the shared
-    marginal.  Returns (tau, steps, residual) once ||F|| <= feas_tol / 2,
-    the dual's own witness test, else (None, steps, residual) after
+    y the solution of N y = -F: one LU solve of W N, built by one bincount
+    in real coordinates, with a small shift on its diagonal for the null
+    directions of the shared marginal.  Returns (tau, steps, residual) once
+    ||F|| <= feas_tol / 2, the dual's own witness test, else (None, steps, residual) after
     ``NEWTON_STEPS`` steps, or sooner once a step does not shrink ||F||.
     """
-    cells, gather, starts, weights, coordinates, real_of, imag_of = _normal_maps(
-        affine.level, affine.qset, affine.pset
-    )
+    cells, gather, weights, coordinates, real_of, imag_of = _normal_maps(affine.level, affine.qset, affine.pset)
     # a column of negligible weight is a rank the witness lacks: Gauss–Newton shrinks it only linearly
     norms = np.einsum("ij,ij->j", root.conj(), root).real
     root = root[:, norms >= NEWTON_KEEP * norms.max(initial=0.0)]
     size = len(weights)
-    half = np.zeros(size * size)  # N on and above its diagonal
-    diagonal = np.diag_indices(size)
+    diagonal, signs = np.diag_indices(size), np.array([[1.0], [-1.0], [2.0], [-2.0]])
     best, steps = math.inf, 0
     while True:
         tau = root @ root.conj().T
@@ -649,11 +657,9 @@ def _newton_finish(affine: AffineConstraint, root: np.ndarray, b: np.ndarray, fe
         if steps == NEWTON_STEPS or not residual < best:
             return None, steps, residual
         best, steps = residual, steps + 1
-        floats = np.concatenate([tau.ravel(), image]).view(float)
-        half[cells] = np.add.reduceat(np.concatenate([floats, -floats])[gather], starts)
-        upper = half.reshape(size, size) * weights[:, None]
-        matrix = upper + upper.T
-        matrix[diagonal] = upper[diagonal] + 1e-12 * math.fsum(upper[diagonal]) / size
+        source = (signs * np.concatenate([tau.ravel(), image]).view(float)).ravel()
+        matrix = np.bincount(cells, source[gather], minlength=size * size).reshape(size, size)
+        matrix[diagonal] += 1e-12 * math.fsum(matrix[diagonal]) / size
         try:
             u = np.linalg.solve(matrix, -misfit[coordinates] * weights)
         except np.linalg.LinAlgError:  # singular to working precision: no step

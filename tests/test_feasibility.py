@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from functools import reduce
 from itertools import combinations, permutations, product
 
@@ -191,7 +192,7 @@ def test_a_witness_that_fails_its_recheck_is_inconclusive(monkeypatch):
     # the solver's witness is re-checked against both conditions; the zero
     # matrix misses them, so the feasible pair gets no feasible verdict
     rho = example_rho(0.5, 0.5)
-    scripted = lambda affine, face, feas_tol: ("witness", np.zeros((8, 8), complex), 7, 0.25, 0)
+    scripted = lambda affine, face, feas_tol: ("witness", np.zeros((8, 8), complex), 7, 0.25, 0, 0)
     monkeypatch.setattr(feasibility, "_dual_solve", scripted)
     report = feasibility_del_ins(rho, rho, (3,), (3,))
     assert (report.status, report.gap, report.iterations) == (FeasibilityStatus.INCONCLUSIVE, 0.25, 7)
@@ -685,104 +686,154 @@ def test_a_d16_sweep_stays_within_its_measured_evaluations():
     # seeds 3-5 of the d=16 sweep.  At MEMORY = 60 the sweep took 1,233
     # evaluations (30 pairs: 1,470), and 1,234 once the memory's interleaved
     # products rounded otherwise; the bound leaves 5 % for other LAPACK
-    # builds.  The Gauss–Newton finish took it to 568.  Counts repeat
-    # exactly at one BLAS thread
+    # builds.  One Gauss–Newton try at 20 evaluations took it to 568, the
+    # schedule of tries from 4 evaluations to 265.  Counts repeat exactly at
+    # one BLAS thread
     total = 0
     for sigma, rho, pset, qset in _d16_instances((3, 4, 5)):
         report = feasibility_del_ins(sigma, rho, pset, qset)
         assert report.status is FeasibilityStatus.FEASIBLE, (pset, qset)
         _check_witness(report, sigma, rho, pset, qset)
         total += report.iterations
-    assert total <= 1295
+    assert total <= 278
 
 
 def _recorded_finishes(monkeypatch):
-    """Patch ``_newton_finish`` to record whether each finish met the
-    witness test; returns the list it appends to."""
-    outcomes, real = [], feasibility._newton_finish
+    """Patch ``_newton_finish`` to record each try as (the evaluation count
+    it starts at, read off ``_dual_solve``'s frame, whether it met the
+    witness test); returns the list it appends to."""
+    tries, real = [], feasibility._newton_finish
 
     def recorded(*args):
         tau, steps, residual = real(*args)
-        outcomes.append(tau is not None)
+        tries.append((sys._getframe(1).f_locals["evaluations"], tau is not None))
         return tau, steps, residual
 
     monkeypatch.setattr(feasibility, "_newton_finish", recorded)
-    return outcomes
+    return tries
 
 
 def test_the_newton_finish_shortens_the_d16_sweep(monkeypatch):
     # the 96 instances of seeds 0-5: 2,395 evaluations without the finish
-    # (rank 4: 869), 1,160 with it (rank 4: 120), all 31 of its tries meeting
-    # the witness test; the bound leaves 5 %.  Every witness, finished or
-    # not, is re-checked here on its own
-    outcomes, total, steps = _recorded_finishes(monkeypatch), 0, 0
+    # (rank 4: 869); 1,160 with one try at 20 evaluations, its 31 tries all
+    # meeting the witness test; 472 with a try at 4 evaluations and each
+    # next one at NEWTON_AFTER times the count of the failed one, 74 of its
+    # 82 tries meeting the test (a try at 4 can fail where one at 20 would
+    # not).  The bounds leave 5 % on the count and on the wins, and 2 failed
+    # tries.  Each try starts at the first count on or past its schedule
+    # that the solve reaches, as the counts of its L-BFGS steps (read at
+    # each search direction) show.  Every witness, finished or not, is
+    # re-checked here on its own
+    tries, reached, direction = _recorded_finishes(monkeypatch), [], feasibility._CurvatureMemory.direction
+    monkeypatch.setattr(feasibility._CurvatureMemory, "direction", lambda memory, g, step0: reached.append(
+        sys._getframe(1).f_locals["evaluations"]) or direction(memory, g, step0))
+    total, steps, outcomes = 0, 0, []
     for sigma, rho, pset, qset in _d16_instances(range(6)):
+        tries.clear(), reached.clear()
         report = feasibility_del_ins(sigma, rho, pset, qset)
         assert report.status is FeasibilityStatus.FEASIBLE, (pset, qset)
         _check_witness(report, sigma, rho, pset, qset)
         total += report.iterations
         steps += report.details["newton_steps"]
-        assert report.iterations >= feasibility.NEWTON_AFTER or not report.details["newton_steps"]
-    assert total <= 1220
-    assert len(outcomes) >= 25 and sum(outcomes) >= len(outcomes) - 2
+        scheduled, due = [], feasibility.NEWTON_AFTER
+        for count in sorted({*reached, *(count for count, _ in tries)}):
+            if count >= due:
+                scheduled.append(count)
+                due = feasibility.NEWTON_AFTER * count
+        assert [count for count, _ in tries] == scheduled and report.details["newton_tries"] == len(tries)
+        outcomes += [met for _, met in tries]
+    assert total <= 496
+    assert sum(outcomes) >= 70 and len(outcomes) - sum(outcomes) <= 10
     assert len(outcomes) <= steps <= feasibility.NEWTON_STEPS * len(outcomes)
 
 
+def test_the_held_out_worst_instance_is_finished_by_a_later_try():
+    # default_rng([22, 16]) at rank 4, the held-out sweep's worst: its one
+    # try at 20 evaluations failed and L-BFGS ran on to 947; the schedule's
+    # third try, at 64, meets the witness test.  The bound leaves 5 %
+    sigma, rho, pset, qset = list(_d16_instances([22]))[3]
+    assert (pset.positions, qset.positions) == ((1,), (4,))  # pairs[(22 + 4) % 12]
+    report = feasibility_del_ins(sigma, rho, pset, qset)
+    assert report.status is FeasibilityStatus.FEASIBLE and report.iterations <= 67
+    _check_witness(report, sigma, rho, pset, qset)
+
+
 def test_a_failed_finish_leaves_every_report_as_no_finish_leaves_it(monkeypatch):
-    # a finish forced to fail after its steps: each report, Werner
+    # every try forced to fail after its steps: each report, Werner
     # certificates, rho/psi and the d=16 sweep, is the one with the finish
-    # switched off, to the bit (status, evaluations, gap, witness, certificate)
+    # switched off, to the bit (status, evaluations, gap, witness,
+    # certificate).  78 reports made a try, 36 of them two or more
     real = feasibility._newton_finish
     monkeypatch.setattr(feasibility, "_newton_finish", lambda *args: (None, *real(*args)[1:]))
     failed = [feasibility_del_ins(*instance) for instance in _screen_instances()]
     monkeypatch.setattr(feasibility, "NEWTON_AFTER", math.inf)
-    tried = 0
+    tried, retried = 0, 0
     for instance, report in zip(_screen_instances(), failed, strict=True):
         alone = feasibility_del_ins(*instance)
-        assert (report.status, report.iterations, report.gap) == (alone.status, alone.iterations, alone.gap)
-        assert report.details.get("reason") == alone.details.get("reason")
-        assert alone.details.get("newton_steps", 0) == 0
-        tried += report.details.get("newton_steps", 0) > 0
-        for mine, theirs in ((report.witness, alone.witness), (report.certificate, alone.certificate)):
-            assert (mine is None) == (theirs is None)
+        _assert_same_report(report, alone)
+        assert alone.details.get("newton_tries", 0) == alone.details.get("newton_steps", 0) == 0
+        tried += report.details.get("newton_tries", 0) > 0
+        retried += report.details.get("newton_tries", 0) > 1
         if report.witness is not None:
             assert report.witness.mat.tobytes() == alone.witness.mat.tobytes()
-        if report.certificate is not None:
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(report.certificate, alone.certificate))
-    assert tried >= 25
+    assert tried >= 70 and retried >= 30
+
+
+def test_an_early_try_leaves_every_report_short_of_feasible_as_it_was(monkeypatch):
+    # the real finish, tried from NEWTON_AFTER evaluations on: a try that
+    # fails leaves the L-BFGS state untouched, and no witness within feas_tol
+    # coexists with a certificate, so every report of the screen's instances
+    # that is not feasible is the one with the finish switched off, to the
+    # bit.  Each Werner certificate comes after a failed try
+    reports = [feasibility_del_ins(*instance) for instance in _screen_instances()]
+    monkeypatch.setattr(feasibility, "NEWTON_AFTER", math.inf)
+    for instance, report in zip(_screen_instances(), reports, strict=True):
+        if report.status is not FeasibilityStatus.FEASIBLE:
+            _assert_same_report(report, feasibility_del_ins(*instance))
+    werner = [report for report in reports[:3] if report.status is FeasibilityStatus.INFEASIBLE]
+    assert len(werner) == 2 and all(report.details["newton_tries"] >= 1 for report in werner)
+
+
+def _assert_same_report(report, alone):
+    """Status, evaluations, gap, reason and certificate arrays to the bit."""
+    assert (report.status, report.iterations, report.gap) == (alone.status, alone.iterations, alone.gap)
+    assert report.details.get("reason") == alone.details.get("reason")
+    for mine, theirs in ((report.witness, alone.witness), (report.certificate, alone.certificate)):
+        assert (mine is None) == (theirs is None)
+    if report.certificate is not None:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(report.certificate, alone.certificate))
 
 
 def test_the_finish_covers_two_blocks_and_qutrits(monkeypatch):
     # |P| != |Q| packs the two conditions as two blocks; at its natural start
-    # the finish meets the witness test on 4 qubits, P = {1, 2}, Q = {3}.  No
-    # qutrit solve at d <= 16 runs 20 evaluations, so there it starts after 2
-    outcomes = _recorded_finishes(monkeypatch)
+    # the finish meets the witness test on 4 qubits, P = {1, 2}, Q = {3}, and
+    # so it does on 6 of 8 qutrit pairs
+    tries = _recorded_finishes(monkeypatch)
     rng = np.random.default_rng([0, 42])
     tau = [random_density(rng, QuditShape(2, 4), rank) for rank in range(1, 5)][-1]  # the rank-4 draw
     pset, qset = IndexSet((1, 2), 4), IndexSet((3,), 4)
     sigma, rho = delete(tau, pset), delete(tau, qset)
     report = feasibility_del_ins(sigma, rho, pset, qset)
-    assert report.status is FeasibilityStatus.FEASIBLE and outcomes == [True]
+    assert report.status is FeasibilityStatus.FEASIBLE and tries == [(feasibility.NEWTON_AFTER, True)]
     assert report.iterations == feasibility.NEWTON_AFTER and report.details["newton_steps"] > 0
     _check_witness(report, sigma, rho, pset, qset)
-    monkeypatch.setattr(feasibility, "NEWTON_AFTER", 2)
     rng, wins = np.random.default_rng([0, 43]), 0
     for rank in range(2, 6):
         tau = random_density(rng, QuditShape(3, 2), rank)
         for p, q in ((1, 2), (2, 1)):
             pset, qset = IndexSet((p,), 2), IndexSet((q,), 2)
             sigma, rho = delete(tau, pset), delete(tau, qset)
-            outcomes.clear()
+            tries.clear()
             report = feasibility_del_ins(sigma, rho, pset, qset)
             assert report.status is FeasibilityStatus.FEASIBLE
             _check_witness(report, sigma, rho, pset, qset)
-            wins += outcomes == [True]
+            wins += tries == [(feasibility.NEWTON_AFTER, True)]
     assert wins >= 6
 
 
 def test_the_normal_maps_give_the_matrix_free_normal_matrix(rng):
-    # the real W N of _normal_maps, from its mapped half, against W times
-    # N y = A(A*(y) tau + tau A*(y)) for a Hermitian pair y, at every
+    # the real W N of _normal_maps, one bincount over its sorted cells, against
+    # W times N y = A(A*(y) tau + tau A*(y)) for a Hermitian pair y, at every
     # (level, Q, P) of the lifted pairs, two blocks and qutrits included;
     # real_of and imag_of give y back from its real coordinates
     for level, qset, pset in _lifted_pairs():
@@ -791,12 +842,11 @@ def test_the_normal_maps_give_the_matrix_free_normal_matrix(rng):
         d = level**qset.ambient
         root = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
         tau = root @ root.conj().T
-        cells, gather, starts, weights, coordinates, real_of, imag_of = feasibility._normal_maps(level, qset, pset)
+        cells, gather, weights, coordinates, real_of, imag_of = feasibility._normal_maps(level, qset, pset)
+        assert cells.dtype.kind == gather.dtype.kind == "u" and np.all(cells[1:] >= cells[:-1])
         floats = np.concatenate([tau.ravel(), affine.apply(tau)]).view(float)
-        half = np.zeros(len(weights) ** 2)
-        half[cells] = np.add.reduceat(np.concatenate([floats, -floats])[gather], starts)
-        upper = half.reshape(len(weights), -1) * weights[:, None]
-        matrix = upper + upper.T - np.diag(upper.diagonal())
+        source = np.concatenate([floats, -floats, 2 * floats, -2 * floats])
+        matrix = np.bincount(cells, source[gather], minlength=len(weights) ** 2).reshape(len(weights), -1)
         y = affine.pack(tuple(random_hermitian(rng, len(m)) for m in affine.rhs))
         x = affine.adjoint(y)
         want = affine.apply(x @ tau + tau @ x).view(float)[coordinates] * weights
@@ -889,7 +939,7 @@ def test_a_one_pair_decision_decomposes_both_states_in_one_call(monkeypatch):
                         lambda mats, shape, tol: calls.append(np.shape(mats)) or groups(mats, shape, tol))
     monkeypatch.setattr(feasibility, "eigensolve", lambda solver, h: solves.append(1) or solve(solver, h))
     monkeypatch.setattr(feasibility, "_dual_solve",
-                        lambda affine, face, feas_tol: faces.append(face) or ("stopped", "stub", 0, 1.0, 0))
+                        lambda affine, face, feas_tol: faces.append(face) or ("stopped", "stub", 0, 1.0, 0, 0))
     rng, pset, qset = np.random.default_rng(7), IndexSet((1,), 4), IndexSet((3,), 4)
     for rank, full in ((16, True), (4, True), (2, False)):
         tau = random_density(rng, QuditShape(2, 4), rank)
