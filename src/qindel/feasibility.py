@@ -10,17 +10,18 @@ conditions must fix the same common marginal, within eq_tol at its
 dimension; facial reduction (Drusvyatskiy & Wolkowicz, 2017) confines tau to
 the lifted ranges of rho and sigma; and L-BFGS on the dual semidefinite
 least-squares problem on that face (Malick, SIMAX 2004) converges to a
-witness or diverges along a Farkas certificate.  A solve still running
-after ``NEWTON_AFTER`` evaluations tries to finish by Gauss–Newton steps on
-the factor R of tau = R R^dagger (Burer & Monteiro, 2003), from the dual's
-positive part, and tries again at ``NEWTON_AFTER`` times the count of each
-try that fails: a try returns a witness that meets the dual's own witness
-test, or fails and leaves L-BFGS to go on as it would have.  A
-feasible verdict carries a re-checked witness, an infeasible one a
-re-checked certificate; with neither, the verdict is inconclusive.  One
-``_PairDecider`` per pair of state stacks decides them all;
-``feasibility_del_ins`` and ``member_del_ins`` are its one-pair and
-one-state-pair cases.
+witness or diverges along a Farkas certificate.  The solve has
+checkpoints at ``NEWTON_AFTER`` evaluations, at ``NEWTON_AFTER`` times the
+count of each checkpoint that decides nothing, and where L-BFGS stops.  At
+each it tries to finish by Gauss–Newton steps on the factor R of
+tau = R R^dagger (Burer & Monteiro, 2003), from the dual's positive part,
+and returns a witness that meets the dual's own witness test; failing
+that, it tests the dual's Farkas candidate; failing both, L-BFGS goes on
+as it would have, unless it had stopped.  A feasible verdict carries a
+re-checked witness, an infeasible one a re-checked certificate; with
+neither, the verdict is inconclusive.  One ``_PairDecider`` per pair of
+state stacks decides them all; ``feasibility_del_ins`` and
+``member_del_ins`` are its one-pair and one-state-pair cases.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .channels import IndexSet, _as_index_set, _check_composed, _dedup_levels, _insertion_set, _one_position
 from .channels import _sample_batch, _traced_levels, pairs_meet, trace_out, trace_out_adjoint
-from .errors import CountOutOfRange, QindelError, ShapeMismatch, SizeCapExceeded
+from .errors import QindelError, ShapeMismatch, SizeCapExceeded
 from .linalg import Tolerance, _refuse_alone, eigensolve, frobenius_distance, frobenius_norm, hermitian_part
 from .states import DensityMatrix, QuditShape, _count, _spectral_groups
 
@@ -59,8 +60,7 @@ class FeasibilityStatus(str, Enum):
 
 MAX_ITERATIONS = 5000  # cap on dual gradient evaluations per (P, Q) pair
 MEMORY = 60  # L-BFGS correction pairs kept; set by a measured sweep (ROADMAP item 5)
-CANDIDATE_EVERY = 10  # gradient evaluations between Farkas-candidate tests
-NEWTON_AFTER = 4  # evaluations before the first Gauss–Newton try, and the growth of the count between tries; measured
+NEWTON_AFTER = 4  # evaluations before the first dual checkpoint, and the growth of the count between them; measured
 NEWTON_STEPS = 8  # cap on the finish's steps
 NEWTON_KEEP = 1e-2  # the finish keeps the factor's columns of weight at least this share of the largest; measured
 MAX_DIM = 16  # cap on l^(n+t) for the lifted state
@@ -312,20 +312,6 @@ class AffineConstraint:
         norm = math.hypot(frobenius_norm(lam_q), frobenius_norm(lam[1]))
         return margin, (margin / norm if norm else 0.0)
 
-    def margin_bound(self, z: np.ndarray, top: float) -> float:
-        """An upper bound on the margin ``certify`` gives the candidate
-        -z / ||z|| of a packed z, from ``top``, the greatest eigenvalue of
-        U^dagger A*(z) U for an orthonormal face basis U (or of A*(z)).
-
-        top is at most lambda_max(A*(z)), so certify's shift is at least
-        max(0, top) / ||z||, and its margin Re<b, z> / ||z|| - shift tr(rho)
-        at most max(0, top) tr(rho) less.  A negative bound means a negative
-        margin, which no threshold accepts."""
-        rho, sigma = self.rhs
-        z_q, z_p = self.unpack(z)
-        reach = np.vdot(rho, z_q).real + np.vdot(sigma, z_p).real - max(0.0, top) * np.trace(rho).real
-        return float(reach) / (math.hypot(frobenius_norm(z_q), frobenius_norm(z_p)) or 1.0)
-
 
 def member_ins_del(
     sigma: DensityMatrix,
@@ -419,8 +405,9 @@ class _PairDecider:
         """Whether sigma i lies in D_P(I_Q(rho j)), by the module docstring's steps.  ``details``
         gives ``consistency_tol``, ``face_dim`` once the face is built (the
         whole space, with no eigensolve, when both kernels are rounding),
-        ``newton_steps`` and ``newton_tries``, the Gauss–Newton steps and tries of the dual
-        solve, the ``margin`` of a certificate and the ``reason`` for any verdict but feasible."""
+        ``newton_steps`` and ``newton_tries``, the dual solve's Gauss–Newton steps and its
+        checkpoints (one try each, the last one's Farkas test deciding a dual certificate),
+        the ``margin`` of a certificate and the ``reason`` for any verdict but feasible."""
         tol, (rest_rho, rest_sigma) = self.tol, _rests(qset, pset)
         mismatch = self._marginal(1, j, rest_rho) - self._marginal(0, i, rest_sigma)
         affine = AffineConstraint(self.level, self.stacks[1][j], qset, self.stacks[0][i], pset, mismatch)
@@ -528,22 +515,23 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
     one ``eigh`` and a fixed handful of array calls: the positive part is the
     top of the ascending spectrum, as views, and theta reads w @ w.  A step
     makes three products with the memory: two for the direction, one for
-    the push.  Every ``CANDIDATE_EVERY`` evaluations the candidate
-    -y / ||y|| is screened by ``margin_bound`` from the top eigenvalue of the
-    accepted point, and goes to ``certify`` unless its margin is below
-    -feas_tol, which no rounding lifts to a margin ``certify`` accepts.
+    the push.
 
-    After that test at the first evaluation count of at least
-    ``NEWTON_AFTER``, ``_newton_finish`` tries Gauss–Newton steps on the
-    factor R of tau = R R^dagger from the accepted point's positive part:
-    once the dual has found the witness's rank, the steps converge fast
-    where L-BFGS crawls (ranks near sqrt(d)).  A try that meets the witness
-    test returns its tau; one that fails changes nothing, L-BFGS goes on
-    from its own state, and the next try comes at the first count of at
-    least ``NEWTON_AFTER`` times the failed try's (4, 16, 64, ...), so a
-    long solve makes only logarithmically many tries.  A certified bound above
-    feas_tol and a witness within it cannot both hold, so no try decides a
-    pair that L-BFGS would have certified.
+    The solve checks its progress at checkpoints: the first evaluation
+    count of at least ``NEWTON_AFTER``, then the first of at least
+    ``NEWTON_AFTER`` times the last checkpoint's count (4, 16, 64, ...), so
+    a long solve has only logarithmically many, and a stop (the iteration
+    cap or a second failed line search).  At each, ``_newton_finish`` first
+    tries Gauss–Newton steps on the factor R of tau = R R^dagger from the
+    accepted point's positive part: once the dual has found the witness's
+    rank, the steps converge fast where L-BFGS crawls (ranks near sqrt(d)).
+    A try that meets the witness test returns its tau.  Otherwise the
+    candidate -y / ||y|| goes to ``certify``, and is returned if its bound
+    clears feas_tol.  Otherwise a stop returns "stopped", and any other
+    checkpoint leaves L-BFGS to go on from its own state, which neither
+    test changed.  A certified bound
+    above feas_tol and a witness within it cannot both hold, so neither
+    test decides a pair that the other would have decided otherwise.
     Returns (outcome, payload, evaluations, residual, steps, tries), outcome
     "witness" (tau), "certificate" (lam and its ``certify`` result, whose
     bound clears feas_tol) or "stopped" (why), and steps and tries the
@@ -558,48 +546,40 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
             x = face_h @ x @ face
         w, v = eigensolve(np.linalg.eigh, x)
         k = w.searchsorted(0.0, "right")  # the positive part is the top of the ascending spectrum
-        top, w = w[-1], w[k:]
+        w = w[k:]
         root = v[:, k:] * np.sqrt(w)
         if face is not None:
             root = face @ root
         grad = affine.apply(root @ root.conj().T).view(float)
         grad -= b
-        return float(0.5 * (w @ w) - b @ y), grad, root, top
-
-    def certificate(y, top):
-        if affine.margin_bound(y.view(complex), top) < -feas_tol:
-            return None
-        lam = affine.unpack((-y / (float(np.linalg.norm(y)) or 1.0)).view(complex))
-        checked = affine.certify(lam)
-        return (lam, checked) if checked[1] > feas_tol else None
+        return float(0.5 * (w @ w) - b @ y), grad, root
 
     point = affine.pack(affine.least_squares_dual())
     trial = np.zeros_like(point)
     y, y_trial, step = point[:-1].view(float), trial[:-1].view(float), np.empty(len(b))
-    f, g, root, top = evaluate(point, y)
+    f, g, root = evaluate(point, y)
     # 1 / ||A||^2: a safe gradient step before any curvature is known
     step0 = 1.0 / (affine.level**affine.qset.size + affine.level**affine.pset.size)
     memory = _CurvatureMemory(len(y))
-    evaluations, failures, next_test, steps, tries, finish_at = 0, 0, CANDIDATE_EVERY, 0, 0, NEWTON_AFTER
+    evaluations, failures, steps, tries, checkpoint = 0, 0, 0, 0, NEWTON_AFTER
     while True:
         residual = math.sqrt(g @ g)  # np.linalg.norm's own formula for a real vector
         if residual <= feas_tol / 2:
             return "witness", root @ root.conj().T, evaluations, residual, steps, tries
         stop = "line search failed" if failures == 2 else None
         stop = "iteration cap reached" if evaluations >= MAX_ITERATIONS else stop
-        if stop or evaluations >= next_test:
-            next_test += CANDIDATE_EVERY
-            found = certificate(y, top)
-            if found is not None:
-                return "certificate", found, evaluations, residual, steps, tries
-            if stop:
-                return "stopped", stop, evaluations, residual, steps, tries
-        if evaluations >= finish_at:  # a failed try leaves the L-BFGS state as it was
-            finish_at, tries = NEWTON_AFTER * evaluations, tries + 1
+        if stop or evaluations >= checkpoint:  # a try, then a Farkas test: neither moves the L-BFGS state
+            checkpoint, tries = NEWTON_AFTER * evaluations, tries + 1
             tau, taken, finished = _newton_finish(affine, root, b, feas_tol)
             steps += taken
             if tau is not None:
                 return "witness", tau, evaluations, finished, steps, tries
+            lam = affine.unpack((-y / (float(np.linalg.norm(y)) or 1.0)).view(complex))
+            checked = affine.certify(lam)
+            if checked[1] > feas_tol:
+                return "certificate", (lam, checked), evaluations, residual, steps, tries
+            if stop:
+                return "stopped", stop, evaluations, residual, steps, tries
         direction = memory.direction(g, step0)
         slope = float(g @ direction)
         if slope >= 0:
@@ -610,7 +590,7 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
         while True:
             np.multiply(direction, alpha, out=step)
             np.add(y, step, out=y_trial)
-            f_new, g_new, root_new, top_new = evaluate(trial, y_trial)
+            f_new, g_new, root_new = evaluate(trial, y_trial)
             evaluations += 1
             if f_new <= f + alpha * slope or alpha < 1e-10 or evaluations >= MAX_ITERATIONS:
                 break
@@ -623,7 +603,7 @@ def _dual_solve(affine: AffineConstraint, face: np.ndarray | None, feas_tol: flo
         if step @ g_vec > 1e-12 * (g_vec @ g_vec):
             memory.push(step, g_vec)
         point, trial, y, y_trial = trial, point, y_trial, y
-        f, g, root, top = f_new, g_new, root_new, top_new
+        f, g, root = f_new, g_new, root_new
 
 
 def _newton_finish(affine: AffineConstraint, root: np.ndarray, b: np.ndarray, feas_tol: float):
@@ -757,9 +737,8 @@ def _trial_counts(value, what: str, lengths: list, bounded: bool) -> list[int]:
     """One count per trial: ``value`` for every trial, or ``value[i]`` for
     trial i.  Each is a nonnegative integer (``CountOutOfRange``), at most
     its trial's length ``lengths[i]`` where ``bounded``; one per trial, or
-    ``ShapeMismatch``.  Each distinct (type, value, bound) is checked once;
-    only on a refusal (or an unhashable value) are the trials checked one by
-    one, so that it names the first trial at fault, ``... of trial i``."""
+    ``ShapeMismatch``.  The trials are checked in order, so a refusal names
+    the first trial at fault, ``... of trial i``."""
     if np.ndim(value) == 0:
         most = min(lengths, default=None) if bounded else None
         return [_count(value, what, most=most)] * len(lengths)
@@ -767,13 +746,7 @@ def _trial_counts(value, what: str, lengths: list, bounded: bool) -> list[int]:
     if len(values) != len(lengths):
         raise ShapeMismatch(f"{len(lengths)} states but {len(values)} values of {what}")
     bounds = lengths if bounded else [None] * len(lengths)
-    # the type is part of the key: 1, 1.0 and True are equal keys, but only 1 is a count
-    keys = list(zip(map(type, values), values, bounds))
-    try:
-        checked = {key: _count(key[1], what, most=key[2]) for key in set(keys)}
-    except (CountOutOfRange, TypeError):
-        return [_count(v, f"{what} of trial {i}", most=most) for i, (v, most) in enumerate(zip(values, bounds))]
-    return [checked[key] for key in keys]
+    return [_count(v, f"{what} of trial {i}", most=most) for i, (v, most) in enumerate(zip(values, bounds))]
 
 
 def _below(u: np.ndarray, k) -> np.ndarray:

@@ -747,6 +747,18 @@ def test_the_newton_finish_shortens_the_d16_sweep(monkeypatch):
     assert len(outcomes) <= steps <= feasibility.NEWTON_STEPS * len(outcomes)
 
 
+def test_the_held_out_d16_instances_stay_within_their_measured_evaluations():
+    # the 320 held-out instances of seeds 6-25: all feasible, each witness
+    # re-checked, 1,474 evaluations in all; the bound leaves 5 %
+    total = 0
+    for sigma, rho, pset, qset in _d16_instances(range(6, 26)):
+        report = feasibility_del_ins(sigma, rho, pset, qset)
+        assert report.status is FeasibilityStatus.FEASIBLE, (pset, qset)
+        _check_witness(report, sigma, rho, pset, qset)
+        total += report.iterations
+    assert total <= 1547
+
+
 def test_the_held_out_worst_instance_is_finished_by_a_later_try():
     # default_rng([22, 16]) at rank 4, the held-out sweep's worst: its one
     # try at 20 evaluations failed and L-BFGS ran on to 947; the schedule's
@@ -758,20 +770,27 @@ def test_the_held_out_worst_instance_is_finished_by_a_later_try():
     _check_witness(report, sigma, rho, pset, qset)
 
 
+def _no_finish(*args):
+    """``_newton_finish`` switched off: every try fails with zero steps."""
+    return None, 0, math.inf
+
+
 def test_a_failed_finish_leaves_every_report_as_no_finish_leaves_it(monkeypatch):
     # every try forced to fail after its steps: each report, Werner
     # certificates, rho/psi and the d=16 sweep, is the one with the finish
-    # switched off, to the bit (status, evaluations, gap, witness,
-    # certificate).  78 reports made a try, 36 of them two or more
+    # switched off (each try failing with zero steps), to the bit (status,
+    # evaluations, gap, witness, certificate), at the same checkpoints.
+    # 78 reports made a try, 36 of them two or more
     real = feasibility._newton_finish
     monkeypatch.setattr(feasibility, "_newton_finish", lambda *args: (None, *real(*args)[1:]))
     failed = [feasibility_del_ins(*instance) for instance in _screen_instances()]
-    monkeypatch.setattr(feasibility, "NEWTON_AFTER", math.inf)
+    monkeypatch.setattr(feasibility, "_newton_finish", _no_finish)
     tried, retried = 0, 0
     for instance, report in zip(_screen_instances(), failed, strict=True):
         alone = feasibility_del_ins(*instance)
         _assert_same_report(report, alone)
-        assert alone.details.get("newton_tries", 0) == alone.details.get("newton_steps", 0) == 0
+        assert alone.details.get("newton_steps", 0) == 0
+        assert alone.details.get("newton_tries") == report.details.get("newton_tries")
         tried += report.details.get("newton_tries", 0) > 0
         retried += report.details.get("newton_tries", 0) > 1
         if report.witness is not None:
@@ -780,13 +799,13 @@ def test_a_failed_finish_leaves_every_report_as_no_finish_leaves_it(monkeypatch)
 
 
 def test_an_early_try_leaves_every_report_short_of_feasible_as_it_was(monkeypatch):
-    # the real finish, tried from NEWTON_AFTER evaluations on: a try that
-    # fails leaves the L-BFGS state untouched, and no witness within feas_tol
-    # coexists with a certificate, so every report of the screen's instances
-    # that is not feasible is the one with the finish switched off, to the
-    # bit.  Each Werner certificate comes after a failed try
+    # the real finish, tried at every checkpoint: a try that fails leaves
+    # the L-BFGS state untouched, and no witness within feas_tol coexists
+    # with a certificate, so every report of the screen's instances that is
+    # not feasible is the one with the finish switched off, to the bit.
+    # Each Werner certificate comes after a failed try
     reports = [feasibility_del_ins(*instance) for instance in _screen_instances()]
-    monkeypatch.setattr(feasibility, "NEWTON_AFTER", math.inf)
+    monkeypatch.setattr(feasibility, "_newton_finish", _no_finish)
     for instance, report in zip(_screen_instances(), reports, strict=True):
         if report.status is not FeasibilityStatus.FEASIBLE:
             _assert_same_report(report, feasibility_del_ins(*instance))
@@ -1016,7 +1035,7 @@ def test_monogamy_dual_certificate():
 
 
 def _screen_instances():
-    """(sigma, rho, P, Q) of the candidate screen's tests: the Werner
+    """(sigma, rho, P, Q) of the dual checkpoints' tests: the Werner
     monogamy pairs on a face of 8 (two certified, one feasible), rho/psi both
     ways at every P and Q, and the 96-instance d=16 sweep of marginals of
     random 4-qubit states (seeds 0-5, every rank)."""
@@ -1029,46 +1048,57 @@ def _screen_instances():
     yield from _d16_instances(range(6))
 
 
-def test_the_candidate_screen_skips_only_candidates_that_cannot_certify(monkeypatch):
-    # margin_bound bounds certify's margin of -z / ||z|| from above (here up
-    # to rounding), so a candidate it puts below -feas_tol has a negative
-    # margin and a bound no threshold accepts; the Werner candidates pass it
-    feas_tol, seen = Tolerance().feas_tol, []
-    real = feasibility.AffineConstraint.margin_bound
+def test_dual_certificates_come_only_at_checkpoints(monkeypatch):
+    # each Werner certificate comes at the first checkpoint, evaluation
+    # NEWTON_AFTER, after one failed Gauss-Newton try, and re-checks; over
+    # the screen's instances every certify call of a dual solve follows a
+    # failed try at its evaluation count (the tries keep their schedule,
+    # test_the_newton_finish_shortens_the_d16_sweep), and 2 of the 20
+    # infeasible reports are dual certificates
+    events, finish, certify = [], feasibility._newton_finish, feasibility.AffineConstraint.certify
 
-    def recorded(affine, z, top):
-        bound = real(affine, z, top)
-        seen.append((affine, z.copy(), bound))
-        return bound
+    def solver_frame():
+        frame = sys._getframe(2)
+        return frame.f_locals["evaluations"] if frame.f_code.co_name == "_dual_solve" else None
 
-    monkeypatch.setattr(feasibility.AffineConstraint, "margin_bound", recorded)
+    def recorded_finish(*args):
+        tau, steps, residual = finish(*args)
+        events.append(("try", solver_frame(), tau is not None))
+        return tau, steps, residual
+
+    def recorded_certify(affine, lam):
+        count = solver_frame()
+        if count is not None:
+            events.append(("certify", count))
+        return certify(affine, lam)
+
+    monkeypatch.setattr(feasibility, "_newton_finish", recorded_finish)
+    monkeypatch.setattr(feasibility.AffineConstraint, "certify", recorded_certify)
+    p1, q3 = IndexSet((1,), 3), IndexSet((3,), 3)
+    for eps in (0.05, 0.3):
+        state = _werner(eps)
+        events.clear()
+        report = feasibility_del_ins(state, state, p1, q3)
+        assert report.status is FeasibilityStatus.INFEASIBLE and report.details["reason"] == "dual certificate"
+        count = feasibility.NEWTON_AFTER
+        assert report.iterations == count and report.details["newton_tries"] == 1
+        assert events == [("try", count, False), ("certify", count)]
+        margin = _check_certificate(report, state, state, p1, q3)
+        assert report.details["margin"] == pytest.approx(margin, abs=1e-12)
+    reasons, certified = [], 0
     for instance in _screen_instances():
-        feasibility_del_ins(*instance)
-    skipped = 0
-    for affine, z, bound in seen:
-        margin, certified = affine.certify(affine.unpack(-z / np.linalg.norm(z)))
-        assert margin <= bound + 1e-12
-        if bound < -feas_tol:
-            skipped += 1
-            assert margin < 0 and certified <= feas_tol
-    assert 0 < skipped < len(seen)
-
-
-def test_the_candidate_screen_keeps_every_verdict(monkeypatch):
-    # with the screen off (no candidate skipped) every report is the same:
-    # status, reason and evaluations, and an infeasible one's margin
-    screened = [feasibility_del_ins(*instance) for instance in _screen_instances()]
-    monkeypatch.setattr(feasibility.AffineConstraint, "margin_bound", lambda affine, z, top: math.inf)
-    reasons = []
-    for instance, report in zip(_screen_instances(), screened, strict=True):
-        alone = feasibility_del_ins(*instance)
-        assert report.status is alone.status and report.status is not FeasibilityStatus.INCONCLUSIVE
-        assert report.iterations == alone.iterations
-        assert report.details.get("reason") == alone.details.get("reason")
+        events.clear()
+        report = feasibility_del_ins(*instance)
+        assert report.status is not FeasibilityStatus.INCONCLUSIVE
+        scheduled = []
+        for _, count, met in (event for event in events if event[0] == "try"):
+            scheduled += [("try", count, met)] if met else [("try", count, met), ("certify", count)]
+        assert events == scheduled
+        certified += sum(event[0] == "certify" for event in events)
         if report.status is FeasibilityStatus.INFEASIBLE:
-            assert report.details["margin"] == pytest.approx(alone.details["margin"], abs=1e-12)
             reasons.append(report.details["reason"])
     assert reasons.count("dual certificate") == 2 and len(reasons) == 20
+    assert certified > 2  # failed tries on feasible instances are followed by a test too
 
 
 def test_counterexample_certificates_recheck():

@@ -174,7 +174,6 @@ DUAL_STEPS = {
     "AffineConstraint.pack",
     "AffineConstraint.apply",
     "AffineConstraint.adjoint",
-    "AffineConstraint.margin_bound",
     "_dual_solve",
     "_newton_finish",
     "_normal_maps",
@@ -198,6 +197,23 @@ def test_the_dual_steps_read_no_partial_trace():
         in ("trace_out", "trace_out_adjoint")
     ]
     assert not reads, f"trace_out or trace_out_adjoint read in a dual step or the constraint's build: {reads}"
+
+
+# feasibility's module-level solver settings: the dual solve has one schedule
+# of checkpoints, set by NEWTON_AFTER, and no second cadence beside it
+SOLVER_SETTINGS = {"MAX_ITERATIONS", "MEMORY", "NEWTON_AFTER", "NEWTON_STEPS", "NEWTON_KEEP", "MAX_DIM"}
+
+
+def test_feasibility_has_only_the_listed_solver_settings():
+    tree = ast.parse((ROOT / "src" / "qindel" / "feasibility.py").read_text(encoding="utf-8"))
+    names = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    assert names == SOLVER_SETTINGS
 
 
 SCREEN = ("channels.py", "_screened_distances")
